@@ -23,9 +23,25 @@ cargo build --workspace --release
 echo "== cargo test =="
 cargo test --workspace -q
 
-echo "== observability artifact smoke (fig1, scaled down) =="
+echo "== allocation budget of the sample path (release: the build tsbench measures) =="
+# 0 allocations per marker triple, sampled or not; at most the owned
+# TrainingPoint's 4 per drained record.
+cargo test -q --release --test alloc_budget
+
 CI_RESULTS=$(mktemp -d)
 trap 'rm -rf "$CI_RESULTS"' EXIT
+
+echo "== frozen-surface smoke (untouched benchmark/ builds against these crates) =="
+# Correctness only — no timing is gated here: tsbench must compile
+# unchanged against the current library surface, exit 0, and report
+# `"correct": true` (digest, begun = delivered + lost, archive checks).
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
+  run --workload collect_full --seconds 2 --out "$CI_RESULTS/tsbench" \
+  | tail -n 1 | grep -q '"correct": true' \
+  || { echo "FAIL: tsbench collect_full did not report correct: true"; exit 1; }
+echo "frozen-surface smoke OK"
+
+echo "== observability artifact smoke (fig1, scaled down) =="
 TS_SCALE=0.05 TS_RESULTS="$CI_RESULTS" \
   cargo run -q --release -p tscout-bench --bin fig1_user_vs_kernel
 test -s "$CI_RESULTS/profile_fig1.folded" \

@@ -8,13 +8,15 @@
 //! selection (§5.4: "TS can dynamically unload BPF programs, modify them,
 //! and reload them").
 
+use std::sync::Arc;
+
 use tscout_telemetry::{FrameGuard, Profiler};
 
 use crate::insn::Insn;
 use crate::maps::MapRegistry;
 use crate::opt::{optimize, OptOptions, OptStats};
 use crate::verifier::{verify_with_log, VerifyError, VerifyStats};
-use crate::vm::{ExecStats, HelperWorld, Vm, VmError};
+use crate::vm::{ExecStats, HelperWorld, Vm, VmError, VmScratch};
 
 /// Identifier of a loaded program. Also used as the attachment token in the
 /// simulated kernel's tracepoint registry.
@@ -47,6 +49,9 @@ impl std::error::Error for LoadError {}
 #[derive(Debug, Clone)]
 pub struct LoadedProg {
     pub name: String,
+    /// `bpf:prog:<name>`, the program's profiler frame, built once here
+    /// so pushing it allocates nothing.
+    frame: Arc<str>,
     /// The executable instruction stream (post-optimization when the
     /// optimizer is enabled and succeeded).
     pub insns: Vec<Insn>,
@@ -74,6 +79,11 @@ pub struct Loader {
     /// stays kernel-agnostic: the handle is injected by whoever owns
     /// both, e.g. TScout at attach time).
     profiler: Option<Profiler>,
+    /// The VM's working memory, reused by every `run`.
+    scratch: VmScratch,
+    /// Staging buffer for contexts shorter than a program's declared
+    /// size (zero-padded before the run).
+    padded_ctx: Vec<u8>,
 }
 
 impl Default for Loader {
@@ -88,6 +98,8 @@ impl Default for Loader {
             opt_totals: OptStats::default(),
             opt_fallbacks: 0,
             profiler: None,
+            scratch: VmScratch::default(),
+            padded_ctx: Vec::new(),
         }
     }
 }
@@ -148,6 +160,7 @@ impl Loader {
         let id = self.progs.len() as ProgId;
         self.progs.push(Some(LoadedProg {
             name: name.into(),
+            frame: format!("bpf:prog:{name}").into(),
             insns,
             ctx_size,
             insns_unoptimized,
@@ -206,15 +219,15 @@ impl Loader {
     }
 
     /// Push a `bpf:prog:<name>` frame for `task` onto the injected
-    /// profiler, returning its pop-on-drop guard. `None` when no
+    /// profiler, returning its pop-on-drop guard. `None` when no enabled
     /// profiler is injected or the program is not loaded; callers hold
     /// the guard across the program's execution *and* the charge for it
     /// (the VM itself runs in zero virtual time — its instruction cost
     /// is charged by the caller afterwards).
     pub fn profile_scope(&self, task: usize, id: ProgId) -> Option<FrameGuard> {
-        let profiler = self.profiler.as_ref()?;
+        let profiler = self.profiler.as_ref().filter(|p| p.is_enabled())?;
         let prog = self.get(id)?;
-        Some(profiler.push_frame_lazy(task, false, || format!("bpf:prog:{}", prog.name)))
+        Some(profiler.push_frame_shared(task, &prog.frame, false))
     }
 
     /// Execute a loaded program against a context payload.
@@ -231,15 +244,17 @@ impl Loader {
             .ok_or(VmError::PcOutOfBounds { pc: usize::MAX })?;
         // Context is truncated/zero-padded to the declared size so variable
         // payloads (e.g. feature vectors) stay within verified bounds.
-        // (`progs` and `maps` are disjoint fields, so the program can be
-        // interpreted in place — no per-call instruction clone.)
-        if ctx.len() >= prog.ctx_size {
-            Vm::run(&prog.insns, &ctx[..prog.ctx_size], &mut self.maps, world)
+        // (`progs`, `maps` and the scratch buffers are disjoint fields, so
+        // the program is interpreted in place — no per-call clone.)
+        let ctx = if ctx.len() >= prog.ctx_size {
+            &ctx[..prog.ctx_size]
         } else {
-            let mut padded = vec![0u8; prog.ctx_size];
-            padded[..ctx.len()].copy_from_slice(ctx);
-            Vm::run(&prog.insns, &padded, &mut self.maps, world)
-        }
+            self.padded_ctx.clear();
+            self.padded_ctx.extend_from_slice(ctx);
+            self.padded_ctx.resize(prog.ctx_size, 0);
+            &self.padded_ctx
+        };
+        Vm::run_with(&prog.insns, ctx, &mut self.maps, world, &mut self.scratch)
     }
 }
 
@@ -308,7 +323,7 @@ mod tests {
             let _frame = l.profile_scope(0, id).unwrap();
             let mut w = NullWorld::default();
             l.run(id, &[], &mut w).unwrap();
-            p.on_charge(0, 25.0); // the caller charging the VM's cost
+            p.on_charge(0, &mut 0.0, 25.0, None); // the caller charging the VM's cost
         }
         let folded = p.folded();
         assert_eq!(folded.len(), 1);

@@ -8,18 +8,45 @@
 //! data without correctness problems, which is how TScout avoids back
 //! pressure on the DBMS (§3).
 //!
-//! Hash maps use `BTreeMap` internally so iteration order — and therefore
-//! every simulation — is deterministic.
+//! ## Storage
+//!
+//! Every map keeps its values in one byte slab, `value_size` bytes per
+//! *slot*; nothing on the update/lookup/push/publish path allocates once
+//! the slab has grown to its working size.
+//!
+//! * **Hash** — slot-major `keys` and `values` slabs, a free list, and
+//!   `order`: the live slots sorted by key bytes (binary-searched on
+//!   lookup, so iteration — and therefore every simulation — is
+//!   deterministic). Deleting a key bumps its slot's *generation*; a
+//!   [`ValueRef`] taken before the delete no longer resolves.
+//! * **Array** — a fixed slab, slot = index.
+//! * **Stack** — a slab that grows by one slot per push.
+//! * **Perf ring** — one byte queue of `[len: u32][payload]` records in
+//!   32 KiB chunks, grown lazily (never sized from the record capacity)
+//!   and read in place by [`MapRegistry::ring_drain_with`].
 
 use std::cell::Cell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
-/// How many overwritten ring records are retained for the collector's
-/// loss-attribution telemetry. The collector drains this after every
-/// program run, so the cap only matters for raw `MapRegistry` users who
-/// never look; beyond it, evicted payloads are discarded (the count in
-/// `dropped` stays exact either way).
+/// How many overwritten ring records keep their header for the
+/// collector's loss-attribution telemetry. The collector drains this
+/// after every program run, so the cap only matters for raw
+/// `MapRegistry` users who never look; beyond it, evicted headers are
+/// discarded (the count in `dropped` stays exact either way).
 pub const EVICTED_KEEP: usize = 4096;
+
+/// Leading payload bytes kept per overwritten record: the collector's
+/// `(ou, tid, subsystem)` header words.
+pub const EVICTED_HEADER_BYTES: usize = 24;
+
+/// Capacity of one chunk of a ring's record queue.
+const RING_CHUNK_BYTES: usize = 32 * 1024;
+
+/// Emptied ring chunks kept for reuse; beyond this they are freed.
+const RING_SPARE_CHUNKS: usize = 16;
+
+/// Bytes of the length prefix in front of every ring record.
+const RING_LEN_PREFIX: usize = 4;
 
 /// Identifier of a created map.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -85,24 +112,198 @@ impl MapDef {
     }
 }
 
+/// A live pointer to one stored value: what `map_lookup_elem` hands a
+/// program. Resolved through [`MapRegistry::value`] on every access; it
+/// stops resolving once its key is deleted (the slot's generation moved
+/// on), even if the slot has since been reused for another key.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ValueRef {
+    pub map: MapId,
+    slot: u32,
+    generation: u32,
+}
+
+/// Hash-map storage (see the module docs).
+#[derive(Debug, Default)]
+struct HashSlab {
+    keys: Vec<u8>,
+    values: Vec<u8>,
+    /// Per slot, bumped on delete and clear.
+    generations: Vec<u32>,
+    /// Live slots, sorted by key bytes.
+    order: Vec<u32>,
+    free: Vec<u32>,
+}
+
+impl HashSlab {
+    fn key(&self, slot: u32, key_size: usize) -> &[u8] {
+        &self.keys[slot as usize * key_size..][..key_size]
+    }
+
+    /// Position of `key` in `order`: `Ok` when present, `Err(insert_at)`
+    /// otherwise.
+    fn position(&self, key: &[u8]) -> Result<usize, usize> {
+        self.order
+            .binary_search_by(|slot| self.key(*slot, key.len()).cmp(key))
+    }
+
+    fn find(&self, key: &[u8], key_size: usize) -> Option<u32> {
+        if key.len() != key_size {
+            return None;
+        }
+        self.position(key).ok().map(|pos| self.order[pos])
+    }
+}
+
+/// The perf ring's record queue and counters.
+///
+/// Records are `[len: u32][payload]`, appended to the newest of a queue
+/// of fixed-capacity *chunks* and never split across two. A chunk whose
+/// records have all been consumed goes back to a small spare pool, so
+/// the queue's memory follows what is queued (plus at most one chunk of
+/// slack), a burst never triggers a copying regrowth, and a steady
+/// publish/drain cycle allocates nothing.
+#[derive(Debug, Default)]
+struct ByteRing {
+    /// Oldest chunk first; only the newest is appended to.
+    chunks: VecDeque<Vec<u8>>,
+    /// Read offset of the oldest live record within the oldest chunk.
+    head: usize,
+    /// Emptied chunks kept for reuse (at most [`RING_SPARE_CHUNKS`]).
+    spare: Vec<Vec<u8>>,
+    /// Live records.
+    count: usize,
+    dropped: u64,
+    /// Records ever published (drained + live + dropped).
+    produced: u64,
+    /// Payload bytes ever published.
+    bytes: u64,
+    /// Occupancy high-water mark.
+    hwm: usize,
+    /// Headers of recently overwritten records, kept (bounded) so the
+    /// collector can attribute losses to a subsystem/OU.
+    evicted: VecDeque<EvictedHeader>,
+}
+
+/// Payload range of the record whose length prefix sits at `at` in
+/// `chunk`.
+fn record_at(chunk: &[u8], at: usize) -> std::ops::Range<usize> {
+    let start = at + RING_LEN_PREFIX;
+    let len = u32::from_le_bytes(
+        chunk[at..start]
+            .try_into()
+            .expect("length prefix is 4 bytes"),
+    );
+    start..start + len as usize
+}
+
+impl ByteRing {
+    /// Append one record.
+    fn push(&mut self, len: u32, data: &[u8]) {
+        let need = RING_LEN_PREFIX + data.len();
+        let fits = self
+            .chunks
+            .back()
+            .is_some_and(|c| c.capacity() - c.len() >= need);
+        if !fits {
+            // An oversized record gets a chunk of its own size.
+            let mut chunk = self.spare.pop().unwrap_or_default();
+            chunk.reserve(need.max(RING_CHUNK_BYTES));
+            self.chunks.push_back(chunk);
+        }
+        let chunk = self.chunks.back_mut().expect("a chunk with room");
+        chunk.extend_from_slice(&len.to_le_bytes());
+        chunk.extend_from_slice(data);
+        self.count += 1;
+    }
+
+    /// Remove the oldest record and return its payload, which stays
+    /// readable until the next call that mutates the ring. `None` when
+    /// the ring is empty.
+    fn pop(&mut self) -> Option<&[u8]> {
+        if self.count == 0 {
+            return None;
+        }
+        // A chunk consumed to its end is only recycled here, on the way
+        // to the next record, so the payload handed out last time was
+        // never invalidated behind its borrower's back.
+        if self.chunks.front().is_some_and(|c| self.head == c.len()) {
+            self.recycle_front();
+        }
+        let chunk = self.chunks.front().expect("live records have a chunk");
+        let record = record_at(chunk, self.head);
+        self.head = record.end;
+        self.count -= 1;
+        Some(&chunk[record])
+    }
+
+    /// Return the (fully consumed) oldest chunk to the spare pool.
+    fn recycle_front(&mut self) {
+        if let Some(mut chunk) = self.chunks.pop_front() {
+            chunk.clear();
+            if self.spare.len() < RING_SPARE_CHUNKS {
+                self.spare.push(chunk);
+            }
+        }
+        self.head = 0;
+    }
+
+    /// Drop consumed chunks once nothing is queued.
+    fn settle(&mut self) {
+        if self.count == 0 {
+            while !self.chunks.is_empty() {
+                self.recycle_front();
+            }
+        }
+    }
+
+    /// Payloads of the live records, oldest first.
+    fn records(&self) -> impl Iterator<Item = &[u8]> {
+        let mut chunks = self.chunks.iter();
+        let mut chunk: &[u8] = chunks.next().map_or(&[], Vec::as_slice);
+        let mut at = self.head;
+        (0..self.count).map(move |_| {
+            while at == chunk.len() {
+                chunk = chunks.next().expect("live records have a chunk");
+                at = 0;
+            }
+            let record = record_at(chunk, at);
+            at = record.end;
+            &chunk[record]
+        })
+    }
+}
+
+/// The first [`EVICTED_HEADER_BYTES`] payload bytes of an overwritten
+/// ring record (fewer when the record was shorter).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EvictedHeader {
+    len: u8,
+    bytes: [u8; EVICTED_HEADER_BYTES],
+}
+
+impl EvictedHeader {
+    fn of(payload: &[u8]) -> Self {
+        let len = payload.len().min(EVICTED_HEADER_BYTES);
+        let mut bytes = [0; EVICTED_HEADER_BYTES];
+        bytes[..len].copy_from_slice(&payload[..len]);
+        EvictedHeader {
+            len: len as u8,
+            bytes,
+        }
+    }
+
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.bytes[..self.len as usize]
+    }
+}
+
 #[derive(Debug)]
 enum Storage {
-    Hash(BTreeMap<Vec<u8>, Vec<u8>>),
-    Array(Vec<Vec<u8>>),
-    Stack(Vec<Vec<u8>>),
-    Ring {
-        buf: VecDeque<Vec<u8>>,
-        dropped: u64,
-        /// Records ever published (drained + live + dropped).
-        produced: u64,
-        /// Payload bytes ever published.
-        bytes: u64,
-        /// Occupancy high-water mark.
-        hwm: usize,
-        /// Recently overwritten records, kept (bounded) so the collector
-        /// can attribute losses to a subsystem/OU by decoding headers.
-        evicted: VecDeque<Vec<u8>>,
-    },
+    Hash(HashSlab),
+    Array(Vec<u8>),
+    Stack { values: Vec<u8>, depth: usize },
+    Ring(ByteRing),
 }
 
 /// Point-in-time statistics for one perf ring.
@@ -121,6 +322,7 @@ pub struct RingStats {
 /// export time so `tscout-bpf` itself stays dependency-free.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MapOpStats {
+    /// Helper/API lookups *and* dereferences of a live [`ValueRef`].
     pub lookups: u64,
     pub updates: u64,
     pub deletes: u64,
@@ -163,7 +365,7 @@ impl MapError {
 #[derive(Debug, Default)]
 pub struct MapRegistry {
     maps: Vec<MapInstance>,
-    /// `Cell` because `lookup` takes `&self`.
+    /// `Cell` because lookups and dereferences take `&self`.
     lookups: Cell<u64>,
     ops: MapOpStats,
 }
@@ -175,17 +377,13 @@ impl MapRegistry {
 
     pub fn create(&mut self, def: MapDef) -> MapId {
         let storage = match def.kind {
-            MapKind::Hash { .. } => Storage::Hash(BTreeMap::new()),
-            MapKind::Array { entries } => Storage::Array(vec![vec![0; def.value_size]; entries]),
-            MapKind::Stack { .. } => Storage::Stack(Vec::new()),
-            MapKind::PerfEventArray { .. } => Storage::Ring {
-                buf: VecDeque::new(),
-                dropped: 0,
-                produced: 0,
-                bytes: 0,
-                hwm: 0,
-                evicted: VecDeque::new(),
+            MapKind::Hash { .. } => Storage::Hash(HashSlab::default()),
+            MapKind::Array { entries } => Storage::Array(vec![0; def.value_size * entries]),
+            MapKind::Stack { .. } => Storage::Stack {
+                values: Vec::new(),
+                depth: 0,
             },
+            MapKind::PerfEventArray { .. } => Storage::Ring(ByteRing::default()),
         };
         let id = MapId(self.maps.len() as u32);
         self.maps.push(MapInstance { def, storage });
@@ -212,57 +410,122 @@ impl MapRegistry {
         &mut self.maps[id.0 as usize]
     }
 
+    fn count_lookup(&self) {
+        self.lookups.set(self.lookups.get() + 1);
+    }
+
     // ------------------------------------------------------------------
     // Hash / array element access
     // ------------------------------------------------------------------
 
-    /// Look up a value. For arrays the key is a 4-byte LE index.
-    pub fn lookup(&self, id: MapId, key: &[u8]) -> Option<&[u8]> {
-        self.lookups.set(self.lookups.get() + 1);
-        let m = self.map(id);
+    /// The value `r` points to; `None` once its key was deleted.
+    fn resolve(&self, r: ValueRef) -> Option<&[u8]> {
+        let m = self.maps.get(r.map.0 as usize)?;
+        let range = r.slot as usize * m.def.value_size..(r.slot as usize + 1) * m.def.value_size;
         match &m.storage {
-            Storage::Hash(h) => h.get(key).map(Vec::as_slice),
-            Storage::Array(a) => {
-                let idx = array_index(key)?;
-                a.get(idx).map(Vec::as_slice)
+            Storage::Hash(h) if h.generations.get(r.slot as usize) == Some(&r.generation) => {
+                h.values.get(range)
             }
+            Storage::Array(a) => a.get(range),
             _ => None,
         }
     }
 
-    /// Mutable view of a stored value (backs BPF's in-place value pointers).
-    pub fn lookup_mut(&mut self, id: MapId, key: &[u8]) -> Option<&mut [u8]> {
-        self.lookups.set(self.lookups.get() + 1);
-        let m = self.map_mut(id);
+    fn resolve_mut(&mut self, r: ValueRef) -> Option<&mut [u8]> {
+        let m = self.maps.get_mut(r.map.0 as usize)?;
+        let range = r.slot as usize * m.def.value_size..(r.slot as usize + 1) * m.def.value_size;
         match &mut m.storage {
-            Storage::Hash(h) => h.get_mut(key).map(Vec::as_mut_slice),
-            Storage::Array(a) => {
-                let idx = array_index(key)?;
-                a.get_mut(idx).map(Vec::as_mut_slice)
+            Storage::Hash(h) if h.generations.get(r.slot as usize) == Some(&r.generation) => {
+                h.values.get_mut(range)
             }
+            Storage::Array(a) => a.get_mut(range),
             _ => None,
         }
+    }
+
+    /// Look up a value. For arrays the key is a 4-byte LE index.
+    pub fn lookup(&self, id: MapId, key: &[u8]) -> Option<&[u8]> {
+        self.resolve(self.lookup_ref(id, key)?)
+    }
+
+    /// Mutable view of a stored value.
+    pub fn lookup_mut(&mut self, id: MapId, key: &[u8]) -> Option<&mut [u8]> {
+        self.resolve_mut(self.lookup_ref(id, key)?)
+    }
+
+    /// Look up a value and return a live pointer to it (backs BPF's
+    /// in-place value pointers). For arrays the key is a 4-byte LE
+    /// index. Counts as one lookup.
+    pub fn lookup_ref(&self, id: MapId, key: &[u8]) -> Option<ValueRef> {
+        self.count_lookup();
+        let m = self.map(id);
+        let (slot, generation) = match &m.storage {
+            Storage::Hash(h) => {
+                let slot = h.find(key, m.def.key_size)?;
+                (slot, h.generations[slot as usize])
+            }
+            Storage::Array(_) => {
+                let idx = array_index(key).filter(|idx| *idx < array_entries(&m.def))?;
+                (idx as u32, 0)
+            }
+            _ => return None,
+        };
+        Some(ValueRef {
+            map: id,
+            slot,
+            generation,
+        })
+    }
+
+    /// Dereference a live pointer; `None` once its key was deleted.
+    /// Counts as one lookup, like the by-key re-lookup it stands for.
+    pub fn value(&self, r: ValueRef) -> Option<&[u8]> {
+        self.count_lookup();
+        self.resolve(r)
+    }
+
+    /// Mutable [`MapRegistry::value`].
+    pub fn value_mut(&mut self, r: ValueRef) -> Option<&mut [u8]> {
+        self.count_lookup();
+        self.resolve_mut(r)
     }
 
     /// Insert or overwrite.
     pub fn update(&mut self, id: MapId, key: &[u8], value: &[u8]) -> Result<(), MapError> {
         self.ops.updates += 1;
         let m = self.map_mut(id);
-        if key.len() != m.def.key_size || value.len() != m.def.value_size {
+        let (key_size, value_size) = (m.def.key_size, m.def.value_size);
+        if key.len() != key_size || value.len() != value_size {
             return Err(MapError::Invalid);
         }
         match (&mut m.storage, m.def.kind) {
             (Storage::Hash(h), MapKind::Hash { max_entries }) => {
-                if !h.contains_key(key) && h.len() >= max_entries {
-                    return Err(MapError::Full);
-                }
-                h.insert(key.to_vec(), value.to_vec());
+                let slot = match h.position(key) {
+                    Ok(pos) => h.order[pos],
+                    Err(pos) => {
+                        if h.order.len() >= max_entries {
+                            return Err(MapError::Full);
+                        }
+                        let slot = h.free.pop().unwrap_or_else(|| {
+                            h.keys.resize(h.keys.len() + key_size, 0);
+                            h.values.resize(h.values.len() + value_size, 0);
+                            h.generations.push(0);
+                            (h.generations.len() - 1) as u32
+                        });
+                        h.keys[slot as usize * key_size..][..key_size].copy_from_slice(key);
+                        h.order.insert(pos, slot);
+                        slot
+                    }
+                };
+                h.values[slot as usize * value_size..][..value_size].copy_from_slice(value);
                 Ok(())
             }
-            (Storage::Array(a), _) => {
+            (Storage::Array(a), MapKind::Array { entries }) => {
                 let idx = array_index(key).ok_or(MapError::Invalid)?;
-                let slot = a.get_mut(idx).ok_or(MapError::NotFound)?;
-                slot.copy_from_slice(value);
+                if idx >= entries {
+                    return Err(MapError::NotFound);
+                }
+                a[idx * value_size..][..value_size].copy_from_slice(value);
                 Ok(())
             }
             _ => Err(MapError::Invalid),
@@ -273,18 +536,29 @@ impl MapRegistry {
         self.ops.deletes += 1;
         let m = self.map_mut(id);
         match &mut m.storage {
-            Storage::Hash(h) => h.remove(key).map(|_| ()).ok_or(MapError::NotFound),
+            Storage::Hash(h) => {
+                if key.len() != m.def.key_size {
+                    return Err(MapError::NotFound);
+                }
+                let pos = h.position(key).map_err(|_| MapError::NotFound)?;
+                let slot = h.order.remove(pos);
+                let generation = &mut h.generations[slot as usize];
+                *generation = generation.wrapping_add(1);
+                h.free.push(slot);
+                Ok(())
+            }
             _ => Err(MapError::Invalid),
         }
     }
 
-    /// Number of live entries (hash/stack) or slots (array).
+    /// Number of live entries (hash/stack/ring) or slots (array).
     pub fn entries(&self, id: MapId) -> usize {
-        match &self.map(id).storage {
-            Storage::Hash(h) => h.len(),
-            Storage::Array(a) => a.len(),
-            Storage::Stack(s) => s.len(),
-            Storage::Ring { buf, .. } => buf.len(),
+        let m = self.map(id);
+        match &m.storage {
+            Storage::Hash(h) => h.order.len(),
+            Storage::Array(_) => array_entries(&m.def),
+            Storage::Stack { depth, .. } => *depth,
+            Storage::Ring(r) => r.count,
         }
     }
 
@@ -299,22 +573,34 @@ impl MapRegistry {
             return Err(MapError::Invalid);
         }
         match (&mut m.storage, m.def.kind) {
-            (Storage::Stack(s), MapKind::Stack { max_entries }) => {
-                if s.len() >= max_entries {
+            (Storage::Stack { values, depth }, MapKind::Stack { max_entries }) => {
+                if *depth >= max_entries {
                     return Err(MapError::Full);
                 }
-                s.push(value.to_vec());
+                // Popped slots stay in the slab until overwritten here.
+                values.truncate(*depth * value.len());
+                values.extend_from_slice(value);
+                *depth += 1;
                 Ok(())
             }
             _ => Err(MapError::Invalid),
         }
     }
 
-    pub fn pop(&mut self, id: MapId) -> Result<Vec<u8>, MapError> {
+    /// Pop the top value. The bytes stay readable in the slab until the
+    /// next push.
+    pub fn pop(&mut self, id: MapId) -> Result<&[u8], MapError> {
         self.ops.pops += 1;
         let m = self.map_mut(id);
+        let value_size = m.def.value_size;
         match &mut m.storage {
-            Storage::Stack(s) => s.pop().ok_or(MapError::NotFound),
+            Storage::Stack { values, depth } => {
+                if *depth == 0 {
+                    return Err(MapError::NotFound);
+                }
+                *depth -= 1;
+                Ok(&values[*depth * value_size..][..value_size])
+            }
             _ => Err(MapError::Invalid),
         }
     }
@@ -330,54 +616,60 @@ impl MapRegistry {
         self.ops.ring_pushes += 1;
         let m = self.map_mut(id);
         match (&mut m.storage, m.def.kind) {
-            (
-                Storage::Ring {
-                    buf,
-                    dropped,
-                    produced,
-                    bytes,
-                    hwm,
-                    evicted,
-                },
-                MapKind::PerfEventArray { capacity },
-            ) => {
-                if buf.len() >= capacity {
-                    if let Some(old) = buf.pop_front() {
-                        if evicted.len() >= EVICTED_KEEP {
-                            evicted.pop_front();
+            (Storage::Ring(r), MapKind::PerfEventArray { capacity }) => {
+                let len = u32::try_from(data.len()).map_err(|_| MapError::Invalid)?;
+                if r.count >= capacity {
+                    if let Some(old) = r.pop().map(EvictedHeader::of) {
+                        if r.evicted.len() >= EVICTED_KEEP {
+                            r.evicted.pop_front();
                         }
-                        evicted.push_back(old);
+                        r.evicted.push_back(old);
                     }
-                    *dropped += 1;
+                    r.dropped += 1;
                 }
-                buf.push_back(data.to_vec());
-                *produced += 1;
-                *bytes += data.len() as u64;
-                *hwm = (*hwm).max(buf.len());
+                r.push(len, data);
+                r.produced += 1;
+                r.bytes += data.len() as u64;
+                r.hwm = r.hwm.max(r.count);
                 Ok(())
             }
             _ => Err(MapError::Invalid),
         }
     }
 
-    /// Drain up to `max` records for the Processor.
-    pub fn ring_drain(&mut self, id: MapId, max: usize) -> Vec<Vec<u8>> {
-        let m = self.map_mut(id);
-        let out: Vec<Vec<u8>> = match &mut m.storage {
-            Storage::Ring { buf, .. } => {
-                let n = buf.len().min(max);
-                buf.drain(..n).collect()
-            }
-            _ => Vec::new(),
+    /// Drain up to `max` records for the Processor, oldest first, handing
+    /// each to `visit` in place together with the number of records still
+    /// queued behind it. Returns how many were drained.
+    pub fn ring_drain_with(
+        &mut self,
+        id: MapId,
+        max: usize,
+        mut visit: impl FnMut(&[u8], usize),
+    ) -> usize {
+        let Storage::Ring(r) = &mut self.map_mut(id).storage else {
+            return 0;
         };
-        self.ops.ring_drained += out.len() as u64;
+        let n = r.count.min(max);
+        for _ in 0..n {
+            let behind = r.count - 1;
+            visit(r.pop().expect("counted above"), behind);
+        }
+        r.settle();
+        self.ops.ring_drained += n as u64;
+        n
+    }
+
+    /// [`MapRegistry::ring_drain_with`] into owned records.
+    pub fn ring_drain(&mut self, id: MapId, max: usize) -> Vec<Vec<u8>> {
+        let mut out = Vec::new();
+        self.ring_drain_with(id, max, |record, _| out.push(record.to_vec()));
         out
     }
 
     /// Records overwritten because the ring was full.
     pub fn ring_dropped(&self, id: MapId) -> u64 {
         match &self.map(id).storage {
-            Storage::Ring { dropped, .. } => *dropped,
+            Storage::Ring(r) => r.dropped,
             _ => 0,
         }
     }
@@ -386,34 +678,38 @@ impl MapRegistry {
     pub fn ring_stats(&self, id: MapId) -> RingStats {
         let m = self.map(id);
         match (&m.storage, m.def.kind) {
-            (
-                Storage::Ring {
-                    buf,
-                    dropped,
-                    produced,
-                    bytes,
-                    hwm,
-                    ..
-                },
-                MapKind::PerfEventArray { capacity },
-            ) => RingStats {
-                produced: *produced,
-                dropped: *dropped,
-                bytes: *bytes,
-                hwm: *hwm,
-                len: buf.len(),
+            (Storage::Ring(r), MapKind::PerfEventArray { capacity }) => RingStats {
+                produced: r.produced,
+                dropped: r.dropped,
+                bytes: r.bytes,
+                hwm: r.hwm,
+                len: r.count,
                 capacity,
             },
             _ => RingStats::default(),
         }
     }
 
-    /// Take the retained payloads of recently overwritten records (for
-    /// loss attribution). Clears the retained buffer.
-    pub fn ring_take_evicted(&mut self, id: MapId) -> Vec<Vec<u8>> {
+    /// Take the oldest retained header of an overwritten record (for
+    /// loss attribution); `None` once all have been taken.
+    pub fn ring_pop_evicted(&mut self, id: MapId) -> Option<EvictedHeader> {
         match &mut self.map_mut(id).storage {
-            Storage::Ring { evicted, .. } => evicted.drain(..).collect(),
-            _ => Vec::new(),
+            Storage::Ring(r) => r.evicted.pop_front(),
+            _ => None,
+        }
+    }
+
+    /// Heap bytes the ring currently owns (record queue plus retained
+    /// eviction headers). Grows with what is queued, never with the
+    /// configured record capacity.
+    pub fn ring_owned_bytes(&self, id: MapId) -> usize {
+        match &self.map(id).storage {
+            Storage::Ring(r) => {
+                let chunks = r.chunks.iter().chain(&r.spare);
+                chunks.map(Vec::capacity).sum::<usize>()
+                    + r.evicted.capacity() * std::mem::size_of::<EvictedHeader>()
+            }
+            _ => 0,
         }
     }
 
@@ -437,24 +733,31 @@ impl MapRegistry {
     /// first). Does not consume or mutate anything (unlike
     /// [`MapRegistry::ring_drain`]) and bumps no op counters.
     pub fn dump(&self, id: MapId) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let idx_key = |i: usize| (i as u32).to_le_bytes().to_vec();
-        match &self.map(id).storage {
-            Storage::Hash(h) => h.iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
-            Storage::Array(a) => a
-                .iter()
+        fn indexed<'a>(values: impl Iterator<Item = &'a [u8]>) -> Vec<(Vec<u8>, Vec<u8>)> {
+            values
                 .enumerate()
-                .map(|(i, v)| (idx_key(i), v.clone()))
-                .collect(),
-            Storage::Stack(s) => s
+                .map(|(i, v)| ((i as u32).to_le_bytes().to_vec(), v.to_vec()))
+                .collect()
+        }
+        let m = self.map(id);
+        let value_size = m.def.value_size;
+        let slots = |values: &'_ [u8], n: usize| -> Vec<(Vec<u8>, Vec<u8>)> {
+            indexed((0..n).map(|i| &values[i * value_size..][..value_size]))
+        };
+        match &m.storage {
+            Storage::Hash(h) => h
+                .order
                 .iter()
-                .enumerate()
-                .map(|(i, v)| (idx_key(i), v.clone()))
+                .map(|slot| {
+                    (
+                        h.key(*slot, m.def.key_size).to_vec(),
+                        h.values[*slot as usize * value_size..][..value_size].to_vec(),
+                    )
+                })
                 .collect(),
-            Storage::Ring { buf, .. } => buf
-                .iter()
-                .enumerate()
-                .map(|(i, v)| (idx_key(i), v.clone()))
-                .collect(),
+            Storage::Array(a) => slots(a, array_entries(&m.def)),
+            Storage::Stack { values, depth } => slots(values, *depth),
+            Storage::Ring(r) => indexed(r.records()),
         }
     }
 
@@ -462,22 +765,24 @@ impl MapRegistry {
     pub fn clear(&mut self, id: MapId) {
         let m = self.map_mut(id);
         match &mut m.storage {
-            Storage::Hash(h) => h.clear(),
-            Storage::Array(a) => {
-                for slot in a.iter_mut() {
-                    slot.fill(0);
+            Storage::Hash(h) => {
+                // Slots are kept and their generations moved on, so a
+                // pointer taken before the clear can never alias a key
+                // inserted after it.
+                for generation in &mut h.generations {
+                    *generation = generation.wrapping_add(1);
                 }
+                h.order.clear();
+                h.free.clear();
+                h.free.extend((0..h.generations.len() as u32).rev());
             }
-            Storage::Stack(s) => s.clear(),
-            Storage::Ring {
-                buf,
-                dropped,
-                evicted,
-                ..
-            } => {
-                buf.clear();
-                evicted.clear();
-                *dropped = 0;
+            Storage::Array(a) => a.fill(0),
+            Storage::Stack { depth, .. } => *depth = 0,
+            Storage::Ring(r) => {
+                r.count = 0;
+                r.settle();
+                r.evicted.clear();
+                r.dropped = 0;
             }
         }
     }
@@ -488,6 +793,14 @@ fn array_index(key: &[u8]) -> Option<usize> {
         return None;
     }
     Some(u32::from_le_bytes([key[0], key[1], key[2], key[3]]) as usize)
+}
+
+/// Slot count of an array map (0 for every other kind).
+fn array_entries(def: &MapDef) -> usize {
+    match def.kind {
+        MapKind::Array { entries } => entries,
+        _ => 0,
+    }
 }
 
 #[cfg(test)]
@@ -602,10 +915,11 @@ mod tests {
         assert_eq!(s.hwm, 3);
         assert_eq!(s.len, 3);
         assert_eq!(s.capacity, 3);
-        // The two overwritten records are retained for attribution.
-        let evicted = r.ring_take_evicted(m);
-        assert_eq!(evicted, vec![vec![0, 0], vec![1, 1]]);
-        assert!(r.ring_take_evicted(m).is_empty(), "take drains the buffer");
+        // The two overwritten records' headers are retained for
+        // attribution, oldest first.
+        assert_eq!(r.ring_pop_evicted(m).unwrap().as_bytes(), [0, 0]);
+        assert_eq!(r.ring_pop_evicted(m).unwrap().as_bytes(), [1, 1]);
+        assert!(r.ring_pop_evicted(m).is_none(), "pop drains the buffer");
     }
 
     #[test]

@@ -14,13 +14,15 @@
 //! * stack:      `0x1000_0000_0000 ..+ 512` (R10 starts at the top),
 //! * context:    `0x2000_0000_0000 ..+ ctx_len` (read-only),
 //! * map values: `0x3000_0000_0000 + (entry << 32) ..+ value_size`, where
-//!   `entry` indexes a per-execution dereference table created by
-//!   `map_lookup_elem` — giving BPF's in-place value-update semantics,
+//!   `entry` indexes a per-execution table of `(map, slot, generation)`
+//!   pointers created by `map_lookup_elem` — giving BPF's in-place
+//!   value-update semantics; a pointer whose key has been deleted stops
+//!   resolving ([`VmError::StaleMapValue`]),
 //! * map handles: `0x4000_0000_0000 | map_id` (opaque; only helpers use
 //!   them).
 
-use crate::insn::{AluOp, Helper, Insn, Src};
-use crate::maps::{MapError, MapId, MapRegistry};
+use crate::insn::{AluOp, Helper, Insn, Reg, Size, Src};
+use crate::maps::{MapError, MapId, MapRegistry, ValueRef};
 
 pub const STACK_BASE: u64 = 0x1000_0000_0000;
 pub const STACK_SIZE: usize = 512;
@@ -111,6 +113,17 @@ impl HelperWorld for NullWorld {
     }
 }
 
+/// Working memory one program run needs beyond its registers and stack,
+/// kept by the caller (the [`crate::Loader`]) and reused from run to run
+/// so that no execution allocates: the staging bytes helper arguments
+/// are copied through, and the table of live map-value pointers.
+#[derive(Debug, Default)]
+pub struct VmScratch {
+    bytes: Vec<u8>,
+    /// Live map-value pointers, one per dereference window.
+    deref: Vec<ValueRef>,
+}
+
 /// The interpreter.
 #[derive(Debug)]
 pub struct Vm;
@@ -119,81 +132,176 @@ struct Exec<'a> {
     stack: [u8; STACK_SIZE],
     ctx: &'a [u8],
     maps: &'a mut MapRegistry,
-    /// Live map-value pointers: `(map, key)` per dereference window.
-    deref: Vec<(MapId, Vec<u8>)>,
+    scratch: &'a mut VmScratch,
 }
 
-impl<'a> Exec<'a> {
-    fn read_bytes(&self, pc: usize, addr: u64, len: usize) -> Result<Vec<u8>, VmError> {
-        let mut out = vec![0u8; len];
-        self.read_into(pc, addr, &mut out)?;
-        Ok(out)
+/// The `len` readable bytes at `addr`, wherever the address points.
+#[inline(always)]
+fn mem<'a>(
+    stack: &'a [u8; STACK_SIZE],
+    ctx: &'a [u8],
+    maps: &'a MapRegistry,
+    deref: &[ValueRef],
+    pc: usize,
+    addr: u64,
+    len: usize,
+) -> Result<&'a [u8], VmError> {
+    if in_window(addr, STACK_BASE, STACK_SIZE as u64, len) {
+        let off = (addr - STACK_BASE) as usize;
+        return Ok(&stack[off..off + len]);
+    }
+    if in_window(addr, CTX_BASE, ctx.len() as u64, len) {
+        let off = (addr - CTX_BASE) as usize;
+        return Ok(&ctx[off..off + len]);
+    }
+    if let Some((entry, off)) = mapv_decode(addr) {
+        let r = deref.get(entry).ok_or(VmError::BadAddress { pc, addr })?;
+        let val = maps.value(*r).ok_or(VmError::StaleMapValue { pc })?;
+        return off
+            .checked_add(len)
+            .and_then(|end| val.get(off..end))
+            .ok_or(VmError::BadAddress { pc, addr });
+    }
+    Err(VmError::BadAddress { pc, addr })
+}
+
+impl Exec<'_> {
+    /// The `N` bytes at `addr`, by value.
+    #[inline(always)]
+    fn read<const N: usize>(&self, pc: usize, addr: u64) -> Result<[u8; N], VmError> {
+        let bytes = mem(
+            &self.stack,
+            self.ctx,
+            self.maps,
+            &self.scratch.deref,
+            pc,
+            addr,
+            N,
+        )?;
+        Ok(bytes.try_into().expect("mem returns exactly N bytes"))
     }
 
-    fn read_into(&self, pc: usize, addr: u64, out: &mut [u8]) -> Result<(), VmError> {
-        let len = out.len();
-        if in_window(addr, STACK_BASE, STACK_SIZE as u64, len) {
-            let off = (addr - STACK_BASE) as usize;
-            out.copy_from_slice(&self.stack[off..off + len]);
-            return Ok(());
+    /// Sized load, zero-extended. One fixed-width access per size, so
+    /// the bounds checks and the copy compile against a constant.
+    #[inline(always)]
+    fn load(&self, pc: usize, addr: u64, size: Size) -> Result<u64, VmError> {
+        Ok(match size {
+            Size::B1 => u8::from_le_bytes(self.read(pc, addr)?) as u64,
+            Size::B2 => u16::from_le_bytes(self.read(pc, addr)?) as u64,
+            Size::B4 => u32::from_le_bytes(self.read(pc, addr)?) as u64,
+            Size::B8 => u64::from_le_bytes(self.read(pc, addr)?),
+        })
+    }
+
+    /// Append the `len` bytes at `addr` to the staging buffer (helper
+    /// arguments may live in the very map the helper is about to
+    /// mutate, so they are copied out first).
+    fn stage(&mut self, pc: usize, addr: u64, len: usize) -> Result<(), VmError> {
+        let bytes = mem(
+            &self.stack,
+            self.ctx,
+            self.maps,
+            &self.scratch.deref,
+            pc,
+            addr,
+            len,
+        )?;
+        self.scratch.bytes.extend_from_slice(bytes);
+        Ok(())
+    }
+
+    /// The `len` writable bytes at `addr`.
+    #[inline(always)]
+    fn mem_mut(&mut self, pc: usize, addr: u64, len: usize) -> Result<&mut [u8], VmError> {
+        mem_mut(
+            &mut self.stack,
+            self.ctx.len(),
+            self.maps,
+            &self.scratch.deref,
+            pc,
+            addr,
+            len,
+        )
+    }
+
+    #[inline(always)]
+    fn write<const N: usize>(&mut self, pc: usize, addr: u64, v: [u8; N]) -> Result<(), VmError> {
+        self.mem_mut(pc, addr, N)?.copy_from_slice(&v);
+        Ok(())
+    }
+
+    /// Sized store of `v`'s low bytes (fixed-width like [`Exec::load`]).
+    #[inline(always)]
+    fn store(&mut self, pc: usize, addr: u64, size: Size, v: u64) -> Result<(), VmError> {
+        match size {
+            Size::B1 => self.write(pc, addr, (v as u8).to_le_bytes()),
+            Size::B2 => self.write(pc, addr, (v as u16).to_le_bytes()),
+            Size::B4 => self.write(pc, addr, (v as u32).to_le_bytes()),
+            Size::B8 => self.write(pc, addr, v.to_le_bytes()),
         }
-        if in_window(addr, CTX_BASE, self.ctx.len() as u64, len) {
-            let off = (addr - CTX_BASE) as usize;
-            out.copy_from_slice(&self.ctx[off..off + len]);
-            return Ok(());
-        }
-        if let Some((entry, off)) = mapv_decode(addr) {
-            let (map, key) = self
-                .deref
-                .get(entry)
-                .ok_or(VmError::BadAddress { pc, addr })?;
-            let val = self
-                .maps
-                .lookup(*map, key)
-                .ok_or(VmError::StaleMapValue { pc })?;
-            if off + len > val.len() {
-                return Err(VmError::BadAddress { pc, addr });
-            }
-            out.copy_from_slice(&val[off..off + len]);
-            return Ok(());
-        }
-        Err(VmError::BadAddress { pc, addr })
     }
 
     fn write_bytes(&mut self, pc: usize, addr: u64, data: &[u8]) -> Result<(), VmError> {
-        let len = data.len();
-        if in_window(addr, STACK_BASE, STACK_SIZE as u64, len) {
-            let off = (addr - STACK_BASE) as usize;
-            self.stack[off..off + len].copy_from_slice(data);
-            return Ok(());
-        }
-        if in_window(addr, CTX_BASE, self.ctx.len() as u64, len) {
-            return Err(VmError::ReadOnly { pc, addr });
-        }
-        if let Some((entry, off)) = mapv_decode(addr) {
-            let (map, key) = self
-                .deref
-                .get(entry)
-                .cloned()
-                .ok_or(VmError::BadAddress { pc, addr })?;
-            let val = self
-                .maps
-                .lookup_mut(map, &key)
-                .ok_or(VmError::StaleMapValue { pc })?;
-            if off + len > val.len() {
-                return Err(VmError::BadAddress { pc, addr });
-            }
-            val[off..off + len].copy_from_slice(data);
-            return Ok(());
-        }
-        Err(VmError::BadAddress { pc, addr })
+        self.mem_mut(pc, addr, data.len())?.copy_from_slice(data);
+        Ok(())
+    }
+
+    /// [`Exec::write_bytes`] of everything staged so far.
+    fn write_staged(&mut self, pc: usize, addr: u64) -> Result<(), VmError> {
+        mem_mut(
+            &mut self.stack,
+            self.ctx.len(),
+            self.maps,
+            &self.scratch.deref,
+            pc,
+            addr,
+            self.scratch.bytes.len(),
+        )?
+        .copy_from_slice(&self.scratch.bytes);
+        Ok(())
     }
 }
 
-fn in_window(addr: u64, base: u64, window: u64, len: usize) -> bool {
-    addr >= base && addr.saturating_add(len as u64) <= base + window
+/// The `len` writable bytes at `addr` (the context is read-only).
+#[inline(always)]
+fn mem_mut<'a>(
+    stack: &'a mut [u8; STACK_SIZE],
+    ctx_len: usize,
+    maps: &'a mut MapRegistry,
+    deref: &[ValueRef],
+    pc: usize,
+    addr: u64,
+    len: usize,
+) -> Result<&'a mut [u8], VmError> {
+    if in_window(addr, STACK_BASE, STACK_SIZE as u64, len) {
+        let off = (addr - STACK_BASE) as usize;
+        return Ok(&mut stack[off..off + len]);
+    }
+    if in_window(addr, CTX_BASE, ctx_len as u64, len) {
+        return Err(VmError::ReadOnly { pc, addr });
+    }
+    if let Some((entry, off)) = mapv_decode(addr) {
+        let r = deref.get(entry).ok_or(VmError::BadAddress { pc, addr })?;
+        let val = maps.value_mut(*r).ok_or(VmError::StaleMapValue { pc })?;
+        return off
+            .checked_add(len)
+            .and_then(|end| val.get_mut(off..end))
+            .ok_or(VmError::BadAddress { pc, addr });
+    }
+    Err(VmError::BadAddress { pc, addr })
 }
 
+/// Register file size: the eleven architectural registers rounded up to
+/// a power of two (see [`slot`]).
+const REG_SLOTS: usize = 16;
+
+/// Index of `r` in the register file.
+fn slot(r: Reg) -> usize {
+    r.0 as usize & (REG_SLOTS - 1)
+}
+
+/// `(dereference-table entry, offset into the value)` of a map-value
+/// address.
 fn mapv_decode(addr: u64) -> Option<(usize, usize)> {
     if (MAPV_BASE..HANDLE_BASE).contains(&addr) {
         let rel = addr - MAPV_BASE;
@@ -201,6 +309,11 @@ fn mapv_decode(addr: u64) -> Option<(usize, usize)> {
     } else {
         None
     }
+}
+
+#[inline(always)]
+fn in_window(addr: u64, base: u64, window: u64, len: usize) -> bool {
+    addr >= base && addr.saturating_add(len as u64) <= base + window
 }
 
 fn handle_decode(v: u64) -> Option<MapId> {
@@ -219,34 +332,50 @@ impl Vm {
         maps: &mut MapRegistry,
         world: &mut dyn HelperWorld,
     ) -> Result<(u64, ExecStats), VmError> {
-        let mut regs = [0u64; 11];
+        Self::run_with(prog, ctx, maps, world, &mut VmScratch::default())
+    }
+
+    /// [`Vm::run`] over a caller-kept [`VmScratch`] (allocation-free
+    /// once the scratch has reached its working size).
+    pub fn run_with(
+        prog: &[Insn],
+        ctx: &[u8],
+        maps: &mut MapRegistry,
+        world: &mut dyn HelperWorld,
+        scratch: &mut VmScratch,
+    ) -> Result<(u64, ExecStats), VmError> {
+        // Sixteen slots so a masked register number always indexes in
+        // bounds: no check on the hot path, and no panic on a register
+        // only an unverified program can name.
+        let mut regs = [0u64; REG_SLOTS];
         regs[1] = CTX_BASE;
         regs[10] = STACK_BASE + STACK_SIZE as u64;
+        scratch.deref.clear();
         let mut exec = Exec {
             stack: [0; STACK_SIZE],
             ctx,
             maps,
-            deref: Vec::new(),
+            scratch,
         };
         let mut stats = ExecStats::default();
         let mut pc = 0usize;
-        let mut fuel = FUEL;
+        // Instructions executed so far; doubles as the fuel gauge.
+        let mut insns = 0u64;
 
         loop {
-            if fuel == 0 {
+            if insns == FUEL {
                 return Err(VmError::OutOfFuel);
             }
-            fuel -= 1;
-            stats.insns += 1;
-            let insn = *prog.get(pc).ok_or(VmError::PcOutOfBounds { pc })?;
-            match insn {
+            insns += 1;
+            // Matched by reference so each arm loads only its own fields.
+            match *prog.get(pc).ok_or(VmError::PcOutOfBounds { pc })? {
                 Insn::Alu { op, dst, src } => {
                     let s = match src {
                         Src::Imm(i) => i as u64,
-                        Src::Reg(r) => regs[r.index()],
+                        Src::Reg(r) => regs[slot(r)],
                     };
-                    let d = regs[dst.index()];
-                    regs[dst.index()] = alu(op, d, s);
+                    let d = regs[slot(dst)];
+                    regs[slot(dst)] = alu(op, d, s);
                     pc += 1;
                 }
                 Insn::Load {
@@ -255,9 +384,8 @@ impl Vm {
                     base,
                     off,
                 } => {
-                    let addr = regs[base.index()].wrapping_add(off as i64 as u64);
-                    let bytes = exec.read_bytes(pc, addr, size.bytes())?;
-                    regs[dst.index()] = zext(&bytes);
+                    let addr = regs[slot(base)].wrapping_add(off as i64 as u64);
+                    regs[slot(dst)] = exec.load(pc, addr, size)?;
                     pc += 1;
                 }
                 Insn::Store {
@@ -266,13 +394,12 @@ impl Vm {
                     off,
                     src,
                 } => {
-                    let addr = regs[base.index()].wrapping_add(off as i64 as u64);
+                    let addr = regs[slot(base)].wrapping_add(off as i64 as u64);
                     let v = match src {
                         Src::Imm(i) => i as u64,
-                        Src::Reg(r) => regs[r.index()],
+                        Src::Reg(r) => regs[slot(r)],
                     };
-                    let bytes = v.to_le_bytes();
-                    exec.write_bytes(pc, addr, &bytes[..size.bytes()])?;
+                    exec.store(pc, addr, size, v)?;
                     pc += 1;
                 }
                 Insn::Jump { cond, off } => {
@@ -281,9 +408,9 @@ impl Vm {
                         Some((c, dst, src)) => {
                             let s = match src {
                                 Src::Imm(i) => i as u64,
-                                Src::Reg(r) => regs[r.index()],
+                                Src::Reg(r) => regs[slot(r)],
                             };
-                            c.eval(regs[dst.index()], s)
+                            c.eval(regs[slot(dst)], s)
                         }
                     };
                     pc = if taken {
@@ -293,41 +420,49 @@ impl Vm {
                     };
                 }
                 Insn::Call { helper } => {
-                    stats.helper_calls += 1;
                     Self::call(helper, &mut regs, &mut exec, world, &mut stats, pc)?;
                     pc += 1;
                 }
                 Insn::LoadMap { dst, map } => {
-                    regs[dst.index()] = HANDLE_BASE | map.0 as u64;
+                    regs[slot(dst)] = HANDLE_BASE | map.0 as u64;
                     pc += 1;
                 }
-                Insn::Exit => return Ok((regs[0], stats)),
+                Insn::Exit => {
+                    stats.insns = insns;
+                    return Ok((regs[0], stats));
+                }
             }
         }
     }
 
+    // Out of line: the helpers' code would otherwise crowd the dispatch
+    // loop's registers.
+    #[inline(never)]
     fn call(
         helper: Helper,
-        regs: &mut [u64; 11],
+        regs: &mut [u64; REG_SLOTS],
         exec: &mut Exec<'_>,
         world: &mut dyn HelperWorld,
         stats: &mut ExecStats,
         pc: usize,
     ) -> Result<(), VmError> {
         let bad = || VmError::BadHelperArgs { pc, helper };
+        stats.helper_calls += 1;
+        exec.scratch.bytes.clear();
         let r0 = match helper {
             Helper::KtimeGetNs => world.ktime_ns(),
             Helper::GetCurrentPidTgid => world.current_pid_tgid(),
             Helper::MapLookup => {
                 let map = handle_decode(regs[1]).ok_or_else(bad)?;
                 let key_size = exec.maps.def(map).ok_or_else(bad)?.key_size;
-                let key = exec.read_bytes(pc, regs[2], key_size)?;
-                if exec.maps.lookup(map, &key).is_some() {
-                    let entry = exec.deref.len();
-                    exec.deref.push((map, key));
-                    MAPV_BASE + ((entry as u64) << 32)
-                } else {
-                    0
+                exec.stage(pc, regs[2], key_size)?;
+                match exec.maps.lookup_ref(map, &exec.scratch.bytes) {
+                    Some(r) => {
+                        let entry = exec.scratch.deref.len();
+                        exec.scratch.deref.push(r);
+                        MAPV_BASE + ((entry as u64) << 32)
+                    }
+                    None => 0,
                 }
             }
             Helper::MapUpdate => {
@@ -336,27 +471,29 @@ impl Vm {
                     let d = exec.maps.def(map).ok_or_else(bad)?;
                     (d.key_size, d.value_size)
                 };
-                let key = exec.read_bytes(pc, regs[2], ks)?;
-                let val = exec.read_bytes(pc, regs[3], vs)?;
-                errno(exec.maps.update(map, &key, &val))
+                exec.stage(pc, regs[2], ks)?;
+                exec.stage(pc, regs[3], vs)?;
+                let (key, val) = exec.scratch.bytes.split_at(ks);
+                errno(exec.maps.update(map, key, val))
             }
             Helper::MapDelete => {
                 let map = handle_decode(regs[1]).ok_or_else(bad)?;
                 let ks = exec.maps.def(map).ok_or_else(bad)?.key_size;
-                let key = exec.read_bytes(pc, regs[2], ks)?;
-                errno(exec.maps.delete(map, &key))
+                exec.stage(pc, regs[2], ks)?;
+                errno(exec.maps.delete(map, &exec.scratch.bytes))
             }
             Helper::MapPush => {
                 let map = handle_decode(regs[1]).ok_or_else(bad)?;
                 let vs = exec.maps.def(map).ok_or_else(bad)?.value_size;
-                let val = exec.read_bytes(pc, regs[2], vs)?;
-                errno(exec.maps.push(map, &val))
+                exec.stage(pc, regs[2], vs)?;
+                errno(exec.maps.push(map, &exec.scratch.bytes))
             }
             Helper::MapPop => {
                 let map = handle_decode(regs[1]).ok_or_else(bad)?;
                 match exec.maps.pop(map) {
                     Ok(val) => {
-                        exec.write_bytes(pc, regs[2], &val)?;
+                        exec.scratch.bytes.extend_from_slice(val);
+                        exec.write_staged(pc, regs[2])?;
                         0
                     }
                     Err(e) => e.errno() as u64,
@@ -388,10 +525,9 @@ impl Vm {
             }
             Helper::PerfEventOutput => {
                 let map = handle_decode(regs[1]).ok_or_else(bad)?;
-                let len = regs[3] as usize;
-                let data = exec.read_bytes(pc, regs[2], len)?;
+                exec.stage(pc, regs[2], regs[3] as usize)?;
                 stats.ring_publishes += 1;
-                errno(exec.maps.ring_push(map, &data))
+                errno(exec.maps.ring_push(map, &exec.scratch.bytes))
             }
         };
         // Clobber caller-saved registers exactly as the ABI specifies.
@@ -408,12 +544,6 @@ fn errno(r: Result<(), MapError>) -> u64 {
         Ok(()) => 0,
         Err(e) => e.errno() as u64,
     }
-}
-
-fn zext(bytes: &[u8]) -> u64 {
-    let mut buf = [0u8; 8];
-    buf[..bytes.len()].copy_from_slice(bytes);
-    u64::from_le_bytes(buf)
 }
 
 /// Concrete ALU evaluation — shared with the load-time optimizer's
@@ -443,6 +573,12 @@ mod tests {
     use crate::asm::ProgramBuilder;
     use crate::insn::{Cond, Size, R0, R1, R10, R2, R3, R4, R6};
     use crate::maps::MapDef;
+
+    fn zext(bytes: &[u8]) -> u64 {
+        let mut buf = [0u8; 8];
+        buf[..bytes.len()].copy_from_slice(bytes);
+        u64::from_le_bytes(buf)
+    }
 
     fn run(prog: Vec<Insn>, ctx: &[u8], maps: &mut MapRegistry) -> u64 {
         let mut world = NullWorld::default();

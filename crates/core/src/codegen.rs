@@ -145,17 +145,33 @@ pub const CTX_WORDS: usize = 5 + MAX_PAYLOAD_WORDS;
 /// Declared BPF context size in bytes.
 pub const CTX_BYTES: usize = CTX_WORDS * 8;
 
-/// Serialize a marker context for the Collector programs.
-pub fn encode_ctx(ou: u64, tid: u64, subsystem: u64, flags: u64, payload: &[u64]) -> Vec<u8> {
+/// Serialize a marker context for the Collector programs into `out`
+/// (payload words beyond [`MAX_PAYLOAD_WORDS`] are dropped).
+pub fn encode_ctx_into(
+    out: &mut [u8; CTX_BYTES],
+    ou: u64,
+    tid: u64,
+    subsystem: u64,
+    flags: u64,
+    payload: &[u64],
+) {
     let n = payload.len().min(MAX_PAYLOAD_WORDS);
-    let mut words = [0u64; CTX_WORDS];
-    words[0] = ou;
-    words[1] = tid;
-    words[2] = subsystem;
-    words[3] = flags;
-    words[4] = n as u64;
-    words[5..5 + n].copy_from_slice(&payload[..n]);
-    words.iter().flat_map(|w| w.to_le_bytes()).collect()
+    let header = [ou, tid, subsystem, flags, n as u64];
+    let words = header.iter().chain(&payload[..n]);
+    let mut chunks = out.chunks_exact_mut(8);
+    for (chunk, w) in chunks.by_ref().zip(words) {
+        chunk.copy_from_slice(&w.to_le_bytes());
+    }
+    for chunk in chunks {
+        chunk.fill(0);
+    }
+}
+
+/// [`encode_ctx_into`] a fresh buffer.
+pub fn encode_ctx(ou: u64, tid: u64, subsystem: u64, flags: u64, payload: &[u64]) -> Vec<u8> {
+    let mut out = [0u8; CTX_BYTES];
+    encode_ctx_into(&mut out, ou, tid, subsystem, flags, payload);
+    out.to_vec()
 }
 
 // Stack frame offsets shared by the generated programs.

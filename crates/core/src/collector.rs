@@ -29,7 +29,7 @@
 //! aggregate data-generation rate in Fig. 6; the kernel mode publishes
 //! through the per-CPU perf ring buffer instead.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use tscout_bpf::maps::MapDef;
 use tscout_bpf::vm::HelperWorld;
@@ -38,13 +38,11 @@ use tscout_kernel::pmu::ALL_COUNTERS;
 use tscout_kernel::task::{Ioac, TcpSock};
 use tscout_kernel::tracepoint::TracepointId;
 use tscout_kernel::{Kernel, PmuReading, SyscallKind, TaskId};
-use tscout_telemetry::{Telemetry, TraceId};
+use tscout_telemetry::{CounterVec, Gauge, Telemetry, TraceId};
 
-use crate::codegen::{self, encode_ctx, ProbeLayout, CTX_BYTES};
-use crate::data::{
-    decode_record, encode_record, split_record, RawRecord, TrainingPoint, MAX_PAYLOAD_WORDS,
-};
-use crate::ou::{OuId, OuRegistry, Subsystem};
+use crate::codegen::{self, encode_ctx_into, ProbeLayout, CTX_BYTES};
+use crate::data::{decode_points, encode_record, RawRecord, TrainingPoint, MAX_PAYLOAD_WORDS};
+use crate::ou::{OuId, OuRegistry, Subsystem, ALL_SUBSYSTEMS};
 use crate::sampling::Sampler;
 
 /// Probe selection per subsystem (re-export of the codegen layout).
@@ -198,7 +196,9 @@ struct InFlight {
     subsystem: Subsystem,
     collected: bool,
     phase: Phase,
-    snap: Option<UserSnapshot>,
+    /// User-mode BEGIN snapshot (boxed: kernel-mode markers, the hot
+    /// path, move this struct around without it).
+    snap: Option<Box<UserSnapshot>>,
     /// User-mode END result: (start, elapsed, metrics).
     done: Option<(u64, u64, Vec<u64>)>,
     /// Lineage trace id when this collection was sampled for tracing.
@@ -233,6 +233,98 @@ enum Marker {
     Features,
 }
 
+impl Marker {
+    /// Value of the `marker` label on `tscout_marker_events_total`.
+    fn name(self) -> &'static str {
+        match self {
+            Marker::Begin => "begin",
+            Marker::End => "end",
+            Marker::Features => "features",
+        }
+    }
+}
+
+/// A FEATURES payload staged on the stack: the first
+/// [`MAX_PAYLOAD_WORDS`] words the marker supplied (the wire format
+/// carries no more).
+struct Payload {
+    words: [u64; MAX_PAYLOAD_WORDS],
+    len: usize,
+}
+
+impl Payload {
+    fn new() -> Self {
+        Payload {
+            words: [0; MAX_PAYLOAD_WORDS],
+            len: 0,
+        }
+    }
+
+    fn extend(&mut self, words: &[u64]) {
+        let n = words.len().min(MAX_PAYLOAD_WORDS - self.len);
+        self.words[self.len..self.len + n].copy_from_slice(&words[..n]);
+        self.len += n;
+    }
+
+    fn as_slice(&self) -> &[u64] {
+        &self.words[..self.len]
+    }
+}
+
+/// One ring record handed to a [`TScout::drain_ring_with`] visitor, in
+/// place.
+#[derive(Debug, Clone, Copy)]
+pub struct DrainedRecord<'a> {
+    pub bytes: &'a [u8],
+    /// The OU schemas to decode it with.
+    pub registry: &'a OuRegistry,
+    /// Records still queued behind this one.
+    pub ring_len: usize,
+}
+
+/// The Collector's hot metrics, declared once (see
+/// [`tscout_telemetry::SiteVec`]): each series registers on first use.
+#[derive(Debug)]
+struct CollectorMetrics {
+    /// Indexed by `Marker as usize`.
+    marker_events: CounterVec,
+    /// Indexed by `Subsystem::index()`.
+    begun: CounterVec,
+    delivered: CounterVec,
+    /// Indexed by OU id (registered OUs only).
+    ou_begun: CounterVec,
+    ou_delivered: CounterVec,
+    /// Handles for [`TScout::bpf_gauges`], in its order; resolved at
+    /// deploy, where every one of them is first published.
+    bpf: Vec<Gauge>,
+    ring_hwm: Gauge,
+    /// Indexed like `tscout_bpf::PASS_NAMES`.
+    opt_removed: Vec<Gauge>,
+    opt_rewritten: Vec<Gauge>,
+}
+
+impl CollectorMetrics {
+    fn new(t: &Telemetry, bpf_gauges: impl Iterator<Item = &'static str>) -> Self {
+        let per_pass = |name| {
+            tscout_bpf::PASS_NAMES
+                .iter()
+                .map(|pass| t.gauge(name, &[("pass", pass)]))
+                .collect()
+        };
+        CollectorMetrics {
+            marker_events: CounterVec::new("tscout_marker_events_total", "marker"),
+            begun: CounterVec::new("tscout_samples_begun_total", "subsystem"),
+            delivered: CounterVec::new("tscout_samples_delivered_total", "subsystem"),
+            ou_begun: CounterVec::new("tscout_ou_samples_begun_total", "ou"),
+            ou_delivered: CounterVec::new("tscout_ou_samples_delivered_total", "ou"),
+            bpf: bpf_gauges.map(|name| t.gauge(name, &[])).collect(),
+            ring_hwm: t.gauge("tscout_ring_occupancy_hwm", &[]),
+            opt_removed: per_pass("tscout_opt_insns_removed_total"),
+            opt_rewritten: per_pass("tscout_opt_insns_rewritten_total"),
+        }
+    }
+}
+
 /// Exact sample accounting totals, read back from telemetry counters.
 ///
 /// After a full ring drain (and with no triples in flight),
@@ -262,8 +354,11 @@ pub struct TScout {
     pub telemetry: Telemetry,
     loader: Loader,
     ring: MapId,
-    subsys: BTreeMap<Subsystem, SubsysRt>,
-    tasks: HashMap<TaskId, TaskState>,
+    /// Indexed by `Subsystem::index()`; `None` = not configured.
+    subsys: [Option<SubsysRt>; ALL_SUBSYSTEMS.len()],
+    /// Indexed by task id.
+    tasks: Vec<TaskState>,
+    metrics: CollectorMetrics,
     enabled: bool,
     /// Most recent marker-side virtual timestamp. Ring evictions are
     /// discovered lazily (at the next push or drain) with no Kernel in
@@ -290,19 +385,15 @@ impl HelperWorld for KernelWorld<'_> {
     fn perf_event_read(&mut self, idx: u64) -> Option<[u64; 3]> {
         let kind = tscout_kernel::CounterKind::from_index(idx as usize)?;
         let ns = self.k.cost.pmu_read_kernel_ns;
-        let _f = self
-            .k
-            .profile_frame(self.task, "helper:perf_event_read", false);
-        self.k.charge_overhead(self.task, ns);
+        self.k
+            .charge_overhead_in(self.task, "helper:perf_event_read", ns);
         let r = self.k.task(self.task).pmu.read(kind);
         Some([r.value, r.time_enabled, r.time_running])
     }
 
     fn read_task_io(&mut self) -> [u64; 4] {
-        let _f = self
-            .k
-            .profile_frame(self.task, "helper:read_task_io", false);
-        self.k.charge_overhead(self.task, 35.0);
+        self.k
+            .charge_overhead_in(self.task, "helper:read_task_io", 35.0);
         let io = self.k.task(self.task).ioac;
         [
             io.read_bytes,
@@ -313,10 +404,8 @@ impl HelperWorld for KernelWorld<'_> {
     }
 
     fn read_tcp_sock(&mut self) -> [u64; 4] {
-        let _f = self
-            .k
-            .profile_frame(self.task, "helper:read_tcp_sock", false);
-        self.k.charge_overhead(self.task, 35.0);
+        self.k
+            .charge_overhead_in(self.task, "helper:read_tcp_sock", 35.0);
         let t = self.k.task(self.task).tcp;
         [t.bytes_sent, t.bytes_received, t.segs_out, t.segs_in]
     }
@@ -335,7 +424,7 @@ impl TScout {
             config.ring_capacity,
         ));
 
-        let mut subsys = BTreeMap::new();
+        let mut subsys = [None; ALL_SUBSYSTEMS.len()];
         for (&s, &probes) in &config.subsystems {
             let bpf = if config.mode == CollectionMode::KernelContinuous {
                 let depth_map =
@@ -395,20 +484,28 @@ impl TScout {
             } else {
                 None
             };
-            subsys.insert(s, SubsysRt { probes, bpf });
+            subsys[s.index()] = Some(SubsysRt { probes, bpf });
         }
 
         let sampler = Sampler::new(config.sampler_seed);
+        let stats = TsStats::default();
+        let metrics = CollectorMetrics::new(
+            &kernel.telemetry,
+            Self::bpf_gauges(&loader, ring, &stats)
+                .into_iter()
+                .map(|(name, _)| name),
+        );
         let ts = TScout {
             config,
             registry: OuRegistry::new(),
             sampler,
-            stats: TsStats::default(),
+            stats,
             telemetry: kernel.telemetry.clone(),
             loader,
             ring,
             subsys,
-            tasks: HashMap::new(),
+            tasks: Vec::new(),
+            metrics,
             enabled: true,
             last_now: 0.0,
         };
@@ -422,7 +519,7 @@ impl TScout {
     /// Tear down: detach and unload every Collector program (dynamic
     /// feature selection, §5.4 — modify config, then `deploy` again).
     pub fn teardown(mut self, kernel: &mut Kernel) -> TsConfig {
-        for rt in self.subsys.values() {
+        for rt in self.subsys.iter().flatten() {
             if let Some(bpf) = rt.bpf {
                 for tp in [bpf.tp_begin, bpf.tp_end, bpf.tp_feat] {
                     for prog in kernel.tracepoints.attached_programs(tp).to_vec() {
@@ -449,7 +546,16 @@ impl TScout {
         ) {
             kernel.perf_enable_all_free(task);
         }
-        self.tasks.entry(task).or_default();
+        self.task_state(task);
+    }
+
+    /// The marker state of `task`, created on first sight.
+    fn task_state(&mut self, task: TaskId) -> &mut TaskState {
+        let idx = task.0 as usize;
+        if idx >= self.tasks.len() {
+            self.tasks.resize_with(idx + 1, TaskState::default);
+        }
+        &mut self.tasks[idx]
     }
 
     /// Whether context switches for this deployment pay the PMU
@@ -481,36 +587,48 @@ impl TScout {
     /// on this thread is being collected, so the DBMS can skip feature
     /// aggregation otherwise.
     pub fn should_collect(&self, task: TaskId) -> bool {
-        self.tasks
-            .get(&task)
-            .and_then(|t| t.inflight.last())
-            .map(|f| f.collected)
-            .unwrap_or(false)
+        let top = self
+            .tasks
+            .get(task.0 as usize)
+            .and_then(|t| t.inflight.last());
+        top.is_some_and(|f| f.collected)
     }
 
     // ------------------------------------------------------------------
     // Sample accounting (the telemetry side of §5.3)
     // ------------------------------------------------------------------
 
-    fn ou_label(&self, ou: OuId) -> String {
-        self.registry
+    fn ou_label(registry: &OuRegistry, ou: OuId) -> String {
+        registry
             .get(ou)
             .map(|d| d.name.clone())
             .unwrap_or_else(|| format!("ou{}", ou.0))
     }
 
-    fn mark_begun(&self, subsystem: Subsystem, ou: OuId) {
-        let o = self.ou_label(ou);
-        self.telemetry.counter_inc(
-            "tscout_samples_begun_total",
-            &[("subsystem", subsystem.name())],
-        );
-        self.telemetry
-            .counter_inc("tscout_ou_samples_begun_total", &[("ou", &o)]);
+    fn count_marker(&mut self, which: Marker) {
+        self.stats.marker_events += 1;
+        self.metrics
+            .marker_events
+            .at(&self.telemetry, which as usize, || which.name())
+            .inc();
     }
 
+    /// `ou` is registered (the caller looked it up).
+    fn mark_begun(&mut self, subsystem: Subsystem, ou: OuId) {
+        let (t, registry) = (&self.telemetry, &self.registry);
+        self.metrics
+            .begun
+            .at(t, subsystem.index(), || subsystem.name())
+            .inc();
+        self.metrics
+            .ou_begun
+            .at(t, ou.0 as usize, || Self::ou_label(registry, ou))
+            .inc();
+    }
+
+    /// Losses are off the steady-state path: string-keyed.
     fn mark_lost(&self, subsystem: Subsystem, ou: OuId, reason: &str) {
-        let o = self.ou_label(ou);
+        let o = Self::ou_label(&self.registry, ou);
         self.telemetry.counter_inc(
             "tscout_samples_lost_total",
             &[("subsystem", subsystem.name()), ("reason", reason)],
@@ -539,9 +657,8 @@ impl TScout {
     /// that pushes to the ring, so the bounded eviction queue never
     /// overflows and the accounting stays exact.
     fn account_ring_evictions(&mut self) {
-        let evicted = self.loader.maps.ring_take_evicted(self.ring);
-        for bytes in evicted {
-            let (s, ou, tid) = Self::record_ids(&bytes);
+        while let Some(header) = self.loader.maps.ring_pop_evicted(self.ring) {
+            let (s, ou, tid) = Self::record_ids(header.as_bytes());
             let s = s.unwrap_or(Subsystem::ExecutionEngine);
             let ou = ou.unwrap_or(OuId(u16::MAX));
             self.mark_lost(s, ou, "ring_overwrite");
@@ -549,58 +666,60 @@ impl TScout {
         }
     }
 
-    /// Export the BPF substrate's own counters (ring, map ops, verifier)
-    /// as gauges. Cheap; called at deploy and on every drain.
+    /// The BPF substrate's own counters (ring, map ops, verifier,
+    /// optimizer) as `(gauge name, value)` — the one place each of these
+    /// gauges is declared.
+    fn bpf_gauges(loader: &Loader, ring: MapId, stats: &TsStats) -> [(&'static str, f64); 24] {
+        let rs = loader.maps.ring_stats(ring);
+        let ops = loader.maps.op_stats();
+        let v = loader.verify_totals();
+        let o = loader.opt_totals();
+        [
+            ("tscout_ring_produced", rs.produced as f64),
+            ("tscout_ring_dropped", rs.dropped as f64),
+            ("tscout_ring_bytes", rs.bytes as f64),
+            ("tscout_ring_capacity", rs.capacity as f64),
+            ("tscout_map_lookups", ops.lookups as f64),
+            ("tscout_map_updates", ops.updates as f64),
+            ("tscout_map_deletes", ops.deletes as f64),
+            ("tscout_map_stack_pushes", ops.pushes as f64),
+            ("tscout_map_stack_pops", ops.pops as f64),
+            ("tscout_ring_pushes", ops.ring_pushes as f64),
+            ("tscout_ring_drained", ops.ring_drained as f64),
+            ("tscout_verify_insns", v.insns as f64),
+            ("tscout_verify_insns_visited", v.insns_visited as f64),
+            ("tscout_verify_states", v.states_explored as f64),
+            ("tscout_verify_states_pruned", v.states_pruned as f64),
+            ("tscout_verify_peak_depth", v.peak_depth as f64),
+            ("tscout_verify_paths", v.paths_completed as f64),
+            ("tscout_verify_runs", loader.verify_runs() as f64),
+            ("tscout_bpf_insns_executed", stats.bpf_insns as f64),
+            ("tscout_opt_insns_before", o.insns_before as f64),
+            ("tscout_opt_insns_after", o.insns_after as f64),
+            ("tscout_opt_iterations", o.iterations as f64),
+            ("tscout_opt_loops_unrolled", o.loops_unrolled as f64),
+            ("tscout_opt_fallbacks_total", loader.opt_fallbacks() as f64),
+        ]
+    }
+
+    /// Export the BPF substrate's own counters as gauges. Called at
+    /// deploy and once per Processor `poll`/`drain_all` (or per
+    /// [`TScout::drain_ring`]).
     pub fn publish_bpf_telemetry(&self) {
-        let t = &self.telemetry;
-        let rs = self.loader.maps.ring_stats(self.ring);
-        t.gauge_set("tscout_ring_produced", &[], rs.produced as f64);
-        t.gauge_set("tscout_ring_dropped", &[], rs.dropped as f64);
-        t.gauge_set("tscout_ring_bytes", &[], rs.bytes as f64);
-        t.gauge_max("tscout_ring_occupancy_hwm", &[], rs.hwm as f64);
-        t.gauge_set("tscout_ring_capacity", &[], rs.capacity as f64);
-        let ops = self.loader.maps.op_stats();
-        t.gauge_set("tscout_map_lookups", &[], ops.lookups as f64);
-        t.gauge_set("tscout_map_updates", &[], ops.updates as f64);
-        t.gauge_set("tscout_map_deletes", &[], ops.deletes as f64);
-        t.gauge_set("tscout_map_stack_pushes", &[], ops.pushes as f64);
-        t.gauge_set("tscout_map_stack_pops", &[], ops.pops as f64);
-        t.gauge_set("tscout_ring_pushes", &[], ops.ring_pushes as f64);
-        t.gauge_set("tscout_ring_drained", &[], ops.ring_drained as f64);
-        let v = self.loader.verify_totals();
-        t.gauge_set("tscout_verify_insns", &[], v.insns as f64);
-        t.gauge_set("tscout_verify_insns_visited", &[], v.insns_visited as f64);
-        t.gauge_set("tscout_verify_states", &[], v.states_explored as f64);
-        t.gauge_set("tscout_verify_states_pruned", &[], v.states_pruned as f64);
-        t.gauge_set("tscout_verify_peak_depth", &[], v.peak_depth as f64);
-        t.gauge_set("tscout_verify_paths", &[], v.paths_completed as f64);
-        t.gauge_set("tscout_verify_runs", &[], self.loader.verify_runs() as f64);
-        t.gauge_set(
-            "tscout_bpf_insns_executed",
-            &[],
-            self.stats.bpf_insns as f64,
-        );
+        let m = &self.metrics;
+        for (gauge, (_, value)) in
+            m.bpf
+                .iter()
+                .zip(Self::bpf_gauges(&self.loader, self.ring, &self.stats))
+        {
+            gauge.set(value);
+        }
+        m.ring_hwm
+            .set_max(self.loader.maps.ring_stats(self.ring).hwm as f64);
         let o = self.loader.opt_totals();
-        t.gauge_set("tscout_opt_insns_before", &[], o.insns_before as f64);
-        t.gauge_set("tscout_opt_insns_after", &[], o.insns_after as f64);
-        t.gauge_set("tscout_opt_iterations", &[], o.iterations as f64);
-        t.gauge_set("tscout_opt_loops_unrolled", &[], o.loops_unrolled as f64);
-        t.gauge_set(
-            "tscout_opt_fallbacks_total",
-            &[],
-            self.loader.opt_fallbacks() as f64,
-        );
-        for (i, pass) in tscout_bpf::PASS_NAMES.iter().enumerate() {
-            t.gauge_set(
-                "tscout_opt_insns_removed_total",
-                &[("pass", pass)],
-                o.removed[i] as f64,
-            );
-            t.gauge_set(
-                "tscout_opt_insns_rewritten_total",
-                &[("pass", pass)],
-                o.rewritten[i] as f64,
-            );
+        for (i, (removed, rewritten)) in m.opt_removed.iter().zip(&m.opt_rewritten).enumerate() {
+            removed.set(o.removed[i] as f64);
+            rewritten.set(o.rewritten[i] as f64);
         }
     }
 
@@ -621,20 +740,17 @@ impl TScout {
 
     /// `BEGIN` marker: decide sampling and start metric collection.
     pub fn ou_begin(&mut self, k: &mut Kernel, task: TaskId, ou: OuId) {
-        self.stats.marker_events += 1;
-        self.telemetry
-            .counter_inc("tscout_marker_events_total", &[("marker", "begin")]);
+        self.count_marker(Marker::Begin);
         // Root frame: marker handling is collection-side work, so its
         // virtual time re-bases under `tscout;...` even though it runs
         // in the middle of a DBMS stack.
-        let _root = k.profile_frame(task, "tscout", true);
-        let _marker = k.profile_frame(task, "collector:begin", false);
+        let _frames = k.profile_frames(task, [("tscout", true), ("collector:begin", false)]);
         k.charge_overhead(task, k.cost.sampling_check_ns);
         let Some(def) = self.registry.get(ou) else {
             return;
         };
         let subsystem = def.subsystem;
-        let configured = self.subsys.contains_key(&subsystem);
+        let configured = self.subsys[subsystem.index()].is_some();
         let collected =
             self.enabled && configured && self.sampler.decide(task.0 as usize, subsystem);
 
@@ -671,18 +787,18 @@ impl TScout {
                     k.task_mut(task).pmu.reset();
                     k.perf_enable_all(task); // ioctl ENABLE
                     k.syscall(task, SyscallKind::Generic); // io/net stats read
-                    snap = Some(self.user_snapshot(k, task, /*read_pmu=*/ false));
+                    snap = Some(Box::new(self.user_snapshot(k, task, /*read_pmu=*/ false)));
                 }
                 CollectionMode::UserContinuous => {
                     let pmu = k.perf_read_user(task); // one group-read syscall
                     k.syscall(task, SyscallKind::Generic);
                     let mut s = self.user_snapshot(k, task, false);
                     s.pmu = pmu;
-                    snap = Some(s);
+                    snap = Some(Box::new(s));
                 }
             }
         }
-        self.tasks.entry(task).or_default().inflight.push(InFlight {
+        self.task_state(task).inflight.push(InFlight {
             ou,
             subsystem,
             collected,
@@ -695,31 +811,16 @@ impl TScout {
 
     /// `END` marker: stop metric collection and compute deltas.
     pub fn ou_end(&mut self, k: &mut Kernel, task: TaskId, ou: OuId) {
-        self.stats.marker_events += 1;
-        self.telemetry
-            .counter_inc("tscout_marker_events_total", &[("marker", "end")]);
-        let _root = k.profile_frame(task, "tscout", true);
-        let _marker = k.profile_frame(task, "collector:end", false);
+        self.count_marker(Marker::End);
+        let _frames = k.profile_frames(task, [("tscout", true), ("collector:end", false)]);
         k.charge_overhead(task, k.cost.sampling_check_ns);
-        let ok = matches!(
-            self.tasks.get(&task).and_then(|t| t.inflight.last()),
-            Some(top) if top.ou == ou && top.phase == Phase::Began
-        );
-        if !ok {
+        let top = self.task_state(task).inflight.last_mut();
+        let Some(top) = top.filter(|top| top.ou == ou && top.phase == Phase::Began) else {
             self.state_machine_reset(k, task);
             return;
-        }
-        let (collected, subsystem) = {
-            let top = self
-                .tasks
-                .get_mut(&task)
-                .unwrap()
-                .inflight
-                .last_mut()
-                .unwrap();
-            top.phase = Phase::Ended;
-            (top.collected, top.subsystem)
         };
+        top.phase = Phase::Ended;
+        let (collected, subsystem) = (top.collected, top.subsystem);
         if !collected {
             return;
         }
@@ -758,10 +859,10 @@ impl TScout {
         features: &[u64],
         user_metrics: &[u64],
     ) {
-        let mut payload = Vec::with_capacity(features.len() + user_metrics.len());
-        payload.extend_from_slice(features);
-        payload.extend_from_slice(user_metrics);
-        self.features_common(k, task, ou, 0, &payload);
+        let mut payload = Payload::new();
+        payload.extend(features);
+        payload.extend(user_metrics);
+        self.features_common(k, task, ou, 0, payload.as_slice());
     }
 
     /// Vectorized `FEATURES` for fused pipelines (§5.2): one metrics
@@ -773,13 +874,18 @@ impl TScout {
         pipeline_ou: OuId,
         groups: &[(OuId, Vec<u64>)],
     ) {
-        let mut payload = Vec::new();
+        let mut payload = Payload::new();
         for (ou, feats) in groups {
-            payload.push(ou.as_u64());
-            payload.push(feats.len() as u64);
-            payload.extend_from_slice(feats);
+            payload.extend(&[ou.as_u64(), feats.len() as u64]);
+            payload.extend(feats);
         }
-        self.features_common(k, task, pipeline_ou, groups.len() as u64, &payload);
+        self.features_common(
+            k,
+            task,
+            pipeline_ou,
+            groups.len() as u64,
+            payload.as_slice(),
+        );
     }
 
     fn features_common(
@@ -790,21 +896,15 @@ impl TScout {
         flags: u64,
         payload: &[u64],
     ) {
-        self.stats.marker_events += 1;
-        self.telemetry
-            .counter_inc("tscout_marker_events_total", &[("marker", "features")]);
-        let _root = k.profile_frame(task, "tscout", true);
-        let _marker = k.profile_frame(task, "collector:features", false);
+        self.count_marker(Marker::Features);
+        let _frames = k.profile_frames(task, [("tscout", true), ("collector:features", false)]);
         k.charge_overhead(task, k.cost.sampling_check_ns);
-        let ok = matches!(
-            self.tasks.get(&task).and_then(|t| t.inflight.last()),
-            Some(top) if top.ou == ou && top.phase == Phase::Ended
-        );
-        if !ok {
+        let inflight = &mut self.task_state(task).inflight;
+        let top = inflight.pop_if(|top| top.ou == ou && top.phase == Phase::Ended);
+        let Some(top) = top else {
             self.state_machine_reset(k, task);
             return;
-        }
-        let top = self.tasks.get_mut(&task).unwrap().inflight.pop().unwrap();
+        };
         if !top.collected {
             return;
         }
@@ -839,8 +939,6 @@ impl TScout {
                     }
                     return;
                 };
-                let mut p = payload.to_vec();
-                p.truncate(MAX_PAYLOAD_WORDS);
                 let rec = RawRecord {
                     ou: ou.as_u64(),
                     tid: task.as_u64(),
@@ -849,7 +947,7 @@ impl TScout {
                     start_ns: start,
                     elapsed_ns: elapsed,
                     metrics,
-                    payload: p,
+                    payload: payload.to_vec(),
                 };
                 self.emit_user(k, task, &rec, top.trace);
             }
@@ -889,17 +987,15 @@ impl TScout {
         delta_pmu: bool,
         end_ns: u64,
     ) {
-        let probes = self.subsys[&subsystem].probes;
+        let Some(probes) = self.subsys[subsystem.index()].map(|rt| rt.probes) else {
+            return;
+        };
         let now = end_ns;
         let cur_io = k.task(task).ioac;
         let cur_tcp = k.task(task).tcp;
-        let top = self
-            .tasks
-            .get_mut(&task)
-            .unwrap()
-            .inflight
-            .last_mut()
-            .unwrap();
+        let Some(top) = self.task_state(task).inflight.last_mut() else {
+            return;
+        };
         let Some(snap) = &top.snap else { return };
         let mut metrics = Vec::with_capacity(probes.metric_words());
         if probes.cpu {
@@ -979,7 +1075,7 @@ impl TScout {
         flags: u64,
         payload: &[u64],
     ) -> u64 {
-        let Some(bpf) = self.subsys.get(&subsystem).and_then(|r| r.bpf) else {
+        let Some(bpf) = self.subsys[subsystem.index()].and_then(|r| r.bpf) else {
             return 0;
         };
         let tp = match which {
@@ -987,11 +1083,13 @@ impl TScout {
             Marker::End => bpf.tp_end,
             Marker::Features => bpf.tp_feat,
         };
-        let progs = k.fire_tracepoint(task, tp);
-        if progs.is_empty() {
+        let attached = k.fire_tracepoint(task, tp).len();
+        if attached == 0 {
             return 0;
         }
-        let ctx = encode_ctx(
+        let mut ctx = [0u8; CTX_BYTES];
+        encode_ctx_into(
+            &mut ctx,
             ou.as_u64(),
             task.as_u64(),
             subsystem.index() as u64,
@@ -999,7 +1097,9 @@ impl TScout {
             payload,
         );
         let mut result = 0;
-        for prog in progs {
+        for i in 0..attached {
+            // (Nothing attaches or detaches while a marker fires.)
+            let prog = k.tracepoints.attached_programs(tp)[i];
             // Held across both the VM run (helper charges land inside)
             // and the post-run instruction-cost charge below.
             let _prog_frame = self.loader.profile_scope(task.0 as usize, prog);
@@ -1033,29 +1133,19 @@ impl TScout {
             .counter_inc("tscout_state_machine_resets_total", &[]);
         // Every collected sample still in flight on this thread dies with
         // the reset — attribute each one before discarding.
-        let discarded: Vec<(Subsystem, OuId, Option<TraceId>)> = self
-            .tasks
-            .get(&task)
-            .map(|t| {
-                t.inflight
-                    .iter()
-                    .filter(|f| f.collected)
-                    .map(|f| (f.subsystem, f.ou, f.trace))
-                    .collect()
-            })
-            .unwrap_or_default();
-        for (s, ou, trace) in discarded {
-            self.mark_lost(s, ou, "state_reset");
-            if let Some(id) = trace {
+        let mut inflight = std::mem::take(&mut self.task_state(task).inflight);
+        for f in inflight.iter().filter(|f| f.collected) {
+            self.mark_lost(f.subsystem, f.ou, "state_reset");
+            if let Some(id) = f.trace {
                 self.telemetry
                     .trace_marker_abort(id, k.now(task), "state_reset");
             }
         }
-        if let Some(t) = self.tasks.get_mut(&task) {
-            t.inflight.clear();
-        }
+        // (Handed back empty, with its capacity.)
+        inflight.clear();
+        self.task_state(task).inflight = inflight;
         let tid = task.as_u64().to_le_bytes();
-        for rt in self.subsys.values() {
+        for rt in self.subsys.iter().flatten() {
             if let Some(bpf) = rt.bpf {
                 let _ = self.loader.maps.delete(bpf.done_map, &tid);
                 let _ = self.loader.maps.delete(bpf.depth_map, &tid);
@@ -1071,24 +1161,56 @@ impl TScout {
     // Processor-facing surface
     // ------------------------------------------------------------------
 
-    /// Drain up to `max` raw records from the ring buffer. Every drained
-    /// record is counted as *delivered* toward its subsystem and OU; ring
-    /// overwrites that happened since the last drain are attributed as
-    /// losses first.
-    pub fn drain_ring(&mut self, max: usize) -> Vec<Vec<u8>> {
+    /// Drain up to `max` raw records from the ring buffer, handing each
+    /// to `visit` in place. Every drained record is counted as
+    /// *delivered* toward its subsystem and OU; ring overwrites that
+    /// happened since the last drain are attributed as losses first.
+    /// Returns how many records were drained.
+    pub fn drain_ring_with(
+        &mut self,
+        max: usize,
+        mut visit: impl FnMut(DrainedRecord<'_>),
+    ) -> usize {
         self.account_ring_evictions();
-        let raw = self.loader.maps.ring_drain(self.ring, max);
-        for bytes in &raw {
+        let TScout {
+            loader,
+            registry,
+            telemetry,
+            metrics,
+            ring,
+            ..
+        } = self;
+        loader.maps.ring_drain_with(*ring, max, |bytes, ring_len| {
             let (s, ou, _tid) = Self::record_ids(bytes);
             let s = s.unwrap_or(Subsystem::ExecutionEngine);
-            let o = ou
-                .map(|o| self.ou_label(o))
-                .unwrap_or_else(|| "unknown".into());
-            self.telemetry
-                .counter_inc("tscout_samples_delivered_total", &[("subsystem", s.name())]);
-            self.telemetry
-                .counter_inc("tscout_ou_samples_delivered_total", &[("ou", &o)]);
-        }
+            metrics
+                .delivered
+                .at(telemetry, s.index(), || s.name())
+                .inc();
+            match ou.filter(|ou| registry.get(*ou).is_some()) {
+                Some(ou) => metrics
+                    .ou_delivered
+                    .at(telemetry, ou.0 as usize, || Self::ou_label(registry, ou))
+                    .inc(),
+                // A header no registered OU wrote: string-keyed.
+                None => {
+                    let o = ou.map_or_else(|| "unknown".into(), |ou| Self::ou_label(registry, ou));
+                    telemetry.counter_inc("tscout_ou_samples_delivered_total", &[("ou", &o)]);
+                }
+            }
+            visit(DrainedRecord {
+                bytes,
+                registry,
+                ring_len,
+            });
+        })
+    }
+
+    /// [`TScout::drain_ring_with`] into owned records, publishing the BPF
+    /// gauges afterwards.
+    pub fn drain_ring(&mut self, max: usize) -> Vec<Vec<u8>> {
+        let mut raw = Vec::new();
+        self.drain_ring_with(max, |record| raw.push(record.bytes.to_vec()));
         self.publish_bpf_telemetry();
         raw
     }
@@ -1112,11 +1234,12 @@ impl TScout {
     /// (bypasses the Processor's cost accounting; meant for tests and
     /// offline analysis).
     pub fn drain_decoded(&mut self) -> Vec<TrainingPoint> {
-        let raw = self.drain_ring(usize::MAX);
-        raw.iter()
-            .filter_map(|b| decode_record(b))
-            .flat_map(|r| split_record(&r, &self.registry))
-            .collect()
+        let mut points = Vec::new();
+        self.drain_ring_with(usize::MAX, |record| {
+            points.extend(decode_points(record.bytes, record.registry));
+        });
+        self.publish_bpf_telemetry();
+        points
     }
 }
 

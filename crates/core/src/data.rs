@@ -47,32 +47,213 @@ pub struct RawRecord {
     pub payload: Vec<u64>,
 }
 
-/// Decode a wire record. Returns `None` on malformed input (truncated or
-/// internally inconsistent) — the Processor drops such records rather than
-/// crashing, since ring overwrites are legal.
+/// Little-endian `u64` words read in place from record bytes.
+#[derive(Debug, Clone, Copy)]
+struct Words<'a>(&'a [u8]);
+
+impl<'a> Words<'a> {
+    fn len(self) -> usize {
+        self.0.len() / 8
+    }
+
+    fn get(self, i: usize) -> u64 {
+        u64::from_le_bytes(self.0[i * 8..][..8].try_into().expect("8-byte word"))
+    }
+
+    fn slice(self, words: std::ops::Range<usize>) -> Words<'a> {
+        Words(&self.0[words.start * 8..words.end * 8])
+    }
+
+    fn iter(self) -> impl ExactSizeIterator<Item = u64> + 'a {
+        self.0
+            .chunks_exact(8)
+            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte word")))
+    }
+}
+
+/// A validated wire record read in place from the ring: the header
+/// scalars by value, metrics and payload as borrowed words. The
+/// Processor decodes training points straight out of it.
+#[derive(Debug, Clone, Copy)]
+pub struct RecordView<'a> {
+    pub ou: u64,
+    pub tid: u64,
+    pub subsystem: u64,
+    pub flags: u64,
+    pub start_ns: u64,
+    pub elapsed_ns: u64,
+    metrics: Words<'a>,
+    /// The valid payload words (zero padding excluded).
+    payload: Words<'a>,
+}
+
+impl<'a> RecordView<'a> {
+    /// Validate a wire record. Returns `None` on malformed input
+    /// (truncated or internally inconsistent) — the Processor drops such
+    /// records rather than crashing, since ring overwrites are legal.
+    pub fn parse(bytes: &'a [u8]) -> Option<Self> {
+        if !bytes.len().is_multiple_of(8) || bytes.len() < HEADER_WORDS * 8 {
+            return None;
+        }
+        let words = Words(bytes);
+        let m = usize::try_from(words.get(6)).ok()?;
+        let n_payload = usize::try_from(words.get(7)).ok()?;
+        let body = HEADER_WORDS.checked_add(m)?;
+        if n_payload > MAX_PAYLOAD_WORDS || body.checked_add(MAX_PAYLOAD_WORDS) != Some(words.len())
+        {
+            return None;
+        }
+        Some(RecordView {
+            ou: words.get(0),
+            tid: words.get(1),
+            subsystem: words.get(2),
+            flags: words.get(3),
+            start_ns: words.get(4),
+            elapsed_ns: words.get(5),
+            metrics: words.slice(HEADER_WORDS..body),
+            payload: words.slice(body..body + n_payload),
+        })
+    }
+
+    fn to_raw(self) -> RawRecord {
+        RawRecord {
+            ou: self.ou,
+            tid: self.tid,
+            subsystem: self.subsystem,
+            flags: self.flags,
+            start_ns: self.start_ns,
+            elapsed_ns: self.elapsed_ns,
+            metrics: self.metrics.iter().collect(),
+            payload: self.payload.iter().collect(),
+        }
+    }
+
+    /// The fused-pipeline groups `[ou_id, n_feat, feats...]` packed in
+    /// the payload, or `None` when they do not fit it.
+    fn groups(self) -> Option<impl Iterator<Item = (u64, Words<'a>)>> {
+        let mut at = 0usize;
+        for _ in 0..self.flags {
+            let n = usize::try_from(self.payload_word(at + 1)?).ok()?;
+            at = (at + 2).checked_add(n)?;
+            if at > self.payload.len() {
+                return None;
+            }
+        }
+        let payload = self.payload;
+        let mut at = 0usize;
+        Some((0..self.flags).map(move |_| {
+            let n = payload.get(at + 1) as usize;
+            let group = (payload.get(at), payload.slice(at + 2..at + 2 + n));
+            at += 2 + n;
+            group
+        }))
+    }
+
+    fn payload_word(self, i: usize) -> Option<u64> {
+        (i < self.payload.len()).then(|| self.payload.get(i))
+    }
+
+    /// How many training points the record decodes into: one for a plain
+    /// record, one per OU group for a fused-pipeline record, none when
+    /// the subsystem is unknown or the groups are malformed (the record
+    /// is then dropped).
+    pub fn point_count(self) -> usize {
+        if Subsystem::from_index(self.subsystem as usize).is_none() {
+            0
+        } else if self.flags == 0 {
+            1
+        } else {
+            self.groups().map_or(0, Iterator::count)
+        }
+    }
+
+    /// Decode into training points using the OU registry's feature
+    /// schemas, handing each to `emit`. Plain records produce one point;
+    /// fused-pipeline records (flags = n groups) produce one point per
+    /// OU, with the shared metrics and elapsed time apportioned by each
+    /// group's declared weight — the paper's "breaking apart which
+    /// portion of the metrics corresponds to which OU" using offline
+    /// models (§5.2/§6). The weight is the group's first feature (its
+    /// tuple count), a proxy for per-OU work.
+    ///
+    /// Each point is built directly in its owned form: the OU name and
+    /// the three value vectors are its only allocations.
+    pub fn for_each_point(self, registry: &OuRegistry, mut emit: impl FnMut(TrainingPoint)) {
+        let Some(subsystem) = Subsystem::from_index(self.subsystem as usize) else {
+            return;
+        };
+        let ou_name = |ou: u64| {
+            registry
+                .get(crate::ou::OuId(ou as u16))
+                .map_or_else(|| format!("ou_{ou}"), |d| d.name.clone())
+        };
+        if self.flags == 0 {
+            let n_features = registry
+                .get(crate::ou::OuId(self.ou as u16))
+                .map_or(self.payload.len(), |def| {
+                    def.n_features.min(self.payload.len())
+                });
+            emit(TrainingPoint {
+                ou: self.ou as u16,
+                ou_name: ou_name(self.ou),
+                subsystem,
+                tid: self.tid as u32,
+                start_ns: self.start_ns,
+                elapsed_ns: self.elapsed_ns,
+                metrics: self.metrics.iter().collect(),
+                features: self
+                    .payload
+                    .slice(0..n_features)
+                    .iter()
+                    .map(|w| w as f64)
+                    .collect(),
+                user_metrics: self
+                    .payload
+                    .slice(n_features..self.payload.len())
+                    .iter()
+                    .collect(),
+            });
+            return;
+        }
+
+        let weight = |feats: Words<'_>| feats.iter().next().unwrap_or(1).max(1) as f64;
+        let Some(total_weight) = self
+            .groups()
+            .map(|groups| groups.map(|(_, f)| weight(f)).sum::<f64>())
+        else {
+            return; // malformed; drop
+        };
+        for (ou, feats) in self.groups().into_iter().flatten() {
+            let w = weight(feats) / total_weight;
+            emit(TrainingPoint {
+                ou: ou as u16,
+                ou_name: ou_name(ou),
+                subsystem,
+                tid: self.tid as u32,
+                start_ns: self.start_ns,
+                elapsed_ns: (self.elapsed_ns as f64 * w) as u64,
+                metrics: self.metrics.iter().map(|m| (m as f64 * w) as u64).collect(),
+                features: feats.iter().map(|w| w as f64).collect(),
+                user_metrics: Vec::new(),
+            });
+        }
+    }
+}
+
+/// Decode a wire record into its owned form (`None` on malformed input,
+/// see [`RecordView::parse`]).
 pub fn decode_record(bytes: &[u8]) -> Option<RawRecord> {
-    if !bytes.len().is_multiple_of(8) || bytes.len() < HEADER_WORDS * 8 {
-        return None;
+    RecordView::parse(bytes).map(RecordView::to_raw)
+}
+
+/// Decode a wire record all the way into training points (none when it
+/// is malformed).
+pub fn decode_points(bytes: &[u8], registry: &OuRegistry) -> Vec<TrainingPoint> {
+    let mut points = Vec::new();
+    if let Some(view) = RecordView::parse(bytes) {
+        view.for_each_point(registry, |p| points.push(p));
     }
-    let words: Vec<u64> = bytes
-        .chunks_exact(8)
-        .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    let m = words[6] as usize;
-    let n_payload = words[7] as usize;
-    if n_payload > MAX_PAYLOAD_WORDS || words.len() != HEADER_WORDS + m + MAX_PAYLOAD_WORDS {
-        return None;
-    }
-    Some(RawRecord {
-        ou: words[0],
-        tid: words[1],
-        subsystem: words[2],
-        flags: words[3],
-        start_ns: words[4],
-        elapsed_ns: words[5],
-        metrics: words[HEADER_WORDS..HEADER_WORDS + m].to_vec(),
-        payload: words[HEADER_WORDS + m..HEADER_WORDS + m + n_payload].to_vec(),
-    })
+    points
 }
 
 /// Encode a record (used by the user-space collection modes, which build
@@ -139,80 +320,6 @@ impl TrainingPoint {
     }
 }
 
-/// Split a raw record into training points using the OU registry's
-/// feature schemas. Plain records produce one point; fused-pipeline
-/// records (flags = n groups) produce one point per OU, with the shared
-/// metrics and elapsed time apportioned by each group's declared weight —
-/// the paper's "breaking apart which portion of the metrics corresponds
-/// to which OU" using offline models (§5.2/§6). The weight is the group's
-/// first feature (its tuple count), a proxy for per-OU work.
-pub fn split_record(raw: &RawRecord, registry: &OuRegistry) -> Vec<TrainingPoint> {
-    let Some(subsystem) = Subsystem::from_index(raw.subsystem as usize) else {
-        return Vec::new();
-    };
-    if raw.flags == 0 {
-        let (ou_name, n_features) = match registry.get(crate::ou::OuId(raw.ou as u16)) {
-            Some(def) => (def.name.clone(), def.n_features.min(raw.payload.len())),
-            None => (format!("ou_{}", raw.ou), raw.payload.len()),
-        };
-        return vec![TrainingPoint {
-            ou: raw.ou as u16,
-            ou_name,
-            subsystem,
-            tid: raw.tid as u32,
-            start_ns: raw.start_ns,
-            elapsed_ns: raw.elapsed_ns,
-            metrics: raw.metrics.clone(),
-            features: raw.payload[..n_features]
-                .iter()
-                .map(|w| *w as f64)
-                .collect(),
-            user_metrics: raw.payload[n_features..].to_vec(),
-        }];
-    }
-
-    // Fused pipeline: payload = n groups of [ou_id, n_feat, feats...].
-    let mut groups: Vec<(u64, Vec<u64>)> = Vec::new();
-    let mut i = 0usize;
-    for _ in 0..raw.flags {
-        if i + 2 > raw.payload.len() {
-            return Vec::new(); // malformed; drop
-        }
-        let ou = raw.payload[i];
-        let n = raw.payload[i + 1] as usize;
-        if i + 2 + n > raw.payload.len() {
-            return Vec::new();
-        }
-        groups.push((ou, raw.payload[i + 2..i + 2 + n].to_vec()));
-        i += 2 + n;
-    }
-    let total_weight: f64 = groups
-        .iter()
-        .map(|(_, f)| f.first().copied().unwrap_or(1).max(1) as f64)
-        .sum();
-    groups
-        .into_iter()
-        .map(|(ou, feats)| {
-            let w = feats.first().copied().unwrap_or(1).max(1) as f64 / total_weight;
-            let ou_name = registry
-                .get(crate::ou::OuId(ou as u16))
-                .map(|d| d.name.clone())
-                .unwrap_or_else(|| format!("ou_{ou}"));
-            TrainingPoint {
-                ou: ou as u16,
-                ou_name,
-                subsystem,
-                tid: raw.tid as u32,
-                start_ns: raw.start_ns,
-                elapsed_ns: (raw.elapsed_ns as f64 * w) as u64,
-                metrics: raw.metrics.iter().map(|m| (*m as f64 * w) as u64).collect(),
-                features: feats.iter().map(|w| *w as f64).collect(),
-                user_metrics: Vec::new(),
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,7 +372,7 @@ mod tests {
         }
         let scan = reg.register("seq_scan", Subsystem::ExecutionEngine, 3);
         assert_eq!(scan.0, 3);
-        let pts = split_record(&raw(), &reg);
+        let pts = decode_points(&encode_record(&raw()), &reg);
         assert_eq!(pts.len(), 1);
         let p = &pts[0];
         assert_eq!(p.ou_name, "seq_scan");
@@ -290,7 +397,7 @@ mod tests {
             // group 1: ou=a, 2 feats [100, 8]; group 2: ou=b, 1 feat [200]
             payload: vec![a.as_u64(), 2, 100, 8, b.as_u64(), 1, 200],
         };
-        let pts = split_record(&r, &reg);
+        let pts = decode_points(&encode_record(&r), &reg);
         assert_eq!(pts.len(), 2);
         // Weights 100:200 → elapsed 300/600, metric 100/200.
         assert_eq!(pts[0].elapsed_ns, 300);
@@ -314,7 +421,7 @@ mod tests {
             metrics: vec![],
             payload: vec![0, 5, 1], // but group 1 claims 5 features
         };
-        assert!(split_record(&r, &reg).is_empty());
+        assert!(decode_points(&encode_record(&r), &reg).is_empty());
     }
 
     #[test]
@@ -322,6 +429,6 @@ mod tests {
         let reg = OuRegistry::new();
         let mut r = raw();
         r.subsystem = 99;
-        assert!(split_record(&r, &reg).is_empty());
+        assert!(decode_points(&encode_record(&r), &reg).is_empty());
     }
 }

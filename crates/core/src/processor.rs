@@ -16,11 +16,15 @@ use std::path::Path;
 
 use tscout_archive::{Archive, ArchiveOptions};
 use tscout_kernel::{Kernel, TaskId};
-use tscout_telemetry::Telemetry;
+use tscout_telemetry::{CounterSite, GaugeSite, HistSite, Telemetry};
 
-use crate::collector::TScout;
-use crate::data::{decode_record, split_record, TrainingPoint};
-use crate::ou::{Subsystem, ALL_SUBSYSTEMS};
+use crate::collector::{DrainedRecord, TScout};
+use crate::data::{RecordView, TrainingPoint};
+use crate::ou::{OuId, OuRegistry, Subsystem, ALL_SUBSYSTEMS};
+
+/// Drift observations are folded into the registry this many at a time
+/// (and at the end of every `poll`/`drain_all`).
+const DRIFT_BATCH: usize = 256;
 
 /// One subsystem's loss-feedback verdict from
 /// [`Processor::subsystem_feedback`]: the current sampling rate, the
@@ -95,6 +99,42 @@ pub struct Processor {
     /// Per-subsystem lost-sample totals at the last
     /// `subsystem_feedback` check, indexed by `Subsystem::index()`.
     last_lost_by_subsystem: [u64; ALL_SUBSYSTEMS.len()],
+    metrics: ProcessorMetrics,
+    /// Decoded points waiting to be folded into their OU's drift
+    /// sketches: one registry lock per batch instead of one per point.
+    drift_batch: Vec<DriftObservation>,
+}
+
+/// The Processor's hot metrics, declared once (see
+/// [`tscout_telemetry::Site`]): each series registers on first use.
+#[derive(Debug)]
+struct ProcessorMetrics {
+    records: CounterSite,
+    points: CounterSite,
+    deagg_fanout: HistSite,
+    buffered_samples: GaugeSite,
+}
+
+impl Default for ProcessorMetrics {
+    fn default() -> Self {
+        ProcessorMetrics {
+            records: CounterSite::new("processor_records_total", &[]),
+            points: CounterSite::new("processor_points_total", &[]),
+            deagg_fanout: HistSite::new("processor_deagg_fanout", &[]),
+            buffered_samples: GaugeSite::new("processor_buffered_samples", &[]),
+        }
+    }
+}
+
+/// One point's contribution to its (registered) OU's drift channels.
+#[derive(Debug, Clone, Copy)]
+struct DriftObservation {
+    ou: OuId,
+    subsystem: Subsystem,
+    /// Target: the OU's elapsed time.
+    target_ns: f64,
+    /// L2 norm of the feature vector.
+    feature_norm: f64,
 }
 
 fn join<T: std::fmt::Display>(xs: &[T]) -> String {
@@ -129,6 +169,8 @@ impl Processor {
             trace_parks: false,
             last_lost: 0,
             last_lost_by_subsystem: [0; ALL_SUBSYSTEMS.len()],
+            metrics: ProcessorMetrics::default(),
+            drift_batch: Vec::new(),
         }
     }
 
@@ -144,17 +186,20 @@ impl Processor {
         let _frame = kernel.profile_frame(self.task, "processor:poll", false);
         let start_ns = kernel.now(self.task);
         let mut n = 0;
+        let mut polled = false;
         while kernel.now(self.task) < until_ns {
-            let recs = ts.drain_ring(1);
-            if recs.is_empty() {
+            polled = true;
+            let drained = ts.drain_ring_with(1, |record| self.consume(kernel, record));
+            if drained == 0 {
                 kernel.advance_to(self.task, until_ns);
                 break;
             }
-            let drained_at = kernel.now(self.task);
-            kernel.charge_overhead(self.task, kernel.cost.processor_per_sample_ns);
-            self.consume(kernel, &recs[0], ts, drained_at);
             n += 1;
         }
+        if polled {
+            ts.publish_bpf_telemetry();
+        }
+        self.flush_drift(&ts.registry);
         let dur = kernel.now(self.task) - start_ns;
         self.telemetry.hist_record("processor_poll_ns", &[], dur);
         self.telemetry
@@ -170,26 +215,31 @@ impl Processor {
         let start_ns = kernel.now(self.task);
         let mut n = 0;
         loop {
-            let recs = ts.drain_ring(64);
-            if recs.is_empty() {
-                let dur = kernel.now(self.task) - start_ns;
-                self.telemetry.hist_record("processor_drain_ns", &[], dur);
-                self.telemetry
-                    .span("processor_drain_all", "processor", start_ns, dur);
-                return n;
+            let drained = ts.drain_ring_with(64, |record| self.consume(kernel, record));
+            if drained == 0 {
+                break;
             }
-            for r in &recs {
-                let drained_at = kernel.now(self.task);
-                kernel.charge_overhead(self.task, kernel.cost.processor_per_sample_ns);
-                self.consume(kernel, r, ts, drained_at);
-                n += 1;
-            }
+            n += drained;
         }
+        ts.publish_bpf_telemetry();
+        self.flush_drift(&ts.registry);
+        let dur = kernel.now(self.task) - start_ns;
+        self.telemetry.hist_record("processor_drain_ns", &[], dur);
+        self.telemetry
+            .span("processor_drain_all", "processor", start_ns, dur);
+        n
     }
 
-    fn consume(&mut self, kernel: &mut Kernel, bytes: &[u8], ts: &TScout, drained_at: f64) {
-        let (tr_ou, tr_tid) = record_key(bytes);
-        let Some(raw) = decode_record(bytes) else {
+    /// Charge the per-sample transform cost and consume one drained
+    /// record.
+    fn consume(&mut self, kernel: &mut Kernel, record: DrainedRecord<'_>) {
+        let drained_at = kernel.now(self.task);
+        kernel.charge_overhead(self.task, kernel.cost.processor_per_sample_ns);
+        let (tr_ou, tr_tid) = record_key(record.bytes);
+        // Decoded in place: the only owned form is the training point.
+        let view = RecordView::parse(record.bytes);
+        let n_points = view.map_or(0, RecordView::point_count);
+        let Some(view) = view.filter(|_| n_points > 0) else {
             self.malformed += 1;
             self.telemetry
                 .counter_inc("processor_decode_errors_total", &[]);
@@ -197,43 +247,43 @@ impl Processor {
                 .trace_decode_error(tr_ou, tr_tid, kernel.now(self.task));
             return;
         };
-        let points = split_record(&raw, &ts.registry);
-        if points.is_empty() {
-            self.malformed += 1;
-            self.telemetry
-                .counter_inc("processor_decode_errors_total", &[]);
-            self.telemetry
-                .trace_decode_error(tr_ou, tr_tid, kernel.now(self.task));
-            return;
-        }
         let sink_enter = kernel.now(self.task);
         // De-aggregation fan-out: fused-pipeline records expand into one
         // point per constituent OU (§5.2).
-        self.telemetry.counter_inc("processor_records_total", &[]);
-        self.telemetry
-            .counter_add("processor_points_total", &[], points.len() as u64);
-        self.telemetry
-            .hist_record("processor_deagg_fanout", &[], points.len() as f64);
+        let t = &self.telemetry;
+        self.metrics.records.get(t).inc();
+        self.metrics.points.get(t).add(n_points as u64);
+        self.metrics.deagg_fanout.get(t).record(n_points as f64);
         {
-            // Data-quality observability: fold every point into its OU's
-            // drift sketches (target = elapsed time, feature = L2 norm of
-            // the feature vector) before the sink consumes it.
+            // Data-quality observability: every point is folded into its
+            // OU's drift sketches (target = elapsed time, feature = L2
+            // norm of the feature vector). The cost lands here; the
+            // observations themselves are batched below.
             let _frame = kernel.profile_frame(self.task, "processor:sketch", false);
             kernel.charge_overhead(
                 self.task,
-                kernel.cost.sketch_per_sample_ns * points.len() as f64,
+                kernel.cost.sketch_per_sample_ns * n_points as f64,
             );
-            for p in &points {
-                let norm = p.features.iter().map(|f| f * f).sum::<f64>().sqrt();
+        }
+        view.for_each_point(record.registry, |p| {
+            let target_ns = p.elapsed_ns as f64;
+            let feature_norm = p.features.iter().map(|f| f * f).sum::<f64>().sqrt();
+            if record.registry.get(OuId(p.ou)).is_some() {
+                self.drift_batch.push(DriftObservation {
+                    ou: OuId(p.ou),
+                    subsystem: p.subsystem,
+                    target_ns,
+                    feature_norm,
+                });
+            } else {
+                // An OU nobody registered: keyed by its synthesized name.
                 self.telemetry.observe_ou_sample(
                     &p.ou_name,
                     p.subsystem.name(),
-                    p.elapsed_ns as f64,
-                    norm,
+                    target_ns,
+                    feature_norm,
                 );
             }
-        }
-        for p in points {
             match &mut self.sink {
                 Sink::Memory(v) => v.push(p),
                 Sink::Csv(w) => {
@@ -264,6 +314,9 @@ impl Processor {
                 }
                 Sink::Discard => {}
             }
+        });
+        if self.drift_batch.len() >= DRIFT_BATCH {
+            self.flush_drift(record.registry);
         }
         self.processed += 1;
         // Stamp the drain + sink stages on this record's trace (if it
@@ -279,7 +332,7 @@ impl Processor {
             drained_at,
             sink_enter,
             kernel.now(self.task),
-            ts.ring_len() as u64,
+            record.ring_len as u64,
             terminal,
         );
         if traced {
@@ -289,11 +342,25 @@ impl Processor {
                 kernel.cost.trace_begin_ns + 4.0 * kernel.cost.trace_stage_record_ns,
             );
         }
-        self.telemetry.gauge_set(
-            "processor_buffered_samples",
-            &[],
-            self.buffered_samples() as f64,
-        );
+        self.metrics
+            .buffered_samples
+            .get(&self.telemetry)
+            .set(self.buffered_samples() as f64);
+    }
+
+    /// Fold the batched drift observations into their OUs' sketches.
+    fn flush_drift(&mut self, registry: &OuRegistry) {
+        if self.drift_batch.is_empty() {
+            return;
+        }
+        let batch = &mut self.drift_batch;
+        self.telemetry.with_registry(|r| {
+            for o in batch.drain(..) {
+                if let Some(def) = registry.get(o.ou) {
+                    r.observe_ou_sample(&def.name, o.subsystem.name(), o.target_ns, o.feature_norm);
+                }
+            }
+        });
     }
 
     /// Decoded samples currently held in Processor memory: the in-memory
@@ -485,12 +552,16 @@ mod tests {
 
     #[test]
     fn malformed_records_are_counted_not_fatal() {
-        let (mut k, mut ts, _, _) = harness();
+        let (mut k, ts, _, _) = harness();
         let mut p = Processor::new(&mut k, Sink::Discard);
-        p.consume(&mut k, &[1, 2, 3], &ts, 0.0);
+        let record = DrainedRecord {
+            bytes: &[1, 2, 3],
+            registry: &ts.registry,
+            ring_len: 0,
+        };
+        p.consume(&mut k, record);
         assert_eq!(p.malformed, 1);
         assert_eq!(p.processed, 0);
-        let _ = &mut ts;
     }
 
     #[test]

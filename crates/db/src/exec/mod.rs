@@ -151,9 +151,7 @@ impl<'a> ExecCtx<'a> {
 
     /// Charge the OU's modeled work; returns its memory-probe bytes.
     fn charge(&mut self, eou: EngineOu, features: &[u64]) -> u64 {
-        let _frame = self
-            .kernel
-            .profile_frame_lazy(self.task, false, || format!("ou:{}", eou.name()));
+        let _frame = self.kernel.profile_frame(self.task, eou.frame(), false);
         let w = work_for(eou, features);
         if self.obs.is_some() {
             // Bracket the charge with clock reads so the observation

@@ -70,33 +70,50 @@ pub const ALL_ENGINE_OUS: [EngineOu; ENGINE_OU_COUNT] = [
     EngineOu::TxnCommit,
 ];
 
+/// Each OU's name, written down once: `name()` for telemetry and
+/// `frame()` (`ou:<name>`) for the profiler, both `&'static`.
+macro_rules! engine_ou_names {
+    ($($variant:ident => $name:literal,)*) => {
+        pub fn name(self) -> &'static str {
+            match self {
+                $(EngineOu::$variant => $name,)*
+            }
+        }
+
+        /// The OU's profiler frame: `ou:<name>`.
+        pub fn frame(self) -> &'static str {
+            match self {
+                $(EngineOu::$variant => concat!("ou:", $name),)*
+            }
+        }
+    };
+}
+
 impl EngineOu {
     pub fn index(self) -> usize {
         ALL_ENGINE_OUS.iter().position(|o| *o == self).unwrap()
     }
 
-    pub fn name(self) -> &'static str {
-        match self {
-            EngineOu::SeqScan => "seq_scan",
-            EngineOu::IdxLookup => "idx_lookup",
-            EngineOu::IdxRangeScan => "idx_range_scan",
-            EngineOu::Filter => "filter",
-            EngineOu::HashJoinBuild => "hash_join_build",
-            EngineOu::HashJoinProbe => "hash_join_probe",
-            EngineOu::AggBuild => "agg_build",
-            EngineOu::Sort => "sort",
-            EngineOu::Output => "output",
-            EngineOu::Insert => "insert",
-            EngineOu::Update => "update",
-            EngineOu::Delete => "delete",
-            EngineOu::Pipeline => "pipeline",
-            EngineOu::NetworkRead => "network_read",
-            EngineOu::NetworkWrite => "network_write",
-            EngineOu::LogSerialize => "log_serialize",
-            EngineOu::DiskWrite => "disk_write",
-            EngineOu::GcSweep => "gc_sweep",
-            EngineOu::TxnCommit => "txn_commit",
-        }
+    engine_ou_names! {
+        SeqScan => "seq_scan",
+        IdxLookup => "idx_lookup",
+        IdxRangeScan => "idx_range_scan",
+        Filter => "filter",
+        HashJoinBuild => "hash_join_build",
+        HashJoinProbe => "hash_join_probe",
+        AggBuild => "agg_build",
+        Sort => "sort",
+        Output => "output",
+        Insert => "insert",
+        Update => "update",
+        Delete => "delete",
+        Pipeline => "pipeline",
+        NetworkRead => "network_read",
+        NetworkWrite => "network_write",
+        LogSerialize => "log_serialize",
+        DiskWrite => "disk_write",
+        GcSweep => "gc_sweep",
+        TxnCommit => "txn_commit",
     }
 
     pub fn subsystem(self) -> Subsystem {

@@ -9,7 +9,7 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use tscout_telemetry::{FrameGuard, Profiler, Telemetry};
+use tscout_telemetry::{CounterSite, CounterVec, FrameGuard, HistSite, Profiler, Telemetry};
 
 use crate::cost::CostModel;
 use crate::hw::HardwareProfile;
@@ -60,6 +60,47 @@ impl SerializedResource {
     }
 }
 
+/// The kernel's own hot metrics, declared once (see
+/// [`tscout_telemetry::Site`]). Handles resolve against the telemetry
+/// registry installed when each metric first fires.
+#[derive(Debug)]
+struct KernelMetrics {
+    mode_switches: CounterSite,
+    tracepoint_hits: CounterSite,
+    /// Indexed by [`SyscallKind::label`].
+    syscalls: CounterVec,
+    /// Indexed by `pmu_enabled as usize`.
+    context_switches: CounterVec,
+    wal_write_ns: HistSite,
+    wal_bytes: CounterSite,
+}
+
+impl Default for KernelMetrics {
+    fn default() -> Self {
+        KernelMetrics {
+            mode_switches: CounterSite::new("kernel_mode_switches_total", &[]),
+            tracepoint_hits: CounterSite::new("kernel_tracepoint_hits_total", &[]),
+            syscalls: CounterVec::new("kernel_syscalls_total", "kind"),
+            context_switches: CounterVec::new("kernel_context_switches_total", "pmu"),
+            wal_write_ns: HistSite::new("kernel_wal_write_ns", &[]),
+            wal_bytes: CounterSite::new("kernel_wal_bytes_total", &[]),
+        }
+    }
+}
+
+impl SyscallKind {
+    /// `(index, value)` of the `kind` label on `kernel_syscalls_total`.
+    fn label(self) -> (usize, &'static str) {
+        match self {
+            SyscallKind::Generic => (0, "generic"),
+            SyscallKind::PerfToggle => (1, "perf_toggle"),
+            SyscallKind::PerfRead(_) => (2, "perf_read"),
+            SyscallKind::Io => (3, "io"),
+            SyscallKind::Net => (4, "net"),
+        }
+    }
+}
+
 /// The simulated kernel.
 #[derive(Debug)]
 pub struct Kernel {
@@ -86,6 +127,7 @@ pub struct Kernel {
     /// [`Kernel::set_profile_period_ns`]. Every charge feeds it, so when
     /// enabled, folded samples account for all charged virtual time.
     pub profiler: Profiler,
+    metrics: KernelMetrics,
 }
 
 impl Kernel {
@@ -106,6 +148,7 @@ impl Kernel {
             runnable: 1,
             telemetry: Telemetry::default(),
             profiler: Profiler::default(),
+            metrics: KernelMetrics::default(),
         }
     }
 
@@ -119,19 +162,18 @@ impl Kernel {
     /// pops when the returned guard drops. `root` re-bases attribution
     /// at this frame (collection-side work pushes a `tscout` root so its
     /// overhead never folds under the DBMS stack it interrupted).
-    pub fn profile_frame(&self, id: TaskId, name: &str, root: bool) -> FrameGuard {
+    pub fn profile_frame(&self, id: TaskId, name: &'static str, root: bool) -> FrameGuard {
         self.profiler.push_frame(id.0 as usize, name, root)
     }
 
-    /// [`Kernel::profile_frame`] with a lazily-built name — use on hot
-    /// paths where the name is a `format!`.
-    pub fn profile_frame_lazy(
+    /// Several frames at once, outermost first, each `(name, root)` —
+    /// one guard (see [`Profiler::push_frames`]).
+    pub fn profile_frames<const N: usize>(
         &self,
         id: TaskId,
-        root: bool,
-        name: impl FnOnce() -> String,
+        frames: [(&'static str, bool); N],
     ) -> FrameGuard {
-        self.profiler.push_frame_lazy(id.0 as usize, root, name)
+        self.profiler.push_frames(id.0 as usize, frames)
     }
 
     // ------------------------------------------------------------------
@@ -227,19 +269,36 @@ impl Kernel {
             branches: instructions * 0.2,
             branch_misses: instructions * 0.2 * 0.03,
         };
-        let t = self.task_mut(id);
-        t.pmu.charge(&delta, ns);
-        t.clock_ns += ns;
-        // The profiling interrupt source: observes the charge, never
-        // alters it. Idle waits (`advance`/`advance_to`) are not work
-        // and are deliberately not sampled.
-        self.profiler.on_charge(id.0 as usize, ns);
+        self.ledger(id, &delta, ns, None);
         ns
+    }
+
+    /// Book one charge: counters, clock, and the profiling interrupt
+    /// source — which observes the charge, never alters it. (Idle waits,
+    /// `advance`/`advance_to`, are not work and are deliberately not
+    /// sampled.) `leaf` is a profiler frame covering just this charge.
+    fn ledger(&mut self, id: TaskId, delta: &CounterDelta, ns: f64, leaf: Option<&'static str>) {
+        let t = &mut self.tasks[id.0 as usize];
+        t.pmu.charge(delta, ns);
+        t.clock_ns += ns;
+        self.profiler
+            .on_charge(id.0 as usize, &mut t.profile_credit, ns, leaf);
     }
 
     /// Charge fixed-duration kernel-side overhead (mode switches, BPF
     /// execution, ...). Counts toward cycles but not data-work counters.
     pub fn charge_overhead(&mut self, id: TaskId, ns: f64) -> f64 {
+        self.charge_overhead_leaf(id, ns, None)
+    }
+
+    /// [`Kernel::charge_overhead`] under a profiler frame that spans
+    /// exactly this charge (`frame` folds as the innermost frame of any
+    /// sample the charge fires).
+    pub fn charge_overhead_in(&mut self, id: TaskId, frame: &'static str, ns: f64) -> f64 {
+        self.charge_overhead_leaf(id, ns, Some(frame))
+    }
+
+    fn charge_overhead_leaf(&mut self, id: TaskId, ns: f64, leaf: Option<&'static str>) -> f64 {
         let cycles = self.hw.ns_to_cycles(ns);
         let delta = CounterDelta {
             cycles,
@@ -247,33 +306,30 @@ impl Kernel {
             ref_cycles: cycles,
             ..Default::default()
         };
-        let t = self.task_mut(id);
-        t.pmu.charge(&delta, ns);
-        t.clock_ns += ns;
-        self.profiler.on_charge(id.0 as usize, ns);
+        self.ledger(id, &delta, ns, leaf);
         ns
     }
 
     /// One user↔kernel mode switch.
     pub fn mode_switch(&mut self, id: TaskId) -> f64 {
         let ns = self.cost.mode_switch_ns;
-        self.telemetry
-            .counter_inc("kernel_mode_switches_total", &[]);
+        self.metrics.mode_switches.get(&self.telemetry).inc();
         self.charge_overhead(id, ns)
     }
 
     /// Issue a syscall of the given kind, charging its full cost.
     pub fn syscall(&mut self, id: TaskId, kind: SyscallKind) -> f64 {
-        let (ns, kind_label) = match kind {
-            SyscallKind::Generic => (self.cost.syscall_ns(), "generic"),
-            SyscallKind::PerfToggle => (self.cost.perf_toggle_syscall_ns(), "perf_toggle"),
-            SyscallKind::PerfRead(n) => (self.cost.perf_read_syscall_ns(n), "perf_read"),
-            SyscallKind::Io => (self.cost.syscall_ns(), "io"),
-            SyscallKind::Net => (self.cost.syscall_ns(), "net"),
+        let ns = match kind {
+            SyscallKind::Generic | SyscallKind::Io | SyscallKind::Net => self.cost.syscall_ns(),
+            SyscallKind::PerfToggle => self.cost.perf_toggle_syscall_ns(),
+            SyscallKind::PerfRead(n) => self.cost.perf_read_syscall_ns(n),
         };
         self.task_mut(id).syscalls += 1;
-        self.telemetry
-            .counter_inc("kernel_syscalls_total", &[("kind", kind_label)]);
+        let (idx, label) = kind.label();
+        self.metrics
+            .syscalls
+            .at(&self.telemetry, idx, || label)
+            .inc();
         self.charge_overhead(id, ns)
     }
 
@@ -286,10 +342,16 @@ impl Kernel {
             ns += self.cost.cs_pmu_save_ns;
         }
         self.task_mut(id).context_switches += 1;
-        self.telemetry.counter_inc(
-            "kernel_context_switches_total",
-            &[("pmu", if pmu_enabled { "on" } else { "off" })],
-        );
+        self.metrics
+            .context_switches
+            .at(&self.telemetry, pmu_enabled as usize, || {
+                if pmu_enabled {
+                    "on"
+                } else {
+                    "off"
+                }
+            })
+            .inc();
         self.charge_overhead(id, ns)
     }
 
@@ -371,10 +433,11 @@ impl Kernel {
         let done = self.wal_device.acquire(now, dev_ns);
         // Observed latency includes queueing behind earlier flushes, which
         // is what a caller blocked on fsync actually experiences.
-        self.telemetry
-            .hist_record("kernel_wal_write_ns", &[], done - now);
-        self.telemetry
-            .counter_add("kernel_wal_bytes_total", &[], bytes);
+        self.metrics
+            .wal_write_ns
+            .get(&self.telemetry)
+            .record(done - now);
+        self.metrics.wal_bytes.get(&self.telemetry).add(bytes);
         self.advance_to(id, done);
         done
     }
@@ -409,14 +472,12 @@ impl Kernel {
     /// one mode switch and the kernel returns the attached program ids for
     /// the caller (the BPF runtime in `tscout`) to execute. Disabled sites
     /// are NOPs and cost nothing here.
-    pub fn fire_tracepoint(&mut self, id: TaskId, tp: TracepointId) -> Vec<AttachedProgId> {
-        let progs: Vec<AttachedProgId> = self.tracepoints.attached_programs(tp).to_vec();
-        if !progs.is_empty() {
-            self.telemetry
-                .counter_inc("kernel_tracepoint_hits_total", &[]);
+    pub fn fire_tracepoint(&mut self, id: TaskId, tp: TracepointId) -> &[AttachedProgId] {
+        if !self.tracepoints.attached_programs(tp).is_empty() {
+            self.metrics.tracepoint_hits.get(&self.telemetry).inc();
             self.mode_switch(id);
         }
-        progs
+        self.tracepoints.attached_programs(tp)
     }
 }
 

@@ -55,6 +55,9 @@ pub struct TaskStruct {
     pub context_switches: u64,
     /// Total syscalls issued (all kinds).
     pub syscalls: u64,
+    /// Charged virtual ns the sampling profiler has not sampled yet
+    /// (always less than one sampling period).
+    pub(crate) profile_credit: f64,
 }
 
 impl TaskStruct {
@@ -67,6 +70,7 @@ impl TaskStruct {
             tcp: TcpSock::default(),
             context_switches: 0,
             syscalls: 0,
+            profile_credit: 0.0,
         }
     }
 }

@@ -216,10 +216,11 @@ impl DriftRegistry {
     /// `feature_norm` is the caller-computed L2 norm of the feature
     /// vector (computed outside so this stays allocation-free).
     pub fn observe_sample(&mut self, ou: &str, subsystem: &str, target_ns: f64, feature_norm: f64) {
-        let d = self
-            .ous
-            .entry(ou.to_string())
-            .or_insert_with(|| OuDrift::new(subsystem));
+        // Borrowed-key lookup first: the steady state allocates nothing.
+        if !self.ous.contains_key(ou) {
+            self.ous.insert(ou.to_string(), OuDrift::new(subsystem));
+        }
+        let d = self.ous.get_mut(ou).expect("inserted above");
         d.samples += 1;
         d.lifetime.insert(target_ns);
         d.target.observe(target_ns, self.reference_samples);

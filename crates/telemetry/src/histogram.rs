@@ -79,6 +79,24 @@ pub(crate) fn bucket_upper(idx: usize) -> f64 {
 }
 
 impl Histogram {
+    /// `(bucket counts, sum, min, max)` — the state a
+    /// [`crate::Hist`] cell mirrors.
+    pub(crate) fn parts(&self) -> (&[u64], f64, f64, f64) {
+        (&self.counts, self.sum, self.min, self.max)
+    }
+
+    /// Rebuild from [`Histogram::parts`]; the observation count is the
+    /// sum of the buckets.
+    pub(crate) fn from_parts(counts: Vec<u64>, sum: f64, min: f64, max: f64) -> Self {
+        Histogram {
+            count: counts.iter().sum(),
+            counts,
+            sum,
+            min,
+            max,
+        }
+    }
+
     pub fn record(&mut self, v: f64) {
         if v.is_nan() {
             return;

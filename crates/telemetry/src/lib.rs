@@ -15,10 +15,16 @@
 //!   nothing here reads wall time: all durations and span timestamps are
 //!   passed in by the caller in (virtual) nanoseconds.
 //! - **One registry per simulated world.** `Telemetry` is a cheap-clone
-//!   handle (`Arc<Mutex<Registry>>`). The `Kernel` owns the canonical
-//!   handle and every component attached to it (TScout, Processor,
-//!   Database) clones it, so a whole simulation aggregates into one
-//!   registry while parallel tests stay isolated.
+//!   handle to a shared, mutex-guarded [`Registry`]. The `Kernel` owns
+//!   the canonical handle and every component attached to it (TScout,
+//!   Processor, Database) clones it, so a whole simulation aggregates
+//!   into one registry while parallel tests stay isolated.
+//! - **Hot metrics bypass the lock.** A series' value lives in an atomic
+//!   cell; [`Counter`] / [`Gauge`] / [`Hist`] handles resolved once
+//!   (usually through a [`Site`] declared where the metric is used)
+//!   update it without the registry mutex, a key, or an allocation. The
+//!   string-keyed `counter_inc(name, labels)` calls address the same
+//!   cells and stay for everything off the hot path.
 //! - **Exportable.** Prometheus-style text exposition
 //!   ([`Registry::to_prometheus`]), chrome://tracing JSON for spans
 //!   ([`Registry::spans_to_chrome_json`]), and a combined JSON snapshot
@@ -30,6 +36,7 @@
 mod actions;
 mod docs;
 mod drift;
+mod handles;
 mod health;
 mod histogram;
 mod metrics;
@@ -45,6 +52,10 @@ pub use docs::{is_documented, metric_help, metric_table_markdown, METRIC_DOCS};
 pub use drift::{
     DriftChannel, DriftRegistry, DriftScore, OuDrift, DEFAULT_MIN_LIVE_SAMPLES,
     DEFAULT_REFERENCE_SAMPLES,
+};
+pub use handles::{
+    Counter, CounterSite, CounterVec, Gauge, GaugeSite, Hist, HistSite, Resolve, Site, SiteVec,
+    StaticLabels,
 };
 pub use health::{
     default_rules, Alert, HealthEngine, HealthState, Rule, Selector, Signals, ALERT_CAPACITY,
@@ -63,16 +74,26 @@ pub use trace::{
     Tracer, ALL_STAGES, DEFAULT_ACTIVE_TRACE_CAPACITY, DEFAULT_TRACE_CAPACITY,
 };
 
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, PoisonError};
+
+#[derive(Default)]
+struct Shared {
+    registry: Mutex<Registry>,
+    /// Whether the lineage tracer could have anything to do: it samples
+    /// (`every > 0`) or has started a trace before. While false, the
+    /// per-sample tracer calls return without taking the lock.
+    tracing: AtomicBool,
+}
 
 /// Cheap-clone handle to a shared [`Registry`].
 ///
-/// All recording methods take `&self` and lock internally; the lock is
-/// uncontended in the single-threaded simulation, so the overhead is one
-/// atomic pair per record.
+/// The string-keyed recording methods take `&self` and lock internally;
+/// hot paths resolve a [`Counter`] / [`Gauge`] / [`Hist`] handle once
+/// and update the series' cell directly (see [`handles`](crate::Site)).
 #[derive(Clone, Default)]
 pub struct Telemetry {
-    inner: Arc<Mutex<Registry>>,
+    inner: Arc<Shared>,
 }
 
 impl std::fmt::Debug for Telemetry {
@@ -93,7 +114,34 @@ impl Telemetry {
     fn lock(&self) -> std::sync::MutexGuard<'_, Registry> {
         // A panic while holding the lock only loses telemetry, never
         // correctness; recover rather than propagate poisoning.
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+        self.inner
+            .registry
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Re-derive the lock-free tracing flag after `reg`'s tracer may
+    /// have been reconfigured or replaced.
+    fn sync_tracing(&self, reg: &Registry) {
+        let tracer = reg.tracer();
+        self.inner
+            .tracing
+            .store(tracer.every() > 0 || !tracer.is_idle(), Relaxed);
+    }
+
+    /// Handle to the counter `name{labels}` (registered at 0 if new).
+    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
+        self.lock().counter(name, labels)
+    }
+
+    /// Handle to the gauge `name{labels}` (registered at 0 if new).
+    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
+        self.lock().gauge(name, labels)
+    }
+
+    /// Handle to the histogram `name{labels}` (registered empty if new).
+    pub fn hist(&self, name: &str, labels: &[(&str, &str)]) -> Hist {
+        self.lock().hist(name, labels)
     }
 
     /// Add `v` to the counter `name{labels}`.
@@ -154,13 +202,16 @@ impl Telemetry {
     }
 
     /// Record a completed span with explicit virtual timestamps.
-    pub fn span(&self, name: &str, category: &str, start_ns: f64, dur_ns: f64) {
+    pub fn span(&self, name: &'static str, category: &'static str, start_ns: f64, dur_ns: f64) {
         self.lock().record_span(name, category, start_ns, dur_ns);
     }
 
     /// Run the closure with the registry locked (bulk export/merge).
     pub fn with_registry<T>(&self, f: impl FnOnce(&mut Registry) -> T) -> T {
-        f(&mut self.lock())
+        let mut reg = self.lock();
+        let out = f(&mut reg);
+        self.sync_tracing(&reg);
+        out
     }
 
     /// Prometheus text exposition of all metrics.
@@ -248,7 +299,9 @@ impl Telemetry {
     /// Enable lineage tracing: trace 1 in `every` collected markers
     /// (0 disables).
     pub fn trace_set_every(&self, every: u64) {
-        self.lock().tracer_mut().set_every(every);
+        let mut reg = self.lock();
+        reg.tracer_mut().set_every(every);
+        self.sync_tracing(&reg);
     }
 
     /// Current trace sampling divisor (0 = off).
@@ -259,6 +312,9 @@ impl Telemetry {
     /// Sampling decision at marker fire time (see
     /// [`Registry::trace_begin`]).
     pub fn trace_begin(&self, ou: u16, subsystem: u8, tid: u64, now_ns: f64) -> Option<TraceId> {
+        if !self.inner.tracing.load(Relaxed) {
+            return None;
+        }
         self.lock().trace_begin(ou, subsystem, tid, now_ns)
     }
 
@@ -289,6 +345,9 @@ impl Telemetry {
         queue_depth: u64,
         terminal: bool,
     ) -> bool {
+        if !self.inner.tracing.load(Relaxed) {
+            return false;
+        }
         self.lock().trace_consume(
             ou,
             tid,
@@ -416,8 +475,11 @@ impl Telemetry {
         if Arc::ptr_eq(&self.inner, &other.inner) {
             return;
         }
+        // A value snapshot, so the two locks are never held together.
         let theirs = other.lock().clone();
-        self.lock().merge_from(&theirs);
+        let mut reg = self.lock();
+        reg.merge_from(&theirs);
+        self.sync_tracing(&reg);
     }
 }
 

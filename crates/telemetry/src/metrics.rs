@@ -5,24 +5,28 @@ use std::collections::BTreeMap;
 
 use crate::actions::ActionLog;
 use crate::drift::DriftRegistry;
+use crate::handles::{Cell, Counter, Gauge, Hist};
 use crate::health::{Alert, HealthEngine, HealthState, Selector, Signals};
-use crate::histogram::{Histogram, HistogramSnapshot};
+use crate::histogram::HistogramSnapshot;
 use crate::spans::{Span, SpanRing};
 use crate::stmt::StmtStats;
 use crate::timeseries::{TimeSeries, Window};
 use crate::trace::{FlightRecorderArm, Stage, TraceId, TraceStats, Tracer};
 use crate::{json_escape, json_num};
 
+/// Sorted `label=value` pairs.
+type Labels = Vec<(String, String)>;
+
 /// A metric identity: name plus sorted `label=value` pairs.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MetricKey {
     pub name: String,
-    pub labels: Vec<(String, String)>,
+    pub labels: Labels,
 }
 
 impl MetricKey {
     pub fn new(name: &str, labels: &[(&str, &str)]) -> Self {
-        let mut labels: Vec<(String, String)> = labels
+        let mut labels: Labels = labels
             .iter()
             .map(|(k, v)| (k.to_string(), v.to_string()))
             .collect();
@@ -32,64 +36,155 @@ impl MetricKey {
             labels,
         }
     }
+}
 
-    /// Prometheus-style rendering: `name{k="v",k2="v2"}`. Label values
-    /// are escaped per the text exposition format: backslash, double
-    /// quote, and line feed (in that order, so the backslash introduced
-    /// by `\n` is not re-escaped).
-    fn render(&self) -> String {
-        self.render_named(&self.name, None)
+/// Prometheus-style rendering: `name{k="v",k2="v2"}`, optionally with
+/// one extra label inserted in sorted position (`le` for histogram
+/// buckets). Label values are escaped per the text exposition format:
+/// backslash, double quote, and line feed (in that order, so the
+/// backslash introduced by `\n` is not re-escaped).
+fn render(name: &str, labels: &[(String, String)], extra: Option<(&str, &str)>) -> String {
+    fn escape(v: &str) -> String {
+        v.replace('\\', "\\\\")
+            .replace('"', "\\\"")
+            .replace('\n', "\\n")
     }
+    let mut pairs: Vec<(&str, String)> = labels
+        .iter()
+        .map(|(k, v)| (k.as_str(), escape(v)))
+        .collect();
+    if let Some((k, v)) = extra {
+        pairs.push((k, escape(v)));
+        pairs.sort();
+    }
+    if pairs.is_empty() {
+        return name.to_string();
+    }
+    let inner: Vec<String> = pairs.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
+    format!("{name}{{{}}}", inner.join(","))
+}
 
-    /// Render under an explicit sample name (a family name with a
-    /// `_total`/`_bucket`/`_sum`/`_count` suffix applied), optionally
-    /// with one extra label appended in sorted position (`le` for
-    /// histogram buckets).
-    fn render_named(&self, name: &str, extra: Option<(&str, &str)>) -> String {
-        fn escape(v: &str) -> String {
-            v.replace('\\', "\\\\")
-                .replace('"', "\\\"")
-                .replace('\n', "\\n")
-        }
-        let mut pairs: Vec<(&str, String)> = self
-            .labels
-            .iter()
-            .map(|(k, v)| (k.as_str(), escape(v)))
-            .collect();
-        if let Some((k, v)) = extra {
-            pairs.push((k, escape(v)));
-            pairs.sort();
-        }
-        if pairs.is_empty() {
-            return name.to_string();
-        }
-        let inner: Vec<String> = pairs.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
-        format!("{name}{{{}}}", inner.join(","))
+/// Label sets up to this size are sorted on the stack when a series is
+/// looked up by `&[(&str, &str)]`.
+const INLINE_LABELS: usize = 4;
+
+/// Run `f` on `labels` in sorted order (the order series are stored in).
+fn with_sorted<R>(labels: &[(&str, &str)], f: impl FnOnce(&[(&str, &str)]) -> R) -> R {
+    if labels.len() <= INLINE_LABELS {
+        let mut buf = [("", ""); INLINE_LABELS];
+        let sorted = &mut buf[..labels.len()];
+        sorted.copy_from_slice(labels);
+        sorted.sort_unstable();
+        f(sorted)
+    } else {
+        let mut sorted = labels.to_vec();
+        sorted.sort_unstable();
+        f(&sorted)
     }
 }
 
-/// Cached metric identities for the statement-stats fast path — it runs
-/// on every executed statement and cannot afford a key allocation per
-/// counter update.
-fn stmt_metric_keys() -> &'static (MetricKey, MetricKey, MetricKey) {
-    static KEYS: std::sync::OnceLock<(MetricKey, MetricKey, MetricKey)> =
-        std::sync::OnceLock::new();
-    KEYS.get_or_init(|| {
-        (
-            MetricKey::new("db_stmt_recorded_total", &[]),
-            MetricKey::new("db_stmt_evicted_total", &[]),
-            MetricKey::new("db_stmt_fingerprints", &[]),
-        )
-    })
+/// All series of one kind: metric name → its label sets (sorted) → the
+/// cell holding the value. Iteration is in `(name, labels)` order; a
+/// lookup by borrowed name and labels allocates nothing.
+#[derive(Debug, Default)]
+struct Series<C> {
+    families: BTreeMap<String, Vec<(Labels, C)>>,
+}
+
+/// A deep copy: every value lands in a fresh cell, so the clone is a
+/// snapshot that handles into the original no longer move.
+impl<C: Cell> Clone for Series<C> {
+    fn clone(&self) -> Self {
+        Series {
+            families: self
+                .families
+                .iter()
+                .map(|(name, family)| {
+                    let family = family
+                        .iter()
+                        .map(|(labels, cell)| (labels.clone(), cell.detached()))
+                        .collect();
+                    (name.clone(), family)
+                })
+                .collect(),
+        }
+    }
+}
+
+impl<C: Cell> Series<C> {
+    /// Position of `sorted` labels in `family`.
+    fn position(family: &[(Labels, C)], sorted: &[(&str, &str)]) -> Result<usize, usize> {
+        family.binary_search_by(|(have, _)| {
+            have.iter()
+                .map(|(k, v)| (k.as_str(), v.as_str()))
+                .cmp(sorted.iter().copied())
+        })
+    }
+
+    fn family(&self, name: &str) -> &[(Labels, C)] {
+        self.families.get(name).map_or(&[], Vec::as_slice)
+    }
+
+    fn get(&self, name: &str, labels: &[(&str, &str)]) -> Option<&C> {
+        let family = self.families.get(name)?;
+        with_sorted(labels, |sorted| {
+            Self::position(family, sorted).ok().map(|i| &family[i].1)
+        })
+    }
+
+    /// The series' cell, created by `init` if it does not exist yet.
+    fn get_or_insert_with(
+        &mut self,
+        name: &str,
+        labels: &[(&str, &str)],
+        init: impl FnOnce() -> C,
+    ) -> &C {
+        if !self.families.contains_key(name) {
+            self.families.insert(name.to_string(), Vec::new());
+        }
+        let family = self.families.get_mut(name).expect("inserted above");
+        with_sorted(labels, |sorted| {
+            let at = match Self::position(family, sorted) {
+                Ok(at) => at,
+                Err(at) => {
+                    let owned = sorted
+                        .iter()
+                        .map(|(k, v)| (k.to_string(), v.to_string()))
+                        .collect();
+                    family.insert(at, (owned, init()));
+                    at
+                }
+            };
+            &family[at].1
+        })
+    }
+
+    fn cell(&mut self, name: &str, labels: &[(&str, &str)]) -> &C {
+        self.get_or_insert_with(name, labels, C::default)
+    }
+
+    fn len(&self) -> usize {
+        self.families.values().map(Vec::len).sum()
+    }
+
+    /// Every series as `(name, labels, cell)`, in `(name, labels)` order.
+    fn iter(&self) -> impl Iterator<Item = (&str, &Labels, &C)> {
+        self.families.iter().flat_map(|(name, family)| {
+            family
+                .iter()
+                .map(move |(labels, cell)| (name.as_str(), labels, cell))
+        })
+    }
 }
 
 /// The registry proper. Usually accessed through the cheap-clone
-/// [`crate::Telemetry`] handle rather than directly.
+/// [`crate::Telemetry`] handle rather than directly. `clone()` is a deep
+/// value snapshot (see [`crate::handles`]).
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
-    counters: BTreeMap<MetricKey, u64>,
-    gauges: BTreeMap<MetricKey, f64>,
-    histograms: BTreeMap<MetricKey, Histogram>,
+    counters: Series<Counter>,
+    gauges: Series<Gauge>,
+    histograms: Series<Hist>,
     spans: SpanRing,
     timeseries: TimeSeries,
     drift: DriftRegistry,
@@ -114,25 +209,35 @@ impl Registry {
         self.len() == 0
     }
 
+    /// Handle to the counter `name{labels}`, registering it (at 0) if new.
+    pub fn counter(&mut self, name: &str, labels: &[(&str, &str)]) -> Counter {
+        self.counters.cell(name, labels).clone()
+    }
+
+    /// Handle to the gauge `name{labels}`, registering it (at 0) if new.
+    pub fn gauge(&mut self, name: &str, labels: &[(&str, &str)]) -> Gauge {
+        self.gauges.cell(name, labels).clone()
+    }
+
+    /// Handle to the histogram `name{labels}`, registering it (empty) if
+    /// new.
+    pub fn hist(&mut self, name: &str, labels: &[(&str, &str)]) -> Hist {
+        self.histograms.cell(name, labels).clone()
+    }
+
     pub fn counter_add(&mut self, name: &str, labels: &[(&str, &str)], v: u64) {
-        *self
-            .counters
-            .entry(MetricKey::new(name, labels))
-            .or_insert(0) += v;
+        self.counters.cell(name, labels).add(v);
     }
 
     pub fn counter_value(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
-        self.counters
-            .get(&MetricKey::new(name, labels))
-            .copied()
-            .unwrap_or(0)
+        self.counters.get(name, labels).map_or(0, Counter::get)
     }
 
     pub fn counter_total(&self, name: &str) -> u64 {
         self.counters
+            .family(name)
             .iter()
-            .filter(|(k, _)| k.name == name)
-            .map(|(_, v)| v)
+            .map(|(_, c)| c.get())
             .sum()
     }
 
@@ -142,10 +247,11 @@ impl Registry {
     pub fn metric_names(&self) -> Vec<String> {
         let mut names: Vec<String> = self
             .counters
+            .families
             .keys()
-            .chain(self.gauges.keys())
-            .chain(self.histograms.keys())
-            .map(|k| k.name.clone())
+            .chain(self.gauges.families.keys())
+            .chain(self.histograms.families.keys())
+            .cloned()
             .collect();
         names.sort();
         names.dedup();
@@ -155,14 +261,20 @@ impl Registry {
     /// All `(key, value)` counter pairs for a name, across label sets.
     pub fn counters_named(&self, name: &str) -> Vec<(MetricKey, u64)> {
         self.counters
+            .family(name)
             .iter()
-            .filter(|(k, _)| k.name == name)
-            .map(|(k, v)| (k.clone(), *v))
+            .map(|(labels, c)| {
+                let key = MetricKey {
+                    name: name.to_string(),
+                    labels: labels.clone(),
+                };
+                (key, c.get())
+            })
             .collect()
     }
 
     pub fn gauge_set(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        self.gauges.insert(MetricKey::new(name, labels), v);
+        self.gauges.cell(name, labels).set(v);
     }
 
     /// Add `delta` (possibly negative) to a gauge, creating it at 0.
@@ -170,34 +282,21 @@ impl Registry {
     /// so concurrent owners sharing a registry aggregate instead of
     /// overwriting each other.
     pub fn gauge_add(&mut self, name: &str, labels: &[(&str, &str)], delta: f64) {
-        *self
-            .gauges
-            .entry(MetricKey::new(name, labels))
-            .or_insert(0.0) += delta;
+        self.gauges.cell(name, labels).add(delta);
     }
 
     pub fn gauge_max(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        let e = self
-            .gauges
-            .entry(MetricKey::new(name, labels))
-            .or_insert(f64::NEG_INFINITY);
-        if v > *e {
-            *e = v;
-        }
+        self.gauges
+            .get_or_insert_with(name, labels, || Gauge::starting_at(f64::NEG_INFINITY))
+            .set_max(v);
     }
 
     pub fn gauge_value(&self, name: &str, labels: &[(&str, &str)]) -> f64 {
-        self.gauges
-            .get(&MetricKey::new(name, labels))
-            .copied()
-            .unwrap_or(0.0)
+        self.gauges.get(name, labels).map_or(0.0, Gauge::get)
     }
 
     pub fn hist_record(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        self.histograms
-            .entry(MetricKey::new(name, labels))
-            .or_default()
-            .record(v);
+        self.histograms.cell(name, labels).record(v);
     }
 
     /// Register the histogram `name{labels}` without recording an
@@ -205,21 +304,25 @@ impl Registry {
     /// plane) whose metric names must exist from startup so the docs
     /// cross-check sees them, without polluting the distribution.
     pub fn hist_declare(&mut self, name: &str, labels: &[(&str, &str)]) {
-        self.histograms
-            .entry(MetricKey::new(name, labels))
-            .or_default();
+        self.histograms.cell(name, labels);
     }
 
     pub fn hist_snapshot(&self, name: &str, labels: &[(&str, &str)]) -> Option<HistogramSnapshot> {
         self.histograms
-            .get(&MetricKey::new(name, labels))
-            .map(Histogram::snapshot)
+            .get(name, labels)
+            .map(|h| h.load().snapshot())
     }
 
-    pub fn record_span(&mut self, name: &str, category: &str, start_ns: f64, dur_ns: f64) {
+    pub fn record_span(
+        &mut self,
+        name: &'static str,
+        category: &'static str,
+        start_ns: f64,
+        dur_ns: f64,
+    ) {
         self.spans.record(Span {
-            name: name.to_string(),
-            category: category.to_string(),
+            name,
+            category,
             start_ns,
             dur_ns,
         });
@@ -235,7 +338,7 @@ impl Registry {
         let counters = self
             .counters
             .iter()
-            .map(|(k, v)| (k.render(), *v))
+            .map(|(name, labels, c)| (render(name, labels, None), c.get()))
             .collect();
         self.timeseries.push(Window {
             end_ns: now_ns,
@@ -299,10 +402,9 @@ impl Registry {
     /// `db_stmt_fingerprints`). A zero value still registers the
     /// eviction counter, so all three exist from the first recorded
     /// statement on — `metrics_doc --check` relies on that. This runs
-    /// once per executed statement, so the steady state updates the
-    /// counters in place through cached keys (no allocation) and only
-    /// touches the eviction counter / fingerprint gauge when their
-    /// values actually moved.
+    /// once per executed statement: the steady state is one borrowed-key
+    /// lookup (no allocation), and the eviction counter / fingerprint
+    /// gauge are only touched when their values actually moved.
     pub fn stmt_record(
         &mut self,
         fingerprint: &str,
@@ -315,27 +417,24 @@ impl Registry {
         let len_before = self.stmts.len();
         self.stmts
             .record(fingerprint, actual_ns, rows, ou_ns, predicted_ns);
-        let (rk, ek, fk) = stmt_metric_keys();
-        match self.counters.get_mut(rk) {
-            Some(v) => *v += 1,
-            None => {
-                // First record (or a registry reset): register all three
-                // series at their authoritative values.
-                self.counters.insert(rk.clone(), self.stmts.recorded());
-                self.counters.insert(ek.clone(), self.stmts.evicted());
-                self.gauges.insert(fk.clone(), self.stmts.len() as f64);
-                return;
-            }
-        }
+        let Some(recorded) = self.counters.get("db_stmt_recorded_total", &[]) else {
+            // First record (or a registry reset): register all three
+            // series at their authoritative values.
+            self.counter_add("db_stmt_recorded_total", &[], self.stmts.recorded());
+            self.counter_add("db_stmt_evicted_total", &[], self.stmts.evicted());
+            self.gauge_set("db_stmt_fingerprints", &[], self.stmts.len() as f64);
+            return;
+        };
+        recorded.inc();
         if self.stmts.evicted() != evicted_before {
-            if let Some(v) = self.counters.get_mut(ek) {
-                *v += self.stmts.evicted() - evicted_before;
-            }
+            self.counter_add(
+                "db_stmt_evicted_total",
+                &[],
+                self.stmts.evicted() - evicted_before,
+            );
         }
         if self.stmts.len() != len_before {
-            if let Some(v) = self.gauges.get_mut(fk) {
-                *v = self.stmts.len() as f64;
-            }
+            self.gauge_set("db_stmt_fingerprints", &[], self.stmts.len() as f64);
         }
     }
 
@@ -717,11 +816,11 @@ impl Registry {
                     if signals.gauges.contains_key(name) {
                         continue;
                     }
-                    let series: Vec<(Vec<(String, String)>, f64)> = self
+                    let series: Vec<(Labels, f64)> = self
                         .gauges
+                        .family(name)
                         .iter()
-                        .filter(|(k, _)| &k.name == name)
-                        .map(|(k, v)| (k.labels.clone(), *v))
+                        .map(|(labels, g)| (labels.clone(), g.get()))
                         .collect();
                     if !series.is_empty() {
                         signals.gauges.insert(name.clone(), series);
@@ -841,20 +940,25 @@ impl Registry {
     /// max is the meaningful union), histograms merge bucket-wise, and
     /// spans append subject to ring capacity.
     pub fn merge_from(&mut self, other: &Registry) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
+        fn borrowed(labels: &Labels) -> Vec<(&str, &str)> {
+            labels
+                .iter()
+                .map(|(k, v)| (k.as_str(), v.as_str()))
+                .collect()
         }
-        for (k, v) in &other.gauges {
-            let e = self.gauges.entry(k.clone()).or_insert(f64::NEG_INFINITY);
-            if *v > *e {
-                *e = *v;
-            }
+        for (name, labels, c) in other.counters.iter() {
+            self.counter_add(name, &borrowed(labels), c.get());
         }
-        for (k, h) in &other.histograms {
-            self.histograms.entry(k.clone()).or_default().merge_from(h);
+        for (name, labels, g) in other.gauges.iter() {
+            self.gauge_max(name, &borrowed(labels), g.get());
+        }
+        for (name, labels, h) in other.histograms.iter() {
+            self.histograms
+                .cell(name, &borrowed(labels))
+                .merge_from(&h.load());
         }
         for s in other.spans.iter() {
-            self.spans.record(s.clone());
+            self.spans.record(*s);
         }
         // Time series from different registries cover different
         // (overlapping) virtual timelines and cannot be concatenated
@@ -906,18 +1010,16 @@ impl Registry {
             out.push_str(&format!("# HELP {family} {help}\n# TYPE {family} {kind}\n"));
         }
         let mut out = String::new();
-        let mut last_family = String::new();
-        for (k, v) in &self.counters {
-            let family = if k.name.ends_with("_total") {
-                k.name.clone()
+        for (name, family_series) in &self.counters.families {
+            let family = if name.ends_with("_total") {
+                name.clone()
             } else {
-                format!("{}_total", k.name)
+                format!("{name}_total")
             };
-            if family != last_family {
-                header(&mut out, &family, "counter", &k.name);
-                last_family.clone_from(&family);
+            header(&mut out, &family, "counter", name);
+            for (labels, c) in family_series {
+                out.push_str(&format!("{} {}\n", render(&family, labels, None), c.get()));
             }
-            out.push_str(&format!("{} {v}\n", k.render_named(&family, None)));
         }
         // Span-ring loss is bookkeeping the ring keeps internally, not a
         // registry counter; surface it so span loss is never silent.
@@ -931,42 +1033,39 @@ impl Registry {
             "telemetry_spans_dropped_total {}\n",
             self.spans.dropped()
         ));
-        last_family.clear();
-        for (k, v) in &self.gauges {
-            if k.name != last_family {
-                header(&mut out, &k.name, "gauge", &k.name);
-                last_family.clone_from(&k.name);
+        for (name, family_series) in &self.gauges.families {
+            header(&mut out, name, "gauge", name);
+            for (labels, g) in family_series {
+                out.push_str(&format!("{} {}\n", render(name, labels, None), g.get()));
             }
-            out.push_str(&format!("{} {v}\n", k.render()));
         }
-        last_family.clear();
-        for (k, h) in &self.histograms {
-            if k.name != last_family {
-                header(&mut out, &k.name, "histogram", &k.name);
-                last_family.clone_from(&k.name);
-            }
-            let bucket = format!("{}_bucket", k.name);
-            for (upper, cum) in h.cumulative_buckets() {
+        for (name, family_series) in &self.histograms.families {
+            header(&mut out, name, "histogram", name);
+            let bucket = format!("{name}_bucket");
+            for (labels, cell) in family_series {
+                let h = cell.load();
+                for (upper, cum) in h.cumulative_buckets() {
+                    out.push_str(&format!(
+                        "{} {cum}\n",
+                        render(&bucket, labels, Some(("le", &format!("{upper}"))))
+                    ));
+                }
                 out.push_str(&format!(
-                    "{} {cum}\n",
-                    k.render_named(&bucket, Some(("le", &format!("{upper}"))))
+                    "{} {}\n",
+                    render(&bucket, labels, Some(("le", "+Inf"))),
+                    h.count()
+                ));
+                out.push_str(&format!(
+                    "{} {}\n",
+                    render(&format!("{name}_sum"), labels, None),
+                    h.sum()
+                ));
+                out.push_str(&format!(
+                    "{} {}\n",
+                    render(&format!("{name}_count"), labels, None),
+                    h.count()
                 ));
             }
-            out.push_str(&format!(
-                "{} {}\n",
-                k.render_named(&bucket, Some(("le", "+Inf"))),
-                h.count()
-            ));
-            out.push_str(&format!(
-                "{} {}\n",
-                k.render_named(&format!("{}_sum", k.name), None),
-                h.sum()
-            ));
-            out.push_str(&format!(
-                "{} {}\n",
-                k.render_named(&format!("{}_count", k.name), None),
-                h.count()
-            ));
         }
         out
     }
@@ -980,8 +1079,8 @@ impl Registry {
             .map(|s| {
                 format!(
                     "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":{},\"dur\":{}}}",
-                    json_escape(&s.name),
-                    json_escape(&s.category),
+                    json_escape(s.name),
+                    json_escape(s.category),
                     json_num(s.start_ns / 1000.0),
                     json_num(s.dur_ns / 1000.0),
                 )
@@ -999,7 +1098,13 @@ impl Registry {
         let mut counters: Vec<String> = self
             .counters
             .iter()
-            .map(|(k, v)| format!("\n    \"{}\": {v}", json_escape(&k.render())))
+            .map(|(name, labels, c)| {
+                format!(
+                    "\n    \"{}\": {}",
+                    json_escape(&render(name, labels, None)),
+                    c.get()
+                )
+            })
             .collect();
         counters.push(format!(
             "\n    \"telemetry_spans_dropped_total\": {}",
@@ -1010,18 +1115,24 @@ impl Registry {
         let gauges: Vec<String> = self
             .gauges
             .iter()
-            .map(|(k, v)| format!("\n    \"{}\": {}", json_escape(&k.render()), json_num(*v)))
+            .map(|(name, labels, g)| {
+                format!(
+                    "\n    \"{}\": {}",
+                    json_escape(&render(name, labels, None)),
+                    json_num(g.get())
+                )
+            })
             .collect();
         out.push_str(&gauges.join(","));
         out.push_str("\n  },\n  \"histograms\": {");
         let hists: Vec<String> = self
             .histograms
             .iter()
-            .map(|(k, h)| {
-                let s = h.snapshot();
+            .map(|(name, labels, h)| {
+                let s = h.load().snapshot();
                 format!(
                     "\n    \"{}\": {{\"count\": {}, \"sum\": {}, \"mean\": {}, \"min\": {}, \"max\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}}}",
-                    json_escape(&k.render()),
+                    json_escape(&render(name, labels, None)),
                     s.count,
                     json_num(s.sum),
                     json_num(s.mean),
@@ -1035,11 +1146,9 @@ impl Registry {
             .collect();
         out.push_str(&hists.join(","));
         out.push_str("\n  },\n  \"spans\": {");
-        let mut agg: BTreeMap<(String, String), (u64, f64)> = BTreeMap::new();
+        let mut agg: BTreeMap<(&str, &str), (u64, f64)> = BTreeMap::new();
         for s in self.spans.iter() {
-            let e = agg
-                .entry((s.name.clone(), s.category.clone()))
-                .or_insert((0, 0.0));
+            let e = agg.entry((s.name, s.category)).or_insert((0, 0.0));
             e.0 += 1;
             e.1 += s.dur_ns;
         }
@@ -1048,8 +1157,8 @@ impl Registry {
             .map(|((name, cat), (count, total))| {
                 format!(
                     "\n    \"{}[{}]\": {{\"count\": {count}, \"total_ns\": {}, \"dropped\": {}}}",
-                    json_escape(&name),
-                    json_escape(&cat),
+                    json_escape(name),
+                    json_escape(cat),
                     json_num(total),
                     self.spans.dropped(),
                 )

@@ -13,7 +13,9 @@
 //!
 //! Stacks are built cooperatively: components push named frames with
 //! [`Profiler::push_frame`] (RAII — the returned [`FrameGuard`] pops on
-//! drop). Frames can be marked as *roots*; folding renders the stack
+//! drop). Frame names are `&'static str`, or an `Arc<str>` built once
+//! where the name is known (a loaded program's `bpf:prog:<name>`), so
+//! pushing a frame never allocates. Frames can be marked as *roots*; folding renders the stack
 //! from the **last** root frame onward. That is what makes overhead
 //! attribution honest: when TScout's marker handling runs in the middle
 //! of a DBMS pipeline, it pushes a `tscout` root frame, so the marker's
@@ -28,7 +30,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Default sampling period: one sample per 100 µs of charged virtual
 /// time. Fine enough to see every OU in a figure run, coarse enough to
@@ -39,21 +41,36 @@ pub const DEFAULT_PROFILE_PERIOD_NS: f64 = 100_000.0;
 /// (e.g. bookkeeping charges outside any instrumented scope).
 pub const OTHER_STACK: &str = "(other)";
 
+#[derive(Debug)]
+enum FrameName {
+    Static(&'static str),
+    Shared(Arc<str>),
+}
+
+impl FrameName {
+    fn as_str(&self) -> &str {
+        match self {
+            FrameName::Static(s) => s,
+            FrameName::Shared(s) => s,
+        }
+    }
+}
+
 #[derive(Debug, Default)]
 struct TaskFrames {
     /// `(name, is_root)` — roots re-base attribution (see module docs).
-    frames: Vec<(String, bool)>,
+    frames: Vec<(FrameName, bool)>,
 }
 
 #[derive(Debug, Default)]
 struct ProfileState {
     tasks: Vec<TaskFrames>,
-    /// Charged-but-unsampled virtual ns per task.
-    credit: Vec<f64>,
     /// Folded stack -> (samples, attributed virtual ns).
     folded: BTreeMap<String, FoldedEntry>,
     /// Total profiling interrupts fired (== sum of folded samples).
     interrupts: u64,
+    /// Reused by `fire` to render the stack it samples.
+    key_buf: String,
 }
 
 /// Per-folded-stack accumulation.
@@ -67,30 +84,50 @@ impl ProfileState {
     fn task_mut(&mut self, task: usize) -> &mut TaskFrames {
         if task >= self.tasks.len() {
             self.tasks.resize_with(task + 1, TaskFrames::default);
-            self.credit.resize(task + 1, 0.0);
         }
         &mut self.tasks[task]
     }
 
-    /// Render the task's stack from its last root frame onward.
-    fn fold_key(&self, task: usize) -> String {
-        let Some(t) = self.tasks.get(task) else {
-            return OTHER_STACK.to_string();
-        };
-        let start = t.frames.iter().rposition(|(_, root)| *root).unwrap_or(0);
-        let frames = &t.frames[start..];
-        if frames.is_empty() {
-            return OTHER_STACK.to_string();
-        }
-        let mut key = String::new();
-        for (i, (name, _)) in frames.iter().enumerate() {
-            if i > 0 {
+    /// Render the task's stack from its last root frame onward into
+    /// `key`, with `leaf` (if any) as one more innermost frame.
+    fn fold_key(&self, task: usize, leaf: Option<&str>, key: &mut String) {
+        let frames = self.tasks.get(task).map_or(&[][..], |t| {
+            let start = t.frames.iter().rposition(|(_, root)| *root).unwrap_or(0);
+            &t.frames[start..]
+        });
+        key.clear();
+        for name in frames.iter().map(|(name, _)| name.as_str()).chain(leaf) {
+            if !key.is_empty() {
                 key.push(';');
             }
             key.push_str(name);
         }
-        key
+        if key.is_empty() {
+            key.push_str(OTHER_STACK);
+        }
     }
+
+    /// Record `fires` samples against the task's current stack. A stack
+    /// seen before costs no allocation.
+    fn fire(&mut self, task: usize, fires: f64, period: f64, leaf: Option<&str>) {
+        let n = fires as u64;
+        let mut key = std::mem::take(&mut self.key_buf);
+        self.fold_key(task, leaf, &mut key);
+        if !self.folded.contains_key(key.as_str()) {
+            self.folded.insert(key.clone(), FoldedEntry::default());
+        }
+        let e = self.folded.get_mut(key.as_str()).expect("inserted above");
+        e.samples += n;
+        e.ns += fires * period;
+        self.interrupts += n;
+        self.key_buf = key;
+    }
+}
+
+#[derive(Debug, Default)]
+struct Shared {
+    period_bits: AtomicU64,
+    state: Mutex<ProfileState>,
 }
 
 /// Cheap-clone handle to a shared sampling profiler.
@@ -101,8 +138,7 @@ impl ProfileState {
 /// (`period == 0`) costs one relaxed load and no lock.
 #[derive(Clone, Default)]
 pub struct Profiler {
-    period_bits: Arc<AtomicU64>,
-    inner: Arc<Mutex<ProfileState>>,
+    inner: Arc<Shared>,
 }
 
 impl std::fmt::Debug for Profiler {
@@ -121,8 +157,11 @@ impl Profiler {
         Self::default()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, ProfileState> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    fn lock(&self) -> MutexGuard<'_, ProfileState> {
+        self.inner
+            .state
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Set the sampling period in virtual ns. `<= 0` (or non-finite)
@@ -133,12 +172,12 @@ impl Profiler {
         } else {
             0.0
         };
-        self.period_bits.store(p.to_bits(), Ordering::Relaxed);
+        self.inner.period_bits.store(p.to_bits(), Ordering::Relaxed);
     }
 
     /// Current sampling period (0.0 when disabled).
     pub fn period_ns(&self) -> f64 {
-        f64::from_bits(self.period_bits.load(Ordering::Relaxed))
+        f64::from_bits(self.inner.period_bits.load(Ordering::Relaxed))
     }
 
     pub fn is_enabled(&self) -> bool {
@@ -147,59 +186,75 @@ impl Profiler {
 
     /// Push a named frame onto `task`'s stack; the returned guard pops
     /// it on drop. `root` re-bases folding at this frame (see module
-    /// docs). No-op (no allocation, no lock) while disabled.
-    pub fn push_frame(&self, task: usize, name: &str, root: bool) -> FrameGuard {
-        self.push_frame_lazy(task, root, || name.to_string())
+    /// docs). No-op (no lock) while disabled; never allocates.
+    pub fn push_frame(&self, task: usize, name: &'static str, root: bool) -> FrameGuard {
+        self.push_frames(task, [(name, root)])
     }
 
-    /// Like [`Self::push_frame`] but the name is only materialized when
-    /// the profiler is enabled — use on hot paths where the name is a
-    /// `format!`.
-    pub fn push_frame_lazy(
+    /// [`Self::push_frame`] for a name built at run time: the caller
+    /// builds the `Arc<str>` once (e.g. when a program is loaded) and
+    /// every push shares it.
+    pub fn push_frame_shared(&self, task: usize, name: &Arc<str>, root: bool) -> FrameGuard {
+        self.push(task, [(FrameName::Shared(Arc::clone(name)), root)])
+    }
+
+    /// Push several frames (outermost first, each `(name, root)`) under
+    /// one lock; the guard pops them together. For the fixed
+    /// `root;marker` pairs collection-side code opens on every marker.
+    pub fn push_frames<const N: usize>(
         &self,
         task: usize,
-        root: bool,
-        name: impl FnOnce() -> String,
+        frames: [(&'static str, bool); N],
     ) -> FrameGuard {
+        self.push(
+            task,
+            frames.map(|(name, root)| (FrameName::Static(name), root)),
+        )
+    }
+
+    fn push<const N: usize>(&self, task: usize, frames: [(FrameName, bool); N]) -> FrameGuard {
         if !self.is_enabled() {
-            return FrameGuard { owner: None };
+            return FrameGuard {
+                owner: None,
+                depth: 0,
+            };
         }
-        self.lock().task_mut(task).frames.push((name(), root));
+        self.lock().task_mut(task).frames.extend(frames);
         FrameGuard {
             owner: Some((self.clone(), task)),
+            depth: N,
         }
     }
 
-    fn pop_frame(&self, task: usize) {
+    fn pop_frames(&self, task: usize, depth: usize) {
         let mut st = self.lock();
         if let Some(t) = st.tasks.get_mut(task) {
-            t.frames.pop();
+            t.frames.truncate(t.frames.len().saturating_sub(depth));
         }
     }
 
-    /// The profiling interrupt source: credit `ns` of charged virtual
-    /// time to `task` and fire `floor(credit / period)` samples against
-    /// its current stack. Called by the kernel from its charge ledger;
-    /// must never alter the charge itself.
-    pub fn on_charge(&self, task: usize, ns: f64) {
+    /// The profiling interrupt source: add `ns` of charged virtual time
+    /// to `credit` — the task's charged-but-unsampled remainder, kept by
+    /// the caller (the kernel, in its task table) — and fire
+    /// `floor(credit / period)` samples against the task's current
+    /// stack. Must never alter the charge itself. The lock is only taken
+    /// when a sample actually fires.
+    ///
+    /// `leaf` names a frame that is on top of the stack for exactly this
+    /// charge (a BPF helper's body) — cheaper than pushing and popping it
+    /// around every charge when almost none of them fire.
+    pub fn on_charge(&self, task: usize, credit: &mut f64, ns: f64, leaf: Option<&'static str>) {
         let period = self.period_ns();
         if period <= 0.0 || ns.is_nan() || ns <= 0.0 {
             return;
         }
-        let mut st = self.lock();
-        st.task_mut(task);
-        st.credit[task] += ns;
-        let fires = (st.credit[task] / period).floor();
+        *credit += ns;
+        let fires = (*credit / period).floor();
         if fires < 1.0 {
             return;
         }
-        let n = fires as u64;
-        st.credit[task] -= fires * period;
-        let key = st.fold_key(task);
-        let e = st.folded.entry(key).or_default();
-        e.samples += n;
-        e.ns += fires * period;
-        st.interrupts += n;
+        *credit -= fires * period;
+        self.lock().fire(task, fires, period, leaf);
     }
 
     /// Total profiling interrupts fired so far.
@@ -264,18 +319,20 @@ impl Profiler {
 }
 
 /// RAII frame guard returned by [`Profiler::push_frame`]; pops the
-/// frame when dropped. Holds a cloned handle, so it never borrows the
-/// kernel or the component that pushed it.
+/// frame(s) it pushed when dropped. Holds a cloned handle, so it never
+/// borrows the kernel or the component that pushed it.
 #[must_use = "the frame pops when this guard drops"]
 #[derive(Debug)]
 pub struct FrameGuard {
     owner: Option<(Profiler, usize)>,
+    /// Frames to pop.
+    depth: usize,
 }
 
 impl Drop for FrameGuard {
     fn drop(&mut self) {
         if let Some((p, task)) = self.owner.take() {
-            p.pop_frame(task);
+            p.pop_frames(task, self.depth);
         }
     }
 }
@@ -338,12 +395,17 @@ impl Attribution {
 mod tests {
     use super::*;
 
+    /// One charge against a task with no unsampled remainder.
+    fn charge(p: &Profiler, task: usize, ns: f64) {
+        p.on_charge(task, &mut 0.0, ns, None);
+    }
+
     #[test]
     fn disabled_profiler_is_inert() {
         let p = Profiler::new();
         assert!(!p.is_enabled());
         let _g = p.push_frame(0, "dbms", true);
-        p.on_charge(0, 1e9);
+        charge(&p, 0, 1e9);
         assert_eq!(p.interrupts_fired(), 0);
         assert!(p.folded().is_empty());
         assert_eq!(p.folded_text(), "");
@@ -354,9 +416,11 @@ mod tests {
         let p = Profiler::new();
         p.set_period_ns(100.0);
         let _g = p.push_frame(3, "dbms", true);
-        p.on_charge(3, 250.0); // 2 fires, 50 credit left
-        p.on_charge(3, 49.0); // 99 credit — no fire
-        p.on_charge(3, 1.0); // 100 credit — 1 fire
+        let mut credit = 0.0;
+        p.on_charge(3, &mut credit, 250.0, None); // 2 fires, 50 credit left
+        p.on_charge(3, &mut credit, 49.0, None); // 99 credit — no fire
+        p.on_charge(3, &mut credit, 1.0, None); // 100 credit — 1 fire
+        assert_eq!(credit, 0.0);
         assert_eq!(p.interrupts_fired(), 3);
         let folded = p.folded();
         assert_eq!(folded.len(), 1);
@@ -371,13 +435,13 @@ mod tests {
         p.set_period_ns(10.0);
         let _dbms = p.push_frame(0, "dbms", true);
         let _op = p.push_frame(0, "ou:seq_scan", false);
-        p.on_charge(0, 10.0);
+        charge(&p, 0, 10.0);
         {
             let _ts = p.push_frame(0, "tscout", true);
             let _col = p.push_frame(0, "collector", false);
-            p.on_charge(0, 20.0);
+            charge(&p, 0, 20.0);
         }
-        p.on_charge(0, 10.0); // back under dbms after guards dropped
+        charge(&p, 0, 10.0); // back under dbms after guards dropped
         let folded: BTreeMap<String, FoldedEntry> = p.folded().into_iter().collect();
         assert_eq!(folded["dbms;ou:seq_scan"].samples, 2);
         assert_eq!(folded["tscout;collector"].samples, 2);
@@ -388,7 +452,7 @@ mod tests {
     fn empty_stack_folds_to_other() {
         let p = Profiler::new();
         p.set_period_ns(5.0);
-        p.on_charge(1, 12.0);
+        charge(&p, 1, 12.0);
         let folded = p.folded();
         assert_eq!(folded.len(), 1);
         assert_eq!(folded[0].0, OTHER_STACK);
@@ -401,7 +465,7 @@ mod tests {
         p.set_period_ns(7.0);
         for task in 0..4usize {
             let _g = p.push_frame(task, if task % 2 == 0 { "dbms" } else { "tscout" }, true);
-            p.on_charge(task, 13.0 * (task as f64 + 1.0));
+            charge(&p, task, 13.0 * (task as f64 + 1.0));
         }
         let total: u64 = p.folded().iter().map(|(_, e)| e.samples).sum();
         assert_eq!(total, p.interrupts_fired());
@@ -415,11 +479,11 @@ mod tests {
         {
             let _g = p.push_frame(0, "dbms", true);
             let _h = p.push_frame(0, "ou:sort", false);
-            p.on_charge(0, 300.0);
+            charge(&p, 0, 300.0);
         }
         {
             let _g = p.push_frame(0, "tscout", true);
-            p.on_charge(0, 100.0);
+            charge(&p, 0, 100.0);
         }
         let a = p.attribution();
         assert_eq!(a.ns_of("dbms"), 300.0);
@@ -433,7 +497,7 @@ mod tests {
         let q = Profiler::new();
         q.set_period_ns(1.0);
         let _g = q.push_frame(0, "dbms", true);
-        q.on_charge(0, 5.0);
+        charge(&q, 0, 5.0);
         assert!(q.attribution().tscout_dbms_ratio().is_none());
         assert!(q.attribution().to_json().contains("null"));
     }
@@ -446,11 +510,11 @@ mod tests {
         b.set_period_ns(10.0);
         {
             let _g = a.push_frame(0, "dbms", true);
-            a.on_charge(0, 50.0);
+            charge(&a, 0, 50.0);
         }
         {
             let _g = b.push_frame(0, "dbms", true);
-            b.on_charge(0, 30.0);
+            charge(&b, 0, 30.0);
         }
         a.absorb(&b);
         assert_eq!(a.interrupts_fired(), 8);
@@ -466,7 +530,7 @@ mod tests {
         p.set_period_ns(10.0);
         let _g = p.push_frame(0, "dbms", true);
         let _h = p.push_frame(0, "wal", false);
-        p.on_charge(0, 35.0);
+        charge(&p, 0, 35.0);
         assert_eq!(p.folded_text(), "dbms;wal 3\n");
     }
 }

@@ -13,11 +13,13 @@ use std::collections::VecDeque;
 /// memory to a few MiB regardless of run length.
 pub const DEFAULT_SPAN_CAPACITY: usize = 16 * 1024;
 
-/// One completed interval.
-#[derive(Debug, Clone, PartialEq)]
+/// One completed interval. Names and categories are the recording
+/// site's literals, so a span is plain data: recording one allocates
+/// nothing and cloning the ring is a flat copy.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Span {
-    pub name: String,
-    pub category: String,
+    pub name: &'static str,
+    pub category: &'static str,
     pub start_ns: f64,
     pub dur_ns: f64,
 }
@@ -75,13 +77,18 @@ impl SpanRing {
 mod tests {
     use super::*;
 
+    /// Span number `i`, identified by its start time.
     fn span(i: usize) -> Span {
         Span {
-            name: format!("s{i}"),
-            category: "t".into(),
+            name: "s",
+            category: "t",
             start_ns: i as f64,
             dur_ns: 1.0,
         }
+    }
+
+    fn ids(r: &SpanRing) -> Vec<usize> {
+        r.iter().map(|s| s.start_ns as usize).collect()
     }
 
     #[test]
@@ -92,8 +99,7 @@ mod tests {
         }
         assert_eq!(r.len(), 4);
         assert_eq!(r.dropped(), 6);
-        let names: Vec<&str> = r.iter().map(|s| s.name.as_str()).collect();
-        assert_eq!(names, ["s6", "s7", "s8", "s9"]);
+        assert_eq!(ids(&r), [6, 7, 8, 9]);
     }
 
     #[test]
@@ -110,10 +116,9 @@ mod tests {
         let mut r = SpanRing::with_capacity(3);
         for i in 0..17 {
             r.record(span(i));
-            let names: Vec<&str> = r.iter().map(|s| s.name.as_str()).collect();
             let lo = (i + 1).saturating_sub(3);
-            let want: Vec<String> = (lo..=i).map(|j| format!("s{j}")).collect();
-            assert_eq!(names, want, "after record {i}");
+            let want: Vec<usize> = (lo..=i).collect();
+            assert_eq!(ids(&r), want, "after record {i}");
         }
     }
 
@@ -138,18 +143,10 @@ mod tests {
         for i in 0..10 {
             r.record(span(i));
         }
-        // Contents are the newest four, in insertion order, with their
-        // payload fields (not just names) intact.
-        let got: Vec<(String, f64)> = r.iter().map(|s| (s.name.clone(), s.start_ns)).collect();
-        assert_eq!(
-            got,
-            vec![
-                ("s6".to_string(), 6.0),
-                ("s7".to_string(), 7.0),
-                ("s8".to_string(), 8.0),
-                ("s9".to_string(), 9.0),
-            ]
-        );
+        // Contents are the newest four, in insertion order, every field
+        // intact.
+        let got: Vec<Span> = r.iter().copied().collect();
+        assert_eq!(got, [span(6), span(7), span(8), span(9)]);
         assert!(!r.is_empty());
         assert_eq!(r.iter().count(), r.len());
     }
