@@ -15,9 +15,8 @@
 //! archive's own `action_efficacy` OU family. The full action log is
 //! exported to `results/actions_ablation_actions.json`.
 
-use noisetap::engine::{Database, StatementId};
-use noisetap::Value;
-use rand::RngExt;
+use super::ablation_drift::ShiftScan;
+use noisetap::engine::Database;
 use tscout_actions::{ActionConfig, ActionEngine, EFFICACY_OU_NAME};
 use tscout_archive::ArchiveOptions;
 use tscout_bench::{
@@ -25,77 +24,7 @@ use tscout_bench::{
 };
 use tscout_kernel::HardwareProfile;
 use tscout_models::ModelKind;
-use tscout_workloads::driver::{run_with_lifecycle, ModelLifecycle, RunOptions, TxnCtx, Workload};
-
-/// Range-scan workload whose scan width jumps from `narrow` to `wide`
-/// rows after `shift_after` transactions.
-struct ShiftScan {
-    rows: i64,
-    narrow: i64,
-    wide: i64,
-    shift_after: u64,
-    done: u64,
-    scan: Option<StatementId>,
-}
-
-impl ShiftScan {
-    fn new(shift_after: u64) -> ShiftScan {
-        ShiftScan {
-            rows: 4_000,
-            narrow: 8,
-            wide: 1_600,
-            shift_after,
-            done: 0,
-            scan: None,
-        }
-    }
-}
-
-impl Workload for ShiftScan {
-    fn name(&self) -> &'static str {
-        "shift_scan"
-    }
-
-    fn setup(&mut self, db: &mut Database) {
-        let sid = db.create_session();
-        db.execute(
-            sid,
-            "CREATE TABLE shift_t (k INT PRIMARY KEY, v FLOAT)",
-            &[],
-        )
-        .unwrap();
-        let ins = db.prepare("INSERT INTO shift_t VALUES ($1, $2)").unwrap();
-        for k in 0..self.rows {
-            db.execute_prepared(sid, ins, &[Value::Int(k), Value::Float(k as f64)])
-                .unwrap();
-        }
-        self.scan = Some(
-            db.prepare("SELECT sum(v) FROM shift_t WHERE k >= $1 AND k <= $2")
-                .unwrap(),
-        );
-    }
-
-    fn txn(&mut self, ctx: &mut TxnCtx<'_>) -> bool {
-        let width = if self.done < self.shift_after {
-            self.narrow
-        } else {
-            self.wide
-        };
-        self.done += 1;
-        let lo = ctx.rng.random_range(0..(self.rows - width));
-        let stmt = self.scan.expect("setup() not called");
-        ctx.begin();
-        let ok = ctx
-            .request(stmt, &[Value::Int(lo), Value::Int(lo + width)])
-            .is_ok();
-        if ok {
-            ctx.commit().is_ok()
-        } else {
-            ctx.rollback();
-            false
-        }
-    }
-}
+use tscout_workloads::driver::{run_with_lifecycle, ModelLifecycle, RunOptions, Workload};
 
 struct ArmResult {
     committed: u64,
@@ -162,7 +91,7 @@ fn run_arm(tag: &str, engine: bool, seed: u64) -> (Database, ArmResult) {
     (db, r)
 }
 
-fn main() {
+pub fn main() {
     let mut csv = Csv::create(
         "ablation_actions.csv",
         "arm,committed,final_health,retrains_actuated,rebaselines,actions_planned,actions_observed,efficacy_samples",

@@ -24,7 +24,7 @@ use tscout_workloads::driver::{run, RunOptions, TxnCtx, Workload};
 
 /// Range-scan workload whose scan width jumps from `narrow` to `wide`
 /// rows after `shift_after` transactions (`u64::MAX` = never: control).
-struct ShiftScan {
+pub(crate) struct ShiftScan {
     rows: i64,
     narrow: i64,
     wide: i64,
@@ -34,7 +34,7 @@ struct ShiftScan {
 }
 
 impl ShiftScan {
-    fn new(shift_after: u64) -> ShiftScan {
+    pub(crate) fn new(shift_after: u64) -> ShiftScan {
         ShiftScan {
             rows: 4_000,
             narrow: 8,
@@ -178,7 +178,7 @@ fn run_arm(shift_after: u64, seed: u64) -> (Database, ArmResult) {
     )
 }
 
-fn main() {
+pub fn main() {
     let mut csv = Csv::create(
         "ablation_drift.csv",
         "arm,committed,alerts_fired,drift_alerts,unhealthy_ous,max_drift_score",

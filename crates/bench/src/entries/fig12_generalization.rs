@@ -46,7 +46,7 @@ fn collect(env: &Env, seed: u64, dur: f64) -> Vec<OuData> {
     data
 }
 
-fn main() {
+pub fn main() {
     let server = HardwareProfile::server_2x20();
     let laptop = HardwareProfile::laptop_6core();
     let base = Env {

@@ -19,7 +19,7 @@ use tscout_models::eval::error_reduction_pct;
 use tscout_workloads::driver::{collect_datasets, RunOptions};
 use tscout_workloads::{Tpcc, Workload};
 
-fn main() {
+pub fn main() {
     let hw = HardwareProfile::server_2x20();
     let offline = offline_data(hw.clone(), 0xF2_0FF, 800e6);
 

@@ -40,7 +40,7 @@ fn tpcc_data(hw: HardwareProfile, seed: u64, dur: f64) -> Vec<tscout_models::OuD
     data
 }
 
-fn main() {
+pub fn main() {
     let mut csv = Csv::create(
         "fig7_env_change.csv",
         "scenario,subsystem,offline_err_us,online_err_us,error_reduction_pct",

@@ -130,7 +130,7 @@ fn smoke_metric_names() -> Vec<String> {
     names
 }
 
-fn main() {
+pub fn main() {
     let check = std::env::args().any(|a| a == "--check");
     let readme = std::fs::read_to_string(README).expect("cannot read README.md");
     let updated = splice(&readme, &metric_table_markdown());
@@ -149,7 +149,7 @@ fn main() {
     if updated != readme {
         eprintln!(
             "FAIL: README.md metric table is stale; \
-             run `cargo run -p tscout-bench --bin metrics_doc` and commit the diff"
+             run `cargo run -p tscout-bench -- metrics_doc` and commit the diff"
         );
         failed = true;
     }

@@ -1,11 +1,12 @@
 //! # tscout-bench — the experiment harness
 //!
-//! One binary per figure in the paper's evaluation (§6), plus ablations.
-//! This library holds the shared experiment plumbing: database
-//! construction, TScout deployment, offline/online data collection,
-//! per-subsystem dataset handling, and CSV emission.
+//! `tscout-bench <name>` (`main.rs`) runs one figure of the paper's
+//! evaluation (§6), one ablation, or a tool. This library holds the
+//! shared experiment plumbing: database construction, TScout deployment,
+//! offline/online data collection, per-subsystem dataset handling, and
+//! CSV emission.
 //!
-//! Every binary prints the same series the paper's figure plots and
+//! Every entry prints the same series the paper's figure plots and
 //! writes a CSV under `results/`. Absolute numbers come from the
 //! simulation's cost model; the *shape* (who wins, by what factor, where
 //! crossovers fall) is the reproduction target — see EXPERIMENTS.md.

@@ -72,7 +72,6 @@ pub struct Loader {
     /// Run the load-time optimizer on every program (on by default;
     /// the differential suite runs with it off to cross-check).
     optimize: bool,
-    opt_options: OptOptions,
     opt_totals: OptStats,
     opt_fallbacks: u64,
     /// Optional sampling profiler for program-entry frames (the loader
@@ -94,7 +93,6 @@ impl Default for Loader {
             verify_totals: VerifyStats::default(),
             verify_runs: 0,
             optimize: true,
-            opt_options: OptOptions::default(),
             opt_totals: OptStats::default(),
             opt_fallbacks: 0,
             profiler: None,
@@ -112,11 +110,6 @@ impl Loader {
     /// Toggle the load-time optimizer for subsequent `load` calls.
     pub fn set_optimize(&mut self, on: bool) {
         self.optimize = on;
-    }
-
-    /// Override the optimizer's tuning knobs.
-    pub fn set_opt_options(&mut self, opts: OptOptions) {
-        self.opt_options = opts;
     }
 
     /// Verify and load a program. The program may only be attached after a
@@ -144,7 +137,7 @@ impl Loader {
         // upgrade, never a gate.
         let insns_unoptimized = insns.len();
         let (insns, opt_report) = if self.optimize {
-            match optimize(&insns, &self.maps, ctx_size, &self.opt_options) {
+            match optimize(&insns, &self.maps, ctx_size, &OptOptions::default()) {
                 Ok(o) => {
                     self.opt_totals.absorb(&o.stats);
                     (o.insns, Some(o.report))

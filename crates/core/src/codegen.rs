@@ -7,9 +7,9 @@
 //! directly. Per-counter work is emitted as *bounded loops* — the
 //! range-tracking verifier proves their trip counts and accepts the back
 //! edges — which keeps the programs a fraction of the size of the
-//! BCC-era fully-unrolled form. [`CodegenOptions::unroll_loops`] restores
-//! full unrolling (the strategy required under a no-back-edge verifier);
-//! both modes produce bit-identical samples.
+//! BCC-era fully-unrolled form. Codegen never unrolls: the load-time
+//! optimizer (`tscout_bpf::opt::unroll`) is the one place loops are
+//! flattened, behind a mandatory re-verify.
 //!
 //! Three programs are generated per subsystem:
 //!
@@ -36,21 +36,6 @@ use tscout_bpf::insn::{self, AluOp, Cond, Helper, Size};
 use tscout_bpf::{Insn, MapId};
 
 use insn::{R0, R1, R10, R2, R3, R4, R5, R6, R7, R8, R9};
-
-/// Loop-emission strategy for the generated Collector programs.
-///
-/// The default emits bounded loops: a counter register walks the
-/// per-counter / per-word blocks and the verifier proves the trip count
-/// by constant-propagating the counter through the back edge. Setting
-/// `unroll_loops` replays the historical strategy of stamping every
-/// iteration out inline, which a verifier without back-edge support
-/// requires. Both strategies execute the identical sequence of stores
-/// and helper calls, so the published samples are bit-identical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CodegenOptions {
-    /// Emit fully unrolled per-counter blocks instead of bounded loops.
-    pub unroll_loops: bool,
-}
 
 /// Which kernel-level probes a subsystem collects (paper Fig. 3: the
 /// developer ticks CPU/memory/disk/network per subsystem). Memory is
@@ -218,37 +203,23 @@ fn emit_counted_loop(
 }
 
 /// Emit the probe-snapshot block: ktime + enabled probes onto the stack.
-/// Clobbers R0–R5 (plus R9 as the loop counter unless unrolling);
-/// preserves R6–R8.
-fn emit_snapshot(b: &mut ProgramBuilder, probes: &ProbeLayout, opts: CodegenOptions) {
+/// Clobbers R0–R5 plus R9 (the loop counter); preserves R6–R8.
+fn emit_snapshot(b: &mut ProgramBuilder, probes: &ProbeLayout) {
     b.call(Helper::KtimeGetNs);
     b.store_reg(Size::B8, R10, snap_off(probes, 0), R0);
     if probes.cpu {
-        if opts.unroll_loops {
-            for i in 0..CPU_COUNTERS {
-                b.mov_imm(R1, i as i64);
-                b.mov_reg(R2, R10);
-                b.alu_imm(
-                    AluOp::Add,
-                    R2,
-                    snap_off(probes, 1 + SNAP_WORDS_PER_COUNTER * i) as i64,
-                );
-                b.call(Helper::PerfEventReadBuf);
-            }
-        } else {
-            // R9 walks the counter index; the 24-byte out-buffer slides
-            // with it. The helper clobbers R1–R5, so everything but the
-            // counter is rebuilt per iteration.
-            emit_counted_loop(b, R9, CPU_COUNTERS, |b| {
-                b.mov_reg(R1, R9);
-                b.mov_reg(R3, R9);
-                b.alu_imm(AluOp::Mul, R3, (SNAP_WORDS_PER_COUNTER * 8) as i64);
-                b.mov_reg(R2, R10);
-                b.alu_imm(AluOp::Add, R2, snap_off(probes, 1) as i64);
-                b.alu_reg(AluOp::Add, R2, R3);
-                b.call(Helper::PerfEventReadBuf);
-            });
-        }
+        // R9 walks the counter index; the 24-byte out-buffer slides
+        // with it. The helper clobbers R1–R5, so everything but the
+        // counter is rebuilt per iteration.
+        emit_counted_loop(b, R9, CPU_COUNTERS, |b| {
+            b.mov_reg(R1, R9);
+            b.mov_reg(R3, R9);
+            b.alu_imm(AluOp::Mul, R3, (SNAP_WORDS_PER_COUNTER * 8) as i64);
+            b.mov_reg(R2, R10);
+            b.alu_imm(AluOp::Add, R2, snap_off(probes, 1) as i64);
+            b.alu_reg(AluOp::Add, R2, R3);
+            b.call(Helper::PerfEventReadBuf);
+        });
     }
     if probes.disk {
         b.mov_reg(R1, R10);
@@ -274,18 +245,8 @@ fn fp_ptr(b: &mut ProgramBuilder, reg: insn::Reg, off: i32) {
     b.alu_imm(AluOp::Add, reg, off as i64);
 }
 
-/// Generate the BEGIN program with default options (bounded loops).
-pub fn gen_begin(probes: &ProbeLayout, depth_map: MapId, begin_map: MapId) -> Vec<Insn> {
-    gen_begin_with(probes, depth_map, begin_map, CodegenOptions::default())
-}
-
 /// Generate the BEGIN program.
-pub fn gen_begin_with(
-    probes: &ProbeLayout,
-    depth_map: MapId,
-    begin_map: MapId,
-    opts: CodegenOptions,
-) -> Vec<Insn> {
+pub fn gen_begin(probes: &ProbeLayout, depth_map: MapId, begin_map: MapId) -> Vec<Insn> {
     let mut b = ProgramBuilder::new();
     emit_tid_key(&mut b);
 
@@ -299,7 +260,7 @@ pub fn gen_begin_with(
     b.load(Size::B8, R7, R0, 0);
     b.bind(no_depth);
 
-    emit_snapshot(&mut b, probes, opts);
+    emit_snapshot(&mut b, probes);
 
     // bkey = (tid << 8) | depth.
     b.mov_reg(R8, R6);
@@ -329,29 +290,12 @@ pub fn gen_begin_with(
         .expect("begin codegen produced invalid assembly")
 }
 
-/// Generate the END program with default options (bounded loops).
+/// Generate the END program.
 pub fn gen_end(
     probes: &ProbeLayout,
     depth_map: MapId,
     begin_map: MapId,
     done_map: MapId,
-) -> Vec<Insn> {
-    gen_end_with(
-        probes,
-        depth_map,
-        begin_map,
-        done_map,
-        CodegenOptions::default(),
-    )
-}
-
-/// Generate the END program.
-pub fn gen_end_with(
-    probes: &ProbeLayout,
-    depth_map: MapId,
-    begin_map: MapId,
-    done_map: MapId,
-    opts: CodegenOptions,
 ) -> Vec<Insn> {
     let done_base = snap_base(probes) - probes.done_words() as i32 * 8;
     let done_off = |w: usize| done_base + w as i32 * 8;
@@ -387,7 +331,7 @@ pub fn gen_end_with(
     b.mov_reg(R8, R0); // R8 = begin snapshot pointer
 
     // Fresh snapshot of the probes.
-    emit_snapshot(&mut b, probes, opts);
+    emit_snapshot(&mut b, probes);
 
     // done[0] = start; done[1] = now - start.
     b.load(Size::B8, R2, R8, 0);
@@ -398,59 +342,37 @@ pub fn gen_end_with(
 
     let mut done_w = 2usize;
     if probes.cpu {
-        if opts.unroll_loops {
-            for i in 0..CPU_COUNTERS {
-                let vw = 1 + SNAP_WORDS_PER_COUNTER * i;
-                // Δvalue
-                b.load(Size::B8, R2, R10, snap_off(probes, vw));
-                b.load(Size::B8, R3, R8, (vw * 8) as i32);
-                b.alu_reg(AluOp::Sub, R2, R3);
-                // Δenabled
-                b.load(Size::B8, R3, R10, snap_off(probes, vw + 1));
-                b.load(Size::B8, R4, R8, ((vw + 1) * 8) as i32);
-                b.alu_reg(AluOp::Sub, R3, R4);
-                // Δrunning
-                b.load(Size::B8, R4, R10, snap_off(probes, vw + 2));
-                b.load(Size::B8, R5, R8, ((vw + 2) * 8) as i32);
-                b.alu_reg(AluOp::Sub, R4, R5);
-                // normalized = Δvalue · Δenabled / Δrunning (0 when Δrunning = 0)
-                b.alu_reg(AluOp::Mul, R2, R3);
-                b.alu_reg(AluOp::Div, R2, R4);
-                b.store_reg(Size::B8, R10, done_off(done_w + i), R2);
-            }
-        } else {
-            // Loop form of the same computation. Per counter i: R1 walks
-            // the done slot (stride 8), R3/R4 walk the fresh/begin
-            // counter blocks (stride 24). No helper calls inside, so
-            // R0–R5 are free scratch; R9 is the counter.
-            emit_counted_loop(&mut b, R9, CPU_COUNTERS, |b| {
-                b.mov_reg(R0, R9);
-                b.alu_imm(AluOp::Lsh, R0, 3); // 8·i
-                b.mov_reg(R1, R10);
-                b.alu_reg(AluOp::Add, R1, R0); // done slot base
-                b.mov_reg(R2, R0);
-                b.alu_imm(AluOp::Mul, R2, SNAP_WORDS_PER_COUNTER as i64); // 24·i
-                b.mov_reg(R3, R10);
-                b.alu_reg(AluOp::Add, R3, R2); // fresh counter block base
-                b.mov_reg(R4, R8);
-                b.alu_reg(AluOp::Add, R4, R2); // begin counter block base
-                                               // Δvalue
-                b.load(Size::B8, R0, R3, snap_off(probes, 1));
-                b.load(Size::B8, R5, R4, 8);
-                b.alu_reg(AluOp::Sub, R0, R5);
-                // Δenabled
-                b.load(Size::B8, R2, R3, snap_off(probes, 2));
-                b.load(Size::B8, R5, R4, 16);
-                b.alu_reg(AluOp::Sub, R2, R5);
-                b.alu_reg(AluOp::Mul, R0, R2);
-                // Δrunning
-                b.load(Size::B8, R2, R3, snap_off(probes, 3));
-                b.load(Size::B8, R5, R4, 24);
-                b.alu_reg(AluOp::Sub, R2, R5);
-                b.alu_reg(AluOp::Div, R0, R2);
-                b.store_reg(Size::B8, R1, done_off(2), R0);
-            });
-        }
+        // Per counter i: R1 walks the done slot (stride 8), R3/R4 walk
+        // the fresh/begin counter blocks (stride 24). No helper calls
+        // inside, so R0–R5 are free scratch; R9 is the counter.
+        emit_counted_loop(&mut b, R9, CPU_COUNTERS, |b| {
+            b.mov_reg(R0, R9);
+            b.alu_imm(AluOp::Lsh, R0, 3); // 8·i
+            b.mov_reg(R1, R10);
+            b.alu_reg(AluOp::Add, R1, R0); // done slot base
+            b.mov_reg(R2, R0);
+            b.alu_imm(AluOp::Mul, R2, SNAP_WORDS_PER_COUNTER as i64); // 24·i
+            b.mov_reg(R3, R10);
+            b.alu_reg(AluOp::Add, R3, R2); // fresh counter block base
+            b.mov_reg(R4, R8);
+            b.alu_reg(AluOp::Add, R4, R2); // begin counter block base
+                                           // Δvalue
+            b.load(Size::B8, R0, R3, snap_off(probes, 1));
+            b.load(Size::B8, R5, R4, 8);
+            b.alu_reg(AluOp::Sub, R0, R5);
+            // Δenabled
+            b.load(Size::B8, R2, R3, snap_off(probes, 2));
+            b.load(Size::B8, R5, R4, 16);
+            b.alu_reg(AluOp::Sub, R2, R5);
+            b.alu_reg(AluOp::Mul, R0, R2);
+            // Δrunning
+            b.load(Size::B8, R2, R3, snap_off(probes, 3));
+            b.load(Size::B8, R5, R4, 24);
+            b.alu_reg(AluOp::Sub, R2, R5);
+            // normalized = Δvalue · Δenabled / Δrunning (0 when Δrunning = 0)
+            b.alu_reg(AluOp::Div, R0, R2);
+            b.store_reg(Size::B8, R1, done_off(2), R0);
+        });
         done_w += CPU_COUNTERS;
     }
     // The disk and net blocks are contiguous in both the snapshot and the
@@ -458,28 +380,18 @@ pub fn gen_end_with(
     let io_words = if probes.disk { 4 } else { 0 } + if probes.net { 4 } else { 0 };
     if io_words > 0 {
         let first_word = probes.disk_word();
-        if opts.unroll_loops {
-            for j in 0..io_words {
-                let w = first_word + j;
-                b.load(Size::B8, R2, R10, snap_off(probes, w));
-                b.load(Size::B8, R3, R8, (w * 8) as i32);
-                b.alu_reg(AluOp::Sub, R2, R3);
-                b.store_reg(Size::B8, R10, done_off(done_w + j), R2);
-            }
-        } else {
-            emit_counted_loop(&mut b, R9, io_words, |b| {
-                b.mov_reg(R0, R9);
-                b.alu_imm(AluOp::Lsh, R0, 3); // 8·k
-                b.mov_reg(R1, R10);
-                b.alu_reg(AluOp::Add, R1, R0);
-                b.mov_reg(R2, R8);
-                b.alu_reg(AluOp::Add, R2, R0);
-                b.load(Size::B8, R3, R1, snap_off(probes, first_word));
-                b.load(Size::B8, R4, R2, (first_word * 8) as i32);
-                b.alu_reg(AluOp::Sub, R3, R4);
-                b.store_reg(Size::B8, R1, done_off(done_w), R3);
-            });
-        }
+        emit_counted_loop(&mut b, R9, io_words, |b| {
+            b.mov_reg(R0, R9);
+            b.alu_imm(AluOp::Lsh, R0, 3); // 8·k
+            b.mov_reg(R1, R10);
+            b.alu_reg(AluOp::Add, R1, R0);
+            b.mov_reg(R2, R8);
+            b.alu_reg(AluOp::Add, R2, R0);
+            b.load(Size::B8, R3, R1, snap_off(probes, first_word));
+            b.load(Size::B8, R4, R2, (first_word * 8) as i32);
+            b.alu_reg(AluOp::Sub, R3, R4);
+            b.store_reg(Size::B8, R1, done_off(done_w), R3);
+        });
         done_w += io_words;
     }
     debug_assert_eq!(done_w, probes.done_words());
@@ -502,19 +414,9 @@ pub fn gen_end_with(
     b.resolve().expect("end codegen produced invalid assembly")
 }
 
-/// Generate the FEATURES program with default options (bounded loops).
+/// Generate the FEATURES program. `probes` must match the layout used
+/// for BEGIN/END.
 pub fn gen_features(probes: &ProbeLayout, done_map: MapId, ring_map: MapId) -> Vec<Insn> {
-    gen_features_with(probes, done_map, ring_map, CodegenOptions::default())
-}
-
-/// Generate the FEATURES program. `metric_words` must match the probe
-/// layout used for BEGIN/END.
-pub fn gen_features_with(
-    probes: &ProbeLayout,
-    done_map: MapId,
-    ring_map: MapId,
-    opts: CodegenOptions,
-) -> Vec<Insn> {
     let m = probes.metric_words();
     let rec_words = HEADER_WORDS + m + MAX_PAYLOAD_WORDS;
     let rec_bytes = rec_words * 8;
@@ -549,39 +451,28 @@ pub fn gen_features_with(
     // zero-padded context keeps the latter branch-free). No helper calls
     // inside either loop, so R0–R5 are scratch; R7 is the counter (R6 =
     // tid, R8 = done pointer, R9 = ctx pointer stay live).
-    if opts.unroll_loops {
-        for i in 0..m {
-            b.load(Size::B8, R2, R8, ((2 + i) * 8) as i32);
-            b.store_reg(Size::B8, R10, rec_off(HEADER_WORDS + i), R2);
-        }
-        for j in 0..MAX_PAYLOAD_WORDS {
-            b.load(Size::B8, R2, R9, ((5 + j) * 8) as i32);
-            b.store_reg(Size::B8, R10, rec_off(HEADER_WORDS + m + j), R2);
-        }
-    } else {
-        if m > 0 {
-            emit_counted_loop(&mut b, R7, m, |b| {
-                b.mov_reg(R0, R7);
-                b.alu_imm(AluOp::Lsh, R0, 3); // 8·i
-                b.mov_reg(R1, R8);
-                b.alu_reg(AluOp::Add, R1, R0);
-                b.load(Size::B8, R2, R1, 16); // done[2 + i]
-                b.mov_reg(R3, R10);
-                b.alu_reg(AluOp::Add, R3, R0);
-                b.store_reg(Size::B8, R3, rec_off(HEADER_WORDS), R2);
-            });
-        }
-        emit_counted_loop(&mut b, R7, MAX_PAYLOAD_WORDS, |b| {
+    if m > 0 {
+        emit_counted_loop(&mut b, R7, m, |b| {
             b.mov_reg(R0, R7);
-            b.alu_imm(AluOp::Lsh, R0, 3); // 8·j
-            b.mov_reg(R1, R9);
+            b.alu_imm(AluOp::Lsh, R0, 3); // 8·i
+            b.mov_reg(R1, R8);
             b.alu_reg(AluOp::Add, R1, R0);
-            b.load(Size::B8, R2, R1, 40); // ctx word 5 + j
+            b.load(Size::B8, R2, R1, 16); // done[2 + i]
             b.mov_reg(R3, R10);
             b.alu_reg(AluOp::Add, R3, R0);
-            b.store_reg(Size::B8, R3, rec_off(HEADER_WORDS + m), R2);
+            b.store_reg(Size::B8, R3, rec_off(HEADER_WORDS), R2);
         });
     }
+    emit_counted_loop(&mut b, R7, MAX_PAYLOAD_WORDS, |b| {
+        b.mov_reg(R0, R7);
+        b.alu_imm(AluOp::Lsh, R0, 3); // 8·j
+        b.mov_reg(R1, R9);
+        b.alu_reg(AluOp::Add, R1, R0);
+        b.load(Size::B8, R2, R1, 40); // ctx word 5 + j
+        b.mov_reg(R3, R10);
+        b.alu_reg(AluOp::Add, R3, R0);
+        b.store_reg(Size::B8, R3, rec_off(HEADER_WORDS + m), R2);
+    });
 
     // Publish and clean up.
     b.load_map(R1, ring_map);
@@ -651,101 +542,25 @@ mod tests {
 
     #[test]
     fn generated_programs_pass_the_verifier_all_probe_combos() {
-        for unroll_loops in [false, true] {
-            let opts = CodegenOptions { unroll_loops };
-            for cpu in [false, true] {
-                for disk in [false, true] {
-                    for net in [false, true] {
-                        let p = ProbeLayout { cpu, disk, net };
-                        let (maps, depth, begin, done, ring) = setup(&p);
-                        for (name, prog) in [
-                            ("begin", gen_begin_with(&p, depth, begin, opts)),
-                            ("end", gen_end_with(&p, depth, begin, done, opts)),
-                            ("features", gen_features_with(&p, done, ring, opts)),
-                        ] {
-                            verify(&prog, &maps, CTX_BYTES).unwrap_or_else(|e| {
-                                panic!(
-                                    "{name} (cpu={cpu},disk={disk},net={net},\
-                                     unroll={unroll_loops}) rejected: {e}\n{}",
-                                    tscout_bpf::insn::disassemble(&prog)
-                                )
-                            });
-                        }
+        for cpu in [false, true] {
+            for disk in [false, true] {
+                for net in [false, true] {
+                    let p = ProbeLayout { cpu, disk, net };
+                    let (maps, depth, begin, done, ring) = setup(&p);
+                    for (name, prog) in [
+                        ("begin", gen_begin(&p, depth, begin)),
+                        ("end", gen_end(&p, depth, begin, done)),
+                        ("features", gen_features(&p, done, ring)),
+                    ] {
+                        verify(&prog, &maps, CTX_BYTES).unwrap_or_else(|e| {
+                            panic!(
+                                "{name} (cpu={cpu},disk={disk},net={net}) rejected: {e}\n{}",
+                                tscout_bpf::insn::disassemble(&prog)
+                            )
+                        });
                     }
                 }
             }
-        }
-    }
-
-    #[test]
-    fn bounded_loops_shrink_every_program() {
-        let p = all_probes();
-        let (_, depth, begin, done, ring) = setup(&p);
-        let unroll = CodegenOptions { unroll_loops: true };
-        let looped = CodegenOptions::default();
-        for (name, small, big) in [
-            (
-                "begin",
-                gen_begin_with(&p, depth, begin, looped).len(),
-                gen_begin_with(&p, depth, begin, unroll).len(),
-            ),
-            (
-                "end",
-                gen_end_with(&p, depth, begin, done, looped).len(),
-                gen_end_with(&p, depth, begin, done, unroll).len(),
-            ),
-            (
-                "features",
-                gen_features_with(&p, done, ring, looped).len(),
-                gen_features_with(&p, done, ring, unroll).len(),
-            ),
-        ] {
-            assert!(
-                small < big,
-                "{name}: loop form ({small}) not smaller than unrolled ({big})"
-            );
-        }
-    }
-
-    /// Run the full BEGIN/END/FEATURES pipeline in both emission modes
-    /// with identical worlds and assert the raw ring-buffer bytes match:
-    /// the loop rewrite must not change a single bit of the samples.
-    #[test]
-    fn loop_and_unrolled_modes_produce_identical_samples() {
-        use tscout_bpf::vm::{NullWorld, Vm};
-        for p in [
-            all_probes(),
-            ProbeLayout {
-                cpu: true,
-                disk: false,
-                net: true,
-            },
-            ProbeLayout {
-                cpu: false,
-                disk: false,
-                net: false,
-            },
-        ] {
-            let mut rings: Vec<Vec<Vec<u8>>> = Vec::new();
-            for unroll_loops in [false, true] {
-                let opts = CodegenOptions { unroll_loops };
-                let (mut maps, depth, begin, done, ring) = setup(&p);
-                let b_prog = gen_begin_with(&p, depth, begin, opts);
-                let e_prog = gen_end_with(&p, depth, begin, done, opts);
-                let f_prog = gen_features_with(&p, done, ring, opts);
-                let ctx = encode_ctx(5, 42, 1, 0, &[77, 88, 99]);
-                let mut world = NullWorld {
-                    time_ns: 100,
-                    pid_tgid: 42,
-                };
-                assert_eq!(Vm::run(&b_prog, &ctx, &mut maps, &mut world).unwrap().0, 0);
-                world.time_ns = 600;
-                assert_eq!(Vm::run(&e_prog, &ctx, &mut maps, &mut world).unwrap().0, 0);
-                assert_eq!(Vm::run(&f_prog, &ctx, &mut maps, &mut world).unwrap().0, 0);
-                rings.push(maps.ring_drain(ring, 10));
-            }
-            assert_eq!(rings[0], rings[1], "samples differ for {p:?}");
-            assert_eq!(rings[0].len(), 1);
         }
     }
 

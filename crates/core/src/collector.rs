@@ -108,11 +108,6 @@ pub struct TsConfig {
     /// (0 = off). The id travels out of band — record bytes are
     /// bit-identical with tracing on or off.
     pub trace_every: u64,
-    /// Run the load-time optimizer on every collector program (on by
-    /// default). Optimized programs must re-verify and emit
-    /// bit-identical samples; turning this off trades collection
-    /// overhead for a byte-for-byte codegen instruction stream.
-    pub optimize: bool,
 }
 
 impl TsConfig {
@@ -123,7 +118,6 @@ impl TsConfig {
             ring_capacity: 4096,
             sampler_seed: 0x7511,
             trace_every: 0,
-            optimize: true,
         }
     }
 
@@ -415,7 +409,6 @@ impl TScout {
     /// Setup Phase: codegen, verify, load, and attach the Collector.
     pub fn deploy(kernel: &mut Kernel, config: TsConfig) -> Result<TScout, TsError> {
         let mut loader = Loader::new();
-        loader.set_optimize(config.optimize);
         // Program executions show up in folded profiles as
         // `bpf:prog:<name>` frames when the kernel's profiler is enabled.
         loader.set_profiler(kernel.profiler.clone());

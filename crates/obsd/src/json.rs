@@ -1,39 +1,13 @@
-//! Minimal JSON: escaping/number formatting for the server's render
-//! paths and a small recursive-descent parser for the client side
-//! (`tscoutctl`, tests) — the workspace builds offline, so no serde.
+//! Minimal JSON: the telemetry crate's escaping/number formatting for
+//! the server's render paths and a small recursive-descent parser for
+//! the client side (`tscoutctl`, tests) — the workspace builds
+//! offline, so no serde.
 
 use std::collections::BTreeMap;
 
-/// Escape a string for embedding in a JSON document (without quotes).
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Format an f64 as a JSON number (`null` for NaN/Inf, which JSON
-/// cannot represent).
-pub fn num(v: f64) -> String {
-    if v.is_finite() {
-        if v == v.trunc() && v.abs() < 1e15 {
-            format!("{}", v as i64)
-        } else {
-            format!("{v}")
-        }
-    } else {
-        "null".to_string()
-    }
-}
+/// The workspace's one escaper / number formatter, under the names
+/// this crate's render paths (and `tsbench`) import.
+pub use tscout_telemetry::{json_escape as escape, json_num as num};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]

@@ -483,9 +483,10 @@ impl Telemetry {
     }
 }
 
-/// Minimal JSON string escaping for export paths (metric names, label
-/// values, span names — all ASCII in practice, but stay correct).
-pub(crate) fn json_escape(s: &str) -> String {
+/// Escape a string for embedding in a JSON document (without quotes).
+/// The one JSON escaper of the workspace: every export path here and
+/// `tscout_obsd::json::escape` are this function.
+pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {
@@ -501,8 +502,10 @@ pub(crate) fn json_escape(s: &str) -> String {
     out
 }
 
-/// Format an f64 for JSON (no NaN/Inf — clamp to null-safe 0).
-pub(crate) fn json_num(v: f64) -> String {
+/// Format an f64 as a JSON number (`null` for NaN/Inf, which JSON
+/// cannot represent) — the same answer on every surface, snapshot files
+/// and obsd endpoints alike.
+pub fn json_num(v: f64) -> String {
     if v.is_finite() {
         if v == v.trunc() && v.abs() < 1e15 {
             format!("{}", v as i64)
@@ -510,7 +513,7 @@ pub(crate) fn json_num(v: f64) -> String {
             format!("{v}")
         }
     } else {
-        "0".to_string()
+        "null".to_string()
     }
 }
 

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Regenerate every figure of the paper's evaluation (plus the ablations).
-# Results land in results/*.csv and are echoed to stdout; each binary
-# also writes a self-telemetry snapshot to results/telemetry_<fig>.json.
+# Regenerate every figure of the paper's evaluation (plus the ablations):
+# every `fig` and `ablation` entry of `tscout-bench list`. Results land
+# in results/*.csv and are echoed to stdout; each entry also writes a
+# self-telemetry snapshot to results/telemetry_<fig>.json.
 #
 #   TS_SCALE=0.3 ./run_all_figures.sh     # quick pass
 #   TS_SCALE=1   ./run_all_figures.sh     # default fidelity
@@ -12,27 +13,10 @@ export TS_SCALE="${TS_SCALE:-1}"
 echo "== building (release) =="
 cargo build --release -p tscout-bench
 
-BINS=(
-  fig1_user_vs_kernel
-  fig2_offline_vs_online
-  fig5_overhead_throughput
-  fig6_overhead_datagen
-  fig7_env_change
-  fig8_adjustable_sampling
-  fig9_convergence_tpcc
-  fig10_convergence_chbench
-  fig11_convergence_terminals
-  fig12_generalization
-  ablation_sampling_shuffle
-  ablation_fusion
-  ablation_ringbuf
-  ablation_archive_lifecycle
-)
-
-for bin in "${BINS[@]}"; do
+for name in $(./target/release/tscout-bench list fig ablation); do
   echo
-  echo "== $bin (TS_SCALE=$TS_SCALE) =="
-  ./target/release/"$bin"
+  echo "== $name (TS_SCALE=$TS_SCALE) =="
+  ./target/release/tscout-bench "$name"
 done
 
 echo

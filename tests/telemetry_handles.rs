@@ -18,6 +18,7 @@ use tscout_suite::archive::ArchiveOptions;
 use tscout_suite::kernel::{HardwareProfile, Kernel};
 use tscout_suite::models::ModelKind;
 use tscout_suite::noisetap::Database;
+use tscout_suite::obsd::json::Json;
 use tscout_suite::obsd::{client, ObsdConfig, ObsdServer};
 use tscout_suite::telemetry::{CounterSite, CounterVec, Telemetry, DEFAULT_PROFILE_PERIOD_NS};
 use tscout_suite::tscout::{CollectionMode, TsConfig, ALL_SUBSYSTEMS};
@@ -139,6 +140,17 @@ fn obsd_serves_values_written_through_handles() {
     assert!(get("/metrics").contains("model_swap_accepted_total 4\n"));
     assert!(get("/api/v1/model").contains("\"rows\":[[8,0,0,4,0]]"));
     assert!(sql().contains("\"rows\":[[8,4]]"));
+    // A non-finite gauge reads the same on every surface: the snapshot
+    // file and the table endpoint both say `null` (and stay valid JSON).
+    t.gauge("model_holdout_mape_pct", &[]).set(f64::NAN);
+    let snapshot = Json::parse(&t.snapshot_json()).expect("snapshot with a NaN gauge parses");
+    let in_snapshot = snapshot
+        .get("gauges")
+        .and_then(|g| g.get("model_holdout_mape_pct"));
+    assert_eq!(in_snapshot, Some(&Json::Null));
+    let table = Json::parse(&get("/api/v1/model")).expect("table with a NaN gauge parses");
+    let in_table = &table.get("rows").and_then(Json::as_arr).unwrap()[0];
+    assert_eq!(in_table.as_arr().unwrap()[1], Json::Null, "{in_table:?}");
     srv.shutdown();
 }
 
