@@ -13,15 +13,13 @@
 //! Every fired action leaves a row in the `ts_actions` virtual table
 //! and, once its observation window closes, an efficacy sample in the
 //! archive's own `action_efficacy` OU family. The full action log is
-//! exported to `results/actions_ablation_actions.json`.
+//! the `ts_actions` member of `results/tables_ablation_actions.json`.
 
 use super::ablation_drift::ShiftScan;
 use noisetap::engine::Database;
 use tscout_actions::{ActionConfig, ActionEngine, EFFICACY_OU_NAME};
 use tscout_archive::ArchiveOptions;
-use tscout_bench::{
-    absorb_db, attach_collect, dump_artifact, dump_observability, new_db, results_dir, Csv,
-};
+use tscout_bench::{absorb_db, attach_collect, dump_observability, new_db, Csv};
 use tscout_kernel::HardwareProfile;
 use tscout_models::ModelKind;
 use tscout_workloads::driver::{run_with_lifecycle, ModelLifecycle, RunOptions, Workload};
@@ -158,16 +156,9 @@ pub fn main() {
         "ts_actions row count disagrees with the in-memory action log"
     );
 
-    // Export the engine arm's full action log for the figure.
-    dump_artifact(
-        &results_dir(),
-        "actions_ablation_actions.json",
-        "action log",
-        &engine_db.kernel.telemetry.actions_json(),
-    );
-
     // Engine arm first: the global registry adopts the first non-idle
-    // health state it sees, and the recovered state is the story here.
+    // health state and action log it sees, and the recovered arm's are
+    // the story `tables_ablation_actions.json` should tell.
     absorb_db(&engine_db);
     absorb_db(&control_db);
     dump_observability("ablation_actions");

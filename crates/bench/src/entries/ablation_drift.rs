@@ -12,14 +12,16 @@
 //! (`ts_stat_ou`, `ts_alerts`), exercising the introspection path
 //! end-to-end. The shifted arm also runs with the lineage tracer on and
 //! the flight recorder armed: the CRITICAL `ou_drift` transition must
-//! leave a `flightrec_ablation_drift_*.json` evidence bundle carrying
-//! the triggering alert and the trace ring.
+//! leave a `flightrec_ablation_drift_*.json` evidence bundle whose
+//! trigger names the alert and whose tables carry the alert and trace
+//! rings.
 
 use noisetap::engine::{Database, StatementId};
 use noisetap::Value;
 use rand::RngExt;
 use tscout_bench::{absorb_db, attach_collect, dump_observability, new_db, results_dir, Csv};
 use tscout_kernel::HardwareProfile;
+use tscout_obsd::json::Json;
 use tscout_workloads::driver::{run, RunOptions, TxnCtx, Workload};
 
 /// Range-scan workload whose scan width jumps from `narrow` to `wide`
@@ -114,7 +116,7 @@ fn run_arm(shift_after: u64, seed: u64) -> (Database, ArmResult) {
     attach_collect(&mut db);
     // Trace 1-in-64 markers and arm the flight recorder: a CRITICAL
     // health transition mid-run dumps an evidence bundle with the
-    // triggering alert, the trace ring, and the profiler state.
+    // trigger, every `ts_*` table, and the profiler state.
     db.kernel.telemetry.trace_set_every(64);
     db.kernel
         .telemetry
@@ -224,17 +226,39 @@ pub fn main() {
     );
 
     // The CRITICAL transition in the shifted arm must have dumped a
-    // flight-recorder bundle with the triggering alert and the traces.
+    // flight-recorder bundle that names its cause and carries the
+    // alert and trace rings as tables.
     let bundle = results_dir().join("flightrec_ablation_drift_1.json");
     let body = std::fs::read_to_string(&bundle)
         .unwrap_or_else(|e| panic!("CRITICAL transition left no bundle at {bundle:?}: {e}"));
+    let doc = Json::parse(&body).expect("bundle is JSON");
+    let is_ou_drift = |rule: &&Json| rule.as_str() == Some("ou_drift");
+    let trigger = doc.get("trigger").and_then(|t| t.get("alerts"));
+    let trigger_rules: Vec<&Json> = trigger
+        .and_then(Json::as_arr)
+        .unwrap_or_default()
+        .iter()
+        .filter_map(|alert| alert.get("rule"))
+        .collect();
     assert!(
-        body.contains("\"ou_drift\""),
-        "bundle must carry the triggering ou_drift alert"
+        trigger_rules.iter().any(is_ou_drift),
+        "bundle trigger must name the ou_drift rule"
+    );
+    let column = |table: &str, column: &str| {
+        doc.get("tables")
+            .and_then(|t| t.get(table))
+            .and_then(|t| t.column(column))
+            .unwrap_or_else(|| panic!("bundle must carry {table}.{column}"))
+    };
+    assert!(
+        column("ts_alerts", "rule").iter().any(is_ou_drift),
+        "bundle's ts_alerts must hold the triggering ou_drift alert"
     );
     assert!(
-        body.contains("\"traces\"") && body.contains("\"outcome\": \""),
-        "bundle must carry a non-empty lineage-trace ring"
+        column("ts_traces", "outcome")
+            .iter()
+            .any(|outcome| outcome.as_str().is_some()),
+        "bundle's ts_traces must hold a completed lineage trace"
     );
     println!(
         "# flight recorder: CRITICAL transition dumped {}",
@@ -243,7 +267,7 @@ pub fn main() {
 
     // Absorb the shifted arm first: the global registry adopts the first
     // non-idle drift/health state it sees, and the shifted arm is the one
-    // the health_<fig>.json artifact should describe.
+    // the tables_<fig>.json artifact should describe.
     absorb_db(&shifted_db);
     absorb_db(&control_db);
     dump_observability("ablation_drift");

@@ -84,8 +84,8 @@ fn smoke_metric_names() -> Vec<String> {
     );
     // Touch the introspection path too, so its own counters register.
     let sid = db.create_session();
-    for table in noisetap::stat::VIRTUAL_TABLES {
-        db.execute(sid, &format!("SELECT count(*) FROM {table}"), &[])
+    for table in tscout_telemetry::TABLES {
+        db.execute(sid, &format!("SELECT count(*) FROM {}", table.name), &[])
             .unwrap();
     }
     // And the query-observability path: EXPLAIN ANALYZE registers its

@@ -24,6 +24,7 @@ use tscout_kernel::{HardwareProfile, Kernel};
 use tscout_models::dataset::OuData;
 use tscout_models::eval::{avg_abs_error_per_template_us, OuModelSet};
 use tscout_models::ModelKind;
+use tscout_telemetry::tables::all_tables_json;
 use tscout_telemetry::{Profiler, Telemetry, DEFAULT_PROFILE_PERIOD_NS};
 use tscout_workloads::driver::{
     assign_templates, collect_datasets, RunOptions, RunStats, Workload,
@@ -55,7 +56,7 @@ pub fn result_path(name: &str) -> PathBuf {
 /// The one artifact-writing path every per-fig dump goes through:
 /// creates `dir` if missing, writes `name` there, tees the destination
 /// to stdout (tagged `what`), and returns the path. Telemetry, profile,
-/// timeseries, health, archive, and trace dumps all funnel here.
+/// timeseries, `ts_*` table, and archive dumps all funnel here.
 pub fn dump_artifact(dir: &std::path::Path, name: &str, what: &str, contents: &str) -> PathBuf {
     std::fs::create_dir_all(dir).ok();
     let path = dir.join(name);
@@ -143,9 +144,8 @@ pub fn dump_telemetry(fig: &str) -> PathBuf {
 }
 
 /// Write the registry-backed observability artifacts — telemetry
-/// snapshot, folded stacks, windowed time-series + attribution, the
-/// health/drift report, and the lineage-trace export — into an explicit
-/// directory (created if missing). Split out from [`dump_observability`]
+/// snapshot, folded stacks, windowed time-series + attribution, and
+/// every `ts_*` table — into an explicit directory (created if missing). Split out from [`dump_observability`]
 /// so the dump path is testable against an empty registry without
 /// touching the process-wide archive or the `TS_RESULTS` environment
 /// variable. Every file goes through [`dump_artifact`].
@@ -175,15 +175,9 @@ pub fn dump_observability_files(dir: &std::path::Path, fig: &str) -> PathBuf {
     );
     dump_artifact(
         dir,
-        &format!("health_{fig}.json"),
-        "health report",
-        &t.health_json(),
-    );
-    dump_artifact(
-        dir,
-        &format!("trace_{fig}.json"),
-        "lineage traces",
-        &t.trace_json(),
+        &format!("tables_{fig}.json"),
+        "ts_* tables",
+        &t.with_registry(|r| all_tables_json(r)),
     );
     path
 }
@@ -191,10 +185,11 @@ pub fn dump_observability_files(dir: &std::path::Path, fig: &str) -> PathBuf {
 /// Write every observability artifact for a figure binary: the telemetry
 /// snapshot, the flamegraph-ready folded stacks
 /// (`results/profile_<fig>.folded`), the windowed time-series plus
-/// per-root overhead attribution (`results/timeseries_<fig>.json`), the
-/// data-quality health report (`results/health_<fig>.json`), the lineage
-/// traces (`results/trace_<fig>.json`), and the archive stats. Every
-/// figure binary calls this last.
+/// per-root overhead attribution (`results/timeseries_<fig>.json`),
+/// every `ts_*` table — data health, alerts, lineage traces, statement
+/// stats, the action log — as the SQL and obsd surfaces render them
+/// (`results/tables_<fig>.json`), and the archive stats. Every figure
+/// binary calls this last.
 pub fn dump_observability(fig: &str) -> PathBuf {
     let path = dump_observability_files(&results_dir(), fig);
     dump_artifact(
@@ -569,13 +564,12 @@ mod tests {
             "telemetry_empty.json",
             "profile_empty.folded",
             "timeseries_empty.json",
-            "health_empty.json",
-            "trace_empty.json",
+            "tables_empty.json",
         ] {
             assert!(dir.join(f).exists(), "missing {f}");
         }
-        let health = std::fs::read_to_string(dir.join("health_empty.json")).unwrap();
-        assert!(health.contains("\"subsystems\""), "{health}");
+        let tables = std::fs::read_to_string(dir.join("tables_empty.json")).unwrap();
+        assert!(tables.contains("\"ts_stat_subsystem\""), "{tables}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

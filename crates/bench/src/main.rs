@@ -100,7 +100,7 @@ const ENTRIES: &[Entry] = &[
             "telemetry_fig1.json",
             "profile_fig1.folded",
             "timeseries_fig1.json",
-            "health_fig1.json",
+            "tables_fig1.json",
         ],
     ),
     entry(Fig, "fig2_offline_vs_online", fig2_offline_vs_online::main),
@@ -143,17 +143,17 @@ const ENTRIES: &[Entry] = &[
     entry(Ablation, "ablation_drift", ablation_drift::main).smoke(
         1.0,
         &[
-            "health_ablation_drift.json",
+            "tables_ablation_drift.json",
             "flightrec_ablation_drift_1.json",
         ],
     ),
     entry(Ablation, "ablation_trace", ablation_trace::main)
-        .smoke(1.0, &["trace_ablation_trace.json"]),
+        .smoke(1.0, &["tables_ablation_trace.json"]),
     entry(Ablation, "ablation_query_stats", ablation_query_stats::main)
         .smoke(1.0, &["ablation_query_stats.csv"]),
     entry(Ablation, "ablation_actions", ablation_actions::main).smoke(
         1.0,
-        &["actions_ablation_actions.json", "ablation_actions.csv"],
+        &["tables_ablation_actions.json", "ablation_actions.csv"],
     ),
     entry(Tool, "metrics_doc", metrics_doc::main),
 ];
@@ -247,11 +247,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn entry_names_are_unique_and_every_figure_is_documented() {
+    fn entry_names_are_unique_and_every_figure_and_table_is_documented() {
         let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../");
-        let docs = ["EXPERIMENTS.md", "README.md"]
-            .map(|f| std::fs::read_to_string(format!("{root}{f}")).expect("doc readable"))
-            .concat();
+        let [experiments, readme] = ["EXPERIMENTS.md", "README.md"]
+            .map(|f| std::fs::read_to_string(format!("{root}{f}")).expect("doc readable"));
+        for t in tscout_telemetry::TABLES {
+            assert!(readme.contains(t.name), "{} is not in README.md", t.name);
+        }
+        let docs = experiments + &readme;
         for (i, e) in ENTRIES.iter().enumerate() {
             assert!(
                 ENTRIES[..i].iter().all(|o| o.name != e.name),

@@ -71,14 +71,9 @@ pub struct Catalog {
 
 impl Default for Catalog {
     fn default() -> Self {
-        let virtuals = crate::stat::VIRTUAL_TABLES
+        let virtuals = tscout_telemetry::TABLES
             .iter()
-            .map(|n| {
-                (
-                    n.to_string(),
-                    crate::stat::virtual_schema(n).expect("registered virtual table"),
-                )
-            })
+            .map(|t| (t.name.to_string(), crate::stat::schema(t)))
             .collect();
         Catalog {
             tables: Vec::new(),

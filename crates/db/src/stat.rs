@@ -1,563 +1,86 @@
 //! `pg_stat`-style virtual introspection tables over the live telemetry.
 //!
-//! PostgreSQL exposes its collector through `pg_stat_*` views; NoiseTap
-//! does the same for the TScout observability plane. Four read-only
-//! virtual tables are registered in every catalog at creation time and
-//! materialize on scan from the kernel's telemetry registry — no storage,
-//! no MVCC, always-current:
-//!
-//! * `ts_stat_ou` — one row per OU the drift detector tracks: lifetime
-//!   sample counts, target-latency quantiles from the streaming sketch,
-//!   PSI/KS drift scores per channel, residual MAPE, and the OU's health
-//!   state;
-//! * `ts_stat_subsystem` — one row per health-engine subsystem with its
-//!   OK/DEGRADED/CRITICAL state and alert counts;
-//! * `ts_stat_model` — a single row describing the live behavior-model
-//!   generation and its accuracy gate history;
-//! * `ts_alerts` — the health engine's recent alert ring, newest last;
-//! * `ts_traces` — the lineage tracer's completed-trace ring: one row
-//!   per sampled marker that reached a terminal outcome, with its
-//!   critical stage and end-to-end latency;
-//! * `ts_stat_pipeline` — one row per pipeline stage with visit counts,
-//!   latency aggregates (p50/p99 from the stage histograms), the
-//!   exemplar TraceId behind the worst visit, and how often the stage
-//!   dominated a trace's critical path;
-//! * `ts_stat_archive` — one row per OU stored in the training-data
-//!   archive: samples appended/retired, blocks and bytes written, plus
-//!   the archive-global segment and recovery counters on every row;
-//! * `ts_stat_statements` — one row per statement fingerprint (the
-//!   `pg_stat_statements` shape): call counts, total/min/max/mean actual
-//!   ns, rows, the OU-attributed cost breakdown, and the rolling
-//!   predicted-vs-actual MAPE against the live behavior models;
-//! * `ts_actions` — the action engine's log: one row per planned action
-//!   with its policy, predicted effect, and (once the observation window
-//!   closes) the observed outcome and regression verdict.
-//!
-//! Scans run through the normal planner/executor path, so projections,
-//! filters, aggregation, ORDER BY, and LIMIT all compose:
-//! `SELECT ou, drift_score FROM ts_stat_ou WHERE drift_score > 0.2`.
+//! The tables themselves — names, columns, row sources — are declared
+//! once, in [`tscout_telemetry::tables`]; this module adapts that list
+//! to the engine's types. Every table is registered in every catalog at
+//! creation time and materializes on scan from the kernel's telemetry
+//! registry: no storage, no MVCC, always current.
 
-use tscout_telemetry::{Telemetry, ALL_STAGES};
+use tscout_telemetry::tables::table;
+use tscout_telemetry::{Cell, ColType, Table, Telemetry};
 
-use crate::types::{DataType, Row, Schema, Value};
+use crate::types::{ColumnDef, DataType, Row, Schema, Value};
 
-/// Names of all virtual tables, lowercase (the catalog's canonical form).
-pub const VIRTUAL_TABLES: &[&str] = &[
-    "ts_stat_ou",
-    "ts_stat_subsystem",
-    "ts_stat_model",
-    "ts_alerts",
-    "ts_traces",
-    "ts_stat_pipeline",
-    "ts_stat_archive",
-    "ts_stat_statements",
-    "ts_actions",
-];
+impl From<ColType> for DataType {
+    fn from(t: ColType) -> DataType {
+        match t {
+            ColType::Int => DataType::Int,
+            ColType::Float => DataType::Float,
+            ColType::Text => DataType::Text,
+            ColType::Bool => DataType::Bool,
+        }
+    }
+}
+
+impl From<Cell> for Value {
+    fn from(c: Cell) -> Value {
+        match c {
+            Cell::Null => Value::Null,
+            Cell::Int(i) => Value::Int(i),
+            Cell::Float(f) => Value::Float(f),
+            Cell::Text(s) => Value::Text(s),
+            Cell::Bool(b) => Value::Bool(b),
+        }
+    }
+}
+
+/// The way back, so a query result renders through the tables' one
+/// JSON writer.
+impl From<&Value> for Cell {
+    fn from(v: &Value) -> Cell {
+        match v {
+            Value::Null => Cell::Null,
+            Value::Int(i) => Cell::Int(*i),
+            Value::Float(f) => Cell::Float(*f),
+            Value::Text(s) => Cell::Text(s.clone()),
+            Value::Bool(b) => Cell::Bool(*b),
+        }
+    }
+}
 
 /// True if `name` refers to a virtual introspection table.
 pub fn is_virtual(name: &str) -> bool {
-    VIRTUAL_TABLES.iter().any(|v| v.eq_ignore_ascii_case(name))
+    table(name).is_some()
+}
+
+pub(crate) fn schema(table: &Table) -> Schema {
+    Schema {
+        columns: table
+            .columns
+            .iter()
+            .map(|(name, t)| ColumnDef {
+                name: name.to_string(),
+                dtype: (*t).into(),
+            })
+            .collect(),
+    }
 }
 
 /// Schema of a virtual table; `None` for unknown names.
 pub fn virtual_schema(name: &str) -> Option<Schema> {
-    let s = match name.to_ascii_lowercase().as_str() {
-        "ts_stat_ou" => Schema::new(&[
-            ("ou", DataType::Text),
-            ("subsystem", DataType::Text),
-            ("samples", DataType::Int),
-            ("target_mean_ns", DataType::Float),
-            ("target_p50_ns", DataType::Float),
-            ("target_p99_ns", DataType::Float),
-            ("psi_target", DataType::Float),
-            ("psi_feature", DataType::Float),
-            ("ks_target", DataType::Float),
-            ("ks_feature", DataType::Float),
-            ("drift_score", DataType::Float),
-            ("residual_mape_pct", DataType::Float),
-            ("health", DataType::Text),
-        ]),
-        "ts_stat_subsystem" => Schema::new(&[
-            ("subsystem", DataType::Text),
-            ("state", DataType::Text),
-            ("state_code", DataType::Int),
-            ("rules", DataType::Int),
-            ("alerts_fired", DataType::Int),
-        ]),
-        "ts_stat_model" => Schema::new(&[
-            ("generation", DataType::Int),
-            ("holdout_mape_pct", DataType::Float),
-            ("trained_points", DataType::Int),
-            ("swaps_accepted", DataType::Int),
-            ("swaps_rejected", DataType::Int),
-        ]),
-        "ts_alerts" => Schema::new(&[
-            ("seq", DataType::Int),
-            ("at_ns", DataType::Float),
-            ("rule", DataType::Text),
-            ("subsystem", DataType::Text),
-            ("target", DataType::Text),
-            ("from_state", DataType::Text),
-            ("to_state", DataType::Text),
-            ("value", DataType::Float),
-            ("threshold", DataType::Float),
-        ]),
-        "ts_traces" => Schema::new(&[
-            ("trace_id", DataType::Int),
-            ("ou", DataType::Int),
-            ("subsystem", DataType::Int),
-            ("tid", DataType::Int),
-            ("started_ns", DataType::Float),
-            ("stages", DataType::Int),
-            ("outcome", DataType::Text),
-            ("fail_reason", DataType::Text),
-            ("critical_stage", DataType::Text),
-            ("critical_ns", DataType::Float),
-            ("total_ns", DataType::Float),
-            ("model_generation", DataType::Int),
-            ("monotone", DataType::Bool),
-        ]),
-        "ts_stat_pipeline" => Schema::new(&[
-            ("stage", DataType::Text),
-            ("seq", DataType::Int),
-            ("visits", DataType::Int),
-            ("mean_ns", DataType::Float),
-            ("p50_ns", DataType::Float),
-            ("p99_ns", DataType::Float),
-            ("max_ns", DataType::Float),
-            ("exemplar_trace_id", DataType::Int),
-            ("avg_queue_depth", DataType::Float),
-            ("critical_count", DataType::Int),
-        ]),
-        "ts_stat_archive" => Schema::new(&[
-            ("ou", DataType::Text),
-            ("samples_appended", DataType::Int),
-            ("samples_retired", DataType::Int),
-            ("blocks", DataType::Int),
-            ("bytes_written", DataType::Int),
-            ("segments", DataType::Int),
-            ("buffered_samples", DataType::Int),
-            ("segments_sealed", DataType::Int),
-            ("segments_compacted", DataType::Int),
-            ("recovered_truncations", DataType::Int),
-        ]),
-        "ts_stat_statements" => Schema::new(&[
-            ("fingerprint", DataType::Text),
-            ("calls", DataType::Int),
-            ("rows", DataType::Int),
-            ("total_ns", DataType::Float),
-            ("min_ns", DataType::Float),
-            ("max_ns", DataType::Float),
-            ("mean_ns", DataType::Float),
-            ("ou_ns_total", DataType::Float),
-            ("ou_breakdown", DataType::Text),
-            ("predicted_calls", DataType::Int),
-            ("mape_pct", DataType::Float),
-        ]),
-        "ts_actions" => Schema::new(&[
-            ("id", DataType::Int),
-            ("kind", DataType::Text),
-            ("policy", DataType::Text),
-            ("target", DataType::Text),
-            ("detail", DataType::Text),
-            ("state", DataType::Text),
-            ("dry_run", DataType::Bool),
-            ("planned_at_ns", DataType::Float),
-            ("observe_at_ns", DataType::Float),
-            ("metric", DataType::Text),
-            ("value_before", DataType::Float),
-            ("predicted", DataType::Float),
-            ("observed", DataType::Float),
-            ("observed_at_ns", DataType::Float),
-            ("err_pct", DataType::Float),
-            ("regressed", DataType::Bool),
-            ("model_generation", DataType::Int),
-        ]),
-        _ => return None,
-    };
-    Some(s)
+    table(name).map(schema)
 }
 
 /// Materialize the current rows of a virtual table from the live
 /// telemetry registry. Unknown names yield no rows (the planner rejects
 /// them long before execution).
 pub fn virtual_rows(name: &str, telemetry: &Telemetry) -> Vec<Row> {
-    match name.to_ascii_lowercase().as_str() {
-        "ts_stat_ou" => telemetry.with_registry(|r| {
-            let mut rows: Vec<Row> = r
-                .drift()
-                .iter()
-                .map(|(ou, d)| {
-                    vec![
-                        Value::Text(ou.clone()),
-                        Value::Text(d.subsystem.clone()),
-                        Value::Int(d.samples as i64),
-                        Value::Float(d.lifetime.mean()),
-                        Value::Float(d.lifetime.quantile(0.50)),
-                        Value::Float(d.lifetime.quantile(0.99)),
-                        Value::Float(d.target.psi()),
-                        Value::Float(d.feature.psi()),
-                        Value::Float(d.target.ks()),
-                        Value::Float(d.feature.ks()),
-                        Value::Float(d.drift_score()),
-                        Value::Float(d.residual_mape_pct()),
-                        Value::Text(r.health().state_for_target(ou).name().to_string()),
-                    ]
-                })
-                .collect();
-            rows.sort_by(|a, b| a[0].cmp(&b[0]));
-            rows
-        }),
-        "ts_stat_subsystem" => telemetry.with_registry(|r| {
-            r.health()
-                .subsystem_states()
-                .into_iter()
-                .map(|(subsystem, state)| {
-                    vec![
-                        Value::Text(subsystem.clone()),
-                        Value::Text(state.name().to_string()),
-                        Value::Int(state.as_f64() as i64),
-                        Value::Int(r.health().rules_for_subsystem(&subsystem) as i64),
-                        Value::Int(r.health().fired_for_subsystem(&subsystem) as i64),
-                    ]
-                })
-                .collect()
-        }),
-        "ts_stat_model" => telemetry.with_registry(|r| {
-            vec![vec![
-                Value::Int(r.gauge_value("model_generation", &[]) as i64),
-                Value::Float(r.gauge_value("model_holdout_mape_pct", &[])),
-                Value::Int(r.gauge_value("model_trained_points", &[]) as i64),
-                Value::Int(r.counter_value("model_swap_accepted_total", &[]) as i64),
-                Value::Int(r.counter_value("model_swap_rejected_total", &[]) as i64),
-            ]]
-        }),
-        "ts_alerts" => telemetry.with_registry(|r| {
-            r.health()
-                .alerts()
-                .map(|a| {
-                    vec![
-                        Value::Int(a.seq as i64),
-                        Value::Float(a.at_ns),
-                        Value::Text(a.rule.clone()),
-                        Value::Text(a.subsystem.clone()),
-                        Value::Text(a.target.clone()),
-                        Value::Text(a.from.name().to_string()),
-                        Value::Text(a.to.name().to_string()),
-                        Value::Float(a.value),
-                        Value::Float(a.threshold),
-                    ]
-                })
-                .collect()
-        }),
-        "ts_traces" => telemetry.with_registry(|r| {
-            r.tracer()
-                .completed_iter()
-                .map(|t| {
-                    let crit = t.critical_stage();
-                    vec![
-                        Value::Int(t.id.0 as i64),
-                        Value::Int(t.ou as i64),
-                        Value::Int(t.subsystem as i64),
-                        Value::Int(t.tid as i64),
-                        Value::Float(t.started_ns),
-                        Value::Int(t.stages.len() as i64),
-                        t.outcome
-                            .map(|o| Value::Text(o.name().to_string()))
-                            .unwrap_or(Value::Null),
-                        t.fail_reason
-                            .as_ref()
-                            .map(|f| Value::Text(f.clone()))
-                            .unwrap_or(Value::Null),
-                        crit.map(|(s, _)| Value::Text(s.name().to_string()))
-                            .unwrap_or(Value::Null),
-                        Value::Float(crit.map(|(_, d)| d).unwrap_or(0.0)),
-                        Value::Float(t.total_ns()),
-                        t.model_generation
-                            .map(|g| Value::Int(g as i64))
-                            .unwrap_or(Value::Null),
-                        Value::Bool(t.timestamps_monotone()),
-                    ]
-                })
-                .collect()
-        }),
-        "ts_stat_pipeline" => telemetry.with_registry(|r| {
-            let aggs: std::collections::BTreeMap<_, _> = r
-                .tracer()
-                .stage_aggs()
-                .map(|(s, a)| (s.name(), *a))
-                .collect();
-            ALL_STAGES
-                .iter()
-                .enumerate()
-                .map(|(i, stage)| {
-                    let a = aggs.get(stage.name()).copied().unwrap_or_default();
-                    let (p50, p99) = r
-                        .hist_snapshot("tscout_trace_stage_ns", &[("stage", stage.name())])
-                        .map(|s| (s.p50, s.p99))
-                        .unwrap_or((0.0, 0.0));
-                    let n = a.count.max(1) as f64;
-                    vec![
-                        Value::Text(stage.name().to_string()),
-                        Value::Int(i as i64),
-                        Value::Int(a.count as i64),
-                        Value::Float(a.total_ns / n),
-                        Value::Float(p50),
-                        Value::Float(p99),
-                        Value::Float(a.max_ns),
-                        Value::Int(a.max_id as i64),
-                        Value::Float(a.queue_sum / n),
-                        Value::Int(a.critical as i64),
-                    ]
-                })
-                .collect()
-        }),
-        "ts_stat_archive" => telemetry.with_registry(|r| {
-            // OUs are discovered from the per-OU labeled counters the
-            // archive records at append/flush/retention time; the
-            // archive-global columns repeat on every row so a single
-            // scan answers both per-OU and whole-archive questions.
-            let mut ous: Vec<String> = Vec::new();
-            for name in [
-                "archive_ou_samples_appended_total",
-                "archive_ou_samples_retired_total",
-                "archive_ou_blocks_total",
-                "archive_ou_bytes_written_total",
-            ] {
-                for (k, _) in r.counters_named(name) {
-                    if let Some((_, v)) = k.labels.iter().find(|(l, _)| l == "ou") {
-                        if !ous.contains(v) {
-                            ous.push(v.clone());
-                        }
-                    }
-                }
-            }
-            ous.sort();
-            let per_ou =
-                |name: &str, ou: &str| Value::Int(r.counter_value(name, &[("ou", ou)]) as i64);
-            ous.iter()
-                .map(|ou| {
-                    vec![
-                        Value::Text(ou.clone()),
-                        per_ou("archive_ou_samples_appended_total", ou),
-                        per_ou("archive_ou_samples_retired_total", ou),
-                        per_ou("archive_ou_blocks_total", ou),
-                        per_ou("archive_ou_bytes_written_total", ou),
-                        Value::Int(r.gauge_value("archive_segments", &[]) as i64),
-                        Value::Int(r.gauge_value("archive_buffered_samples", &[]) as i64),
-                        Value::Int(r.counter_value("archive_segments_sealed_total", &[]) as i64),
-                        Value::Int(r.counter_value("archive_segments_compacted_total", &[]) as i64),
-                        Value::Int(
-                            r.counter_value("archive_recovered_truncations_total", &[]) as i64
-                        ),
-                    ]
-                })
-                .collect()
-        }),
-        "ts_stat_statements" => telemetry.with_registry(|r| {
-            // Entries iterate in fingerprint order (BTreeMap), so the
-            // unsorted scan output is already deterministic.
-            r.stmts()
-                .entries()
-                .map(|e| {
-                    let breakdown = e
-                        .ou_ns
-                        .iter()
-                        .map(|(ou, ns)| format!("{ou}={ns:.0}"))
-                        .collect::<Vec<_>>()
-                        .join(";");
-                    vec![
-                        Value::Text(e.fingerprint.clone()),
-                        Value::Int(e.calls as i64),
-                        Value::Int(e.rows as i64),
-                        Value::Float(e.total_ns),
-                        Value::Float(if e.calls == 0 { 0.0 } else { e.min_ns }),
-                        Value::Float(e.max_ns),
-                        Value::Float(e.mean_ns()),
-                        Value::Float(e.ou_ns_total()),
-                        Value::Text(breakdown),
-                        Value::Int(e.predicted_calls as i64),
-                        Value::Float(e.mape_pct()),
-                    ]
-                })
-                .collect()
-        }),
-        "ts_actions" => telemetry.with_registry(|r| {
-            // The action log iterates oldest-first; pending actions
-            // carry NULL observed columns until their follow-up closes.
-            r.actions()
-                .iter()
-                .map(|a| {
-                    vec![
-                        Value::Int(a.id as i64),
-                        Value::Text(a.kind.clone()),
-                        Value::Text(a.policy.clone()),
-                        Value::Text(a.target.clone()),
-                        Value::Text(a.detail.clone()),
-                        Value::Text(a.state.name().to_string()),
-                        Value::Bool(a.dry_run),
-                        Value::Float(a.planned_at_ns),
-                        Value::Float(a.observe_at_ns),
-                        Value::Text(a.metric.clone()),
-                        Value::Float(a.value_before),
-                        Value::Float(a.predicted),
-                        a.observed.map(Value::Float).unwrap_or(Value::Null),
-                        a.observed_at_ns.map(Value::Float).unwrap_or(Value::Null),
-                        a.err_pct.map(Value::Float).unwrap_or(Value::Null),
-                        Value::Bool(a.regressed),
-                        Value::Int(a.model_generation as i64),
-                    ]
-                })
-                .collect()
-        }),
-        _ => Vec::new(),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn every_virtual_table_has_a_schema() {
-        for name in VIRTUAL_TABLES {
-            assert!(is_virtual(name));
-            assert!(is_virtual(&name.to_uppercase()));
-            let s = virtual_schema(name).unwrap();
-            assert!(!s.is_empty());
-        }
-        assert!(!is_virtual("acct"));
-        assert!(virtual_schema("acct").is_none());
-    }
-
-    #[test]
-    fn rows_match_schema_width_and_registry_content() {
-        let t = Telemetry::new();
-        t.observe_ou_sample("seq_scan", "execution_engine", 1_000.0, 3.0);
-        t.observe_ou_sample("seq_scan", "execution_engine", 2_000.0, 4.0);
-        t.stmt_record(
-            "select v from t where (id = ?)",
-            5_000.0,
-            1,
-            &[("idx_lookup", 3_000.0), ("output", 500.0)],
-            Some(4_200.0),
-        );
-        t.observability_tick(1e9);
-        for name in VIRTUAL_TABLES {
-            let schema = virtual_schema(name).unwrap();
-            for row in virtual_rows(name, &t) {
-                assert_eq!(row.len(), schema.len(), "width mismatch in {name}");
-            }
-        }
-        let ou_rows = virtual_rows("ts_stat_ou", &t);
-        assert_eq!(ou_rows.len(), 1);
-        assert_eq!(ou_rows[0][0], Value::Text("seq_scan".into()));
-        assert_eq!(ou_rows[0][2], Value::Int(2));
-        // One row per default-rule subsystem, states all OK at rest.
-        let sub_rows = virtual_rows("ts_stat_subsystem", &t);
-        assert!(!sub_rows.is_empty());
-        assert!(sub_rows.iter().all(|r| r[1] == Value::Text("OK".into())));
-        // The model table always has exactly one row.
-        assert_eq!(virtual_rows("ts_stat_model", &t).len(), 1);
-        // Statement stats surface the recorded fingerprint with its
-        // OU breakdown rendered as `ou=ns` pairs.
-        let stmt_rows = virtual_rows("ts_stat_statements", &t);
-        assert_eq!(stmt_rows.len(), 1);
-        assert_eq!(
-            stmt_rows[0][0],
-            Value::Text("select v from t where (id = ?)".into())
-        );
-        assert_eq!(stmt_rows[0][1], Value::Int(1));
-        assert_eq!(stmt_rows[0][3], Value::Float(5_000.0));
-        assert_eq!(stmt_rows[0][7], Value::Float(3_500.0));
-        assert_eq!(
-            stmt_rows[0][8],
-            Value::Text("idx_lookup=3000;output=500".into())
-        );
-        assert!(virtual_rows("nope", &t).is_empty());
-    }
-
-    #[test]
-    fn trace_tables_materialize_from_tracer_state() {
-        let t = Telemetry::new();
-        t.trace_set_every(1);
-        let id = t.trace_begin(7, 2, 42, 100.0).unwrap();
-        t.trace_publish(id, 200.0, 3);
-        assert!(t.trace_consume(7, 42, 300.0, 350.0, 400.0, 2, true));
-        let rows = virtual_rows("ts_traces", &t);
-        assert_eq!(rows.len(), 1);
-        let schema = virtual_schema("ts_traces").unwrap();
-        assert_eq!(rows[0].len(), schema.len());
-        assert_eq!(rows[0][0], Value::Int(id.0 as i64));
-        assert_eq!(rows[0][6], Value::Text("delivered".into()));
-        assert_eq!(rows[0][12], Value::Bool(true));
-        // The pipeline table always lists every stage, visited or not.
-        let pipe = virtual_rows("ts_stat_pipeline", &t);
-        assert_eq!(pipe.len(), tscout_telemetry::ALL_STAGES.len());
-        let marker = &pipe[0];
-        assert_eq!(marker[0], Value::Text("marker".into()));
-        assert_eq!(marker[2], Value::Int(1), "one visit through marker");
-    }
-
-    #[test]
-    fn actions_table_reconciles_with_the_in_memory_log() {
-        use tscout_telemetry::{ActionRecord, ActionState};
-        let t = Telemetry::new();
-        assert!(virtual_rows("ts_actions", &t).is_empty());
-        let id = t.action_append(ActionRecord {
-            id: 0,
-            kind: "trigger_retrain".into(),
-            policy: "retrain_on_drift".into(),
-            target: "data".into(),
-            detail: "test".into(),
-            state: ActionState::Pending,
-            dry_run: false,
-            planned_at_ns: 1e6,
-            observe_at_ns: 41e6,
-            metric: "ts_health_state{subsystem=\"data\"}".into(),
-            value_before: 2.0,
-            predicted: 0.0,
-            observed: None,
-            observed_at_ns: None,
-            err_pct: None,
-            regressed: false,
-            model_generation: 3,
-        });
-        let rows = virtual_rows("ts_actions", &t);
-        assert_eq!(rows.len(), 1);
-        let schema = virtual_schema("ts_actions").unwrap();
-        assert_eq!(rows[0].len(), schema.len());
-        assert_eq!(rows[0][0], Value::Int(id as i64));
-        assert_eq!(rows[0][5], Value::Text("pending".into()));
-        assert_eq!(rows[0][12], Value::Null, "observed NULL while pending");
-        // Close the follow-up: the row flips to observed with values.
-        t.action_observe(id, 0.0, 45e6, 0.0, false);
-        let rows = virtual_rows("ts_actions", &t);
-        assert_eq!(rows[0][5], Value::Text("observed".into()));
-        assert_eq!(rows[0][12], Value::Float(0.0));
-        assert_eq!(rows[0][15], Value::Bool(false));
-        assert_eq!(rows[0][16], Value::Int(3));
-    }
-
-    #[test]
-    fn archive_table_rows_per_ou_with_global_columns() {
-        let t = Telemetry::new();
-        assert!(virtual_rows("ts_stat_archive", &t).is_empty());
-        t.counter_add("archive_ou_samples_appended_total", &[("ou", "scan")], 5);
-        t.counter_add("archive_ou_blocks_total", &[("ou", "scan")], 1);
-        t.counter_add("archive_ou_samples_appended_total", &[("ou", "probe")], 2);
-        t.counter_add("archive_segments_sealed_total", &[], 3);
-        t.gauge_set("archive_segments", &[], 4.0);
-        let rows = virtual_rows("ts_stat_archive", &t);
-        assert_eq!(rows.len(), 2, "one row per OU");
-        // Sorted by OU name; global columns repeat on every row.
-        assert_eq!(rows[0][0], Value::Text("probe".into()));
-        assert_eq!(rows[1][0], Value::Text("scan".into()));
-        assert_eq!(rows[1][1], Value::Int(5));
-        assert_eq!(rows[1][3], Value::Int(1));
-        for row in &rows {
-            assert_eq!(row[5], Value::Int(4));
-            assert_eq!(row[7], Value::Int(3));
-        }
-    }
+    let Some(table) = table(name) else {
+        return Vec::new();
+    };
+    telemetry
+        .with_registry(|r| (table.rows)(r))
+        .into_iter()
+        .map(|row| row.into_iter().map(Value::from).collect())
+        .collect()
 }

@@ -20,7 +20,6 @@ use std::process::ExitCode;
 
 use tscout_obsd::client;
 use tscout_obsd::json::Json;
-use tscout_obsd::API_TABLES;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -152,14 +151,21 @@ fn print_table(headers: &[String], rows: &[Vec<String>]) {
 }
 
 fn stat(addr: &str, table: &str) -> Result<(), String> {
-    // Accept both the API key ("ou") and the SQL name ("ts_stat_ou").
-    let key = API_TABLES
+    // The server says what it serves; accept both the API key ("ou")
+    // and the SQL name ("ts_stat_ou").
+    let catalog = fetch(addr, "/api/v1/tables")?;
+    let served: Vec<(&str, &str)> = catalog
+        .as_arr()
+        .unwrap_or_default()
         .iter()
-        .find(|(k, t)| *k == table || *t == table)
-        .map(|(k, _)| *k)
+        .filter_map(|t| Some((t.get("name")?.as_str()?, t.get("api_key")?.as_str()?)))
+        .collect();
+    let (_, key) = served
+        .iter()
+        .find(|(name, key)| *name == table || *key == table)
         .ok_or_else(|| {
-            let known: Vec<&str> = API_TABLES.iter().map(|(_, t)| *t).collect();
-            format!("unknown table {table:?}; one of: {}", known.join(", "))
+            let names: Vec<&str> = served.iter().map(|(name, _)| *name).collect();
+            format!("unknown table {table:?}; one of: {}", names.join(", "))
         })?;
     let doc = fetch(addr, &format!("/api/v1/{key}"))?;
     let (headers, rows) = tabulate(&doc)?;

@@ -26,6 +26,7 @@ impl Json {
         let mut p = Parser {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -65,6 +66,15 @@ impl Json {
         }
     }
 
+    /// For a `{"columns":[...],"rows":[[...],...]}` table document: the
+    /// cells of column `name`, one per row.
+    pub fn column(&self, name: &str) -> Option<Vec<&Json>> {
+        let columns = self.get("columns")?.as_arr()?;
+        let i = columns.iter().position(|c| c.as_str() == Some(name))?;
+        let rows = self.get("rows")?.as_arr()?;
+        rows.iter().map(|r| r.as_arr()?.get(i)).collect()
+    }
+
     /// Render a scalar for table display (strings unquoted).
     pub fn display(&self) -> String {
         match self {
@@ -77,9 +87,17 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses per level, so hostile input (`[[[[...`) must hit an `Err`
+/// before it hits the end of the stack; a flight-recorder bundle, the
+/// deepest document this workspace writes, nests six levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -122,11 +140,24 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(format!("unexpected byte at {}", self.pos)),
         }
+    }
+
+    fn nested(&mut self, container: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting too deep (more than {MAX_DEPTH} levels) at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = container(self);
+        self.depth -= 1;
+        v
     }
 
     fn string(&mut self) -> Result<String, String> {
@@ -281,6 +312,50 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\":}", "tru", "1 2", "\"x", "{\"a\" 1}"] {
             assert!(Json::parse(bad).is_err(), "accepted: {bad}");
         }
+        // Hostile nesting is an error, not a stack overflow.
+        let deep = "[".repeat(1 << 20);
+        let err = Json::parse(&deep).unwrap_err();
+        assert!(err.contains("nesting too deep"), "{err}");
+        // The cap itself is generous: MAX_DEPTH levels parse.
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&ok).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&over).is_err());
+    }
+
+    #[test]
+    fn table_json_round_trips_through_the_parser() {
+        use tscout_telemetry::tables::rows_json;
+        use tscout_telemetry::Cell;
+        let text = "quote \" backslash \\ and\nnewline";
+        let doc = rows_json(
+            Some("t"),
+            ["a\"b", "n"],
+            &[
+                vec![Cell::Text(text.into()), Cell::Null],
+                vec![Cell::Float(f64::NAN), Cell::Float(-1.5)],
+                vec![Cell::Bool(true), Cell::Int(-7)],
+            ],
+        );
+        let v = Json::parse(&doc).unwrap_or_else(|e| panic!("{e}: {doc}"));
+        assert_eq!(v.get("table").unwrap().as_str(), Some("t"));
+        let columns = v.get("columns").unwrap().as_arr().unwrap();
+        assert_eq!(columns[0].as_str(), Some("a\"b"));
+        assert_eq!(
+            v.column("n").unwrap(),
+            [&Json::Null, &Json::Num(-1.5), &Json::Num(-7.0)]
+        );
+        assert!(v.column("missing").is_none());
+        let rows = v.get("rows").unwrap().as_arr().unwrap();
+        let row = |i: usize| rows[i].as_arr().unwrap();
+        assert_eq!(row(0), [Json::Str(text.into()), Json::Null]);
+        // JSON has no NaN: a non-finite float reads back as null.
+        assert_eq!(row(1), [Json::Null, Json::Num(-1.5)]);
+        assert_eq!(row(2), [Json::Bool(true), Json::Num(-7.0)]);
+        // An ad-hoc SQL result carries no table name.
+        let anon = Json::parse(&rows_json(None, ["c"], &[])).unwrap();
+        assert!(anon.get("table").is_none());
+        assert_eq!(anon.get("rows"), Some(&Json::Arr(Vec::new())));
     }
 
     #[test]

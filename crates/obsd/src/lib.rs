@@ -51,23 +51,12 @@ use std::time::Duration;
 
 use noisetap::sql::ast::{Expr, Projection, SelectStmt, Stmt};
 use noisetap::sql::parser::parse;
-use noisetap::{Database, Row, SessionId, Value};
+use noisetap::{Database, SessionId};
 use tscout_kernel::{HardwareProfile, Kernel};
-use tscout_telemetry::{HealthState, Registry, Telemetry};
+use tscout_telemetry::tables::rows_json;
+use tscout_telemetry::{Cell, HealthState, Registry, Table, Telemetry, TABLES};
 
 use crate::http::Request;
-
-/// `GET /api/v1/<key>` → `ts_*` virtual table.
-pub const API_TABLES: &[(&str, &str)] = &[
-    ("ou", "ts_stat_ou"),
-    ("subsystem", "ts_stat_subsystem"),
-    ("model", "ts_stat_model"),
-    ("alerts", "ts_alerts"),
-    ("traces", "ts_traces"),
-    ("statements", "ts_stat_statements"),
-    ("actions", "ts_actions"),
-    ("pipeline", "ts_stat_pipeline"),
-];
 
 /// Listener configuration. The default binds an ephemeral localhost
 /// port — fig binaries opt in via `TSCOUT_OBSD` (see the workload
@@ -358,37 +347,43 @@ fn endpoint_label(path: &str) -> &'static str {
         "/healthz" => "healthz",
         "/readyz" => "readyz",
         "/api/v1/sql" => "sql",
+        "/api/v1/tables" => "tables",
         p if p.starts_with("/api/v1/flightrec") => "flightrec",
-        p => p
-            .strip_prefix("/api/v1/")
-            .and_then(|key| API_TABLES.iter().find(|(k, _)| *k == key))
-            .map_or("other", |(k, _)| k),
+        p => api_table(p).map_or("other", |t| t.api_key),
     }
+}
+
+/// The `ts_*` table served at `path` (`/api/v1/<api_key>`), if any.
+fn api_table(path: &str) -> Option<&'static Table> {
+    let key = path.strip_prefix("/api/v1/")?;
+    TABLES.iter().find(|t| t.api_key == key)
 }
 
 type Response = (u16, &'static str, Vec<u8>);
 
 fn route(req: &Request, shared: &Shared) -> Response {
+    if let Some(table) = api_table(&req.path) {
+        if req.method != "GET" {
+            return method_not_allowed();
+        }
+        let body = table.to_json(&snapshot(shared));
+        return (200, "application/json", body.into_bytes());
+    }
     match (req.method.as_str(), req.path.as_str()) {
         ("GET", "/metrics") => metrics_endpoint(shared),
         ("GET", "/healthz") => health_endpoint(shared, false),
         ("GET", "/readyz") => health_endpoint(shared, true),
         ("POST", "/api/v1/sql") => sql_endpoint(req, shared),
+        ("GET", "/api/v1/tables") => tables_endpoint(),
         ("GET", "/api/v1/flightrec") => flightrec_list(shared),
         ("GET", p) if p.starts_with("/api/v1/flightrec/") => {
             flightrec_fetch(shared, &p["/api/v1/flightrec/".len()..])
         }
-        ("GET", p) if p.strip_prefix("/api/v1/").is_some_and(is_api_table) => {
-            table_endpoint(shared, &p["/api/v1/".len()..])
+        (_, "/metrics" | "/healthz" | "/readyz" | "/api/v1/sql" | "/api/v1/tables") => {
+            method_not_allowed()
         }
-        (_, "/metrics" | "/healthz" | "/readyz" | "/api/v1/sql") => method_not_allowed(),
-        (_, p) if p.strip_prefix("/api/v1/").is_some_and(is_api_table) => method_not_allowed(),
         _ => (404, "text/plain", b"not found\n".to_vec()),
     }
-}
-
-fn is_api_table(key: &str) -> bool {
-    API_TABLES.iter().any(|(k, _)| *k == key)
 }
 
 fn method_not_allowed() -> Response {
@@ -437,20 +432,27 @@ fn health_endpoint(shared: &Shared, ready: bool) -> Response {
     (status, "application/json", body.into_bytes())
 }
 
-fn table_endpoint(shared: &Shared, key: &str) -> Response {
-    let Some((_, table)) = API_TABLES.iter().find(|(k, _)| *k == key) else {
-        return (404, "text/plain", b"not found\n".to_vec());
-    };
-    let snap_tel = Telemetry::new();
-    snap_tel.with_registry(|r| *r = snapshot(shared));
-    let schema = noisetap::stat::virtual_schema(table).expect("API_TABLES maps to virtual tables");
-    let rows = noisetap::stat::virtual_rows(table, &snap_tel);
-    let names: Vec<String> = schema.columns.iter().map(|c| c.name.clone()).collect();
-    (
-        200,
-        "application/json",
-        rows_json(Some(table), &names, &rows).into_bytes(),
-    )
+/// `[{"name":...,"api_key":...,"columns":[...]},...]` — what this
+/// server serves, so clients need no compiled-in table list.
+fn tables_endpoint() -> Response {
+    let tables: Vec<String> = TABLES
+        .iter()
+        .map(|t| {
+            let columns: Vec<String> = t
+                .columns
+                .iter()
+                .map(|(name, _)| format!("\"{name}\""))
+                .collect();
+            format!(
+                "{{\"name\":\"{}\",\"api_key\":\"{}\",\"columns\":[{}]}}",
+                t.name,
+                t.api_key,
+                columns.join(",")
+            )
+        })
+        .collect();
+    let body = format!("[{}]", tables.join(","));
+    (200, "application/json", body.into_bytes())
 }
 
 fn sql_endpoint(req: &Request, shared: &Shared) -> Response {
@@ -483,11 +485,15 @@ fn sql_endpoint(req: &Request, shared: &Shared) -> Response {
     let sid = plane.sid;
     plane.db.kernel.telemetry.with_registry(|r| *r = snap);
     match plane.db.execute_readonly(sid, sql, &[]) {
-        Ok(out) => (
-            200,
-            "application/json",
-            rows_json(None, &names, &out.rows).into_bytes(),
-        ),
+        Ok(out) => {
+            let rows: Vec<Vec<Cell>> = out
+                .rows
+                .iter()
+                .map(|row| row.iter().map(Cell::from).collect())
+                .collect();
+            let body = rows_json(None, names.iter().map(String::as_str), &rows);
+            (200, "application/json", body.into_bytes())
+        }
         Err(e) => err(&e.to_string()),
     }
 }
@@ -542,39 +548,6 @@ fn flightrec_fetch(shared: &Shared, name: &str) -> Response {
     match std::fs::read(dir.join(name)) {
         Ok(bytes) => (200, "application/json", bytes),
         Err(_) => (404, "text/plain", b"no such bundle\n".to_vec()),
-    }
-}
-
-/// `{"table":...,"columns":[...],"rows":[[...],...]}`.
-fn rows_json(table: Option<&str>, columns: &[String], rows: &[Row]) -> String {
-    let cols: Vec<String> = columns
-        .iter()
-        .map(|c| format!("\"{}\"", json::escape(c)))
-        .collect();
-    let rendered: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            let cells: Vec<String> = r.iter().map(value_json).collect();
-            format!("[{}]", cells.join(","))
-        })
-        .collect();
-    let prefix = table.map_or(String::new(), |t| {
-        format!("\"table\":\"{}\",", json::escape(t))
-    });
-    format!(
-        "{{{prefix}\"columns\":[{}],\"rows\":[{}]}}",
-        cols.join(","),
-        rendered.join(",")
-    )
-}
-
-fn value_json(v: &Value) -> String {
-    match v {
-        Value::Null => "null".to_string(),
-        Value::Int(i) => i.to_string(),
-        Value::Float(f) => json::num(*f),
-        Value::Text(s) => format!("\"{}\"", json::escape(s)),
-        Value::Bool(b) => b.to_string(),
     }
 }
 
@@ -652,14 +625,22 @@ mod tests {
         assert_eq!(health.get("status").unwrap().as_str(), Some("OK"));
         assert_eq!(client::get(&addr, "/readyz").unwrap().0, 200);
 
-        for (key, table) in API_TABLES {
+        // Every declared table is served under its api_key, and the
+        // catalog endpoint lists exactly those.
+        let (status, body) = client::get(&addr, "/api/v1/tables").unwrap();
+        assert_eq!(status, 200);
+        let catalog = Json::parse(&body).unwrap();
+        let catalog = catalog.as_arr().unwrap();
+        assert_eq!(catalog.len(), TABLES.len());
+        for (entry, table) in catalog.iter().zip(TABLES) {
+            assert_eq!(entry.get("name").unwrap().as_str(), Some(table.name));
+            let key = entry.get("api_key").unwrap().as_str().unwrap();
+            assert_eq!(key, table.api_key);
             let (status, body) = client::get(&addr, &format!("/api/v1/{key}")).unwrap();
             assert_eq!(status, 200, "{key}");
             let doc = Json::parse(&body).unwrap_or_else(|e| panic!("{key}: {e}\n{body}"));
-            assert_eq!(doc.get("table").unwrap().as_str(), Some(*table));
-            let cols = doc.get("columns").unwrap().as_arr().unwrap();
-            let schema = noisetap::stat::virtual_schema(table).unwrap();
-            assert_eq!(cols.len(), schema.columns.len(), "{key}");
+            assert_eq!(doc.get("table").unwrap().as_str(), Some(table.name));
+            assert_eq!(doc.get("columns"), entry.get("columns"), "{key}");
         }
 
         // A second scrape sees the first scrape's self-metrics move.
@@ -820,10 +801,20 @@ mod tests {
         let srv = ObsdServer::start(cfg, t).unwrap();
         let addr = srv.addr().to_string();
         // Occupy the only worker with a half-open request (it blocks in
-        // read until the timeout).
-        let mut hog = TcpStream::connect(&addr).unwrap();
-        hog.write_all(b"GET /metrics HTTP/1.1\r\n").unwrap();
-        std::thread::sleep(Duration::from_millis(100));
+        // read until the timeout). With capacity 0 a connection is only
+        // handed to a worker already waiting in `recv`, so a hog that
+        // arrives before the worker got there is bounced too: retry
+        // until one is held, i.e. gets no response.
+        let hog = loop {
+            use std::io::Read;
+            let mut s = TcpStream::connect(&addr).unwrap();
+            s.write_all(b"GET /metrics HTTP/1.1\r\n").unwrap();
+            s.set_read_timeout(Some(Duration::from_millis(100)))
+                .unwrap();
+            if s.read(&mut [0u8; 1]).is_err() {
+                break s;
+            }
+        };
         // The next connection cannot be queued (capacity 0) and bounces.
         let (status, _) = client::get(&addr, "/healthz").unwrap_or((503, String::new()));
         assert_eq!(status, 503);

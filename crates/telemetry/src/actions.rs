@@ -10,8 +10,6 @@
 
 use std::collections::VecDeque;
 
-use crate::{json_escape, json_num};
-
 /// Default bound on retained action records.
 pub const ACTION_LOG_CAPACITY: usize = 512;
 
@@ -67,36 +65,6 @@ pub struct ActionRecord {
     pub regressed: bool,
     /// Live model generation when the action was planned.
     pub model_generation: u64,
-}
-
-impl ActionRecord {
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"id\": {}, \"kind\": \"{}\", \"policy\": \"{}\", \"target\": \"{}\", \
-             \"detail\": \"{}\", \"state\": \"{}\", \"dry_run\": {}, \
-             \"planned_at_ns\": {}, \"observe_at_ns\": {}, \"metric\": \"{}\", \
-             \"value_before\": {}, \"predicted\": {}, \"observed\": {}, \
-             \"observed_at_ns\": {}, \"err_pct\": {}, \"regressed\": {}, \
-             \"model_generation\": {}}}",
-            self.id,
-            json_escape(&self.kind),
-            json_escape(&self.policy),
-            json_escape(&self.target),
-            json_escape(&self.detail),
-            self.state.name(),
-            self.dry_run,
-            json_num(self.planned_at_ns),
-            json_num(self.observe_at_ns),
-            json_escape(&self.metric),
-            json_num(self.value_before),
-            json_num(self.predicted),
-            self.observed.map_or("null".to_string(), json_num),
-            self.observed_at_ns.map_or("null".to_string(), json_num),
-            self.err_pct.map_or("null".to_string(), json_num),
-            self.regressed,
-            self.model_generation,
-        )
-    }
 }
 
 /// Bounded ring of [`ActionRecord`]s with monotonic id assignment.
@@ -170,21 +138,6 @@ impl ActionLog {
     pub fn appended(&self) -> u64 {
         self.next_id
     }
-
-    /// JSON array of all retained records (oldest first).
-    pub fn to_json(&self) -> String {
-        let rows: Vec<String> = self
-            .records
-            .iter()
-            .map(|r| format!("\n    {}", r.to_json()))
-            .collect();
-        format!(
-            "{{\n  \"appended\": {},\n  \"dropped\": {},\n  \"records\": [{}\n  ]\n}}\n",
-            self.next_id,
-            self.dropped,
-            rows.join(",")
-        )
-    }
 }
 
 #[cfg(test)]
@@ -245,18 +198,5 @@ mod tests {
         // Evicted ids no longer resolve.
         assert!(log.get(1).is_none());
         assert_eq!(log.appended() as usize, ACTION_LOG_CAPACITY + 5);
-    }
-
-    #[test]
-    fn json_shape_round_trips_nulls() {
-        let mut log = ActionLog::new();
-        let id = log.append(record("adjust"));
-        let j = log.to_json();
-        assert!(j.contains("\"observed\": null"));
-        log.observe(id, 0.4, 60.0, 20.0, true);
-        let j = log.to_json();
-        assert!(j.contains("\"observed\": 0.4"));
-        assert!(j.contains("\"regressed\": true"));
-        assert!(j.contains("\"records\": ["));
     }
 }

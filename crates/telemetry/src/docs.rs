@@ -542,7 +542,7 @@ pub const METRIC_DOCS: &[(&str, &str, &str)] = &[
     (
         "tscout_trace_stage_ns",
         "histogram",
-        "Per-stage virtual latency of traced samples (exemplar TraceIds ride the buckets)",
+        "Per-stage virtual latency of traced samples (each stage's worst visit: ts_stat_pipeline.exemplar_trace_id)",
     ),
     (
         "tscout_traces_completed_total",

@@ -44,6 +44,7 @@ mod profile;
 mod sketch;
 mod spans;
 mod stmt;
+pub mod tables;
 mod timeseries;
 mod trace;
 
@@ -68,6 +69,7 @@ pub use profile::{
 pub use sketch::Sketch;
 pub use spans::{Span, SpanRing, DEFAULT_SPAN_CAPACITY};
 pub use stmt::{StmtEntry, StmtStats, DEFAULT_STMT_CAP};
+pub use tables::{Cell, ColType, Table, TABLES};
 pub use timeseries::{TimeSeries, Window, DEFAULT_WINDOW_CAPACITY};
 pub use trace::{
     FlightRecorderArm, Stage, StageAgg, StageRecord, Trace, TraceId, TraceOutcome, TraceStats,
@@ -271,11 +273,6 @@ impl Telemetry {
         self.lock().observability_tick(now_ns)
     }
 
-    /// JSON export of drift + health state (see [`Registry::health_json`]).
-    pub fn health_json(&self) -> String {
-        self.lock().health_json()
-    }
-
     /// Fold one executed statement into the statement-stats registry
     /// (see [`Registry::stmt_record`]).
     pub fn stmt_record(
@@ -387,11 +384,6 @@ impl Telemetry {
         self.lock().trace_stats()
     }
 
-    /// JSON export of the tracer (see [`Registry::trace_json`]).
-    pub fn trace_json(&self) -> String {
-        self.lock().trace_json()
-    }
-
     /// Arm the on-CRITICAL flight recorder (see
     /// [`Registry::arm_flight_recorder`]).
     pub fn arm_flight_recorder(&self, dir: std::path::PathBuf, fig: &str) {
@@ -420,6 +412,18 @@ impl Telemetry {
         self.lock().flight_record(now_ns, alerts, profile_folded)
     }
 
+    /// Write a flight-recorder bundle for a regressed action-engine
+    /// intervention (see [`Registry::flight_record_action`]).
+    pub fn flight_record_action(
+        &self,
+        now_ns: f64,
+        action_id: u64,
+        profile_folded: &str,
+    ) -> Option<std::path::PathBuf> {
+        self.lock()
+            .flight_record_action(now_ns, action_id, profile_folded)
+    }
+
     /// Append one action record to the action log; returns its assigned
     /// id (see [`ActionLog::append`]).
     pub fn action_append(&self, record: ActionRecord) -> u64 {
@@ -444,23 +448,6 @@ impl Telemetry {
     /// Snapshot of all retained action records (oldest first).
     pub fn actions_snapshot(&self) -> Vec<ActionRecord> {
         self.lock().actions().iter().cloned().collect()
-    }
-
-    /// JSON export of the action log (see [`ActionLog::to_json`]).
-    pub fn actions_json(&self) -> String {
-        self.lock().actions().to_json()
-    }
-
-    /// Write a flight-recorder bundle for a regressed action-engine
-    /// intervention (see [`Registry::flight_record_action`]).
-    pub fn flight_record_action(
-        &self,
-        now_ns: f64,
-        action_id: u64,
-        profile_folded: &str,
-    ) -> Option<std::path::PathBuf> {
-        self.lock()
-            .flight_record_action(now_ns, action_id, profile_folded)
     }
 
     /// Rebaseline every OU's drift channels and zero the sticky score

@@ -438,43 +438,11 @@ impl Registry {
         }
     }
 
-    /// Top-K statement-stats snapshot for the flight recorder: the
-    /// heaviest fingerprints by total actual ns and the worst by rolling
-    /// predicted-vs-actual MAPE, so a CRITICAL bundle carries
-    /// query-level context.
-    fn stmt_json_topk(&self, k: usize) -> String {
-        let entry = |e: &crate::stmt::StmtEntry| {
-            format!(
-                "\n      {{\"fingerprint\": \"{}\", \"calls\": {}, \"total_ns\": {}, \
-                 \"mean_ns\": {}, \"rows\": {}, \"mape_pct\": {}}}",
-                json_escape(&e.fingerprint),
-                e.calls,
-                json_num(e.total_ns),
-                json_num(e.mean_ns()),
-                e.rows,
-                json_num(e.mape_pct()),
-            )
-        };
-        let by_total: Vec<String> = self
-            .stmts
-            .top_by_total_ns(k)
-            .into_iter()
-            .map(entry)
-            .collect();
-        let by_mape: Vec<String> = self.stmts.top_by_mape(k).into_iter().map(entry).collect();
-        format!(
-            "{{\n    \"by_total_ns\": [{}\n    ],\n    \"by_mape_pct\": [{}\n    ]\n  }}",
-            by_total.join(","),
-            by_mape.join(","),
-        )
-    }
-
     /// Turn every trace completion the tracer produced since the last
     /// flush into metrics: per-stage latency histograms
-    /// (`tscout_trace_stage_ns{stage}` — the exemplar TraceIds attached
-    /// to these buckets live in the tracer and export via
-    /// `ts_stat_pipeline` / the trace JSON), outcome counters, and the
-    /// critical-path counter.
+    /// (`tscout_trace_stage_ns{stage}`; the TraceId behind each stage's
+    /// worst visit is `ts_stat_pipeline.exemplar_trace_id`), outcome
+    /// counters, and the critical-path counter.
     fn trace_flush_completions(&mut self) {
         for c in self.tracer.take_pending() {
             self.counter_add(
@@ -604,22 +572,8 @@ impl Registry {
         self.tracer.stats()
     }
 
-    /// Per-stage `(p50, p99)` from the trace latency histograms.
-    fn trace_stage_p50p99(&self, stage: Stage) -> (f64, f64) {
-        self.hist_snapshot("tscout_trace_stage_ns", &[("stage", stage.name())])
-            .map(|s| (s.p50, s.p99))
-            .unwrap_or((0.0, 0.0))
-    }
-
-    /// JSON export of the tracer: stats, per-stage summary (with p50/p99
-    /// from the registry histograms and exemplar TraceIds), and the
-    /// completed-trace ring. Written as `results/trace_<fig>.json`.
-    pub fn trace_json(&self) -> String {
-        self.tracer.to_json(&|s| self.trace_stage_p50p99(s))
-    }
-
-    /// Arm the flight recorder: on any CRITICAL health transition,
-    /// [`Registry::flight_record`] writes an evidence bundle under `dir`.
+    /// Arm the flight recorder: [`Registry::flight_record`] writes its
+    /// evidence bundles under `dir`.
     pub fn arm_flight_recorder(&mut self, dir: std::path::PathBuf, fig: &str) {
         self.flightrec.dir = Some(dir);
         self.flightrec.fig = fig.to_string();
@@ -639,80 +593,58 @@ impl Registry {
     }
 
     /// If armed and `alerts` contains a fired CRITICAL transition, write
-    /// `flightrec_<fig>_<seq>.json` bundling the triggering alerts, the
-    /// trace ring, the alert ring + health state, the full metrics
-    /// snapshot, and the active (folded) profile. Returns the bundle
-    /// path when one was written.
+    /// a flight-recorder bundle whose trigger names those alerts by
+    /// `ts_alerts.seq` and rule. Returns the bundle path when one was
+    /// written.
     pub fn flight_record(
         &mut self,
         now_ns: f64,
         alerts: &[Alert],
         profile_folded: &str,
     ) -> Option<std::path::PathBuf> {
-        let dir = self.flightrec.dir.clone()?;
-        let trig: Vec<&Alert> = alerts
+        let critical: Vec<String> = alerts
             .iter()
             .filter(|a| a.fired() && a.to == HealthState::Critical)
-            .collect();
-        if trig.is_empty() {
-            return None;
-        }
-        self.flightrec.seq += 1;
-        let path = dir.join(format!(
-            "flightrec_{}_{}.json",
-            self.flightrec.fig, self.flightrec.seq
-        ));
-        let trig_json: Vec<String> = trig
-            .iter()
             .map(|a| {
                 format!(
-                    "\n    {{\"rule\": \"{}\", \"subsystem\": \"{}\", \"target\": \"{}\", \
-                     \"at_ns\": {}, \"value\": {}, \"threshold\": {}}}",
-                    json_escape(&a.rule),
-                    json_escape(&a.subsystem),
-                    json_escape(&a.target),
-                    json_num(a.at_ns),
-                    json_num(a.value),
-                    json_num(a.threshold),
+                    "{{\"seq\": {}, \"rule\": \"{}\"}}",
+                    a.seq,
+                    json_escape(&a.rule)
                 )
             })
             .collect();
-        let bundle = format!(
-            "{{\n  \"at_ns\": {},\n  \"fig\": \"{}\",\n  \"seq\": {},\n  \
-             \"triggering_alerts\": [{}\n  ],\n  \"traces\": {},\n  \"health\": {},\n  \
-             \"statements\": {},\n  \
-             \"metrics\": {},\n  \"profile_folded\": \"{}\"\n}}\n",
-            json_num(now_ns),
-            json_escape(&self.flightrec.fig),
-            self.flightrec.seq,
-            trig_json.join(","),
-            self.trace_json().trim_end(),
-            self.health_json().trim_end(),
-            self.stmt_json_topk(5),
-            self.snapshot_json().trim_end(),
-            json_escape(profile_folded),
-        );
-        std::fs::create_dir_all(&dir).ok();
-        if std::fs::write(&path, bundle).is_err() {
+        if critical.is_empty() {
             return None;
         }
-        self.counter_add("ts_flightrec_bundles_total", &[], 1);
-        Some(path)
+        let trigger = format!("{{\"alerts\": [{}]}}", critical.join(", "));
+        self.write_flight_bundle(now_ns, &trigger, profile_folded)
     }
 
     /// If armed, write a flight-recorder bundle for an action-engine
-    /// intervention whose observed outcome regressed its target metric:
-    /// same evidence as [`Registry::flight_record`], but keyed by a
-    /// `triggering_action` object naming the action id instead of a
-    /// CRITICAL alert. Returns the bundle path when one was written.
+    /// intervention whose observed outcome regressed its target metric;
+    /// the trigger names the action by `ts_actions.id`.
     pub fn flight_record_action(
         &mut self,
         now_ns: f64,
         action_id: u64,
         profile_folded: &str,
     ) -> Option<std::path::PathBuf> {
+        self.actions.get(action_id)?;
+        let trigger = format!("{{\"action_id\": {action_id}}}");
+        self.write_flight_bundle(now_ns, &trigger, profile_folded)
+    }
+
+    /// `flightrec_<fig>_<seq>.json`: the trigger (join keys only — the
+    /// evidence is in the tables), every `ts_*` table (see
+    /// [`crate::tables::all_tables_json`]), the full metrics snapshot
+    /// and the active (folded) profile.
+    fn write_flight_bundle(
+        &mut self,
+        now_ns: f64,
+        trigger: &str,
+        profile_folded: &str,
+    ) -> Option<std::path::PathBuf> {
         let dir = self.flightrec.dir.clone()?;
-        let action = self.actions.get(action_id)?.clone();
         self.flightrec.seq += 1;
         let path = dir.join(format!(
             "flightrec_{}_{}.json",
@@ -720,16 +652,12 @@ impl Registry {
         ));
         let bundle = format!(
             "{{\n  \"at_ns\": {},\n  \"fig\": \"{}\",\n  \"seq\": {},\n  \
-             \"triggering_action\": {},\n  \"traces\": {},\n  \"health\": {},\n  \
-             \"statements\": {},\n  \
-             \"metrics\": {},\n  \"profile_folded\": \"{}\"\n}}\n",
+             \"trigger\": {trigger},\n  \"tables\": {},\n  \"metrics\": {},\n  \
+             \"profile_folded\": \"{}\"\n}}\n",
             json_num(now_ns),
             json_escape(&self.flightrec.fig),
             self.flightrec.seq,
-            action.to_json(),
-            self.trace_json().trim_end(),
-            self.health_json().trim_end(),
-            self.stmt_json_topk(5),
+            crate::tables::all_tables_json(self).trim_end(),
             self.snapshot_json().trim_end(),
             json_escape(profile_folded),
         );
@@ -866,73 +794,6 @@ impl Registry {
         self.drift_evaluate();
         self.scrape_window(now_ns);
         self.health_tick(now_ns)
-    }
-
-    /// JSON export of the data-health state: per-subsystem health,
-    /// per-OU drift summary, and the alert ring. Written by the bench
-    /// binaries as `results/health_<fig>.json`.
-    pub fn health_json(&self) -> String {
-        let mut out = String::from("{\n  \"subsystems\": {");
-        let subs: Vec<String> = self
-            .health
-            .subsystem_states()
-            .iter()
-            .map(|(s, st)| format!("\n    \"{}\": \"{}\"", json_escape(s), st.name()))
-            .collect();
-        out.push_str(&subs.join(","));
-        out.push_str(&format!(
-            "\n  }},\n  \"alerts_fired_total\": {},\n  \"health_ticks\": {},\n  \"ous\": {{",
-            self.health.fired_total(),
-            self.health.ticks,
-        ));
-        let ous: Vec<String> = self
-            .drift
-            .iter()
-            .map(|(name, d)| {
-                format!(
-                    "\n    \"{}\": {{\"subsystem\": \"{}\", \"samples\": {}, \
-                     \"drift_score\": {}, \"psi_target\": {}, \"psi_feature\": {}, \
-                     \"ks_target\": {}, \"residual_mape_pct\": {}, \
-                     \"target_p50_ns\": {}, \"target_p99_ns\": {}, \"health\": \"{}\"}}",
-                    json_escape(name),
-                    json_escape(&d.subsystem),
-                    d.samples,
-                    json_num(d.drift_score()),
-                    json_num(d.target.psi()),
-                    json_num(d.feature.psi()),
-                    json_num(d.target.ks()),
-                    json_num(d.residual_mape_pct()),
-                    json_num(d.lifetime.quantile(0.5)),
-                    json_num(d.lifetime.quantile(0.99)),
-                    self.health.state_for_target(name).name(),
-                )
-            })
-            .collect();
-        out.push_str(&ous.join(","));
-        out.push_str("\n  },\n  \"alerts\": [");
-        let alerts: Vec<String> = self
-            .health
-            .alerts()
-            .map(|a| {
-                format!(
-                    "\n    {{\"seq\": {}, \"at_ns\": {}, \"rule\": \"{}\", \
-                     \"subsystem\": \"{}\", \"target\": \"{}\", \"from\": \"{}\", \
-                     \"to\": \"{}\", \"value\": {}, \"threshold\": {}}}",
-                    a.seq,
-                    json_num(a.at_ns),
-                    json_escape(&a.rule),
-                    json_escape(&a.subsystem),
-                    json_escape(&a.target),
-                    a.from.name(),
-                    a.to.name(),
-                    json_num(a.value),
-                    json_num(a.threshold),
-                )
-            })
-            .collect();
-        out.push_str(&alerts.join(","));
-        out.push_str("\n  ]\n}\n");
-        out
     }
 
     /// Merge `other` into `self`: counters add, gauges take the max
@@ -1443,19 +1304,6 @@ mod tests {
     }
 
     #[test]
-    fn health_json_shape() {
-        let mut r = Registry::new();
-        r.observe_ou_sample("ExecSort", "execution_engine", 5.0, 1.0);
-        r.observability_tick(10.0);
-        let j = r.health_json();
-        assert!(j.contains("\"subsystems\""));
-        assert!(j.contains("\"data\": \"OK\""));
-        assert!(j.contains("\"ExecSort\""));
-        assert!(j.contains("\"alerts_fired_total\": 0"));
-        assert!(j.contains("\"alerts\": ["));
-    }
-
-    #[test]
     fn merge_adopts_drift_and_health_only_when_idle() {
         let mut a = Registry::new();
         let mut b = Registry::new();
@@ -1488,7 +1336,6 @@ mod tests {
         assert_eq!(r.gauge_value("db_stmt_fingerprints", &[]), 1.0);
         let e = r.stmts().get("select ?").unwrap();
         assert_eq!(e.calls, 2);
-        assert!(r.stmt_json_topk(3).contains("select ?"));
     }
 
     #[test]

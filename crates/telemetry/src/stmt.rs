@@ -224,24 +224,6 @@ impl StmtStats {
     pub fn get(&self, fingerprint: &str) -> Option<&StmtEntry> {
         self.entries.get(fingerprint)
     }
-
-    /// Top `k` entries by total actual ns, descending (ties break to the
-    /// smaller fingerprint via the stable sort over ordered iteration).
-    pub fn top_by_total_ns(&self, k: usize) -> Vec<&StmtEntry> {
-        let mut v: Vec<&StmtEntry> = self.entries.values().collect();
-        v.sort_by(|a, b| b.total_ns.partial_cmp(&a.total_ns).unwrap());
-        v.truncate(k);
-        v
-    }
-
-    /// Top `k` entries by worst rolling MAPE, descending; entries with
-    /// no predicted calls rank last.
-    pub fn top_by_mape(&self, k: usize) -> Vec<&StmtEntry> {
-        let mut v: Vec<&StmtEntry> = self.entries.values().collect();
-        v.sort_by(|a, b| b.mape_pct().partial_cmp(&a.mape_pct()).unwrap());
-        v.truncate(k);
-        v
-    }
 }
 
 #[cfg(test)]
@@ -299,27 +281,6 @@ mod tests {
         }
         assert!(t.get("b").is_none());
         assert_eq!(t.evicted(), 1);
-    }
-
-    #[test]
-    fn top_k_orders_by_total_and_by_mape() {
-        let mut s = StmtStats::default();
-        s.record("cheap", 10.0, 0, &[("seq_scan", 10.0)], Some(10.0)); // 0% err
-        s.record("hot", 900.0, 0, &[("sort", 300.0)], Some(600.0)); // 100% err
-        s.record("mid", 100.0, 0, &[("agg_build", 100.0)], None);
-        let by_total: Vec<&str> = s
-            .top_by_total_ns(2)
-            .iter()
-            .map(|e| e.fingerprint.as_str())
-            .collect();
-        assert_eq!(by_total, ["hot", "mid"]);
-        let by_mape: Vec<&str> = s
-            .top_by_mape(3)
-            .iter()
-            .map(|e| e.fingerprint.as_str())
-            .collect();
-        assert_eq!(by_mape[0], "hot");
-        assert_eq!(*by_mape.last().unwrap(), "mid"); // unpredicted ranks last
     }
 
     #[test]

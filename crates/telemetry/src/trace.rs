@@ -28,9 +28,6 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-use crate::histogram::{bucket_index, bucket_upper};
-use crate::{json_escape, json_num};
-
 /// Default capacity of the completed-trace ring.
 pub const DEFAULT_TRACE_CAPACITY: usize = 2048;
 
@@ -286,9 +283,6 @@ pub struct Tracer {
     capacity: usize,
     stats: TraceStats,
     stage_aggs: [StageAgg; 8],
-    /// `(stage index, histogram bucket) → (trace id, value)` — the
-    /// exemplar attached to each latency bucket.
-    exemplars: BTreeMap<(usize, usize), (u64, f64)>,
     pending: Vec<Completion>,
 }
 
@@ -306,7 +300,6 @@ impl Default for Tracer {
             capacity: DEFAULT_TRACE_CAPACITY,
             stats: TraceStats::default(),
             stage_aggs: [StageAgg::default(); 8],
-            exemplars: BTreeMap::new(),
             pending: Vec::new(),
         }
     }
@@ -340,13 +333,6 @@ impl Tracer {
     /// Completed traces, oldest first.
     pub fn completed_iter(&self) -> impl Iterator<Item = &Trace> {
         self.completed.iter()
-    }
-
-    /// `(stage, bucket upper bound ns, trace id, value ns)` exemplars.
-    pub fn exemplars(&self) -> impl Iterator<Item = (Stage, f64, TraceId, f64)> + '_ {
-        self.exemplars
-            .iter()
-            .map(|((si, b), (id, v))| (ALL_STAGES[*si], bucket_upper(*b), TraceId(*id), *v))
     }
 
     /// Sampling decision at marker fire time. Returns the id the caller
@@ -564,7 +550,7 @@ impl Tracer {
         }
     }
 
-    /// Terminal bookkeeping: aggregates, exemplars, the completed ring,
+    /// Terminal bookkeeping: aggregates, the completed ring,
     /// and the pending metric event the registry flushes.
     fn finish(&mut self, mut t: Trace, outcome: TraceOutcome) {
         t.outcome = Some(outcome);
@@ -582,9 +568,6 @@ impl Tracer {
                 agg.max_ns = d;
                 agg.max_id = t.id.0;
             }
-            self.exemplars
-                .entry((s.stage.idx(), bucket_index(d)))
-                .or_insert((t.id.0, d));
         }
         if let Some(c) = critical {
             self.stage_aggs[c.idx()].critical += 1;
@@ -604,107 +587,6 @@ impl Tracer {
     /// Completion events since the last flush (registry-internal).
     pub(crate) fn take_pending(&mut self) -> Vec<Completion> {
         std::mem::take(&mut self.pending)
-    }
-
-    /// JSON export of the tracer state: stats, per-stage summary with
-    /// exemplars, and the full completed-trace ring. `p50p99` supplies
-    /// per-stage `(p50, p99)` latency (from the registry histograms).
-    pub fn to_json(&self, p50p99: &dyn Fn(Stage) -> (f64, f64)) -> String {
-        let st = self.stats();
-        let mut out = format!(
-            "{{\n  \"every\": {},\n  \"stats\": {{\"started\": {}, \"completed\": {}, \
-             \"dropped\": {}, \"in_flight\": {}, \"ring_evicted\": {}}},\n  \"stages\": [",
-            self.every, st.started, st.completed, st.dropped, st.in_flight, st.ring_evicted
-        );
-        let stages: Vec<String> = ALL_STAGES
-            .iter()
-            .map(|s| {
-                let a = &self.stage_aggs[s.idx()];
-                let (p50, p99) = p50p99(*s);
-                format!(
-                    "\n    {{\"stage\": \"{}\", \"count\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \
-                     \"max_ns\": {}, \"max_trace_id\": {}, \"avg_queue_depth\": {}, \
-                     \"critical_count\": {}}}",
-                    s.name(),
-                    a.count,
-                    json_num(p50),
-                    json_num(p99),
-                    json_num(a.max_ns),
-                    a.max_id,
-                    json_num(if a.count == 0 {
-                        0.0
-                    } else {
-                        a.queue_sum / a.count as f64
-                    }),
-                    a.critical,
-                )
-            })
-            .collect();
-        out.push_str(&stages.join(","));
-        out.push_str("\n  ],\n  \"exemplars\": [");
-        let ex: Vec<String> = self
-            .exemplars()
-            .map(|(s, upper, id, v)| {
-                format!(
-                    "\n    {{\"stage\": \"{}\", \"bucket_upper_ns\": {}, \"trace_id\": {}, \
-                     \"value_ns\": {}}}",
-                    s.name(),
-                    json_num(upper),
-                    id.0,
-                    json_num(v),
-                )
-            })
-            .collect();
-        out.push_str(&ex.join(","));
-        out.push_str("\n  ],\n  \"traces\": [");
-        let traces: Vec<String> = self
-            .completed
-            .iter()
-            .map(|t| {
-                let stages: Vec<String> = t
-                    .stages
-                    .iter()
-                    .map(|s| {
-                        format!(
-                            "{{\"stage\": \"{}\", \"enter_ns\": {}, \"exit_ns\": {}, \
-                             \"queue_depth\": {}}}",
-                            s.stage.name(),
-                            json_num(s.enter_ns),
-                            json_num(s.exit_ns),
-                            s.queue_depth,
-                        )
-                    })
-                    .collect();
-                format!(
-                    "\n    {{\"id\": {}, \"ou\": {}, \"subsystem\": {}, \"tid\": {}, \
-                     \"started_ns\": {}, \"outcome\": \"{}\", \"fail_reason\": {}, \
-                     \"model_generation\": {}, \"critical_stage\": {}, \"total_ns\": {}, \
-                     \"monotone\": {}, \"stages\": [{}]}}",
-                    t.id.0,
-                    t.ou,
-                    t.subsystem,
-                    t.tid,
-                    json_num(t.started_ns),
-                    t.outcome.map(|o| o.name()).unwrap_or("in_flight"),
-                    t.fail_reason
-                        .as_ref()
-                        .map(|r| format!("\"{}\"", json_escape(r)))
-                        .unwrap_or_else(|| "null".into()),
-                    t.model_generation
-                        .map(|g| g.to_string())
-                        .unwrap_or_else(|| "null".into()),
-                    t.critical_stage()
-                        .map(|(s, _)| format!("\"{}\"", s.name()))
-                        .unwrap_or_else(|| "null".into()),
-                    json_num(t.total_ns()),
-                    t.timestamps_monotone(),
-                    stages.join(", "),
-                )
-            })
-            .collect();
-        out.push_str(&traces.join(","));
-        out.push_str("\n  ]\n}\n");
-        out
     }
 }
 
@@ -837,27 +719,5 @@ mod tests {
             .1;
         assert_eq!(ring_agg.critical, 1);
         assert_eq!(ring_agg.max_id, tr.id.0);
-    }
-
-    #[test]
-    fn json_export_is_shaped() {
-        let mut t = Tracer::default();
-        t.set_every(1);
-        let id = traced(&mut t);
-        t.on_publish(id, 200.0, 1);
-        assert!(t.on_consume(3, 40, 300.0, 301.0, 320.0, 0, true));
-        let j = t.to_json(&|_| (1.0, 2.0));
-        for needle in [
-            "\"stats\"",
-            "\"started\": 1",
-            "\"completed\": 1",
-            "\"stages\"",
-            "\"exemplars\"",
-            "\"traces\"",
-            "\"outcome\": \"delivered\"",
-            "\"monotone\": true",
-        ] {
-            assert!(j.contains(needle), "missing {needle} in {j}");
-        }
     }
 }

@@ -591,9 +591,9 @@ fn run_inner(
                             * stmt_delta,
                 );
                 let alerts = kernel.telemetry.observability_tick(now);
-                // Flight recorder: a CRITICAL transition snapshots the
-                // trace ring, alert history, metrics, and active profile
-                // into an on-disk evidence bundle.
+                // Flight recorder: a CRITICAL transition snapshots every
+                // `ts_*` table, the metrics, and the active profile into
+                // an on-disk evidence bundle.
                 if !alerts.is_empty() && kernel.telemetry.flight_recorder_armed() {
                     let folded = kernel.profiler.folded_text();
                     kernel.telemetry.flight_record(now, &alerts, &folded);

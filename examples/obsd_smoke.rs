@@ -148,6 +148,26 @@ fn main() {
     let alerts = Json::parse(&body).expect("alerts JSON");
     assert!(alerts.get("columns").is_some(), "{body}");
 
+    // The archive table's endpoint agrees with the archive's counters.
+    let (status, body) = client::get(&addr, "/api/v1/archive").expect("archive");
+    assert_eq!(status, 200, "{body}");
+    let archive = Json::parse(&body).expect("archive JSON");
+    let appended: f64 = archive
+        .column("samples_appended")
+        .expect("ts_stat_archive has samples_appended")
+        .iter()
+        .filter_map(|cell| cell.as_f64())
+        .sum();
+    let appended_registry = db
+        .kernel
+        .telemetry
+        .counter_total("archive_ou_samples_appended_total");
+    assert!(appended_registry > 0, "the run must archive samples");
+    assert_eq!(
+        appended as u64, appended_registry,
+        "/api/v1/archive disagrees with the registry"
+    );
+
     // SQL/registry agreement: the read-only endpoint must see exactly
     // the rows the registry's virtual tables hold.
     let expected_samples: i64 =

@@ -24,6 +24,7 @@ use tscout_suite::kernel::{HardwareProfile, Kernel};
 use tscout_suite::models::ModelKind;
 use tscout_suite::noisetap::engine::StatementId;
 use tscout_suite::noisetap::{Database, Value};
+use tscout_suite::obsd::json::Json;
 use tscout_suite::rng::RngExt;
 use tscout_suite::tscout::{CollectionMode, TScout, TsConfig, ALL_SUBSYSTEMS};
 use tscout_suite::workloads::driver::{
@@ -243,12 +244,24 @@ fn drift_critical_triggers_retrain_and_health_recovers() {
         })
         .collect();
     assert!(!bundles.is_empty(), "no flight bundle written");
-    let action_bundle = bundles.iter().find(|p| {
-        let text = std::fs::read_to_string(p).unwrap_or_default();
-        text.contains("\"triggering_action\"") && text.contains("\"kind\": \"trigger_retrain\"")
-    });
+    // A bundle names the action when its trigger's action_id joins to a
+    // row of the bundle's own ts_actions table.
+    let names_the_retrain = |path: &std::path::PathBuf| {
+        let text = std::fs::read_to_string(path).unwrap();
+        let doc = Json::parse(&text).expect("bundle is JSON");
+        let Some(id) = doc.get("trigger").and_then(|t| t.get("action_id")) else {
+            return false;
+        };
+        let actions = doc.get("tables").and_then(|t| t.get("ts_actions"));
+        let actions = actions.expect("bundle carries ts_actions");
+        let ids = actions.column("id").unwrap();
+        let kinds = actions.column("kind").unwrap();
+        ids.iter()
+            .zip(kinds)
+            .any(|(row_id, kind)| *row_id == id && kind.as_str() == Some("trigger_retrain"))
+    };
     assert!(
-        action_bundle.is_some(),
+        bundles.iter().any(names_the_retrain),
         "no flight bundle names the regressed retrain action"
     );
 

@@ -8,6 +8,9 @@
 //! 2. **Driver wiring** — `RunOptions::obsd` starts the daemon on an
 //!    ephemeral port, writes the bound address to the configured file,
 //!    and serves live requests for the duration of the run.
+//! 3. **One contract across surfaces** — every `ts_*` table renders the
+//!    same columns and rows through its declaration, its obsd endpoint
+//!    and SQL.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -17,7 +20,9 @@ use tscout_suite::archive::ArchiveOptions;
 use tscout_suite::kernel::{HardwareProfile, Kernel};
 use tscout_suite::models::ModelKind;
 use tscout_suite::noisetap::Database;
+use tscout_suite::obsd::json::Json;
 use tscout_suite::obsd::{client, ObsdConfig, ObsdServer};
+use tscout_suite::telemetry::{ActionRecord, ActionState, Rule, Selector, TABLES};
 use tscout_suite::tscout::{CollectionMode, TsConfig, ALL_SUBSYSTEMS};
 use tscout_suite::workloads::{run_with_lifecycle, ModelLifecycle, RunOptions, Ycsb};
 
@@ -42,6 +47,9 @@ fn collected_db(seed: u64) -> (Database, Ycsb) {
     for s in ALL_SUBSYSTEMS {
         db.tscout_mut().unwrap().set_sampling_rate(s, 100);
     }
+    // Lineage tracing on (clock-neutral, and on in both arms of the
+    // bit-identity test), so the trace tables have rows to compare.
+    db.kernel.telemetry.trace_set_every(8);
     (db, w)
 }
 
@@ -170,6 +178,93 @@ fn hammered_run_archives_bit_identical_samples() {
     }
     std::fs::remove_dir_all(&off_dir).ok();
     std::fs::remove_dir_all(&on_dir).ok();
+}
+
+#[test]
+fn every_table_renders_the_same_rows_on_every_surface() {
+    let dir = temp_dir("surfaces");
+    let (db, _) = collected_run(&dir, 0x0B5F, false);
+    let t = &db.kernel.telemetry;
+    // The run leaves the action log and (usually) the alert ring empty;
+    // give both rows, the action's observed columns NULL.
+    t.action_append(ActionRecord {
+        id: 0,
+        kind: "trigger_retrain".into(),
+        policy: "retrain_on_drift".into(),
+        target: "data".into(),
+        detail: "line one\nline \"two\"".into(),
+        state: ActionState::Pending,
+        dry_run: true,
+        planned_at_ns: 1e6,
+        observe_at_ns: 41e6,
+        metric: "ts_health_state{subsystem=\"data\"}".into(),
+        value_before: 2.0,
+        predicted: 0.0,
+        observed: None,
+        observed_at_ns: None,
+        err_pct: None,
+        regressed: false,
+        model_generation: 1,
+    });
+    t.with_registry(|r| {
+        r.gauge_set("bad_signal", &[], 10.0);
+        r.health_mut().add_rule(Rule {
+            name: "bad_signal_high".into(),
+            subsystem: "data".into(),
+            selector: Selector::Gauge("bad_signal".into()),
+            per_label: None,
+            warn: 1.0,
+            crit: 5.0,
+            raise_ticks: 1,
+            clear_ticks: 2,
+        });
+    });
+    t.observability_tick(500e6);
+
+    // The registry is quiescent now: one snapshot is what every surface
+    // must render.
+    let snap = t.with_registry(|r| r.clone());
+    let srv = ObsdServer::start(ObsdConfig::default(), t.clone()).unwrap();
+    let addr = srv.addr().to_string();
+    let mut populated = 0;
+    for table in TABLES {
+        let name = table.name;
+        // (a) The declaration: every row is as wide as its columns.
+        let rows = (table.rows)(&snap);
+        for row in &rows {
+            assert_eq!(row.len(), table.columns.len(), "row width in {name}");
+        }
+        populated += usize::from(!rows.is_empty());
+        let declared = Json::parse(&table.to_json(&snap)).unwrap();
+        assert_eq!(declared.get("table").unwrap().as_str(), Some(name));
+        let columns: Vec<Json> = table
+            .columns
+            .iter()
+            .map(|(column, _)| Json::Str(column.to_string()))
+            .collect();
+        assert_eq!(declared.get("columns"), Some(&Json::Arr(columns)));
+
+        // (b) The obsd endpoint serves exactly that document.
+        let (status, body) = client::get(&addr, &format!("/api/v1/{}", table.api_key)).unwrap();
+        assert_eq!(status, 200, "GET /api/v1/{}: {body}", table.api_key);
+        assert_eq!(Json::parse(&body).unwrap(), declared, "endpoint of {name}");
+
+        // (c) SQL returns the same columns and rows.
+        let (status, body) =
+            client::post(&addr, "/api/v1/sql", &format!("SELECT * FROM {name}")).unwrap();
+        assert_eq!(status, 200, "SELECT * FROM {name}: {body}");
+        let sql = Json::parse(&body).unwrap();
+        for member in ["columns", "rows"] {
+            assert_eq!(sql.get(member), declared.get(member), "{member} of {name}");
+        }
+    }
+    assert_eq!(
+        populated,
+        TABLES.len(),
+        "every table must have rows to compare"
+    );
+    srv.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
