@@ -29,9 +29,10 @@ cargo build --workspace --release
 echo "== cargo test =="
 cargo test --workspace -q
 
-echo "== allocation budget of the sample path (release: the build tsbench measures) =="
+echo "== allocation budgets: sample path, archive read side (release: the build tsbench measures) =="
 # 0 allocations per marker triple, sampled or not; at most the owned
-# TrainingPoint's 4 per drained record.
+# TrainingPoint's 4 per drained record; a column scan O(blocks), and
+# datasets_from_archive one per point + O(blocks).
 cargo test -q --release --test alloc_budget
 
 # Everything below writes its artifacts here, never into results/.

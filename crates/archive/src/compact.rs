@@ -21,7 +21,7 @@ use std::fs::OpenOptions;
 use std::io::Write;
 
 use crate::segment::{
-    decode_block, encode_block, encode_footer, read_frame, write_frame, BlockMeta, OuEntry,
+    encode_footer, read_frame, write_frame, BlockMeta, ColumnBatch, OuEntry, Projection,
     FRAME_BLOCK, FRAME_FOOTER, HEADER_LEN, MAGIC, VERSION,
 };
 use crate::store::SegmentMeta;
@@ -87,27 +87,32 @@ impl Archive {
 
     /// Merge `segments[..run]` into one segment, applying retention.
     fn compact_run(&mut self, run: usize) -> Result<bool, ArchiveError> {
-        // Gather per-OU sample streams from the run, oldest first.
-        let mut per_ou: BTreeMap<u16, (OuEntry, Vec<crate::Sample>)> = BTreeMap::new();
+        // Gather per-OU rows from the run, oldest first, as columns:
+        // `(rows, leading rows retention retires)`.
+        let mut per_ou: BTreeMap<u16, (ColumnBatch, usize)> = BTreeMap::new();
+        let (mut payload, mut block) = (Vec::new(), ColumnBatch::default());
         for seg in &self.segments[..run] {
             let mut f = std::fs::File::open(&seg.path)?;
             for b in &seg.blocks {
-                let Some((_, payload, _)) = read_frame(&mut f, b.offset, seg.bytes)? else {
+                if read_frame(&mut f, b.offset, seg.bytes, &mut payload)?.is_none() {
                     return Err(ArchiveError::Corrupt(format!(
                         "block at {} in {} vanished under compaction",
                         b.offset,
                         seg.path.display()
                     )));
-                };
-                let Some((ou, samples)) = decode_block(&payload) else {
+                }
+                if block.decode(&payload, Projection::ALL).is_none() {
                     return Err(ArchiveError::Corrupt(format!(
                         "undecodable block at {} in {}",
                         b.offset,
                         seg.path.display()
                     )));
-                };
-                let e = per_ou.entry(ou.ou).or_insert_with(|| (ou, Vec::new()));
-                e.1.extend(samples);
+                }
+                per_ou
+                    .entry(block.ou().ou)
+                    .or_insert_with(|| (ColumnBatch::for_ou(block.ou().clone()), 0))
+                    .0
+                    .extend_from(&block);
             }
         }
 
@@ -125,17 +130,16 @@ impl Archive {
                 *newer.entry(ou).or_default() += n;
             }
             let mut retired = 0u64;
-            for (ou, (entry, samples)) in &mut per_ou {
+            for (ou, (rows, drop_n)) in &mut per_ou {
                 let elsewhere = newer.get(ou).copied().unwrap_or(0);
                 let keep = self.opts.retention_per_ou.saturating_sub(elsewhere);
-                if samples.len() > keep {
-                    let drop_n = samples.len() - keep;
-                    samples.drain(..drop_n);
-                    retired += drop_n as u64;
+                if rows.len() > keep {
+                    *drop_n = rows.len() - keep;
+                    retired += *drop_n as u64;
                     self.telemetry.counter_add(
                         "archive_ou_samples_retired_total",
-                        &[("ou", &entry.name)],
-                        drop_n as u64,
+                        &[("ou", &rows.ou().name)],
+                        *drop_n as u64,
                     );
                 }
             }
@@ -144,7 +148,7 @@ impl Archive {
                     .counter_add("archive_samples_retired_total", &[], retired);
             }
         }
-        per_ou.retain(|_, (_, v)| !v.is_empty());
+        per_ou.retain(|_, (rows, drop_n)| rows.len() > *drop_n);
 
         let first = &self.segments[0];
         let (first_seq, first_path) = (first.seq, first.path.clone());
@@ -176,21 +180,13 @@ impl Archive {
         let mut offset = HEADER_LEN;
         let mut blocks: Vec<BlockMeta> = Vec::new();
         let mut ous: Vec<OuEntry> = Vec::new();
-        for (ou, samples) in per_ou.values() {
-            for part in samples.chunks(chunk) {
-                let payload = encode_block(ou.ou, ou.subsystem, &ou.name, part);
-                let frame_len = write_frame(&mut f, FRAME_BLOCK, &payload)?;
-                blocks.push(BlockMeta {
-                    offset,
-                    payload_len: payload.len() as u32,
-                    ou: ou.ou,
-                    count: part.len() as u64,
-                    min_start_ns: part.iter().map(|s| s.start_ns).min().unwrap_or(0),
-                    max_start_ns: part.iter().map(|s| s.start_ns).max().unwrap_or(0),
-                });
-                offset += frame_len;
+        for (rows, drop_n) in per_ou.values() {
+            for part in rows.chunks(*drop_n, chunk) {
+                let payload = part.encode();
+                blocks.push(part.meta(offset, payload.len()));
+                offset += write_frame(&mut f, FRAME_BLOCK, &payload)?;
             }
-            ous.push(ou.clone());
+            ous.push(rows.ou().clone());
         }
         let footer = encode_footer(&ous, &blocks);
         offset += write_frame(&mut f, FRAME_FOOTER, &footer)?;

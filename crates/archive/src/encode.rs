@@ -17,7 +17,8 @@
 //!   few bits.
 //!
 //! Both are self-describing (`tag`, value count, byte length) so a block
-//! decoder never reads past its column.
+//! decoder never reads past its column, and steps over a column it was
+//! not asked for without decoding it.
 
 /// Append `v` as a LEB128 varint.
 pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
@@ -80,9 +81,14 @@ fn encode_delta(values: &[u64]) -> Vec<u8> {
     out
 }
 
-fn decode_delta(buf: &[u8], n: usize) -> Option<Vec<u64>> {
+fn decode_delta(buf: &[u8], n: usize, out: &mut Vec<u64>) -> Option<()> {
+    // Every value takes at least one byte, so a count beyond the payload
+    // is corrupt — checked before reserving for it.
+    if n > buf.len() {
+        return None;
+    }
+    out.reserve(n);
     let mut pos = 0usize;
-    let mut out = Vec::with_capacity(n);
     let mut prev = 0u64;
     for _ in 0..n {
         let d = unzigzag(get_varint(buf, &mut pos)?);
@@ -92,7 +98,7 @@ fn decode_delta(buf: &[u8], n: usize) -> Option<Vec<u64>> {
     if pos != buf.len() {
         return None; // trailing garbage: corrupt column
     }
-    Some(out)
+    Some(())
 }
 
 /// Encode the payload for tag 1 (frame-of-reference bit-packing):
@@ -124,7 +130,7 @@ fn encode_packed(values: &[u64]) -> Vec<u8> {
     out
 }
 
-fn decode_packed(buf: &[u8], n: usize) -> Option<Vec<u64>> {
+fn decode_packed(buf: &[u8], n: usize, out: &mut Vec<u64>) -> Option<()> {
     let mut pos = 0usize;
     let min = get_varint(buf, &mut pos)?;
     let width = *buf.get(pos)? as u32;
@@ -132,30 +138,41 @@ fn decode_packed(buf: &[u8], n: usize) -> Option<Vec<u64>> {
     if width > 64 {
         return None;
     }
-    let needed = (n as u64 * width as u64).div_ceil(8) as usize;
-    if buf.len() != pos + needed {
+    let needed = (n as u64 * width as u64).div_ceil(8);
+    if (buf.len() - pos) as u64 != needed {
         return None;
     }
-    let mut out = Vec::with_capacity(n);
-    let mut acc = 0u128;
-    let mut acc_bits = 0u32;
-    for _ in 0..n {
-        while acc_bits < width {
-            acc |= (buf[pos] as u128) << acc_bits;
-            pos += 1;
-            acc_bits += 8;
-        }
-        let mask = if width == 64 {
-            u64::MAX
-        } else {
-            (1u64 << width) - 1
+    if width == 0 {
+        out.resize(n, min);
+        return Some(());
+    }
+    out.reserve(n);
+    let packed = &buf[pos..];
+    let mask = u64::MAX >> (64 - width);
+    for i in 0..n {
+        let bit = i * width as usize;
+        let (byte, shift) = (bit >> 3, bit & 7);
+        let raw = match packed.get(byte..byte + 8) {
+            // A value of up to 57 bits starting within the first byte
+            // lies inside one unaligned little-endian word.
+            Some(word) if width <= 57 => {
+                let word = u64::from_le_bytes(word.try_into().expect("8-byte slice"));
+                (word >> shift) & mask
+            }
+            // Wider values, and the last few of the column: gather the
+            // bytes the value spans (`needed` above says they exist).
+            _ => {
+                let spanned = &packed[byte..(bit + width as usize).div_ceil(8)];
+                let wide = spanned
+                    .iter()
+                    .rev()
+                    .fold(0u128, |acc, &b| (acc << 8) | b as u128);
+                (wide >> shift) as u64 & mask
+            }
         };
-        let raw = (acc & mask as u128) as u64;
-        acc >>= width;
-        acc_bits -= width;
         out.push(min.checked_add(raw)?);
     }
-    Some(out)
+    Some(())
 }
 
 /// Append one self-describing column: `u8 tag`, `varint n`,
@@ -174,27 +191,47 @@ pub fn put_column(out: &mut Vec<u8>, values: &[u64]) {
     out.extend_from_slice(&payload);
 }
 
-/// Decode one column at `*pos`, advancing past it. `None` on any
-/// structural inconsistency (the caller treats the block as corrupt).
-pub fn get_column(buf: &[u8], pos: &mut usize) -> Option<Vec<u64>> {
-    let tag = *buf.get(*pos)?;
-    *pos += 1;
-    let n = get_varint(buf, pos)? as usize;
-    let len = get_varint(buf, pos)? as usize;
-    let payload = buf.get(*pos..*pos + len)?;
-    *pos += len;
+/// One column's self-description at `*pos`: `(tag, value count,
+/// payload)`, with `*pos` advanced past the payload. `None` when the
+/// tag is unknown, the count is beyond any real block, or the byte
+/// length runs off the buffer (an adversarial length must not overflow
+/// the offset arithmetic).
+fn column_header<'a>(buf: &'a [u8], pos: &mut usize) -> Option<(u8, usize, &'a [u8])> {
     // Bound the decode allocation: a corrupt count must not OOM us. A
     // constant (width-0) column is legitimately tiny, so the cap is a
     // hard value count, far above any real block.
-    const MAX_COLUMN_VALUES: usize = 1 << 24;
-    if n > MAX_COLUMN_VALUES {
+    const MAX_COLUMN_VALUES: u64 = 1 << 24;
+    let tag = *buf.get(*pos)?;
+    *pos += 1;
+    let n = get_varint(buf, pos)?;
+    let len = usize::try_from(get_varint(buf, pos)?).ok()?;
+    let end = pos.checked_add(len)?;
+    let payload = buf.get(*pos..end)?;
+    *pos = end;
+    if tag > 1 || n > MAX_COLUMN_VALUES {
         return None;
     }
+    Some((tag, n as usize, payload))
+}
+
+/// Decode one column at `*pos` into `out` (cleared first, capacity
+/// kept), advancing past it. `None` on any structural inconsistency (the
+/// caller treats the block as corrupt); `out` is then unspecified.
+pub fn get_column(buf: &[u8], pos: &mut usize, out: &mut Vec<u64>) -> Option<()> {
+    let (tag, n, payload) = column_header(buf, pos)?;
+    out.clear();
     match tag {
-        0 => decode_delta(payload, n),
-        1 => decode_packed(payload, n),
-        _ => None,
+        0 => decode_delta(payload, n, out),
+        _ => decode_packed(payload, n, out),
     }
+}
+
+/// Step over one column at `*pos` by its self-described byte length
+/// without decoding its values; returns its value count. The header is
+/// checked as [`get_column`] checks it; the payload's bytes are covered
+/// by the frame CRC only.
+pub fn skip_column(buf: &[u8], pos: &mut usize) -> Option<usize> {
+    column_header(buf, pos).map(|(_, n, _)| n)
 }
 
 #[cfg(test)]
@@ -205,8 +242,12 @@ mod tests {
         let mut buf = Vec::new();
         put_column(&mut buf, values);
         let mut pos = 0;
-        let back = get_column(&buf, &mut pos).expect("decode failed");
+        let mut back = vec![99]; // stale contents must not survive
+        get_column(&buf, &mut pos, &mut back).expect("decode failed");
         assert_eq!(back, values);
+        assert_eq!(pos, buf.len());
+        let mut pos = 0;
+        assert_eq!(skip_column(&buf, &mut pos), Some(values.len()));
         assert_eq!(pos, buf.len());
     }
 
@@ -264,8 +305,39 @@ mod tests {
         put_column(&mut buf, &values);
         // 2 bits/value = 1024 bytes + tiny header.
         assert!(buf.len() < 1_100, "2-bit column took {} bytes", buf.len());
-        let mut pos = 0;
-        assert_eq!(get_column(&buf, &mut pos).unwrap(), values);
+        let mut back = Vec::new();
+        get_column(&buf, &mut 0, &mut back).unwrap();
+        assert_eq!(back, values);
+    }
+
+    #[test]
+    fn packed_codec_round_trips_every_width_and_tail_length() {
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            // xorshift64: seeded, reproducible.
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut back = Vec::new();
+        for width in 0..=64u32 {
+            let mask = u64::MAX.checked_shr(64 - width).unwrap_or(0);
+            for n in [1usize, 2, 3, 7, 8, 9, 15, 16, 17, 63, 64, 65, 300] {
+                // Offset so `min` is not 0; the first two values pin the
+                // column's range to exactly `width` bits.
+                let base = if width == 64 { 0 } else { 1_000 };
+                let mut values: Vec<u64> = (0..n).map(|_| base + (next() & mask)).collect();
+                values[0] = base;
+                if n > 1 {
+                    values[1] = base + mask;
+                }
+                let buf = encode_packed(&values);
+                back.clear();
+                decode_packed(&buf, n, &mut back).expect("decode failed");
+                assert_eq!(back, values, "width {width}, n {n}");
+            }
+        }
     }
 
     #[test]
@@ -275,8 +347,38 @@ mod tests {
         // Bad tag.
         let mut bad = buf.clone();
         bad[0] = 9;
-        assert!(get_column(&bad, &mut 0).is_none());
+        let mut out = Vec::new();
+        assert!(get_column(&bad, &mut 0, &mut out).is_none());
+        assert!(skip_column(&bad, &mut 0).is_none());
         // Truncated payload.
-        assert!(get_column(&buf[..buf.len() - 1], &mut 0).is_none());
+        assert!(get_column(&buf[..buf.len() - 1], &mut 0, &mut out).is_none());
+        assert!(skip_column(&buf[..buf.len() - 1], &mut 0).is_none());
+    }
+
+    #[test]
+    fn hostile_lengths_fail_closed_instead_of_overflowing() {
+        let mut out = Vec::new();
+        for tag in [0u8, 1] {
+            // byte_len = u64::MAX: `pos + len` must not be computed unchecked.
+            let mut buf = vec![tag];
+            put_varint(&mut buf, 3);
+            put_varint(&mut buf, u64::MAX);
+            buf.extend_from_slice(&[1, 2, 3]);
+            assert!(get_column(&buf, &mut 0, &mut out).is_none());
+            assert!(skip_column(&buf, &mut 0).is_none());
+            // A count far beyond the payload must not be allocated for.
+            let mut buf = vec![tag];
+            put_varint(&mut buf, u64::MAX);
+            put_varint(&mut buf, 3);
+            buf.extend_from_slice(&[1, 2, 3]);
+            assert!(get_column(&buf, &mut 0, &mut out).is_none());
+            assert!(skip_column(&buf, &mut 0).is_none());
+        }
+        // Packed: a width whose bit count disagrees with the payload.
+        let mut buf = vec![1u8];
+        put_varint(&mut buf, 1 << 20);
+        put_varint(&mut buf, 2);
+        buf.extend_from_slice(&[0, 64]);
+        assert!(get_column(&buf, &mut 0, &mut out).is_none());
     }
 }

@@ -19,8 +19,12 @@
 //! * **Recovery**: opening a directory tolerates torn/truncated tails —
 //!   the file is truncated back to its last CRC-valid frame and the
 //!   event is counted in `archive_recovered_truncations_total`.
-//! * **Scans** stream samples back block-by-block (never materializing
-//!   the archive) and reconstruct them **bit-identically**, floats
+//! * **Scans** stream the archive back block-by-block (never
+//!   materializing it) as [`ColumnBatch`]es — one block decoder
+//!   ([`ColumnBatch::decode`]) refilling one reused set of column
+//!   buffers with the columns a [`Projection`] names. Training reads
+//!   those columns directly; [`Archive::scan_ou`] / [`Archive::scan_all`]
+//!   turn the rows back into [`Sample`]s **bit-identically**, floats
 //!   included (`f64::to_bits` round-trip).
 //!
 //! Everything is hand-rolled on `std` only; the workspace builds fully
@@ -35,8 +39,8 @@ mod segment;
 mod store;
 
 pub use crc32::crc32;
-pub use segment::{BlockMeta, OuEntry};
-pub use store::{Archive, ArchiveStats, SampleScan};
+pub use segment::{BlockMeta, ColumnBatch, OuEntry, Projection, VarColumn};
+pub use store::{Archive, ArchiveStats, BatchScan, SampleScan};
 
 /// One archived training sample — the Processor's decoded
 /// `TrainingPoint` plus its query-template tag (0 = untagged /

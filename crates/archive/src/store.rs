@@ -6,11 +6,11 @@ use std::io::{Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use tscout_telemetry::Telemetry;
+use tscout_telemetry::{CounterSite, CounterVec, GaugeSite, HistSite, Telemetry};
 
 use crate::segment::{
-    decode_block, decode_footer, encode_block, encode_footer, read_frame, write_frame, BlockMeta,
-    OuEntry, FRAME_BLOCK, FRAME_FOOTER, HEADER_LEN, MAGIC, VERSION,
+    decode_footer, encode_footer, read_frame, write_frame, BlockMeta, ColumnBatch, OuEntry,
+    Projection, FRAME_BLOCK, FRAME_FOOTER, HEADER_LEN, MAGIC, VERSION,
 };
 use crate::{ArchiveError, ArchiveOptions, Sample};
 
@@ -46,14 +46,45 @@ pub struct ArchiveStats {
     pub bytes: u64,
 }
 
+/// The write path's metrics, declared once (see
+/// [`tscout_telemetry::Site`]): each series registers on first use, the
+/// per-OU families indexed by OU id.
+#[derive(Debug)]
+struct ArchiveMetrics {
+    appended: CounterSite,
+    ou_appended: CounterVec,
+    buffered: GaugeSite,
+    bytes_written: CounterSite,
+    ou_blocks: CounterVec,
+    ou_bytes_written: CounterVec,
+    flush_ns: HistSite,
+}
+
+impl ArchiveMetrics {
+    fn new() -> Self {
+        ArchiveMetrics {
+            appended: CounterSite::new("archive_samples_appended_total", &[]),
+            ou_appended: CounterVec::new("archive_ou_samples_appended_total", "ou"),
+            buffered: GaugeSite::new("archive_buffered_samples", &[]),
+            bytes_written: CounterSite::new("archive_bytes_written_total", &[]),
+            ou_blocks: CounterVec::new("archive_ou_blocks_total", "ou"),
+            ou_bytes_written: CounterVec::new("archive_ou_bytes_written_total", "ou"),
+            flush_ns: HistSite::new("archive_flush_ns", &[]),
+        }
+    }
+}
+
 /// The append-only, segmented, columnar per-OU sample store.
 #[derive(Debug)]
 pub struct Archive {
     pub(crate) dir: PathBuf,
     pub(crate) opts: ArchiveOptions,
     pub telemetry: Telemetry,
+    /// Boxed so an `Archive` stays small enough to be held by value in
+    /// an enum next to much smaller variants (`tscout::Sink`).
+    metrics: Box<ArchiveMetrics>,
     /// Per-OU write buffers, keyed by OU id.
-    memtables: BTreeMap<u16, (OuEntry, Vec<Sample>)>,
+    memtables: BTreeMap<u16, ColumnBatch>,
     buffered: usize,
     pub(crate) segments: Vec<SegmentMeta>,
     /// Open handle for the unsealed last segment, if any.
@@ -105,6 +136,7 @@ impl Archive {
             dir,
             opts,
             telemetry,
+            metrics: Box::new(ArchiveMetrics::new()),
             memtables: BTreeMap::new(),
             buffered: 0,
             segments: Vec::new(),
@@ -113,8 +145,9 @@ impl Archive {
             compaction_hold: false,
             compaction_requested: false,
         };
+        let (mut payload, mut block) = (Vec::new(), ColumnBatch::default());
         for (seq, path) in paths {
-            if let Some(meta) = archive.recover_segment(seq, &path)? {
+            if let Some(meta) = archive.recover_segment(seq, &path, &mut payload, &mut block)? {
                 archive.segments.push(meta);
             }
         }
@@ -127,11 +160,16 @@ impl Archive {
     /// Scan one segment file frame-by-frame, truncating at the first
     /// invalid frame. Returns `None` (file deleted) if nothing valid
     /// remains. Any recovered unsealed segment is resealed so that all
-    /// on-disk segments are immutable after open.
+    /// on-disk segments are immutable after open. Every block is decoded
+    /// in full into `block` (scratch, like `payload`, reused from segment
+    /// to segment), so the manifest lists only blocks a scan under any
+    /// projection can decode.
     fn recover_segment(
         &mut self,
         seq: u64,
         path: &Path,
+        payload: &mut Vec<u8>,
+        block: &mut ColumnBatch,
     ) -> Result<Option<SegmentMeta>, ArchiveError> {
         let mut f = OpenOptions::new().read(true).write(true).open(path)?;
         let file_len = f.metadata()?.len();
@@ -152,27 +190,20 @@ impl Archive {
         if header_ok {
             valid_to = HEADER_LEN;
             let mut offset = HEADER_LEN;
-            while let Some((kind, payload, next)) = read_frame(&mut f, offset, file_len)? {
+            while let Some((kind, next)) = read_frame(&mut f, offset, file_len, payload)? {
                 match kind {
                     FRAME_BLOCK => {
-                        let Some((ou, samples)) = decode_block(&payload) else {
+                        if block.decode(payload, Projection::ALL).is_none() {
                             break; // CRC-valid but undecodable: stop here
-                        };
-                        blocks.push(BlockMeta {
-                            offset,
-                            payload_len: payload.len() as u32,
-                            ou: ou.ou,
-                            count: samples.len() as u64,
-                            min_start_ns: samples.iter().map(|s| s.start_ns).min().unwrap_or(0),
-                            max_start_ns: samples.iter().map(|s| s.start_ns).max().unwrap_or(0),
-                        });
-                        if !ous.iter().any(|o| o.ou == ou.ou) {
-                            ous.push(ou);
+                        }
+                        blocks.push(block.meta(offset, payload.len()));
+                        if !ous.iter().any(|o| o.ou == block.ou().ou) {
+                            ous.push(block.ou().clone());
                         }
                         footer_at_end = false;
                     }
                     _ => {
-                        if decode_footer(&payload).is_none() {
+                        if decode_footer(payload).is_none() {
                             break;
                         }
                         // The manifest is advisory; the frame scan above is
@@ -223,32 +254,29 @@ impl Archive {
     pub fn append(&mut self, sample: Sample) -> Result<(), ArchiveError> {
         let ou = sample.ou;
         let mt = self.memtables.entry(ou).or_insert_with(|| {
-            (
-                OuEntry {
-                    ou,
-                    subsystem: sample.subsystem,
-                    name: sample.ou_name.clone(),
-                },
-                Vec::new(),
-            )
+            ColumnBatch::for_ou(OuEntry {
+                ou,
+                subsystem: sample.subsystem,
+                name: sample.ou_name.clone(),
+            })
         });
-        let ou_name = mt.0.name.clone();
-        mt.1.push(sample);
-        let mt_len = mt.1.len();
+        mt.push(&sample);
+        let mt_len = mt.len();
         self.buffered += 1;
-        self.telemetry
-            .counter_inc("archive_samples_appended_total", &[]);
-        self.telemetry
-            .counter_inc("archive_ou_samples_appended_total", &[("ou", &ou_name)]);
-        self.telemetry
-            .gauge_add("archive_buffered_samples", &[], 1.0);
+        let t = &self.telemetry;
+        self.metrics.appended.get(t).inc();
+        self.metrics
+            .ou_appended
+            .at(t, ou as usize, || &mt.ou().name)
+            .inc();
+        self.metrics.buffered.get(t).add(1.0);
         let full_ou = if mt_len >= self.opts.memtable_flush_samples {
             Some(ou)
         } else if self.buffered > self.opts.max_buffered_samples {
             // Global bound: evict the largest memtable.
             self.memtables
                 .iter()
-                .max_by_key(|(_, (_, v))| v.len())
+                .max_by_key(|(_, mt)| mt.len())
                 .map(|(ou, _)| *ou)
         } else {
             None
@@ -261,46 +289,37 @@ impl Archive {
 
     /// Flush one OU's memtable into the active segment as a block.
     fn flush_ou(&mut self, ou: u16) -> Result<(), ArchiveError> {
-        let Some((entry, samples)) = self.memtables.remove(&ou) else {
+        let Some(mt) = self.memtables.remove(&ou) else {
             return Ok(());
         };
-        if samples.is_empty() {
+        let Some(rows) = mt.chunks(0, usize::MAX).next() else {
             return Ok(());
-        }
-        let entry_name = entry.name.clone();
+        };
         let t0 = Instant::now();
         self.ensure_active()?;
-        let payload = encode_block(entry.ou, entry.subsystem, &entry.name, &samples);
+        let payload = rows.encode();
         let meta = self.segments.last_mut().expect("active segment exists");
         let f = self.active.as_mut().expect("active file open");
         f.seek(SeekFrom::Start(meta.bytes))?;
         let frame_len = write_frame(f, FRAME_BLOCK, &payload)?;
-        meta.blocks.push(BlockMeta {
-            offset: meta.bytes,
-            payload_len: payload.len() as u32,
-            ou: entry.ou,
-            count: samples.len() as u64,
-            min_start_ns: samples.iter().map(|s| s.start_ns).min().unwrap_or(0),
-            max_start_ns: samples.iter().map(|s| s.start_ns).max().unwrap_or(0),
-        });
+        meta.blocks.push(rows.meta(meta.bytes, payload.len()));
         meta.bytes += frame_len;
-        if !meta.ous.iter().any(|o| o.ou == entry.ou) {
-            meta.ous.push(entry);
+        if !meta.ous.iter().any(|o| o.ou == ou) {
+            meta.ous.push(mt.ou().clone());
         }
-        self.buffered -= samples.len();
-        self.telemetry
-            .counter_add("archive_bytes_written_total", &[], frame_len);
-        self.telemetry
-            .counter_inc("archive_ou_blocks_total", &[("ou", &entry_name)]);
-        self.telemetry.counter_add(
-            "archive_ou_bytes_written_total",
-            &[("ou", &entry_name)],
-            frame_len,
-        );
-        self.telemetry
-            .gauge_add("archive_buffered_samples", &[], -(samples.len() as f64));
-        self.telemetry
-            .hist_record("archive_flush_ns", &[], t0.elapsed().as_nanos() as f64);
+        self.buffered -= mt.len();
+        let (t, name) = (&self.telemetry, || &mt.ou().name);
+        self.metrics.bytes_written.get(t).add(frame_len);
+        self.metrics.ou_blocks.at(t, ou as usize, name).inc();
+        self.metrics
+            .ou_bytes_written
+            .at(t, ou as usize, name)
+            .add(frame_len);
+        self.metrics.buffered.get(t).add(-(mt.len() as f64));
+        self.metrics
+            .flush_ns
+            .get(t)
+            .record(t0.elapsed().as_nanos() as f64);
         if self.segments.last().map(|m| m.bytes).unwrap_or(0) >= self.opts.segment_max_bytes {
             self.seal_active()?;
         }
@@ -333,8 +352,10 @@ impl Archive {
             blocks: Vec::new(),
         });
         self.active = Some(f);
-        self.telemetry
-            .counter_add("archive_bytes_written_total", &[], HEADER_LEN);
+        self.metrics
+            .bytes_written
+            .get(&self.telemetry)
+            .add(HEADER_LEN);
         self.telemetry
             .gauge_set("archive_segments", &[], self.segments.len() as f64);
         Ok(())
@@ -376,8 +397,10 @@ impl Archive {
         let frame_len = write_frame(&mut f, FRAME_FOOTER, &footer)?;
         meta.bytes += frame_len;
         meta.sealed = true;
-        self.telemetry
-            .counter_add("archive_bytes_written_total", &[], frame_len);
+        self.metrics
+            .bytes_written
+            .get(&self.telemetry)
+            .add(frame_len);
         self.telemetry
             .counter_inc("archive_segments_sealed_total", &[]);
         Ok(())
@@ -393,7 +416,7 @@ impl Archive {
     pub(crate) fn memtable_sizes(&self) -> Vec<(u16, usize)> {
         self.memtables
             .iter()
-            .map(|(ou, (_, v))| (*ou, v.len()))
+            .map(|(ou, mt)| (*ou, mt.len()))
             .collect()
     }
 
@@ -403,7 +426,7 @@ impl Archive {
             .segments
             .iter()
             .flat_map(|s| s.ous.iter().map(|o| o.name.clone()))
-            .chain(self.memtables.values().map(|(o, _)| o.name.clone()))
+            .chain(self.memtables.values().map(|mt| mt.ou().name.clone()))
             .collect();
         names.sort();
         names.dedup();
@@ -425,43 +448,50 @@ impl Archive {
     /// Stream every sample of one OU in append order: segment blocks
     /// oldest-first, then the OU's memtable tail.
     pub fn scan_ou(&self, ou_name: &str) -> SampleScan {
-        self.scan_filtered(Some(ou_name))
+        SampleScan::over(self.scan_batches(Some(ou_name), Projection::ALL))
     }
 
     /// Stream every sample in storage order (blocks interleave OUs; each
     /// OU's samples appear in its own append order).
     pub fn scan_all(&self) -> SampleScan {
-        self.scan_filtered(None)
+        SampleScan::over(self.scan_batches(None, Projection::ALL))
     }
 
-    fn scan_filtered(&self, ou_name: Option<&str>) -> SampleScan {
+    /// The read primitive: one [`ColumnBatch`] per block of `ou_name`
+    /// (every OU when `None`), segment blocks oldest-first, then the
+    /// unflushed memtable tails in OU-id order, with only the columns
+    /// `projection` names decoded (memtable tails carry every column).
+    /// [`Archive::scan_ou`] / [`Archive::scan_all`] are this with every
+    /// column, turned back into [`Sample`]s row by row.
+    pub fn scan_batches(&self, ou_name: Option<&str>, projection: Projection) -> BatchScan {
         let want = |o: &OuEntry| ou_name.is_none_or(|n| o.name == n);
+        let mut files = Vec::new();
         let mut plan = Vec::new();
         for seg in &self.segments {
             let ids: Vec<u16> = seg.ous.iter().filter(|o| want(o)).map(|o| o.ou).collect();
             if ids.is_empty() {
                 continue;
             }
-            for b in &seg.blocks {
-                if ids.contains(&b.ou) {
-                    plan.push((seg.path.clone(), b.offset, b.payload_len, seg.bytes));
-                }
+            for b in seg.blocks.iter().filter(|b| ids.contains(&b.ou)) {
+                plan.push((files.len(), b.offset));
             }
+            files.push((seg.path.clone(), seg.bytes));
         }
-        let tail: Vec<Sample> = self
-            .memtables
-            .values()
-            .filter(|(o, _)| want(o))
-            .flat_map(|(_, v)| v.iter().cloned())
-            .collect();
-        SampleScan {
+        BatchScan {
+            files,
             plan,
             next_block: 0,
-            file: None,
-            buf: Vec::new(),
-            buf_pos: 0,
-            tail,
-            tail_pos: 0,
+            open: None,
+            payload: Vec::new(),
+            block: ColumnBatch::default(),
+            projection,
+            tail: self
+                .memtables
+                .values()
+                .filter(|mt| want(mt.ou()))
+                .cloned()
+                .collect(),
+            tail_at: 0,
             telemetry: self.telemetry.clone(),
         }
     }
@@ -475,89 +505,112 @@ impl Drop for Archive {
     }
 }
 
-/// Streaming reader: decodes one block at a time, never materializing
+/// Streaming block reader: decodes one block at a time into one reused
+/// [`ColumnBatch`] (and one reused payload buffer), never materializing
 /// the archive. Blocks that fail their CRC or decode (possible only if
 /// the file changed underneath us) are skipped and counted in
 /// `archive_scan_skipped_blocks_total`.
 #[derive(Debug)]
-pub struct SampleScan {
-    /// `(path, frame offset, payload_len, file_len)` per block, in order.
-    plan: Vec<(PathBuf, u64, u32, u64)>,
+pub struct BatchScan {
+    /// `(path, valid file length)` of every segment the plan touches.
+    files: Vec<(PathBuf, u64)>,
+    /// `(index into files, frame offset)` per block, in scan order.
+    plan: Vec<(usize, u64)>,
     next_block: usize,
-    file: Option<(PathBuf, File)>,
-    buf: Vec<Sample>,
-    buf_pos: usize,
-    tail: Vec<Sample>,
-    tail_pos: usize,
+    /// The open segment file and its index into `files`.
+    open: Option<(usize, File)>,
+    payload: Vec<u8>,
+    block: ColumnBatch,
+    projection: Projection,
+    tail: Vec<ColumnBatch>,
+    /// Memtable tails lent so far (they follow the last segment block).
+    tail_at: usize,
     telemetry: Telemetry,
+}
+
+impl BatchScan {
+    /// The next readable block (or memtable tail), valid until the next
+    /// call; `None` once the scan is done.
+    pub fn next_batch(&mut self) -> Option<&ColumnBatch> {
+        self.advance().then(|| self.current())
+    }
+
+    /// The batch the last successful [`Self::advance`] moved to.
+    fn current(&self) -> &ColumnBatch {
+        match self.tail_at.checked_sub(1) {
+            Some(lent) => &self.tail[lent],
+            None => &self.block,
+        }
+    }
+
+    /// Move to the next readable block or memtable tail; `false` once
+    /// there is none.
+    fn advance(&mut self) -> bool {
+        while let Some(&(file, offset)) = self.plan.get(self.next_block) {
+            self.next_block += 1;
+            if self.read_block(file, offset).is_some() {
+                return true;
+            }
+            self.telemetry
+                .counter_inc("archive_scan_skipped_blocks_total", &[]);
+        }
+        let more = self.tail_at < self.tail.len();
+        self.tail_at += usize::from(more);
+        more
+    }
+
+    /// Read and decode the block at `offset` of `files[file]` into
+    /// `self.block`; `None` if it cannot be opened, read or decoded.
+    fn read_block(&mut self, file: usize, offset: u64) -> Option<()> {
+        if self.open.as_ref().is_none_or(|(open, _)| *open != file) {
+            self.open = Some((file, File::open(&self.files[file].0).ok()?));
+        }
+        let f = &mut self.open.as_mut()?.1;
+        let (kind, _) = read_frame(f, offset, self.files[file].1, &mut self.payload)
+            .ok()
+            .flatten()?;
+        if kind != FRAME_BLOCK {
+            return None;
+        }
+        self.block.decode(&self.payload, self.projection)
+    }
+}
+
+/// [`BatchScan`] with every column, handed out as owned [`Sample`]s one
+/// row at a time.
+#[derive(Debug)]
+pub struct SampleScan {
+    batches: BatchScan,
+    /// Next row of the current batch, and where its values start in the
+    /// batch's three flat columns.
+    row: usize,
+    flat_at: [usize; 3],
+}
+
+impl SampleScan {
+    fn over(batches: BatchScan) -> Self {
+        SampleScan {
+            batches,
+            row: 0,
+            flat_at: [0; 3],
+        }
+    }
 }
 
 impl Iterator for SampleScan {
     type Item = Sample;
 
     fn next(&mut self) -> Option<Sample> {
-        loop {
-            if self.buf_pos < self.buf.len() {
-                let s = std::mem::replace(&mut self.buf[self.buf_pos], Sample::placeholder());
-                self.buf_pos += 1;
-                return Some(s);
-            }
-            if self.next_block >= self.plan.len() {
-                if self.tail_pos < self.tail.len() {
-                    let s = std::mem::replace(&mut self.tail[self.tail_pos], Sample::placeholder());
-                    self.tail_pos += 1;
-                    return Some(s);
-                }
+        // Before the first `advance` the current batch is the empty block.
+        while self.row >= self.batches.current().len() {
+            if !self.batches.advance() {
                 return None;
             }
-            let (path, offset, _len, file_len) = self.plan[self.next_block].clone();
-            self.next_block += 1;
-            if self.file.as_ref().map(|(p, _)| p != &path).unwrap_or(true) {
-                match File::open(&path) {
-                    Ok(f) => self.file = Some((path.clone(), f)),
-                    Err(_) => {
-                        self.telemetry
-                            .counter_inc("archive_scan_skipped_blocks_total", &[]);
-                        continue;
-                    }
-                }
-            }
-            let f = &mut self.file.as_mut().unwrap().1;
-            let decoded = read_frame(f, offset, file_len)
-                .ok()
-                .flatten()
-                .filter(|(kind, ..)| *kind == FRAME_BLOCK)
-                .and_then(|(_, payload, _)| decode_block(&payload));
-            match decoded {
-                Some((_, samples)) => {
-                    self.buf = samples;
-                    self.buf_pos = 0;
-                }
-                None => {
-                    self.telemetry
-                        .counter_inc("archive_scan_skipped_blocks_total", &[]);
-                }
-            }
+            (self.row, self.flat_at) = (0, [0; 3]);
         }
-    }
-}
-
-impl Sample {
-    /// Cheap placeholder used by the scan to move samples out of its
-    /// buffer without cloning.
-    fn placeholder() -> Sample {
-        Sample {
-            ou: 0,
-            ou_name: String::new(),
-            subsystem: 0,
-            tid: 0,
-            template: 0,
-            start_ns: 0,
-            elapsed_ns: 0,
-            metrics: Vec::new(),
-            features: Vec::new(),
-            user_metrics: Vec::new(),
-        }
+        let sample = self.batches.current().sample(self.row, &mut self.flat_at);
+        self.row += 1;
+        Some(sample)
     }
 }
 
@@ -724,6 +777,68 @@ mod tests {
         assert_eq!(a.scan_ou("scan").count(), 100);
         // The torn bytes are gone; the file was resealed past clean_len.
         assert!(std::fs::metadata(&path).unwrap().len() >= clean_len as u64);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn flip_in_a_projected_out_column_skips_the_block_in_every_scan() {
+        use crate::encode::{get_varint, skip_column};
+        let dir = tmp_dir("flip");
+        let t = Telemetry::new();
+        let mut a = Archive::open(&dir, ArchiveOptions::default(), t.clone()).unwrap();
+        for block in 0..3 {
+            for i in 0..40 {
+                a.append(test_sample(1, "scan", block * 40 + i)).unwrap();
+            }
+            a.flush().unwrap();
+        }
+        a.seal().unwrap();
+
+        // Find the middle block's flat metrics column: past the block
+        // header, the four scalar columns and the metrics lengths.
+        let seg = &a.segments[0];
+        let victim = &seg.blocks[1];
+        let mut bytes = std::fs::read(&seg.path).unwrap();
+        let payload_at = victim.offset as usize + 5;
+        let payload = &bytes[payload_at..payload_at + victim.payload_len as usize];
+        let mut pos = 0;
+        get_varint(payload, &mut pos).unwrap(); // ou
+        pos += 1; // subsystem
+        pos += get_varint(payload, &mut pos).unwrap() as usize; // name
+        for _ in 0..3 {
+            get_varint(payload, &mut pos).unwrap(); // n, min/max start_ns
+        }
+        for _ in 0..5 {
+            skip_column(payload, &mut pos).unwrap();
+        }
+        let metrics_flat_at = pos;
+        skip_column(payload, &mut pos).unwrap();
+        // The column's last byte is value data, not its header.
+        bytes[payload_at + pos - 1] ^= 0x10;
+        assert!(pos - metrics_flat_at > 8);
+        std::fs::write(&seg.path, &bytes).unwrap();
+
+        let skipped = || t.counter_value("archive_scan_skipped_blocks_total", &[]);
+        let training = Projection {
+            template: true,
+            elapsed_ns: true,
+            features: true,
+            ..Projection::NONE
+        };
+        let mut scan = a.scan_batches(Some("scan"), training);
+        let mut firsts = Vec::new();
+        while let Some(batch) = scan.next_batch() {
+            assert_eq!(batch.len(), 40);
+            firsts.push(batch.elapsed_ns()[0]);
+        }
+        let elapsed = |i| test_sample(1, "scan", i).elapsed_ns;
+        assert_eq!(firsts, [elapsed(0), elapsed(80)], "the middle block goes");
+        assert_eq!(skipped(), 1, "the projected scan counts it once");
+
+        let survivors: Vec<Sample> = a.scan_all().collect();
+        assert_eq!(survivors.len(), 80);
+        assert!(survivors[40].bits_eq(&test_sample(1, "scan", 80)));
+        assert_eq!(skipped(), 2, "and so does the full scan");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -28,6 +28,51 @@ pub struct OuData {
     pub points: Vec<LabeledPoint>,
 }
 
+/// One OU's points as training and evaluation read them: an owned
+/// [`OuData`], or a borrowed selection of one ([`OuSubset`]) — so
+/// splitting a dataset never clones it.
+pub trait PointSet {
+    /// The OU's name.
+    fn name(&self) -> &str;
+
+    /// The points, in dataset order.
+    fn points(&self) -> impl Iterator<Item = &LabeledPoint>;
+
+    /// Feature/target matrices for fitting; rows borrow the points.
+    fn matrices(&self) -> (Vec<&[f64]>, Vec<f64>) {
+        self.points()
+            .map(|p| (p.features.as_slice(), p.target_ns))
+            .unzip()
+    }
+}
+
+impl PointSet for OuData {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn points(&self) -> impl Iterator<Item = &LabeledPoint> {
+        self.points.iter()
+    }
+}
+
+/// A borrowed selection of one OU's points (one side of a split).
+#[derive(Debug, Clone)]
+pub struct OuSubset<'a> {
+    pub name: &'a str,
+    pub points: Vec<&'a LabeledPoint>,
+}
+
+impl PointSet for OuSubset<'_> {
+    fn name(&self) -> &str {
+        self.name
+    }
+
+    fn points(&self) -> impl Iterator<Item = &LabeledPoint> {
+        self.points.iter().copied()
+    }
+}
+
 impl OuData {
     pub fn new(name: &str) -> Self {
         OuData {
@@ -42,14 +87,6 @@ impl OuData {
 
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
-    }
-
-    /// Feature/target matrices for fitting.
-    pub fn matrices(&self) -> (Vec<Vec<f64>>, Vec<f64>) {
-        (
-            self.points.iter().map(|p| p.features.clone()).collect(),
-            self.points.iter().map(|p| p.target_ns).collect(),
-        )
     }
 
     /// Distinct templates present.

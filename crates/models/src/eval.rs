@@ -7,7 +7,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::dataset::OuData;
+use crate::dataset::{OuData, PointSet};
 use crate::{ModelKind, Regressor};
 
 /// One trained model per OU.
@@ -19,19 +19,17 @@ pub struct OuModelSet {
 }
 
 impl OuModelSet {
-    /// Train one model per OU dataset.
-    pub fn train(kind: ModelKind, seed: u64, data: &[OuData]) -> OuModelSet {
-        let mut models = BTreeMap::new();
+    /// Train one model per (non-empty) OU dataset.
+    pub fn train<D: PointSet>(kind: ModelKind, seed: u64, data: &[D]) -> OuModelSet {
+        let mut set = OuModelSet {
+            models: BTreeMap::new(),
+            kind,
+            seed,
+        };
         for d in data {
-            if d.is_empty() {
-                continue;
-            }
-            let (x, y) = d.matrices();
-            let mut m = kind.build(seed);
-            m.fit(&x, &y);
-            models.insert(d.name.clone(), m);
+            set.retrain_ou(d);
         }
-        OuModelSet { models, kind, seed }
+        set
     }
 
     /// Predict elapsed ns for one OU invocation; `None` when no model
@@ -44,15 +42,16 @@ impl OuModelSet {
         self.models.keys().map(String::as_str).collect()
     }
 
-    /// Retrain this set's OU model on augmented data (online refinement).
-    pub fn retrain_ou(&mut self, data: &OuData) {
-        if data.is_empty() {
+    /// Retrain this set's OU model on augmented data (online
+    /// refinement); empty data leaves the set as it is.
+    pub fn retrain_ou<D: PointSet>(&mut self, data: &D) {
+        let (x, y) = data.matrices();
+        if x.is_empty() {
             return;
         }
-        let (x, y) = data.matrices();
         let mut m = self.kind.build(self.seed);
         m.fit(&x, &y);
-        self.models.insert(data.name.clone(), m);
+        self.models.insert(data.name().to_string(), m);
     }
 }
 
@@ -110,15 +109,15 @@ pub fn cross_validated_error_us(kind: ModelKind, seed: u64, data: &[OuData], k: 
 /// Points with a zero/negative actual time are skipped (a percentage of
 /// nothing is undefined); points whose OU has no model count the model's
 /// implicit 0 prediction as 100% error.
-pub fn mape_pct(models: &OuModelSet, test: &[OuData]) -> f64 {
+pub fn mape_pct<D: PointSet>(models: &OuModelSet, test: &[D]) -> f64 {
     let mut sum = 0.0;
     let mut n = 0u64;
     for d in test {
-        for p in &d.points {
+        for p in d.points() {
             if p.target_ns <= 0.0 {
                 continue;
             }
-            let predicted = models.predict_ns(&d.name, &p.features).unwrap_or(0.0);
+            let predicted = models.predict_ns(d.name(), &p.features).unwrap_or(0.0);
             sum += (p.target_ns - predicted).abs() / p.target_ns * 100.0;
             n += 1;
         }
@@ -193,7 +192,7 @@ mod tests {
             });
         }
         // Model that always predicts 0: train on empty-ish... use unknown OU.
-        let models = OuModelSet::train(ModelKind::Ridge, 1, &[]);
+        let models = OuModelSet::train::<OuData>(ModelKind::Ridge, 1, &[]);
         let err = avg_abs_error_per_template_us(&models, &[d]);
         // Per-template: (1e6 ns, 0 ns) → mean 5e5 ns = 500 µs.
         assert!((err - 500.0).abs() < 1e-6, "{err}");

@@ -82,7 +82,7 @@ fn sse(idx: &[usize], y: &[f64]) -> f64 {
 
 fn build(
     idx: &[usize],
-    x: &[Vec<f64>],
+    x: &[&[f64]],
     y: &[f64],
     depth: usize,
     max_depth: usize,
@@ -137,7 +137,7 @@ fn build(
 /// when no split beats the parent.
 fn best_split(
     idx: &[usize],
-    x: &[Vec<f64>],
+    x: &[&[f64]],
     y: &[f64],
     candidates: &[usize],
     parent_sse: f64,
@@ -183,7 +183,7 @@ fn best_split(
 }
 
 impl Regressor for RandomForest {
-    fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) {
+    fn fit(&mut self, x: &[&[f64]], y: &[f64]) {
         self.trees.clear();
         if x.is_empty() {
             return;
@@ -236,7 +236,7 @@ mod tests {
     fn learns_linear_function() {
         let (x, y) = gen(600, |a, b| 100.0 + 12.0 * a + 3.0 * b);
         let mut rf = RandomForest::new(16, 10, 2, 7);
-        rf.fit(&x, &y);
+        rf.fit(&crate::rows(&x), &y);
         let mut max_rel = 0.0f64;
         for (xi, yi) in x.iter().zip(&y).step_by(17) {
             let p = rf.predict(xi);
@@ -249,7 +249,7 @@ mod tests {
     fn learns_nonlinear_interaction() {
         let (x, y) = gen(800, |a, b| a * b + 5.0 * a);
         let mut rf = RandomForest::new(24, 12, 2, 3);
-        rf.fit(&x, &y);
+        rf.fit(&crate::rows(&x), &y);
         let mean_y = y.iter().sum::<f64>() / y.len() as f64;
         let sse_model: f64 = x
             .iter()
@@ -269,8 +269,8 @@ mod tests {
         let (x, y) = gen(200, |a, b| a + b);
         let mut a = RandomForest::new(8, 8, 2, 42);
         let mut b = RandomForest::new(8, 8, 2, 42);
-        a.fit(&x, &y);
-        b.fit(&x, &y);
+        a.fit(&crate::rows(&x), &y);
+        b.fit(&crate::rows(&x), &y);
         for xi in x.iter().step_by(13) {
             assert_eq!(a.predict(xi), b.predict(xi));
         }
@@ -281,7 +281,7 @@ mod tests {
         let x: Vec<Vec<f64>> = (0..50).map(|i| vec![i as f64]).collect();
         let y = vec![7.0; 50];
         let mut rf = RandomForest::new(4, 6, 2, 1);
-        rf.fit(&x, &y);
+        rf.fit(&crate::rows(&x), &y);
         assert!((rf.predict(&[25.0]) - 7.0).abs() < 1e-9);
     }
 
@@ -316,7 +316,7 @@ mod regression_tests {
             y.push(rows * 13_000.0);
         }
         let mut rf = RandomForest::new(24, 10, 4, 42);
-        rf.fit(&x, &y);
+        rf.fit(&crate::rows(&x), &y);
         let small = rf.predict(&[1.0, 88.0, 1.0, 2.1]);
         assert!(
             (small - 13_000.0).abs() / 13_000.0 < 0.25,

@@ -1,29 +1,44 @@
 //! Streaming dataset ingestion from the training-data archive.
 //!
-//! The archive's scans yield samples one block at a time; this module
-//! folds them straight into per-OU [`OuData`] without ever holding the
-//! raw byte form and the decoded form of the whole archive at once —
-//! the memory high-water mark is one decoded block plus the datasets
-//! being built. Context features are appended exactly like the driver's
-//! `build_datasets` (paper §2.2: the CPU clock in GHz and the number of
-//! concurrent workers are the only environment descriptors).
+//! The archive's scans lend one decoded block at a time as columns
+//! ([`tscout_archive::ColumnBatch`]); this module reads the three
+//! training uses — template, elapsed time, features — straight into
+//! per-OU [`OuData`], one allocation per point (its owned feature row).
+//! No `Sample` is built on the way, and the memory high-water mark is
+//! one decoded block plus the datasets being built. Context features
+//! are appended exactly like the driver's `build_datasets` (paper §2.2:
+//! the CPU clock in GHz and the number of concurrent workers are the
+//! only environment descriptors).
 
 use std::collections::BTreeMap;
 
-use tscout_archive::{Archive, Sample};
+use tscout_archive::{Archive, ColumnBatch, Projection};
 
 use crate::dataset::{LabeledPoint, OuData};
 
-/// Convert one archived sample into a labeled point with the two
-/// context features appended.
-pub fn labeled_point(s: &Sample, clock_ghz: f64, concurrency: usize) -> LabeledPoint {
-    let mut features = s.features.clone();
-    features.push(clock_ghz);
-    features.push(concurrency as f64);
-    LabeledPoint {
-        features,
-        target_ns: s.elapsed_ns as f64,
-        template: s.template,
+/// The columns a labeled point is made of.
+const TRAINING_COLUMNS: Projection = Projection {
+    template: true,
+    elapsed_ns: true,
+    features: true,
+    ..Projection::NONE
+};
+
+/// Append one labeled point per row of `batch`, the two context
+/// features after the archived ones.
+fn push_points(data: &mut OuData, batch: &ColumnBatch, clock_ghz: f64, concurrency: usize) {
+    data.points.reserve(batch.len());
+    let targets = batch.template().iter().zip(batch.elapsed_ns());
+    for ((&template, &elapsed_ns), row) in targets.zip(batch.features().rows()) {
+        let mut features = Vec::with_capacity(row.len() + 2);
+        features.extend(row.iter().map(|bits| f64::from_bits(*bits)));
+        features.push(clock_ghz);
+        features.push(concurrency as f64);
+        data.points.push(LabeledPoint {
+            features,
+            target_ns: elapsed_ns as f64,
+            template: template as u32,
+        });
     }
 }
 
@@ -31,11 +46,14 @@ pub fn labeled_point(s: &Sample, clock_ghz: f64, concurrency: usize) -> LabeledP
 /// name, like the driver's `build_datasets`).
 pub fn datasets_from_archive(archive: &Archive, clock_ghz: f64, concurrency: usize) -> Vec<OuData> {
     let mut by_ou: BTreeMap<String, OuData> = BTreeMap::new();
-    for s in archive.scan_all() {
-        let d = by_ou
-            .entry(s.ou_name.clone())
-            .or_insert_with(|| OuData::new(&s.ou_name));
-        d.points.push(labeled_point(&s, clock_ghz, concurrency));
+    let mut scan = archive.scan_batches(None, TRAINING_COLUMNS);
+    while let Some(batch) = scan.next_batch() {
+        let name = &batch.ou().name;
+        if !by_ou.contains_key(name) {
+            by_ou.insert(name.clone(), OuData::new(name));
+        }
+        let data = by_ou.get_mut(name).expect("inserted above");
+        push_points(data, batch, clock_ghz, concurrency);
     }
     by_ou.into_values().collect()
 }
@@ -47,17 +65,18 @@ pub fn ou_data_from_archive(
     clock_ghz: f64,
     concurrency: usize,
 ) -> OuData {
-    let mut d = OuData::new(ou_name);
-    for s in archive.scan_ou(ou_name) {
-        d.points.push(labeled_point(&s, clock_ghz, concurrency));
+    let mut data = OuData::new(ou_name);
+    let mut scan = archive.scan_batches(Some(ou_name), TRAINING_COLUMNS);
+    while let Some(batch) = scan.next_batch() {
+        push_points(&mut data, batch, clock_ghz, concurrency);
     }
-    d
+    data
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tscout_archive::ArchiveOptions;
+    use tscout_archive::{ArchiveOptions, Sample};
     use tscout_telemetry::Telemetry;
 
     fn sample(ou: u16, name: &str, i: u64) -> Sample {

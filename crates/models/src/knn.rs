@@ -41,7 +41,7 @@ impl Knn {
 }
 
 impl Regressor for Knn {
-    fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) {
+    fn fit(&mut self, x: &[&[f64]], y: &[f64]) {
         self.x.clear();
         self.y = y.to_vec();
         if x.is_empty() {
@@ -102,7 +102,7 @@ mod tests {
         let x: Vec<Vec<f64>> = (0..100).map(|i| vec![i as f64]).collect();
         let y: Vec<f64> = (0..100).map(|i| (i * 10) as f64).collect();
         let mut m = Knn::new(3);
-        m.fit(&x, &y);
+        m.fit(&crate::rows(&x), &y);
         // Near x=50 the 3 neighbors are 49,50,51 → mean 500.
         assert!((m.predict(&[50.0]) - 500.0).abs() < 1e-9);
         // Extrapolation clamps to the boundary neighborhood.
@@ -122,7 +122,7 @@ mod tests {
             y.push(a * 100.0);
         }
         let mut m = Knn::new(5);
-        m.fit(&x, &y);
+        m.fit(&crate::rows(&x), &y);
         assert!((m.predict(&[1.0, 500.0]) - 100.0).abs() < 1.0);
         assert!((m.predict(&[0.0, 999_000.0])).abs() < 1.0);
     }
@@ -130,7 +130,7 @@ mod tests {
     #[test]
     fn k_larger_than_dataset_is_fine() {
         let mut m = Knn::new(10);
-        m.fit(&[vec![1.0], vec![2.0]], &[10.0, 20.0]);
+        m.fit(&[&[1.0], &[2.0]], &[10.0, 20.0]);
         assert!((m.predict(&[1.5]) - 15.0).abs() < 1e-9);
     }
 

@@ -29,7 +29,7 @@ pub mod knn;
 pub mod linreg;
 pub mod registry;
 
-pub use dataset::{kfold, LabeledPoint, OuData};
+pub use dataset::{kfold, LabeledPoint, OuData, OuSubset, PointSet};
 pub use eval::{avg_abs_error_per_template_us, error_reduction_pct, mape_pct, OuModelSet};
 pub use forest::RandomForest;
 pub use ingest::{datasets_from_archive, ou_data_from_archive};
@@ -39,8 +39,10 @@ pub use registry::{LiveModel, ModelRegistry, SwapDecision};
 
 /// A trained regression model.
 pub trait Regressor: std::fmt::Debug + Send + Sync {
-    /// Fit on rows of `(features, target)`.
-    fn fit(&mut self, x: &[Vec<f64>], y: &[f64]);
+    /// Fit on rows of `(features, target)`. Rows are borrowed: a model
+    /// copies what it keeps, the caller's dataset is never cloned to be
+    /// handed over.
+    fn fit(&mut self, x: &[&[f64]], y: &[f64]);
     /// Predict one target.
     fn predict(&self, x: &[f64]) -> f64;
     /// Model family name (reporting).
@@ -64,4 +66,10 @@ impl ModelKind {
             ModelKind::Knn => Box::new(Knn::new(5)),
         }
     }
+}
+
+/// Borrow a `Vec`-of-rows test matrix the way [`Regressor::fit`] takes it.
+#[cfg(test)]
+pub(crate) fn rows(x: &[Vec<f64>]) -> Vec<&[f64]> {
+    x.iter().map(Vec::as_slice).collect()
 }

@@ -62,7 +62,7 @@ fn solve(mut a: Vec<Vec<f64>>, mut b: Vec<f64>) -> Option<Vec<f64>> {
 
 impl Regressor for Ridge {
     #[allow(clippy::needless_range_loop)] // symmetric matrix fill
-    fn fit(&mut self, x: &[Vec<f64>], y: &[f64]) {
+    fn fit(&mut self, x: &[&[f64]], y: &[f64]) {
         self.weights.clear();
         if x.is_empty() {
             return;
@@ -119,7 +119,7 @@ mod tests {
             .collect();
         let y: Vec<f64> = x.iter().map(|r| 3.0 + 2.0 * r[0] - 5.0 * r[1]).collect();
         let mut m = Ridge::new(1e-9);
-        m.fit(&x, &y);
+        m.fit(&crate::rows(&x), &y);
         assert!((m.weights[0] - 2.0).abs() < 1e-6);
         assert!((m.weights[1] + 5.0).abs() < 1e-6);
         assert!((m.weights[2] - 3.0).abs() < 1e-6);
@@ -131,9 +131,9 @@ mod tests {
         let x: Vec<Vec<f64>> = (0..50).map(|i| vec![i as f64]).collect();
         let y: Vec<f64> = x.iter().map(|r| 10.0 * r[0]).collect();
         let mut tight = Ridge::new(1e-9);
-        tight.fit(&x, &y);
+        tight.fit(&crate::rows(&x), &y);
         let mut loose = Ridge::new(1e6);
-        loose.fit(&x, &y);
+        loose.fit(&crate::rows(&x), &y);
         assert!(loose.weights[0].abs() < tight.weights[0].abs());
     }
 
@@ -144,7 +144,7 @@ mod tests {
         let x: Vec<Vec<f64>> = (0..20).map(|i| vec![i as f64, i as f64]).collect();
         let y: Vec<f64> = x.iter().map(|r| r[0] * 2.0).collect();
         let mut m = Ridge::new(1e-6);
-        m.fit(&x, &y);
+        m.fit(&crate::rows(&x), &y);
         assert!((m.predict(&[5.0, 5.0]) - 10.0).abs() < 0.1);
     }
 

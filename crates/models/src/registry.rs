@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use tscout_telemetry::Telemetry;
 
-use crate::dataset::OuData;
+use crate::dataset::{OuData, OuSubset, PointSet};
 use crate::eval::{mape_pct, OuModelSet};
 use crate::ModelKind;
 
@@ -102,8 +102,12 @@ impl ModelRegistry {
     /// comparison tracks the current data distribution, not the one the
     /// live model happened to be installed under.
     pub fn retrain_from(&mut self, train: &[OuData], holdout: &[OuData]) -> SwapDecision {
-        let trained_points: usize = train.iter().map(super::dataset::OuData::len).sum();
-        let holdout_points: usize = holdout.iter().map(super::dataset::OuData::len).sum();
+        self.retrain_on(train, holdout)
+    }
+
+    fn retrain_on<D: PointSet>(&mut self, train: &[D], holdout: &[D]) -> SwapDecision {
+        let count = |side: &[D]| side.iter().map(|d| d.points().count()).sum::<usize>();
+        let (trained_points, holdout_points) = (count(train), count(holdout));
         if trained_points == 0 || holdout_points == 0 {
             return SwapDecision::Skipped;
         }
@@ -144,25 +148,22 @@ impl ModelRegistry {
     /// Convenience: split each OU's data into train/holdout by position
     /// (every `holdout_every`-th point held out, deterministic — no
     /// shuffle, so the holdout leans recent the way arrival order does)
-    /// and call [`Self::retrain_from`].
+    /// and retrain as [`Self::retrain_from`] does. The two sides borrow
+    /// `data`'s points; nothing is cloned.
     pub fn retrain_split(&mut self, data: &[OuData], holdout_every: usize) -> SwapDecision {
         let every = holdout_every.max(2);
-        let mut train = Vec::with_capacity(data.len());
-        let mut holdout = Vec::with_capacity(data.len());
-        for d in data {
-            let mut tr = OuData::new(&d.name);
-            let mut ho = OuData::new(&d.name);
-            for (i, p) in d.points.iter().enumerate() {
-                if (i + 1) % every == 0 {
-                    ho.points.push(p.clone());
-                } else {
-                    tr.points.push(p.clone());
-                }
-            }
-            train.push(tr);
-            holdout.push(ho);
-        }
-        self.retrain_from(&train, &holdout)
+        let side = |held_out: bool| -> Vec<OuSubset<'_>> {
+            data.iter()
+                .map(|d| OuSubset {
+                    name: &d.name,
+                    points: (d.points.iter().enumerate())
+                        .filter(|(i, _)| ((i + 1) % every == 0) == held_out)
+                        .map(|(_, p)| p)
+                        .collect(),
+                })
+                .collect()
+        };
+        self.retrain_on(&side(false), &side(true))
     }
 }
 

@@ -39,7 +39,7 @@ pub const METRIC_DOCS: &[(&str, &str, &str)] = &[
     (
         "archive_flush_ns",
         "histogram",
-        "Virtual duration of archive memtable flushes",
+        "Wall-clock duration of archive memtable flushes (encode + write of one block)",
     ),
     (
         "archive_ou_blocks_total",
@@ -79,7 +79,7 @@ pub const METRIC_DOCS: &[(&str, &str, &str)] = &[
     (
         "archive_scan_skipped_blocks_total",
         "counter",
-        "Column blocks skipped by scan predicate pushdown",
+        "Unreadable or corrupt column blocks skipped by a scan",
     ),
     (
         "archive_segments",

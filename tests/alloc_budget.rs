@@ -1,22 +1,28 @@
-//! Heap-allocation budget of the per-sample path.
+//! Heap-allocation budgets of the per-sample path and of the archive's
+//! read side.
 //!
 //! A counting global allocator brackets the three steady-state pieces of
 //! the pipeline — an unsampled marker triple, a sampled
 //! `KernelContinuous` triple through the BPF VM into the perf ring, and
 //! the Processor's drain into the in-memory sink — and pins what each
 //! may allocate once its buffers have reached their working size: the
-//! markers nothing, the drain only the owned `TrainingPoint`s.
+//! markers nothing, the drain only the owned `TrainingPoint`s. On the
+//! read side it pins a column scan to O(blocks) allocations and
+//! `datasets_from_archive` to one per point plus O(blocks).
 //!
 //! The sampling profiler is on (as in every bench run), so its frames
 //! are part of the budget too.
 //!
-//! One test function: the counter is process-wide, and a second test
-//! running beside it would be counted too.
+//! The counter is per thread, so each test counts its own allocations
+//! whatever the harness or the test beside it is doing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::cell::Cell;
 
+use tscout_suite::archive::{Archive, ArchiveOptions, Projection, Sample};
 use tscout_suite::kernel::{HardwareProfile, Kernel, TaskId};
+use tscout_suite::models::{datasets_from_archive, OuData};
+use tscout_suite::telemetry::Telemetry;
 use tscout_suite::telemetry::DEFAULT_PROFILE_PERIOD_NS;
 use tscout_suite::tscout::{
     CollectionMode, OuId, ProbeSet, Processor, Sink, Subsystem, TScout, TsConfig,
@@ -25,15 +31,21 @@ use tscout_suite::tscout::{
 /// Counts every allocation and reallocation; frees are not interesting.
 struct Counting;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor: reading it neither
+    // allocates nor registers anything, so the allocator may.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
 // whose contract is the one `GlobalAlloc` states; the counter is a
-// relaxed atomic and touches no allocator state. `dealloc` and
+// thread-local cell and touches no allocator state. `dealloc` and
 // `alloc_zeroed` keep their default/`System` behaviour through these two.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Relaxed);
+        // A thread being torn down no longer counts; nothing measured
+        // runs there.
+        let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
         // SAFETY: `layout` is the caller's, passed through unchanged.
         unsafe { System.alloc(layout) }
     }
@@ -47,11 +59,11 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Allocations performed by `f`.
+/// Allocations performed by `f` (on this thread).
 fn allocations(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.load(Relaxed);
+    let before = ALLOCATIONS.get();
     f();
-    ALLOCATIONS.load(Relaxed) - before
+    ALLOCATIONS.get() - before
 }
 
 fn triple(k: &mut Kernel, ts: &mut TScout, task: TaskId, ou: OuId) {
@@ -134,4 +146,76 @@ fn steady_state_sample_path_stays_within_its_allocation_budget() {
     assert_eq!(lt.begun, 3 * MEASURED as u64);
     assert_eq!(lt.delivered, lt.begun);
     assert_eq!(lt.lost, 0);
+}
+
+#[test]
+fn archive_read_side_allocates_per_block_not_per_sample() {
+    const SAMPLES: u64 = 6_000;
+    const OUS: u64 = 3;
+
+    let dir = std::env::temp_dir().join(format!("tscout_alloc_read_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let opts = ArchiveOptions {
+        memtable_flush_samples: 100,
+        segment_max_bytes: 64 * 1024,
+        ..ArchiveOptions::default()
+    };
+    let mut archive = Archive::open(&dir, opts, Telemetry::new()).expect("open archive");
+    for i in 0..SAMPLES {
+        let ou = i % OUS;
+        let sample = Sample {
+            ou: ou as u16,
+            ou_name: format!("ou_{ou}"),
+            subsystem: 0,
+            tid: 1,
+            template: (i % 5) as u32,
+            start_ns: i * 1_000,
+            elapsed_ns: 500 + i,
+            metrics: vec![i, i * 2, i * 3],
+            features: vec![i as f64, 0.5 * i as f64],
+            user_metrics: vec![4096],
+        };
+        archive.append(sample).expect("append");
+    }
+    archive.seal().expect("seal");
+    let stats = archive.stats();
+    assert_eq!(stats.samples_stored, SAMPLES);
+    let blocks = stats.blocks as u64;
+    assert!(
+        blocks >= 50 && stats.segments > 1,
+        "want many blocks over several segments: {stats:?}"
+    );
+
+    // A pass that only sums one column: the plan, one file handle per
+    // segment, and buffers that stop growing after the first blocks.
+    let mut sum = 0u64;
+    let scan = allocations(|| {
+        let projection = Projection {
+            elapsed_ns: true,
+            ..Projection::NONE
+        };
+        let mut scan = archive.scan_batches(None, projection);
+        while let Some(batch) = scan.next_batch() {
+            sum += batch.elapsed_ns().iter().sum::<u64>();
+        }
+    });
+    assert_eq!(sum, (0..SAMPLES).map(|i| 500 + i).sum::<u64>());
+    assert!(
+        scan <= blocks + 16,
+        "{scan} allocations summing a column over {blocks} blocks ({SAMPLES} samples)"
+    );
+
+    // Datasets: the owned feature row of each point, and per block at
+    // most a regrowth of its OU's point list.
+    let mut data: Vec<OuData> = Vec::new();
+    let datasets = allocations(|| data = datasets_from_archive(&archive, 2.1, 4));
+    assert_eq!(data.iter().map(OuData::len).sum::<usize>() as u64, SAMPLES);
+    assert_eq!(data[1].points[1].features, vec![4.0, 2.0, 2.1, 4.0]);
+    assert!(
+        datasets <= SAMPLES + blocks + 32,
+        "{datasets} allocations building {SAMPLES} points from {blocks} blocks"
+    );
+
+    drop(archive);
+    std::fs::remove_dir_all(&dir).ok();
 }
