@@ -52,7 +52,7 @@ cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
 echo "== figure/ablation smoke (every entry of \`tscout-bench list\` that declares one) =="
 ./target/release/tscout-bench smoke
 
-echo "== metric docs cross-check (README table + runtime names) =="
+echo "== metric docs (README table is what the metric declarations render) =="
 ./target/release/tscout-bench metrics_doc --check
 
 echo "== example smokes (archive write -> reopen -> scan; obsd live scrape + SQL/registry agreement) =="

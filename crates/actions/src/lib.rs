@@ -47,10 +47,15 @@
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 
+pub mod decls;
+
 use std::collections::BTreeMap;
 
 use tscout_archive::Sample;
-use tscout_telemetry::{ActionRecord, ActionState, Telemetry};
+use tscout_telemetry::decls::{ARCHIVE_SEGMENTS, HEALTH_STATE, SAMPLES_LOST};
+use tscout_telemetry::{
+    ActionRecord, ActionState, CounterSite, CounterVec, Gauge, GaugeSite, SiteVec, Telemetry,
+};
 
 /// Number of policies one planning pass evaluates (drives the driver's
 /// `action_plan_ns` charge).
@@ -378,11 +383,70 @@ struct Candidate {
     direction: i8,
 }
 
+/// Guardrail outcomes: the `reason` label of
+/// `tscout_action_suppressed_total`, in index order.
+const SUPPRESS_REASONS: [&str; 4] = ["rate_limit", "in_flight", "hysteresis", "dry_run"];
+const RATE_LIMIT: usize = 0;
+const IN_FLIGHT: usize = 1;
+const HYSTERESIS: usize = 2;
+const DRY_RUN: usize = 3;
+
+/// The engine's metrics (declared in [`decls`]). The per-kind families
+/// are indexed by `ActionKind as usize`.
+#[derive(Debug)]
+struct ActionMetrics {
+    planned: CounterVec,
+    actuated: CounterVec,
+    observed: CounterVec,
+    regressed: CounterVec,
+    efficacy_err_pct: SiteVec<Gauge>,
+    /// Indexed like [`SUPPRESS_REASONS`].
+    suppressed: CounterVec,
+    log_dropped: CounterSite,
+    pending: GaugeSite,
+}
+
+impl ActionMetrics {
+    /// Every `tscout_action_*` series is registered (at zero) here, so a
+    /// run that attaches an engine exports the full set even before any
+    /// action fires.
+    fn new(t: &Telemetry) -> Self {
+        let mut m = ActionMetrics {
+            planned: decls::PLANNED.vec("kind"),
+            actuated: decls::ACTUATED.vec("kind"),
+            observed: decls::OBSERVED.vec("kind"),
+            regressed: decls::REGRESSED.vec("kind"),
+            efficacy_err_pct: decls::EFFICACY_ERR_PCT.vec("kind"),
+            suppressed: decls::SUPPRESSED.vec("reason"),
+            log_dropped: decls::LOG_DROPPED.site(&[]),
+            pending: decls::PENDING.site(&[]),
+        };
+        for kind in ALL_KINDS {
+            for family in [
+                &mut m.planned,
+                &mut m.actuated,
+                &mut m.observed,
+                &mut m.regressed,
+            ] {
+                family.at(t, kind as usize, || kind.name());
+            }
+            m.efficacy_err_pct.at(t, kind as usize, || kind.name());
+        }
+        for (i, reason) in SUPPRESS_REASONS.iter().enumerate() {
+            m.suppressed.at(t, i, || reason);
+        }
+        m.log_dropped.get(t);
+        m.pending.get(t);
+        m
+    }
+}
+
 /// The planner/executor. One per driver run; ticked at pump cadence.
 #[derive(Debug)]
 pub struct ActionEngine {
     pub cfg: ActionConfig,
     telemetry: Telemetry,
+    metrics: ActionMetrics,
     pending: Vec<Pending>,
     /// (kind name, target) → last planned_at_ns, for the rate limit.
     last_fire: BTreeMap<(String, String), f64>,
@@ -396,33 +460,11 @@ pub struct ActionEngine {
 }
 
 impl ActionEngine {
-    /// Build an engine over the world's shared telemetry. Pre-declares
-    /// every `tscout_action_*` metric at zero so a run that attaches an
-    /// engine registers the full set (the `metrics_doc --check`
-    /// contract) even before any action fires.
+    /// Build an engine over the world's shared telemetry.
     pub fn new(cfg: ActionConfig, telemetry: Telemetry) -> Self {
-        for kind in ALL_KINDS {
-            for name in [
-                "tscout_action_planned_total",
-                "tscout_action_actuated_total",
-                "tscout_action_observed_total",
-                "tscout_action_regressed_total",
-            ] {
-                telemetry.counter_add(name, &[("kind", kind.name())], 0);
-            }
-            telemetry.gauge_set(
-                "tscout_action_efficacy_err_pct",
-                &[("kind", kind.name())],
-                0.0,
-            );
-        }
-        for reason in ["rate_limit", "in_flight", "hysteresis", "dry_run"] {
-            telemetry.counter_add("tscout_action_suppressed_total", &[("reason", reason)], 0);
-        }
-        telemetry.counter_add("tscout_action_log_dropped_total", &[], 0);
-        telemetry.gauge_set("tscout_action_pending", &[], 0.0);
         ActionEngine {
             cfg,
+            metrics: ActionMetrics::new(&telemetry),
             telemetry,
             pending: Vec::new(),
             last_fire: BTreeMap::new(),
@@ -475,8 +517,10 @@ impl ActionEngine {
         for c in candidates {
             self.admit(c, now, inputs.model_generation, actuator, &mut report);
         }
-        self.telemetry
-            .gauge_set("tscout_action_pending", &[], self.pending.len() as f64);
+        self.metrics
+            .pending
+            .get(&self.telemetry)
+            .set(self.pending.len() as f64);
         report
     }
 
@@ -495,15 +539,14 @@ impl ActionEngine {
                 || p.regress_below.is_some_and(|b| observed < b);
             self.telemetry
                 .action_observe(p.id, observed, now, err_pct, regressed);
-            let kind = p.kind.name();
-            self.telemetry
-                .counter_inc("tscout_action_observed_total", &[("kind", kind)]);
+            let (t, m, kind) = (&self.telemetry, &mut self.metrics, p.kind);
+            m.observed.at(t, kind as usize, || kind.name()).inc();
             if regressed {
-                self.telemetry
-                    .counter_inc("tscout_action_regressed_total", &[("kind", kind)]);
+                m.regressed.at(t, kind as usize, || kind.name()).inc();
             }
-            self.telemetry
-                .gauge_set("tscout_action_efficacy_err_pct", &[("kind", kind)], err_pct);
+            m.efficacy_err_pct
+                .at(t, kind as usize, || kind.name())
+                .set(err_pct);
             outcomes.push(EfficacyOutcome {
                 id: p.id,
                 kind: p.kind,
@@ -533,7 +576,7 @@ impl ActionEngine {
         //    of the window; still-CRITICAL at follow-up is a regression.
         let data_health = self
             .telemetry
-            .gauge_value("ts_health_state", &[("subsystem", "data")]);
+            .gauge_value(HEALTH_STATE.name, &[("subsystem", "data")]);
         if data_health >= 2.0 {
             out.push(Candidate {
                 kind: ActionKind::TriggerRetrain,
@@ -542,7 +585,7 @@ impl ActionEngine {
                 detail: "data health CRITICAL: retrain + rebaseline drift references".to_string(),
                 command: ActionCommand::TriggerRetrain,
                 watch: Watch::Gauge {
-                    name: "ts_health_state".to_string(),
+                    name: HEALTH_STATE.name.to_string(),
                     labels: vec![("subsystem".to_string(), "data".to_string())],
                 },
                 value_before: data_health,
@@ -629,7 +672,7 @@ impl ActionEngine {
                 continue;
             }
             let lost_base: u64 = self.telemetry.with_registry(|reg| {
-                reg.counters_named("tscout_samples_lost_total")
+                reg.counters_named(SAMPLES_LOST.name)
                     .iter()
                     .filter(|(k, _)| {
                         k.labels
@@ -652,7 +695,7 @@ impl ActionEngine {
                     rate: r.recommended.max(self.cfg.min_rate),
                 },
                 watch: Watch::CounterSum {
-                    name: "tscout_samples_lost_total".to_string(),
+                    name: SAMPLES_LOST.name.to_string(),
                     label_key: "subsystem".to_string(),
                     label_value: r.subsystem.clone(),
                     base: lost_base,
@@ -668,7 +711,7 @@ impl ActionEngine {
         // 4. archive_pressure: segment pileup schedules a compaction;
         //    an overhead breach holds (deprioritizes) it instead, and
         //    recovery below the restore watermark releases the hold.
-        let segments = self.telemetry.gauge_value("archive_segments", &[]);
+        let segments = self.telemetry.gauge_value(ARCHIVE_SEGMENTS.name, &[]);
         if !self.compaction_held && segments > self.cfg.archive_segments_hi {
             out.push(Candidate {
                 kind: ActionKind::ScheduleCompaction,
@@ -680,7 +723,7 @@ impl ActionEngine {
                 ),
                 command: ActionCommand::ScheduleCompaction,
                 watch: Watch::Gauge {
-                    name: "archive_segments".to_string(),
+                    name: ARCHIVE_SEGMENTS.name.to_string(),
                     labels: Vec::new(),
                 },
                 value_before: segments,
@@ -773,8 +816,10 @@ impl ActionEngine {
         actuator: &mut dyn DbmsActuator,
         report: &mut TickReport,
     ) {
-        let suppress = |telemetry: &Telemetry, reason: &str, report: &mut TickReport| {
-            telemetry.counter_inc("tscout_action_suppressed_total", &[("reason", reason)]);
+        let suppress = |m: &mut ActionMetrics, reason: usize, report: &mut TickReport| {
+            m.suppressed
+                .at(&self.telemetry, reason, || SUPPRESS_REASONS[reason])
+                .inc();
             report.suppressed += 1;
         };
         // One action in flight per (kind, target).
@@ -783,14 +828,14 @@ impl ActionEngine {
             .iter()
             .any(|p| p.kind == c.kind && p.target == c.target)
         {
-            suppress(&self.telemetry, "in_flight", report);
+            suppress(&mut self.metrics, IN_FLIGHT, report);
             return;
         }
         // Per-(kind, target) rate limit.
         let key = (c.kind.name().to_string(), c.target.clone());
         if let Some(&t0) = self.last_fire.get(&key) {
             if now - t0 < self.cfg.min_interval_ns {
-                suppress(&self.telemetry, "rate_limit", report);
+                suppress(&mut self.metrics, RATE_LIMIT, report);
                 return;
             }
         }
@@ -798,7 +843,7 @@ impl ActionEngine {
         if c.direction != 0 {
             if let Some(&(dir, at)) = self.last_move.get(&c.target) {
                 if dir != 0 && dir != c.direction && now - at < self.cfg.hysteresis_ns {
-                    suppress(&self.telemetry, "hysteresis", report);
+                    suppress(&mut self.metrics, HYSTERESIS, report);
                     return;
                 }
             }
@@ -826,17 +871,18 @@ impl ActionEngine {
         });
         let dropped_now = self.telemetry.with_registry(|r| r.actions().dropped());
         if dropped_now > dropped_before {
-            self.telemetry.counter_add(
-                "tscout_action_log_dropped_total",
-                &[],
-                dropped_now - dropped_before,
-            );
+            self.metrics
+                .log_dropped
+                .get(&self.telemetry)
+                .add(dropped_now - dropped_before);
         }
-        self.telemetry
-            .counter_inc("tscout_action_planned_total", &[("kind", c.kind.name())]);
+        self.metrics
+            .planned
+            .at(&self.telemetry, c.kind as usize, || c.kind.name())
+            .inc();
 
         if self.cfg.dry_run {
-            suppress(&self.telemetry, "dry_run", report);
+            suppress(&mut self.metrics, DRY_RUN, report);
         } else {
             match &c.command {
                 ActionCommand::SetSamplingRate { subsystem, rate } => {
@@ -850,8 +896,10 @@ impl ActionEngine {
                 }
                 ActionCommand::SetPipelineMode { fused } => actuator.set_pipeline_mode(*fused),
             }
-            self.telemetry
-                .counter_inc("tscout_action_actuated_total", &[("kind", c.kind.name())]);
+            self.metrics
+                .actuated
+                .at(&self.telemetry, c.kind as usize, || c.kind.name())
+                .inc();
             report.actuated.push(c.command.clone());
         }
         self.last_fire.insert(key, now);
@@ -879,7 +927,7 @@ impl ActionEngine {
 /// The watch every overhead-driven prediction names.
 fn overhead_watch() -> Watch {
     Watch::Gauge {
-        name: "tscout_overhead_ratio".to_string(),
+        name: decls::OVERHEAD_RATIO.name.to_string(),
         labels: Vec::new(),
     }
 }
@@ -927,7 +975,8 @@ mod tests {
     #[test]
     fn kill_switch_disables_everything() {
         let t = Telemetry::new();
-        t.gauge_set("ts_health_state", &[("subsystem", "data")], 2.0);
+        t.gauge("ts_health_state", &[("subsystem", "data")])
+            .set(2.0);
         let mut e = ActionEngine::new(
             ActionConfig {
                 enabled: false,
@@ -952,7 +1001,8 @@ mod tests {
     #[test]
     fn drift_critical_plans_retrain_and_rate_limit_holds() {
         let t = Telemetry::new();
-        t.gauge_set("ts_health_state", &[("subsystem", "data")], 2.0);
+        t.gauge("ts_health_state", &[("subsystem", "data")])
+            .set(2.0);
         let mut e = ActionEngine::new(ActionConfig::default(), t.clone());
         let mut a = Recorder::default();
         let r = e.tick(
@@ -985,7 +1035,8 @@ mod tests {
         );
         // Past the window the follow-up closes; the rate limit then
         // suppresses an immediate refire.
-        t.gauge_set("ts_health_state", &[("subsystem", "data")], 2.0);
+        t.gauge("ts_health_state", &[("subsystem", "data")])
+            .set(2.0);
         let r = e.tick(
             &PlannerInputs {
                 now_ns: 1e6 + e.cfg.observation_window_ns + 1.0,
@@ -1007,7 +1058,8 @@ mod tests {
     #[test]
     fn follow_up_success_when_health_recovers() {
         let t = Telemetry::new();
-        t.gauge_set("ts_health_state", &[("subsystem", "data")], 2.0);
+        t.gauge("ts_health_state", &[("subsystem", "data")])
+            .set(2.0);
         let mut e = ActionEngine::new(ActionConfig::default(), t.clone());
         let mut a = Recorder::default();
         e.tick(
@@ -1017,7 +1069,8 @@ mod tests {
             },
             &mut a,
         );
-        t.gauge_set("ts_health_state", &[("subsystem", "data")], 0.0);
+        t.gauge("ts_health_state", &[("subsystem", "data")])
+            .set(0.0);
         let r = e.tick(
             &PlannerInputs {
                 now_ns: 1e6 + e.cfg.observation_window_ns + 1.0,
@@ -1069,7 +1122,7 @@ mod tests {
             t.clone(),
         );
         let mut a = Recorder::default();
-        t.gauge_set("tscout_overhead_ratio", &[], 0.09);
+        t.gauge("tscout_overhead_ratio", &[]).set(0.09);
         let r = e.tick(
             &PlannerInputs {
                 now_ns: 1e6,
@@ -1093,7 +1146,7 @@ mod tests {
         assert!(e.compaction_held());
         // Ratio recovers below the restore watermark, but the raise
         // reverses the lower: hysteresis holds it back...
-        t.gauge_set("tscout_overhead_ratio", &[], 0.02);
+        t.gauge("tscout_overhead_ratio", &[]).set(0.02);
         let r = e.tick(
             &PlannerInputs {
                 now_ns: 20e6,
@@ -1138,11 +1191,11 @@ mod tests {
     #[test]
     fn loss_backoff_follows_processor_recommendation() {
         let t = Telemetry::new();
-        t.counter_add(
+        t.counter(
             "tscout_samples_lost_total",
             &[("subsystem", "execution_engine"), ("reason", "overwrite")],
-            12,
-        );
+        )
+        .add(12);
         let mut e = ActionEngine::new(ActionConfig::default(), t.clone());
         let mut a = Recorder::default();
         let r = e.tick(
@@ -1180,7 +1233,7 @@ mod tests {
     #[test]
     fn archive_pressure_schedules_compaction() {
         let t = Telemetry::new();
-        t.gauge_set("archive_segments", &[], 100.0);
+        t.gauge("archive_segments", &[]).set(100.0);
         let mut e = ActionEngine::new(ActionConfig::default(), t.clone());
         let mut a = Recorder::default();
         let r = e.tick(
@@ -1255,9 +1308,13 @@ mod tests {
             ..Default::default()
         };
         let t_live = Telemetry::new();
-        t_live.gauge_set("ts_health_state", &[("subsystem", "data")], 2.0);
+        t_live
+            .gauge("ts_health_state", &[("subsystem", "data")])
+            .set(2.0);
         let t_dry = Telemetry::new();
-        t_dry.gauge_set("ts_health_state", &[("subsystem", "data")], 2.0);
+        t_dry
+            .gauge("ts_health_state", &[("subsystem", "data")])
+            .set(2.0);
         let mut live = ActionEngine::new(ActionConfig::default(), t_live.clone());
         let mut dry = ActionEngine::new(
             ActionConfig {
@@ -1304,21 +1361,27 @@ mod tests {
 
     #[test]
     fn constructor_predeclares_all_metrics() {
+        // Every `tscout_action_*` family is pre-registered at zero with
+        // non-empty help, before any action fires.
         let t = Telemetry::new();
         let _e = ActionEngine::new(ActionConfig::default(), t.clone());
-        let names = t.with_registry(|r| r.metric_names());
-        for n in [
-            "tscout_action_planned_total",
-            "tscout_action_actuated_total",
-            "tscout_action_observed_total",
-            "tscout_action_regressed_total",
-            "tscout_action_suppressed_total",
-            "tscout_action_log_dropped_total",
-            "tscout_action_pending",
-            "tscout_action_efficacy_err_pct",
-        ] {
-            assert!(names.iter().any(|x| x == n), "missing {n}");
-            assert!(tscout_telemetry::is_documented(n), "undocumented {n}");
+        let prom = t.to_prometheus();
+        for d in decls::DECLS
+            .iter()
+            .filter(|d| d.name != "tscout_overhead_ratio")
+        {
+            assert!(d.name.starts_with("tscout_action_") && !d.help.is_empty());
+            let header = format!(
+                "# HELP {} {}\n# TYPE {} {}\n",
+                d.name, d.help, d.name, d.kind
+            );
+            assert!(prom.contains(&header), "missing {header}");
+            let samples: Vec<&str> = prom
+                .lines()
+                .filter(|l| l.starts_with(d.name) && !l.contains("_bucket"))
+                .collect();
+            assert!(!samples.is_empty(), "{} has no series", d.name);
+            assert!(samples.iter().all(|l| l.ends_with(" 0")), "{samples:?}");
         }
     }
 }

@@ -136,16 +136,14 @@ impl Archive {
                 if rows.len() > keep {
                     *drop_n = rows.len() - keep;
                     retired += *drop_n as u64;
-                    self.telemetry.counter_add(
-                        "archive_ou_samples_retired_total",
-                        &[("ou", &rows.ou().name)],
-                        *drop_n as u64,
-                    );
+                    self.metrics
+                        .ou_retired
+                        .at(&self.telemetry, *ou as usize, || &rows.ou().name)
+                        .add(*drop_n as u64);
                 }
             }
             if retired > 0 {
-                self.telemetry
-                    .counter_add("archive_samples_retired_total", &[], retired);
+                self.metrics.retired.get(&self.telemetry).add(retired);
             }
         }
         per_ou.retain(|_, (rows, drop_n)| rows.len() > *drop_n);
@@ -197,8 +195,7 @@ impl Archive {
         for p in removed.iter().skip(1) {
             std::fs::remove_file(p)?;
         }
-        self.telemetry
-            .counter_add("archive_bytes_written_total", &[], offset);
+        self.metrics.bytes_written.get(&self.telemetry).add(offset);
         let merged = SegmentMeta {
             seq: first_seq,
             path: first_path,
@@ -219,18 +216,16 @@ impl Archive {
         merged: Option<SegmentMeta>,
     ) -> Result<(), ArchiveError> {
         let mut rest = self.segments.split_off(run);
-        self.telemetry.counter_add(
-            "archive_segments_compacted_total",
-            &[],
-            self.segments.len() as u64,
-        );
+        self.metrics
+            .segments_compacted
+            .get(&self.telemetry)
+            .add(self.segments.len() as u64);
         self.segments.clear();
         if let Some(m) = merged {
             self.segments.push(m);
         }
         self.segments.append(&mut rest);
-        self.telemetry
-            .gauge_set("archive_segments", &[], self.segments.len() as f64);
+        self.publish_segments();
         Ok(())
     }
 }

@@ -34,6 +34,7 @@
 
 mod compact;
 mod crc32;
+pub mod decls;
 mod encode;
 mod segment;
 mod store;

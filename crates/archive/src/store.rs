@@ -6,13 +6,18 @@ use std::io::{Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
+use tscout_telemetry::decls::{
+    ARCHIVE_BUFFERED_SAMPLES, ARCHIVE_OU_BLOCKS, ARCHIVE_OU_BYTES_WRITTEN,
+    ARCHIVE_OU_SAMPLES_APPENDED, ARCHIVE_OU_SAMPLES_RETIRED, ARCHIVE_RECOVERED_TRUNCATIONS,
+    ARCHIVE_SEGMENTS, ARCHIVE_SEGMENTS_COMPACTED, ARCHIVE_SEGMENTS_SEALED,
+};
 use tscout_telemetry::{CounterSite, CounterVec, GaugeSite, HistSite, Telemetry};
 
 use crate::segment::{
     decode_footer, encode_footer, read_frame, write_frame, BlockMeta, ColumnBatch, OuEntry,
     Projection, FRAME_BLOCK, FRAME_FOOTER, HEADER_LEN, MAGIC, VERSION,
 };
-use crate::{ArchiveError, ArchiveOptions, Sample};
+use crate::{decls, ArchiveError, ArchiveOptions, Sample};
 
 /// One segment file known to the archive, oldest-first by `seq`.
 #[derive(Debug)]
@@ -50,26 +55,38 @@ pub struct ArchiveStats {
 /// [`tscout_telemetry::Site`]): each series registers on first use, the
 /// per-OU families indexed by OU id.
 #[derive(Debug)]
-struct ArchiveMetrics {
+pub(crate) struct ArchiveMetrics {
     appended: CounterSite,
     ou_appended: CounterVec,
     buffered: GaugeSite,
-    bytes_written: CounterSite,
+    pub(crate) bytes_written: CounterSite,
     ou_blocks: CounterVec,
     ou_bytes_written: CounterVec,
     flush_ns: HistSite,
+    pub(crate) segments: GaugeSite,
+    segments_sealed: CounterSite,
+    pub(crate) segments_compacted: CounterSite,
+    recovered_truncations: CounterSite,
+    pub(crate) retired: CounterSite,
+    pub(crate) ou_retired: CounterVec,
 }
 
 impl ArchiveMetrics {
     fn new() -> Self {
         ArchiveMetrics {
-            appended: CounterSite::new("archive_samples_appended_total", &[]),
-            ou_appended: CounterVec::new("archive_ou_samples_appended_total", "ou"),
-            buffered: GaugeSite::new("archive_buffered_samples", &[]),
-            bytes_written: CounterSite::new("archive_bytes_written_total", &[]),
-            ou_blocks: CounterVec::new("archive_ou_blocks_total", "ou"),
-            ou_bytes_written: CounterVec::new("archive_ou_bytes_written_total", "ou"),
-            flush_ns: HistSite::new("archive_flush_ns", &[]),
+            appended: decls::SAMPLES_APPENDED.site(&[]),
+            ou_appended: ARCHIVE_OU_SAMPLES_APPENDED.vec("ou"),
+            buffered: ARCHIVE_BUFFERED_SAMPLES.site(&[]),
+            bytes_written: decls::BYTES_WRITTEN.site(&[]),
+            ou_blocks: ARCHIVE_OU_BLOCKS.vec("ou"),
+            ou_bytes_written: ARCHIVE_OU_BYTES_WRITTEN.vec("ou"),
+            flush_ns: decls::FLUSH_NS.site(&[]),
+            segments: ARCHIVE_SEGMENTS.site(&[]),
+            segments_sealed: ARCHIVE_SEGMENTS_SEALED.site(&[]),
+            segments_compacted: ARCHIVE_SEGMENTS_COMPACTED.site(&[]),
+            recovered_truncations: ARCHIVE_RECOVERED_TRUNCATIONS.site(&[]),
+            retired: decls::SAMPLES_RETIRED.site(&[]),
+            ou_retired: ARCHIVE_OU_SAMPLES_RETIRED.vec("ou"),
         }
     }
 }
@@ -82,7 +99,7 @@ pub struct Archive {
     pub telemetry: Telemetry,
     /// Boxed so an `Archive` stays small enough to be held by value in
     /// an enum next to much smaller variants (`tscout::Sink`).
-    metrics: Box<ArchiveMetrics>,
+    pub(crate) metrics: Box<ArchiveMetrics>,
     /// Per-OU write buffers, keyed by OU id.
     memtables: BTreeMap<u16, ColumnBatch>,
     buffered: usize,
@@ -151,10 +168,16 @@ impl Archive {
                 archive.segments.push(meta);
             }
         }
-        archive
-            .telemetry
-            .gauge_set("archive_segments", &[], archive.segments.len() as f64);
+        archive.publish_segments();
         Ok(archive)
+    }
+
+    /// Publish the segment count as `archive_segments`.
+    pub(crate) fn publish_segments(&self) {
+        self.metrics
+            .segments
+            .get(&self.telemetry)
+            .set(self.segments.len() as f64);
     }
 
     /// Scan one segment file frame-by-frame, truncating at the first
@@ -219,8 +242,10 @@ impl Archive {
         let torn = valid_to < file_len;
         if torn {
             f.set_len(valid_to)?;
-            self.telemetry
-                .counter_inc("archive_recovered_truncations_total", &[]);
+            self.metrics
+                .recovered_truncations
+                .get(&self.telemetry)
+                .inc();
         }
         if blocks.is_empty() {
             drop(f);
@@ -234,8 +259,7 @@ impl Archive {
             f.seek(SeekFrom::Start(valid_to))?;
             let footer = encode_footer(&ous, &blocks);
             bytes += write_frame(&mut f, FRAME_FOOTER, &footer)?;
-            self.telemetry
-                .counter_inc("archive_segments_sealed_total", &[]);
+            self.metrics.segments_sealed.get(&self.telemetry).inc();
         }
         Ok(Some(SegmentMeta {
             seq,
@@ -356,8 +380,7 @@ impl Archive {
             .bytes_written
             .get(&self.telemetry)
             .add(HEADER_LEN);
-        self.telemetry
-            .gauge_set("archive_segments", &[], self.segments.len() as f64);
+        self.publish_segments();
         Ok(())
     }
 
@@ -388,8 +411,7 @@ impl Archive {
             self.segments.pop();
             drop(f);
             std::fs::remove_file(path)?;
-            self.telemetry
-                .gauge_set("archive_segments", &[], self.segments.len() as f64);
+            self.publish_segments();
             return Ok(());
         }
         f.seek(SeekFrom::Start(meta.bytes))?;
@@ -401,8 +423,7 @@ impl Archive {
             .bytes_written
             .get(&self.telemetry)
             .add(frame_len);
-        self.telemetry
-            .counter_inc("archive_segments_sealed_total", &[]);
+        self.metrics.segments_sealed.get(&self.telemetry).inc();
         Ok(())
     }
 
@@ -551,8 +572,8 @@ impl BatchScan {
             if self.read_block(file, offset).is_some() {
                 return true;
             }
-            self.telemetry
-                .counter_inc("archive_scan_skipped_blocks_total", &[]);
+            // Only reachable when a file changed underneath the scan.
+            decls::SCAN_SKIPPED_BLOCKS.with(&self.telemetry, &[]).inc();
         }
         let more = self.tail_at < self.tail.len();
         self.tail_at += usize::from(more);

@@ -22,6 +22,7 @@ use tscout_archive::ArchiveOptions;
 use tscout_bench::{absorb_db, attach_collect, dump_observability, new_db, Csv};
 use tscout_kernel::HardwareProfile;
 use tscout_models::ModelKind;
+use tscout_telemetry::decls;
 use tscout_workloads::driver::{run_with_lifecycle, ModelLifecycle, RunOptions, Workload};
 
 struct ArmResult {
@@ -74,14 +75,14 @@ fn run_arm(tag: &str, engine: bool, seed: u64) -> (Database, ArmResult) {
     let t = &db.kernel.telemetry;
     let r = ArmResult {
         committed: stats.committed,
-        final_health: t.gauge_value("ts_health_state", &[("subsystem", "data")]),
+        final_health: t.gauge_value(decls::HEALTH_STATE.name, &[("subsystem", "data")]),
         retrains_actuated: t.counter_value(
-            "tscout_action_actuated_total",
+            tscout_actions::decls::ACTUATED.name,
             &[("kind", "trigger_retrain")],
         ),
-        rebaselines: t.counter_value("ts_drift_rebaselines_total", &[]),
-        actions_planned: t.counter_total("tscout_action_planned_total"),
-        actions_observed: t.counter_total("tscout_action_observed_total"),
+        rebaselines: t.counter_value(decls::DRIFT_REBASELINES.name, &[]),
+        actions_planned: t.counter_total(tscout_actions::decls::PLANNED.name),
+        actions_observed: t.counter_total(tscout_actions::decls::OBSERVED.name),
         efficacy_samples: lc.archive.scan_ou(EFFICACY_OU_NAME).count(),
         log_len: t.actions_snapshot().len(),
     };

@@ -167,7 +167,10 @@ fn run_arm(shift_after: u64, seed: u64) -> (Database, ArmResult) {
         .rows[0][0]
         .as_int()
         .unwrap();
-    let alerts_fired = db.kernel.telemetry.counter_total("alerts_fired_total");
+    let alerts_fired = db
+        .kernel
+        .telemetry
+        .counter_total(tscout_telemetry::decls::ALERTS_FIRED.name);
     (
         db,
         ArmResult {

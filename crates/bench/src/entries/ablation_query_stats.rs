@@ -120,7 +120,7 @@ pub fn main() {
     let evicted = db
         .kernel
         .telemetry
-        .counter_value("db_stmt_evicted_total", &[]);
+        .counter_value(tscout_telemetry::decls::STMT_EVICTED.name, &[]);
     if evicted == 0 {
         // The EXPLAIN ANALYZE above recorded itself after the snapshot
         // we read — allow for statements recorded since the counter read.

@@ -25,7 +25,7 @@ use tscout_models::dataset::OuData;
 use tscout_models::eval::{avg_abs_error_per_template_us, OuModelSet};
 use tscout_models::ModelKind;
 use tscout_telemetry::tables::all_tables_json;
-use tscout_telemetry::{Profiler, Telemetry, DEFAULT_PROFILE_PERIOD_NS};
+use tscout_telemetry::{decls, Profiler, Telemetry, DEFAULT_PROFILE_PERIOD_NS};
 use tscout_workloads::driver::{
     assign_templates, collect_datasets, RunOptions, RunStats, Workload,
 };
@@ -224,13 +224,13 @@ pub fn archive_stats_json() -> String {
         st.samples_stored,
         st.samples_buffered,
         st.bytes,
-        t.counter_total("archive_bytes_written_total"),
-        t.counter_total("archive_segments_sealed_total"),
-        t.counter_total("archive_segments_compacted_total"),
-        t.counter_total("archive_recovered_truncations_total"),
-        t.gauge_value("model_generation", &[]),
-        t.counter_total("model_swap_accepted_total"),
-        t.counter_total("model_swap_rejected_total"),
+        t.counter_total(tscout_archive::decls::BYTES_WRITTEN.name),
+        t.counter_total(decls::ARCHIVE_SEGMENTS_SEALED.name),
+        t.counter_total(decls::ARCHIVE_SEGMENTS_COMPACTED.name),
+        t.counter_total(decls::ARCHIVE_RECOVERED_TRUNCATIONS.name),
+        t.gauge_value(decls::MODEL_GENERATION.name, &[]),
+        t.counter_total(decls::MODEL_SWAP_ACCEPTED.name),
+        t.counter_total(decls::MODEL_SWAP_REJECTED.name),
     )
 }
 

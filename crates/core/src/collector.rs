@@ -38,10 +38,14 @@ use tscout_kernel::pmu::ALL_COUNTERS;
 use tscout_kernel::task::{Ioac, TcpSock};
 use tscout_kernel::tracepoint::TracepointId;
 use tscout_kernel::{Kernel, PmuReading, SyscallKind, TaskId};
-use tscout_telemetry::{CounterVec, Gauge, Telemetry, TraceId};
+use tscout_telemetry::decls::{OU_SAMPLES_LOST, SAMPLES_LOST};
+use tscout_telemetry::{
+    Counter, CounterSite, CounterVec, Decl, Gauge, SiteVec, Telemetry, TraceId,
+};
 
 use crate::codegen::{self, encode_ctx_into, ProbeLayout, CTX_BYTES};
 use crate::data::{decode_points, encode_record, RawRecord, TrainingPoint, MAX_PAYLOAD_WORDS};
+use crate::decls;
 use crate::ou::{OuId, OuRegistry, Subsystem, ALL_SUBSYSTEMS};
 use crate::sampling::Sampler;
 
@@ -276,8 +280,35 @@ pub struct DrainedRecord<'a> {
     pub ring_len: usize,
 }
 
-/// The Collector's hot metrics, declared once (see
-/// [`tscout_telemetry::SiteVec`]): each series registers on first use.
+/// Why a begun sample never reached the Processor: the `reason` label of
+/// `tscout_samples_lost_total`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LossReason {
+    RingOverwrite,
+    BeginError,
+    FeaturesError,
+    NoEndSnapshot,
+    EmitBacklog,
+    StateReset,
+}
+
+impl LossReason {
+    const COUNT: usize = 6;
+
+    fn name(self) -> &'static str {
+        match self {
+            LossReason::RingOverwrite => "ring_overwrite",
+            LossReason::BeginError => "begin_error",
+            LossReason::FeaturesError => "features_error",
+            LossReason::NoEndSnapshot => "no_end_snapshot",
+            LossReason::EmitBacklog => "emit_backlog",
+            LossReason::StateReset => "state_reset",
+        }
+    }
+}
+
+/// The Collector's metrics (declared in [`crate::decls`]): each series
+/// registers on first use.
 #[derive(Debug)]
 struct CollectorMetrics {
     /// Indexed by `Marker as usize`.
@@ -285,9 +316,16 @@ struct CollectorMetrics {
     /// Indexed by `Subsystem::index()`.
     begun: CounterVec,
     delivered: CounterVec,
+    /// Indexed by `[Subsystem::index()][LossReason as usize]`.
+    lost: [[Option<Counter>; LossReason::COUNT]; ALL_SUBSYSTEMS.len()],
     /// Indexed by OU id (registered OUs only).
     ou_begun: CounterVec,
     ou_delivered: CounterVec,
+    ou_lost: CounterVec,
+    /// Indexed by `Subsystem::index()`.
+    sampling_rate: SiteVec<Gauge>,
+    sampling_rate_changes: CounterVec,
+    state_machine_resets: CounterSite,
     /// Handles for [`TScout::bpf_gauges`], in its order; resolved at
     /// deploy, where every one of them is first published.
     bpf: Vec<Gauge>,
@@ -298,23 +336,28 @@ struct CollectorMetrics {
 }
 
 impl CollectorMetrics {
-    fn new(t: &Telemetry, bpf_gauges: impl Iterator<Item = &'static str>) -> Self {
-        let per_pass = |name| {
+    fn new(t: &Telemetry, bpf_gauges: impl Iterator<Item = &'static Decl<Gauge>>) -> Self {
+        let per_pass = |decl: &Decl<Gauge>| {
             tscout_bpf::PASS_NAMES
                 .iter()
-                .map(|pass| t.gauge(name, &[("pass", pass)]))
+                .map(|pass| decl.with(t, &[("pass", pass)]))
                 .collect()
         };
         CollectorMetrics {
-            marker_events: CounterVec::new("tscout_marker_events_total", "marker"),
-            begun: CounterVec::new("tscout_samples_begun_total", "subsystem"),
-            delivered: CounterVec::new("tscout_samples_delivered_total", "subsystem"),
-            ou_begun: CounterVec::new("tscout_ou_samples_begun_total", "ou"),
-            ou_delivered: CounterVec::new("tscout_ou_samples_delivered_total", "ou"),
-            bpf: bpf_gauges.map(|name| t.gauge(name, &[])).collect(),
-            ring_hwm: t.gauge("tscout_ring_occupancy_hwm", &[]),
-            opt_removed: per_pass("tscout_opt_insns_removed_total"),
-            opt_rewritten: per_pass("tscout_opt_insns_rewritten_total"),
+            marker_events: decls::MARKER_EVENTS.vec("marker"),
+            begun: decls::SAMPLES_BEGUN.vec("subsystem"),
+            delivered: decls::SAMPLES_DELIVERED.vec("subsystem"),
+            lost: Default::default(),
+            ou_begun: decls::OU_SAMPLES_BEGUN.vec("ou"),
+            ou_delivered: decls::OU_SAMPLES_DELIVERED.vec("ou"),
+            ou_lost: OU_SAMPLES_LOST.vec("ou"),
+            sampling_rate: decls::SAMPLING_RATE.vec("subsystem"),
+            sampling_rate_changes: decls::SAMPLING_RATE_CHANGES.vec("subsystem"),
+            state_machine_resets: decls::STATE_MACHINE_RESETS.site(&[]),
+            bpf: bpf_gauges.map(|decl| decl.with(t, &[])).collect(),
+            ring_hwm: decls::RING_OCCUPANCY_HWM.with(t, &[]),
+            opt_removed: per_pass(&decls::OPT_INSNS_REMOVED),
+            opt_rewritten: per_pass(&decls::OPT_INSNS_REWRITTEN),
         }
     }
 }
@@ -486,7 +529,7 @@ impl TScout {
             &kernel.telemetry,
             Self::bpf_gauges(&loader, ring, &stats)
                 .into_iter()
-                .map(|(name, _)| name),
+                .map(|(decl, _)| decl),
         );
         let ts = TScout {
             config,
@@ -560,15 +603,11 @@ impl TScout {
     /// Adjust a subsystem's sampling rate at runtime (§5.3 / §6.3).
     pub fn set_sampling_rate(&mut self, s: Subsystem, rate: u8) {
         self.sampler.set_rate(s, rate);
-        self.telemetry.counter_inc(
-            "tscout_sampling_rate_changes_total",
-            &[("subsystem", s.name())],
-        );
-        self.telemetry.gauge_set(
-            "tscout_sampling_rate",
-            &[("subsystem", s.name())],
-            rate as f64,
-        );
+        let (t, m) = (&self.telemetry, &mut self.metrics);
+        m.sampling_rate_changes.at(t, s.index(), || s.name()).inc();
+        m.sampling_rate
+            .at(t, s.index(), || s.name())
+            .set(rate as f64);
     }
 
     /// Globally pause/resume collection without unloading anything.
@@ -619,15 +658,26 @@ impl TScout {
             .inc();
     }
 
-    /// Losses are off the steady-state path: string-keyed.
-    fn mark_lost(&self, subsystem: Subsystem, ou: OuId, reason: &str) {
-        let o = Self::ou_label(&self.registry, ou);
-        self.telemetry.counter_inc(
-            "tscout_samples_lost_total",
-            &[("subsystem", subsystem.name()), ("reason", reason)],
-        );
-        self.telemetry
-            .counter_inc("tscout_ou_samples_lost_total", &[("ou", &o)]);
+    /// Under ring overwrite loss *is* the steady state, so this path is
+    /// as allocation- and lock-free as `mark_begun`. A header naming no
+    /// registered OU resolves uncached instead of growing the per-OU vec.
+    fn mark_lost(&mut self, subsystem: Subsystem, ou: OuId, reason: LossReason) {
+        let (t, registry, m) = (&self.telemetry, &self.registry, &mut self.metrics);
+        m.lost[subsystem.index()][reason as usize]
+            .get_or_insert_with(|| {
+                let labels = [("subsystem", subsystem.name()), ("reason", reason.name())];
+                SAMPLES_LOST.with(t, &labels)
+            })
+            .inc();
+        if registry.get(ou).is_some() {
+            m.ou_lost
+                .at(t, ou.0 as usize, || Self::ou_label(registry, ou))
+                .inc();
+        } else {
+            OU_SAMPLES_LOST
+                .with(t, &[("ou", &Self::ou_label(registry, ou))])
+                .inc();
+        }
     }
 
     /// Parse subsystem + OU + emitting thread out of an encoded record's
@@ -654,44 +704,47 @@ impl TScout {
             let (s, ou, tid) = Self::record_ids(header.as_bytes());
             let s = s.unwrap_or(Subsystem::ExecutionEngine);
             let ou = ou.unwrap_or(OuId(u16::MAX));
-            self.mark_lost(s, ou, "ring_overwrite");
+            self.mark_lost(s, ou, LossReason::RingOverwrite);
             self.telemetry.trace_ring_evict(ou.0, tid, self.last_now);
         }
     }
 
     /// The BPF substrate's own counters (ring, map ops, verifier,
-    /// optimizer) as `(gauge name, value)` — the one place each of these
-    /// gauges is declared.
-    fn bpf_gauges(loader: &Loader, ring: MapId, stats: &TsStats) -> [(&'static str, f64); 24] {
+    /// optimizer) as `(gauge, value)`.
+    fn bpf_gauges(
+        loader: &Loader,
+        ring: MapId,
+        stats: &TsStats,
+    ) -> [(&'static Decl<Gauge>, f64); 24] {
         let rs = loader.maps.ring_stats(ring);
         let ops = loader.maps.op_stats();
         let v = loader.verify_totals();
         let o = loader.opt_totals();
         [
-            ("tscout_ring_produced", rs.produced as f64),
-            ("tscout_ring_dropped", rs.dropped as f64),
-            ("tscout_ring_bytes", rs.bytes as f64),
-            ("tscout_ring_capacity", rs.capacity as f64),
-            ("tscout_map_lookups", ops.lookups as f64),
-            ("tscout_map_updates", ops.updates as f64),
-            ("tscout_map_deletes", ops.deletes as f64),
-            ("tscout_map_stack_pushes", ops.pushes as f64),
-            ("tscout_map_stack_pops", ops.pops as f64),
-            ("tscout_ring_pushes", ops.ring_pushes as f64),
-            ("tscout_ring_drained", ops.ring_drained as f64),
-            ("tscout_verify_insns", v.insns as f64),
-            ("tscout_verify_insns_visited", v.insns_visited as f64),
-            ("tscout_verify_states", v.states_explored as f64),
-            ("tscout_verify_states_pruned", v.states_pruned as f64),
-            ("tscout_verify_peak_depth", v.peak_depth as f64),
-            ("tscout_verify_paths", v.paths_completed as f64),
-            ("tscout_verify_runs", loader.verify_runs() as f64),
-            ("tscout_bpf_insns_executed", stats.bpf_insns as f64),
-            ("tscout_opt_insns_before", o.insns_before as f64),
-            ("tscout_opt_insns_after", o.insns_after as f64),
-            ("tscout_opt_iterations", o.iterations as f64),
-            ("tscout_opt_loops_unrolled", o.loops_unrolled as f64),
-            ("tscout_opt_fallbacks_total", loader.opt_fallbacks() as f64),
+            (&decls::RING_PRODUCED, rs.produced as f64),
+            (&decls::RING_DROPPED, rs.dropped as f64),
+            (&decls::RING_BYTES, rs.bytes as f64),
+            (&decls::RING_CAPACITY, rs.capacity as f64),
+            (&decls::MAP_LOOKUPS, ops.lookups as f64),
+            (&decls::MAP_UPDATES, ops.updates as f64),
+            (&decls::MAP_DELETES, ops.deletes as f64),
+            (&decls::MAP_STACK_PUSHES, ops.pushes as f64),
+            (&decls::MAP_STACK_POPS, ops.pops as f64),
+            (&decls::RING_PUSHES, ops.ring_pushes as f64),
+            (&decls::RING_DRAINED, ops.ring_drained as f64),
+            (&decls::VERIFY_INSNS, v.insns as f64),
+            (&decls::VERIFY_INSNS_VISITED, v.insns_visited as f64),
+            (&decls::VERIFY_STATES, v.states_explored as f64),
+            (&decls::VERIFY_STATES_PRUNED, v.states_pruned as f64),
+            (&decls::VERIFY_PEAK_DEPTH, v.peak_depth as f64),
+            (&decls::VERIFY_PATHS, v.paths_completed as f64),
+            (&decls::VERIFY_RUNS, loader.verify_runs() as f64),
+            (&decls::BPF_INSNS_EXECUTED, stats.bpf_insns as f64),
+            (&decls::OPT_INSNS_BEFORE, o.insns_before as f64),
+            (&decls::OPT_INSNS_AFTER, o.insns_after as f64),
+            (&decls::OPT_ITERATIONS, o.iterations as f64),
+            (&decls::OPT_LOOPS_UNROLLED, o.loops_unrolled as f64),
+            (&decls::OPT_FALLBACKS, loader.opt_fallbacks() as f64),
         ]
     }
 
@@ -719,11 +772,9 @@ impl TScout {
     /// Exact begun/delivered/lost totals across all subsystems.
     pub fn loss_totals(&self) -> LossTotals {
         LossTotals {
-            begun: self.telemetry.counter_total("tscout_samples_begun_total"),
-            delivered: self
-                .telemetry
-                .counter_total("tscout_samples_delivered_total"),
-            lost: self.telemetry.counter_total("tscout_samples_lost_total"),
+            begun: self.telemetry.counter_total(decls::SAMPLES_BEGUN.name),
+            delivered: self.telemetry.counter_total(decls::SAMPLES_DELIVERED.name),
+            lost: self.telemetry.counter_total(SAMPLES_LOST.name),
         }
     }
 
@@ -767,7 +818,7 @@ impl TScout {
                 CollectionMode::KernelContinuous => {
                     let r0 = self.fire(k, task, subsystem, Marker::Begin, ou, 0, &[]);
                     if r0 != 0 {
-                        self.mark_lost(subsystem, ou, "begin_error");
+                        self.mark_lost(subsystem, ou, LossReason::BeginError);
                         if let Some(id) = trace {
                             self.telemetry
                                 .trace_marker_abort(id, k.now(task), "begin_error");
@@ -909,7 +960,7 @@ impl TScout {
                 // The FEATURES program is the one that publishes; a sample
                 // that produced no ring record is lost right here.
                 if self.stats.samples_emitted == before {
-                    self.mark_lost(top.subsystem, ou, "features_error");
+                    self.mark_lost(top.subsystem, ou, LossReason::FeaturesError);
                     if let Some(id) = top.trace {
                         self.telemetry
                             .trace_marker_abort(id, self.last_now, "features_error");
@@ -925,7 +976,7 @@ impl TScout {
             }
             CollectionMode::UserToggle | CollectionMode::UserContinuous => {
                 let Some((start, elapsed, metrics)) = top.done else {
-                    self.mark_lost(top.subsystem, ou, "no_end_snapshot");
+                    self.mark_lost(top.subsystem, ou, LossReason::NoEndSnapshot);
                     if let Some(id) = top.trace {
                         self.telemetry
                             .trace_marker_abort(id, k.now(task), "no_end_snapshot");
@@ -1039,7 +1090,7 @@ impl TScout {
             self.stats.user_emit_drops += 1;
             let s =
                 Subsystem::from_index(rec.subsystem as usize).unwrap_or(Subsystem::ExecutionEngine);
-            self.mark_lost(s, OuId(rec.ou as u16), "emit_backlog");
+            self.mark_lost(s, OuId(rec.ou as u16), LossReason::EmitBacklog);
             if let Some(id) = trace {
                 self.telemetry.trace_marker_abort(id, now, "emit_backlog");
             }
@@ -1122,13 +1173,12 @@ impl TScout {
     /// discard intermediate results, and count the error.
     fn state_machine_reset(&mut self, k: &mut Kernel, task: TaskId) {
         self.stats.state_machine_errors += 1;
-        self.telemetry
-            .counter_inc("tscout_state_machine_resets_total", &[]);
+        self.metrics.state_machine_resets.get(&self.telemetry).inc();
         // Every collected sample still in flight on this thread dies with
         // the reset — attribute each one before discarding.
         let mut inflight = std::mem::take(&mut self.task_state(task).inflight);
         for f in inflight.iter().filter(|f| f.collected) {
-            self.mark_lost(f.subsystem, f.ou, "state_reset");
+            self.mark_lost(f.subsystem, f.ou, LossReason::StateReset);
             if let Some(id) = f.trace {
                 self.telemetry
                     .trace_marker_abort(id, k.now(task), "state_reset");
@@ -1185,10 +1235,12 @@ impl TScout {
                     .ou_delivered
                     .at(telemetry, ou.0 as usize, || Self::ou_label(registry, ou))
                     .inc(),
-                // A header no registered OU wrote: string-keyed.
+                // A header no registered OU wrote: resolved uncached.
                 None => {
                     let o = ou.map_or_else(|| "unknown".into(), |ou| Self::ou_label(registry, ou));
-                    telemetry.counter_inc("tscout_ou_samples_delivered_total", &[("ou", &o)]);
+                    decls::OU_SAMPLES_DELIVERED
+                        .with(telemetry, &[("ou", &o)])
+                        .inc();
                 }
             }
             visit(DrainedRecord {

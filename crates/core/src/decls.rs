@@ -1,0 +1,87 @@
+//! Metric declarations of this crate (see
+//! [`tscout_telemetry::declare_metrics`]). The loss counters and
+//! `processor_decode_errors_total` are declared in
+//! [`tscout_telemetry::decls`], because the stock health rules and the
+//! action engine (which does not depend on this crate) read them.
+
+tscout_telemetry::declare_metrics! {
+    /// Every metric declared in `tscout-core`.
+    pub DECLS:
+    pub(crate) ARCHIVE_APPEND_ERRORS: Counter = "archive_append_errors_total",
+        "Samples the archive sink failed to append";
+    pub(crate) PROCESSOR_BUFFERED_SAMPLES: Gauge = "processor_buffered_samples",
+        "Decoded samples buffered in the Processor's sink";
+    pub(crate) PROCESSOR_DEAGG_FANOUT: Hist = "processor_deagg_fanout",
+        "Training points produced per ring record (fused de-aggregation)";
+    pub(crate) PROCESSOR_DRAIN_NS: Hist = "processor_drain_ns", "Virtual duration of full ring drains";
+    pub(crate) PROCESSOR_POINTS: Counter = "processor_points_total",
+        "Training points produced by the Processor";
+    pub(crate) PROCESSOR_POLL_NS: Hist = "processor_poll_ns", "Virtual duration of Processor poll slices";
+    pub(crate) PROCESSOR_RATE_REDUCTIONS: Counter = "processor_rate_reductions_total",
+        "Times the loss-feedback hook recommended halving the sampling rate";
+    pub(crate) PROCESSOR_RECORDS: Counter = "processor_records_total",
+        "Ring records the Processor consumed";
+    pub(crate) BPF_INSNS_EXECUTED: Gauge = "tscout_bpf_insns_executed",
+        "BPF instructions executed by the Collector's VM (cumulative)";
+    pub(crate) MAP_DELETES: Gauge = "tscout_map_deletes", "BPF map delete operations (per map)";
+    pub(crate) MAP_LOOKUPS: Gauge = "tscout_map_lookups", "BPF map lookup operations (per map)";
+    pub(crate) MAP_STACK_POPS: Gauge = "tscout_map_stack_pops",
+        "BPF map-of-stacks pop operations (per map)";
+    pub(crate) MAP_STACK_PUSHES: Gauge = "tscout_map_stack_pushes",
+        "BPF map-of-stacks push operations (per map)";
+    pub(crate) MAP_UPDATES: Gauge = "tscout_map_updates", "BPF map update operations (per map)";
+    pub(crate) MARKER_EVENTS: Counter = "tscout_marker_events_total",
+        "Marker invocations (begin/end/features) per subsystem";
+    pub(crate) OPT_FALLBACKS: Gauge = "tscout_opt_fallbacks_total",
+        "Loads where the optimizer errored and the verified original ran instead";
+    pub(crate) OPT_INSNS_AFTER: Gauge = "tscout_opt_insns_after",
+        "Collector program instructions after load-time optimization (sum)";
+    pub(crate) OPT_INSNS_BEFORE: Gauge = "tscout_opt_insns_before",
+        "Collector program instructions before load-time optimization (sum)";
+    pub(crate) OPT_INSNS_REMOVED: Gauge = "tscout_opt_insns_removed_total",
+        "Instructions removed by the load-time optimizer, per pass";
+    pub(crate) OPT_INSNS_REWRITTEN: Gauge = "tscout_opt_insns_rewritten_total",
+        "Instructions rewritten in place by the load-time optimizer, per pass";
+    pub(crate) OPT_ITERATIONS: Gauge = "tscout_opt_iterations",
+        "Optimizer fixed-point pipeline iterations across all loads";
+    pub(crate) OPT_LOOPS_UNROLLED: Gauge = "tscout_opt_loops_unrolled",
+        "Bounded loops structurally unrolled at load time";
+    pub(crate) OU_SAMPLES_BEGUN: Counter = "tscout_ou_samples_begun_total",
+        "OU collections begun, per OU — the loss-accounting numerator";
+    pub(crate) OU_SAMPLES_DELIVERED: Counter = "tscout_ou_samples_delivered_total",
+        "OU samples that survived to the Processor, per OU";
+    pub(crate) RING_BYTES: Gauge = "tscout_ring_bytes", "Bytes currently occupying the perf ring buffer";
+    pub(crate) RING_CAPACITY: Gauge = "tscout_ring_capacity",
+        "Configured perf ring buffer capacity, records";
+    pub(crate) RING_DRAINED: Gauge = "tscout_ring_drained",
+        "Records drained from the ring (cumulative, mirrored as a gauge)";
+    pub(crate) RING_DROPPED: Gauge = "tscout_ring_dropped",
+        "Records overwritten in the ring (cumulative, mirrored as a gauge)";
+    pub(crate) RING_OCCUPANCY_HWM: Gauge = "tscout_ring_occupancy_hwm",
+        "High-water mark of ring occupancy, records";
+    pub(crate) RING_PRODUCED: Gauge = "tscout_ring_produced",
+        "Records produced into the ring (cumulative, mirrored as a gauge)";
+    pub(crate) RING_PUSHES: Gauge = "tscout_ring_pushes",
+        "Push operations on the ring (cumulative, mirrored as a gauge)";
+    pub(crate) SAMPLES_BEGUN: Counter = "tscout_samples_begun_total",
+        "Samples begun, per subsystem — the loss-accounting numerator";
+    pub(crate) SAMPLES_DELIVERED: Counter = "tscout_samples_delivered_total",
+        "Samples delivered ring→Processor, per subsystem";
+    pub(crate) SAMPLING_RATE: Gauge = "tscout_sampling_rate",
+        "Current per-subsystem sampling rate (0-255)";
+    pub(crate) SAMPLING_RATE_CHANGES: Counter = "tscout_sampling_rate_changes_total",
+        "Runtime sampling-rate adjustments, per subsystem";
+    pub(crate) STATE_MACHINE_RESETS: Counter = "tscout_state_machine_resets_total",
+        "OU marker state machines reset after protocol violations";
+    pub(crate) VERIFY_INSNS: Gauge = "tscout_verify_insns",
+        "Instruction count of the last verified Collector program";
+    pub(crate) VERIFY_INSNS_VISITED: Gauge = "tscout_verify_insns_visited",
+        "Instructions visited by the last verifier run";
+    pub(crate) VERIFY_PATHS: Gauge = "tscout_verify_paths", "Paths explored by the last verifier run";
+    pub(crate) VERIFY_PEAK_DEPTH: Gauge = "tscout_verify_peak_depth",
+        "Peak analysis depth across verifier runs";
+    pub(crate) VERIFY_RUNS: Gauge = "tscout_verify_runs", "Collector programs verified";
+    pub(crate) VERIFY_STATES: Gauge = "tscout_verify_states", "States explored by the last verifier run";
+    pub(crate) VERIFY_STATES_PRUNED: Gauge = "tscout_verify_states_pruned",
+        "States pruned by the last verifier run";
+}

@@ -65,6 +65,7 @@
 pub mod codegen;
 pub mod collector;
 pub mod data;
+pub mod decls;
 pub mod ou;
 pub mod processor;
 pub mod sampling;

@@ -16,10 +16,12 @@ use std::path::Path;
 
 use tscout_archive::{Archive, ArchiveOptions};
 use tscout_kernel::{Kernel, TaskId};
-use tscout_telemetry::{CounterSite, GaugeSite, HistSite, Telemetry};
+use tscout_telemetry::decls::{PROCESSOR_DECODE_ERRORS, SAMPLES_LOST};
+use tscout_telemetry::{CounterSite, CounterVec, GaugeSite, HistSite, Telemetry};
 
 use crate::collector::{DrainedRecord, TScout};
 use crate::data::{RecordView, TrainingPoint};
+use crate::decls;
 use crate::ou::{OuId, OuRegistry, Subsystem, ALL_SUBSYSTEMS};
 
 /// Drift observations are folded into the registry this many at a time
@@ -105,23 +107,36 @@ pub struct Processor {
     drift_batch: Vec<DriftObservation>,
 }
 
-/// The Processor's hot metrics, declared once (see
-/// [`tscout_telemetry::Site`]): each series registers on first use.
+/// The Processor's metrics (declared in [`crate::decls`]): each series
+/// registers on first use.
 #[derive(Debug)]
 struct ProcessorMetrics {
     records: CounterSite,
     points: CounterSite,
     deagg_fanout: HistSite,
     buffered_samples: GaugeSite,
+    poll_ns: HistSite,
+    drain_ns: HistSite,
+    decode_errors: CounterSite,
+    append_errors: CounterSite,
+    rate_reductions: CounterSite,
+    /// Indexed by `Subsystem::index()`.
+    subsystem_rate_reductions: CounterVec,
 }
 
 impl Default for ProcessorMetrics {
     fn default() -> Self {
         ProcessorMetrics {
-            records: CounterSite::new("processor_records_total", &[]),
-            points: CounterSite::new("processor_points_total", &[]),
-            deagg_fanout: HistSite::new("processor_deagg_fanout", &[]),
-            buffered_samples: GaugeSite::new("processor_buffered_samples", &[]),
+            records: decls::PROCESSOR_RECORDS.site(&[]),
+            points: decls::PROCESSOR_POINTS.site(&[]),
+            deagg_fanout: decls::PROCESSOR_DEAGG_FANOUT.site(&[]),
+            buffered_samples: decls::PROCESSOR_BUFFERED_SAMPLES.site(&[]),
+            poll_ns: decls::PROCESSOR_POLL_NS.site(&[]),
+            drain_ns: decls::PROCESSOR_DRAIN_NS.site(&[]),
+            decode_errors: PROCESSOR_DECODE_ERRORS.site(&[]),
+            append_errors: decls::ARCHIVE_APPEND_ERRORS.site(&[]),
+            rate_reductions: decls::PROCESSOR_RATE_REDUCTIONS.site(&[]),
+            subsystem_rate_reductions: decls::PROCESSOR_RATE_REDUCTIONS.vec("subsystem"),
         }
     }
 }
@@ -201,7 +216,7 @@ impl Processor {
         }
         self.flush_drift(&ts.registry);
         let dur = kernel.now(self.task) - start_ns;
-        self.telemetry.hist_record("processor_poll_ns", &[], dur);
+        self.metrics.poll_ns.get(&self.telemetry).record(dur);
         self.telemetry
             .span("processor_poll", "processor", start_ns, dur);
         n
@@ -224,7 +239,7 @@ impl Processor {
         ts.publish_bpf_telemetry();
         self.flush_drift(&ts.registry);
         let dur = kernel.now(self.task) - start_ns;
-        self.telemetry.hist_record("processor_drain_ns", &[], dur);
+        self.metrics.drain_ns.get(&self.telemetry).record(dur);
         self.telemetry
             .span("processor_drain_all", "processor", start_ns, dur);
         n
@@ -241,8 +256,7 @@ impl Processor {
         let n_points = view.map_or(0, RecordView::point_count);
         let Some(view) = view.filter(|_| n_points > 0) else {
             self.malformed += 1;
-            self.telemetry
-                .counter_inc("processor_decode_errors_total", &[]);
+            self.metrics.decode_errors.get(&self.telemetry).inc();
             self.telemetry
                 .trace_decode_error(tr_ou, tr_tid, kernel.now(self.task));
             return;
@@ -307,8 +321,7 @@ impl Processor {
                     let _frame = kernel.profile_frame(self.task, "processor:archive", false);
                     kernel.charge_overhead(self.task, kernel.cost.archive_per_sample_ns);
                     if let Err(e) = a.append(p.to_sample(0)) {
-                        self.telemetry
-                            .counter_inc("archive_append_errors_total", &[]);
+                        self.metrics.append_errors.get(&self.telemetry).inc();
                         debug_assert!(false, "archive append failed: {e}");
                     }
                 }
@@ -402,8 +415,7 @@ impl Processor {
         let new_losses = lost.saturating_sub(self.last_lost);
         self.last_lost = lost;
         if new_losses > 0 {
-            self.telemetry
-                .counter_inc("processor_rate_reductions_total", &[]);
+            self.metrics.rate_reductions.get(&self.telemetry).inc();
             (current / 2).max(1)
         } else {
             current
@@ -421,7 +433,7 @@ impl Processor {
         let mut out = Vec::with_capacity(ALL_SUBSYSTEMS.len());
         for s in ALL_SUBSYSTEMS {
             let total: u64 = self.telemetry.with_registry(|r| {
-                r.counters_named("tscout_samples_lost_total")
+                r.counters_named(SAMPLES_LOST.name)
                     .iter()
                     .filter(|(k, _)| {
                         k.labels
@@ -436,10 +448,10 @@ impl Processor {
             self.last_lost_by_subsystem[idx] = total;
             let current = ts.sampler.rate(s);
             let recommended = if loss_delta > 0 && current > 1 {
-                self.telemetry.counter_inc(
-                    "processor_rate_reductions_total",
-                    &[("subsystem", s.name())],
-                );
+                self.metrics
+                    .subsystem_rate_reductions
+                    .at(&self.telemetry, idx, || s.name())
+                    .inc();
                 (current / 2).max(1)
             } else {
                 current
@@ -470,8 +482,7 @@ impl Processor {
             Sink::Archive(a) => {
                 a.flush()
                     .map_err(|e| std::io::Error::other(e.to_string()))?;
-                self.telemetry
-                    .gauge_set("processor_buffered_samples", &[], 0.0);
+                self.metrics.buffered_samples.get(&self.telemetry).set(0.0);
             }
             _ => {}
         }

@@ -4,8 +4,10 @@
 use tscout::{TScout, TsConfig, TsError};
 use tscout_kernel::{Kernel, TaskId};
 use tscout_models::LiveModel;
+use tscout_telemetry::{CounterSite, HistSite};
 
 use crate::catalog::Catalog;
+use crate::decls;
 use crate::exec::obs::StmtObs;
 use crate::exec::ou::{work_for, EngineOu, OuMap};
 use crate::exec::plan::Plan;
@@ -111,6 +113,42 @@ pub struct Database {
     obs_scratch: StmtObs,
     /// Pooled per-OU breakdown buffer for `record_stmt` (same idea).
     breakdown_scratch: Vec<(&'static str, f64)>,
+    metrics: DbMetrics,
+}
+
+/// The engine's metrics (declared in [`crate::decls`]): each series
+/// registers on first use.
+#[derive(Debug)]
+pub struct DbMetrics {
+    txn_commits: CounterSite,
+    txn_writes: CounterSite,
+    txn_aborts: CounterSite,
+    explain_analyze: CounterSite,
+    client_requests: CounterSite,
+    client_request_ns: HistSite,
+    gc_sweeps: CounterSite,
+    gc_pruned: CounterSite,
+    pub(crate) pipelines: CounterSite,
+    pub(crate) pipeline_ous: CounterSite,
+    pub(crate) pipeline_fanout: HistSite,
+}
+
+impl Default for DbMetrics {
+    fn default() -> Self {
+        DbMetrics {
+            txn_commits: decls::TXN_COMMITS.site(&[]),
+            txn_writes: decls::TXN_WRITES.site(&[]),
+            txn_aborts: decls::TXN_ABORTS.site(&[]),
+            explain_analyze: decls::EXPLAIN_ANALYZE.site(&[]),
+            client_requests: decls::CLIENT_REQUESTS.site(&[]),
+            client_request_ns: decls::CLIENT_REQUEST_NS.site(&[]),
+            gc_sweeps: decls::GC_SWEEPS.site(&[]),
+            gc_pruned: decls::GC_PRUNED.site(&[]),
+            pipelines: decls::PIPELINES.site(&[]),
+            pipeline_ous: decls::PIPELINE_OUS.site(&[]),
+            pipeline_fanout: decls::PIPELINE_FANOUT.site(&[]),
+        }
+    }
 }
 
 impl Database {
@@ -137,6 +175,7 @@ impl Database {
             model_concurrency: 1.0,
             obs_scratch: StmtObs::default(),
             breakdown_scratch: Vec::new(),
+            metrics: DbMetrics::default(),
         }
     }
 
@@ -378,12 +417,9 @@ impl Database {
                 arrival_ns: self.kernel.now(task),
             });
         }
-        self.kernel
-            .telemetry
-            .counter_inc("db_txn_commits_total", &[]);
-        self.kernel
-            .telemetry
-            .counter_add("db_txn_writes_total", &[], writes.len() as u64);
+        let (t, m) = (&self.kernel.telemetry, &self.metrics);
+        m.txn_commits.get(t).inc();
+        m.txn_writes.get(t).add(writes.len() as u64);
         Ok(())
     }
 
@@ -397,9 +433,7 @@ impl Database {
         for w in writes.iter().rev() {
             self.tables[w.table.0 as usize].abort_slot(w.slot, txn.id);
         }
-        self.kernel
-            .telemetry
-            .counter_inc("db_txn_aborts_total", &[]);
+        self.metrics.txn_aborts.get(&self.kernel.telemetry).inc();
         Ok(())
     }
 
@@ -503,6 +537,7 @@ impl Database {
                         &mut self.txns,
                         txn,
                         self.mode,
+                        &self.metrics,
                     );
                     ctx.obs = scratch;
                     let t0 = ctx.kernel.now(task);
@@ -561,6 +596,7 @@ impl Database {
                 &mut self.txns,
                 txn,
                 self.mode,
+                &self.metrics,
             );
             ctx.obs = Some(StmtObs::new(true));
             let t0 = ctx.kernel.now(task);
@@ -584,9 +620,10 @@ impl Database {
         // a driven workload — charge it on the session clock directly.
         let render_ns = self.kernel.cost.explain_analyze_node_ns * obs.nodes.len().max(1) as f64;
         self.kernel.charge_overhead(task, render_ns);
-        self.kernel
-            .telemetry
-            .counter_inc("db_explain_analyze_total", &[]);
+        self.metrics
+            .explain_analyze
+            .get(&self.kernel.telemetry)
+            .inc();
         if let Some(fp) = fp {
             self.record_stmt(fp, &obs, actual_ns, outcome.rows_affected);
         }
@@ -793,12 +830,9 @@ impl Database {
         }
         self.kernel.context_switch(task, pmu_tax);
         let dur = self.kernel.now(task) - req_start_ns;
-        self.kernel
-            .telemetry
-            .counter_inc("db_client_requests_total", &[]);
-        self.kernel
-            .telemetry
-            .hist_record("db_client_request_ns", &[], dur);
+        let (t, m) = (&self.kernel.telemetry, &self.metrics);
+        m.client_requests.get(t).inc();
+        m.client_request_ns.get(t).record(dur);
         self.kernel
             .telemetry
             .span("client_request", "db", req_start_ns, dur);
@@ -857,10 +891,9 @@ impl Database {
             ts.ou_features(&mut self.kernel, self.gc_task, id, &feats, &[0]);
         }
         self.gc_pruned += pruned;
-        self.kernel.telemetry.counter_inc("db_gc_sweeps_total", &[]);
-        self.kernel
-            .telemetry
-            .counter_add("db_gc_pruned_total", &[], pruned);
+        let (t, m) = (&self.kernel.telemetry, &self.metrics);
+        m.gc_sweeps.get(t).inc();
+        m.gc_pruned.get(t).add(pruned);
         pruned
     }
 

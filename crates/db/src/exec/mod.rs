@@ -24,6 +24,7 @@ use tscout::{OuId, TScout};
 use tscout_kernel::{Kernel, TaskId};
 
 use crate::catalog::Catalog;
+use crate::engine::DbMetrics;
 use crate::index::{key_from_row, Index, IndexKey};
 use crate::sql::ast::{AggFunc, BinOp};
 use crate::storage::{SlotId, VersionedTable};
@@ -90,6 +91,7 @@ pub struct ExecCtx<'a> {
     pub obs: Option<obs::StmtObs>,
     /// Fused-mode accumulator of (OU, features) groups.
     fused: Option<Vec<(OuId, Vec<u64>)>>,
+    metrics: &'a DbMetrics,
 }
 
 impl<'a> ExecCtx<'a> {
@@ -105,6 +107,7 @@ impl<'a> ExecCtx<'a> {
         txns: &'a mut TxnManager,
         txn: TxnHandle,
         mode: EngineMode,
+        metrics: &'a DbMetrics,
     ) -> Self {
         ExecCtx {
             kernel,
@@ -119,6 +122,7 @@ impl<'a> ExecCtx<'a> {
             mode,
             obs: None,
             fused: None,
+            metrics,
         }
     }
 
@@ -318,13 +322,10 @@ fn exec_query(
         }
         // Fan-out of the fused pipeline: how many OUs one marker pair
         // covered (what the Processor de-aggregates, §5.2).
-        ctx.kernel.telemetry.counter_inc("db_pipelines_total", &[]);
-        ctx.kernel
-            .telemetry
-            .counter_add("db_pipeline_ous_total", &[], groups.len() as u64);
-        ctx.kernel
-            .telemetry
-            .hist_record("db_pipeline_fanout", &[], groups.len() as f64);
+        let (t, m) = (&ctx.kernel.telemetry, ctx.metrics);
+        m.pipelines.get(t).inc();
+        m.pipeline_ous.get(t).add(groups.len() as u64);
+        m.pipeline_fanout.get(t).record(groups.len() as f64);
     }
     outcome
 }
@@ -363,9 +364,10 @@ fn exec_node_inner(
             let ws: u64 = all.iter().map(|r| row_bytes(r) as u64).sum();
             ctx.kernel
                 .charge_cpu(ctx.task, 2_000.0 + 400.0 * all.len() as f64, ws);
-            ctx.kernel
-                .telemetry
-                .counter_inc("db_virtual_scans_total", &[("table", name)]);
+            // Introspection, not workload: resolved uncached per scan.
+            crate::decls::VIRTUAL_SCANS
+                .with(&ctx.kernel.telemetry, &[("table", name)])
+                .inc();
             let mut rows = Vec::new();
             for row in all {
                 if let Some(f) = residual {

@@ -23,6 +23,7 @@
 #![deny(missing_debug_implementations)]
 
 pub mod catalog;
+pub mod decls;
 pub mod engine;
 pub mod exec;
 pub mod index;

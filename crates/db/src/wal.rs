@@ -11,7 +11,9 @@
 
 use tscout::TScout;
 use tscout_kernel::{Kernel, TaskId};
+use tscout_telemetry::{CounterSite, HistSite};
 
+use crate::decls;
 use crate::exec::ou::{work_for, EngineOu, OuMap};
 
 /// One committed transaction's redo payload.
@@ -24,6 +26,15 @@ pub struct WalRecord {
     pub writes: u64,
     /// Virtual arrival time (commit time on the session task).
     pub arrival_ns: f64,
+}
+
+/// The WAL's metrics (declared in [`crate::decls`]).
+#[derive(Debug)]
+struct WalMetrics {
+    flushes: CounterSite,
+    flushed_records: CounterSite,
+    batch_records: HistSite,
+    flush_ns: HistSite,
 }
 
 /// WAL runtime state.
@@ -39,6 +50,7 @@ pub struct Wal {
     pub flushed_batches: u64,
     pub flushed_records: u64,
     pub flushed_bytes: u64,
+    metrics: WalMetrics,
 }
 
 impl Wal {
@@ -51,6 +63,12 @@ impl Wal {
             flushed_batches: 0,
             flushed_records: 0,
             flushed_bytes: 0,
+            metrics: WalMetrics {
+                flushes: decls::WAL_FLUSHES.site(&[]),
+                flushed_records: decls::WAL_FLUSHED_RECORDS.site(&[]),
+                batch_records: decls::WAL_BATCH_RECORDS.site(&[]),
+                flush_ns: decls::WAL_FLUSH_NS.site(&[]),
+            },
         }
     }
 
@@ -159,16 +177,11 @@ impl Wal {
             self.flushed_bytes += bytes;
             let _ = writes;
             batches += 1;
-            kernel.telemetry.counter_inc("db_wal_flushes_total", &[]);
-            kernel
-                .telemetry
-                .counter_add("db_wal_flushed_records_total", &[], records);
-            kernel
-                .telemetry
-                .hist_record("db_wal_batch_records", &[], records as f64);
-            kernel
-                .telemetry
-                .hist_record("db_wal_flush_ns", &[], flush_dur);
+            let (t, m) = (&kernel.telemetry, &self.metrics);
+            m.flushes.get(t).inc();
+            m.flushed_records.get(t).add(records);
+            m.batch_records.get(t).record(records as f64);
+            m.flush_ns.get(t).record(flush_dur);
             kernel
                 .telemetry
                 .span("wal_flush", "wal", flush_start_ns, flush_dur);

@@ -12,6 +12,7 @@ use rand::{RngExt, SeedableRng};
 use tscout_telemetry::{CounterSite, CounterVec, FrameGuard, HistSite, Profiler, Telemetry};
 
 use crate::cost::CostModel;
+use crate::decls;
 use crate::hw::HardwareProfile;
 use crate::pmu::{CounterDelta, PmuReading, ALL_COUNTERS};
 use crate::task::{TaskId, TaskStruct};
@@ -60,9 +61,9 @@ impl SerializedResource {
     }
 }
 
-/// The kernel's own hot metrics, declared once (see
-/// [`tscout_telemetry::Site`]). Handles resolve against the telemetry
-/// registry installed when each metric first fires.
+/// The kernel's own metrics (declared in [`crate::decls`]). Handles
+/// resolve against the telemetry registry installed when each metric
+/// first fires.
 #[derive(Debug)]
 struct KernelMetrics {
     mode_switches: CounterSite,
@@ -78,12 +79,12 @@ struct KernelMetrics {
 impl Default for KernelMetrics {
     fn default() -> Self {
         KernelMetrics {
-            mode_switches: CounterSite::new("kernel_mode_switches_total", &[]),
-            tracepoint_hits: CounterSite::new("kernel_tracepoint_hits_total", &[]),
-            syscalls: CounterVec::new("kernel_syscalls_total", "kind"),
-            context_switches: CounterVec::new("kernel_context_switches_total", "pmu"),
-            wal_write_ns: HistSite::new("kernel_wal_write_ns", &[]),
-            wal_bytes: CounterSite::new("kernel_wal_bytes_total", &[]),
+            mode_switches: decls::MODE_SWITCHES.site(&[]),
+            tracepoint_hits: decls::TRACEPOINT_HITS.site(&[]),
+            syscalls: decls::SYSCALLS.vec("kind"),
+            context_switches: decls::CONTEXT_SWITCHES.vec("pmu"),
+            wal_write_ns: decls::WAL_WRITE_NS.site(&[]),
+            wal_bytes: decls::WAL_BYTES.site(&[]),
         }
     }
 }

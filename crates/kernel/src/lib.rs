@@ -34,6 +34,7 @@
 #![deny(missing_debug_implementations)]
 
 pub mod cost;
+pub mod decls;
 pub mod hw;
 pub mod kernel;
 pub mod pmu;

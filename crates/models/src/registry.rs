@@ -18,7 +18,11 @@
 
 use std::sync::Arc;
 
-use tscout_telemetry::Telemetry;
+use tscout_telemetry::decls::{
+    MODEL_GENERATION, MODEL_HOLDOUT_MAPE_PCT, MODEL_SWAP_ACCEPTED, MODEL_SWAP_REJECTED,
+    MODEL_TRAINED_POINTS,
+};
+use tscout_telemetry::{CounterSite, GaugeSite, Telemetry};
 
 use crate::dataset::{OuData, OuSubset, PointSet};
 use crate::eval::{mape_pct, OuModelSet};
@@ -54,6 +58,17 @@ pub enum SwapDecision {
     Skipped,
 }
 
+/// The registry's metrics, declared beside the `ts_stat_model` table that
+/// reads them ([`tscout_telemetry::decls`]).
+#[derive(Debug)]
+struct ModelMetrics {
+    generation: GaugeSite,
+    holdout_mape_pct: GaugeSite,
+    trained_points: GaugeSite,
+    swap_accepted: CounterSite,
+    swap_rejected: CounterSite,
+}
+
 /// Generation-counted model registry with an accuracy gate.
 #[derive(Debug)]
 pub struct ModelRegistry {
@@ -65,17 +80,27 @@ pub struct ModelRegistry {
     pub tolerance_pct: f64,
     live: Option<LiveModel>,
     telemetry: Telemetry,
+    metrics: ModelMetrics,
 }
 
 impl ModelRegistry {
     pub fn new(kind: ModelKind, seed: u64, telemetry: Telemetry) -> Self {
-        telemetry.gauge_set("model_generation", &[], 0.0);
+        let metrics = ModelMetrics {
+            generation: MODEL_GENERATION.site(&[]),
+            holdout_mape_pct: MODEL_HOLDOUT_MAPE_PCT.site(&[]),
+            trained_points: MODEL_TRAINED_POINTS.site(&[]),
+            swap_accepted: MODEL_SWAP_ACCEPTED.site(&[]),
+            swap_rejected: MODEL_SWAP_REJECTED.site(&[]),
+        };
+        // Generation 0 is exported from construction on.
+        metrics.generation.get(&telemetry).set(0.0);
         ModelRegistry {
             kind,
             seed,
             tolerance_pct: 0.0,
             live: None,
             telemetry,
+            metrics,
         }
     }
 
@@ -119,7 +144,7 @@ impl ModelRegistry {
             Some(live) => candidate_mape <= live + self.tolerance_pct,
         };
         if !accept {
-            self.telemetry.counter_inc("model_swap_rejected_total", &[]);
+            self.metrics.swap_rejected.get(&self.telemetry).inc();
             return SwapDecision::Rejected {
                 candidate_mape_pct: candidate_mape,
                 live_mape_pct: live_mape.unwrap_or(f64::INFINITY),
@@ -132,13 +157,11 @@ impl ModelRegistry {
             holdout_mape_pct: candidate_mape,
             trained_points,
         });
-        self.telemetry.counter_inc("model_swap_accepted_total", &[]);
-        self.telemetry
-            .gauge_set("model_generation", &[], generation as f64);
-        self.telemetry
-            .gauge_set("model_holdout_mape_pct", &[], candidate_mape);
-        self.telemetry
-            .gauge_set("model_trained_points", &[], trained_points as f64);
+        let (t, m) = (&self.telemetry, &self.metrics);
+        m.swap_accepted.get(t).inc();
+        m.generation.get(t).set(generation as f64);
+        m.holdout_mape_pct.get(t).set(candidate_mape);
+        m.trained_points.get(t).set(trained_points as f64);
         SwapDecision::Accepted {
             generation,
             candidate_mape_pct: candidate_mape,

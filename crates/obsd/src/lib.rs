@@ -36,6 +36,7 @@
 #![deny(missing_debug_implementations)]
 
 pub mod client;
+pub mod decls;
 pub mod http;
 pub mod json;
 
@@ -54,7 +55,9 @@ use noisetap::sql::parser::parse;
 use noisetap::{Database, SessionId};
 use tscout_kernel::{HardwareProfile, Kernel};
 use tscout_telemetry::tables::rows_json;
-use tscout_telemetry::{Cell, HealthState, Registry, Table, Telemetry, TABLES};
+use tscout_telemetry::{
+    Cell, CounterSite, HealthState, HistSite, Registry, Table, Telemetry, TABLES,
+};
 
 use crate::http::Request;
 
@@ -94,22 +97,14 @@ impl Default for ObsdConfig {
     }
 }
 
-/// Register every `tscout_obsd_*` metric name at zero. The server calls
-/// this on its own registry at startup; `metrics_doc --check` calls it
-/// on the smoke registry so the documented names are provably live.
-pub fn predeclare_self_metrics(t: &Telemetry) {
-    t.counter_add("tscout_obsd_requests_total", &[("endpoint", "metrics")], 0);
-    t.counter_add("tscout_obsd_errors_total", &[("endpoint", "metrics")], 0);
-    t.counter_add("tscout_obsd_rejected_total", &[], 0);
-    t.hist_declare("tscout_obsd_request_ns", &[]);
-}
-
 /// State shared between the accept thread and the workers.
 struct Shared {
     /// The simulation's live registry handle (lock-snapshot per request).
     sim: Telemetry,
     /// Server-owned self-metrics, merged into `/metrics` at render time.
     self_tel: Telemetry,
+    rejected: CounterSite,
+    request_ns: HistSite,
     /// The server-private SQL plane.
     sql: Mutex<SqlPlane>,
 }
@@ -176,13 +171,19 @@ impl ObsdServer {
         if let Some(f) = &cfg.addr_file {
             std::fs::write(f, addr.to_string())?;
         }
-        let self_tel = Telemetry::new();
-        predeclare_self_metrics(&self_tel);
         let shared = Arc::new(Shared {
             sim: telemetry,
-            self_tel,
+            self_tel: Telemetry::new(),
+            rejected: decls::REJECTED.site(&[]),
+            request_ns: decls::REQUEST_NS.site(&[]),
             sql: Mutex::new(SqlPlane::new()),
         });
+        // Every `tscout_obsd_*` family is exported (at zero) from startup.
+        let t = &shared.self_tel;
+        decls::REQUESTS.with(t, &[("endpoint", "metrics")]);
+        decls::ERRORS.with(t, &[("endpoint", "metrics")]);
+        shared.rejected.get(t);
+        shared.request_ns.get(t);
         let stop = Arc::new(AtomicBool::new(false));
         let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(cfg.max_pending);
         let rx = Arc::new(Mutex::new(rx));
@@ -278,9 +279,7 @@ fn accept_loop(
             Err(TrySendError::Full(mut s)) => {
                 // Bounded concurrency: turn the connection away rather
                 // than queue without limit behind a slow scrape.
-                shared
-                    .self_tel
-                    .counter_inc("tscout_obsd_rejected_total", &[]);
+                shared.rejected.get(&shared.self_tel).inc();
                 let _ = http::write_response(&mut s, 503, "text/plain", b"busy\n");
             }
             Err(TrySendError::Disconnected(_)) => break,
@@ -321,22 +320,17 @@ fn handle_connection(stream: &mut TcpStream, shared: &Shared) {
             }
         }
     };
-    let labels = [("endpoint", endpoint)];
-    shared
-        .self_tel
-        .counter_inc("tscout_obsd_requests_total", &labels);
+    let (t, labels) = (&shared.self_tel, [("endpoint", endpoint)]);
+    decls::REQUESTS.with(t, &labels).inc();
     if status >= 400 {
-        shared
-            .self_tel
-            .counter_inc("tscout_obsd_errors_total", &labels);
+        decls::ERRORS.with(t, &labels).inc();
     }
     // Wall-clock service time into the server-owned registry — the
     // simulation's virtual clocks are never involved.
-    shared.self_tel.hist_record(
-        "tscout_obsd_request_ns",
-        &[],
-        t0.elapsed().as_nanos() as f64,
-    );
+    shared
+        .request_ns
+        .get(t)
+        .record(t0.elapsed().as_nanos() as f64);
     let _ = http::write_response(stream, status, content_type, &body);
 }
 
@@ -596,11 +590,14 @@ mod tests {
 
     fn populated_telemetry() -> Telemetry {
         let t = Telemetry::new();
-        t.counter_add("tscout_samples_begun_total", &[("subsystem", "ee")], 42);
-        t.counter_add("tscout_samples_delivered_total", &[("subsystem", "ee")], 40);
-        t.gauge_set("tscout_overhead_ratio", &[], 0.004);
+        t.counter("tscout_samples_begun_total", &[("subsystem", "ee")])
+            .add(42);
+        t.counter("tscout_samples_delivered_total", &[("subsystem", "ee")])
+            .add(40);
+        t.gauge("tscout_overhead_ratio", &[]).set(0.004);
         for v in [1e3, 2e3, 5e4, 1e6] {
-            t.hist_record("workload_txn_ns", &[("outcome", "committed")], v);
+            t.hist("workload_txn_ns", &[("outcome", "committed")])
+                .record(v);
         }
         t
     }
@@ -749,7 +746,7 @@ mod tests {
         // the system it observes degrades to CRITICAL.
         let t = Telemetry::new();
         t.with_registry(|r| {
-            r.gauge_set("bad_signal", &[], 10.0);
+            r.gauge("bad_signal", &[]).set(10.0);
             r.health_mut().add_rule(Rule {
                 name: "bad_signal_high".to_string(),
                 subsystem: "data".to_string(),

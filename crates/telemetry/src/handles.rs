@@ -1,17 +1,23 @@
-//! Metric handles: the cells a series' value lives in.
+//! Metric declarations and handles.
+//!
+//! A metric exists in exactly one place: a [`Decl`] row of a
+//! [`declare_metrics!`](crate::declare_metrics) table, which fixes its
+//! name, its kind (the type parameter: [`Counter`], [`Gauge`] or
+//! [`Hist`]) and its `# HELP` text. Everything else is derived from the
+//! declaration: a [`Site`] (fixed label set, handle cached), a
+//! [`SiteVec`] (one label whose values the caller numbers, e.g. by OU
+//! id, one cached handle per value), an uncached [`Decl::with`] resolve
+//! for label sets only known at run time, the help line of the
+//! exposition, and the README metric table.
 //!
 //! The registry maps `name{labels}` to a cell; a *handle* is a clone of
-//! the `Arc` around that cell. Resolving a handle takes the registry lock
-//! once ([`crate::Telemetry::counter`] and friends); every update through
-//! it afterwards is a few atomic operations — no lock, no key, no
-//! allocation — and lands in the same series the string-keyed
-//! `counter_inc(name, labels)` calls address.
-//!
-//! Hot metrics are declared where they are used as a [`Site`] (fixed
-//! label set) or a [`SiteVec`] (one label whose values are indexed, e.g.
-//! by OU id): name and labels are written down once, next to the cached
-//! handle, and the series is registered on *first use* — so a metric that
-//! never fires is never exported, exactly as with the string-keyed calls.
+//! the `Arc` around that cell. Resolving takes the registry lock once;
+//! every update through the handle afterwards is a few atomic operations
+//! — no lock, no key, no allocation. A series is registered on *first
+//! use* of its site, so a metric that never fires is never exported.
+//! [`crate::Telemetry::counter`] and friends resolve a handle by bare
+//! name for signals that have no declaration (tests, user-named health
+//! inputs); families registered only that way export `(undocumented)`.
 //!
 //! All cells are statistics: updates use relaxed atomics and publish no
 //! other data. `Registry::clone()` copies the *values* into fresh cells,
@@ -19,10 +25,12 @@
 //! wholesale (`*r = snapshot`) likewise leaves earlier handles counting
 //! into the cells of the registry they were resolved against.
 
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, OnceLock};
 
 use crate::histogram::{bucket_index, Histogram, BUCKETS};
+use crate::metrics::Registry;
 use crate::Telemetry;
 
 /// A cell kind the registry can store and snapshot.
@@ -180,34 +188,115 @@ impl Cell for Hist {
 /// Fixed label set of a [`Site`].
 pub type StaticLabels = &'static [(&'static str, &'static str)];
 
-/// A handle kind [`Site`]s can resolve.
-pub trait Resolve: Sized {
-    fn resolve(t: &Telemetry, name: &str, labels: &[(&str, &str)]) -> Self;
+/// A metric kind: the cell type a [`Decl`] is parameterized by.
+pub trait Kind: Clone {
+    /// `counter`, `gauge` or `histogram`: the `# TYPE` of the family.
+    const KIND: &'static str;
+
+    /// The cell of `decl{labels}` in `reg`, registering the series (and
+    /// the family's help) if new.
+    #[doc(hidden)]
+    fn resolve<'r>(reg: &'r mut Registry, decl: &Decl<Self>, labels: &[(&str, &str)]) -> &'r Self;
 }
 
-impl Resolve for Counter {
-    fn resolve(t: &Telemetry, name: &str, labels: &[(&str, &str)]) -> Self {
-        t.counter(name, labels)
+/// One metric, declared once: its name and help text, its kind in the
+/// type. Build these with [`declare_metrics!`](crate::declare_metrics)
+/// so the row also lands in the crate's table.
+#[derive(Debug)]
+pub struct Decl<C> {
+    pub name: &'static str,
+    pub help: &'static str,
+    kind: PhantomData<fn() -> C>,
+}
+
+/// A [`Decl`] with its kind as data: one row of a crate's metric table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DeclRow {
+    pub name: &'static str,
+    pub kind: &'static str,
+    pub help: &'static str,
+}
+
+impl<C: Kind> Decl<C> {
+    #[doc(hidden)]
+    pub const fn new(name: &'static str, help: &'static str) -> Self {
+        Decl {
+            name,
+            help,
+            kind: PhantomData,
+        }
+    }
+
+    /// This declaration as a table row.
+    pub const fn row(&self) -> DeclRow {
+        DeclRow {
+            name: self.name,
+            kind: C::KIND,
+            help: self.help,
+        }
+    }
+
+    /// The series of this metric with the fixed label set `labels`.
+    pub const fn site(&self, labels: StaticLabels) -> Site<C> {
+        Site {
+            decl: Decl::new(self.name, self.help),
+            labels,
+            cell: OnceLock::new(),
+        }
+    }
+
+    /// This metric's series over the values of `label`.
+    pub const fn vec(&self, label: &'static str) -> SiteVec<C> {
+        SiteVec {
+            decl: Decl::new(self.name, self.help),
+            label,
+            cells: Vec::new(),
+        }
+    }
+
+    /// Resolve `name{labels}` against `t` without caching: for label
+    /// sets only known at run time. Takes the registry lock.
+    pub fn with(&self, t: &Telemetry, labels: &[(&str, &str)]) -> C {
+        C::resolve(&mut t.lock(), self, labels).clone()
     }
 }
 
-impl Resolve for Gauge {
-    fn resolve(t: &Telemetry, name: &str, labels: &[(&str, &str)]) -> Self {
-        t.gauge(name, labels)
-    }
+/// Declare a crate's metrics: one `const` [`Decl`] per row plus the
+/// table of all of them (what `tscout-bench metrics_doc` renders).
+///
+/// ```
+/// tscout_telemetry::declare_metrics! {
+///     /// This crate's metrics.
+///     pub METRICS:
+///     pub REQUESTS: Counter = "demo_requests_total", "Requests served";
+///     LATENCY_NS: Hist = "demo_latency_ns", "Request latency";
+/// }
+/// assert_eq!(METRICS[1].kind, "histogram");
+/// let t = tscout_telemetry::Telemetry::new();
+/// REQUESTS.with(&t, &[("code", "200")]).inc();
+/// LATENCY_NS.site(&[]).get(&t).record(125.0);
+/// assert!(t.to_prometheus().contains("# HELP demo_requests_total Requests served"));
+/// ```
+#[macro_export]
+macro_rules! declare_metrics {
+    (
+        $(#[$meta:meta])* $tvis:vis $table:ident:
+        $($vis:vis $id:ident: $kind:ident = $name:literal, $help:literal;)+
+    ) => {
+        $(
+            #[doc = $help]
+            $vis const $id: $crate::Decl<$crate::$kind> = $crate::Decl::new($name, $help);
+        )+
+        $(#[$meta])*
+        $tvis const $table: &[$crate::DeclRow] = &[$($id.row()),+];
+    };
 }
 
-impl Resolve for Hist {
-    fn resolve(t: &Telemetry, name: &str, labels: &[(&str, &str)]) -> Self {
-        t.hist(name, labels)
-    }
-}
-
-/// The declaration site of one hot series: its name and fixed labels,
-/// and the handle cached from the first use on.
+/// One series of a declared metric: its fixed labels, and the handle
+/// cached from the first use on.
 #[derive(Debug)]
 pub struct Site<C> {
-    name: &'static str,
+    decl: Decl<C>,
     labels: StaticLabels,
     cell: OnceLock<C>,
 }
@@ -216,43 +305,26 @@ pub type CounterSite = Site<Counter>;
 pub type GaugeSite = Site<Gauge>;
 pub type HistSite = Site<Hist>;
 
-impl<C: Resolve> Site<C> {
-    pub const fn new(name: &'static str, labels: StaticLabels) -> Self {
-        Site {
-            name,
-            labels,
-            cell: OnceLock::new(),
-        }
-    }
-
+impl<C: Kind> Site<C> {
     /// The series' handle, registering it in `t`'s registry on first use.
     pub fn get(&self, t: &Telemetry) -> &C {
-        self.cell
-            .get_or_init(|| C::resolve(t, self.name, self.labels))
+        self.cell.get_or_init(|| self.decl.with(t, self.labels))
     }
 }
 
-/// The declaration site of a one-label family whose label values are
-/// numbered by the caller (subsystem index, OU id, ...): one cached
-/// handle per value, each registered on its first use.
+/// A declared one-label family whose label values are numbered by the
+/// caller (subsystem index, OU id, ...): one cached handle per value,
+/// each registered on its first use.
 #[derive(Debug)]
 pub struct SiteVec<C> {
-    name: &'static str,
+    decl: Decl<C>,
     label: &'static str,
     cells: Vec<Option<C>>,
 }
 
 pub type CounterVec = SiteVec<Counter>;
 
-impl<C: Resolve> SiteVec<C> {
-    pub const fn new(name: &'static str, label: &'static str) -> Self {
-        SiteVec {
-            name,
-            label,
-            cells: Vec::new(),
-        }
-    }
-
+impl<C: Kind> SiteVec<C> {
     /// The handle for label value number `idx`; `value` names it the
     /// first time it is asked for.
     pub fn at<V: AsRef<str>>(
@@ -264,7 +336,6 @@ impl<C: Resolve> SiteVec<C> {
         if idx >= self.cells.len() {
             self.cells.resize_with(idx + 1, || None);
         }
-        self.cells[idx]
-            .get_or_insert_with(|| C::resolve(t, self.name, &[(self.label, value().as_ref())]))
+        self.cells[idx].get_or_insert_with(|| self.decl.with(t, &[(self.label, value().as_ref())]))
     }
 }

@@ -25,6 +25,8 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
+use crate::decls;
+
 /// Alerts retained for `ts_alerts` (oldest evicted beyond this).
 pub const ALERT_CAPACITY: usize = 256;
 
@@ -184,7 +186,7 @@ pub fn default_rules() -> Vec<Rule> {
         Rule {
             name: "ou_drift".into(),
             subsystem: "data".into(),
-            selector: Selector::Gauge("ts_drift_score".into()),
+            selector: Selector::Gauge(decls::DRIFT_SCORE.name.into()),
             per_label: Some("ou".into()),
             warn: 0.25,
             crit: 0.5,
@@ -194,7 +196,7 @@ pub fn default_rules() -> Vec<Rule> {
         Rule {
             name: "model_residual".into(),
             subsystem: "models".into(),
-            selector: Selector::Gauge("ts_residual_mape_pct".into()),
+            selector: Selector::Gauge(decls::RESIDUAL_MAPE_PCT.name.into()),
             per_label: Some("ou".into()),
             warn: 50.0,
             crit: 100.0,
@@ -204,7 +206,7 @@ pub fn default_rules() -> Vec<Rule> {
         Rule {
             name: "sample_loss".into(),
             subsystem: "collector".into(),
-            selector: Selector::CounterRate("tscout_ou_samples_lost_total".into()),
+            selector: Selector::CounterRate(decls::OU_SAMPLES_LOST.name.into()),
             per_label: None,
             warn: 5_000.0,
             crit: 50_000.0,
@@ -214,7 +216,7 @@ pub fn default_rules() -> Vec<Rule> {
         Rule {
             name: "decode_errors".into(),
             subsystem: "processor".into(),
-            selector: Selector::CounterRate("processor_decode_errors_total".into()),
+            selector: Selector::CounterRate(decls::PROCESSOR_DECODE_ERRORS.name.into()),
             per_label: None,
             warn: 1.0,
             crit: 100.0,

@@ -19,12 +19,13 @@
 //!   the canonical handle and every component attached to it (TScout,
 //!   Processor, Database) clones it, so a whole simulation aggregates
 //!   into one registry while parallel tests stay isolated.
-//! - **Hot metrics bypass the lock.** A series' value lives in an atomic
-//!   cell; [`Counter`] / [`Gauge`] / [`Hist`] handles resolved once
-//!   (usually through a [`Site`] declared where the metric is used)
-//!   update it without the registry mutex, a key, or an allocation. The
-//!   string-keyed `counter_inc(name, labels)` calls address the same
-//!   cells and stay for everything off the hot path.
+//! - **A metric is declared once.** A [`declare_metrics!`] row fixes a
+//!   metric's name, kind and help; [`Site`] / [`SiteVec`] / [`Decl::with`]
+//!   derive its series from that row, `# HELP` and the README table its
+//!   documentation. A series' value lives in an atomic cell, so updates
+//!   through the resolved [`Counter`] / [`Gauge`] / [`Hist`] handle take
+//!   no registry mutex, key or allocation. [`Telemetry::counter`] and
+//!   friends resolve by bare name for signals without a declaration.
 //! - **Exportable.** Prometheus-style text exposition
 //!   ([`Registry::to_prometheus`]), chrome://tracing JSON for spans
 //!   ([`Registry::spans_to_chrome_json`]), and a combined JSON snapshot
@@ -34,7 +35,7 @@
 #![deny(missing_debug_implementations)]
 
 mod actions;
-mod docs;
+pub mod decls;
 mod drift;
 mod handles;
 mod health;
@@ -49,14 +50,13 @@ mod timeseries;
 mod trace;
 
 pub use actions::{ActionLog, ActionRecord, ActionState, ACTION_LOG_CAPACITY};
-pub use docs::{is_documented, metric_help, metric_table_markdown, METRIC_DOCS};
 pub use drift::{
     DriftChannel, DriftRegistry, DriftScore, OuDrift, DEFAULT_MIN_LIVE_SAMPLES,
     DEFAULT_REFERENCE_SAMPLES,
 };
 pub use handles::{
-    Counter, CounterSite, CounterVec, Gauge, GaugeSite, Hist, HistSite, Resolve, Site, SiteVec,
-    StaticLabels,
+    Counter, CounterSite, CounterVec, Decl, DeclRow, Gauge, GaugeSite, Hist, HistSite, Kind, Site,
+    SiteVec, StaticLabels,
 };
 pub use health::{
     default_rules, Alert, HealthEngine, HealthState, Rule, Selector, Signals, ALERT_CAPACITY,
@@ -90,9 +90,9 @@ struct Shared {
 
 /// Cheap-clone handle to a shared [`Registry`].
 ///
-/// The string-keyed recording methods take `&self` and lock internally;
-/// hot paths resolve a [`Counter`] / [`Gauge`] / [`Hist`] handle once
-/// and update the series' cell directly (see [`handles`](crate::Site)).
+/// Metrics are written through handles resolved from their declaration
+/// (see [`Decl`]); the methods here lock internally and cover the
+/// by-name door, reads, and the registry's stateful subsystems.
 #[derive(Clone, Default)]
 pub struct Telemetry {
     inner: Arc<Shared>,
@@ -146,14 +146,11 @@ impl Telemetry {
         self.lock().hist(name, labels)
     }
 
-    /// Add `v` to the counter `name{labels}`.
-    pub fn counter_add(&self, name: &str, labels: &[(&str, &str)], v: u64) {
-        self.lock().counter_add(name, labels, v);
-    }
-
-    /// Increment the counter `name{labels}` by one.
+    /// Increment the counter `name{labels}` by one — [`Telemetry::counter`]
+    /// then `inc`; kept as a name of its own only for the frozen caller
+    /// `benchmark/src/kernels.rs` (`telemetry.counter_inc_ns`).
     pub fn counter_inc(&self, name: &str, labels: &[(&str, &str)]) {
-        self.counter_add(name, labels, 1);
+        self.counter(name, labels).inc();
     }
 
     /// Read a counter back (0 if never written).
@@ -166,36 +163,16 @@ impl Telemetry {
         self.lock().counter_total(name)
     }
 
-    /// Set the gauge `name{labels}`.
-    pub fn gauge_set(&self, name: &str, labels: &[(&str, &str)], v: f64) {
-        self.lock().gauge_set(name, labels, v);
-    }
-
-    /// Raise the gauge to `v` if `v` is larger (high-water marks).
-    pub fn gauge_max(&self, name: &str, labels: &[(&str, &str)], v: f64) {
-        self.lock().gauge_max(name, labels, v);
-    }
-
-    /// Add `delta` (possibly negative) to the gauge `name{labels}` —
-    /// occupancy gauges that several owners update incrementally.
-    pub fn gauge_add(&self, name: &str, labels: &[(&str, &str)], delta: f64) {
-        self.lock().gauge_add(name, labels, delta);
-    }
-
     /// Read a gauge back (0.0 if never written).
     pub fn gauge_value(&self, name: &str, labels: &[(&str, &str)]) -> f64 {
         self.lock().gauge_value(name, labels)
     }
 
-    /// Record one observation into the histogram `name{labels}`.
+    /// Record one observation into the histogram `name{labels}` —
+    /// [`Telemetry::hist`] then `record`; kept only for the frozen caller
+    /// `benchmark/src/kernels.rs` (`telemetry.hist_record_ns`).
     pub fn hist_record(&self, name: &str, labels: &[(&str, &str)], v: f64) {
-        self.lock().hist_record(name, labels, v);
-    }
-
-    /// Register a histogram without recording an observation (see
-    /// [`Registry::hist_declare`]).
-    pub fn hist_declare(&self, name: &str, labels: &[(&str, &str)]) {
-        self.lock().hist_declare(name, labels);
+        self.hist(name, labels).record(v);
     }
 
     /// Snapshot a histogram (None if never written).
@@ -512,7 +489,7 @@ mod tests {
     fn handle_counters_round_trip() {
         let t = Telemetry::new();
         t.counter_inc("events", &[("sub", "ee")]);
-        t.counter_add("events", &[("sub", "ee")], 4);
+        t.counter("events", &[("sub", "ee")]).add(4);
         t.counter_inc("events", &[("sub", "net")]);
         assert_eq!(t.counter_value("events", &[("sub", "ee")]), 5);
         assert_eq!(t.counter_value("events", &[("sub", "net")]), 1);
@@ -531,19 +508,19 @@ mod tests {
     #[test]
     fn gauges_set_and_max() {
         let t = Telemetry::new();
-        t.gauge_set("depth", &[], 3.0);
-        t.gauge_max("depth", &[], 2.0);
+        t.gauge("depth", &[]).set(3.0);
+        t.gauge("depth", &[]).set_max(2.0);
         assert_eq!(t.gauge_value("depth", &[]), 3.0);
-        t.gauge_max("depth", &[], 9.0);
+        t.gauge("depth", &[]).set_max(9.0);
         assert_eq!(t.gauge_value("depth", &[]), 9.0);
     }
 
     #[test]
     fn gauge_add_accumulates_and_goes_negative() {
         let t = Telemetry::new();
-        t.gauge_add("buffered", &[], 5.0);
-        t.gauge_add("buffered", &[], 2.0);
-        t.gauge_add("buffered", &[], -6.0);
+        t.gauge("buffered", &[]).add(5.0);
+        t.gauge("buffered", &[]).add(2.0);
+        t.gauge("buffered", &[]).add(-6.0);
         assert_eq!(t.gauge_value("buffered", &[]), 1.0);
     }
 
@@ -551,8 +528,8 @@ mod tests {
     fn absorb_merges_counters_and_spans() {
         let a = Telemetry::new();
         let b = Telemetry::new();
-        a.counter_add("n", &[], 2);
-        b.counter_add("n", &[], 3);
+        a.counter("n", &[]).add(2);
+        b.counter("n", &[]).add(3);
         b.span("txn", "db", 0.0, 100.0);
         a.absorb(&b);
         assert_eq!(a.counter_value("n", &[]), 5);
@@ -566,8 +543,8 @@ mod tests {
     fn snapshot_json_is_parseable_shape() {
         let t = Telemetry::new();
         t.counter_inc("a_total", &[("k", "v")]);
-        t.gauge_set("g", &[], 1.5);
-        t.hist_record("lat_ns", &[], 123.0);
+        t.gauge("g", &[]).set(1.5);
+        t.hist("lat_ns", &[]).record(123.0);
         t.span("s", "c", 10.0, 5.0);
         let s = t.snapshot_json();
         assert!(s.starts_with('{') && s.trim_end().ends_with('}'));

@@ -2,10 +2,12 @@
 //! with Prometheus text and JSON snapshot export.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use crate::actions::ActionLog;
+use crate::decls;
 use crate::drift::DriftRegistry;
-use crate::handles::{Cell, Counter, Gauge, Hist};
+use crate::handles::{Cell, Counter, Decl, Gauge, Hist, Kind};
 use crate::health::{Alert, HealthEngine, HealthState, Selector, Signals};
 use crate::histogram::HistogramSnapshot;
 use crate::spans::{Span, SpanRing};
@@ -38,30 +40,64 @@ impl MetricKey {
     }
 }
 
-/// Prometheus-style rendering: `name{k="v",k2="v2"}`, optionally with
-/// one extra label inserted in sorted position (`le` for histogram
-/// buckets). Label values are escaped per the text exposition format:
-/// backslash, double quote, and line feed (in that order, so the
-/// backslash introduced by `\n` is not re-escaped).
-fn render(name: &str, labels: &[(String, String)], extra: Option<(&str, &str)>) -> String {
-    fn escape(v: &str) -> String {
-        v.replace('\\', "\\\\")
-            .replace('"', "\\\"")
-            .replace('\n', "\\n")
+/// Append `s` escaped per the text exposition format: backslash and line
+/// feed always, double quote too inside a label value.
+fn push_escaped(out: &mut String, s: &str, in_label: bool) {
+    for c in s.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '"' if in_label => out.push_str("\\\""),
+            c => out.push(c),
+        }
     }
-    let mut pairs: Vec<(&str, String)> = labels
-        .iter()
-        .map(|(k, v)| (k.as_str(), escape(v)))
-        .collect();
-    if let Some((k, v)) = extra {
-        pairs.push((k, escape(v)));
-        pairs.sort();
+}
+
+/// Append the Prometheus-style series name `name suffix {k="v",k2="v2"}`
+/// to `out`, optionally with an `le` label (histogram buckets) inserted
+/// in sorted position. Label values are escaped in place.
+fn write_series(
+    out: &mut String,
+    name: &str,
+    suffix: &str,
+    labels: &[(String, String)],
+    mut le: Option<std::fmt::Arguments<'_>>,
+) {
+    out.push_str(name);
+    out.push_str(suffix);
+    if labels.is_empty() && le.is_none() {
+        return;
     }
-    if pairs.is_empty() {
-        return name.to_string();
+    let mut sep = '{';
+    let mut pair = |out: &mut String, k: &str| {
+        out.push(sep);
+        sep = ',';
+        out.push_str(k);
+        out.push_str("=\"");
+    };
+    for (k, v) in labels {
+        if k.as_str() > "le" {
+            if let Some(le) = le.take() {
+                pair(out, "le");
+                let _ = write!(out, "{le}\"");
+            }
+        }
+        pair(out, k);
+        push_escaped(out, v, true);
+        out.push('"');
     }
-    let inner: Vec<String> = pairs.iter().map(|(k, v)| format!("{k}=\"{v}\"")).collect();
-    format!("{name}{{{}}}", inner.join(","))
+    if let Some(le) = le {
+        pair(out, "le");
+        let _ = write!(out, "{le}\"");
+    }
+    out.push('}');
+}
+
+/// `name{labels}` as an owned key (time-series windows, JSON snapshot).
+fn render(name: &str, labels: &[(String, String)]) -> String {
+    let mut out = String::new();
+    write_series(&mut out, name, "", labels, None);
+    out
 }
 
 /// Label sets up to this size are sorted on the stack when a series is
@@ -83,12 +119,20 @@ fn with_sorted<R>(labels: &[(&str, &str)], f: impl FnOnce(&[(&str, &str)]) -> R)
     }
 }
 
-/// All series of one kind: metric name → its label sets (sorted) → the
-/// cell holding the value. Iteration is in `(name, labels)` order; a
-/// lookup by borrowed name and labels allocates nothing.
+/// One metric family: the help text it was registered with (empty when
+/// only ever resolved by bare name) and its label sets, sorted.
+#[derive(Debug)]
+struct Family<C> {
+    help: &'static str,
+    series: Vec<(Labels, C)>,
+}
+
+/// All series of one kind: metric name → family → the cell holding each
+/// value. Iteration is in `(name, labels)` order; a lookup by borrowed
+/// name and labels allocates nothing.
 #[derive(Debug, Default)]
 struct Series<C> {
-    families: BTreeMap<String, Vec<(Labels, C)>>,
+    families: BTreeMap<String, Family<C>>,
 }
 
 /// A deep copy: every value lands in a fresh cell, so the clone is a
@@ -100,11 +144,13 @@ impl<C: Cell> Clone for Series<C> {
                 .families
                 .iter()
                 .map(|(name, family)| {
-                    let family = family
+                    let series = family
+                        .series
                         .iter()
                         .map(|(labels, cell)| (labels.clone(), cell.detached()))
                         .collect();
-                    (name.clone(), family)
+                    let help = family.help;
+                    (name.clone(), Family { help, series })
                 })
                 .collect(),
         }
@@ -122,27 +168,35 @@ impl<C: Cell> Series<C> {
     }
 
     fn family(&self, name: &str) -> &[(Labels, C)] {
-        self.families.get(name).map_or(&[], Vec::as_slice)
+        self.families.get(name).map_or(&[], |f| &f.series)
     }
 
     fn get(&self, name: &str, labels: &[(&str, &str)]) -> Option<&C> {
-        let family = self.families.get(name)?;
+        let family = self.family(name);
         with_sorted(labels, |sorted| {
             Self::position(family, sorted).ok().map(|i| &family[i].1)
         })
     }
 
-    /// The series' cell, created by `init` if it does not exist yet.
+    /// The series' cell, created by `init` if it does not exist yet. A
+    /// non-empty `help` documents a family that had none.
     fn get_or_insert_with(
         &mut self,
         name: &str,
+        help: &'static str,
         labels: &[(&str, &str)],
         init: impl FnOnce() -> C,
     ) -> &C {
         if !self.families.contains_key(name) {
-            self.families.insert(name.to_string(), Vec::new());
+            let series = Vec::new();
+            self.families
+                .insert(name.to_string(), Family { help, series });
         }
         let family = self.families.get_mut(name).expect("inserted above");
+        if family.help.is_empty() {
+            family.help = help;
+        }
+        let family = &mut family.series;
         with_sorted(labels, |sorted| {
             let at = match Self::position(family, sorted) {
                 Ok(at) => at,
@@ -159,21 +213,43 @@ impl<C: Cell> Series<C> {
         })
     }
 
-    fn cell(&mut self, name: &str, labels: &[(&str, &str)]) -> &C {
-        self.get_or_insert_with(name, labels, C::default)
+    fn cell(&mut self, name: &str, help: &'static str, labels: &[(&str, &str)]) -> &C {
+        self.get_or_insert_with(name, help, labels, C::default)
     }
 
     fn len(&self) -> usize {
-        self.families.values().map(Vec::len).sum()
+        self.families.values().map(|f| f.series.len()).sum()
     }
 
     /// Every series as `(name, labels, cell)`, in `(name, labels)` order.
     fn iter(&self) -> impl Iterator<Item = (&str, &Labels, &C)> {
         self.families.iter().flat_map(|(name, family)| {
             family
+                .series
                 .iter()
                 .map(move |(labels, cell)| (name.as_str(), labels, cell))
         })
+    }
+}
+
+impl Kind for Counter {
+    const KIND: &'static str = "counter";
+    fn resolve<'r>(reg: &'r mut Registry, decl: &Decl<Self>, labels: &[(&str, &str)]) -> &'r Self {
+        reg.counters.cell(decl.name, decl.help, labels)
+    }
+}
+
+impl Kind for Gauge {
+    const KIND: &'static str = "gauge";
+    fn resolve<'r>(reg: &'r mut Registry, decl: &Decl<Self>, labels: &[(&str, &str)]) -> &'r Self {
+        reg.gauges.cell(decl.name, decl.help, labels)
+    }
+}
+
+impl Kind for Hist {
+    const KIND: &'static str = "histogram";
+    fn resolve<'r>(reg: &'r mut Registry, decl: &Decl<Self>, labels: &[(&str, &str)]) -> &'r Self {
+        reg.histograms.cell(decl.name, decl.help, labels)
     }
 }
 
@@ -210,23 +286,27 @@ impl Registry {
     }
 
     /// Handle to the counter `name{labels}`, registering it (at 0) if new.
+    /// This and its two siblings are the by-name door for signals without
+    /// a declaration; declared metrics resolve through their
+    /// [`Decl`](crate::Decl) and bring their help text along.
     pub fn counter(&mut self, name: &str, labels: &[(&str, &str)]) -> Counter {
-        self.counters.cell(name, labels).clone()
+        self.counters.cell(name, "", labels).clone()
     }
 
     /// Handle to the gauge `name{labels}`, registering it (at 0) if new.
     pub fn gauge(&mut self, name: &str, labels: &[(&str, &str)]) -> Gauge {
-        self.gauges.cell(name, labels).clone()
+        self.gauges.cell(name, "", labels).clone()
     }
 
     /// Handle to the histogram `name{labels}`, registering it (empty) if
     /// new.
     pub fn hist(&mut self, name: &str, labels: &[(&str, &str)]) -> Hist {
-        self.histograms.cell(name, labels).clone()
+        self.histograms.cell(name, "", labels).clone()
     }
 
-    pub fn counter_add(&mut self, name: &str, labels: &[(&str, &str)], v: u64) {
-        self.counters.cell(name, labels).add(v);
+    /// The cell of `decl{labels}`, for the registry's own bookkeeping.
+    fn at<C: Kind>(&mut self, decl: &Decl<C>, labels: &[(&str, &str)]) -> &C {
+        C::resolve(self, decl, labels)
     }
 
     pub fn counter_value(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
@@ -239,23 +319,6 @@ impl Registry {
             .iter()
             .map(|(_, c)| c.get())
             .sum()
-    }
-
-    /// Distinct metric *names* (labels stripped) across all kinds, sorted.
-    /// This is what the docs cross-check compares against
-    /// [`crate::docs::METRIC_DOCS`].
-    pub fn metric_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .counters
-            .families
-            .keys()
-            .chain(self.gauges.families.keys())
-            .chain(self.histograms.families.keys())
-            .cloned()
-            .collect();
-        names.sort();
-        names.dedup();
-        names
     }
 
     /// All `(key, value)` counter pairs for a name, across label sets.
@@ -273,38 +336,8 @@ impl Registry {
             .collect()
     }
 
-    pub fn gauge_set(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        self.gauges.cell(name, labels).set(v);
-    }
-
-    /// Add `delta` (possibly negative) to a gauge, creating it at 0.
-    /// Occupancy-style gauges (buffered samples, open segments) use this
-    /// so concurrent owners sharing a registry aggregate instead of
-    /// overwriting each other.
-    pub fn gauge_add(&mut self, name: &str, labels: &[(&str, &str)], delta: f64) {
-        self.gauges.cell(name, labels).add(delta);
-    }
-
-    pub fn gauge_max(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        self.gauges
-            .get_or_insert_with(name, labels, || Gauge::starting_at(f64::NEG_INFINITY))
-            .set_max(v);
-    }
-
     pub fn gauge_value(&self, name: &str, labels: &[(&str, &str)]) -> f64 {
         self.gauges.get(name, labels).map_or(0.0, Gauge::get)
-    }
-
-    pub fn hist_record(&mut self, name: &str, labels: &[(&str, &str)], v: f64) {
-        self.histograms.cell(name, labels).record(v);
-    }
-
-    /// Register the histogram `name{labels}` without recording an
-    /// observation — pre-declaration for surfaces (the obsd operator
-    /// plane) whose metric names must exist from startup so the docs
-    /// cross-check sees them, without polluting the distribution.
-    pub fn hist_declare(&mut self, name: &str, labels: &[(&str, &str)]) {
-        self.histograms.cell(name, labels);
     }
 
     pub fn hist_snapshot(&self, name: &str, labels: &[(&str, &str)]) -> Option<HistogramSnapshot> {
@@ -338,7 +371,7 @@ impl Registry {
         let counters = self
             .counters
             .iter()
-            .map(|(name, labels, c)| (render(name, labels, None), c.get()))
+            .map(|(name, labels, c)| (render(name, labels), c.get()))
             .collect();
         self.timeseries.push(Window {
             end_ns: now_ns,
@@ -399,12 +432,11 @@ impl Registry {
     /// Fold one executed statement into the statement-stats registry and
     /// sync its internal counters into registry metrics
     /// (`db_stmt_recorded_total`, `db_stmt_evicted_total`,
-    /// `db_stmt_fingerprints`). A zero value still registers the
-    /// eviction counter, so all three exist from the first recorded
-    /// statement on — `metrics_doc --check` relies on that. This runs
-    /// once per executed statement: the steady state is one borrowed-key
-    /// lookup (no allocation), and the eviction counter / fingerprint
-    /// gauge are only touched when their values actually moved.
+    /// `db_stmt_fingerprints`), all three registered from the first
+    /// recorded statement on. This runs once per executed statement: the
+    /// steady state is one borrowed-key lookup (no allocation), and the
+    /// eviction counter / fingerprint gauge are only touched when their
+    /// values actually moved.
     pub fn stmt_record(
         &mut self,
         fingerprint: &str,
@@ -417,24 +449,24 @@ impl Registry {
         let len_before = self.stmts.len();
         self.stmts
             .record(fingerprint, actual_ns, rows, ou_ns, predicted_ns);
-        let Some(recorded) = self.counters.get("db_stmt_recorded_total", &[]) else {
+        let Some(recorded) = self.counters.get(decls::STMT_RECORDED.name, &[]) else {
             // First record (or a registry reset): register all three
             // series at their authoritative values.
-            self.counter_add("db_stmt_recorded_total", &[], self.stmts.recorded());
-            self.counter_add("db_stmt_evicted_total", &[], self.stmts.evicted());
-            self.gauge_set("db_stmt_fingerprints", &[], self.stmts.len() as f64);
+            let (recorded, evicted) = (self.stmts.recorded(), self.stmts.evicted());
+            self.at(&decls::STMT_RECORDED, &[]).add(recorded);
+            self.at(&decls::STMT_EVICTED, &[]).add(evicted);
+            let fingerprints = self.stmts.len() as f64;
+            self.at(&decls::STMT_FINGERPRINTS, &[]).set(fingerprints);
             return;
         };
         recorded.inc();
         if self.stmts.evicted() != evicted_before {
-            self.counter_add(
-                "db_stmt_evicted_total",
-                &[],
-                self.stmts.evicted() - evicted_before,
-            );
+            let evicted = self.stmts.evicted() - evicted_before;
+            self.at(&decls::STMT_EVICTED, &[]).add(evicted);
         }
         if self.stmts.len() != len_before {
-            self.gauge_set("db_stmt_fingerprints", &[], self.stmts.len() as f64);
+            let fingerprints = self.stmts.len() as f64;
+            self.at(&decls::STMT_FINGERPRINTS, &[]).set(fingerprints);
         }
     }
 
@@ -445,38 +477,31 @@ impl Registry {
     /// counters, and the critical-path counter.
     fn trace_flush_completions(&mut self) {
         for c in self.tracer.take_pending() {
-            self.counter_add(
-                "tscout_traces_completed_total",
-                &[("outcome", c.outcome.name())],
-                1,
-            );
+            self.at(&decls::TRACES_COMPLETED, &[("outcome", c.outcome.name())])
+                .inc();
             if let Some(s) = c.critical {
-                self.counter_add(
-                    "tscout_trace_critical_stage_total",
-                    &[("stage", s.name())],
-                    1,
-                );
+                self.at(&decls::TRACE_CRITICAL_STAGE, &[("stage", s.name())])
+                    .inc();
             }
             for (stage, dur) in c.stage_durs {
-                self.hist_record("tscout_trace_stage_ns", &[("stage", stage.name())], dur);
+                self.at(&decls::TRACE_STAGE_NS, &[("stage", stage.name())])
+                    .record(dur);
             }
         }
     }
 
     /// Sync the tracer's drop/eviction counters into registry counters
-    /// (they originate inside the tracer's bounded structures).
+    /// (they originate inside the tracer's bounded structures). All
+    /// three register (at 0) from the first sampled marker on.
     fn trace_sync_counters(&mut self) {
         let st = self.tracer.stats();
-        for (name, v) in [
-            ("tscout_traces_started_total", st.started),
-            ("tscout_traces_dropped_total", st.dropped),
-            ("tscout_trace_ring_evicted_total", st.ring_evicted),
+        for (decl, v) in [
+            (&decls::TRACES_STARTED, st.started),
+            (&decls::TRACES_DROPPED, st.dropped),
+            (&decls::TRACE_RING_EVICTED, st.ring_evicted),
         ] {
-            let have = self.counter_value(name, &[]);
-            // A zero add still registers the name, so the counters exist
-            // (at 0) from the first sampled marker on — `metrics_doc
-            // --check` relies on a traced run registering all of them.
-            self.counter_add(name, &[], v.saturating_sub(have));
+            let counter = self.at(decl, &[]);
+            counter.add(v.saturating_sub(counter.get()));
         }
     }
 
@@ -665,7 +690,7 @@ impl Registry {
         if std::fs::write(&path, bundle).is_err() {
             return None;
         }
-        self.counter_add("ts_flightrec_bundles_total", &[], 1);
+        self.at(&decls::FLIGHTREC_BUNDLES, &[]).inc();
         Some(path)
     }
 
@@ -693,20 +718,23 @@ impl Registry {
     /// `ts_drift_score{ou}`, `ts_residual_mape_pct{ou}`.
     pub fn drift_evaluate(&mut self) {
         let scores = self.drift.evaluate();
-        self.counter_add("ts_drift_evaluations_total", &[], 1);
+        self.at(&decls::DRIFT_EVALUATIONS, &[]).inc();
         for s in scores {
             let ou = s.ou.as_str();
-            self.gauge_set("ts_drift_score", &[("ou", ou)], s.drift_score);
+            self.at(&decls::DRIFT_SCORE, &[("ou", ou)])
+                .set(s.drift_score);
             for (channel, psi, ks) in [
                 ("target", s.psi_target, s.ks_target),
                 ("feature", s.psi_feature, s.ks_feature),
             ] {
-                self.gauge_set("ts_drift_psi", &[("channel", channel), ("ou", ou)], psi);
-                self.gauge_set("ts_drift_ks", &[("channel", channel), ("ou", ou)], ks);
+                let labels = [("channel", channel), ("ou", ou)];
+                self.at(&decls::DRIFT_PSI, &labels).set(psi);
+                self.at(&decls::DRIFT_KS, &labels).set(ks);
             }
             if s.residual_mape_pct > 0.0 || self.drift.ou(ou).is_some_and(|d| d.residual_points > 0)
             {
-                self.gauge_set("ts_residual_mape_pct", &[("ou", ou)], s.residual_mape_pct);
+                self.at(&decls::RESIDUAL_MAPE_PCT, &[("ou", ou)])
+                    .set(s.residual_mape_pct);
             }
         }
     }
@@ -721,13 +749,14 @@ impl Registry {
         let n = self.drift.rebaseline_all();
         let ous: Vec<String> = self.drift.iter().map(|(name, _)| name.clone()).collect();
         for ou in &ous {
-            self.gauge_set("ts_drift_score", &[("ou", ou)], 0.0);
+            self.at(&decls::DRIFT_SCORE, &[("ou", ou)]).set(0.0);
             for channel in ["target", "feature"] {
-                self.gauge_set("ts_drift_psi", &[("channel", channel), ("ou", ou)], 0.0);
-                self.gauge_set("ts_drift_ks", &[("channel", channel), ("ou", ou)], 0.0);
+                let labels = [("channel", channel), ("ou", ou.as_str())];
+                self.at(&decls::DRIFT_PSI, &labels).set(0.0);
+                self.at(&decls::DRIFT_KS, &labels).set(0.0);
             }
         }
-        self.counter_add("ts_drift_rebaselines_total", &[], 1);
+        self.at(&decls::DRIFT_REBASELINES, &[]).inc();
         n
     }
 
@@ -763,26 +792,20 @@ impl Registry {
         }
         let transitions = self.health.tick(now_ns, &signals);
         for t in &transitions {
-            let name = if t.fired() {
-                "alerts_fired_total"
+            let decl = if t.fired() {
+                &decls::ALERTS_FIRED
             } else {
-                "alerts_recovered_total"
+                &decls::ALERTS_RECOVERED
             };
-            self.counter_add(
-                name,
-                &[
-                    ("rule", t.rule.as_str()),
-                    ("subsystem", t.subsystem.as_str()),
-                ],
-                1,
-            );
+            let labels = [
+                ("rule", t.rule.as_str()),
+                ("subsystem", t.subsystem.as_str()),
+            ];
+            self.at(decl, &labels).inc();
         }
         for (subsystem, state) in self.health.subsystem_states() {
-            self.gauge_set(
-                "ts_health_state",
-                &[("subsystem", subsystem.as_str())],
-                state.as_f64(),
-            );
+            self.at(&decls::HEALTH_STATE, &[("subsystem", subsystem.as_str())])
+                .set(state.as_f64());
         }
         transitions
     }
@@ -798,8 +821,9 @@ impl Registry {
 
     /// Merge `other` into `self`: counters add, gauges take the max
     /// (every gauge we export is a level or high-water mark, for which
-    /// max is the meaningful union), histograms merge bucket-wise, and
-    /// spans append subject to ring capacity.
+    /// max is the meaningful union), histograms merge bucket-wise, each
+    /// family keeps its help text, and spans append subject to ring
+    /// capacity.
     pub fn merge_from(&mut self, other: &Registry) {
         fn borrowed(labels: &Labels) -> Vec<(&str, &str)> {
             labels
@@ -807,16 +831,28 @@ impl Registry {
                 .map(|(k, v)| (k.as_str(), v.as_str()))
                 .collect()
         }
-        for (name, labels, c) in other.counters.iter() {
-            self.counter_add(name, &borrowed(labels), c.get());
+        for (name, family) in &other.counters.families {
+            for (labels, c) in &family.series {
+                self.counters
+                    .cell(name, family.help, &borrowed(labels))
+                    .add(c.get());
+            }
         }
-        for (name, labels, g) in other.gauges.iter() {
-            self.gauge_max(name, &borrowed(labels), g.get());
+        for (name, family) in &other.gauges.families {
+            for (labels, g) in &family.series {
+                self.gauges
+                    .get_or_insert_with(name, family.help, &borrowed(labels), || {
+                        Gauge::starting_at(f64::NEG_INFINITY)
+                    })
+                    .set_max(g.get());
+            }
         }
-        for (name, labels, h) in other.histograms.iter() {
-            self.histograms
-                .cell(name, &borrowed(labels))
-                .merge_from(&h.load());
+        for (name, family) in &other.histograms.families {
+            for (labels, h) in &family.series {
+                self.histograms
+                    .cell(name, family.help, &borrowed(labels))
+                    .merge_from(&h.load());
+            }
         }
         for s in other.spans.iter() {
             self.spans.record(*s);
@@ -858,74 +894,74 @@ impl Registry {
     }
 
     /// OpenMetrics-flavored text exposition: every family gets a
-    /// `# HELP` (from [`crate::docs::METRIC_DOCS`] when documented) and
-    /// `# TYPE` line, counters are normalized to a `_total` suffix, and
-    /// histograms export their cumulative `_bucket{le="..."}` series
-    /// with the mandatory `+Inf` bucket plus `_sum`/`_count`.
+    /// `# HELP` (the text of its declaration; `(undocumented)` for one
+    /// only ever resolved by bare name) and `# TYPE` line, counters are
+    /// normalized to a `_total` suffix, and histograms export their
+    /// cumulative `_bucket{le="..."}` series with the mandatory `+Inf`
+    /// bucket plus `_sum`/`_count`. Everything is written into the one
+    /// output buffer.
     pub fn to_prometheus(&self) -> String {
-        fn header(out: &mut String, family: &str, kind: &str, doc_name: &str) {
-            let help = crate::docs::metric_help(doc_name)
-                .or_else(|| crate::docs::metric_help(family))
-                .unwrap_or("(undocumented)");
-            let help = help.replace('\\', "\\\\").replace('\n', "\\n");
-            out.push_str(&format!("# HELP {family} {help}\n# TYPE {family} {kind}\n"));
+        fn header(out: &mut String, name: &str, suffix: &str, kind: &str, help: &str) {
+            let help = if help.is_empty() {
+                "(undocumented)"
+            } else {
+                help
+            };
+            let _ = write!(out, "# HELP {name}{suffix} ");
+            push_escaped(out, help, false);
+            let _ = writeln!(out, "\n# TYPE {name}{suffix} {kind}");
         }
         let mut out = String::new();
-        for (name, family_series) in &self.counters.families {
-            let family = if name.ends_with("_total") {
-                name.clone()
+        for (name, family) in &self.counters.families {
+            let suffix = if name.ends_with("_total") {
+                ""
             } else {
-                format!("{name}_total")
+                "_total"
             };
-            header(&mut out, &family, "counter", name);
-            for (labels, c) in family_series {
-                out.push_str(&format!("{} {}\n", render(&family, labels, None), c.get()));
+            header(&mut out, name, suffix, Counter::KIND, family.help);
+            for (labels, c) in &family.series {
+                write_series(&mut out, name, suffix, labels, None);
+                let _ = writeln!(out, " {}", c.get());
             }
         }
         // Span-ring loss is bookkeeping the ring keeps internally, not a
         // registry counter; surface it so span loss is never silent.
-        header(
-            &mut out,
-            "telemetry_spans_dropped_total",
-            "counter",
-            "telemetry_spans_dropped_total",
-        );
-        out.push_str(&format!(
-            "telemetry_spans_dropped_total {}\n",
-            self.spans.dropped()
-        ));
-        for (name, family_series) in &self.gauges.families {
-            header(&mut out, name, "gauge", name);
-            for (labels, g) in family_series {
-                out.push_str(&format!("{} {}\n", render(name, labels, None), g.get()));
+        let spans = &decls::SPANS_DROPPED;
+        header(&mut out, spans.name, "", Counter::KIND, spans.help);
+        let _ = writeln!(out, "{} {}", spans.name, self.spans.dropped());
+        for (name, family) in &self.gauges.families {
+            header(&mut out, name, "", Gauge::KIND, family.help);
+            for (labels, g) in &family.series {
+                write_series(&mut out, name, "", labels, None);
+                let _ = writeln!(out, " {}", g.get());
             }
         }
-        for (name, family_series) in &self.histograms.families {
-            header(&mut out, name, "histogram", name);
-            let bucket = format!("{name}_bucket");
-            for (labels, cell) in family_series {
+        for (name, family) in &self.histograms.families {
+            header(&mut out, name, "", Hist::KIND, family.help);
+            for (labels, cell) in &family.series {
                 let h = cell.load();
                 for (upper, cum) in h.cumulative_buckets() {
-                    out.push_str(&format!(
-                        "{} {cum}\n",
-                        render(&bucket, labels, Some(("le", &format!("{upper}"))))
-                    ));
+                    write_series(
+                        &mut out,
+                        name,
+                        "_bucket",
+                        labels,
+                        Some(format_args!("{upper}")),
+                    );
+                    let _ = writeln!(out, " {cum}");
                 }
-                out.push_str(&format!(
-                    "{} {}\n",
-                    render(&bucket, labels, Some(("le", "+Inf"))),
-                    h.count()
-                ));
-                out.push_str(&format!(
-                    "{} {}\n",
-                    render(&format!("{name}_sum"), labels, None),
-                    h.sum()
-                ));
-                out.push_str(&format!(
-                    "{} {}\n",
-                    render(&format!("{name}_count"), labels, None),
-                    h.count()
-                ));
+                write_series(
+                    &mut out,
+                    name,
+                    "_bucket",
+                    labels,
+                    Some(format_args!("+Inf")),
+                );
+                let _ = writeln!(out, " {}", h.count());
+                write_series(&mut out, name, "_sum", labels, None);
+                let _ = writeln!(out, " {}", h.sum());
+                write_series(&mut out, name, "_count", labels, None);
+                let _ = writeln!(out, " {}", h.count());
             }
         }
         out
@@ -962,13 +998,14 @@ impl Registry {
             .map(|(name, labels, c)| {
                 format!(
                     "\n    \"{}\": {}",
-                    json_escape(&render(name, labels, None)),
+                    json_escape(&render(name, labels)),
                     c.get()
                 )
             })
             .collect();
         counters.push(format!(
-            "\n    \"telemetry_spans_dropped_total\": {}",
+            "\n    \"{}\": {}",
+            decls::SPANS_DROPPED.name,
             self.spans.dropped()
         ));
         out.push_str(&counters.join(","));
@@ -979,7 +1016,7 @@ impl Registry {
             .map(|(name, labels, g)| {
                 format!(
                     "\n    \"{}\": {}",
-                    json_escape(&render(name, labels, None)),
+                    json_escape(&render(name, labels)),
                     json_num(g.get())
                 )
             })
@@ -993,7 +1030,7 @@ impl Registry {
                 let s = h.load().snapshot();
                 format!(
                     "\n    \"{}\": {{\"count\": {}, \"sum\": {}, \"mean\": {}, \"min\": {}, \"max\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}}}",
-                    json_escape(&render(name, labels, None)),
+                    json_escape(&render(name, labels)),
                     s.count,
                     json_num(s.sum),
                     json_num(s.mean),
@@ -1045,9 +1082,9 @@ mod tests {
     #[test]
     fn prometheus_format_shape() {
         let mut r = Registry::new();
-        r.counter_add("req_total", &[("code", "200")], 7);
-        r.gauge_set("depth", &[], 2.5);
-        r.hist_record("lat_ns", &[], 100.0);
+        r.counter("req_total", &[("code", "200")]).add(7);
+        r.gauge("depth", &[]).set(2.5);
+        r.hist("lat_ns", &[]).record(100.0);
         let text = r.to_prometheus();
         assert!(text.contains("# TYPE req_total counter"));
         assert!(text.contains("req_total{code=\"200\"} 7"));
@@ -1061,42 +1098,60 @@ mod tests {
 
     #[test]
     fn every_family_has_help_and_type() {
-        // Satellite regression: each exported family must carry # HELP
-        // and # TYPE lines, with documented metrics pulling their
-        // meaning from METRIC_DOCS.
+        // Each exported family carries # HELP and # TYPE lines; a
+        // declared metric's help is its declaration's, and travels with
+        // the family through clone() and merge_from().
         let mut r = Registry::new();
-        r.counter_add("tscout_samples_begun_total", &[("subsystem", "ee")], 3);
-        r.gauge_set("tscout_overhead_ratio", &[], 0.01);
-        r.hist_record("workload_txn_ns", &[("outcome", "committed")], 5e4);
-        r.counter_add("some_novel_counter_total", &[], 1);
-        let text = r.to_prometheus();
-        for family in [
-            "tscout_samples_begun_total",
-            "tscout_overhead_ratio",
-            "workload_txn_ns",
-            "telemetry_spans_dropped_total",
-            "some_novel_counter_total",
+        let fired = [("rule", "r"), ("subsystem", "data")];
+        r.at(&decls::ALERTS_FIRED, &fired).add(3);
+        r.at(&decls::HEALTH_STATE, &[("subsystem", "data")])
+            .set(1.0);
+        r.at(&decls::TRACE_STAGE_NS, &[("stage", "ring")])
+            .record(5e4);
+        r.counter("some_novel_counter_total", &[]).inc();
+        let mut merged = Registry::new();
+        merged.merge_from(&r);
+        for text in [
+            r.to_prometheus(),
+            r.clone().to_prometheus(),
+            merged.to_prometheus(),
         ] {
-            assert!(
-                text.contains(&format!("# HELP {family} ")),
-                "missing HELP for {family}:\n{text}"
-            );
-            assert!(
-                text.contains(&format!("# TYPE {family} ")),
-                "missing TYPE for {family}:\n{text}"
-            );
+            for (name, kind, help) in [
+                decls::ALERTS_FIRED.row(),
+                decls::HEALTH_STATE.row(),
+                decls::TRACE_STAGE_NS.row(),
+                decls::SPANS_DROPPED.row(),
+            ]
+            .map(|d| (d.name, d.kind, d.help))
+            .into_iter()
+            .chain([("some_novel_counter_total", "counter", "(undocumented)")])
+            {
+                assert!(
+                    text.contains(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n")),
+                    "missing HELP/TYPE for {name}:\n{text}"
+                );
+            }
         }
-        // Documented help text comes from the dictionary.
-        let help = crate::docs::metric_help("tscout_samples_begun_total").unwrap();
-        assert!(text.contains(help));
-        // Undocumented metrics still get a placeholder HELP.
-        assert!(text.contains("# HELP some_novel_counter_total (undocumented)"));
+        // A family first resolved by bare name is documented as soon as
+        // its declaration resolves it.
+        r.gauge(decls::DRIFT_SCORE.name, &[("ou", "a")]).set(0.5);
+        assert!(r
+            .to_prometheus()
+            .contains("# HELP ts_drift_score (undocumented)"));
+        r.at(&decls::DRIFT_SCORE, &[("ou", "b")]);
+        assert!(!r
+            .to_prometheus()
+            .contains("(undocumented)\n# TYPE ts_drift"));
         // HELP/TYPE are emitted once per family, not per label set.
-        r.counter_add("tscout_samples_begun_total", &[("subsystem", "net")], 1);
+        r.at(
+            &decls::ALERTS_FIRED,
+            &[("rule", "q"), ("subsystem", "data")],
+        )
+        .inc();
         let text = r.to_prometheus();
         let headers = text
             .lines()
-            .filter(|l| *l == "# TYPE tscout_samples_begun_total counter")
+            .filter(|l| *l == "# TYPE alerts_fired_total counter")
             .count();
         assert_eq!(headers, 1, "one TYPE header per family:\n{text}");
     }
@@ -1106,7 +1161,7 @@ mod tests {
         // Satellite regression: a counter registered without the
         // conventional suffix is exposed with `_total` appended.
         let mut r = Registry::new();
-        r.counter_add("odd_counter", &[("k", "v")], 4);
+        r.counter("odd_counter", &[("k", "v")]).add(4);
         let text = r.to_prometheus();
         assert!(text.contains("# TYPE odd_counter_total counter"));
         assert!(text.contains("odd_counter_total{k=\"v\"} 4"));
@@ -1117,7 +1172,7 @@ mod tests {
             "unsuffixed sample leaked:\n{text}"
         );
         // Already-suffixed names are untouched (no `_total_total`).
-        r.counter_add("fine_total", &[], 1);
+        r.counter("fine_total", &[]).inc();
         let text = r.to_prometheus();
         assert!(text.contains("fine_total 1"));
         assert!(!text.contains("fine_total_total"));
@@ -1130,7 +1185,7 @@ mod tests {
         // labeled families keep their labels on every sample line.
         let mut r = Registry::new();
         for v in [10.0, 20.0, 20.0, 5_000.0] {
-            r.hist_record("lat_ns", &[("op", "read")], v);
+            r.hist("lat_ns", &[("op", "read")]).record(v);
         }
         let text = r.to_prometheus();
         assert!(text.contains("# TYPE lat_ns histogram"));
@@ -1167,7 +1222,7 @@ mod tests {
     #[test]
     fn spans_dropped_is_exported_as_counter() {
         let mut r = Registry::new();
-        r.counter_add("x_total", &[], 1);
+        r.counter("x_total", &[]).inc();
         let prom = r.to_prometheus();
         assert!(prom.contains("# TYPE telemetry_spans_dropped_total counter"));
         assert!(prom.contains("telemetry_spans_dropped_total 0"));
@@ -1188,10 +1243,10 @@ mod tests {
     #[test]
     fn scrape_builds_timeseries_windows() {
         let mut r = Registry::new();
-        r.counter_add("d", &[("sub", "ee")], 5);
+        r.counter("d", &[("sub", "ee")]).add(5);
         r.scrape_window(1_000.0);
-        r.counter_add("d", &[("sub", "ee")], 7);
-        r.counter_add("d", &[("sub", "net")], 2);
+        r.counter("d", &[("sub", "ee")]).add(7);
+        r.counter("d", &[("sub", "net")]).add(2);
         r.scrape_window(2_000.0);
         assert_eq!(r.timeseries().len(), 2);
         assert_eq!(r.timeseries().total_in_window("d", 0), 5);
@@ -1204,13 +1259,13 @@ mod tests {
     fn merge_adopts_timeseries_only_when_empty() {
         let mut a = Registry::new();
         let mut b = Registry::new();
-        b.counter_add("c", &[], 1);
+        b.counter("c", &[]).inc();
         b.scrape_window(10.0);
         a.merge_from(&b);
         assert_eq!(a.timeseries().len(), 1);
         // A second merge from a different run must not concatenate.
         let mut c = Registry::new();
-        c.counter_add("c", &[], 9);
+        c.counter("c", &[]).add(9);
         c.scrape_window(5.0);
         c.scrape_window(6.0);
         a.merge_from(&c);
@@ -1223,7 +1278,7 @@ mod tests {
         // exposition line in two (backslash and quote were already
         // escaped, line feed was not).
         let mut r = Registry::new();
-        r.counter_add("weird_total", &[("q", "a\\b\"c\nd")], 1);
+        r.counter("weird_total", &[("q", "a\\b\"c\nd")]).inc();
         let prom = r.to_prometheus();
         assert!(
             prom.contains("weird_total{q=\"a\\\\b\\\"c\\nd\"} 1"),
@@ -1329,10 +1384,7 @@ mod tests {
         assert_eq!(r.counter_value("db_stmt_recorded_total", &[]), 2);
         // The eviction counter registers at zero from the first record.
         assert_eq!(r.counter_value("db_stmt_evicted_total", &[]), 0);
-        assert!(r
-            .metric_names()
-            .iter()
-            .any(|n| n == "db_stmt_evicted_total"));
+        assert!(r.counters.get("db_stmt_evicted_total", &[]).is_some());
         assert_eq!(r.gauge_value("db_stmt_fingerprints", &[]), 1.0);
         let e = r.stmts().get("select ?").unwrap();
         assert_eq!(e.calls, 2);
@@ -1356,11 +1408,11 @@ mod tests {
     fn merge_semantics() {
         let mut a = Registry::new();
         let mut b = Registry::new();
-        a.counter_add("c", &[], 1);
-        b.counter_add("c", &[], 2);
-        a.gauge_set("hwm", &[], 5.0);
-        b.gauge_set("hwm", &[], 3.0);
-        b.hist_record("h", &[], 10.0);
+        a.counter("c", &[]).inc();
+        b.counter("c", &[]).add(2);
+        a.gauge("hwm", &[]).set(5.0);
+        b.gauge("hwm", &[]).set(3.0);
+        b.hist("h", &[]).record(10.0);
         a.merge_from(&b);
         assert_eq!(a.counter_value("c", &[]), 3);
         assert_eq!(a.gauge_value("hwm", &[]), 5.0);

@@ -11,7 +11,7 @@
 //! number format.
 
 use crate::metrics::Registry;
-use crate::{json_escape, json_num};
+use crate::{decls, json_escape, json_num};
 use ColType::{Bool, Float, Int, Text};
 
 /// Column type of a `ts_*` table.
@@ -149,11 +149,11 @@ pub const TABLES: &[Table] = &[
         ],
         rows: |r| {
             vec![vec![
-                Cell::Int(r.gauge_value("model_generation", &[]) as i64),
-                Cell::Float(r.gauge_value("model_holdout_mape_pct", &[])),
-                Cell::Int(r.gauge_value("model_trained_points", &[]) as i64),
-                int(r.counter_value("model_swap_accepted_total", &[])),
-                int(r.counter_value("model_swap_rejected_total", &[])),
+                Cell::Int(r.gauge_value(decls::MODEL_GENERATION.name, &[]) as i64),
+                Cell::Float(r.gauge_value(decls::MODEL_HOLDOUT_MAPE_PCT.name, &[])),
+                Cell::Int(r.gauge_value(decls::MODEL_TRAINED_POINTS.name, &[]) as i64),
+                int(r.counter_value(decls::MODEL_SWAP_ACCEPTED.name, &[])),
+                int(r.counter_value(decls::MODEL_SWAP_REJECTED.name, &[])),
             ]]
         },
     },
@@ -292,7 +292,7 @@ pub const TABLES: &[Table] = &[
                 .enumerate()
                 .map(|(seq, (stage, a))| {
                     let (p50, p99) = r
-                        .hist_snapshot("tscout_trace_stage_ns", &[("stage", stage.name())])
+                        .hist_snapshot(decls::TRACE_STAGE_NS.name, &[("stage", stage.name())])
                         .map_or((0.0, 0.0), |s| (s.p50, s.p99));
                     let n = a.count.max(1) as f64;
                     vec![
@@ -332,10 +332,10 @@ pub const TABLES: &[Table] = &[
         ],
         rows: |r| {
             const PER_OU: [&str; 4] = [
-                "archive_ou_samples_appended_total",
-                "archive_ou_samples_retired_total",
-                "archive_ou_blocks_total",
-                "archive_ou_bytes_written_total",
+                decls::ARCHIVE_OU_SAMPLES_APPENDED.name,
+                decls::ARCHIVE_OU_SAMPLES_RETIRED.name,
+                decls::ARCHIVE_OU_BLOCKS.name,
+                decls::ARCHIVE_OU_BYTES_WRITTEN.name,
             ];
             // OUs are discovered from the per-OU labeled counters the
             // archive records at append/flush/retention time.
@@ -356,11 +356,11 @@ pub const TABLES: &[Table] = &[
                             .map(|name| int(r.counter_value(name, &[("ou", ou)]))),
                     );
                     row.extend([
-                        Cell::Int(r.gauge_value("archive_segments", &[]) as i64),
-                        Cell::Int(r.gauge_value("archive_buffered_samples", &[]) as i64),
-                        int(r.counter_value("archive_segments_sealed_total", &[])),
-                        int(r.counter_value("archive_segments_compacted_total", &[])),
-                        int(r.counter_value("archive_recovered_truncations_total", &[])),
+                        Cell::Int(r.gauge_value(decls::ARCHIVE_SEGMENTS.name, &[]) as i64),
+                        Cell::Int(r.gauge_value(decls::ARCHIVE_BUFFERED_SAMPLES.name, &[]) as i64),
+                        int(r.counter_value(decls::ARCHIVE_SEGMENTS_SEALED.name, &[])),
+                        int(r.counter_value(decls::ARCHIVE_SEGMENTS_COMPACTED.name, &[])),
+                        int(r.counter_value(decls::ARCHIVE_RECOVERED_TRUNCATIONS.name, &[])),
                     ]);
                     row
                 })
@@ -683,11 +683,14 @@ mod tests {
     fn archive_table_rows_per_ou_with_global_columns() {
         let t = Telemetry::new();
         assert!(rows("ts_stat_archive", &t).is_empty());
-        t.counter_add("archive_ou_samples_appended_total", &[("ou", "scan")], 5);
-        t.counter_add("archive_ou_blocks_total", &[("ou", "scan")], 1);
-        t.counter_add("archive_ou_samples_appended_total", &[("ou", "probe")], 2);
-        t.counter_add("archive_segments_sealed_total", &[], 3);
-        t.gauge_set("archive_segments", &[], 4.0);
+        t.counter("archive_ou_samples_appended_total", &[("ou", "scan")])
+            .add(5);
+        t.counter("archive_ou_blocks_total", &[("ou", "scan")])
+            .inc();
+        t.counter("archive_ou_samples_appended_total", &[("ou", "probe")])
+            .add(2);
+        t.counter("archive_segments_sealed_total", &[]).add(3);
+        t.gauge("archive_segments", &[]).set(4.0);
         let rows = rows("ts_stat_archive", &t);
         assert_eq!(rows.len(), 2, "one row per OU");
         // Sorted by OU name; global columns repeat on every row.

@@ -323,7 +323,7 @@ impl ModelLifecycle {
             );
             let retired_before = kernel
                 .telemetry
-                .counter_value("archive_samples_retired_total", &[]);
+                .counter_value(tscout_archive::decls::SAMPLES_RETIRED.name, &[]);
             let _ = self.archive.flush();
             let _ = self.archive.maybe_compact();
             let now = kernel.now(task);
@@ -337,7 +337,7 @@ impl ModelLifecycle {
             // their traces terminate as compacted rather than delivered.
             let retired = kernel
                 .telemetry
-                .counter_value("archive_samples_retired_total", &[])
+                .counter_value(tscout_archive::decls::SAMPLES_RETIRED.name, &[])
                 .saturating_sub(retired_before);
             if retired > 0 {
                 kernel.telemetry.trace_compacted(retired, now);
@@ -463,6 +463,9 @@ fn run_inner(
         .clone()
         .or_else(obsd_env_config)
         .and_then(|cfg| tscout_obsd::ObsdServer::start(cfg, db.kernel.telemetry.clone()).ok());
+    let overhead_gauge = tscout_actions::decls::OVERHEAD_RATIO.site(&[]);
+    // Indexed by `committed as usize`.
+    let mut txn_ns = crate::decls::TXN_NS.vec("outcome");
     let mut rng = StdRng::seed_from_u64(opts.seed);
     let terminals: Vec<SessionId> = (0..opts.terminals).map(|_| db.create_session()).collect();
     // Align all terminal clocks to the same start line.
@@ -605,9 +608,7 @@ fn run_inner(
             // gauge series is identical in engine-on and control runs).
             let overhead_ratio = db.kernel.profiler.attribution().tscout_dbms_ratio();
             if let Some(r) = overhead_ratio {
-                db.kernel
-                    .telemetry
-                    .gauge_set("tscout_overhead_ratio", &[], r);
+                overhead_gauge.get(&db.kernel.telemetry).set(r);
             }
             // Action-engine turn: close due follow-ups, evaluate the
             // policy set, actuate survivors. All planner cost lands on
@@ -693,9 +694,9 @@ fn run_inner(
         };
         let t1 = db.now(sid);
         let outcome = if ok { "committed" } else { "aborted" };
-        db.kernel
-            .telemetry
-            .hist_record("workload_txn_ns", &[("outcome", outcome)], t1 - t0);
+        txn_ns
+            .at(&db.kernel.telemetry, usize::from(ok), || outcome)
+            .record(t1 - t0);
         db.kernel.telemetry.span("txn", "workload", t0, t1 - t0);
         if ok {
             committed += 1;

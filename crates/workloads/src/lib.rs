@@ -21,6 +21,7 @@
 #![deny(missing_debug_implementations)]
 
 pub mod chbenchmark;
+pub mod decls;
 pub mod driver;
 pub mod runner;
 pub mod smallbank;

@@ -334,7 +334,7 @@ fn overhead_breach_lowers_live_rate_then_restores_with_hysteresis() {
     };
 
     // Over budget: the hottest subsystem's rate halves in the sampler.
-    telemetry.gauge_set("tscout_overhead_ratio", &[], 0.08);
+    telemetry.gauge("tscout_overhead_ratio", &[]).set(0.08);
     let report = engine.tick(
         &PlannerInputs {
             now_ns: 1e6,
@@ -351,7 +351,7 @@ fn overhead_breach_lowers_live_rate_then_restores_with_hysteresis() {
     assert_eq!(ts.sampler.rate(exec), 50);
 
     // Recovered, but inside the hysteresis window: the raise is held.
-    telemetry.gauge_set("tscout_overhead_ratio", &[], 0.01);
+    telemetry.gauge("tscout_overhead_ratio", &[]).set(0.01);
     engine.tick(
         &PlannerInputs {
             now_ns: 90e6,

@@ -1,11 +1,12 @@
 //! Heap-allocation budgets of the per-sample path and of the archive's
 //! read side.
 //!
-//! A counting global allocator brackets the three steady-state pieces of
-//! the pipeline — an unsampled marker triple, a sampled
-//! `KernelContinuous` triple through the BPF VM into the perf ring, and
-//! the Processor's drain into the in-memory sink — and pins what each
-//! may allocate once its buffers have reached their working size: the
+//! A counting global allocator brackets the steady-state pieces of the
+//! pipeline — an unsampled marker triple, a sampled `KernelContinuous`
+//! triple through the BPF VM into the perf ring, the Processor's drain
+//! into the in-memory sink, and a sampled triple into a full ring (every
+//! push overwrites and accounts one loss) — and pins what each may
+//! allocate once its buffers have reached their working size: the
 //! markers nothing, the drain only the owned `TrainingPoint`s. On the
 //! read side it pins a column scan to O(blocks) allocations and
 //! `datasets_from_archive` to one per point plus O(blocks).
@@ -146,6 +147,39 @@ fn steady_state_sample_path_stays_within_its_allocation_budget() {
     assert_eq!(lt.begun, 3 * MEASURED as u64);
     assert_eq!(lt.delivered, lt.begun);
     assert_eq!(lt.lost, 0);
+
+    // 4. Overflow: a ring so small that every measured triple overwrites
+    //    the oldest record. Under ring pressure loss accounting *is* the
+    //    steady state, so it gets the same budget as the sampled path.
+    const RING: usize = 8;
+    let mut k = Kernel::with_seed(HardwareProfile::server_2x20(), 11);
+    k.set_profile_period_ns(DEFAULT_PROFILE_PERIOD_NS);
+    let mut cfg = TsConfig::new(CollectionMode::KernelContinuous);
+    cfg.enable_subsystem(Subsystem::ExecutionEngine, ProbeSet::all());
+    cfg.ring_capacity = RING;
+    let mut ts = TScout::deploy(&mut k, cfg).expect("collector verifies");
+    let ou = ts.register_ou("scan", Subsystem::ExecutionEngine, 2);
+    let task = k.create_task();
+    ts.register_thread(&mut k, task);
+    ts.set_sampling_rate(Subsystem::ExecutionEngine, 100);
+    for _ in 0..2 * MEASURED {
+        triple(&mut k, &mut ts, task, ou);
+    }
+    let evicted_before = ts.ring_dropped();
+    assert_eq!(evicted_before, (2 * MEASURED - RING) as u64);
+    let overflowing = allocations(|| {
+        for _ in 0..MEASURED {
+            triple(&mut k, &mut ts, task, ou);
+        }
+    });
+    assert_eq!(ts.ring_dropped() - evicted_before, MEASURED as u64);
+    assert_eq!(overflowing, 0, "evicting marker triples allocated");
+    let mut processor = Processor::new(&mut k, Sink::Memory(Vec::new()));
+    assert_eq!(processor.drain_all(&mut k, &mut ts), RING);
+    let lt = ts.loss_totals();
+    assert_eq!(lt.begun, 3 * MEASURED as u64);
+    assert_eq!(lt.lost, ts.ring_dropped());
+    assert_eq!(lt.begun, lt.delivered + lt.lost);
 }
 
 #[test]

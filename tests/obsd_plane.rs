@@ -207,7 +207,7 @@ fn every_table_renders_the_same_rows_on_every_surface() {
         model_generation: 1,
     });
     t.with_registry(|r| {
-        r.gauge_set("bad_signal", &[], 10.0);
+        r.gauge("bad_signal", &[]).set(10.0);
         r.health_mut().add_rule(Rule {
             name: "bad_signal_high".into(),
             subsystem: "data".into(),

@@ -1,6 +1,8 @@
-//! Metric handles: the lock-free cells behind the registry.
+//! Metric declarations and handles: the lock-free cells behind the
+//! registry.
 //!
-//! 1. A handle and the string-keyed call address the same series.
+//! 1. A `Site`, a `SiteVec` slot, `decl.with(..)` and the by-name door
+//!    address the same cell.
 //! 2. `Registry::clone()` is a value snapshot — and the operator plane,
 //!    which installs such snapshots into private registries
 //!    (`*r = snapshot`), keeps serving the live values.
@@ -8,8 +10,9 @@
 //!    a handle loses nothing.
 //! 4. A seeded `run_with_lifecycle` leg exports exactly the series set
 //!    (and the sample-accounting counters) it exported before hot
-//!    metrics moved to handles: `tests/golden/series_ycsb_seed42.txt`
-//!    was written by the commit that still built a `MetricKey` per call.
+//!    metrics moved to handles (`tests/golden/series_ycsb_seed42.txt`
+//!    was written by the commit that still built a `MetricKey` per
+//!    call), and every family's `# HELP` is its README row.
 
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -20,57 +23,65 @@ use tscout_suite::models::ModelKind;
 use tscout_suite::noisetap::Database;
 use tscout_suite::obsd::json::Json;
 use tscout_suite::obsd::{client, ObsdConfig, ObsdServer};
-use tscout_suite::telemetry::{CounterSite, CounterVec, Telemetry, DEFAULT_PROFILE_PERIOD_NS};
+use tscout_suite::telemetry::{declare_metrics, Telemetry, DEFAULT_PROFILE_PERIOD_NS};
 use tscout_suite::tscout::{CollectionMode, TsConfig, ALL_SUBSYSTEMS};
 use tscout_suite::workloads::driver::Workload;
 use tscout_suite::workloads::{run_with_lifecycle, ModelLifecycle, RunOptions, Ycsb};
 
+declare_metrics! {
+    TEST_DECLS:
+    EVENTS: Counter = "events_total", "Test events, per kind";
+    DEPTH: Gauge = "depth", "Test depth";
+    LAT_NS: Hist = "lat_ns", "Test latency, per op";
+}
+
 #[test]
-fn handles_and_string_keys_hit_the_same_series() {
+fn site_vec_slot_with_and_by_name_door_address_the_same_cell() {
     let t = Telemetry::new();
-    // String first, handle second — and the other way round.
-    t.counter_add("events_total", &[("kind", "a")], 2);
-    let a = t.counter("events_total", &[("kind", "a")]);
-    a.inc();
-    assert_eq!(t.counter_value("events_total", &[("kind", "a")]), 3);
-    let b = t.counter("events_total", &[("kind", "b")]);
-    b.add(5);
+    assert_eq!(TEST_DECLS.len(), 3);
+    assert_eq!(TEST_DECLS[2].kind, "histogram");
+    // Declaration sites register on first use, not on declaration.
+    let site = EVENTS.site(&[("kind", "a")]);
+    let mut family = EVENTS.vec("kind");
+    assert!(!t.to_prometheus().contains("events_total"));
+    // By name first, declared second — and the other way round.
+    t.counter("events_total", &[("kind", "a")]).add(2);
+    site.get(&t).inc();
+    family.at(&t, 0, || "a").inc();
+    family.at(&t, 0, || "renamed").inc(); // the first name sticks
+    EVENTS.with(&t, &[("kind", "a")]).inc();
+    assert_eq!(t.counter_value("events_total", &[("kind", "a")]), 6);
+    family.at(&t, 3, || "b").add(5);
     t.counter_inc("events_total", &[("kind", "b")]);
-    assert_eq!(b.get(), 6);
-    assert_eq!(t.counter_total("events_total"), 9);
-    // Label order does not matter to either path.
-    let ab = t.counter("pairs_total", &[("x", "1"), ("a", "2")]);
-    t.counter_inc("pairs_total", &[("a", "2"), ("x", "1")]);
+    assert_eq!(EVENTS.with(&t, &[("kind", "b")]).get(), 6);
+    assert_eq!(t.counter_total("events_total"), 12);
+    // Label order does not matter to either door.
+    let ab = EVENTS.with(&t, &[("x", "1"), ("kind", "c")]);
+    t.counter_inc("events_total", &[("kind", "c"), ("x", "1")]);
     assert_eq!(ab.get(), 1);
 
-    let g = t.gauge("depth", &[]);
-    t.gauge_set("depth", &[], 4.0);
-    g.add(-1.5);
-    g.set_max(1.0);
+    let g = DEPTH.site(&[]);
+    t.gauge("depth", &[]).set(4.0);
+    g.get(&t).add(-1.5);
+    g.get(&t).set_max(1.0);
     assert_eq!(t.gauge_value("depth", &[]), 2.5);
-    g.set_max(7.0);
+    DEPTH.with(&t, &[]).set_max(7.0);
     assert_eq!(t.gauge_value("depth", &[]), 7.0);
 
-    let h = t.hist("lat_ns", &[("op", "read")]);
+    let h = LAT_NS.with(&t, &[("op", "read")]);
     h.record(100.0);
-    t.hist_record("lat_ns", &[("op", "read")], 300.0);
+    t.hist("lat_ns", &[("op", "read")]).record(300.0);
     let snap = t.hist_snapshot("lat_ns", &[("op", "read")]).unwrap();
     assert_eq!(
         (snap.count, snap.sum, snap.min, snap.max),
         (2, 400.0, 100.0, 300.0)
     );
     assert_eq!(t.with_registry(|r| r.len()), 5);
-
-    // Declaration sites register on first use, not on declaration.
-    let site = CounterSite::new("lazy_total", &[("k", "v")]);
-    let mut family = CounterVec::new("family_total", "member");
-    assert!(!t.to_prometheus().contains("lazy_total"));
-    site.get(&t).inc();
-    family.at(&t, 3, || "three").add(3);
-    family.at(&t, 3, || "renamed").add(1); // the first name sticks
-    assert_eq!(t.counter_value("lazy_total", &[("k", "v")]), 1);
-    assert_eq!(t.counter_value("family_total", &[("member", "three")]), 4);
-    assert_eq!(t.counter_total("family_total"), 4);
+    // Whichever door registered a family first, it carries the
+    // declaration's help once a declaration has resolved it.
+    let prom = t.to_prometheus();
+    assert!(prom.contains("# HELP events_total Test events, per kind\n"));
+    assert!(prom.contains("# HELP lat_ns Test latency, per op\n"));
 }
 
 #[test]
@@ -275,6 +286,37 @@ fn seeded_leg_exports_the_same_series_and_accounting_as_before_handles() {
             "{name} not exposed"
         );
     }
+    // Every family is declared: its `# HELP` is its row of the README
+    // metric table, and the help travels with the family through
+    // `Registry::clone()` and `absorb()` into an empty `Telemetry`. Only
+    // a family resolved by bare name alone is `(undocumented)`.
+    let readme = include_str!("../README.md");
+    let block = readme
+        .split_once("<!-- METRICS -->")
+        .and_then(|(_, rest)| rest.split_once("<!-- /METRICS -->"))
+        .expect("README metric markers")
+        .0;
+    let absorbed = Telemetry::new();
+    absorbed.absorb(&t);
+    for text in [
+        &prom,
+        &t.with_registry(|r| r.clone()).to_prometheus(),
+        &absorbed.to_prometheus(),
+    ] {
+        assert!(!text.contains("(undocumented)"));
+        for help in text.lines().filter_map(|l| l.strip_prefix("# HELP ")) {
+            let (family, meaning) = help.split_once(' ').expect("help text");
+            let row = block
+                .lines()
+                .find(|row| row.starts_with(&format!("| `{family}` | ")))
+                .unwrap_or_else(|| panic!("{family} has no README row"));
+            assert!(row.ends_with(&format!(" | {meaning} |")), "{row} vs {help}");
+        }
+    }
+    t.gauge("bad_signal", &[]).set(1.0);
+    assert!(t
+        .to_prometheus()
+        .contains("# HELP bad_signal (undocumented)\n# TYPE bad_signal gauge\n"));
 
     let by_subsystem = |name: &str| -> Vec<u64> {
         ALL_SUBSYSTEMS
