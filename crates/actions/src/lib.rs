@@ -203,7 +203,7 @@ impl Watch {
 }
 
 /// Engine configuration: the kill switch, dry-run, the observation
-/// window, guardrail knobs, and per-policy thresholds.
+/// window, guardrail knobs, and the overhead budget.
 #[derive(Debug, Clone)]
 pub struct ActionConfig {
     /// Global kill switch: `false` makes [`ActionEngine::tick`] a no-op.
@@ -219,20 +219,22 @@ pub struct ActionConfig {
     pub hysteresis_ns: f64,
     /// tscout/dbms ratio above which sampling rates are lowered.
     pub overhead_budget: f64,
-    /// Ratio below which lowered rates are restored toward baseline.
-    pub overhead_restore: f64,
-    /// Floor for any rate the engine sets.
-    pub min_rate: u8,
-    /// `archive_segments` above which a compaction is scheduled.
-    pub archive_segments_hi: f64,
-    /// Mean predicted execution-OU ns below which pipelines fuse.
-    pub fuse_below_ns: f64,
-    /// Mean predicted execution-OU ns above which pipelines unfuse.
-    pub unfuse_above_ns: f64,
-    /// Fractional tolerance before an observed move against the
-    /// prediction's direction counts as a regression.
-    pub regression_tolerance: f64,
 }
+
+/// tscout/dbms ratio below which lowered rates are restored toward
+/// baseline (and a compaction hold is released).
+const OVERHEAD_RESTORE: f64 = 0.03;
+/// Floor for any rate the engine sets.
+const MIN_RATE: u8 = 1;
+/// `archive_segments` above which a compaction is scheduled.
+const ARCHIVE_SEGMENTS_HI: f64 = 48.0;
+/// Mean predicted execution-OU ns below which pipelines fuse.
+const FUSE_BELOW_NS: f64 = 2_000.0;
+/// Mean predicted execution-OU ns above which pipelines unfuse.
+const UNFUSE_ABOVE_NS: f64 = 20_000.0;
+/// Fractional tolerance before an observed move against the
+/// prediction's direction counts as a regression.
+const REGRESSION_TOLERANCE: f64 = 0.10;
 
 impl Default for ActionConfig {
     fn default() -> Self {
@@ -243,12 +245,6 @@ impl Default for ActionConfig {
             min_interval_ns: 80e6,
             hysteresis_ns: 160e6,
             overhead_budget: 0.05,
-            overhead_restore: 0.03,
-            min_rate: 1,
-            archive_segments_hi: 48.0,
-            fuse_below_ns: 2_000.0,
-            unfuse_above_ns: 20_000.0,
-            regression_tolerance: 0.10,
         }
     }
 }
@@ -569,7 +565,6 @@ impl ActionEngine {
     /// Evaluate the five policies in their fixed order.
     fn plan(&self, inputs: &PlannerInputs) -> Vec<Candidate> {
         let mut out = Vec::new();
-        let tol = self.cfg.regression_tolerance;
 
         // 1. retrain_on_drift: data health CRITICAL ⇒ retrain. The
         //    prediction is full recovery (health back to OK) by the end
@@ -604,10 +599,10 @@ impl ActionEngine {
                 let hottest = inputs
                     .rates
                     .iter()
-                    .filter(|r| r.current > self.cfg.min_rate)
+                    .filter(|r| r.current > MIN_RATE)
                     .max_by_key(|r| r.current);
                 if let Some(r) = hottest {
-                    let new_rate = (r.current / 2).max(self.cfg.min_rate);
+                    let new_rate = (r.current / 2).max(MIN_RATE);
                     rate_targeted = Some(r.subsystem.clone());
                     out.push(Candidate {
                         kind: ActionKind::AdjustSamplingRate,
@@ -624,12 +619,12 @@ impl ActionEngine {
                         watch: overhead_watch(),
                         value_before: ratio,
                         predicted: ratio * 0.5,
-                        regress_above: Some(ratio * (1.0 + tol)),
+                        regress_above: Some(ratio * (1.0 + REGRESSION_TOLERANCE)),
                         regress_below: None,
                         direction: -1,
                     });
                 }
-            } else if ratio < self.cfg.overhead_restore {
+            } else if ratio < OVERHEAD_RESTORE {
                 let lowered = inputs.rates.iter().find(|r| {
                     self.baseline_rates
                         .get(&r.subsystem)
@@ -637,7 +632,7 @@ impl ActionEngine {
                 });
                 if let Some(r) = lowered {
                     let base = self.baseline_rates[&r.subsystem];
-                    let new_rate = r.current.saturating_mul(2).min(base).max(self.cfg.min_rate);
+                    let new_rate = r.current.saturating_mul(2).min(base).max(MIN_RATE);
                     rate_targeted = Some(r.subsystem.clone());
                     out.push(Candidate {
                         kind: ActionKind::AdjustSamplingRate,
@@ -645,7 +640,7 @@ impl ActionEngine {
                         target: r.subsystem.clone(),
                         detail: format!(
                             "ratio {ratio:.4} < restore {:.4}: rate {} -> {new_rate} (baseline {base})",
-                            self.cfg.overhead_restore, r.current
+                            OVERHEAD_RESTORE, r.current
                         ),
                         command: ActionCommand::SetSamplingRate {
                             subsystem: r.subsystem.clone(),
@@ -656,7 +651,7 @@ impl ActionEngine {
                         // Rates climb back: the ratio may rise but must
                         // stay within budget.
                         predicted: (ratio * 2.0).min(self.cfg.overhead_budget),
-                        regress_above: Some(self.cfg.overhead_budget * (1.0 + tol)),
+                        regress_above: Some(self.cfg.overhead_budget * (1.0 + REGRESSION_TOLERANCE)),
                         regress_below: None,
                         direction: 1,
                     });
@@ -692,7 +687,7 @@ impl ActionEngine {
                 ),
                 command: ActionCommand::SetSamplingRate {
                     subsystem: r.subsystem.clone(),
-                    rate: r.recommended.max(self.cfg.min_rate),
+                    rate: r.recommended.max(MIN_RATE),
                 },
                 watch: Watch::CounterSum {
                     name: SAMPLES_LOST.name.to_string(),
@@ -712,14 +707,14 @@ impl ActionEngine {
         //    an overhead breach holds (deprioritizes) it instead, and
         //    recovery below the restore watermark releases the hold.
         let segments = self.telemetry.gauge_value(ARCHIVE_SEGMENTS.name, &[]);
-        if !self.compaction_held && segments > self.cfg.archive_segments_hi {
+        if !self.compaction_held && segments > ARCHIVE_SEGMENTS_HI {
             out.push(Candidate {
                 kind: ActionKind::ScheduleCompaction,
                 policy: "archive_pressure",
                 target: "archive".to_string(),
                 detail: format!(
                     "{segments} segments > {}: compact sealed head run",
-                    self.cfg.archive_segments_hi
+                    ARCHIVE_SEGMENTS_HI
                 ),
                 command: ActionCommand::ScheduleCompaction,
                 watch: Watch::Gauge {
@@ -728,7 +723,7 @@ impl ActionEngine {
                 },
                 value_before: segments,
                 predicted: segments * 0.5,
-                regress_above: Some(segments * (1.0 + tol)),
+                regress_above: Some(segments * (1.0 + REGRESSION_TOLERANCE)),
                 regress_below: None,
                 direction: 0,
             });
@@ -736,7 +731,7 @@ impl ActionEngine {
         if let Some(ratio) = inputs.overhead_ratio {
             let hold = if !self.compaction_held && ratio > self.cfg.overhead_budget {
                 Some(true)
-            } else if self.compaction_held && ratio < self.cfg.overhead_restore {
+            } else if self.compaction_held && ratio < OVERHEAD_RESTORE {
                 Some(false)
             } else {
                 None
@@ -755,7 +750,9 @@ impl ActionEngine {
                     watch: overhead_watch(),
                     value_before: ratio,
                     predicted: ratio,
-                    regress_above: Some(ratio.max(self.cfg.overhead_budget) * (1.0 + tol)),
+                    regress_above: Some(
+                        ratio.max(self.cfg.overhead_budget) * (1.0 + REGRESSION_TOLERANCE),
+                    ),
                     regress_below: None,
                     direction: 0,
                 });
@@ -767,37 +764,37 @@ impl ActionEngine {
         //    the markers). Needs both a live-model prediction and an
         //    overhead ratio to predict against.
         if let (Some(cost), Some(ratio)) = (inputs.predicted_exec_ou_ns, inputs.overhead_ratio) {
-            if !inputs.pipeline_fused && cost < self.cfg.fuse_below_ns {
+            if !inputs.pipeline_fused && cost < FUSE_BELOW_NS {
                 out.push(Candidate {
                     kind: ActionKind::TogglePipeline,
                     policy: "pipeline_mode",
                     target: "pipeline".to_string(),
                     detail: format!(
                         "mean predicted exec OU {cost:.0}ns < {:.0}: fuse pipelines",
-                        self.cfg.fuse_below_ns
+                        FUSE_BELOW_NS
                     ),
                     command: ActionCommand::SetPipelineMode { fused: true },
                     watch: overhead_watch(),
                     value_before: ratio,
                     predicted: ratio * 0.8,
-                    regress_above: Some(ratio * (1.0 + tol)),
+                    regress_above: Some(ratio * (1.0 + REGRESSION_TOLERANCE)),
                     regress_below: None,
                     direction: 1,
                 });
-            } else if inputs.pipeline_fused && cost > self.cfg.unfuse_above_ns {
+            } else if inputs.pipeline_fused && cost > UNFUSE_ABOVE_NS {
                 out.push(Candidate {
                     kind: ActionKind::TogglePipeline,
                     policy: "pipeline_mode",
                     target: "pipeline".to_string(),
                     detail: format!(
                         "mean predicted exec OU {cost:.0}ns > {:.0}: per-operator pipelines",
-                        self.cfg.unfuse_above_ns
+                        UNFUSE_ABOVE_NS
                     ),
                     command: ActionCommand::SetPipelineMode { fused: false },
                     watch: overhead_watch(),
                     value_before: ratio,
                     predicted: self.cfg.overhead_budget.min(ratio * 1.5),
-                    regress_above: Some(self.cfg.overhead_budget * (1.0 + tol)),
+                    regress_above: Some(self.cfg.overhead_budget * (1.0 + REGRESSION_TOLERANCE)),
                     regress_below: None,
                     direction: -1,
                 });

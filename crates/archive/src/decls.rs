@@ -6,6 +6,8 @@
 tscout_telemetry::declare_metrics! {
     /// Every metric declared in `tscout-archive`.
     pub DECLS:
+    pub(crate) APPEND_ERRORS: Counter = "archive_append_errors_total",
+        "Appended samples dropped because writing their block to a segment failed";
     pub BYTES_WRITTEN: Counter = "archive_bytes_written_total",
         "Bytes persisted to archive segment files";
     pub(crate) FLUSH_NS: Hist = "archive_flush_ns",

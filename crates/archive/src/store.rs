@@ -57,6 +57,7 @@ pub struct ArchiveStats {
 #[derive(Debug)]
 pub(crate) struct ArchiveMetrics {
     appended: CounterSite,
+    append_errors: CounterSite,
     ou_appended: CounterVec,
     buffered: GaugeSite,
     pub(crate) bytes_written: CounterSite,
@@ -75,6 +76,7 @@ impl ArchiveMetrics {
     fn new() -> Self {
         ArchiveMetrics {
             appended: decls::SAMPLES_APPENDED.site(&[]),
+            append_errors: decls::APPEND_ERRORS.site(&[]),
             ou_appended: ARCHIVE_OU_SAMPLES_APPENDED.vec("ou"),
             buffered: ARCHIVE_BUFFERED_SAMPLES.site(&[]),
             bytes_written: decls::BYTES_WRITTEN.site(&[]),
@@ -97,9 +99,7 @@ pub struct Archive {
     pub(crate) dir: PathBuf,
     pub(crate) opts: ArchiveOptions,
     pub telemetry: Telemetry,
-    /// Boxed so an `Archive` stays small enough to be held by value in
-    /// an enum next to much smaller variants (`tscout::Sink`).
-    pub(crate) metrics: Box<ArchiveMetrics>,
+    pub(crate) metrics: ArchiveMetrics,
     /// Per-OU write buffers, keyed by OU id.
     memtables: BTreeMap<u16, ColumnBatch>,
     buffered: usize,
@@ -153,7 +153,7 @@ impl Archive {
             dir,
             opts,
             telemetry,
-            metrics: Box::new(ArchiveMetrics::new()),
+            metrics: ArchiveMetrics::new(),
             memtables: BTreeMap::new(),
             buffered: 0,
             segments: Vec::new(),
@@ -273,8 +273,11 @@ impl Archive {
 
     /// Append one sample. Routes to the per-OU memtable; flushes when the
     /// memtable or the global buffer bound fills. This is the only
-    /// write-side entry point, so Processor memory is bounded by
-    /// [`ArchiveOptions::max_buffered_samples`] decoded samples.
+    /// write-side entry point, so write-side memory is bounded by
+    /// [`ArchiveOptions::max_buffered_samples`] decoded samples. `Err`
+    /// means that flush failed: the block it was writing (this sample
+    /// and the rows buffered with it) is dropped and counted in
+    /// `archive_append_errors_total`.
     pub fn append(&mut self, sample: Sample) -> Result<(), ArchiveError> {
         let ou = sample.ou;
         let mt = self.memtables.entry(ou).or_insert_with(|| {
@@ -311,35 +314,33 @@ impl Archive {
         Ok(())
     }
 
-    /// Flush one OU's memtable into the active segment as a block.
+    /// Flush one OU's memtable into the active segment as a block. The
+    /// memtable leaves memory either way: when the write fails its rows
+    /// are dropped and counted in `archive_append_errors_total`, so
+    /// `buffered` and the write-side memory bound hold under a failing
+    /// disk and every appended row is stored, buffered or counted lost.
     fn flush_ou(&mut self, ou: u16) -> Result<(), ArchiveError> {
         let Some(mt) = self.memtables.remove(&ou) else {
             return Ok(());
         };
-        let Some(rows) = mt.chunks(0, usize::MAX).next() else {
-            return Ok(());
-        };
         let t0 = Instant::now();
-        self.ensure_active()?;
-        let payload = rows.encode();
-        let meta = self.segments.last_mut().expect("active segment exists");
-        let f = self.active.as_mut().expect("active file open");
-        f.seek(SeekFrom::Start(meta.bytes))?;
-        let frame_len = write_frame(f, FRAME_BLOCK, &payload)?;
-        meta.blocks.push(rows.meta(meta.bytes, payload.len()));
-        meta.bytes += frame_len;
-        if !meta.ous.iter().any(|o| o.ou == ou) {
-            meta.ous.push(mt.ou().clone());
-        }
+        let written = self.write_block(&mt);
         self.buffered -= mt.len();
         let (t, name) = (&self.telemetry, || &mt.ou().name);
+        self.metrics.buffered.get(t).add(-(mt.len() as f64));
+        let frame_len = match written {
+            Ok(frame_len) => frame_len,
+            Err(e) => {
+                self.metrics.append_errors.get(t).add(mt.len() as u64);
+                return Err(e);
+            }
+        };
         self.metrics.bytes_written.get(t).add(frame_len);
         self.metrics.ou_blocks.at(t, ou as usize, name).inc();
         self.metrics
             .ou_bytes_written
             .at(t, ou as usize, name)
             .add(frame_len);
-        self.metrics.buffered.get(t).add(-(mt.len() as f64));
         self.metrics
             .flush_ns
             .get(t)
@@ -348,6 +349,28 @@ impl Archive {
             self.seal_active()?;
         }
         Ok(())
+    }
+
+    /// Encode `mt` and write it at the end of the active segment
+    /// (created if there is none). Returns the frame's length; the
+    /// segment's manifest moves only once the frame is fully written.
+    fn write_block(&mut self, mt: &ColumnBatch) -> Result<u64, ArchiveError> {
+        let rows = mt
+            .chunks(0, usize::MAX)
+            .next()
+            .expect("a memtable holds at least the row that created it");
+        self.ensure_active()?;
+        let payload = rows.encode();
+        let meta = self.segments.last_mut().expect("active segment exists");
+        let f = self.active.as_mut().expect("active file open");
+        f.seek(SeekFrom::Start(meta.bytes))?;
+        let frame_len = write_frame(f, FRAME_BLOCK, &payload)?;
+        meta.blocks.push(rows.meta(meta.bytes, payload.len()));
+        meta.bytes += frame_len;
+        if !meta.ous.iter().any(|o| o.ou == mt.ou().ou) {
+            meta.ous.push(mt.ou().clone());
+        }
+        Ok(frame_len)
     }
 
     /// Create the active segment file if there is none.
@@ -385,13 +408,16 @@ impl Archive {
     }
 
     /// Flush every memtable to the active segment (durability point for
-    /// everything appended so far, modulo OS buffering).
+    /// everything appended so far, modulo OS buffering). Every memtable
+    /// is attempted, so nothing stays buffered afterwards; the first
+    /// failure is the one returned.
     pub fn flush(&mut self) -> Result<(), ArchiveError> {
         let ous: Vec<u16> = self.memtables.keys().copied().collect();
+        let mut result = Ok(());
         for ou in ous {
-            self.flush_ou(ou)?;
+            result = result.and(self.flush_ou(ou));
         }
-        Ok(())
+        result
     }
 
     /// Flush, then seal the active segment with its footer manifest.
@@ -427,8 +453,7 @@ impl Archive {
         Ok(())
     }
 
-    /// Samples currently buffered in memtables (the write-side memory
-    /// bound that `processor_buffered_samples` reports).
+    /// Samples currently buffered in memtables (`archive_buffered_samples`).
     pub fn buffered_samples(&self) -> usize {
         self.buffered
     }
@@ -860,6 +885,75 @@ mod tests {
         assert_eq!(survivors.len(), 80);
         assert!(survivors[40].bits_eq(&test_sample(1, "scan", 80)));
         assert_eq!(skipped(), 2, "and so does the full scan");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn failed_flush_drops_and_counts_its_rows_so_the_books_close() {
+        let dir = tmp_dir("flushfail");
+        let aside = tmp_dir("flushfail_aside");
+        let opts = ArchiveOptions {
+            memtable_flush_samples: 8,
+            // Every flush seals, so the next one has to create a file.
+            segment_max_bytes: 1,
+            ..Default::default()
+        };
+        let t = Telemetry::new();
+        let mut a = Archive::open(&dir, opts.clone(), t.clone()).unwrap();
+        let lost = || t.counter_value("archive_append_errors_total", &[]);
+        // The buffered count and gauge are the rows the memtables hold.
+        let buffered_is_held = |a: &Archive| {
+            let held: usize = a.memtable_sizes().iter().map(|(_, n)| n).sum();
+            assert_eq!(a.buffered_samples(), held);
+            assert_eq!(t.gauge_value("archive_buffered_samples", &[]), held as f64);
+            assert!(held <= opts.max_buffered_samples);
+        };
+        // Every appended row is stored or buffered (what a scan returns)
+        // or counted lost.
+        let books_close = |a: &Archive| {
+            buffered_is_held(a);
+            assert_eq!(
+                t.counter_value("archive_samples_appended_total", &[]),
+                a.scan_all().count() as u64 + lost()
+            );
+        };
+        for i in 0..20 {
+            a.append(test_sample(1, "scan", i)).unwrap();
+        }
+        assert_eq!(a.stats().sealed_segments, 2);
+        books_close(&a);
+
+        // The directory vanishes under the open archive (moved aside, not
+        // deleted, so the 16 rows already sealed stay countable): every
+        // flush now fails in `ensure_active`.
+        std::fs::rename(&dir, &aside).unwrap();
+        let mut failed = 0;
+        for i in 20..60 {
+            failed += u64::from(a.append(test_sample(1, "scan", i)).is_err());
+            buffered_is_held(&a);
+        }
+        assert_eq!(failed, 5, "one failed flush per 8 rows");
+        assert_eq!(lost(), 40);
+        assert!(a.flush().is_err());
+        assert_eq!(lost(), 44, "a failed flush leaves nothing buffered");
+        buffered_is_held(&a);
+
+        std::fs::rename(&aside, &dir).unwrap();
+        books_close(&a);
+        for i in 60..70 {
+            a.append(test_sample(1, "scan", i)).unwrap();
+        }
+        a.seal().unwrap();
+        books_close(&a);
+        let appended = t.counter_value("archive_samples_appended_total", &[]);
+        drop(a);
+
+        let cold = Archive::open(&dir, opts, Telemetry::new()).unwrap();
+        let survivors: Vec<Sample> = cold.scan_all().collect();
+        assert_eq!(survivors.len() as u64, appended - lost());
+        for (got, i) in survivors.iter().zip((0..16).chain(60..70)) {
+            assert!(got.bits_eq(&test_sample(1, "scan", i)));
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -29,11 +29,11 @@
 //!   through the [`vm::HelperWorld`] trait, which keeps this crate
 //!   independent of `tscout-kernel`.
 //! * [`opt`] — a load-time optimizer seeded by verifier facts: CFG and
-//!   dominator discovery, liveness and reaching-definitions dataflow,
-//!   constant/copy propagation, dead-arm branch folding, redundant
-//!   bounds-check elision, dead-code/dead-store elimination, peephole
-//!   simplification, and bounded-loop unrolling — every collector
-//!   program is shortened before interpretation, and must re-verify.
+//!   dominator discovery, liveness dataflow, constant/copy
+//!   propagation, dead-code elimination, peephole simplification, and
+//!   bounded-loop unrolling — the five passes the generated collector
+//!   programs reach; every program is shortened before interpretation,
+//!   and must re-verify.
 //! * [`loader`] — load → verify → optimize → attach lifecycle, including
 //!   detach and reload for dynamic feature selection (paper §5.4).
 //!
@@ -56,7 +56,7 @@ pub use asm::ProgramBuilder;
 pub use insn::{AluOp, Cond, Helper, Insn, Reg, Size, Src};
 pub use loader::{LoadError, Loader, ProgId};
 pub use maps::{MapDef, MapId, MapKind, MapOpStats, MapRegistry, RingStats};
-pub use opt::{optimize, OptError, OptOptions, OptStats, Optimized, PASS_NAMES};
+pub use opt::{optimize, OptError, OptStats, Optimized, PASS_NAMES};
 pub use tnum::Tnum;
 pub use verifier::{verify, verify_with_log, verify_with_stats, VerifyError, VerifyStats};
 pub use vm::{ExecStats, HelperWorld, Vm, VmError};

@@ -14,7 +14,7 @@ use tscout_telemetry::{FrameGuard, Profiler};
 
 use crate::insn::Insn;
 use crate::maps::MapRegistry;
-use crate::opt::{optimize, OptOptions, OptStats};
+use crate::opt::{optimize, OptStats};
 use crate::verifier::{verify_with_log, VerifyError, VerifyStats};
 use crate::vm::{ExecStats, HelperWorld, Vm, VmError, VmScratch};
 
@@ -137,7 +137,7 @@ impl Loader {
         // upgrade, never a gate.
         let insns_unoptimized = insns.len();
         let (insns, opt_report) = if self.optimize {
-            match optimize(&insns, &self.maps, ctx_size, &OptOptions::default()) {
+            match optimize(&insns, &self.maps, ctx_size) {
                 Ok(o) => {
                     self.opt_totals.absorb(&o.stats);
                     (o.insns, Some(o.report))

@@ -11,30 +11,30 @@ use crate::insn::Insn;
 /// A half-open instruction range `[start, end)` plus its CFG edges
 /// (indices into [`Cfg::blocks`]).
 #[derive(Debug, Clone, Default)]
-pub struct Block {
-    pub start: usize,
-    pub end: usize,
-    pub succs: Vec<usize>,
-    pub preds: Vec<usize>,
+pub(crate) struct Block {
+    pub(crate) start: usize,
+    pub(crate) end: usize,
+    pub(crate) succs: Vec<usize>,
+    pub(crate) preds: Vec<usize>,
 }
 
 /// Control-flow graph over basic blocks, with immediate dominators.
 #[derive(Debug, Clone)]
-pub struct Cfg {
-    pub blocks: Vec<Block>,
+pub(crate) struct Cfg {
+    pub(crate) blocks: Vec<Block>,
     /// pc → owning block index.
-    pub block_of: Vec<usize>,
+    pub(crate) block_of: Vec<usize>,
     /// Immediate dominator per block; `None` for unreachable blocks,
     /// `Some(0)` for the entry (which dominates itself).
-    pub idom: Vec<Option<usize>>,
+    idom: Vec<Option<usize>>,
     /// Reverse postorder over reachable blocks.
-    pub rpo: Vec<usize>,
+    rpo: Vec<usize>,
 }
 
 /// Static successors of the instruction at `pc`:
 /// `(fall_through, jump_target)`. `exit` has neither; an unconditional
 /// jump has only a target; a conditional jump has both.
-pub fn insn_succs(prog: &[Insn], pc: usize) -> (Option<usize>, Option<usize>) {
+fn insn_succs(prog: &[Insn], pc: usize) -> (Option<usize>, Option<usize>) {
     match prog[pc] {
         Insn::Exit => (None, None),
         Insn::Jump { cond, off } => {
@@ -56,7 +56,7 @@ pub fn insn_succs(prog: &[Insn], pc: usize) -> (Option<usize>, Option<usize>) {
 
 impl Cfg {
     /// Build blocks, edges, reverse postorder, and dominators.
-    pub fn build(prog: &[Insn]) -> Cfg {
+    pub(crate) fn build(prog: &[Insn]) -> Cfg {
         let n = prog.len();
         let mut leader = vec![false; n];
         if n > 0 {
@@ -196,7 +196,7 @@ impl Cfg {
     }
 
     /// Does block `a` dominate block `b`? (Walks the idom chain.)
-    pub fn dominates(&self, a: usize, b: usize) -> bool {
+    pub(crate) fn dominates(&self, a: usize, b: usize) -> bool {
         let mut cur = b;
         loop {
             if cur == a {
@@ -210,33 +210,13 @@ impl Cfg {
     }
 }
 
-/// Which pcs can execution reach from pc 0?
-pub fn reachable(prog: &[Insn]) -> Vec<bool> {
-    let mut seen = vec![false; prog.len()];
-    if prog.is_empty() {
-        return seen;
-    }
-    let mut stack = vec![0usize];
-    seen[0] = true;
-    while let Some(pc) = stack.pop() {
-        let (ft, tgt) = insn_succs(prog, pc);
-        for s in [ft, tgt].into_iter().flatten() {
-            if !seen[s] {
-                seen[s] = true;
-                stack.push(s);
-            }
-        }
-    }
-    seen
-}
-
 /// Delete every killed instruction and re-aim surviving jumps. A jump
 /// whose target was killed resolves to the next surviving pc — sound
 /// because passes only kill instructions that are unreachable or have
 /// no effect, so falling "through" them was always a no-op.
 ///
 /// Returns the number of instructions removed.
-pub fn compact(prog: &mut Vec<Insn>, kill: &[bool]) -> usize {
+pub(crate) fn compact(prog: &mut Vec<Insn>, kill: &[bool]) -> usize {
     debug_assert_eq!(prog.len(), kill.len());
     let n = prog.len();
     let removed = kill.iter().filter(|&&k| k).count();
@@ -331,13 +311,6 @@ mod tests {
         assert!(cfg.blocks[body].succs.contains(&header));
         assert!(cfg.dominates(header, body));
         assert!(cfg.dominates(header, cfg.block_of[4]));
-    }
-
-    #[test]
-    fn reachable_skips_jumped_over_code() {
-        let prog = vec![ja(1), mov0(), Insn::Exit];
-        let r = reachable(&prog);
-        assert_eq!(r, vec![true, false, true]);
     }
 
     #[test]

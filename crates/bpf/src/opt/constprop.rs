@@ -1,6 +1,6 @@
 //! Constant and copy propagation.
 //!
-//! Three cooperating rewrites, all strictly in place (no instruction
+//! Two cooperating rewrites, both strictly in place (no instruction
 //! moves, so pc-indexed verifier facts stay valid):
 //!
 //! * **Fact-seeded folding** — the verifier's tnum + interval domain
@@ -10,10 +10,6 @@
 //!   VM's own [`crate::vm::alu`] so folded bits match execution
 //!   exactly (wrapping, div-by-zero → 0, mod-by-zero → dst, masked
 //!   shifts).
-//! * **Reaching-def forwarding** — a use whose unique reaching
-//!   definition is `mov r, imm` is rewritten without waiting for the
-//!   next verifier round; an immediate has no dependencies, so the
-//!   unique-def condition alone is sufficient.
 //! * **Copy propagation** — block-local only: the verifier refines
 //!   register ranges on branch edges, and branches terminate blocks, so
 //!   a within-block copy substitution can never lose a refinement the
@@ -28,7 +24,7 @@
 
 use crate::insn::{AluOp, Insn, Src};
 use crate::opt::cfg::Cfg;
-use crate::opt::dataflow::{Defs, ReachingDefs, ENTRY_DEF};
+use crate::opt::dataflow::insn_defs;
 use crate::verifier::PcFacts;
 use crate::vm::alu;
 
@@ -44,9 +40,8 @@ fn fold_src(src: &mut Src, consts: &dyn Fn(usize) -> Option<u64>) -> bool {
     false
 }
 
-/// Shared body of fact-seeded and reaching-def constant propagation:
-/// `consts(reg)` answers "is this register a known constant just before
-/// `insn` executes".
+/// Fold one instruction: `consts(reg)` answers "is this register a
+/// known constant just before `insn` executes".
 fn constprop_insn(insn: &mut Insn, consts: &dyn Fn(usize) -> Option<u64>) -> u64 {
     let mut rewrites = 0u64;
     match insn {
@@ -107,53 +102,10 @@ pub(crate) fn facts_constprop(prog: &mut [Insn], facts: &[PcFacts]) -> u64 {
     rewrites
 }
 
-/// Reaching-definitions constant forwarding: rewrite uses whose unique
-/// reaching def is `mov r, imm`. Folds within the same optimizer
-/// iteration what fact seeding would only catch after the next verify
-/// round.
-pub fn rd_constprop(prog: &mut [Insn]) -> u64 {
-    if prog.is_empty() {
-        return 0;
-    }
-    let cfg = Cfg::build(prog);
-    let rd = ReachingDefs::solve(prog, &cfg);
-    let mut rewrites = 0u64;
-    for (bi, b) in cfg.blocks.iter().enumerate() {
-        let mut cur: [Defs; 11] = rd.block_in[bi].clone();
-        for pc in b.start..b.end {
-            // Snapshot const-ness of each reg from its unique def.
-            let consts = |r: usize| -> Option<u64> {
-                let d = cur[r].unique()?;
-                if d == ENTRY_DEF {
-                    return None;
-                }
-                match prog[d as usize] {
-                    Insn::Alu {
-                        op: AluOp::Mov,
-                        dst,
-                        src: Src::Imm(c),
-                    } if dst.index() == r => Some(c as u64),
-                    _ => None,
-                }
-            };
-            let mut insn = prog[pc];
-            rewrites += constprop_insn(&mut insn, &consts);
-            prog[pc] = insn;
-            let defs = crate::opt::dataflow::insn_defs(&prog[pc]);
-            for (r, d) in cur.iter_mut().enumerate() {
-                if defs & (1 << r) != 0 {
-                    *d = Defs::Sites(vec![pc as u32]);
-                }
-            }
-        }
-    }
-    rewrites
-}
-
 /// Block-local copy propagation: after `mov dst, src`, reads of `dst`
 /// become reads of `src` until either register is redefined. Jump
 /// operands are excluded (see module docs).
-pub fn copyprop(prog: &mut [Insn]) -> u64 {
+pub(crate) fn copyprop(prog: &mut [Insn]) -> u64 {
     if prog.is_empty() {
         return 0;
     }
@@ -203,7 +155,7 @@ pub fn copyprop(prog: &mut [Insn]) -> u64 {
             }
             // Transfer: kill copies broken by this instruction's defs,
             // then record a new copy if this is a reg-to-reg move.
-            let defs = crate::opt::dataflow::insn_defs(slot);
+            let defs = insn_defs(slot);
             for r in 0..11u8 {
                 if defs & (1 << r) != 0 {
                     copy_of[r as usize] = None;
@@ -235,7 +187,7 @@ pub fn copyprop(prog: &mut [Insn]) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::insn::{Cond, Reg, Size, R0, R1, R10, R2, R3, R6};
+    use crate::insn::{Cond, Reg, Size, R0, R10, R2, R6};
     use crate::maps::MapRegistry;
     use crate::verifier::verify_with_facts;
 
@@ -330,50 +282,6 @@ mod tests {
         assert!(
             matches!(prog[4], Insn::Alu { op: AluOp::Add, .. }),
             "add at the join must survive: {:?}",
-            prog[4]
-        );
-    }
-
-    #[test]
-    fn rd_forwarding_rewrites_unique_mov_imm_defs() {
-        // Straight line: r3 = 9; r0 = 0; r0 += r3 — no verifier needed.
-        let mut prog = vec![
-            mov_imm(R3, 9),
-            mov_imm(R0, 0),
-            Insn::Alu {
-                op: AluOp::Add,
-                dst: R0,
-                src: Src::Reg(R3),
-            },
-            Insn::Exit,
-        ];
-        let n = rd_constprop(&mut prog);
-        assert!(n >= 1);
-        // Operand forwarded AND folded (dst r0 also has unique imm def).
-        assert_eq!(prog[2], mov_imm(R0, 9));
-    }
-
-    #[test]
-    fn rd_forwarding_respects_merges() {
-        let mut prog = vec![
-            mov_imm(R1, 0),
-            mov_imm(R2, 1),
-            Insn::Jump {
-                cond: Some((Cond::Eq, R1, Src::Imm(0))),
-                off: 1,
-            },
-            mov_imm(R2, 5),
-            Insn::Alu {
-                op: AluOp::Add,
-                dst: R2,
-                src: Src::Imm(1),
-            },
-            Insn::Exit,
-        ];
-        rd_constprop(&mut prog);
-        assert!(
-            matches!(prog[4], Insn::Alu { op: AluOp::Add, .. }),
-            "two defs reach the add: {:?}",
             prog[4]
         );
     }

@@ -1,16 +1,14 @@
-//! Register dataflow: per-instruction use/def sets, per-block liveness
-//! (backward may-analysis), and reaching definitions (forward
-//! may-analysis). Both lattices are finite — register bitmasks for
-//! liveness, bounded def-site sets for reaching defs — so the worklist
-//! iterations terminate at a fixed point.
+//! Register dataflow: per-instruction use/def sets and per-block
+//! liveness (backward may-analysis). The lattice is finite — register
+//! bitmasks — so the worklist iteration terminates at a fixed point.
 
 use crate::insn::{Helper, Insn, Src};
 use crate::opt::cfg::Cfg;
 
 /// Register set as a bitmask (bit i = Ri).
-pub type RegSet = u16;
+pub(crate) type RegSet = u16;
 
-pub const ALL_REGS: RegSet = (1 << 11) - 1;
+const ALL_REGS: RegSet = (1 << 11) - 1;
 
 fn bit(i: usize) -> RegSet {
     1 << i
@@ -33,7 +31,7 @@ fn helper_uses(h: Helper) -> RegSet {
 }
 
 /// Registers read by `insn`.
-pub fn insn_uses(insn: &Insn) -> RegSet {
+pub(crate) fn insn_uses(insn: &Insn) -> RegSet {
     use crate::insn::AluOp;
     match insn {
         Insn::Alu {
@@ -62,7 +60,7 @@ pub fn insn_uses(insn: &Insn) -> RegSet {
 
 /// Registers written by `insn`. Calls define `R0`–`R5` (the VM clobbers
 /// the caller-saved argument registers with a poison pattern).
-pub fn insn_defs(insn: &Insn) -> RegSet {
+pub(crate) fn insn_defs(insn: &Insn) -> RegSet {
     match insn {
         Insn::Alu { dst, .. } | Insn::Load { dst, .. } | Insn::LoadMap { dst, .. } => {
             bit(dst.index())
@@ -75,8 +73,8 @@ pub fn insn_defs(insn: &Insn) -> RegSet {
 /// Per-block liveness solution: `live_out[b]` is the set of registers
 /// that may be read before being written on some path leaving block `b`.
 #[derive(Debug, Clone)]
-pub struct Liveness {
-    pub live_out: Vec<RegSet>,
+pub(crate) struct Liveness {
+    pub(crate) live_out: Vec<RegSet>,
 }
 
 impl Liveness {
@@ -84,7 +82,7 @@ impl Liveness {
     /// terminator can fall off the program end is given `ALL_REGS`
     /// out-liveness (unreachable in verified programs, but harmlessly
     /// conservative).
-    pub fn solve(prog: &[Insn], cfg: &Cfg) -> Liveness {
+    pub(crate) fn solve(prog: &[Insn], cfg: &Cfg) -> Liveness {
         let nb = cfg.blocks.len();
         // Per-block gen (upward-exposed uses) and kill (defs).
         let mut gen = vec![0 as RegSet; nb];
@@ -123,124 +121,6 @@ impl Liveness {
             }
         }
         Liveness { live_out }
-    }
-}
-
-/// A definition site. `ENTRY_DEF` stands for the implicit program-entry
-/// definitions (`R1` = ctx pointer, `R10` = frame pointer).
-pub const ENTRY_DEF: u32 = u32::MAX;
-
-/// Reaching definitions, summarized per reg as a bounded set of def
-/// pcs. Sets larger than [`MAX_DEFS`] collapse to `Top` (unknown) — the
-/// consumer only cares about the unique-def case, so precision beyond a
-/// handful of sites buys nothing.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Defs {
-    /// No definition reaches (register is uninit on every path here).
-    None,
-    /// Sorted set of def pcs, at most [`MAX_DEFS`] of them.
-    Sites(Vec<u32>),
-    /// Too many or unknowable definition sites.
-    Top,
-}
-
-pub const MAX_DEFS: usize = 8;
-
-impl Defs {
-    fn join(&mut self, other: &Defs) -> bool {
-        let merged = match (&*self, other) {
-            (Defs::Top, _) => return false,
-            (_, Defs::Top) => Defs::Top,
-            (Defs::None, o) => o.clone(),
-            (s, Defs::None) => s.clone(),
-            (Defs::Sites(a), Defs::Sites(b)) => {
-                let mut v = a.clone();
-                for &d in b {
-                    if let Err(i) = v.binary_search(&d) {
-                        v.insert(i, d);
-                    }
-                }
-                if v.len() > MAX_DEFS {
-                    Defs::Top
-                } else {
-                    Defs::Sites(v)
-                }
-            }
-        };
-        if *self != merged {
-            *self = merged;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// The single pc that defines this register, if unique.
-    pub fn unique(&self) -> Option<u32> {
-        match self {
-            Defs::Sites(v) if v.len() == 1 => Some(v[0]),
-            _ => None,
-        }
-    }
-}
-
-/// Reaching-definitions solution: per-block entry state, one `Defs` per
-/// register.
-#[derive(Debug, Clone)]
-pub struct ReachingDefs {
-    pub block_in: Vec<[Defs; 11]>,
-}
-
-const NONE_DEFS: Defs = Defs::None;
-
-impl ReachingDefs {
-    pub fn solve(prog: &[Insn], cfg: &Cfg) -> ReachingDefs {
-        let nb = cfg.blocks.len();
-        let mut block_in = vec![[NONE_DEFS; 11]; nb];
-        let mut block_out = vec![[NONE_DEFS; 11]; nb];
-        // Entry state: R1 and R10 are defined at program entry.
-        let entry = {
-            let mut e = [NONE_DEFS; 11];
-            e[1] = Defs::Sites(vec![ENTRY_DEF]);
-            e[10] = Defs::Sites(vec![ENTRY_DEF]);
-            e
-        };
-        if nb > 0 {
-            block_in[0] = entry;
-        }
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &bi in &cfg.rpo {
-                let b = &cfg.blocks[bi];
-                // in = join of preds' out (entry keeps its seed).
-                let mut inn = block_in[bi].clone();
-                for &p in &b.preds {
-                    for r in 0..11 {
-                        inn[r].join(&block_out[p][r]);
-                    }
-                }
-                // Transfer: each def replaces the set for its register.
-                let mut out = inn.clone();
-                for (pc, insn) in prog.iter().enumerate().take(b.end).skip(b.start) {
-                    let defs = insn_defs(insn);
-                    for (r, d) in out.iter_mut().enumerate() {
-                        if defs & (1 << r) != 0 {
-                            *d = Defs::Sites(vec![pc as u32]);
-                        }
-                    }
-                }
-                if inn != block_in[bi] {
-                    block_in[bi] = inn;
-                    changed = true;
-                }
-                if out != block_out[bi] {
-                    block_out[bi] = out;
-                    changed = true;
-                }
-            }
-        }
-        ReachingDefs { block_in }
     }
 }
 
@@ -321,32 +201,5 @@ mod tests {
             "r1 live into header"
         );
         assert_ne!(lv.live_out[header] & 1, 0);
-    }
-
-    #[test]
-    fn reaching_defs_unique_and_merged() {
-        // 0: mov r0, 1
-        // 1: jeq r1, 0, +1 → 3
-        // 2: mov r0, 2
-        // 3: exit            (r0 has two reaching defs at the join)
-        let prog = vec![
-            mov_imm(R0, 1),
-            Insn::Jump {
-                cond: Some((Cond::Eq, R1, Src::Imm(0))),
-                off: 1,
-            },
-            mov_imm(R0, 2),
-            Insn::Exit,
-        ];
-        let cfg = Cfg::build(&prog);
-        let rd = ReachingDefs::solve(&prog, &cfg);
-        let exit_block = cfg.block_of[3];
-        match &rd.block_in[exit_block][0] {
-            Defs::Sites(v) => assert_eq!(v, &vec![0, 2]),
-            other => panic!("expected two sites, got {other:?}"),
-        }
-        assert!(rd.block_in[exit_block][0].unique().is_none());
-        // R1's def at the exit block is still the entry pseudo-def.
-        assert_eq!(rd.block_in[exit_block][1].unique(), Some(ENTRY_DEF));
     }
 }

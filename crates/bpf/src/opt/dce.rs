@@ -1,27 +1,22 @@
-//! Dead-code and dead-store elimination.
+//! Dead-code elimination.
 //!
 //! `dce` removes pure register-writing instructions whose result no
-//! path can observe (liveness-driven). `dead_stores` removes stack
-//! stores whose every byte is overwritten before any possible read.
+//! path can observe (liveness-driven).
 //!
-//! Soundness notes:
-//! * Only side-effect-free instructions are candidates: `Alu`, `Load`,
-//!   `LoadMap`. `Store`, `Call`, `Jump`, `Exit` are never removed here
-//!   (calls mutate maps/rings; stores mutate memory; control flow is
-//!   handled by the branch passes). Removing a dead `Load` can skip a
-//!   map-op *meta counter* bump, but never changes register state,
-//!   memory, or emitted samples — the bit-identity bar compares those.
-//! * Re-verification stays green for dead stores because the covering
-//!   store re-initializes the same stack bytes before any read; the
-//!   verifier's `stack_init` state at every read is unchanged.
+//! Soundness note: only side-effect-free instructions are candidates:
+//! `Alu`, `Load`, `LoadMap`. `Store`, `Call`, `Jump`, `Exit` are never
+//! removed (calls mutate maps/rings; stores mutate memory; control flow
+//! is left alone). Removing a dead `Load` can skip a map-op *meta
+//! counter* bump, but never changes register state, memory, or emitted
+//! samples — the bit-identity bar compares those.
 
-use crate::insn::{Insn, Size, R10};
+use crate::insn::Insn;
 use crate::opt::cfg::{compact, Cfg};
 use crate::opt::dataflow::{insn_defs, insn_uses, Liveness};
 
 /// Remove pure instructions whose defined registers are dead. Returns
 /// the number of instructions removed.
-pub fn dce(prog: &mut Vec<Insn>) -> u64 {
+pub(crate) fn dce(prog: &mut Vec<Insn>) -> u64 {
     if prog.is_empty() {
         return 0;
     }
@@ -48,83 +43,10 @@ pub fn dce(prog: &mut Vec<Insn>) -> u64 {
     compact(prog, &kill) as u64
 }
 
-fn store_span(size: Size, off: i32) -> Option<(i32, u8)> {
-    let bytes = match size {
-        Size::B1 => 1u8,
-        Size::B2 => 2,
-        Size::B4 => 4,
-        Size::B8 => 8,
-    };
-    Some((off, bytes))
-}
-
-/// Remove stack stores fully overwritten before any possible read.
-///
-/// Block-local and deliberately conservative: only stores based
-/// directly on `R10` participate (derived pointers into the stack may
-/// alias anything, so they neither seed nor get elided). Any `Load`
-/// (the base could point into the stack) or `Call` (helpers read
-/// argument buffers) invalidates all pending overwrites.
-pub fn dead_stores(prog: &mut Vec<Insn>) -> u64 {
-    if prog.is_empty() {
-        return 0;
-    }
-    let cfg = Cfg::build(prog);
-    let mut kill = vec![false; prog.len()];
-    for b in &cfg.blocks {
-        // Byte offsets (relative to fp) known to be overwritten later
-        // in the block with no intervening read. -512..0 → index 0..512.
-        let mut overwritten = [false; 512];
-        for pc in (b.start..b.end).rev() {
-            match &prog[pc] {
-                Insn::Store {
-                    size,
-                    base,
-                    off,
-                    src: _,
-                } if *base == R10 => {
-                    let Some((start, len)) = store_span(*size, *off) else {
-                        continue;
-                    };
-                    let mut all_covered = true;
-                    let mut idxs = Vec::with_capacity(len as usize);
-                    for i in 0..len as i32 {
-                        let byte = start + i; // negative, fp-relative
-                        let idx = byte + 512;
-                        if !(0..512).contains(&idx) {
-                            all_covered = false;
-                            break;
-                        }
-                        idxs.push(idx as usize);
-                        all_covered &= overwritten[idx as usize];
-                    }
-                    if all_covered && !idxs.is_empty() {
-                        kill[pc] = true;
-                    } else {
-                        for idx in idxs {
-                            overwritten[idx] = true;
-                        }
-                    }
-                }
-                // Stores through derived pointers write unknown bytes:
-                // they must not be elided, but they also read nothing,
-                // so pending overwrites stay valid.
-                Insn::Store { .. } => {}
-                // Any load may read the stack through a derived base.
-                Insn::Load { .. } | Insn::Call { .. } => {
-                    overwritten = [false; 512];
-                }
-                _ => {}
-            }
-        }
-    }
-    compact(prog, &kill) as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::insn::{AluOp, Cond, Helper, Reg, Src, R0, R1, R2, R6};
+    use crate::insn::{AluOp, Cond, Helper, Reg, Size, Src, R0, R10, R2, R6};
 
     fn mov_imm(dst: Reg, v: i64) -> Insn {
         Insn::Alu {
@@ -199,117 +121,5 @@ mod tests {
         assert_eq!(removed, 1);
         assert!(prog.iter().any(|i| matches!(i, Insn::Call { .. })));
         assert!(prog.iter().any(|i| matches!(i, Insn::Store { .. })));
-    }
-
-    #[test]
-    fn dead_store_fully_overwritten_is_removed() {
-        let mut prog = vec![
-            Insn::Store {
-                size: Size::B8,
-                base: R10,
-                off: -8,
-                src: Src::Imm(1),
-            }, // dead: fully covered below before any read
-            Insn::Store {
-                size: Size::B8,
-                base: R10,
-                off: -8,
-                src: Src::Imm(2),
-            },
-            mov_imm(R0, 0),
-            Insn::Exit,
-        ];
-        let removed = dead_stores(&mut prog);
-        assert_eq!(removed, 1);
-        assert!(matches!(
-            prog[0],
-            Insn::Store {
-                src: Src::Imm(2),
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn partial_overwrite_does_not_kill() {
-        let mut prog = vec![
-            Insn::Store {
-                size: Size::B8,
-                base: R10,
-                off: -8,
-                src: Src::Imm(1),
-            },
-            Insn::Store {
-                size: Size::B4,
-                base: R10,
-                off: -8,
-                src: Src::Imm(2),
-            }, // covers only 4 of the 8 bytes
-            mov_imm(R0, 0),
-            Insn::Exit,
-        ];
-        let removed = dead_stores(&mut prog);
-        assert_eq!(removed, 0);
-    }
-
-    #[test]
-    fn intervening_load_blocks_dead_store() {
-        let mut prog = vec![
-            Insn::Store {
-                size: Size::B8,
-                base: R10,
-                off: -8,
-                src: Src::Imm(1),
-            },
-            Insn::Load {
-                size: Size::B8,
-                dst: R0,
-                base: R10,
-                off: -8,
-            },
-            Insn::Store {
-                size: Size::B8,
-                base: R10,
-                off: -8,
-                src: Src::Imm(2),
-            },
-            Insn::Exit,
-        ];
-        let removed = dead_stores(&mut prog);
-        assert_eq!(removed, 0);
-    }
-
-    #[test]
-    fn derived_pointer_store_is_never_elided() {
-        // r1 = fp - 8 (derived); store via r1 must survive even though
-        // a direct fp store later covers the same bytes.
-        let mut prog = vec![
-            Insn::Alu {
-                op: AluOp::Mov,
-                dst: R1,
-                src: Src::Reg(R10),
-            },
-            Insn::Alu {
-                op: AluOp::Add,
-                dst: R1,
-                src: Src::Imm(-8),
-            },
-            Insn::Store {
-                size: Size::B8,
-                base: R1,
-                off: 0,
-                src: Src::Imm(1),
-            },
-            Insn::Store {
-                size: Size::B8,
-                base: R10,
-                off: -8,
-                src: Src::Imm(2),
-            },
-            mov_imm(R0, 0),
-            Insn::Exit,
-        ];
-        let removed = dead_stores(&mut prog);
-        assert_eq!(removed, 0);
     }
 }

@@ -10,13 +10,13 @@ use crate::insn::{AluOp, Insn, Src};
 use crate::opt::cfg::{compact, Cfg};
 
 #[derive(Debug, Clone, Copy, Default)]
-pub struct PeepCounts {
-    pub removed: u64,
-    pub rewritten: u64,
+pub(crate) struct PeepCounts {
+    pub(crate) removed: u64,
+    pub(crate) rewritten: u64,
 }
 
 /// One pass of peephole rewrites. Call to fixed point via the driver.
-pub fn peephole(prog: &mut Vec<Insn>) -> PeepCounts {
+pub(crate) fn peephole(prog: &mut Vec<Insn>) -> PeepCounts {
     let mut counts = PeepCounts::default();
     let mut kill = vec![false; prog.len()];
 

@@ -233,7 +233,7 @@ fn apply(prog: &mut Vec<Insn>, c: Candidate) {
 
 /// Unroll every matching constant-trip loop, innermost-first (re-scan
 /// after each rewrite). Returns the number of loops unrolled.
-pub fn unroll(prog: &mut Vec<Insn>, budget: usize) -> u64 {
+pub(crate) fn unroll(prog: &mut Vec<Insn>, budget: usize) -> u64 {
     let mut count = 0;
     while let Some(c) = find_candidate(prog, budget) {
         apply(prog, c);

@@ -802,10 +802,6 @@ pub(crate) struct PcFacts {
     /// uninit path, so the fact only ever feeds reads that are init on
     /// every path.
     pub reg_const: [ConstFact; 11],
-    /// For conditional jumps: some visiting state could take the branch.
-    pub taken_live: bool,
-    /// For conditional jumps: some visiting state could fall through.
-    pub fallthrough_live: bool,
 }
 
 /// Verify a program against a map registry and a declared context size.
@@ -834,8 +830,8 @@ pub fn verify_with_log(
 }
 
 /// Like [`verify_with_stats`], but also exports the per-pc facts the
-/// optimizer consumes (constant registers, dead branch arms, visited
-/// pcs). Crate-internal: the public surface is `opt::optimize`.
+/// optimizer consumes (constant registers, visited pcs).
+/// Crate-internal: the public surface is `opt::optimize`.
 pub(crate) fn verify_with_facts(
     prog: &[Insn],
     maps: &MapRegistry,
@@ -994,19 +990,6 @@ impl<'a> Verifier<'a> {
                 (ConstFact::Const(a), Some(v)) if a == v => ConstFact::Const(a),
                 _ => ConstFact::Top,
             };
-        }
-    }
-
-    /// Record that some state could traverse a conditional jump's arm.
-    fn note_arm(&mut self, pc: usize, taken: bool) {
-        if let Some(facts) = self.facts.as_mut() {
-            if let Some(f) = facts.get_mut(pc) {
-                if taken {
-                    f.taken_live = true;
-                } else {
-                    f.fallthrough_live = true;
-                }
-            }
         }
     }
 
@@ -1257,10 +1240,6 @@ impl<'a> Verifier<'a> {
                                 } else {
                                     (pc + 1, target)
                                 };
-                                // Both arms of a null test are live: the
-                                // optimizer must never fold one away.
-                                self.note_arm(pc, true);
-                                self.note_arm(pc, false);
                                 let mut null_st = st.clone();
                                 null_st.regs[dst.index()] = RegType::cnst(0);
                                 self.push_succ(worklist, pc, null_pc, null_st)?;
@@ -1284,7 +1263,6 @@ impl<'a> Verifier<'a> {
                         // that arm is statically dead — this is also
                         // what terminates constant-bounded loops.
                         if let Some((rd, rs)) = refine(BranchCond::C(c), dr, sr) {
-                            self.note_arm(pc, true);
                             let mut t_st = st.clone();
                             t_st.regs[dst.index()] = RegType::Scalar(rd);
                             if let Src::Reg(sreg) = src {
@@ -1295,7 +1273,6 @@ impl<'a> Verifier<'a> {
                             self.trace(|| format!("{pc}: branch never taken (dead arm)"));
                         }
                         if let Some((rd, rs)) = refine(negate(c), dr, sr) {
-                            self.note_arm(pc, false);
                             let mut f_st = st;
                             f_st.regs[dst.index()] = RegType::Scalar(rd);
                             if let Src::Reg(sreg) = src {

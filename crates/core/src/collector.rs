@@ -98,6 +98,9 @@ pub enum CollectionMode {
     UserContinuous,
 }
 
+/// Seed of the marker-sampling decision stream.
+const SAMPLER_SEED: u64 = 0x7511;
+
 /// Deploy-time configuration (the Setup Phase inputs).
 #[derive(Debug, Clone)]
 pub struct TsConfig {
@@ -106,7 +109,6 @@ pub struct TsConfig {
     /// Perf ring buffer capacity (records). Bounded: the Collector
     /// overwrites when the Processor falls behind.
     pub ring_capacity: usize,
-    pub sampler_seed: u64,
     /// Lineage tracing: assign a `TraceId` to 1 in `trace_every`
     /// *collected* markers and follow it through every pipeline stage
     /// (0 = off). The id travels out of band — record bytes are
@@ -120,7 +122,6 @@ impl TsConfig {
             mode,
             subsystems: BTreeMap::new(),
             ring_capacity: 4096,
-            sampler_seed: 0x7511,
             trace_every: 0,
         }
     }
@@ -523,7 +524,7 @@ impl TScout {
             subsys[s.index()] = Some(SubsysRt { probes, bpf });
         }
 
-        let sampler = Sampler::new(config.sampler_seed);
+        let sampler = Sampler::new(SAMPLER_SEED);
         let stats = TsStats::default();
         let metrics = CollectorMetrics::new(
             &kernel.telemetry,

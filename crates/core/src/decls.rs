@@ -7,8 +7,6 @@
 tscout_telemetry::declare_metrics! {
     /// Every metric declared in `tscout-core`.
     pub DECLS:
-    pub(crate) ARCHIVE_APPEND_ERRORS: Counter = "archive_append_errors_total",
-        "Samples the archive sink failed to append";
     pub(crate) PROCESSOR_BUFFERED_SAMPLES: Gauge = "processor_buffered_samples",
         "Decoded samples buffered in the Processor's sink";
     pub(crate) PROCESSOR_DEAGG_FANOUT: Hist = "processor_deagg_fanout",

@@ -3,18 +3,13 @@
 //!
 //! The Processor drains finished samples from the Collector's perf ring
 //! buffer, transforms them (type conversion, fused-pipeline
-//! de-aggregation), and writes them to an output target. It runs as its
+//! de-aggregation), and hands them to an output target. It runs as its
 //! own (virtual) task so its throughput is bounded: when the DBMS
 //! generates samples faster than the Processor's per-sample cost allows,
 //! the ring fills and the Collector overwrites — data is dropped without
 //! back pressure, exactly the design property of §3. A feedback hook
 //! recommends lowering the sampling rate when that happens.
 
-use std::fs::File;
-use std::io::{BufWriter, Write};
-use std::path::Path;
-
-use tscout_archive::{Archive, ArchiveOptions};
 use tscout_kernel::{Kernel, TaskId};
 use tscout_telemetry::decls::{PROCESSOR_DECODE_ERRORS, SAMPLES_LOST};
 use tscout_telemetry::{CounterSite, CounterVec, GaugeSite, HistSite, Telemetry};
@@ -43,40 +38,16 @@ pub struct SubsystemFeedback {
     pub loss_delta: u64,
 }
 
-/// Where processed training data goes.
+/// Where processed training data goes. Persistence is the caller's
+/// step: the workload driver takes the in-memory points, tags them with
+/// their query template, and appends them to the archive
+/// (`ModelLifecycle::step`).
 #[derive(Debug)]
 pub enum Sink {
     /// Keep decoded points in memory (model training pipelines).
     Memory(Vec<TrainingPoint>),
-    /// Append CSV rows to a file on local disk.
-    Csv(BufWriter<File>),
-    /// Append into the persistent columnar training-data archive.
-    /// Memory stays bounded: full memtables flush to segment files as
-    /// part of `append` (see `tscout-archive`).
-    Archive(Archive),
     /// Count only (overhead experiments).
     Discard,
-}
-
-impl Sink {
-    /// Open a CSV sink, writing the header row.
-    pub fn csv(path: &Path) -> std::io::Result<Sink> {
-        let mut w = BufWriter::new(File::create(path)?);
-        writeln!(
-            w,
-            "ou,subsystem,tid,start_ns,elapsed_ns,metrics,features,user_metrics"
-        )?;
-        Ok(Sink::Csv(w))
-    }
-
-    /// Open (or recover) an archive sink rooted at `dir`.
-    pub fn archive(
-        dir: &Path,
-        opts: ArchiveOptions,
-        telemetry: Telemetry,
-    ) -> Result<Sink, tscout_archive::ArchiveError> {
-        Ok(Sink::Archive(Archive::open(dir, opts, telemetry)?))
-    }
 }
 
 /// The user-space Processor component.
@@ -92,9 +63,9 @@ pub struct Processor {
     /// Cloned from the kernel at construction.
     pub telemetry: Telemetry,
     /// Lineage tracing: park consumed traces for the archive/model
-    /// lifecycle even on a non-archive sink. The driver sets this when a
-    /// `ModelLifecycle` stages points through the in-memory sink before
-    /// archiving them.
+    /// lifecycle instead of completing them at the sink. The driver
+    /// sets this when a `ModelLifecycle` stages points through the
+    /// in-memory sink before archiving them.
     pub trace_parks: bool,
     /// Lost-sample total at the last `recommended_rate` check.
     last_lost: u64,
@@ -118,7 +89,6 @@ struct ProcessorMetrics {
     poll_ns: HistSite,
     drain_ns: HistSite,
     decode_errors: CounterSite,
-    append_errors: CounterSite,
     rate_reductions: CounterSite,
     /// Indexed by `Subsystem::index()`.
     subsystem_rate_reductions: CounterVec,
@@ -134,7 +104,6 @@ impl Default for ProcessorMetrics {
             poll_ns: decls::PROCESSOR_POLL_NS.site(&[]),
             drain_ns: decls::PROCESSOR_DRAIN_NS.site(&[]),
             decode_errors: PROCESSOR_DECODE_ERRORS.site(&[]),
-            append_errors: decls::ARCHIVE_APPEND_ERRORS.site(&[]),
             rate_reductions: decls::PROCESSOR_RATE_REDUCTIONS.site(&[]),
             subsystem_rate_reductions: decls::PROCESSOR_RATE_REDUCTIONS.vec("subsystem"),
         }
@@ -150,13 +119,6 @@ struct DriftObservation {
     target_ns: f64,
     /// L2 norm of the feature vector.
     feature_norm: f64,
-}
-
-fn join<T: std::fmt::Display>(xs: &[T]) -> String {
-    xs.iter()
-        .map(std::string::ToString::to_string)
-        .collect::<Vec<_>>()
-        .join("|")
 }
 
 /// The `(ou, tid)` lineage key from a raw record header (words 0 and 1),
@@ -217,8 +179,6 @@ impl Processor {
         self.flush_drift(&ts.registry);
         let dur = kernel.now(self.task) - start_ns;
         self.metrics.poll_ns.get(&self.telemetry).record(dur);
-        self.telemetry
-            .span("processor_poll", "processor", start_ns, dur);
         n
     }
 
@@ -240,8 +200,6 @@ impl Processor {
         self.flush_drift(&ts.registry);
         let dur = kernel.now(self.task) - start_ns;
         self.metrics.drain_ns.get(&self.telemetry).record(dur);
-        self.telemetry
-            .span("processor_drain_all", "processor", start_ns, dur);
         n
     }
 
@@ -300,31 +258,6 @@ impl Processor {
             }
             match &mut self.sink {
                 Sink::Memory(v) => v.push(p),
-                Sink::Csv(w) => {
-                    let _ = writeln!(
-                        w,
-                        "{},{},{},{},{},{},{},{}",
-                        p.ou_name,
-                        p.subsystem,
-                        p.tid,
-                        p.start_ns,
-                        p.elapsed_ns,
-                        join(&p.metrics),
-                        join(&p.features),
-                        join(&p.user_metrics),
-                    );
-                }
-                Sink::Archive(a) => {
-                    // Columnar encode + (possible) memtable flush happens
-                    // inside append; templates are assigned post-hoc from
-                    // the query trace, so inline archival stores 0.
-                    let _frame = kernel.profile_frame(self.task, "processor:archive", false);
-                    kernel.charge_overhead(self.task, kernel.cost.archive_per_sample_ns);
-                    if let Err(e) = a.append(p.to_sample(0)) {
-                        self.metrics.append_errors.get(&self.telemetry).inc();
-                        debug_assert!(false, "archive append failed: {e}");
-                    }
-                }
                 Sink::Discard => {}
             }
         });
@@ -333,12 +266,12 @@ impl Processor {
         }
         self.processed += 1;
         // Stamp the drain + sink stages on this record's trace (if it
-        // carries one). Only the archive sink continues the lineage into
-        // the memtable/segment/dataset lifecycle; the others terminate
+        // carries one). A parked trace continues into the driver's
+        // memtable/segment/dataset lifecycle; otherwise it terminates
         // delivered here. Tracing cost — the id assignment plus one
         // enter/exit record per marker/ring/drain/sink stage — lands on
         // the Processor's clock so sample bytes never shift.
-        let terminal = !self.trace_parks && !matches!(self.sink, Sink::Archive(_));
+        let terminal = !self.trace_parks;
         let traced = self.telemetry.trace_consume(
             tr_ou,
             tr_tid,
@@ -377,30 +310,12 @@ impl Processor {
     }
 
     /// Decoded samples currently held in Processor memory: the in-memory
-    /// sink's backlog, or the archive's unflushed memtables. This is the
-    /// quantity the archive pipeline bounds (DESIGN.md §2.4).
+    /// sink's backlog, which the driver drains into the archive at each
+    /// lifecycle turn (DESIGN.md §2.4).
     pub fn buffered_samples(&self) -> usize {
         match &self.sink {
             Sink::Memory(v) => v.len(),
-            Sink::Archive(a) => a.buffered_samples(),
-            _ => 0,
-        }
-    }
-
-    /// Borrow the archive sink, if that is what this Processor writes to.
-    pub fn archive(&self) -> Option<&Archive> {
-        match &self.sink {
-            Sink::Archive(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    /// Mutable access to the archive sink (sealing, compaction, scans at
-    /// retraining points).
-    pub fn archive_mut(&mut self) -> Option<&mut Archive> {
-        match &mut self.sink {
-            Sink::Archive(a) => Some(a),
-            _ => None,
+            Sink::Discard => 0,
         }
     }
 
@@ -470,23 +385,8 @@ impl Processor {
     pub fn take_points(&mut self) -> Vec<TrainingPoint> {
         match &mut self.sink {
             Sink::Memory(v) => std::mem::take(v),
-            _ => Vec::new(),
+            Sink::Discard => Vec::new(),
         }
-    }
-
-    /// Flush file-backed sinks (CSV buffers; archive memtables down to
-    /// the active segment file).
-    pub fn flush(&mut self) -> std::io::Result<()> {
-        match &mut self.sink {
-            Sink::Csv(w) => w.flush()?,
-            Sink::Archive(a) => {
-                a.flush()
-                    .map_err(|e| std::io::Error::other(e.to_string()))?;
-                self.metrics.buffered_samples.get(&self.telemetry).set(0.0);
-            }
-            _ => {}
-        }
-        Ok(())
     }
 }
 
@@ -545,23 +445,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_sink_writes_rows() {
-        let dir = std::env::temp_dir().join("tscout_csv_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("out.csv");
-        let (mut k, mut ts, t, ou) = harness();
-        emit(&mut k, &mut ts, t, ou, 3);
-        let mut p = Processor::new(&mut k, Sink::csv(&path).unwrap());
-        p.drain_all(&mut k, &mut ts);
-        p.flush().unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 4); // header + 3 rows
-        assert!(lines[0].starts_with("ou,subsystem"));
-        assert!(lines[1].starts_with("scan,execution_engine"));
-    }
-
-    #[test]
     fn malformed_records_are_counted_not_fatal() {
         let (mut k, ts, _, _) = harness();
         let mut p = Processor::new(&mut k, Sink::Discard);
@@ -573,37 +456,6 @@ mod tests {
         p.consume(&mut k, record);
         assert_eq!(p.malformed, 1);
         assert_eq!(p.processed, 0);
-    }
-
-    #[test]
-    fn archive_sink_persists_samples_and_reports_backlog() {
-        let dir = std::env::temp_dir().join(format!("tscout_proc_arch_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
-        let (mut k, mut ts, t, ou) = harness();
-        emit(&mut k, &mut ts, t, ou, 25);
-        let sink = Sink::archive(&dir, ArchiveOptions::default(), k.telemetry.clone()).unwrap();
-        let mut p = Processor::new(&mut k, sink);
-        assert_eq!(p.drain_all(&mut k, &mut ts), 25);
-        assert_eq!(p.buffered_samples(), 25);
-        assert_eq!(
-            p.telemetry.gauge_value("processor_buffered_samples", &[]),
-            25.0
-        );
-        p.flush().unwrap();
-        assert_eq!(p.buffered_samples(), 0);
-        let a = p.archive_mut().unwrap();
-        a.seal().unwrap();
-        let back: Vec<_> = a.scan_ou("scan").collect();
-        assert_eq!(back.len(), 25);
-        assert_eq!(back[3].features, vec![3.0]);
-        assert_eq!(back[3].template, 0, "inline archival is untagged");
-        // The archive frame showed up in the profiler under the root.
-        assert!(
-            k.telemetry
-                .counter_value("archive_bytes_written_total", &[])
-                > 0
-        );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -833,9 +833,6 @@ impl Database {
         let (t, m) = (&self.kernel.telemetry, &self.metrics);
         m.client_requests.get(t).inc();
         m.client_request_ns.get(t).record(dur);
-        self.kernel
-            .telemetry
-            .span("client_request", "db", req_start_ns, dur);
         result
     }
 

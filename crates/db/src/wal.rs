@@ -182,9 +182,6 @@ impl Wal {
             m.flushed_records.get(t).add(records);
             m.batch_records.get(t).record(records as f64);
             m.flush_ns.get(t).record(flush_dur);
-            kernel
-                .telemetry
-                .span("wal_flush", "wal", flush_start_ns, flush_dur);
         }
     }
 }

@@ -19,8 +19,6 @@ crate::declare_metrics! {
         "Distinct statement fingerprints currently tracked";
     pub(crate) STMT_RECORDED: Counter = "db_stmt_recorded_total",
         "Statements folded into the statement-stats registry";
-    pub(crate) SPANS_DROPPED: Counter = "telemetry_spans_dropped_total",
-        "Spans evicted from the span ring (never silent)";
     pub(crate) DRIFT_EVALUATIONS: Counter = "ts_drift_evaluations_total",
         "Drift-detector evaluation passes over the per-OU windows";
     pub(crate) DRIFT_KS: Gauge = "ts_drift_ks",

@@ -5,14 +5,14 @@
 //! the ring buffer, how many were lost and where. This crate is the
 //! shared language every layer uses to report that — a dependency-free
 //! metrics registry (counters, gauges, log-bucketed latency histograms
-//! with percentile estimation) plus a ring-buffered span tracer.
+//! with percentile estimation).
 //!
 //! Design points:
 //!
 //! - **Zero dependencies.** Only `std`. The whole workspace must build
 //!   offline; telemetry cannot be the thing that breaks that.
 //! - **Virtual-time native.** The simulation has its own clocks, so
-//!   nothing here reads wall time: all durations and span timestamps are
+//!   nothing here reads wall time: all durations and timestamps are
 //!   passed in by the caller in (virtual) nanoseconds.
 //! - **One registry per simulated world.** `Telemetry` is a cheap-clone
 //!   handle to a shared, mutex-guarded [`Registry`]. The `Kernel` owns
@@ -27,8 +27,7 @@
 //!   no registry mutex, key or allocation. [`Telemetry::counter`] and
 //!   friends resolve by bare name for signals without a declaration.
 //! - **Exportable.** Prometheus-style text exposition
-//!   ([`Registry::to_prometheus`]), chrome://tracing JSON for spans
-//!   ([`Registry::spans_to_chrome_json`]), and a combined JSON snapshot
+//!   ([`Registry::to_prometheus`]) and a combined JSON snapshot
 //!   ([`Registry::snapshot_json`]) that the bench binaries write to
 //!   `results/telemetry_<fig>.json`.
 #![forbid(unsafe_code)]
@@ -43,7 +42,6 @@ mod histogram;
 mod metrics;
 mod profile;
 mod sketch;
-mod spans;
 mod stmt;
 pub mod tables;
 mod timeseries;
@@ -67,7 +65,6 @@ pub use profile::{
     Attribution, FoldedEntry, FrameGuard, Profiler, DEFAULT_PROFILE_PERIOD_NS, OTHER_STACK,
 };
 pub use sketch::Sketch;
-pub use spans::{Span, SpanRing, DEFAULT_SPAN_CAPACITY};
 pub use stmt::{StmtEntry, StmtStats, DEFAULT_STMT_CAP};
 pub use tables::{Cell, ColType, Table, TABLES};
 pub use timeseries::{TimeSeries, Window, DEFAULT_WINDOW_CAPACITY};
@@ -103,7 +100,6 @@ impl std::fmt::Debug for Telemetry {
         let reg = self.lock();
         f.debug_struct("Telemetry")
             .field("metrics", &reg.len())
-            .field("spans", &reg.spans().len())
             .finish()
     }
 }
@@ -180,11 +176,6 @@ impl Telemetry {
         self.lock().hist_snapshot(name, labels)
     }
 
-    /// Record a completed span with explicit virtual timestamps.
-    pub fn span(&self, name: &'static str, category: &'static str, start_ns: f64, dur_ns: f64) {
-        self.lock().record_span(name, category, start_ns, dur_ns);
-    }
-
     /// Run the closure with the registry locked (bulk export/merge).
     pub fn with_registry<T>(&self, f: impl FnOnce(&mut Registry) -> T) -> T {
         let mut reg = self.lock();
@@ -198,14 +189,9 @@ impl Telemetry {
         self.lock().to_prometheus()
     }
 
-    /// Combined JSON snapshot (metrics + span summary).
+    /// Combined JSON snapshot of every metric.
     pub fn snapshot_json(&self) -> String {
         self.lock().snapshot_json()
-    }
-
-    /// chrome://tracing ("trace event format") JSON for recorded spans.
-    pub fn spans_to_chrome_json(&self) -> String {
-        self.lock().spans_to_chrome_json()
     }
 
     /// Scrape current counter values into the registry's time series as
@@ -525,15 +511,13 @@ mod tests {
     }
 
     #[test]
-    fn absorb_merges_counters_and_spans() {
+    fn absorb_merges_counters() {
         let a = Telemetry::new();
         let b = Telemetry::new();
         a.counter("n", &[]).add(2);
         b.counter("n", &[]).add(3);
-        b.span("txn", "db", 0.0, 100.0);
         a.absorb(&b);
         assert_eq!(a.counter_value("n", &[]), 5);
-        assert_eq!(a.with_registry(|r| r.spans().len()), 1);
         // Self-absorb must not deadlock or double.
         a.absorb(&a.clone());
         assert_eq!(a.counter_value("n", &[]), 5);
@@ -545,16 +529,9 @@ mod tests {
         t.counter_inc("a_total", &[("k", "v")]);
         t.gauge("g", &[]).set(1.5);
         t.hist("lat_ns", &[]).record(123.0);
-        t.span("s", "c", 10.0, 5.0);
         let s = t.snapshot_json();
         assert!(s.starts_with('{') && s.trim_end().ends_with('}'));
-        for needle in [
-            "\"counters\"",
-            "\"gauges\"",
-            "\"histograms\"",
-            "\"spans\"",
-            "a_total",
-        ] {
+        for needle in ["\"counters\"", "\"gauges\"", "\"histograms\"", "a_total"] {
             assert!(s.contains(needle), "missing {needle} in {s}");
         }
     }

@@ -10,7 +10,6 @@ use crate::drift::DriftRegistry;
 use crate::handles::{Cell, Counter, Decl, Gauge, Hist, Kind};
 use crate::health::{Alert, HealthEngine, HealthState, Selector, Signals};
 use crate::histogram::HistogramSnapshot;
-use crate::spans::{Span, SpanRing};
 use crate::stmt::StmtStats;
 use crate::timeseries::{TimeSeries, Window};
 use crate::trace::{FlightRecorderArm, Stage, TraceId, TraceStats, Tracer};
@@ -261,7 +260,6 @@ pub struct Registry {
     counters: Series<Counter>,
     gauges: Series<Gauge>,
     histograms: Series<Hist>,
-    spans: SpanRing,
     timeseries: TimeSeries,
     drift: DriftRegistry,
     health: HealthEngine,
@@ -344,25 +342,6 @@ impl Registry {
         self.histograms
             .get(name, labels)
             .map(|h| h.load().snapshot())
-    }
-
-    pub fn record_span(
-        &mut self,
-        name: &'static str,
-        category: &'static str,
-        start_ns: f64,
-        dur_ns: f64,
-    ) {
-        self.spans.record(Span {
-            name,
-            category,
-            start_ns,
-            dur_ns,
-        });
-    }
-
-    pub fn spans(&self) -> &SpanRing {
-        &self.spans
     }
 
     /// Scrape the current cumulative counter values into the embedded
@@ -821,9 +800,8 @@ impl Registry {
 
     /// Merge `other` into `self`: counters add, gauges take the max
     /// (every gauge we export is a level or high-water mark, for which
-    /// max is the meaningful union), histograms merge bucket-wise, each
-    /// family keeps its help text, and spans append subject to ring
-    /// capacity.
+    /// max is the meaningful union), histograms merge bucket-wise, and
+    /// each family keeps its help text.
     pub fn merge_from(&mut self, other: &Registry) {
         fn borrowed(labels: &Labels) -> Vec<(&str, &str)> {
             labels
@@ -853,9 +831,6 @@ impl Registry {
                     .cell(name, family.help, &borrowed(labels))
                     .merge_from(&h.load());
             }
-        }
-        for s in other.spans.iter() {
-            self.spans.record(*s);
         }
         // Time series from different registries cover different
         // (overlapping) virtual timelines and cannot be concatenated
@@ -924,11 +899,6 @@ impl Registry {
                 let _ = writeln!(out, " {}", c.get());
             }
         }
-        // Span-ring loss is bookkeeping the ring keeps internally, not a
-        // registry counter; surface it so span loss is never silent.
-        let spans = &decls::SPANS_DROPPED;
-        header(&mut out, spans.name, "", Counter::KIND, spans.help);
-        let _ = writeln!(out, "{} {}", spans.name, self.spans.dropped());
         for (name, family) in &self.gauges.families {
             header(&mut out, name, "", Gauge::KIND, family.help);
             for (labels, g) in &family.series {
@@ -967,32 +937,12 @@ impl Registry {
         out
     }
 
-    /// chrome://tracing trace-event JSON (`ph: "X"` complete events,
-    /// microsecond timestamps as the format requires).
-    pub fn spans_to_chrome_json(&self) -> String {
-        let events: Vec<String> = self
-            .spans
-            .iter()
-            .map(|s| {
-                format!(
-                    "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"pid\":1,\"tid\":1,\"ts\":{},\"dur\":{}}}",
-                    json_escape(s.name),
-                    json_escape(s.category),
-                    json_num(s.start_ns / 1000.0),
-                    json_num(s.dur_ns / 1000.0),
-                )
-            })
-            .collect();
-        format!("{{\"traceEvents\":[{}]}}", events.join(","))
-    }
-
     /// The combined snapshot the bench binaries persist as
     /// `results/telemetry_<fig>.json`: counters and gauges keyed by
-    /// rendered metric name, histogram summaries, and per-(name,category)
-    /// span aggregates (the raw span ring would dwarf the metrics).
+    /// rendered metric name, and histogram summaries.
     pub fn snapshot_json(&self) -> String {
         let mut out = String::from("{\n  \"counters\": {");
-        let mut counters: Vec<String> = self
+        let counters: Vec<String> = self
             .counters
             .iter()
             .map(|(name, labels, c)| {
@@ -1003,11 +953,6 @@ impl Registry {
                 )
             })
             .collect();
-        counters.push(format!(
-            "\n    \"{}\": {}",
-            decls::SPANS_DROPPED.name,
-            self.spans.dropped()
-        ));
         out.push_str(&counters.join(","));
         out.push_str("\n  },\n  \"gauges\": {");
         let gauges: Vec<String> = self
@@ -1043,26 +988,6 @@ impl Registry {
             })
             .collect();
         out.push_str(&hists.join(","));
-        out.push_str("\n  },\n  \"spans\": {");
-        let mut agg: BTreeMap<(&str, &str), (u64, f64)> = BTreeMap::new();
-        for s in self.spans.iter() {
-            let e = agg.entry((s.name, s.category)).or_insert((0, 0.0));
-            e.0 += 1;
-            e.1 += s.dur_ns;
-        }
-        let spans: Vec<String> = agg
-            .into_iter()
-            .map(|((name, cat), (count, total))| {
-                format!(
-                    "\n    \"{}[{}]\": {{\"count\": {count}, \"total_ns\": {}, \"dropped\": {}}}",
-                    json_escape(name),
-                    json_escape(cat),
-                    json_num(total),
-                    self.spans.dropped(),
-                )
-            })
-            .collect();
-        out.push_str(&spans.join(","));
         out.push_str("\n  }\n}\n");
         out
     }
@@ -1120,7 +1045,6 @@ mod tests {
                 decls::ALERTS_FIRED.row(),
                 decls::HEALTH_STATE.row(),
                 decls::TRACE_STAGE_NS.row(),
-                decls::SPANS_DROPPED.row(),
             ]
             .map(|d| (d.name, d.kind, d.help))
             .into_iter()
@@ -1206,38 +1130,6 @@ mod tests {
         assert!(text.contains("lat_ns_count{op=\"read\"} 4"));
         // le sorts into the label set alphabetically.
         assert!(text.contains("lat_ns_bucket{le=\"+Inf\",op=\"read\"} 4"));
-    }
-
-    #[test]
-    fn chrome_json_shape() {
-        let mut r = Registry::new();
-        r.record_span("flush", "wal", 2_000.0, 500.0);
-        let j = r.spans_to_chrome_json();
-        assert!(j.contains("\"traceEvents\""));
-        assert!(j.contains("\"name\":\"flush\""));
-        assert!(j.contains("\"ts\":2"));
-        assert!(j.contains("\"dur\":0.5"));
-    }
-
-    #[test]
-    fn spans_dropped_is_exported_as_counter() {
-        let mut r = Registry::new();
-        r.counter("x_total", &[]).inc();
-        let prom = r.to_prometheus();
-        assert!(prom.contains("# TYPE telemetry_spans_dropped_total counter"));
-        assert!(prom.contains("telemetry_spans_dropped_total 0"));
-        let json = r.snapshot_json();
-        assert!(json.contains("\"telemetry_spans_dropped_total\": 0"));
-        // Overflow the span ring and watch the counter move.
-        for i in 0..(crate::DEFAULT_SPAN_CAPACITY + 3) {
-            r.record_span("s", "c", i as f64, 1.0);
-        }
-        assert!(r
-            .to_prometheus()
-            .contains("telemetry_spans_dropped_total 3"));
-        assert!(r
-            .snapshot_json()
-            .contains("\"telemetry_spans_dropped_total\": 3"));
     }
 
     #[test]

@@ -261,9 +261,9 @@ pub struct FlightRecorderArm {
     pub seq: u64,
 }
 
-/// The lineage tracer. Lives inside the registry (next to the span ring
-/// and the drift detector) so SQL introspection and JSON exports see it
-/// through the normal telemetry handle.
+/// The lineage tracer. Lives inside the registry (next to the drift
+/// detector) so SQL introspection and JSON exports see it through the
+/// normal telemetry handle.
 #[derive(Debug, Clone)]
 pub struct Tracer {
     /// Trace 1 in `every` *collected* markers; 0 disables tracing.
@@ -422,9 +422,9 @@ impl Tracer {
 
     /// The Processor consumed the next `(ou, tid)` record: close the
     /// ring stage, stamp drain + sink. `terminal` completes the trace as
-    /// delivered (Discard/CSV sinks); otherwise it parks awaiting the
-    /// archive lifecycle. Returns whether a trace was matched (the
-    /// caller charges tracing cost only then).
+    /// delivered (no lifecycle behind the sink); otherwise it parks
+    /// awaiting the archive lifecycle. Returns whether a trace was
+    /// matched (the caller charges tracing cost only then).
     #[allow(clippy::too_many_arguments)]
     pub fn on_consume(
         &mut self,

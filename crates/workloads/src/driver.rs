@@ -96,6 +96,11 @@ pub trait Workload {
     fn txn(&mut self, ctx: &mut TxnCtx<'_>) -> bool;
 }
 
+/// Pump background tasks (WAL, Processor) every this many virtual ns.
+const PUMP_EVERY_NS: f64 = 2e6;
+/// Run GC every this many virtual ns.
+const GC_EVERY_NS: f64 = 250e6;
+
 /// Driver options.
 #[derive(Debug, Clone)]
 pub struct RunOptions {
@@ -104,10 +109,6 @@ pub struct RunOptions {
     pub duration_ns: f64,
     /// RNG seed (terminal behavior + workload parameters).
     pub seed: u64,
-    /// Pump background tasks (WAL, Processor) every this many ns.
-    pub pump_every_ns: f64,
-    /// Run GC every this many ns (0 = never).
-    pub gc_every_ns: f64,
     /// Operator plane: start an embedded `tscout-obsd` daemon serving
     /// this run's telemetry over HTTP for the duration of the run.
     /// `None` also consults `TSCOUT_OBSD` / `TSCOUT_OBSD_ADDR_FILE` in
@@ -121,8 +122,6 @@ impl Default for RunOptions {
             terminals: 1,
             duration_ns: 1e9,
             seed: 0xBEEF,
-            pump_every_ns: 2e6,
-            gc_every_ns: 250e6,
             obsd: None,
         }
     }
@@ -342,9 +341,6 @@ impl ModelLifecycle {
             if retired > 0 {
                 kernel.telemetry.trace_compacted(retired, now);
             }
-            kernel
-                .telemetry
-                .span("archive_ingest", "processor", start, now - start);
         }
         let _frame = kernel.profile_frame(task, "models:retrain", false);
         let start = kernel.now(task);
@@ -377,9 +373,6 @@ impl ModelLifecycle {
                 completed as f64 * 4.0 * kernel.cost.trace_stage_record_ns,
             );
         }
-        kernel
-            .telemetry
-            .span("retrain", "models", start, now - start);
     }
 }
 
@@ -493,12 +486,8 @@ fn run_inner(
     let mut aborted = 0u64;
     let mut latencies = Vec::new();
     let mut txn_ends = Vec::new();
-    let mut next_pump = start_ns + opts.pump_every_ns;
-    let mut next_gc = if opts.gc_every_ns > 0.0 {
-        start_ns + opts.gc_every_ns
-    } else {
-        f64::MAX
-    };
+    let mut next_pump = start_ns + PUMP_EVERY_NS;
+    let mut next_gc = start_ns + GC_EVERY_NS;
     // Lifecycle runs drain the in-memory sink at each retrain; keep the
     // full point stream for the caller regardless.
     let mut all_points: Vec<TrainingPoint> = Vec::new();
@@ -523,7 +512,6 @@ fn run_inner(
         // Background pumping keeps the WAL and Processor in lockstep with
         // the foreground timeline.
         if now >= next_pump {
-            let pump_start = now;
             db.pump_wal(now);
             let (kernel, ts) = db.collection_parts();
             if let Some(ts) = ts {
@@ -559,13 +547,6 @@ fn run_inner(
             if let Some(lc) = lifecycle.as_deref_mut() {
                 db.install_live_model(lc.registry.live(), opts.terminals as f64);
             }
-            let pump_end = db.kernel.now(db.wal.task);
-            db.kernel.telemetry.span(
-                "pump",
-                "driver",
-                pump_start,
-                (pump_end - pump_start).max(0.0),
-            );
             // Observability turn at the pump cadence: evaluate drift,
             // scrape a counter window into the time-series ring, then run
             // the health rules over the fresh gauges and rates. The
@@ -675,11 +656,11 @@ fn run_inner(
                     lc.actions = Some(engine);
                 }
             }
-            next_pump = now + opts.pump_every_ns;
+            next_pump = now + PUMP_EVERY_NS;
         }
         if now >= next_gc {
             db.run_gc();
-            next_gc = now + opts.gc_every_ns;
+            next_gc = now + GC_EVERY_NS;
         }
 
         let t0 = db.now(sid);
@@ -697,7 +678,6 @@ fn run_inner(
         txn_ns
             .at(&db.kernel.telemetry, usize::from(ok), || outcome)
             .record(t1 - t0);
-        db.kernel.telemetry.span("txn", "workload", t0, t1 - t0);
         if ok {
             committed += 1;
             latencies.push(t1 - t0);

@@ -104,7 +104,6 @@ fn main() {
                 addr_file: Some(addr_file.clone()),
                 ..Default::default()
             }),
-            ..Default::default()
         },
         &mut lc,
     );

@@ -290,7 +290,6 @@ fn run_options_start_the_daemon_and_write_the_addr_file() {
             addr_file: Some(addr_file.clone()),
             ..Default::default()
         }),
-        ..Default::default()
     };
     // Poll the addr file from a second thread and hit the daemon while
     // the run is still going; the server stops when the run returns.

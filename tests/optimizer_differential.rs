@@ -19,7 +19,7 @@ use tscout_suite::rng::{RngExt, SeedableRng, StdRng};
 
 use tscout_suite::bpf::insn::{AluOp, Cond, Helper, Insn, Reg, Size, Src};
 use tscout_suite::bpf::maps::MapDef;
-use tscout_suite::bpf::opt::{optimize, OptOptions};
+use tscout_suite::bpf::opt::{optimize, OptStats, PASS_NAMES};
 use tscout_suite::bpf::vm::{NullWorld, Vm};
 use tscout_suite::bpf::{verify, MapId, MapRegistry};
 use tscout_suite::tscout::codegen::{
@@ -237,7 +237,7 @@ fn optimized_random_programs_are_observationally_identical() {
             continue;
         }
         accepted += 1;
-        let opt = optimize(&prog, &m0, 64, &OptOptions::default()).unwrap_or_else(|e| {
+        let opt = optimize(&prog, &m0, 64).unwrap_or_else(|e| {
             panic!(
                 "optimizer failed on a verified program: {e}\n{}",
                 tscout_suite::bpf::insn::disassemble(&prog)
@@ -348,6 +348,8 @@ fn drive(triple: &mut Triple, progs: [&[Insn]; 3]) -> (Vec<Vec<u8>>, [u64; 3]) {
 
 #[test]
 fn collector_programs_emit_bit_identical_samples_with_fewer_executed_insns() {
+    // Per-pass activity summed over all 24 shipped programs.
+    let mut fired = OptStats::default();
     for bits in 0u8..8 {
         let p = ProbeLayout {
             cpu: bits & 1 != 0,
@@ -355,16 +357,15 @@ fn collector_programs_emit_bit_identical_samples_with_fewer_executed_insns() {
             net: bits & 4 != 0,
         };
         let mut plain = collector_triple(&p);
-        let opts = OptOptions::default();
         // `optimize` erring is exactly what the Loader counts as a
         // fallback, so these three `expect`s are "zero opt_fallbacks".
-        let ob = optimize(&plain.begin, &plain.maps, CTX_BYTES, &opts).expect("begin optimizes");
-        let oe = optimize(&plain.end, &plain.maps, CTX_BYTES, &opts).expect("end optimizes");
-        let of =
-            optimize(&plain.features, &plain.maps, CTX_BYTES, &opts).expect("features optimizes");
+        let ob = optimize(&plain.begin, &plain.maps, CTX_BYTES).expect("begin optimizes");
+        let oe = optimize(&plain.end, &plain.maps, CTX_BYTES).expect("end optimizes");
+        let of = optimize(&plain.features, &plain.maps, CTX_BYTES).expect("features optimizes");
         // The pipeline re-verifies its own output; verify again here so
         // the contract does not rest on that backstop alone.
         for (name, o) in [("begin", &ob), ("end", &oe), ("features", &of)] {
+            fired.absorb(&o.stats);
             verify(&o.insns, &plain.maps, CTX_BYTES)
                 .unwrap_or_else(|e| panic!("optimized {name} for {p:?} does not re-verify: {e}"));
         }
@@ -414,6 +415,16 @@ fn collector_programs_emit_bit_identical_samples_with_fewer_executed_insns() {
                 );
             }
         }
+    }
+    // The pipeline carries only passes the shipped programs reach: a
+    // pass codegen no longer feeds is dead weight in every load.
+    for (i, name) in PASS_NAMES.iter().enumerate() {
+        let (removed, rewritten) = (fired.removed[i], fired.rewritten[i]);
+        println!("pass {name}: {removed} removed, {rewritten} rewritten over 24 programs");
+        assert!(
+            removed + rewritten > 0,
+            "pass {name} fires on no shipped collector program"
+        );
     }
 }
 
