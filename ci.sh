@@ -29,11 +29,15 @@ cargo build --workspace --release
 echo "== cargo test =="
 cargo test --workspace -q
 
-echo "== allocation budgets: sample path, archive read side (release: the build tsbench measures) =="
+echo "== allocation budgets: sample path, archive read side, forest fit (release: the build tsbench measures) =="
 # 0 allocations per marker triple, sampled or not; at most the owned
-# TrainingPoint's 4 per drained record; a column scan O(blocks), and
-# datasets_from_archive one per point + O(blocks).
+# TrainingPoint's 4 per drained record; a column scan O(blocks),
+# datasets_from_archive one per point + O(blocks), and a Forest fit one
+# per tree node + O(trees).
 cargo test -q --release --test alloc_budget
+
+echo "== forest differential, full sweep (release): the rank-coded fit builds the sort-per-node reference's trees bit for bit — 280 seeded cases of hostile floats, n up to 20 000 =="
+cargo test -q --release -p tscout-models -- --include-ignored forest
 
 # Everything below writes its artifacts here, never into results/.
 TS_RESULTS=$(mktemp -d)

@@ -86,18 +86,18 @@ pub fn avg_abs_error_per_template_us(models: &OuModelSet, test: &[OuData]) -> f6
 /// K-fold cross-validated error for a set of OU datasets: trains on each
 /// fold's training split and evaluates on its test split, averaging.
 pub fn cross_validated_error_us(kind: ModelKind, seed: u64, data: &[OuData], k: usize) -> f64 {
-    let mut total = 0.0;
-    for fold in 0..k {
-        let mut train = Vec::new();
-        let mut test = Vec::new();
-        for d in data {
-            let folds = crate::dataset::kfold(d, k, seed);
-            let (tr, te) = &folds[fold];
-            train.push(tr.clone());
-            test.push(te.clone());
+    // Each OU is split once; fold `f` is every OU's `f`-th pair.
+    let mut folds: Vec<(Vec<OuData>, Vec<OuData>)> = vec![Default::default(); k];
+    for d in data {
+        for (fold, (train, test)) in folds.iter_mut().zip(crate::dataset::kfold(d, k, seed)) {
+            fold.0.push(train);
+            fold.1.push(test);
         }
-        let models = OuModelSet::train(kind, seed, &train);
-        total += avg_abs_error_per_template_us(&models, &test);
+    }
+    let mut total = 0.0;
+    for (train, test) in &folds {
+        let models = OuModelSet::train(kind, seed, train);
+        total += avg_abs_error_per_template_us(&models, test);
     }
     total / k as f64
 }
@@ -203,6 +203,9 @@ mod tests {
         let data = vec![linear_ou("scan", 400, 1.0)];
         let err = cross_validated_error_us(ModelKind::Forest, 2, &data, 5);
         assert!(err < 2.0, "cv error {err} us");
+        // Folds are built once per OU, not once per (OU, fold): the value
+        // is the one the k²-clone loop returned, to the bit.
+        assert_eq!(err, 0.06503623015620151);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! comparable across feature scales (tuple counts vs. byte counts).
 //! Predictions average the k nearest training targets.
 
-use crate::Regressor;
+use crate::{feature, Regressor};
 
 /// kNN regressor.
 #[derive(Debug)]
@@ -29,13 +29,8 @@ impl Knn {
     }
 
     fn normalize(&self, x: &[f64]) -> Vec<f64> {
-        x.iter()
-            .enumerate()
-            .map(|(i, v)| {
-                let lo = self.lo.get(i).copied().unwrap_or(0.0);
-                let span = self.span.get(i).copied().unwrap_or(1.0);
-                (v - lo) / span
-            })
+        (self.lo.iter().zip(&self.span).enumerate())
+            .map(|(i, (lo, span))| (feature(x, i) - lo) / span)
             .collect()
     }
 }
@@ -51,9 +46,9 @@ impl Regressor for Knn {
         self.lo = vec![f64::INFINITY; d];
         let mut hi = vec![f64::NEG_INFINITY; d];
         for row in x {
-            for i in 0..d {
-                self.lo[i] = self.lo[i].min(row[i]);
-                hi[i] = hi[i].max(row[i]);
+            for (i, (lo, hi)) in self.lo.iter_mut().zip(&mut hi).enumerate() {
+                *lo = lo.min(feature(row, i));
+                *hi = hi.max(feature(row, i));
             }
         }
         self.span = (0..d)

@@ -49,6 +49,15 @@ pub trait Regressor: std::fmt::Debug + Send + Sync {
     fn name(&self) -> &'static str;
 }
 
+/// The one rule for row width, in every regressor's `fit` and `predict`:
+/// a model is as wide as the first row it was fitted on, a row missing
+/// feature `i` reads it as `0.0`, extra values are ignored — an OU whose
+/// feature list changed between runs panics neither.
+#[inline]
+pub(crate) fn feature(row: &[f64], i: usize) -> f64 {
+    row.get(i).copied().unwrap_or(0.0)
+}
+
 /// Model families available to the experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelKind {
@@ -72,4 +81,50 @@ impl ModelKind {
 #[cfg(test)]
 pub(crate) fn rows(x: &[Vec<f64>]) -> Vec<&[f64]> {
     x.iter().map(Vec::as_slice).collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The archive may hold an OU whose feature list changed between
+    /// runs: `fit` pads and truncates rows the way `predict` always has,
+    /// so the ragged fit is the fit on the rows squared to the first
+    /// row's width.
+    fn ragged_fit_is_the_padded_fit(kind: ModelKind) {
+        let ragged: Vec<Vec<f64>> = (0..60)
+            .map(|i| {
+                let full = [(i % 7) as f64, (i % 5) as f64 * 3.0, 99.0];
+                full[..[2, 1, 3, 0][i % 4]].to_vec()
+            })
+            .collect();
+        let squared: Vec<Vec<f64>> = (ragged.iter())
+            .map(|r| (0..2).map(|i| feature(r, i)).collect())
+            .collect();
+        let y: Vec<f64> = (0..60).map(|i| 100.0 + (i % 7) as f64 * 10.0).collect();
+        let (mut a, mut b) = (kind.build(3), kind.build(3));
+        a.fit(&rows(&ragged), &y);
+        b.fit(&rows(&squared), &y);
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        for query in [&[][..], &[3.0], &[3.0, 6.0], &[3.0, 6.0, 1e9]] {
+            let p = a.predict(query);
+            assert!(p.is_finite(), "{kind:?} predicts {p} for {query:?}");
+            assert_eq!(p, b.predict(&[feature(query, 0), feature(query, 1)]));
+        }
+    }
+
+    #[test]
+    fn forest_fit_pads_short_rows() {
+        ragged_fit_is_the_padded_fit(ModelKind::Forest);
+    }
+
+    #[test]
+    fn ridge_fit_pads_short_rows() {
+        ragged_fit_is_the_padded_fit(ModelKind::Ridge);
+    }
+
+    #[test]
+    fn knn_fit_pads_short_rows() {
+        ragged_fit_is_the_padded_fit(ModelKind::Knn);
+    }
 }

@@ -5,7 +5,7 @@
 //! single digits, so dense is exact and cheap. A bias column is appended
 //! automatically.
 
-use crate::Regressor;
+use crate::{feature, Regressor};
 
 /// Ridge linear regression.
 #[derive(Debug)]
@@ -72,7 +72,7 @@ impl Regressor for Ridge {
         let mut xtx = vec![vec![0.0; d]; d];
         let mut xty = vec![0.0; d];
         for (row, &target) in x.iter().zip(y) {
-            let aug = |i: usize| if i + 1 == d { 1.0 } else { row[i] };
+            let aug = |i: usize| if i + 1 == d { 1.0 } else { feature(row, i) };
             for i in 0..d {
                 for j in i..d {
                     xtx[i][j] += aug(i) * aug(j);
@@ -98,7 +98,7 @@ impl Regressor for Ridge {
         let d = self.weights.len();
         let mut acc = self.weights[d - 1]; // bias
         for i in 0..d - 1 {
-            acc += self.weights[i] * x.get(i).copied().unwrap_or(0.0);
+            acc += self.weights[i] * feature(x, i);
         }
         acc
     }

@@ -9,7 +9,9 @@
 //! allocate once its buffers have reached their working size: the
 //! markers nothing, the drain only the owned `TrainingPoint`s. On the
 //! read side it pins a column scan to O(blocks) allocations and
-//! `datasets_from_archive` to one per point plus O(blocks).
+//! `datasets_from_archive` to one per point plus O(blocks). Training is
+//! pinned too: a Forest `fit` allocates per tree and per node, never
+//! per (node, candidate feature).
 //!
 //! The sampling profiler is on (as in every bench run), so its frames
 //! are part of the budget too.
@@ -22,7 +24,7 @@ use std::cell::Cell;
 
 use tscout_suite::archive::{Archive, ArchiveOptions, Projection, Sample};
 use tscout_suite::kernel::{HardwareProfile, Kernel, TaskId};
-use tscout_suite::models::{datasets_from_archive, OuData};
+use tscout_suite::models::{datasets_from_archive, OuData, RandomForest, Regressor};
 use tscout_suite::telemetry::Telemetry;
 use tscout_suite::telemetry::DEFAULT_PROFILE_PERIOD_NS;
 use tscout_suite::tscout::{
@@ -252,4 +254,37 @@ fn archive_read_side_allocates_per_block_not_per_sample() {
 
     drop(archive);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn forest_fit_allocates_per_tree_and_node_not_per_candidate() {
+    const POINTS: usize = 4_096;
+    const TREES: u64 = 24;
+
+    // Three informative columns of different cardinality and a constant
+    // one, so nodes score several candidates and take the all-features
+    // fallback now and then.
+    let x: Vec<Vec<f64>> = (0..POINTS)
+        .map(|i| vec![(i % 61) as f64, (i * 7 % 1_013) as f64, 2.1, (i % 2) as f64])
+        .collect();
+    let y: Vec<f64> = x.iter().map(|r| 500.0 + 40.0 * r[0] + r[1]).collect();
+    let rows: Vec<&[f64]> = x.iter().map(Vec::as_slice).collect();
+
+    let mut forest = RandomForest::new(TREES as usize, 10, 4, 42);
+    let fit = allocations(|| forest.fit(&rows, &y));
+    let rendered = format!("{forest:?}");
+    let nodes = (rendered.matches("Leaf(").count() + rendered.matches("Split {").count()) as u64;
+    assert!(
+        nodes > 100 * TREES,
+        "trees too shallow to say much: {nodes} nodes"
+    );
+    // One box per node is what a tree is; the rest is per-fit columns
+    // and buffers that reach their size within the first tree. A sorted
+    // value list or a pair of index lists per node and candidate — what
+    // `fit` used to allocate — is 3 × candidates per node on its own.
+    let budget = 3 * nodes + 8 * TREES + 64;
+    assert!(
+        fit <= budget,
+        "{fit} allocations fitting {TREES} trees / {nodes} nodes on {POINTS} points (budget {budget})"
+    );
 }

@@ -1,12 +1,13 @@
 //! Cross-crate integration tests: the full collect → train → predict
 //! loop, dynamic reconfiguration, engine modes, and determinism.
 
+use tscout_suite::archive::crc32;
 use tscout_suite::kernel::{HardwareProfile, Kernel};
 use tscout_suite::models::eval::avg_abs_error_per_template_us;
-use tscout_suite::models::{ModelKind, OuModelSet};
+use tscout_suite::models::{ModelKind, OuData, OuModelSet};
 use tscout_suite::noisetap::{Database, EngineMode, Value};
 use tscout_suite::tscout::{CollectionMode, ProbeSet, Subsystem, TsConfig, ALL_SUBSYSTEMS};
-use tscout_suite::workloads::driver::{collect_datasets, run, RunOptions};
+use tscout_suite::workloads::driver::{collect_datasets, run, RunOptions, RunStats};
 use tscout_suite::workloads::{SmallBank, Tatp, Tpcc, Workload, Ycsb};
 
 fn fresh(seed: u64) -> Database {
@@ -25,8 +26,8 @@ fn attach100(db: &mut Database) {
     }
 }
 
-#[test]
-fn collect_train_predict_round_trip() {
+/// The seeded YCSB collection the model tests train on.
+fn ycsb_collection() -> (RunStats, Vec<OuData>) {
     let mut db = fresh(1);
     let mut w = Ycsb::new(5_000);
     w.setup(&mut db);
@@ -36,7 +37,24 @@ fn collect_train_predict_round_trip() {
         duration_ns: 40e6,
         ..Default::default()
     };
-    let (stats, data) = collect_datasets(&mut db, &mut w, &opts);
+    collect_datasets(&mut db, &mut w, &opts)
+}
+
+/// One line per OU: the CRC of the `Debug` rendering of the Forest
+/// trained on it — every split feature, threshold and leaf mean.
+fn forest_model_lines(data: &[OuData]) -> String {
+    data.iter()
+        .map(|d| {
+            let set = OuModelSet::train(ModelKind::Forest, 7, std::slice::from_ref(d));
+            let crc = crc32(format!("{set:?}").as_bytes());
+            format!("{} points={} crc32={crc:08x}\n", d.name, d.len())
+        })
+        .collect()
+}
+
+#[test]
+fn collect_train_predict_round_trip() {
+    let (stats, data) = ycsb_collection();
     assert!(stats.committed > 100);
     assert!(!data.is_empty());
 
@@ -53,6 +71,20 @@ fn collect_train_predict_round_trip() {
     assert!(
         err_us < 0.25 * mean_us,
         "model error {err_us:.2}us should be far below the mean target {mean_us:.2}us"
+    );
+}
+
+/// Model bytes are pinned the way exported series are: the golden file
+/// was written by the commit before forest training was rank-coded, so
+/// a retrain that changes any tree — a reassociated sum, a moved
+/// threshold, one RNG draw more or less — fails here.
+#[test]
+fn forest_models_match_the_golden_bytes() {
+    let (_, data) = ycsb_collection();
+    assert_eq!(
+        forest_model_lines(&data),
+        include_str!("golden/models_ycsb.txt"),
+        "trained Forest models changed (left: this build, right: tests/golden/models_ycsb.txt)"
     );
 }
 
