@@ -23,6 +23,9 @@ cargo clippy --workspace --all-targets -- -D warnings \
   -W clippy::needless-continue \
   -W clippy::inefficient-to-string
 
+echo "== cargo doc (a deleted module or item leaves no dangling intra-doc link) =="
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-deps --offline
+
 echo "== cargo build --release =="
 cargo build --workspace --release
 

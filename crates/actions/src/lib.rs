@@ -9,7 +9,7 @@
 //! tscout/dbms overhead ratio, archive pressure) and emits typed
 //! actions through the [`DbmsActuator`] trait.
 //!
-//! **Policy evaluation order** (documented in DESIGN.md §2.14; fixed so
+//! **Policy evaluation order** (documented in DESIGN.md §2.13; fixed so
 //! runs are reproducible and policies can assume their predecessors ran
 //! first this tick):
 //!
@@ -478,11 +478,6 @@ impl ActionEngine {
             .iter()
             .filter(|p| now_ns >= p.observe_at_ns)
             .count()
-    }
-
-    /// Follow-ups still waiting on their window.
-    pub fn pending_len(&self) -> usize {
-        self.pending.len()
     }
 
     /// Whether the engine currently holds (deprioritizes) compaction.

@@ -132,17 +132,6 @@ pub fn absorb_db(db: &Database) {
     global_profiler().absorb(&db.kernel.profiler);
 }
 
-/// Write the accumulated telemetry snapshot to
-/// `results/telemetry_<fig>.json`.
-pub fn dump_telemetry(fig: &str) -> PathBuf {
-    dump_artifact(
-        &results_dir(),
-        &format!("telemetry_{fig}.json"),
-        "telemetry snapshot",
-        &global_telemetry().snapshot_json(),
-    )
-}
-
 /// Write the registry-backed observability artifacts — telemetry
 /// snapshot, folded stacks, windowed time-series + attribution, and
 /// every `ts_*` table — into an explicit directory (created if missing). Split out from [`dump_observability`]
@@ -386,30 +375,6 @@ pub fn offline_data(hw: HardwareProfile, seed: u64, duration_ns: f64) -> Vec<OuD
     archive_run(&stats);
     absorb_db(&db);
     data
-}
-
-/// Collect *online* training data from a deployed workload.
-pub fn online_data(
-    hw: HardwareProfile,
-    seed: u64,
-    workload: &mut dyn Workload,
-    terminals: usize,
-    duration_ns: f64,
-    rate: u8,
-) -> (RunStats, Vec<OuData>) {
-    let mut db = new_db(hw, seed);
-    workload.setup(&mut db);
-    attach_all(&mut db, CollectionMode::KernelContinuous, rate);
-    let opts = RunOptions {
-        terminals,
-        duration_ns: duration_ns * time_scale(),
-        seed,
-        ..Default::default()
-    };
-    let out = collect_datasets(&mut db, workload, &opts);
-    archive_run(&out.0);
-    absorb_db(&db);
-    out
 }
 
 /// One measurement from the runtime-overhead sweep (Figs. 5 and 6).

@@ -214,24 +214,6 @@ pub enum Helper {
 }
 
 impl Helper {
-    /// How many argument registers (`R1..=R{n}`) the helper reads. The
-    /// optimizer's liveness analysis uses this to avoid keeping dead
-    /// argument setup alive across calls that never read it; the VM
-    /// still clobbers all of `R1`–`R5` regardless.
-    pub fn num_args(self) -> usize {
-        match self {
-            Helper::MapLookup
-            | Helper::MapDelete
-            | Helper::MapPush
-            | Helper::MapPop
-            | Helper::PerfEventReadBuf => 2,
-            Helper::MapUpdate => 4,
-            Helper::ReadTaskIo | Helper::ReadTcpSock => 1,
-            Helper::PerfEventOutput => 3,
-            Helper::KtimeGetNs | Helper::GetCurrentPidTgid => 0,
-        }
-    }
-
     pub fn name(self) -> &'static str {
         match self {
             Helper::MapLookup => "map_lookup_elem",
@@ -327,9 +309,9 @@ impl fmt::Display for Insn {
 impl Insn {
     /// Disassemble one instruction at `pc`, resolving relative jump
     /// offsets to absolute targets (`ja +3 -> 12`). This is the form
-    /// the optimization report, the verifier log header, and test
-    /// failure messages use; [`Insn::fmt`] keeps the bare relative
-    /// rendering for contexts where the pc is unknown.
+    /// the verifier log header and test failure messages use; the
+    /// `Display` impl keeps the bare relative rendering for contexts
+    /// where the pc is unknown.
     pub fn disasm(&self, pc: usize) -> String {
         match self {
             Insn::Jump { off, .. } => {
@@ -412,15 +394,6 @@ mod tests {
         assert_eq!(ja.disasm(10), "ja -3 -> 8");
         let exit = Insn::Exit;
         assert_eq!(exit.disasm(5), "exit");
-    }
-
-    #[test]
-    fn helper_arity_matches_documented_signatures() {
-        assert_eq!(Helper::MapUpdate.num_args(), 4);
-        assert_eq!(Helper::PerfEventOutput.num_args(), 3);
-        assert_eq!(Helper::MapLookup.num_args(), 2);
-        assert_eq!(Helper::ReadTaskIo.num_args(), 1);
-        assert_eq!(Helper::KtimeGetNs.num_args(), 0);
     }
 
     #[test]

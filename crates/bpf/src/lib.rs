@@ -8,8 +8,7 @@
 //!   (`R0`–`R10`), 64-bit ALU, sized loads/stores, bidirectional jumps,
 //!   helper calls, and `exit`.
 //! * [`asm`] — a label-based program builder. TScout's Codegen emits real
-//!   bytecode through it, including bounded loops for per-counter
-//!   snapshotting (unrolling remains available as a fallback mode).
+//!   bytecode through it.
 //! * [`tnum`] — tristate numbers, the kernel verifier's known-bits
 //!   abstract domain, used by the verifier's scalar value tracking.
 //! * [`verifier`] — a range-tracking abstract interpreter in the spirit
@@ -28,14 +27,10 @@
 //!   everything defensively; helper calls reach the simulated kernel
 //!   through the [`vm::HelperWorld`] trait, which keeps this crate
 //!   independent of `tscout-kernel`.
-//! * [`opt`] — a load-time optimizer seeded by verifier facts: CFG and
-//!   dominator discovery, liveness dataflow, constant/copy
-//!   propagation, dead-code elimination, peephole simplification, and
-//!   bounded-loop unrolling — the five passes the generated collector
-//!   programs reach; every program is shortened before interpretation,
-//!   and must re-verify.
-//! * [`loader`] — load → verify → optimize → attach lifecycle, including
-//!   detach and reload for dynamic feature selection (paper §5.4).
+//! * [`loader`] — load → verify → attach lifecycle, including detach and
+//!   reload for dynamic feature selection (paper §5.4). The stream that
+//!   runs is the stream that was submitted: nothing rewrites a program
+//!   between the verifier and the interpreter.
 //!
 //! The crate is deliberately self-contained (its only dependency is the
 //! zero-dep in-workspace telemetry crate, for profiler frame guards) so
@@ -47,7 +42,6 @@ pub mod asm;
 pub mod insn;
 pub mod loader;
 pub mod maps;
-pub mod opt;
 pub mod tnum;
 pub mod verifier;
 pub mod vm;
@@ -56,7 +50,6 @@ pub use asm::ProgramBuilder;
 pub use insn::{AluOp, Cond, Helper, Insn, Reg, Size, Src};
 pub use loader::{LoadError, Loader, ProgId};
 pub use maps::{MapDef, MapId, MapKind, MapOpStats, MapRegistry, RingStats};
-pub use opt::{optimize, OptError, OptStats, Optimized, PASS_NAMES};
 pub use tnum::Tnum;
 pub use verifier::{verify, verify_with_log, verify_with_stats, VerifyError, VerifyStats};
 pub use vm::{ExecStats, HelperWorld, Vm, VmError};

@@ -1,5 +1,5 @@
-//! The program loader: load → verify → optimize → run, plus
-//! unload/reload.
+//! The program loader: load → verify → run, plus unload/reload. The
+//! stream that runs is the stream that was submitted and verified.
 //!
 //! "During this loading step, the BPF subsystem verifies the program's
 //! safety, just-in-time compiles the bytecode to machine code, and
@@ -14,8 +14,7 @@ use tscout_telemetry::{FrameGuard, Profiler};
 
 use crate::insn::Insn;
 use crate::maps::MapRegistry;
-use crate::opt::{optimize, OptStats};
-use crate::verifier::{verify_with_log, VerifyError, VerifyStats};
+use crate::verifier::{verify_with_log, verify_with_stats, VerifyError, VerifyStats};
 use crate::vm::{ExecStats, HelperWorld, Vm, VmError, VmScratch};
 
 /// Identifier of a loaded program. Also used as the attachment token in the
@@ -52,28 +51,18 @@ pub struct LoadedProg {
     /// `bpf:prog:<name>`, the program's profiler frame, built once here
     /// so pushing it allocates nothing.
     frame: Arc<str>,
-    /// The executable instruction stream (post-optimization when the
-    /// optimizer is enabled and succeeded).
+    /// The instruction stream, exactly as submitted and verified.
     pub insns: Vec<Insn>,
     pub ctx_size: usize,
-    /// Instruction count as submitted, before any optimization.
-    pub insns_unoptimized: usize,
-    /// The optimizer's capped human-readable report, when it ran.
-    pub opt_report: Option<String>,
 }
 
 /// Owns the maps and the loaded programs — the "BPF subsystem".
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Loader {
     pub maps: MapRegistry,
     progs: Vec<Option<LoadedProg>>,
     verify_totals: VerifyStats,
     verify_runs: u64,
-    /// Run the load-time optimizer on every program (on by default;
-    /// the differential suite runs with it off to cross-check).
-    optimize: bool,
-    opt_totals: OptStats,
-    opt_fallbacks: u64,
     /// Optional sampling profiler for program-entry frames (the loader
     /// stays kernel-agnostic: the handle is injected by whoever owns
     /// both, e.g. TScout at attach time).
@@ -85,31 +74,9 @@ pub struct Loader {
     padded_ctx: Vec<u8>,
 }
 
-impl Default for Loader {
-    fn default() -> Self {
-        Loader {
-            maps: MapRegistry::default(),
-            progs: Vec::new(),
-            verify_totals: VerifyStats::default(),
-            verify_runs: 0,
-            optimize: true,
-            opt_totals: OptStats::default(),
-            opt_fallbacks: 0,
-            profiler: None,
-            scratch: VmScratch::default(),
-            padded_ctx: Vec::new(),
-        }
-    }
-}
-
 impl Loader {
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Toggle the load-time optimizer for subsequent `load` calls.
-    pub fn set_optimize(&mut self, on: bool) {
-        self.optimize = on;
     }
 
     /// Verify and load a program. The program may only be attached after a
@@ -120,10 +87,12 @@ impl Loader {
         insns: Vec<Insn>,
         ctx_size: usize,
     ) -> Result<ProgId, LoadError> {
-        // Run with logging on: the kernel-style trace is what makes a
-        // rejection diagnosable, and verification is off the hot path.
-        let (result, log) = verify_with_log(&insns, &self.maps, ctx_size);
-        let stats = result.map_err(|err| LoadError::Verify { err, log })?;
+        // The kernel-style exploration trace has one reader, a rejection's
+        // `LoadError`, so only a rejected program pays for a logged run.
+        let stats = verify_with_stats(&insns, &self.maps, ctx_size).map_err(|err| {
+            let (_, log) = verify_with_log(&insns, &self.maps, ctx_size);
+            LoadError::Verify { err, log }
+        })?;
         self.verify_totals.insns += stats.insns;
         self.verify_totals.insns_visited += stats.insns_visited;
         self.verify_totals.states_explored += stats.states_explored;
@@ -131,48 +100,14 @@ impl Loader {
         self.verify_totals.paths_completed += stats.paths_completed;
         self.verify_totals.peak_depth = self.verify_totals.peak_depth.max(stats.peak_depth);
         self.verify_runs += 1;
-        // Optimize after verification: the pass pipeline consumes the
-        // verifier's facts and must re-verify its output. Failure falls
-        // back to the already-verified original — optimization is an
-        // upgrade, never a gate.
-        let insns_unoptimized = insns.len();
-        let (insns, opt_report) = if self.optimize {
-            match optimize(&insns, &self.maps, ctx_size) {
-                Ok(o) => {
-                    self.opt_totals.absorb(&o.stats);
-                    (o.insns, Some(o.report))
-                }
-                Err(e) => {
-                    self.opt_fallbacks += 1;
-                    (insns, Some(format!("optimizer fell back: {e}")))
-                }
-            }
-        } else {
-            (insns, None)
-        };
         let id = self.progs.len() as ProgId;
         self.progs.push(Some(LoadedProg {
             name: name.into(),
             frame: format!("bpf:prog:{name}").into(),
             insns,
             ctx_size,
-            insns_unoptimized,
-            opt_report,
         }));
         Ok(id)
-    }
-
-    /// Cumulative optimizer statistics across every load (per-pass
-    /// removal counts, fixed-point iterations, before/after sizes).
-    pub fn opt_totals(&self) -> OptStats {
-        self.opt_totals
-    }
-
-    /// Number of loads where the optimizer errored and the verified
-    /// original was used instead. Non-zero values indicate optimizer
-    /// bugs worth reporting — correctness is never at risk.
-    pub fn opt_fallbacks(&self) -> u64 {
-        self.opt_fallbacks
     }
 
     /// Cumulative verifier work across every successful `load`
@@ -324,61 +259,29 @@ mod tests {
         assert_eq!(folded[0].1.samples, 2);
     }
 
+    /// `load` verifies without the log and re-runs the verifier with it
+    /// on rejection: the error must still carry the whole trace, not
+    /// only the verdict line.
     #[test]
-    fn optimizer_shrinks_loaded_programs_and_reports() {
-        use crate::insn::{AluOp, Cond, Src, R6};
-        // A counted loop the optimizer collapses to a constant.
-        let prog = vec![
-            Insn::Alu {
-                op: AluOp::Mov,
-                dst: R0,
-                src: Src::Imm(0),
-            },
-            Insn::Alu {
-                op: AluOp::Mov,
-                dst: R6,
-                src: Src::Imm(0),
-            },
-            Insn::Jump {
-                cond: Some((Cond::Ge, R6, Src::Imm(4))),
-                off: 3,
-            },
-            Insn::Alu {
-                op: AluOp::Add,
-                dst: R0,
-                src: Src::Reg(R6),
-            },
-            Insn::Alu {
-                op: AluOp::Add,
-                dst: R6,
-                src: Src::Imm(1),
-            },
-            Insn::Jump {
-                cond: None,
-                off: -4,
-            },
-            Insn::Exit,
-        ];
+    fn rejected_program_carries_the_full_verifier_log() {
+        let mut b = ProgramBuilder::new();
+        b.mov_imm(R0, 0);
+        b.load(Size::B8, R0, R1, 64); // 8 bytes past a 64-byte context
+        b.exit();
+        let prog = b.resolve().unwrap();
         let mut l = Loader::new();
-        let id = l.load("loopy", prog.clone(), 0).unwrap();
-        let loaded = l.get(id).unwrap();
-        assert_eq!(loaded.insns_unoptimized, 7);
-        assert!(loaded.insns.len() < 7, "got {:?}", loaded.insns);
-        assert!(loaded.opt_report.as_ref().unwrap().contains("insns out"));
-        assert!(l.opt_totals().removed_total() > 0);
-        assert_eq!(l.opt_fallbacks(), 0);
-        let mut w = NullWorld::default();
-        let (r0, _) = l.run(id, &[], &mut w).unwrap();
-        assert_eq!(r0, 6); // 0+1+2+3, same as unoptimized
-
-        // With the optimizer off, the program loads byte-for-byte as-is.
-        let mut l2 = Loader::new();
-        l2.set_optimize(false);
-        let id2 = l2.load("loopy", prog.clone(), 0).unwrap();
-        assert_eq!(l2.get(id2).unwrap().insns, prog);
-        assert!(l2.get(id2).unwrap().opt_report.is_none());
-        let (r0, _) = l2.run(id2, &[], &mut w).unwrap();
-        assert_eq!(r0, 6);
+        let LoadError::Verify { err, log } = l.load("oob", prog.clone(), 64).unwrap_err();
+        let (direct, direct_log) = verify_with_log(&prog, &l.maps, 64);
+        assert_eq!(Err(err), direct);
+        assert_eq!(log, direct_log);
+        for part in [
+            "verifying 3 insns, ctx 64 bytes",
+            "rejected:",
+            "stats: insns 3",
+        ] {
+            assert!(log.contains(part), "log lacks {part:?}: {log}");
+        }
+        assert_eq!((l.loaded_count(), l.verify_runs()), (0, 0));
     }
 
     #[test]

@@ -768,45 +768,9 @@ pub struct VerifyStats {
     pub peak_depth: usize,
 }
 
-/// Lattice of "what constant value does this register hold at this pc,
-/// over every state that reached it". `Bottom` = no state seen yet,
-/// `Top` = visited with conflicting / non-constant values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) enum ConstFact {
-    #[default]
-    Bottom,
-    Const(u64),
-    Top,
-}
-
-impl ConstFact {
-    pub(crate) fn value(self) -> Option<u64> {
-        match self {
-            ConstFact::Const(v) => Some(v),
-            _ => None,
-        }
-    }
-}
-
-/// Facts the verifier proves about one pc, exported to the load-time
-/// optimizer. All facts are joins over every abstract state popped at
-/// the pc; subsumption pruning keeps them sound because a pruned state
-/// is covered by a recorded state that *was* explored from the same pc.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct PcFacts {
-    /// Exploration reached this pc at least once.
-    pub visited: bool,
-    /// Join of scalar-constant register values across every visiting
-    /// state. Uninit registers join as identity: if the instruction at
-    /// this pc reads the register, verification would have rejected the
-    /// uninit path, so the fact only ever feeds reads that are init on
-    /// every path.
-    pub reg_const: [ConstFact; 11],
-}
-
 /// Verify a program against a map registry and a declared context size.
 pub fn verify(prog: &[Insn], maps: &MapRegistry, ctx_size: usize) -> Result<(), VerifyError> {
-    run(prog, maps, ctx_size, false, false).0.map(|_| ())
+    run(prog, maps, ctx_size, false).0.map(|_| ())
 }
 
 /// Like [`verify`], but reports how much work the pass did.
@@ -815,7 +779,7 @@ pub fn verify_with_stats(
     maps: &MapRegistry,
     ctx_size: usize,
 ) -> Result<VerifyStats, VerifyError> {
-    run(prog, maps, ctx_size, false, false).0
+    run(prog, maps, ctx_size, false).0
 }
 
 /// Like [`verify_with_stats`], but also produces a kernel-style
@@ -825,20 +789,7 @@ pub fn verify_with_log(
     maps: &MapRegistry,
     ctx_size: usize,
 ) -> (Result<VerifyStats, VerifyError>, String) {
-    let (result, log, _) = run(prog, maps, ctx_size, true, false);
-    (result, log)
-}
-
-/// Like [`verify_with_stats`], but also exports the per-pc facts the
-/// optimizer consumes (constant registers, visited pcs).
-/// Crate-internal: the public surface is `opt::optimize`.
-pub(crate) fn verify_with_facts(
-    prog: &[Insn],
-    maps: &MapRegistry,
-    ctx_size: usize,
-) -> (Result<VerifyStats, VerifyError>, Vec<PcFacts>) {
-    let (result, _, facts) = run(prog, maps, ctx_size, false, true);
-    (result, facts)
+    run(prog, maps, ctx_size, true)
 }
 
 fn run(
@@ -846,8 +797,7 @@ fn run(
     maps: &MapRegistry,
     ctx_size: usize,
     want_log: bool,
-    want_facts: bool,
-) -> (Result<VerifyStats, VerifyError>, String, Vec<PcFacts>) {
+) -> (Result<VerifyStats, VerifyError>, String) {
     let mut log = if want_log { Some(String::new()) } else { None };
     if let Some(l) = log.as_mut() {
         l.push_str(&format!(
@@ -868,7 +818,7 @@ fn run(
         if want_log {
             log.push_str(&format!("rejected: {err}\n"));
         }
-        return (Err(err), log, Vec::new());
+        return (Err(err), log);
     }
     let mut v = Verifier {
         prog,
@@ -882,11 +832,6 @@ fn run(
         prune_point: prune_points(prog),
         seen: HashMap::new(),
         log,
-        facts: if want_facts {
-            Some(vec![PcFacts::default(); prog.len()])
-        } else {
-            None
-        },
     };
     let result = v.explore();
     let stats = VerifyStats {
@@ -913,8 +858,7 @@ fn run(
             stats.peak_depth,
         ));
     }
-    let facts = v.facts.take().unwrap_or_default();
-    (result.map(|()| stats), log, facts)
+    (result.map(|()| stats), log)
 }
 
 /// Pcs where exploration records and prunes states: every jump target
@@ -948,8 +892,6 @@ struct Verifier<'a> {
     prune_point: Vec<bool>,
     seen: HashMap<usize, Vec<State>>,
     log: Option<String>,
-    /// Per-pc fact export for the optimizer (joined over popped states).
-    facts: Option<Vec<PcFacts>>,
 }
 
 impl<'a> Verifier<'a> {
@@ -966,33 +908,6 @@ impl<'a> Verifier<'a> {
         }
     }
 
-    /// Join one popped state into the per-pc fact export. Pruned states
-    /// are joined too (before the prune decision), which only weakens
-    /// facts — soundness never depends on excluding them.
-    fn note_state(&mut self, pc: usize, st: &State) {
-        let Some(facts) = self.facts.as_mut() else {
-            return;
-        };
-        let Some(f) = facts.get_mut(pc) else {
-            return;
-        };
-        f.visited = true;
-        for (i, reg) in st.regs.iter().enumerate() {
-            let c = match reg {
-                // Identity: a read of an uninit register at this pc
-                // would have failed verification on that path.
-                RegType::Uninit => continue,
-                RegType::Scalar(r) => r.const_u(),
-                _ => None,
-            };
-            f.reg_const[i] = match (f.reg_const[i], c) {
-                (ConstFact::Bottom, Some(v)) => ConstFact::Const(v),
-                (ConstFact::Const(a), Some(v)) if a == v => ConstFact::Const(a),
-                _ => ConstFact::Top,
-            };
-        }
-    }
-
     fn explore(&mut self) -> Result<(), VerifyError> {
         let mut worklist = vec![(0usize, State::entry())];
         self.peak_depth = 1;
@@ -1001,7 +916,6 @@ impl<'a> Verifier<'a> {
             if self.states_explored > MAX_STATES {
                 return Err(VerifyError::TooComplex);
             }
-            self.note_state(pc, &st);
             let mut pruned = false;
             if pc < self.prune_point.len() && self.prune_point[pc] {
                 let recorded = self.seen.entry(pc).or_default();

@@ -546,9 +546,8 @@ fn errno(r: Result<(), MapError>) -> u64 {
     }
 }
 
-/// Concrete ALU evaluation — shared with the load-time optimizer's
-/// constant folder so folded results match execution bit-for-bit.
-pub(crate) fn alu(op: AluOp, d: u64, s: u64) -> u64 {
+/// Concrete ALU evaluation.
+fn alu(op: AluOp, d: u64, s: u64) -> u64 {
     match op {
         AluOp::Add => d.wrapping_add(s),
         AluOp::Sub => d.wrapping_sub(s),

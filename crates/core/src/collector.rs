@@ -68,22 +68,6 @@ impl ProbeLayout {
             net: false,
         }
     }
-
-    pub fn cpu_net() -> Self {
-        ProbeLayout {
-            cpu: true,
-            disk: false,
-            net: true,
-        }
-    }
-
-    pub fn cpu_disk() -> Self {
-        ProbeLayout {
-            cpu: true,
-            disk: true,
-            net: false,
-        }
-    }
 }
 
 /// How metrics are gathered for sampled OUs (paper §6.2).
@@ -331,19 +315,10 @@ struct CollectorMetrics {
     /// deploy, where every one of them is first published.
     bpf: Vec<Gauge>,
     ring_hwm: Gauge,
-    /// Indexed like `tscout_bpf::PASS_NAMES`.
-    opt_removed: Vec<Gauge>,
-    opt_rewritten: Vec<Gauge>,
 }
 
 impl CollectorMetrics {
     fn new(t: &Telemetry, bpf_gauges: impl Iterator<Item = &'static Decl<Gauge>>) -> Self {
-        let per_pass = |decl: &Decl<Gauge>| {
-            tscout_bpf::PASS_NAMES
-                .iter()
-                .map(|pass| decl.with(t, &[("pass", pass)]))
-                .collect()
-        };
         CollectorMetrics {
             marker_events: decls::MARKER_EVENTS.vec("marker"),
             begun: decls::SAMPLES_BEGUN.vec("subsystem"),
@@ -357,8 +332,6 @@ impl CollectorMetrics {
             state_machine_resets: decls::STATE_MACHINE_RESETS.site(&[]),
             bpf: bpf_gauges.map(|decl| decl.with(t, &[])).collect(),
             ring_hwm: decls::RING_OCCUPANCY_HWM.with(t, &[]),
-            opt_removed: per_pass(&decls::OPT_INSNS_REMOVED),
-            opt_rewritten: per_pass(&decls::OPT_INSNS_REWRITTEN),
         }
     }
 }
@@ -397,7 +370,6 @@ pub struct TScout {
     /// Indexed by task id.
     tasks: Vec<TaskState>,
     metrics: CollectorMetrics,
-    enabled: bool,
     /// Most recent marker-side virtual timestamp. Ring evictions are
     /// discovered lazily (at the next push or drain) with no Kernel in
     /// scope, so their traces are closed at this time instead.
@@ -543,7 +515,6 @@ impl TScout {
             subsys,
             tasks: Vec::new(),
             metrics,
-            enabled: true,
             last_now: 0.0,
         };
         if ts.config.trace_every > 0 {
@@ -609,11 +580,6 @@ impl TScout {
         m.sampling_rate
             .at(t, s.index(), || s.name())
             .set(rate as f64);
-    }
-
-    /// Globally pause/resume collection without unloading anything.
-    pub fn set_enabled(&mut self, on: bool) {
-        self.enabled = on;
     }
 
     /// The user-space flag (§3.1): true while the innermost in-flight OU
@@ -710,17 +676,16 @@ impl TScout {
         }
     }
 
-    /// The BPF substrate's own counters (ring, map ops, verifier,
-    /// optimizer) as `(gauge, value)`.
+    /// The BPF substrate's own counters (ring, map ops, verifier) as
+    /// `(gauge, value)`.
     fn bpf_gauges(
         loader: &Loader,
         ring: MapId,
         stats: &TsStats,
-    ) -> [(&'static Decl<Gauge>, f64); 24] {
+    ) -> [(&'static Decl<Gauge>, f64); 19] {
         let rs = loader.maps.ring_stats(ring);
         let ops = loader.maps.op_stats();
         let v = loader.verify_totals();
-        let o = loader.opt_totals();
         [
             (&decls::RING_PRODUCED, rs.produced as f64),
             (&decls::RING_DROPPED, rs.dropped as f64),
@@ -741,11 +706,6 @@ impl TScout {
             (&decls::VERIFY_PATHS, v.paths_completed as f64),
             (&decls::VERIFY_RUNS, loader.verify_runs() as f64),
             (&decls::BPF_INSNS_EXECUTED, stats.bpf_insns as f64),
-            (&decls::OPT_INSNS_BEFORE, o.insns_before as f64),
-            (&decls::OPT_INSNS_AFTER, o.insns_after as f64),
-            (&decls::OPT_ITERATIONS, o.iterations as f64),
-            (&decls::OPT_LOOPS_UNROLLED, o.loops_unrolled as f64),
-            (&decls::OPT_FALLBACKS, loader.opt_fallbacks() as f64),
         ]
     }
 
@@ -763,11 +723,6 @@ impl TScout {
         }
         m.ring_hwm
             .set_max(self.loader.maps.ring_stats(self.ring).hwm as f64);
-        let o = self.loader.opt_totals();
-        for (i, (removed, rewritten)) in m.opt_removed.iter().zip(&m.opt_rewritten).enumerate() {
-            removed.set(o.removed[i] as f64);
-            rewritten.set(o.rewritten[i] as f64);
-        }
     }
 
     /// Exact begun/delivered/lost totals across all subsystems.
@@ -796,8 +751,7 @@ impl TScout {
         };
         let subsystem = def.subsystem;
         let configured = self.subsys[subsystem.index()].is_some();
-        let collected =
-            self.enabled && configured && self.sampler.decide(task.0 as usize, subsystem);
+        let collected = configured && self.sampler.decide(task.0 as usize, subsystem);
 
         let mut snap = None;
         let mut trace = None;

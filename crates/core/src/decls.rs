@@ -21,29 +21,18 @@ tscout_telemetry::declare_metrics! {
         "Ring records the Processor consumed";
     pub(crate) BPF_INSNS_EXECUTED: Gauge = "tscout_bpf_insns_executed",
         "BPF instructions executed by the Collector's VM (cumulative)";
-    pub(crate) MAP_DELETES: Gauge = "tscout_map_deletes", "BPF map delete operations (per map)";
-    pub(crate) MAP_LOOKUPS: Gauge = "tscout_map_lookups", "BPF map lookup operations (per map)";
+    pub(crate) MAP_DELETES: Gauge = "tscout_map_deletes",
+        "BPF map delete operations, summed over every map";
+    pub(crate) MAP_LOOKUPS: Gauge = "tscout_map_lookups",
+        "BPF map lookup operations, summed over every map";
     pub(crate) MAP_STACK_POPS: Gauge = "tscout_map_stack_pops",
-        "BPF map-of-stacks pop operations (per map)";
+        "BPF map-of-stacks pop operations, summed over every map";
     pub(crate) MAP_STACK_PUSHES: Gauge = "tscout_map_stack_pushes",
-        "BPF map-of-stacks push operations (per map)";
-    pub(crate) MAP_UPDATES: Gauge = "tscout_map_updates", "BPF map update operations (per map)";
+        "BPF map-of-stacks push operations, summed over every map";
+    pub(crate) MAP_UPDATES: Gauge = "tscout_map_updates",
+        "BPF map update operations, summed over every map";
     pub(crate) MARKER_EVENTS: Counter = "tscout_marker_events_total",
         "Marker invocations (begin/end/features) per subsystem";
-    pub(crate) OPT_FALLBACKS: Gauge = "tscout_opt_fallbacks_total",
-        "Loads where the optimizer errored and the verified original ran instead";
-    pub(crate) OPT_INSNS_AFTER: Gauge = "tscout_opt_insns_after",
-        "Collector program instructions after load-time optimization (sum)";
-    pub(crate) OPT_INSNS_BEFORE: Gauge = "tscout_opt_insns_before",
-        "Collector program instructions before load-time optimization (sum)";
-    pub(crate) OPT_INSNS_REMOVED: Gauge = "tscout_opt_insns_removed_total",
-        "Instructions removed by the load-time optimizer, per pass";
-    pub(crate) OPT_INSNS_REWRITTEN: Gauge = "tscout_opt_insns_rewritten_total",
-        "Instructions rewritten in place by the load-time optimizer, per pass";
-    pub(crate) OPT_ITERATIONS: Gauge = "tscout_opt_iterations",
-        "Optimizer fixed-point pipeline iterations across all loads";
-    pub(crate) OPT_LOOPS_UNROLLED: Gauge = "tscout_opt_loops_unrolled",
-        "Bounded loops structurally unrolled at load time";
     pub(crate) OU_SAMPLES_BEGUN: Counter = "tscout_ou_samples_begun_total",
         "OU collections begun, per OU — the loss-accounting numerator";
     pub(crate) OU_SAMPLES_DELIVERED: Counter = "tscout_ou_samples_delivered_total",
@@ -72,14 +61,16 @@ tscout_telemetry::declare_metrics! {
     pub(crate) STATE_MACHINE_RESETS: Counter = "tscout_state_machine_resets_total",
         "OU marker state machines reset after protocol violations";
     pub(crate) VERIFY_INSNS: Gauge = "tscout_verify_insns",
-        "Instruction count of the last verified Collector program";
+        "Instructions in the Collector programs, summed over every load — the deployed program size";
     pub(crate) VERIFY_INSNS_VISITED: Gauge = "tscout_verify_insns_visited",
-        "Instructions visited by the last verifier run";
-    pub(crate) VERIFY_PATHS: Gauge = "tscout_verify_paths", "Paths explored by the last verifier run";
+        "Instructions the verifier visited, summed over every load";
+    pub(crate) VERIFY_PATHS: Gauge = "tscout_verify_paths",
+        "Paths the verifier walked to exit, summed over every load";
     pub(crate) VERIFY_PEAK_DEPTH: Gauge = "tscout_verify_peak_depth",
         "Peak analysis depth across verifier runs";
     pub(crate) VERIFY_RUNS: Gauge = "tscout_verify_runs", "Collector programs verified";
-    pub(crate) VERIFY_STATES: Gauge = "tscout_verify_states", "States explored by the last verifier run";
+    pub(crate) VERIFY_STATES: Gauge = "tscout_verify_states",
+        "Abstract states the verifier explored, summed over every load";
     pub(crate) VERIFY_STATES_PRUNED: Gauge = "tscout_verify_states_pruned",
-        "States pruned by the last verifier run";
+        "States the verifier pruned as subsumed, summed over every load";
 }

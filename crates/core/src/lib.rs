@@ -15,8 +15,10 @@
 //!   marker sites register kernel tracepoints at deploy time.
 //! * **Codegen** (§3.1): [`codegen`] emits *real BPF bytecode* (for the
 //!   `tscout-bpf` VM) per subsystem, tailored to the probe set the
-//!   developer selected. Loops are unrolled; the programs pass the
-//!   verifier and run a few hundred instructions, as in the paper.
+//!   developer selected. The programs are straight-line (per-counter
+//!   work is emitted once per slot), pass the verifier, and are a few
+//!   hundred instructions long, as in the paper; what codegen emits is
+//!   what runs.
 //! * **Collector** (§3.2): the loaded BPF programs plus their maps — a
 //!   depth-aware begin map (which subsumes the paper's stack-map handling
 //!   of recursive operators, §5.2), a done map, and the perf-event ring

@@ -907,14 +907,6 @@ impl Database {
             .table_by_name(name)
             .map(|m| self.tables[m.id.0 as usize].live_tuples())
     }
-
-    pub fn committed_txns(&self) -> u64 {
-        self.txns.committed
-    }
-
-    pub fn aborted_txns(&self) -> u64 {
-        self.txns.aborted
-    }
 }
 
 #[cfg(test)]

@@ -48,11 +48,6 @@ impl From<&Value> for Cell {
     }
 }
 
-/// True if `name` refers to a virtual introspection table.
-pub fn is_virtual(name: &str) -> bool {
-    table(name).is_some()
-}
-
 pub(crate) fn schema(table: &Table) -> Schema {
     Schema {
         columns: table

@@ -1,5 +1,5 @@
 //! In-memory versioned storage: HyPer-style MVCC version chains
-//! (paper §6: NoisePage "uses HyPer-style MVCC [38] over Apache Arrow
+//! (paper §6: NoisePage "uses HyPer-style MVCC \[38\] over Apache Arrow
 //! in-memory columnar data").
 //!
 //! Each tuple slot holds a newest-first chain of [`Version`]s. A version's
@@ -234,32 +234,6 @@ impl VersionedTable {
         if s.versions.is_empty() {
             self.free.push(slot);
         }
-    }
-
-    /// Garbage-collect one slot: drop versions no active snapshot can see.
-    /// Returns `(versions_pruned, slot_freed_with_last_row)`.
-    pub fn gc_slot(&mut self, slot: SlotId, oldest_read_ts: u64) -> (usize, Option<Row>) {
-        let Some(s) = self.slots.get_mut(slot.0 as usize) else {
-            return (0, None);
-        };
-        if s.versions.is_empty() {
-            return (0, None);
-        }
-        let before = s.versions.len();
-        // A version is dead when its end is a committed timestamp <= the
-        // oldest snapshot any active transaction could hold.
-        s.versions
-            .retain(|v| v.end & TXN_BIT != 0 || v.end > oldest_read_ts);
-        let pruned = before - s.versions.len();
-        if pruned > 0 {
-            // Byte estimate only tracks head versions; conservative.
-        }
-        if s.versions.is_empty() {
-            let last = None; // versions already dropped; row gone
-            self.free.push(slot);
-            return (pruned, last);
-        }
-        (pruned, None)
     }
 
     /// GC variant that reports the head row before freeing the slot, so

@@ -195,10 +195,6 @@ impl Kernel {
         &mut self.tasks[id.0 as usize]
     }
 
-    pub fn num_tasks(&self) -> usize {
-        self.tasks.len()
-    }
-
     /// Current virtual time of a task, ns.
     pub fn now(&self, id: TaskId) -> f64 {
         self.task(id).clock_ns

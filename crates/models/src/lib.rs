@@ -1,6 +1,6 @@
 //! # tscout-models — OU behavior models
 //!
-//! The paper's behavior models (ModelBot2-style, [29]) map an operating
+//! The paper's behavior models (ModelBot2-style, \[29\]) map an operating
 //! unit's *input features* to its *output metrics* — primarily elapsed
 //! execution time. This crate provides the model substrate the
 //! reproduction's accuracy experiments (Figs. 2, 7, 9–12) run on:

@@ -124,7 +124,7 @@ impl Histogram {
         }
     }
 
-    /// Estimate the `q`-quantile from the buckets. `q` outside [0,1]
+    /// Estimate the `q`-quantile from the buckets. `q` outside `[0,1]`
     /// is clamped and a NaN `q` is treated as 0.0; an empty histogram
     /// always reports 0.0. The estimate is clamped to the observed
     /// min/max so tails of sparse histograms stay honest.

@@ -205,12 +205,6 @@ impl Telemetry {
         self.lock().timeseries().len()
     }
 
-    /// Average rate of a counter (summed across label sets) over the
-    /// retained time series, in events per virtual second.
-    pub fn timeseries_rate(&self, name: &str) -> f64 {
-        self.lock().timeseries().rate_per_sec(name)
-    }
-
     /// JSON export of the scraped time series.
     pub fn timeseries_json(&self) -> String {
         self.lock().timeseries_json()

@@ -372,10 +372,6 @@ impl Registry {
         &self.drift
     }
 
-    pub fn drift_mut(&mut self) -> &mut DriftRegistry {
-        &mut self.drift
-    }
-
     pub fn health(&self) -> &HealthEngine {
         &self.health
     }
@@ -394,10 +390,6 @@ impl Registry {
 
     pub fn stmts(&self) -> &StmtStats {
         &self.stmts
-    }
-
-    pub fn stmts_mut(&mut self) -> &mut StmtStats {
-        &mut self.stmts
     }
 
     pub fn actions(&self) -> &ActionLog {

@@ -134,7 +134,7 @@ impl Sketch {
     }
 
     /// Quantile estimate with ≤ 12.5% relative error (see module docs).
-    /// `q` is clamped to [0,1]; NaN is treated as 0; empty reports 0.0.
+    /// `q` is clamped to `[0,1]`; NaN is treated as 0; empty reports 0.0.
     pub fn quantile(&self, q: f64) -> f64 {
         if self.count == 0 {
             return 0.0;

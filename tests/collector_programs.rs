@@ -1,0 +1,109 @@
+//! The generated Collector programs, pinned instruction for instruction.
+//!
+//! `tests/golden/collector_programs.txt` holds one line per
+//! `ProbeLayout` × {begin, end, features}: instruction count and the
+//! `crc32` of the stream's disassembly. It was written from
+//! `LoadedProg.insns` by the commit before codegen started emitting the
+//! flat streams itself, so it is the proof that deleting the load-time
+//! pass pipeline changed no program that runs. The virtual clock charges
+//! per *executed* instruction, so a changed line here moves every seeded
+//! figure — regenerate the file only for an intended program change, by
+//! printing `lines` from the test below.
+
+use tscout_suite::archive::crc32;
+use tscout_suite::bpf::insn::{disassemble, Insn};
+use tscout_suite::bpf::maps::MapDef;
+use tscout_suite::bpf::vm::NullWorld;
+use tscout_suite::bpf::{Loader, ProgId};
+use tscout_suite::tscout::codegen::{
+    encode_ctx, gen_begin, gen_end, gen_features, ProbeLayout, CTX_BYTES,
+};
+
+const PROGRAMS: [&str; 3] = ["begin", "end", "features"];
+
+fn layouts() -> [(&'static str, ProbeLayout); 8] {
+    let l = |cpu, disk, net| ProbeLayout { cpu, disk, net };
+    [
+        ("none", l(false, false, false)),
+        ("cpu", l(true, false, false)),
+        ("disk", l(false, true, false)),
+        ("net", l(false, false, true)),
+        ("cpu+disk", l(true, true, false)),
+        ("cpu+net", l(true, false, true)),
+        ("disk+net", l(false, true, true)),
+        ("all", l(true, true, true)),
+    ]
+}
+
+/// Deploy one layout the way `TScout::deploy` does — maps first, then
+/// the three programs generated against their ids — returning what
+/// codegen produced beside what the loader holds.
+fn deploy(p: &ProbeLayout) -> (Loader, [Vec<Insn>; 3], [ProgId; 3]) {
+    let mut loader = Loader::new();
+    let depth = loader.maps.create(MapDef::hash("depth", 8, 8, 256));
+    let begin = loader
+        .maps
+        .create(MapDef::hash("begin", 8, p.snap_words() * 8, 1024));
+    let done = loader
+        .maps
+        .create(MapDef::hash("done", 8, p.done_words() * 8, 256));
+    let ring = loader.maps.create(MapDef::perf_event_array("ring", 64));
+    let generated = [
+        gen_begin(p, depth, begin),
+        gen_end(p, depth, begin, done),
+        gen_features(p, done, ring),
+    ];
+    let ids = [0, 1, 2].map(|i| {
+        loader
+            .load(PROGRAMS[i], generated[i].clone(), CTX_BYTES)
+            .unwrap_or_else(|e| panic!("{} for {p:?} rejected: {e}", PROGRAMS[i]))
+    });
+    (loader, generated, ids)
+}
+
+#[test]
+fn codegen_emits_the_pinned_streams_and_the_loader_stores_them_unchanged() {
+    let mut lines = String::new();
+    for (name, p) in layouts() {
+        let (loader, generated, ids) = deploy(&p);
+        for ((prog, insns), id) in PROGRAMS.iter().zip(&generated).zip(ids) {
+            let crc = crc32(disassemble(insns).as_bytes());
+            lines.push_str(&format!(
+                "{name} {prog} insns={} crc32={crc:08x}\n",
+                insns.len()
+            ));
+            assert_eq!(
+                &loader.get(id).expect("loaded").insns,
+                insns,
+                "{name} {prog}: the program that runs is not the program that was generated"
+            );
+        }
+    }
+    assert_eq!(
+        lines,
+        include_str!("golden/collector_programs.txt"),
+        "generated programs changed (left: this build, right: tests/golden/collector_programs.txt)"
+    );
+}
+
+/// `bpf.vm_insns_per_triple` = 636: what one sampled marker triple costs
+/// on the virtual clock with every probe on.
+#[test]
+fn all_probes_triple_executes_636_instructions() {
+    let (mut loader, _, ids) = deploy(&layouts()[7].1);
+    let ctx = encode_ctx(5, 42, 1, 0, &[77, 88, 99]);
+    let mut world = NullWorld {
+        time_ns: 100,
+        pid_tgid: 42,
+    };
+    let mut triple = || {
+        ids.map(|id| {
+            let (r0, stats) = loader.run(id, &ctx, &mut world).expect("runs");
+            assert_eq!(r0, 0);
+            stats.insns
+        })
+    };
+    // The thread's first BEGIN finds no depth entry and skips one load.
+    assert_eq!(triple(), [66, 262, 307]);
+    assert_eq!(triple(), [67, 262, 307]);
+}
