@@ -14,8 +14,11 @@ cd "$(dirname "$0")"
 echo "== cargo fmt --check =="
 cargo fmt --all --check
 
-echo "== cargo clippy (deny warnings + curated pedantic lints) =="
+echo "== cargo clippy (deny warnings + curated pedantic lints; \`pub\` means exported) =="
+# unreachable_pub: an item no other crate can name says pub(crate), so
+# dead_code polices everything that is not part of a crate's surface.
 cargo clippy --workspace --all-targets -- -D warnings \
+  -W unreachable_pub \
   -W clippy::redundant-closure-for-method-calls \
   -W clippy::semicolon-if-nothing-returned \
   -W clippy::manual-let-else \

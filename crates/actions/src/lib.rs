@@ -164,17 +164,8 @@ impl Watch {
                 label_value,
                 base,
             } => {
-                let total: u64 = telemetry.with_registry(|r| {
-                    r.counters_named(name)
-                        .iter()
-                        .filter(|(k, _)| {
-                            k.labels
-                                .iter()
-                                .any(|(lk, lv)| lk == label_key && lv == label_value)
-                        })
-                        .map(|(_, v)| v)
-                        .sum()
-                });
+                let total =
+                    telemetry.with_registry(|r| r.counter_sum_where(name, label_key, label_value));
                 total.saturating_sub(*base) as f64
             }
         }
@@ -661,16 +652,8 @@ impl ActionEngine {
             if r.recommended >= r.current || rate_targeted.as_deref() == Some(&r.subsystem) {
                 continue;
             }
-            let lost_base: u64 = self.telemetry.with_registry(|reg| {
-                reg.counters_named(SAMPLES_LOST.name)
-                    .iter()
-                    .filter(|(k, _)| {
-                        k.labels
-                            .iter()
-                            .any(|(lk, lv)| lk == "subsystem" && lv == &r.subsystem)
-                    })
-                    .map(|(_, v)| v)
-                    .sum()
+            let lost_base = self.telemetry.with_registry(|reg| {
+                reg.counter_sum_where(SAMPLES_LOST.name, "subsystem", &r.subsystem)
             });
             out.push(Candidate {
                 kind: ActionKind::AdjustSamplingRate,

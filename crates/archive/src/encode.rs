@@ -4,7 +4,8 @@
 //! Every per-sample field in a block is stored as a column of `u64`
 //! values (floats go through `f64::to_bits`, so reconstruction is
 //! bit-identical — including NaNs). Two physical encodings compete per
-//! column and the smaller wins:
+//! column and the smaller wins (both are sized first; only the winner is
+//! encoded):
 //!
 //! * **tag 0 — delta + zigzag + varint.** Values are wrapping-delta'd
 //!   against the previous value, zigzag-mapped to `u64`, and LEB128
@@ -21,7 +22,7 @@
 //! not asked for without decoding it.
 
 /// Append `v` as a LEB128 varint.
-pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+pub(crate) fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let b = (v & 0x7F) as u8;
         v >>= 7;
@@ -33,9 +34,14 @@ pub fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
+/// Bytes [`put_varint`] takes for `v`.
+fn varint_len(v: u64) -> usize {
+    (bit_width(v).max(1) as usize).div_ceil(7)
+}
+
 /// Read a LEB128 varint at `*pos`, advancing it. `None` on truncation or
 /// a value that would overflow 64 bits.
-pub fn get_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
+pub(crate) fn get_varint(buf: &[u8], pos: &mut usize) -> Option<u64> {
     let mut v = 0u64;
     let mut shift = 0u32;
     loop {
@@ -70,15 +76,13 @@ fn bit_width(v: u64) -> u32 {
     64 - v.leading_zeros()
 }
 
-/// Encode the payload for tag 0 (delta + zigzag + varint).
-fn encode_delta(values: &[u64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(values.len() * 2);
+/// Append the payload for tag 0 (delta + zigzag + varint).
+fn put_delta(out: &mut Vec<u8>, values: &[u64]) {
     let mut prev = 0u64;
     for &v in values {
-        put_varint(&mut out, zigzag(v.wrapping_sub(prev) as i64));
+        put_varint(out, zigzag(v.wrapping_sub(prev) as i64));
         prev = v;
     }
-    out
 }
 
 fn decode_delta(buf: &[u8], n: usize, out: &mut Vec<u64>) -> Option<()> {
@@ -101,17 +105,12 @@ fn decode_delta(buf: &[u8], n: usize, out: &mut Vec<u64>) -> Option<()> {
     Some(())
 }
 
-/// Encode the payload for tag 1 (frame-of-reference bit-packing):
-/// `varint min`, `u8 width`, packed little-endian bits of `v - min`.
-fn encode_packed(values: &[u64]) -> Vec<u8> {
-    let min = values.iter().copied().min().unwrap_or(0);
-    let width = values
-        .iter()
-        .map(|&v| bit_width(v - min))
-        .max()
-        .unwrap_or(0);
-    let mut out = Vec::new();
-    put_varint(&mut out, min);
+/// Append the payload for tag 1 (frame-of-reference bit-packing):
+/// `varint min`, `u8 width`, packed little-endian bits of `v - min`,
+/// where `min` is the column's minimum and `width` the bits its range
+/// `max - min` needs (0 and 0 for an empty column).
+fn put_packed(out: &mut Vec<u8>, values: &[u64], min: u64, width: u32) {
+    put_varint(out, min);
     out.push(width as u8);
     let mut acc = 0u128;
     let mut acc_bits = 0u32;
@@ -127,7 +126,6 @@ fn encode_packed(values: &[u64]) -> Vec<u8> {
     if acc_bits > 0 {
         out.push((acc & 0xFF) as u8);
     }
-    out
 }
 
 fn decode_packed(buf: &[u8], n: usize, out: &mut Vec<u64>) -> Option<()> {
@@ -176,19 +174,34 @@ fn decode_packed(buf: &[u8], n: usize, out: &mut Vec<u64>) -> Option<()> {
 }
 
 /// Append one self-describing column: `u8 tag`, `varint n`,
-/// `varint byte_len`, payload. Picks the cheaper of the two codecs.
-pub fn put_column(out: &mut Vec<u8>, values: &[u64]) {
-    let delta = encode_delta(values);
-    let packed = encode_packed(values);
-    let (tag, payload) = if packed.len() < delta.len() {
-        (1u8, packed)
-    } else {
-        (0u8, delta)
-    };
-    out.push(tag);
+/// `varint byte_len`, payload. One pass sizes both codecs, then the
+/// cheaper one (packed only when strictly smaller) is encoded straight
+/// into `out`.
+pub(crate) fn put_column(out: &mut Vec<u8>, values: &[u64]) {
+    let (mut delta_len, mut prev, mut min, mut max) = (0usize, 0u64, u64::MAX, 0u64);
+    for &v in values {
+        delta_len += varint_len(zigzag(v.wrapping_sub(prev) as i64));
+        prev = v;
+        min = min.min(v);
+        max = max.max(v);
+    }
+    // An empty column leaves (MAX, 0); its frame is min 0, width 0.
+    let min = min.min(max);
+    let width = bit_width(max - min);
+    let packed_len = varint_len(min) + 1 + (values.len() * width as usize).div_ceil(8);
+    let packed = packed_len < delta_len;
+    let byte_len = if packed { packed_len } else { delta_len };
+    out.push(u8::from(packed));
     put_varint(out, values.len() as u64);
-    put_varint(out, payload.len() as u64);
-    out.extend_from_slice(&payload);
+    put_varint(out, byte_len as u64);
+    let start = out.len();
+    if packed {
+        put_packed(out, values, min, width);
+    } else {
+        put_delta(out, values);
+    }
+    // The length is on disk ahead of the payload it describes.
+    assert_eq!(out.len() - start, byte_len, "column sized wrongly");
 }
 
 /// One column's self-description at `*pos`: `(tag, value count,
@@ -217,7 +230,7 @@ fn column_header<'a>(buf: &'a [u8], pos: &mut usize) -> Option<(u8, usize, &'a [
 /// Decode one column at `*pos` into `out` (cleared first, capacity
 /// kept), advancing past it. `None` on any structural inconsistency (the
 /// caller treats the block as corrupt); `out` is then unspecified.
-pub fn get_column(buf: &[u8], pos: &mut usize, out: &mut Vec<u64>) -> Option<()> {
+pub(crate) fn get_column(buf: &[u8], pos: &mut usize, out: &mut Vec<u64>) -> Option<()> {
     let (tag, n, payload) = column_header(buf, pos)?;
     out.clear();
     match tag {
@@ -230,7 +243,7 @@ pub fn get_column(buf: &[u8], pos: &mut usize, out: &mut Vec<u64>) -> Option<()>
 /// without decoding its values; returns its value count. The header is
 /// checked as [`get_column`] checks it; the payload's bytes are covered
 /// by the frame CRC only.
-pub fn skip_column(buf: &[u8], pos: &mut usize) -> Option<usize> {
+pub(crate) fn skip_column(buf: &[u8], pos: &mut usize) -> Option<usize> {
     column_header(buf, pos).map(|(_, n, _)| n)
 }
 
@@ -251,11 +264,76 @@ mod tests {
         assert_eq!(pos, buf.len());
     }
 
+    /// Tag 1's payload with the frame found the way every earlier build
+    /// found it.
+    fn encode_packed(values: &[u64]) -> Vec<u8> {
+        let min = values.iter().copied().min().unwrap_or(0);
+        let width = values.iter().map(|&v| bit_width(v - min)).max();
+        let mut out = Vec::new();
+        put_packed(&mut out, values, min, width.unwrap_or(0));
+        out
+    }
+
+    /// `put_column` as every earlier build wrote it: encode both
+    /// payloads, keep the smaller.
+    fn reference_put_column(out: &mut Vec<u8>, values: &[u64]) {
+        let mut delta = Vec::new();
+        put_delta(&mut delta, values);
+        let packed = encode_packed(values);
+        let (tag, payload) = if packed.len() < delta.len() {
+            (1u8, packed)
+        } else {
+            (0u8, delta)
+        };
+        out.push(tag);
+        put_varint(out, values.len() as u64);
+        put_varint(out, payload.len() as u64);
+        out.extend_from_slice(&payload);
+    }
+
+    /// xorshift64: seeded, reproducible.
+    fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
+    #[test]
+    fn sizing_first_writes_the_bytes_encoding_both_wrote() {
+        let mut next = xorshift(0xC01);
+        let (mut tags, mut cases) = ([0usize; 2], 0);
+        for width in 0..=64u32 {
+            let mask = u64::MAX.checked_shr(64 - width).unwrap_or(0);
+            for n in [0usize, 1, 2, 3, 8, 9, 64, 65, 300] {
+                // Random, sorted (small deltas over a wide range) and
+                // high-based (a long varint `min`) columns.
+                let random: Vec<u64> = (0..n).map(|_| next() & mask).collect();
+                let mut sorted = random.clone();
+                sorted.sort_unstable();
+                let based = (random.iter()).map(|v| (u64::MAX - mask) | v);
+                for values in [random.clone(), sorted, based.collect()] {
+                    let (mut got, mut want) = (vec![0xEE], vec![0xEE]);
+                    put_column(&mut got, &values);
+                    reference_put_column(&mut want, &values);
+                    assert_eq!(got, want, "width {width}, n {n}");
+                    tags[want[1] as usize] += 1;
+                    cases += 1;
+                }
+            }
+        }
+        // Both codecs win often enough for the comparison to mean something.
+        assert!(tags[0] * 5 > cases && tags[1] * 5 > cases, "{tags:?}");
+    }
+
     #[test]
     fn varint_round_trip_extremes() {
         for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
             let mut buf = Vec::new();
             put_varint(&mut buf, v);
+            assert_eq!(buf.len(), varint_len(v));
             let mut pos = 0;
             assert_eq!(get_varint(&buf, &mut pos), Some(v));
             assert_eq!(pos, buf.len());
@@ -312,14 +390,7 @@ mod tests {
 
     #[test]
     fn packed_codec_round_trips_every_width_and_tail_length() {
-        let mut state = 0x5EED_u64;
-        let mut next = move || {
-            // xorshift64: seeded, reproducible.
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
+        let mut next = xorshift(0x5EED);
         let mut back = Vec::new();
         for width in 0..=64u32 {
             let mask = u64::MAX.checked_shr(64 - width).unwrap_or(0);

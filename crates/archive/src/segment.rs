@@ -25,20 +25,20 @@ use crate::encode::{get_column, get_varint, put_column, put_varint, skip_column}
 use crate::{crc32::crc32, ArchiveError, Sample};
 
 /// File magic ("TScout ARchive").
-pub const MAGIC: &[u8; 4] = b"TSAR";
+pub(crate) const MAGIC: &[u8; 4] = b"TSAR";
 /// Format version.
-pub const VERSION: u8 = 1;
+pub(crate) const VERSION: u8 = 1;
 /// Frame kind: columnar sample block.
-pub const FRAME_BLOCK: u8 = 1;
+pub(crate) const FRAME_BLOCK: u8 = 1;
 /// Frame kind: seal footer (manifest).
-pub const FRAME_FOOTER: u8 = 2;
+pub(crate) const FRAME_FOOTER: u8 = 2;
 /// Bytes of frame overhead around a payload (kind + len + crc).
-pub const FRAME_OVERHEAD: usize = 1 + 4 + 4;
+pub(crate) const FRAME_OVERHEAD: usize = 1 + 4 + 4;
 /// Header bytes before the first frame.
-pub const HEADER_LEN: u64 = 5;
+pub(crate) const HEADER_LEN: u64 = 5;
 /// Sanity cap on a single frame payload (a torn length field must not
 /// trigger a huge allocation).
-pub const MAX_FRAME_LEN: u32 = 1 << 28;
+pub(crate) const MAX_FRAME_LEN: u32 = 1 << 28;
 
 /// Manifest entry for one block, kept in memory per open segment.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -422,12 +422,12 @@ pub(crate) struct BlockRows<'a> {
 impl BlockRows<'_> {
     /// The manifest entry of these rows written as the frame at
     /// `offset` with `payload_len` payload bytes.
-    pub fn meta(&self, offset: u64, payload_len: usize) -> BlockMeta {
+    pub(crate) fn meta(&self, offset: u64, payload_len: usize) -> BlockMeta {
         BlockMeta::of(self.ou.ou, self.fixed[START_NS], offset, payload_len)
     }
 
     /// Encode these rows as a block payload.
-    pub fn encode(&self) -> Vec<u8> {
+    pub(crate) fn encode(&self) -> Vec<u8> {
         let meta = self.meta(0, 0);
         let mut out = Vec::with_capacity(64 + meta.count as usize * 16);
         put_varint(&mut out, self.ou.ou as u64);
@@ -449,7 +449,7 @@ impl BlockRows<'_> {
 }
 
 /// Encode the footer manifest payload.
-pub fn encode_footer(ous: &[OuEntry], blocks: &[BlockMeta]) -> Vec<u8> {
+pub(crate) fn encode_footer(ous: &[OuEntry], blocks: &[BlockMeta]) -> Vec<u8> {
     let mut out = Vec::new();
     put_varint(&mut out, ous.len() as u64);
     for o in ous {
@@ -471,7 +471,7 @@ pub fn encode_footer(ous: &[OuEntry], blocks: &[BlockMeta]) -> Vec<u8> {
 }
 
 /// Decode a footer manifest payload. `None` ⇒ corrupt.
-pub fn decode_footer(payload: &[u8]) -> Option<(Vec<OuEntry>, Vec<BlockMeta>)> {
+pub(crate) fn decode_footer(payload: &[u8]) -> Option<(Vec<OuEntry>, Vec<BlockMeta>)> {
     let mut pos = 0usize;
     let n_ous = get_varint(payload, &mut pos)?;
     if n_ous > payload.len() as u64 {
@@ -518,7 +518,7 @@ pub fn decode_footer(payload: &[u8]) -> Option<(Vec<OuEntry>, Vec<BlockMeta>)> {
 }
 
 /// Append one frame to `w`; returns bytes written.
-pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> std::io::Result<u64> {
+pub(crate) fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> std::io::Result<u64> {
     w.write_all(&[kind])?;
     w.write_all(&(payload.len() as u32).to_le_bytes())?;
     w.write_all(payload)?;
@@ -530,7 +530,7 @@ pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> std::io::Res
 /// kept). Returns `(kind, next_offset)`, or `None` if the frame is
 /// truncated, oversized, or fails its CRC — i.e. the valid portion of
 /// the file ends before `offset + frame`; `payload` is then unspecified.
-pub fn read_frame(
+pub(crate) fn read_frame(
     f: &mut std::fs::File,
     offset: u64,
     file_len: u64,

@@ -32,7 +32,7 @@ pub(crate) struct SegmentMeta {
 }
 
 impl SegmentMeta {
-    pub fn samples(&self) -> u64 {
+    pub(crate) fn samples(&self) -> u64 {
         self.blocks.iter().map(|b| b.count).sum()
     }
 }

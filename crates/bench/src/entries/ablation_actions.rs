@@ -90,7 +90,7 @@ fn run_arm(tag: &str, engine: bool, seed: u64) -> (Database, ArmResult) {
     (db, r)
 }
 
-pub fn main() {
+pub(crate) fn main() {
     let mut csv = Csv::create(
         "ablation_actions.csv",
         "arm,committed,final_health,retrains_actuated,rebaselines,actions_planned,actions_observed,efficacy_samples",

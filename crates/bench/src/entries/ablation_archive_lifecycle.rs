@@ -15,7 +15,7 @@ use tscout_models::{datasets_from_archive, mape_pct, ModelKind, ModelRegistry};
 use tscout_workloads::driver::{run_with_lifecycle, ModelLifecycle, RunOptions};
 use tscout_workloads::{Workload, Ycsb};
 
-pub fn main() {
+pub(crate) fn main() {
     let dir = result_path("archive_lifecycle_store");
     std::fs::remove_dir_all(&dir).ok();
     let mut csv = Csv::create(

@@ -183,7 +183,7 @@ fn run_arm(shift_after: u64, seed: u64) -> (Database, ArmResult) {
     )
 }
 
-pub fn main() {
+pub(crate) fn main() {
     let mut csv = Csv::create(
         "ablation_drift.csv",
         "arm,committed,alerts_fired,drift_alerts,unhealthy_ous,max_drift_score",

@@ -36,7 +36,7 @@ fn measure(mode: EngineMode, seed: u64) -> (f64, u64, Vec<OuData>) {
     (stats.ktps(), events, data)
 }
 
-pub fn main() {
+pub(crate) fn main() {
     let _ = CollectionMode::KernelContinuous;
     let mut csv = Csv::create(
         "ablation_fusion.csv",

@@ -19,7 +19,7 @@ use tscout_models::ModelKind;
 use tscout_workloads::driver::{run_with_lifecycle, ModelLifecycle, RunOptions};
 use tscout_workloads::{Workload, Ycsb};
 
-pub fn main() {
+pub(crate) fn main() {
     let dir = std::env::temp_dir().join(format!("query_stats_store_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let mut csv = Csv::create(

@@ -11,7 +11,7 @@ use tscout_kernel::HardwareProfile;
 use tscout_workloads::driver::{run, RunOptions};
 use tscout_workloads::{Workload, Ycsb};
 
-pub fn main() {
+pub(crate) fn main() {
     let mut csv = Csv::create(
         "ablation_ringbuf.csv",
         "ring_capacity,ktps,samples_processed,samples_dropped",

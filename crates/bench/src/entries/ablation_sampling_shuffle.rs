@@ -41,7 +41,7 @@ fn measure(shuffle: bool) -> (f64, f64, f64) {
     )
 }
 
-pub fn main() {
+pub(crate) fn main() {
     let mut csv = Csv::create(
         "ablation_sampling_shuffle.csv",
         "bit_layout,p50_us,p99_us,ktps",

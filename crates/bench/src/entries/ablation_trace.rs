@@ -17,7 +17,7 @@ use tscout_models::ModelKind;
 use tscout_workloads::driver::{run_with_lifecycle, ModelLifecycle, RunOptions};
 use tscout_workloads::{Workload, Ycsb};
 
-pub fn main() {
+pub(crate) fn main() {
     let dir = result_path("trace_lifecycle_store");
     std::fs::remove_dir_all(&dir).ok();
     let mut csv = Csv::create(

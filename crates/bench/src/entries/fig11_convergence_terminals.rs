@@ -11,15 +11,13 @@
 
 use tscout::Subsystem;
 use tscout_bench::{
-    absorb_db, attach_collect, cap_points, dump_observability, merge_data, new_db, offline_data,
-    subsystem_error_us, time_scale, Csv,
+    cap_points, dump_observability, merge_data, offline_data, online_data, subsystem_error_us, Csv,
 };
 use tscout_kernel::HardwareProfile;
 use tscout_models::eval::error_reduction_pct;
-use tscout_workloads::driver::{collect_datasets, RunOptions};
-use tscout_workloads::{Tpcc, Workload};
+use tscout_workloads::Tpcc;
 
-pub fn main() {
+pub(crate) fn main() {
     let hw = HardwareProfile::server_2x20();
     let offline = offline_data(hw.clone(), 0xF11, 600e6);
     let mut csv = Csv::create(
@@ -27,24 +25,8 @@ pub fn main() {
         "terminals,online_points,offline_err_us,online_err_us,error_reduction_pct",
     );
     for terminals in [2usize, 5, 10, 20] {
-        let collect = |seed: u64, dur: f64| {
-            let mut db = new_db(hw.clone(), seed);
-            let mut w = Tpcc::new(4);
-            w.setup(&mut db);
-            attach_collect(&mut db);
-            let (_, data) = collect_datasets(
-                &mut db,
-                &mut w,
-                &RunOptions {
-                    terminals,
-                    duration_ns: dur * time_scale(),
-                    seed,
-                    ..Default::default()
-                },
-            );
-            absorb_db(&db);
-            data
-        };
+        let collect =
+            |seed: u64, dur: f64| online_data(hw.clone(), &mut Tpcc::new(4), terminals, seed, dur);
         let online = collect(0xF11A + terminals as u64, 400e6);
         let test = collect(0xF11B + terminals as u64, 150e6);
         let sub = Subsystem::ExecutionEngine;

@@ -11,14 +11,13 @@
 //! storage device, so models trained on the slow device overshoot).
 
 use tscout_bench::{
-    absorb_db, attach_collect, dump_observability, merge_data, new_db, offline_data,
-    split_for_eval, subsystem_error_us, time_scale, Csv, REPORTED_SUBSYSTEMS,
+    dump_observability, merge_data, offline_data, online_data, split_for_eval, subsystem_error_us,
+    Csv, REPORTED_SUBSYSTEMS,
 };
 use tscout_kernel::HardwareProfile;
 use tscout_models::dataset::OuData;
 use tscout_models::eval::error_reduction_pct;
-use tscout_workloads::driver::{collect_datasets, RunOptions};
-use tscout_workloads::{Tpcc, Workload};
+use tscout_workloads::Tpcc;
 
 #[derive(Clone)]
 struct Env {
@@ -28,25 +27,11 @@ struct Env {
 }
 
 fn collect(env: &Env, seed: u64, dur: f64) -> Vec<OuData> {
-    let mut db = new_db(env.hw.clone(), seed);
     let mut w = Tpcc::new(env.warehouses);
-    w.setup(&mut db);
-    attach_collect(&mut db);
-    let (_, data) = collect_datasets(
-        &mut db,
-        &mut w,
-        &RunOptions {
-            terminals: env.terminals,
-            duration_ns: dur * time_scale(),
-            seed,
-            ..Default::default()
-        },
-    );
-    absorb_db(&db);
-    data
+    online_data(env.hw.clone(), &mut w, env.terminals, seed, dur)
 }
 
-pub fn main() {
+pub(crate) fn main() {
     let server = HardwareProfile::server_2x20();
     let laptop = HardwareProfile::laptop_6core();
     let base = Env {

@@ -35,7 +35,7 @@ fn p99(mode: Option<CollectionMode>, seed: u64) -> f64 {
     stats.latency_percentile_ms(99.0)
 }
 
-pub fn main() {
+pub(crate) fn main() {
     let mut csv = Csv::create("fig1_user_vs_kernel.csv", "config,p99_ms (10% sampling)");
     for (name, mode) in [
         ("no_metrics", None),

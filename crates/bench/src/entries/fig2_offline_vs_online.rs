@@ -11,35 +11,20 @@
 //! runners cannot reproduce.
 
 use tscout_bench::{
-    absorb_db, attach_collect, dump_observability, merge_data, new_db, offline_data,
-    split_for_eval, subsystem_error_us, time_scale, Csv, REPORTED_SUBSYSTEMS,
+    collect_on, dump_observability, merge_data, new_db, offline_data, split_for_eval,
+    subsystem_error_us, Csv, REPORTED_SUBSYSTEMS,
 };
 use tscout_kernel::HardwareProfile;
 use tscout_models::eval::error_reduction_pct;
-use tscout_workloads::driver::{collect_datasets, RunOptions};
-use tscout_workloads::{Tpcc, Workload};
+use tscout_workloads::Tpcc;
 
-pub fn main() {
+pub(crate) fn main() {
     let hw = HardwareProfile::server_2x20();
     let offline = offline_data(hw.clone(), 0xF2_0FF, 800e6);
 
     // Online TPC-C deployment (multi-terminal, so contention and group
     // commit reflect production behavior).
-    let mut db = new_db(hw, 0xF20A);
-    let mut w = Tpcc::new(4);
-    w.setup(&mut db);
-    attach_collect(&mut db);
-    let (_, online) = collect_datasets(
-        &mut db,
-        &mut w,
-        &RunOptions {
-            terminals: 1,
-            duration_ns: 800e6 * time_scale(),
-            seed: 2,
-            ..Default::default()
-        },
-    );
-    absorb_db(&db);
+    let online = collect_on(new_db(hw, 0xF20A), &mut Tpcc::new(4), 1, 2, 800e6);
 
     // Hold out 20% of templates from the online data; evaluate both model
     // sets on the held-out queries.

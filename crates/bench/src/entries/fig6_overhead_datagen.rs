@@ -9,7 +9,7 @@
 
 use tscout_bench::{dump_observability, overhead_sweep, Csv};
 
-pub fn main() {
+pub(crate) fn main() {
     let rates = [0u8, 5, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100];
     let points = overhead_sweep(&["ycsb", "smallbank", "tatp", "tpcc"], &rates, 120e6, 20);
     let mut csv = Csv::create(

@@ -13,34 +13,14 @@
 //! invisible, §6.4).
 
 use tscout_bench::{
-    absorb_db, attach_collect, dump_observability, merge_data, new_db, offline_data,
-    subsystem_error_us, time_scale, Csv, REPORTED_SUBSYSTEMS,
+    dump_observability, merge_data, offline_data, online_data, subsystem_error_us, Csv,
+    REPORTED_SUBSYSTEMS,
 };
 use tscout_kernel::HardwareProfile;
 use tscout_models::eval::error_reduction_pct;
-use tscout_workloads::driver::{collect_datasets, RunOptions};
-use tscout_workloads::{Tpcc, Workload};
+use tscout_workloads::Tpcc;
 
-fn tpcc_data(hw: HardwareProfile, seed: u64, dur: f64) -> Vec<tscout_models::OuData> {
-    let mut db = new_db(hw, seed);
-    let mut w = Tpcc::new(4);
-    w.setup(&mut db);
-    attach_collect(&mut db);
-    let (_, data) = collect_datasets(
-        &mut db,
-        &mut w,
-        &RunOptions {
-            terminals: 1,
-            duration_ns: dur * time_scale(),
-            seed,
-            ..Default::default()
-        },
-    );
-    absorb_db(&db);
-    data
-}
-
-pub fn main() {
+pub(crate) fn main() {
     let mut csv = Csv::create(
         "fig7_env_change.csv",
         "scenario,subsystem,offline_err_us,online_err_us,error_reduction_pct",
@@ -62,9 +42,9 @@ pub fn main() {
         let offline = offline_data(initial_hw.clone(), 0xF7, 600e6);
         // Post-migration: 1 minute of online TPC-C on the new hardware
         // (scaled to the simulation's durations).
-        let online = tpcc_data(new_hw.clone(), 0xF7 + 1, 600e6);
+        let online = online_data(new_hw.clone(), &mut Tpcc::new(4), 1, 0xF7 + 1, 600e6);
         // Evaluate on a fresh trace from the new environment.
-        let test = tpcc_data(new_hw.clone(), 0xF7 + 2, 300e6);
+        let test = online_data(new_hw.clone(), &mut Tpcc::new(4), 1, 0xF7 + 2, 300e6);
         let augmented = merge_data(&offline, &online);
         for sub in REPORTED_SUBSYSTEMS {
             let off = subsystem_error_us(&offline, &test, sub, 3);

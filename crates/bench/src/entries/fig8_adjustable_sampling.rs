@@ -41,7 +41,7 @@ fn bucketize(csv: &mut Csv, stats: &RunStats, phase: &str, offset_s: f64, bucket
     }
 }
 
-pub fn main() {
+pub(crate) fn main() {
     let phase_s = 1.2 * time_scale();
     let mut db = new_db(HardwareProfile::server_2x20(), 0xF18);
     let mut w = Ycsb::new(20_000);

@@ -58,7 +58,7 @@ fn splice(readme: &str, table: &str) -> String {
     format!("{}\n{}{}", &readme[..begin], table, &readme[end..])
 }
 
-pub fn main() {
+pub(crate) fn main() {
     let check = std::env::args().any(|a| a == "--check");
     let readme = std::fs::read_to_string(README).expect("cannot read README.md");
     let updated = splice(&readme, &table_markdown());

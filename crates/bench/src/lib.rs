@@ -15,20 +15,17 @@
 
 use std::io::Write;
 use std::path::PathBuf;
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::OnceLock;
 
 use noisetap::engine::Database;
 use tscout::{CollectionMode, Subsystem, TsConfig, ALL_SUBSYSTEMS};
-use tscout_archive::{Archive, ArchiveOptions};
 use tscout_kernel::{HardwareProfile, Kernel};
 use tscout_models::dataset::OuData;
 use tscout_models::eval::{avg_abs_error_per_template_us, OuModelSet};
 use tscout_models::ModelKind;
 use tscout_telemetry::tables::all_tables_json;
-use tscout_telemetry::{decls, Profiler, Telemetry, DEFAULT_PROFILE_PERIOD_NS};
-use tscout_workloads::driver::{
-    assign_templates, collect_datasets, RunOptions, RunStats, Workload,
-};
+use tscout_telemetry::{Profiler, Telemetry, DEFAULT_PROFILE_PERIOD_NS};
+use tscout_workloads::driver::{collect_datasets, RunOptions, Workload};
 use tscout_workloads::{ChBenchmark, OfflineRunner, SmallBank, Tatp, Tpcc, Ycsb};
 
 /// Experiment time scale: `TS_SCALE` multiplies all virtual durations
@@ -54,15 +51,13 @@ pub fn result_path(name: &str) -> PathBuf {
 }
 
 /// The one artifact-writing path every per-fig dump goes through:
-/// creates `dir` if missing, writes `name` there, tees the destination
-/// to stdout (tagged `what`), and returns the path. Telemetry, profile,
-/// timeseries, `ts_*` table, and archive dumps all funnel here.
-pub fn dump_artifact(dir: &std::path::Path, name: &str, what: &str, contents: &str) -> PathBuf {
+/// creates `dir` if missing, writes `name` there, and tees the
+/// destination to stdout (tagged `what`).
+fn dump_artifact(dir: &std::path::Path, name: &str, what: &str, contents: &str) {
     std::fs::create_dir_all(dir).ok();
     let path = dir.join(name);
     std::fs::write(&path, contents).unwrap_or_else(|e| panic!("cannot write {what}: {e}"));
     println!("{what} -> {}", path.display());
-    path
 }
 
 /// Process-wide telemetry accumulator. Every database the harness builds
@@ -81,40 +76,6 @@ pub fn global_profiler() -> &'static Profiler {
     P.get_or_init(Profiler::default)
 }
 
-/// Process-wide training-data archive, mirroring [`global_telemetry`]:
-/// every run's tagged points can be persisted here so one figure binary
-/// leaves one archive (under `results/archive_store/`) covering the whole
-/// experiment. Its telemetry lands in the global registry.
-pub fn global_archive() -> &'static Mutex<Archive> {
-    static A: OnceLock<Mutex<Archive>> = OnceLock::new();
-    A.get_or_init(|| {
-        let dir = result_path("archive_store");
-        Mutex::new(
-            Archive::open(&dir, ArchiveOptions::default(), global_telemetry().clone())
-                .expect("cannot open training-data archive"),
-        )
-    })
-}
-
-/// Tag a run's collected points against its query trace and persist them
-/// to the process-wide archive (flush + compaction policy applied).
-/// Returns how many samples were archived.
-pub fn archive_run(stats: &RunStats) -> u64 {
-    let tagged = assign_templates(&stats.points, &stats.trace);
-    let mut a = global_archive()
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner);
-    let mut n = 0u64;
-    for (p, template) in &tagged {
-        if a.append(p.to_sample(*template)).is_ok() {
-            n += 1;
-        }
-    }
-    let _ = a.flush();
-    let _ = a.maybe_compact();
-    n
-}
-
 /// Profiling interrupt period: `TS_PROFILE_PERIOD_NS` overrides (<= 0
 /// disables the profiler entirely).
 pub fn profile_period_ns() -> f64 {
@@ -124,23 +85,22 @@ pub fn profile_period_ns() -> f64 {
         .unwrap_or(DEFAULT_PROFILE_PERIOD_NS)
 }
 
-/// Fold a database's registry (counters, gauges, histograms, spans) and
-/// profiler samples into the process-wide accumulators. Call before the
-/// database drops.
+/// Fold a database's registry (counters, gauges, histograms) and profiler
+/// samples into the process-wide accumulators. Call before the database
+/// drops.
 pub fn absorb_db(db: &Database) {
     global_telemetry().absorb(&db.kernel.telemetry);
     global_profiler().absorb(&db.kernel.profiler);
 }
 
-/// Write the registry-backed observability artifacts — telemetry
-/// snapshot, folded stacks, windowed time-series + attribution, and
-/// every `ts_*` table — into an explicit directory (created if missing). Split out from [`dump_observability`]
-/// so the dump path is testable against an empty registry without
-/// touching the process-wide archive or the `TS_RESULTS` environment
-/// variable. Every file goes through [`dump_artifact`].
-pub fn dump_observability_files(dir: &std::path::Path, fig: &str) -> PathBuf {
-    let t = global_telemetry();
-    let path = dump_artifact(
+/// Write the observability artifacts — telemetry snapshot, folded
+/// stacks, windowed time-series + attribution, and every `ts_*` table —
+/// into an explicit directory (created if missing), so the dump path is
+/// testable without the `TS_RESULTS` environment variable. Every file
+/// goes through `dump_artifact`.
+pub fn dump_observability_files(dir: &std::path::Path, fig: &str) {
+    let (t, profiler) = (global_telemetry(), global_profiler());
+    dump_artifact(
         dir,
         &format!("telemetry_{fig}.json"),
         "telemetry snapshot",
@@ -150,7 +110,7 @@ pub fn dump_observability_files(dir: &std::path::Path, fig: &str) -> PathBuf {
         dir,
         &format!("profile_{fig}.folded"),
         "folded profile",
-        &global_profiler().folded_text(),
+        &profiler.folded_text(),
     );
     dump_artifact(
         dir,
@@ -159,7 +119,7 @@ pub fn dump_observability_files(dir: &std::path::Path, fig: &str) -> PathBuf {
         &format!(
             "{{\n\"timeseries\": {},\n\"attribution\": {}\n}}\n",
             t.timeseries_json(),
-            global_profiler().attribution().to_json()
+            profiler.attribution().to_json()
         ),
     );
     dump_artifact(
@@ -168,59 +128,14 @@ pub fn dump_observability_files(dir: &std::path::Path, fig: &str) -> PathBuf {
         "ts_* tables",
         &t.with_registry(|r| all_tables_json(r)),
     );
-    path
 }
 
-/// Write every observability artifact for a figure binary: the telemetry
-/// snapshot, the flamegraph-ready folded stacks
-/// (`results/profile_<fig>.folded`), the windowed time-series plus
-/// per-root overhead attribution (`results/timeseries_<fig>.json`),
-/// every `ts_*` table — data health, alerts, lineage traces, statement
-/// stats, the action log — as the SQL and obsd surfaces render them
-/// (`results/tables_<fig>.json`), and the archive stats. Every figure
-/// binary calls this last.
-pub fn dump_observability(fig: &str) -> PathBuf {
-    let path = dump_observability_files(&results_dir(), fig);
-    dump_artifact(
-        &results_dir(),
-        &format!("archive_{fig}.json"),
-        "archive stats",
-        &archive_stats_json(),
-    );
-    path
-}
-
-/// JSON summary of the process-wide archive: shape (segments, blocks,
-/// bytes, samples) plus the archive and model-lifecycle counters.
-pub fn archive_stats_json() -> String {
-    let st = {
-        let mut a = global_archive()
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        let _ = a.flush();
-        a.stats()
-    };
-    let t = global_telemetry();
-    format!(
-        "{{\n  \"segments\": {}, \"sealed_segments\": {}, \"blocks\": {},\n  \
-         \"samples_stored\": {}, \"samples_buffered\": {}, \"bytes\": {},\n  \
-         \"bytes_written_total\": {}, \"segments_sealed_total\": {},\n  \
-         \"segments_compacted_total\": {}, \"recovered_truncations_total\": {},\n  \
-         \"model_generation\": {}, \"model_swaps_accepted\": {}, \"model_swaps_rejected\": {}\n}}\n",
-        st.segments,
-        st.sealed_segments,
-        st.blocks,
-        st.samples_stored,
-        st.samples_buffered,
-        st.bytes,
-        t.counter_total(tscout_archive::decls::BYTES_WRITTEN.name),
-        t.counter_total(decls::ARCHIVE_SEGMENTS_SEALED.name),
-        t.counter_total(decls::ARCHIVE_SEGMENTS_COMPACTED.name),
-        t.counter_total(decls::ARCHIVE_RECOVERED_TRUNCATIONS.name),
-        t.gauge_value(decls::MODEL_GENERATION.name, &[]),
-        t.counter_total(decls::MODEL_SWAP_ACCEPTED.name),
-        t.counter_total(decls::MODEL_SWAP_REJECTED.name),
-    )
+/// [`dump_observability_files`] into the results directory:
+/// `telemetry_<fig>.json`, the flamegraph-ready `profile_<fig>.folded`,
+/// `timeseries_<fig>.json` and `tables_<fig>.json` (every `ts_*` table as
+/// the SQL and obsd surfaces render it). Every entry calls this last.
+pub fn dump_observability(fig: &str) {
+    dump_observability_files(&results_dir(), fig);
 }
 
 /// CSV writer that tees rows to stdout.
@@ -361,20 +276,65 @@ pub fn split_for_eval(data: &[OuData], frac: f64, seed: u64) -> (Vec<OuData>, Ve
 /// Collect *offline* training data: the runner suite, single-threaded,
 /// 100% sampling, on the given hardware.
 pub fn offline_data(hw: HardwareProfile, seed: u64, duration_ns: f64) -> Vec<OuData> {
-    let mut db = new_db(hw, seed);
-    let mut runner = OfflineRunner::new();
-    runner.setup(&mut db);
-    attach_all(&mut db, CollectionMode::KernelContinuous, 100);
+    online_data(hw, &mut OfflineRunner::new(), 1, seed, duration_ns)
+}
+
+/// Collect training data from `workload` deployed on a fresh database:
+/// set up, attach TScout for collection, run `terminals` terminals for
+/// `duration_ns` (times [`time_scale`]), build the datasets, and fold the
+/// database into the process-wide accumulators.
+pub fn online_data(
+    hw: HardwareProfile,
+    workload: &mut dyn Workload,
+    terminals: usize,
+    seed: u64,
+    duration_ns: f64,
+) -> Vec<OuData> {
+    collect_on(new_db(hw, seed), workload, terminals, seed, duration_ns)
+}
+
+/// [`online_data`] on a database the caller built (Fig. 2 seeds its
+/// kernel apart from its run).
+pub fn collect_on(
+    mut db: Database,
+    workload: &mut dyn Workload,
+    terminals: usize,
+    seed: u64,
+    duration_ns: f64,
+) -> Vec<OuData> {
+    workload.setup(&mut db);
+    attach_collect(&mut db);
     let opts = RunOptions {
-        terminals: 1,
+        terminals,
         duration_ns: duration_ns * time_scale(),
         seed,
         ..Default::default()
     };
-    let (stats, data) = collect_datasets(&mut db, &mut runner, &opts);
-    archive_run(&stats);
+    let (_, data) = collect_datasets(&mut db, workload, &opts);
     absorb_db(&db);
     data
+}
+
+/// The size sweep Figs. 9 and 10 share, written to `csv_name`: per
+/// reported subsystem, the offline-only error on `test` and the error
+/// after adding `n` points of `online`, for every `n` the pool can supply.
+pub fn convergence_sweep(csv_name: &str, offline: &[OuData], online: &[OuData], test: &[OuData]) {
+    let available = total_points(online);
+    println!("# online pool: {available} points");
+    let mut csv = Csv::create(
+        csv_name,
+        "subsystem,online_points,offline_err_us,online_err_us",
+    );
+    let sizes = [2_000usize, 5_000, 10_000, 20_000, 40_000, 70_000, 100_000];
+    for sub in REPORTED_SUBSYSTEMS {
+        let off = subsystem_error_us(offline, test, sub, 5);
+        for n in sizes.into_iter().filter(|n| *n <= available) {
+            let subset = cap_points(online, n, n as u64);
+            let augmented = merge_data(offline, &subset);
+            let on = subsystem_error_us(&augmented, test, sub, 5);
+            csv.row(&format!("{sub},{n},{off:.2},{on:.2}"));
+        }
+    }
 }
 
 /// One measurement from the runtime-overhead sweep (Figs. 5 and 6).
@@ -523,8 +483,7 @@ mod tests {
         // (and create the output directory itself).
         let dir = std::env::temp_dir().join(format!("tsbench_dump_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        let path = dump_observability_files(&dir, "empty");
-        assert!(path.exists());
+        dump_observability_files(&dir, "empty");
         for f in [
             "telemetry_empty.json",
             "profile_empty.folded",

@@ -16,25 +16,25 @@ use std::process::{Command, ExitCode};
 use tscout_obsd::json::Json;
 
 mod entries {
-    pub mod ablation_actions;
-    pub mod ablation_archive_lifecycle;
-    pub mod ablation_drift;
-    pub mod ablation_fusion;
-    pub mod ablation_query_stats;
-    pub mod ablation_ringbuf;
-    pub mod ablation_sampling_shuffle;
-    pub mod ablation_trace;
-    pub mod fig10_convergence_chbench;
-    pub mod fig11_convergence_terminals;
-    pub mod fig12_generalization;
-    pub mod fig1_user_vs_kernel;
-    pub mod fig2_offline_vs_online;
-    pub mod fig5_overhead_throughput;
-    pub mod fig6_overhead_datagen;
-    pub mod fig7_env_change;
-    pub mod fig8_adjustable_sampling;
-    pub mod fig9_convergence_tpcc;
-    pub mod metrics_doc;
+    pub(crate) mod ablation_actions;
+    pub(crate) mod ablation_archive_lifecycle;
+    pub(crate) mod ablation_drift;
+    pub(crate) mod ablation_fusion;
+    pub(crate) mod ablation_query_stats;
+    pub(crate) mod ablation_ringbuf;
+    pub(crate) mod ablation_sampling_shuffle;
+    pub(crate) mod ablation_trace;
+    pub(crate) mod fig10_convergence_chbench;
+    pub(crate) mod fig11_convergence_terminals;
+    pub(crate) mod fig12_generalization;
+    pub(crate) mod fig1_user_vs_kernel;
+    pub(crate) mod fig2_offline_vs_online;
+    pub(crate) mod fig5_overhead_throughput;
+    pub(crate) mod fig6_overhead_datagen;
+    pub(crate) mod fig7_env_change;
+    pub(crate) mod fig8_adjustable_sampling;
+    pub(crate) mod fig9_convergence_tpcc;
+    pub(crate) mod metrics_doc;
 }
 use entries::*;
 
@@ -172,7 +172,7 @@ fn check_artifact(path: &Path) -> Result<(), String> {
 }
 
 /// Run every smoke entry as a child process (each entry owns the
-/// process-wide telemetry/profiler/archive accumulators) into
+/// process-wide telemetry and profiler accumulators) into
 /// `$TS_RESULTS`, then check the artifacts it declared.
 fn smoke() -> ExitCode {
     let Ok(dir) = std::env::var("TS_RESULTS") else {

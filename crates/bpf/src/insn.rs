@@ -179,9 +179,10 @@ impl Size {
 
 /// Kernel helper functions callable from BPF programs.
 ///
-/// These correspond to the helpers TScout's generated Collector uses
-/// (paper §3.2/§4): map manipulation, perf counter reads, `task_struct`
-/// I/O accounting, `tcp_sock` statistics, and `perf_event_output`.
+/// These are the helpers TScout's generated Collector calls (paper
+/// §3.2/§4) and no others: hash-map manipulation, perf counter reads,
+/// `task_struct` I/O accounting, `tcp_sock` statistics, the clock, and
+/// `perf_event_output`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Helper {
     /// `R1`=map, `R2`=key ptr → `R0` = value ptr or NULL.
@@ -190,11 +191,6 @@ pub enum Helper {
     MapUpdate,
     /// `R1`=map, `R2`=key ptr → `R0`=0/err.
     MapDelete,
-    /// `R1`=stack map, `R2`=value ptr → `R0`=0/err. Used for recursive
-    /// operators (paper §5.2).
-    MapPush,
-    /// `R1`=stack map, `R2`=out ptr → `R0`=0 or -1 if empty.
-    MapPop,
     /// `R1`=counter index, `R2`=ptr to 24-byte out buffer
     /// `{value, time_enabled, time_running}` → `R0`=0/err.
     PerfEventReadBuf,
@@ -209,24 +205,31 @@ pub enum Helper {
     PerfEventOutput,
     /// → `R0` = current task virtual time in ns.
     KtimeGetNs,
-    /// → `R0` = (pid << 32) | tid of the task that hit the tracepoint.
-    GetCurrentPidTgid,
 }
 
 impl Helper {
+    /// Every helper, in declaration order.
+    pub const ALL: [Helper; 8] = [
+        Helper::MapLookup,
+        Helper::MapUpdate,
+        Helper::MapDelete,
+        Helper::PerfEventReadBuf,
+        Helper::ReadTaskIo,
+        Helper::ReadTcpSock,
+        Helper::PerfEventOutput,
+        Helper::KtimeGetNs,
+    ];
+
     pub fn name(self) -> &'static str {
         match self {
             Helper::MapLookup => "map_lookup_elem",
             Helper::MapUpdate => "map_update_elem",
             Helper::MapDelete => "map_delete_elem",
-            Helper::MapPush => "map_push_elem",
-            Helper::MapPop => "map_pop_elem",
             Helper::PerfEventReadBuf => "perf_event_read_buf",
             Helper::ReadTaskIo => "read_task_io",
             Helper::ReadTcpSock => "read_tcp_sock",
             Helper::PerfEventOutput => "perf_event_output",
             Helper::KtimeGetNs => "ktime_get_ns",
-            Helper::GetCurrentPidTgid => "get_current_pid_tgid",
         }
     }
 }

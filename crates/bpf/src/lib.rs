@@ -19,10 +19,11 @@
 //!   per-site trip budget), prunes subsumed states at jump targets, and
 //!   rejects uninitialized reads, unbounded loops, and over-long
 //!   programs.
-//! * [`maps`] — BPF maps: hash, array, per-CPU array, stack (used for
-//!   recursive operators, paper §5.2), and the perf-event ring buffer that
-//!   ships samples to the user-space Processor (bounded, overwrites when
-//!   full — paper §3.2).
+//! * [`maps`] — the two BPF map kinds the Collector creates: hash
+//!   (recursive operators, paper §5.2, key their snapshot by
+//!   `(tid, depth)`) and the perf-event ring buffer that ships samples to
+//!   the user-space Processor (bounded, overwrites when full — paper
+//!   §3.2).
 //! * [`vm`] — the interpreter. It trusts the verifier but still checks
 //!   everything defensively; helper calls reach the simulated kernel
 //!   through the [`vm::HelperWorld`] trait, which keeps this crate

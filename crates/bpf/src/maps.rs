@@ -1,26 +1,25 @@
 //! BPF maps: the only mutable state a BPF program may touch.
 //!
 //! TScout's Collector uses maps for all intermediate storage (paper §3.2):
-//! a hash map keyed by thread id holds the BEGIN snapshot and the END
-//! deltas, a stack map handles recursive operators (§5.2), and a
-//! perf-event array ships finished samples to the Processor. The perf
+//! hash maps keyed by thread id hold the nesting depth, the BEGIN
+//! snapshot and the END deltas — recursive operators (§5.2) key the
+//! snapshot by `(tid, depth)` — and a perf-event array ships finished
+//! samples to the Processor. Those are the two kinds there are. The perf
 //! buffer is bounded and *overwrites* when full — the Processor may drop
 //! data without correctness problems, which is how TScout avoids back
 //! pressure on the DBMS (§3).
 //!
 //! ## Storage
 //!
-//! Every map keeps its values in one byte slab, `value_size` bytes per
-//! *slot*; nothing on the update/lookup/push/publish path allocates once
-//! the slab has grown to its working size.
+//! Nothing on the update/lookup/publish path allocates once the storage
+//! has grown to its working size.
 //!
-//! * **Hash** — slot-major `keys` and `values` slabs, a free list, and
+//! * **Hash** — slot-major `keys` and `values` slabs (`value_size`
+//!   bytes per *slot*), a free list, and
 //!   `order`: the live slots sorted by key bytes (binary-searched on
 //!   lookup, so iteration — and therefore every simulation — is
 //!   deterministic). Deleting a key bumps its slot's *generation*; a
 //!   [`ValueRef`] taken before the delete no longer resolves.
-//! * **Array** — a fixed slab, slot = index.
-//! * **Stack** — a slab that grows by one slot per push.
 //! * **Perf ring** — one byte queue of `[len: u32][payload]` records in
 //!   32 KiB chunks, grown lazily (never sized from the record capacity)
 //!   and read in place by [`MapRegistry::ring_drain_with`].
@@ -52,15 +51,11 @@ const RING_LEN_PREFIX: usize = 4;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct MapId(pub u32);
 
-/// Map flavors, mirroring the BPF map types TScout relies on.
+/// Map flavors: the two BPF map types the Collector creates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MapKind {
     /// Keyed storage; at most `max_entries` live keys.
     Hash { max_entries: usize },
-    /// Fixed-size array; keys are 4-byte little-endian indices.
-    Array { entries: usize },
-    /// LIFO stack of values; at most `max_entries` deep.
-    Stack { max_entries: usize },
     /// Bounded ring buffer to user space; overwrites oldest when full.
     PerfEventArray { capacity: usize },
 }
@@ -80,24 +75,6 @@ impl MapDef {
             name: name.into(),
             kind: MapKind::Hash { max_entries },
             key_size,
-            value_size,
-        }
-    }
-
-    pub fn array(name: &str, value_size: usize, entries: usize) -> Self {
-        MapDef {
-            name: name.into(),
-            kind: MapKind::Array { entries },
-            key_size: 4,
-            value_size,
-        }
-    }
-
-    pub fn stack(name: &str, value_size: usize, max_entries: usize) -> Self {
-        MapDef {
-            name: name.into(),
-            kind: MapKind::Stack { max_entries },
-            key_size: 0,
             value_size,
         }
     }
@@ -301,8 +278,6 @@ impl EvictedHeader {
 #[derive(Debug)]
 enum Storage {
     Hash(HashSlab),
-    Array(Vec<u8>),
-    Stack { values: Vec<u8>, depth: usize },
     Ring(ByteRing),
 }
 
@@ -326,8 +301,6 @@ pub struct MapOpStats {
     pub lookups: u64,
     pub updates: u64,
     pub deletes: u64,
-    pub pushes: u64,
-    pub pops: u64,
     pub ring_pushes: u64,
     pub ring_drained: u64,
 }
@@ -378,11 +351,6 @@ impl MapRegistry {
     pub fn create(&mut self, def: MapDef) -> MapId {
         let storage = match def.kind {
             MapKind::Hash { .. } => Storage::Hash(HashSlab::default()),
-            MapKind::Array { entries } => Storage::Array(vec![0; def.value_size * entries]),
-            MapKind::Stack { .. } => Storage::Stack {
-                values: Vec::new(),
-                depth: 0,
-            },
             MapKind::PerfEventArray { .. } => Storage::Ring(ByteRing::default()),
         };
         let id = MapId(self.maps.len() as u32);
@@ -415,7 +383,7 @@ impl MapRegistry {
     }
 
     // ------------------------------------------------------------------
-    // Hash / array element access
+    // Hash element access
     // ------------------------------------------------------------------
 
     /// The value `r` points to; `None` once its key was deleted.
@@ -426,7 +394,6 @@ impl MapRegistry {
             Storage::Hash(h) if h.generations.get(r.slot as usize) == Some(&r.generation) => {
                 h.values.get(range)
             }
-            Storage::Array(a) => a.get(range),
             _ => None,
         }
     }
@@ -438,12 +405,11 @@ impl MapRegistry {
             Storage::Hash(h) if h.generations.get(r.slot as usize) == Some(&r.generation) => {
                 h.values.get_mut(range)
             }
-            Storage::Array(a) => a.get_mut(range),
             _ => None,
         }
     }
 
-    /// Look up a value. For arrays the key is a 4-byte LE index.
+    /// Look up a value.
     pub fn lookup(&self, id: MapId, key: &[u8]) -> Option<&[u8]> {
         self.resolve(self.lookup_ref(id, key)?)
     }
@@ -454,26 +420,18 @@ impl MapRegistry {
     }
 
     /// Look up a value and return a live pointer to it (backs BPF's
-    /// in-place value pointers). For arrays the key is a 4-byte LE
-    /// index. Counts as one lookup.
+    /// in-place value pointers). Counts as one lookup.
     pub fn lookup_ref(&self, id: MapId, key: &[u8]) -> Option<ValueRef> {
         self.count_lookup();
         let m = self.map(id);
-        let (slot, generation) = match &m.storage {
-            Storage::Hash(h) => {
-                let slot = h.find(key, m.def.key_size)?;
-                (slot, h.generations[slot as usize])
-            }
-            Storage::Array(_) => {
-                let idx = array_index(key).filter(|idx| *idx < array_entries(&m.def))?;
-                (idx as u32, 0)
-            }
-            _ => return None,
+        let Storage::Hash(h) = &m.storage else {
+            return None;
         };
+        let slot = h.find(key, m.def.key_size)?;
         Some(ValueRef {
             map: id,
             slot,
-            generation,
+            generation: h.generations[slot as usize],
         })
     }
 
@@ -498,110 +456,52 @@ impl MapRegistry {
         if key.len() != key_size || value.len() != value_size {
             return Err(MapError::Invalid);
         }
-        match (&mut m.storage, m.def.kind) {
-            (Storage::Hash(h), MapKind::Hash { max_entries }) => {
-                let slot = match h.position(key) {
-                    Ok(pos) => h.order[pos],
-                    Err(pos) => {
-                        if h.order.len() >= max_entries {
-                            return Err(MapError::Full);
-                        }
-                        let slot = h.free.pop().unwrap_or_else(|| {
-                            h.keys.resize(h.keys.len() + key_size, 0);
-                            h.values.resize(h.values.len() + value_size, 0);
-                            h.generations.push(0);
-                            (h.generations.len() - 1) as u32
-                        });
-                        h.keys[slot as usize * key_size..][..key_size].copy_from_slice(key);
-                        h.order.insert(pos, slot);
-                        slot
-                    }
-                };
-                h.values[slot as usize * value_size..][..value_size].copy_from_slice(value);
-                Ok(())
-            }
-            (Storage::Array(a), MapKind::Array { entries }) => {
-                let idx = array_index(key).ok_or(MapError::Invalid)?;
-                if idx >= entries {
-                    return Err(MapError::NotFound);
+        let (Storage::Hash(h), MapKind::Hash { max_entries }) = (&mut m.storage, m.def.kind) else {
+            return Err(MapError::Invalid);
+        };
+        let slot = match h.position(key) {
+            Ok(pos) => h.order[pos],
+            Err(pos) => {
+                if h.order.len() >= max_entries {
+                    return Err(MapError::Full);
                 }
-                a[idx * value_size..][..value_size].copy_from_slice(value);
-                Ok(())
+                let slot = h.free.pop().unwrap_or_else(|| {
+                    h.keys.resize(h.keys.len() + key_size, 0);
+                    h.values.resize(h.values.len() + value_size, 0);
+                    h.generations.push(0);
+                    (h.generations.len() - 1) as u32
+                });
+                h.keys[slot as usize * key_size..][..key_size].copy_from_slice(key);
+                h.order.insert(pos, slot);
+                slot
             }
-            _ => Err(MapError::Invalid),
-        }
+        };
+        h.values[slot as usize * value_size..][..value_size].copy_from_slice(value);
+        Ok(())
     }
 
     pub fn delete(&mut self, id: MapId, key: &[u8]) -> Result<(), MapError> {
         self.ops.deletes += 1;
         let m = self.map_mut(id);
-        match &mut m.storage {
-            Storage::Hash(h) => {
-                if key.len() != m.def.key_size {
-                    return Err(MapError::NotFound);
-                }
-                let pos = h.position(key).map_err(|_| MapError::NotFound)?;
-                let slot = h.order.remove(pos);
-                let generation = &mut h.generations[slot as usize];
-                *generation = generation.wrapping_add(1);
-                h.free.push(slot);
-                Ok(())
-            }
-            _ => Err(MapError::Invalid),
-        }
-    }
-
-    /// Number of live entries (hash/stack/ring) or slots (array).
-    pub fn entries(&self, id: MapId) -> usize {
-        let m = self.map(id);
-        match &m.storage {
-            Storage::Hash(h) => h.order.len(),
-            Storage::Array(_) => array_entries(&m.def),
-            Storage::Stack { depth, .. } => *depth,
-            Storage::Ring(r) => r.count,
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // Stack maps (recursive operators, paper §5.2)
-    // ------------------------------------------------------------------
-
-    pub fn push(&mut self, id: MapId, value: &[u8]) -> Result<(), MapError> {
-        self.ops.pushes += 1;
-        let m = self.map_mut(id);
-        if value.len() != m.def.value_size {
+        let Storage::Hash(h) = &mut m.storage else {
             return Err(MapError::Invalid);
+        };
+        if key.len() != m.def.key_size {
+            return Err(MapError::NotFound);
         }
-        match (&mut m.storage, m.def.kind) {
-            (Storage::Stack { values, depth }, MapKind::Stack { max_entries }) => {
-                if *depth >= max_entries {
-                    return Err(MapError::Full);
-                }
-                // Popped slots stay in the slab until overwritten here.
-                values.truncate(*depth * value.len());
-                values.extend_from_slice(value);
-                *depth += 1;
-                Ok(())
-            }
-            _ => Err(MapError::Invalid),
-        }
+        let pos = h.position(key).map_err(|_| MapError::NotFound)?;
+        let slot = h.order.remove(pos);
+        let generation = &mut h.generations[slot as usize];
+        *generation = generation.wrapping_add(1);
+        h.free.push(slot);
+        Ok(())
     }
 
-    /// Pop the top value. The bytes stay readable in the slab until the
-    /// next push.
-    pub fn pop(&mut self, id: MapId) -> Result<&[u8], MapError> {
-        self.ops.pops += 1;
-        let m = self.map_mut(id);
-        let value_size = m.def.value_size;
-        match &mut m.storage {
-            Storage::Stack { values, depth } => {
-                if *depth == 0 {
-                    return Err(MapError::NotFound);
-                }
-                *depth -= 1;
-                Ok(&values[*depth * value_size..][..value_size])
-            }
-            _ => Err(MapError::Invalid),
+    /// Number of live keys (hash) or queued records (ring).
+    pub fn entries(&self, id: MapId) -> usize {
+        match &self.map(id).storage {
+            Storage::Hash(h) => h.order.len(),
+            Storage::Ring(r) => r.count,
         }
     }
 
@@ -668,10 +568,7 @@ impl MapRegistry {
 
     /// Records overwritten because the ring was full.
     pub fn ring_dropped(&self, id: MapId) -> u64 {
-        match &self.map(id).storage {
-            Storage::Ring(r) => r.dropped,
-            _ => 0,
-        }
+        self.ring_stats(id).dropped
     }
 
     /// Full statistics for a perf ring.
@@ -728,22 +625,12 @@ impl MapRegistry {
 
     /// Canonical snapshot of one map's data, for differential testing
     /// and diagnostics: `(key, value)` pairs in deterministic order.
-    /// Hash maps report sorted key/value pairs; arrays report index →
-    /// value; stacks and rings report position → record (bottom/oldest
-    /// first). Does not consume or mutate anything (unlike
+    /// Hash maps report sorted key/value pairs; rings report position →
+    /// record (oldest first). Does not consume or mutate anything (unlike
     /// [`MapRegistry::ring_drain`]) and bumps no op counters.
     pub fn dump(&self, id: MapId) -> Vec<(Vec<u8>, Vec<u8>)> {
-        fn indexed<'a>(values: impl Iterator<Item = &'a [u8]>) -> Vec<(Vec<u8>, Vec<u8>)> {
-            values
-                .enumerate()
-                .map(|(i, v)| ((i as u32).to_le_bytes().to_vec(), v.to_vec()))
-                .collect()
-        }
         let m = self.map(id);
         let value_size = m.def.value_size;
-        let slots = |values: &'_ [u8], n: usize| -> Vec<(Vec<u8>, Vec<u8>)> {
-            indexed((0..n).map(|i| &values[i * value_size..][..value_size]))
-        };
         match &m.storage {
             Storage::Hash(h) => h
                 .order
@@ -755,9 +642,11 @@ impl MapRegistry {
                     )
                 })
                 .collect(),
-            Storage::Array(a) => slots(a, array_entries(&m.def)),
-            Storage::Stack { values, depth } => slots(values, *depth),
-            Storage::Ring(r) => indexed(r.records()),
+            Storage::Ring(r) => r
+                .records()
+                .enumerate()
+                .map(|(i, v)| ((i as u32).to_le_bytes().to_vec(), v.to_vec()))
+                .collect(),
         }
     }
 
@@ -776,8 +665,6 @@ impl MapRegistry {
                 h.free.clear();
                 h.free.extend((0..h.generations.len() as u32).rev());
             }
-            Storage::Array(a) => a.fill(0),
-            Storage::Stack { depth, .. } => *depth = 0,
             Storage::Ring(r) => {
                 r.count = 0;
                 r.settle();
@@ -785,21 +672,6 @@ impl MapRegistry {
                 r.dropped = 0;
             }
         }
-    }
-}
-
-fn array_index(key: &[u8]) -> Option<usize> {
-    if key.len() != 4 {
-        return None;
-    }
-    Some(u32::from_le_bytes([key[0], key[1], key[2], key[3]]) as usize)
-}
-
-/// Slot count of an array map (0 for every other kind).
-fn array_entries(def: &MapDef) -> usize {
-    match def.kind {
-        MapKind::Array { entries } => entries,
-        _ => 0,
     }
 }
 
@@ -841,30 +713,6 @@ mod tests {
         let m = r.create(MapDef::hash("t", 8, 4, 2));
         assert_eq!(r.update(m, &[1, 2], &[0; 4]), Err(MapError::Invalid));
         assert_eq!(r.update(m, &key(1), &[0; 3]), Err(MapError::Invalid));
-    }
-
-    #[test]
-    fn array_indexing() {
-        let mut r = MapRegistry::new();
-        let m = r.create(MapDef::array("a", 8, 3));
-        let idx = 2u32.to_le_bytes();
-        r.update(m, &idx, &42u64.to_le_bytes()).unwrap();
-        assert_eq!(r.lookup(m, &idx).unwrap(), &42u64.to_le_bytes());
-        let oob = 9u32.to_le_bytes();
-        assert!(r.lookup(m, &oob).is_none());
-        assert_eq!(r.update(m, &oob, &[0; 8]), Err(MapError::NotFound));
-    }
-
-    #[test]
-    fn stack_lifo_and_bounds() {
-        let mut r = MapRegistry::new();
-        let m = r.create(MapDef::stack("s", 8, 2));
-        r.push(m, &1u64.to_le_bytes()).unwrap();
-        r.push(m, &2u64.to_le_bytes()).unwrap();
-        assert_eq!(r.push(m, &3u64.to_le_bytes()), Err(MapError::Full));
-        assert_eq!(r.pop(m).unwrap(), 2u64.to_le_bytes());
-        assert_eq!(r.pop(m).unwrap(), 1u64.to_le_bytes());
-        assert_eq!(r.pop(m), Err(MapError::NotFound));
     }
 
     #[test]
@@ -926,22 +774,17 @@ mod tests {
     fn op_stats_count_operations() {
         let mut r = MapRegistry::new();
         let h = r.create(MapDef::hash("h", 8, 4, 8));
-        let s = r.create(MapDef::stack("s", 8, 4));
         let p = r.create(MapDef::perf_event_array("p", 4));
         r.update(h, &key(1), &[0; 4]).unwrap();
         r.lookup(h, &key(1));
         r.lookup(h, &key(2));
         r.delete(h, &key(1)).unwrap();
-        r.push(s, &key(9)).unwrap();
-        r.pop(s).unwrap();
         r.ring_push(p, b"x").unwrap();
         r.ring_drain(p, 10);
         let ops = r.op_stats();
         assert_eq!(ops.updates, 1);
         assert_eq!(ops.lookups, 2);
         assert_eq!(ops.deletes, 1);
-        assert_eq!(ops.pushes, 1);
-        assert_eq!(ops.pops, 1);
         assert_eq!(ops.ring_pushes, 1);
         assert_eq!(ops.ring_drained, 1);
     }
@@ -950,13 +793,14 @@ mod tests {
     fn clear_resets_contents() {
         let mut r = MapRegistry::new();
         let h = r.create(MapDef::hash("h", 8, 4, 8));
-        let a = r.create(MapDef::array("a", 8, 2));
+        let p = r.create(MapDef::perf_event_array("p", 1));
         r.update(h, &key(1), &[1; 4]).unwrap();
-        r.update(a, &0u32.to_le_bytes(), &7u64.to_le_bytes())
-            .unwrap();
+        r.ring_push(p, b"a").unwrap();
+        r.ring_push(p, b"b").unwrap();
         r.clear(h);
-        r.clear(a);
+        r.clear(p);
         assert_eq!(r.entries(h), 0);
-        assert_eq!(r.lookup(a, &0u32.to_le_bytes()).unwrap(), &[0; 8]);
+        assert!(r.lookup(h, &key(1)).is_none());
+        assert_eq!((r.entries(p), r.ring_dropped(p)), (0, 0));
     }
 }

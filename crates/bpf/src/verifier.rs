@@ -1338,15 +1338,15 @@ impl<'a> Verifier<'a> {
     fn check_call(&self, st: &mut State, pc: usize, helper: Helper) -> Result<(), VerifyError> {
         use Helper::*;
         let ret = match helper {
-            KtimeGetNs | GetCurrentPidTgid => RegType::unknown_scalar(),
+            KtimeGetNs => RegType::unknown_scalar(),
             MapLookup => {
-                let map = self.arg_map(st, pc, helper, 1, &[MapClass::Keyed])?;
+                let map = self.arg_map(st, pc, helper, 1, is_hash)?;
                 let ks = self.maps.def(map).unwrap().key_size;
                 self.arg_ptr(st, pc, helper, 2, ks, false)?;
                 RegType::PtrMapOrNull { map }
             }
             MapUpdate => {
-                let map = self.arg_map(st, pc, helper, 1, &[MapClass::Keyed])?;
+                let map = self.arg_map(st, pc, helper, 1, is_hash)?;
                 let (ks, vs) = {
                     let d = self.maps.def(map).unwrap();
                     (d.key_size, d.value_size)
@@ -1357,21 +1357,9 @@ impl<'a> Verifier<'a> {
                 RegType::unknown_scalar()
             }
             MapDelete => {
-                let map = self.arg_map(st, pc, helper, 1, &[MapClass::Keyed])?;
+                let map = self.arg_map(st, pc, helper, 1, is_hash)?;
                 let ks = self.maps.def(map).unwrap().key_size;
                 self.arg_ptr(st, pc, helper, 2, ks, false)?;
-                RegType::unknown_scalar()
-            }
-            MapPush => {
-                let map = self.arg_map(st, pc, helper, 1, &[MapClass::Stack])?;
-                let vs = self.maps.def(map).unwrap().value_size;
-                self.arg_ptr(st, pc, helper, 2, vs, false)?;
-                RegType::unknown_scalar()
-            }
-            MapPop => {
-                let map = self.arg_map(st, pc, helper, 1, &[MapClass::Stack])?;
-                let vs = self.maps.def(map).unwrap().value_size;
-                self.arg_ptr(st, pc, helper, 2, vs, true)?;
                 RegType::unknown_scalar()
             }
             PerfEventReadBuf => {
@@ -1384,7 +1372,7 @@ impl<'a> Verifier<'a> {
                 RegType::unknown_scalar()
             }
             PerfEventOutput => {
-                self.arg_map(st, pc, helper, 1, &[MapClass::Ring])?;
+                self.arg_map(st, pc, helper, 1, is_ring)?;
                 // The runtime length is r3; the data pointer must be
                 // valid for the largest value r3 can take.
                 let len = match st.regs[3] {
@@ -1437,7 +1425,7 @@ impl<'a> Verifier<'a> {
         pc: usize,
         helper: Helper,
         arg: u8,
-        classes: &[MapClass],
+        wanted: fn(MapKind) -> bool,
     ) -> Result<MapId, VerifyError> {
         let bad = |expected| VerifyError::BadHelperArg {
             pc,
@@ -1448,8 +1436,7 @@ impl<'a> Verifier<'a> {
         match st.regs[arg as usize] {
             RegType::MapHandle(m) => {
                 let def = self.maps.def(m).ok_or(VerifyError::UnknownMap { pc })?;
-                let class = MapClass::of(def.kind);
-                if classes.contains(&class) {
+                if wanted(def.kind) {
                     Ok(m)
                 } else {
                     Err(bad("map of compatible kind"))
@@ -1491,21 +1478,12 @@ impl<'a> Verifier<'a> {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MapClass {
-    Keyed,
-    Stack,
-    Ring,
+fn is_hash(kind: MapKind) -> bool {
+    matches!(kind, MapKind::Hash { .. })
 }
 
-impl MapClass {
-    fn of(kind: MapKind) -> Self {
-        match kind {
-            MapKind::Hash { .. } | MapKind::Array { .. } => MapClass::Keyed,
-            MapKind::Stack { .. } => MapClass::Stack,
-            MapKind::PerfEventArray { .. } => MapClass::Ring,
-        }
-    }
+fn is_ring(kind: MapKind) -> bool {
+    matches!(kind, MapKind::PerfEventArray { .. })
 }
 
 #[cfg(test)]
@@ -1515,12 +1493,11 @@ mod tests {
     use crate::insn::{Size, R0, R1, R10, R2, R3, R4, R6};
     use crate::maps::MapDef;
 
-    fn maps() -> (MapRegistry, MapId, MapId, MapId) {
+    fn maps() -> (MapRegistry, MapId, MapId) {
         let mut r = MapRegistry::new();
         let h = r.create(MapDef::hash("h", 8, 16, 64));
-        let s = r.create(MapDef::stack("s", 8, 8));
         let ring = r.create(MapDef::perf_event_array("ring", 16));
-        (r, h, s, ring)
+        (r, h, ring)
     }
 
     fn ok(prog: Vec<Insn>, maps: &MapRegistry, ctx: usize) {
@@ -2023,24 +2000,27 @@ mod tests {
 
     #[test]
     fn helper_wrong_map_class_rejected() {
-        let (m, h, ..) = maps();
-        // MapPush on a hash map.
-        let mut b = ProgramBuilder::new();
-        b.store_imm(Size::B8, R10, -8, 1);
-        b.load_map(R1, h);
-        b.mov_reg(R2, R10);
-        b.alu_imm(AluOp::Add, R2, -8);
-        b.call(Helper::MapPush);
-        b.exit();
-        assert!(matches!(
-            rejected(b.resolve().unwrap(), &m, 0),
-            VerifyError::BadHelperArg { .. }
-        ));
+        let (m, h, ring) = maps();
+        // MapLookup on the ring, PerfEventOutput into the hash map.
+        for (map, helper) in [(ring, Helper::MapLookup), (h, Helper::PerfEventOutput)] {
+            let mut b = ProgramBuilder::new();
+            b.store_imm(Size::B8, R10, -8, 1);
+            b.load_map(R1, map);
+            b.mov_reg(R2, R10);
+            b.alu_imm(AluOp::Add, R2, -8);
+            b.mov_imm(R3, 8);
+            b.call(helper);
+            b.mov_imm(R0, 0).exit();
+            assert!(matches!(
+                rejected(b.resolve().unwrap(), &m, 0),
+                VerifyError::BadHelperArg { arg: 1, .. }
+            ));
+        }
     }
 
     #[test]
     fn perf_event_output_requires_bounded_len() {
-        let (m, _, _, ring) = maps();
+        let (m, _, ring) = maps();
         let mut b = ProgramBuilder::new();
         b.store_imm(Size::B8, R10, -8, 0);
         b.load_map(R1, ring);
@@ -2061,7 +2041,7 @@ mod tests {
 
     #[test]
     fn perf_event_output_ok_with_const_len() {
-        let (m, _, _, ring) = maps();
+        let (m, _, ring) = maps();
         let mut b = ProgramBuilder::new();
         b.store_imm(Size::B8, R10, -16, 1);
         b.store_imm(Size::B8, R10, -8, 2);
@@ -2077,7 +2057,7 @@ mod tests {
     #[test]
     fn perf_event_output_ok_with_range_bounded_len() {
         // r3 refined into [1, 16]; the data pointer covers 16 bytes.
-        let (m, _, _, ring) = maps();
+        let (m, _, ring) = maps();
         let mut b = ProgramBuilder::new();
         b.store_imm(Size::B8, R10, -16, 1);
         b.store_imm(Size::B8, R10, -8, 2);
@@ -2113,14 +2093,13 @@ mod tests {
     }
 
     #[test]
-    fn map_pop_marks_destination_initialized() {
-        let (m, _, s, _) = maps();
+    fn read_task_io_marks_destination_initialized() {
+        let (m, ..) = maps();
         let mut b = ProgramBuilder::new();
-        b.load_map(R1, s);
-        b.mov_reg(R2, R10);
-        b.alu_imm(AluOp::Add, R2, -8);
-        b.call(Helper::MapPop);
-        // Reading the popped value must now be legal.
+        b.mov_reg(R1, R10);
+        b.alu_imm(AluOp::Add, R1, -32);
+        b.call(Helper::ReadTaskIo);
+        // Reading what the helper wrote must now be legal.
         b.load(Size::B8, R0, R10, -8);
         b.exit();
         ok(b.resolve().unwrap(), &m, 0);
@@ -2222,7 +2201,7 @@ mod tests {
 
     #[test]
     fn const_folding_keeps_lengths_checkable() {
-        let (m, _, _, ring) = maps();
+        let (m, _, ring) = maps();
         // Length computed via const arithmetic still counts as constant.
         let mut b = ProgramBuilder::new();
         b.store_imm(Size::B8, R10, -8, 0);

@@ -78,8 +78,6 @@ pub struct ExecStats {
 pub trait HelperWorld {
     /// Current task-local monotonic time in ns.
     fn ktime_ns(&mut self) -> u64;
-    /// `(pid << 32) | tid` of the task that hit the tracepoint.
-    fn current_pid_tgid(&mut self) -> u64;
     /// Read PMU counter `idx`: `[value, time_enabled, time_running]`.
     fn perf_event_read(&mut self, idx: u64) -> Option<[u64; 3]>;
     /// Task I/O accounting: `[read_bytes, write_bytes, read_syscalls, write_syscalls]`.
@@ -92,15 +90,11 @@ pub trait HelperWorld {
 #[derive(Debug, Default)]
 pub struct NullWorld {
     pub time_ns: u64,
-    pub pid_tgid: u64,
 }
 
 impl HelperWorld for NullWorld {
     fn ktime_ns(&mut self) -> u64 {
         self.time_ns
-    }
-    fn current_pid_tgid(&mut self) -> u64 {
-        self.pid_tgid
     }
     fn perf_event_read(&mut self, idx: u64) -> Option<[u64; 3]> {
         Some([idx * 100, 1000, 1000])
@@ -243,21 +237,6 @@ impl Exec<'_> {
 
     fn write_bytes(&mut self, pc: usize, addr: u64, data: &[u8]) -> Result<(), VmError> {
         self.mem_mut(pc, addr, data.len())?.copy_from_slice(data);
-        Ok(())
-    }
-
-    /// [`Exec::write_bytes`] of everything staged so far.
-    fn write_staged(&mut self, pc: usize, addr: u64) -> Result<(), VmError> {
-        mem_mut(
-            &mut self.stack,
-            self.ctx.len(),
-            self.maps,
-            &self.scratch.deref,
-            pc,
-            addr,
-            self.scratch.bytes.len(),
-        )?
-        .copy_from_slice(&self.scratch.bytes);
         Ok(())
     }
 }
@@ -451,7 +430,6 @@ impl Vm {
         exec.scratch.bytes.clear();
         let r0 = match helper {
             Helper::KtimeGetNs => world.ktime_ns(),
-            Helper::GetCurrentPidTgid => world.current_pid_tgid(),
             Helper::MapLookup => {
                 let map = handle_decode(regs[1]).ok_or_else(bad)?;
                 let key_size = exec.maps.def(map).ok_or_else(bad)?.key_size;
@@ -481,23 +459,6 @@ impl Vm {
                 let ks = exec.maps.def(map).ok_or_else(bad)?.key_size;
                 exec.stage(pc, regs[2], ks)?;
                 errno(exec.maps.delete(map, &exec.scratch.bytes))
-            }
-            Helper::MapPush => {
-                let map = handle_decode(regs[1]).ok_or_else(bad)?;
-                let vs = exec.maps.def(map).ok_or_else(bad)?.value_size;
-                exec.stage(pc, regs[2], vs)?;
-                errno(exec.maps.push(map, &exec.scratch.bytes))
-            }
-            Helper::MapPop => {
-                let map = handle_decode(regs[1]).ok_or_else(bad)?;
-                match exec.maps.pop(map) {
-                    Ok(val) => {
-                        exec.scratch.bytes.extend_from_slice(val);
-                        exec.write_staged(pc, regs[2])?;
-                        0
-                    }
-                    Err(e) => e.errno() as u64,
-                }
             }
             Helper::PerfEventReadBuf => match world.perf_event_read(regs[1]) {
                 Some(triple) => {
@@ -716,28 +677,6 @@ mod tests {
     }
 
     #[test]
-    fn stack_map_push_pop_through_helpers() {
-        let mut maps = MapRegistry::new();
-        let s = maps.create(MapDef::stack("s", 8, 4));
-        let mut b = ProgramBuilder::new();
-        b.store_imm(Size::B8, R10, -8, 41);
-        b.load_map(R1, s);
-        b.mov_reg(R2, R10);
-        b.alu_imm(AluOp::Add, R2, -8);
-        b.call(Helper::MapPush);
-        b.load_map(R1, s);
-        b.mov_reg(R2, R10);
-        b.alu_imm(AluOp::Add, R2, -16);
-        b.call(Helper::MapPop);
-        b.load(Size::B8, R0, R10, -16);
-        b.alu_imm(AluOp::Add, R0, 1);
-        b.exit();
-        let prog = b.resolve().unwrap();
-        crate::verifier::verify(&prog, &maps, 0).unwrap();
-        assert_eq!(run(prog, &[], &mut maps), 42);
-    }
-
-    #[test]
     fn perf_event_output_publishes_to_ring() {
         let mut maps = MapRegistry::new();
         let ring = maps.create(MapDef::perf_event_array("ring", 4));
@@ -775,21 +714,18 @@ mod tests {
     }
 
     #[test]
-    fn helper_ktime_and_pid() {
+    fn helper_ktime_reads_the_world_clock() {
         let mut maps = MapRegistry::new();
         let mut b = ProgramBuilder::new();
         b.call(Helper::KtimeGetNs);
         b.mov_reg(R6, R0);
-        b.call(Helper::GetCurrentPidTgid);
+        b.call(Helper::KtimeGetNs);
         b.alu_reg(AluOp::Add, R0, R6);
         b.exit();
         let prog = b.resolve().unwrap();
-        let mut world = NullWorld {
-            time_ns: 1000,
-            pid_tgid: 24,
-        };
+        let mut world = NullWorld { time_ns: 1000 };
         let (r0, stats) = Vm::run(&prog, &[], &mut maps, &mut world).unwrap();
-        assert_eq!(r0, 1024);
+        assert_eq!(r0, 2000);
         assert_eq!(stats.helper_calls, 2);
         assert_eq!(stats.insns, 5);
     }

@@ -582,10 +582,7 @@ mod tests {
         let e_prog = gen_end(&p, depth, begin, done);
         let f_prog = gen_features(&p, done, ring);
         let ctx = encode_ctx(5, 42, 1, 0, &[77, 88]);
-        let mut world = NullWorld {
-            time_ns: 100,
-            pid_tgid: 42,
-        };
+        let mut world = NullWorld { time_ns: 100 };
         let (r0, _) = Vm::run(&b_prog, &ctx, &mut maps, &mut world).unwrap();
         assert_eq!(r0, 0);
         world.time_ns = 600;
@@ -626,10 +623,7 @@ mod tests {
         let e_prog = gen_end(&p, depth, begin, done);
         let f_prog = gen_features(&p, done, ring);
         let ctx = encode_ctx(1, 9, 0, 0, &[]);
-        let mut world = NullWorld {
-            time_ns: 0,
-            pid_tgid: 9,
-        };
+        let mut world = NullWorld { time_ns: 0 };
 
         // B1 (t=0) B2 (t=10) E2 (t=30) F2 E1 (t=100) F1
         Vm::run(&b_prog, &ctx, &mut maps, &mut world).unwrap();

@@ -388,10 +388,6 @@ impl HelperWorld for KernelWorld<'_> {
         self.k.now(self.task) as u64
     }
 
-    fn current_pid_tgid(&mut self) -> u64 {
-        self.task.as_u64()
-    }
-
     fn perf_event_read(&mut self, idx: u64) -> Option<[u64; 3]> {
         let kind = tscout_kernel::CounterKind::from_index(idx as usize)?;
         let ns = self.k.cost.pmu_read_kernel_ns;
@@ -682,7 +678,7 @@ impl TScout {
         loader: &Loader,
         ring: MapId,
         stats: &TsStats,
-    ) -> [(&'static Decl<Gauge>, f64); 19] {
+    ) -> [(&'static Decl<Gauge>, f64); 17] {
         let rs = loader.maps.ring_stats(ring);
         let ops = loader.maps.op_stats();
         let v = loader.verify_totals();
@@ -694,8 +690,6 @@ impl TScout {
             (&decls::MAP_LOOKUPS, ops.lookups as f64),
             (&decls::MAP_UPDATES, ops.updates as f64),
             (&decls::MAP_DELETES, ops.deletes as f64),
-            (&decls::MAP_STACK_PUSHES, ops.pushes as f64),
-            (&decls::MAP_STACK_POPS, ops.pops as f64),
             (&decls::RING_PUSHES, ops.ring_pushes as f64),
             (&decls::RING_DRAINED, ops.ring_drained as f64),
             (&decls::VERIFY_INSNS, v.insns as f64),

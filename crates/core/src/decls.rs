@@ -25,10 +25,6 @@ tscout_telemetry::declare_metrics! {
         "BPF map delete operations, summed over every map";
     pub(crate) MAP_LOOKUPS: Gauge = "tscout_map_lookups",
         "BPF map lookup operations, summed over every map";
-    pub(crate) MAP_STACK_POPS: Gauge = "tscout_map_stack_pops",
-        "BPF map-of-stacks pop operations, summed over every map";
-    pub(crate) MAP_STACK_PUSHES: Gauge = "tscout_map_stack_pushes",
-        "BPF map-of-stacks push operations, summed over every map";
     pub(crate) MAP_UPDATES: Gauge = "tscout_map_updates",
         "BPF map update operations, summed over every map";
     pub(crate) MARKER_EVENTS: Counter = "tscout_marker_events_total",

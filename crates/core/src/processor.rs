@@ -347,17 +347,9 @@ impl Processor {
     pub fn subsystem_feedback(&mut self, ts: &TScout) -> Vec<SubsystemFeedback> {
         let mut out = Vec::with_capacity(ALL_SUBSYSTEMS.len());
         for s in ALL_SUBSYSTEMS {
-            let total: u64 = self.telemetry.with_registry(|r| {
-                r.counters_named(SAMPLES_LOST.name)
-                    .iter()
-                    .filter(|(k, _)| {
-                        k.labels
-                            .iter()
-                            .any(|(lk, lv)| lk == "subsystem" && lv == s.name())
-                    })
-                    .map(|(_, v)| v)
-                    .sum()
-            });
+            let total = self
+                .telemetry
+                .with_registry(|r| r.counter_sum_where(SAMPLES_LOST.name, "subsystem", s.name()));
             let idx = s.index();
             let loss_delta = total.saturating_sub(self.last_lost_by_subsystem[idx]);
             self.last_lost_by_subsystem[idx] = total;

@@ -3,7 +3,7 @@
 
 use tscout::{TScout, TsConfig, TsError};
 use tscout_kernel::{Kernel, TaskId};
-use tscout_models::LiveModel;
+use tscout_models::{input_row, LiveModel};
 use tscout_telemetry::{CounterSite, HistSite};
 
 use crate::catalog::Catalog;
@@ -197,13 +197,17 @@ impl Database {
     }
 
     /// Predict one OU invocation's elapsed ns from its charged features,
-    /// with the same context columns the training datasets append
-    /// (CPU clock GHz, concurrency).
+    /// in the row layout the training datasets use.
     fn predict_ou_ns(&self, ou: &str, features: &[u64]) -> Option<f64> {
         let live = self.live_model.as_ref()?;
-        let mut f: Vec<f64> = features.iter().map(|&v| v as f64).collect();
-        f.push(self.kernel.hw.clock_ghz);
-        f.push(self.model_concurrency);
+        let mut f = Vec::new();
+        let own = features.iter().map(|&v| v as f64);
+        input_row(
+            &mut f,
+            own,
+            self.kernel.hw.clock_ghz,
+            self.model_concurrency,
+        );
         live.models.predict_ns(ou, &f)
     }
 

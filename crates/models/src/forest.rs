@@ -454,7 +454,7 @@ mod reference {
     }
 
     /// `RandomForest::fit` as it was: the trees of `forest` on `(x, y)`.
-    pub fn fit(forest: &RandomForest, x: &[&[f64]], y: &[f64]) -> Vec<Node> {
+    pub(super) fn fit(forest: &RandomForest, x: &[&[f64]], y: &[f64]) -> Vec<Node> {
         let mut trees = Vec::new();
         if x.is_empty() {
             return trees;
@@ -563,7 +563,7 @@ mod regression_tests {
     /// Two informative features + two constant context features,
     /// heavily skewed targets (like OU datasets: most points small,
     /// a few sweep points huge).
-    pub fn skewed_with_constant_context() -> (Vec<Vec<f64>>, Vec<f64>) {
+    pub(super) fn skewed_with_constant_context() -> (Vec<Vec<f64>>, Vec<f64>) {
         let mut x = Vec::new();
         let mut y = Vec::new();
         for i in 0..80 {

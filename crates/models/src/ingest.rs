@@ -5,16 +5,15 @@
 //! training uses — template, elapsed time, features — straight into
 //! per-OU [`OuData`], one allocation per point (its owned feature row).
 //! No `Sample` is built on the way, and the memory high-water mark is
-//! one decoded block plus the datasets being built. Context features
-//! are appended exactly like the driver's `build_datasets` (paper §2.2:
-//! the CPU clock in GHz and the number of concurrent workers are the
-//! only environment descriptors).
+//! one decoded block plus the datasets being built. Every row is laid
+//! out by [`input_row`], like the driver's `build_datasets`.
 
 use std::collections::BTreeMap;
 
 use tscout_archive::{Archive, ColumnBatch, Projection};
 
 use crate::dataset::{LabeledPoint, OuData};
+use crate::input_row;
 
 /// The columns a labeled point is made of.
 const TRAINING_COLUMNS: Projection = Projection {
@@ -24,16 +23,14 @@ const TRAINING_COLUMNS: Projection = Projection {
     ..Projection::NONE
 };
 
-/// Append one labeled point per row of `batch`, the two context
-/// features after the archived ones.
+/// Append one labeled point per row of `batch`.
 fn push_points(data: &mut OuData, batch: &ColumnBatch, clock_ghz: f64, concurrency: usize) {
     data.points.reserve(batch.len());
     let targets = batch.template().iter().zip(batch.elapsed_ns());
     for ((&template, &elapsed_ns), row) in targets.zip(batch.features().rows()) {
-        let mut features = Vec::with_capacity(row.len() + 2);
-        features.extend(row.iter().map(|bits| f64::from_bits(*bits)));
-        features.push(clock_ghz);
-        features.push(concurrency as f64);
+        let mut features = Vec::new();
+        let archived = row.iter().map(|bits| f64::from_bits(*bits));
+        input_row(&mut features, archived, clock_ghz, concurrency as f64);
         data.points.push(LabeledPoint {
             features,
             target_ns: elapsed_ns as f64,

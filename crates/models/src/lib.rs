@@ -8,7 +8,6 @@
 //! * [`forest::RandomForest`] — the default regressor: bagged CART trees
 //!   with variance-reduction splits and feature subsampling;
 //! * [`linreg::Ridge`] — ridge regression via normal equations;
-//! * [`knn::Knn`] — k-nearest-neighbor regression;
 //! * [`dataset`] — labeled per-OU datasets with query-template tags,
 //!   train/test splits, and k-fold cross-validation;
 //! * [`eval`] — the paper's accuracy statistic: **average absolute error
@@ -25,7 +24,6 @@ pub mod dataset;
 pub mod eval;
 pub mod forest;
 pub mod ingest;
-pub mod knn;
 pub mod linreg;
 pub mod registry;
 
@@ -33,7 +31,6 @@ pub use dataset::{kfold, LabeledPoint, OuData, OuSubset, PointSet};
 pub use eval::{avg_abs_error_per_template_us, error_reduction_pct, mape_pct, OuModelSet};
 pub use forest::RandomForest;
 pub use ingest::{datasets_from_archive, ou_data_from_archive};
-pub use knn::Knn;
 pub use linreg::Ridge;
 pub use registry::{LiveModel, ModelRegistry, SwapDecision};
 
@@ -58,12 +55,28 @@ pub(crate) fn feature(row: &[f64], i: usize) -> f64 {
     row.get(i).copied().unwrap_or(0.0)
 }
 
+/// The one rule for a model's input row, at training and at prediction
+/// alike: the OU's own features, then the two context columns (paper
+/// §2.2) — the CPU clock in GHz, the only hardware descriptor (§6.4),
+/// and the number of concurrent workers. Refills `row` in place.
+pub fn input_row(
+    row: &mut Vec<f64>,
+    features: impl ExactSizeIterator<Item = f64>,
+    clock_ghz: f64,
+    concurrency: f64,
+) {
+    row.clear();
+    row.reserve_exact(features.len() + 2);
+    row.extend(features);
+    row.push(clock_ghz);
+    row.push(concurrency);
+}
+
 /// Model families available to the experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelKind {
     Forest,
     Ridge,
-    Knn,
 }
 
 impl ModelKind {
@@ -72,7 +85,6 @@ impl ModelKind {
         match self {
             ModelKind::Forest => Box::new(RandomForest::new(24, 10, 4, seed)),
             ModelKind::Ridge => Box::new(Ridge::new(1e-3)),
-            ModelKind::Knn => Box::new(Knn::new(5)),
         }
     }
 }
@@ -121,10 +133,5 @@ mod tests {
     #[test]
     fn ridge_fit_pads_short_rows() {
         ragged_fit_is_the_padded_fit(ModelKind::Ridge);
-    }
-
-    #[test]
-    fn knn_fit_pads_short_rows() {
-        ragged_fit_is_the_padded_fit(ModelKind::Knn);
     }
 }

@@ -2,12 +2,14 @@
 //! blocking [`TcpStream`].
 //!
 //! Deliberately tiny: one request per connection (`Connection: close`),
-//! bounded head and body sizes, and every malformed input is an `Err`
-//! the server maps to `400` — never a panic (the listener must keep
-//! serving while the system it observes degrades).
+//! bounded head and body sizes, one deadline for the whole request, and
+//! every malformed input is an `Err` the server maps to `400` — never a
+//! panic (the listener must keep serving while the system it observes
+//! degrades).
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::time::Instant;
 
 /// Maximum request-head bytes (request line + headers).
 pub const MAX_HEAD: usize = 8 * 1024;
@@ -22,19 +24,46 @@ pub struct Request {
     pub body: Vec<u8>,
 }
 
-/// Read and parse one request. Errors describe the malformation (the
-/// server responds 400 with the text).
+/// One `read`, with what is left until `deadline` as the socket timeout:
+/// a peer that keeps every single read short of the timeout still has to
+/// deliver its whole request in time.
+fn read_before(
+    stream: &mut TcpStream,
+    deadline: Option<Instant>,
+    chunk: &mut [u8],
+) -> Result<usize, String> {
+    if let Some(deadline) = deadline {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err("request timed out".into());
+        }
+        stream
+            .set_read_timeout(Some(left))
+            .map_err(|e| format!("read: {e}"))?;
+    }
+    stream.read(chunk).map_err(|e| format!("read: {e}"))
+}
+
+/// Read and parse one request. The stream's read timeout, as found, is
+/// the budget for head and body together. Errors describe the
+/// malformation (the server responds 400 with the text).
 pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
+    let budget = stream.read_timeout().map_err(|e| format!("read: {e}"))?;
+    let deadline = budget.map(|b| Instant::now() + b);
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 1024];
+    let mut searched = 0;
     let head_end = loop {
-        if let Some(pos) = find_head_end(&buf) {
-            break pos;
-        }
-        if buf.len() > MAX_HEAD {
+        let found = find_head_end(&buf, searched);
+        if found.unwrap_or(buf.len()) > MAX_HEAD {
             return Err("request head too large".into());
         }
-        let n = stream.read(&mut chunk).map_err(|e| format!("read: {e}"))?;
+        if let Some(pos) = found {
+            break pos;
+        }
+        // A terminator may straddle this read and the next.
+        searched = buf.len().saturating_sub(3);
+        let n = read_before(stream, deadline, &mut chunk)?;
         if n == 0 {
             return Err("connection closed before request head".into());
         }
@@ -73,7 +102,7 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
     }
     let mut body: Vec<u8> = buf[head_end + 4..].to_vec();
     while body.len() < content_length {
-        let n = stream.read(&mut chunk).map_err(|e| format!("read: {e}"))?;
+        let n = read_before(stream, deadline, &mut chunk)?;
         if n == 0 {
             return Err("connection closed mid-body".into());
         }
@@ -83,8 +112,10 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
     Ok(Request { method, path, body })
 }
 
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
+/// Offset of the first `\r\n\r\n` starting at or after `from`.
+fn find_head_end(buf: &[u8], from: usize) -> Option<usize> {
+    let at = buf[from..].windows(4).position(|w| w == b"\r\n\r\n")?;
+    Some(from + at)
 }
 
 /// Write a complete response and flush. Write errors are returned but

@@ -15,11 +15,13 @@
 //! therefore follows the same discipline as the lineage tracer and the
 //! action engine (PRs 6 and 9), strengthened for a real OS thread:
 //!
-//! - **Serving reads atomically-snapshotted state.** Every request
-//!   lock-clones the simulation's [`Registry`] and renders from the
-//!   clone. The simulation thread never blocks on request processing —
-//!   only on the clone itself, which is the same lock it takes for any
-//!   counter bump.
+//! - **Serving reads atomically-snapshotted state.** A request that
+//!   renders metrics or tables lock-clones the simulation's [`Registry`]
+//!   and renders from the clone; the probes and the flight-recorder
+//!   endpoints copy out only the health states / recorder target they
+//!   render. The simulation thread never blocks on request processing —
+//!   only on that copy, under the same lock it takes for any counter
+//!   bump.
 //! - **Nothing on the serving path touches a virtual clock.** Request
 //!   handling runs on OS threads against snapshots; the SQL endpoint
 //!   executes against a *server-private* database whose kernel clocks
@@ -75,7 +77,8 @@ pub struct ObsdConfig {
     /// flight; excess connections get an immediate 503 and count into
     /// `tscout_obsd_rejected_total`.
     pub max_pending: usize,
-    /// Per-connection read timeout, ms.
+    /// Time a connection gets to deliver its whole request (head and
+    /// body), ms.
     pub read_timeout_ms: u64,
     /// Per-connection write timeout, ms.
     pub write_timeout_ms: u64,
@@ -384,8 +387,8 @@ fn method_not_allowed() -> Response {
     (405, "text/plain", b"method not allowed\n".to_vec())
 }
 
-/// Lock-clone the simulation registry: the atomic snapshot every
-/// endpoint serves from.
+/// Lock-clone the simulation registry: the atomic snapshot the metrics,
+/// table and SQL endpoints serve from.
 fn snapshot(shared: &Shared) -> Registry {
     shared.sim.with_registry(|r| r.clone())
 }
@@ -404,8 +407,7 @@ fn metrics_endpoint(shared: &Shared) -> Response {
 }
 
 fn health_endpoint(shared: &Shared, ready: bool) -> Response {
-    let snap = snapshot(shared);
-    let states = snap.health().subsystem_states();
+    let states = shared.sim.with_registry(|r| r.health().subsystem_states());
     let worst = states.values().copied().max().unwrap_or(HealthState::Ok);
     let subsystems: Vec<String> = states
         .iter()
@@ -493,8 +495,7 @@ fn sql_endpoint(req: &Request, shared: &Shared) -> Response {
 }
 
 fn flightrec_list(shared: &Shared) -> Response {
-    let snap = snapshot(shared);
-    let Some((dir, fig)) = snap.flight_recorder_target() else {
+    let Some((dir, fig)) = shared.sim.flight_recorder_target() else {
         return (
             200,
             "application/json",
@@ -536,7 +537,7 @@ fn flightrec_fetch(shared: &Shared, name: &str) -> Response {
     if malformed {
         return (400, "text/plain", b"bad bundle name\n".to_vec());
     }
-    let Some((dir, _)) = snapshot(shared).flight_recorder_target() else {
+    let Some((dir, _)) = shared.sim.flight_recorder_target() else {
         return (404, "text/plain", b"flight recorder not armed\n".to_vec());
     };
     match std::fs::read(dir.join(name)) {
@@ -714,12 +715,19 @@ mod tests {
         let t = Telemetry::new();
         let srv = start_default(&t);
         let addr = srv.addr().to_string();
+        // A head past MAX_HEAD whose terminator arrives in the very read
+        // that crosses the limit.
+        let long_head = format!(
+            "GET /healthz HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+            "a".repeat(http::MAX_HEAD + 300)
+        );
         for garbage in [
             "GARBAGE\r\n\r\n",
             "GET\r\n\r\n",
             "GET /metrics SPDY/9\r\n\r\n",
             "GET metrics HTTP/1.1\r\n\r\n",
             "POST /api/v1/sql HTTP/1.1\r\nContent-Length: banana\r\n\r\n",
+            long_head.as_str(),
         ] {
             let mut s = TcpStream::connect(&addr).unwrap();
             s.write_all(garbage.as_bytes()).unwrap();
@@ -733,7 +741,7 @@ mod tests {
         assert!(
             srv.self_telemetry()
                 .counter_total("tscout_obsd_errors_total")
-                >= 5
+                >= 6
         );
         srv.shutdown();
         // Graceful shutdown: the port stops accepting.
@@ -824,6 +832,61 @@ mod tests {
         // After the hog times out the worker frees up and serving resumes.
         std::thread::sleep(Duration::from_millis(500));
         assert_eq!(client::get(&addr, "/healthz").unwrap().0, 200);
+        srv.shutdown();
+    }
+
+    #[test]
+    fn a_dripping_client_is_cut_off_at_the_request_deadline() {
+        use std::io::Read;
+        use std::time::Instant;
+        const TIMEOUT_MS: u64 = 300;
+        let cfg = ObsdConfig {
+            workers: 1,
+            read_timeout_ms: TIMEOUT_MS,
+            ..Default::default()
+        };
+        let srv = ObsdServer::start(cfg, Telemetry::new()).unwrap();
+        let addr = srv.addr().to_string();
+        // One byte of a never-finished head per 100 ms: every single read
+        // succeeds well inside the timeout, the request never completes.
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let dripper = std::thread::spawn({
+            let addr = addr.clone();
+            move || {
+                let mut s = TcpStream::connect(&addr).unwrap();
+                let wait = Duration::from_millis(100);
+                s.set_read_timeout(Some(wait)).unwrap();
+                let (t0, mut answer) = (Instant::now(), [0u8; 12]);
+                for byte in [b"GET /metrics HTTP/1.1\r\nX-Slow: ", &[b'a'; 40][..]].concat() {
+                    if s.write_all(&[byte]).is_err() {
+                        break;
+                    }
+                    started_tx.send(()).ok();
+                    // The wait between drips is a read: the server's
+                    // answer (or its close) ends the drip.
+                    if s.read(&mut answer).is_ok() {
+                        break;
+                    }
+                }
+                (t0.elapsed(), answer)
+            }
+        });
+        // With the only worker held by the dripper, a well-behaved probe
+        // waits for the deadline to free it — not for the drip to end.
+        started_rx.recv().expect("dripper connected");
+        let probed = Instant::now();
+        assert_eq!(client::get(&addr, "/healthz").unwrap().0, 200);
+        let waited = probed.elapsed();
+        assert!(
+            waited < Duration::from_millis(3 * TIMEOUT_MS),
+            "/healthz waited {waited:?}"
+        );
+        let (held, answer) = dripper.join().expect("dripper thread");
+        assert!(
+            held < Duration::from_millis(2 * TIMEOUT_MS + 200),
+            "the dripper held a worker for {held:?} (deadline {TIMEOUT_MS} ms)"
+        );
+        assert_eq!(&answer, b"HTTP/1.1 400");
         srv.shutdown();
     }
 

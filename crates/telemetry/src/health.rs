@@ -134,7 +134,7 @@ impl Alert {
 }
 
 /// One gauge reading: the label set carrying it, with its value.
-pub type LabeledGauge = (Vec<(String, String)>, f64);
+pub(crate) type LabeledGauge = (Vec<(String, String)>, f64);
 
 /// Signal values the registry resolved for one tick.
 #[derive(Debug, Clone, Default)]

@@ -7,12 +7,12 @@
 //! about (1 ns .. ~2^63 ns), at a fixed 513-slot memory cost.
 
 /// Linear sub-buckets per power-of-two octave.
-pub const SUB_BUCKETS: usize = 8;
+pub(crate) const SUB_BUCKETS: usize = 8;
 /// Octaves covered (values ≥ 2^OCTAVES saturate into the last bucket).
-pub const OCTAVES: usize = 64;
+pub(crate) const OCTAVES: usize = 64;
 /// Total bucket count: one underflow bucket for values < 1, then
 /// OCTAVES × SUB_BUCKETS log-linear buckets.
-pub const BUCKETS: usize = 1 + OCTAVES * SUB_BUCKETS;
+pub(crate) const BUCKETS: usize = 1 + OCTAVES * SUB_BUCKETS;
 
 /// A log-linear histogram of non-negative observations.
 #[derive(Debug, Clone)]
@@ -38,8 +38,8 @@ impl Default for Histogram {
 
 /// Bucket index for a value. Values below 1.0 (including negatives,
 /// which latency paths never produce) land in the underflow bucket 0.
-/// Shared with the distribution sketches (`sketch.rs`) so histogram and
-/// sketch views of the same stream bucket identically.
+/// Shared with the lock-free `Hist` cells (`handles.rs`), which bucket
+/// identically.
 pub(crate) fn bucket_index(v: f64) -> usize {
     if v.is_nan() || v < 1.0 || v.is_infinite() {
         return 0;
@@ -63,7 +63,7 @@ pub(crate) fn bucket_index(v: f64) -> usize {
 
 /// Representative (upper-bound) value for a bucket, used when
 /// interpolating percentiles.
-pub(crate) fn bucket_upper(idx: usize) -> f64 {
+fn bucket_upper(idx: usize) -> f64 {
     if idx == 0 {
         return 1.0;
     }
@@ -124,6 +124,30 @@ impl Histogram {
         }
     }
 
+    /// Smallest observation (0.0 when empty).
+    pub fn min(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.min
+        }
+    }
+
+    /// Largest observation (0.0 when empty).
+    pub fn max(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.max
+        }
+    }
+
+    /// Per-bucket counts, which the drift sketches (`sketch.rs`) compare
+    /// bucket by bucket.
+    pub(crate) fn counts(&self) -> &[u64] {
+        &self.counts
+    }
+
     /// Estimate the `q`-quantile from the buckets. `q` outside `[0,1]`
     /// is clamped and a NaN `q` is treated as 0.0; an empty histogram
     /// always reports 0.0. The estimate is clamped to the observed
@@ -178,8 +202,8 @@ impl Histogram {
             count: self.count,
             sum: self.sum,
             mean: self.mean(),
-            min: if self.count == 0 { 0.0 } else { self.min },
-            max: if self.count == 0 { 0.0 } else { self.max },
+            min: self.min(),
+            max: self.max(),
             p50: self.quantile(0.50),
             p95: self.quantile(0.95),
             p99: self.quantile(0.99),

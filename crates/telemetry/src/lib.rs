@@ -60,7 +60,7 @@ pub use health::{
     default_rules, Alert, HealthEngine, HealthState, Rule, Selector, Signals, ALERT_CAPACITY,
 };
 pub use histogram::{Histogram, HistogramSnapshot};
-pub use metrics::{MetricKey, Registry};
+pub use metrics::Registry;
 pub use profile::{
     Attribution, FoldedEntry, FrameGuard, Profiler, DEFAULT_PROFILE_PERIOD_NS, OTHER_STACK,
 };
@@ -205,9 +205,10 @@ impl Telemetry {
         self.lock().timeseries().len()
     }
 
-    /// JSON export of the scraped time series.
+    /// JSON export of the scraped time series (see
+    /// [`TimeSeries::to_json`]).
     pub fn timeseries_json(&self) -> String {
-        self.lock().timeseries_json()
+        self.lock().timeseries().to_json()
     }
 
     /// Feed one decoded training sample into the per-OU drift channels
@@ -258,36 +259,46 @@ impl Telemetry {
         self.sync_tracing(&reg);
     }
 
-    /// Current trace sampling divisor (0 = off).
-    pub fn trace_every(&self) -> u64 {
-        self.lock().tracer().every()
+    /// Run one event on the lineage tracer, then settle: what the event
+    /// completed becomes metrics (see `Registry::trace_settle`).
+    fn traced<T>(&self, event: impl FnOnce(&mut Tracer) -> T) -> T {
+        let mut reg = self.lock();
+        let out = event(reg.tracer_mut());
+        reg.trace_settle();
+        out
     }
 
     /// Sampling decision at marker fire time (see
-    /// [`Registry::trace_begin`]).
+    /// [`Tracer::maybe_begin`]).
     pub fn trace_begin(&self, ou: u16, subsystem: u8, tid: u64, now_ns: f64) -> Option<TraceId> {
         if !self.inner.tracing.load(Relaxed) {
             return None;
         }
-        self.lock().trace_begin(ou, subsystem, tid, now_ns)
+        let mut reg = self.lock();
+        // An unsampled marker leaves the tracer as it was: nothing to settle.
+        let id = reg.tracer_mut().maybe_begin(ou, subsystem, tid, now_ns)?;
+        reg.trace_settle();
+        Some(id)
     }
 
     /// The traced marker's record was published into the ring.
     pub fn trace_publish(&self, id: TraceId, now_ns: f64, ring_depth: u64) {
-        self.lock().trace_publish(id, now_ns, ring_depth);
+        self.lock().tracer_mut().on_publish(id, now_ns, ring_depth);
     }
 
     /// The traced marker died before publishing.
     pub fn trace_marker_abort(&self, id: TraceId, now_ns: f64, reason: &str) {
-        self.lock().trace_marker_abort(id, now_ns, reason);
+        self.traced(|t| t.on_marker_abort(id, now_ns, reason));
     }
 
     /// The ring overwrote its oldest `(ou, tid)` record.
     pub fn trace_ring_evict(&self, ou: u16, tid: u64, now_ns: f64) {
-        self.lock().trace_ring_evict(ou, tid, now_ns);
+        self.traced(|t| t.on_ring_evict(ou, tid, now_ns));
     }
 
-    /// Processor-side drain + sink stamp (see [`Registry::trace_consume`]).
+    /// Processor-side drain + sink stamp (see [`Tracer::on_consume`]).
+    /// Returns whether a trace matched, so the caller charges tracing
+    /// cost only for traced records.
     #[allow(clippy::too_many_arguments)]
     pub fn trace_consume(
         &self,
@@ -302,7 +313,8 @@ impl Telemetry {
         if !self.inner.tracing.load(Relaxed) {
             return false;
         }
-        self.lock().trace_consume(
+        let mut reg = self.lock();
+        let hit = reg.tracer_mut().on_consume(
             ou,
             tid,
             drain_ns,
@@ -310,52 +322,62 @@ impl Telemetry {
             sink_exit_ns,
             queue_depth,
             terminal,
-        )
+        );
+        if hit {
+            reg.trace_settle();
+        }
+        hit
     }
 
     /// A traced record failed to decode at the Processor.
     pub fn trace_decode_error(&self, ou: u16, tid: u64, now_ns: f64) {
-        self.lock().trace_decode_error(ou, tid, now_ns);
+        self.traced(|t| t.on_decode_error(ou, tid, now_ns));
     }
 
     /// Collective lifecycle stamp for parked traces (archive memtable,
     /// segment seal, dataset stages).
     pub fn trace_lifecycle_stamp(&self, stage: Stage, enter_ns: f64, exit_ns: f64, depth: u64) {
         self.lock()
-            .trace_lifecycle_stamp(stage, enter_ns, exit_ns, depth);
+            .tracer_mut()
+            .lifecycle_stamp(stage, enter_ns, exit_ns, depth);
     }
 
-    /// Retrain completion: parked traces terminate delivered. Returns
-    /// how many completed.
+    /// Retrain completion: parked traces terminate delivered at model
+    /// `generation`. Returns how many completed.
     pub fn trace_lifecycle_complete(&self, now_ns: f64, generation: u64) -> usize {
-        self.lock().trace_lifecycle_complete(now_ns, generation)
+        self.traced(|t| t.lifecycle_complete(now_ns, generation))
     }
 
     /// Compaction retention retired `n` archived samples.
     pub fn trace_compacted(&self, n: u64, now_ns: f64) {
-        self.lock().trace_compacted(n, now_ns);
+        self.traced(|t| t.on_compacted(n, now_ns));
     }
 
     /// Exact trace accounting (see [`TraceStats`]).
     pub fn trace_stats(&self) -> TraceStats {
-        self.lock().trace_stats()
+        self.lock().tracer().stats()
     }
 
-    /// Arm the on-CRITICAL flight recorder (see
-    /// [`Registry::arm_flight_recorder`]).
+    /// Arm the on-CRITICAL flight recorder: [`Registry::flight_record`]
+    /// writes its evidence bundles under `dir`.
     pub fn arm_flight_recorder(&self, dir: std::path::PathBuf, fig: &str) {
-        self.lock().arm_flight_recorder(dir, fig);
+        let mut reg = self.lock();
+        let arm = reg.flight_recorder_mut();
+        arm.dir = Some(dir);
+        arm.fig = fig.to_string();
     }
 
     /// Whether a flight-recorder output directory is armed.
     pub fn flight_recorder_armed(&self) -> bool {
-        self.lock().flight_recorder_armed()
+        self.lock().flight_recorder().dir.is_some()
     }
 
-    /// Armed flight-recorder directory and fig name (see
-    /// [`Registry::flight_recorder_target`]).
+    /// Armed flight-recorder directory and fig name, if armed — the obsd
+    /// operator plane lists/fetches bundles from here.
     pub fn flight_recorder_target(&self) -> Option<(std::path::PathBuf, String)> {
-        self.lock().flight_recorder_target()
+        let reg = self.lock();
+        let arm = reg.flight_recorder();
+        arm.dir.clone().map(|dir| (dir, arm.fig.clone()))
     }
 
     /// Write a flight-recorder bundle if `alerts` contains a fired
@@ -414,7 +436,7 @@ impl Telemetry {
     }
 
     /// Merge another handle's registry into this one (counters add,
-    /// gauges take max, histograms add bucket-wise, spans append).
+    /// gauges take max, histograms add bucket-wise).
     pub fn absorb(&self, other: &Telemetry) {
         if Arc::ptr_eq(&self.inner, &other.inner) {
             return;

@@ -12,32 +12,11 @@ use crate::health::{Alert, HealthEngine, HealthState, Selector, Signals};
 use crate::histogram::HistogramSnapshot;
 use crate::stmt::StmtStats;
 use crate::timeseries::{TimeSeries, Window};
-use crate::trace::{FlightRecorderArm, Stage, TraceId, TraceStats, Tracer};
+use crate::trace::{FlightRecorderArm, Tracer};
 use crate::{json_escape, json_num};
 
 /// Sorted `label=value` pairs.
 type Labels = Vec<(String, String)>;
-
-/// A metric identity: name plus sorted `label=value` pairs.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct MetricKey {
-    pub name: String,
-    pub labels: Labels,
-}
-
-impl MetricKey {
-    pub fn new(name: &str, labels: &[(&str, &str)]) -> Self {
-        let mut labels: Labels = labels
-            .iter()
-            .map(|(k, v)| (k.to_string(), v.to_string()))
-            .collect();
-        labels.sort();
-        MetricKey {
-            name: name.to_string(),
-            labels,
-        }
-    }
-}
 
 /// Append `s` escaped per the text exposition format: backslash and line
 /// feed always, double quote too inside a label value.
@@ -319,19 +298,19 @@ impl Registry {
             .sum()
     }
 
-    /// All `(key, value)` counter pairs for a name, across label sets.
-    pub fn counters_named(&self, name: &str) -> Vec<(MetricKey, u64)> {
-        self.counters
-            .family(name)
-            .iter()
-            .map(|(labels, c)| {
-                let key = MetricKey {
-                    name: name.to_string(),
-                    labels: labels.clone(),
-                };
-                (key, c.get())
-            })
-            .collect()
+    /// Every counter series of `name` as `(sorted labels, value)`, in
+    /// label order.
+    pub fn counter_family(&self, name: &str) -> impl Iterator<Item = (&[(String, String)], u64)> {
+        let family = self.counters.family(name).iter();
+        family.map(|(labels, c)| (labels.as_slice(), c.get()))
+    }
+
+    /// Sum of the counters of `name` whose label `key` is `value`.
+    pub fn counter_sum_where(&self, name: &str, key: &str, value: &str) -> u64 {
+        self.counter_family(name)
+            .filter(|(labels, _)| labels.iter().any(|(k, v)| k == key && v == value))
+            .map(|(_, n)| n)
+            .sum()
     }
 
     pub fn gauge_value(&self, name: &str, labels: &[(&str, &str)]) -> f64 {
@@ -360,12 +339,6 @@ impl Registry {
 
     pub fn timeseries(&self) -> &TimeSeries {
         &self.timeseries
-    }
-
-    /// JSON export of the scraped time series (see
-    /// [`TimeSeries::to_json`]).
-    pub fn timeseries_json(&self) -> String {
-        self.timeseries.to_json()
     }
 
     pub fn drift(&self) -> &DriftRegistry {
@@ -441,12 +414,15 @@ impl Registry {
         }
     }
 
-    /// Turn every trace completion the tracer produced since the last
-    /// flush into metrics: per-stage latency histograms
-    /// (`tscout_trace_stage_ns{stage}`; the TraceId behind each stage's
-    /// worst visit is `ts_stat_pipeline.exemplar_trace_id`), outcome
-    /// counters, and the critical-path counter.
-    fn trace_flush_completions(&mut self) {
+    /// The epilogue of every tracer event that can complete a trace (see
+    /// `Telemetry::traced`). Each completion since the last call becomes
+    /// metrics: per-stage latency histograms (`tscout_trace_stage_ns{stage}`;
+    /// the TraceId behind each stage's worst visit is
+    /// `ts_stat_pipeline.exemplar_trace_id`), outcome counters and the
+    /// critical-path counter. The tracer's own started/dropped/evicted
+    /// counts are then synced into registry counters, all three
+    /// registered from the first call on.
+    pub(crate) fn trace_settle(&mut self) {
         for c in self.tracer.take_pending() {
             self.at(&decls::TRACES_COMPLETED, &[("outcome", c.outcome.name())])
                 .inc();
@@ -459,12 +435,6 @@ impl Registry {
                     .record(dur);
             }
         }
-    }
-
-    /// Sync the tracer's drop/eviction counters into registry counters
-    /// (they originate inside the tracer's bounded structures). All
-    /// three register (at 0) from the first sampled marker on.
-    fn trace_sync_counters(&mut self) {
         let st = self.tracer.stats();
         for (decl, v) in [
             (&decls::TRACES_STARTED, st.started),
@@ -476,116 +446,13 @@ impl Registry {
         }
     }
 
-    /// Sampling decision at marker fire time (see [`Tracer::maybe_begin`]).
-    pub fn trace_begin(
-        &mut self,
-        ou: u16,
-        subsystem: u8,
-        tid: u64,
-        now_ns: f64,
-    ) -> Option<TraceId> {
-        let id = self.tracer.maybe_begin(ou, subsystem, tid, now_ns);
-        if id.is_some() {
-            self.trace_sync_counters();
-            self.trace_flush_completions();
-        }
-        id
+    /// The flight recorder's arming state (see [`Registry::flight_record`]).
+    pub fn flight_recorder(&self) -> &FlightRecorderArm {
+        &self.flightrec
     }
 
-    pub fn trace_publish(&mut self, id: TraceId, now_ns: f64, ring_depth: u64) {
-        self.tracer.on_publish(id, now_ns, ring_depth);
-    }
-
-    pub fn trace_marker_abort(&mut self, id: TraceId, now_ns: f64, reason: &str) {
-        self.tracer.on_marker_abort(id, now_ns, reason);
-        self.trace_flush_completions();
-        self.trace_sync_counters();
-    }
-
-    pub fn trace_ring_evict(&mut self, ou: u16, tid: u64, now_ns: f64) {
-        self.tracer.on_ring_evict(ou, tid, now_ns);
-        self.trace_flush_completions();
-        self.trace_sync_counters();
-    }
-
-    /// Processor-side stamp (see [`Tracer::on_consume`]). Returns
-    /// whether a trace matched, so the caller charges tracing cost only
-    /// for traced records.
-    #[allow(clippy::too_many_arguments)]
-    pub fn trace_consume(
-        &mut self,
-        ou: u16,
-        tid: u64,
-        drain_ns: f64,
-        sink_enter_ns: f64,
-        sink_exit_ns: f64,
-        queue_depth: u64,
-        terminal: bool,
-    ) -> bool {
-        let hit = self.tracer.on_consume(
-            ou,
-            tid,
-            drain_ns,
-            sink_enter_ns,
-            sink_exit_ns,
-            queue_depth,
-            terminal,
-        );
-        if hit {
-            self.trace_flush_completions();
-            self.trace_sync_counters();
-        }
-        hit
-    }
-
-    pub fn trace_decode_error(&mut self, ou: u16, tid: u64, now_ns: f64) {
-        self.tracer.on_decode_error(ou, tid, now_ns);
-        self.trace_flush_completions();
-        self.trace_sync_counters();
-    }
-
-    /// Collective lifecycle stamp for parked traces.
-    pub fn trace_lifecycle_stamp(&mut self, stage: Stage, enter_ns: f64, exit_ns: f64, depth: u64) {
-        self.tracer.lifecycle_stamp(stage, enter_ns, exit_ns, depth);
-    }
-
-    /// Retrain completion: parked traces terminate delivered at model
-    /// `generation`. Returns how many completed.
-    pub fn trace_lifecycle_complete(&mut self, now_ns: f64, generation: u64) -> usize {
-        let n = self.tracer.lifecycle_complete(now_ns, generation);
-        self.trace_flush_completions();
-        self.trace_sync_counters();
-        n
-    }
-
-    pub fn trace_compacted(&mut self, n: u64, now_ns: f64) {
-        self.tracer.on_compacted(n, now_ns);
-        self.trace_flush_completions();
-        self.trace_sync_counters();
-    }
-
-    pub fn trace_stats(&self) -> TraceStats {
-        self.tracer.stats()
-    }
-
-    /// Arm the flight recorder: [`Registry::flight_record`] writes its
-    /// evidence bundles under `dir`.
-    pub fn arm_flight_recorder(&mut self, dir: std::path::PathBuf, fig: &str) {
-        self.flightrec.dir = Some(dir);
-        self.flightrec.fig = fig.to_string();
-    }
-
-    pub fn flight_recorder_armed(&self) -> bool {
-        self.flightrec.dir.is_some()
-    }
-
-    /// Armed flight-recorder output directory and fig name, if armed —
-    /// the obsd operator plane lists/fetches bundles from here.
-    pub fn flight_recorder_target(&self) -> Option<(std::path::PathBuf, String)> {
-        self.flightrec
-            .dir
-            .clone()
-            .map(|d| (d, self.flightrec.fig.clone()))
+    pub fn flight_recorder_mut(&mut self) -> &mut FlightRecorderArm {
+        &mut self.flightrec
     }
 
     /// If armed and `alerts` contains a fired CRITICAL transition, write
@@ -990,10 +857,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn key_labels_are_order_insensitive() {
-        let a = MetricKey::new("m", &[("a", "1"), ("b", "2")]);
-        let b = MetricKey::new("m", &[("b", "2"), ("a", "1")]);
-        assert_eq!(a, b);
+    fn series_labels_are_order_insensitive_and_summed_by_one_label() {
+        let mut r = Registry::new();
+        r.counter("m", &[("a", "1"), ("b", "2")]).inc();
+        r.counter("m", &[("b", "2"), ("a", "1")]).inc();
+        r.counter("m", &[("a", "1"), ("b", "3")]).add(5);
+        r.counter("m", &[("a", "2")]).add(100);
+        assert_eq!(r.len(), 3);
+        assert_eq!(r.counter_value("m", &[("b", "2"), ("a", "1")]), 2);
+        assert_eq!(r.counter_sum_where("m", "a", "1"), 7);
+        assert_eq!(r.counter_sum_where("m", "b", "2"), 2);
+        assert_eq!(r.counter_sum_where("m", "c", "1"), 0);
+        assert_eq!(r.counter_sum_where("other", "a", "1"), 0);
+        let family: Vec<_> = r.counter_family("m").map(|(l, n)| (l.len(), n)).collect();
+        assert_eq!(family, [(2, 2), (2, 5), (1, 100)]);
     }
 
     #[test]
@@ -1136,7 +1013,7 @@ mod tests {
         assert_eq!(r.timeseries().total_in_window("d", 0), 5);
         assert_eq!(r.timeseries().total_in_window("d", 1), 14);
         assert_eq!(r.timeseries().delta("d", 1), 9);
-        assert!(r.timeseries_json().contains("\"windows\""));
+        assert!(r.timeseries().to_json().contains("\"windows\""));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! A [`Sketch`] summarizes one stream of non-negative observations — an
 //! OU's elapsed-time targets, a feature-vector norm — in bounded memory:
-//! the same 513-slot log-linear bucket layout the latency histograms use
-//! (see `histogram.rs`) plus exact first/second moments and extremes.
+//! a latency [`Histogram`] (513 log-linear buckets, exact sum and
+//! extremes) plus the exact second moment.
 //! Two sketches over the *same* fixed bucketing are directly comparable,
 //! which is what the drift detectors in `drift.rs` exploit: PSI and
 //! KS-distance reduce to a single pass over aligned bucket counts.
@@ -31,7 +31,7 @@
 //!   regime changes still light up; pair with KS when sub-octave
 //!   sensitivity matters.
 
-use crate::histogram::{bucket_index, bucket_upper, BUCKETS, OCTAVES, SUB_BUCKETS};
+use crate::histogram::{Histogram, OCTAVES, SUB_BUCKETS};
 
 /// Bucket-proportion floor used when a PSI term's numerator or
 /// denominator would otherwise be zero (standard epsilon smoothing; keeps
@@ -39,27 +39,10 @@ use crate::histogram::{bucket_index, bucket_upper, BUCKETS, OCTAVES, SUB_BUCKETS
 const PSI_EPSILON: f64 = 1e-4;
 
 /// A bounded-memory summary of one observation stream.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Sketch {
-    counts: Vec<u64>,
-    count: u64,
-    sum: f64,
+    hist: Histogram,
     sum_sq: f64,
-    min: f64,
-    max: f64,
-}
-
-impl Default for Sketch {
-    fn default() -> Self {
-        Sketch {
-            counts: vec![0; BUCKETS],
-            count: 0,
-            sum: 0.0,
-            sum_sq: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
 }
 
 impl Sketch {
@@ -73,59 +56,45 @@ impl Sketch {
         if v.is_nan() {
             return;
         }
-        self.counts[bucket_index(v)] += 1;
-        self.count += 1;
-        self.sum += v;
+        self.hist.record(v);
         self.sum_sq += v * v;
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
     }
 
     pub fn count(&self) -> u64 {
-        self.count
+        self.hist.count()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.count() == 0
     }
 
     pub fn sum(&self) -> f64 {
-        self.sum
+        self.hist.sum()
     }
 
+    /// Smallest observation (0.0 when empty).
     pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
-        }
+        self.hist.min()
     }
 
+    /// Largest observation (0.0 when empty).
     pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max
-        }
+        self.hist.max()
     }
 
     /// Exact mean (0.0 when empty).
     pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
+        self.hist.mean()
     }
 
     /// Population variance from the running moments, floored at 0 to
     /// absorb f64 cancellation on near-constant streams.
     pub fn variance(&self) -> f64 {
-        if self.count == 0 {
+        if self.is_empty() {
             return 0.0;
         }
-        let n = self.count as f64;
-        let m = self.sum / n;
+        let n = self.count() as f64;
+        let m = self.sum() / n;
         (self.sum_sq / n - m * m).max(0.0)
     }
 
@@ -136,53 +105,30 @@ impl Sketch {
     /// Quantile estimate with ≤ 12.5% relative error (see module docs).
     /// `q` is clamped to `[0,1]`; NaN is treated as 0; empty reports 0.0.
     pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let q = if q.is_nan() { 0.0 } else { q.clamp(0.0, 1.0) };
-        let rank = ((q * self.count as f64).ceil() as u64).max(1);
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return bucket_upper(i).clamp(self.min, self.max);
-            }
-        }
-        self.max
+        self.hist.quantile(q)
     }
 
     /// Merge another sketch into this one (bucket-wise; moments add).
     /// Mergeability is what lets a reference window absorb several live
     /// windows, or per-run sketches fold into a process-wide one.
     pub fn merge_from(&mut self, other: &Sketch) {
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
+        self.hist.merge_from(&other.hist);
         self.sum_sq += other.sum_sq;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Clear all state (the drift detector resets its live window after
     /// each evaluation).
     pub fn reset(&mut self) {
-        self.counts.fill(0);
-        self.count = 0;
-        self.sum = 0.0;
-        self.sum_sq = 0.0;
-        self.min = f64::INFINITY;
-        self.max = f64::NEG_INFINITY;
+        *self = Sketch::default();
     }
 
     /// Proportion of mass per octave-coarsened bin: bin 0 is the
     /// underflow bucket, bins 1..=OCTAVES aggregate each octave's
     /// sub-buckets. PSI's working resolution (see module docs).
     fn octave_proportions(&self) -> Vec<f64> {
-        let n = self.count as f64;
+        let n = self.count() as f64;
         let mut bins = vec![0.0; 1 + OCTAVES];
-        for (i, &c) in self.counts.iter().enumerate() {
+        for (i, &c) in self.hist.counts().iter().enumerate() {
             if c == 0 {
                 continue;
             }
@@ -200,7 +146,7 @@ impl Sketch {
     /// Conventional reading: < 0.1 stable, 0.1–0.25 moderate shift,
     /// > 0.25 significant shift.
     pub fn psi(&self, other: &Sketch) -> f64 {
-        if self.count == 0 || other.count == 0 {
+        if self.is_empty() || other.is_empty() {
             return 0.0;
         }
         let ps = self.octave_proportions();
@@ -221,13 +167,13 @@ impl Sketch {
     /// difference between the two bucketed CDFs, in [0, 1]. 0 when
     /// either side is empty.
     pub fn ks_distance(&self, other: &Sketch) -> f64 {
-        if self.count == 0 || other.count == 0 {
+        if self.is_empty() || other.is_empty() {
             return 0.0;
         }
-        let n_p = self.count as f64;
-        let n_q = other.count as f64;
+        let n_p = self.count() as f64;
+        let n_q = other.count() as f64;
         let (mut cdf_p, mut cdf_q, mut ks) = (0.0f64, 0.0f64, 0.0f64);
-        for (cp, cq) in self.counts.iter().zip(&other.counts) {
+        for (cp, cq) in self.hist.counts().iter().zip(other.hist.counts()) {
             cdf_p += *cp as f64 / n_p;
             cdf_q += *cq as f64 / n_q;
             ks = ks.max((cdf_p - cdf_q).abs());

@@ -339,11 +339,11 @@ pub const TABLES: &[Table] = &[
             ];
             // OUs are discovered from the per-OU labeled counters the
             // archive records at append/flush/retention time.
-            let mut ous: Vec<String> = PER_OU
+            let mut ous: Vec<&str> = PER_OU
                 .iter()
-                .flat_map(|name| r.counters_named(name))
-                .filter_map(|(k, _)| k.labels.into_iter().find(|(l, _)| l == "ou"))
-                .map(|(_, ou)| ou)
+                .flat_map(|name| r.counter_family(name))
+                .filter_map(|(labels, _)| labels.iter().find(|(l, _)| l == "ou"))
+                .map(|(_, ou)| ou.as_str())
                 .collect();
             ous.sort();
             ous.dedup();

@@ -22,7 +22,7 @@ use tscout_actions::{ActionEngine, DbmsActuator, PlannerInputs, SubsystemRate, P
 use tscout_archive::{Archive, ArchiveOptions};
 use tscout_models::dataset::{LabeledPoint, OuData};
 use tscout_models::registry::{ModelRegistry, SwapDecision};
-use tscout_models::{datasets_from_archive, ModelKind};
+use tscout_models::{datasets_from_archive, input_row, ModelKind};
 
 /// One traced client request.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -273,16 +273,13 @@ impl ModelLifecycle {
         let _root = kernel.profile_frame(task, "tscout", true);
         // Online residual tracking: score the live models against this
         // batch's actuals (before the batch can influence a retrain),
-        // feeding each OU's residual-MAPE drift channel. Features get the
-        // same hardware/concurrency context columns the datasets append.
+        // feeding each OU's residual-MAPE drift channel.
         if !points.is_empty() && self.registry.live().is_some() {
             let mut feats: Vec<f64> = Vec::new();
             let (mut exec_sum, mut exec_n) = (0.0f64, 0u64);
             for p in points {
-                feats.clear();
-                feats.extend_from_slice(&p.features);
-                feats.push(kernel.hw.clock_ghz);
-                feats.push(concurrency as f64);
+                let own = p.features.iter().copied();
+                input_row(&mut feats, own, kernel.hw.clock_ghz, concurrency as f64);
                 if let Some(predicted) = self.registry.predict_ns(&p.ou_name, &feats) {
                     kernel
                         .telemetry
@@ -776,10 +773,8 @@ pub fn assign_templates(
         .collect()
 }
 
-/// Build per-OU labeled datasets from tagged points. Two context features
-/// are appended to every vector, mirroring §2.2's internally-collected
-/// temporal features: the CPU clock in GHz (the *only* hardware
-/// descriptor, §6.4) and the number of concurrent workers.
+/// Build per-OU labeled datasets from tagged points, each row laid out by
+/// [`input_row`].
 pub fn build_datasets(
     tagged: &[(TrainingPoint, u32)],
     clock_ghz: f64,
@@ -790,9 +785,9 @@ pub fn build_datasets(
         let d = by_ou
             .entry(p.ou_name.clone())
             .or_insert_with(|| OuData::new(&p.ou_name));
-        let mut features = p.features.clone();
-        features.push(clock_ghz);
-        features.push(concurrency as f64);
+        let mut features = Vec::new();
+        let own = p.features.iter().copied();
+        input_row(&mut features, own, clock_ghz, concurrency as f64);
         d.points.push(LabeledPoint {
             features,
             target_ns: p.elapsed_ns as f64,

@@ -23,5 +23,3 @@ echo
 echo "All figures regenerated under results/."
 echo "Telemetry snapshots:"
 ls -1 results/telemetry_*.json 2>/dev/null || echo "  (none written?)"
-echo "Training-data archive stats:"
-ls -1 results/archive_*.json 2>/dev/null || echo "  (none written?)"

@@ -13,7 +13,7 @@
 //! * [`workloads`] (`tscout-workloads`) — YCSB/SmallBank/TATP/TPC-C/
 //!   CH-benCHmark, offline runners, and the virtual-time driver;
 //! * [`telemetry`] (`tscout-telemetry`) — the self-telemetry layer
-//!   (metrics registry, span tracing, snapshot export);
+//!   (metrics registry, sample-lineage tracing, snapshot export);
 //! * [`actions`] (`tscout-actions`) — the autonomous action engine that
 //!   closes the self-driving loop (policies, guardrails, follow-ups);
 //! * [`obsd`] (`tscout-obsd`) — the operator plane: an embedded HTTP
@@ -23,8 +23,7 @@
 //!   backs the `rand` alias.
 //!
 //! See `examples/quickstart.rs` for the fastest path to collecting
-//! training data, and the `tscout-bench` binaries for the paper's
-//! figures.
+//! training data, and `tscout-bench <name>` for the paper's figures.
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 

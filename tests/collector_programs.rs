@@ -11,8 +11,8 @@
 //! printing `lines` from the test below.
 
 use tscout_suite::archive::crc32;
-use tscout_suite::bpf::insn::{disassemble, Insn};
-use tscout_suite::bpf::maps::MapDef;
+use tscout_suite::bpf::insn::{disassemble, Helper, Insn};
+use tscout_suite::bpf::maps::{MapDef, MapId, MapKind};
 use tscout_suite::bpf::vm::NullWorld;
 use tscout_suite::bpf::{Loader, ProgId};
 use tscout_suite::tscout::codegen::{
@@ -86,16 +86,46 @@ fn codegen_emits_the_pinned_streams_and_the_loader_stores_them_unchanged() {
     );
 }
 
+/// The substrate carries the mechanisms the Collector exercises and no
+/// others: every helper is called by some generated program, and every
+/// map kind is created by a deployment.
+#[test]
+fn the_isa_offers_the_helpers_and_map_kinds_the_collector_uses() {
+    let mut called = Vec::new();
+    // One slot per `MapKind` variant; the match below has no wildcard.
+    let mut created = [false; 2];
+    for (_, p) in layouts() {
+        let (loader, generated, _) = deploy(&p);
+        for insn in generated.iter().flatten() {
+            if let Insn::Call { helper } = insn {
+                assert!(Helper::ALL.contains(helper), "{helper:?} not in ALL");
+                called.push(*helper);
+            }
+        }
+        for id in 0..loader.maps.len() {
+            let def = loader.maps.def(MapId(id as u32)).expect("created above");
+            created[match def.kind {
+                MapKind::Hash { .. } => 0,
+                MapKind::PerfEventArray { .. } => 1,
+            }] = true;
+        }
+    }
+    for helper in Helper::ALL {
+        assert!(
+            called.contains(&helper),
+            "no generated program calls {helper:?}"
+        );
+    }
+    assert_eq!(created, [true; 2], "a map kind no deployment creates");
+}
+
 /// `bpf.vm_insns_per_triple` = 636: what one sampled marker triple costs
 /// on the virtual clock with every probe on.
 #[test]
 fn all_probes_triple_executes_636_instructions() {
     let (mut loader, _, ids) = deploy(&layouts()[7].1);
     let ctx = encode_ctx(5, 42, 1, 0, &[77, 88, 99]);
-    let mut world = NullWorld {
-        time_ns: 100,
-        pid_tgid: 42,
-    };
+    let mut world = NullWorld { time_ns: 100 };
     let mut triple = || {
         ids.map(|id| {
             let (r0, stats) = loader.run(id, &ctx, &mut world).expect("runs");

@@ -1,13 +1,13 @@
 //! Model-based test of the map and ring storage.
 //!
 //! The slab/byte-queue storage in `tscout-bpf` replaced
-//! `BTreeMap<Vec<u8>, Vec<u8>>` hash maps, `Vec<Vec<u8>>` arrays and
-//! stacks, and a `VecDeque<Vec<u8>>` ring. Those old semantics live on
-//! here as the *oracle*: seeded random operation sequences run against
-//! both, and every return value, `dump()`, `RingStats` and `MapOpStats`
-//! must agree. Two properties the oracle cannot state are pinned beside
-//! it: a map-value pointer dies with its key, and the ring's memory
-//! follows what is queued, not its configured capacity.
+//! `BTreeMap<Vec<u8>, Vec<u8>>` hash maps and a `VecDeque<Vec<u8>>`
+//! ring. Those old semantics live on here as the *oracle*: seeded random
+//! operation sequences run against both, and every return value,
+//! `dump()`, `RingStats` and `MapOpStats` must agree. Two properties the
+//! oracle cannot state are pinned beside it: a map-value pointer dies
+//! with its key, and the ring's memory follows what is queued, not its
+//! configured capacity.
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -25,8 +25,6 @@ use tscout_suite::bpf::{MapId, MapOpStats, MapRegistry, ProgramBuilder, RingStat
 #[derive(Debug)]
 enum OracleStorage {
     Hash(BTreeMap<Vec<u8>, Vec<u8>>),
-    Array(Vec<Vec<u8>>),
-    Stack(Vec<Vec<u8>>),
     Ring {
         buf: VecDeque<Vec<u8>>,
         dropped: u64,
@@ -43,18 +41,10 @@ struct Oracle {
     ops: MapOpStats,
 }
 
-fn array_index(key: &[u8]) -> Option<usize> {
-    (key.len() == 4).then(|| u32::from_le_bytes([key[0], key[1], key[2], key[3]]) as usize)
-}
-
 impl Oracle {
     fn create(&mut self, def: MapDef) {
         let storage = match def.kind {
             MapKind::Hash { .. } => OracleStorage::Hash(BTreeMap::new()),
-            MapKind::Array { entries } => {
-                OracleStorage::Array(vec![vec![0; def.value_size]; entries])
-            }
-            MapKind::Stack { .. } => OracleStorage::Stack(Vec::new()),
             MapKind::PerfEventArray { .. } => OracleStorage::Ring {
                 buf: VecDeque::new(),
                 dropped: 0,
@@ -71,8 +61,7 @@ impl Oracle {
         self.ops.lookups += 1;
         match &mut self.maps[id].1 {
             OracleStorage::Hash(h) => h.get_mut(key),
-            OracleStorage::Array(a) => a.get_mut(array_index(key)?),
-            _ => None,
+            OracleStorage::Ring { .. } => None,
         }
     }
 
@@ -90,13 +79,6 @@ impl Oracle {
                 h.insert(key.to_vec(), value.to_vec());
                 Ok(())
             }
-            (OracleStorage::Array(a), _) => {
-                let idx = array_index(key).ok_or(MapError::Invalid)?;
-                a.get_mut(idx)
-                    .ok_or(MapError::NotFound)?
-                    .copy_from_slice(value);
-                Ok(())
-            }
             _ => Err(MapError::Invalid),
         }
     }
@@ -105,33 +87,7 @@ impl Oracle {
         self.ops.deletes += 1;
         match &mut self.maps[id].1 {
             OracleStorage::Hash(h) => h.remove(key).map(|_| ()).ok_or(MapError::NotFound),
-            _ => Err(MapError::Invalid),
-        }
-    }
-
-    fn push(&mut self, id: usize, value: &[u8]) -> Result<(), MapError> {
-        self.ops.pushes += 1;
-        let (def, storage) = &mut self.maps[id];
-        if value.len() != def.value_size {
-            return Err(MapError::Invalid);
-        }
-        match (storage, def.kind) {
-            (OracleStorage::Stack(s), MapKind::Stack { max_entries }) => {
-                if s.len() >= max_entries {
-                    return Err(MapError::Full);
-                }
-                s.push(value.to_vec());
-                Ok(())
-            }
-            _ => Err(MapError::Invalid),
-        }
-    }
-
-    fn pop(&mut self, id: usize) -> Result<Vec<u8>, MapError> {
-        self.ops.pops += 1;
-        match &mut self.maps[id].1 {
-            OracleStorage::Stack(s) => s.pop().ok_or(MapError::NotFound),
-            _ => Err(MapError::Invalid),
+            OracleStorage::Ring { .. } => Err(MapError::Invalid),
         }
     }
 
@@ -216,8 +172,6 @@ impl Oracle {
     fn clear(&mut self, id: usize) {
         match &mut self.maps[id].1 {
             OracleStorage::Hash(h) => h.clear(),
-            OracleStorage::Array(a) => a.iter_mut().for_each(|slot| slot.fill(0)),
-            OracleStorage::Stack(s) => s.clear(),
             OracleStorage::Ring {
                 buf,
                 dropped,
@@ -232,17 +186,11 @@ impl Oracle {
     }
 
     fn dump(&self, id: usize) -> Vec<(Vec<u8>, Vec<u8>)> {
-        fn indexed<'a>(values: impl Iterator<Item = &'a Vec<u8>>) -> Vec<(Vec<u8>, Vec<u8>)> {
-            values
-                .enumerate()
-                .map(|(i, v)| ((i as u32).to_le_bytes().to_vec(), v.clone()))
-                .collect()
-        }
         match &self.maps[id].1 {
             OracleStorage::Hash(h) => h.iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
-            OracleStorage::Array(a) => indexed(a.iter()),
-            OracleStorage::Stack(s) => indexed(s.iter()),
-            OracleStorage::Ring { buf, .. } => indexed(buf.iter()),
+            OracleStorage::Ring { buf, .. } => (buf.iter().enumerate())
+                .map(|(i, v)| ((i as u32).to_le_bytes().to_vec(), v.clone()))
+                .collect(),
         }
     }
 }
@@ -256,9 +204,6 @@ fn defs() -> Vec<MapDef> {
         MapDef::hash("h8", 8, 16, 6),
         MapDef::hash("h3", 3, 5, 3),
         MapDef::hash("h0", 0, 4, 2),
-        MapDef::array("a", 8, 4),
-        MapDef::array("a0", 0, 2),
-        MapDef::stack("s", 8, 5),
         MapDef::perf_event_array("r4", 4),
         MapDef::perf_event_array("r1", 1),
         MapDef::perf_event_array("r0", 0),
@@ -325,16 +270,16 @@ fn storage_matches_the_old_semantics_on_random_sequences() {
             let rid = MapId(id as u32);
             let def = oracle.maps[id].0.clone();
             match rng.random_range(0u32..100) {
-                0..=19 => {
+                0..=24 => {
                     let (k, v) = (key_for(&mut rng, &def), value_for(&mut rng, &def));
                     assert_eq!(real.update(rid, &k, &v), oracle.update(id, &k, &v));
                 }
-                20..=34 => {
+                25..=39 => {
                     let k = key_for(&mut rng, &def);
                     let want = oracle.lookup(id, &k).map(|v| v.clone());
                     assert_eq!(real.lookup(rid, &k).map(<[u8]>::to_vec), want);
                 }
-                35..=44 => {
+                40..=49 => {
                     // In-place mutation through the mutable view.
                     let k = key_for(&mut rng, &def);
                     let byte = rng.random_range(0u8..=255);
@@ -348,28 +293,21 @@ fn storage_matches_the_old_semantics_on_random_sequences() {
                         }
                     }
                 }
-                45..=54 => {
+                50..=59 => {
                     let k = key_for(&mut rng, &def);
                     assert_eq!(real.delete(rid, &k), oracle.delete(id, &k));
                 }
-                55..=62 => {
-                    let v = value_for(&mut rng, &def);
-                    assert_eq!(real.push(rid, &v), oracle.push(id, &v));
-                }
-                63..=70 => {
-                    assert_eq!(real.pop(rid).map(<[u8]>::to_vec), oracle.pop(id));
-                }
-                71..=85 => {
+                60..=79 => {
                     // Often past capacity: the rings hold 4, 1 and 0.
                     let len = rng.random_range(0usize..40);
                     let data = bytes(&mut rng, len);
                     assert_eq!(real.ring_push(rid, &data), oracle.ring_push(id, &data));
                 }
-                86..=91 => {
+                80..=87 => {
                     let max = rng.random_range(0usize..6);
                     assert_eq!(real.ring_drain(rid, max), oracle.ring_drain(id, max));
                 }
-                92..=95 => {
+                88..=93 => {
                     // Only the header of an overwritten record is kept.
                     let mut got = Vec::new();
                     while let Some(header) = real.ring_pop_evicted(rid) {
@@ -382,7 +320,7 @@ fn storage_matches_the_old_semantics_on_random_sequences() {
                         .collect();
                     assert_eq!(got, want);
                 }
-                96..=97 => {
+                94..=97 => {
                     real.clear(rid);
                     oracle.clear(id);
                 }

@@ -50,16 +50,8 @@ fn every_begun_sample_is_delivered_or_lost_per_subsystem() {
         let begun = t.counter_value("tscout_samples_begun_total", &label);
         let delivered = t.counter_value("tscout_samples_delivered_total", &label);
         // Lost is labeled {subsystem, reason}; sum across reasons.
-        let lost: u64 = t.with_registry(|r| {
-            r.counters_named("tscout_samples_lost_total")
-                .iter()
-                .filter(|(k, _)| {
-                    k.labels
-                        .iter()
-                        .any(|(n, v)| n == "subsystem" && v == s.name())
-                })
-                .map(|(_, v)| *v)
-                .sum()
+        let lost = t.with_registry(|r| {
+            r.counter_sum_where("tscout_samples_lost_total", "subsystem", s.name())
         });
         assert_eq!(
             begun,
@@ -105,9 +97,8 @@ fn per_ou_accounting_matches_subsystem_totals() {
 
     // And the per-OU identity holds for each OU individually.
     let ous: std::collections::BTreeSet<String> = t.with_registry(|r| {
-        r.counters_named("tscout_ou_samples_begun_total")
-            .iter()
-            .flat_map(|(k, _)| k.labels.iter().map(|(_, v)| v.clone()))
+        r.counter_family("tscout_ou_samples_begun_total")
+            .flat_map(|(labels, _)| labels.iter().map(|(_, v)| v.clone()))
             .collect()
     });
     assert!(!ous.is_empty());
@@ -115,13 +106,8 @@ fn per_ou_accounting_matches_subsystem_totals() {
         let label = [("ou", ou.as_str())];
         let begun = t.counter_value("tscout_ou_samples_begun_total", &label);
         let delivered = t.counter_value("tscout_ou_samples_delivered_total", &label);
-        let lost: u64 = t.with_registry(|r| {
-            r.counters_named("tscout_ou_samples_lost_total")
-                .iter()
-                .filter(|(k, _)| k.labels.iter().any(|(n, v)| n == "ou" && v == ou))
-                .map(|(_, v)| *v)
-                .sum()
-        });
+        let lost =
+            t.with_registry(|r| r.counter_sum_where("tscout_ou_samples_lost_total", "ou", ou));
         assert_eq!(
             begun,
             delivered + lost,

@@ -11,7 +11,7 @@
 //! 4. A seeded `run_with_lifecycle` leg exports exactly the series set
 //!    (and the sample-accounting counters) it exported before hot
 //!    metrics moved to handles (`tests/golden/series_ycsb_seed42.txt`
-//!    was written by the commit that still built a `MetricKey` per
+//!    was written by the commit that still built an owned key per
 //!    call), and every family's `# HELP` is its README row.
 
 use std::collections::BTreeSet;

@@ -21,11 +21,15 @@ use tscout_suite::bpf::maps::MapDef;
 use tscout_suite::bpf::vm::{NullWorld, Vm};
 use tscout_suite::bpf::{verify, verify_with_stats, MapId, MapRegistry, VerifyError};
 
+/// How many maps [`maps`] creates; the generators also draw the one id
+/// past them.
+const MAPS: u32 = 2;
+
 fn maps() -> MapRegistry {
     let mut m = MapRegistry::new();
     m.create(MapDef::hash("h", 8, 16, 32));
-    m.create(MapDef::stack("s", 8, 8));
     m.create(MapDef::perf_event_array("r", 16));
+    assert_eq!(m.len(), MAPS as usize);
     m
 }
 
@@ -83,20 +87,6 @@ const CONDS: [Cond; 11] = [
     Cond::Set,
 ];
 
-const HELPERS: [Helper; 11] = [
-    Helper::MapLookup,
-    Helper::MapUpdate,
-    Helper::MapDelete,
-    Helper::MapPush,
-    Helper::MapPop,
-    Helper::PerfEventReadBuf,
-    Helper::ReadTaskIo,
-    Helper::ReadTcpSock,
-    Helper::PerfEventOutput,
-    Helper::KtimeGetNs,
-    Helper::GetCurrentPidTgid,
-];
-
 fn arb_insn(rng: &mut StdRng) -> Insn {
     // Bias toward small `mov dst, imm` so registers get initialized and
     // a useful fraction of programs survives verification.
@@ -139,11 +129,11 @@ fn arb_insn(rng: &mut StdRng) -> Insn {
             off: rng.random_range(-8i32..8),
         },
         4 => Insn::Call {
-            helper: HELPERS[rng.random_range(0..HELPERS.len())],
+            helper: Helper::ALL[rng.random_range(0..Helper::ALL.len())],
         },
         5 => Insn::LoadMap {
             dst: Reg(1),
-            map: MapId(rng.random_range(0u32..4)),
+            map: MapId(rng.random_range(0..=MAPS)),
         },
         _ => Insn::Exit,
     }
@@ -156,7 +146,7 @@ fn arb_insn(rng: &mut StdRng) -> Insn {
 #[test]
 fn accepted_loopy_programs_never_fault() {
     let mut rng = StdRng::seed_from_u64(0xD1FF_5EED);
-    let total = 4096usize;
+    let total = 8192usize;
     let mut accepted = 0usize;
     for _ in 0..total {
         let len = rng.random_range(1usize..32);
