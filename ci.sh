@@ -35,15 +35,24 @@ cargo build --workspace --release
 echo "== cargo test =="
 cargo test --workspace -q
 
-echo "== allocation budgets: sample path, archive read side, forest fit (release: the build tsbench measures) =="
+echo "== allocation budgets: sample path, archive read side, forest fit, lowered engine on mutated programs (release: the build tsbench measures) =="
 # 0 allocations per marker triple, sampled or not; at most the owned
 # TrainingPoint's 4 per drained record; a column scan O(blocks),
-# datasets_from_archive one per point + O(blocks), and a Forest fit one
-# per tree node + O(trees).
+# datasets_from_archive one per point + O(blocks), a Forest fit one
+# per tree node + O(trees), and 0 per lowered run of a mutated Collector
+# stream (which must also end in Ok or Err, as the reference does).
 cargo test -q --release --test alloc_budget
 
 echo "== forest differential, full sweep (release): the rank-coded fit builds the sort-per-node reference's trees bit for bit — 280 seeded cases of hostile floats, n up to 20 000 =="
 cargo test -q --release -p tscout-models -- --include-ignored forest
+
+echo "== lowered-engine differential, full sweep (release): Loader::run's lowered form returns Vm::run's result, maps and counters bit for bit — 16x the tier-1 draw of both seeded generators, accepted by the verifier or not =="
+cargo test -q --release --test lowered_differential -- --include-ignored
+
+echo "== one engine behind Loader::run: nothing in crates/bpf reads the environment or a cargo feature =="
+if git grep -nE 'env::var|cfg\(feature' -- crates/bpf/src; then
+  echo "FAIL: crates/bpf selects behaviour from an env var or a feature"; exit 1
+fi
 
 # Everything below writes its artifacts here, never into results/.
 TS_RESULTS=$(mktemp -d)

@@ -24,14 +24,20 @@
 //!   `(tid, depth)`) and the perf-event ring buffer that ships samples to
 //!   the user-space Processor (bounded, overwrites when full — paper
 //!   §3.2).
-//! * [`vm`] — the interpreter. It trusts the verifier but still checks
+//! * [`vm`] — the memory model, the helpers and the reference
+//!   interpreter. Execution trusts the verifier but still checks
 //!   everything defensively; helper calls reach the simulated kernel
 //!   through the [`vm::HelperWorld`] trait, which keeps this crate
 //!   independent of `tscout-kernel`.
-//! * [`loader`] — load → verify → attach lifecycle, including detach and
-//!   reload for dynamic feature selection (paper §5.4). The stream that
-//!   runs is the stream that was submitted: nothing rewrites a program
-//!   between the verifier and the interpreter.
+//! * [`lower`] — the verified stream as a dense, op-specialised form:
+//!   one op per instruction, the adjacent `mov; add` (`; ldx8`/`stx8`)
+//!   shapes codegen emits fused into one. This is the engine programs
+//!   run on; [`Vm::run`] is kept as its executable specification and the
+//!   two are held to the same result bit for bit.
+//! * [`loader`] — verify → lower → run, plus attach, detach and reload
+//!   for dynamic feature selection (paper §5.4). A program is verified
+//!   as submitted and lowered 1:1: nothing reorders, drops or rewrites
+//!   an instruction, and every executed one is still counted.
 //!
 //! The crate is deliberately self-contained (its only dependency is the
 //! zero-dep in-workspace telemetry crate, for profiler frame guards) so
@@ -42,6 +48,7 @@
 pub mod asm;
 pub mod insn;
 pub mod loader;
+pub mod lower;
 pub mod maps;
 pub mod tnum;
 pub mod verifier;

@@ -1,21 +1,26 @@
-//! The program loader: load → verify → run, plus unload/reload. The
-//! stream that runs is the stream that was submitted and verified.
+//! The program loader: verify → lower → run, plus unload/reload.
 //!
 //! "During this loading step, the BPF subsystem verifies the program's
 //! safety, just-in-time compiles the bytecode to machine code, and
-//! transfers it into the kernel" (paper §2.3). Our loader verifies and
-//! then interprets; unload/reload supports TScout's dynamic feature
-//! selection (§5.4: "TS can dynamically unload BPF programs, modify them,
-//! and reload them").
+//! transfers it into the kernel" (paper §2.3). Our loader verifies the
+//! stream as submitted, lowers it 1:1 ([`crate::lower`]: one op per
+//! instruction, adjacent pairs fused) and runs the lowered form — the
+//! only engine behind [`Loader::run`]. The submitted stream stays on the
+//! [`LoadedProg`] for disassembly and the program pins, and the
+//! reference interpreter ([`crate::Vm::run`]) stays as the lowered
+//! engine's specification. Unload/reload supports TScout's dynamic
+//! feature selection (§5.4: "TS can dynamically unload BPF programs,
+//! modify them, and reload them").
 
 use std::sync::Arc;
 
 use tscout_telemetry::{FrameGuard, Profiler};
 
 use crate::insn::Insn;
+use crate::lower::{lower, Lowered};
 use crate::maps::MapRegistry;
 use crate::verifier::{verify_with_log, verify_with_stats, VerifyError, VerifyStats};
-use crate::vm::{ExecStats, HelperWorld, Vm, VmError, VmScratch};
+use crate::vm::{ExecStats, HelperWorld, VmError, VmScratch};
 
 /// Identifier of a loaded program. Also used as the attachment token in the
 /// simulated kernel's tracepoint registry.
@@ -53,7 +58,17 @@ pub struct LoadedProg {
     frame: Arc<str>,
     /// The instruction stream, exactly as submitted and verified.
     pub insns: Vec<Insn>,
+    /// What `insns` lowered to: the form [`Loader::run`] executes.
+    lowered: Lowered,
     pub ctx_size: usize,
+}
+
+impl LoadedProg {
+    /// How many ops `insns` lowered to (`insns.len()` less what fusing
+    /// adjacent pairs saved).
+    pub fn lowered_ops(&self) -> usize {
+        self.lowered.op_count()
+    }
 }
 
 /// Owns the maps and the loaded programs — the "BPF subsystem".
@@ -67,7 +82,7 @@ pub struct Loader {
     /// stays kernel-agnostic: the handle is injected by whoever owns
     /// both, e.g. TScout at attach time).
     profiler: Option<Profiler>,
-    /// The VM's working memory, reused by every `run`.
+    /// The lowered engine's working memory, reused by every `run`.
     scratch: VmScratch,
     /// Staging buffer for contexts shorter than a program's declared
     /// size (zero-padded before the run).
@@ -104,6 +119,7 @@ impl Loader {
         self.progs.push(Some(LoadedProg {
             name: name.into(),
             frame: format!("bpf:prog:{name}").into(),
+            lowered: lower(&insns),
             insns,
             ctx_size,
         }));
@@ -173,7 +189,7 @@ impl Loader {
         // Context is truncated/zero-padded to the declared size so variable
         // payloads (e.g. feature vectors) stay within verified bounds.
         // (`progs`, `maps` and the scratch buffers are disjoint fields, so
-        // the program is interpreted in place — no per-call clone.)
+        // the program runs in place — no per-call clone.)
         let ctx = if ctx.len() >= prog.ctx_size {
             &ctx[..prog.ctx_size]
         } else {
@@ -182,7 +198,8 @@ impl Loader {
             self.padded_ctx.resize(prog.ctx_size, 0);
             &self.padded_ctx
         };
-        Vm::run_with(&prog.insns, ctx, &mut self.maps, world, &mut self.scratch)
+        prog.lowered
+            .run(ctx, &mut self.maps, world, &mut self.scratch)
     }
 }
 

@@ -1,10 +1,15 @@
-//! The interpreter ("JIT" stage of the loader pipeline).
+//! The reference interpreter and the memory model both engines share.
 //!
-//! The kernel JIT-compiles verified bytecode to machine code; we interpret
-//! it. The interpreter *trusts* the verifier for performance in real BPF,
-//! but ours stays defensive: every memory access is still checked, so a
-//! verifier bug surfaces as a [`VmError`] instead of undefined behavior —
-//! a property the cross-checking property tests rely on.
+//! The kernel JIT-compiles verified bytecode to machine code; the loader
+//! here lowers it ([`crate::lower`]) and runs the lowered form.
+//! [`Vm::run`] interprets the submitted stream directly and is kept as
+//! the executable specification: the lowered engine must return what it
+//! returns, bit for bit (`tests/lowered_differential.rs`), and only
+//! tests call it. A real BPF JIT *trusts* the verifier for performance;
+//! both engines here stay defensive: every memory access is still
+//! checked, so a verifier bug surfaces as a [`VmError`] instead of
+//! undefined behavior — a property the cross-checking property tests
+//! rely on.
 //!
 //! ## Memory model
 //!
@@ -13,13 +18,15 @@
 //!
 //! * stack:      `0x1000_0000_0000 ..+ 512` (R10 starts at the top),
 //! * context:    `0x2000_0000_0000 ..+ ctx_len` (read-only),
-//! * map values: `0x3000_0000_0000 + (entry << 32) ..+ value_size`, where
+//! * map handles: `0x4000_0000_0000 | map_id` (opaque; only helpers use
+//!   them),
+//! * map values: `0x5000_0000_0000 + (entry << 32) ..+ value_size`, where
 //!   `entry` indexes a per-execution table of `(map, slot, generation)`
 //!   pointers created by `map_lookup_elem` — giving BPF's in-place
 //!   value-update semantics; a pointer whose key has been deleted stops
-//!   resolving ([`VmError::StaleMapValue`]),
-//! * map handles: `0x4000_0000_0000 | map_id` (opaque; only helpers use
-//!   them).
+//!   resolving ([`VmError::StaleMapValue`]). This window is the topmost
+//!   and open-ended: a run makes fewer than [`FUEL`] lookups, so no
+//!   entry's window can reach another region's.
 
 use crate::insn::{AluOp, Helper, Insn, Reg, Size, Src};
 use crate::maps::{MapError, MapId, MapRegistry, ValueRef};
@@ -27,8 +34,8 @@ use crate::maps::{MapError, MapId, MapRegistry, ValueRef};
 pub const STACK_BASE: u64 = 0x1000_0000_0000;
 pub const STACK_SIZE: usize = 512;
 pub const CTX_BASE: u64 = 0x2000_0000_0000;
-pub const MAPV_BASE: u64 = 0x3000_0000_0000;
 pub const HANDLE_BASE: u64 = 0x4000_0000_0000;
+pub const MAPV_BASE: u64 = 0x5000_0000_0000;
 /// Interpreter fuel: far above the verifier's path lengths, so exhausting
 /// it indicates a bug rather than a slow program.
 pub const FUEL: u64 = 4_000_000;
@@ -97,7 +104,8 @@ impl HelperWorld for NullWorld {
         self.time_ns
     }
     fn perf_event_read(&mut self, idx: u64) -> Option<[u64; 3]> {
-        Some([idx * 100, 1000, 1000])
+        // Wrapping: an unverified program may ask for any counter.
+        Some([idx.wrapping_mul(100), 1000, 1000])
     }
     fn read_task_io(&mut self) -> [u64; 4] {
         [0; 4]
@@ -107,10 +115,12 @@ impl HelperWorld for NullWorld {
     }
 }
 
-/// Working memory one program run needs beyond its registers and stack,
-/// kept by the caller (the [`crate::Loader`]) and reused from run to run
-/// so that no execution allocates: the staging bytes helper arguments
-/// are copied through, and the table of live map-value pointers.
+/// Working memory one program run needs beyond its registers and stack:
+/// the staging bytes helper arguments are copied through, and the table
+/// of live map-value pointers. The lowered engine's caller (the
+/// [`crate::Loader`]) keeps one and reuses it from run to run so that no
+/// execution allocates; the reference interpreter starts each run with a
+/// fresh one.
 #[derive(Debug, Default)]
 pub struct VmScratch {
     bytes: Vec<u8>,
@@ -118,12 +128,13 @@ pub struct VmScratch {
     deref: Vec<ValueRef>,
 }
 
-/// The interpreter.
+/// The reference interpreter.
 #[derive(Debug)]
 pub struct Vm;
 
-struct Exec<'a> {
-    stack: [u8; STACK_SIZE],
+/// One run's memory: what [`mem`] and [`mem_mut`] resolve addresses in.
+pub(crate) struct Exec<'a> {
+    pub(crate) stack: [u8; STACK_SIZE],
     ctx: &'a [u8],
     maps: &'a mut MapRegistry,
     scratch: &'a mut VmScratch,
@@ -159,7 +170,22 @@ fn mem<'a>(
     Err(VmError::BadAddress { pc, addr })
 }
 
-impl Exec<'_> {
+impl<'a> Exec<'a> {
+    /// A zeroed stack and no live map-value pointers.
+    pub(crate) fn new(
+        ctx: &'a [u8],
+        maps: &'a mut MapRegistry,
+        scratch: &'a mut VmScratch,
+    ) -> Self {
+        scratch.deref.clear();
+        Exec {
+            stack: [0; STACK_SIZE],
+            ctx,
+            maps,
+            scratch,
+        }
+    }
+
     /// The `N` bytes at `addr`, by value.
     #[inline(always)]
     fn read<const N: usize>(&self, pc: usize, addr: u64) -> Result<[u8; N], VmError> {
@@ -178,7 +204,7 @@ impl Exec<'_> {
     /// Sized load, zero-extended. One fixed-width access per size, so
     /// the bounds checks and the copy compile against a constant.
     #[inline(always)]
-    fn load(&self, pc: usize, addr: u64, size: Size) -> Result<u64, VmError> {
+    pub(crate) fn load(&self, pc: usize, addr: u64, size: Size) -> Result<u64, VmError> {
         Ok(match size {
             Size::B1 => u8::from_le_bytes(self.read(pc, addr)?) as u64,
             Size::B2 => u16::from_le_bytes(self.read(pc, addr)?) as u64,
@@ -226,7 +252,13 @@ impl Exec<'_> {
 
     /// Sized store of `v`'s low bytes (fixed-width like [`Exec::load`]).
     #[inline(always)]
-    fn store(&mut self, pc: usize, addr: u64, size: Size, v: u64) -> Result<(), VmError> {
+    pub(crate) fn store(
+        &mut self,
+        pc: usize,
+        addr: u64,
+        size: Size,
+        v: u64,
+    ) -> Result<(), VmError> {
         match size {
             Size::B1 => self.write(pc, addr, (v as u8).to_le_bytes()),
             Size::B2 => self.write(pc, addr, (v as u16).to_le_bytes()),
@@ -272,22 +304,29 @@ fn mem_mut<'a>(
 
 /// Register file size: the eleven architectural registers rounded up to
 /// a power of two (see [`slot`]).
-const REG_SLOTS: usize = 16;
+pub(crate) const REG_SLOTS: usize = 16;
 
 /// Index of `r` in the register file.
-fn slot(r: Reg) -> usize {
+pub(crate) fn slot(r: Reg) -> usize {
     r.0 as usize & (REG_SLOTS - 1)
+}
+
+/// The register file a program starts with: `R1` = context, `R10` = top
+/// of the stack. Sixteen slots so a masked register number always indexes
+/// in bounds: no check on the hot path, and no panic on a register only
+/// an unverified program can name.
+pub(crate) fn entry_regs() -> [u64; REG_SLOTS] {
+    let mut regs = [0u64; REG_SLOTS];
+    regs[1] = CTX_BASE;
+    regs[10] = STACK_BASE + STACK_SIZE as u64;
+    regs
 }
 
 /// `(dereference-table entry, offset into the value)` of a map-value
 /// address.
 fn mapv_decode(addr: u64) -> Option<(usize, usize)> {
-    if (MAPV_BASE..HANDLE_BASE).contains(&addr) {
-        let rel = addr - MAPV_BASE;
-        Some(((rel >> 32) as usize, (rel & 0xFFFF_FFFF) as usize))
-    } else {
-        None
-    }
+    let rel = addr.checked_sub(MAPV_BASE)?;
+    Some(((rel >> 32) as usize, (rel & 0xFFFF_FFFF) as usize))
 }
 
 #[inline(always)]
@@ -311,31 +350,9 @@ impl Vm {
         maps: &mut MapRegistry,
         world: &mut dyn HelperWorld,
     ) -> Result<(u64, ExecStats), VmError> {
-        Self::run_with(prog, ctx, maps, world, &mut VmScratch::default())
-    }
-
-    /// [`Vm::run`] over a caller-kept [`VmScratch`] (allocation-free
-    /// once the scratch has reached its working size).
-    pub fn run_with(
-        prog: &[Insn],
-        ctx: &[u8],
-        maps: &mut MapRegistry,
-        world: &mut dyn HelperWorld,
-        scratch: &mut VmScratch,
-    ) -> Result<(u64, ExecStats), VmError> {
-        // Sixteen slots so a masked register number always indexes in
-        // bounds: no check on the hot path, and no panic on a register
-        // only an unverified program can name.
-        let mut regs = [0u64; REG_SLOTS];
-        regs[1] = CTX_BASE;
-        regs[10] = STACK_BASE + STACK_SIZE as u64;
-        scratch.deref.clear();
-        let mut exec = Exec {
-            stack: [0; STACK_SIZE],
-            ctx,
-            maps,
-            scratch,
-        };
+        let mut regs = entry_regs();
+        let mut scratch = VmScratch::default();
+        let mut exec = Exec::new(ctx, maps, &mut scratch);
         let mut stats = ExecStats::default();
         let mut pc = 0usize;
         // Instructions executed so far; doubles as the fuel gauge.
@@ -417,7 +434,7 @@ impl Vm {
     // Out of line: the helpers' code would otherwise crowd the dispatch
     // loop's registers.
     #[inline(never)]
-    fn call(
+    pub(crate) fn call(
         helper: Helper,
         regs: &mut [u64; REG_SLOTS],
         exec: &mut Exec<'_>,
@@ -486,6 +503,7 @@ impl Vm {
             }
             Helper::PerfEventOutput => {
                 let map = handle_decode(regs[1]).ok_or_else(bad)?;
+                exec.maps.def(map).ok_or_else(bad)?;
                 exec.stage(pc, regs[2], regs[3] as usize)?;
                 stats.ring_publishes += 1;
                 errno(exec.maps.ring_push(map, &exec.scratch.bytes))
@@ -508,7 +526,7 @@ fn errno(r: Result<(), MapError>) -> u64 {
 }
 
 /// Concrete ALU evaluation.
-fn alu(op: AluOp, d: u64, s: u64) -> u64 {
+pub(crate) fn alu(op: AluOp, d: u64, s: u64) -> u64 {
     match op {
         AluOp::Add => d.wrapping_add(s),
         AluOp::Sub => d.wrapping_sub(s),

@@ -7,10 +7,15 @@
 //! directly. Codegen runs per deployment with the concrete
 //! [`ProbeLayout`], so every trip count and slot offset is a Rust value
 //! here: per-counter work is a plain `for` loop that emits one
-//! straight-line copy per slot. The stream returned is the stream the
-//! loader verifies and the VM runs — nothing rewrites it in between —
-//! and `tests/collector_programs.rs` pins it instruction for instruction
-//! (`tests/golden/collector_programs.txt`).
+//! straight-line copy per slot. The stream returned is verified as
+//! submitted and lowered 1:1 by the loader (`tscout_bpf::lower`): every
+//! instruction still executes and is still charged, but the adjacent
+//! pairs `rebase` and `fp_ptr` emit — `mov d, b; add d, imm`, and
+//! the 8-byte load or store through `d` right behind them — run as one
+//! fused op. `tests/collector_programs.rs` pins the streams instruction
+//! for instruction (`tests/golden/collector_programs.txt`) and the
+//! lowered op counts beside them, so an edit here that stops matching a
+//! fused shape fails a test, not a benchmark.
 //!
 //! Three programs are generated per subsystem:
 //!
@@ -179,8 +184,10 @@ fn snap_off(probes: &ProbeLayout, word: usize) -> i32 {
 /// Folding `bytes` into each access's displacement instead would drop the
 /// two instructions per rebased pointer (636 → ~392 executed per
 /// all-probes triple), but the virtual clock charges per executed
-/// instruction, so that moves every seeded golden and figure: it is a
-/// change of its own. Until then this is the pinned shape.
+/// instruction, so that moves every seeded golden, figure and sample
+/// byte: it is a change of its own. Until then this is the pinned shape
+/// — and the one the loader's lowering fuses, so the pair costs one
+/// dispatch on the wall clock while still counting two instructions.
 fn rebase(b: &mut ProgramBuilder, scratch: insn::Reg, base: insn::Reg, bytes: usize) -> insn::Reg {
     if bytes == 0 {
         return base;

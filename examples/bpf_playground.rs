@@ -1,6 +1,6 @@
-//! The BPF substrate, hands on: assemble a program, watch the verifier
-//! accept (or reject) it, run it in the VM, and disassemble one of
-//! TScout's generated Collector programs.
+//! The BPF substrate, hands on: assemble a program, watch the loader
+//! verify, lower and run it (or the verifier reject it), and disassemble
+//! one of TScout's generated Collector programs.
 //!
 //! ```sh
 //! cargo run --release --example bpf_playground
@@ -9,15 +9,15 @@
 use tscout_suite::bpf::asm::ProgramBuilder;
 use tscout_suite::bpf::insn::{self, AluOp, Cond, Helper, Size};
 use tscout_suite::bpf::maps::MapDef;
-use tscout_suite::bpf::vm::{NullWorld, Vm};
-use tscout_suite::bpf::{verify, MapRegistry};
+use tscout_suite::bpf::vm::NullWorld;
+use tscout_suite::bpf::{verify, Loader};
 use tscout_suite::tscout::codegen::{gen_features, ProbeLayout, CTX_BYTES};
 
 use insn::{R0, R1, R10, R2, R3, R6};
 
 fn main() {
-    let mut maps = MapRegistry::new();
-    let counters = maps.create(MapDef::hash("counters", 8, 8, 64));
+    let mut loader = Loader::new();
+    let counters = loader.maps.create(MapDef::hash("counters", 8, 8, 64));
 
     // A program that bumps counters[ctx.key] and returns the new value.
     let mut b = ProgramBuilder::new();
@@ -53,12 +53,18 @@ fn main() {
 
     println!("== hand-written counter program ==");
     print!("{}", insn::disassemble(&prog));
-    verify(&prog, &maps, 8).expect("verifier should accept this");
-    println!("verifier: ACCEPTED");
+    let id = loader
+        .load("counter", prog.clone(), 8)
+        .expect("verifier should accept this");
+    let lowered = loader.get(id).expect("just loaded").lowered_ops();
+    println!(
+        "verifier: ACCEPTED; {} instructions lowered to {lowered} ops",
+        prog.len()
+    );
     let mut world = NullWorld::default();
     for round in 1..=3u64 {
         let ctx = 42u64.to_le_bytes();
-        let (r0, stats) = Vm::run(&prog, &ctx, &mut maps, &mut world).unwrap();
+        let (r0, stats) = loader.run(id, &ctx, &mut world).unwrap();
         println!(
             "run {round}: counters[42] = {r0} ({} insns executed)",
             stats.insns
@@ -78,7 +84,7 @@ fn main() {
     b.load(Size::B8, R0, R0, 0); // boom: possibly-NULL deref
     b.exit();
     let bad = b.resolve().unwrap();
-    let err = verify(&bad, &maps, 8).unwrap_err();
+    let err = verify(&bad, &loader.maps, 8).unwrap_err();
     println!("verifier: REJECTED — {err}");
 
     // Finally, disassemble a TScout-generated Collector program.
@@ -88,13 +94,14 @@ fn main() {
         disk: false,
         net: false,
     };
+    let maps = &mut loader.maps;
     let done_map = maps.create(MapDef::hash("done", 8, probes.done_words() * 8, 256));
     let ring = maps.create(MapDef::perf_event_array("ring", 1024));
     let feat = gen_features(&probes, done_map, ring);
     println!(
         "{} instructions; verifier: {:?}",
         feat.len(),
-        verify(&feat, &maps, CTX_BYTES)
+        verify(&feat, maps, CTX_BYTES)
     );
     for line in insn::disassemble(&feat).lines().take(12) {
         println!("{line}");

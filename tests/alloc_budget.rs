@@ -11,7 +11,10 @@
 //! read side it pins a column scan to O(blocks) allocations and
 //! `datasets_from_archive` to one per point plus O(blocks). Training is
 //! pinned too: a Forest `fit` allocates per tree and per node, never
-//! per (node, candidate feature).
+//! per (node, candidate feature). And the lowered BPF engine is held to
+//! the sample path's budget on *hostile* programs as well: seeded
+//! mutants of the 24 Collector streams run to an `Ok` or an `Err`
+//! without a panic or an allocation.
 //!
 //! The sampling profiler is on (as in every bench run), so its frames
 //! are part of the budget too.
@@ -23,13 +26,19 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use tscout_suite::archive::{Archive, ArchiveOptions, Projection, Sample};
+use tscout_suite::bpf::lower::lower;
 use tscout_suite::kernel::{HardwareProfile, Kernel, TaskId};
 use tscout_suite::models::{datasets_from_archive, OuData, RandomForest, Regressor};
+use tscout_suite::rng::{SeedableRng, StdRng};
 use tscout_suite::telemetry::Telemetry;
 use tscout_suite::telemetry::DEFAULT_PROFILE_PERIOD_NS;
+use tscout_suite::tscout::codegen::encode_ctx;
 use tscout_suite::tscout::{
     CollectionMode, OuId, ProbeSet, Processor, Sink, Subsystem, TScout, TsConfig,
 };
+
+mod common;
+use common::{deploy, layouts, mutate, Twin, PROGRAMS};
 
 /// Counts every allocation and reallocation; frees are not interesting.
 struct Counting;
@@ -286,5 +295,65 @@ fn forest_fit_allocates_per_tree_and_node_not_per_candidate() {
     assert!(
         fit <= budget,
         "{fit} allocations fitting {TREES} trees / {nodes} nodes on {POINTS} points (budget {budget})"
+    );
+}
+
+/// Totality of the execution engines (ROADMAP 2a, the VM slice). Each
+/// case changes one field of one instruction of a valid Collector stream
+/// (`common::mutate`) — most mutants the verifier would reject, so this
+/// is the loader's engine on programs it never sees in production.
+/// `lower` and both engines must return, the lowered run must match the
+/// reference's (`Twin`), and replayed from the same map state it must
+/// not allocate: the kept scratch and the maps' storage reached their
+/// size on the first run.
+#[test]
+fn mutated_collector_programs_neither_panic_nor_allocate() {
+    const MUTANTS_PER_STREAM: usize = 48;
+    let mut rng = StdRng::seed_from_u64(0x10E_2ED);
+    let ctx = encode_ctx(5, 42, 1, 0, &[77, 88, 99]);
+    let (mut ok, mut faulted) = (0usize, 0usize);
+    for (layout, p) in layouts() {
+        let (_, generated, _) = deploy(&p);
+        let valid = generated.each_ref().map(|insns| lower(insns));
+        let mut twin = Twin::new(|| deploy(&p).0.maps);
+        for target in 0..generated.len() {
+            for _ in 0..MUTANTS_PER_STREAM {
+                let mut mutant = generated[target].clone();
+                let change = mutate(&mut mutant, &mut rng);
+                let what = format!("{layout} {}, {change}", PROGRAMS[target]);
+                let lowered = lower(&mutant);
+                // Against empty maps (every lookup misses, so the error
+                // arms run) and against what the valid programs before
+                // this one leave behind (BEGIN for END, both for FEATURES).
+                for prefix in [0, target] {
+                    let reset = |twin: &mut Twin| {
+                        twin.clear();
+                        for i in 0..prefix {
+                            let r = twin.run(PROGRAMS[i], &generated[i], &valid[i], &ctx);
+                            assert_eq!(r.map(|(r0, _)| r0), Ok(0), "{layout} {}", PROGRAMS[i]);
+                        }
+                    };
+                    reset(&mut twin);
+                    let first = twin.run(&what, &mutant, &lowered, &ctx);
+                    match first {
+                        Ok(_) => ok += 1,
+                        Err(_) => faulted += 1,
+                    }
+                    // The same run again, counted.
+                    reset(&mut twin);
+                    let expected = twin.run_reference(&mutant, &ctx);
+                    let mut got = None;
+                    let allocated = allocations(|| got = Some(twin.run_lowered(&lowered, &ctx)));
+                    assert_eq!(first, expected, "{what}: the same state ran differently");
+                    assert_eq!(got, Some(expected), "{what}: replay differs");
+                    assert_eq!(allocated, 0, "{what}: the lowered run allocated");
+                }
+            }
+        }
+    }
+    println!("{ok} mutant runs returned Ok, {faulted} Err");
+    assert!(
+        ok > 200 && faulted > 200,
+        "mutants should both survive and fault: {ok} Ok, {faulted} Err"
     );
 }

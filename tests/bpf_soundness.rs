@@ -9,129 +9,25 @@
 //!
 //! Originally `proptest` properties; now driven by the in-workspace
 //! deterministic RNG (fixed seeds, fixed case counts) so the suite
-//! builds offline and failures reproduce exactly.
+//! builds offline and failures reproduce exactly. The generator lives
+//! in `tests/common`, where `lowered_differential.rs` draws the same
+//! programs for the lowered engine.
 
 use tscout_suite::rng::{RngExt, SeedableRng, StdRng};
 
-use tscout_suite::bpf::insn::{AluOp, Cond, Helper, Insn, Reg, Size, Src};
-use tscout_suite::bpf::maps::MapDef;
+use tscout_suite::bpf::insn::{AluOp, Size};
+use tscout_suite::bpf::lower::lower;
+use tscout_suite::bpf::verify;
 use tscout_suite::bpf::vm::{NullWorld, Vm, VmError};
-use tscout_suite::bpf::{verify, MapId, MapRegistry};
 
-/// How many maps [`maps`] creates; the generators also draw the one id
-/// past them.
-const MAPS: u32 = 2;
-
-fn maps() -> MapRegistry {
-    let mut m = MapRegistry::new();
-    m.create(MapDef::hash("h", 8, 16, 32));
-    m.create(MapDef::perf_event_array("r", 16));
-    assert_eq!(m.len(), MAPS as usize);
-    m
-}
-
-fn arb_reg(rng: &mut StdRng) -> Reg {
-    Reg(rng.random_range(0u8..=10))
-}
-
-fn arb_src(rng: &mut StdRng) -> Src {
-    if rng.random_bool(0.5) {
-        Src::Reg(arb_reg(rng))
-    } else {
-        Src::Imm(rng.random_range(-600i64..600))
-    }
-}
-
-const ALU_OPS: [AluOp; 13] = [
-    AluOp::Add,
-    AluOp::Sub,
-    AluOp::Mul,
-    AluOp::Div,
-    AluOp::Mod,
-    AluOp::And,
-    AluOp::Or,
-    AluOp::Xor,
-    AluOp::Lsh,
-    AluOp::Rsh,
-    AluOp::Arsh,
-    AluOp::Mov,
-    AluOp::Neg,
-];
-
-const SIZES: [Size; 4] = [Size::B1, Size::B2, Size::B4, Size::B8];
-
-const CONDS: [Cond; 5] = [Cond::Eq, Cond::Ne, Cond::Lt, Cond::Ge, Cond::SGt];
-
-fn arb_insn(rng: &mut StdRng) -> Insn {
-    // Extra weight on `mov dst, imm`: it initializes registers, which is
-    // what most random programs need to get past the verifier, keeping
-    // the verified-programs property from going vacuous.
-    if rng.random_bool(0.25) {
-        return Insn::Alu {
-            op: AluOp::Mov,
-            dst: arb_reg(rng),
-            src: Src::Imm(rng.random_range(-600i64..600)),
-        };
-    }
-    match rng.random_range(0..7) {
-        0 => Insn::Alu {
-            op: ALU_OPS[rng.random_range(0..ALU_OPS.len())],
-            dst: arb_reg(rng),
-            src: arb_src(rng),
-        },
-        1 => Insn::Load {
-            size: SIZES[rng.random_range(0..SIZES.len())],
-            dst: arb_reg(rng),
-            base: arb_reg(rng),
-            off: rng.random_range(-520i32..64),
-        },
-        2 => Insn::Store {
-            size: SIZES[rng.random_range(0..SIZES.len())],
-            base: arb_reg(rng),
-            off: rng.random_range(-520i32..64),
-            src: arb_src(rng),
-        },
-        // Forward offsets only: this suite exercises the loop-free
-        // fragment; random *loops* live in `verifier_differential.rs`.
-        3 => Insn::Jump {
-            cond: if rng.random_bool(0.5) {
-                Some((
-                    CONDS[rng.random_range(0..CONDS.len())],
-                    arb_reg(rng),
-                    arb_src(rng),
-                ))
-            } else {
-                None
-            },
-            off: rng.random_range(0i32..6),
-        },
-        4 => Insn::Call {
-            helper: Helper::ALL[rng.random_range(0..Helper::ALL.len())],
-        },
-        5 => Insn::LoadMap {
-            dst: Reg(1),
-            map: MapId(rng.random_range(0..=MAPS)),
-        },
-        _ => Insn::Exit,
-    }
-}
-
-fn arb_body(rng: &mut StdRng, max_len: usize) -> Vec<Insn> {
-    let len = rng.random_range(1..max_len);
-    (0..len).map(|_| arb_insn(rng)).collect()
-}
+mod common;
+use common::{engines_agree, forward_cases, maps, unterminated_cases};
 
 /// The kernel contract: verified ⟹ no runtime fault, for any ctx.
 #[test]
 fn verified_programs_never_fault() {
-    let mut rng = StdRng::seed_from_u64(0xB9F_50D);
     let mut verified = 0usize;
-    for _ in 0..4096 {
-        let mut prog = arb_body(&mut rng, 40);
-        prog.push(Insn::Exit); // give random programs a chance to terminate
-        let ctx: Vec<u8> = (0..rng.random_range(0usize..64))
-            .map(|_| rng.random_range(0u8..=255))
-            .collect();
+    for (prog, ctx) in forward_cases(4096) {
         let mut m = maps();
         if verify(&prog, &m, 64).is_ok() {
             verified += 1;
@@ -162,11 +58,7 @@ fn verified_programs_never_fault() {
 /// The verifier itself must be total: never panic, always an answer.
 #[test]
 fn verifier_is_total() {
-    let mut rng = StdRng::seed_from_u64(0x0007_07A1);
-    for _ in 0..512 {
-        let len = rng.random_range(0usize..60);
-        let prog: Vec<Insn> = (0..len).map(|_| arb_insn(&mut rng)).collect();
-        let ctx_size = rng.random_range(0usize..128);
+    for (prog, ctx_size) in unterminated_cases(512) {
         let m = maps();
         let _ = verify(&prog, &m, ctx_size);
     }
@@ -194,12 +86,7 @@ fn div_mod_never_trap() {
         bld.alu_reg(AluOp::Mod, R0, R6);
         bld.exit();
         let prog = bld.resolve().unwrap();
-        let mut m = maps();
-        let mut world = NullWorld::default();
-        assert!(
-            Vm::run(&prog, &[], &mut m, &mut world).is_ok(),
-            "a={a} b={b}"
-        );
+        assert!(engines_agree("div/mod", &prog, &[]).is_ok(), "a={a} b={b}");
     }
 }
 
@@ -220,11 +107,60 @@ fn stack_round_trip() {
         bld.load(Size::B8, R0, R10, off);
         bld.exit();
         let prog = bld.resolve().unwrap();
-        let mut m = maps();
-        verify(&prog, &m, 0).unwrap();
-        let mut world = NullWorld::default();
-        let (r0, _) = Vm::run(&prog, &[], &mut m, &mut world).unwrap();
+        verify(&prog, &maps(), 0).unwrap();
+        let (r0, _) = engines_agree("stack round trip", &prog, &[]).unwrap();
         assert_eq!(r0, v);
+    }
+}
+
+/// A verified program may look a live value up as often as its length
+/// allows: every lookup's pointer gets a dereference window of its own,
+/// and no count reachable under `FUEL` may carry one into another
+/// region. With the map-value windows below the handle window the
+/// 4 097th pointer was `0x4000_0000_0000`, a map handle, and the load
+/// through it died with `BadAddress` — in a program the verifier accepts.
+#[test]
+fn a_verified_program_may_make_thousands_of_lookups() {
+    use tscout_suite::bpf::asm::ProgramBuilder;
+    use tscout_suite::bpf::insn::{Cond, Helper, R0, R1, R10, R2};
+    use tscout_suite::bpf::MapId;
+    let hash = MapId(0);
+    let key = 7u64;
+    let value = [0xA5u8; 16];
+    for lookups in [4_096u64, 4_097, 20_000] {
+        let mut b = ProgramBuilder::new();
+        b.store_imm(Size::B8, R10, -8, key as i64);
+        for _ in 0..lookups {
+            b.load_map(R1, hash);
+            b.mov_reg(R2, R10);
+            b.alu_imm(AluOp::Add, R2, -8);
+            b.call(Helper::MapLookup);
+            let miss = b.label();
+            b.jump_if_imm(Cond::Eq, R0, 0, miss);
+            // Into `r0` itself: hit or miss it is a scalar again, so the
+            // verifier merges the two arms at once (20 000 lookups stay
+            // under its state budget).
+            b.load(Size::B8, R0, R0, 8);
+            b.bind(miss);
+        }
+        b.exit();
+        let prog = b.resolve().unwrap();
+        let populated = || {
+            let mut m = maps();
+            m.update(hash, &key.to_le_bytes(), &value).unwrap();
+            m
+        };
+        verify(&prog, &populated(), 0).unwrap();
+        // Reference and lowered engine, held to each other on the way.
+        let mut twin = common::Twin::new(populated);
+        let (r0, stats) = twin
+            .run("lookups", &prog, &lower(&prog), &[])
+            .unwrap_or_else(|e| panic!("{lookups} lookups: {e}"));
+        assert_eq!(r0, u64::from_le_bytes([0xA5; 8]));
+        assert_eq!(stats.insns, 1 + 6 * lookups + 1);
+        assert_eq!(stats.helper_calls, lookups);
+        // One lookup by key and one dereference per block.
+        assert_eq!(twin.reference.op_stats().lookups, 2 * lookups);
     }
 }
 

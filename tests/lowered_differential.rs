@@ -1,0 +1,514 @@
+//! The lowered engine against the reference interpreter, kept as corpus.
+//!
+//! `Loader::run` executes what `lower` made of the verified stream;
+//! `Vm::run` interprets the stream itself and is the specification. For
+//! every program and context the two must return the same
+//! `Result<(r0, ExecStats), VmError>` — fault kind, `pc` and address
+//! included — and leave the same ring records, the same dump of every
+//! map and the same `MapOpStats` (`common::Twin`). Three corpora:
+//!
+//! * all 24 Collector programs through `Loader`, in every state the
+//!   marker state machine can put them in;
+//! * every program the two seeded generators of `bpf_soundness.rs` and
+//!   `verifier_differential.rs` draw, accepted by the verifier **or
+//!   not** — `lower` is total, so the unverified ones are where wild
+//!   jumps, clobbered frame pointers and mid-program faults come from;
+//! * named programs, one per way a lowering can go wrong: fuel running
+//!   out inside a fused op, a jump landing inside a fusable pair, a
+//!   written `r10`, a fault in a fused op's last instruction.
+//!
+//! Tier-1 runs the generators' own case counts; `cargo test --release
+//! --test lowered_differential -- --include-ignored` (a `ci.sh` step)
+//! sweeps 16× as many.
+
+use std::collections::BTreeMap;
+
+use tscout_suite::bpf::asm::ProgramBuilder;
+use tscout_suite::bpf::insn::{
+    AluOp, Cond, Helper, Insn, Reg, Size, Src, R0, R1, R10, R2, R3, R6, R7,
+};
+use tscout_suite::bpf::lower::lower;
+use tscout_suite::bpf::vm::{NullWorld, Vm, VmError, FUEL};
+use tscout_suite::bpf::{verify, Loader, MapId, ProgId};
+use tscout_suite::tscout::codegen::{encode_ctx, CTX_BYTES};
+
+mod common;
+use common::{
+    assert_same_maps, deploy, engines_agree, forward_cases, layouts, loopy_cases, maps,
+    unterminated_cases, RunResult, Twin, PROGRAMS,
+};
+
+// ---------------------------------------------------------------------
+// (a) The Collector's programs, through the loader
+// ---------------------------------------------------------------------
+
+const BEGIN: usize = 0;
+const END: usize = 1;
+const FEATURES: usize = 2;
+
+/// One deployment per engine: `lowered` runs its programs through
+/// `Loader::run`; `reference` lends its maps to `Vm::run` over the
+/// generated streams.
+struct Deployed {
+    layout: &'static str,
+    lowered: Loader,
+    reference: Loader,
+    generated: [Vec<Insn>; 3],
+    ids: [ProgId; 3],
+    time_ns: u64,
+}
+
+impl Deployed {
+    fn run(&mut self, state: &str, prog: usize, ctx: &[u8]) -> (u64, u64) {
+        let what = format!("{} {} ({state})", self.layout, PROGRAMS[prog]);
+        self.time_ns += 250;
+        let mut world = NullWorld {
+            time_ns: self.time_ns,
+        };
+        let got = self.lowered.run(self.ids[prog], ctx, &mut world);
+        // What `Loader::run` hands its engine: the context truncated or
+        // zero-padded to the declared size.
+        let mut declared = ctx.to_vec();
+        declared.resize(CTX_BYTES, 0);
+        let insns = &self.generated[prog];
+        let expected = Vm::run(insns, &declared, &mut self.reference.maps, &mut world);
+        assert_eq!(got, expected, "{what}: results differ");
+        assert_same_maps(&what, insns, &self.lowered.maps, &self.reference.maps);
+        let (r0, stats) = got.unwrap_or_else(|e| panic!("{what}: a verified program faulted: {e}"));
+        (r0, stats.insns)
+    }
+
+    /// One BEGIN / END / FEATURES triple that must succeed.
+    fn triple(&mut self, state: &str, ctx: &[u8]) -> [u64; 3] {
+        [BEGIN, END, FEATURES].map(|prog| {
+            let (r0, insns) = self.run(state, prog, ctx);
+            assert_eq!(r0, 0, "{} {} ({state})", self.layout, PROGRAMS[prog]);
+            insns
+        })
+    }
+}
+
+#[test]
+fn collector_programs_agree_in_every_marker_state() {
+    for (layout, p) in layouts() {
+        let (lowered, generated, ids) = deploy(&p);
+        let mut d = Deployed {
+            layout,
+            lowered,
+            reference: deploy(&p).0,
+            generated,
+            ids,
+            time_ns: 100,
+        };
+        let ctx = encode_ctx(5, 42, 1, 0, &[77, 88, 99]);
+
+        // The thread's first BEGIN finds no depth entry and skips one load.
+        let first = d.triple("first on the thread", &ctx);
+        let steady = d.triple("steady", &ctx);
+        assert_eq!([first[0] + 1, first[1], first[2]], steady, "{layout}");
+        if layout == "all" {
+            assert_eq!(steady, [67, 262, 307]);
+        }
+
+        // Nested to depth 2 (paper §5.2): the inner pair completes first.
+        for prog in [BEGIN, BEGIN, END, FEATURES, END, FEATURES] {
+            assert_eq!(d.run("nested", prog, &ctx).0, 0, "{layout}");
+        }
+
+        // The strict state machine: END without BEGIN and FEATURES
+        // without END return 1, on a fresh thread and on a used one.
+        for tid in [43, 42] {
+            let ctx = encode_ctx(5, tid, 1, 0, &[]);
+            for prog in [END, FEATURES] {
+                assert_eq!(d.run("out of order", prog, &ctx).0, 1, "{layout}");
+            }
+        }
+
+        // A context shorter and one longer than the declared size.
+        let short = &encode_ctx(5, 44, 1, 0, &[])[..16];
+        assert_eq!(d.triple("16-byte context", short), first, "{layout}");
+        let mut long = encode_ctx(5, 45, 1, 0, &[1, 2, 3]);
+        long.extend([0xFF; 64]);
+        assert_eq!(d.triple("oversized context", &long), first, "{layout}");
+
+        // Six samples reached the ring, byte for byte the same.
+        let records = d.lowered.maps.ring_drain(MapId(3), usize::MAX);
+        assert_eq!(records.len(), 6, "{layout}");
+        assert_eq!(records, d.reference.maps.ring_drain(MapId(3), usize::MAX));
+    }
+}
+
+// ---------------------------------------------------------------------
+// (b) Every program the seeded generators draw, accepted or not
+// ---------------------------------------------------------------------
+
+/// The ways a run can end; a sweep must reach each of them, so that a
+/// generator or lowering change that empties a class shows up as an
+/// assertion.
+const ENDINGS: [&str; 6] = [
+    "Ok",
+    "BadAddress",
+    "ReadOnly",
+    "BadHelperArgs",
+    "PcOutOfBounds",
+    "OutOfFuel",
+];
+
+/// Run every generated case through both engines; how many ended in
+/// each of [`ENDINGS`], were `accepted` by the verifier, and were
+/// `fused` (shortened by `lower` — random instructions rarely line a
+/// pair up: (a), (c) and the mutants of the Collector's streams in
+/// `alloc_budget.rs` are where fused ops are exercised).
+fn sweep(scale: usize) -> BTreeMap<&'static str, usize> {
+    let mut seen = BTreeMap::new();
+    let mut case = |prog: &[Insn], ctx: &[u8], ctx_size: usize| {
+        let lowered = lower(prog);
+        let ending = match Twin::new(maps).run("generated", prog, &lowered, ctx) {
+            Ok(_) => "Ok",
+            Err(VmError::BadAddress { .. }) => "BadAddress",
+            Err(VmError::ReadOnly { .. }) => "ReadOnly",
+            Err(VmError::BadHelperArgs { .. }) => "BadHelperArgs",
+            Err(VmError::PcOutOfBounds { .. }) => "PcOutOfBounds",
+            Err(VmError::OutOfFuel) => "OutOfFuel",
+            Err(e @ (VmError::StaleMapValue { .. } | VmError::BadMapHandle { .. })) => {
+                panic!("no generated program deletes a key it holds a pointer to: {e}")
+            }
+        };
+        let accepted = verify(prog, &maps(), ctx_size).is_ok();
+        let fused = lowered.op_count() < prog.len();
+        for (class, hit) in [(ending, true), ("accepted", accepted), ("fused", fused)] {
+            *seen.entry(class).or_insert(0) += hit as usize;
+        }
+    };
+    for (prog, ctx) in forward_cases(4096 * scale) {
+        case(&prog, &ctx, 64);
+    }
+    for (prog, ctx) in loopy_cases(8192 * scale) {
+        case(&prog, &ctx, 64);
+    }
+    // No closing `exit`: these fall off the end.
+    for (prog, ctx_size) in unterminated_cases(512 * scale) {
+        case(&prog, &vec![0xC3; ctx_size], ctx_size);
+    }
+    println!("{seen:?}");
+    let cases: usize = ENDINGS.iter().map(|class| seen[class]).sum();
+    assert_eq!(cases, scale * (4096 + 8192 + 512));
+    seen
+}
+
+#[test]
+fn generated_programs_agree_accepted_or_not() {
+    let seen = sweep(1);
+    for class in ENDINGS.iter().chain(&["accepted"]) {
+        assert!(
+            seen[class] >= 8,
+            "few generated programs are {class}: {seen:?}"
+        );
+    }
+}
+
+#[test]
+#[ignore = "16× the tier-1 case counts; ci.sh runs it in release"]
+fn generated_programs_agree_accepted_or_not_full_sweep() {
+    sweep(16);
+}
+
+// ---------------------------------------------------------------------
+// (c) Named programs: one per way a lowering can go wrong
+// ---------------------------------------------------------------------
+
+fn alu(op: AluOp, dst: Reg, src: Src) -> Insn {
+    Insn::Alu { op, dst, src }
+}
+
+fn mov(dst: Reg, src: Reg) -> Insn {
+    alu(AluOp::Mov, dst, Src::Reg(src))
+}
+
+fn mov_imm(dst: Reg, imm: i64) -> Insn {
+    alu(AluOp::Mov, dst, Src::Imm(imm))
+}
+
+fn add_imm(dst: Reg, imm: i64) -> Insn {
+    alu(AluOp::Add, dst, Src::Imm(imm))
+}
+
+fn ldx8(dst: Reg, base: Reg, off: i32) -> Insn {
+    Insn::Load {
+        size: Size::B8,
+        dst,
+        base,
+        off,
+    }
+}
+
+fn stx8(base: Reg, off: i32, src: Reg) -> Insn {
+    Insn::Store {
+        size: Size::B8,
+        base,
+        off,
+        src: Src::Reg(src),
+    }
+}
+
+fn ja(off: i32) -> Insn {
+    Insn::Jump { cond: None, off }
+}
+
+/// `FUEL` is not a multiple of the loop's length, so the budget runs out
+/// between the instructions of a fused `mov; add; stx8`: the store of the
+/// last, partial trip must not land, exactly as in the reference — the
+/// map value the loop counts into says which trip was the last.
+#[test]
+fn fuel_runs_out_inside_a_fused_op_on_the_same_run() {
+    let hash = MapId(0);
+    let mut b = ProgramBuilder::new();
+    b.store_imm(Size::B8, R10, -8, 7);
+    b.load_map(R1, hash);
+    b.mov_reg(R2, R10);
+    b.alu_imm(AluOp::Add, R2, -8);
+    b.call(Helper::MapLookup);
+    b.mov_reg(R6, R0);
+    b.mov_imm(R7, 0);
+    let head = b.label();
+    b.bind(head);
+    b.alu_imm(AluOp::Add, R7, 1);
+    b.mov_reg(R3, R6);
+    b.alu_imm(AluOp::Add, R3, 8);
+    b.store_reg(Size::B8, R3, 0, R7);
+    b.jump(head);
+    let prog = b.resolve().unwrap();
+    let lowered = lower(&prog);
+    assert_eq!(
+        lowered.op_count(),
+        prog.len() - 1 - 2,
+        "fp_ptr and the loop body fuse"
+    );
+
+    let populated = || {
+        let mut m = maps();
+        m.update(hash, &7u64.to_le_bytes(), &[0; 16]).unwrap();
+        m
+    };
+    let mut twin = Twin::new(populated);
+    assert_eq!(
+        twin.run("fuel", &prog, &lowered, &[]),
+        Err(VmError::OutOfFuel)
+    );
+    // 7 instructions lead in, 5 per trip; trip `n`'s store is instruction
+    // `7 + 5n - 1`, so the last one inside the budget is:
+    let trips = (FUEL - 7 + 1) / 5;
+    assert_ne!((FUEL - 7) % 5, 0, "the budget must end mid-trip");
+    let value = twin.lowered.lookup(hash, &7u64.to_le_bytes()).unwrap();
+    assert_eq!(value[8..], trips.to_le_bytes());
+}
+
+/// A jump may land on the `add` of a `mov; add` pair, or on the access
+/// behind it: then the pair (or the triple) must not fuse, or the target
+/// would have no op of its own.
+#[test]
+fn a_jump_into_a_fusable_shape_keeps_it_apart() {
+    // Lands on the `add`: r2 = 0 - 8, never r10 - 8.
+    let onto_add = vec![
+        mov_imm(R2, 0),
+        ja(1),
+        mov(R2, R10),
+        add_imm(R2, -8),
+        mov(R0, R2),
+        Insn::Exit,
+    ];
+    assert_eq!(lower(&onto_add).op_count(), onto_add.len());
+    let (r0, stats) = engines_agree("onto the add", &onto_add, &[]).unwrap();
+    assert_eq!((r0 as i64, stats.insns), (-8, 5));
+
+    // Lands on the load behind a pair: the pair fuses, the load stays.
+    let onto_load = vec![
+        mov(R2, R1),
+        Insn::Jump {
+            cond: Some((Cond::Eq, R2, Src::Reg(R1))),
+            off: 2,
+        },
+        mov(R2, R10),
+        add_imm(R2, -8),
+        ldx8(R0, R2, 0),
+        Insn::Exit,
+    ];
+    assert_eq!(lower(&onto_load).op_count(), onto_load.len() - 1);
+    let ctx = 0xC0FFEEu64.to_le_bytes();
+    let (r0, stats) = engines_agree("onto the load", &onto_load, &ctx).unwrap();
+    assert_eq!((r0, stats.insns), (0xC0FFEE, 4));
+
+    // The same shapes with nothing landing inside fuse whole.
+    let apart = vec![mov(R2, R1), add_imm(R2, 0), ldx8(R0, R2, 0), Insn::Exit];
+    assert_eq!(lower(&apart).op_count(), 2);
+    let (r0, stats) = engines_agree("fused load", &apart, &ctx).unwrap();
+    assert_eq!((r0, stats.insns), (0xC0FFEE, 4));
+}
+
+/// Control leaving the program: off the end, to the end, past it and
+/// before it (the reference's wrapping arithmetic makes that a huge
+/// `pc`) — each the reference's `PcOutOfBounds`, after the same number of
+/// instructions.
+#[test]
+fn wild_control_flow_traps_where_the_reference_does() {
+    let out = |pc| Err(VmError::PcOutOfBounds { pc });
+    assert_eq!(engines_agree("empty", &[], &[]), out(0));
+    let falls_off = [mov_imm(R0, 1), mov_imm(R0, 2)];
+    assert_eq!(engines_agree("falls off", &falls_off, &[]), out(2));
+    assert_eq!(
+        engines_agree("to the end", &[ja(1), Insn::Exit], &[]),
+        out(2)
+    );
+    assert_eq!(engines_agree("past", &[ja(40), Insn::Exit], &[]), out(41));
+    let before = [mov_imm(R0, 0), ja(-5), Insn::Exit];
+    assert_eq!(engines_agree("before", &before, &[]), out(-3i64 as usize));
+    let far = [ja(i32::MIN), ja(i32::MAX)];
+    assert_eq!(
+        engines_agree("far before", &far, &[]),
+        out((1 + i32::MIN as i64) as usize)
+    );
+    // Not taken, a wild jump is harmless.
+    let not_taken = [
+        mov_imm(R0, 3),
+        Insn::Jump {
+            cond: Some((Cond::Eq, R0, Src::Imm(4))),
+            off: -100,
+        },
+        Insn::Exit,
+    ];
+    assert_eq!(engines_agree("not taken", &not_taken, &[]).unwrap().0, 3);
+}
+
+/// Only a stream that never names `r10` as a destination gets its
+/// `[r10+off]` accesses turned into stack indexes — and register numbers
+/// are masked to the sixteen-slot file, so `r26` *is* `r10`.
+#[test]
+fn a_written_frame_pointer_is_honoured() {
+    let ctx = 0xFEEDu64.to_le_bytes();
+    for alias in [R10, Reg(26)] {
+        let prog = [
+            mov_imm(R6, 0x5EED),
+            stx8(R10, -8, R6),
+            mov(alias, R1),
+            add_imm(alias, 8),
+            // `r10` is the end of the context now: this reads its word.
+            ldx8(R0, R10, -8),
+            Insn::Exit,
+        ];
+        let (r0, _) = engines_agree("r10 written", &prog, &ctx).unwrap();
+        assert_eq!(r0, 0xFEED, "through {alias}");
+    }
+    // Untouched, the same accesses hit the stack; out of range they
+    // fault like any other access.
+    let prog = [
+        mov_imm(R6, 0x5EED),
+        stx8(R10, -8, R6),
+        ldx8(R0, R10, -8),
+        Insn::Exit,
+    ];
+    assert_eq!(engines_agree("stack", &prog, &ctx).unwrap().0, 0x5EED);
+    for off in [-4, 0, 8, -513, -520, i32::MIN, i32::MAX] {
+        let prog = [ldx8(R0, R10, off), Insn::Exit];
+        let got = engines_agree("stack edge", &prog, &ctx);
+        assert!(
+            matches!(got, Err(VmError::BadAddress { pc: 0, .. })),
+            "{off}: {got:?}"
+        );
+    }
+}
+
+/// A fused op faults in its last instruction, and says so: the `pc` is
+/// the load's or store's, not the `mov`'s.
+#[test]
+fn faults_inside_fused_ops_carry_the_source_pc() {
+    let wild = [
+        mov_imm(R0, 0),
+        mov(R2, R1),
+        add_imm(R2, 4096),
+        ldx8(R0, R2, 0),
+        Insn::Exit,
+    ];
+    let got = engines_agree("wild load", &wild, &[0; 8]);
+    assert!(
+        matches!(got, Err(VmError::BadAddress { pc: 3, .. })),
+        "{got:?}"
+    );
+
+    let read_only = [
+        mov_imm(R0, 0),
+        mov(R2, R1),
+        add_imm(R2, 0),
+        stx8(R2, 0, R0),
+        Insn::Exit,
+    ];
+    let got = engines_agree("store to ctx", &read_only, &[0; 8]);
+    assert!(
+        matches!(got, Err(VmError::ReadOnly { pc: 3, .. })),
+        "{got:?}"
+    );
+
+    // A pointer whose key was deleted, dereferenced through a fused op.
+    let hash = MapId(0);
+    let mut b = ProgramBuilder::new();
+    b.store_imm(Size::B8, R10, -8, 7);
+    b.load_map(R1, hash);
+    b.mov_reg(R2, R10);
+    b.alu_imm(AluOp::Add, R2, -8);
+    b.call(Helper::MapLookup);
+    b.mov_reg(R6, R0);
+    b.load_map(R1, hash);
+    b.mov_reg(R2, R10);
+    b.alu_imm(AluOp::Add, R2, -8);
+    b.call(Helper::MapDelete);
+    b.mov_reg(R3, R6);
+    b.alu_imm(AluOp::Add, R3, 8);
+    b.load(Size::B8, R0, R3, 0);
+    b.exit();
+    let prog = b.resolve().unwrap();
+    let mut twin = Twin::new(|| {
+        let mut m = maps();
+        m.update(hash, &7u64.to_le_bytes(), &[9; 16]).unwrap();
+        m
+    });
+    let got: RunResult = twin.run("stale", &prog, &lower(&prog), &[]);
+    assert_eq!(got, Err(VmError::StaleMapValue { pc: 12 }));
+}
+
+/// What this suite and the mutation fuzz in `alloc_budget.rs` found on
+/// their first runs, in the helper layer both engines share: publishing
+/// to a map id that does not exist indexed past the registry and
+/// panicked, and the test world multiplied a hostile counter index with
+/// overflow checks on. Both are faults or values now, never panics.
+#[test]
+fn hostile_helper_arguments_fault_instead_of_panicking() {
+    for map in [MapId(2), MapId(u32::MAX)] {
+        let mut b = ProgramBuilder::new();
+        b.store_imm(Size::B8, R10, -8, 7);
+        b.load_map(R1, map);
+        b.mov_reg(R2, R10);
+        b.alu_imm(AluOp::Add, R2, -8);
+        b.mov_imm(R3, 8);
+        b.call(Helper::PerfEventOutput);
+        b.exit();
+        let prog = b.resolve().unwrap();
+        assert!(verify(&prog, &maps(), 0).is_err(), "no such map");
+        assert_eq!(
+            engines_agree("output to no map", &prog, &[]),
+            Err(VmError::BadHelperArgs {
+                pc: 5,
+                helper: Helper::PerfEventOutput
+            })
+        );
+    }
+
+    let mut b = ProgramBuilder::new();
+    b.mov_imm(R1, -1);
+    b.mov_reg(R2, R10);
+    b.alu_imm(AluOp::Add, R2, -24);
+    b.call(Helper::PerfEventReadBuf);
+    b.load(Size::B8, R0, R10, -24);
+    b.exit();
+    let prog = b.resolve().unwrap();
+    let (r0, _) = engines_agree("counter u64::MAX", &prog, &[]).unwrap();
+    assert_eq!(r0, u64::MAX.wrapping_mul(100));
+}
