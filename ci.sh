@@ -6,8 +6,8 @@
 # One place per question: contracts are asserted by `cargo test` (and by
 # the `assert!`s inside each tscout-bench entry), wall-clock numbers come
 # from `benchmark/` only, and this script never re-parses an artifact —
-# `tscout-bench smoke` checks that each declared artifact exists, is
-# non-empty and (if JSON) parses.
+# `tscout-bench smoke` holds every figure CSV to tests/golden/figures.txt
+# and the results directory to the five declared kinds of artifact.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -68,8 +68,11 @@ cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
   | tail -n 1 | grep -q '"correct": true' \
   || { echo "FAIL: tsbench collect_full did not report correct: true"; exit 1; }
 
-echo "== figure/ablation smoke (every entry of \`tscout-bench list\` that declares one) =="
-./target/release/tscout-bench smoke
+echo "== figure/ablation smoke, twice: all 18 entries at smoke scale, CSV bytes == tests/golden/figures.txt, only declared artifacts; then same seed => same bytes, every file, no exception =="
+TS_RESULTS="$TS_RESULTS/smoke_a" ./target/release/tscout-bench smoke
+TS_RESULTS="$TS_RESULTS/smoke_b" ./target/release/tscout-bench smoke > /dev/null
+diff -r "$TS_RESULTS/smoke_a" "$TS_RESULTS/smoke_b" \
+  || { echo "FAIL: two same-seed smoke runs differ"; exit 1; }
 
 echo "== metric docs (README table is what the metric declarations render) =="
 ./target/release/tscout-bench metrics_doc --check

@@ -10,8 +10,6 @@ tscout_telemetry::declare_metrics! {
         "Appended samples dropped because writing their block to a segment failed";
     pub BYTES_WRITTEN: Counter = "archive_bytes_written_total",
         "Bytes persisted to archive segment files";
-    pub(crate) FLUSH_NS: Hist = "archive_flush_ns",
-        "Wall-clock duration of archive memtable flushes (encode + write of one block)";
     pub(crate) SAMPLES_APPENDED: Counter = "archive_samples_appended_total",
         "Samples appended to the training-data archive";
     pub SAMPLES_RETIRED: Counter = "archive_samples_retired_total",

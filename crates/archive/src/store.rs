@@ -4,14 +4,13 @@ use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom};
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 use tscout_telemetry::decls::{
     ARCHIVE_BUFFERED_SAMPLES, ARCHIVE_OU_BLOCKS, ARCHIVE_OU_BYTES_WRITTEN,
     ARCHIVE_OU_SAMPLES_APPENDED, ARCHIVE_OU_SAMPLES_RETIRED, ARCHIVE_RECOVERED_TRUNCATIONS,
     ARCHIVE_SEGMENTS, ARCHIVE_SEGMENTS_COMPACTED, ARCHIVE_SEGMENTS_SEALED,
 };
-use tscout_telemetry::{CounterSite, CounterVec, GaugeSite, HistSite, Telemetry};
+use tscout_telemetry::{CounterSite, CounterVec, GaugeSite, Telemetry};
 
 use crate::segment::{
     decode_footer, encode_footer, read_frame, write_frame, BlockMeta, ColumnBatch, OuEntry,
@@ -63,7 +62,6 @@ pub(crate) struct ArchiveMetrics {
     pub(crate) bytes_written: CounterSite,
     ou_blocks: CounterVec,
     ou_bytes_written: CounterVec,
-    flush_ns: HistSite,
     pub(crate) segments: GaugeSite,
     segments_sealed: CounterSite,
     pub(crate) segments_compacted: CounterSite,
@@ -82,7 +80,6 @@ impl ArchiveMetrics {
             bytes_written: decls::BYTES_WRITTEN.site(&[]),
             ou_blocks: ARCHIVE_OU_BLOCKS.vec("ou"),
             ou_bytes_written: ARCHIVE_OU_BYTES_WRITTEN.vec("ou"),
-            flush_ns: decls::FLUSH_NS.site(&[]),
             segments: ARCHIVE_SEGMENTS.site(&[]),
             segments_sealed: ARCHIVE_SEGMENTS_SEALED.site(&[]),
             segments_compacted: ARCHIVE_SEGMENTS_COMPACTED.site(&[]),
@@ -323,7 +320,6 @@ impl Archive {
         let Some(mt) = self.memtables.remove(&ou) else {
             return Ok(());
         };
-        let t0 = Instant::now();
         let written = self.write_block(&mt);
         self.buffered -= mt.len();
         let (t, name) = (&self.telemetry, || &mt.ou().name);
@@ -341,10 +337,6 @@ impl Archive {
             .ou_bytes_written
             .at(t, ou as usize, name)
             .add(frame_len);
-        self.metrics
-            .flush_ns
-            .get(t)
-            .record(t0.elapsed().as_nanos() as f64);
         if self.segments.last().map(|m| m.bytes).unwrap_or(0) >= self.opts.segment_max_bytes {
             self.seal_active()?;
         }

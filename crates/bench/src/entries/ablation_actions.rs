@@ -19,7 +19,7 @@ use super::ablation_drift::ShiftScan;
 use noisetap::engine::Database;
 use tscout_actions::{ActionConfig, ActionEngine, EFFICACY_OU_NAME};
 use tscout_archive::ArchiveOptions;
-use tscout_bench::{absorb_db, attach_collect, dump_observability, new_db, Csv};
+use tscout_bench::{attach_collect, new_db, Csv};
 use tscout_kernel::HardwareProfile;
 use tscout_models::ModelKind;
 use tscout_telemetry::decls;
@@ -96,7 +96,7 @@ pub(crate) fn main() {
         "arm,committed,final_health,retrains_actuated,rebaselines,actions_planned,actions_observed,efficacy_samples",
     );
 
-    let (control_db, control) = run_arm("control", false, 0xAC7);
+    let (_, control) = run_arm("control", false, 0xAC7);
     let (mut engine_db, engine) = run_arm("engine", true, 0xAC7);
 
     for (arm, r) in [("control", &control), ("engine", &engine)] {
@@ -156,11 +156,4 @@ pub(crate) fn main() {
         engine.log_len,
         "ts_actions row count disagrees with the in-memory action log"
     );
-
-    // Engine arm first: the global registry adopts the first non-idle
-    // health state and action log it sees, and the recovered arm's are
-    // the story `tables_ablation_actions.json` should tell.
-    absorb_db(&engine_db);
-    absorb_db(&control_db);
-    dump_observability("ablation_actions");
 }

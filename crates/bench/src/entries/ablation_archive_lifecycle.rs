@@ -7,9 +7,7 @@
 //! the persisted data reproduces the in-run model quality.
 
 use tscout_archive::{Archive, ArchiveOptions};
-use tscout_bench::{
-    absorb_db, attach_collect, dump_observability, new_db, result_path, time_scale, Csv,
-};
+use tscout_bench::{attach_collect, new_db, result_path, time_scale, Csv};
 use tscout_kernel::HardwareProfile;
 use tscout_models::{datasets_from_archive, mape_pct, ModelKind, ModelRegistry};
 use tscout_workloads::driver::{run_with_lifecycle, ModelLifecycle, RunOptions};
@@ -55,14 +53,13 @@ pub(crate) fn main() {
         lc.registry.generation(),
         live.holdout_mape_pct,
     ));
-    absorb_db(&db);
     let clock_ghz = db.kernel.hw.clock_ghz;
+    let telemetry = db.kernel.telemetry.clone();
     drop(lc);
     drop(db);
 
     // Cold restart: reopen the archive from disk and rebuild models from
     // the persisted history alone.
-    let telemetry = tscout_bench::global_telemetry().clone();
     let archive = Archive::open(&dir, ArchiveOptions::default(), telemetry.clone())
         .expect("cannot reopen archive");
     let st = archive.stats();
@@ -90,5 +87,4 @@ pub(crate) fn main() {
         st.samples_stored, stats.archived_samples,
         "archive must persist every sample the lifecycle appended"
     );
-    dump_observability("ablation_archive_lifecycle");
 }

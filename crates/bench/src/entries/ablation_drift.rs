@@ -19,7 +19,7 @@
 use noisetap::engine::{Database, StatementId};
 use noisetap::Value;
 use rand::RngExt;
-use tscout_bench::{absorb_db, attach_collect, dump_observability, new_db, results_dir, Csv};
+use tscout_bench::{attach_collect, new_db, results_dir, Csv};
 use tscout_kernel::HardwareProfile;
 use tscout_obsd::json::Json;
 use tscout_workloads::driver::{run, RunOptions, TxnCtx, Workload};
@@ -102,7 +102,7 @@ struct ArmResult {
     max_drift: f64,
 }
 
-fn run_arm(shift_after: u64, seed: u64) -> (Database, ArmResult) {
+fn run_arm(shift_after: u64, seed: u64) -> ArmResult {
     let mut db = new_db(HardwareProfile::server_2x20(), seed);
     // Single-variable isolation: this ablation demonstrates the drift
     // detector's false-positive/false-negative contract, so statement
@@ -171,16 +171,13 @@ fn run_arm(shift_after: u64, seed: u64) -> (Database, ArmResult) {
         .kernel
         .telemetry
         .counter_total(tscout_telemetry::decls::ALERTS_FIRED.name);
-    (
-        db,
-        ArmResult {
-            committed: stats.committed,
-            alerts_fired,
-            drift_alerts,
-            unhealthy_ous,
-            max_drift,
-        },
-    )
+    ArmResult {
+        committed: stats.committed,
+        alerts_fired,
+        drift_alerts,
+        unhealthy_ous,
+        max_drift,
+    }
 }
 
 pub(crate) fn main() {
@@ -189,8 +186,8 @@ pub(crate) fn main() {
         "arm,committed,alerts_fired,drift_alerts,unhealthy_ous,max_drift_score",
     );
 
-    let (control_db, control) = run_arm(u64::MAX, 0xD21F);
-    let (shifted_db, shifted) = run_arm(1_200, 0xD21F);
+    let control = run_arm(u64::MAX, 0xD21F);
+    let shifted = run_arm(1_200, 0xD21F);
 
     for (arm, r) in [("control", &control), ("shifted", &shifted)] {
         csv.row(&format!(
@@ -267,11 +264,4 @@ pub(crate) fn main() {
         "# flight recorder: CRITICAL transition dumped {}",
         bundle.display()
     );
-
-    // Absorb the shifted arm first: the global registry adopts the first
-    // non-idle drift/health state it sees, and the shifted arm is the one
-    // the tables_<fig>.json artifact should describe.
-    absorb_db(&shifted_db);
-    absorb_db(&control_db);
-    dump_observability("ablation_drift");
 }

@@ -7,9 +7,7 @@
 
 use noisetap::EngineMode;
 use tscout::{CollectionMode, Subsystem};
-use tscout_bench::{
-    absorb_db, attach_collect, dump_observability, new_db, subsystem_error_us, time_scale, Csv,
-};
+use tscout_bench::{attach_collect, new_db, subsystem_error_us, time_scale, Csv};
 use tscout_kernel::HardwareProfile;
 use tscout_models::dataset::OuData;
 use tscout_workloads::driver::{collect_datasets, RunOptions};
@@ -32,7 +30,6 @@ fn measure(mode: EngineMode, seed: u64) -> (f64, u64, Vec<OuData>) {
         },
     );
     let events = db.tscout().unwrap().stats.marker_events;
-    absorb_db(&db);
     (stats.ktps(), events, data)
 }
 
@@ -55,5 +52,4 @@ pub(crate) fn main() {
     println!(
         "# expectation: fused mode fires fewer markers but its de-aggregated data models worse"
     );
-    dump_observability("ablation_fusion");
 }

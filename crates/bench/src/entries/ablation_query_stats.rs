@@ -13,7 +13,7 @@
 //! carries a model generation once a swap has happened.
 
 use tscout_archive::ArchiveOptions;
-use tscout_bench::{absorb_db, attach_collect, dump_observability, new_db, Csv};
+use tscout_bench::{attach_collect, new_db, Csv};
 use tscout_kernel::HardwareProfile;
 use tscout_models::ModelKind;
 use tscout_workloads::driver::{run_with_lifecycle, ModelLifecycle, RunOptions};
@@ -140,7 +140,5 @@ pub(crate) fn main() {
          ts_stat_statements reconciles with the recorded-statement counter"
     );
 
-    absorb_db(&db);
-    dump_observability("ablation_query_stats");
     std::fs::remove_dir_all(&dir).ok();
 }

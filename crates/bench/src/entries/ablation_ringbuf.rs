@@ -6,7 +6,7 @@
 //! the drop rate falls with capacity.
 
 use tscout::{CollectionMode, TsConfig};
-use tscout_bench::{absorb_db, dump_observability, new_db, set_rates, time_scale, Csv};
+use tscout_bench::{new_db, set_rates, time_scale, Csv};
 use tscout_kernel::HardwareProfile;
 use tscout_workloads::driver::{run, RunOptions};
 use tscout_workloads::{Workload, Ycsb};
@@ -41,8 +41,6 @@ pub(crate) fn main() {
             stats.samples_processed,
             stats.samples_dropped
         ));
-        absorb_db(&db);
     }
     println!("# expectation: throughput flat across capacities (no back pressure); drops shrink");
-    dump_observability("ablation_ringbuf");
 }

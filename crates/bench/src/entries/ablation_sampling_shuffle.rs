@@ -6,7 +6,7 @@
 //! latency than other transactions." Same mean overhead, worse tail.
 
 use tscout::CollectionMode;
-use tscout_bench::{absorb_db, attach_all, dump_observability, new_db, time_scale, Csv};
+use tscout_bench::{attach_all, new_db, time_scale, Csv};
 use tscout_kernel::HardwareProfile;
 use tscout_workloads::driver::{run, RunOptions};
 use tscout_workloads::{Workload, Ycsb};
@@ -33,7 +33,6 @@ fn measure(shuffle: bool) -> (f64, f64, f64) {
             ..Default::default()
         },
     );
-    absorb_db(&db);
     (
         stats.latency_percentile_ms(50.0) * 1000.0,
         stats.latency_percentile_ms(99.0) * 1000.0,
@@ -53,5 +52,4 @@ pub(crate) fn main() {
     println!(
         "# expectation: similar p50/throughput; contiguous bits inflate p99 (bursty sampling)"
     );
-    dump_observability("ablation_sampling_shuffle");
 }

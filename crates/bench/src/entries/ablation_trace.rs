@@ -11,7 +11,7 @@
 //! (`started = completed + dropped + in_flight`).
 
 use tscout_archive::ArchiveOptions;
-use tscout_bench::{absorb_db, attach_collect, dump_observability, new_db, result_path, Csv};
+use tscout_bench::{attach_collect, new_db, result_path, Csv};
 use tscout_kernel::HardwareProfile;
 use tscout_models::ModelKind;
 use tscout_workloads::driver::{run_with_lifecycle, ModelLifecycle, RunOptions};
@@ -134,7 +134,4 @@ pub(crate) fn main() {
          (delivered={delivered}, retrains={})",
         stats.retrains
     );
-
-    absorb_db(&db);
-    dump_observability("ablation_trace");
 }

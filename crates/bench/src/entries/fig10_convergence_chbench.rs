@@ -9,7 +9,7 @@
 //! converge but reaches similar accuracy; the execution engine is the
 //! hardest to model.
 
-use tscout_bench::{convergence_sweep, dump_observability, offline_data, online_data};
+use tscout_bench::{convergence_sweep, offline_data, online_data};
 use tscout_kernel::HardwareProfile;
 use tscout_workloads::ChBenchmark;
 
@@ -24,5 +24,4 @@ pub(crate) fn main() {
     let test = collect(0xF10B, 50e6);
     convergence_sweep("fig10_convergence_chbench.csv", &offline, &online, &test);
     println!("# paper shape: online data converges toward much lower error than offline-only");
-    dump_observability("fig10");
 }

@@ -10,9 +10,7 @@
 //! 98-99% at 20; offline absolute error reaches ~885 µs at 20 clients.
 
 use tscout::Subsystem;
-use tscout_bench::{
-    cap_points, dump_observability, merge_data, offline_data, online_data, subsystem_error_us, Csv,
-};
+use tscout_bench::{cap_points, merge_data, offline_data, online_data, subsystem_error_us, Csv};
 use tscout_kernel::HardwareProfile;
 use tscout_models::eval::error_reduction_pct;
 use tscout_workloads::Tpcc;
@@ -42,5 +40,4 @@ pub(crate) fn main() {
         }
     }
     println!("# paper shape: offline error grows with terminals; reduction reaches >90% at 20");
-    dump_observability("fig11");
 }

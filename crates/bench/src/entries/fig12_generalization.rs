@@ -11,8 +11,8 @@
 //! storage device, so models trained on the slow device overshoot).
 
 use tscout_bench::{
-    dump_observability, merge_data, offline_data, online_data, split_for_eval, subsystem_error_us,
-    Csv, REPORTED_SUBSYSTEMS,
+    merge_data, offline_data, online_data, split_for_eval, subsystem_error_us, Csv,
+    REPORTED_SUBSYSTEMS,
 };
 use tscout_kernel::HardwareProfile;
 use tscout_models::dataset::OuData;
@@ -90,5 +90,4 @@ pub(crate) fn main() {
         ));
     }
     println!("# paper shape: online >= offline almost everywhere; disk_writer/larger_hw is the exception");
-    dump_observability("fig12");
 }

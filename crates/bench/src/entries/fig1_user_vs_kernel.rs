@@ -9,7 +9,7 @@
 //! one mode switch per marker instead of multiple toggling syscalls.
 
 use tscout::CollectionMode;
-use tscout_bench::{absorb_db, attach_all, dump_observability, new_db, time_scale, Csv};
+use tscout_bench::{attach_all, new_db, time_scale, Csv};
 use tscout_kernel::HardwareProfile;
 use tscout_workloads::driver::{run, RunOptions};
 use tscout_workloads::{Tpcc, Workload};
@@ -31,7 +31,6 @@ fn p99(mode: Option<CollectionMode>, seed: u64) -> f64 {
             ..Default::default()
         },
     );
-    absorb_db(&db);
     stats.latency_percentile_ms(99.0)
 }
 
@@ -46,5 +45,4 @@ pub(crate) fn main() {
         csv.row(&format!("{name},{v:.3}"));
     }
     println!("# paper shape: no_metrics < kernel_space < user_space");
-    dump_observability("fig1");
 }

@@ -11,8 +11,8 @@
 //! runners cannot reproduce.
 
 use tscout_bench::{
-    collect_on, dump_observability, merge_data, new_db, offline_data, split_for_eval,
-    subsystem_error_us, Csv, REPORTED_SUBSYSTEMS,
+    collect_on, merge_data, new_db, offline_data, split_for_eval, subsystem_error_us, Csv,
+    REPORTED_SUBSYSTEMS,
 };
 use tscout_kernel::HardwareProfile;
 use tscout_models::eval::error_reduction_pct;
@@ -44,5 +44,4 @@ pub(crate) fn main() {
         ));
     }
     println!("# paper shape: log_serializer & disk_writer reductions >> execution_engine");
-    dump_observability("fig2");
 }

@@ -9,7 +9,7 @@
 //! save/restore on every context switch) but degrades gently;
 //! Kernel-Continuous sits near baseline at low rates.
 
-use tscout_bench::{dump_observability, overhead_sweep, Csv};
+use tscout_bench::{overhead_sweep, Csv};
 
 pub(crate) fn main() {
     let rates = [0u8, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100];
@@ -27,5 +27,4 @@ pub(crate) fn main() {
     println!(
         "# paper shape: user_toggle worst at high rates; user_continuous below baseline at 0%"
     );
-    dump_observability("fig5");
 }

@@ -7,7 +7,7 @@
 //! path at low single-digit sampling rates); kernel collection peaks
 //! around a 20–30% rate and the Processor caps the ceiling.
 
-use tscout_bench::{dump_observability, overhead_sweep, Csv};
+use tscout_bench::{overhead_sweep, Csv};
 
 pub(crate) fn main() {
     let rates = [0u8, 5, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100];
@@ -26,5 +26,4 @@ pub(crate) fn main() {
         ));
     }
     println!("# paper shape: kernel_continuous ~3x the user methods; peak near 20-30% sampling");
-    dump_observability("fig6");
 }

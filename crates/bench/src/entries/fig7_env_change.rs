@@ -13,8 +13,7 @@
 //! invisible, §6.4).
 
 use tscout_bench::{
-    dump_observability, merge_data, offline_data, online_data, subsystem_error_us, Csv,
-    REPORTED_SUBSYSTEMS,
+    merge_data, offline_data, online_data, subsystem_error_us, Csv, REPORTED_SUBSYSTEMS,
 };
 use tscout_kernel::HardwareProfile;
 use tscout_models::eval::error_reduction_pct;
@@ -56,5 +55,4 @@ pub(crate) fn main() {
         }
     }
     println!("# paper shape: disk_writer and log_serializer improve most after migration");
-    dump_observability("fig7");
 }

@@ -8,7 +8,7 @@
 //! data).
 
 use tscout::{CollectionMode, Subsystem};
-use tscout_bench::{absorb_db, attach_all, dump_observability, new_db, set_rates, time_scale, Csv};
+use tscout_bench::{attach_all, new_db, set_rates, time_scale, Csv};
 use tscout_kernel::HardwareProfile;
 use tscout_workloads::driver::{run, RunOptions, RunStats};
 use tscout_workloads::{Workload, Ycsb};
@@ -96,6 +96,4 @@ pub(crate) fn main() {
         s3.ktps()
     );
     println!("# paper shape: ~7% dip in phase 2, recovery in phase 3 (read-only workload)");
-    absorb_db(&db);
-    dump_observability("fig8");
 }

@@ -11,7 +11,7 @@
 //! at one client (the runners sweep broadly, so there is little for
 //! narrow online data to add).
 
-use tscout_bench::{convergence_sweep, dump_observability, offline_data, online_data};
+use tscout_bench::{convergence_sweep, offline_data, online_data};
 use tscout_kernel::HardwareProfile;
 use tscout_workloads::Tpcc;
 
@@ -26,5 +26,4 @@ pub(crate) fn main() {
     let test = collect(0xF9B, 400e6);
     convergence_sweep("fig9_convergence_tpcc.csv", &offline, &online, &test);
     println!("# paper shape: WAL subsystems converge by ~40-70k points; networking flat");
-    dump_observability("fig9");
 }

@@ -13,9 +13,10 @@
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 
+use std::collections::BTreeMap;
 use std::io::Write;
-use std::path::PathBuf;
-use std::sync::OnceLock;
+use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 use noisetap::engine::Database;
 use tscout::{CollectionMode, Subsystem, TsConfig, ALL_SUBSYSTEMS};
@@ -50,31 +51,12 @@ pub fn result_path(name: &str) -> PathBuf {
     dir.join(name)
 }
 
-/// The one artifact-writing path every per-fig dump goes through:
-/// creates `dir` if missing, writes `name` there, and tees the
-/// destination to stdout (tagged `what`).
-fn dump_artifact(dir: &std::path::Path, name: &str, what: &str, contents: &str) {
-    std::fs::create_dir_all(dir).ok();
-    let path = dir.join(name);
-    std::fs::write(&path, contents).unwrap_or_else(|e| panic!("cannot write {what}: {e}"));
-    println!("{what} -> {}", path.display());
-}
-
-/// Process-wide telemetry accumulator. Every database the harness builds
-/// is absorbed here before it drops, so one snapshot at the end of a
-/// figure binary covers every run the experiment made.
-pub fn global_telemetry() -> &'static Telemetry {
-    static T: OnceLock<Telemetry> = OnceLock::new();
-    T.get_or_init(Telemetry::default)
-}
-
-/// Process-wide profiler accumulator, mirroring [`global_telemetry`]:
-/// every database's samples are absorbed here so the folded-stack and
-/// attribution artifacts cover the whole experiment.
-pub fn global_profiler() -> &'static Profiler {
-    static P: OnceLock<Profiler> = OnceLock::new();
-    P.get_or_init(Profiler::default)
-}
+/// Telemetry and profiler handles of every database [`new_db`] built, in
+/// construction order: what [`write_observability`] renders once the
+/// entry has returned. Handles, not copies — each database's registry
+/// is rendered as it stood when its run ended, and none is merged into
+/// another.
+static DATABASES: Mutex<Vec<(Telemetry, Profiler)>> = Mutex::new(Vec::new());
 
 /// Profiling interrupt period: `TS_PROFILE_PERIOD_NS` overrides (<= 0
 /// disables the profiler entirely).
@@ -85,57 +67,39 @@ pub fn profile_period_ns() -> f64 {
         .unwrap_or(DEFAULT_PROFILE_PERIOD_NS)
 }
 
-/// Fold a database's registry (counters, gauges, histograms) and profiler
-/// samples into the process-wide accumulators. Call before the database
-/// drops.
-pub fn absorb_db(db: &Database) {
-    global_telemetry().absorb(&db.kernel.telemetry);
-    global_profiler().absorb(&db.kernel.profiler);
-}
-
-/// Write the observability artifacts — telemetry snapshot, folded
-/// stacks, windowed time-series + attribution, and every `ts_*` table —
-/// into an explicit directory (created if missing), so the dump path is
-/// testable without the `TS_RESULTS` environment variable. Every file
-/// goes through `dump_artifact`.
-pub fn dump_observability_files(dir: &std::path::Path, fig: &str) {
-    let (t, profiler) = (global_telemetry(), global_profiler());
-    dump_artifact(
-        dir,
-        &format!("telemetry_{fig}.json"),
-        "telemetry snapshot",
-        &t.snapshot_json(),
-    );
-    dump_artifact(
-        dir,
-        &format!("profile_{fig}.folded"),
-        "folded profile",
-        &profiler.folded_text(),
-    );
-    dump_artifact(
-        dir,
-        &format!("timeseries_{fig}.json"),
-        "timeseries snapshot",
-        &format!(
-            "{{\n\"timeseries\": {},\n\"attribution\": {}\n}}\n",
-            t.timeseries_json(),
-            profiler.attribution().to_json()
+/// The two observability artifacts of an entry, written into `dir`
+/// (created if missing) by `tscout-bench <entry>` after the entry
+/// returns: `tables_<entry>.json`, an array holding one
+/// [`all_tables_json`] document per database the entry built (every
+/// `ts_*` table as the SQL and obsd surfaces render it), and the
+/// flamegraph-ready `profile_<entry>.folded`, their folded stacks summed.
+pub fn write_observability(dir: &Path, entry: &str) {
+    let dbs = DATABASES.lock().expect("no entry panics holding this");
+    let tables: Vec<String> = dbs
+        .iter()
+        .map(|(t, _)| t.with_registry(|r| all_tables_json(r)))
+        .collect();
+    let mut folded: BTreeMap<String, u64> = BTreeMap::new();
+    for (stack, e) in dbs.iter().flat_map(|(_, p)| p.folded()) {
+        *folded.entry(stack).or_default() += e.samples;
+    }
+    let folded: String = folded
+        .iter()
+        .map(|(stack, samples)| format!("{stack} {samples}\n"))
+        .collect();
+    std::fs::create_dir_all(dir).ok();
+    for (name, contents) in [
+        (
+            format!("tables_{entry}.json"),
+            format!("[\n{}]\n", tables.join(",\n")),
         ),
-    );
-    dump_artifact(
-        dir,
-        &format!("tables_{fig}.json"),
-        "ts_* tables",
-        &t.with_registry(|r| all_tables_json(r)),
-    );
-}
-
-/// [`dump_observability_files`] into the results directory:
-/// `telemetry_<fig>.json`, the flamegraph-ready `profile_<fig>.folded`,
-/// `timeseries_<fig>.json` and `tables_<fig>.json` (every `ts_*` table as
-/// the SQL and obsd surfaces render it). Every entry calls this last.
-pub fn dump_observability(fig: &str) {
-    dump_observability_files(&results_dir(), fig);
+        (format!("profile_{entry}.folded"), folded),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, contents)
+            .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+        println!("observability -> {}", path.display());
+    }
 }
 
 /// CSV writer that tees rows to stdout.
@@ -168,10 +132,16 @@ impl Drop for Csv {
 }
 
 /// Build a fresh DBMS on the given hardware, with the sampling profiler
-/// armed at the configured period.
+/// armed at the configured period. The one constructor of the harness:
+/// it keeps the database's telemetry and profiler handles for
+/// [`write_observability`].
 pub fn new_db(hw: HardwareProfile, seed: u64) -> Database {
     let mut kernel = Kernel::with_seed(hw, seed);
     kernel.set_profile_period_ns(profile_period_ns());
+    DATABASES
+        .lock()
+        .expect("no entry panics holding this")
+        .push((kernel.telemetry.clone(), kernel.profiler.clone()));
     Database::new(kernel)
 }
 
@@ -281,8 +251,7 @@ pub fn offline_data(hw: HardwareProfile, seed: u64, duration_ns: f64) -> Vec<OuD
 
 /// Collect training data from `workload` deployed on a fresh database:
 /// set up, attach TScout for collection, run `terminals` terminals for
-/// `duration_ns` (times [`time_scale`]), build the datasets, and fold the
-/// database into the process-wide accumulators.
+/// `duration_ns` (times [`time_scale`]) and build the datasets.
 pub fn online_data(
     hw: HardwareProfile,
     workload: &mut dyn Workload,
@@ -310,9 +279,7 @@ pub fn collect_on(
         seed,
         ..Default::default()
     };
-    let (_, data) = collect_datasets(&mut db, workload, &opts);
-    absorb_db(&db);
-    data
+    collect_datasets(&mut db, workload, &opts).1
 }
 
 /// The size sweep Figs. 9 and 10 share, written to `csv_name`: per
@@ -390,7 +357,6 @@ pub fn overhead_sweep(
                     samples_per_sec: stats.samples_processed as f64 / (stats.duration_ns / 1e9),
                 });
             }
-            absorb_db(&db);
         }
     }
     out
@@ -478,22 +444,32 @@ mod tests {
     }
 
     #[test]
-    fn observability_dump_works_on_an_empty_registry() {
-        // A figure binary that collected nothing must still dump cleanly
-        // (and create the output directory itself).
-        let dir = std::env::temp_dir().join(format!("tsbench_dump_{}", std::process::id()));
+    fn observability_is_one_tables_document_per_database_and_a_summed_profile() {
+        // The only test of this binary that builds databases: the list
+        // is process-wide.
+        let dir = std::env::temp_dir().join(format!("tsbench_obs_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
-        dump_observability_files(&dir, "empty");
-        for f in [
-            "telemetry_empty.json",
-            "profile_empty.folded",
-            "timeseries_empty.json",
-            "tables_empty.json",
-        ] {
-            assert!(dir.join(f).exists(), "missing {f}");
+        let dbs = [1, 2].map(|seed| new_db(HardwareProfile::server_2x20(), seed));
+        for (db, charged_ns) in dbs.iter().zip([250_000.0, 100_000.0]) {
+            let _root = db.kernel.profiler.push_frame(0, "dbms", true);
+            db.kernel.profiler.on_charge(0, &mut 0.0, charged_ns, None);
         }
-        let tables = std::fs::read_to_string(dir.join("tables_empty.json")).unwrap();
-        assert!(tables.contains("\"ts_stat_subsystem\""), "{tables}");
+        dbs[1]
+            .kernel
+            .telemetry
+            .counter_inc("second_only_total", &[]);
+        write_observability(&dir, "demo");
+        let tables = std::fs::read_to_string(dir.join("tables_demo.json")).unwrap();
+        let tables = tscout_obsd::json::Json::parse(&tables).expect("tables artifact parses");
+        let docs = tables.as_arr().expect("an array, one element per database");
+        assert_eq!(docs.len(), 2);
+        let names = |doc: &tscout_obsd::json::Json| {
+            let metrics = doc.get("ts_metrics").expect("every table is a member");
+            metrics.column("name").unwrap().len()
+        };
+        assert_eq!(names(&docs[1]), names(&docs[0]) + 1);
+        let folded = std::fs::read_to_string(dir.join("profile_demo.folded")).unwrap();
+        assert_eq!(folded, "dbms 3\n");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -6,13 +6,19 @@
 //! ```text
 //! tscout-bench fig1_user_vs_kernel     # run one entry (TS_SCALE, TS_RESULTS apply)
 //! tscout-bench list [fig|ablation|tool]...   # entry names, one per line
-//! tscout-bench smoke                   # CI: run every smoke entry, check its artifacts
+//! tscout-bench smoke [--write]         # CI: run every fig/ablation at its smoke scale,
+//!                                      # check CSV bytes against tests/golden/figures.txt
 //! ```
+//!
+//! After a fig / ablation entry returns, this binary — not the entry —
+//! writes its two observability artifacts beside the CSV (see
+//! [`tscout_bench::write_observability`]).
 #![forbid(unsafe_code)]
 
 use std::path::Path;
 use std::process::{Command, ExitCode};
 
+use tscout_archive::crc32;
 use tscout_obsd::json::Json;
 
 mod entries {
@@ -56,151 +62,173 @@ impl Kind {
     }
 }
 
-/// How `tscout-bench smoke` exercises an entry: the `TS_SCALE` to run it
-/// at (the fixed-duration ablations ignore it) and the files it must
-/// leave in `$TS_RESULTS`. The entry's own `assert!`s are the content
-/// check; the smoke only proves the artifacts were written and load.
-struct Smoke {
-    scale: f64,
-    artifacts: &'static [&'static str],
-}
-
 struct Entry {
     name: &'static str,
     kind: Kind,
     run: fn(),
-    smoke: Option<Smoke>,
+    /// The `TS_SCALE` `tscout-bench smoke` runs a fig / ablation at (the
+    /// fixed-duration ablations ignore it); `None` for a tool.
+    smoke_scale: Option<f64>,
 }
 
-const fn entry(kind: Kind, name: &'static str, run: fn()) -> Entry {
+const fn fig(name: &'static str, run: fn(), smoke_scale: f64) -> Entry {
     Entry {
         name,
-        kind,
+        kind: Kind::Fig,
         run,
-        smoke: None,
+        smoke_scale: Some(smoke_scale),
     }
 }
 
-impl Entry {
-    const fn smoke(self, scale: f64, artifacts: &'static [&'static str]) -> Entry {
-        Entry {
-            smoke: Some(Smoke { scale, artifacts }),
-            ..self
-        }
+const fn ablation(name: &'static str, run: fn(), smoke_scale: f64) -> Entry {
+    Entry {
+        kind: Kind::Ablation,
+        ..fig(name, run, smoke_scale)
     }
 }
-
-use Kind::{Ablation, Fig, Tool};
 
 const ENTRIES: &[Entry] = &[
-    entry(Fig, "fig1_user_vs_kernel", fig1_user_vs_kernel::main).smoke(
-        0.05,
-        &[
-            "fig1_user_vs_kernel.csv",
-            "telemetry_fig1.json",
-            "profile_fig1.folded",
-            "timeseries_fig1.json",
-            "tables_fig1.json",
-        ],
-    ),
-    entry(Fig, "fig2_offline_vs_online", fig2_offline_vs_online::main),
-    entry(
-        Fig,
+    fig("fig1_user_vs_kernel", fig1_user_vs_kernel::main, 0.05),
+    fig("fig2_offline_vs_online", fig2_offline_vs_online::main, 0.05),
+    fig(
         "fig5_overhead_throughput",
         fig5_overhead_throughput::main,
+        0.05,
     ),
-    entry(Fig, "fig6_overhead_datagen", fig6_overhead_datagen::main),
-    entry(Fig, "fig7_env_change", fig7_env_change::main),
-    entry(
-        Fig,
+    fig("fig6_overhead_datagen", fig6_overhead_datagen::main, 0.05),
+    fig("fig7_env_change", fig7_env_change::main, 0.05),
+    fig(
         "fig8_adjustable_sampling",
         fig8_adjustable_sampling::main,
+        0.05,
     ),
-    entry(Fig, "fig9_convergence_tpcc", fig9_convergence_tpcc::main),
-    entry(
-        Fig,
+    fig("fig9_convergence_tpcc", fig9_convergence_tpcc::main, 0.05),
+    fig(
         "fig10_convergence_chbench",
         fig10_convergence_chbench::main,
+        0.05,
     ),
-    entry(
-        Fig,
+    fig(
         "fig11_convergence_terminals",
         fig11_convergence_terminals::main,
+        0.05,
     ),
-    entry(Fig, "fig12_generalization", fig12_generalization::main),
-    entry(
-        Ablation,
+    fig("fig12_generalization", fig12_generalization::main, 0.05),
+    ablation(
         "ablation_sampling_shuffle",
         ablation_sampling_shuffle::main,
+        0.05,
     ),
-    entry(Ablation, "ablation_fusion", ablation_fusion::main),
-    entry(Ablation, "ablation_ringbuf", ablation_ringbuf::main),
-    entry(
-        Ablation,
+    ablation("ablation_fusion", ablation_fusion::main, 0.05),
+    ablation("ablation_ringbuf", ablation_ringbuf::main, 0.05),
+    ablation(
         "ablation_archive_lifecycle",
         ablation_archive_lifecycle::main,
+        0.05,
     ),
-    entry(Ablation, "ablation_drift", ablation_drift::main).smoke(
-        1.0,
-        &[
-            "tables_ablation_drift.json",
-            "flightrec_ablation_drift_1.json",
-        ],
-    ),
-    entry(Ablation, "ablation_trace", ablation_trace::main)
-        .smoke(1.0, &["tables_ablation_trace.json"]),
-    entry(Ablation, "ablation_query_stats", ablation_query_stats::main)
-        .smoke(1.0, &["ablation_query_stats.csv"]),
-    entry(Ablation, "ablation_actions", ablation_actions::main).smoke(
-        1.0,
-        &["tables_ablation_actions.json", "ablation_actions.csv"],
-    ),
-    entry(Tool, "metrics_doc", metrics_doc::main),
+    ablation("ablation_drift", ablation_drift::main, 1.0),
+    ablation("ablation_trace", ablation_trace::main, 1.0),
+    ablation("ablation_query_stats", ablation_query_stats::main, 1.0),
+    ablation("ablation_actions", ablation_actions::main, 1.0),
+    Entry {
+        name: "metrics_doc",
+        kind: Kind::Tool,
+        run: metrics_doc::main,
+        smoke_scale: None,
+    },
 ];
 
-/// An artifact passes when it exists, is non-empty and — if it claims
-/// to be JSON — parses.
-fn check_artifact(path: &Path) -> Result<(), String> {
-    let body = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    if body.trim().is_empty() {
-        return Err("empty".into());
+/// One line per fig / ablation entry: `crc32` and length of the CSV it
+/// writes at its smoke scale. `tscout-bench smoke` checks against it; a
+/// change that means to move a figure byte regenerates it with
+/// `tscout-bench smoke --write`, beside `results/` and EXPERIMENTS.md.
+const GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../tests/golden/figures.txt"
+);
+
+/// Whether `name` is one of the kinds of thing an entry may leave in
+/// `$TS_RESULTS`: its CSV, its two observability artifacts, a
+/// flight-recorder bundle, an archive directory.
+fn is_declared_artifact(name: &str, is_dir: bool) -> bool {
+    let of_entry = |prefix: &str, suffix: &str| {
+        let stem = name
+            .strip_prefix(prefix)
+            .and_then(|n| n.strip_suffix(suffix));
+        stem.is_some_and(|stem| ENTRIES.iter().any(|e| e.name == stem))
+    };
+    if is_dir {
+        return name.ends_with("_store");
     }
-    if path.extension().is_some_and(|x| x == "json") {
-        Json::parse(&body).map_err(|e| format!("invalid JSON: {e}"))?;
-    }
-    Ok(())
+    of_entry("", ".csv")
+        || of_entry("tables_", ".json")
+        || of_entry("profile_", ".folded")
+        || (name.starts_with("flightrec_") && name.ends_with(".json"))
 }
 
-/// Run every smoke entry as a child process (each entry owns the
-/// process-wide telemetry and profiler accumulators) into
-/// `$TS_RESULTS`, then check the artifacts it declared.
-fn smoke() -> ExitCode {
+/// Run every fig / ablation entry at its smoke scale as a child process
+/// into `$TS_RESULTS`, then hold what they left to three checks: each
+/// CSV is the golden's bytes (`crc32` + length), each JSON artifact
+/// parses, and nothing but the declared kinds of artifact is there. The
+/// entry's own `assert!`s are the content check. With `write`, the
+/// golden is rewritten from the CSVs instead of compared.
+fn smoke(write: bool) -> ExitCode {
     let Ok(dir) = std::env::var("TS_RESULTS") else {
         eprintln!("smoke: set TS_RESULTS to a scratch directory (scaled-down runs must not overwrite results/)");
         return ExitCode::from(2);
     };
+    let dir = Path::new(&dir);
     let exe = std::env::current_exe().expect("cannot locate own executable");
-    let mut failed = false;
+    let mut failures: Vec<String> = Vec::new();
+    let mut lines = String::new();
     for e in ENTRIES {
-        let Some(s) = &e.smoke else { continue };
-        println!("== smoke: {} (TS_SCALE={}) ==", e.name, s.scale);
+        let Some(scale) = e.smoke_scale else { continue };
+        println!("== smoke: {} (TS_SCALE={scale}) ==", e.name);
         let ran = Command::new(&exe)
             .arg(e.name)
-            .env("TS_SCALE", s.scale.to_string())
+            .env("TS_SCALE", scale.to_string())
             .status();
         if !ran.is_ok_and(|st| st.success()) {
-            eprintln!("FAIL: {} did not exit cleanly", e.name);
-            failed = true;
+            failures.push(format!("{} did not exit cleanly", e.name));
             continue;
         }
-        for a in s.artifacts {
-            if let Err(why) = check_artifact(&Path::new(&dir).join(a)) {
-                eprintln!("FAIL: {}: artifact {a}: {why}", e.name);
-                failed = true;
+        match std::fs::read(dir.join(format!("{}.csv", e.name))) {
+            Ok(csv) => lines.push_str(&format!(
+                "{} scale={scale} bytes={} crc32={:08x}\n",
+                e.name,
+                csv.len(),
+                crc32(&csv)
+            )),
+            Err(why) => failures.push(format!("{}: no CSV: {why}", e.name)),
+        }
+    }
+    for file in std::fs::read_dir(dir).into_iter().flatten().flatten() {
+        let name = file.file_name().to_string_lossy().into_owned();
+        let path = file.path();
+        if !is_declared_artifact(&name, path.is_dir()) {
+            failures.push(format!("{name}: not a declared kind of artifact"));
+        } else if name.ends_with(".json") {
+            let parsed = std::fs::read_to_string(&path)
+                .map_err(|e| e.to_string())
+                .and_then(|body| Json::parse(&body).map(drop));
+            if let Err(why) = parsed {
+                failures.push(format!("{name}: invalid JSON: {why}"));
             }
         }
     }
-    if failed {
+    if write && failures.is_empty() {
+        std::fs::write(GOLDEN, &lines).expect("cannot write the figure golden");
+        println!("{GOLDEN} rewritten");
+    } else if std::fs::read_to_string(GOLDEN).ok().as_ref() != Some(&lines) {
+        failures.push(format!(
+            "figure CSVs differ from {GOLDEN}; this run wrote:\n{lines}\
+             a change that means to move them runs `tscout-bench smoke --write`"
+        ));
+    }
+    for why in &failures {
+        eprintln!("FAIL: {why}");
+    }
+    if !failures.is_empty() {
         return ExitCode::FAILURE;
     }
     println!("smoke OK");
@@ -208,7 +236,7 @@ fn smoke() -> ExitCode {
 }
 
 fn usage() -> ExitCode {
-    eprintln!("usage: tscout-bench <name> | list [fig|ablation|tool]... | smoke");
+    eprintln!("usage: tscout-bench <name> | list [fig|ablation|tool]... | smoke [--write]");
     ExitCode::from(2)
 }
 
@@ -230,10 +258,13 @@ fn main() -> ExitCode {
             }
             ExitCode::SUCCESS
         }
-        Some("smoke") => smoke(),
+        Some("smoke") => smoke(args.get(1).is_some_and(|a| a == "--write")),
         Some(name) => match ENTRIES.iter().find(|e| e.name == name) {
             Some(e) => {
                 (e.run)();
+                if e.kind != Kind::Tool {
+                    tscout_bench::write_observability(&tscout_bench::results_dir(), e.name);
+                }
                 ExitCode::SUCCESS
             }
             None => usage(),

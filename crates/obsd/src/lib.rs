@@ -921,8 +921,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("obsd_flightrec_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
-        let t = Telemetry::new();
+        let t = populated_telemetry();
         t.arm_flight_recorder(dir.clone(), "obsd_test");
+        let exposed = t.to_prometheus();
         t.flight_record(
             1e9,
             &[tscout_telemetry::Alert {
@@ -958,7 +959,29 @@ mod tests {
 
         let (status, body) = client::get(&addr, &format!("/api/v1/flightrec/{name}")).unwrap();
         assert_eq!(status, 200);
-        assert!(Json::parse(&body).is_ok(), "bundle is JSON: {body}");
+        let bundle = Json::parse(&body).unwrap_or_else(|e| panic!("bundle is JSON ({e}): {body}"));
+        // The bundle's metrics are a table like everything else in it:
+        // `ts_metrics` holds exactly the series `/metrics` exposed at
+        // the instant of the dump.
+        assert!(bundle.get("metrics").is_none());
+        let series = bundle.get("tables").and_then(|t| t.get("ts_metrics"));
+        let series = series.expect("bundle carries ts_metrics");
+        let column = |name: &str| series.column(name).unwrap();
+        let lines: Vec<String> = (0..column("name").len())
+            .map(|i| {
+                let cell = |name: &str| column(name)[i].display();
+                let (suffix, value) = match cell("kind").as_str() {
+                    "histogram" => ("_count", cell("count")),
+                    _ => ("", cell("value")),
+                };
+                format!("{}{suffix}{} {value}", cell("name"), cell("labels"))
+            })
+            .collect();
+        let exposed: Vec<&str> = exposed
+            .lines()
+            .filter(|l| !(l.starts_with('#') || l.contains("_bucket{") || l.contains("_sum{")))
+            .collect();
+        assert_eq!(lines, exposed);
 
         // Traversal and junk names never leave the armed directory.
         for bad in [

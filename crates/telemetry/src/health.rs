@@ -163,8 +163,6 @@ pub struct HealthEngine {
     seq: u64,
     fired_total: u64,
     fired_by_subsystem: BTreeMap<String, u64>,
-    /// Evaluation ticks run.
-    pub ticks: u64,
 }
 
 impl Default for HealthEngine {
@@ -237,7 +235,6 @@ impl HealthEngine {
             seq: 0,
             fired_total: 0,
             fired_by_subsystem: BTreeMap::new(),
-            ticks: 0,
         }
     }
 
@@ -306,7 +303,6 @@ impl HealthEngine {
     /// they neither advance nor reset hysteresis streaks. Returns this
     /// tick's transitions, upward ones flagged via [`Alert::fired`].
     pub fn tick(&mut self, now_ns: f64, signals: &Signals) -> Vec<Alert> {
-        self.ticks += 1;
         let mut transitions = Vec::new();
         // Rules are evaluated against resolved (target, value) pairs.
         let mut work: Vec<(usize, String, f64)> = Vec::new();

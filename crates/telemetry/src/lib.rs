@@ -26,10 +26,12 @@
 //!   through the resolved [`Counter`] / [`Gauge`] / [`Hist`] handle take
 //!   no registry mutex, key or allocation. [`Telemetry::counter`] and
 //!   friends resolve by bare name for signals without a declaration.
-//! - **Exportable.** Prometheus-style text exposition
-//!   ([`Registry::to_prometheus`]) and a combined JSON snapshot
-//!   ([`Registry::snapshot_json`]) that the bench binaries write to
-//!   `results/telemetry_<fig>.json`.
+//! - **One way out.** Everything stateful here is a row source of a
+//!   `ts_*` table ([`tables::TABLES`]; `ts_metrics` is the metrics
+//!   themselves) and rows become JSON in [`tables::rows_json`] only;
+//!   the two external formats are the Prometheus text exposition
+//!   ([`Registry::to_prometheus`]) and flamegraph folded stacks
+//!   ([`Profiler::folded_text`]).
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 
@@ -67,7 +69,7 @@ pub use profile::{
 pub use sketch::Sketch;
 pub use stmt::{StmtEntry, StmtStats, DEFAULT_STMT_CAP};
 pub use tables::{Cell, ColType, Table, TABLES};
-pub use timeseries::{TimeSeries, Window, DEFAULT_WINDOW_CAPACITY};
+pub use timeseries::{TimeSeries, Window};
 pub use trace::{
     FlightRecorderArm, Stage, StageAgg, StageRecord, Trace, TraceId, TraceOutcome, TraceStats,
     Tracer, ALL_STAGES, DEFAULT_ACTIVE_TRACE_CAPACITY, DEFAULT_TRACE_CAPACITY,
@@ -189,26 +191,9 @@ impl Telemetry {
         self.lock().to_prometheus()
     }
 
-    /// Combined JSON snapshot of every metric.
-    pub fn snapshot_json(&self) -> String {
-        self.lock().snapshot_json()
-    }
-
-    /// Scrape current counter values into the registry's time series as
-    /// a window ending at virtual time `now_ns` (see [`TimeSeries`]).
-    pub fn scrape_window(&self, now_ns: f64) {
-        self.lock().scrape_window(now_ns);
-    }
-
-    /// Number of scraped time-series windows currently retained.
+    /// Number of counter scrapes currently retained (at most two).
     pub fn timeseries_len(&self) -> usize {
         self.lock().timeseries().len()
-    }
-
-    /// JSON export of the scraped time series (see
-    /// [`TimeSeries::to_json`]).
-    pub fn timeseries_json(&self) -> String {
-        self.lock().timeseries().to_json()
     }
 
     /// Feed one decoded training sample into the per-OU drift channels
@@ -434,19 +419,6 @@ impl Telemetry {
     pub fn drift_rebaseline_all(&self) -> usize {
         self.lock().drift_rebaseline_all()
     }
-
-    /// Merge another handle's registry into this one (counters add,
-    /// gauges take max, histograms add bucket-wise).
-    pub fn absorb(&self, other: &Telemetry) {
-        if Arc::ptr_eq(&self.inner, &other.inner) {
-            return;
-        }
-        // A value snapshot, so the two locks are never held together.
-        let theirs = other.lock().clone();
-        let mut reg = self.lock();
-        reg.merge_from(&theirs);
-        self.sync_tracing(&reg);
-    }
 }
 
 /// Escape a string for embedding in a JSON document (without quotes).
@@ -469,8 +441,7 @@ pub fn json_escape(s: &str) -> String {
 }
 
 /// Format an f64 as a JSON number (`null` for NaN/Inf, which JSON
-/// cannot represent) — the same answer on every surface, snapshot files
-/// and obsd endpoints alike.
+/// cannot represent) — the same answer on every surface.
 pub fn json_num(v: f64) -> String {
     if v.is_finite() {
         if v == v.trunc() && v.abs() < 1e15 {
@@ -524,32 +495,6 @@ mod tests {
         t.gauge("buffered", &[]).add(2.0);
         t.gauge("buffered", &[]).add(-6.0);
         assert_eq!(t.gauge_value("buffered", &[]), 1.0);
-    }
-
-    #[test]
-    fn absorb_merges_counters() {
-        let a = Telemetry::new();
-        let b = Telemetry::new();
-        a.counter("n", &[]).add(2);
-        b.counter("n", &[]).add(3);
-        a.absorb(&b);
-        assert_eq!(a.counter_value("n", &[]), 5);
-        // Self-absorb must not deadlock or double.
-        a.absorb(&a.clone());
-        assert_eq!(a.counter_value("n", &[]), 5);
-    }
-
-    #[test]
-    fn snapshot_json_is_parseable_shape() {
-        let t = Telemetry::new();
-        t.counter_inc("a_total", &[("k", "v")]);
-        t.gauge("g", &[]).set(1.5);
-        t.hist("lat_ns", &[]).record(123.0);
-        let s = t.snapshot_json();
-        assert!(s.starts_with('{') && s.trim_end().ends_with('}'));
-        for needle in ["\"counters\"", "\"gauges\"", "\"histograms\"", "a_total"] {
-            assert!(s.contains(needle), "missing {needle} in {s}");
-        }
     }
 
     #[test]

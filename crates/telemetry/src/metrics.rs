@@ -1,5 +1,5 @@
 //! The metric registry: named, labeled counters / gauges / histograms,
-//! with Prometheus text and JSON snapshot export.
+//! exported as Prometheus text and as the rows of `ts_metrics`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -11,6 +11,7 @@ use crate::handles::{Cell, Counter, Decl, Gauge, Hist, Kind};
 use crate::health::{Alert, HealthEngine, HealthState, Selector, Signals};
 use crate::histogram::HistogramSnapshot;
 use crate::stmt::StmtStats;
+use crate::tables::Cell as Col;
 use crate::timeseries::{TimeSeries, Window};
 use crate::trace::{FlightRecorderArm, Tracer};
 use crate::{json_escape, json_num};
@@ -69,13 +70,6 @@ fn write_series(
         let _ = write!(out, "{le}\"");
     }
     out.push('}');
-}
-
-/// `name{labels}` as an owned key (time-series windows, JSON snapshot).
-fn render(name: &str, labels: &[(String, String)]) -> String {
-    let mut out = String::new();
-    write_series(&mut out, name, "", labels, None);
-    out
 }
 
 /// Label sets up to this size are sorted on the stack when a series is
@@ -323,13 +317,14 @@ impl Registry {
             .map(|h| h.load().snapshot())
     }
 
-    /// Scrape the current cumulative counter values into the embedded
+    /// Scrape the current cumulative counter totals into the embedded
     /// [`TimeSeries`] as a window ending at virtual time `now_ns`.
     pub fn scrape_window(&mut self, now_ns: f64) {
         let counters = self
             .counters
+            .families
             .iter()
-            .map(|(name, labels, c)| (render(name, labels), c.get()))
+            .map(|(name, f)| (name.clone(), f.series.iter().map(|(_, c)| c.get()).sum()))
             .collect();
         self.timeseries.push(Window {
             end_ns: now_ns,
@@ -499,8 +494,8 @@ impl Registry {
 
     /// `flightrec_<fig>_<seq>.json`: the trigger (join keys only — the
     /// evidence is in the tables), every `ts_*` table (see
-    /// [`crate::tables::all_tables_json`]), the full metrics snapshot
-    /// and the active (folded) profile.
+    /// [`crate::tables::all_tables_json`]; `ts_metrics` is the full
+    /// metric snapshot) and the active (folded) profile.
     fn write_flight_bundle(
         &mut self,
         now_ns: f64,
@@ -515,13 +510,12 @@ impl Registry {
         ));
         let bundle = format!(
             "{{\n  \"at_ns\": {},\n  \"fig\": \"{}\",\n  \"seq\": {},\n  \
-             \"trigger\": {trigger},\n  \"tables\": {},\n  \"metrics\": {},\n  \
+             \"trigger\": {trigger},\n  \"tables\": {},\n  \
              \"profile_folded\": \"{}\"\n}}\n",
             json_num(now_ns),
             json_escape(&self.flightrec.fig),
             self.flightrec.seq,
             crate::tables::all_tables_json(self).trim_end(),
-            self.snapshot_json().trim_end(),
             json_escape(profile_folded),
         );
         std::fs::create_dir_all(&dir).ok();
@@ -649,7 +643,7 @@ impl Registry {
     }
 
     /// One combined observability turn, in dependency order: score drift
-    /// (updates gauges), scrape the counters into the time series (the
+    /// (updates gauges), scrape the counters (the latest two scrapes give the
     /// rates health rules read), then run the health rules.
     pub fn observability_tick(&mut self, now_ns: f64) -> Vec<Alert> {
         self.drift_evaluate();
@@ -657,10 +651,12 @@ impl Registry {
         self.health_tick(now_ns)
     }
 
-    /// Merge `other` into `self`: counters add, gauges take the max
-    /// (every gauge we export is a level or high-water mark, for which
-    /// max is the meaningful union), histograms merge bucket-wise, and
-    /// each family keeps its help text.
+    /// Merge `other`'s metrics into `self`: counters add, gauges take the
+    /// max (every gauge we export is a level or high-water mark, for
+    /// which max is the meaningful union), histograms merge bucket-wise,
+    /// and each family keeps its help text. Only metrics compose across
+    /// registries; the stateful members (scrapes, drift windows, health
+    /// streaks, traces, statement stats, actions) stay `self`'s.
     pub fn merge_from(&mut self, other: &Registry) {
         fn borrowed(labels: &Labels) -> Vec<(&str, &str)> {
             labels
@@ -690,40 +686,6 @@ impl Registry {
                     .cell(name, family.help, &borrowed(labels))
                     .merge_from(&h.load());
             }
-        }
-        // Time series from different registries cover different
-        // (overlapping) virtual timelines and cannot be concatenated
-        // meaningfully; keep ours and adopt the other's only if we have
-        // none (so a fold into an empty accumulator preserves one
-        // representative run's dynamics).
-        if self.timeseries.is_empty() && !other.timeseries.is_empty() {
-            self.timeseries = other.timeseries.clone();
-        }
-        // Same reasoning for the drift windows and health state machine:
-        // reference/live windows and hysteresis streaks from different
-        // runs don't compose, so an empty (never-fed / never-ticked)
-        // accumulator adopts the other side wholesale and an active one
-        // keeps its own.
-        if self.drift.is_empty() && !other.drift.is_empty() {
-            self.drift = other.drift.clone();
-        }
-        if self.health.ticks == 0 && other.health.ticks > 0 {
-            self.health = other.health.clone();
-        }
-        // Trace lineage from a different run doesn't interleave with
-        // ours either: adopt wholesale into an idle accumulator only.
-        if self.tracer.is_idle() && !other.tracer.is_idle() {
-            self.tracer = other.tracer.clone();
-        }
-        // Statement stats carry LRU stamps from their own run's record
-        // order, which don't compose across runs: same idle-adoption rule.
-        if self.stmts.is_idle() && !other.stmts.is_idle() {
-            self.stmts = other.stmts.clone();
-        }
-        // Action ids are per-run monotonic and don't compose either:
-        // idle adoption, like the other stateful subsystems.
-        if self.actions.is_empty() && !other.actions.is_empty() {
-            self.actions = other.actions.clone();
         }
     }
 
@@ -796,59 +758,44 @@ impl Registry {
         out
     }
 
-    /// The combined snapshot the bench binaries persist as
-    /// `results/telemetry_<fig>.json`: counters and gauges keyed by
-    /// rendered metric name, and histogram summaries.
-    pub fn snapshot_json(&self) -> String {
-        let mut out = String::from("{\n  \"counters\": {");
-        let counters: Vec<String> = self
-            .counters
-            .iter()
-            .map(|(name, labels, c)| {
-                format!(
-                    "\n    \"{}\": {}",
-                    json_escape(&render(name, labels)),
-                    c.get()
-                )
-            })
-            .collect();
-        out.push_str(&counters.join(","));
-        out.push_str("\n  },\n  \"gauges\": {");
-        let gauges: Vec<String> = self
-            .gauges
-            .iter()
-            .map(|(name, labels, g)| {
-                format!(
-                    "\n    \"{}\": {}",
-                    json_escape(&render(name, labels)),
-                    json_num(g.get())
-                )
-            })
-            .collect();
-        out.push_str(&gauges.join(","));
-        out.push_str("\n  },\n  \"histograms\": {");
-        let hists: Vec<String> = self
-            .histograms
-            .iter()
-            .map(|(name, labels, h)| {
-                let s = h.load().snapshot();
-                format!(
-                    "\n    \"{}\": {{\"count\": {}, \"sum\": {}, \"mean\": {}, \"min\": {}, \"max\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}}}",
-                    json_escape(&render(name, labels)),
-                    s.count,
-                    json_num(s.sum),
-                    json_num(s.mean),
-                    json_num(s.min),
-                    json_num(s.max),
-                    json_num(s.p50),
-                    json_num(s.p95),
-                    json_num(s.p99),
-                )
-            })
-            .collect();
-        out.push_str(&hists.join(","));
-        out.push_str("\n  }\n}\n");
-        out
+    /// Every series as one `ts_metrics` row `(name, labels, kind, value,
+    /// count, sum, p50, p95, p99)`: counters, gauges, then histograms,
+    /// each in `(name, labels)` order — the order of the exposition.
+    /// `labels` is the rendered `{k="v",...}` block (empty without
+    /// labels), so `name || labels` is the series as `/metrics` spells it.
+    pub(crate) fn metric_rows(&self) -> Vec<Vec<Col>> {
+        fn row(name: &str, labels: &Labels, kind: &str, value: Col, summary: [Col; 5]) -> Vec<Col> {
+            let mut rendered = String::new();
+            write_series(&mut rendered, "", "", labels, None);
+            let mut row = vec![
+                Col::Text(name.into()),
+                Col::Text(rendered),
+                Col::Text(kind.into()),
+                value,
+            ];
+            row.extend(summary);
+            row
+        }
+        const NO_SUMMARY: [Col; 5] = [Col::Null, Col::Null, Col::Null, Col::Null, Col::Null];
+        let counters = self.counters.iter().map(|(name, labels, c)| {
+            let value = Col::Float(c.get() as f64);
+            row(name, labels, Counter::KIND, value, NO_SUMMARY)
+        });
+        let gauges = self.gauges.iter().map(|(name, labels, g)| {
+            row(name, labels, Gauge::KIND, Col::Float(g.get()), NO_SUMMARY)
+        });
+        let histograms = self.histograms.iter().map(|(name, labels, h)| {
+            let s = h.load().snapshot();
+            let summary = [
+                Col::Int(s.count as i64),
+                Col::Float(s.sum),
+                Col::Float(s.p50),
+                Col::Float(s.p95),
+                Col::Float(s.p99),
+            ];
+            row(name, labels, Hist::KIND, Col::Null, summary)
+        });
+        counters.chain(gauges).chain(histograms).collect()
     }
 }
 
@@ -1012,25 +959,7 @@ mod tests {
         assert_eq!(r.timeseries().len(), 2);
         assert_eq!(r.timeseries().total_in_window("d", 0), 5);
         assert_eq!(r.timeseries().total_in_window("d", 1), 14);
-        assert_eq!(r.timeseries().delta("d", 1), 9);
-        assert!(r.timeseries().to_json().contains("\"windows\""));
-    }
-
-    #[test]
-    fn merge_adopts_timeseries_only_when_empty() {
-        let mut a = Registry::new();
-        let mut b = Registry::new();
-        b.counter("c", &[]).inc();
-        b.scrape_window(10.0);
-        a.merge_from(&b);
-        assert_eq!(a.timeseries().len(), 1);
-        // A second merge from a different run must not concatenate.
-        let mut c = Registry::new();
-        c.counter("c", &[]).add(9);
-        c.scrape_window(5.0);
-        c.scrape_window(6.0);
-        a.merge_from(&c);
-        assert_eq!(a.timeseries().len(), 1);
+        assert_eq!(r.timeseries().latest_rate_per_sec("d"), Some(9e6));
     }
 
     #[test]
@@ -1120,24 +1049,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_adopts_drift_and_health_only_when_idle() {
-        let mut a = Registry::new();
-        let mut b = Registry::new();
-        b.observe_ou_sample("OuX", "s", 1.0, 1.0);
-        b.observability_tick(10.0);
-        a.merge_from(&b);
-        assert_eq!(a.drift().len(), 1);
-        assert_eq!(a.health().ticks, 1);
-        // An active accumulator keeps its own windows.
-        let mut c = Registry::new();
-        c.observe_ou_sample("OuY", "s", 1.0, 1.0);
-        c.observe_ou_sample("OuZ", "s", 1.0, 1.0);
-        a.merge_from(&c);
-        assert_eq!(a.drift().len(), 1);
-        assert!(a.drift().ou("OuX").is_some());
-    }
-
-    #[test]
     fn stmt_record_syncs_metrics() {
         let mut r = Registry::new();
         r.stmt_record("select ?", 100.0, 1, &[("seq_scan", 80.0)], None);
@@ -1152,20 +1063,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_adopts_stmt_stats_only_when_idle() {
-        let mut a = Registry::new();
-        let mut b = Registry::new();
-        b.stmt_record("q1", 10.0, 0, &[], None);
-        a.merge_from(&b);
-        assert!(a.stmts().get("q1").is_some());
-        // An active accumulator keeps its own entries.
-        let mut c = Registry::new();
-        c.stmt_record("q2", 10.0, 0, &[], None);
-        a.merge_from(&c);
-        assert!(a.stmts().get("q2").is_none());
-    }
-
-    #[test]
     fn merge_semantics() {
         let mut a = Registry::new();
         let mut b = Registry::new();
@@ -1174,9 +1071,16 @@ mod tests {
         a.gauge("hwm", &[]).set(5.0);
         b.gauge("hwm", &[]).set(3.0);
         b.hist("h", &[]).record(10.0);
+        b.observe_ou_sample("OuX", "s", 1.0, 1.0);
+        b.stmt_record("q1", 10.0, 0, &[], None);
+        b.observability_tick(10.0);
         a.merge_from(&b);
         assert_eq!(a.counter_value("c", &[]), 3);
         assert_eq!(a.gauge_value("hwm", &[]), 5.0);
         assert_eq!(a.hist_snapshot("h", &[]).unwrap().count, 1);
+        // Only metrics compose: scrapes, drift windows and statement
+        // stats of another run stay that run's.
+        assert!(a.timeseries().is_empty() && a.drift().is_empty());
+        assert!(a.stmts().get("q1").is_none());
     }
 }

@@ -299,23 +299,6 @@ impl Profiler {
             total_interrupts: st.interrupts,
         }
     }
-
-    /// Merge another profiler's folded samples into this one (used by
-    /// the bench harness to accumulate across per-run kernels).
-    pub fn absorb(&self, other: &Profiler) {
-        if Arc::ptr_eq(&self.inner, &other.inner) {
-            return;
-        }
-        let theirs: Vec<(String, FoldedEntry)> = other.folded();
-        let their_interrupts = other.interrupts_fired();
-        let mut st = self.lock();
-        for (k, e) in theirs {
-            let mine = st.folded.entry(k).or_default();
-            mine.samples += e.samples;
-            mine.ns += e.ns;
-        }
-        st.interrupts += their_interrupts;
-    }
 }
 
 /// RAII frame guard returned by [`Profiler::push_frame`]; pops the
@@ -362,32 +345,6 @@ impl Attribution {
         } else {
             None
         }
-    }
-
-    /// JSON object: per-top-frame `{samples, ns}` plus the ratio.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"by_top_frame\": {");
-        let entries: Vec<String> = self
-            .by_top_frame
-            .iter()
-            .map(|(k, e)| {
-                format!(
-                    "\"{}\": {{\"samples\": {}, \"ns\": {}}}",
-                    crate::json_escape(k),
-                    e.samples,
-                    crate::json_num(e.ns),
-                )
-            })
-            .collect();
-        out.push_str(&entries.join(", "));
-        out.push_str(&format!(
-            "}}, \"total_interrupts\": {}, \"tscout_dbms_ratio\": {}}}",
-            self.total_interrupts,
-            self.tscout_dbms_ratio()
-                .map(crate::json_num)
-                .unwrap_or_else(|| "null".to_string()),
-        ));
-        out
     }
 }
 
@@ -473,7 +430,7 @@ mod tests {
     }
 
     #[test]
-    fn attribution_ratio_and_json() {
+    fn attribution_ratio() {
         let p = Profiler::new();
         p.set_period_ns(10.0);
         {
@@ -490,38 +447,12 @@ mod tests {
         assert_eq!(a.ns_of("tscout"), 100.0);
         let r = a.tscout_dbms_ratio().unwrap();
         assert!((r - 1.0 / 3.0).abs() < 1e-12);
-        let j = a.to_json();
-        assert!(j.contains("\"tscout_dbms_ratio\""));
-        assert!(j.contains("\"dbms\""));
         // Single-sided profile has no ratio.
         let q = Profiler::new();
         q.set_period_ns(1.0);
         let _g = q.push_frame(0, "dbms", true);
         charge(&q, 0, 5.0);
         assert!(q.attribution().tscout_dbms_ratio().is_none());
-        assert!(q.attribution().to_json().contains("null"));
-    }
-
-    #[test]
-    fn absorb_merges_and_self_absorb_is_noop() {
-        let a = Profiler::new();
-        let b = Profiler::new();
-        a.set_period_ns(10.0);
-        b.set_period_ns(10.0);
-        {
-            let _g = a.push_frame(0, "dbms", true);
-            charge(&a, 0, 50.0);
-        }
-        {
-            let _g = b.push_frame(0, "dbms", true);
-            charge(&b, 0, 30.0);
-        }
-        a.absorb(&b);
-        assert_eq!(a.interrupts_fired(), 8);
-        let folded: BTreeMap<String, FoldedEntry> = a.folded().into_iter().collect();
-        assert_eq!(folded["dbms"].samples, 8);
-        a.absorb(&a.clone());
-        assert_eq!(a.interrupts_fired(), 8);
     }
 
     #[test]

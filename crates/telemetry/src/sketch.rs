@@ -3,7 +3,7 @@
 //! A [`Sketch`] summarizes one stream of non-negative observations — an
 //! OU's elapsed-time targets, a feature-vector norm — in bounded memory:
 //! a latency [`Histogram`] (513 log-linear buckets, exact sum and
-//! extremes) plus the exact second moment.
+//! extremes).
 //! Two sketches over the *same* fixed bucketing are directly comparable,
 //! which is what the drift detectors in `drift.rs` exploit: PSI and
 //! KS-distance reduce to a single pass over aligned bucket counts.
@@ -16,8 +16,8 @@
 //!   error of `1/SUB_BUCKETS = 12.5%`. Values in `[0, 1)` share one
 //!   underflow bucket and report 1.0; the estimate is clamped to the
 //!   observed min/max so sparse tails stay honest.
-//! - **Mean / variance**: exact (running sums, no bucketing error),
-//!   up to f64 rounding.
+//! - **Mean**: exact (running sum, no bucketing error), up to f64
+//!   rounding.
 //! - **KS**: computed on full-resolution bucket proportions, so it is
 //!   exact for the bucketed distributions; shifts smaller than one
 //!   sub-bucket (< 12.5% relative) are invisible by construction.
@@ -42,7 +42,6 @@ const PSI_EPSILON: f64 = 1e-4;
 #[derive(Debug, Clone, Default)]
 pub struct Sketch {
     hist: Histogram,
-    sum_sq: f64,
 }
 
 impl Sketch {
@@ -51,13 +50,11 @@ impl Sketch {
     }
 
     /// Record one observation. NaN is ignored; negative and sub-1 values
-    /// land in the shared underflow bucket (moments stay exact).
+    /// land in the shared underflow bucket (the mean stays exact).
     pub fn insert(&mut self, v: f64) {
-        if v.is_nan() {
-            return;
+        if !v.is_nan() {
+            self.hist.record(v);
         }
-        self.hist.record(v);
-        self.sum_sq += v * v;
     }
 
     pub fn count(&self) -> u64 {
@@ -68,52 +65,15 @@ impl Sketch {
         self.count() == 0
     }
 
-    pub fn sum(&self) -> f64 {
-        self.hist.sum()
-    }
-
-    /// Smallest observation (0.0 when empty).
-    pub fn min(&self) -> f64 {
-        self.hist.min()
-    }
-
-    /// Largest observation (0.0 when empty).
-    pub fn max(&self) -> f64 {
-        self.hist.max()
-    }
-
     /// Exact mean (0.0 when empty).
     pub fn mean(&self) -> f64 {
         self.hist.mean()
-    }
-
-    /// Population variance from the running moments, floored at 0 to
-    /// absorb f64 cancellation on near-constant streams.
-    pub fn variance(&self) -> f64 {
-        if self.is_empty() {
-            return 0.0;
-        }
-        let n = self.count() as f64;
-        let m = self.sum() / n;
-        (self.sum_sq / n - m * m).max(0.0)
-    }
-
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
     }
 
     /// Quantile estimate with ≤ 12.5% relative error (see module docs).
     /// `q` is clamped to `[0,1]`; NaN is treated as 0; empty reports 0.0.
     pub fn quantile(&self, q: f64) -> f64 {
         self.hist.quantile(q)
-    }
-
-    /// Merge another sketch into this one (bucket-wise; moments add).
-    /// Mergeability is what lets a reference window absorb several live
-    /// windows, or per-run sketches fold into a process-wide one.
-    pub fn merge_from(&mut self, other: &Sketch) {
-        self.hist.merge_from(&other.hist);
-        self.sum_sq += other.sum_sq;
     }
 
     /// Clear all state (the drift detector resets its live window after
@@ -195,17 +155,13 @@ mod tests {
     }
 
     #[test]
-    fn moments_are_exact() {
+    fn mean_is_exact() {
         let mut s = Sketch::new();
         for v in [2.0, 4.0, 6.0, 8.0] {
             s.insert(v);
         }
         assert_eq!(s.count(), 4);
         assert_eq!(s.mean(), 5.0);
-        assert_eq!(s.variance(), 5.0); // E[x^2]=30, mean^2=25
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 8.0);
-        assert!((s.std_dev() - 5.0f64.sqrt()).abs() < 1e-12);
     }
 
     #[test]
@@ -226,23 +182,9 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.quantile(0.5), 0.0);
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.min(), 0.0);
-        assert_eq!(s.max(), 0.0);
         assert_eq!(s.psi(&filled(1, 100)), 0.0);
         assert_eq!(filled(1, 100).psi(&s), 0.0);
         assert_eq!(s.ks_distance(&s), 0.0);
-    }
-
-    #[test]
-    fn merge_matches_single_stream() {
-        let mut a = filled(1, 5_000);
-        let b = filled(5_000, 10_001);
-        a.merge_from(&b);
-        let whole = filled(1, 10_001);
-        assert_eq!(a.count(), whole.count());
-        assert_eq!(a.mean(), whole.mean());
-        assert_eq!(a.quantile(0.5), whole.quantile(0.5));
-        assert!(a.psi(&whole).abs() < 1e-12, "merged == whole, PSI ~ 0");
     }
 
     #[test]
@@ -250,7 +192,7 @@ mod tests {
         let mut s = filled(1, 100);
         s.reset();
         assert!(s.is_empty());
-        assert_eq!(s.sum(), 0.0);
+        assert_eq!(s.mean(), 0.0);
         assert_eq!(s.quantile(0.9), 0.0);
     }
 
@@ -300,7 +242,7 @@ mod tests {
         assert!(s.is_empty());
         s.insert(-5.0);
         assert_eq!(s.count(), 1);
-        assert_eq!(s.min(), -5.0);
+        assert_eq!(s.mean(), -5.0);
         assert!(s.quantile(0.5).is_finite());
     }
 }

@@ -198,12 +198,6 @@ impl StmtStats {
         self.entries.is_empty()
     }
 
-    /// True when nothing has ever been recorded — used by `merge_from`
-    /// to adopt a populated registry wholesale into an idle accumulator.
-    pub fn is_idle(&self) -> bool {
-        self.recorded == 0
-    }
-
     /// Total record() calls (drives the driver's pump-cadence cost
     /// charge: each recorded statement paid one fingerprint + one fold).
     pub fn recorded(&self) -> u64 {
@@ -281,13 +275,5 @@ mod tests {
         }
         assert!(t.get("b").is_none());
         assert_eq!(t.evicted(), 1);
-    }
-
-    #[test]
-    fn idle_until_first_record() {
-        let mut s = StmtStats::default();
-        assert!(s.is_idle() && s.is_empty());
-        s.record("q", 1.0, 0, &[], None);
-        assert!(!s.is_idle());
     }
 }

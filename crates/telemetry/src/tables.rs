@@ -5,7 +5,7 @@
 //! table's schema next to the function that materializes its rows from
 //! a [`Registry`], and every surface is a reader of [`TABLES`]: SQL
 //! virtual scans (`noisetap::stat`), obsd's `GET /api/v1/<api_key>`,
-//! `tscoutctl stat`, the `results/tables_<fig>.json` artifact and
+//! `tscoutctl stat`, the `results/tables_<entry>.json` artifact and
 //! flight-recorder bundles. [`rows_json`] is the one place rows become
 //! JSON, so the surfaces cannot disagree on a column, a NULL or a
 //! number format.
@@ -466,6 +466,26 @@ pub const TABLES: &[Table] = &[
                 .collect()
         },
     },
+    // The metric registry itself, one row per series: `value` for
+    // counters and gauges, the summary columns for histograms, NULL
+    // where a kind has none (see `Registry::metric_rows`).
+    Table {
+        name: "ts_metrics",
+        // Not "metrics": that is obsd's endpoint label for `/metrics`.
+        api_key: "series",
+        columns: &[
+            ("name", Text),
+            ("labels", Text),
+            ("kind", Text),
+            ("value", Float),
+            ("count", Int),
+            ("sum", Float),
+            ("p50", Float),
+            ("p95", Float),
+            ("p99", Float),
+        ],
+        rows: Registry::metric_rows,
+    },
 ];
 
 /// The table named `name` (SQL name, any case).
@@ -537,8 +557,8 @@ impl Table {
 }
 
 /// Every table's [`Table::to_json`] keyed by table name, one per line:
-/// the `results/tables_<fig>.json` artifact and the `tables` member of
-/// a flight-recorder bundle.
+/// one database's element of the `results/tables_<entry>.json` artifact
+/// and the `tables` member of a flight-recorder bundle.
 pub fn all_tables_json(r: &Registry) -> String {
     let docs: Vec<String> = TABLES
         .iter()
@@ -677,6 +697,48 @@ mod tests {
         assert_eq!(observed[0][12], Cell::Float(0.0));
         assert_eq!(observed[0][15], Cell::Bool(false));
         assert_eq!(observed[0][16], Cell::Int(3));
+    }
+
+    #[test]
+    fn metrics_table_has_one_row_per_series_in_exposition_order() {
+        let t = Telemetry::new();
+        t.gauge("depth", &[]).set(f64::NAN);
+        t.counter("events_total", &[("kind", "b"), ("a", "x\"y")])
+            .add(3);
+        for v in [100.0, 300.0] {
+            t.hist("lat_ns", &[("op", "read")]).record(v);
+        }
+        let rows = rows("ts_metrics", &t);
+        let null5 = vec![Cell::Null; 5];
+        assert_eq!(rows.len(), 3);
+        assert_eq!(
+            rows[0][..4],
+            [
+                text("events_total"),
+                text("{a=\"x\\\"y\",kind=\"b\"}"),
+                text("counter"),
+                Cell::Float(3.0)
+            ]
+        );
+        assert_eq!(rows[0][4..], null5);
+        assert_eq!(rows[1][..3], [text("depth"), text(""), text("gauge")]);
+        assert!(matches!(rows[1][3], Cell::Float(v) if v.is_nan()));
+        assert_eq!(
+            rows[2][..6],
+            [
+                text("lat_ns"),
+                text("{op=\"read\"}"),
+                text("histogram"),
+                Cell::Null,
+                Cell::Int(2),
+                Cell::Float(400.0)
+            ]
+        );
+        // Every series of the exposition is a row, spelled the same way.
+        let prom = t.to_prometheus();
+        assert!(prom.contains("events_total{a=\"x\\\"y\",kind=\"b\"} 3\n"));
+        assert!(prom.contains("lat_ns_count{op=\"read\"} 2\n"));
+        assert_eq!(t.with_registry(|r| r.len()), rows.len());
     }
 
     #[test]

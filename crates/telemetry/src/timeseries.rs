@@ -1,215 +1,88 @@
-//! Windowed time-series store over the metric registry.
+//! The last two counter scrapes of the metric registry.
 //!
-//! End-of-run totals hide dynamics: a sampling-rate change mid-run
-//! (Fig. 8), the WAL group-commit batch size breathing with load, a
-//! ring buffer that only overwrites during a burst. The [`TimeSeries`]
-//! captures those by periodically *scraping* the registry's counters
-//! into a fixed-capacity ring of windows. Each window stores the
-//! **cumulative** counter values at its (virtual) end time, so
-//! per-window deltas and rates are exact differences — no sampling — and
-//! merging scrapes is never needed.
+//! The health engine's `CounterRate` rules need one thing from history:
+//! how far each counter moved between the latest two observability
+//! ticks. The [`TimeSeries`] keeps exactly that — the previous and the
+//! latest scrape, each the **cumulative** per-family counter totals at
+//! its (virtual) time — so the rate is an exact difference and the
+//! registry's size (and the cost of cloning it for a scrape of the
+//! operator plane) does not grow with the length of the run. A longer
+//! history belongs to whoever scrapes `/metrics` or `ts_metrics`.
 //!
 //! Scrapes are driven by the caller (the workload driver scrapes at its
 //! pump cadence; tests scrape explicitly), keeping this module wall-
 //! clock-free like the rest of the crate.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
-use crate::{json_escape, json_num};
-
-/// Default ring capacity: enough for a full figure run at the driver's
-/// pump cadence without unbounded growth.
-pub const DEFAULT_WINDOW_CAPACITY: usize = 1024;
-
-/// One scrape: cumulative counter values at `end_ns`.
+/// One scrape: cumulative counter totals at `end_ns`.
 #[derive(Debug, Clone, Default)]
 pub struct Window {
     pub end_ns: f64,
-    /// Rendered metric key (`name{label="v"}`) -> cumulative value.
+    /// Counter family name -> cumulative value, summed across label sets.
     pub counters: BTreeMap<String, u64>,
 }
 
-/// Fixed-capacity ring of counter windows.
-#[derive(Debug, Clone)]
+/// The previous and the latest scrape.
+#[derive(Debug, Clone, Default)]
 pub struct TimeSeries {
-    capacity: usize,
-    windows: VecDeque<Window>,
-    evicted: u64,
-}
-
-impl Default for TimeSeries {
-    fn default() -> Self {
-        TimeSeries::with_capacity(DEFAULT_WINDOW_CAPACITY)
-    }
+    prev: Option<Window>,
+    last: Option<Window>,
 }
 
 impl TimeSeries {
-    pub fn with_capacity(capacity: usize) -> Self {
-        TimeSeries {
-            capacity: capacity.max(1),
-            windows: VecDeque::new(),
-            evicted: 0,
-        }
-    }
-
-    /// Record a scrape. Out-of-order scrapes (`end_ns` earlier than the
-    /// last window) are dropped; a scrape at exactly the last window's
-    /// time replaces it (idempotent re-scrape).
+    /// Record a scrape. A scrape at exactly the latest one's time
+    /// replaces it (idempotent re-scrape). One *earlier* than the latest
+    /// starts over — a later run on the same database begins before the
+    /// previous run's closing tick — so there is no rate for that tick
+    /// and an exact one from the next.
     pub fn push(&mut self, window: Window) {
-        if let Some(last) = self.windows.back() {
-            if window.end_ns < last.end_ns {
-                return;
-            }
-            if window.end_ns == last.end_ns {
-                *self.windows.back_mut().expect("non-empty") = window;
-                return;
-            }
+        match &self.last {
+            Some(last) if window.end_ns == last.end_ns => {}
+            Some(last) if window.end_ns < last.end_ns => self.prev = None,
+            _ => self.prev = self.last.take(),
         }
-        if self.windows.len() == self.capacity {
-            self.windows.pop_front();
-            self.evicted += 1;
-        }
-        self.windows.push_back(window);
+        self.last = Some(window);
     }
 
+    /// Scrapes retained: 0, 1 or 2.
     pub fn len(&self) -> usize {
-        self.windows.len()
+        self.prev.iter().chain(&self.last).count()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.windows.is_empty()
+        self.last.is_none()
     }
 
-    /// Windows evicted to respect capacity (oldest-first).
-    pub fn evicted(&self) -> u64 {
-        self.evicted
-    }
-
+    /// Retained scrape `i`, oldest first.
     pub fn window(&self, i: usize) -> Option<&Window> {
-        self.windows.get(i)
+        self.prev.iter().chain(&self.last).nth(i)
     }
 
-    pub fn iter(&self) -> impl Iterator<Item = &Window> {
-        self.windows.iter()
-    }
-
-    /// Sum of a metric's cumulative value across label sets in window
-    /// `i`. Rendered keys are `name` or `name{...}`.
+    /// Cumulative value of `name` (summed across label sets) in scrape `i`.
     pub fn total_in_window(&self, name: &str, i: usize) -> u64 {
-        self.windows
-            .get(i)
-            .map(|w| sum_named(&w.counters, name))
+        self.window(i)
+            .and_then(|w| w.counters.get(name))
+            .copied()
             .unwrap_or(0)
     }
 
-    /// Increment of `name` (summed across label sets) during window
-    /// `i`, i.e. cumulative(i) − cumulative(i−1); window 0's delta is
-    /// its cumulative value.
-    pub fn delta(&self, name: &str, i: usize) -> u64 {
-        let cur = self.total_in_window(name, i);
-        if i == 0 {
-            return cur;
-        }
-        cur.saturating_sub(self.total_in_window(name, i - 1))
-    }
-
-    /// Average rate of `name` (summed across label sets) over the whole
-    /// retained series, in events per virtual **second**. Needs at
-    /// least two windows spanning positive time; otherwise 0.0.
+    /// [`Self::latest_rate_per_sec`], 0.0 where that has no signal.
     pub fn rate_per_sec(&self, name: &str) -> f64 {
-        let (Some(first), Some(last)) = (self.windows.front(), self.windows.back()) else {
-            return 0.0;
-        };
-        let dt_ns = last.end_ns - first.end_ns;
-        if dt_ns <= 0.0 {
-            return 0.0;
-        }
-        let d = sum_named(&last.counters, name).saturating_sub(sum_named(&first.counters, name));
-        d as f64 / (dt_ns / 1e9)
+        self.latest_rate_per_sec(name).unwrap_or(0.0)
     }
 
-    /// Instantaneous rate of `name` over the **latest** window only
-    /// (events per virtual second between the last two scrapes). `None`
-    /// with fewer than two windows or a non-positive span — the health
-    /// rules treat that as "no signal" rather than a zero rate.
+    /// Rate of `name` (summed across label sets) between the two
+    /// retained scrapes, in events per virtual **second**. `None` with
+    /// fewer than two scrapes — the health rules treat that as "no
+    /// signal" rather than a zero rate.
     pub fn latest_rate_per_sec(&self, name: &str) -> Option<f64> {
-        let n = self.windows.len();
-        if n < 2 {
-            return None;
-        }
-        let (prev, last) = (&self.windows[n - 2], &self.windows[n - 1]);
-        let dt_ns = last.end_ns - prev.end_ns;
-        if dt_ns <= 0.0 {
-            return None;
-        }
-        let d = sum_named(&last.counters, name).saturating_sub(sum_named(&prev.counters, name));
-        Some(d as f64 / (dt_ns / 1e9))
+        let (prev, last) = (self.prev.as_ref()?, self.last.as_ref()?);
+        let total = |w: &Window| w.counters.get(name).copied().unwrap_or(0);
+        let d = total(last).saturating_sub(total(prev));
+        // `push` keeps `prev` strictly earlier than `last`.
+        Some(d as f64 / ((last.end_ns - prev.end_ns) / 1e9))
     }
-
-    /// Metric names (label-stripped) present in any window, sorted.
-    pub fn metric_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .windows
-            .iter()
-            .flat_map(|w| w.counters.keys())
-            .map(|k| base_name(k).to_string())
-            .collect();
-        names.sort();
-        names.dedup();
-        names
-    }
-
-    /// JSON export: the windows (cumulative values) plus an overall
-    /// per-metric rate summary.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"windows\": [");
-        let windows: Vec<String> = self
-            .windows
-            .iter()
-            .map(|w| {
-                let counters: Vec<String> = w
-                    .counters
-                    .iter()
-                    .map(|(k, v)| format!("\"{}\": {v}", json_escape(k)))
-                    .collect();
-                format!(
-                    "\n    {{\"end_ns\": {}, \"counters\": {{{}}}}}",
-                    json_num(w.end_ns),
-                    counters.join(", "),
-                )
-            })
-            .collect();
-        out.push_str(&windows.join(","));
-        out.push_str("\n  ],\n  \"rates_per_sec\": {");
-        let rates: Vec<String> = self
-            .metric_names()
-            .iter()
-            .map(|n| {
-                format!(
-                    "\n    \"{}\": {}",
-                    json_escape(n),
-                    json_num(self.rate_per_sec(n)),
-                )
-            })
-            .collect();
-        out.push_str(&rates.join(","));
-        out.push_str(&format!("\n  }},\n  \"evicted\": {}\n}}", self.evicted));
-        out
-    }
-}
-
-/// Strip a rendered key's label block: `name{...}` -> `name`.
-fn base_name(key: &str) -> &str {
-    key.split('{').next().unwrap_or(key)
-}
-
-/// Sum every label set of `name` in one window's counter map.
-fn sum_named(counters: &BTreeMap<String, u64>, name: &str) -> u64 {
-    counters
-        .iter()
-        .filter(|(k, _)| base_name(k) == name)
-        .map(|(_, v)| v)
-        .sum()
 }
 
 #[cfg(test)]
@@ -224,124 +97,56 @@ mod tests {
     }
 
     #[test]
-    fn deltas_are_window_increments() {
+    fn rate_spans_the_last_two_scrapes() {
         let mut ts = TimeSeries::default();
-        ts.push(win(1000.0, &[("reqs", 10)]));
-        ts.push(win(2000.0, &[("reqs", 25)]));
-        ts.push(win(3000.0, &[("reqs", 25)]));
-        assert_eq!(ts.delta("reqs", 0), 10);
-        assert_eq!(ts.delta("reqs", 1), 15);
-        assert_eq!(ts.delta("reqs", 2), 0);
-    }
-
-    #[test]
-    fn rate_spans_first_to_last_window() {
-        let mut ts = TimeSeries::default();
-        ts.push(win(0.0, &[("reqs", 0)]));
-        ts.push(win(2e9, &[("reqs", 100)]));
-        assert_eq!(ts.rate_per_sec("reqs"), 50.0);
-        // A single window has no span.
-        let mut one = TimeSeries::default();
-        one.push(win(5.0, &[("reqs", 3)]));
-        assert_eq!(one.rate_per_sec("reqs"), 0.0);
-    }
-
-    #[test]
-    fn label_sets_sum_under_one_name() {
-        let mut ts = TimeSeries::default();
-        ts.push(win(
-            1.0,
-            &[("d{sub=\"ee\"}", 4), ("d{sub=\"net\"}", 6), ("other", 1)],
-        ));
-        assert_eq!(ts.total_in_window("d", 0), 10);
-        assert_eq!(
-            ts.metric_names(),
-            vec!["d".to_string(), "other".to_string()]
-        );
-    }
-
-    #[test]
-    fn capacity_evicts_oldest() {
-        let mut ts = TimeSeries::with_capacity(2);
-        ts.push(win(1.0, &[("c", 1)]));
-        ts.push(win(2.0, &[("c", 2)]));
-        ts.push(win(3.0, &[("c", 3)]));
-        assert_eq!(ts.len(), 2);
-        assert_eq!(ts.evicted(), 1);
-        assert_eq!(ts.window(0).unwrap().end_ns, 2.0);
-    }
-
-    #[test]
-    fn out_of_order_dropped_and_same_time_replaces() {
-        let mut ts = TimeSeries::default();
-        ts.push(win(10.0, &[("c", 1)]));
-        ts.push(win(5.0, &[("c", 99)])); // dropped
-        assert_eq!(ts.len(), 1);
-        assert_eq!(ts.total_in_window("c", 0), 1);
-        ts.push(win(10.0, &[("c", 7)])); // re-scrape replaces
-        assert_eq!(ts.len(), 1);
-        assert_eq!(ts.total_in_window("c", 0), 7);
-    }
-
-    #[test]
-    fn eviction_preserves_deltas_and_rates_across_wraparound() {
-        // A capacity-4 ring scraped 10 times: the retained suffix must
-        // still produce exact deltas and a first-to-last rate, with the
-        // evicted count telling the caller the prefix is gone.
-        let mut ts = TimeSeries::with_capacity(4);
-        for i in 0..10u64 {
-            ts.push(win(i as f64 * 1e9, &[("c", i * 100)]));
-        }
-        assert_eq!(ts.len(), 4);
-        assert_eq!(ts.evicted(), 6);
-        // Windows 6..=9 remain; window 0 of the ring is cumulative 600.
-        assert_eq!(ts.total_in_window("c", 0), 600);
-        assert_eq!(ts.delta("c", 0), 600); // no predecessor retained
-        assert_eq!(ts.delta("c", 1), 100);
-        assert_eq!(ts.rate_per_sec("c"), 100.0);
-        assert_eq!(ts.latest_rate_per_sec("c"), Some(100.0));
-    }
-
-    #[test]
-    fn zero_elapsed_span_reports_zero_rate() {
-        // Two scrapes at the same virtual instant: the second replaces
-        // the first, leaving a single window — rate must be 0, not a
-        // division by zero.
-        let mut ts = TimeSeries::default();
-        ts.push(win(5.0, &[("c", 1)]));
-        ts.push(win(5.0, &[("c", 9)]));
+        assert_eq!((ts.len(), ts.is_empty()), (0, true));
+        ts.push(win(0.0, &[("c", 0)]));
+        // A single scrape has no span.
         assert_eq!(ts.len(), 1);
         assert_eq!(ts.rate_per_sec("c"), 0.0);
         assert_eq!(ts.latest_rate_per_sec("c"), None);
-    }
-
-    #[test]
-    fn latest_rate_uses_only_last_two_windows() {
-        let mut ts = TimeSeries::default();
-        ts.push(win(0.0, &[("c", 0)]));
-        ts.push(win(1e9, &[("c", 1_000)]));
-        ts.push(win(2e9, &[("c", 1_010)]));
-        // Overall rate averages the burst away; the latest rate doesn't.
-        assert_eq!(ts.rate_per_sec("c"), 505.0);
+        ts.push(win(1e9, &[("c", 1_000), ("other", 1)]));
+        ts.push(win(2e9, &[("c", 1_010), ("other", 1)]));
+        // Only the latest interval counts; the burst before it is gone.
+        assert_eq!(ts.len(), 2);
+        assert_eq!(ts.window(0).unwrap().end_ns, 1e9);
+        assert_eq!(ts.total_in_window("c", 0), 1_000);
+        assert_eq!(ts.total_in_window("c", 1), 1_010);
+        assert_eq!(ts.total_in_window("absent", 1), 0);
         assert_eq!(ts.latest_rate_per_sec("c"), Some(10.0));
-        let mut one = TimeSeries::default();
-        one.push(win(1.0, &[("c", 5)]));
-        assert_eq!(one.latest_rate_per_sec("c"), None);
+        assert_eq!(ts.rate_per_sec("other"), 0.0);
     }
 
     #[test]
-    fn json_shape() {
+    fn same_time_replaces_the_latest_scrape() {
         let mut ts = TimeSeries::default();
-        ts.push(win(0.0, &[("c", 0)]));
-        ts.push(win(1e9, &[("c", 8)]));
-        let j = ts.to_json();
-        for needle in [
-            "\"windows\"",
-            "\"rates_per_sec\"",
-            "\"evicted\"",
-            "\"c\": 8",
-        ] {
-            assert!(j.contains(needle), "missing {needle} in {j}");
+        ts.push(win(5.0, &[("c", 1)]));
+        ts.push(win(5.0, &[("c", 9)]));
+        // Still one scrape: no span, so no rate and no division by zero.
+        assert_eq!(ts.len(), 1);
+        assert_eq!(ts.total_in_window("c", 0), 9);
+        assert_eq!(ts.latest_rate_per_sec("c"), None);
+        ts.push(win(1e9 + 5.0, &[("c", 19)]));
+        ts.push(win(1e9 + 5.0, &[("c", 29)]));
+        assert_eq!(ts.len(), 2);
+        assert_eq!(ts.latest_rate_per_sec("c"), Some(20.0));
+    }
+
+    #[test]
+    fn an_earlier_scrape_starts_over_and_the_next_one_has_a_rate() {
+        // A second run on one database: its first pump tick is earlier
+        // than the first run's closing tick (stamped 2 s past its end).
+        // Dropping such scrapes left the loss-rate rules blind for the
+        // whole later run.
+        let mut ts = TimeSeries::default();
+        for (ms, c) in [(1.0, 10), (2.0, 20), (3.0, 30)] {
+            ts.push(win(ms * 1e6, &[("c", c)]));
         }
+        assert_eq!(ts.latest_rate_per_sec("c"), Some(10_000.0));
+        ts.push(win(1.5e6, &[("c", 40)]));
+        assert_eq!(ts.len(), 1);
+        assert_eq!(ts.latest_rate_per_sec("c"), None, "that tick only");
+        ts.push(win(2.5e6, &[("c", 70)]));
+        assert_eq!(ts.latest_rate_per_sec("c"), Some(30_000.0));
     }
 }

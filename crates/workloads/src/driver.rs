@@ -545,7 +545,7 @@ fn run_inner(
                 db.install_live_model(lc.registry.live(), opts.terminals as f64);
             }
             // Observability turn at the pump cadence: evaluate drift,
-            // scrape a counter window into the time-series ring, then run
+            // scrape the counters (the registry keeps the last two), then run
             // the health rules over the fresh gauges and rates. The
             // analysis is charged to the Processor's task like the rest of
             // its background work.
@@ -573,8 +573,8 @@ fn run_inner(
                 );
                 let alerts = kernel.telemetry.observability_tick(now);
                 // Flight recorder: a CRITICAL transition snapshots every
-                // `ts_*` table, the metrics, and the active profile into
-                // an on-disk evidence bundle.
+                // `ts_*` table (`ts_metrics` among them) and the active
+                // profile into an on-disk evidence bundle.
                 if !alerts.is_empty() && kernel.telemetry.flight_recorder_armed() {
                     let folded = kernel.profiler.folded_text();
                     kernel.telemetry.flight_record(now, &alerts, &folded);
@@ -710,7 +710,7 @@ fn run_inner(
         };
         r
     };
-    // Final observability turn so the time-series tail, drift scores, and
+    // Final observability turn so the last scrape, drift scores, and
     // health states reflect the fully drained run.
     let alerts = db.kernel.telemetry.observability_tick(end_ns + 2e9);
     if !alerts.is_empty() && db.kernel.telemetry.flight_recorder_armed() {

@@ -14,7 +14,12 @@
 //! per (node, candidate feature). And the lowered BPF engine is held to
 //! the sample path's budget on *hostile* programs as well: seeded
 //! mutants of the 24 Collector streams run to an `Ok` or an `Err`
-//! without a panic or an allocation.
+//! without a panic or an allocation. The operator plane's two
+//! byte-eating entry points, `Json::parse` and `http::read_request`, are
+//! total on seeded mutants of valid documents and requests and allocate
+//! in proportion to the bytes they were given, whatever those claim.
+//! And `Registry::clone()`, which every obsd request pays, is pinned to
+//! the series it copies, not the length of the run.
 //!
 //! The sampling profiler is on (as in every bench run), so its frames
 //! are part of the budget too.
@@ -24,29 +29,38 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
+use std::time::Duration;
 
 use tscout_suite::archive::{Archive, ArchiveOptions, Projection, Sample};
 use tscout_suite::bpf::lower::lower;
 use tscout_suite::kernel::{HardwareProfile, Kernel, TaskId};
 use tscout_suite::models::{datasets_from_archive, OuData, RandomForest, Regressor};
-use tscout_suite::rng::{SeedableRng, StdRng};
-use tscout_suite::telemetry::Telemetry;
-use tscout_suite::telemetry::DEFAULT_PROFILE_PERIOD_NS;
+use tscout_suite::noisetap::Database;
+use tscout_suite::obsd::http;
+use tscout_suite::obsd::json::Json;
+use tscout_suite::rng::{RngExt, SeedableRng, StdRng};
+use tscout_suite::telemetry::{Telemetry, DEFAULT_PROFILE_PERIOD_NS, TABLES};
 use tscout_suite::tscout::codegen::encode_ctx;
 use tscout_suite::tscout::{
-    CollectionMode, OuId, ProbeSet, Processor, Sink, Subsystem, TScout, TsConfig,
+    CollectionMode, OuId, ProbeSet, Processor, Sink, Subsystem, TScout, TsConfig, ALL_SUBSYSTEMS,
 };
+use tscout_suite::workloads::driver::{run, RunOptions, Workload};
+use tscout_suite::workloads::Ycsb;
 
 mod common;
 use common::{deploy, layouts, mutate, Twin, PROGRAMS};
 
-/// Counts every allocation and reallocation; frees are not interesting.
+/// Counts every allocation and reallocation, and the bytes they ask
+/// for; frees are not interesting.
 struct Counting;
 
 thread_local! {
-    // Const-initialised and without a destructor: reading it neither
+    // Const-initialised and without a destructor: reading them neither
     // allocates nor registers anything, so the allocator may.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
@@ -58,6 +72,7 @@ unsafe impl GlobalAlloc for Counting {
         // A thread being torn down no longer counts; nothing measured
         // runs there.
         let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+        let _ = BYTES.try_with(|n| n.set(n.get() + layout.size() as u64));
         // SAFETY: `layout` is the caller's, passed through unchanged.
         unsafe { System.alloc(layout) }
     }
@@ -76,6 +91,13 @@ fn allocations(f: impl FnOnce()) -> u64 {
     let before = ALLOCATIONS.get();
     f();
     ALLOCATIONS.get() - before
+}
+
+/// Bytes `f` asked the allocator for (on this thread), freed or not.
+fn allocated_bytes(f: impl FnOnce()) -> u64 {
+    let before = BYTES.get();
+    f();
+    BYTES.get() - before
 }
 
 fn triple(k: &mut Kernel, ts: &mut TScout, task: TaskId, ou: OuId) {
@@ -298,6 +320,50 @@ fn forest_fit_allocates_per_tree_and_node_not_per_candidate() {
     );
 }
 
+/// Every obsd request clones the registry under the mutex the DBMS
+/// thread takes per statement (`stmt_record`), so the clone must cost
+/// what the *series* cost, not what the run's history does: the same
+/// workload run four times longer registers the same series and may not
+/// make `Registry::clone()` allocate more than a quarter again. (It did
+/// while the registry kept a window of every counter per pump tick.)
+#[test]
+fn registry_clone_does_not_grow_with_the_length_of_the_run() {
+    let clone_after = |duration_ns: f64| {
+        let mut k = Kernel::with_seed(HardwareProfile::server_2x20(), 0xC10E);
+        k.set_profile_period_ns(DEFAULT_PROFILE_PERIOD_NS);
+        let mut db = Database::new(k);
+        let mut w = Ycsb::new(2_000);
+        w.setup(&mut db);
+        let mut cfg = TsConfig::new(CollectionMode::KernelContinuous);
+        cfg.enable_all_subsystems();
+        cfg.ring_capacity = 1 << 20;
+        db.attach_tscout(cfg).expect("collector verifies");
+        for s in ALL_SUBSYSTEMS {
+            db.tscout_mut().unwrap().set_sampling_rate(s, 100);
+        }
+        let opts = RunOptions {
+            terminals: 4,
+            duration_ns,
+            seed: 7,
+            ..RunOptions::default()
+        };
+        run(&mut db, &mut w, &opts);
+        db.kernel.telemetry.with_registry(|r| {
+            let allocated = allocations(|| drop(std::hint::black_box(r.clone())));
+            (r.len(), allocated)
+        })
+    };
+    let (series, short) = clone_after(40e6);
+    let (series_4x, long) = clone_after(160e6);
+    println!("Registry::clone(): {short} allocations, {long} after a 4x run ({series} series)");
+    assert_eq!(series, series_4x, "same workload, same series");
+    assert!(series > 50 && short > series as u64, "{series} series");
+    assert!(
+        4 * long <= 5 * short,
+        "Registry::clone() allocated {short} times after the run and {long} after one 4x as long"
+    );
+}
+
 /// Totality of the execution engines (ROADMAP 2a, the VM slice). Each
 /// case changes one field of one instruction of a valid Collector stream
 /// (`common::mutate`) — most mutants the verifier would reject, so this
@@ -356,4 +422,211 @@ fn mutated_collector_programs_neither_panic_nor_allocate() {
         ok > 200 && faulted > 200,
         "mutants should both survive and fault: {ok} Ok, {faulted} Err"
     );
+}
+
+/// One seeded mutation of a valid input: the damage a hostile or broken
+/// peer does — truncation, flipped and replaced bytes, a repeated or
+/// dropped slice, and `bombs` (nesting, absurd numbers, oversized or
+/// lying headers) spliced in at a random offset.
+fn mutate_bytes(valid: &[u8], bombs: &[Vec<u8>], rng: &mut StdRng) -> Vec<u8> {
+    const STRUCTURAL: &[u8] = b"\"\\{}[]:,-+.eEu0\r\n \x00\xff";
+    let mut out = valid.to_vec();
+    let at = rng.random_range(0..=out.len());
+    let end = rng.random_range(at..=out.len().min(at + 64));
+    match rng.random_range(0..6) {
+        0 => out.truncate(at),
+        1 if at < out.len() => out[at] ^= 1 << rng.random_range(0..8),
+        2 if at < out.len() => out[at] = STRUCTURAL[rng.random_range(0..STRUCTURAL.len())],
+        3 => drop(out.drain(at..end)),
+        4 => {
+            let slice = out[at..end].to_vec();
+            for _ in 0..rng.random_range(1..40) {
+                out.splice(at..at, slice.iter().copied());
+            }
+        }
+        _ => {
+            let bomb = &bombs[rng.random_range(0..bombs.len())];
+            out.splice(at..at, bomb.iter().copied());
+        }
+    }
+    out
+}
+
+/// Every `ts_*` table of a registry with metrics, a drifted OU, an alert,
+/// a statement and a trace, and the flight-recorder bundle it writes: the
+/// documents `Json::parse` meets in this workspace.
+fn json_corpus() -> Vec<String> {
+    let dir = std::env::temp_dir().join(format!("tscout_alloc_json_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let t = Telemetry::new();
+    t.counter("archive_ou_samples_appended_total", &[("ou", "scan")])
+        .add(5);
+    t.gauge("depth \"quoted\"\n", &[("k", "v\\")]).set(f64::NAN);
+    t.hist("lat_ns", &[("op", "read")]).record(1.5e3);
+    for i in 0..320 {
+        let target_ns = if i < 256 { 1_000.0 } else { 64_000.0 };
+        t.observe_ou_sample("scan", "execution_engine", target_ns, 3.0);
+    }
+    t.stmt_record(
+        "select '\u{e9}\u{2192}\t' ?",
+        5e3,
+        1,
+        &[("scan", 3e3)],
+        Some(4e3),
+    );
+    t.trace_set_every(1);
+    let id = t
+        .trace_begin(7, 2, 42, 100.0)
+        .expect("every marker is traced");
+    t.trace_publish(id, 200.0, 3);
+    assert!(t.trace_consume(7, 42, 300.0, 350.0, 400.0, 2, true));
+    t.arm_flight_recorder(dir.clone(), "fuzz");
+    let alerts = t.observability_tick(1e9);
+    assert!(!alerts.is_empty(), "the shifted OU must alert");
+    let bundle = t
+        .flight_record(1e9, &alerts, "dbms;ou:scan 3\n")
+        .expect("the CRITICAL drift alert writes a bundle");
+    let mut docs: Vec<String> = t.with_registry(|r| TABLES.iter().map(|t| t.to_json(r)).collect());
+    docs.push(std::fs::read_to_string(bundle).expect("bundle readable"));
+    std::fs::remove_dir_all(&dir).ok();
+    docs
+}
+
+/// Totality of `Json::parse` (ROADMAP 2a): on mutants of every table
+/// document and of a flight bundle it returns `Ok` or `Err`, and what it
+/// allocates is bounded by the length of its input — at worst the 64
+/// bytes per byte of a doubling `Vec<Json>` holding one 32-byte `Json`
+/// per `1,` — never by what the text claims (depth, exponents, escapes).
+#[test]
+fn mutated_json_documents_parse_or_err_within_a_linear_allocation_bound() {
+    const MUTANTS_PER_DOC: usize = 400;
+    let bombs = [
+        "[".repeat(200_000).into_bytes(),
+        "{\"a\":".repeat(50_000).into_bytes(),
+        "[{\"k\":[".repeat(30_000).into_bytes(),
+        b"1e999999999".to_vec(),
+        b"-".to_vec(),
+        b"0.0.0e+-5".to_vec(),
+        "9".repeat(5_000).into_bytes(),
+        b"\"\\ud800\\u12\"".to_vec(),
+        b"\"\\uzzzz".to_vec(),
+        b"\\".to_vec(),
+        b"nul".to_vec(),
+        "\u{e9}".as_bytes()[..1].to_vec(),
+        ",".repeat(1_000).into_bytes(),
+        // A `Vec<Json>` that has just doubled: the most tree per byte.
+        "1,".repeat(4_100).into_bytes(),
+    ];
+    let mut rng = StdRng::seed_from_u64(0x15_0BAD);
+    let (mut ok, mut err) = (0usize, 0usize);
+    for doc in json_corpus() {
+        assert!(Json::parse(&doc).is_ok(), "the corpus is valid: {doc}");
+        for _ in 0..MUTANTS_PER_DOC {
+            let mutant = mutate_bytes(doc.as_bytes(), &bombs, &mut rng);
+            // `parse` takes a `&str`: a byte that is not UTF-8 reaches it
+            // the way it reaches `tscoutctl`, replaced.
+            let mutant = String::from_utf8_lossy(&mutant).into_owned();
+            let mut parsed = None;
+            let bytes = allocated_bytes(|| parsed = Some(Json::parse(&mutant)));
+            match parsed.expect("parse returned") {
+                Ok(_) => ok += 1,
+                Err(_) => err += 1,
+            }
+            let budget = 64 * mutant.len() as u64 + 1_024;
+            assert!(
+                bytes <= budget,
+                "parsing {} bytes allocated {bytes} (budget {budget}): {:.200}",
+                mutant.len(),
+                mutant
+            );
+        }
+    }
+    println!("{ok} mutant documents parsed, {err} were rejected");
+    assert!(ok > 100 && err > 1_000, "{ok} Ok, {err} Err");
+}
+
+/// [`http::read_request`] on `bytes` sent by a peer that then closes its
+/// sending half, with what the call allocated.
+fn read_request_from(listener: &TcpListener, bytes: &[u8]) -> (Result<http::Request, String>, u64) {
+    std::thread::scope(|s| {
+        let addr = listener.local_addr().expect("bound");
+        // The reader may give up (and close) before the peer has sent
+        // everything: its write errors are part of the scenario.
+        s.spawn(move || {
+            let mut peer = TcpStream::connect(addr).expect("loopback connect");
+            let _ = peer.write_all(bytes);
+            let _ = peer.shutdown(std::net::Shutdown::Write);
+            let _ = peer.read(&mut [0u8; 1]);
+        });
+        let (mut stream, _) = listener.accept().expect("loopback accept");
+        // A bound on a hang, not part of any case: the peer always closes.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("socket option");
+        let mut result = None;
+        let allocated = allocated_bytes(|| result = Some(http::read_request(&mut stream)));
+        (result.expect("read_request returned"), allocated)
+    })
+}
+
+/// Totality of obsd's request reader (ROADMAP 2a): on mutants of
+/// well-formed GET and POST requests — truncated, with flipped bytes,
+/// repeated and oversized headers, and `Content-Length`s that lie — it
+/// returns a request within its size limits or an `Err` (the server's
+/// `400`), and allocates in proportion to the bytes that arrived, not to
+/// the length a header claims.
+#[test]
+fn mutated_http_requests_are_read_or_refused_within_a_linear_allocation_bound() {
+    const MUTANTS_PER_REQUEST: usize = 150;
+    let valid: [&[u8]; 3] = [
+        b"GET /metrics HTTP/1.1\r\nHost: localhost\r\nAccept: */*\r\n\r\n",
+        b"GET /api/v1/series HTTP/1.0\r\n\r\n",
+        b"POST /api/v1/sql HTTP/1.1\r\nHost: localhost\r\nContent-Length: 49\r\n\r\n\
+          SELECT kind, count(*) FROM ts_metrics GROUP BY kind",
+    ];
+    let bombs = [
+        b"Content-Length: 65536\r\n".to_vec(),
+        b"Content-Length: 65537\r\n".to_vec(),
+        b"Content-Length: 18446744073709551615\r\n".to_vec(),
+        b"Content-Length: 99999999999999999999999\r\n".to_vec(),
+        b"Content-Length: -1\r\n".to_vec(),
+        b"Content-Length: 3\r\nContent-Length: 4\r\n".to_vec(),
+        b"content-length:0\r\n".to_vec(),
+        "X-Pad: a\r\n".repeat(2_000).into_bytes(),
+        [b"X-Long: ", &[b'a'; 3 * http::MAX_HEAD][..], b"\r\n"].concat(),
+        vec![b'b'; 2 * http::MAX_BODY],
+        b"\r\n\r\n".to_vec(),
+        b"\r\n\r".to_vec(),
+        b"\xff\xfe".to_vec(),
+        b": \r\n".to_vec(),
+    ];
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+    for request in valid {
+        let (read, _) = read_request_from(&listener, request);
+        assert!(read.is_ok(), "the corpus is valid: {read:?}");
+    }
+    let mut rng = StdRng::seed_from_u64(0x4774_0BAD);
+    let (mut ok, mut err) = (0usize, 0usize);
+    for request in valid {
+        for _ in 0..MUTANTS_PER_REQUEST {
+            let mutant = mutate_bytes(request, &bombs, &mut rng);
+            let (read, bytes) = read_request_from(&listener, &mutant);
+            match read {
+                Ok(r) => {
+                    assert!(r.path.starts_with('/') && r.body.len() <= http::MAX_BODY);
+                    ok += 1;
+                }
+                Err(_) => err += 1,
+            }
+            let budget = 4 * mutant.len() as u64 + 2_048;
+            assert!(
+                bytes <= budget,
+                "reading a {}-byte request allocated {bytes} (budget {budget}): {:.200}",
+                mutant.len(),
+                String::from_utf8_lossy(&mutant)
+            );
+        }
+    }
+    println!("{ok} mutant requests were read, {err} refused");
+    assert!(ok > 50 && err > 50, "{ok} Ok, {err} Err");
 }

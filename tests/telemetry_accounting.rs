@@ -9,9 +9,9 @@ use tscout_suite::tscout::{CollectionMode, TsConfig, ALL_SUBSYSTEMS};
 use tscout_suite::workloads::driver::{run, RunOptions};
 use tscout_suite::workloads::{Workload, Ycsb};
 
-/// Run YCSB against a deliberately tiny ring at 100% sampling so the
-/// collector overwrites records, then drain everything that survived.
-fn pressured_run(ring_capacity: usize) -> Database {
+/// A loaded YCSB database collecting every subsystem into a ring of
+/// `ring_capacity` records.
+fn ycsb_db(ring_capacity: usize) -> (Database, Ycsb) {
     let mut k = Kernel::with_seed(HardwareProfile::server_2x20(), 0x7E1E);
     k.noise_frac = 0.0;
     let mut db = Database::new(k);
@@ -21,9 +21,20 @@ fn pressured_run(ring_capacity: usize) -> Database {
     cfg.enable_all_subsystems();
     cfg.ring_capacity = ring_capacity;
     db.attach_tscout(cfg).unwrap();
+    (db, w)
+}
+
+fn set_rates(db: &mut Database, rate: u8) {
     for s in ALL_SUBSYSTEMS {
-        db.tscout_mut().unwrap().set_sampling_rate(s, 100);
+        db.tscout_mut().unwrap().set_sampling_rate(s, rate);
     }
+}
+
+/// Run YCSB against a deliberately tiny ring at 100% sampling so the
+/// collector overwrites records, then drain everything that survived.
+fn pressured_run(ring_capacity: usize) -> Database {
+    let (mut db, mut w) = ycsb_db(ring_capacity);
+    set_rates(&mut db, 100);
     let opts = RunOptions {
         terminals: 4,
         duration_ns: 20e6,
@@ -124,4 +135,42 @@ fn generous_ring_loses_nothing() {
     assert!(totals.begun > 0);
     assert_eq!(totals.lost, 0, "a huge ring must not overwrite");
     assert_eq!(totals.begun, totals.delivered);
+}
+
+#[test]
+fn a_second_run_on_one_database_alerts_on_its_own_loss_rate() {
+    // The sweeps of Figs. 5/6/8 run many times on one database. Each run
+    // closes with an observability tick stamped 2 s past its end, so the
+    // next run's pump-cadence scrapes are all *earlier* than the latest
+    // one retained. When such scrapes were dropped, the loss-rate rule
+    // saw one reading per run (the closing tick) and `raise_ticks: 2`
+    // was never met: a later run was blind to its own loss.
+    let (mut db, mut w) = ycsb_db(256);
+    let opts = RunOptions {
+        terminals: 4,
+        duration_ns: 60e6,
+        seed: 9,
+        ..Default::default()
+    };
+    let sample_loss_alerts = |db: &Database| -> Vec<f64> {
+        db.kernel.telemetry.with_registry(|r| {
+            let alerts = r.health().alerts();
+            let fired = alerts.filter(|a| a.rule == "sample_loss" && a.fired());
+            fired.map(|a| a.at_ns).collect()
+        })
+    };
+    set_rates(&mut db, 0);
+    run(&mut db, &mut w, &opts);
+    assert_eq!(db.tscout().unwrap().loss_totals().begun, 0);
+    assert!(sample_loss_alerts(&db).is_empty(), "a clean run is silent");
+
+    set_rates(&mut db, 100);
+    let lossy = run(&mut db, &mut w, &opts);
+    assert!(db.tscout().unwrap().loss_totals().lost > 0);
+    let (first, last) = (lossy.txn_ends_ns[0], *lossy.txn_ends_ns.last().unwrap());
+    let raised = sample_loss_alerts(&db);
+    assert!(
+        raised.iter().any(|at_ns| (first..=last).contains(at_ns)),
+        "no sample_loss alert inside the lossy run [{first}, {last}]: {raised:?}"
+    );
 }

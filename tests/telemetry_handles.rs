@@ -23,7 +23,10 @@ use tscout_suite::models::ModelKind;
 use tscout_suite::noisetap::Database;
 use tscout_suite::obsd::json::Json;
 use tscout_suite::obsd::{client, ObsdConfig, ObsdServer};
-use tscout_suite::telemetry::{declare_metrics, Telemetry, DEFAULT_PROFILE_PERIOD_NS};
+use tscout_suite::telemetry::tables::table;
+use tscout_suite::telemetry::{
+    declare_metrics, Cell, Registry, Telemetry, DEFAULT_PROFILE_PERIOD_NS,
+};
 use tscout_suite::tscout::{CollectionMode, TsConfig, ALL_SUBSYSTEMS};
 use tscout_suite::workloads::driver::Workload;
 use tscout_suite::workloads::{run_with_lifecycle, ModelLifecycle, RunOptions, Ycsb};
@@ -151,17 +154,15 @@ fn obsd_serves_values_written_through_handles() {
     assert!(get("/metrics").contains("model_swap_accepted_total 4\n"));
     assert!(get("/api/v1/model").contains("\"rows\":[[8,0,0,4,0]]"));
     assert!(sql().contains("\"rows\":[[8,4]]"));
-    // A non-finite gauge reads the same on every surface: the snapshot
-    // file and the table endpoint both say `null` (and stay valid JSON).
+    // A non-finite gauge reads the same on every surface: the table as
+    // its declaration renders it and as its endpoint serves it both say
+    // `null` (and stay valid JSON).
     t.gauge("model_holdout_mape_pct", &[]).set(f64::NAN);
-    let snapshot = Json::parse(&t.snapshot_json()).expect("snapshot with a NaN gauge parses");
-    let in_snapshot = snapshot
-        .get("gauges")
-        .and_then(|g| g.get("model_holdout_mape_pct"));
-    assert_eq!(in_snapshot, Some(&Json::Null));
-    let table = Json::parse(&get("/api/v1/model")).expect("table with a NaN gauge parses");
-    let in_table = &table.get("rows").and_then(Json::as_arr).unwrap()[0];
-    assert_eq!(in_table.as_arr().unwrap()[1], Json::Null, "{in_table:?}");
+    let declared = t.with_registry(|r| table("ts_stat_model").unwrap().to_json(r));
+    let declared = Json::parse(&declared).expect("table with a NaN gauge parses");
+    let served = Json::parse(&get("/api/v1/model")).expect("served table parses");
+    assert_eq!(served, declared);
+    assert_eq!(served.column("holdout_mape_pct").unwrap(), [&Json::Null]);
     srv.shutdown();
 }
 
@@ -207,27 +208,16 @@ fn no_increment_is_lost_under_a_cloning_scraper() {
     );
 }
 
-/// `kind name{labels}` for every exported series, from the JSON snapshot
-/// (one `"key": value` line per series under each kind's section).
-fn exported_series(snapshot_json: &str) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    let mut kind = None;
-    for line in snapshot_json.lines() {
-        if let Some(section) = line.strip_prefix("  \"").and_then(|l| l.split('"').next()) {
-            kind = ["counters", "gauges", "histograms"]
-                .iter()
-                .find(|k| **k == section)
-                .map(|k| k.trim_end_matches('s'));
-            continue;
+/// `kind name{labels}` for every exported series: the rows of `ts_metrics`.
+fn exported_series(t: &Telemetry) -> BTreeSet<String> {
+    let rows = t.with_registry(|r| (table("ts_metrics").unwrap().rows)(r));
+    let series = rows.iter().map(|row| match &row[..3] {
+        [Cell::Text(name), Cell::Text(labels), Cell::Text(kind)] => {
+            format!("{kind} {name}{labels}")
         }
-        let (Some(kind), Some(rest)) = (kind, line.strip_prefix("    \"")) else {
-            continue;
-        };
-        // Keys are JSON-escaped; label quotes come as `\"`.
-        let key = rest.split_once("\": ").expect("series line").0;
-        out.insert(format!("{kind} {}", key.replace("\\\"", "\"")));
-    }
-    out
+        other => panic!("ts_metrics row starts {other:?}"),
+    });
+    series.collect()
 }
 
 #[test]
@@ -270,7 +260,7 @@ fn seeded_leg_exports_the_same_series_and_accounting_as_before_handles() {
         .lines()
         .map(str::to_string)
         .collect();
-    let got = exported_series(&t.snapshot_json());
+    let got = exported_series(&t);
     let missing: Vec<_> = golden.difference(&got).collect();
     let extra: Vec<_> = got.difference(&golden).collect();
     assert!(
@@ -288,20 +278,20 @@ fn seeded_leg_exports_the_same_series_and_accounting_as_before_handles() {
     }
     // Every family is declared: its `# HELP` is its row of the README
     // metric table, and the help travels with the family through
-    // `Registry::clone()` and `absorb()` into an empty `Telemetry`. Only
-    // a family resolved by bare name alone is `(undocumented)`.
+    // `Registry::clone()` and `merge_from()` into an empty `Registry`.
+    // Only a family resolved by bare name alone is `(undocumented)`.
     let readme = include_str!("../README.md");
     let block = readme
         .split_once("<!-- METRICS -->")
         .and_then(|(_, rest)| rest.split_once("<!-- /METRICS -->"))
         .expect("README metric markers")
         .0;
-    let absorbed = Telemetry::new();
-    absorbed.absorb(&t);
+    let mut merged = Registry::new();
+    t.with_registry(|r| merged.merge_from(r));
     for text in [
         &prom,
         &t.with_registry(|r| r.clone()).to_prometheus(),
-        &absorbed.to_prometheus(),
+        &merged.to_prometheus(),
     ] {
         assert!(!text.contains("(undocumented)"));
         for help in text.lines().filter_map(|l| l.strip_prefix("# HELP ")) {
