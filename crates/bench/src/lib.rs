@@ -451,8 +451,14 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let dbs = [1, 2].map(|seed| new_db(HardwareProfile::server_2x20(), seed));
         for (db, charged_ns) in dbs.iter().zip([250_000.0, 100_000.0]) {
-            let _root = db.kernel.profiler.push_frame(0, "dbms", true);
-            db.kernel.profiler.on_charge(0, &mut 0.0, charged_ns, None);
+            let task = tscout_telemetry::TaskFrames::default();
+            let _root = db
+                .kernel
+                .profiler
+                .push_frames(&task, [tscout_telemetry::DBMS.id()]);
+            db.kernel
+                .profiler
+                .on_charge(&task, &mut 0.0, charged_ns, None);
         }
         dbs[1]
             .kernel

@@ -12,9 +12,7 @@
 //! feature selection (§5.4: "TS can dynamically unload BPF programs,
 //! modify them, and reload them").
 
-use std::sync::Arc;
-
-use tscout_telemetry::{FrameGuard, Profiler};
+use tscout_telemetry::FrameId;
 
 use crate::insn::Insn;
 use crate::lower::{lower, Lowered};
@@ -53,9 +51,11 @@ impl std::error::Error for LoadError {}
 #[derive(Debug, Clone)]
 pub struct LoadedProg {
     pub name: String,
-    /// `bpf:prog:<name>`, the program's profiler frame, built once here
-    /// so pushing it allocates nothing.
-    frame: Arc<str>,
+    /// `bpf:prog:<name>`, interned once here: whoever fires the program
+    /// holds this frame across its execution *and* the charge for it
+    /// (the VM runs in zero virtual time — its instruction cost is
+    /// charged by the caller afterwards).
+    pub frame: FrameId,
     /// The instruction stream, exactly as submitted and verified.
     pub insns: Vec<Insn>,
     /// What `insns` lowered to: the form [`Loader::run`] executes.
@@ -78,10 +78,6 @@ pub struct Loader {
     progs: Vec<Option<LoadedProg>>,
     verify_totals: VerifyStats,
     verify_runs: u64,
-    /// Optional sampling profiler for program-entry frames (the loader
-    /// stays kernel-agnostic: the handle is injected by whoever owns
-    /// both, e.g. TScout at attach time).
-    profiler: Option<Profiler>,
     /// The lowered engine's working memory, reused by every `run`.
     scratch: VmScratch,
     /// Staging buffer for contexts shorter than a program's declared
@@ -118,7 +114,7 @@ impl Loader {
         let id = self.progs.len() as ProgId;
         self.progs.push(Some(LoadedProg {
             name: name.into(),
-            frame: format!("bpf:prog:{name}").into(),
+            frame: FrameId::intern(&format!("bpf:prog:{name}"), false),
             lowered: lower(&insns),
             insns,
             ctx_size,
@@ -156,22 +152,11 @@ impl Loader {
         self.progs.iter().filter(|p| p.is_some()).count()
     }
 
-    /// Inject a sampling profiler so program executions can be
-    /// attributed in folded stacks (see [`Loader::profile_scope`]).
-    pub fn set_profiler(&mut self, profiler: Profiler) {
-        self.profiler = Some(profiler);
-    }
-
-    /// Push a `bpf:prog:<name>` frame for `task` onto the injected
-    /// profiler, returning its pop-on-drop guard. `None` when no enabled
-    /// profiler is injected or the program is not loaded; callers hold
-    /// the guard across the program's execution *and* the charge for it
-    /// (the VM itself runs in zero virtual time — its instruction cost
-    /// is charged by the caller afterwards).
-    pub fn profile_scope(&self, task: usize, id: ProgId) -> Option<FrameGuard> {
-        let profiler = self.profiler.as_ref().filter(|p| p.is_enabled())?;
-        let prog = self.get(id)?;
-        Some(profiler.push_frame_shared(task, &prog.frame, false))
+    /// Test hook: bytes the helper staging buffer has ever grown to — 0
+    /// while every helper argument of every run lay in the stack.
+    #[doc(hidden)]
+    pub fn staged_capacity(&self) -> usize {
+        self.scratch.staged_capacity()
     }
 
     /// Execute a loaded program against a context payload.
@@ -256,19 +241,16 @@ mod tests {
 
     #[test]
     fn profile_scope_attributes_program_executions() {
+        use tscout_telemetry::{Profiler, TaskFrames};
         let mut l = Loader::new();
         let id = l.load("begin_ee", trivial(), 0).unwrap();
-        // No profiler injected yet.
-        assert!(l.profile_scope(0, id).is_none());
-        let p = Profiler::new();
+        let (p, task) = (Profiler::new(), TaskFrames::default());
         p.set_period_ns(10.0);
-        l.set_profiler(p.clone());
-        assert!(l.profile_scope(0, id + 99).is_none()); // unknown prog
         {
-            let _frame = l.profile_scope(0, id).unwrap();
+            let _frame = p.push_frames(&task, [l.get(id).unwrap().frame]);
             let mut w = NullWorld::default();
             l.run(id, &[], &mut w).unwrap();
-            p.on_charge(0, &mut 0.0, 25.0, None); // the caller charging the VM's cost
+            p.on_charge(&task, &mut 0.0, 25.0, None); // the caller charging the VM's cost
         }
         let folded = p.folded();
         assert_eq!(folded.len(), 1);

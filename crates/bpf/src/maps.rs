@@ -25,6 +25,7 @@
 //!   and read in place by [`MapRegistry::ring_drain_with`].
 
 use std::cell::Cell;
+use std::cmp::Ordering;
 use std::collections::VecDeque;
 
 /// How many overwritten ring records keep their header for the
@@ -118,10 +119,19 @@ impl HashSlab {
     }
 
     /// Position of `key` in `order`: `Ok` when present, `Err(insert_at)`
-    /// otherwise.
+    /// otherwise. Keys compare as big-endian words, which is the order
+    /// of their bytes without a `memcmp` call per probe: one compare for
+    /// the 8-byte keys the Collector creates.
     fn position(&self, key: &[u8]) -> Result<usize, usize> {
+        if let Ok(word) = <[u8; 8]>::try_from(key) {
+            let word = u64::from_be_bytes(word);
+            return self.order.binary_search_by(|slot| {
+                let stored = self.keys[*slot as usize * 8..].first_chunk();
+                u64::from_be_bytes(*stored.expect("a slot holds a whole key")).cmp(&word)
+            });
+        }
         self.order
-            .binary_search_by(|slot| self.key(*slot, key.len()).cmp(key))
+            .binary_search_by(|slot| cmp_keys(self.key(*slot, key.len()), key))
     }
 
     fn find(&self, key: &[u8], key_size: usize) -> Option<u32> {
@@ -130,6 +140,19 @@ impl HashSlab {
         }
         self.position(key).ok().map(|pos| self.order[pos])
     }
+}
+
+/// `a.cmp(b)` for two keys of one length, a word at a time and then the
+/// tail.
+fn cmp_keys(a: &[u8], b: &[u8]) -> Ordering {
+    let ((a, a_tail), (b, b_tail)) = (a.as_chunks::<8>(), b.as_chunks::<8>());
+    let mut words = a
+        .iter()
+        .zip(b)
+        .map(|(a, b)| u64::from_be_bytes(*a).cmp(&u64::from_be_bytes(*b)));
+    words
+        .find(|o| o.is_ne())
+        .unwrap_or_else(|| a_tail.cmp(b_tail))
 }
 
 /// The perf ring's record queue and counters.
@@ -511,23 +534,25 @@ impl MapRegistry {
 
     /// Publish a record. When the ring is full the *oldest* record is
     /// overwritten and the drop counter incremented; the producer never
-    /// blocks (the "no back pressure" design property).
+    /// blocks (the "no back pressure" design property). Always
+    /// `produced = drained + live + dropped`.
     pub fn ring_push(&mut self, id: MapId, data: &[u8]) -> Result<(), MapError> {
         self.ops.ring_pushes += 1;
         let m = self.map_mut(id);
         match (&mut m.storage, m.def.kind) {
             (Storage::Ring(r), MapKind::PerfEventArray { capacity }) => {
                 let len = u32::try_from(data.len()).map_err(|_| MapError::Invalid)?;
-                if r.count >= capacity {
-                    if let Some(old) = r.pop().map(EvictedHeader::of) {
-                        if r.evicted.len() >= EVICTED_KEEP {
-                            r.evicted.pop_front();
-                        }
-                        r.evicted.push_back(old);
+                r.push(len, data);
+                if r.count > capacity {
+                    // The oldest record goes — with no capacity at all,
+                    // the one just pushed.
+                    let lost = EvictedHeader::of(r.pop().expect("just pushed"));
+                    if r.evicted.len() >= EVICTED_KEEP {
+                        r.evicted.pop_front();
                     }
+                    r.evicted.push_back(lost);
                     r.dropped += 1;
                 }
-                r.push(len, data);
                 r.produced += 1;
                 r.bytes += data.len() as u64;
                 r.hwm = r.hwm.max(r.count);
@@ -726,6 +751,56 @@ mod tests {
         let drained = r.ring_drain(m, 10);
         assert_eq!(drained, vec![b"b".to_vec(), b"c".to_vec()]);
         assert_eq!(r.ring_len(m), 0);
+    }
+
+    /// Three pushes used to read `produced 3, dropped 3, len 1`: the
+    /// first drop evicted nothing and the ring then held a record.
+    #[test]
+    fn a_zero_capacity_ring_loses_the_incoming_record() {
+        let mut r = MapRegistry::new();
+        let m = r.create(MapDef::perf_event_array("r", 0));
+        for i in 0..3u8 {
+            r.ring_push(m, &[i]).unwrap();
+        }
+        let s = r.ring_stats(m);
+        assert_eq!((s.produced, s.dropped, s.len, s.hwm), (3, 3, 0, 0));
+        assert!(r.ring_drain(m, 10).is_empty());
+        let lost: Vec<_> = std::iter::from_fn(|| r.ring_pop_evicted(m)).collect();
+        let lost: Vec<_> = lost.iter().map(EvictedHeader::as_bytes).collect();
+        assert_eq!(lost, [[0], [1], [2]]);
+    }
+
+    /// Word-then-tail is the byte order for every width, also when two
+    /// keys differ only past the last whole word.
+    #[test]
+    fn keys_compare_as_their_bytes_do() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x as usize
+        };
+        for size in 1..=24usize {
+            for case in 0..200 {
+                let a: Vec<u8> = (0..size).map(|_| next() as u8).collect();
+                // The same from some byte on; every other case only in
+                // the last three.
+                let from = next() % size;
+                let from = from.max((case % 2) * size.saturating_sub(1 + next() % 3));
+                let tail = (from..size).map(|_| next() as u8);
+                let b: Vec<u8> = a[..from].iter().copied().chain(tail).collect();
+                assert_eq!(cmp_keys(&a, &b), a.cmp(&b), "{a:?} vs {b:?}");
+                assert_eq!(cmp_keys(&b, &a), b.cmp(&a), "{b:?} vs {a:?}");
+                // And through `position`, whichever path the width takes.
+                let mut r = MapRegistry::new();
+                let m = r.create(MapDef::hash("t", size, 1, 4));
+                r.update(m, &a, &[1]).unwrap();
+                r.update(m, &b, &[2]).unwrap();
+                let model = std::collections::BTreeMap::from([(a, vec![1]), (b, vec![2])]);
+                assert_eq!(r.dump(m), Vec::from_iter(model));
+            }
+        }
     }
 
     #[test]

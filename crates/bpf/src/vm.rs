@@ -28,6 +28,8 @@
 //!   and open-ended: a run makes fewer than [`FUEL`] lookups, so no
 //!   entry's window can reach another region's.
 
+use std::ops::Range;
+
 use crate::insn::{AluOp, Helper, Insn, Reg, Size, Src};
 use crate::maps::{MapError, MapId, MapRegistry, ValueRef};
 
@@ -116,16 +118,41 @@ impl HelperWorld for NullWorld {
 }
 
 /// Working memory one program run needs beyond its registers and stack:
-/// the staging bytes helper arguments are copied through, and the table
-/// of live map-value pointers. The lowered engine's caller (the
-/// [`crate::Loader`]) keeps one and reuses it from run to run so that no
-/// execution allocates; the reference interpreter starts each run with a
-/// fresh one.
+/// the staging bytes a helper argument outside the stack is copied
+/// through, and the table of live map-value pointers. The lowered
+/// engine's caller (the [`crate::Loader`]) keeps one and reuses it from
+/// run to run so that no execution allocates; the reference interpreter
+/// starts each run with a fresh one.
 #[derive(Debug, Default)]
 pub struct VmScratch {
     bytes: Vec<u8>,
     /// Live map-value pointers, one per dereference window.
     deref: Vec<ValueRef>,
+}
+
+impl VmScratch {
+    /// Bytes the staging buffer has ever grown to.
+    pub(crate) fn staged_capacity(&self) -> usize {
+        self.bytes.capacity()
+    }
+}
+
+/// Where a helper argument's bytes are for the duration of the call.
+enum Arg {
+    /// In the stack, where the program put them.
+    Stack(Range<usize>),
+    /// In the staging buffer, copied there.
+    Staged(Range<usize>),
+}
+
+impl Arg {
+    #[inline(always)]
+    fn bytes<'a>(self, stack: &'a [u8; STACK_SIZE], staged: &'a [u8]) -> &'a [u8] {
+        match self {
+            Arg::Stack(at) => &stack[at],
+            Arg::Staged(at) => &staged[at],
+        }
+    }
 }
 
 /// The reference interpreter.
@@ -213,10 +240,22 @@ impl<'a> Exec<'a> {
         })
     }
 
-    /// Append the `len` bytes at `addr` to the staging buffer (helper
-    /// arguments may live in the very map the helper is about to
-    /// mutate, so they are copied out first).
-    fn stage(&mut self, pc: usize, addr: u64, len: usize) -> Result<(), VmError> {
+    /// Locate the `len` bytes of a helper argument at `addr`. Bytes that
+    /// lie wholly in the stack are used where they are: the stack is a
+    /// field of its own, so nothing a map helper does can move or alias
+    /// them. Anything else (a map value may live in the very map the
+    /// helper is about to mutate) is appended to the staging buffer.
+    #[inline(always)]
+    fn arg(&mut self, pc: usize, addr: u64, len: usize) -> Result<Arg, VmError> {
+        if in_window(addr, STACK_BASE, STACK_SIZE as u64, len) {
+            let off = (addr - STACK_BASE) as usize;
+            return Ok(Arg::Stack(off..off + len));
+        }
+        self.stage(pc, addr, len)
+    }
+
+    #[cold]
+    fn stage(&mut self, pc: usize, addr: u64, len: usize) -> Result<Arg, VmError> {
         let bytes = mem(
             &self.stack,
             self.ctx,
@@ -226,8 +265,9 @@ impl<'a> Exec<'a> {
             addr,
             len,
         )?;
+        let at = self.scratch.bytes.len();
         self.scratch.bytes.extend_from_slice(bytes);
-        Ok(())
+        Ok(Arg::Staged(at..at + len))
     }
 
     /// The `len` writable bytes at `addr`.
@@ -265,11 +305,6 @@ impl<'a> Exec<'a> {
             Size::B4 => self.write(pc, addr, (v as u32).to_le_bytes()),
             Size::B8 => self.write(pc, addr, v.to_le_bytes()),
         }
-    }
-
-    fn write_bytes(&mut self, pc: usize, addr: u64, data: &[u8]) -> Result<(), VmError> {
-        self.mem_mut(pc, addr, data.len())?.copy_from_slice(data);
-        Ok(())
     }
 }
 
@@ -449,9 +484,10 @@ impl Vm {
             Helper::KtimeGetNs => world.ktime_ns(),
             Helper::MapLookup => {
                 let map = handle_decode(regs[1]).ok_or_else(bad)?;
-                let key_size = exec.maps.def(map).ok_or_else(bad)?.key_size;
-                exec.stage(pc, regs[2], key_size)?;
-                match exec.maps.lookup_ref(map, &exec.scratch.bytes) {
+                let ks = exec.maps.def(map).ok_or_else(bad)?.key_size;
+                let key = exec.arg(pc, regs[2], ks)?;
+                let key = key.bytes(&exec.stack, &exec.scratch.bytes);
+                match exec.maps.lookup_ref(map, key) {
                     Some(r) => {
                         let entry = exec.scratch.deref.len();
                         exec.scratch.deref.push(r);
@@ -466,24 +502,22 @@ impl Vm {
                     let d = exec.maps.def(map).ok_or_else(bad)?;
                     (d.key_size, d.value_size)
                 };
-                exec.stage(pc, regs[2], ks)?;
-                exec.stage(pc, regs[3], vs)?;
-                let (key, val) = exec.scratch.bytes.split_at(ks);
+                let key = exec.arg(pc, regs[2], ks)?;
+                let val = exec.arg(pc, regs[3], vs)?;
+                let (stack, staged) = (&exec.stack, &exec.scratch.bytes);
+                let (key, val) = (key.bytes(stack, staged), val.bytes(stack, staged));
                 errno(exec.maps.update(map, key, val))
             }
             Helper::MapDelete => {
                 let map = handle_decode(regs[1]).ok_or_else(bad)?;
                 let ks = exec.maps.def(map).ok_or_else(bad)?.key_size;
-                exec.stage(pc, regs[2], ks)?;
-                errno(exec.maps.delete(map, &exec.scratch.bytes))
+                let key = exec.arg(pc, regs[2], ks)?;
+                let key = key.bytes(&exec.stack, &exec.scratch.bytes);
+                errno(exec.maps.delete(map, key))
             }
             Helper::PerfEventReadBuf => match world.perf_event_read(regs[1]) {
                 Some(triple) => {
-                    let mut buf = [0u8; 24];
-                    for (i, v) in triple.iter().enumerate() {
-                        buf[i * 8..i * 8 + 8].copy_from_slice(&v.to_le_bytes());
-                    }
-                    exec.write_bytes(pc, regs[2], &buf)?;
+                    exec.write::<24>(pc, regs[2], le_bytes(triple))?;
                     0
                 }
                 None => (-2i64) as u64,
@@ -494,19 +528,16 @@ impl Vm {
                 } else {
                     world.read_tcp_sock()
                 };
-                let mut buf = [0u8; 32];
-                for (i, v) in quad.iter().enumerate() {
-                    buf[i * 8..i * 8 + 8].copy_from_slice(&v.to_le_bytes());
-                }
-                exec.write_bytes(pc, regs[1], &buf)?;
+                exec.write::<32>(pc, regs[1], le_bytes(quad))?;
                 0
             }
             Helper::PerfEventOutput => {
                 let map = handle_decode(regs[1]).ok_or_else(bad)?;
                 exec.maps.def(map).ok_or_else(bad)?;
-                exec.stage(pc, regs[2], regs[3] as usize)?;
+                let record = exec.arg(pc, regs[2], regs[3] as usize)?;
                 stats.ring_publishes += 1;
-                errno(exec.maps.ring_push(map, &exec.scratch.bytes))
+                let record = record.bytes(&exec.stack, &exec.scratch.bytes);
+                errno(exec.maps.ring_push(map, record))
             }
         };
         // Clobber caller-saved registers exactly as the ABI specifies.
@@ -516,6 +547,15 @@ impl Vm {
         regs[0] = r0;
         Ok(())
     }
+}
+
+/// `words` as little-endian bytes (`N` is `8 * W`).
+fn le_bytes<const W: usize, const N: usize>(words: [u64; W]) -> [u8; N] {
+    let mut out = [0u8; N];
+    for (chunk, w) in out.as_chunks_mut::<8>().0.iter_mut().zip(words) {
+        *chunk = w.to_le_bytes();
+    }
+    out
 }
 
 fn errno(r: Result<(), MapError>) -> u64 {

@@ -37,7 +37,7 @@ use tscout_bpf::{LoadError, Loader, MapId};
 use tscout_kernel::pmu::ALL_COUNTERS;
 use tscout_kernel::task::{Ioac, TcpSock};
 use tscout_kernel::tracepoint::TracepointId;
-use tscout_kernel::{Kernel, PmuReading, SyscallKind, TaskId};
+use tscout_kernel::{Kernel, PmuReading, SyscallKind, TaskId, TSCOUT};
 use tscout_telemetry::decls::{OU_SAMPLES_LOST, SAMPLES_LOST};
 use tscout_telemetry::{
     Counter, CounterSite, CounterVec, Decl, Gauge, SiteVec, Telemetry, TraceId,
@@ -45,7 +45,7 @@ use tscout_telemetry::{
 
 use crate::codegen::{self, encode_ctx_into, ProbeLayout, CTX_BYTES};
 use crate::data::{decode_points, encode_record, RawRecord, TrainingPoint, MAX_PAYLOAD_WORDS};
-use crate::decls;
+use crate::decls::{self, BPF_VM, COLLECTOR_BEGIN, COLLECTOR_END, COLLECTOR_FEATURES, EMIT_USER};
 use crate::ou::{OuId, OuRegistry, Subsystem, ALL_SUBSYSTEMS};
 use crate::sampling::Sampler;
 
@@ -421,9 +421,6 @@ impl TScout {
     /// Setup Phase: codegen, verify, load, and attach the Collector.
     pub fn deploy(kernel: &mut Kernel, config: TsConfig) -> Result<TScout, TsError> {
         let mut loader = Loader::new();
-        // Program executions show up in folded profiles as
-        // `bpf:prog:<name>` frames when the kernel's profiler is enabled.
-        loader.set_profiler(kernel.profiler.clone());
         let ring = loader.maps.create(MapDef::perf_event_array(
             "tscout_ring",
             config.ring_capacity,
@@ -738,7 +735,7 @@ impl TScout {
         // Root frame: marker handling is collection-side work, so its
         // virtual time re-bases under `tscout;...` even though it runs
         // in the middle of a DBMS stack.
-        let _frames = k.profile_frames(task, [("tscout", true), ("collector:begin", false)]);
+        let _frames = k.profile_frames(task, [TSCOUT.id(), COLLECTOR_BEGIN.id()]);
         k.charge_overhead(task, k.cost.sampling_check_ns);
         let Some(def) = self.registry.get(ou) else {
             return;
@@ -805,7 +802,7 @@ impl TScout {
     /// `END` marker: stop metric collection and compute deltas.
     pub fn ou_end(&mut self, k: &mut Kernel, task: TaskId, ou: OuId) {
         self.count_marker(Marker::End);
-        let _frames = k.profile_frames(task, [("tscout", true), ("collector:end", false)]);
+        let _frames = k.profile_frames(task, [TSCOUT.id(), COLLECTOR_END.id()]);
         k.charge_overhead(task, k.cost.sampling_check_ns);
         let top = self.task_state(task).inflight.last_mut();
         let Some(top) = top.filter(|top| top.ou == ou && top.phase == Phase::Began) else {
@@ -890,7 +887,7 @@ impl TScout {
         payload: &[u64],
     ) {
         self.count_marker(Marker::Features);
-        let _frames = k.profile_frames(task, [("tscout", true), ("collector:features", false)]);
+        let _frames = k.profile_frames(task, [TSCOUT.id(), COLLECTOR_FEATURES.id()]);
         k.charge_overhead(task, k.cost.sampling_check_ns);
         let inflight = &mut self.task_state(task).inflight;
         let top = inflight.pop_if(|top| top.ou == ou && top.phase == Phase::Ended);
@@ -1024,7 +1021,7 @@ impl TScout {
     /// which is what caps the user-space methods' aggregate data rate at
     /// roughly `1 / user_emit_lock_ns` (Fig. 6).
     fn emit_user(&mut self, k: &mut Kernel, task: TaskId, rec: &RawRecord, trace: Option<TraceId>) {
-        let _frame = k.profile_frame(task, "emit:user", false);
+        let _frame = k.profile_frame(task, &EMIT_USER);
         // The emitting thread pays an asynchronous hand-off (write syscall
         // + record copy into the staging buffer)...
         k.syscall(task, SyscallKind::Generic);
@@ -1093,10 +1090,11 @@ impl TScout {
         for i in 0..attached {
             // (Nothing attaches or detaches while a marker fires.)
             let prog = k.tracepoints.attached_programs(tp)[i];
-            // Held across both the VM run (helper charges land inside)
-            // and the post-run instruction-cost charge below.
-            let _prog_frame = self.loader.profile_scope(task.0 as usize, prog);
-            let _vm_frame = k.profile_frame(task, "bpf:vm", false);
+            // `bpf:prog:<name>;bpf:vm`, held across both the VM run
+            // (helper charges land inside) and the post-run
+            // instruction-cost charge below.
+            let _frames =
+                (self.loader.get(prog)).map(|p| k.profile_frames(task, [p.frame, BPF_VM.id()]));
             let run = {
                 let mut world = KernelWorld { k, task };
                 self.loader.run(prog, &ctx, &mut world)

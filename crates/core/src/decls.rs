@@ -70,3 +70,16 @@ tscout_telemetry::declare_metrics! {
     pub(crate) VERIFY_STATES_PRUNED: Gauge = "tscout_verify_states_pruned",
         "States the verifier pruned as subsumed, summed over every load";
 }
+
+use tscout_kernel::Frame;
+
+// Profiler frames this crate pushes, each interned on first use.
+pub(crate) static BPF_VM: Frame = Frame::new("bpf:vm");
+pub(crate) static COLLECTOR_BEGIN: Frame = Frame::new("collector:begin");
+pub(crate) static COLLECTOR_END: Frame = Frame::new("collector:end");
+pub(crate) static COLLECTOR_FEATURES: Frame = Frame::new("collector:features");
+pub(crate) static EMIT_USER: Frame = Frame::new("emit:user");
+pub(crate) static PROCESSOR_DRAIN: Frame = Frame::new("processor:drain");
+pub(crate) static PROCESSOR_POLL: Frame = Frame::new("processor:poll");
+pub(crate) static PROCESSOR_SKETCH: Frame = Frame::new("processor:sketch");
+pub(crate) static PROCESSOR_TRACE: Frame = Frame::new("processor:trace");

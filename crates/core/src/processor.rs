@@ -10,7 +10,7 @@
 //! back pressure, exactly the design property of §3. A feedback hook
 //! recommends lowering the sampling rate when that happens.
 
-use tscout_kernel::{Kernel, TaskId};
+use tscout_kernel::{Kernel, TaskId, TSCOUT};
 use tscout_telemetry::decls::{PROCESSOR_DECODE_ERRORS, SAMPLES_LOST};
 use tscout_telemetry::{CounterSite, CounterVec, GaugeSite, HistSite, Telemetry};
 
@@ -159,8 +159,7 @@ impl Processor {
     /// `1 / processor_per_sample_ns` samples per second — the Fig. 6
     /// plateau.
     pub fn poll(&mut self, kernel: &mut Kernel, ts: &mut TScout, until_ns: f64) -> usize {
-        let _root = kernel.profile_frame(self.task, "tscout", true);
-        let _frame = kernel.profile_frame(self.task, "processor:poll", false);
+        let _frames = kernel.profile_frames(self.task, [TSCOUT.id(), decls::PROCESSOR_POLL.id()]);
         let start_ns = kernel.now(self.task);
         let mut n = 0;
         let mut polled = false;
@@ -185,8 +184,7 @@ impl Processor {
     /// Drain and process everything regardless of virtual time (offline
     /// analysis / end-of-run flush). Still charges the Processor's task.
     pub fn drain_all(&mut self, kernel: &mut Kernel, ts: &mut TScout) -> usize {
-        let _root = kernel.profile_frame(self.task, "tscout", true);
-        let _frame = kernel.profile_frame(self.task, "processor:drain", false);
+        let _frames = kernel.profile_frames(self.task, [TSCOUT.id(), decls::PROCESSOR_DRAIN.id()]);
         let start_ns = kernel.now(self.task);
         let mut n = 0;
         loop {
@@ -231,7 +229,7 @@ impl Processor {
             // OU's drift sketches (target = elapsed time, feature = L2
             // norm of the feature vector). The cost lands here; the
             // observations themselves are batched below.
-            let _frame = kernel.profile_frame(self.task, "processor:sketch", false);
+            let _frame = kernel.profile_frame(self.task, &decls::PROCESSOR_SKETCH);
             kernel.charge_overhead(
                 self.task,
                 kernel.cost.sketch_per_sample_ns * n_points as f64,
@@ -282,7 +280,7 @@ impl Processor {
             terminal,
         );
         if traced {
-            let _frame = kernel.profile_frame(self.task, "processor:trace", false);
+            let _frame = kernel.profile_frame(self.task, &decls::PROCESSOR_TRACE);
             kernel.charge_overhead(
                 self.task,
                 kernel.cost.trace_begin_ns + 4.0 * kernel.cost.trace_stage_record_ns,

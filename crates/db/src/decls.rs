@@ -28,3 +28,10 @@ tscout_telemetry::declare_metrics! {
         "WAL records flushed to the (virtual) log device";
     pub(crate) WAL_FLUSHES: Counter = "db_wal_flushes_total", "WAL group-commit flushes";
 }
+
+use tscout_kernel::Frame;
+
+// Profiler frames this crate pushes, each interned on first use.
+pub(crate) static PIPELINE: Frame = Frame::new("pipeline");
+pub(crate) static VIRTUAL_SCAN: Frame = Frame::new("ou:virtual_scan");
+pub(crate) static WAL: Frame = Frame::new("wal");

@@ -1,8 +1,10 @@
 //! The `Database` façade: sessions, SQL execution, transactions, WAL,
 //! GC, and the simulated client/server networking layer.
 
+use std::sync::Arc;
+
 use tscout::{TScout, TsConfig, TsError};
-use tscout_kernel::{Kernel, TaskId};
+use tscout_kernel::{Kernel, TaskId, DBMS};
 use tscout_models::{input_row, LiveModel};
 use tscout_telemetry::{CounterSite, HistSite};
 
@@ -72,10 +74,13 @@ struct Session {
 struct Prepared {
     #[allow(dead_code)]
     sql: String,
-    plan: Plan,
-    /// Normalized statement template for `ts_stat_statements`. Shared,
-    /// so the per-execution hot path clones a refcount, not a string.
-    fingerprint: std::sync::Arc<str>,
+    /// Shared like the fingerprint below (`run_plan` borrows `self`
+    /// mutably, so an execution needs a plan of its own to read): the
+    /// per-execution hot path clones two refcounts, not a plan tree and
+    /// a string.
+    plan: Arc<Plan>,
+    /// Normalized statement template for `ts_stat_statements`.
+    fingerprint: Arc<str>,
 }
 
 /// The NoiseTap DBMS instance.
@@ -301,7 +306,7 @@ impl Database {
         let fingerprint = fingerprint(&stmt).into();
         self.stmts.push(Prepared {
             sql: sql.to_string(),
-            plan,
+            plan: Arc::new(plan),
             fingerprint,
         });
         Ok(StatementId(self.stmts.len() - 1))
@@ -366,8 +371,8 @@ impl Database {
         params: &[Value],
     ) -> Result<ExecOutcome, DbError> {
         let p = self.stmts.get(stmt.0).ok_or(DbError::NoSuchStatement)?;
-        let plan = p.plan.clone();
-        let fp = self.stmt_stats_enabled.then(|| p.fingerprint.clone());
+        let plan = Arc::clone(&p.plan);
+        let fp = self.stmt_stats_enabled.then(|| Arc::clone(&p.fingerprint));
         self.run_plan(sid, &plan, params, fp.as_deref())
     }
 
@@ -394,8 +399,8 @@ impl Database {
             .take()
             .ok_or(DbError::NoTransaction)?;
         let task = self.sessions[sid.0].task;
-        let _root = self.kernel.profile_frame(task, "dbms", true);
-        let _ou = self.kernel.profile_frame(task, "ou:txn_commit", false);
+        let frames = [DBMS.id(), EngineOu::TxnCommit.frame().id()];
+        let _frames = self.kernel.profile_frames(task, frames);
         let (commit_ts, writes) = self.txns.commit(txn);
         for w in &writes {
             self.tables[w.table.0 as usize].commit_slot(w.slot, txn.id, commit_ts);
@@ -452,9 +457,7 @@ impl Database {
         params: &[Value],
         fp: Option<&str>,
     ) -> Result<ExecOutcome, DbError> {
-        let _root = self
-            .kernel
-            .profile_frame(self.sessions[sid.0].task, "dbms", true);
+        let _root = self.kernel.profile_frame(self.sessions[sid.0].task, &DBMS);
         match plan {
             Plan::Begin => {
                 self.begin(sid);
@@ -783,7 +786,7 @@ impl Database {
         params: &[Value],
     ) -> Result<ExecOutcome, DbError> {
         let task = self.sessions[sid.0].task;
-        let _root = self.kernel.profile_frame(task, "dbms", true);
+        let _root = self.kernel.profile_frame(task, &DBMS);
         let pmu_tax = self
             .ts
             .as_ref()
@@ -796,7 +799,9 @@ impl Database {
         self.kernel.context_switch(task, pmu_tax);
         let feats = vec![req_bytes, 1];
         {
-            let _ou = self.kernel.profile_frame(task, "ou:network_read", false);
+            let _ou = self
+                .kernel
+                .profile_frame(task, EngineOu::NetworkRead.frame());
             if let (Some(ts), Some(ous)) = (self.ts.as_mut(), self.ous.as_ref()) {
                 ts.ou_begin(&mut self.kernel, task, ous.id(EngineOu::NetworkRead));
             }
@@ -819,7 +824,9 @@ impl Database {
         };
         let feats = vec![resp_bytes, 1];
         {
-            let _ou = self.kernel.profile_frame(task, "ou:network_write", false);
+            let _ou = self
+                .kernel
+                .profile_frame(task, EngineOu::NetworkWrite.frame());
             if let (Some(ts), Some(ous)) = (self.ts.as_mut(), self.ous.as_ref()) {
                 ts.ou_begin(&mut self.kernel, task, ous.id(EngineOu::NetworkWrite));
             }
@@ -856,10 +863,10 @@ impl Database {
 
     /// One GC sweep over all tables (GC_SWEEP OU). Returns versions pruned.
     pub fn run_gc(&mut self) -> u64 {
-        let _root = self.kernel.profile_frame(self.gc_task, "dbms", true);
+        let _root = self.kernel.profile_frame(self.gc_task, &DBMS);
         let _ou = self
             .kernel
-            .profile_frame(self.gc_task, "ou:gc_sweep", false);
+            .profile_frame(self.gc_task, EngineOu::GcSweep.frame());
         let oldest = self.txns.oldest_read_ts();
         if let (Some(ts), Some(ous)) = (self.ts.as_mut(), self.ous.as_ref()) {
             ts.ou_begin(&mut self.kernel, self.gc_task, ous.id(EngineOu::GcSweep));

@@ -24,6 +24,7 @@ use tscout::{OuId, TScout};
 use tscout_kernel::{Kernel, TaskId};
 
 use crate::catalog::Catalog;
+use crate::decls;
 use crate::engine::DbMetrics;
 use crate::index::{key_from_row, Index, IndexKey};
 use crate::sql::ast::{AggFunc, BinOp};
@@ -155,7 +156,7 @@ impl<'a> ExecCtx<'a> {
 
     /// Charge the OU's modeled work; returns its memory-probe bytes.
     fn charge(&mut self, eou: EngineOu, features: &[u64]) -> u64 {
-        let _frame = self.kernel.profile_frame(self.task, eou.frame(), false);
+        let _frame = self.kernel.profile_frame(self.task, eou.frame());
         let w = work_for(eou, features);
         if self.obs.is_some() {
             // Bracket the charge with clock reads so the observation
@@ -286,7 +287,7 @@ fn exec_query(
     root: &PlanNode,
     params: &[Value],
 ) -> Result<ExecOutcome, ExecError> {
-    let _pipeline_frame = ctx.kernel.profile_frame(ctx.task, "pipeline", false);
+    let _pipeline_frame = ctx.kernel.profile_frame(ctx.task, &decls::PIPELINE);
     let fused = ctx.mode == EngineMode::Fused && ctx.ts.is_some();
     let pipeline_id = ctx.ous.map(|o| o.id(EngineOu::Pipeline));
     if fused {
@@ -359,7 +360,7 @@ fn exec_node_inner(
             // are introspection, not workload: they charge CPU (registry
             // lock + per-row formatting) but emit no TScout markers, so
             // they never pollute the training data they report on.
-            let _frame = ctx.kernel.profile_frame(ctx.task, "ou:virtual_scan", false);
+            let _frame = ctx.kernel.profile_frame(ctx.task, &decls::VIRTUAL_SCAN);
             let all = crate::stat::virtual_rows(name, &ctx.kernel.telemetry);
             let ws: u64 = all.iter().map(|r| row_bytes(r) as u64).sum();
             ctx.kernel

@@ -14,6 +14,7 @@
 //! concurrency (applied by the kernel).
 
 use tscout::{OuId, Subsystem, TScout};
+use tscout_kernel::Frame;
 
 /// All OUs the NoiseTap engine is annotated with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -71,7 +72,7 @@ pub const ALL_ENGINE_OUS: [EngineOu; ENGINE_OU_COUNT] = [
 ];
 
 /// Each OU's name, written down once: `name()` for telemetry and
-/// `frame()` (`ou:<name>`) for the profiler, both `&'static`.
+/// `frame()` (`ou:<name>`) for the profiler.
 macro_rules! engine_ou_names {
     ($($variant:ident => $name:literal,)*) => {
         pub fn name(self) -> &'static str {
@@ -81,9 +82,12 @@ macro_rules! engine_ou_names {
         }
 
         /// The OU's profiler frame: `ou:<name>`.
-        pub fn frame(self) -> &'static str {
+        pub fn frame(self) -> &'static Frame {
             match self {
-                $(EngineOu::$variant => concat!("ou:", $name),)*
+                $(EngineOu::$variant => {
+                    static FRAME: Frame = Frame::new(concat!("ou:", $name));
+                    &FRAME
+                })*
             }
         }
     };

@@ -10,7 +10,7 @@
 //! (Figs. 2, 7, 9).
 
 use tscout::TScout;
-use tscout_kernel::{Kernel, TaskId};
+use tscout_kernel::{Kernel, TaskId, DBMS};
 use tscout_telemetry::{CounterSite, HistSite};
 
 use crate::decls;
@@ -99,8 +99,8 @@ impl Wal {
         ous: Option<&OuMap>,
         until_ns: f64,
     ) -> usize {
-        let _root = kernel.profile_frame(self.task, "dbms", true);
-        let _wal = kernel.profile_frame(self.task, "wal", false);
+        let _root = kernel.profile_frame(self.task, &DBMS);
+        let _wal = kernel.profile_frame(self.task, &decls::WAL);
         let mut batches = 0;
         loop {
             let Some(first) = self.queue.front() else {
@@ -141,7 +141,7 @@ impl Wal {
             // --- Log serializer OU ---
             let ser_feats = vec![records, bytes];
             {
-                let _ou = kernel.profile_frame(self.task, "ou:log_serialize", false);
+                let _ou = kernel.profile_frame(self.task, EngineOu::LogSerialize.frame());
                 if let (Some(ts), Some(ous)) = (ts.as_deref_mut(), ous) {
                     ts.ou_begin(kernel, self.task, ous.id(EngineOu::LogSerialize));
                 }
@@ -156,7 +156,7 @@ impl Wal {
 
             // --- Disk writer OU ---
             let io_feats = vec![bytes, 1];
-            let disk_frame = kernel.profile_frame(self.task, "ou:disk_write", false);
+            let disk_frame = kernel.profile_frame(self.task, EngineOu::DiskWrite.frame());
             if let (Some(ts), Some(ous)) = (ts.as_deref_mut(), ous) {
                 ts.ou_begin(kernel, self.task, ous.id(EngineOu::DiskWrite));
             }

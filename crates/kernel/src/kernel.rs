@@ -9,7 +9,9 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use tscout_telemetry::{CounterSite, CounterVec, FrameGuard, HistSite, Profiler, Telemetry};
+use tscout_telemetry::{
+    CounterSite, CounterVec, Frame, FrameGuard, FrameId, HistSite, Profiler, Telemetry,
+};
 
 use crate::cost::CostModel;
 use crate::decls;
@@ -160,21 +162,18 @@ impl Kernel {
     }
 
     /// Push a profiler frame for `id`'s execution context; the frame
-    /// pops when the returned guard drops. `root` re-bases attribution
-    /// at this frame (collection-side work pushes a `tscout` root so its
+    /// pops when the returned guard drops. A root frame re-bases
+    /// attribution (collection-side work pushes the `tscout` root so its
     /// overhead never folds under the DBMS stack it interrupted).
-    pub fn profile_frame(&self, id: TaskId, name: &'static str, root: bool) -> FrameGuard {
-        self.profiler.push_frame(id.0 as usize, name, root)
+    pub fn profile_frame(&self, id: TaskId, frame: &Frame) -> FrameGuard {
+        self.profile_frames(id, [frame.id()])
     }
 
-    /// Several frames at once, outermost first, each `(name, root)` —
-    /// one guard (see [`Profiler::push_frames`]).
-    pub fn profile_frames<const N: usize>(
-        &self,
-        id: TaskId,
-        frames: [(&'static str, bool); N],
-    ) -> FrameGuard {
-        self.profiler.push_frames(id.0 as usize, frames)
+    /// Several frames at once, outermost first — one guard (see
+    /// [`Profiler::push_frames`]).
+    pub fn profile_frames<const N: usize>(&self, id: TaskId, frames: [FrameId; N]) -> FrameGuard {
+        self.profiler
+            .push_frames(&self.tasks[id.0 as usize].frames, frames)
     }
 
     // ------------------------------------------------------------------
@@ -279,7 +278,7 @@ impl Kernel {
         t.pmu.charge(delta, ns);
         t.clock_ns += ns;
         self.profiler
-            .on_charge(id.0 as usize, &mut t.profile_credit, ns, leaf);
+            .on_charge(&t.frames, &mut t.profile_credit, ns, leaf);
     }
 
     /// Charge fixed-duration kernel-side overhead (mode switches, BPF
@@ -645,7 +644,7 @@ mod tests {
         with.set_profile_period_ns(50.0);
         let a = with.create_task();
         let b = without.create_task();
-        let guard = with.profile_frame(a, "dbms", true);
+        let guard = with.profile_frame(a, &tscout_telemetry::DBMS);
         let ns_with = with.charge_cpu(a, 100_000.0, 1 << 16) + with.charge_overhead(a, 777.0);
         drop(guard);
         let ns_without =

@@ -49,4 +49,6 @@ pub use kernel::{Kernel, SyscallKind};
 pub use pmu::{CounterKind, Pmu, PmuReading, ALL_COUNTERS};
 pub use task::{Ioac, TaskId, TaskStruct, TcpSock};
 pub use tracepoint::{Tracepoint, TracepointArgs, TracepointId};
-pub use tscout_telemetry::{Attribution, FrameGuard, Profiler, DEFAULT_PROFILE_PERIOD_NS};
+pub use tscout_telemetry::{
+    Attribution, Frame, FrameGuard, FrameId, Profiler, DBMS, DEFAULT_PROFILE_PERIOD_NS, TSCOUT,
+};

@@ -5,6 +5,8 @@
 //! (paper §4.3). Both live here, together with the task's virtual clock and
 //! its PMU.
 
+use tscout_telemetry::TaskFrames;
+
 use crate::pmu::Pmu;
 
 /// Opaque task identifier (a simulated TID).
@@ -40,7 +42,7 @@ pub struct TcpSock {
 }
 
 /// The simulated `task_struct`.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct TaskStruct {
     pub id: TaskId,
     /// Virtual monotonic clock for this task, in nanoseconds.
@@ -58,6 +60,8 @@ pub struct TaskStruct {
     /// Charged virtual ns the sampling profiler has not sampled yet
     /// (always less than one sampling period).
     pub(crate) profile_credit: f64,
+    /// The profiler frames this task is executing under.
+    pub(crate) frames: TaskFrames,
 }
 
 impl TaskStruct {
@@ -71,6 +75,7 @@ impl TaskStruct {
             context_switches: 0,
             syscalls: 0,
             profile_credit: 0.0,
+            frames: TaskFrames::default(),
         }
     }
 }

@@ -64,7 +64,8 @@ pub use health::{
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use metrics::Registry;
 pub use profile::{
-    Attribution, FoldedEntry, FrameGuard, Profiler, DEFAULT_PROFILE_PERIOD_NS, OTHER_STACK,
+    Attribution, FoldedEntry, Frame, FrameGuard, FrameId, Profiler, TaskFrames, DBMS,
+    DEFAULT_PROFILE_PERIOD_NS, OTHER_STACK, TSCOUT,
 };
 pub use sketch::Sketch;
 pub use stmt::{StmtEntry, StmtStats, DEFAULT_STMT_CAP};

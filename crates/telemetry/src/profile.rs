@@ -11,17 +11,21 @@
 //! time, the profile is exact and deterministic: a stack's sample count
 //! is `floor(charged_ns / period)` with no statistical jitter.
 //!
-//! Stacks are built cooperatively: components push named frames with
-//! [`Profiler::push_frame`] (RAII — the returned [`FrameGuard`] pops on
-//! drop). Frame names are `&'static str`, or an `Arc<str>` built once
-//! where the name is known (a loaded program's `bpf:prog:<name>`), so
-//! pushing a frame never allocates. Frames can be marked as *roots*; folding renders the stack
-//! from the **last** root frame onward. That is what makes overhead
-//! attribution honest: when TScout's marker handling runs in the middle
-//! of a DBMS pipeline, it pushes a `tscout` root frame, so the marker's
-//! virtual time folds under `tscout;...`, not under the `dbms;...` stack
-//! it interrupted — exactly the DBMS-work vs. collection-work split of
-//! the paper's Figs. 5–6.
+//! Stacks are built cooperatively: components push frames onto their
+//! task's [`TaskFrames`] with [`Profiler::push_frames`] (RAII — the
+//! returned [`FrameGuard`] pops on drop). A frame is a [`FrameId`]: its
+//! name interned once — a `static` [`Frame`] declared where it is pushed,
+//! or [`FrameId::intern`] where the name is only known at run time (a
+//! loaded program's `bpf:prog:<name>`) — so a push stores a `u32` and a
+//! pop decrements a depth: no lock, no allocation, one reference-count
+//! pair for the guard. The mutex is taken when a sample fires and by
+//! readers, and only then are ids folded back to names. Root frames
+//! re-base folding: a stack renders from its **last** root frame onward.
+//! That is what makes overhead attribution honest: when TScout's marker
+//! handling runs in the middle of a DBMS pipeline, it pushes the
+//! [`TSCOUT`] root, so the marker's virtual time folds under
+//! `tscout;...`, not under the `dbms;...` stack it interrupted — exactly
+//! the DBMS-work vs. collection-work split of the paper's Figs. 5–6.
 //!
 //! The folded output (`stack;frames count` per line) renders directly
 //! with any flamegraph tool; [`Profiler::attribution`] additionally
@@ -29,7 +33,7 @@
 //! virtual-ns ratio as a single overhead number.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Default sampling period: one sample per 100 µs of charged virtual
@@ -41,30 +45,136 @@ pub const DEFAULT_PROFILE_PERIOD_NS: f64 = 100_000.0;
 /// (e.g. bookkeeping charges outside any instrumented scope).
 pub const OTHER_STACK: &str = "(other)";
 
-#[derive(Debug)]
-enum FrameName {
-    Static(&'static str),
-    Shared(Arc<str>),
+/// Frames a task's stack records; deeper pushes are counted (so pops
+/// stay balanced) but fold as if they were not there.
+const MAX_DEPTH: usize = 64;
+
+/// The root of every DBMS-side stack.
+pub static DBMS: Frame = Frame::root("dbms");
+/// The root of every collection-side stack.
+pub static TSCOUT: Frame = Frame::root("tscout");
+
+/// Every interned frame name; a [`FrameId`] indexes it. Process-wide, so
+/// an id means the same name to every profiler.
+static NAMES: Mutex<Vec<Box<str>>> = Mutex::new(Vec::new());
+
+/// An interned frame name and whether it is a root: what a stack stores.
+#[derive(Debug, Clone, Copy)]
+pub struct FrameId(u32);
+
+impl FrameId {
+    /// Intern `name` (once per distinct name; takes a lock — do it where
+    /// the name is built, not where it is pushed).
+    pub fn intern(name: &str, root: bool) -> FrameId {
+        let mut names = NAMES.lock().unwrap_or_else(PoisonError::into_inner);
+        let known = names.iter().position(|n| **n == *name);
+        let index = known.unwrap_or_else(|| {
+            names.push(name.into());
+            names.len() - 1
+        });
+        // Never 0, which is a `Frame`'s "not interned yet".
+        FrameId(((index as u32 + 1) << 1) | root as u32)
+    }
+
+    fn is_root(self) -> bool {
+        self.0 & 1 == 1
+    }
+
+    fn name(self, names: &[Box<str>]) -> &str {
+        let index = ((self.0 >> 1) as usize).wrapping_sub(1);
+        names.get(index).map_or("?", |n| n)
+    }
 }
 
-impl FrameName {
-    fn as_str(&self) -> &str {
-        match self {
-            FrameName::Static(s) => s,
-            FrameName::Shared(s) => s,
+/// A frame name known at compile time, declared once as a `static` and
+/// interned the first time it is pushed.
+#[derive(Debug)]
+pub struct Frame {
+    name: &'static str,
+    root: bool,
+    id: AtomicU32,
+}
+
+impl Frame {
+    pub const fn new(name: &'static str) -> Frame {
+        Frame {
+            name,
+            root: false,
+            id: AtomicU32::new(0),
+        }
+    }
+
+    /// A frame folding re-bases at (see the module docs).
+    pub const fn root(name: &'static str) -> Frame {
+        Frame {
+            root: true,
+            ..Frame::new(name)
+        }
+    }
+
+    pub fn id(&self) -> FrameId {
+        match self.id.load(Relaxed) {
+            // Racing first uses intern the same name to the same id.
+            0 => {
+                let id = FrameId::intern(self.name, self.root);
+                self.id.store(id.0, Relaxed);
+                id
+            }
+            id => FrameId(id),
+        }
+    }
+}
+
+#[derive(Debug)]
+struct FrameSlots {
+    /// Frames pushed and not popped; may exceed [`MAX_DEPTH`].
+    depth: AtomicU32,
+    slots: [AtomicU32; MAX_DEPTH],
+}
+
+/// One task's execution-context stack, kept by whoever keeps the task
+/// (the kernel, in its task table). Clones share the stack. Written by
+/// the thread that simulates the task and read by it when a sample
+/// fires, so the atomics are `Relaxed`: they publish nothing, they only
+/// let the owner stay `Send + Sync`. A guard dropped out of order
+/// leaves a wrong stack, never a panic.
+#[derive(Debug, Clone)]
+pub struct TaskFrames(Arc<FrameSlots>);
+
+impl Default for TaskFrames {
+    fn default() -> Self {
+        TaskFrames(Arc::new(FrameSlots {
+            depth: AtomicU32::new(0),
+            slots: [const { AtomicU32::new(0) }; MAX_DEPTH],
+        }))
+    }
+}
+
+impl TaskFrames {
+    /// Render the stack from its last root frame onward into `key`, with
+    /// `leaf` (if any) as one more innermost frame.
+    fn fold_key(&self, leaf: Option<&str>, key: &mut String) {
+        let depth = (self.0.depth.load(Relaxed) as usize).min(MAX_DEPTH);
+        let frame = |slot: &AtomicU32| FrameId(slot.load(Relaxed));
+        let frames = &self.0.slots[..depth];
+        let start = frames.iter().rposition(|f| frame(f).is_root()).unwrap_or(0);
+        let names = NAMES.lock().unwrap_or_else(PoisonError::into_inner);
+        let frames = frames[start..].iter().map(|f| frame(f).name(&names));
+        key.clear();
+        for name in frames.chain(leaf) {
+            if !key.is_empty() {
+                key.push(';');
+            }
+            key.push_str(name);
+        }
+        if key.is_empty() {
+            key.push_str(OTHER_STACK);
         }
     }
 }
 
 #[derive(Debug, Default)]
-struct TaskFrames {
-    /// `(name, is_root)` — roots re-base attribution (see module docs).
-    frames: Vec<(FrameName, bool)>,
-}
-
-#[derive(Debug, Default)]
 struct ProfileState {
-    tasks: Vec<TaskFrames>,
     /// Folded stack -> (samples, attributed virtual ns).
     folded: BTreeMap<String, FoldedEntry>,
     /// Total profiling interrupts fired (== sum of folded samples).
@@ -81,38 +191,12 @@ pub struct FoldedEntry {
 }
 
 impl ProfileState {
-    fn task_mut(&mut self, task: usize) -> &mut TaskFrames {
-        if task >= self.tasks.len() {
-            self.tasks.resize_with(task + 1, TaskFrames::default);
-        }
-        &mut self.tasks[task]
-    }
-
-    /// Render the task's stack from its last root frame onward into
-    /// `key`, with `leaf` (if any) as one more innermost frame.
-    fn fold_key(&self, task: usize, leaf: Option<&str>, key: &mut String) {
-        let frames = self.tasks.get(task).map_or(&[][..], |t| {
-            let start = t.frames.iter().rposition(|(_, root)| *root).unwrap_or(0);
-            &t.frames[start..]
-        });
-        key.clear();
-        for name in frames.iter().map(|(name, _)| name.as_str()).chain(leaf) {
-            if !key.is_empty() {
-                key.push(';');
-            }
-            key.push_str(name);
-        }
-        if key.is_empty() {
-            key.push_str(OTHER_STACK);
-        }
-    }
-
-    /// Record `fires` samples against the task's current stack. A stack
-    /// seen before costs no allocation.
-    fn fire(&mut self, task: usize, fires: f64, period: f64, leaf: Option<&str>) {
+    /// Record `fires` samples against `stack`. A stack seen before costs
+    /// no allocation.
+    fn fire(&mut self, stack: &TaskFrames, fires: f64, period: f64, leaf: Option<&str>) {
         let n = fires as u64;
         let mut key = std::mem::take(&mut self.key_buf);
-        self.fold_key(task, leaf, &mut key);
+        stack.fold_key(leaf, &mut key);
         if !self.folded.contains_key(key.as_str()) {
             self.folded.insert(key.clone(), FoldedEntry::default());
         }
@@ -172,89 +256,69 @@ impl Profiler {
         } else {
             0.0
         };
-        self.inner.period_bits.store(p.to_bits(), Ordering::Relaxed);
+        self.inner.period_bits.store(p.to_bits(), Relaxed);
     }
 
     /// Current sampling period (0.0 when disabled).
     pub fn period_ns(&self) -> f64 {
-        f64::from_bits(self.inner.period_bits.load(Ordering::Relaxed))
+        f64::from_bits(self.inner.period_bits.load(Relaxed))
     }
 
     pub fn is_enabled(&self) -> bool {
         self.period_ns() > 0.0
     }
 
-    /// Push a named frame onto `task`'s stack; the returned guard pops
-    /// it on drop. `root` re-bases folding at this frame (see module
-    /// docs). No-op (no lock) while disabled; never allocates.
-    pub fn push_frame(&self, task: usize, name: &'static str, root: bool) -> FrameGuard {
-        self.push_frames(task, [(name, root)])
-    }
-
-    /// [`Self::push_frame`] for a name built at run time: the caller
-    /// builds the `Arc<str>` once (e.g. when a program is loaded) and
-    /// every push shares it.
-    pub fn push_frame_shared(&self, task: usize, name: &Arc<str>, root: bool) -> FrameGuard {
-        self.push(task, [(FrameName::Shared(Arc::clone(name)), root)])
-    }
-
-    /// Push several frames (outermost first, each `(name, root)`) under
-    /// one lock; the guard pops them together. For the fixed
-    /// `root;marker` pairs collection-side code opens on every marker.
+    /// Push `frames` onto `stack`, outermost first; the returned guard
+    /// pops them together on drop. No-op while disabled; takes no lock
+    /// and never allocates.
     pub fn push_frames<const N: usize>(
         &self,
-        task: usize,
-        frames: [(&'static str, bool); N],
+        stack: &TaskFrames,
+        frames: [FrameId; N],
     ) -> FrameGuard {
-        self.push(
-            task,
-            frames.map(|(name, root)| (FrameName::Static(name), root)),
-        )
-    }
-
-    fn push<const N: usize>(&self, task: usize, frames: [(FrameName, bool); N]) -> FrameGuard {
         if !self.is_enabled() {
-            return FrameGuard {
-                owner: None,
-                depth: 0,
-            };
+            return FrameGuard { stack: None };
         }
-        self.lock().task_mut(task).frames.extend(frames);
+        let depth = stack.0.depth.load(Relaxed) as usize;
+        for (slot, frame) in stack.0.slots.iter().skip(depth).zip(frames) {
+            slot.store(frame.0, Relaxed);
+        }
+        stack.0.depth.store((depth + N) as u32, Relaxed);
         FrameGuard {
-            owner: Some((self.clone(), task)),
-            depth: N,
-        }
-    }
-
-    fn pop_frames(&self, task: usize, depth: usize) {
-        let mut st = self.lock();
-        if let Some(t) = st.tasks.get_mut(task) {
-            t.frames.truncate(t.frames.len().saturating_sub(depth));
+            stack: Some((stack.clone(), N as u32)),
         }
     }
 
     /// The profiling interrupt source: add `ns` of charged virtual time
     /// to `credit` — the task's charged-but-unsampled remainder, kept by
-    /// the caller (the kernel, in its task table) — and fire
-    /// `floor(credit / period)` samples against the task's current
-    /// stack. Must never alter the charge itself. The lock is only taken
-    /// when a sample actually fires.
+    /// the caller beside the task's `stack` — and fire
+    /// `floor(credit / period)` samples against that stack. Must never
+    /// alter the charge itself. The lock is only taken when a sample
+    /// actually fires.
     ///
     /// `leaf` names a frame that is on top of the stack for exactly this
     /// charge (a BPF helper's body) — cheaper than pushing and popping it
     /// around every charge when almost none of them fire.
-    pub fn on_charge(&self, task: usize, credit: &mut f64, ns: f64, leaf: Option<&'static str>) {
+    pub fn on_charge(
+        &self,
+        stack: &TaskFrames,
+        credit: &mut f64,
+        ns: f64,
+        leaf: Option<&'static str>,
+    ) {
         let period = self.period_ns();
         if period <= 0.0 || ns.is_nan() || ns <= 0.0 {
             return;
         }
         *credit += ns;
-        let fires = (*credit / period).floor();
-        if fires < 1.0 {
+        // (`credit < period` is `floor(credit / period) < 1`, without
+        // the division.)
+        if *credit < period {
             return;
         }
+        let fires = (*credit / period).floor();
         *credit -= fires * period;
-        self.lock().fire(task, fires, period, leaf);
+        self.lock().fire(stack, fires, period, leaf);
     }
 
     /// Total profiling interrupts fired so far.
@@ -301,21 +365,21 @@ impl Profiler {
     }
 }
 
-/// RAII frame guard returned by [`Profiler::push_frame`]; pops the
-/// frame(s) it pushed when dropped. Holds a cloned handle, so it never
+/// RAII frame guard returned by [`Profiler::push_frames`]; pops the
+/// frame(s) it pushed when dropped. Shares the task's stack, so it never
 /// borrows the kernel or the component that pushed it.
 #[must_use = "the frame pops when this guard drops"]
 #[derive(Debug)]
 pub struct FrameGuard {
-    owner: Option<(Profiler, usize)>,
-    /// Frames to pop.
-    depth: usize,
+    /// The stack and how many frames to pop off it.
+    stack: Option<(TaskFrames, u32)>,
 }
 
 impl Drop for FrameGuard {
     fn drop(&mut self) {
-        if let Some((p, task)) = self.owner.take() {
-            p.pop_frames(task, self.depth);
+        if let Some((stack, pushed)) = &self.stack {
+            let depth = &stack.0.depth;
+            depth.store(depth.load(Relaxed).saturating_sub(*pushed), Relaxed);
         }
     }
 }
@@ -352,17 +416,20 @@ impl Attribution {
 mod tests {
     use super::*;
 
+    static OP: Frame = Frame::new("ou:seq_scan");
+    static COLLECTOR: Frame = Frame::new("collector");
+
     /// One charge against a task with no unsampled remainder.
-    fn charge(p: &Profiler, task: usize, ns: f64) {
-        p.on_charge(task, &mut 0.0, ns, None);
+    fn charge(p: &Profiler, stack: &TaskFrames, ns: f64) {
+        p.on_charge(stack, &mut 0.0, ns, None);
     }
 
     #[test]
     fn disabled_profiler_is_inert() {
-        let p = Profiler::new();
+        let (p, t) = (Profiler::new(), TaskFrames::default());
         assert!(!p.is_enabled());
-        let _g = p.push_frame(0, "dbms", true);
-        charge(&p, 0, 1e9);
+        let _g = p.push_frames(&t, [DBMS.id()]);
+        charge(&p, &t, 1e9);
         assert_eq!(p.interrupts_fired(), 0);
         assert!(p.folded().is_empty());
         assert_eq!(p.folded_text(), "");
@@ -370,13 +437,13 @@ mod tests {
 
     #[test]
     fn samples_are_floor_of_charge_over_period() {
-        let p = Profiler::new();
+        let (p, t) = (Profiler::new(), TaskFrames::default());
         p.set_period_ns(100.0);
-        let _g = p.push_frame(3, "dbms", true);
+        let _g = p.push_frames(&t, [DBMS.id()]);
         let mut credit = 0.0;
-        p.on_charge(3, &mut credit, 250.0, None); // 2 fires, 50 credit left
-        p.on_charge(3, &mut credit, 49.0, None); // 99 credit — no fire
-        p.on_charge(3, &mut credit, 1.0, None); // 100 credit — 1 fire
+        p.on_charge(&t, &mut credit, 250.0, None); // 2 fires, 50 credit left
+        p.on_charge(&t, &mut credit, 49.0, None); // 99 credit — no fire
+        p.on_charge(&t, &mut credit, 1.0, None); // 100 credit — 1 fire
         assert_eq!(credit, 0.0);
         assert_eq!(p.interrupts_fired(), 3);
         let folded = p.folded();
@@ -388,17 +455,16 @@ mod tests {
 
     #[test]
     fn root_frames_rebase_attribution() {
-        let p = Profiler::new();
+        let (p, t) = (Profiler::new(), TaskFrames::default());
         p.set_period_ns(10.0);
-        let _dbms = p.push_frame(0, "dbms", true);
-        let _op = p.push_frame(0, "ou:seq_scan", false);
-        charge(&p, 0, 10.0);
+        let _dbms = p.push_frames(&t, [DBMS.id()]);
+        let _op = p.push_frames(&t, [OP.id()]);
+        charge(&p, &t, 10.0);
         {
-            let _ts = p.push_frame(0, "tscout", true);
-            let _col = p.push_frame(0, "collector", false);
-            charge(&p, 0, 20.0);
+            let _ts = p.push_frames(&t, [TSCOUT.id(), COLLECTOR.id()]);
+            charge(&p, &t, 20.0);
         }
-        charge(&p, 0, 10.0); // back under dbms after guards dropped
+        charge(&p, &t, 10.0); // back under dbms after the guard dropped
         let folded: BTreeMap<String, FoldedEntry> = p.folded().into_iter().collect();
         assert_eq!(folded["dbms;ou:seq_scan"].samples, 2);
         assert_eq!(folded["tscout;collector"].samples, 2);
@@ -407,9 +473,9 @@ mod tests {
 
     #[test]
     fn empty_stack_folds_to_other() {
-        let p = Profiler::new();
+        let (p, t) = (Profiler::new(), TaskFrames::default());
         p.set_period_ns(5.0);
-        charge(&p, 1, 12.0);
+        charge(&p, &t, 12.0);
         let folded = p.folded();
         assert_eq!(folded.len(), 1);
         assert_eq!(folded[0].0, OTHER_STACK);
@@ -421,8 +487,9 @@ mod tests {
         let p = Profiler::new();
         p.set_period_ns(7.0);
         for task in 0..4usize {
-            let _g = p.push_frame(task, if task % 2 == 0 { "dbms" } else { "tscout" }, true);
-            charge(&p, task, 13.0 * (task as f64 + 1.0));
+            let t = TaskFrames::default();
+            let _g = p.push_frames(&t, [if task % 2 == 0 { &DBMS } else { &TSCOUT }.id()]);
+            charge(&p, &t, 13.0 * (task as f64 + 1.0));
         }
         let total: u64 = p.folded().iter().map(|(_, e)| e.samples).sum();
         assert_eq!(total, p.interrupts_fired());
@@ -431,16 +498,15 @@ mod tests {
 
     #[test]
     fn attribution_ratio() {
-        let p = Profiler::new();
+        let (p, t) = (Profiler::new(), TaskFrames::default());
         p.set_period_ns(10.0);
         {
-            let _g = p.push_frame(0, "dbms", true);
-            let _h = p.push_frame(0, "ou:sort", false);
-            charge(&p, 0, 300.0);
+            let _g = p.push_frames(&t, [DBMS.id(), OP.id()]);
+            charge(&p, &t, 300.0);
         }
         {
-            let _g = p.push_frame(0, "tscout", true);
-            charge(&p, 0, 100.0);
+            let _g = p.push_frames(&t, [TSCOUT.id()]);
+            charge(&p, &t, 100.0);
         }
         let a = p.attribution();
         assert_eq!(a.ns_of("dbms"), 300.0);
@@ -450,18 +516,18 @@ mod tests {
         // Single-sided profile has no ratio.
         let q = Profiler::new();
         q.set_period_ns(1.0);
-        let _g = q.push_frame(0, "dbms", true);
-        charge(&q, 0, 5.0);
+        let _g = q.push_frames(&t, [DBMS.id()]);
+        charge(&q, &t, 5.0);
         assert!(q.attribution().tscout_dbms_ratio().is_none());
     }
 
     #[test]
     fn folded_text_is_flamegraph_shaped() {
-        let p = Profiler::new();
+        let (p, t) = (Profiler::new(), TaskFrames::default());
         p.set_period_ns(10.0);
-        let _g = p.push_frame(0, "dbms", true);
-        let _h = p.push_frame(0, "wal", false);
-        charge(&p, 0, 35.0);
-        assert_eq!(p.folded_text(), "dbms;wal 3\n");
+        let _g = p.push_frames(&t, [DBMS.id()]);
+        charge(&p, &t, 30.0);
+        p.on_charge(&t, &mut 0.0, 15.0, Some("wal"));
+        assert_eq!(p.folded_text(), "dbms 3\ndbms;wal 1\n");
     }
 }

@@ -20,9 +20,12 @@ use noisetap::{EngineMode, ExecOutcome, Value};
 use tscout::{Processor, Sink, TScout, TrainingPoint};
 use tscout_actions::{ActionEngine, DbmsActuator, PlannerInputs, SubsystemRate, POLICY_COUNT};
 use tscout_archive::{Archive, ArchiveOptions};
+use tscout_kernel::TSCOUT;
 use tscout_models::dataset::{LabeledPoint, OuData};
 use tscout_models::registry::{ModelRegistry, SwapDecision};
 use tscout_models::{datasets_from_archive, input_row, ModelKind};
+
+use crate::decls;
 
 /// One traced client request.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -270,7 +273,7 @@ impl ModelLifecycle {
         trace: &[QuerySpan],
         concurrency: usize,
     ) {
-        let _root = kernel.profile_frame(task, "tscout", true);
+        let _root = kernel.profile_frame(task, &TSCOUT);
         // Online residual tracking: score the live models against this
         // batch's actuals (before the batch can influence a retrain),
         // feeding each OU's residual-MAPE drift channel.
@@ -295,7 +298,7 @@ impl ModelLifecycle {
             }
         }
         if !points.is_empty() {
-            let _frame = kernel.profile_frame(task, "processor:archive", false);
+            let _frame = kernel.profile_frame(task, &decls::PROCESSOR_ARCHIVE);
             let start = kernel.now(task);
             let tagged = assign_templates(points, trace);
             kernel.charge_overhead(
@@ -339,7 +342,7 @@ impl ModelLifecycle {
                 kernel.telemetry.trace_compacted(retired, now);
             }
         }
-        let _frame = kernel.profile_frame(task, "models:retrain", false);
+        let _frame = kernel.profile_frame(task, &decls::MODELS_RETRAIN);
         let start = kernel.now(task);
         let data = datasets_from_archive(&self.archive, kernel.hw.clock_ghz, concurrency);
         let n_points: usize = data.iter().map(tscout_models::OuData::len).sum();
@@ -455,7 +458,7 @@ fn run_inner(
         .and_then(|cfg| tscout_obsd::ObsdServer::start(cfg, db.kernel.telemetry.clone()).ok());
     let overhead_gauge = tscout_actions::decls::OVERHEAD_RATIO.site(&[]);
     // Indexed by `committed as usize`.
-    let mut txn_ns = crate::decls::TXN_NS.vec("outcome");
+    let mut txn_ns = decls::TXN_NS.vec("outcome");
     let mut rng = StdRng::seed_from_u64(opts.seed);
     let terminals: Vec<SessionId> = (0..opts.terminals).map(|_| db.create_session()).collect();
     // Align all terminal clocks to the same start line.
@@ -525,9 +528,9 @@ fn run_inner(
                     // actually installs, so a rejected swap keeps the
                     // old reference (and the CRITICAL state) honest.
                     if lc.pending_rebaseline && lc.registry.generation() > gen_before {
-                        let _root = kernel.profile_frame(processor.task, "tscout", true);
+                        let _root = kernel.profile_frame(processor.task, &TSCOUT);
                         let _frame =
-                            kernel.profile_frame(processor.task, "actions:rebaseline", false);
+                            kernel.profile_frame(processor.task, &decls::ACTIONS_REBASELINE);
                         let n = kernel.telemetry.drift_rebaseline_all();
                         kernel.charge_overhead(
                             processor.task,
@@ -554,8 +557,8 @@ fn run_inner(
                 let (n_ous, n_rules) = kernel
                     .telemetry
                     .with_registry(|r| (r.drift().len(), r.health().rules().len()));
-                let _root = kernel.profile_frame(processor.task, "tscout", true);
-                let _frame = kernel.profile_frame(processor.task, "telemetry:observability", false);
+                let _root = kernel.profile_frame(processor.task, &TSCOUT);
+                let _frame = kernel.profile_frame(processor.task, &decls::TELEMETRY_OBSERVABILITY);
                 // Statement-stats accounting rides the same cadence: the
                 // engine's recording path is clock-neutral (PR-6 tracer
                 // discipline), so its cost is charged here from the
@@ -599,8 +602,8 @@ fn run_inner(
                     let predicted_exec = lc.last_exec_predicted_ns;
                     let (kernel, ts, mode) = db.actuation_parts();
                     if let Some(ts) = ts {
-                        let _root = kernel.profile_frame(processor.task, "tscout", true);
-                        let _frame = kernel.profile_frame(processor.task, "actions:plan", false);
+                        let _root = kernel.profile_frame(processor.task, &TSCOUT);
+                        let _frame = kernel.profile_frame(processor.task, &decls::ACTIONS_PLAN);
                         let due = engine.due_followups(now);
                         kernel.charge_overhead(
                             processor.task,

@@ -630,3 +630,34 @@ fn mutated_http_requests_are_read_or_refused_within_a_linear_allocation_bound() 
     println!("{ok} mutant requests were read, {err} refused");
     assert!(ok > 50 && err > 50, "{ok} Ok, {err} Err");
 }
+
+/// `execute_prepared` shares the prepared `Plan` (an `Arc`) instead of
+/// deep-copying the tree for every execution: what a point query
+/// allocates must not grow with the size of its plan.
+#[test]
+fn a_prepared_point_query_allocates_no_plan_node() {
+    let mut db = Database::new(Kernel::with_seed(HardwareProfile::server_2x20(), 3));
+    let sid = db.create_session();
+    db.execute(sid, "CREATE TABLE t (k INT PRIMARY KEY, a INT, b INT)", &[])
+        .unwrap();
+    db.execute(sid, "INSERT INTO t VALUES (1, 10, 100)", &[])
+        .unwrap();
+    // The same lookup and the same one-column row, under a filter of 1
+    // and of 33 expression nodes.
+    let filters = ["a = 10".to_string(), vec!["a = 10"; 17].join(" AND ")];
+    let per_execution = filters.map(|filter| {
+        let stmt = db
+            .prepare(&format!("SELECT b FROM t WHERE k = $1 AND {filter}"))
+            .unwrap();
+        let key = [tscout_suite::noisetap::Value::Int(1)];
+        let mut run = |n| {
+            for _ in 0..n {
+                let out = db.execute_prepared(sid, stmt, &key).unwrap();
+                assert_eq!(out.rows.len(), 1);
+            }
+        };
+        run(8);
+        allocations(|| run(64)) / 64
+    });
+    assert_eq!(per_execution[0], per_execution[1], "{per_execution:?}");
+}

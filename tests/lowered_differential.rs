@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 
 use tscout_suite::bpf::asm::ProgramBuilder;
 use tscout_suite::bpf::insn::{
-    AluOp, Cond, Helper, Insn, Reg, Size, Src, R0, R1, R10, R2, R3, R6, R7,
+    AluOp, Cond, Helper, Insn, Reg, Size, Src, R0, R1, R10, R2, R3, R4, R6, R7,
 };
 use tscout_suite::bpf::lower::lower;
 use tscout_suite::bpf::vm::{NullWorld, Vm, VmError, FUEL};
@@ -136,6 +136,26 @@ fn collector_programs_agree_in_every_marker_state() {
         assert_eq!(records.len(), 6, "{layout}");
         assert_eq!(records, d.reference.maps.ring_drain(MapId(3), usize::MAX));
     }
+}
+
+/// Every helper argument of the Collector's programs lies in the stack
+/// and is read there. A staging buffer that grew means a key, value or
+/// record went through a copy again.
+#[test]
+fn collector_helper_arguments_are_never_staged() {
+    let (all, probes) = layouts()[7];
+    assert_eq!(all, "all");
+    let (mut loader, _, ids) = deploy(&probes);
+    let mut world = NullWorld::default();
+    for i in 0..1_000u64 {
+        let ctx = encode_ctx(5, 40 + i % 4, 1, 0, &[i, 88, 99]);
+        for id in ids {
+            world.time_ns += 250;
+            assert_eq!(loader.run(id, &ctx, &mut world).unwrap().0, 0);
+        }
+    }
+    assert_eq!(loader.maps.ring_stats(MapId(3)).produced, 1_000);
+    assert_eq!(loader.staged_capacity(), 0);
 }
 
 // ---------------------------------------------------------------------
@@ -511,4 +531,176 @@ fn hostile_helper_arguments_fault_instead_of_panicking() {
     let prog = b.resolve().unwrap();
     let (r0, _) = engines_agree("counter u64::MAX", &prog, &[]).unwrap();
     assert_eq!(r0, u64::MAX.wrapping_mul(100));
+}
+
+// ---------------------------------------------------------------------
+// (d) Helper arguments: in place from the stack, staged from elsewhere
+// ---------------------------------------------------------------------
+
+/// `r<arg> = r10 + off`.
+fn fp_arg(b: &mut ProgramBuilder, arg: Reg, off: i64) {
+    b.mov_reg(arg, R10);
+    b.alu_imm(AluOp::Add, arg, off);
+}
+
+/// `r6 = map_lookup_elem(h, &7)`, the key at `[r10-8]`; exits with
+/// `r0 = 99` on a miss. Six instructions before the miss check.
+fn lookup_seven(b: &mut ProgramBuilder) {
+    b.store_imm(Size::B8, R10, -8, 7);
+    b.load_map(R1, MapId(0));
+    fp_arg(b, R2, -8);
+    b.call(Helper::MapLookup);
+    b.mov_reg(R6, R0);
+    let hit = b.label();
+    b.jump_if_imm(Cond::Ne, R6, 0, hit);
+    b.mov_imm(R0, 99);
+    b.exit();
+    b.bind(hit);
+}
+
+/// Key 7 of the hash map holds `[7, 9]` as two words: a value that
+/// contains its own key, and a second key.
+fn seven_holds_seven_and_nine() -> common::Twin {
+    Twin::new(|| {
+        let mut m = maps();
+        let value = [7u64.to_le_bytes(), 9u64.to_le_bytes()].concat();
+        m.update(MapId(0), &7u64.to_le_bytes(), &value).unwrap();
+        m
+    })
+}
+
+/// An argument inside a map value may lie in the very storage the helper
+/// mutates, so it is copied out first; one in the stack cannot and is
+/// not. Either way both engines do what a `BTreeMap` would, and count
+/// the operations the copying helper layer counted.
+#[test]
+fn helper_arguments_that_alias_map_storage_are_copied_out_first() {
+    let (seven, nine) = (7u64.to_le_bytes().to_vec(), 9u64.to_le_bytes().to_vec());
+    let value = [seven.clone(), nine.clone()].concat();
+    let ops = |twin: &Twin| {
+        let o = twin.lowered.op_stats();
+        (o.lookups, o.updates, o.deletes, o.ring_pushes)
+    };
+
+    // delete(h, key = the value's own first word): the entry goes.
+    let mut b = ProgramBuilder::new();
+    lookup_seven(&mut b);
+    b.load_map(R1, MapId(0));
+    b.mov_reg(R2, R6);
+    b.call(Helper::MapDelete);
+    b.exit();
+    let prog = b.resolve().unwrap();
+    let mut twin = seven_holds_seven_and_nine();
+    assert_eq!(
+        twin.run("delete by own value", &prog, &lower(&prog), &[])
+            .unwrap()
+            .0,
+        0
+    );
+    assert_eq!(twin.lowered.dump(MapId(0)), []);
+    assert_eq!(
+        ops(&twin),
+        (2, 1, 1, 0),
+        "one lookup is the staged dereference"
+    );
+
+    // update(h, key = the value's first word, value = the value itself)
+    // rewrites 7 in place; update(h, key = its second word, value = the
+    // value) inserts 9 while reading from the slab that grows.
+    for (what, key_off, want) in [
+        (
+            "overwrite by own value",
+            0,
+            vec![(seven.clone(), value.clone())],
+        ),
+        (
+            "insert from own value",
+            8,
+            vec![(seven.clone(), value.clone()), (nine, value.clone())],
+        ),
+    ] {
+        let mut b = ProgramBuilder::new();
+        lookup_seven(&mut b);
+        b.load_map(R1, MapId(0));
+        b.mov_reg(R2, R6);
+        b.alu_imm(AluOp::Add, R2, key_off);
+        b.mov_reg(R3, R6);
+        b.mov_imm(R4, 0);
+        b.call(Helper::MapUpdate);
+        b.exit();
+        let prog = b.resolve().unwrap();
+        let mut twin = seven_holds_seven_and_nine();
+        assert_eq!(twin.run(what, &prog, &lower(&prog), &[]).unwrap().0, 0);
+        let model: BTreeMap<_, _> = want.into_iter().collect();
+        assert_eq!(twin.lowered.dump(MapId(0)), Vec::from_iter(model), "{what}");
+        assert_eq!(ops(&twin), (3, 2, 0, 0), "{what}: two staged dereferences");
+    }
+
+    // perf_event_output(ring, record = the value) and (ring, the context).
+    let ctx: Vec<u8> = (0..16).collect();
+    for (what, from_ctx, record, lookups) in [
+        ("output a map value", false, &value, 2),
+        ("output the context", true, &ctx, 1),
+    ] {
+        let mut b = ProgramBuilder::new();
+        b.mov_reg(R7, R1);
+        lookup_seven(&mut b);
+        b.load_map(R1, MapId(1));
+        b.mov_reg(R2, if from_ctx { R7 } else { R6 });
+        b.mov_imm(R3, 16);
+        b.call(Helper::PerfEventOutput);
+        b.exit();
+        let prog = b.resolve().unwrap();
+        let mut twin = seven_holds_seven_and_nine();
+        let (r0, stats) = twin.run(what, &prog, &lower(&prog), &ctx).unwrap();
+        assert_eq!((r0, stats.ring_publishes), (0, 1), "{what}");
+        assert_eq!(
+            twin.lowered.ring_drain(MapId(1), 9),
+            std::slice::from_ref(record),
+            "{what}"
+        );
+        assert_eq!(ops(&twin), (lookups, 1, 0, 1), "{what}");
+    }
+}
+
+/// An argument must lie wholly inside one window: a key whose last byte
+/// is one past the top of the stack, and a record as long as the address
+/// space, are the faults they always were — at the call, naming the
+/// argument's first byte.
+#[test]
+fn helper_arguments_that_leave_their_window_fault_at_the_call() {
+    let top = tscout_suite::bpf::vm::STACK_BASE + tscout_suite::bpf::vm::STACK_SIZE as u64;
+    for helper in [Helper::MapLookup, Helper::MapUpdate, Helper::MapDelete] {
+        let mut b = ProgramBuilder::new();
+        b.load_map(R1, MapId(0));
+        fp_arg(&mut b, R2, -7);
+        fp_arg(&mut b, R3, -16);
+        b.call(helper);
+        b.exit();
+        let prog = b.resolve().unwrap();
+        assert_eq!(
+            engines_agree("key over the top", &prog, &[]),
+            Err(VmError::BadAddress {
+                pc: 5,
+                addr: top - 7
+            }),
+            "{helper:?}"
+        );
+    }
+    let mut b = ProgramBuilder::new();
+    b.load_map(R1, MapId(1));
+    fp_arg(&mut b, R2, -8);
+    b.mov_imm(R3, -1);
+    b.call(Helper::PerfEventOutput);
+    b.exit();
+    let prog = b.resolve().unwrap();
+    let mut twin = Twin::new(maps);
+    assert_eq!(
+        twin.run("record of u64::MAX bytes", &prog, &lower(&prog), &[]),
+        Err(VmError::BadAddress {
+            pc: 4,
+            addr: top - 8
+        })
+    );
+    assert_eq!(twin.lowered.ring_stats(MapId(1)).produced, 0);
 }

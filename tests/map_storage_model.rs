@@ -106,16 +106,17 @@ impl Oracle {
                 },
                 MapKind::PerfEventArray { capacity },
             ) => {
-                if buf.len() >= capacity {
-                    if let Some(old) = buf.pop_front() {
-                        if evicted.len() >= EVICTED_KEEP {
-                            evicted.pop_front();
-                        }
-                        evicted.push_back(old);
+                // (The old ring let a capacity of 0 hold one record and
+                // counted a first drop that evicted nothing; a ring with
+                // no room loses the incoming record.)
+                buf.push_back(data.to_vec());
+                if buf.len() > capacity {
+                    if evicted.len() >= EVICTED_KEEP {
+                        evicted.pop_front();
                     }
+                    evicted.extend(buf.pop_front());
                     *dropped += 1;
                 }
-                buf.push_back(data.to_vec());
                 *produced += 1;
                 *bytes += data.len() as u64;
                 *hwm = (*hwm).max(buf.len());
@@ -238,6 +239,40 @@ fn value_for(rng: &mut StdRng, def: &MapDef) -> Vec<u8> {
     bytes(rng, len)
 }
 
+/// What left each ring other than by being overwritten, and the
+/// eviction headers taken, since the run began or the ring was cleared.
+#[derive(Debug, Default, Clone, Copy)]
+struct RingLedger {
+    drained: u64,
+    cleared: u64,
+    headers_taken: u64,
+}
+
+/// The ring's conservation law: every record ever published was
+/// drained, is live, was overwritten, or went with a `clear`; and every
+/// overwritten record left a header (fewer than `EVICTED_KEEP` are ever
+/// pending here).
+fn check_conservation(real: &MapRegistry, oracle: &Oracle, ledgers: &[RingLedger], step: usize) {
+    for (id, ledger) in ledgers.iter().enumerate() {
+        let OracleStorage::Ring { evicted, .. } = &oracle.maps[id].1 else {
+            continue;
+        };
+        let s = real.ring_stats(MapId(id as u32));
+        assert_eq!(
+            s.produced,
+            ledger.drained + s.len as u64 + s.dropped + ledger.cleared,
+            "ring {id} (capacity {}), step {step}: {s:?} {ledger:?}",
+            s.capacity
+        );
+        assert!(s.len <= s.capacity, "ring {id}, step {step}: {s:?}");
+        assert_eq!(
+            ledger.headers_taken + evicted.len() as u64,
+            s.dropped,
+            "ring {id}, step {step}: a header per overwritten record"
+        );
+    }
+}
+
 fn check_all(real: &MapRegistry, oracle: &Oracle, step: usize) {
     for id in 0..oracle.maps.len() {
         let rid = MapId(id as u32);
@@ -265,6 +300,7 @@ fn storage_matches_the_old_semantics_on_random_sequences() {
             real.create(def.clone());
             oracle.create(def);
         }
+        let mut ledgers = vec![RingLedger::default(); oracle.maps.len()];
         for step in 0..4_000 {
             let id = rng.random_range(0..oracle.maps.len());
             let rid = MapId(id as u32);
@@ -305,7 +341,9 @@ fn storage_matches_the_old_semantics_on_random_sequences() {
                 }
                 80..=87 => {
                     let max = rng.random_range(0usize..6);
-                    assert_eq!(real.ring_drain(rid, max), oracle.ring_drain(id, max));
+                    let drained = real.ring_drain(rid, max);
+                    ledgers[id].drained += drained.len() as u64;
+                    assert_eq!(drained, oracle.ring_drain(id, max));
                 }
                 88..=93 => {
                     // Only the header of an overwritten record is kept.
@@ -318,9 +356,14 @@ fn storage_matches_the_old_semantics_on_random_sequences() {
                         .into_iter()
                         .map(|p| p[..p.len().min(EVICTED_HEADER_BYTES)].to_vec())
                         .collect();
+                    ledgers[id].headers_taken += got.len() as u64;
                     assert_eq!(got, want);
                 }
                 94..=97 => {
+                    // `clear` empties the ring and zeroes `dropped`.
+                    let s = real.ring_stats(rid);
+                    ledgers[id].cleared += s.len as u64 + s.dropped;
+                    ledgers[id].headers_taken = 0;
                     real.clear(rid);
                     oracle.clear(id);
                 }
@@ -331,6 +374,7 @@ fn storage_matches_the_old_semantics_on_random_sequences() {
                 oracle.dump(id).len(),
                 "entries, step {step}"
             );
+            check_conservation(&real, &oracle, &ledgers, step);
         }
         check_all(&real, &oracle, usize::MAX);
     }

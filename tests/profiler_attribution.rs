@@ -4,11 +4,13 @@
 //! windowed time-series agrees with the final counter values after a
 //! full drain.
 
-use tscout_suite::kernel::{HardwareProfile, Kernel};
+use std::sync::atomic::{AtomicBool, Ordering};
+
+use tscout_suite::kernel::{Frame, HardwareProfile, Kernel, Profiler, DBMS, TSCOUT};
 use tscout_suite::noisetap::Database;
 use tscout_suite::tscout::{CollectionMode, TsConfig, ALL_SUBSYSTEMS};
 use tscout_suite::workloads::driver::{run, RunOptions};
-use tscout_suite::workloads::{Workload, Ycsb};
+use tscout_suite::workloads::{Tpcc, Workload, Ycsb};
 
 /// YCSB under kernel-continuous collection at 100% sampling with the
 /// profiler armed at a fine period, fully drained at the end (the driver
@@ -34,6 +36,104 @@ fn profiled_run() -> Database {
     };
     run(&mut db, &mut w, &opts);
     db
+}
+
+/// TPC-C, 4 terminals, seed 42, every subsystem at 100 % sampling,
+/// kernel noise on: `during` runs on a second thread while the
+/// workload does.
+fn tpcc_seed42(during: impl FnOnce(&Profiler, &AtomicBool) + Send) -> Database {
+    let mut k = Kernel::with_seed(HardwareProfile::server_2x20(), 42);
+    k.set_profile_period_ns(10_000.0);
+    let mut db = Database::new(k);
+    let mut w = Tpcc::new(2);
+    w.setup(&mut db);
+    let mut cfg = TsConfig::new(CollectionMode::KernelContinuous);
+    cfg.enable_all_subsystems();
+    db.attach_tscout(cfg).unwrap();
+    for s in ALL_SUBSYSTEMS {
+        db.tscout_mut().unwrap().set_sampling_rate(s, 100);
+    }
+    let opts = RunOptions {
+        terminals: 4,
+        duration_ns: 40e6,
+        seed: 42,
+        ..Default::default()
+    };
+    let (profiler, done) = (db.kernel.profiler.clone(), AtomicBool::new(false));
+    std::thread::scope(|s| {
+        s.spawn(|| during(&profiler, &done));
+        run(&mut db, &mut w, &opts);
+        done.store(true, Ordering::SeqCst);
+    });
+    db
+}
+
+/// The golden was written by the commit before frames became per-task
+/// id stacks: what folds is the same strings, line for line.
+#[test]
+fn folded_text_of_a_seeded_tpcc_run_matches_the_golden() {
+    let db = tpcc_seed42(|_, _| {});
+    let folded = db.kernel.profiler.folded_text();
+    assert!(
+        folded.lines().count() > 40,
+        "a run this long folds many stacks"
+    );
+    assert_eq!(folded, include_str!("golden/profile_tpcc_seed42.folded"));
+}
+
+/// A reader on another thread takes the mutex `fire` takes: whatever it
+/// reads while the run proceeds is whole `stack count` lines, and counts
+/// only ever grow.
+#[test]
+fn a_concurrent_reader_sees_only_whole_lines() {
+    let db = tpcc_seed42(|profiler, done| {
+        let (mut reads, mut last_total) = (0, 0);
+        while !done.load(Ordering::SeqCst) || reads == 0 {
+            let text = profiler.folded_text();
+            assert!(text.is_empty() || text.ends_with('\n'));
+            let counts = text.lines().map(|line| {
+                let (stack, count) = line.rsplit_once(' ').expect("stack, space, count");
+                assert!(!stack.is_empty() && !stack.contains(' '), "{line:?}");
+                count.parse::<u64>().unwrap_or_else(|_| panic!("{line:?}"))
+            });
+            let total = counts.sum::<u64>();
+            assert!(total >= last_total, "{total} after {last_total}");
+            (reads, last_total) = (reads + 1, total);
+        }
+    });
+    // And the run folded what it folds unobserved.
+    let folded = db.kernel.profiler.folded_text();
+    assert_eq!(folded, include_str!("golden/profile_tpcc_seed42.folded"));
+}
+
+/// Misuse costs a wrong stack, never a panic, and never another task's
+/// stack: pushes past the depth a stack records still pop in balance,
+/// and a guard dropped early takes the innermost frame with it.
+#[test]
+fn deep_and_out_of_order_frames_stay_on_their_own_task() {
+    static OP: Frame = Frame::new("op");
+    let mut k = Kernel::new(HardwareProfile::server_2x20());
+    k.set_profile_period_ns(1.0);
+    let (task, other) = (k.create_task(), k.create_task());
+    let folded = |k: &Kernel| k.profiler.folded_text();
+    let _theirs = k.profile_frames(other, [DBMS.id(), OP.id()]);
+
+    let root = k.profile_frame(task, &TSCOUT);
+    let deep: Vec<_> = (0..128).map(|_| k.profile_frame(task, &OP)).collect();
+    k.charge_overhead(task, 1.0);
+    let recorded = folded(&k);
+    let stack = recorded
+        .strip_suffix(" 1\n")
+        .expect("one stack, one sample");
+    assert!(stack.starts_with("tscout;op;op;") && stack.len() < 129 * 3 + 6);
+
+    drop(root); // out of order: pops the innermost `op`, not `tscout`
+    drop(deep);
+    k.charge_overhead(task, 1.0);
+    assert!(folded(&k).starts_with("(other) 1\n"), "{}", folded(&k));
+    drop(k.profile_frame(task, &OP));
+    k.charge_overhead(other, 1.0);
+    assert!(folded(&k).contains("dbms;op 1\n"), "{}", folded(&k));
 }
 
 #[test]

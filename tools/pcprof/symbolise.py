@@ -1,0 +1,114 @@
+#!/usr/bin/env python3
+"""Turn a pcprof dump into per-function shares with `addr2line -i`.
+
+    symbolise.py run.pcprof [--under FN] [--focus FN] [--top N] [--folded]
+
+Every stack is expanded through inlined frames, so a function counts
+wherever its code runs. `--under FN` keeps only stacks with a frame whose
+name contains FN and cuts them there (shares are then of FN's time, e.g.
+the timed region); `--focus FN` lists what runs beneath FN: each function
+between FN and the leaf, by the share of FN's stacks it is on.
+`--folded` prints `root;..;leaf count` lines for a flamegraph tool.
+"""
+import argparse
+import collections
+import re
+import subprocess
+
+
+def load(path):
+    # A position-independent object is loaded whole from `base`: its
+    # link-time address of a pc is `pc - base`.
+    base, maps, stacks = {}, [], []
+    for line in open(path):
+        kind, _, rest = line.partition(" ")
+        if kind == "M":
+            span, perms, offset, _dev, _inode, file = rest.split(None, 5)
+            lo, hi = (int(x, 16) for x in span.split("-"))
+            if int(offset, 16) == 0:
+                base.setdefault(file.strip(), lo)
+            if "x" in perms:
+                maps.append((lo, hi, file.strip()))
+        elif kind == "S":
+            stacks.append([int(a, 16) for a in rest.split()])
+    return [(lo, hi, base.get(file, 0), file) for lo, hi, file in maps], stacks
+
+
+def symbolise(maps, stacks):
+    """pc -> [innermost inlined function, ..., the physical function]."""
+    by_file = collections.defaultdict(set)
+    where = {}
+    for stack in stacks:
+        for depth, pc in enumerate(stack):
+            # A return address belongs to the call before it.
+            at = pc if depth == 0 else pc - 1
+            for lo, hi, base, file in maps:
+                if lo <= at < hi:
+                    where[(pc, depth == 0)] = (file, at - base)
+                    by_file[file].add(at - base)
+    names = {}
+    for file, offsets in by_file.items():
+        offsets = sorted(offsets)
+        out = subprocess.run(
+            ["addr2line", "-a", "-f", "-i", "-C", "-e", file] + [hex(o) for o in offsets],
+            capture_output=True, text=True, check=True).stdout.splitlines()
+        # A shared object without debug info resolves to the nearest
+        # exported symbol, which is often wrong: say whose code it is.
+        tag = f"[{file.rsplit('/', 1)[-1]}] " if ".so" in file else ""
+        # Per address: the physical function's symbol, then one "inlined
+        # by" short name per level outwards, the last being the physical
+        # function again. The innermost inlined callee's own name is not
+        # printed; its samples count for the level that called it.
+        current = None
+        for i, line in enumerate(out + ["0x0"]):
+            if re.fullmatch(r"0x[0-9a-f]+", line):
+                if current and len(current) > 1:
+                    current[:] = current[1:-1] + current[:1]
+                current = names.setdefault((file, int(line, 16)), [])
+                fn_line = i + 1
+            elif (i - fn_line) % 2 == 0:
+                current.append(tag + re.sub(r"::h[0-9a-f]{16}$", "", line))
+    return {key: names.get(loc, ["??"]) for key, loc in where.items()}
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
+    ap.add_argument("dump")
+    ap.add_argument("--under")
+    ap.add_argument("--focus")
+    ap.add_argument("--top", type=int, default=40)
+    ap.add_argument("--folded", action="store_true")
+    args = ap.parse_args()
+
+    maps, stacks = load(args.dump)
+    names = symbolise(maps, stacks)
+    # Leaf first, inlined frames expanded.
+    frames = [[fn for depth, pc in enumerate(s) for fn in names.get((pc, depth == 0), ["??"])]
+              for s in stacks]
+    for cut in (args.under, args.focus):
+        if cut:
+            kept = []
+            for f in frames:
+                hits = [i for i, fn in enumerate(f) if cut in fn]
+                if hits:
+                    kept.append(f[:hits[-1] + 1])
+            frames = kept
+    total = len(frames)
+    print(f"# {len(stacks)} stacks, {total} kept")
+    if args.folded:
+        folded = collections.Counter(";".join(reversed(f)) for f in frames)
+        for stack, n in sorted(folded.items()):
+            print(stack, n)
+        return
+    inclusive, self_ = collections.Counter(), collections.Counter()
+    for f in frames:
+        beneath = f[:-1] if args.focus else f
+        inclusive.update(set(beneath))
+        self_[f[0]] += 1
+    print(f"{'incl %':>7} {'self %':>7}  function")
+    for fn, n in inclusive.most_common(args.top):
+        print(f"{100 * n / max(total, 1):7.2f} {100 * self_[fn] / max(total, 1):7.2f}  {fn}")
+
+
+if __name__ == "__main__":
+    main()
