@@ -35,12 +35,13 @@ cargo build --workspace --release
 echo "== cargo test =="
 cargo test --workspace -q
 
-echo "== allocation budgets: sample path, archive read side, forest fit, lowered engine on mutated programs (release: the build tsbench measures) =="
+echo "== allocation budgets: sample path, archive read side, forest fit, lowered engine on mutated programs, NoiseTap's read path (release: the build tsbench measures) =="
 # 0 allocations per marker triple, sampled or not; at most the owned
 # TrainingPoint's 4 per drained record; a column scan O(blocks),
 # datasets_from_archive one per point + O(blocks), a Forest fit one
-# per tree node + O(trees), and 0 per lowered run of a mutated Collector
-# stream (which must also end in Ok or Err, as the reference does).
+# per tree node + O(trees), 0 per lowered run of a mutated Collector
+# stream (which must also end in Ok or Err, as the reference does), and
+# a YCSB point read <= 7 allocations / 700 B, an index lookup 0.
 cargo test -q --release --test alloc_budget
 
 echo "== forest differential, full sweep (release): the rank-coded fit builds the sort-per-node reference's trees bit for bit — 280 seeded cases of hostile floats, n up to 20 000 =="
@@ -48,6 +49,9 @@ cargo test -q --release -p tscout-models -- --include-ignored forest
 
 echo "== lowered-engine differential, full sweep (release): Loader::run's lowered form returns Vm::run's result, maps and counters bit for bit — 16x the tier-1 draw of both seeded generators, accepted by the verifier or not =="
 cargo test -q --release --test lowered_differential -- --include-ignored
+
+echo "== B+-tree differential, full sweep (release): the flat-key tree returns the Vec<IndexKey>-per-node reference's postings, examined counts and height after every step — 72 seeded streams of 20 000 operations over 1- to 3-column keys =="
+cargo test -q --release --test btree_differential -- --include-ignored
 
 echo "== one engine behind Loader::run: nothing in crates/bpf reads the environment or a cargo feature =="
 if git grep -nE 'env::var|cfg\(feature' -- crates/bpf/src; then

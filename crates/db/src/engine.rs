@@ -490,7 +490,7 @@ impl Database {
                 // rendering.
                 let rows = crate::exec::plan::explain(inner, &self.catalog)
                     .into_iter()
-                    .map(|l| vec![Value::Text(l)])
+                    .map(|l| vec![Value::Text(l.into())])
                     .collect::<Vec<_>>();
                 Ok(ExecOutcome {
                     rows_affected: rows.len() as u64,
@@ -649,7 +649,10 @@ impl Database {
             None => format!("{head} predicted=- (no model installed)"),
         };
         lines.push(footer);
-        let rows: Vec<Vec<Value>> = lines.into_iter().map(|l| vec![Value::Text(l)]).collect();
+        let rows: Vec<Vec<Value>> = lines
+            .into_iter()
+            .map(|l| vec![Value::Text(l.into())])
+            .collect();
         Ok(ExecOutcome {
             rows_affected: rows.len() as u64,
             rows,
@@ -756,7 +759,7 @@ impl Database {
             .catalog
             .create_index(name, table, columns.clone(), kind, unique)
             .map_err(DbError::Catalog)?;
-        let mut index = Index::new(kind);
+        let mut index = Index::new(kind, columns.len());
         // Backfill from the latest visible versions.
         let read_ts = self.txns.oldest_read_ts().max(u64::MAX >> 1); // latest snapshot
         let t = &self.tables[table.0 as usize];

@@ -20,13 +20,15 @@ pub mod obs;
 pub mod ou;
 pub mod plan;
 
+use std::slice;
+
 use tscout::{OuId, TScout};
 use tscout_kernel::{Kernel, TaskId};
 
 use crate::catalog::Catalog;
 use crate::decls;
 use crate::engine::DbMetrics;
-use crate::index::{key_from_row, Index, IndexKey};
+use crate::index::{key_from_row, row_key_cmp, Index, IndexKey};
 use crate::sql::ast::{AggFunc, BinOp};
 use crate::storage::{SlotId, VersionedTable};
 use crate::txn::{TxnHandle, TxnManager, UndoRef};
@@ -625,11 +627,11 @@ fn exec_scan(
             let depth = idx.depth() as u64;
             let table = ctx.table(scan.table);
             let mut rows = Vec::new();
-            for slot in slots {
+            for &slot in slots {
                 if let Some(r) = table.read(slot, read_ts, me) {
                     // Re-check the key: stale index entries may point at
                     // slots whose visible version no longer matches.
-                    if key_from_row(r, &meta.columns) == key {
+                    if row_key_cmp(r, &meta.columns, &key).is_eq() {
                         rows.push((slot, r.clone()));
                     }
                 }
@@ -660,8 +662,8 @@ fn exec_scan(
             let mut rows = Vec::new();
             for slot in slots {
                 if let Some(r) = table.read(slot, read_ts, me) {
-                    let k = key_from_row(r, &meta.columns);
-                    if k.len() >= prefix.len() && k[..prefix.len()] == prefix[..] {
+                    let cols = meta.columns.get(..prefix.len());
+                    if cols.is_some_and(|cols| row_key_cmp(r, cols, &prefix).is_eq()) {
                         rows.push((slot, r.clone()));
                     }
                 }
@@ -681,25 +683,22 @@ fn exec_scan(
             Ok(rows)
         }
         Access::Range { index, lo, hi } => {
-            let lo_key: Option<IndexKey> = match lo {
-                Some(e) => Some(vec![eval(e, &[], params)?]),
-                None => None,
-            };
-            let hi_key: Option<IndexKey> = match hi {
-                Some(e) => Some(vec![eval(e, &[], params)?]),
-                None => None,
-            };
+            // One-value bounds, compared as one-value keys.
+            let lo = lo.as_ref().map(|e| eval(e, &[], params)).transpose()?;
+            let hi = hi.as_ref().map(|e| eval(e, &[], params)).transpose()?;
+            let (lo_key, hi_key) = (
+                lo.as_ref().map(slice::from_ref),
+                hi.as_ref().map(slice::from_ref),
+            );
             ctx.begin(EngineOu::IdxRangeScan);
             let meta = ctx.catalog.index(*index);
-            let (slots, examined) =
-                ctx.indexes[index.0 as usize].range(lo_key.as_ref(), hi_key.as_ref());
+            let (slots, examined) = ctx.indexes[index.0 as usize].range(lo_key, hi_key);
             let table = ctx.table(scan.table);
             let mut rows = Vec::new();
             for slot in slots {
                 if let Some(r) = table.read(slot, read_ts, me) {
-                    let k = key_from_row(r, &meta.columns);
-                    let lo_ok = lo_key.as_ref().is_none_or(|l| k >= *l);
-                    let hi_ok = hi_key.as_ref().is_none_or(|h| k <= *h);
+                    let lo_ok = lo_key.is_none_or(|l| row_key_cmp(r, &meta.columns, l).is_ge());
+                    let hi_ok = hi_key.is_none_or(|h| row_key_cmp(r, &meta.columns, h).is_le());
                     if lo_ok && hi_ok {
                         rows.push((slot, r.clone()));
                     }
@@ -740,17 +739,20 @@ fn exec_insert(
             .map(|e| eval(e, &[], params))
             .collect::<Result<_, _>>()?;
         coerce_row(&mut row, &meta.schema);
-        // Unique-constraint enforcement.
-        for im in &index_metas {
+        // The keys the indexes will own; unique ones are checked first.
+        let keys: Vec<IndexKey> = index_metas
+            .iter()
+            .map(|im| key_from_row(&row, &im.columns))
+            .collect();
+        for (im, key) in index_metas.iter().zip(&keys) {
             if !im.unique {
                 continue;
             }
-            let key = key_from_row(&row, &im.columns);
-            let (slots, _) = ctx.indexes[im.id.0 as usize].get(&key);
+            let (slots, _) = ctx.indexes[im.id.0 as usize].get(key);
             let table = &ctx.tables[table_id.0 as usize];
-            for slot in slots {
+            for &slot in slots {
                 if let Some(existing) = table.read(slot, ctx.txn.read_ts, ctx.txn.id) {
-                    if key_from_row(existing, &im.columns) == key {
+                    if row_key_cmp(existing, &im.columns, key).is_eq() {
                         // Still finish the marker triple before erroring so
                         // the collector state machine stays consistent.
                         let feats = vec![inserted, total_bytes, index_metas.len() as u64];
@@ -762,9 +764,9 @@ fn exec_insert(
             }
         }
         let bytes = row_bytes(&row) as u64;
-        let slot = ctx.tables[table_id.0 as usize].insert(row.clone(), ctx.txn.id);
-        for im in &index_metas {
-            ctx.indexes[im.id.0 as usize].insert(key_from_row(&row, &im.columns), slot);
+        let slot = ctx.tables[table_id.0 as usize].insert(row, ctx.txn.id);
+        for (im, key) in index_metas.iter().zip(keys) {
+            ctx.indexes[im.id.0 as usize].insert(key, slot);
         }
         ctx.txns.log_write(
             ctx.txn,
@@ -841,13 +843,12 @@ fn exec_update(
                         break;
                     }
                     for im in &index_metas {
-                        let old_key = key_from_row(&old, &im.columns);
-                        let new_key = key_from_row(&new, &im.columns);
-                        if old_key != new_key {
+                        if im.columns.iter().any(|c| old[*c] != new[*c]) {
                             // Stale old-key entries are lazily re-checked
                             // by scans and reclaimed by GC; insert the
                             // fresh key now.
-                            ctx.indexes[im.id.0 as usize].insert(new_key, slot);
+                            ctx.indexes[im.id.0 as usize]
+                                .insert(key_from_row(&new, &im.columns), slot);
                             touched += 1;
                         }
                     }

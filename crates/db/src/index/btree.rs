@@ -7,11 +7,18 @@
 //! churn in place). Range scans descend per query; the tree reports its
 //! height and per-scan examined-entry counts because those are OU input
 //! features for the index-scan behavior model.
+//!
+//! Every key is `arity` values wide (the index's column count, fixed at
+//! creation), so a node holds its keys flat — one `Vec<Value>`, key `i`
+//! at `i * arity..` — and a binary search reads the node's own memory, not
+//! a heap block per key. Keys compare as slices, as the `Vec<IndexKey>`
+//! nodes this replaced did: same splits, same `examined`, same height
+//! (the old layout is kept as a test-only oracle).
 
 use crate::storage::SlotId;
 use crate::types::Value;
 
-/// A composite index key.
+/// An owned composite index key.
 pub type IndexKey = Vec<Value>;
 
 const ORDER: usize = 32; // max keys per node = 2*ORDER
@@ -19,11 +26,11 @@ const ORDER: usize = 32; // max keys per node = 2*ORDER
 #[derive(Debug)]
 enum Node {
     Leaf {
-        keys: Vec<IndexKey>,
+        keys: Vec<Value>,
         posts: Vec<Vec<SlotId>>,
     },
     Inner {
-        keys: Vec<IndexKey>,
+        keys: Vec<Value>,
         children: Vec<Node>,
     },
 }
@@ -36,31 +43,95 @@ impl Node {
         }
     }
 
-    fn is_full(&self) -> bool {
+    /// Number of keys.
+    fn len(&self) -> usize {
         match self {
-            Node::Leaf { keys, .. } | Node::Inner { keys, .. } => keys.len() >= 2 * ORDER,
+            Node::Leaf { posts, .. } => posts.len(),
+            Node::Inner { children, .. } => children.len() - 1,
         }
     }
+
+    fn is_full(&self) -> bool {
+        self.len() >= 2 * ORDER
+    }
+
+    fn keys(&self, arity: usize) -> Keys<'_> {
+        let (Node::Leaf { keys, .. } | Node::Inner { keys, .. }) = self;
+        Keys {
+            flat: keys,
+            arity,
+            len: self.len(),
+        }
+    }
+}
+
+/// A node's flat keys, `len` of them, `arity` values each.
+#[derive(Clone, Copy)]
+struct Keys<'a> {
+    flat: &'a [Value],
+    arity: usize,
+    len: usize,
+}
+
+impl<'a> Keys<'a> {
+    fn at(self, i: usize) -> &'a [Value] {
+        &self.flat[i * self.arity..(i + 1) * self.arity]
+    }
+
+    fn get(self, i: usize) -> Option<&'a [Value]> {
+        (i < self.len).then(|| self.at(i))
+    }
+
+    fn iter(self) -> impl Iterator<Item = &'a [Value]> {
+        (0..self.len).map(move |i| self.at(i))
+    }
+
+    /// `binary_search` over the keys: `Ok(i)` where `key` is, else
+    /// `Err(i)` where it would go.
+    fn find(self, key: &[Value]) -> Result<usize, usize> {
+        let (mut lo, mut hi) = (0, self.len);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.at(mid) < key {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        if self.get(lo) == Some(key) {
+            Ok(lo)
+        } else {
+            Err(lo)
+        }
+    }
+
+    /// Entries a binary search over this node examines.
+    fn search_cost(self) -> usize {
+        self.len.max(1).ilog2() as usize + 1
+    }
+}
+
+/// The child of an inner node whose keys `find` placed a key at: the
+/// number of separators `<=` the key.
+fn child(found: Result<usize, usize>) -> usize {
+    found.map_or_else(|i| i, |i| i + 1)
 }
 
 /// The B+-tree.
 #[derive(Debug)]
 pub struct BTreeIndex {
     root: Node,
+    arity: usize,
     entries: usize,
     height: usize,
 }
 
-impl Default for BTreeIndex {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl BTreeIndex {
-    pub fn new() -> Self {
+    /// An empty tree over keys of `arity` values.
+    pub fn new(arity: usize) -> Self {
         BTreeIndex {
             root: Node::leaf(),
+            arity,
             entries: 0,
             height: 1,
         }
@@ -80,24 +151,29 @@ impl BTreeIndex {
         self.height
     }
 
+    /// Add a posting; a key that is not `arity` wide is refused (the
+    /// tree is unchanged).
     pub fn insert(&mut self, key: IndexKey, slot: SlotId) {
+        if key.len() != self.arity {
+            return;
+        }
         if self.root.is_full() {
             let old_root = std::mem::replace(&mut self.root, Node::leaf());
-            let ((left, sep), right) = split(old_root);
+            let ((left, sep), right) = split(old_root, self.arity);
             self.root = Node::Inner {
-                keys: vec![sep],
+                keys: sep,
                 children: vec![left, right],
             };
             self.height += 1;
         }
-        if insert_non_full(&mut self.root, key, slot) {
+        if insert_non_full(&mut self.root, self.arity, key, slot) {
             self.entries += 1;
         }
     }
 
     /// Remove one posting. Returns whether it was present.
-    pub fn remove(&mut self, key: &IndexKey, slot: SlotId) -> bool {
-        let removed = remove_rec(&mut self.root, key, slot);
+    pub fn remove(&mut self, key: &[Value], slot: SlotId) -> bool {
+        let removed = remove_rec(&mut self.root, self.arity, key, slot);
         if removed {
             self.entries -= 1;
         }
@@ -106,21 +182,18 @@ impl BTreeIndex {
 
     /// Point lookup. Returns the postings and the number of comparisons
     /// performed (the "entries examined" feature).
-    pub fn get(&self, key: &IndexKey) -> (Vec<SlotId>, usize) {
+    pub fn get(&self, key: &[Value]) -> (&[SlotId], usize) {
         let mut examined = 0usize;
         let mut node = &self.root;
         loop {
+            let keys = node.keys(self.arity);
+            examined += keys.search_cost();
             match node {
-                Node::Inner { keys, children } => {
-                    let idx = keys.partition_point(|k| k <= key);
-                    examined += (keys.len().max(1)).ilog2() as usize + 1;
-                    node = &children[idx];
-                }
-                Node::Leaf { keys, posts } => {
-                    examined += (keys.len().max(1)).ilog2() as usize + 1;
-                    return match keys.binary_search(key) {
-                        Ok(i) => (posts[i].clone(), examined),
-                        Err(_) => (Vec::new(), examined),
+                Node::Inner { children, .. } => node = &children[child(keys.find(key))],
+                Node::Leaf { posts, .. } => {
+                    return match keys.find(key) {
+                        Ok(i) => (&posts[i], examined),
+                        Err(_) => (&[], examined),
                     };
                 }
             }
@@ -129,10 +202,10 @@ impl BTreeIndex {
 
     /// Inclusive range scan. Returns postings in key order plus the number
     /// of entries examined.
-    pub fn range(&self, lo: Option<&IndexKey>, hi: Option<&IndexKey>) -> (Vec<SlotId>, usize) {
+    pub fn range(&self, lo: Option<&[Value]>, hi: Option<&[Value]>) -> (Vec<SlotId>, usize) {
         let mut out = Vec::new();
         let mut examined = 0usize;
-        range_rec(&self.root, lo, hi, &mut out, &mut examined);
+        range_rec(&self.root, self.arity, lo, hi, &mut out, &mut examined);
         (out, examined)
     }
 
@@ -141,22 +214,22 @@ impl BTreeIndex {
     pub fn prefix(&self, prefix: &[Value]) -> (Vec<SlotId>, usize) {
         let mut out = Vec::new();
         let mut examined = 0usize;
-        prefix_rec(&self.root, prefix, &mut out, &mut examined);
+        prefix_rec(&self.root, self.arity, prefix, &mut out, &mut examined);
         (out, examined)
     }
 }
 
 /// Split a full node; returns ((left, separator), right).
-fn split(node: Node) -> ((Node, IndexKey), Node) {
+fn split(node: Node, arity: usize) -> ((Node, IndexKey), Node) {
+    let mid = node.len() / 2;
     match node {
         Node::Leaf {
             mut keys,
             mut posts,
         } => {
-            let mid = keys.len() / 2;
-            let rk = keys.split_off(mid);
+            let rk = keys.split_off(mid * arity);
             let rp = posts.split_off(mid);
-            let sep = rk[0].clone();
+            let sep = rk[..arity].to_vec();
             (
                 (Node::Leaf { keys, posts }, sep),
                 Node::Leaf {
@@ -169,9 +242,8 @@ fn split(node: Node) -> ((Node, IndexKey), Node) {
             mut keys,
             mut children,
         } => {
-            let mid = keys.len() / 2;
-            let mut rk = keys.split_off(mid);
-            let sep = rk.remove(0);
+            let mut rk = keys.split_off(mid * arity);
+            let sep = rk.drain(..arity).collect();
             let rc = children.split_off(mid + 1);
             (
                 (Node::Inner { keys, children }, sep),
@@ -186,9 +258,10 @@ fn split(node: Node) -> ((Node, IndexKey), Node) {
 
 /// Insert into a non-full node. Returns true when a *new* posting was
 /// added (false when the slot was already present for the key).
-fn insert_non_full(node: &mut Node, key: IndexKey, slot: SlotId) -> bool {
+fn insert_non_full(node: &mut Node, arity: usize, key: IndexKey, slot: SlotId) -> bool {
+    let found = node.keys(arity).find(&key);
     match node {
-        Node::Leaf { keys, posts } => match keys.binary_search(&key) {
+        Node::Leaf { keys, posts } => match found {
             Ok(i) => {
                 if posts[i].contains(&slot) {
                     false
@@ -198,38 +271,40 @@ fn insert_non_full(node: &mut Node, key: IndexKey, slot: SlotId) -> bool {
                 }
             }
             Err(i) => {
-                keys.insert(i, key);
+                keys.splice(i * arity..i * arity, key);
                 posts.insert(i, vec![slot]);
                 true
             }
         },
         Node::Inner { keys, children } => {
-            let mut idx = keys.partition_point(|k| k <= &key);
+            let mut idx = child(found);
             if children[idx].is_full() {
                 let child = std::mem::replace(&mut children[idx], Node::leaf());
-                let ((left, sep), right) = split(child);
+                let ((left, sep), right) = split(child, arity);
                 children[idx] = left;
                 children.insert(idx + 1, right);
-                keys.insert(idx, sep);
-                if key >= keys[idx] {
+                let go_right = key >= sep;
+                keys.splice(idx * arity..idx * arity, sep);
+                if go_right {
                     idx += 1;
                 }
             }
-            insert_non_full(&mut children[idx], key, slot)
+            insert_non_full(&mut children[idx], arity, key, slot)
         }
     }
 }
 
-fn remove_rec(node: &mut Node, key: &IndexKey, slot: SlotId) -> bool {
+fn remove_rec(node: &mut Node, arity: usize, key: &[Value], slot: SlotId) -> bool {
+    let found = node.keys(arity).find(key);
     match node {
-        Node::Leaf { keys, posts } => match keys.binary_search(key) {
+        Node::Leaf { keys, posts } => match found {
             Ok(i) => {
                 let had = posts[i].iter().position(|s| *s == slot);
                 match had {
                     Some(p) => {
                         posts[i].swap_remove(p);
                         if posts[i].is_empty() {
-                            keys.remove(i);
+                            keys.drain(i * arity..(i + 1) * arity);
                             posts.remove(i);
                         }
                         true
@@ -239,22 +314,21 @@ fn remove_rec(node: &mut Node, key: &IndexKey, slot: SlotId) -> bool {
             }
             Err(_) => false,
         },
-        Node::Inner { keys, children } => {
-            let idx = keys.partition_point(|k| k <= key);
-            remove_rec(&mut children[idx], key, slot)
-        }
+        Node::Inner { children, .. } => remove_rec(&mut children[child(found)], arity, key, slot),
     }
 }
 
 fn range_rec(
     node: &Node,
-    lo: Option<&IndexKey>,
-    hi: Option<&IndexKey>,
+    arity: usize,
+    lo: Option<&[Value]>,
+    hi: Option<&[Value]>,
     out: &mut Vec<SlotId>,
     examined: &mut usize,
 ) {
+    let keys = node.keys(arity);
     match node {
-        Node::Leaf { keys, posts } => {
+        Node::Leaf { posts, .. } => {
             for (k, p) in keys.iter().zip(posts) {
                 *examined += 1;
                 if lo.is_some_and(|l| k < l) {
@@ -266,11 +340,11 @@ fn range_rec(
                 out.extend_from_slice(p);
             }
         }
-        Node::Inner { keys, children } => {
+        Node::Inner { children, .. } => {
             // Child `i` holds keys in [keys[i-1], keys[i]) with open ends
             // at the edges; descend only children intersecting [lo, hi].
             for (i, child) in children.iter().enumerate() {
-                let left_sep = if i == 0 { None } else { keys.get(i - 1) };
+                let left_sep = i.checked_sub(1).and_then(|j| keys.get(j));
                 let right_sep = keys.get(i);
                 if let (Some(h), Some(ls)) = (hi, left_sep) {
                     if ls > h {
@@ -282,15 +356,22 @@ fn range_rec(
                         continue; // child maximum below lo
                     }
                 }
-                range_rec(child, lo, hi, out, examined);
+                range_rec(child, arity, lo, hi, out, examined);
             }
         }
     }
 }
 
-fn prefix_rec(node: &Node, prefix: &[Value], out: &mut Vec<SlotId>, examined: &mut usize) {
+fn prefix_rec(
+    node: &Node,
+    arity: usize,
+    prefix: &[Value],
+    out: &mut Vec<SlotId>,
+    examined: &mut usize,
+) {
+    let keys = node.keys(arity);
     match node {
-        Node::Leaf { keys, posts } => {
+        Node::Leaf { posts, .. } => {
             for (k, p) in keys.iter().zip(posts) {
                 *examined += 1;
                 if k.len() >= prefix.len() && &k[..prefix.len()] == prefix {
@@ -298,7 +379,7 @@ fn prefix_rec(node: &Node, prefix: &[Value], out: &mut Vec<SlotId>, examined: &m
                 }
             }
         }
-        Node::Inner { keys, children } => {
+        Node::Inner { children, .. } => {
             for (i, child) in children.iter().enumerate() {
                 // Prune children strictly outside the prefix band.
                 let left_sep = i.checked_sub(1).and_then(|j| keys.get(j));
@@ -308,7 +389,7 @@ fn prefix_rec(node: &Node, prefix: &[Value], out: &mut Vec<SlotId>, examined: &m
                 let hi_ok = right_sep
                     .is_none_or(|sep| sep.len() < prefix.len() || sep[..prefix.len()] >= *prefix);
                 if lo_ok && hi_ok {
-                    prefix_rec(child, prefix, out, examined);
+                    prefix_rec(child, arity, prefix, out, examined);
                 }
             }
         }
@@ -325,7 +406,7 @@ mod tests {
 
     #[test]
     fn insert_get_many() {
-        let mut t = BTreeIndex::new();
+        let mut t = BTreeIndex::new(1);
         for i in 0..2000 {
             t.insert(k(i * 7 % 1999), SlotId(i as u64));
         }
@@ -338,7 +419,7 @@ mod tests {
 
     #[test]
     fn duplicate_postings_are_deduped() {
-        let mut t = BTreeIndex::new();
+        let mut t = BTreeIndex::new(1);
         t.insert(k(1), SlotId(9));
         t.insert(k(1), SlotId(9));
         t.insert(k(1), SlotId(10));
@@ -348,7 +429,7 @@ mod tests {
 
     #[test]
     fn remove_postings_and_keys() {
-        let mut t = BTreeIndex::new();
+        let mut t = BTreeIndex::new(1);
         t.insert(k(1), SlotId(1));
         t.insert(k(1), SlotId(2));
         assert!(t.remove(&k(1), SlotId(1)));
@@ -361,7 +442,7 @@ mod tests {
 
     #[test]
     fn range_scan_inclusive() {
-        let mut t = BTreeIndex::new();
+        let mut t = BTreeIndex::new(1);
         for i in 0..500 {
             t.insert(k(i), SlotId(i as u64));
         }
@@ -378,7 +459,7 @@ mod tests {
 
     #[test]
     fn composite_keys_and_prefix_scan() {
-        let mut t = BTreeIndex::new();
+        let mut t = BTreeIndex::new(2);
         for a in 0..20i64 {
             for b in 0..10i64 {
                 t.insert(
@@ -396,7 +477,7 @@ mod tests {
     #[test]
     fn matches_std_btreemap_model() {
         use std::collections::BTreeMap;
-        let mut ours = BTreeIndex::new();
+        let mut ours = BTreeIndex::new(1);
         let mut model: BTreeMap<IndexKey, Vec<SlotId>> = BTreeMap::new();
         let mut x: i64 = 42;
         for step in 0..5000 {
@@ -427,7 +508,7 @@ mod tests {
         let expect: usize = model.values().map(std::vec::Vec::len).sum();
         assert_eq!(ours.len(), expect);
         for (key, slots) in &model {
-            let (mut got, _) = ours.get(key);
+            let mut got = ours.get(key).0.to_vec();
             got.sort();
             let mut want = slots.clone();
             want.sort();

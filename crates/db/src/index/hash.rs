@@ -83,25 +83,25 @@ impl HashIndex {
         }
     }
 
-    fn find_insert_slot(&self, key: &IndexKey) -> usize {
+    fn find_insert_slot(&self, key: &[Value]) -> usize {
         let mut i = hash_key(key) as usize & self.mask();
         loop {
             match &self.buckets[i] {
                 Bucket::Empty | Bucket::Tombstone => return i,
-                Bucket::Full { key: k, .. } if k == key => return i,
+                Bucket::Full { key: k, .. } if k[..] == *key => return i,
                 _ => i = (i + 1) & self.mask(),
             }
         }
     }
 
     /// Probe for an existing key; returns `(bucket, probes)`.
-    fn find(&self, key: &IndexKey) -> (Option<usize>, usize) {
+    fn find(&self, key: &[Value]) -> (Option<usize>, usize) {
         let mut i = hash_key(key) as usize & self.mask();
         let mut probes = 1;
         loop {
             match &self.buckets[i] {
                 Bucket::Empty => return (None, probes),
-                Bucket::Full { key: k, .. } if k == key => return (Some(i), probes),
+                Bucket::Full { key: k, .. } if k[..] == *key => return (Some(i), probes),
                 _ => {
                     i = (i + 1) & self.mask();
                     probes += 1;
@@ -143,7 +143,7 @@ impl HashIndex {
         }
     }
 
-    pub fn remove(&mut self, key: &IndexKey, slot: SlotId) -> bool {
+    pub fn remove(&mut self, key: &[Value], slot: SlotId) -> bool {
         let (found, _) = self.find(key);
         let Some(idx) = found else { return false };
         let Bucket::Full { posts, .. } = &mut self.buckets[idx] else {
@@ -163,14 +163,13 @@ impl HashIndex {
     }
 
     /// Point lookup: `(postings, probes)` — probes feed the OU model.
-    pub fn get(&self, key: &IndexKey) -> (Vec<SlotId>, usize) {
-        let (found, probes) = self.find(key);
-        match found {
-            Some(i) => match &self.buckets[i] {
-                Bucket::Full { posts, .. } => (posts.clone(), probes),
-                _ => (Vec::new(), probes),
+    pub fn get(&self, key: &[Value]) -> (&[SlotId], usize) {
+        match self.find(key) {
+            (Some(i), probes) => match &self.buckets[i] {
+                Bucket::Full { posts, .. } => (posts, probes),
+                _ => (&[], probes),
             },
-            None => (Vec::new(), probes),
+            (None, probes) => (&[], probes),
         }
     }
 }
@@ -275,7 +274,7 @@ mod tests {
         }
         assert_eq!(ours.len(), model.values().map(Vec::len).sum::<usize>());
         for (key, slots) in &model {
-            let (mut got, _) = ours.get(&k(*key));
+            let mut got = ours.get(&k(*key)).0.to_vec();
             got.sort();
             let mut want = slots.clone();
             want.sort();

@@ -6,6 +6,8 @@ pub mod hash;
 pub use btree::{BTreeIndex, IndexKey};
 pub use hash::HashIndex;
 
+use std::cmp::Ordering;
+
 use crate::storage::SlotId;
 use crate::types::{Row, Value};
 
@@ -24,9 +26,10 @@ pub enum Index {
 }
 
 impl Index {
-    pub fn new(kind: IndexKind) -> Index {
+    /// An empty index over keys of `arity` values (its column count).
+    pub fn new(kind: IndexKind, arity: usize) -> Index {
         match kind {
-            IndexKind::BTree => Index::BTree(BTreeIndex::new()),
+            IndexKind::BTree => Index::BTree(BTreeIndex::new(arity)),
             IndexKind::Hash => Index::Hash(HashIndex::new()),
         }
     }
@@ -45,15 +48,16 @@ impl Index {
         }
     }
 
-    pub fn remove(&mut self, key: &IndexKey, slot: SlotId) -> bool {
+    pub fn remove(&mut self, key: &[Value], slot: SlotId) -> bool {
         match self {
             Index::BTree(t) => t.remove(key, slot),
             Index::Hash(h) => h.remove(key, slot),
         }
     }
 
-    /// Point lookup: `(postings, entries_examined)`.
-    pub fn get(&self, key: &IndexKey) -> (Vec<SlotId>, usize) {
+    /// Point lookup: `(postings, entries_examined)`, the postings
+    /// borrowed from the index.
+    pub fn get(&self, key: &[Value]) -> (&[SlotId], usize) {
         match self {
             Index::BTree(t) => t.get(key),
             Index::Hash(h) => h.get(key),
@@ -61,7 +65,7 @@ impl Index {
     }
 
     /// Inclusive range scan (B-tree only; hash indexes return empty).
-    pub fn range(&self, lo: Option<&IndexKey>, hi: Option<&IndexKey>) -> (Vec<SlotId>, usize) {
+    pub fn range(&self, lo: Option<&[Value]>, hi: Option<&[Value]>) -> (Vec<SlotId>, usize) {
         match self {
             Index::BTree(t) => t.range(lo, hi),
             Index::Hash(_) => (Vec::new(), 0),
@@ -96,9 +100,16 @@ impl Index {
     }
 }
 
-/// Extract an index key from a row given the indexed column positions.
+/// Extract an index key from a row given the indexed column positions —
+/// for an index that must own it; a check reads the row in place.
 pub fn key_from_row(row: &Row, cols: &[usize]) -> IndexKey {
     cols.iter().map(|c| row[*c].clone()).collect()
+}
+
+/// `key_from_row(row, cols).cmp(key)` without building the key: how a
+/// scan re-checks a row, and the unique check compares one.
+pub fn row_key_cmp(row: &Row, cols: &[usize], key: &[Value]) -> Ordering {
+    cols.iter().map(|c| &row[*c]).cmp(key)
 }
 
 #[cfg(test)]
@@ -108,20 +119,20 @@ mod tests {
     #[test]
     fn dispatch_works_for_both_kinds() {
         for kind in [IndexKind::BTree, IndexKind::Hash] {
-            let mut idx = Index::new(kind);
+            let mut idx = Index::new(kind, 1);
             assert_eq!(idx.kind(), kind);
             idx.insert(vec![Value::Int(1)], SlotId(7));
-            assert_eq!(idx.get(&vec![Value::Int(1)]).0, vec![SlotId(7)]);
+            assert_eq!(idx.get(&[Value::Int(1)]).0, vec![SlotId(7)]);
             assert_eq!(idx.len(), 1);
             assert!(idx.depth() >= 1);
-            assert!(idx.remove(&vec![Value::Int(1)], SlotId(7)));
+            assert!(idx.remove(&[Value::Int(1)], SlotId(7)));
             assert!(idx.is_empty());
         }
     }
 
     #[test]
     fn range_on_hash_is_empty() {
-        let mut idx = Index::new(IndexKind::Hash);
+        let mut idx = Index::new(IndexKind::Hash, 1);
         idx.insert(vec![Value::Int(1)], SlotId(1));
         assert!(idx.range(None, None).0.is_empty());
     }

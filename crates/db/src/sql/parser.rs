@@ -519,7 +519,7 @@ impl Parser {
         match self.next() {
             Some(Token::Int(i)) => Ok(Expr::Literal(Value::Int(i))),
             Some(Token::Float(x)) => Ok(Expr::Literal(Value::Float(x))),
-            Some(Token::Str(s)) => Ok(Expr::Literal(Value::Text(s))),
+            Some(Token::Str(s)) => Ok(Expr::Literal(Value::Text(s.into()))),
             Some(Token::Param(p)) => Ok(Expr::Param(p)),
             Some(Token::Minus) => match self.next() {
                 Some(Token::Int(i)) => Ok(Expr::Literal(Value::Int(-i))),

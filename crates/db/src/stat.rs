@@ -28,7 +28,7 @@ impl From<Cell> for Value {
             Cell::Null => Value::Null,
             Cell::Int(i) => Value::Int(i),
             Cell::Float(f) => Value::Float(f),
-            Cell::Text(s) => Value::Text(s),
+            Cell::Text(s) => Value::Text(s.into()),
             Cell::Bool(b) => Value::Bool(b),
         }
     }
@@ -42,7 +42,7 @@ impl From<&Value> for Cell {
             Value::Null => Cell::Null,
             Value::Int(i) => Cell::Int(*i),
             Value::Float(f) => Cell::Float(*f),
-            Value::Text(s) => Cell::Text(s.clone()),
+            Value::Text(s) => Cell::Text(s.to_string()),
             Value::Bool(b) => Cell::Bool(*b),
         }
     }

@@ -3,11 +3,13 @@
 //! NoiseTap's value model is the small SQL core the benchmark workloads
 //! need: 64-bit integers, doubles, UTF-8 strings, booleans, and NULL.
 //! [`Value`] implements a *total* order (NULLs first, floats via
-//! `total_cmp`) so it can key the B+-tree index directly.
+//! `total_cmp`, an int against a float exactly) so it can key the
+//! B+-tree index, `ORDER BY` and `GROUP BY` directly.
 
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// SQL data types.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,12 +32,15 @@ impl DataType {
 }
 
 /// A runtime value.
+///
+/// TEXT is shared, not owned: cloning a value — into a result row, an
+/// index key, a parameter — bumps a reference count.
 #[derive(Debug, Clone)]
 pub enum Value {
     Null,
     Int(i64),
     Float(f64),
-    Text(String),
+    Text(Arc<str>),
     Bool(bool),
 }
 
@@ -71,7 +76,7 @@ impl Value {
 
     pub fn as_text(&self) -> Option<&str> {
         match self {
-            Value::Text(s) => Some(s),
+            Value::Text(s) => Some(s.as_ref()),
             _ => None,
         }
     }
@@ -128,12 +133,23 @@ impl Ord for Value {
             (Bool(a), Bool(b)) => a.cmp(b),
             (Int(a), Int(b)) => a.cmp(b),
             (Float(a), Float(b)) => a.total_cmp(b),
-            (Int(a), Float(b)) => (*a as f64).total_cmp(b),
-            (Float(a), Int(b)) => a.total_cmp(&(*b as f64)),
+            (Int(a), Float(b)) => int_float_cmp(*a, *b),
+            (Float(a), Int(b)) => int_float_cmp(*b, *a).reverse(),
             (Text(a), Text(b)) => a.cmp(b),
             _ => self.rank().cmp(&other.rank()),
         }
     }
+}
+
+/// `i` against `f`: in rounded `f64` (so `±0.0` and NaN sit where
+/// `total_cmp` puts them), and exactly when that ties. A tie means `f`
+/// has the bits of `i as f64` — an integer within ±2⁶³, exact in `i128` —
+/// so `Int(2⁵³ + 1)` is above `Float(2⁵³)` as it is above `Int(2⁵³)`.
+/// Hashing stays consistent: an equal pair has identical `f64` bits.
+fn int_float_cmp(i: i64, f: f64) -> Ordering {
+    (i as f64)
+        .total_cmp(&f)
+        .then_with(|| i128::from(i).cmp(&(f as i128)))
 }
 
 impl Hash for Value {

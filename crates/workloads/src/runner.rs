@@ -88,7 +88,7 @@ impl Workload for OfflineRunner {
                         Value::Int(k as i64),
                         Value::Int((k % 50) as i64),
                         Value::Float(k as f64),
-                        Value::Text("x".repeat(64)),
+                        Value::Text("x".repeat(64).into()),
                     ]
                 }),
                 2000,
@@ -113,7 +113,7 @@ impl Workload for OfflineRunner {
                     Value::Int(k as i64),
                     Value::Int((k % 200) as i64),
                     Value::Float((k * 3 % 977) as f64),
-                    Value::Text("y".repeat(64)),
+                    Value::Text("y".repeat(64).into()),
                 ]
             }),
             2000,
@@ -131,7 +131,7 @@ impl Workload for OfflineRunner {
             db,
             sid,
             ins,
-            (0..200u64).map(|k| vec![Value::Int(k as i64), Value::Text(format!("d{k}"))]),
+            (0..200u64).map(|k| vec![Value::Int(k as i64), Value::Text(format!("d{k}").into())]),
             1000,
         );
         db.execute(

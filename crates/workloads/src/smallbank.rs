@@ -79,7 +79,7 @@ impl Workload for SmallBank {
             db,
             sid,
             ins_a,
-            (0..n).map(|i| vec![Value::Int(i as i64), Value::Text(format!("cust{i}"))]),
+            (0..n).map(|i| vec![Value::Int(i as i64), Value::Text(format!("cust{i}").into())]),
             1000,
         );
         bulk_load(

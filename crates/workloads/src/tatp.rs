@@ -103,7 +103,7 @@ impl Workload for Tatp {
             (0..n).map(|i| {
                 vec![
                     Value::Int(i as i64),
-                    Value::Text(sub_nbr(i)),
+                    Value::Text(sub_nbr(i).into()),
                     Value::Int((i % 2) as i64),
                     Value::Int((i * 7 % 100) as i64),
                 ]
@@ -149,7 +149,7 @@ impl Workload for Tatp {
                     Value::Int(0),
                     Value::Int(0),
                     Value::Int(8),
-                    Value::Text(sub_nbr(i)),
+                    Value::Text(sub_nbr(i).into()),
                 ]
             }),
             1000,
@@ -248,7 +248,7 @@ impl Workload for Tatp {
                 4 => {
                     // Secondary-index indirection: number → id → update.
                     let rows = ctx
-                        .request(find_by_nbr, &[Value::Text(sub_nbr(s_id as u64))])?
+                        .request(find_by_nbr, &[Value::Text(sub_nbr(s_id as u64).into())])?
                         .rows;
                     let found = rows[0][0].clone();
                     ctx.request(upd_location, &[found, Value::Int(99)])?;

@@ -168,7 +168,7 @@ impl Workload for Tpcc {
             (0..w).map(|i| {
                 vec![
                     Value::Int(i as i64),
-                    Value::Text(format!("W{i}")),
+                    Value::Text(format!("W{i}").into()),
                     Value::Float(0.0),
                 ]
             }),
@@ -207,7 +207,7 @@ impl Workload for Tpcc {
                             Value::Int(wi as i64),
                             Value::Int(d as i64),
                             Value::Int(c as i64),
-                            Value::Text(last_name(c)),
+                            Value::Text(last_name(c).into()),
                             Value::Float(-10.0),
                             Value::Float(10.0),
                         ]
@@ -224,7 +224,7 @@ impl Workload for Tpcc {
             (0..ITEMS).map(|i| {
                 vec![
                     Value::Int(i as i64),
-                    Value::Text(format!("item{i}")),
+                    Value::Text(format!("item{i}").into()),
                     Value::Float(1.0 + (i % 100) as f64),
                 ]
             }),
@@ -573,7 +573,7 @@ impl Tpcc {
                 let rows = ctx
                     .request(
                         get_by_last,
-                        &[Value::Int(w), Value::Int(d), Value::Text(name)],
+                        &[Value::Int(w), Value::Int(d), Value::Text(name.into())],
                     )?
                     .rows;
                 rows.get(rows.len() / 2)

@@ -63,14 +63,14 @@ impl Workload for Ycsb {
         let n = self.rows;
         // One shared payload string keeps load memory-frugal while the
         // row *width* (what the cost model sees) stays realistic.
-        let payload = rand_string(&mut rng, field_len);
+        let payload = Value::Text(rand_string(&mut rng, field_len).into());
         bulk_load(
             db,
             sid,
             ins,
             (0..n).map(move |k| {
                 let mut row = vec![Value::Int(k as i64)];
-                row.extend((0..10).map(|_| Value::Text(payload.clone())));
+                row.extend((0..10).map(|_| payload.clone()));
                 row
             }),
             1000,

@@ -282,8 +282,8 @@ fn drift_critical_triggers_retrain_and_health_recovers() {
     assert_eq!(rows.len(), log.len());
     for (row, rec) in rows.iter().zip(&log) {
         assert_eq!(row[0], Value::Int(rec.id as i64));
-        assert_eq!(row[1], Value::Text(rec.kind.clone()));
-        assert_eq!(row[2], Value::Text(rec.state.name().to_string()));
+        assert_eq!(row[1], Value::Text(rec.kind.as_str().into()));
+        assert_eq!(row[2], Value::Text(rec.state.name().into()));
     }
     // Every closed action's efficacy landed in the archive's own OU
     // family (scanned back in the engine arm's archive before teardown

@@ -37,7 +37,10 @@ use tscout_suite::archive::{Archive, ArchiveOptions, Projection, Sample};
 use tscout_suite::bpf::lower::lower;
 use tscout_suite::kernel::{HardwareProfile, Kernel, TaskId};
 use tscout_suite::models::{datasets_from_archive, OuData, RandomForest, Regressor};
-use tscout_suite::noisetap::Database;
+use tscout_suite::noisetap::index::{Index, IndexKind};
+use tscout_suite::noisetap::storage::SlotId;
+use tscout_suite::noisetap::types::row_bytes;
+use tscout_suite::noisetap::{Database, Value};
 use tscout_suite::obsd::http;
 use tscout_suite::obsd::json::Json;
 use tscout_suite::rng::{RngExt, SeedableRng, StdRng};
@@ -649,7 +652,7 @@ fn a_prepared_point_query_allocates_no_plan_node() {
         let stmt = db
             .prepare(&format!("SELECT b FROM t WHERE k = $1 AND {filter}"))
             .unwrap();
-        let key = [tscout_suite::noisetap::Value::Int(1)];
+        let key = [Value::Int(1)];
         let mut run = |n| {
             for _ in 0..n {
                 let out = db.execute_prepared(sid, stmt, &key).unwrap();
@@ -660,4 +663,64 @@ fn a_prepared_point_query_allocates_no_plan_node() {
         allocations(|| run(64)) / 64
     });
     assert_eq!(per_execution[0], per_execution[1], "{per_execution:?}");
+}
+
+/// NoiseTap's read path (the DBMS half of every YCSB transaction): a
+/// prepared `SELECT *` by primary key over 20 000 rows of ten 100-byte
+/// TEXT columns allocates the statement's key, result rows and scan
+/// bookkeeping — not a copy of a B+-tree key per node, a postings list,
+/// a key to re-check against, or a string per TEXT column (19
+/// allocations and 1 688 B per execution before the tree held its keys
+/// flat, lookups borrowed their postings and TEXT was shared).
+#[test]
+fn a_ycsb_point_read_allocates_within_its_budget() {
+    const ROWS: i64 = 20_000;
+    let mut db = Database::new(Kernel::with_seed(HardwareProfile::server_2x20(), 3));
+    Ycsb::new(ROWS as u64).setup(&mut db);
+    let sid = db.create_session();
+    let stmt = db
+        .prepare("SELECT * FROM usertable WHERE ycsb_key = $1")
+        .unwrap();
+    let mut key = 0;
+    let mut run = |n| {
+        for _ in 0..n {
+            key = (key + 7_919) % ROWS;
+            let out = db.execute_prepared(sid, stmt, &[Value::Int(key)]).unwrap();
+            assert_eq!((out.rows.len(), out.rows[0].len()), (1, 11));
+        }
+    };
+    run(64);
+    let (mut calls, mut bytes) = (0, 0);
+    calls += allocations(|| bytes = allocated_bytes(|| run(256)));
+    let (calls, bytes) = (calls / 256, bytes / 256);
+    println!("YCSB point read: {calls} allocations, {bytes} B per execution");
+    assert!(
+        calls <= 7 && bytes <= 700,
+        "{calls} allocations / {bytes} B per execution"
+    );
+}
+
+/// A point lookup borrows its postings from either index kind, and a
+/// TEXT value is shared, not copied, when cloned.
+#[test]
+fn index_lookups_and_text_clones_allocate_nothing() {
+    for kind in [IndexKind::BTree, IndexKind::Hash] {
+        let mut index = Index::new(kind, 2);
+        for i in 0..5_000 {
+            let name = Value::Text(format!("name{}", i % 7).into());
+            index.insert(vec![Value::Int(i / 3), name], SlotId(i as u64));
+        }
+        let probe = [Value::Int(1_234), Value::Text("name0".into())];
+        let mut found = 0;
+        let calls = allocations(|| {
+            for _ in 0..100 {
+                found += std::hint::black_box(index.get(&probe)).0.len();
+            }
+        });
+        assert_eq!((calls, found), (0, 100), "{kind:?}");
+    }
+    let text = Value::Text("y".repeat(100).into());
+    let mut row = Vec::with_capacity(10);
+    let calls = allocations(|| row.extend((0..10).map(|_| text.clone())));
+    assert_eq!((calls, row_bytes(&row)), (0, 1_000));
 }

@@ -32,8 +32,8 @@ fn assert_sql_mirrors_registry(db: &mut Database) {
             .iter()
             .map(|(ou, d)| {
                 vec![
-                    Value::Text(ou.clone()),
-                    Value::Text(d.subsystem.clone()),
+                    Value::Text(ou.as_str().into()),
+                    Value::Text(d.subsystem.as_str().into()),
                     Value::Int(d.samples as i64),
                     Value::Float(d.lifetime.mean()),
                     Value::Float(d.lifetime.quantile(0.50)),
@@ -44,7 +44,7 @@ fn assert_sql_mirrors_registry(db: &mut Database) {
                     Value::Float(d.feature.ks()),
                     Value::Float(d.drift_score()),
                     Value::Float(d.residual_mape_pct()),
-                    Value::Text(r.health().state_for_target(ou).name().to_string()),
+                    Value::Text(r.health().state_for_target(ou).name().into()),
                 ]
             })
             .collect();

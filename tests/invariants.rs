@@ -1,6 +1,7 @@
 //! Randomized tests for cross-cutting invariants: record wire format,
-//! sampling exactness, MVCC snapshot isolation, and the marker state
-//! machine's resilience to arbitrary marker orderings.
+//! sampling exactness, MVCC snapshot isolation, the marker state
+//! machine's resilience to arbitrary marker orderings, and the total
+//! order of `Value` that sorting, grouping and the B+-tree trust.
 //!
 //! These were originally `proptest` properties; they are now driven by
 //! the in-workspace deterministic RNG so the suite builds with no
@@ -10,6 +11,8 @@
 use tscout_suite::rng::{RngExt, SeedableRng, StdRng};
 
 use tscout_suite::kernel::{HardwareProfile, Kernel};
+use tscout_suite::noisetap::{Database, Value};
+use tscout_suite::rng::seq::SliceRandom;
 use tscout_suite::tscout::{
     decode_record, encode_record, CollectionMode, ProbeSet, RawRecord, Sampler, Subsystem, TScout,
     TsConfig,
@@ -167,4 +170,61 @@ fn marker_chaos_is_contained() {
         assert_eq!(fresh[0].features.as_slice(), &[9.0][..]);
         assert!(fresh[0].elapsed_ns > 0);
     }
+}
+
+/// Ints and floats where `f64` stops being exact (±2⁵³, ±2⁶³), signed
+/// zeros and both NaNs: on seeded triples the order is antisymmetric
+/// and transitive, and `sort` returns sorted output. Rounding the int
+/// made `Int(2⁵³ + 1) == Float(2⁵³) == Int(2⁵³) < Int(2⁵³ + 1)`.
+#[test]
+fn value_order_is_total_where_floats_stop_being_exact() {
+    let mut pool = vec![Value::Float(f64::NAN), Value::Float(-f64::NAN), Value::Null];
+    for base in [1i64 << 53, -(1 << 53), i64::MAX - 4, i64::MIN + 4, 0] {
+        let f = base as f64;
+        pool.extend((-4..=4).map(|d| Value::Int(base.saturating_add(d))));
+        pool.extend(
+            [-1, 0, 1].map(|d| Value::Float(f64::from_bits(f.to_bits().wrapping_add_signed(d)))),
+        );
+        pool.push(Value::Float(-f));
+    }
+    let mut rng = StdRng::seed_from_u64(0x2_53);
+    for _ in 0..20_000 {
+        let [a, b, c] = [(); 3].map(|()| &pool[rng.random_range(0..pool.len())]);
+        assert_eq!(a.cmp(b), b.cmp(a).reverse(), "{a:?} {b:?}");
+        if a <= b && b <= c {
+            assert!(a <= c, "{a:?} <= {b:?} <= {c:?}");
+        }
+    }
+    for _ in 0..200 {
+        pool.shuffle(&mut rng);
+        let mut sorted = pool.clone();
+        sorted.sort();
+        assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "{sorted:?}");
+    }
+    assert!(Value::Int((1 << 53) + 1) > Value::Float((1u64 << 53) as f64));
+    assert_eq!(Value::Int(1 << 53), Value::Float((1u64 << 53) as f64));
+}
+
+/// The same values through SQL: an INT column holding 2⁵³ + 1, 2⁵³ and
+/// the float 2⁵³ sorts under `ORDER BY` (it could panic or come back
+/// unsorted while the order was not total) and groups under `GROUP BY`.
+#[test]
+fn order_by_sorts_ints_and_floats_either_side_of_2_pow_53() {
+    let mut db = Database::new(Kernel::with_seed(HardwareProfile::server_2x20(), 1));
+    let sid = db.create_session();
+    let run = |db: &mut Database, sql: &str| db.execute(sid, sql, &[]).unwrap().rows;
+    run(&mut db, "CREATE TABLE t (k INT PRIMARY KEY, v INT)");
+    for (k, v) in [
+        (1, "9007199254740993"),
+        (2, "9007199254740992"),
+        (3, "9007199254740992.0"),
+    ] {
+        run(&mut db, &format!("INSERT INTO t VALUES ({k}, {v})"));
+    }
+    let sorted = run(&mut db, "SELECT v, k FROM t ORDER BY v");
+    let keys: Vec<&Value> = sorted.iter().map(|r| &r[1]).collect();
+    assert!(sorted.windows(2).all(|w| w[0][0] <= w[1][0]), "{sorted:?}");
+    assert_eq!(keys.last(), Some(&&Value::Int(1)), "2^53 + 1 sorts last");
+    let groups = run(&mut db, "SELECT v, COUNT(*) FROM t GROUP BY v");
+    assert_eq!(groups.len(), 2, "2^53 and 2^53.0 are one group: {groups:?}");
 }

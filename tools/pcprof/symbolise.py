@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Turn a pcprof dump into per-function shares with `addr2line -i`.
 
-    symbolise.py run.pcprof [--under FN] [--focus FN] [--top N] [--folded]
+    symbolise.py run.pcprof [--under FN] [--focus FN] [--lines FN] [--top N] [--folded]
 
 Every stack is expanded through inlined frames, so a function counts
 wherever its code runs. `--under FN` keeps only stacks with a frame whose
 name contains FN and cuts them there (shares are then of FN's time, e.g.
 the timed region); `--focus FN` lists what runs beneath FN: each function
-between FN and the leaf, by the share of FN's stacks it is on.
+between FN and the leaf, by the share of FN's stacks it is on. `--lines FN`
+prints where FN's stacks were interrupted: the leaf `file:line` (innermost
+inlined frame) of each, by share — the line a loop spends its time on.
 `--folded` prints `root;..;leaf count` lines for a flamegraph tool.
 """
 import argparse
@@ -34,8 +36,17 @@ def load(path):
     return [(lo, hi, base.get(file, 0), file) for lo, hi, file in maps], stacks
 
 
+def source_line(text):
+    """`/a/b/src/exec/mod.rs:632 (discriminator 2)` -> `exec/mod.rs:632`."""
+    path, _, line = text.split(" ")[0].rpartition(":")
+    parts = path.split("/")
+    keep = 2 if parts[-1] in ("mod.rs", "lib.rs", "main.rs") else 1
+    return "/".join(parts[-keep:]) + ":" + line
+
+
 def symbolise(maps, stacks):
-    """pc -> [innermost inlined function, ..., the physical function]."""
+    """pc -> ([innermost inlined function, ..., the physical function],
+    the innermost inlined frame's `file:line`)."""
     by_file = collections.defaultdict(set)
     where = {}
     for stack in stacks:
@@ -46,7 +57,7 @@ def symbolise(maps, stacks):
                 if lo <= at < hi:
                     where[(pc, depth == 0)] = (file, at - base)
                     by_file[file].add(at - base)
-    names = {}
+    names, lines = {}, {}
     for file, offsets in by_file.items():
         offsets = sorted(offsets)
         out = subprocess.run(
@@ -64,11 +75,14 @@ def symbolise(maps, stacks):
             if re.fullmatch(r"0x[0-9a-f]+", line):
                 if current and len(current) > 1:
                     current[:] = current[1:-1] + current[:1]
-                current = names.setdefault((file, int(line, 16)), [])
+                loc = (file, int(line, 16))
+                current = names.setdefault(loc, [])
                 fn_line = i + 1
             elif (i - fn_line) % 2 == 0:
                 current.append(tag + re.sub(r"::h[0-9a-f]{16}$", "", line))
-    return {key: names.get(loc, ["??"]) for key, loc in where.items()}
+            elif i == fn_line + 1:
+                lines[loc] = tag + source_line(line)
+    return {key: (names.get(loc, ["??"]), lines.get(loc, "??")) for key, loc in where.items()}
 
 
 def main():
@@ -76,25 +90,34 @@ def main():
     ap.add_argument("dump")
     ap.add_argument("--under")
     ap.add_argument("--focus")
+    ap.add_argument("--lines", metavar="FN")
     ap.add_argument("--top", type=int, default=40)
     ap.add_argument("--folded", action="store_true")
     args = ap.parse_args()
 
     maps, stacks = load(args.dump)
     names = symbolise(maps, stacks)
-    # Leaf first, inlined frames expanded.
-    frames = [[fn for depth, pc in enumerate(s) for fn in names.get((pc, depth == 0), ["??"])]
-              for s in stacks]
-    for cut in (args.under, args.focus):
+    unknown = (["??"], "??")
+    # Leaf first, inlined frames expanded; with the leaf pc's source line.
+    rows = [([fn for depth, pc in enumerate(s) for fn in names.get((pc, depth == 0), unknown)[0]],
+             names.get((s[0], True), unknown)[1] if s else "??")
+            for s in stacks]
+    for cut in (args.under, args.focus, args.lines):
         if cut:
             kept = []
-            for f in frames:
+            for f, leaf in rows:
                 hits = [i for i, fn in enumerate(f) if cut in fn]
                 if hits:
-                    kept.append(f[:hits[-1] + 1])
-            frames = kept
+                    kept.append((f[:hits[-1] + 1], leaf))
+            rows = kept
+    frames = [f for f, _ in rows]
     total = len(frames)
     print(f"# {len(stacks)} stacks, {total} kept")
+    if args.lines:
+        print(f"{'%':>7}  leaf line under {args.lines}")
+        for line, n in collections.Counter(leaf for _, leaf in rows).most_common(args.top):
+            print(f"{100 * n / max(total, 1):7.2f}  {line}")
+        return
     if args.folded:
         folded = collections.Counter(";".join(reversed(f)) for f in frames)
         for stack, n in sorted(folded.items()):
