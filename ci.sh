@@ -47,15 +47,17 @@ cargo test -q --release --test alloc_budget
 echo "== forest differential, full sweep (release): the rank-coded fit builds the sort-per-node reference's trees bit for bit — 280 seeded cases of hostile floats, n up to 20 000 =="
 cargo test -q --release -p tscout-models -- --include-ignored forest
 
-echo "== lowered-engine differential, full sweep (release): Loader::run's lowered form returns Vm::run's result, maps and counters bit for bit — 16x the tier-1 draw of both seeded generators, accepted by the verifier or not =="
-cargo test -q --release --test lowered_differential -- --include-ignored
-
 echo "== B+-tree differential, full sweep (release): the flat-key tree returns the Vec<IndexKey>-per-node reference's postings, examined counts and height after every step — 72 seeded streams of 20 000 operations over 1- to 3-column keys =="
 cargo test -q --release --test btree_differential -- --include-ignored
 
 echo "== one engine behind Loader::run: nothing in crates/bpf reads the environment or a cargo feature =="
 if git grep -nE 'env::var|cfg\(feature' -- crates/bpf/src; then
   echo "FAIL: crates/bpf selects behaviour from an env var or a feature"; exit 1
+fi
+
+echo "== loop-free by construction: every jump goes forward, so nothing bounds loops or counts fuel =="
+if git grep -nE 'FUEL|OutOfFuel|MAX_LOOP_TRIPS|bump_trip' -- crates; then
+  echo "FAIL: loop or fuel machinery is back under crates/"; exit 1
 fi
 
 # Everything below writes its artifacts here, never into results/.

@@ -3,8 +3,9 @@
 //! TScout's Codegen emits Collector bytecode through this builder (paper
 //! §3.1: "TS then generates the source code for a BPF program"). Labels
 //! keep the generated control flow readable; `resolve()` patches jump
-//! offsets (forward or backward — the verifier accepts bounded loops)
-//! and fails loudly on undefined references.
+//! offsets and fails loudly on undefined references. A label bound
+//! before its jump resolves to a negative offset, which the verifier
+//! rejects as a back edge; the builder allows it so tests can submit one.
 
 use crate::insn::{AluOp, Cond, Helper, Insn, Reg, Size, Src};
 use crate::maps::MapId;

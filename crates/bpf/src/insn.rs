@@ -253,11 +253,10 @@ pub enum Insn {
         off: i32,
         src: Src,
     },
-    /// Conditional (`Some`) or unconditional (`None`) jump. The offset
-    /// is relative to the next instruction and may be negative (the
-    /// verifier bounds back-edge trips, so loops must provably
-    /// terminate).
-    /// Target is `pc + 1 + off`.
+    /// Conditional (`Some`) or unconditional (`None`) jump. Target is
+    /// `pc + 1 + off`. A negative `off` is a back edge: the verifier
+    /// rejects it and both engines fault if it is taken, so control only
+    /// moves forward.
     Jump {
         cond: Option<(Cond, Reg, Src)>,
         off: i32,

@@ -5,8 +5,9 @@
 //! the BPF substrate that program runs on:
 //!
 //! * [`insn`] — a register ISA modeled on eBPF: eleven registers
-//!   (`R0`–`R10`), 64-bit ALU, sized loads/stores, bidirectional jumps,
-//!   helper calls, and `exit`.
+//!   (`R0`–`R10`), 64-bit ALU, sized loads/stores, forward jumps,
+//!   helper calls, and `exit`. With no way back, a run executes each
+//!   instruction at most once.
 //! * [`asm`] — a label-based program builder. TScout's Codegen emits real
 //!   bytecode through it.
 //! * [`tnum`] — tristate numbers, the kernel verifier's known-bits
@@ -15,10 +16,9 @@
 //!   of the kernel's: it walks every execution path, tracks register
 //!   types and scalar value ranges (tnum + signed/unsigned bounds),
 //!   refines both arms of conditional branches, proves variable-offset
-//!   accesses in bounds, accepts bounded loops (back edges with a
-//!   per-site trip budget), prunes subsumed states at jump targets, and
-//!   rejects uninitialized reads, unbounded loops, and over-long
-//!   programs.
+//!   accesses in bounds, prunes subsumed states at jump targets, and
+//!   rejects back edges (any jump with a negative offset), uninitialized
+//!   reads, and over-long programs.
 //! * [`maps`] — the two BPF map kinds the Collector creates: hash
 //!   (recursive operators, paper §5.2, key their snapshot by
 //!   `(tid, depth)`) and the perf-event ring buffer that ships samples to
@@ -59,5 +59,5 @@ pub use insn::{AluOp, Cond, Helper, Insn, Reg, Size, Src};
 pub use loader::{LoadError, Loader, ProgId};
 pub use maps::{MapDef, MapId, MapKind, MapOpStats, MapRegistry, RingStats};
 pub use tnum::Tnum;
-pub use verifier::{verify, verify_with_log, verify_with_stats, VerifyError, VerifyStats};
+pub use verifier::{verify, verify_with_log, VerifyError, VerifyStats};
 pub use vm::{ExecStats, HelperWorld, Vm, VmError};

@@ -17,7 +17,7 @@ use tscout_telemetry::FrameId;
 use crate::insn::Insn;
 use crate::lower::{lower, Lowered};
 use crate::maps::MapRegistry;
-use crate::verifier::{verify_with_log, verify_with_stats, VerifyError, VerifyStats};
+use crate::verifier::{verify, verify_with_log, VerifyError, VerifyStats};
 use crate::vm::{ExecStats, HelperWorld, VmError, VmScratch};
 
 /// Identifier of a loaded program. Also used as the attachment token in the
@@ -100,7 +100,7 @@ impl Loader {
     ) -> Result<ProgId, LoadError> {
         // The kernel-style exploration trace has one reader, a rejection's
         // `LoadError`, so only a rejected program pays for a logged run.
-        let stats = verify_with_stats(&insns, &self.maps, ctx_size).map_err(|err| {
+        let stats = verify(&insns, &self.maps, ctx_size).map_err(|err| {
             let (_, log) = verify_with_log(&insns, &self.maps, ctx_size);
             LoadError::Verify { err, log }
         })?;
@@ -170,7 +170,7 @@ impl Loader {
             .progs
             .get(id as usize)
             .and_then(|p| p.as_ref())
-            .ok_or(VmError::PcOutOfBounds { pc: usize::MAX })?;
+            .ok_or(VmError::NoSuchProgram { id })?;
         // Context is truncated/zero-padded to the declared size so variable
         // payloads (e.g. feature vectors) stay within verified bounds.
         // (`progs`, `maps` and the scratch buffers are disjoint fields, so
@@ -232,7 +232,9 @@ mod tests {
         l.unload(id);
         assert!(l.get(id).is_none());
         let mut w = NullWorld::default();
-        assert!(l.run(id, &[], &mut w).is_err());
+        for id in [id, 99] {
+            assert_eq!(l.run(id, &[], &mut w), Err(VmError::NoSuchProgram { id }));
+        }
         // Reload gets a fresh id.
         let id2 = l.load("t2", trivial(), 0).unwrap();
         assert_ne!(id, id2);

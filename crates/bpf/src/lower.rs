@@ -15,16 +15,18 @@
 //! The contract is [`Vm::run`]'s result, bit for bit, for *any* stream
 //! (`lower` is total; `tests/lowered_differential.rs` holds the corpus):
 //! a fused op counts its arity in [`ExecStats::insns`], a fault carries
-//! the source `pc`, [`VmError::OutOfFuel`] fires on the same runs, and
-//! the maps see the same operations in the same order — memory goes
-//! through the same `mem`/`mem_mut`/`call` as the reference, with every
-//! region, generation and bounds check. What is gone is decode and
-//! dispatch, not checks.
+//! the source `pc`, and the maps see the same operations in the same
+//! order — memory goes through the same `mem`/`mem_mut`/`call` as the
+//! reference, with every region, generation and bounds check. What is
+//! gone is decode and dispatch, not checks. A backward jump's target is a
+//! trap op that faults with [`VmError::BackEdge`] at the jump's `pc`, so
+//! every op that runs is followed by a later one and a run ends within
+//! one op per instruction, with no counter to check.
 
 use crate::insn::{AluOp, Cond, Helper, Insn, Reg, Size, Src};
 use crate::maps::MapRegistry;
 use crate::vm::{
-    alu, entry_regs, slot, Exec, ExecStats, HelperWorld, Vm, VmError, VmScratch, FUEL, HANDLE_BASE,
+    alu, entry_regs, slot, Exec, ExecStats, HelperWorld, Vm, VmError, VmScratch, HANDLE_BASE,
     STACK_BASE, STACK_SIZE,
 };
 
@@ -64,6 +66,8 @@ enum Op {
     Exit,
     /// Control arrived at this source pc, which holds no instruction.
     Trap(usize),
+    /// The backward jump at this source pc was taken.
+    BackEdge(usize),
     /// `mov dst, base; add dst, imm`.
     Lea(Reg, Reg, i64),
     /// `Lea(dst, base, imm); ldx8 to, [dst+off]` as `(dst, base, imm, to, off)`.
@@ -78,8 +82,9 @@ const _: () = assert!(std::mem::size_of::<Op>() <= 16);
 #[derive(Debug, Clone)]
 pub struct Lowered {
     ops: Vec<Op>,
-    /// Per op, the source pc of its last instruction — the only one of a
-    /// fused op that can fault. Read on the error path only.
+    /// Per op before the traps, the source pc of its last instruction —
+    /// the only one of a fused op that can fault. Read on the error path
+    /// only.
     fault_pc: Vec<usize>,
 }
 
@@ -184,15 +189,15 @@ fn lower_at(prog: &[Insn], pc: usize, is_target: &[bool], fp_static: bool) -> (O
 /// faults on it.
 pub fn lower(prog: &[Insn]) -> Lowered {
     let n = prog.len();
-    // The reference's wrapping target arithmetic: a target before the
-    // program is a huge `usize`, out of bounds like one past the end.
-    let target = |pc: usize, off: i32| (pc as i64 + 1 + off as i64) as usize;
+    // Where a jump lands when taken; `None` for a backward one, which
+    // faults instead.
+    let target = |pc: usize, off: i32| usize::try_from(off).ok().map(|off| pc + 1 + off);
     let mut is_target = vec![false; n];
     let mut fp_static = true;
     for (pc, insn) in prog.iter().enumerate() {
         match *insn {
             Insn::Jump { off, .. } => {
-                if let Some(t) = is_target.get_mut(target(pc, off)) {
+                if let Some(t) = target(pc, off).and_then(|t| is_target.get_mut(t)) {
                     *t = true;
                 }
             }
@@ -204,7 +209,7 @@ pub fn lower(prog: &[Insn]) -> Lowered {
     }
 
     let mut ops = Vec::with_capacity(n + 1);
-    let mut fault_pc = Vec::with_capacity(n + 1);
+    let mut fault_pc = Vec::with_capacity(n);
     // Op index of each source pc (meaningful at jump targets, which no
     // fused op covers), and of the end.
     let mut index = vec![0usize; n + 1];
@@ -213,7 +218,7 @@ pub fn lower(prog: &[Insn]) -> Lowered {
     while pc < n {
         index[pc] = ops.len();
         if let Insn::Jump { off, .. } = prog[pc] {
-            jumps.push((ops.len(), target(pc, off)));
+            jumps.push((ops.len(), pc, target(pc, off)));
         }
         let (op, arity) = lower_at(prog, pc, &is_target, fp_static);
         ops.push(op);
@@ -221,16 +226,19 @@ pub fn lower(prog: &[Insn]) -> Lowered {
         fault_pc.push(pc - 1);
     }
     // Falling off the end, or jumping to it, is the reference's
-    // `PcOutOfBounds { pc: n }`; a wild target gets a trap of its own.
+    // `PcOutOfBounds { pc: n }`; a wild target gets a trap of its own,
+    // and a backward jump one that faults at the jump, as the reference
+    // does before looking at the target.
     index[n] = ops.len();
     ops.push(Op::Trap(n));
-    fault_pc.push(n);
-    for (at, target) in jumps {
-        let resolved = index.get(target).copied().unwrap_or_else(|| {
-            ops.push(Op::Trap(target));
-            fault_pc.push(target);
-            ops.len() - 1
-        });
+    for (at, pc, target) in jumps {
+        let resolved = match target.and_then(|t| index.get(t)) {
+            Some(&op) => op,
+            None => {
+                ops.push(target.map_or(Op::BackEdge(pc), Op::Trap));
+                ops.len() - 1
+            }
+        };
         if let Op::Jump(to) | Op::JumpImm(.., to) | Op::JumpReg(.., to) = &mut ops[at] {
             *to = u32::try_from(resolved).expect("a stream has fewer than 2^32 instructions");
         }
@@ -242,8 +250,7 @@ impl Lowered {
     /// Ops the instructions lowered to (traps excluded): the stream's
     /// length less what fusion saved.
     pub fn op_count(&self) -> usize {
-        let traps = self.ops.iter().filter(|op| matches!(op, Op::Trap(_)));
-        self.ops.len() - traps.count()
+        self.fault_pc.len()
     }
 
     /// Execute against `ctx`: [`Vm::run`]'s result for the stream this
@@ -265,8 +272,11 @@ impl Lowered {
                 | VmError::StaleMapValue { pc }
                 | VmError::BadMapHandle { pc }
                 | VmError::BadHelperArgs { pc, .. } => *pc = self.fault_pc[*pc],
-                // Raised by the loop itself, in source terms already.
-                VmError::OutOfFuel | VmError::PcOutOfBounds { .. } => {}
+                // Raised by trap ops, in source terms already; the
+                // last is the loader's, not a run's.
+                VmError::BackEdge { .. }
+                | VmError::PcOutOfBounds { .. }
+                | VmError::NoSuchProgram { .. } => {}
             }
             e
         })
@@ -279,14 +289,11 @@ impl Lowered {
     ) -> Result<(u64, ExecStats), VmError> {
         let mut regs = entry_regs();
         let mut stats = ExecStats::default();
-        // Source instructions executed so far; doubles as the fuel gauge.
+        // Source instructions executed so far.
         let mut insns = 0u64;
         let mut next = 0usize;
         loop {
             insns += 1;
-            if insns > FUEL {
-                return Err(VmError::OutOfFuel);
-            }
             let at = next;
             // Never `None`: every target is patched to an op, and the
             // ops end in a trap.
@@ -343,28 +350,19 @@ impl Lowered {
                     return Ok((regs[0], stats));
                 }
                 Op::Trap(pc) => return Err(VmError::PcOutOfBounds { pc }),
-                // A register write is invisible to a run that then runs
-                // out of fuel, so the next op's check covers this one.
+                Op::BackEdge(pc) => return Err(VmError::BackEdge { pc }),
                 Op::Lea(dst, base, imm) => {
                     insns += 1;
                     regs[slot(dst)] = regs[slot(base)].wrapping_add(imm as u64);
                 }
-                // A load can fault and a store shows: these two check
-                // that the budget covers all three instructions first.
                 Op::LeaLoad(dst, base, imm, to, off) => {
                     insns += 2;
-                    if insns > FUEL {
-                        return Err(VmError::OutOfFuel);
-                    }
                     regs[slot(dst)] = regs[slot(base)].wrapping_add(imm as u64);
                     let addr = regs[slot(dst)].wrapping_add(off as i64 as u64);
                     regs[slot(to)] = exec.load(at, addr, Size::B8)?;
                 }
                 Op::LeaStore(dst, base, imm, off, src) => {
                     insns += 2;
-                    if insns > FUEL {
-                        return Err(VmError::OutOfFuel);
-                    }
                     regs[slot(dst)] = regs[slot(base)].wrapping_add(imm as u64);
                     let addr = regs[slot(dst)].wrapping_add(off as i64 as u64);
                     exec.store(at, addr, Size::B8, regs[slot(src)])?;

@@ -6,14 +6,13 @@
 //! an unsafe operation. Scalars carry a full value-tracking domain —
 //! tristate numbers ([`crate::tnum::Tnum`], known bits) plus signed and
 //! unsigned `[min, max]` intervals, kept mutually consistent — so the
-//! verifier can prove variable-offset memory accesses in bounds and
-//! loops terminating. Enforced properties:
+//! verifier can prove variable-offset memory accesses in bounds.
+//! Enforced properties:
 //!
-//! * back edges are allowed only while the path makes progress: each
-//!   traversal of a back edge is counted per jump site and capped
-//!   ([`MAX_LOOP_TRIPS`]), so bounded loops (a counter whose refined
-//!   range narrows every iteration until the loop condition goes dead)
-//!   verify, while unbounded ones are rejected with `BackEdge`;
+//! * every jump goes forward: the first jump with a negative offset is
+//!   rejected with `BackEdge` before exploration starts, reachable or
+//!   not (Linux's rule before 5.3; the Collector's programs never loop),
+//!   so every path ends within `prog.len()` instructions;
 //! * a hard instruction-count cap (the kernel's is 1M; "TS's compiled
 //!   BPF programs only contain 100s of instructions");
 //! * every register is written before it is read;
@@ -54,9 +53,6 @@ pub const MAX_INSNS: usize = 1_000_000;
 pub const MAX_STATES: usize = 200_000;
 /// Largest record `perf_event_output` may publish.
 pub const MAX_OUTPUT_BYTES: i64 = 8192;
-/// Most traversals of any single back edge one path may make. Chosen so
-/// the worst verified runtime stays well under the VM's fuel budget.
-pub const MAX_LOOP_TRIPS: u32 = 512;
 /// Pointer offsets (base plus variable part) are confined to this many
 /// bytes either side of the region start, like the kernel's
 /// `BPF_MAX_VAR_OFF` discipline.
@@ -150,7 +146,7 @@ impl std::fmt::Display for VerifyError {
                 write!(f, "read of uninitialized r{reg} at pc {pc}")
             }
             VerifyError::BackEdge { pc } => {
-                write!(f, "back edge at pc {pc}: loop not provably bounded")
+                write!(f, "back edge at pc {pc}: jumps must go forward")
             }
             VerifyError::JumpOutOfBounds { pc } => write!(f, "jump out of bounds at pc {pc}"),
             VerifyError::FellOffEnd { pc } => write!(f, "control falls off program end at pc {pc}"),
@@ -667,15 +663,11 @@ fn reg_subsumes(old: RegType, new: RegType) -> bool {
 }
 
 /// A per-path abstract machine state.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct State {
     regs: [RegType; 11],
     /// One bit per stack byte: written on this path.
     stack_init: [u64; 8],
-    /// Back-edge traversal counts, keyed by the jump's pc. Kept sorted
-    /// by insertion order (first back edge met first); compared for
-    /// equality during pruning so loop iterations are never conflated.
-    trips: Vec<(u32, u32)>,
 }
 
 impl State {
@@ -694,7 +686,6 @@ impl State {
         State {
             regs,
             stack_init: [0; 8],
-            trips: Vec::new(),
         }
     }
 
@@ -717,30 +708,14 @@ impl State {
             self.stack_init[w] & m != 0
         })
     }
-
-    /// Count one traversal of the back edge at `pc`; returns the new count.
-    fn bump_trip(&mut self, pc: u32) -> u32 {
-        for t in &mut self.trips {
-            if t.0 == pc {
-                t.1 += 1;
-                return t.1;
-            }
-        }
-        self.trips.push((pc, 1));
-        1
-    }
 }
 
 /// Is `new` redundant given we already explored `old` from the same pc?
 fn state_subsumes(old: &State, new: &State) -> bool {
-    // Differing trip counts are different loop iterations: pruning
-    // across them could bless an infinite loop, so require equality.
-    old.trips == new.trips
-        && old
-            .stack_init
-            .iter()
-            .zip(&new.stack_init)
-            .all(|(o, n)| o & !n == 0)
+    old.stack_init
+        .iter()
+        .zip(&new.stack_init)
+        .all(|(o, n)| o & !n == 0)
         && old
             .regs
             .iter()
@@ -754,8 +729,8 @@ fn state_subsumes(old: &State, new: &State) -> bool {
 pub struct VerifyStats {
     /// Program length in instructions.
     pub insns: usize,
-    /// Instruction visits during exploration (≥ `insns` on branchy or
-    /// loopy programs; the kernel reports the same number).
+    /// Instruction visits during exploration (≥ `insns` on branchy
+    /// programs; the kernel reports the same number).
     pub insns_visited: usize,
     /// Abstract states popped off the exploration worklist.
     pub states_explored: usize,
@@ -768,13 +743,9 @@ pub struct VerifyStats {
     pub peak_depth: usize,
 }
 
-/// Verify a program against a map registry and a declared context size.
-pub fn verify(prog: &[Insn], maps: &MapRegistry, ctx_size: usize) -> Result<(), VerifyError> {
-    run(prog, maps, ctx_size, false).0.map(|_| ())
-}
-
-/// Like [`verify`], but reports how much work the pass did.
-pub fn verify_with_stats(
+/// Verify a program against a map registry and a declared context size,
+/// reporting how much work the pass did.
+pub fn verify(
     prog: &[Insn],
     maps: &MapRegistry,
     ctx_size: usize,
@@ -782,8 +753,8 @@ pub fn verify_with_stats(
     run(prog, maps, ctx_size, false).0
 }
 
-/// Like [`verify_with_stats`], but also produces a kernel-style
-/// human-readable exploration log (most useful on rejection).
+/// Like [`verify`], but also produces a kernel-style human-readable
+/// exploration log (most useful on rejection).
 pub fn verify_with_log(
     prog: &[Insn],
     maps: &MapRegistry,
@@ -811,7 +782,9 @@ fn run(
     } else if prog.len() > MAX_INSNS {
         Some(VerifyError::TooLong { len: prog.len() })
     } else {
-        None
+        prog.iter()
+            .position(|insn| matches!(insn, Insn::Jump { off, .. } if *off < 0))
+            .map(|pc| VerifyError::BackEdge { pc })
     };
     if let Some(err) = early {
         let mut log = log.unwrap_or_default();
@@ -922,7 +895,7 @@ impl<'a> Verifier<'a> {
                 if recorded.iter().any(|old| state_subsumes(old, &st)) {
                     pruned = true;
                 } else if recorded.len() < MAX_RECORDED_PER_PC {
-                    recorded.push(st.clone());
+                    recorded.push(st);
                 }
             }
             if pruned {
@@ -940,25 +913,6 @@ impl<'a> Verifier<'a> {
     fn push(&mut self, worklist: &mut Vec<(usize, State)>, pc: usize, st: State) {
         worklist.push((pc, st));
         self.peak_depth = self.peak_depth.max(worklist.len());
-    }
-
-    /// Push a jump successor, counting (and bounding) back-edge trips.
-    fn push_succ(
-        &mut self,
-        worklist: &mut Vec<(usize, State)>,
-        from: usize,
-        to: usize,
-        mut st: State,
-    ) -> Result<(), VerifyError> {
-        if to <= from {
-            let trips = st.bump_trip(from as u32);
-            if trips > MAX_LOOP_TRIPS {
-                return Err(VerifyError::BackEdge { pc: from });
-            }
-            self.trace(|| format!("{from}: back edge to {to} (trip {trips})"));
-        }
-        self.push(worklist, to, st);
-        Ok(())
     }
 
     fn read_reg(&self, st: &State, pc: usize, r: Reg) -> Result<RegType, VerifyError> {
@@ -1135,13 +1089,14 @@ impl<'a> Verifier<'a> {
                 self.push(worklist, pc + 1, st);
             }
             Insn::Jump { cond, off } => {
+                // `off` is not negative: `run` rejected every back edge.
                 let target = pc as i64 + 1 + off as i64;
-                if target < 0 || target > self.prog.len() as i64 {
+                if target > self.prog.len() as i64 {
                     return Err(VerifyError::JumpOutOfBounds { pc });
                 }
                 let target = target as usize;
                 match cond {
-                    None => self.push_succ(worklist, pc, target, st)?,
+                    None => self.push(worklist, target, st),
                     Some((c, dst, src)) => {
                         let d = self.read_reg(&st, pc, dst)?;
                         let s = self.src_type(&st, pc, src)?;
@@ -1154,9 +1109,9 @@ impl<'a> Verifier<'a> {
                                 } else {
                                     (pc + 1, target)
                                 };
-                                let mut null_st = st.clone();
+                                let mut null_st = st;
                                 null_st.regs[dst.index()] = RegType::cnst(0);
-                                self.push_succ(worklist, pc, null_pc, null_st)?;
+                                self.push(worklist, null_pc, null_st);
                                 let mut ptr_st = st;
                                 ptr_st.regs[dst.index()] = RegType::PtrMap {
                                     map,
@@ -1164,7 +1119,7 @@ impl<'a> Verifier<'a> {
                                     vmin: 0,
                                     vmax: 0,
                                 };
-                                self.push_succ(worklist, pc, ptr_pc, ptr_st)?;
+                                self.push(worklist, ptr_pc, ptr_st);
                                 return Ok(());
                             }
                             return Err(VerifyError::PointerComparison { pc });
@@ -1174,15 +1129,14 @@ impl<'a> Verifier<'a> {
                         };
                         // Taken arm first, then fall-through (LIFO pops
                         // fall-through first). A `None` refinement means
-                        // that arm is statically dead — this is also
-                        // what terminates constant-bounded loops.
+                        // that arm is statically dead.
                         if let Some((rd, rs)) = refine(BranchCond::C(c), dr, sr) {
-                            let mut t_st = st.clone();
+                            let mut t_st = st;
                             t_st.regs[dst.index()] = RegType::Scalar(rd);
                             if let Src::Reg(sreg) = src {
                                 t_st.regs[sreg.index()] = RegType::Scalar(rs);
                             }
-                            self.push_succ(worklist, pc, target, t_st)?;
+                            self.push(worklist, target, t_st);
                         } else {
                             self.trace(|| format!("{pc}: branch never taken (dead arm)"));
                         }
@@ -1192,7 +1146,7 @@ impl<'a> Verifier<'a> {
                             if let Src::Reg(sreg) = src {
                                 f_st.regs[sreg.index()] = RegType::Scalar(rs);
                             }
-                            self.push_succ(worklist, pc, pc + 1, f_st)?;
+                            self.push(worklist, pc + 1, f_st);
                         } else {
                             self.trace(|| format!("{pc}: branch always taken (dead fall-through)"));
                         }
@@ -1559,34 +1513,10 @@ mod tests {
             },
             Insn::Exit,
         ];
-        assert!(matches!(
-            rejected(prog, &m, 0),
-            VerifyError::BackEdge { .. }
-        ));
-    }
+        assert_eq!(rejected(prog, &m, 0), VerifyError::BackEdge { pc: 1 });
 
-    #[test]
-    fn unbounded_data_dependent_loop_rejected() {
-        // while (ktime() != 0) {} — the governing register never
-        // narrows, so the trip budget runs out.
-        let (m, ..) = maps();
-        let mut b = ProgramBuilder::new();
-        let top = b.label();
-        b.bind(top);
-        b.call(Helper::KtimeGetNs);
-        b.jump_if_imm(Cond::Ne, R0, 0, top);
-        b.mov_imm(R0, 0).exit();
-        assert!(matches!(
-            rejected(b.resolve().unwrap(), &m, 0),
-            VerifyError::BackEdge { .. }
-        ));
-    }
-
-    #[test]
-    fn bounded_loop_verifies() {
-        // for (r6 = 0; r6 < 10; ) r6 += 1 — refinement proves the taken
-        // arm dead once r6 reaches 10.
-        let (m, ..) = maps();
+        // A loop whose counter bounds it is a back edge all the same:
+        // for (r6 = 0; r6 < 10; ) r6 += 1.
         let mut b = ProgramBuilder::new();
         b.mov_imm(R6, 0);
         let top = b.label();
@@ -1594,39 +1524,27 @@ mod tests {
         b.alu_imm(AluOp::Add, R6, 1);
         b.jump_if_imm(Cond::Lt, R6, 10, top);
         b.mov_imm(R0, 0).exit();
-        let prog = b.resolve().unwrap();
-        let s = verify_with_stats(&prog, &m, 0).unwrap();
-        assert_eq!(s.paths_completed, 1);
-        assert!(s.insns_visited > s.insns, "loop body visited repeatedly");
-
-        // The same loop without the exit condition is rejected.
-        let mut b = ProgramBuilder::new();
-        b.mov_imm(R6, 0);
-        let top = b.label();
-        b.bind(top);
-        b.alu_imm(AluOp::Add, R6, 1);
-        b.jump(top);
-        b.mov_imm(R0, 0).exit();
-        assert!(matches!(
+        assert_eq!(
             rejected(b.resolve().unwrap(), &m, 0),
-            VerifyError::BackEdge { .. }
-        ));
+            VerifyError::BackEdge { pc: 2 }
+        );
     }
 
     #[test]
-    fn loop_exceeding_trip_budget_rejected() {
+    fn back_edge_on_a_dead_arm_rejected() {
+        // `r0 == 1` never holds, so no path takes the jump: the rule is
+        // about the program, not its paths.
         let (m, ..) = maps();
         let mut b = ProgramBuilder::new();
-        b.mov_imm(R6, 0);
         let top = b.label();
         b.bind(top);
-        b.alu_imm(AluOp::Add, R6, 1);
-        b.jump_if_imm(Cond::Lt, R6, MAX_LOOP_TRIPS as i64 + 100, top);
-        b.mov_imm(R0, 0).exit();
-        assert!(matches!(
+        b.mov_imm(R0, 0);
+        b.jump_if_imm(Cond::Eq, R0, 1, top);
+        b.exit();
+        assert_eq!(
             rejected(b.resolve().unwrap(), &m, 0),
-            VerifyError::BackEdge { .. }
-        ));
+            VerifyError::BackEdge { pc: 1 }
+        );
     }
 
     #[test]
@@ -1913,7 +1831,7 @@ mod tests {
         }
         b.mov_imm(R0, 0).exit();
         let prog = b.resolve().unwrap();
-        let s = verify_with_stats(&prog, &m, 0).unwrap();
+        let s = verify(&prog, &m, 0).unwrap();
         assert!(s.states_pruned > 0, "expected pruning, got {s:?}");
         assert!(
             s.paths_completed < (1 << k),
@@ -2124,7 +2042,7 @@ mod tests {
         let mut b = ProgramBuilder::new();
         b.mov_imm(R0, 0).exit();
         let prog = b.resolve().unwrap();
-        let s = verify_with_stats(&prog, &m, 0).unwrap();
+        let s = verify(&prog, &m, 0).unwrap();
         assert_eq!(s.insns, 2);
         assert_eq!(s.states_explored, 2);
         assert_eq!(s.paths_completed, 1);
@@ -2139,7 +2057,7 @@ mod tests {
         b.bind(l);
         b.exit();
         let prog = b.resolve().unwrap();
-        let s = verify_with_stats(&prog, &m, 0).unwrap();
+        let s = verify(&prog, &m, 0).unwrap();
         assert_eq!(s.paths_completed, 2);
         assert!(s.states_explored > s.insns);
         assert!(s.peak_depth >= 2);
@@ -2157,7 +2075,7 @@ mod tests {
         b.bind(l);
         b.exit();
         let prog = b.resolve().unwrap();
-        let s = verify_with_stats(&prog, &m, 0).unwrap();
+        let s = verify(&prog, &m, 0).unwrap();
         assert_eq!(s.paths_completed, 1);
     }
 

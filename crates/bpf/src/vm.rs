@@ -9,7 +9,9 @@
 //! both engines here stay defensive: every memory access is still
 //! checked, so a verifier bug surfaces as a [`VmError`] instead of
 //! undefined behavior — a property the cross-checking property tests
-//! rely on.
+//! rely on. Every jump goes forward (both engines fault a taken backward
+//! one with [`VmError::BackEdge`]), so no instruction runs twice and a
+//! run ends within `prog.len()` instructions.
 //!
 //! ## Memory model
 //!
@@ -25,12 +27,13 @@
 //!   pointers created by `map_lookup_elem` — giving BPF's in-place
 //!   value-update semantics; a pointer whose key has been deleted stops
 //!   resolving ([`VmError::StaleMapValue`]). This window is the topmost
-//!   and open-ended: a run makes fewer than [`FUEL`] lookups, so no
-//!   entry's window can reach another region's.
+//!   and open-ended: a run makes fewer lookups than it executes
+//!   instructions, so no entry's window can reach another region's.
 
 use std::ops::Range;
 
 use crate::insn::{AluOp, Helper, Insn, Reg, Size, Src};
+use crate::loader::ProgId;
 use crate::maps::{MapError, MapId, MapRegistry, ValueRef};
 
 pub const STACK_BASE: u64 = 0x1000_0000_0000;
@@ -38,20 +41,20 @@ pub const STACK_SIZE: usize = 512;
 pub const CTX_BASE: u64 = 0x2000_0000_0000;
 pub const HANDLE_BASE: u64 = 0x4000_0000_0000;
 pub const MAPV_BASE: u64 = 0x5000_0000_0000;
-/// Interpreter fuel: far above the verifier's path lengths, so exhausting
-/// it indicates a bug rather than a slow program.
-pub const FUEL: u64 = 4_000_000;
 
 /// Runtime faults. A verified program should never produce one.
+/// `BackEdge` is a taken jump with a negative offset; `NoSuchProgram` is
+/// [`crate::Loader::run`] given an id that holds no program.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VmError {
     BadAddress { pc: usize, addr: u64 },
     ReadOnly { pc: usize, addr: u64 },
     StaleMapValue { pc: usize },
     BadMapHandle { pc: usize },
-    OutOfFuel,
+    BackEdge { pc: usize },
     PcOutOfBounds { pc: usize },
     BadHelperArgs { pc: usize, helper: Helper },
+    NoSuchProgram { id: ProgId },
 }
 
 impl std::fmt::Display for VmError {
@@ -61,11 +64,12 @@ impl std::fmt::Display for VmError {
             VmError::ReadOnly { pc, addr } => write!(f, "write to read-only {addr:#x} at pc {pc}"),
             VmError::StaleMapValue { pc } => write!(f, "stale map value pointer at pc {pc}"),
             VmError::BadMapHandle { pc } => write!(f, "bad map handle at pc {pc}"),
-            VmError::OutOfFuel => write!(f, "out of fuel"),
+            VmError::BackEdge { pc } => write!(f, "backward jump taken at pc {pc}"),
             VmError::PcOutOfBounds { pc } => write!(f, "pc {pc} out of bounds"),
             VmError::BadHelperArgs { pc, helper } => {
                 write!(f, "bad args for helper {} at pc {pc}", helper.name())
             }
+            VmError::NoSuchProgram { id } => write!(f, "no program loaded as id {id}"),
         }
     }
 }
@@ -378,7 +382,8 @@ fn handle_decode(v: u64) -> Option<MapId> {
 }
 
 impl Vm {
-    /// Execute a (verified) program. Returns `R0` and execution stats.
+    /// Execute a (verified) program. Returns `R0` and execution stats;
+    /// `stats.insns` is at most `prog.len()`.
     pub fn run(
         prog: &[Insn],
         ctx: &[u8],
@@ -390,13 +395,10 @@ impl Vm {
         let mut exec = Exec::new(ctx, maps, &mut scratch);
         let mut stats = ExecStats::default();
         let mut pc = 0usize;
-        // Instructions executed so far; doubles as the fuel gauge.
+        // Instructions executed so far.
         let mut insns = 0u64;
 
         loop {
-            if insns == FUEL {
-                return Err(VmError::OutOfFuel);
-            }
             insns += 1;
             // Matched by reference so each arm loads only its own fields.
             match *prog.get(pc).ok_or(VmError::PcOutOfBounds { pc })? {
@@ -444,11 +446,10 @@ impl Vm {
                             c.eval(regs[slot(dst)], s)
                         }
                     };
-                    pc = if taken {
-                        (pc as i64 + 1 + off as i64) as usize
-                    } else {
-                        pc + 1
-                    };
+                    if taken && off < 0 {
+                        return Err(VmError::BackEdge { pc });
+                    }
+                    pc += 1 + if taken { off as usize } else { 0 };
                 }
                 Insn::Call { helper } => {
                     Self::call(helper, &mut regs, &mut exec, world, &mut stats, pc)?;

@@ -5,7 +5,8 @@
 //! verifier accepts executes without a memory fault**, for arbitrary
 //! context bytes. Conversely the verifier must never panic on garbage
 //! programs. Random programs are generated over the full instruction
-//! set, biased toward plausible shapes so a useful fraction verifies.
+//! set, jumps forward only, biased toward plausible shapes so a useful
+//! fraction verifies.
 //!
 //! Originally `proptest` properties; now driven by the in-workspace
 //! deterministic RNG (fixed seeds, fixed case counts) so the suite
@@ -18,7 +19,7 @@ use tscout_suite::rng::{RngExt, SeedableRng, StdRng};
 use tscout_suite::bpf::insn::{AluOp, Size};
 use tscout_suite::bpf::lower::lower;
 use tscout_suite::bpf::verify;
-use tscout_suite::bpf::vm::{NullWorld, Vm, VmError};
+use tscout_suite::bpf::vm::{NullWorld, Vm};
 
 mod common;
 use common::{engines_agree, forward_cases, maps, unterminated_cases};
@@ -32,17 +33,11 @@ fn verified_programs_never_fault() {
         if verify(&prog, &m, 64).is_ok() {
             verified += 1;
             let mut world = NullWorld::default();
-            match Vm::run(&prog, &ctx, &mut m, &mut world) {
-                Ok(_) => {}
-                Err(e) => {
-                    // This generator emits forward jumps only, so fuel
-                    // exhaustion is impossible here; any fault is a
-                    // verifier soundness bug.
-                    panic!(
-                        "verifier accepted a faulting program: {e}\n{}",
-                        tscout_suite::bpf::insn::disassemble(&prog)
-                    );
-                }
+            if let Err(e) = Vm::run(&prog, &ctx, &mut m, &mut world) {
+                panic!(
+                    "verifier accepted a faulting program: {e}\n{}",
+                    tscout_suite::bpf::insn::disassemble(&prog)
+                );
             }
         }
     }
@@ -115,10 +110,11 @@ fn stack_round_trip() {
 
 /// A verified program may look a live value up as often as its length
 /// allows: every lookup's pointer gets a dereference window of its own,
-/// and no count reachable under `FUEL` may carry one into another
-/// region. With the map-value windows below the handle window the
-/// 4 097th pointer was `0x4000_0000_0000`, a map handle, and the load
-/// through it died with `BadAddress` — in a program the verifier accepts.
+/// and since a run makes fewer lookups than it executes instructions, no
+/// lookup count can carry one into another region. With the map-value
+/// windows below the handle window the 4 097th pointer was
+/// `0x4000_0000_0000`, a map handle, and the load through it died with
+/// `BadAddress` — in a program the verifier accepts.
 #[test]
 fn a_verified_program_may_make_thousands_of_lookups() {
     use tscout_suite::bpf::asm::ProgramBuilder;
@@ -162,11 +158,4 @@ fn a_verified_program_may_make_thousands_of_lookups() {
         // One lookup by key and one dereference per block.
         assert_eq!(twin.reference.op_stats().lookups, 2 * lookups);
     }
-}
-
-/// VmError is only used via its Display in the panic path above; keep a
-/// compile-time reference so the import carries its weight.
-#[allow(dead_code)]
-fn _uses(e: VmError) -> String {
-    e.to_string()
 }

@@ -1,8 +1,9 @@
 //! What the BPF test suites share: the two seeded program generators
-//! (`bpf_soundness.rs`'s loop-free one, `verifier_differential.rs`'s
-//! loopy adversarial one) with the exact case streams their properties
-//! draw, a Collector deployment, and the lowered-vs-reference oracle
-//! (`lowered_differential.rs`, `alloc_budget.rs`).
+//! (`bpf_soundness.rs`'s forward-only one, `verifier_differential.rs`'s
+//! adversarial one with jumps both ways) with the exact case streams
+//! their properties draw, a Collector deployment, and the
+//! lowered-vs-reference oracle (`lowered_differential.rs`,
+//! `alloc_budget.rs`).
 //!
 //! Each test binary compiles its own copy and uses part of it.
 #![allow(dead_code)]
@@ -64,7 +65,7 @@ pub(crate) struct Gen {
 }
 
 /// `bpf_soundness.rs`: small immediates and forward jumps only — the
-/// loop-free fragment.
+/// fragment the verifier can accept.
 pub(crate) const FORWARD: Gen = Gen {
     conds: &[Cond::Eq, Cond::Ne, Cond::Lt, Cond::Ge, Cond::SGt],
     imm: |rng| rng.random_range(-600i64..600),
@@ -72,10 +73,10 @@ pub(crate) const FORWARD: Gen = Gen {
     jump_off: 0..6,
 };
 
-/// `verifier_differential.rs`: jump offsets may be negative, so programs
-/// contain loops, and immediates span the full adversarial range
-/// (`i64::MIN`, `u64::MAX` as `-1`, shift counts ≥ 64, …).
-pub(crate) const LOOPY: Gen = Gen {
+/// `verifier_differential.rs`: adversarial immediates (`i64::MIN`,
+/// `u64::MAX` as `-1`, shift counts ≥ 64, …) and jump offsets both ways,
+/// so many programs hold a back edge the verifier must reject.
+pub(crate) const TWO_WAY: Gen = Gen {
     conds: &[
         Cond::Eq,
         Cond::Ne,
@@ -195,9 +196,10 @@ pub(crate) fn forward_cases(n: usize) -> impl Iterator<Item = (Vec<Insn>, Vec<u8
     FORWARD.cases(0xB9F_50D, 40, n)
 }
 
-/// `accepted_loopy_programs_never_fault`'s cases (tier-1 draws 8 192).
-pub(crate) fn loopy_cases(n: usize) -> impl Iterator<Item = (Vec<Insn>, Vec<u8>)> {
-    LOOPY.cases(0xD1FF_5EED, 32, n)
+/// `back_edges_are_rejected_and_accepted_programs_never_fault`'s cases
+/// (tier-1 draws 8 192).
+pub(crate) fn two_way_cases(n: usize) -> impl Iterator<Item = (Vec<Insn>, Vec<u8>)> {
+    TWO_WAY.cases(0xD1FF_5EED, 32, n)
 }
 
 /// `verifier_is_total`'s cases (tier-1 draws 512): up to 59 instructions
@@ -384,7 +386,8 @@ impl Twin {
 
     /// Run `prog` through both engines and hold the lowered one to the
     /// reference: the same `Result` — `r0`, `ExecStats`, fault kind,
-    /// `pc` and address — and the same maps afterwards.
+    /// `pc` and address — and the same maps afterwards. A run that ends
+    /// in `Ok` executed no instruction twice.
     pub(crate) fn run(
         &mut self,
         what: &str,
@@ -401,6 +404,15 @@ impl Twin {
             disassemble(prog)
         );
         assert_same_maps(what, prog, &self.lowered, &self.reference);
+        if let Ok((_, stats)) = &got {
+            assert!(
+                stats.insns <= prog.len() as u64,
+                "{what}: {} instructions executed, {} in the program\n{}",
+                stats.insns,
+                prog.len(),
+                disassemble(prog)
+            );
+        }
         got
     }
 

@@ -11,15 +11,15 @@
 //!   marker state machine can put them in;
 //! * every program the two seeded generators of `bpf_soundness.rs` and
 //!   `verifier_differential.rs` draw, accepted by the verifier **or
-//!   not** — `lower` is total, so the unverified ones are where wild
-//!   jumps, clobbered frame pointers and mid-program faults come from;
-//! * named programs, one per way a lowering can go wrong: fuel running
-//!   out inside a fused op, a jump landing inside a fusable pair, a
+//!   not** — `lower` is total, so the unverified ones are where wild and
+//!   backward jumps, clobbered frame pointers and mid-program faults
+//!   come from;
+//! * named programs, one per way a lowering can go wrong: a jump landing
+//!   inside a fusable pair, control leaving the program or going back, a
 //!   written `r10`, a fault in a fused op's last instruction.
 //!
-//! Tier-1 runs the generators' own case counts; `cargo test --release
-//! --test lowered_differential -- --include-ignored` (a `ci.sh` step)
-//! sweeps 16× as many.
+//! No run executes an instruction twice, so the sweep draws 16× the
+//! generators' own case counts in a few seconds.
 
 use std::collections::BTreeMap;
 
@@ -28,13 +28,13 @@ use tscout_suite::bpf::insn::{
     AluOp, Cond, Helper, Insn, Reg, Size, Src, R0, R1, R10, R2, R3, R4, R6, R7,
 };
 use tscout_suite::bpf::lower::lower;
-use tscout_suite::bpf::vm::{NullWorld, Vm, VmError, FUEL};
+use tscout_suite::bpf::vm::{NullWorld, Vm, VmError};
 use tscout_suite::bpf::{verify, Loader, MapId, ProgId};
 use tscout_suite::tscout::codegen::{encode_ctx, CTX_BYTES};
 
 mod common;
 use common::{
-    assert_same_maps, deploy, engines_agree, forward_cases, layouts, loopy_cases, maps,
+    assert_same_maps, deploy, engines_agree, forward_cases, layouts, maps, two_way_cases,
     unterminated_cases, RunResult, Twin, PROGRAMS,
 };
 
@@ -171,7 +171,7 @@ const ENDINGS: [&str; 6] = [
     "ReadOnly",
     "BadHelperArgs",
     "PcOutOfBounds",
-    "OutOfFuel",
+    "BackEdge",
 ];
 
 /// Run every generated case through both engines; how many ended in
@@ -179,7 +179,8 @@ const ENDINGS: [&str; 6] = [
 /// `fused` (shortened by `lower` — random instructions rarely line a
 /// pair up: (a), (c) and the mutants of the Collector's streams in
 /// `alloc_budget.rs` are where fused ops are exercised).
-fn sweep(scale: usize) -> BTreeMap<&'static str, usize> {
+fn sweep() -> BTreeMap<&'static str, usize> {
+    const SCALE: usize = 16;
     let mut seen = BTreeMap::new();
     let mut case = |prog: &[Insn], ctx: &[u8], ctx_size: usize| {
         let lowered = lower(prog);
@@ -189,10 +190,11 @@ fn sweep(scale: usize) -> BTreeMap<&'static str, usize> {
             Err(VmError::ReadOnly { .. }) => "ReadOnly",
             Err(VmError::BadHelperArgs { .. }) => "BadHelperArgs",
             Err(VmError::PcOutOfBounds { .. }) => "PcOutOfBounds",
-            Err(VmError::OutOfFuel) => "OutOfFuel",
+            Err(VmError::BackEdge { .. }) => "BackEdge",
             Err(e @ (VmError::StaleMapValue { .. } | VmError::BadMapHandle { .. })) => {
                 panic!("no generated program deletes a key it holds a pointer to: {e}")
             }
+            Err(e @ VmError::NoSuchProgram { .. }) => panic!("only the loader says {e}"),
         };
         let accepted = verify(prog, &maps(), ctx_size).is_ok();
         let fused = lowered.op_count() < prog.len();
@@ -200,37 +202,31 @@ fn sweep(scale: usize) -> BTreeMap<&'static str, usize> {
             *seen.entry(class).or_insert(0) += hit as usize;
         }
     };
-    for (prog, ctx) in forward_cases(4096 * scale) {
+    for (prog, ctx) in forward_cases(4096 * SCALE) {
         case(&prog, &ctx, 64);
     }
-    for (prog, ctx) in loopy_cases(8192 * scale) {
+    for (prog, ctx) in two_way_cases(8192 * SCALE) {
         case(&prog, &ctx, 64);
     }
     // No closing `exit`: these fall off the end.
-    for (prog, ctx_size) in unterminated_cases(512 * scale) {
+    for (prog, ctx_size) in unterminated_cases(512 * SCALE) {
         case(&prog, &vec![0xC3; ctx_size], ctx_size);
     }
     println!("{seen:?}");
     let cases: usize = ENDINGS.iter().map(|class| seen[class]).sum();
-    assert_eq!(cases, scale * (4096 + 8192 + 512));
+    assert_eq!(cases, SCALE * (4096 + 8192 + 512));
     seen
 }
 
 #[test]
 fn generated_programs_agree_accepted_or_not() {
-    let seen = sweep(1);
+    let seen = sweep();
     for class in ENDINGS.iter().chain(&["accepted"]) {
         assert!(
             seen[class] >= 8,
             "few generated programs are {class}: {seen:?}"
         );
     }
-}
-
-#[test]
-#[ignore = "16× the tier-1 case counts; ci.sh runs it in release"]
-fn generated_programs_agree_accepted_or_not_full_sweep() {
-    sweep(16);
 }
 
 // ---------------------------------------------------------------------
@@ -275,54 +271,6 @@ fn ja(off: i32) -> Insn {
     Insn::Jump { cond: None, off }
 }
 
-/// `FUEL` is not a multiple of the loop's length, so the budget runs out
-/// between the instructions of a fused `mov; add; stx8`: the store of the
-/// last, partial trip must not land, exactly as in the reference — the
-/// map value the loop counts into says which trip was the last.
-#[test]
-fn fuel_runs_out_inside_a_fused_op_on_the_same_run() {
-    let hash = MapId(0);
-    let mut b = ProgramBuilder::new();
-    b.store_imm(Size::B8, R10, -8, 7);
-    b.load_map(R1, hash);
-    b.mov_reg(R2, R10);
-    b.alu_imm(AluOp::Add, R2, -8);
-    b.call(Helper::MapLookup);
-    b.mov_reg(R6, R0);
-    b.mov_imm(R7, 0);
-    let head = b.label();
-    b.bind(head);
-    b.alu_imm(AluOp::Add, R7, 1);
-    b.mov_reg(R3, R6);
-    b.alu_imm(AluOp::Add, R3, 8);
-    b.store_reg(Size::B8, R3, 0, R7);
-    b.jump(head);
-    let prog = b.resolve().unwrap();
-    let lowered = lower(&prog);
-    assert_eq!(
-        lowered.op_count(),
-        prog.len() - 1 - 2,
-        "fp_ptr and the loop body fuse"
-    );
-
-    let populated = || {
-        let mut m = maps();
-        m.update(hash, &7u64.to_le_bytes(), &[0; 16]).unwrap();
-        m
-    };
-    let mut twin = Twin::new(populated);
-    assert_eq!(
-        twin.run("fuel", &prog, &lowered, &[]),
-        Err(VmError::OutOfFuel)
-    );
-    // 7 instructions lead in, 5 per trip; trip `n`'s store is instruction
-    // `7 + 5n - 1`, so the last one inside the budget is:
-    let trips = (FUEL - 7 + 1) / 5;
-    assert_ne!((FUEL - 7) % 5, 0, "the budget must end mid-trip");
-    let value = twin.lowered.lookup(hash, &7u64.to_le_bytes()).unwrap();
-    assert_eq!(value[8..], trips.to_le_bytes());
-}
-
 /// A jump may land on the `add` of a `mov; add` pair, or on the access
 /// behind it: then the pair (or the triple) must not fuse, or the target
 /// would have no op of its own.
@@ -365,13 +313,13 @@ fn a_jump_into_a_fusable_shape_keeps_it_apart() {
     assert_eq!((r0, stats.insns), (0xC0FFEE, 4));
 }
 
-/// Control leaving the program: off the end, to the end, past it and
-/// before it (the reference's wrapping arithmetic makes that a huge
-/// `pc`) — each the reference's `PcOutOfBounds`, after the same number of
-/// instructions.
+/// Control leaving the program — off the end, to the end, past it — is
+/// the reference's `PcOutOfBounds`; going back, even to before the
+/// program, is its `BackEdge` at the jump.
 #[test]
 fn wild_control_flow_traps_where_the_reference_does() {
     let out = |pc| Err(VmError::PcOutOfBounds { pc });
+    let back = |pc| Err(VmError::BackEdge { pc });
     assert_eq!(engines_agree("empty", &[], &[]), out(0));
     let falls_off = [mov_imm(R0, 1), mov_imm(R0, 2)];
     assert_eq!(engines_agree("falls off", &falls_off, &[]), out(2));
@@ -381,13 +329,12 @@ fn wild_control_flow_traps_where_the_reference_does() {
     );
     assert_eq!(engines_agree("past", &[ja(40), Insn::Exit], &[]), out(41));
     let before = [mov_imm(R0, 0), ja(-5), Insn::Exit];
-    assert_eq!(engines_agree("before", &before, &[]), out(-3i64 as usize));
+    assert_eq!(engines_agree("before", &before, &[]), back(1));
     let far = [ja(i32::MIN), ja(i32::MAX)];
-    assert_eq!(
-        engines_agree("far before", &far, &[]),
-        out((1 + i32::MIN as i64) as usize)
-    );
-    // Not taken, a wild jump is harmless.
+    assert_eq!(engines_agree("far before", &far, &[]), back(0));
+    let onto_itself = [mov_imm(R0, 0), ja(-1), Insn::Exit];
+    assert_eq!(engines_agree("onto itself", &onto_itself, &[]), back(1));
+    // Not taken, a wild or backward jump is harmless.
     let not_taken = [
         mov_imm(R0, 3),
         Insn::Jump {
