@@ -41,7 +41,9 @@ echo "== allocation budgets: sample path, archive read side, forest fit, lowered
 # datasets_from_archive one per point + O(blocks), a Forest fit one
 # per tree node + O(trees), 0 per lowered run of a mutated Collector
 # stream (which must also end in Ok or Err, as the reference does), and
-# a YCSB point read <= 7 allocations / 700 B, an index lookup 0.
+# a YCSB point read <= 6 allocations / 560 B, TPC-C's stock_level join
+# <= 64 and its UPDATE stock <= 14 (rows cross operators borrowed), an
+# index lookup 0.
 cargo test -q --release --test alloc_budget
 
 echo "== forest differential, full sweep (release): the rank-coded fit builds the sort-per-node reference's trees bit for bit — 280 seeded cases of hostile floats, n up to 20 000 =="

@@ -822,7 +822,7 @@ impl Database {
 
         // NETWORK_WRITE: ship the response (errors ship a small packet too).
         let resp_bytes = match &result {
-            Ok(o) => (64 + o.rows.iter().map(row_bytes).sum::<usize>()) as u64,
+            Ok(o) => (64 + o.rows.iter().map(|r| row_bytes(r)).sum::<usize>()) as u64,
             Err(_) => 64,
         };
         let feats = vec![resp_bytes, 1];

@@ -9,7 +9,7 @@ pub use hash::HashIndex;
 use std::cmp::Ordering;
 
 use crate::storage::SlotId;
-use crate::types::{Row, Value};
+use crate::types::Value;
 
 /// Index kind selected at `CREATE INDEX` time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -102,19 +102,20 @@ impl Index {
 
 /// Extract an index key from a row given the indexed column positions —
 /// for an index that must own it; a check reads the row in place.
-pub fn key_from_row(row: &Row, cols: &[usize]) -> IndexKey {
+pub fn key_from_row(row: &[Value], cols: &[usize]) -> IndexKey {
     cols.iter().map(|c| row[*c].clone()).collect()
 }
 
 /// `key_from_row(row, cols).cmp(key)` without building the key: how a
 /// scan re-checks a row, and the unique check compares one.
-pub fn row_key_cmp(row: &Row, cols: &[usize], key: &[Value]) -> Ordering {
+pub fn row_key_cmp(row: &[Value], cols: &[usize], key: &[Value]) -> Ordering {
     cols.iter().map(|c| &row[*c]).cmp(key)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::Row;
 
     #[test]
     fn dispatch_works_for_both_kinds() {

@@ -194,7 +194,7 @@ impl fmt::Display for Value {
 pub type Row = Vec<Value>;
 
 /// Approximate row width in bytes.
-pub fn row_bytes(row: &Row) -> usize {
+pub fn row_bytes(row: &[Value]) -> usize {
     row.iter().map(Value::byte_size).sum()
 }
 
