@@ -4,7 +4,7 @@
 //! vanishes, per subsystem and per OU.
 
 use tscout_suite::kernel::{HardwareProfile, Kernel};
-use tscout_suite::noisetap::Database;
+use tscout_suite::noisetap::{Database, EngineMode, Value};
 use tscout_suite::tscout::{CollectionMode, TsConfig, ALL_SUBSYSTEMS};
 use tscout_suite::workloads::driver::{run, RunOptions};
 use tscout_suite::workloads::{Workload, Ycsb};
@@ -135,6 +135,65 @@ fn generous_ring_loses_nothing() {
     assert!(totals.begun > 0);
     assert_eq!(totals.lost, 0, "a huge ring must not overwrite");
     assert_eq!(totals.begun, totals.delivered);
+}
+
+#[test]
+fn a_statement_failing_inside_an_operator_still_finishes_its_samples() {
+    // An evaluation error used to leave the operator it hit between its
+    // BEGIN and END markers: the sample was begun, then neither delivered
+    // nor lost. `b + 1` over TEXT fails in a Filter, an index scan's
+    // residual, either key of a hash join, an INSERT and a DELETE's scan.
+    let text = |s: &str| Value::Text(s.into());
+    let steps = [
+        ("SELECT k FROM t WHERE k = 3", vec![], false),
+        ("SELECT k FROM t WHERE b + 1 > 0", vec![], true),
+        ("SELECT k FROM t WHERE k >= 2 AND b + 1 > 0", vec![], true),
+        (
+            "SELECT count(*) FROM t x JOIN t y ON x.b + 1 = y.k",
+            vec![],
+            true,
+        ),
+        (
+            "SELECT count(*) FROM t x JOIN t y ON x.k = y.b + 1",
+            vec![],
+            true,
+        ),
+        ("INSERT INTO t VALUES (9, $1 + 1)", vec![text("y")], true),
+        ("DELETE FROM t WHERE k >= 0 AND b + 1 > 0", vec![], true),
+        ("SELECT b FROM t WHERE k = 1", vec![], false),
+    ];
+    for mode in [EngineMode::PerOperator, EngineMode::Fused] {
+        let mut k = Kernel::with_seed(HardwareProfile::server_2x20(), 0x7E1E);
+        k.noise_frac = 0.0;
+        let mut db = Database::new(k);
+        db.mode = mode;
+        let sid = db.create_session();
+        db.execute(sid, "CREATE TABLE t (k INT PRIMARY KEY, b TEXT)", &[])
+            .unwrap();
+        for k in 0..8 {
+            db.execute(sid, "INSERT INTO t VALUES ($1, 'x')", &[Value::Int(k)])
+                .unwrap();
+        }
+        let mut cfg = TsConfig::new(CollectionMode::KernelContinuous);
+        cfg.enable_all_subsystems();
+        db.attach_tscout(cfg).unwrap();
+        set_rates(&mut db, 100);
+        for (sql, params, fails) in &steps {
+            let result = db.execute(sid, sql, params);
+            assert_eq!(result.is_err(), *fails, "{mode:?} {sql}: {result:?}");
+            let _ = db.tscout_mut().unwrap().drain_decoded();
+            let lt = db.tscout().unwrap().loss_totals();
+            assert!(lt.begun > 0, "{mode:?} {sql}");
+            assert_eq!(
+                lt.begun,
+                lt.delivered + lt.lost,
+                "{mode:?} after {sql}: begun {} delivered {} lost {}",
+                lt.begun,
+                lt.delivered,
+                lt.lost
+            );
+        }
+    }
 }
 
 #[test]
