@@ -70,11 +70,14 @@ trap 'rm -rf "$TS_RESULTS"' EXIT
 echo "== frozen-surface smoke (untouched benchmark/ builds against these crates) =="
 # Correctness only — no timing is gated here: tsbench must compile
 # unchanged against the current library surface, exit 0, and report
-# `"correct": true` (digest, begun = delivered + lost, archive checks).
-cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
-  run --workload collect_full --seconds 2 --out "$TS_RESULTS/tsbench" \
-  | tail -n 1 | grep -q '"correct": true' \
-  || { echo "FAIL: tsbench collect_full did not report correct: true"; exit 1; }
+# `"correct": true` (digest, begun = delivered + lost, archive checks;
+# for collect_unsampled, rate 0 archives exactly 0 samples).
+for workload in collect_full collect_unsampled; do
+  cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
+    run --workload "$workload" --seconds 2 --out "$TS_RESULTS/tsbench" \
+    | tail -n 1 | grep -q '"correct": true' \
+    || { echo "FAIL: tsbench $workload did not report correct: true"; exit 1; }
+done
 
 echo "== figure/ablation smoke, twice: all 18 entries at smoke scale, CSV bytes == tests/golden/figures.txt, only declared artifacts; then same seed => same bytes, every file, no exception =="
 TS_RESULTS="$TS_RESULTS/smoke_a" ./target/release/tscout-bench smoke

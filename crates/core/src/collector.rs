@@ -849,10 +849,10 @@ impl TScout {
         features: &[u64],
         user_metrics: &[u64],
     ) {
-        let mut payload = Payload::new();
-        payload.extend(features);
-        payload.extend(user_metrics);
-        self.features_common(k, task, ou, 0, payload.as_slice());
+        self.features_common(k, task, ou, 0, |payload| {
+            payload.extend(features);
+            payload.extend(user_metrics);
+        });
     }
 
     /// Vectorized `FEATURES` for fused pipelines (§5.2): one metrics
@@ -864,27 +864,23 @@ impl TScout {
         pipeline_ou: OuId,
         groups: &[(OuId, Vec<u64>)],
     ) {
-        let mut payload = Payload::new();
-        for (ou, feats) in groups {
-            payload.extend(&[ou.as_u64(), feats.len() as u64]);
-            payload.extend(feats);
-        }
-        self.features_common(
-            k,
-            task,
-            pipeline_ou,
-            groups.len() as u64,
-            payload.as_slice(),
-        );
+        self.features_common(k, task, pipeline_ou, groups.len() as u64, |payload| {
+            for (ou, feats) in groups {
+                payload.extend(&[ou.as_u64(), feats.len() as u64]);
+                payload.extend(feats);
+            }
+        });
     }
 
+    /// The marker proper; `build` stages the payload, and runs only for a
+    /// collected sample.
     fn features_common(
         &mut self,
         k: &mut Kernel,
         task: TaskId,
         ou: OuId,
         flags: u64,
-        payload: &[u64],
+        build: impl FnOnce(&mut Payload),
     ) {
         self.count_marker(Marker::Features);
         let _frames = k.profile_frames(task, [TSCOUT.id(), COLLECTOR_FEATURES.id()]);
@@ -898,6 +894,9 @@ impl TScout {
         if !top.collected {
             return;
         }
+        let mut payload = Payload::new();
+        build(&mut payload);
+        let payload = payload.as_slice();
         match self.config.mode {
             CollectionMode::KernelContinuous => {
                 let before = self.stats.samples_emitted;

@@ -17,8 +17,12 @@
 //! name interned once — a `static` [`Frame`] declared where it is pushed,
 //! or [`FrameId::intern`] where the name is only known at run time (a
 //! loaded program's `bpf:prog:<name>`) — so a push stores a `u32` and a
-//! pop decrements a depth: no lock, no allocation, one reference-count
-//! pair for the guard. The mutex is taken when a sample fires and by
+//! pop decrements a depth: no lock, no allocation, no reference count.
+//! A stack is a `&'static` slot array from a process-wide spare list
+//! (leaked only when the list is empty, returned when its task drops),
+//! and the guard remembers the stack's generation, bumped on every
+//! return: a guard that outlives its task pops nothing from the stack's
+//! next owner. The mutex is taken when a sample fires and by
 //! readers, and only then are ids folded back to names. Root frames
 //! re-base folding: a stack renders from its **last** root frame onward.
 //! That is what makes overhead attribution honest: when TScout's marker
@@ -127,30 +131,70 @@ impl Frame {
 
 #[derive(Debug)]
 struct FrameSlots {
+    /// Bumped each time the stack goes back to the spare list.
+    generation: AtomicU32,
     /// Frames pushed and not popped; may exceed [`MAX_DEPTH`].
     depth: AtomicU32,
     slots: [AtomicU32; MAX_DEPTH],
 }
 
+/// Stacks no task holds, and how many stacks were ever leaked: each is
+/// either held or spare, so `leaked` is the peak number held at once.
+struct Spare {
+    stacks: Vec<&'static FrameSlots>,
+    leaked: usize,
+}
+
+static SPARE: Mutex<Spare> = Mutex::new(Spare {
+    stacks: Vec::new(),
+    leaked: 0,
+});
+
+fn spare() -> MutexGuard<'static, Spare> {
+    SPARE.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// One task's execution-context stack, kept by whoever keeps the task
-/// (the kernel, in its task table). Clones share the stack. Written by
-/// the thread that simulates the task and read by it when a sample
-/// fires, so the atomics are `Relaxed`: they publish nothing, they only
-/// let the owner stay `Send + Sync`. A guard dropped out of order
-/// leaves a wrong stack, never a panic.
-#[derive(Debug, Clone)]
-pub struct TaskFrames(Arc<FrameSlots>);
+/// (the kernel, in its task table); dropping it returns the stack to the
+/// spare list. Written by the thread that simulates the task and read by
+/// it when a sample fires, so the atomics are `Relaxed`: they publish
+/// nothing, they only let the owner stay `Send + Sync`. A guard dropped
+/// out of order, or after its task, leaves a wrong stack — never a panic,
+/// never another task's stack.
+#[derive(Debug)]
+pub struct TaskFrames(&'static FrameSlots);
 
 impl Default for TaskFrames {
     fn default() -> Self {
-        TaskFrames(Arc::new(FrameSlots {
-            depth: AtomicU32::new(0),
-            slots: [const { AtomicU32::new(0) }; MAX_DEPTH],
-        }))
+        let mut spare = spare();
+        let stack = spare.stacks.pop().unwrap_or_else(|| {
+            spare.leaked += 1;
+            Box::leak(Box::new(FrameSlots {
+                generation: AtomicU32::new(0),
+                depth: AtomicU32::new(0),
+                slots: [const { AtomicU32::new(0) }; MAX_DEPTH],
+            }))
+        });
+        TaskFrames(stack)
+    }
+}
+
+impl Drop for TaskFrames {
+    fn drop(&mut self) {
+        self.0.generation.fetch_add(1, Relaxed);
+        self.0.depth.store(0, Relaxed);
+        spare().stacks.push(self.0);
     }
 }
 
 impl TaskFrames {
+    /// Stacks ever leaked process-wide: the peak number of `TaskFrames`
+    /// alive at once, as every other one came off the spare list.
+    #[doc(hidden)]
+    pub fn leaked() -> usize {
+        spare().leaked
+    }
+
     /// Render the stack from its last root frame onward into `key`, with
     /// `leaf` (if any) as one more innermost frame.
     fn fold_key(&self, leaf: Option<&str>, key: &mut String) {
@@ -285,7 +329,7 @@ impl Profiler {
         }
         stack.0.depth.store((depth + N) as u32, Relaxed);
         FrameGuard {
-            stack: Some((stack.clone(), N as u32)),
+            stack: Some((stack.0, stack.0.generation.load(Relaxed), N as u32)),
         }
     }
 
@@ -294,7 +338,8 @@ impl Profiler {
     /// the caller beside the task's `stack` — and fire
     /// `floor(credit / period)` samples against that stack. Must never
     /// alter the charge itself. The lock is only taken when a sample
-    /// actually fires.
+    /// actually fires. A non-finite or non-positive `ns` is ignored: an
+    /// infinite one would leave the task's credit `NaN` for good.
     ///
     /// `leaf` names a frame that is on top of the stack for exactly this
     /// charge (a BPF helper's body) — cheaper than pushing and popping it
@@ -307,7 +352,7 @@ impl Profiler {
         leaf: Option<&'static str>,
     ) {
         let period = self.period_ns();
-        if period <= 0.0 || ns.is_nan() || ns <= 0.0 {
+        if period <= 0.0 || !ns.is_finite() || ns <= 0.0 {
             return;
         }
         *credit += ns;
@@ -366,20 +411,23 @@ impl Profiler {
 }
 
 /// RAII frame guard returned by [`Profiler::push_frames`]; pops the
-/// frame(s) it pushed when dropped. Shares the task's stack, so it never
-/// borrows the kernel or the component that pushed it.
+/// frame(s) it pushed when dropped, unless the stack has gone back to
+/// the spare list since. Holds the stack itself (it is `'static`), so it
+/// never borrows the kernel or the component that pushed it.
 #[must_use = "the frame pops when this guard drops"]
 #[derive(Debug)]
 pub struct FrameGuard {
-    /// The stack and how many frames to pop off it.
-    stack: Option<(TaskFrames, u32)>,
+    /// The stack, its generation at the push, and how many frames to pop.
+    stack: Option<(&'static FrameSlots, u32, u32)>,
 }
 
 impl Drop for FrameGuard {
     fn drop(&mut self) {
-        if let Some((stack, pushed)) = &self.stack {
-            let depth = &stack.0.depth;
-            depth.store(depth.load(Relaxed).saturating_sub(*pushed), Relaxed);
+        if let Some((slots, generation, pushed)) = self.stack {
+            if slots.generation.load(Relaxed) == generation {
+                let depth = &slots.depth;
+                depth.store(depth.load(Relaxed).saturating_sub(pushed), Relaxed);
+            }
         }
     }
 }
@@ -529,5 +577,37 @@ mod tests {
         charge(&p, &t, 30.0);
         p.on_charge(&t, &mut 0.0, 15.0, Some("wal"));
         assert_eq!(p.folded_text(), "dbms 3\ndbms;wal 1\n");
+    }
+
+    /// An infinite charge samples nothing and leaves the task's credit
+    /// finite, so the task's later charges fold as usual.
+    #[test]
+    fn an_infinite_charge_leaves_the_task_sampling() {
+        let (p, t) = (Profiler::new(), TaskFrames::default());
+        p.set_period_ns(10.0);
+        let _g = p.push_frames(&t, [DBMS.id()]);
+        let mut credit = 5.0;
+        for ns in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            p.on_charge(&t, &mut credit, ns, None);
+        }
+        assert_eq!((credit, p.interrupts_fired()), (5.0, 0));
+        p.on_charge(&t, &mut credit, 15.0, None);
+        assert_eq!(credit, 0.0);
+        assert_eq!(p.folded_text(), "dbms 2\n");
+        assert_eq!(p.attribution().ns_of("dbms"), 20.0);
+    }
+
+    /// An infinite charge on one task does not overflow the interrupt
+    /// count when another task samples next.
+    #[test]
+    fn an_infinite_charge_does_not_overflow_another_tasks_sample() {
+        let (a, b) = (TaskFrames::default(), TaskFrames::default());
+        let p = Profiler::new();
+        p.set_period_ns(10.0);
+        p.on_charge(&a, &mut 0.0, f64::INFINITY, None);
+        let _g = p.push_frames(&b, [TSCOUT.id()]);
+        charge(&p, &b, 10.0);
+        assert_eq!(p.interrupts_fired(), 1);
+        assert_eq!(p.folded_text(), "tscout 1\n");
     }
 }

@@ -8,6 +8,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use tscout_suite::kernel::{Frame, HardwareProfile, Kernel, Profiler, DBMS, TSCOUT};
 use tscout_suite::noisetap::Database;
+use tscout_suite::telemetry::TaskFrames;
 use tscout_suite::tscout::{CollectionMode, TsConfig, ALL_SUBSYSTEMS};
 use tscout_suite::workloads::driver::{run, RunOptions};
 use tscout_suite::workloads::{Tpcc, Workload, Ycsb};
@@ -134,6 +135,52 @@ fn deep_and_out_of_order_frames_stay_on_their_own_task() {
     drop(k.profile_frame(task, &OP));
     k.charge_overhead(other, 1.0);
     assert!(folded(&k).contains("dbms;op 1\n"), "{}", folded(&k));
+}
+
+/// A task's stack goes back to the spare list with its kernel, and the
+/// next task created most likely gets it: a guard that outlived the
+/// first kernel pops nothing from it. Other tests take stacks off the
+/// list meanwhile, so the hand-over is repeated until it surely happened.
+#[test]
+fn a_guard_outliving_its_kernel_pops_nothing_from_the_next_owner() {
+    static OP: Frame = Frame::new("op");
+    let kernel = || {
+        let mut k = Kernel::new(HardwareProfile::server_2x20());
+        k.set_profile_period_ns(1.0);
+        let task = k.create_task();
+        (k, task)
+    };
+    for _ in 0..100 {
+        let (first, task) = kernel();
+        let stale = first.profile_frames(task, [TSCOUT.id(), OP.id()]);
+        drop(first);
+
+        let (mut k, task) = kernel();
+        let _frames = k.profile_frames(task, [DBMS.id(), OP.id()]);
+        drop(stale);
+        k.charge_overhead(task, 1.0);
+        assert_eq!(k.profiler.folded_text(), "dbms;op 1\n");
+    }
+}
+
+/// Stacks are reused, not leaked per task: 1 000 kernels of 4 tasks each,
+/// one after another, leak at most the stacks live at once. Other tests
+/// of this binary hold a few dozen tasks meanwhile; a leak per task would
+/// be 4 000.
+#[test]
+fn kernels_in_sequence_reuse_their_tasks_stacks() {
+    let before = TaskFrames::leaked();
+    for _ in 0..1_000 {
+        let mut k = Kernel::new(HardwareProfile::server_2x20());
+        k.set_profile_period_ns(1.0);
+        for _ in 0..4 {
+            let task = k.create_task();
+            let _frame = k.profile_frame(task, &DBMS);
+            k.charge_overhead(task, 1.0);
+        }
+    }
+    let grown = TaskFrames::leaked() - before;
+    assert!(grown <= 4 + 200, "{grown} stacks leaked");
 }
 
 #[test]

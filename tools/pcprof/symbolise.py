@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Turn a pcprof dump into per-function shares with `addr2line -i`.
 
-    symbolise.py run.pcprof [--under FN] [--focus FN] [--lines FN] [--top N] [--folded]
+    symbolise.py run.pcprof [--under FN] [--focus FN] [--lines FN] [--callers FN]
+                            [--sort incl|self] [--top N] [--folded]
 
 Every stack is expanded through inlined frames, so a function counts
 wherever its code runs. `--under FN` keeps only stacks with a frame whose
@@ -10,7 +11,11 @@ the timed region); `--focus FN` lists what runs beneath FN: each function
 between FN and the leaf, by the share of FN's stacks it is on. `--lines FN`
 prints where FN's stacks were interrupted: the leaf `file:line` (innermost
 inlined frame) of each, by share — the line a loop spends its time on.
-`--folded` prints `root;..;leaf count` lines for a flamegraph tool.
+`--callers FN` lists what runs above FN: each function between the root
+(or the `--under` cut) and FN's outermost frame, by its share of all kept
+stacks and of FN's. `--sort self` orders the function table by self share
+instead of inclusive. `--folded` prints `root;..;leaf count` lines for a
+flamegraph tool.
 """
 import argparse
 import collections
@@ -91,6 +96,8 @@ def main():
     ap.add_argument("--under")
     ap.add_argument("--focus")
     ap.add_argument("--lines", metavar="FN")
+    ap.add_argument("--callers", metavar="FN")
+    ap.add_argument("--sort", choices=("incl", "self"), default="incl")
     ap.add_argument("--top", type=int, default=40)
     ap.add_argument("--folded", action="store_true")
     args = ap.parse_args()
@@ -118,6 +125,18 @@ def main():
         for line, n in collections.Counter(leaf for _, leaf in rows).most_common(args.top):
             print(f"{100 * n / max(total, 1):7.2f}  {line}")
         return
+    if args.callers:
+        above, hit = collections.Counter(), 0
+        for f in frames:
+            hits = [i for i, fn in enumerate(f) if args.callers in fn]
+            if hits:
+                hit += 1
+                above.update(set(f[hits[-1] + 1:]))
+        print(f"# {hit} with {args.callers}: {100 * hit / max(total, 1):.2f} %")
+        print(f"{'% all':>7} {'% fn':>7}  caller of {args.callers}")
+        for fn, n in above.most_common(args.top):
+            print(f"{100 * n / max(total, 1):7.2f} {100 * n / max(hit, 1):7.2f}  {fn}")
+        return
     if args.folded:
         folded = collections.Counter(";".join(reversed(f)) for f in frames)
         for stack, n in sorted(folded.items()):
@@ -128,9 +147,10 @@ def main():
         beneath = f[:-1] if args.focus else f
         inclusive.update(set(beneath))
         self_[f[0]] += 1
+    order = inclusive if args.sort == "incl" else self_
     print(f"{'incl %':>7} {'self %':>7}  function")
-    for fn, n in inclusive.most_common(args.top):
-        print(f"{100 * n / max(total, 1):7.2f} {100 * self_[fn] / max(total, 1):7.2f}  {fn}")
+    for fn, _ in order.most_common(args.top):
+        print(f"{100 * inclusive[fn] / max(total, 1):7.2f} {100 * self_[fn] / max(total, 1):7.2f}  {fn}")
 
 
 if __name__ == "__main__":
