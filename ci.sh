@@ -71,8 +71,10 @@ echo "== frozen-surface smoke (untouched benchmark/ builds against these crates)
 # Correctness only — no timing is gated here: tsbench must compile
 # unchanged against the current library surface, exit 0, and report
 # `"correct": true` (digest, begun = delivered + lost, archive checks;
-# for collect_unsampled, rate 0 archives exactly 0 samples).
-for workload in collect_full collect_unsampled; do
+# for collect_unsampled, rate 0 archives exactly 0 samples). All four
+# workloads, so both retrain paths (Forest in the lifecycle, Ridge beside
+# archive_retrain's writes) and the scraped run are exercised.
+for workload in collect_full collect_unsampled collect_scraped archive_retrain; do
   cargo run --release --offline --manifest-path benchmark/Cargo.toml -- \
     run --workload "$workload" --seconds 2 --out "$TS_RESULTS/tsbench" \
     | tail -n 1 | grep -q '"correct": true' \

@@ -5,7 +5,12 @@
 //! for each query template and then compute the average" (§6). All
 //! errors are reported in microseconds, matching the paper's figures.
 
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
+use std::num::NonZeroUsize;
+use std::panic;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::thread;
 
 use crate::dataset::{OuData, PointSet};
 use crate::{ModelKind, Regressor};
@@ -18,18 +23,64 @@ pub struct OuModelSet {
     seed: u64,
 }
 
+/// One OU's model, fitted alone; `None` for an empty dataset. Every fit
+/// of [`OuModelSet::train`]'s pool runs under this frame, whichever
+/// thread it is on (`tools/pcprof`: `--under fit_ou`).
+fn fit_ou<D: PointSet>(kind: ModelKind, seed: u64, data: &D) -> Option<Box<dyn Regressor>> {
+    let (x, y) = data.matrices();
+    if x.is_empty() {
+        return None;
+    }
+    let mut m = kind.build(seed);
+    m.fit(&x, &y);
+    Some(m)
+}
+
 impl OuModelSet {
     /// Train one model per (non-empty) OU dataset.
-    pub fn train<D: PointSet>(kind: ModelKind, seed: u64, data: &[D]) -> OuModelSet {
-        let mut set = OuModelSet {
-            models: BTreeMap::new(),
-            kind,
-            seed,
+    ///
+    /// The OUs are independent fits, so they run side by side: one scoped
+    /// worker per CPU (at most one per OU), the caller among them, each
+    /// taking the largest OU not yet started — the last fits to start are
+    /// the short ones, and the workers finish close together. Every fit is
+    /// the same call on the same data and seed as a one-at-a-time loop's,
+    /// and models are installed in input order, so the set is the same
+    /// bit for bit: a repeated OU name keeps its last dataset's model.
+    pub fn train<D: PointSet + Sync>(kind: ModelKind, seed: u64, data: &[D]) -> OuModelSet {
+        let mut order: Vec<(usize, usize)> =
+            (data.iter().map(|d| d.points().count()).enumerate()).collect();
+        order.sort_by_key(|&(_, points)| Reverse(points));
+        // The cursor publishes nothing: `order` and `data` are read-only
+        // here, and each worker's models come back through its `join`.
+        let cursor = AtomicUsize::new(0);
+        let work = || {
+            let mut fitted = Vec::new();
+            while let Some(&(i, _)) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+                fitted.push((i, fit_ou(kind, seed, &data[i])));
+            }
+            fitted
         };
-        for d in data {
-            set.retrain_ou(d);
+        let cpus = thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let mut fitted = thread::scope(|s| {
+            // A worker that cannot be spawned leaves its share to the caller.
+            let pool: Vec<_> = (1..cpus.min(data.len()))
+                .filter_map(|_| thread::Builder::new().spawn_scoped(s, work).ok())
+                .collect();
+            let mut fitted = work();
+            for worker in pool {
+                fitted.extend(worker.join().unwrap_or_else(|p| panic::resume_unwind(p)));
+            }
+            fitted
+        });
+        // Installed in input order, whatever order they finished in.
+        fitted.sort_unstable_by_key(|&(i, _)| i);
+        let mut models = BTreeMap::new();
+        for (i, model) in fitted {
+            if let Some(m) = model {
+                models.insert(data[i].name().to_string(), m);
+            }
         }
-        set
+        OuModelSet { models, kind, seed }
     }
 
     /// Predict elapsed ns for one OU invocation; `None` when no model
@@ -45,13 +96,9 @@ impl OuModelSet {
     /// Retrain this set's OU model on augmented data (online
     /// refinement); empty data leaves the set as it is.
     pub fn retrain_ou<D: PointSet>(&mut self, data: &D) {
-        let (x, y) = data.matrices();
-        if x.is_empty() {
-            return;
+        if let Some(m) = fit_ou(self.kind, self.seed, data) {
+            self.models.insert(data.name().to_string(), m);
         }
-        let mut m = self.kind.build(self.seed);
-        m.fit(&x, &y);
-        self.models.insert(data.name().to_string(), m);
     }
 }
 
@@ -233,6 +280,52 @@ mod tests {
         assert!((error_reduction_pct(100.0, 2.0) - 98.0).abs() < 1e-9);
         assert!(error_reduction_pct(100.0, 150.0) < 0.0);
         assert_eq!(error_reduction_pct(0.0, 5.0), 0.0);
+    }
+
+    /// The pool changes when each OU is fitted, never what: every model is
+    /// the one its dataset gets fitted alone, and a repeated name keeps
+    /// its later dataset's model.
+    fn parallel_training_matches_one_at_a_time(kind: ModelKind) {
+        let seed = 5;
+        let mut data = vec![
+            linear_ou("scan", 70, 4.0),
+            linear_ou("huge", 3_000, 2.0),
+            linear_ou("filter", 150, 0.5),
+            linear_ou("single", 1, 0.0),
+            OuData::new("empty"),
+            linear_ou("join", 90, 3.0),
+            linear_ou("sort", 40, 1.5),
+            // Larger than the first "scan", so it is fitted before it.
+            linear_ou("scan", 120, 1.0),
+        ];
+        for p in &mut data[7].points {
+            p.target_ns *= 3.0;
+        }
+        let set = OuModelSet::train(kind, seed, &data);
+        let alone = |d: &OuData| {
+            let mut m = kind.build(seed);
+            let (x, y) = d.matrices();
+            m.fit(&x, &y);
+            format!("{m:?}")
+        };
+        let names = ["filter", "huge", "join", "scan", "single", "sort"];
+        assert_eq!(set.ou_names(), names);
+        for d in &data[1..] {
+            if !d.is_empty() {
+                assert_eq!(format!("{:?}", set.models[&d.name]), alone(d), "{}", d.name);
+            }
+        }
+        assert_ne!(alone(&data[0]), alone(&data[7]), "the two scans differ");
+    }
+
+    #[test]
+    fn parallel_forest_training_matches_one_at_a_time() {
+        parallel_training_matches_one_at_a_time(ModelKind::Forest);
+    }
+
+    #[test]
+    fn parallel_ridge_training_matches_one_at_a_time() {
+        parallel_training_matches_one_at_a_time(ModelKind::Ridge);
     }
 
     #[test]

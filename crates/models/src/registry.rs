@@ -130,7 +130,7 @@ impl ModelRegistry {
         self.retrain_on(train, holdout)
     }
 
-    fn retrain_on<D: PointSet>(&mut self, train: &[D], holdout: &[D]) -> SwapDecision {
+    fn retrain_on<D: PointSet + Sync>(&mut self, train: &[D], holdout: &[D]) -> SwapDecision {
         let count = |side: &[D]| side.iter().map(|d| d.points().count()).sum::<usize>();
         let (trained_points, holdout_points) = (count(train), count(holdout));
         if trained_points == 0 || holdout_points == 0 {

@@ -499,16 +499,14 @@ fn run_inner(
     // cadence (statements recorded before this run are not ours to bill).
     let mut last_stmt_recorded = db.kernel.telemetry.stmt_recorded();
 
-    loop {
-        // Earliest-first: advance the terminal with the smallest clock.
-        let (&sid, now) = terminals
-            .iter()
-            .map(|s| (s, db.now(*s)))
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-            .unwrap();
-        if now >= end_ns {
-            break;
-        }
+    // Earliest-first: advance the terminal with the smallest clock until it
+    // reaches the end. A run without terminals goes straight to its drain.
+    while let Some((&sid, now)) = terminals
+        .iter()
+        .map(|s| (s, db.now(*s)))
+        .min_by(|a, b| a.1.total_cmp(&b.1))
+        .filter(|&(_, now)| now < end_ns)
+    {
         // Background pumping keeps the WAL and Processor in lockstep with
         // the foreground timeline.
         if now >= next_pump {
@@ -819,10 +817,8 @@ mod tests {
     use tscout::{CollectionMode, TsConfig};
     use tscout_kernel::{HardwareProfile, Kernel};
 
-    #[test]
-    fn lifecycle_archives_tags_and_swaps_models() {
-        let dir = std::env::temp_dir().join(format!("tscout_lc_{}", std::process::id()));
-        std::fs::remove_dir_all(&dir).ok();
+    /// A loaded YCSB database collecting every subsystem at 100 %.
+    fn collecting_ycsb() -> (Database, crate::Ycsb) {
         let mut k = Kernel::with_seed(HardwareProfile::server_2x20(), 11);
         k.noise_frac = 0.0;
         k.set_profile_period_ns(tscout_telemetry::DEFAULT_PROFILE_PERIOD_NS);
@@ -838,15 +834,50 @@ mod tests {
                 ts.set_sampling_rate(s, 100);
             }
         }
-        let mut lc = ModelLifecycle::new(
-            &dir,
-            ArchiveOptions::default(),
-            ModelKind::Ridge,
-            7,
-            10e6, // retrain every 10 virtual ms
-            db.kernel.telemetry.clone(),
-        )
-        .unwrap();
+        (db, w)
+    }
+
+    /// A Ridge lifecycle over a fresh archive in a temp dir named by
+    /// `tag`, and that dir.
+    fn lifecycle(
+        db: &Database,
+        tag: &str,
+        retrain_every_ns: f64,
+    ) -> (ModelLifecycle, std::path::PathBuf) {
+        let dir = std::env::temp_dir().join(format!("tscout_{tag}_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let telemetry = db.kernel.telemetry.clone();
+        let (opts, kind) = (ArchiveOptions::default(), ModelKind::Ridge);
+        let lc = ModelLifecycle::new(&dir, opts, kind, 7, retrain_every_ns, telemetry).unwrap();
+        (lc, dir)
+    }
+
+    #[test]
+    fn a_run_with_no_terminals_commits_nothing_and_still_drains() {
+        let opts = RunOptions {
+            terminals: 0,
+            duration_ns: 10e6,
+            ..Default::default()
+        };
+        let (mut db, mut w) = collecting_ycsb();
+        let stats = run(&mut db, &mut w, &opts);
+        assert_eq!((stats.committed, stats.aborted), (0, 0));
+        assert_eq!(stats.throughput, 0.0);
+        assert!(stats.trace.is_empty() && stats.latencies_ns.is_empty());
+
+        let (mut lc, dir) = lifecycle(&db, "lc_idle", 1e6);
+        let stats = run_with_lifecycle(&mut db, &mut w, &opts, &mut lc);
+        assert_eq!(stats.committed, 0);
+        assert_eq!(stats.retrains, 1, "the final lifecycle turn still runs");
+        assert_eq!(stats.archived_samples, stats.points.len() as u64);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn lifecycle_archives_tags_and_swaps_models() {
+        let (mut db, mut w) = collecting_ycsb();
+        // Retrain every 10 virtual ms.
+        let (mut lc, dir) = lifecycle(&db, "lc", 10e6);
         let opts = RunOptions {
             terminals: 2,
             duration_ns: 40e6,

@@ -1,13 +1,16 @@
 #!/usr/bin/env python3
 """Turn a pcprof dump into per-function shares with `addr2line -i`.
 
-    symbolise.py run.pcprof [--under FN] [--focus FN] [--lines FN] [--callers FN]
+    symbolise.py run.pcprof [--under FN]... [--focus FN] [--lines FN] [--callers FN]
                             [--sort incl|self] [--top N] [--folded]
 
 Every stack is expanded through inlined frames, so a function counts
 wherever its code runs. `--under FN` keeps only stacks with a frame whose
 name contains FN and cuts them there (shares are then of FN's time, e.g.
-the timed region); `--focus FN` lists what runs beneath FN: each function
+the timed region); given more than once, it keeps a stack if any of the
+named frames is on it and cuts at the outermost of them, so a worker
+thread's stacks, which start at the thread entry, can be counted beside
+the region that spawned them. `--focus FN` lists what runs beneath FN: each function
 between FN and the leaf, by the share of FN's stacks it is on. `--lines FN`
 prints where FN's stacks were interrupted: the leaf `file:line` (innermost
 inlined frame) of each, by share — the line a loop spends its time on.
@@ -93,7 +96,7 @@ def symbolise(maps, stacks):
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
     ap.add_argument("dump")
-    ap.add_argument("--under")
+    ap.add_argument("--under", action="append", default=[], metavar="FN")
     ap.add_argument("--focus")
     ap.add_argument("--lines", metavar="FN")
     ap.add_argument("--callers", metavar="FN")
@@ -109,11 +112,11 @@ def main():
     rows = [([fn for depth, pc in enumerate(s) for fn in names.get((pc, depth == 0), unknown)[0]],
              names.get((s[0], True), unknown)[1] if s else "??")
             for s in stacks]
-    for cut in (args.under, args.focus, args.lines):
-        if cut:
+    for cuts in (args.under, [args.focus], [args.lines]):
+        if any(cuts):
             kept = []
             for f, leaf in rows:
-                hits = [i for i, fn in enumerate(f) if cut in fn]
+                hits = [i for i, fn in enumerate(f) if any(cut in fn for cut in cuts)]
                 if hits:
                     kept.append((f[:hits[-1] + 1], leaf))
             rows = kept
