@@ -57,9 +57,9 @@ if git grep -nE 'env::var|cfg\(feature' -- crates/bpf/src; then
   echo "FAIL: crates/bpf selects behaviour from an env var or a feature"; exit 1
 fi
 
-echo "== loop-free by construction: every jump goes forward, so nothing bounds loops or counts fuel =="
-if git grep -nE 'FUEL|OutOfFuel|MAX_LOOP_TRIPS|bump_trip' -- crates; then
-  echo "FAIL: loop or fuel machinery is back under crates/"; exit 1
+echo "== loop-free by construction: every jump goes forward, so nothing bounds loops, counts fuel, or prunes and budgets verifier states =="
+if git grep -nE 'FUEL|OutOfFuel|MAX_LOOP_TRIPS|bump_trip|MAX_STATES|TooComplex|state_subsumes|prune_points|states_pruned|peak_depth' -- crates; then
+  echo "FAIL: loop, fuel or path-exploration machinery is back under crates/"; exit 1
 fi
 
 # Everything below writes its artifacts here, never into results/.

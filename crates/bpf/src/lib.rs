@@ -13,12 +13,12 @@
 //! * [`tnum`] — tristate numbers, the kernel verifier's known-bits
 //!   abstract domain, used by the verifier's scalar value tracking.
 //! * [`verifier`] — a range-tracking abstract interpreter in the spirit
-//!   of the kernel's: it walks every execution path, tracks register
-//!   types and scalar value ranges (tnum + signed/unsigned bounds),
-//!   refines both arms of conditional branches, proves variable-offset
-//!   accesses in bounds, prunes subsumed states at jump targets, and
-//!   rejects back edges (any jump with a negative offset), uninitialized
-//!   reads, and over-long programs.
+//!   of the kernel's: one forward pass that tracks register types and
+//!   scalar value ranges (tnum + signed/unsigned bounds), refines both
+//!   arms of conditional branches, joins states where edges meet, proves
+//!   variable-offset accesses in bounds, and rejects back edges (any
+//!   jump with a negative offset), uninitialized reads, and over-long
+//!   programs.
 //! * [`maps`] — the two BPF map kinds the Collector creates: hash
 //!   (recursive operators, paper §5.2, key their snapshot by
 //!   `(tid, depth)`) and the perf-event ring buffer that ships samples to

@@ -78,10 +78,15 @@ impl Tnum {
         v & !self.mask == self.value
     }
 
-    /// Does every member of `other` satisfy `self`'s known bits?
-    /// (`other ⊆ self` as sets.)
-    pub fn subsumes(self, other: Tnum) -> bool {
-        (other.mask & !self.mask) == 0 && ((self.value ^ other.value) & !self.mask) == 0
+    /// The tightest tnum holding every member of both (kernel
+    /// `tnum_union`): a bit stays known only where both sides know it
+    /// and agree on it.
+    pub fn union(self, other: Tnum) -> Tnum {
+        let mask = self.mask | other.mask | (self.value ^ other.value);
+        Tnum {
+            value: self.value & !mask,
+            mask,
+        }
     }
 
     /// Set intersection; `None` when the known bits contradict.
@@ -227,7 +232,7 @@ mod tests {
         assert!(c.contains(42) && !c.contains(41));
         let u = Tnum::unknown();
         assert!(u.contains(0) && u.contains(u64::MAX));
-        assert!(u.subsumes(c) && !c.subsumes(u));
+        assert_eq!((u.union(c), c.union(u), c.union(c)), (u, u, c));
     }
 
     #[test]
@@ -305,13 +310,22 @@ mod tests {
     }
 
     #[test]
-    fn subsumes_is_set_inclusion() {
-        let wide = Tnum::range(0, 255);
-        let narrow = Tnum::cnst(17);
-        assert!(wide.subsumes(narrow));
-        assert!(!narrow.subsumes(wide));
-        for v in members(narrow) {
-            assert!(wide.contains(v));
+    fn union_holds_every_member_of_both() {
+        let (value, mask) = (0b1000_0001, 0b0110);
+        let cases = [
+            (Tnum::cnst(0b1010), Tnum::cnst(0b1000)),
+            (Tnum::range(0, 7), Tnum::cnst(9)),
+            (Tnum { value, mask }, Tnum::range(16, 31)),
+        ];
+        for (a, b) in cases {
+            let u = a.union(b);
+            assert_eq!(u.mask & u.value, 0);
+            for x in members(a).into_iter().chain(members(b)) {
+                assert!(u.contains(x), "{x} missing from {u}");
+            }
         }
+        // Only the bit the constants differ in becomes unknown.
+        let (value, mask) = (0b1000, 0b0010);
+        assert_eq!(cases[0].0.union(cases[0].1), Tnum { value, mask });
     }
 }

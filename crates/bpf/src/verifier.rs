@@ -1,18 +1,18 @@
 //! The static verifier: a range-tracking abstract interpreter.
 //!
-//! Models the Linux BPF verifier's architecture (paper §5.1): it explores
-//! every execution path from the entry point, tracking an abstract value
-//! for each register, and rejects the program if *any* path can perform
-//! an unsafe operation. Scalars carry a full value-tracking domain —
+//! Models the Linux BPF verifier's checks (paper §5.1): it tracks an
+//! abstract value for each register at every reachable instruction and
+//! rejects the program if *any* execution can perform an unsafe
+//! operation. Scalars carry a full value-tracking domain —
 //! tristate numbers ([`crate::tnum::Tnum`], known bits) plus signed and
 //! unsigned `[min, max]` intervals, kept mutually consistent — so the
 //! verifier can prove variable-offset memory accesses in bounds.
 //! Enforced properties:
 //!
 //! * every jump goes forward: the first jump with a negative offset is
-//!   rejected with `BackEdge` before exploration starts, reachable or
-//!   not (Linux's rule before 5.3; the Collector's programs never loop),
-//!   so every path ends within `prog.len()` instructions;
+//!   rejected with `BackEdge` before the walk starts, reachable or not
+//!   (Linux's rule before 5.3; the Collector's programs never loop), so
+//!   every path ends within `prog.len()` instructions;
 //! * a hard instruction-count cap (the kernel's is 1M; "TS's compiled
 //!   BPF programs only contain 100s of instructions");
 //! * every register is written before it is read;
@@ -31,15 +31,18 @@
 //!   never get compared (except null checks), and never get stored to
 //!   memory.
 //!
-//! Exploration cost is kept tractable by *state pruning*: at every jump
-//! target the verifier records the states it has already explored and
-//! skips any new state subsumed by a recorded one (the kernel's
-//! `states_equal` walk), with a global explored-states budget
-//! ([`MAX_STATES`]) as the backstop. [`verify_with_log`] additionally
-//! produces a kernel-style human-readable trace of the exploration for
+//! Since every jump goes forward, program order is a topological order
+//! of the control-flow graph, so verification is one forward pass with
+//! joins at merge points (PREVAIL's approach, Gershuni et al., PLDI
+//! 2019): an instruction's state is the join of what its incoming edges
+//! carry, and it is visited once or, if nothing reaches it, not at all.
+//! A join only over-approximates — two different kinds of value join to
+//! uninitialised, so reading that register is rejected — and cost is
+//! linear in the program's length. [`verify_with_log`] additionally
+//! produces a kernel-style human-readable trace of the walk for
 //! rejection diagnostics.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use crate::insn::{AluOp, Cond, Helper, Insn, Reg, Src};
 use crate::maps::{MapId, MapKind, MapRegistry};
@@ -49,16 +52,12 @@ use crate::tnum::Tnum;
 pub const STACK_SIZE: i64 = 512;
 /// Maximum program length (the kernel's modern limit).
 pub const MAX_INSNS: usize = 1_000_000;
-/// Cap on abstract states explored before giving up.
-pub const MAX_STATES: usize = 200_000;
 /// Largest record `perf_event_output` may publish.
 pub const MAX_OUTPUT_BYTES: i64 = 8192;
 /// Pointer offsets (base plus variable part) are confined to this many
 /// bytes either side of the region start, like the kernel's
 /// `BPF_MAX_VAR_OFF` discipline.
 pub const MAX_PTR_OFF: i64 = 1 << 29;
-/// How many explored states are remembered per prune point.
-const MAX_RECORDED_PER_PC: usize = 64;
 /// Verifier log size cap (the kernel truncates its log buffer too).
 const MAX_LOG_BYTES: usize = 64 * 1024;
 
@@ -69,7 +68,6 @@ pub enum VerifyError {
     TooLong {
         len: usize,
     },
-    TooComplex,
     InvalidRegister {
         pc: usize,
     },
@@ -139,7 +137,6 @@ impl std::fmt::Display for VerifyError {
         match self {
             VerifyError::EmptyProgram => write!(f, "empty program"),
             VerifyError::TooLong { len } => write!(f, "program too long ({len} insns)"),
-            VerifyError::TooComplex => write!(f, "verification too complex"),
             VerifyError::InvalidRegister { pc } => write!(f, "invalid register at pc {pc}"),
             VerifyError::WriteToFramePointer { pc } => write!(f, "write to r10 at pc {pc}"),
             VerifyError::UninitRead { pc, reg } => {
@@ -248,13 +245,18 @@ impl Range {
         }
     }
 
-    /// Is every value admitted by `other` admitted by `self`?
-    fn subsumes(self, other: Range) -> bool {
-        self.umin <= other.umin
-            && self.umax >= other.umax
-            && self.smin <= other.smin
-            && self.smax >= other.smax
-            && self.tnum.subsumes(other.tnum)
+    /// Every value either side admits: the hull of both intervals and
+    /// the union of both tnums.
+    fn join(self, other: Range) -> Range {
+        Range {
+            tnum: self.tnum.union(other.tnum),
+            umin: self.umin.min(other.umin),
+            umax: self.umax.max(other.umax),
+            smin: self.smin.min(other.smin),
+            smax: self.smax.max(other.smax),
+        }
+        .sync()
+        .unwrap_or_else(Range::unknown)
     }
 
     /// Propagate information between the three sub-domains until they
@@ -606,14 +608,21 @@ impl RegType {
         matches!(self, RegType::Scalar(_))
     }
 
-    fn is_init(self) -> bool {
-        !matches!(self, RegType::Uninit)
-    }
-
     fn const_i(self) -> Option<i64> {
         match self {
             RegType::Scalar(r) => r.const_i(),
             _ => None,
+        }
+    }
+
+    /// What a register holds where two edges meet: an equal value
+    /// stays, two scalars join their ranges, and anything else — two
+    /// pointers at different offsets included — is unusable.
+    fn join(self, other: RegType) -> RegType {
+        match (self, other) {
+            _ if self == other => self,
+            (RegType::Scalar(a), RegType::Scalar(b)) => RegType::Scalar(a.join(b)),
+            _ => RegType::Uninit,
         }
     }
 }
@@ -651,22 +660,11 @@ impl std::fmt::Display for RegType {
     }
 }
 
-/// Does the abstract value `old` cover every concrete value `new` can
-/// take? (The per-register leg of state subsumption.)
-fn reg_subsumes(old: RegType, new: RegType) -> bool {
-    match (old, new) {
-        // An uninit slot admits anything: the old path never read it.
-        (RegType::Uninit, _) => true,
-        (RegType::Scalar(a), RegType::Scalar(b)) => a.subsumes(b),
-        (a, b) => a == b,
-    }
-}
-
-/// A per-path abstract machine state.
+/// The abstract machine state before one instruction.
 #[derive(Debug, Clone, Copy)]
 struct State {
     regs: [RegType; 11],
-    /// One bit per stack byte: written on this path.
+    /// One bit per stack byte: written on every path to here.
     stack_init: [u64; 8],
 }
 
@@ -708,19 +706,18 @@ impl State {
             self.stack_init[w] & m != 0
         })
     }
-}
 
-/// Is `new` redundant given we already explored `old` from the same pc?
-fn state_subsumes(old: &State, new: &State) -> bool {
-    old.stack_init
-        .iter()
-        .zip(&new.stack_init)
-        .all(|(o, n)| o & !n == 0)
-        && old
-            .regs
-            .iter()
-            .zip(&new.regs)
-            .all(|(o, n)| reg_subsumes(*o, *n))
+    /// The state where two edges meet: registers join one by one, and a
+    /// stack byte is written only if both edges wrote it.
+    fn join(mut self, other: &State) -> State {
+        for (r, o) in self.regs.iter_mut().zip(other.regs) {
+            *r = r.join(o);
+        }
+        for (w, o) in self.stack_init.iter_mut().zip(other.stack_init) {
+            *w &= o;
+        }
+        self
+    }
 }
 
 /// Statistics from one verifier pass — the "verifier pass stats" leg of
@@ -729,18 +726,9 @@ fn state_subsumes(old: &State, new: &State) -> bool {
 pub struct VerifyStats {
     /// Program length in instructions.
     pub insns: usize,
-    /// Instruction visits during exploration (≥ `insns` on branchy
-    /// programs; the kernel reports the same number).
+    /// Instructions the walk reached, each once: at most `insns`, fewer
+    /// when a branch is statically dead.
     pub insns_visited: usize,
-    /// Abstract states popped off the exploration worklist.
-    pub states_explored: usize,
-    /// States skipped because a recorded state at the same pc subsumed
-    /// them.
-    pub states_pruned: usize,
-    /// Execution paths that reached `exit`.
-    pub paths_completed: usize,
-    /// High-water mark of the pending-states worklist.
-    pub peak_depth: usize,
 }
 
 /// Verify a program against a map registry and a declared context size,
@@ -754,7 +742,7 @@ pub fn verify(
 }
 
 /// Like [`verify`], but also produces a kernel-style human-readable
-/// exploration log (most useful on rejection).
+/// trace of the walk (most useful on rejection).
 pub fn verify_with_log(
     prog: &[Insn],
     maps: &MapRegistry,
@@ -797,23 +785,14 @@ fn run(
         prog,
         maps,
         ctx_size,
-        states_explored: 0,
-        states_pruned: 0,
         insns_visited: 0,
-        paths_completed: 0,
-        peak_depth: 0,
-        prune_point: prune_points(prog),
-        seen: HashMap::new(),
+        pending: BTreeMap::new(),
         log,
     };
-    let result = v.explore();
+    let result = v.walk();
     let stats = VerifyStats {
         insns: prog.len(),
         insns_visited: v.insns_visited,
-        states_explored: v.states_explored,
-        states_pruned: v.states_pruned,
-        paths_completed: v.paths_completed,
-        peak_depth: v.peak_depth,
     };
     let mut log = v.log.take().unwrap_or_default();
     if want_log {
@@ -822,48 +801,25 @@ fn run(
             Err(e) => log.push_str(&format!("rejected: {e}\n")),
         }
         log.push_str(&format!(
-            "stats: insns {} visited {} states {} pruned {} paths {} peak depth {}\n",
-            stats.insns,
-            stats.insns_visited,
-            stats.states_explored,
-            stats.states_pruned,
-            stats.paths_completed,
-            stats.peak_depth,
+            "stats: insns {} visited {}\n",
+            stats.insns, stats.insns_visited,
         ));
     }
+    debug_assert!(
+        result.is_err() || stats.insns_visited <= stats.insns,
+        "{stats:?}: an instruction was visited twice"
+    );
     (result.map(|()| stats), log)
-}
-
-/// Pcs where exploration records and prunes states: every jump target
-/// plus the fall-through of every conditional jump (the kernel marks
-/// the same set).
-fn prune_points(prog: &[Insn]) -> Vec<bool> {
-    let mut marks = vec![false; prog.len()];
-    for (pc, insn) in prog.iter().enumerate() {
-        if let Insn::Jump { cond, off } = insn {
-            let target = pc as i64 + 1 + *off as i64;
-            if (0..prog.len() as i64).contains(&target) {
-                marks[target as usize] = true;
-            }
-            if cond.is_some() && pc + 1 < prog.len() {
-                marks[pc + 1] = true;
-            }
-        }
-    }
-    marks
 }
 
 struct Verifier<'a> {
     prog: &'a [Insn],
     maps: &'a MapRegistry,
     ctx_size: usize,
-    states_explored: usize,
-    states_pruned: usize,
     insns_visited: usize,
-    paths_completed: usize,
-    peak_depth: usize,
-    prune_point: Vec<bool>,
-    seen: HashMap<usize, Vec<State>>,
+    /// States that jumps carried ahead of the walk, keyed by target pc;
+    /// two jumps to one target leave their join.
+    pending: BTreeMap<usize, State>,
     log: Option<String>,
 }
 
@@ -881,49 +837,44 @@ impl<'a> Verifier<'a> {
         }
     }
 
-    fn explore(&mut self) -> Result<(), VerifyError> {
-        let mut worklist = vec![(0usize, State::entry())];
-        self.peak_depth = 1;
-        while let Some((pc, st)) = worklist.pop() {
-            self.states_explored += 1;
-            if self.states_explored > MAX_STATES {
-                return Err(VerifyError::TooComplex);
-            }
-            let mut pruned = false;
-            if pc < self.prune_point.len() && self.prune_point[pc] {
-                let recorded = self.seen.entry(pc).or_default();
-                if recorded.iter().any(|old| state_subsumes(old, &st)) {
-                    pruned = true;
-                } else if recorded.len() < MAX_RECORDED_PER_PC {
-                    recorded.push(st);
-                }
-            }
-            if pruned {
-                self.states_pruned += 1;
-                self.trace(|| format!("{pc}: pruned (subsumed by an earlier state)"));
-                continue;
+    /// One pass in program order. Every jump goes forward, so when the
+    /// walk reaches a pc every edge into it has been followed: its state
+    /// is the join of the fall-through and what jumps carried there. A
+    /// pc nothing reaches is skipped; anything that reaches
+    /// `prog.len()` fell off the end.
+    fn walk(&mut self) -> Result<(), VerifyError> {
+        let mut fall = Some(State::entry());
+        for pc in 0..=self.prog.len() {
+            let st = match (fall.take(), self.pending.remove(&pc)) {
+                (Some(a), Some(b)) => a.join(&b),
+                (Some(st), None) | (None, Some(st)) => st,
+                (None, None) => continue,
+            };
+            if pc == self.prog.len() {
+                return Err(VerifyError::FellOffEnd { pc });
             }
             self.insns_visited += 1;
-            self.step(pc, st, &mut worklist)?;
-            self.peak_depth = self.peak_depth.max(worklist.len());
+            fall = self.step(pc, st)?;
         }
         Ok(())
     }
 
-    fn push(&mut self, worklist: &mut Vec<(usize, State)>, pc: usize, st: State) {
-        worklist.push((pc, st));
-        self.peak_depth = self.peak_depth.max(worklist.len());
+    /// Carry `st` along a jump edge to `target`.
+    fn jump_to(&mut self, target: usize, st: State) {
+        self.pending
+            .entry(target)
+            .and_modify(|p| *p = p.join(&st))
+            .or_insert(st);
     }
 
     fn read_reg(&self, st: &State, pc: usize, r: Reg) -> Result<RegType, VerifyError> {
         if !r.is_valid() {
             return Err(VerifyError::InvalidRegister { pc });
         }
-        let t = st.regs[r.index()];
-        if !t.is_init() {
-            return Err(VerifyError::UninitRead { pc, reg: r.0 });
+        match st.regs[r.index()] {
+            RegType::Uninit => Err(VerifyError::UninitRead { pc, reg: r.0 }),
+            t => Ok(t),
         }
-        Ok(t)
     }
 
     fn src_type(&self, st: &State, pc: usize, src: Src) -> Result<RegType, VerifyError> {
@@ -1016,26 +967,24 @@ impl<'a> Verifier<'a> {
         }
     }
 
-    fn step(
-        &mut self,
-        pc: usize,
-        mut st: State,
-        worklist: &mut Vec<(usize, State)>,
-    ) -> Result<(), VerifyError> {
-        if pc >= self.prog.len() {
-            return Err(VerifyError::FellOffEnd { pc });
-        }
+    /// Check the instruction at `pc` against `st`, hand any jump edge
+    /// its state, and return the state that falls through to `pc + 1`
+    /// (`None` after an `exit` or a jump with no live fall-through).
+    fn step(&mut self, pc: usize, mut st: State) -> Result<Option<State>, VerifyError> {
         let insn = self.prog[pc];
         self.trace(|| format!("{pc}: {insn}"));
         match insn {
             Insn::Alu { op, dst, src } => {
                 self.check_writable(pc, dst)?;
-                let d = st.regs[dst.index()];
+                let d = if op == AluOp::Mov {
+                    RegType::Uninit
+                } else {
+                    self.read_reg(&st, pc, dst)?
+                };
                 let s = self.src_type(&st, pc, src)?;
                 let result = self.alu_result(pc, op, d, s)?;
                 st.regs[dst.index()] = result;
                 self.trace(|| format!("  ; r{}={}", dst.0, result));
-                self.push(worklist, pc + 1, st);
             }
             Insn::Load {
                 size,
@@ -1063,7 +1012,6 @@ impl<'a> Verifier<'a> {
                         smax: max as i64,
                     })
                 };
-                self.push(worklist, pc + 1, st);
             }
             Insn::Store {
                 size,
@@ -1086,7 +1034,6 @@ impl<'a> Verifier<'a> {
                     let lo = (p + vmin) + off as i64;
                     st.mark_stack_init(lo, (vmax - vmin) as usize + size.bytes());
                 }
-                self.push(worklist, pc + 1, st);
             }
             Insn::Jump { cond, off } => {
                 // `off` is not negative: `run` rejected every back edge.
@@ -1094,68 +1041,22 @@ impl<'a> Verifier<'a> {
                 if target > self.prog.len() as i64 {
                     return Err(VerifyError::JumpOutOfBounds { pc });
                 }
-                let target = target as usize;
-                match cond {
-                    None => self.push(worklist, target, st),
-                    Some((c, dst, src)) => {
-                        let d = self.read_reg(&st, pc, dst)?;
-                        let s = self.src_type(&st, pc, src)?;
-                        // Null-check refinement for map lookups.
-                        let zero_cmp = s.const_i() == Some(0);
-                        if let RegType::PtrMapOrNull { map } = d {
-                            if zero_cmp && (c == Cond::Eq || c == Cond::Ne) {
-                                let (null_pc, ptr_pc) = if c == Cond::Eq {
-                                    (target, pc + 1)
-                                } else {
-                                    (pc + 1, target)
-                                };
-                                let mut null_st = st;
-                                null_st.regs[dst.index()] = RegType::cnst(0);
-                                self.push(worklist, null_pc, null_st);
-                                let mut ptr_st = st;
-                                ptr_st.regs[dst.index()] = RegType::PtrMap {
-                                    map,
-                                    off: 0,
-                                    vmin: 0,
-                                    vmax: 0,
-                                };
-                                self.push(worklist, ptr_pc, ptr_st);
-                                return Ok(());
-                            }
-                            return Err(VerifyError::PointerComparison { pc });
-                        }
-                        let (RegType::Scalar(dr), RegType::Scalar(sr)) = (d, s) else {
-                            return Err(VerifyError::PointerComparison { pc });
-                        };
-                        // Taken arm first, then fall-through (LIFO pops
-                        // fall-through first). A `None` refinement means
-                        // that arm is statically dead.
-                        if let Some((rd, rs)) = refine(BranchCond::C(c), dr, sr) {
-                            let mut t_st = st;
-                            t_st.regs[dst.index()] = RegType::Scalar(rd);
-                            if let Src::Reg(sreg) = src {
-                                t_st.regs[sreg.index()] = RegType::Scalar(rs);
-                            }
-                            self.push(worklist, target, t_st);
-                        } else {
-                            self.trace(|| format!("{pc}: branch never taken (dead arm)"));
-                        }
-                        if let Some((rd, rs)) = refine(negate(c), dr, sr) {
-                            let mut f_st = st;
-                            f_st.regs[dst.index()] = RegType::Scalar(rd);
-                            if let Src::Reg(sreg) = src {
-                                f_st.regs[sreg.index()] = RegType::Scalar(rs);
-                            }
-                            self.push(worklist, pc + 1, f_st);
-                        } else {
-                            self.trace(|| format!("{pc}: branch always taken (dead fall-through)"));
-                        }
-                    }
+                let Some((c, dst, src)) = cond else {
+                    self.jump_to(target as usize, st);
+                    return Ok(None);
+                };
+                let (taken, fall) = self.branch(pc, st, c, dst, src)?;
+                match taken {
+                    Some(t) => self.jump_to(target as usize, t),
+                    None => self.trace(|| format!("{pc}: branch never taken (dead arm)")),
                 }
+                if fall.is_none() {
+                    self.trace(|| format!("{pc}: branch always taken (dead fall-through)"));
+                }
+                return Ok(fall);
             }
             Insn::Call { helper } => {
                 self.check_call(&mut st, pc, helper)?;
-                self.push(worklist, pc + 1, st);
             }
             Insn::LoadMap { dst, map } => {
                 self.check_writable(pc, dst)?;
@@ -1163,20 +1064,69 @@ impl<'a> Verifier<'a> {
                     return Err(VerifyError::UnknownMap { pc });
                 }
                 st.regs[dst.index()] = RegType::MapHandle(map);
-                self.push(worklist, pc + 1, st);
             }
             Insn::Exit => {
                 if !st.regs[0].is_scalar() {
                     return Err(VerifyError::ExitWithoutScalarR0 { pc });
                 }
-                // Path terminates.
-                self.paths_completed += 1;
                 self.trace(|| format!("{pc}: exit; r0={}", st.regs[0]));
+                return Ok(None);
             }
         }
-        Ok(())
+        Ok(Some(st))
     }
 
+    /// The states on a conditional jump's two edges, `(taken,
+    /// fall-through)`, each refined by what holds on it; `None` for an
+    /// edge the condition rules out.
+    fn branch(
+        &self,
+        pc: usize,
+        st: State,
+        c: Cond,
+        dst: Reg,
+        src: Src,
+    ) -> Result<(Option<State>, Option<State>), VerifyError> {
+        let d = self.read_reg(&st, pc, dst)?;
+        let s = self.src_type(&st, pc, src)?;
+        // Null-check refinement for map lookups.
+        if let RegType::PtrMapOrNull { map } = d {
+            if s.const_i() != Some(0) || !matches!(c, Cond::Eq | Cond::Ne) {
+                return Err(VerifyError::PointerComparison { pc });
+            }
+            let mut null_st = st;
+            null_st.regs[dst.index()] = RegType::cnst(0);
+            let mut ptr_st = st;
+            ptr_st.regs[dst.index()] = RegType::PtrMap {
+                map,
+                off: 0,
+                vmin: 0,
+                vmax: 0,
+            };
+            return Ok(if c == Cond::Eq {
+                (Some(null_st), Some(ptr_st))
+            } else {
+                (Some(ptr_st), Some(null_st))
+            });
+        }
+        let (RegType::Scalar(dr), RegType::Scalar(sr)) = (d, s) else {
+            return Err(VerifyError::PointerComparison { pc });
+        };
+        let arm = |cond| {
+            let (rd, rs) = refine(cond, dr, sr)?;
+            let mut arm = st;
+            arm.regs[dst.index()] = RegType::Scalar(rd);
+            if let Src::Reg(sreg) = src {
+                arm.regs[sreg.index()] = RegType::Scalar(rs);
+            }
+            Some(arm)
+        };
+        Ok((arm(BranchCond::C(c)), arm(negate(c))))
+    }
+
+    /// What an ALU op leaves in its destination. Both operands have been
+    /// read, so neither is `Uninit` — except `dst` of a `Mov`, which is
+    /// not read.
     fn alu_result(
         &self,
         pc: usize,
@@ -1186,47 +1136,17 @@ impl<'a> Verifier<'a> {
     ) -> Result<RegType, VerifyError> {
         use AluOp::*;
         use RegType::*;
-        match op {
-            Mov => {
-                if !src.is_init() {
-                    return Err(VerifyError::UninitRead { pc, reg: 255 });
-                }
-                Ok(src)
+        match (op, dst, src) {
+            (Mov, ..) => Ok(src),
+            (Neg, Scalar(r), _) => Ok(Scalar(range_alu(Sub, Range::cnst(0), r))),
+            (Add | Sub, PtrStack { .. } | PtrCtx { .. } | PtrMap { .. }, Scalar(s)) => {
+                self.ptr_math(pc, op, dst, s)
             }
-            Neg => match dst {
-                Scalar(r) => Ok(Scalar(range_alu(Sub, Range::cnst(0), r))),
-                Uninit => Err(VerifyError::UninitRead { pc, reg: 255 }),
-                _ => Err(VerifyError::PointerArithmetic { pc }),
-            },
-            Add | Sub => {
-                if !dst.is_init() {
-                    return Err(VerifyError::UninitRead { pc, reg: 255 });
-                }
-                match (dst, src) {
-                    (PtrStack { .. } | PtrCtx { .. } | PtrMap { .. }, Scalar(s)) => {
-                        self.ptr_math(pc, op, dst, s)
-                    }
-                    (PtrStack { .. } | PtrCtx { .. } | PtrMap { .. }, _)
-                    | (PtrMapOrNull { .. } | MapHandle(_), _) => {
-                        Err(VerifyError::PointerArithmetic { pc })
-                    }
-                    (Scalar(a), Scalar(b)) => Ok(Scalar(range_alu(op, a, b))),
-                    _ => Err(VerifyError::PointerArithmetic { pc }),
-                }
+            (Div | Mod, Scalar(_), Scalar(b)) if b.const_u() == Some(0) => {
+                Err(VerifyError::DivisionByZero { pc })
             }
-            Div | AluOp::Mod => match (dst, src) {
-                (Scalar(a), Scalar(b)) => {
-                    if b.const_u() == Some(0) {
-                        return Err(VerifyError::DivisionByZero { pc });
-                    }
-                    Ok(Scalar(range_alu(op, a, b)))
-                }
-                _ => Err(VerifyError::PointerArithmetic { pc }),
-            },
-            Mul | And | Or | Xor | Lsh | Rsh | Arsh => match (dst, src) {
-                (Scalar(a), Scalar(b)) => Ok(Scalar(range_alu(op, a, b))),
-                _ => Err(VerifyError::PointerArithmetic { pc }),
-            },
+            (_, Scalar(a), Scalar(b)) => Ok(Scalar(range_alu(op, a, b))),
+            _ => Err(VerifyError::PointerArithmetic { pc }),
         }
     }
 
@@ -1409,10 +1329,7 @@ impl<'a> Verifier<'a> {
         size: usize,
         write: bool,
     ) -> Result<(), VerifyError> {
-        let t = st.regs[arg as usize];
-        if !t.is_init() {
-            return Err(VerifyError::UninitRead { pc, reg: arg });
-        }
+        let t = self.read_reg(st, pc, Reg(arg))?;
         self.check_access(st, pc, t, 0, size, write)
             .map_err(|e| match e {
                 VerifyError::NotAPointer { .. } => VerifyError::BadHelperArg {
@@ -1765,7 +1682,7 @@ mod tests {
     fn jset_refinement_proves_bit_clear() {
         // Fall-through of jset r0, 8 proves bit 3 is 0, so r0 (already
         // masked to bit 3 only) must be exactly 0 and the OOB store in
-        // the dead region is never explored.
+        // the dead region is never visited.
         let (m, ..) = maps();
         let mut b = ProgramBuilder::new();
         b.call(Helper::KtimeGetNs);
@@ -1812,9 +1729,8 @@ mod tests {
     }
 
     #[test]
-    fn pruning_reduces_states_on_diamonds() {
-        // A chain of diamonds whose merged states are identical: without
-        // pruning 2^k paths, with pruning ~linear.
+    fn a_diamond_chain_is_walked_once() {
+        // A chain of diamonds: 2^k paths, but each insn is visited once.
         let (m, ..) = maps();
         let k = 6;
         let mut b = ProgramBuilder::new();
@@ -1832,11 +1748,55 @@ mod tests {
         b.mov_imm(R0, 0).exit();
         let prog = b.resolve().unwrap();
         let s = verify(&prog, &m, 0).unwrap();
-        assert!(s.states_pruned > 0, "expected pruning, got {s:?}");
-        assert!(
-            s.paths_completed < (1 << k),
-            "pruning should collapse the exponential paths, got {s:?}"
-        );
+        assert_eq!(s.insns_visited, prog.len(), "{s:?}");
+    }
+
+    /// A diamond whose arms leave `r2` pointing into two regions and
+    /// write different stack bytes: after the join neither the pointer
+    /// nor the bytes only one arm wrote may be read.
+    #[test]
+    fn joined_arms_keep_only_what_both_agree_on() {
+        let (m, ..) = maps();
+        let diamond_then_load = |base, off| {
+            let mut b = ProgramBuilder::new();
+            b.mov_reg(R6, R1);
+            b.store_imm(Size::B8, R10, -8, 0);
+            b.call(Helper::KtimeGetNs);
+            let (els, end) = (b.label(), b.label());
+            b.jump_if_imm(Cond::Eq, R0, 0, els);
+            b.mov_reg(R2, R10).alu_imm(AluOp::Add, R2, -8);
+            b.store_imm(Size::B8, R10, -16, 1).jump(end);
+            b.bind(els);
+            b.mov_reg(R2, R6).store_imm(Size::B8, R10, -24, 2);
+            b.bind(end);
+            b.load(Size::B8, R0, base, off).exit();
+            verify(&b.resolve().unwrap(), &m, 8)
+        };
+        assert!(diamond_then_load(R10, -8).is_ok(), "both arms wrote fp-8");
+        let err = diamond_then_load(R2, 0).unwrap_err();
+        assert_eq!(err, VerifyError::UninitRead { pc: 10, reg: 2 });
+        assert!(err.to_string().contains("uninitialized r2"), "{err}");
+        for off in [-16, -24] {
+            let err = VerifyError::UninitStackRead {
+                pc: 10,
+                off: off.into(),
+            };
+            assert_eq!(diamond_then_load(R10, off), Err(err));
+        }
+    }
+
+    /// Every ALU op but `mov` reads its destination, so an uninitialised
+    /// one is reported as the register it is.
+    #[test]
+    fn alu_on_an_uninitialised_destination_names_it() {
+        use AluOp::*;
+        let (m, ..) = maps();
+        for op in [Add, Sub, Mul, Div, Mod, And, Or, Xor, Lsh, Rsh, Arsh, Neg] {
+            let mut b = ProgramBuilder::new();
+            b.alu_imm(op, R6, 1).mov_imm(R0, 0).exit();
+            let err = rejected(b.resolve().unwrap(), &m, 0);
+            assert_eq!(err, VerifyError::UninitRead { pc: 0, reg: 6 }, "{op:?}");
+        }
     }
 
     #[test]
@@ -2036,19 +1996,16 @@ mod tests {
     }
 
     #[test]
-    fn verify_stats_count_states_and_paths() {
+    fn verify_stats_count_visited_insns() {
         let (m, ..) = maps();
-        // Straight-line program: one state per insn, one path.
         let mut b = ProgramBuilder::new();
         b.mov_imm(R0, 0).exit();
         let prog = b.resolve().unwrap();
         let s = verify(&prog, &m, 0).unwrap();
-        assert_eq!(s.insns, 2);
-        assert_eq!(s.states_explored, 2);
-        assert_eq!(s.paths_completed, 1);
+        assert_eq!((s.insns, s.insns_visited), (2, 2));
 
-        // A genuinely two-sided fork (unknown scalar): both arms
-        // explored, two exits reached.
+        // A genuinely two-sided fork (unknown scalar): both arms are
+        // live, and the `exit` they meet at is visited once.
         let mut b = ProgramBuilder::new();
         b.call(Helper::KtimeGetNs);
         let l = b.label();
@@ -2058,9 +2015,7 @@ mod tests {
         b.exit();
         let prog = b.resolve().unwrap();
         let s = verify(&prog, &m, 0).unwrap();
-        assert_eq!(s.paths_completed, 2);
-        assert!(s.states_explored > s.insns);
-        assert!(s.peak_depth >= 2);
+        assert_eq!((s.insns, s.insns_visited), (4, 4));
     }
 
     #[test]
@@ -2076,7 +2031,7 @@ mod tests {
         b.exit();
         let prog = b.resolve().unwrap();
         let s = verify(&prog, &m, 0).unwrap();
-        assert_eq!(s.paths_completed, 1);
+        assert_eq!((s.insns, s.insns_visited), (4, 3));
     }
 
     #[test]

@@ -675,7 +675,7 @@ impl TScout {
         loader: &Loader,
         ring: MapId,
         stats: &TsStats,
-    ) -> [(&'static Decl<Gauge>, f64); 17] {
+    ) -> [(&'static Decl<Gauge>, f64); 13] {
         let rs = loader.maps.ring_stats(ring);
         let ops = loader.maps.op_stats();
         let v = loader.verify_totals();
@@ -691,10 +691,6 @@ impl TScout {
             (&decls::RING_DRAINED, ops.ring_drained as f64),
             (&decls::VERIFY_INSNS, v.insns as f64),
             (&decls::VERIFY_INSNS_VISITED, v.insns_visited as f64),
-            (&decls::VERIFY_STATES, v.states_explored as f64),
-            (&decls::VERIFY_STATES_PRUNED, v.states_pruned as f64),
-            (&decls::VERIFY_PEAK_DEPTH, v.peak_depth as f64),
-            (&decls::VERIFY_PATHS, v.paths_completed as f64),
             (&decls::VERIFY_RUNS, loader.verify_runs() as f64),
             (&decls::BPF_INSNS_EXECUTED, stats.bpf_insns as f64),
         ]

@@ -60,15 +60,7 @@ tscout_telemetry::declare_metrics! {
         "Instructions in the Collector programs, summed over every load — the deployed program size";
     pub(crate) VERIFY_INSNS_VISITED: Gauge = "tscout_verify_insns_visited",
         "Instructions the verifier visited, summed over every load";
-    pub(crate) VERIFY_PATHS: Gauge = "tscout_verify_paths",
-        "Paths the verifier walked to exit, summed over every load";
-    pub(crate) VERIFY_PEAK_DEPTH: Gauge = "tscout_verify_peak_depth",
-        "Peak analysis depth across verifier runs";
     pub(crate) VERIFY_RUNS: Gauge = "tscout_verify_runs", "Collector programs verified";
-    pub(crate) VERIFY_STATES: Gauge = "tscout_verify_states",
-        "Abstract states the verifier explored, summed over every load";
-    pub(crate) VERIFY_STATES_PRUNED: Gauge = "tscout_verify_states_pruned",
-        "States the verifier pruned as subsumed, summed over every load";
 }
 
 use tscout_kernel::Frame;

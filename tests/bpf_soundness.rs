@@ -134,8 +134,7 @@ fn a_verified_program_may_make_thousands_of_lookups() {
             let miss = b.label();
             b.jump_if_imm(Cond::Eq, R0, 0, miss);
             // Into `r0` itself: hit or miss it is a scalar again, so the
-            // verifier merges the two arms at once (20 000 lookups stay
-            // under its state budget).
+            // two arms join to one scalar where they meet.
             b.load(Size::B8, R0, R0, 8);
             b.bind(miss);
         }

@@ -7,7 +7,8 @@
 //! counts ≥ 64, …). The contract under test is the kernel's before 5.3:
 //! **every program with a back edge is rejected, at its first one, and
 //! every program the verifier accepts executes without any runtime
-//! fault** — no bad memory access, no uninitialized read.
+//! fault** — no bad memory access, no uninitialized read — and was
+//! verified visiting each instruction at most once.
 //!
 //! The suite also pins what that means for a Collector-style loop: it is
 //! rejected, and its unrolled form — the shape codegen emits — verifies
@@ -46,8 +47,13 @@ fn back_edges_are_rejected_and_accepted_programs_never_fault() {
                 disassemble(&prog)
             );
         }
-        if verdict.is_ok() {
+        if let Ok(stats) = verdict {
             accepted += 1;
+            assert!(
+                stats.insns_visited <= prog.len(),
+                "{stats:?}\n{}",
+                disassemble(&prog)
+            );
             let mut world = NullWorld::default();
             if let Err(e) = Vm::run(&prog, &ctx, &mut m, &mut world) {
                 panic!(
@@ -125,7 +131,7 @@ fn collector_loop_is_rejected_and_its_unrolled_form_sums_to_36() {
     b.exit();
     let unrolled = b.resolve().unwrap();
     let stats = verify(&unrolled, &m, 64).expect("the unrolled loop must verify");
-    assert_eq!(stats.paths_completed, 1);
+    assert_eq!(stats.insns_visited, unrolled.len());
 
     // Eight little-endian words 1..=8 sum to 36.
     let ctx: Vec<u8> = (1u64..=8).flat_map(u64::to_le_bytes).collect();
