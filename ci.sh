@@ -37,8 +37,8 @@ cargo test --workspace -q
 
 echo "== allocation budgets: sample path, archive read side, forest fit, lowered engine on mutated programs, NoiseTap's read path (release: the build tsbench measures) =="
 # 0 allocations per marker triple, sampled or not; at most the owned
-# TrainingPoint's 4 per drained record; a column scan O(blocks),
-# datasets_from_archive one per point + O(blocks), a Forest fit one
+# TrainingPoint's 4 per drained record; a column scan O(blocks), a
+# dataset build O(OUs + blocks) and nothing per point, a Forest fit one
 # per tree node + O(trees), 0 per lowered run of a mutated Collector
 # stream (which must also end in Ok or Err, as the reference does), and
 # a YCSB point read <= 6 allocations / 560 B, TPC-C's stock_level join
@@ -60,6 +60,12 @@ fi
 echo "== loop-free by construction: every jump goes forward, so nothing bounds loops, counts fuel, or prunes and budgets verifier states =="
 if git grep -nE 'FUEL|OutOfFuel|MAX_LOOP_TRIPS|bump_trip|MAX_STATES|TooComplex|state_subsumes|prune_points|states_pruned|peak_depth' -- crates; then
   echo "FAIL: loop, fuel or path-exploration machinery is back under crates/"; exit 1
+fi
+
+echo "== a dataset is columns: no owned row per point comes back under crates/ =="
+if git grep -n 'features: Vec<f64>' -- crates/models/src/dataset.rs \
+  || git grep -nE 'Vec<&?LabeledPoint' -- crates; then
+  echo "FAIL: a per-point row is back; OuData's points are columns, a subset is row indices"; exit 1
 fi
 
 # Everything below writes its artifacts here, never into results/.

@@ -21,6 +21,11 @@
 //! decoder never reads past its column, and steps over a column it was
 //! not asked for without decoding it.
 
+/// The most values a column (so the most rows a block) may hold: a corrupt
+/// count must not OOM a decoder. A constant (width-0) column is tiny, so
+/// the cap is a hard value count, far above any real block.
+pub(crate) const MAX_COLUMN_VALUES: u64 = 1 << 24;
+
 /// Append `v` as a LEB128 varint.
 pub(crate) fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     loop {
@@ -210,10 +215,6 @@ pub(crate) fn put_column(out: &mut Vec<u8>, values: &[u64]) {
 /// length runs off the buffer (an adversarial length must not overflow
 /// the offset arithmetic).
 fn column_header<'a>(buf: &'a [u8], pos: &mut usize) -> Option<(u8, usize, &'a [u8])> {
-    // Bound the decode allocation: a corrupt count must not OOM us. A
-    // constant (width-0) column is legitimately tiny, so the cap is a
-    // hard value count, far above any real block.
-    const MAX_COLUMN_VALUES: u64 = 1 << 24;
     let tag = *buf.get(*pos)?;
     *pos += 1;
     let n = get_varint(buf, pos)?;

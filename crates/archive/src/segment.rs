@@ -21,7 +21,9 @@
 
 use std::io::{Read, Seek, SeekFrom, Write};
 
-use crate::encode::{get_column, get_varint, put_column, put_varint, skip_column};
+use crate::encode::{
+    get_column, get_varint, put_column, put_varint, skip_column, MAX_COLUMN_VALUES,
+};
 use crate::{crc32::crc32, ArchiveError, Sample};
 
 /// File magic ("TScout ARchive").
@@ -273,7 +275,7 @@ impl ColumnBatch {
         BlockMeta::of(self.ou.ou, self.start_ns(), offset, payload_len)
     }
 
-    fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.rows = 0;
         self.fixed.iter_mut().for_each(Vec::clear);
         self.var.iter_mut().for_each(VarColumn::clear);
@@ -470,7 +472,7 @@ pub(crate) fn encode_footer(ous: &[OuEntry], blocks: &[BlockMeta]) -> Vec<u8> {
     out
 }
 
-/// Decode a footer manifest payload. `None` ⇒ corrupt.
+/// Decode a footer manifest payload. `None` ⇒ corrupt or out of range.
 pub(crate) fn decode_footer(payload: &[u8]) -> Option<(Vec<OuEntry>, Vec<BlockMeta>)> {
     let mut pos = 0usize;
     let n_ous = get_varint(payload, &mut pos)?;
@@ -504,9 +506,9 @@ pub(crate) fn decode_footer(payload: &[u8]) -> Option<(Vec<OuEntry>, Vec<BlockMe
     for _ in 0..n_blocks {
         blocks.push(BlockMeta {
             offset: get_varint(payload, &mut pos)?,
-            payload_len: get_varint(payload, &mut pos)? as u32,
-            ou: get_varint(payload, &mut pos)? as u16,
-            count: get_varint(payload, &mut pos)?,
+            payload_len: u32::try_from(get_varint(payload, &mut pos)?).ok()?,
+            ou: u16::try_from(get_varint(payload, &mut pos)?).ok()?,
+            count: Some(get_varint(payload, &mut pos)?).filter(|&n| n <= MAX_COLUMN_VALUES)?,
             min_start_ns: get_varint(payload, &mut pos)?,
             max_start_ns: get_varint(payload, &mut pos)?,
         });
@@ -860,6 +862,28 @@ mod tests {
             put_varint(&mut payload, 0);
             put_varint(&mut payload, count);
             assert!(decode_footer(&payload).is_none(), "{count} blocks");
+        }
+    }
+
+    /// A footer field beyond its type is rejected, never truncated: OU
+    /// 70 000 must not read back as OU 4 464.
+    #[test]
+    fn footer_fields_out_of_range_fail_closed() {
+        let entry = |payload_len: u64, ou: u64, count: u64| {
+            let mut payload = Vec::new();
+            put_varint(&mut payload, 0); // no OUs
+            put_varint(&mut payload, 1); // one block
+            for v in [5, payload_len, ou, count, 7, 9] {
+                put_varint(&mut payload, v);
+            }
+            decode_footer(&payload).map(|(_, blocks)| blocks[0].clone())
+        };
+        let most = entry(u32::MAX.into(), u16::MAX.into(), MAX_COLUMN_VALUES).unwrap();
+        let most = (most.payload_len, most.ou, most.count);
+        assert_eq!(most, (u32::MAX, u16::MAX, MAX_COLUMN_VALUES));
+        let (max_len, rows) = (u64::from(u32::MAX), MAX_COLUMN_VALUES);
+        for (len, ou, count) in [(9, 70_000, 1), (max_len + 1, 1, 1), (9, 1, rows + 1)] {
+            assert!(entry(len, ou, count).is_none(), "{len} {ou} {count}");
         }
     }
 

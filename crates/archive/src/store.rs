@@ -12,6 +12,7 @@ use tscout_telemetry::decls::{
 };
 use tscout_telemetry::{CounterSite, CounterVec, GaugeSite, Telemetry};
 
+use crate::encode::MAX_COLUMN_VALUES;
 use crate::segment::{
     decode_footer, encode_footer, read_frame, write_frame, BlockMeta, ColumnBatch, OuEntry,
     Projection, FRAME_BLOCK, FRAME_FOOTER, HEADER_LEN, MAGIC, VERSION,
@@ -511,7 +512,7 @@ impl Archive {
                 continue;
             }
             for b in seg.blocks.iter().filter(|b| ids.contains(&b.ou)) {
-                plan.push((files.len(), b.offset));
+                plan.push((files.len(), b.offset, b.ou, b.count));
             }
             files.push((seg.path.clone(), seg.bytes));
         }
@@ -545,15 +546,15 @@ impl Drop for Archive {
 
 /// Streaming block reader: decodes one block at a time into one reused
 /// [`ColumnBatch`] (and one reused payload buffer), never materializing
-/// the archive. Blocks that fail their CRC or decode (possible only if
-/// the file changed underneath us) are skipped and counted in
-/// `archive_scan_skipped_blocks_total`.
+/// the archive. Blocks that fail their CRC or decode or disagree with their
+/// manifest entry's OU id or row count (only if the file changed under
+/// us) are skipped and counted in `archive_scan_skipped_blocks_total`.
 #[derive(Debug)]
 pub struct BatchScan {
     /// `(path, valid file length)` of every segment the plan touches.
     files: Vec<(PathBuf, u64)>,
-    /// `(index into files, frame offset)` per block, in scan order.
-    plan: Vec<(usize, u64)>,
+    /// `(index into files, frame offset, OU id, rows)` per block, in order.
+    plan: Vec<(usize, u64, u16, u64)>,
     next_block: usize,
     /// The open segment file and its index into `files`.
     open: Option<(usize, File)>,
@@ -567,6 +568,14 @@ pub struct BatchScan {
 }
 
 impl BatchScan {
+    /// The most rows the scan lends: every planned block's manifest count,
+    /// each capped at what one block can hold, plus the memtable tails.
+    pub fn rows(&self) -> u64 {
+        let blocks = self.plan.iter().map(|p| p.3.min(MAX_COLUMN_VALUES));
+        let tails = self.tail.iter().map(|t| t.len() as u64);
+        blocks.chain(tails).fold(0, u64::saturating_add)
+    }
+
     /// The next readable block (or memtable tail), valid until the next
     /// call; `None` once the scan is done.
     pub fn next_batch(&mut self) -> Option<&ColumnBatch> {
@@ -584,12 +593,15 @@ impl BatchScan {
     /// Move to the next readable block or memtable tail; `false` once
     /// there is none.
     fn advance(&mut self) -> bool {
-        while let Some(&(file, offset)) = self.plan.get(self.next_block) {
+        while let Some(&(file, offset, ou, rows)) = self.plan.get(self.next_block) {
             self.next_block += 1;
-            if self.read_block(file, offset).is_some() {
+            if self.read_block(file, offset).is_some()
+                && (self.block.ou().ou, self.block.len() as u64) == (ou, rows)
+            {
                 return true;
             }
             // Only reachable when a file changed underneath the scan.
+            self.block.clear();
             decls::SCAN_SKIPPED_BLOCKS.with(&self.telemetry, &[]).inc();
         }
         let more = self.tail_at < self.tail.len();
@@ -877,6 +889,42 @@ mod tests {
         assert_eq!(survivors.len(), 80);
         assert!(survivors[40].bits_eq(&test_sample(1, "scan", 80)));
         assert_eq!(skipped(), 2, "and so does the full scan");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A block rewritten underneath an open archive as another OU's —
+    /// same offset and length, valid CRC — is not its manifest entry: it
+    /// is skipped, never lent under the name the scan was planned for.
+    #[test]
+    fn a_block_that_is_not_its_manifest_entry_is_skipped() {
+        let dir = tmp_dir("swap");
+        let t = Telemetry::new();
+        let mut a = Archive::open(&dir, ArchiveOptions::default(), t.clone()).unwrap();
+        for (ou, name) in [(1, "scan"), (2, "sort")] {
+            for i in 0..40 {
+                a.append(test_sample(ou, name, i)).unwrap();
+            }
+            a.flush().unwrap();
+        }
+        a.seal().unwrap();
+        // The payload opens with the OU id, subsystem and name; "sort"'s
+        // take the same bytes as "scan"'s.
+        let (path, victim) = (&a.segments[0].path, &a.segments[0].blocks[0]);
+        let mut bytes = std::fs::read(path).unwrap();
+        let at = victim.offset as usize + 5;
+        let end = at + victim.payload_len as usize;
+        assert_eq!(bytes[at..at + 7], [1, 1, 4, b's', b'c', b'a', b'n']);
+        bytes[at..at + 7].copy_from_slice(&[2, 2, 4, b's', b'o', b'r', b't']);
+        let crc = crate::crc32(&bytes[at..end]).to_le_bytes();
+        bytes[end..end + 4].copy_from_slice(&crc);
+        std::fs::write(path, &bytes).unwrap();
+
+        let skipped = || t.counter_value("archive_scan_skipped_blocks_total", &[]);
+        assert_eq!(a.scan_ou("scan").count(), 0, "sort's rows are not scan's");
+        assert_eq!((a.scan_ou("sort").count(), skipped()), (40, 1));
+        let all: Vec<Sample> = a.scan_all().collect();
+        assert_eq!((all.len(), skipped()), (40, 2));
+        assert!((all.iter().zip(0..)).all(|(s, i)| s.bits_eq(&test_sample(2, "sort", i))));
         std::fs::remove_dir_all(&dir).ok();
     }
 

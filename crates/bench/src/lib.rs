@@ -228,9 +228,9 @@ pub fn split_for_eval(data: &[OuData], frac: f64, seed: u64) -> (Vec<OuData>, Ve
                 held.contains(&p.template)
             };
             if hold {
-                te.points.push(p.clone());
+                te.points.push(p);
             } else {
-                tr.points.push(p.clone());
+                tr.points.push(p);
             }
         }
         if !tr.is_empty() {
@@ -484,7 +484,7 @@ mod tests {
         let mut a = OuData::new("x");
         for i in 0..10 {
             a.points.push(tscout_models::dataset::LabeledPoint {
-                features: vec![i as f64],
+                features: &[i as f64],
                 target_ns: 1.0,
                 template: 0,
             });

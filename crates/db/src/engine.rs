@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use tscout::{TScout, TsConfig, TsError};
 use tscout_kernel::{Kernel, TaskId, DBMS};
-use tscout_models::{input_row, LiveModel};
+use tscout_models::{input_values, LiveModel};
 use tscout_telemetry::{CounterSite, HistSite};
 
 use crate::catalog::Catalog;
@@ -205,15 +205,10 @@ impl Database {
     /// in the row layout the training datasets use.
     fn predict_ou_ns(&self, ou: &str, features: &[u64]) -> Option<f64> {
         let live = self.live_model.as_ref()?;
-        let mut f = Vec::new();
         let own = features.iter().map(|&v| v as f64);
-        input_row(
-            &mut f,
-            own,
-            self.kernel.hw.clock_ghz,
-            self.model_concurrency,
-        );
-        live.models.predict_ns(ou, &f)
+        let row: Vec<f64> =
+            input_values(own, self.kernel.hw.clock_ghz, self.model_concurrency).collect();
+        live.models.predict_ns(ou, &row)
     }
 
     /// Predicted total ns for an observed statement (sum over its OU
@@ -1381,7 +1376,7 @@ mod explain_tests {
                 features.push(2.5); // clock_ghz column
                 features.push(1.0); // concurrency column
                 d.points.push(LabeledPoint {
-                    features,
+                    features: &features,
                     target_ns,
                     template: 0,
                 });

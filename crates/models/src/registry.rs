@@ -126,11 +126,7 @@ impl ModelRegistry {
     /// The live model is re-evaluated on the *same* holdout so the
     /// comparison tracks the current data distribution, not the one the
     /// live model happened to be installed under.
-    pub fn retrain_from(&mut self, train: &[OuData], holdout: &[OuData]) -> SwapDecision {
-        self.retrain_on(train, holdout)
-    }
-
-    fn retrain_on<D: PointSet + Sync>(&mut self, train: &[D], holdout: &[D]) -> SwapDecision {
+    pub fn retrain_from<D: PointSet + Sync>(&mut self, train: &[D], holdout: &[D]) -> SwapDecision {
         let count = |side: &[D]| side.iter().map(|d| d.points().count()).sum::<usize>();
         let (trained_points, holdout_points) = (count(train), count(holdout));
         if trained_points == 0 || holdout_points == 0 {
@@ -171,42 +167,28 @@ impl ModelRegistry {
     /// Convenience: split each OU's data into train/holdout by position
     /// (every `holdout_every`-th point held out, deterministic — no
     /// shuffle, so the holdout leans recent the way arrival order does)
-    /// and retrain as [`Self::retrain_from`] does. The two sides borrow
-    /// `data`'s points; nothing is cloned.
+    /// and retrain as [`Self::retrain_from`] does. The two sides index
+    /// `data`'s points; nothing is copied.
     pub fn retrain_split(&mut self, data: &[OuData], holdout_every: usize) -> SwapDecision {
         let every = holdout_every.max(2);
         let side = |held_out: bool| -> Vec<OuSubset<'_>> {
             data.iter()
                 .map(|d| OuSubset {
-                    name: &d.name,
-                    points: (d.points.iter().enumerate())
-                        .filter(|(i, _)| ((i + 1) % every == 0) == held_out)
-                        .map(|(_, p)| p)
+                    data: d,
+                    rows: (0..d.len())
+                        .filter(|i| ((i + 1) % every == 0) == held_out)
                         .collect(),
                 })
                 .collect()
         };
-        self.retrain_on(&side(false), &side(true))
+        self.retrain_from(&side(false), &side(true))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::LabeledPoint;
-
-    fn linear_ou(name: &str, n: usize, slope: f64) -> OuData {
-        let mut d = OuData::new(name);
-        for i in 0..n {
-            let f = (i % 64) as f64;
-            d.points.push(LabeledPoint {
-                features: vec![f],
-                target_ns: 1000.0 + slope * f,
-                template: (i % 3) as u32,
-            });
-        }
-        d
-    }
+    use crate::linear_ou;
 
     #[test]
     fn first_retrain_installs_generation_one() {
@@ -214,7 +196,7 @@ mod tests {
         let mut reg = ModelRegistry::new(ModelKind::Ridge, 1, t.clone());
         assert_eq!(reg.generation(), 0);
         assert!(reg.predict_ns("scan", &[1.0]).is_none());
-        let d = vec![linear_ou("scan", 200, 500.0)];
+        let d = vec![linear_ou("scan", 200, 0.0)];
         let decision = reg.retrain_split(&d, 5);
         assert!(matches!(
             decision,
@@ -230,16 +212,14 @@ mod tests {
     fn regressed_candidate_is_rejected_and_generation_unchanged() {
         let t = Telemetry::new();
         let mut reg = ModelRegistry::new(ModelKind::Ridge, 1, t.clone());
-        let good = vec![linear_ou("scan", 200, 500.0)];
+        let good = vec![linear_ou("scan", 200, 0.0)];
         reg.retrain_split(&good, 5);
         let live_before = reg.live().unwrap();
 
         // Candidate trained on garbage labels, gated on a clean holdout.
-        let mut garbage = linear_ou("scan", 200, 500.0);
-        for p in &mut garbage.points {
-            p.target_ns = 1.0;
-        }
-        let holdout = vec![linear_ou("scan", 60, 500.0)];
+        let mut garbage = linear_ou("scan", 200, 0.0);
+        garbage.points.targets_ns_mut().fill(1.0);
+        let holdout = vec![linear_ou("scan", 60, 0.0)];
         let decision = reg.retrain_from(&[garbage], &holdout);
         assert!(matches!(decision, SwapDecision::Rejected { .. }));
         assert_eq!(reg.generation(), 1);
@@ -263,7 +243,7 @@ mod tests {
     #[test]
     fn empty_data_is_skipped() {
         let mut reg = ModelRegistry::new(ModelKind::Ridge, 1, Telemetry::new());
-        assert_eq!(reg.retrain_from(&[], &[]), SwapDecision::Skipped);
+        assert_eq!(reg.retrain_from::<OuData>(&[], &[]), SwapDecision::Skipped);
         let empty = vec![OuData::new("scan")];
         assert_eq!(reg.retrain_split(&empty, 5), SwapDecision::Skipped);
         assert_eq!(reg.generation(), 0);
@@ -274,13 +254,13 @@ mod tests {
         let t = Telemetry::new();
         let mut reg = ModelRegistry::new(ModelKind::Ridge, 1, t);
         reg.tolerance_pct = 200.0; // absurdly lax gate
-        let good = vec![linear_ou("scan", 200, 500.0)];
+        let good = vec![linear_ou("scan", 200, 0.0)];
         reg.retrain_split(&good, 5);
-        let mut noisy = linear_ou("scan", 200, 500.0);
-        for p in &mut noisy.points {
-            p.target_ns *= 1.5; // consistently off, but within tolerance
+        let mut noisy = linear_ou("scan", 200, 0.0);
+        for t in noisy.points.targets_ns_mut() {
+            *t *= 1.5; // consistently off, but within tolerance
         }
-        let holdout = vec![linear_ou("scan", 60, 500.0)];
+        let holdout = vec![linear_ou("scan", 60, 0.0)];
         let decision = reg.retrain_from(&[noisy], &holdout);
         assert!(matches!(
             decision,

@@ -21,9 +21,9 @@ use tscout::{Processor, Sink, TScout, TrainingPoint};
 use tscout_actions::{ActionEngine, DbmsActuator, PlannerInputs, SubsystemRate, POLICY_COUNT};
 use tscout_archive::{Archive, ArchiveOptions};
 use tscout_kernel::TSCOUT;
-use tscout_models::dataset::{LabeledPoint, OuData};
+use tscout_models::dataset::OuData;
 use tscout_models::registry::{ModelRegistry, SwapDecision};
-use tscout_models::{datasets_from_archive, input_row, ModelKind};
+use tscout_models::{datasets_from_archive, input_values, ModelKind};
 
 use crate::decls;
 
@@ -282,7 +282,8 @@ impl ModelLifecycle {
             let (mut exec_sum, mut exec_n) = (0.0f64, 0u64);
             for p in points {
                 let own = p.features.iter().copied();
-                input_row(&mut feats, own, kernel.hw.clock_ghz, concurrency as f64);
+                feats.clear();
+                feats.extend(input_values(own, kernel.hw.clock_ghz, concurrency as f64));
                 if let Some(predicted) = self.registry.predict_ns(&p.ou_name, &feats) {
                     kernel
                         .telemetry
@@ -775,25 +776,17 @@ pub fn assign_templates(
 }
 
 /// Build per-OU labeled datasets from tagged points, each row laid out by
-/// [`input_row`].
+/// [`input_values`] straight into its OU's columns.
 pub fn build_datasets(
     tagged: &[(TrainingPoint, u32)],
     clock_ghz: f64,
     concurrency: usize,
 ) -> Vec<OuData> {
-    let mut by_ou: std::collections::BTreeMap<String, OuData> = Default::default();
+    let mut by_ou: std::collections::BTreeMap<&str, OuData> = Default::default();
     for (p, template) in tagged {
-        let d = by_ou
-            .entry(p.ou_name.clone())
-            .or_insert_with(|| OuData::new(&p.ou_name));
-        let mut features = Vec::new();
-        let own = p.features.iter().copied();
-        input_row(&mut features, own, clock_ghz, concurrency as f64);
-        d.points.push(LabeledPoint {
-            features,
-            target_ns: p.elapsed_ns as f64,
-            template: *template,
-        });
+        let d = (by_ou.entry(p.ou_name.as_str())).or_insert_with(|| OuData::new(&p.ou_name));
+        let row = input_values(p.features.iter().copied(), clock_ghz, concurrency as f64);
+        d.points.push_row(row, p.elapsed_ns as f64, *template);
     }
     by_ou.into_values().collect()
 }
@@ -961,9 +954,9 @@ mod tests {
         };
         let data = build_datasets(&[(p, 3)], 2.1, 4);
         assert_eq!(data.len(), 1);
-        assert_eq!(data[0].points[0].features, vec![10.0, 20.0, 2.1, 4.0]);
-        assert_eq!(data[0].points[0].template, 3);
-        assert_eq!(data[0].points[0].target_ns, 500.0);
+        let p = data[0].points.at(0);
+        assert_eq!(p.features, vec![10.0, 20.0, 2.1, 4.0]);
+        assert_eq!((p.template, p.target_ns), (3, 500.0));
     }
 
     #[test]

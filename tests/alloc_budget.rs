@@ -8,8 +8,8 @@
 //! push overwrites and accounts one loss) — and pins what each may
 //! allocate once its buffers have reached their working size: the
 //! markers nothing, the drain only the owned `TrainingPoint`s. On the
-//! read side it pins a column scan to O(blocks) allocations and
-//! `datasets_from_archive` to one per point plus O(blocks). Training is
+//! read side it pins a column scan and a dataset build to O(OUs +
+//! blocks) allocations, nothing per point. Training is
 //! pinned too: a Forest `fit` allocates per tree and per node, never
 //! per (node, candidate feature). And the lowered BPF engine is held to
 //! the sample path's budget on *hostile* programs as well: seeded
@@ -36,7 +36,9 @@ use std::time::Duration;
 use tscout_suite::archive::{Archive, ArchiveOptions, Projection, Sample};
 use tscout_suite::bpf::lower::lower;
 use tscout_suite::kernel::{HardwareProfile, Kernel, TaskId};
-use tscout_suite::models::{datasets_from_archive, OuData, RandomForest, Regressor};
+use tscout_suite::models::{
+    datasets_from_archive, ou_data_from_archive, OuData, RandomForest, Regressor,
+};
 use tscout_suite::noisetap::index::{Index, IndexKind};
 use tscout_suite::noisetap::storage::SlotId;
 use tscout_suite::noisetap::types::row_bytes;
@@ -275,16 +277,28 @@ fn archive_read_side_allocates_per_block_not_per_sample() {
         "{scan} allocations summing a column over {blocks} blocks ({SAMPLES} samples)"
     );
 
-    // Datasets: the owned feature row of each point, and per block at
-    // most a regrowth of its OU's point list.
+    // Datasets: an OU's columns are sized once, so what is left is the
+    // scan's. The counter is this thread's: one OU at a time here counts
+    // the whole build, and `datasets_from_archive` counts the caller's
+    // share of its pool (all of it on one CPU) plus the pool itself.
+    let budget = blocks + 12 * OUS + 16;
+    let mut per_ou = Vec::new();
+    let one_at_a_time = allocations(|| {
+        for ou in archive.ou_names() {
+            per_ou.push(ou_data_from_archive(&archive, &ou, 2.1, 4));
+        }
+    });
     let mut data: Vec<OuData> = Vec::new();
     let datasets = allocations(|| data = datasets_from_archive(&archive, 2.1, 4));
     assert_eq!(data.iter().map(OuData::len).sum::<usize>() as u64, SAMPLES);
-    assert_eq!(data[1].points[1].features, vec![4.0, 2.0, 2.1, 4.0]);
-    assert!(
-        datasets <= SAMPLES + blocks + 32,
-        "{datasets} allocations building {SAMPLES} points from {blocks} blocks"
-    );
+    assert_eq!(data[1].points.at(1).features, vec![4.0, 2.0, 2.1, 4.0]);
+    assert!(data.iter().zip(&per_ou).all(|(a, b)| a.points == b.points));
+    for (what, n) in [("per OU", one_at_a_time), ("pooled", datasets)] {
+        assert!(
+            n <= budget,
+            "{what}: {n} allocations building {SAMPLES} points from {blocks} blocks"
+        );
+    }
 
     drop(archive);
     std::fs::remove_dir_all(&dir).ok();

@@ -6,7 +6,8 @@
 //! `Sample`s built — names, order, feature bits, targets, templates —
 //! on archives with awkward shapes: NaN / −0.0 features, empty vectors,
 //! several OUs, many segments, compaction with retention, an unflushed
-//! memtable tail.
+//! memtable tail, one OU name under two OU ids, an OU that exists only in
+//! the memtable tail.
 
 use std::collections::BTreeMap;
 
@@ -106,7 +107,7 @@ fn oracle_datasets(samples: impl Iterator<Item = Sample>) -> Vec<OuData> {
         features.push(CLOCK_GHZ);
         features.push(CONCURRENCY as f64);
         d.points.push(LabeledPoint {
-            features,
+            features: &features,
             target_ns: s.elapsed_ns as f64,
             template: s.template,
         });
@@ -117,8 +118,8 @@ fn oracle_datasets(samples: impl Iterator<Item = Sample>) -> Vec<OuData> {
 fn assert_same_points(what: &str, got: &OuData, want: &OuData) {
     assert_eq!(got.name, want.name, "{what}: OU name");
     assert_eq!(got.len(), want.len(), "{what}: {} points", want.name);
-    for (i, (g, w)) in got.points.iter().zip(&want.points).enumerate() {
-        let bits = |p: &LabeledPoint| p.features.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+    for (i, (g, w)) in got.points.iter().zip(want.points.iter()).enumerate() {
+        let bits = |p: LabeledPoint| p.features.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(g), bits(w), "{what}: {} point {i} features", want.name);
         assert_eq!(
             g.target_ns.to_bits(),
@@ -133,7 +134,12 @@ fn assert_same_points(what: &str, got: &OuData, want: &OuData) {
 fn check_read_paths(what: &str, archive: &Archive) {
     let all: Vec<Sample> = archive.scan_all().collect();
     assert_same_samples(what, &batch_rows(archive, None), &all);
-    for ou in OUS.iter().chain(&["no_such_ou"]) {
+    for ou in archive
+        .ou_names()
+        .iter()
+        .map(String::as_str)
+        .chain(["no_such_ou"])
+    {
         let of_ou: Vec<Sample> = archive.scan_ou(ou).collect();
         let what = format!("{what}/{ou}");
         assert_same_samples(&what, &batch_rows(archive, Some(ou)), &of_ou);
@@ -235,4 +241,56 @@ fn batch_rows_and_datasets_match_the_sample_scan_on_awkward_archives() {
         drop(archive);
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// Two shapes the per-OU build must fold as the sample scan does: one OU
+/// name under two OU ids — two runs that numbered their OUs apart — and
+/// an OU that exists only in the memtable tail.
+#[test]
+fn one_name_under_two_ids_and_a_tail_only_ou_match_the_sample_scan() {
+    let dir = temp_dir("two_ids");
+    let opts = ArchiveOptions {
+        memtable_flush_samples: 48,
+        segment_max_bytes: 8 * 1024,
+        ..ArchiveOptions::default()
+    };
+    let mut rng = StdRng::seed_from_u64(5);
+    for run in 0..2 {
+        // Dropping the archive seals what the run wrote.
+        let mut archive = Archive::open(&dir, opts.clone(), Telemetry::new()).unwrap();
+        for i in 0..600 {
+            let s = random_sample(&mut rng, run * 600 + i);
+            let ou = s.ou + 100 * run as u16;
+            archive.append(Sample { ou, ..s }).unwrap();
+        }
+    }
+    let mut archive = Archive::open(&dir, opts, Telemetry::new()).unwrap();
+    for i in 1_200..1_230 {
+        let ou_name = "tail_only".to_string();
+        let s = random_sample(&mut rng, i);
+        archive
+            .append(Sample {
+                ou: 999,
+                ou_name,
+                ..s
+            })
+            .unwrap();
+    }
+    assert_eq!(archive.buffered_samples(), 30);
+    check_read_paths("two ids and a tail-only OU", &archive);
+    let data = datasets_from_archive(&archive, CLOCK_GHZ, CONCURRENCY);
+    let names: Vec<&str> = data.iter().map(|d| d.name.as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            "agg_build",
+            "idx_probe",
+            "seq_scan",
+            "tail_only",
+            "wal_write"
+        ]
+    );
+    assert_eq!(data[3].len(), 30);
+    drop(archive);
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -152,7 +152,7 @@ fn linear_ou(name: &str, n: usize, slope: f64) -> OuData {
     for i in 0..n {
         let f = (i % 64) as f64;
         d.points.push(LabeledPoint {
-            features: vec![f],
+            features: &[f],
             target_ns: 1000.0 + slope * f,
             template: (i % 3) as u32,
         });
@@ -174,9 +174,7 @@ fn hot_swap_gate_rejects_regressions_and_keeps_generation() {
     // A candidate trained on corrupted labels must be rejected: live
     // model, generation, and gauge all unchanged.
     let mut garbage = linear_ou("scan", 300, 500.0);
-    for p in &mut garbage.points {
-        p.target_ns = 5.0;
-    }
+    garbage.points.targets_ns_mut().fill(5.0);
     let before = reg.live().unwrap();
     assert!(matches!(
         reg.retrain_from(&[garbage], &holdout),

@@ -143,7 +143,7 @@ fn synth_live(generation: u64, target_ns: f64) -> LiveModel {
             features.push(2.5); // clock_ghz column
             features.push(1.0); // concurrency column
             d.points.push(LabeledPoint {
-                features,
+                features: &features,
                 target_ns,
                 template: 0,
             });
