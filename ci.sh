@@ -37,7 +37,7 @@ cargo test --workspace -q
 
 echo "== allocation budgets: sample path, archive read side, forest fit, lowered engine on mutated programs, NoiseTap's read path (release: the build tsbench measures) =="
 # 0 allocations per marker triple, sampled or not; at most the owned
-# TrainingPoint's 4 per drained record; a column scan O(blocks), a
+# Sample's 4 per drained record; a column scan O(blocks), a
 # dataset build O(OUs + blocks) and nothing per point, a Forest fit one
 # per tree node + O(trees), 0 per lowered run of a mutated Collector
 # stream (which must also end in Ok or Err, as the reference does), and
@@ -62,10 +62,13 @@ if git grep -nE 'FUEL|OutOfFuel|MAX_LOOP_TRIPS|bump_trip|MAX_STATES|TooComplex|s
   echo "FAIL: loop, fuel or path-exploration machinery is back under crates/"; exit 1
 fi
 
-echo "== a dataset is columns: no owned row per point comes back under crates/ =="
+echo "== a dataset is columns and a sample has one owned row: no second owned row per point comes back under crates/ =="
 if git grep -n 'features: Vec<f64>' -- crates/models/src/dataset.rs \
   || git grep -nE 'Vec<&?LabeledPoint' -- crates; then
   echo "FAIL: a per-point row is back; OuData's points are columns, a subset is row indices"; exit 1
+fi
+if git grep -n 'struct TrainingPoint' -- crates; then
+  echo "FAIL: a second owned training row is back; the Processor emits archive::Sample"; exit 1
 fi
 
 # Everything below writes its artifacts here, never into results/.

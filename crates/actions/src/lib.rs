@@ -343,9 +343,7 @@ struct Pending {
     value_before: f64,
     predicted: f64,
     /// Observed above this bound ⇒ regression.
-    regress_above: Option<f64>,
-    /// Observed below this bound ⇒ regression.
-    regress_below: Option<f64>,
+    regress_above: f64,
     planned_at_ns: f64,
     observe_at_ns: f64,
     dry_run: bool,
@@ -363,8 +361,7 @@ struct Candidate {
     watch: Watch,
     value_before: f64,
     predicted: f64,
-    regress_above: Option<f64>,
-    regress_below: Option<f64>,
+    regress_above: f64,
     /// +1 raise/fuse, -1 lower/unfuse, 0 directionless — the
     /// hysteresis guardrail only applies to directional actions.
     direction: i8,
@@ -517,8 +514,7 @@ impl ActionEngine {
             }
             let observed = p.watch.read(&self.telemetry);
             let err_pct = (observed - p.predicted).abs() / p.predicted.abs().max(1.0) * 100.0;
-            let regressed = p.regress_above.is_some_and(|b| observed > b)
-                || p.regress_below.is_some_and(|b| observed < b);
+            let regressed = observed > p.regress_above;
             self.telemetry
                 .action_observe(p.id, observed, now, err_pct, regressed);
             let (t, m, kind) = (&self.telemetry, &mut self.metrics, p.kind);
@@ -571,8 +567,7 @@ impl ActionEngine {
                 },
                 value_before: data_health,
                 predicted: 0.0,
-                regress_above: Some(1.5),
-                regress_below: None,
+                regress_above: 1.5,
                 direction: 0,
             });
         }
@@ -605,8 +600,7 @@ impl ActionEngine {
                         watch: overhead_watch(),
                         value_before: ratio,
                         predicted: ratio * 0.5,
-                        regress_above: Some(ratio * (1.0 + REGRESSION_TOLERANCE)),
-                        regress_below: None,
+                        regress_above: ratio * (1.0 + REGRESSION_TOLERANCE),
                         direction: -1,
                     });
                 }
@@ -637,8 +631,7 @@ impl ActionEngine {
                         // Rates climb back: the ratio may rise but must
                         // stay within budget.
                         predicted: (ratio * 2.0).min(self.cfg.overhead_budget),
-                        regress_above: Some(self.cfg.overhead_budget * (1.0 + REGRESSION_TOLERANCE)),
-                        regress_below: None,
+                        regress_above: self.cfg.overhead_budget * (1.0 + REGRESSION_TOLERANCE),
                         direction: 1,
                     });
                 }
@@ -675,8 +668,7 @@ impl ActionEngine {
                 },
                 value_before: r.loss_delta as f64,
                 predicted: 0.0,
-                regress_above: Some(r.loss_delta as f64),
-                regress_below: None,
+                regress_above: r.loss_delta as f64,
                 direction: -1,
             });
         }
@@ -701,8 +693,7 @@ impl ActionEngine {
                 },
                 value_before: segments,
                 predicted: segments * 0.5,
-                regress_above: Some(segments * (1.0 + REGRESSION_TOLERANCE)),
-                regress_below: None,
+                regress_above: segments * (1.0 + REGRESSION_TOLERANCE),
                 direction: 0,
             });
         }
@@ -728,10 +719,8 @@ impl ActionEngine {
                     watch: overhead_watch(),
                     value_before: ratio,
                     predicted: ratio,
-                    regress_above: Some(
-                        ratio.max(self.cfg.overhead_budget) * (1.0 + REGRESSION_TOLERANCE),
-                    ),
-                    regress_below: None,
+                    regress_above: ratio.max(self.cfg.overhead_budget)
+                        * (1.0 + REGRESSION_TOLERANCE),
                     direction: 0,
                 });
             }
@@ -755,8 +744,7 @@ impl ActionEngine {
                     watch: overhead_watch(),
                     value_before: ratio,
                     predicted: ratio * 0.8,
-                    regress_above: Some(ratio * (1.0 + REGRESSION_TOLERANCE)),
-                    regress_below: None,
+                    regress_above: ratio * (1.0 + REGRESSION_TOLERANCE),
                     direction: 1,
                 });
             } else if inputs.pipeline_fused && cost > UNFUSE_ABOVE_NS {
@@ -772,8 +760,7 @@ impl ActionEngine {
                     watch: overhead_watch(),
                     value_before: ratio,
                     predicted: self.cfg.overhead_budget.min(ratio * 1.5),
-                    regress_above: Some(self.cfg.overhead_budget * (1.0 + REGRESSION_TOLERANCE)),
-                    regress_below: None,
+                    regress_above: self.cfg.overhead_budget * (1.0 + REGRESSION_TOLERANCE),
                     direction: -1,
                 });
             }
@@ -889,7 +876,6 @@ impl ActionEngine {
             value_before: c.value_before,
             predicted: c.predicted,
             regress_above: c.regress_above,
-            regress_below: c.regress_below,
             planned_at_ns: now,
             observe_at_ns: now + self.cfg.observation_window_ns,
             dry_run: self.cfg.dry_run,

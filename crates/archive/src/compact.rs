@@ -11,10 +11,10 @@
 //!
 //! Crash safety: the merged segment is written to a `.tmp` file and
 //! renamed over the run's first segment before the other inputs are
-//! deleted. A crash mid-compaction leaves either the inputs intact plus
-//! an ignored `.tmp`, or the merged file plus stale inputs whose data is
-//! duplicated — `open` keeps whichever files parse, and the worst case
-//! is re-doing the compaction.
+//! deleted. A crash before the rename leaves the inputs plus a `.tmp`
+//! that `open` deletes; a crash between the rename and the deletes is
+//! not repaired: `open` keeps every segment that parses and nothing
+//! deduplicates, so the stale inputs' rows are trained on twice.
 
 use std::collections::BTreeMap;
 use std::fs::OpenOptions;

@@ -9,9 +9,10 @@
 //!
 //! Layout (SciTS-style segmented time series):
 //!
-//! * [`Sample`]s are appended to **per-OU memtables**; a memtable flush
-//!   encodes one columnar block (delta+varint or frame-of-reference
-//!   bit-packed per column, CRC32-framed) into the active segment file.
+//! * [`Sample`]s, the one owned training row, are appended (owned or
+//!   borrowed) to **per-OU memtables**; a memtable flush encodes one
+//!   columnar block (delta+varint or frame-of-reference bit-packed per
+//!   column, CRC32-framed) into the active segment file.
 //! * Segments **seal** with a footer manifest once large enough; sealed
 //!   segments are immutable.
 //! * **Compaction** merges runs of small sealed segments and applies the
@@ -43,9 +44,9 @@ pub use crc32::crc32;
 pub use segment::{BlockMeta, ColumnBatch, OuEntry, Projection, VarColumn};
 pub use store::{Archive, ArchiveStats, BatchScan, SampleScan};
 
-/// One archived training sample — the Processor's decoded
-/// `TrainingPoint` plus its query-template tag (0 = untagged /
-/// background work).
+/// One training sample (paper §3.2: an OU's features and metrics): the
+/// Processor's decoded output, untagged, and the row the archive stores
+/// once the driver has set its `template` in place.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Sample {
     pub ou: u16,
@@ -67,6 +68,14 @@ pub struct Sample {
 }
 
 impl Sample {
+    /// A copy tagged with `template`. Kept for `benchmark/src/mix.rs`,
+    /// which archives owned copies; the lifecycle tags in place instead.
+    pub fn to_sample(&self, template: u32) -> Sample {
+        let mut s = self.clone();
+        s.template = template;
+        s
+    }
+
     /// Bit-exact equality: features compare by `to_bits`, so NaNs and
     /// signed zeros count as equal to themselves (unlike `==`).
     pub fn bits_eq(&self, other: &Sample) -> bool {

@@ -1,5 +1,6 @@
 //! The archive store: memtables, segment lifecycle, recovery, and scans.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom};
@@ -269,14 +270,16 @@ impl Archive {
         }))
     }
 
-    /// Append one sample. Routes to the per-OU memtable; flushes when the
-    /// memtable or the global buffer bound fills. This is the only
+    /// Append one sample, owned or borrowed (its fields are copied into
+    /// columns either way). Routes to the per-OU memtable; flushes when
+    /// the memtable or the global buffer bound fills. This is the only
     /// write-side entry point, so write-side memory is bounded by
     /// [`ArchiveOptions::max_buffered_samples`] decoded samples. `Err`
     /// means that flush failed: the block it was writing (this sample
     /// and the rows buffered with it) is dropped and counted in
     /// `archive_append_errors_total`.
-    pub fn append(&mut self, sample: Sample) -> Result<(), ArchiveError> {
+    pub fn append(&mut self, sample: impl Borrow<Sample>) -> Result<(), ArchiveError> {
+        let sample = sample.borrow();
         let ou = sample.ou;
         let mt = self.memtables.entry(ou).or_insert_with(|| {
             ColumnBatch::for_ou(OuEntry {
@@ -285,7 +288,7 @@ impl Archive {
                 name: sample.ou_name.clone(),
             })
         });
-        mt.push(&sample);
+        mt.push(sample);
         let mt_len = mt.len();
         self.buffered += 1;
         let t = &self.telemetry;

@@ -44,7 +44,7 @@ use tscout_telemetry::{
 };
 
 use crate::codegen::{self, encode_ctx_into, ProbeLayout, CTX_BYTES};
-use crate::data::{decode_points, encode_record, RawRecord, TrainingPoint, MAX_PAYLOAD_WORDS};
+use crate::data::{decode_points, encode_record, header_ids, RawRecord, MAX_PAYLOAD_WORDS};
 use crate::decls::{self, BPF_VM, COLLECTOR_BEGIN, COLLECTOR_END, COLLECTOR_FEATURES, EMIT_USER};
 use crate::ou::{OuId, OuRegistry, Subsystem, ALL_SUBSYSTEMS};
 use crate::sampling::Sampler;
@@ -640,28 +640,13 @@ impl TScout {
         }
     }
 
-    /// Parse subsystem + OU + emitting thread out of an encoded record's
-    /// header (word 0 is the OU id, word 1 the tid, word 2 the subsystem
-    /// index) without a full decode.
-    fn record_ids(bytes: &[u8]) -> (Option<Subsystem>, Option<OuId>, u64) {
-        let word = |i: usize| {
-            bytes
-                .get(i * 8..i * 8 + 8)
-                .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-        };
-        let s = word(2).and_then(|i| Subsystem::from_index(i as usize));
-        let ou = word(0).map(|id| OuId(id as u16));
-        let tid = word(1).unwrap_or(0);
-        (s, ou, tid)
-    }
-
     /// Harvest records the ring buffer overwrote since the last call and
     /// attribute each loss to its subsystem and OU. Called on every path
     /// that pushes to the ring, so the bounded eviction queue never
     /// overflows and the accounting stays exact.
     fn account_ring_evictions(&mut self) {
         while let Some(header) = self.loader.maps.ring_pop_evicted(self.ring) {
-            let (s, ou, tid) = Self::record_ids(header.as_bytes());
+            let (ou, tid, s) = header_ids(header.as_bytes());
             let s = s.unwrap_or(Subsystem::ExecutionEngine);
             let ou = ou.unwrap_or(OuId(u16::MAX));
             self.mark_lost(s, ou, LossReason::RingOverwrite);
@@ -1166,7 +1151,7 @@ impl TScout {
             ..
         } = self;
         loader.maps.ring_drain_with(*ring, max, |bytes, ring_len| {
-            let (s, ou, _tid) = Self::record_ids(bytes);
+            let (ou, _tid, s) = header_ids(bytes);
             let s = s.unwrap_or(Subsystem::ExecutionEngine);
             metrics
                 .delivered
@@ -1220,7 +1205,7 @@ impl TScout {
     /// Convenience: drain everything and decode into training points
     /// (bypasses the Processor's cost accounting; meant for tests and
     /// offline analysis).
-    pub fn drain_decoded(&mut self) -> Vec<TrainingPoint> {
+    pub fn drain_decoded(&mut self) -> Vec<tscout_archive::Sample> {
         let mut points = Vec::new();
         self.drain_ring_with(usize::MAX, |record| {
             points.extend(decode_points(record.bytes, record.registry));

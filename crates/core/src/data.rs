@@ -1,4 +1,4 @@
-//! The training-data wire format and decoded sample types.
+//! The training-data wire format and its decoding into [`Sample`]s.
 //!
 //! A *record* is the fixed-size struct the Collector's FEATURES program
 //! assembles on its BPF stack and publishes through `perf_event_output`
@@ -22,7 +22,9 @@
 //! The record length is a compile-time constant per subsystem so the BPF
 //! verifier can bounds-check the `perf_event_output` call.
 
-use crate::ou::{OuRegistry, Subsystem};
+use tscout_archive::Sample;
+
+use crate::ou::{OuId, OuRegistry, Subsystem};
 
 /// Header words before the metrics block.
 pub const HEADER_WORDS: usize = 8;
@@ -35,7 +37,7 @@ pub fn record_bytes(m: usize) -> usize {
 }
 
 /// A decoded wire record, before OU-schema interpretation.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RawRecord {
     pub ou: u64,
     pub tid: u64,
@@ -76,8 +78,8 @@ impl<'a> Words<'a> {
 /// Processor decodes training points straight out of it.
 #[derive(Debug, Clone, Copy)]
 pub struct RecordView<'a> {
-    pub ou: u64,
-    pub tid: u64,
+    pub ou: u16,
+    pub tid: u32,
     pub subsystem: u64,
     pub flags: u64,
     pub start_ns: u64,
@@ -89,7 +91,8 @@ pub struct RecordView<'a> {
 
 impl<'a> RecordView<'a> {
     /// Validate a wire record. Returns `None` on malformed input
-    /// (truncated or internally inconsistent) — the Processor drops such
+    /// (truncated, internally inconsistent, or an OU word above
+    /// `u16::MAX` / a tid above `u32::MAX`) — the Processor drops such
     /// records rather than crashing, since ring overwrites are legal.
     pub fn parse(bytes: &'a [u8]) -> Option<Self> {
         if !bytes.len().is_multiple_of(8) || bytes.len() < HEADER_WORDS * 8 {
@@ -104,8 +107,8 @@ impl<'a> RecordView<'a> {
             return None;
         }
         Some(RecordView {
-            ou: words.get(0),
-            tid: words.get(1),
+            ou: u16::try_from(words.get(0)).ok()?,
+            tid: u32::try_from(words.get(1)).ok()?,
             subsystem: words.get(2),
             flags: words.get(3),
             start_ns: words.get(4),
@@ -117,8 +120,8 @@ impl<'a> RecordView<'a> {
 
     fn to_raw(self) -> RawRecord {
         RawRecord {
-            ou: self.ou,
-            tid: self.tid,
+            ou: self.ou.into(),
+            tid: self.tid.into(),
             subsystem: self.subsystem,
             flags: self.flags,
             start_ns: self.start_ns,
@@ -129,10 +132,12 @@ impl<'a> RecordView<'a> {
     }
 
     /// The fused-pipeline groups `[ou_id, n_feat, feats...]` packed in
-    /// the payload, or `None` when they do not fit it.
-    fn groups(self) -> Option<impl Iterator<Item = (u64, Words<'a>)>> {
+    /// the payload, or `None` when they do not fit it or an OU id is
+    /// above `u16::MAX`.
+    fn groups(self) -> Option<impl Iterator<Item = (u16, Words<'a>)>> {
         let mut at = 0usize;
         for _ in 0..self.flags {
+            u16::try_from(self.payload_word(at)?).ok()?;
             let n = usize::try_from(self.payload_word(at + 1)?).ok()?;
             at = (at + 2).checked_add(n)?;
             if at > self.payload.len() {
@@ -143,7 +148,8 @@ impl<'a> RecordView<'a> {
         let mut at = 0usize;
         Some((0..self.flags).map(move |_| {
             let n = payload.get(at + 1) as usize;
-            let group = (payload.get(at), payload.slice(at + 2..at + 2 + n));
+            // The OU id fits a u16: checked above.
+            let group = (payload.get(at) as u16, payload.slice(at + 2..at + 2 + n));
             at += 2 + n;
             group
         }))
@@ -176,43 +182,46 @@ impl<'a> RecordView<'a> {
     /// models (§5.2/§6). The weight is the group's first feature (its
     /// tuple count), a proxy for per-OU work.
     ///
-    /// Each point is built directly in its owned form: the OU name and
-    /// the three value vectors are its only allocations.
-    pub fn for_each_point(self, registry: &OuRegistry, mut emit: impl FnMut(TrainingPoint)) {
+    /// Each point is built directly as an untagged [`Sample`]: the OU
+    /// name and the three value vectors are its only allocations.
+    pub fn for_each_point(self, registry: &OuRegistry, mut emit: impl FnMut(Sample)) {
         let Some(subsystem) = Subsystem::from_index(self.subsystem as usize) else {
             return;
         };
-        let ou_name = |ou: u64| {
-            registry
-                .get(crate::ou::OuId(ou as u16))
-                .map_or_else(|| format!("ou_{ou}"), |d| d.name.clone())
+        let point = |ou: u16, elapsed_ns, metrics, features, user_metrics| Sample {
+            ou,
+            ou_name: registry
+                .get(OuId(ou))
+                .map_or_else(|| format!("ou_{ou}"), |d| d.name.clone()),
+            subsystem: subsystem.index() as u8,
+            tid: self.tid,
+            template: 0,
+            start_ns: self.start_ns,
+            elapsed_ns,
+            metrics,
+            features,
+            user_metrics,
         };
         if self.flags == 0 {
             let n_features = registry
-                .get(crate::ou::OuId(self.ou as u16))
+                .get(OuId(self.ou))
                 .map_or(self.payload.len(), |def| {
                     def.n_features.min(self.payload.len())
                 });
-            emit(TrainingPoint {
-                ou: self.ou as u16,
-                ou_name: ou_name(self.ou),
-                subsystem,
-                tid: self.tid as u32,
-                start_ns: self.start_ns,
-                elapsed_ns: self.elapsed_ns,
-                metrics: self.metrics.iter().collect(),
-                features: self
-                    .payload
+            emit(point(
+                self.ou,
+                self.elapsed_ns,
+                self.metrics.iter().collect(),
+                self.payload
                     .slice(0..n_features)
                     .iter()
                     .map(|w| w as f64)
                     .collect(),
-                user_metrics: self
-                    .payload
+                self.payload
                     .slice(n_features..self.payload.len())
                     .iter()
                     .collect(),
-            });
+            ));
             return;
         }
 
@@ -225,19 +234,27 @@ impl<'a> RecordView<'a> {
         };
         for (ou, feats) in self.groups().into_iter().flatten() {
             let w = weight(feats) / total_weight;
-            emit(TrainingPoint {
-                ou: ou as u16,
-                ou_name: ou_name(ou),
-                subsystem,
-                tid: self.tid as u32,
-                start_ns: self.start_ns,
-                elapsed_ns: (self.elapsed_ns as f64 * w) as u64,
-                metrics: self.metrics.iter().map(|m| (m as f64 * w) as u64).collect(),
-                features: feats.iter().map(|w| w as f64).collect(),
-                user_metrics: Vec::new(),
-            });
+            emit(point(
+                ou,
+                (self.elapsed_ns as f64 * w) as u64,
+                self.metrics.iter().map(|m| (m as f64 * w) as u64).collect(),
+                feats.iter().map(|w| w as f64).collect(),
+                Vec::new(),
+            ));
         }
     }
+}
+
+/// The OU id, tid and subsystem in a record's header (words 0, 1, 2),
+/// read without a full decode so a torn record still names its sender.
+/// An OU word above `u16::MAX` reads as missing, like an absent one.
+pub(crate) fn header_ids(bytes: &[u8]) -> (Option<OuId>, u64, Option<Subsystem>) {
+    let word = |i: usize| Some(Words(bytes.get(i * 8..i * 8 + 8)?).get(0));
+    (
+        word(0).and_then(|w| u16::try_from(w).ok()).map(OuId),
+        word(1).unwrap_or(0),
+        word(2).and_then(|i| Subsystem::from_index(usize::try_from(i).ok()?)),
+    )
 }
 
 /// Decode a wire record into its owned form (`None` on malformed input,
@@ -248,7 +265,7 @@ pub fn decode_record(bytes: &[u8]) -> Option<RawRecord> {
 
 /// Decode a wire record all the way into training points (none when it
 /// is malformed).
-pub fn decode_points(bytes: &[u8], registry: &OuRegistry) -> Vec<TrainingPoint> {
+pub fn decode_points(bytes: &[u8], registry: &OuRegistry) -> Vec<Sample> {
     let mut points = Vec::new();
     if let Some(view) = RecordView::parse(bytes) {
         view.for_each_point(registry, |p| points.push(p));
@@ -277,53 +294,9 @@ pub fn encode_record(r: &RawRecord) -> Vec<u8> {
     words.iter().flat_map(|w| w.to_le_bytes()).collect()
 }
 
-/// A fully decoded training data point: the Processor's output, and the
-/// input to the behavior models (paper §2.1: "Each data point in a
-/// training corpus contains input features and its corresponding output
-/// metrics").
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrainingPoint {
-    pub ou: u16,
-    pub ou_name: String,
-    pub subsystem: Subsystem,
-    pub tid: u32,
-    pub start_ns: u64,
-    /// The primary target metric: OU execution time.
-    pub elapsed_ns: u64,
-    /// Kernel-probe metrics, in the subsystem's configured probe order.
-    pub metrics: Vec<u64>,
-    /// OU input features (first `n_features` payload words).
-    pub features: Vec<f64>,
-    /// User-level probe metrics (remaining payload words, e.g. the memory
-    /// probe's bytes-allocated).
-    pub user_metrics: Vec<u64>,
-}
-
-impl TrainingPoint {
-    /// Convert to the archive's storage form. The query template is not
-    /// part of the wire record — it is assigned post-hoc from the
-    /// driver's query trace — so the caller supplies it (0 = untagged /
-    /// background work).
-    pub fn to_sample(&self, template: u32) -> tscout_archive::Sample {
-        tscout_archive::Sample {
-            ou: self.ou,
-            ou_name: self.ou_name.clone(),
-            subsystem: self.subsystem.index() as u8,
-            tid: self.tid,
-            template,
-            start_ns: self.start_ns,
-            elapsed_ns: self.elapsed_ns,
-            metrics: self.metrics.clone(),
-            features: self.features.clone(),
-            user_metrics: self.user_metrics.clone(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ou::{OuRegistry, Subsystem};
 
     fn raw() -> RawRecord {
         RawRecord {
@@ -422,6 +395,31 @@ mod tests {
             payload: vec![0, 5, 1], // but group 1 claims 5 features
         };
         assert!(decode_points(&encode_record(&r), &reg).is_empty());
+    }
+
+    #[test]
+    fn out_of_range_ids_are_rejected_not_truncated() {
+        // OU word 65 539 would truncate to OU 3, tid 2^32 to tid 0.
+        let ou = RawRecord {
+            ou: 65_539,
+            ..raw()
+        };
+        let tid = RawRecord {
+            tid: 1 << 32,
+            ..raw()
+        };
+        for r in [ou, tid] {
+            assert!(RecordView::parse(&encode_record(&r)).is_none());
+        }
+        // One fused group naming OU 65 539 makes the record malformed.
+        let payload = vec![0, 1, 100, 65_539, 1, 200];
+        let bytes = encode_record(&RawRecord {
+            flags: 2,
+            payload,
+            ..raw()
+        });
+        assert_eq!(RecordView::parse(&bytes).unwrap().point_count(), 0);
+        assert!(decode_points(&bytes, &OuRegistry::new()).is_empty());
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //!   values the DBMS reports at the `FEATURES` marker.
 //! * **Processor** (§3.2): a user-space component that drains the ring
 //!   buffer, decodes and de-aggregates samples (operator fusion, §5.2),
-//!   and archives [`TrainingPoint`]s.
+//!   and hands out training points as [`tscout_archive::Sample`] rows.
 //! * **Sampling** (§5.3): per-subsystem 100-bit sampling fields with
 //!   shuffled bits and per-thread offsets, adjustable at runtime.
 //! * **Collection modes** (§6.2): [`CollectionMode::KernelContinuous`]
@@ -73,7 +73,9 @@ pub mod processor;
 pub mod sampling;
 
 pub use collector::{CollectionMode, LossTotals, ProbeSet, TScout, TsConfig, TsError, TsStats};
-pub use data::{decode_record, encode_record, RawRecord, TrainingPoint, MAX_PAYLOAD_WORDS};
+pub use data::{decode_record, encode_record, RawRecord, MAX_PAYLOAD_WORDS};
 pub use ou::{OuDef, OuId, OuRegistry, Subsystem, ALL_SUBSYSTEMS};
 pub use processor::{Processor, Sink, SubsystemFeedback};
 pub use sampling::Sampler;
+/// The old name of [`tscout_archive::Sample`], kept for `benchmark/src/mix.rs`.
+pub use tscout_archive::Sample as TrainingPoint;

@@ -10,12 +10,13 @@
 //! back pressure, exactly the design property of §3. A feedback hook
 //! recommends lowering the sampling rate when that happens.
 
+use tscout_archive::Sample;
 use tscout_kernel::{Kernel, TaskId, TSCOUT};
 use tscout_telemetry::decls::{PROCESSOR_DECODE_ERRORS, SAMPLES_LOST};
 use tscout_telemetry::{CounterSite, CounterVec, GaugeSite, HistSite, Telemetry};
 
 use crate::collector::{DrainedRecord, TScout};
-use crate::data::{RecordView, TrainingPoint};
+use crate::data::{header_ids, RecordView};
 use crate::decls;
 use crate::ou::{OuId, OuRegistry, Subsystem, ALL_SUBSYSTEMS};
 
@@ -45,7 +46,7 @@ pub struct SubsystemFeedback {
 #[derive(Debug)]
 pub enum Sink {
     /// Keep decoded points in memory (model training pipelines).
-    Memory(Vec<TrainingPoint>),
+    Memory(Vec<Sample>),
     /// Count only (overhead experiments).
     Discard,
 }
@@ -58,8 +59,6 @@ pub struct Processor {
     pub sink: Sink,
     /// Samples fully processed.
     pub processed: u64,
-    /// Ring records that failed to decode (overwritten mid-read etc.).
-    pub malformed: u64,
     /// Cloned from the kernel at construction.
     pub telemetry: Telemetry,
     /// Lineage tracing: park consumed traces for the archive/model
@@ -121,27 +120,12 @@ struct DriftObservation {
     feature_norm: f64,
 }
 
-/// The `(ou, tid)` lineage key from a raw record header (words 0 and 1),
-/// readable even when the full decode fails.
-fn record_key(bytes: &[u8]) -> (u16, u64) {
-    let word = |i: usize| {
-        bytes
-            .get(i * 8..i * 8 + 8)
-            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
-    };
-    (
-        word(0).map(|w| w as u16).unwrap_or(u16::MAX),
-        word(1).unwrap_or(0),
-    )
-}
-
 impl Processor {
     pub fn new(kernel: &mut Kernel, sink: Sink) -> Processor {
         Processor {
             task: kernel.create_task(),
             sink,
             processed: 0,
-            malformed: 0,
             telemetry: kernel.telemetry.clone(),
             trace_parks: false,
             last_lost: 0,
@@ -206,17 +190,20 @@ impl Processor {
     fn consume(&mut self, kernel: &mut Kernel, record: DrainedRecord<'_>) {
         let drained_at = kernel.now(self.task);
         kernel.charge_overhead(self.task, kernel.cost.processor_per_sample_ns);
-        let (tr_ou, tr_tid) = record_key(record.bytes);
+        // The lineage key, readable even when the full decode fails.
+        let (tr_ou, tr_tid, _) = header_ids(record.bytes);
+        let tr_ou = tr_ou.map_or(u16::MAX, |ou| ou.0);
         // Decoded in place: the only owned form is the training point.
         let view = RecordView::parse(record.bytes);
         let n_points = view.map_or(0, RecordView::point_count);
         let Some(view) = view.filter(|_| n_points > 0) else {
-            self.malformed += 1;
             self.metrics.decode_errors.get(&self.telemetry).inc();
             self.telemetry
                 .trace_decode_error(tr_ou, tr_tid, kernel.now(self.task));
             return;
         };
+        // Only a record of a known subsystem has points.
+        let subsystem = ALL_SUBSYSTEMS[view.subsystem as usize];
         let sink_enter = kernel.now(self.task);
         // De-aggregation fan-out: fused-pipeline records expand into one
         // point per constituent OU (§5.2).
@@ -241,7 +228,7 @@ impl Processor {
             if record.registry.get(OuId(p.ou)).is_some() {
                 self.drift_batch.push(DriftObservation {
                     ou: OuId(p.ou),
-                    subsystem: p.subsystem,
+                    subsystem,
                     target_ns,
                     feature_norm,
                 });
@@ -249,7 +236,7 @@ impl Processor {
                 // An OU nobody registered: keyed by its synthesized name.
                 self.telemetry.observe_ou_sample(
                     &p.ou_name,
-                    p.subsystem.name(),
+                    subsystem.name(),
                     target_ns,
                     feature_norm,
                 );
@@ -372,7 +359,7 @@ impl Processor {
     }
 
     /// Take the in-memory points (empties the sink).
-    pub fn take_points(&mut self) -> Vec<TrainingPoint> {
+    pub fn take_points(&mut self) -> Vec<Sample> {
         match &mut self.sink {
             Sink::Memory(v) => std::mem::take(v),
             Sink::Discard => Vec::new(),
@@ -384,6 +371,7 @@ impl Processor {
 mod tests {
     use super::*;
     use crate::collector::{CollectionMode, ProbeSet, TsConfig};
+    use crate::data::{encode_record, RawRecord};
     use crate::ou::Subsystem;
     use tscout_kernel::HardwareProfile;
 
@@ -438,14 +426,26 @@ mod tests {
     fn malformed_records_are_counted_not_fatal() {
         let (mut k, ts, _, _) = harness();
         let mut p = Processor::new(&mut k, Sink::Discard);
-        let record = DrainedRecord {
-            bytes: &[1, 2, 3],
-            registry: &ts.registry,
-            ring_len: 0,
-        };
-        p.consume(&mut k, record);
-        assert_eq!(p.malformed, 1);
-        assert_eq!(p.processed, 0);
+        // A fused group whose OU id does not fit a u16 is malformed too,
+        // not decoded as OU 65 539 mod 2^16 = 3.
+        let payload = vec![65_539, 1, 100];
+        let fused = encode_record(&RawRecord {
+            flags: 1,
+            payload,
+            ..RawRecord::default()
+        });
+        for (i, bytes) in [&[1, 2, 3][..], &fused].into_iter().enumerate() {
+            p.consume(
+                &mut k,
+                DrainedRecord {
+                    bytes,
+                    registry: &ts.registry,
+                    ring_len: 0,
+                },
+            );
+            let errors = k.telemetry.counter_value(PROCESSOR_DECODE_ERRORS.name, &[]);
+            assert_eq!((errors, p.processed), (i as u64 + 1, 0));
+        }
     }
 
     #[test]

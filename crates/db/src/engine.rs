@@ -1171,11 +1171,15 @@ mod tests {
         assert_eq!(ts.stats.state_machine_errors, 0);
         let pts = ts.drain_decoded();
         let subs: std::collections::HashSet<_> = pts.iter().map(|p| p.subsystem).collect();
-        assert!(subs.contains(&Subsystem::ExecutionEngine));
-        assert!(subs.contains(&Subsystem::Networking));
-        assert!(subs.contains(&Subsystem::LogSerializer));
-        assert!(subs.contains(&Subsystem::DiskWriter));
-        assert!(subs.contains(&Subsystem::Transactions));
+        for s in [
+            Subsystem::ExecutionEngine,
+            Subsystem::Networking,
+            Subsystem::LogSerializer,
+            Subsystem::DiskWriter,
+            Subsystem::Transactions,
+        ] {
+            assert!(subs.contains(&(s.index() as u8)), "{s:?}");
+        }
         // Nested markers: UPDATE wraps its scan.
         assert!(pts.iter().any(|p| p.ou_name == "update"));
         assert!(pts.iter().any(|p| p.ou_name == "idx_lookup"));

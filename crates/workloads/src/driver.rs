@@ -17,12 +17,12 @@ use rand::SeedableRng;
 
 use noisetap::engine::{Database, DbError, SessionId, StatementId};
 use noisetap::{EngineMode, ExecOutcome, Value};
-use tscout::{Processor, Sink, TScout, TrainingPoint};
+use tscout::{Processor, Sink, Subsystem, TScout};
 use tscout_actions::{ActionEngine, DbmsActuator, PlannerInputs, SubsystemRate, POLICY_COUNT};
-use tscout_archive::{Archive, ArchiveOptions};
+use tscout_archive::{Archive, ArchiveOptions, Sample};
 use tscout_kernel::TSCOUT;
 use tscout_models::dataset::OuData;
-use tscout_models::registry::{ModelRegistry, SwapDecision};
+use tscout_models::registry::ModelRegistry;
 use tscout_models::{datasets_from_archive, input_values, ModelKind};
 
 use crate::decls;
@@ -166,8 +166,9 @@ pub struct RunStats {
     pub txn_ends_ns: Vec<f64>,
     /// Query span trace for template assignment.
     pub trace: Vec<QuerySpan>,
-    /// Decoded training points collected during the run.
-    pub points: Vec<TrainingPoint>,
+    /// Decoded training points collected during the run (a lifecycle
+    /// run tags them as it archives them, a plain run leaves template 0).
+    pub points: Vec<Sample>,
     /// Samples the Processor archived.
     pub samples_processed: u64,
     /// Samples lost to ring overwrites.
@@ -213,8 +214,6 @@ pub struct ModelLifecycle {
     pub archived_samples: u64,
     /// Retraining attempts (accepted + rejected + skipped).
     pub retrains: u64,
-    pub swaps_accepted: u64,
-    pub swaps_rejected: u64,
     /// Optional autonomous action engine, ticked at pump cadence after
     /// the observability turn. Attach with [`ModelLifecycle::with_actions`].
     pub actions: Option<ActionEngine>,
@@ -244,8 +243,6 @@ impl ModelLifecycle {
             holdout_every: 5,
             archived_samples: 0,
             retrains: 0,
-            swaps_accepted: 0,
-            swaps_rejected: 0,
             actions: None,
             pending_rebaseline: false,
             last_exec_predicted_ns: None,
@@ -258,9 +255,9 @@ impl ModelLifecycle {
         self
     }
 
-    /// One lifecycle turn: tag `points` against the trace so far, persist
-    /// them to the archive (flush + compaction policy), then retrain from
-    /// the full archived history behind the accuracy gate.
+    /// One lifecycle turn: tag `points` in place against the trace so
+    /// far, archive them by reference (flush + compaction policy), then
+    /// retrain from the full archived history behind the accuracy gate.
     ///
     /// Runs on the Processor's task: archival is charged per sample and
     /// retraining per training point, under the profiler frames
@@ -269,7 +266,7 @@ impl ModelLifecycle {
         &mut self,
         kernel: &mut tscout_kernel::Kernel,
         task: tscout_kernel::TaskId,
-        points: &[TrainingPoint],
+        points: &mut [Sample],
         trace: &[QuerySpan],
         concurrency: usize,
     ) {
@@ -280,7 +277,7 @@ impl ModelLifecycle {
         if !points.is_empty() && self.registry.live().is_some() {
             let mut feats: Vec<f64> = Vec::new();
             let (mut exec_sum, mut exec_n) = (0.0f64, 0u64);
-            for p in points {
+            for p in points.iter() {
                 let own = p.features.iter().copied();
                 feats.clear();
                 feats.extend(input_values(own, kernel.hw.clock_ghz, concurrency as f64));
@@ -288,7 +285,7 @@ impl ModelLifecycle {
                     kernel
                         .telemetry
                         .observe_residual(&p.ou_name, predicted, p.elapsed_ns as f64);
-                    if p.subsystem == tscout::Subsystem::ExecutionEngine {
+                    if p.subsystem == Subsystem::ExecutionEngine.index() as u8 {
                         exec_sum += predicted;
                         exec_n += 1;
                     }
@@ -301,13 +298,13 @@ impl ModelLifecycle {
         if !points.is_empty() {
             let _frame = kernel.profile_frame(task, &decls::PROCESSOR_ARCHIVE);
             let start = kernel.now(task);
-            let tagged = assign_templates(points, trace);
+            tag_templates(points, trace);
             kernel.charge_overhead(
                 task,
-                tagged.len() as f64 * kernel.cost.archive_per_sample_ns,
+                points.len() as f64 * kernel.cost.archive_per_sample_ns,
             );
-            for (p, template) in &tagged {
-                if self.archive.append(p.to_sample(*template)).is_ok() {
+            for p in points.iter() {
+                if self.archive.append(p).is_ok() {
                     self.archived_samples += 1;
                 }
             }
@@ -354,11 +351,7 @@ impl ModelLifecycle {
             n_points as u64,
         );
         kernel.charge_overhead(task, n_points as f64 * kernel.cost.retrain_per_point_ns);
-        match self.registry.retrain_split(&data, self.holdout_every) {
-            SwapDecision::Accepted { .. } => self.swaps_accepted += 1,
-            SwapDecision::Rejected { .. } => self.swaps_rejected += 1,
-            SwapDecision::Skipped => {}
-        }
+        self.registry.retrain_split(&data, self.holdout_every);
         self.retrains += 1;
         let now = kernel.now(task);
         // Lineage terminal: every parked trace completes delivered at the
@@ -491,7 +484,7 @@ fn run_inner(
     let mut next_gc = start_ns + GC_EVERY_NS;
     // Lifecycle runs drain the in-memory sink at each retrain; keep the
     // full point stream for the caller regardless.
-    let mut all_points: Vec<TrainingPoint> = Vec::new();
+    let mut all_points: Vec<Sample> = Vec::new();
     let mut next_retrain = match lifecycle.as_ref() {
         Some(lc) if lc.retrain_every_ns < f64::MAX => start_ns + lc.retrain_every_ns,
         _ => f64::MAX,
@@ -518,9 +511,9 @@ fn run_inner(
             }
             if now >= next_retrain {
                 if let Some(lc) = lifecycle.as_deref_mut() {
-                    let points = processor.take_points();
+                    let mut points = processor.take_points();
                     let gen_before = lc.registry.generation();
-                    lc.step(kernel, processor.task, &points, &trace, opts.terminals);
+                    lc.step(kernel, processor.task, &mut points, &trace, opts.terminals);
                     all_points.extend(points);
                     // An engine-actuated retrain rebaselines the drift
                     // references — but only once a new generation
@@ -698,11 +691,11 @@ fn run_inner(
                 processor.poll(kernel, ts, end_ns);
                 let in_run = processor.processed;
                 processor.drain_all(kernel, ts);
-                let tail = processor.take_points();
+                let mut tail = processor.take_points();
                 // Final lifecycle turn: persist the tail, seal the active
                 // segment, and retrain one last time over the full history.
                 if let Some(lc) = lifecycle.as_deref_mut() {
-                    lc.step(kernel, processor.task, &tail, &trace, opts.terminals);
+                    lc.step(kernel, processor.task, &mut tail, &trace, opts.terminals);
                     let _ = lc.archive.seal();
                 }
                 all_points.extend(tail);
@@ -742,51 +735,53 @@ fn run_inner(
     }
 }
 
-/// Tag each training point with the query template whose span contains
-/// it (same thread, start time within the span). Background subsystems
-/// (WAL, GC) fall outside any span and get template 0.
-pub fn assign_templates(
-    points: &[TrainingPoint],
-    trace: &[QuerySpan],
-) -> Vec<(TrainingPoint, u32)> {
-    // Per-tid spans sorted by start.
-    let mut by_tid: std::collections::HashMap<u32, Vec<&QuerySpan>> =
-        std::collections::HashMap::new();
+/// The one tagging rule: a point gets the template of the span on its
+/// thread that contains its start time, 0 when none does.
+fn template_of(trace: &[QuerySpan]) -> impl Fn(&Sample) -> u32 + '_ {
+    let mut by_tid: std::collections::HashMap<u32, Vec<&QuerySpan>> = Default::default();
     for s in trace {
         by_tid.entry(s.tid).or_default().push(s);
     }
     for spans in by_tid.values_mut() {
         spans.sort_by(|a, b| a.start_ns.total_cmp(&b.start_ns));
     }
-    points
-        .iter()
-        .map(|p| {
-            let template = by_tid
-                .get(&p.tid)
-                .and_then(|spans| {
-                    let t = p.start_ns as f64;
-                    let i = spans.partition_point(|s| s.start_ns <= t);
-                    i.checked_sub(1).map(|i| spans[i]).filter(|s| t <= s.end_ns)
-                })
-                .map(|s| s.template)
-                .unwrap_or(0);
-            (p.clone(), template)
-        })
-        .collect()
+    move |p| {
+        let t = p.start_ns as f64;
+        let spans = by_tid.get(&p.tid).map_or(&[][..], Vec::as_slice);
+        let i = spans.partition_point(|s| s.start_ns <= t);
+        i.checked_sub(1)
+            .map(|i| spans[i])
+            .filter(|s| t <= s.end_ns)
+            .map_or(0, |s| s.template)
+    }
+}
+
+/// Tag each training point in place with the query template whose span
+/// contains it (same thread, start time within the span). Background
+/// subsystems (WAL, GC) fall outside any span and get template 0.
+pub fn tag_templates(points: &mut [Sample], trace: &[QuerySpan]) {
+    let template = template_of(trace);
+    for p in points {
+        p.template = template(p);
+    }
+}
+
+/// Pair each borrowed point with the template [`tag_templates`] would
+/// give it, copying nothing. Kept for `benchmark/src/mix.rs`, whose
+/// points are borrowed.
+pub fn assign_templates<'p>(points: &'p [Sample], trace: &[QuerySpan]) -> Vec<(&'p Sample, u32)> {
+    let template = template_of(trace);
+    points.iter().map(|p| (p, template(p))).collect()
 }
 
 /// Build per-OU labeled datasets from tagged points, each row laid out by
 /// [`input_values`] straight into its OU's columns.
-pub fn build_datasets(
-    tagged: &[(TrainingPoint, u32)],
-    clock_ghz: f64,
-    concurrency: usize,
-) -> Vec<OuData> {
+pub fn build_datasets(points: &[Sample], clock_ghz: f64, concurrency: usize) -> Vec<OuData> {
     let mut by_ou: std::collections::BTreeMap<&str, OuData> = Default::default();
-    for (p, template) in tagged {
+    for p in points {
         let d = (by_ou.entry(p.ou_name.as_str())).or_insert_with(|| OuData::new(&p.ou_name));
         let row = input_values(p.features.iter().copied(), clock_ghz, concurrency as f64);
-        d.points.push_row(row, p.elapsed_ns as f64, *template);
+        d.points.push_row(row, p.elapsed_ns as f64, p.template);
     }
     by_ou.into_values().collect()
 }
@@ -798,9 +793,9 @@ pub fn collect_datasets(
     opts: &RunOptions,
 ) -> (RunStats, Vec<OuData>) {
     let clock = db.kernel.hw.clock_ghz;
-    let stats = run(db, workload, opts);
-    let tagged = assign_templates(&stats.points, &stats.trace);
-    let data = build_datasets(&tagged, clock, opts.terminals);
+    let mut stats = run(db, workload, opts);
+    tag_templates(&mut stats.points, &stats.trace);
+    let data = build_datasets(&stats.points, clock, opts.terminals);
     (stats, data)
 }
 
@@ -881,15 +876,27 @@ mod tests {
         assert!(stats.retrains >= 2, "retrains {}", stats.retrains);
         assert_eq!(stats.archived_samples, stats.points.len() as u64);
         assert!(stats.archived_samples > 0);
-        assert!(lc.swaps_accepted >= 1, "first retrain must install");
-        assert_eq!(lc.registry.generation(), lc.swaps_accepted);
-        // Archived samples round-trip with the post-hoc template tags.
-        let back: Vec<_> = lc.archive.scan_all().collect();
-        assert_eq!(back.len(), stats.points.len());
+        let swap = tscout_telemetry::decls::MODEL_SWAP_ACCEPTED.name;
+        let accepted = db.kernel.telemetry.counter_value(swap, &[]);
+        assert!(accepted >= 1, "first retrain must install");
+        assert_eq!(lc.registry.generation(), accepted);
+        // The archive holds the run's points, each OU's row for row, with
+        // the templates the turns tagged them with in place.
+        assert_eq!(lc.archive.scan_all().count(), stats.points.len());
+        for name in lc.archive.ou_names() {
+            let mine = stats.points.iter().filter(|p| p.ou_name == name);
+            let back: Vec<Sample> = lc.archive.scan_ou(&name).collect();
+            assert_eq!(mine.clone().count(), back.len(), "{name}");
+            assert!(mine.zip(&back).all(|(p, s)| p.bits_eq(s)), "{name}");
+        }
         assert!(
-            back.iter().any(|s| s.template > 0),
+            stats.points.iter().any(|p| p.template > 0),
             "foreground samples carry their query template"
         );
+        // Tagging each turn against the trace so far gives the templates
+        // the whole run's trace gives (what a staged drive archives).
+        let tagged = assign_templates(&stats.points, &stats.trace);
+        assert!(tagged.iter().all(|(p, t)| p.template == *t));
         // The live model predicts for OUs the run exercised.
         let live = lc.registry.live().unwrap();
         assert!(!live.models.ou_names().is_empty());
@@ -922,37 +929,41 @@ mod tests {
             mk(1, 20, 200.0, 300.0),
             mk(2, 30, 0.0, 50.0),
         ];
-        let pt = |tid, start| TrainingPoint {
+        let pt = |tid, start| Sample {
             ou: 0,
             ou_name: "x".into(),
-            subsystem: tscout::Subsystem::ExecutionEngine,
+            subsystem: 0,
             tid,
+            template: 0,
             start_ns: start,
             elapsed_ns: 1,
             metrics: vec![],
             features: vec![],
             user_metrics: vec![],
         };
-        let pts = vec![pt(1, 50), pt(1, 250), pt(1, 150), pt(2, 10), pt(3, 10)];
+        let mut pts = vec![pt(1, 50), pt(1, 250), pt(1, 150), pt(2, 10), pt(3, 10)];
         let tagged = assign_templates(&pts, &trace);
         let ts: Vec<u32> = tagged.iter().map(|(_, t)| *t).collect();
         assert_eq!(ts, vec![10, 20, 0, 30, 0]);
+        tag_templates(&mut pts, &trace);
+        assert!(pts.iter().map(|p| p.template).eq(ts));
     }
 
     #[test]
     fn build_datasets_appends_hw_feature() {
-        let p = TrainingPoint {
+        let p = Sample {
             ou: 0,
             ou_name: "scan".into(),
-            subsystem: tscout::Subsystem::ExecutionEngine,
+            subsystem: 0,
             tid: 1,
+            template: 3,
             start_ns: 0,
             elapsed_ns: 500,
             metrics: vec![],
             features: vec![10.0, 20.0],
             user_metrics: vec![],
         };
-        let data = build_datasets(&[(p, 3)], 2.1, 4);
+        let data = build_datasets(&[p], 2.1, 4);
         assert_eq!(data.len(), 1);
         let p = data[0].points.at(0);
         assert_eq!(p.features, vec![10.0, 20.0, 2.1, 4.0]);

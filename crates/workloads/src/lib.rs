@@ -32,8 +32,8 @@ pub mod ycsb;
 
 pub use chbenchmark::ChBenchmark;
 pub use driver::{
-    assign_templates, build_datasets, collect_datasets, run, run_with_lifecycle, ModelLifecycle,
-    RunOptions, RunStats, TxnCtx, Workload,
+    assign_templates, build_datasets, collect_datasets, run, run_with_lifecycle, tag_templates,
+    ModelLifecycle, RunOptions, RunStats, TxnCtx, Workload,
 };
 pub use runner::OfflineRunner;
 pub use smallbank::SmallBank;

@@ -78,20 +78,23 @@ fn main() {
     );
     let points = ts.drain_decoded();
     println!("decoded {} training points; a few examples:", points.len());
+    // A point carries its subsystem as `Subsystem::index()`.
+    let subsystem = |i: u8| Subsystem::from_index(usize::from(i)).unwrap();
     let mut seen = std::collections::BTreeSet::new();
     for p in &points {
         if seen.insert(p.ou_name.clone()) {
             println!(
                 "  [{:>16}] subsystem={:<16} elapsed={:>7} ns features={:?} cpu_instructions={}",
                 p.ou_name,
-                p.subsystem.to_string(),
+                subsystem(p.subsystem).to_string(),
                 p.elapsed_ns,
                 p.features,
                 p.metrics.get(1).copied().unwrap_or(0),
             );
         }
     }
-    let subsystems: std::collections::BTreeSet<_> = points.iter().map(|p| p.subsystem).collect();
+    let subsystems: std::collections::BTreeSet<_> =
+        points.iter().map(|p| subsystem(p.subsystem)).collect();
     println!("subsystems covered: {subsystems:?}");
     assert!(subsystems.contains(&Subsystem::ExecutionEngine));
     assert!(subsystems.contains(&Subsystem::LogSerializer));

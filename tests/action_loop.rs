@@ -138,7 +138,7 @@ fn drift_arm(
     rate: u8,
     engine: Option<ActionConfig>,
     flightrec: Option<&std::path::Path>,
-) -> (Database, Vec<tscout_suite::tscout::TrainingPoint>) {
+) -> (Database, Vec<tscout_suite::archive::Sample>) {
     let dir = temp_dir(tag);
     let mut db = new_db(0xAC7);
     let mut w = ShiftScan::new(1_200);

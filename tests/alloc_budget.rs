@@ -7,8 +7,10 @@
 //! into the in-memory sink, and a sampled triple into a full ring (every
 //! push overwrites and accounts one loss) — and pins what each may
 //! allocate once its buffers have reached their working size: the
-//! markers nothing, the drain only the owned `TrainingPoint`s. On the
-//! read side it pins a column scan and a dataset build to O(OUs +
+//! markers nothing, the drain only the owned `Sample`s. Between the
+//! drain and the archive nothing copies a point: tagging borrows or
+//! tags in place, and an append by reference allocates O(OUs + blocks).
+//! On the read side it pins a column scan and a dataset build to O(OUs +
 //! blocks) allocations, nothing per point. Training is
 //! pinned too: a Forest `fit` allocates per tree and per node, never
 //! per (node, candidate feature). And the lowered BPF engine is held to
@@ -51,7 +53,9 @@ use tscout_suite::tscout::codegen::encode_ctx;
 use tscout_suite::tscout::{
     CollectionMode, OuId, ProbeSet, Processor, Sink, Subsystem, TScout, TsConfig, ALL_SUBSYSTEMS,
 };
-use tscout_suite::workloads::driver::{run, RunOptions, Workload};
+use tscout_suite::workloads::driver::{
+    assign_templates, run, tag_templates, QuerySpan, RunOptions, Workload,
+};
 use tscout_suite::workloads::{Tpcc, Ycsb};
 
 mod common;
@@ -162,7 +166,7 @@ fn steady_state_sample_path_stays_within_its_allocation_budget() {
     assert_eq!(ts.ring_dropped(), 0);
 
     // 3. Drain: each record decodes straight into its owned
-    //    `TrainingPoint` — OU name, metrics, features, user metrics —
+    //    `Sample` — OU name, metrics, features, user metrics —
     //    and nothing else (the sink's own growth is reserved up front).
     let Sink::Memory(points) = &mut processor.sink else {
         unreachable!("constructed with a memory sink");
@@ -218,6 +222,81 @@ fn steady_state_sample_path_stays_within_its_allocation_budget() {
     assert_eq!(lt.begun, 3 * MEASURED as u64);
     assert_eq!(lt.lost, ts.ring_dropped());
     assert_eq!(lt.begun, lt.delivered + lt.lost);
+}
+
+#[test]
+fn tagging_and_archiving_points_copies_none_of_them() {
+    const POINTS: u64 = 6_000;
+    const OUS: u64 = 3;
+    const THREADS: u32 = 4;
+    const SPANS: u32 = 200;
+
+    // Thread `t`'s spans tile its timeline in 10 µs steps, each covering
+    // the first 6 µs; a point every 100 ns, round-robin over the threads.
+    let trace: Vec<QuerySpan> = (0..SPANS)
+        .map(|i| QuerySpan {
+            tid: i % THREADS,
+            template: 1 + i % 7,
+            start_ns: f64::from(i / THREADS) * 10_000.0,
+            end_ns: f64::from(i / THREADS) * 10_000.0 + 6_000.0,
+        })
+        .collect();
+    let mut points: Vec<Sample> = (0..POINTS)
+        .map(|i| Sample {
+            ou: (i % OUS) as u16,
+            ou_name: format!("ou_{}", i % OUS),
+            subsystem: 0,
+            tid: (i % u64::from(THREADS)) as u32,
+            template: 0,
+            start_ns: i * 100,
+            elapsed_ns: 500 + i,
+            metrics: vec![i, i * 2, i * 3],
+            features: vec![i as f64, 0.5 * i as f64],
+            user_metrics: vec![4096],
+        })
+        .collect();
+
+    // Borrowed: the span index and the one result vector, nothing per
+    // point.
+    let mut tagged = Vec::new();
+    let borrowed = allocations(|| tagged = assign_templates(&points, &trace));
+    let want: Vec<u32> = tagged.iter().map(|(_, t)| *t).collect();
+    assert!(want.iter().any(|&t| t > 0) && want.contains(&0));
+    let index_budget = 2 * u64::from(THREADS + SPANS);
+    assert!(
+        borrowed <= index_budget,
+        "{borrowed} allocations pairing {POINTS} points with their templates"
+    );
+
+    // Owned: tag in place, then append each point by reference. What is
+    // left is the span index and, per flushed block, the write and the
+    // regrowth of a fresh memtable's ten columns (~70 here).
+    let dir = std::env::temp_dir().join(format!("tscout_alloc_tag_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let opts = ArchiveOptions {
+        memtable_flush_samples: 100,
+        segment_max_bytes: 64 * 1024,
+        ..ArchiveOptions::default()
+    };
+    let mut archive = Archive::open(&dir, opts, Telemetry::new()).expect("open archive");
+    let archived = allocations(|| {
+        tag_templates(&mut points, &trace);
+        for p in &points {
+            archive.append(p).expect("append");
+        }
+    });
+    archive.seal().expect("seal");
+    let blocks = archive.stats().blocks as u64;
+    assert!(points.iter().map(|p| p.template).eq(want.iter().copied()));
+    assert_eq!(archive.scan_all().count() as u64, POINTS);
+    let budget = index_budget + 16 * OUS + 96 * blocks;
+    assert!(
+        archived <= budget,
+        "{archived} allocations tagging and archiving {POINTS} points in {blocks} blocks"
+    );
+
+    drop(archive);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

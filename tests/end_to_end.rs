@@ -185,7 +185,7 @@ fn dynamic_reconfiguration_detach_and_redeploy() {
     let ee_point = stats
         .points
         .iter()
-        .find(|p| p.subsystem == Subsystem::ExecutionEngine)
+        .find(|p| p.subsystem == Subsystem::ExecutionEngine.index() as u8)
         .expect("EE samples after redeploy");
     assert_eq!(ee_point.metrics.len(), 7, "CPU-only probe set → 7 metrics");
 }
@@ -284,7 +284,7 @@ fn gc_subsystem_produces_training_data() {
     let pts = db.tscout_mut().unwrap().drain_decoded();
     let gc = pts
         .iter()
-        .find(|p| p.subsystem == Subsystem::GarbageCollector)
+        .find(|p| p.subsystem == Subsystem::GarbageCollector.index() as u8)
         .expect("GC sample");
     assert_eq!(gc.features[0] as u64, pruned);
 }

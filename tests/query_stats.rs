@@ -7,10 +7,11 @@
 
 use std::sync::Arc;
 
+use tscout_suite::archive::Sample;
 use tscout_suite::kernel::{HardwareProfile, Kernel};
 use tscout_suite::models::{LabeledPoint, LiveModel, ModelKind, OuData, OuModelSet};
 use tscout_suite::noisetap::{Database, Value};
-use tscout_suite::tscout::{CollectionMode, TrainingPoint, TsConfig, ALL_SUBSYSTEMS};
+use tscout_suite::tscout::{CollectionMode, TsConfig, ALL_SUBSYSTEMS};
 use tscout_suite::workloads::driver::{run, RunOptions};
 use tscout_suite::workloads::{Workload, Ycsb};
 
@@ -249,7 +250,7 @@ fn plain_explain_still_does_not_execute() {
 /// of the training data collected alongside.
 #[test]
 fn samples_are_bit_identical_with_stmt_stats_on_and_off() {
-    let collect = |stats_on: bool| -> Vec<TrainingPoint> {
+    let collect = |stats_on: bool| -> Vec<Sample> {
         let mut db = fresh(0x57A7);
         db.stmt_stats_enabled = stats_on;
         let mut w = Ycsb::new(3_000);

@@ -3,11 +3,11 @@
 //! virtual time, the accounting invariant holds, and — the overriding
 //! constraint — tracing never perturbs the collected samples.
 
-use tscout_suite::archive::ArchiveOptions;
+use tscout_suite::archive::{ArchiveOptions, Sample};
 use tscout_suite::kernel::{HardwareProfile, Kernel};
 use tscout_suite::models::ModelKind;
 use tscout_suite::noisetap::Database;
-use tscout_suite::tscout::{CollectionMode, TrainingPoint, TsConfig, ALL_SUBSYSTEMS};
+use tscout_suite::tscout::{CollectionMode, TsConfig, ALL_SUBSYSTEMS};
 use tscout_suite::workloads::driver::{run, run_with_lifecycle, ModelLifecycle, RunOptions};
 use tscout_suite::workloads::{Workload, Ycsb};
 
@@ -125,7 +125,7 @@ fn traced_lifecycle_run_reconstructs_full_lineage() {
 /// change a single bit of the training data it observes.
 #[test]
 fn samples_are_bit_identical_with_tracing_on_and_off() {
-    let collect = |trace_every: u64| -> Vec<TrainingPoint> {
+    let collect = |trace_every: u64| -> Vec<Sample> {
         let mut db = fresh(0xB17);
         let mut w = Ycsb::new(3_000);
         w.setup(&mut db);
