@@ -3,22 +3,25 @@
 //!
 //! Only a *contiguous run of sealed segments starting at the oldest* is
 //! ever merged, so per-OU append order is preserved: the merged segment
-//! replaces the run in place (it takes the run's first sequence number)
-//! and every surviving sample keeps its position relative to the
-//! untouched newer segments. Retention drops the **oldest** samples of
-//! an over-budget OU — and since the run being compacted is the oldest
-//! data in the archive, retirement never has to touch newer segments.
+//! takes the run's place and every surviving sample keeps its position
+//! relative to the untouched newer segments. Retention drops the
+//! **oldest** samples of an over-budget OU — and since the run being
+//! compacted is the oldest data in the archive, retirement never has to
+//! touch newer segments.
 //!
-//! Crash safety: the merged segment is written to a `.tmp` file and
-//! renamed over the run's first segment before the other inputs are
-//! deleted. A crash before the rename leaves the inputs plus a `.tmp`
-//! that `open` deletes; a crash between the rename and the deletes is
-//! not repaired: `open` keeps every segment that parses and nothing
-//! deduplicates, so the stale inputs' rows are trained on twice.
+//! Crash safety: the merged segment is written to a `.tmp` file, synced,
+//! and renamed to `seg-{first:06}-{last:06}.tsa` — the span of sequence
+//! numbers it replaces — and the directory is synced before the first
+//! input is removed. A crash before the rename leaves the inputs plus a
+//! `.tmp` that `open` deletes; a crash after it leaves inputs whose
+//! sequence numbers lie inside the merged segment's span, and `open`
+//! deletes those. Either way every row is read back exactly once, and no
+//! byte of a segment file is rewritten to record it.
 
 use std::collections::BTreeMap;
-use std::fs::OpenOptions;
+use std::fs::{File, OpenOptions};
 use std::io::Write;
+use std::path::{Path, PathBuf};
 
 use crate::segment::{
     encode_footer, read_frame, write_frame, BlockMeta, ColumnBatch, OuEntry, Projection,
@@ -148,73 +151,54 @@ impl Archive {
         }
         per_ou.retain(|_, (rows, drop_n)| rows.len() > *drop_n);
 
-        let first = &self.segments[0];
-        let (first_seq, first_path) = (first.seq, first.path.clone());
-        let tmp_path = first_path.with_extension("tmp");
-        let removed: Vec<std::path::PathBuf> = self.segments[..run]
-            .iter()
+        let seqs = (self.segments[0].seqs.0, self.segments[run - 1].seqs.1);
+        let path = crate::store::seg_path(&self.dir, seqs);
+        let tmp_path = path.with_extension("tmp");
+        // A run of one renames over its own input, which must stay.
+        let removed: Vec<PathBuf> = (self.segments[..run].iter())
             .map(|s| s.path.clone())
+            .filter(|p| *p != path)
             .collect();
 
         if per_ou.is_empty() {
             // Everything retired: the run simply disappears.
-            for p in &removed {
-                std::fs::remove_file(p)?;
-            }
-            self.finish_compaction(run, None)?;
-            return Ok(true);
+            self.finish_compaction(run, None);
+            return remove_all(&removed).map(|()| true);
         }
 
-        // Write the merged segment: per-OU blocks in OU order, chunked so
-        // scans stay bounded-memory.
-        let chunk = self.opts.memtable_flush_samples.max(64) * 4;
-        let mut f = OpenOptions::new()
-            .create(true)
-            .truncate(true)
-            .write(true)
-            .open(&tmp_path)?;
-        f.write_all(MAGIC)?;
-        f.write_all(&[VERSION])?;
-        let mut offset = HEADER_LEN;
-        let mut blocks: Vec<BlockMeta> = Vec::new();
-        let mut ous: Vec<OuEntry> = Vec::new();
-        for (rows, drop_n) in per_ou.values() {
-            for part in rows.chunks(*drop_n, chunk) {
-                let payload = part.encode();
-                blocks.push(part.meta(offset, payload.len()));
-                offset += write_frame(&mut f, FRAME_BLOCK, &payload)?;
+        // Write the merged segment, durably, under a name no scan reads;
+        // on failure the inputs stay and so does nothing else.
+        let written = write_merged(&tmp_path, &per_ou, self.opts.memtable_flush_samples);
+        let (bytes, ous, blocks) = match written {
+            Ok(merged) => merged,
+            Err(e) => {
+                std::fs::remove_file(&tmp_path).ok();
+                return Err(e);
             }
-            ous.push(rows.ou().clone());
+        };
+        if let Err(e) = std::fs::rename(&tmp_path, &path) {
+            std::fs::remove_file(&tmp_path).ok();
+            return Err(e.into());
         }
-        let footer = encode_footer(&ous, &blocks);
-        offset += write_frame(&mut f, FRAME_FOOTER, &footer)?;
-        f.sync_all().ok();
-        drop(f);
-        // Swap in: rename over the first input, then delete the rest.
-        std::fs::rename(&tmp_path, &first_path)?;
-        for p in removed.iter().skip(1) {
-            std::fs::remove_file(p)?;
-        }
-        self.metrics.bytes_written.get(&self.telemetry).add(offset);
+        self.metrics.bytes_written.get(&self.telemetry).add(bytes);
         let merged = SegmentMeta {
-            seq: first_seq,
-            path: first_path,
-            bytes: offset,
+            seqs,
+            path,
+            bytes,
             sealed: true,
             ous,
             blocks,
         };
-        self.finish_compaction(run, Some(merged))?;
-        Ok(true)
+        self.finish_compaction(run, Some(merged));
+        // The rename reaches the disk before any input leaves it, so a
+        // reopen finds the merged segment and drops what is left of them.
+        File::open(&self.dir)?.sync_all()?;
+        remove_all(&removed).map(|()| true)
     }
 
     /// Replace `segments[..run]` with the merged result (if any) and
     /// update telemetry.
-    fn finish_compaction(
-        &mut self,
-        run: usize,
-        merged: Option<SegmentMeta>,
-    ) -> Result<(), ArchiveError> {
+    fn finish_compaction(&mut self, run: usize, merged: Option<SegmentMeta>) {
         let mut rest = self.segments.split_off(run);
         self.metrics
             .segments_compacted
@@ -226,8 +210,50 @@ impl Archive {
         }
         self.segments.append(&mut rest);
         self.publish_segments();
-        Ok(())
     }
+}
+
+/// Write `per_ou`'s kept rows as a sealed segment at `path` — per-OU
+/// blocks in OU order, chunked so scans stay bounded-memory — and sync
+/// it. Returns its length, directory and manifest.
+fn write_merged(
+    path: &Path,
+    per_ou: &BTreeMap<u16, (ColumnBatch, usize)>,
+    flush_samples: usize,
+) -> Result<(u64, Vec<OuEntry>, Vec<BlockMeta>), ArchiveError> {
+    let chunk = flush_samples.max(64) * 4;
+    let mut f = OpenOptions::new()
+        .create(true)
+        .truncate(true)
+        .write(true)
+        .open(path)?;
+    f.write_all(MAGIC)?;
+    f.write_all(&[VERSION])?;
+    let mut offset = HEADER_LEN;
+    let mut blocks: Vec<BlockMeta> = Vec::new();
+    let mut ous: Vec<OuEntry> = Vec::new();
+    for (rows, drop_n) in per_ou.values() {
+        for part in rows.chunks(*drop_n, chunk) {
+            let payload = part.encode();
+            blocks.push(part.meta(offset, payload.len()));
+            offset += write_frame(&mut f, FRAME_BLOCK, &payload)?;
+        }
+        ous.push(rows.ou().clone());
+    }
+    let footer = encode_footer(&ous, &blocks);
+    offset += write_frame(&mut f, FRAME_FOOTER, &footer)?;
+    f.sync_all()?;
+    Ok((offset, ous, blocks))
+}
+
+/// Remove every file of `paths`, attempting all; the first error is the
+/// one returned.
+fn remove_all(paths: &[PathBuf]) -> Result<(), ArchiveError> {
+    let mut result = Ok(());
+    for p in paths {
+        result = result.and(std::fs::remove_file(p).map_err(ArchiveError::from));
+    }
+    result
 }
 
 #[cfg(test)]
@@ -296,6 +322,96 @@ mod tests {
         }
         let a = Archive::open(&dir, small_opts(), Telemetry::new()).unwrap();
         assert_eq!(a.scan_ou("scan").count(), 1_000);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every segment file of `dir` and its bytes, by path.
+    fn segment_files(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+        let mut files: Vec<_> = (std::fs::read_dir(dir).unwrap())
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|e| e == "tsa"))
+            .map(|p| (p.clone(), std::fs::read(&p).unwrap()))
+            .collect();
+        files.sort();
+        files
+    }
+
+    fn restore(files: &[(PathBuf, Vec<u8>)]) {
+        for (path, bytes) in files {
+            std::fs::write(path, bytes).unwrap();
+        }
+    }
+
+    /// Reopen `dir`: every one of `originals` comes back exactly once,
+    /// per OU in append order, and the stored count agrees.
+    fn reopens_with_every_row_once(dir: &Path, originals: &[Sample]) {
+        let a = Archive::open(dir, small_opts(), Telemetry::new()).unwrap();
+        assert_eq!(a.stats().samples_stored, originals.len() as u64);
+        for name in ["scan", "probe"] {
+            let got: Vec<Sample> = a.scan_ou(name).collect();
+            let want: Vec<&Sample> = originals.iter().filter(|s| s.ou_name == name).collect();
+            assert_eq!(got.len(), want.len(), "{name}: a row is missing or doubled");
+            assert!(got.iter().zip(want).all(|(g, w)| g.bits_eq(w)), "{name}");
+        }
+    }
+
+    /// A crash at each point of a compaction — after the rename (the
+    /// inputs all still there), during the removes (some of them), before
+    /// the rename (the merged segment still a `.tmp`) — and a crash in a
+    /// later compaction that merges an already-merged segment: each
+    /// reopen reads every row exactly once.
+    #[test]
+    fn a_compaction_cut_short_anywhere_leaves_every_row_once() {
+        let dir = tmp_dir("crash");
+        let ingest = |a: &mut Archive, rows: std::ops::Range<u64>| {
+            let samples: Vec<Sample> = rows
+                .map(|i| test_sample((i % 2) as u16, ["scan", "probe"][(i % 2) as usize], i))
+                .collect();
+            samples.iter().for_each(|s| a.append(s).unwrap());
+            a.seal().unwrap();
+            samples
+        };
+        let mut a = Archive::open(&dir, small_opts(), Telemetry::new()).unwrap();
+        let mut originals = ingest(&mut a, 0..1_200);
+        let inputs = segment_files(&dir);
+        assert!(inputs.len() >= 3, "want a run to merge: {inputs:?}");
+        assert!(a.compact_now().unwrap());
+        drop(a);
+        let merged = segment_files(&dir);
+        let name = |f: &(PathBuf, Vec<u8>)| f.0.file_name().unwrap().to_owned();
+        assert_eq!(merged.len(), 1);
+        assert_eq!(
+            name(&merged[0]),
+            format!("seg-000000-{:06}.tsa", inputs.len() - 1)[..]
+        );
+
+        restore(&inputs);
+        reopens_with_every_row_once(&dir, &originals);
+        assert_eq!(segment_files(&dir), merged, "the stale inputs are gone");
+        restore(&inputs[1..2]);
+        reopens_with_every_row_once(&dir, &originals);
+        assert_eq!(segment_files(&dir), merged);
+
+        std::fs::remove_file(&merged[0].0).unwrap();
+        restore(&inputs);
+        std::fs::write(dir.join("seg-000000.tmp"), &merged[0].1).unwrap();
+        reopens_with_every_row_once(&dir, &originals);
+        assert_eq!(
+            segment_files(&dir),
+            inputs,
+            "the inputs stay, the .tmp goes"
+        );
+
+        let mut a = Archive::open(&dir, small_opts(), Telemetry::new()).unwrap();
+        assert!(a.compact_now().unwrap());
+        originals.extend(ingest(&mut a, 1_200..2_000));
+        let before = segment_files(&dir);
+        assert!(before.len() >= 3 && before[0] == merged[0]);
+        assert!(a.compact_now().unwrap());
+        drop(a);
+        restore(&before);
+        reopens_with_every_row_once(&dir, &originals);
+        assert_eq!(segment_files(&dir).len(), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -20,10 +20,12 @@ use crate::segment::{
 };
 use crate::{decls, ArchiveError, ArchiveOptions, Sample};
 
-/// One segment file known to the archive, oldest-first by `seq`.
+/// One segment file known to the archive, oldest-first by `seqs`.
 #[derive(Debug)]
 pub(crate) struct SegmentMeta {
-    pub seq: u64,
+    /// The first and last sequence numbers whose rows it holds: equal
+    /// for a flushed segment, a compacted run's span for a merged one.
+    pub seqs: (u64, u64),
     pub path: PathBuf,
     /// Valid bytes (file length after any recovery truncation).
     pub bytes: u64,
@@ -114,20 +116,31 @@ pub struct Archive {
     pub(crate) compaction_requested: bool,
 }
 
-fn seg_path(dir: &Path, seq: u64) -> PathBuf {
-    dir.join(format!("seg-{seq:06}.tsa"))
+/// `seg-{first:06}.tsa`, or `seg-{first:06}-{last:06}.tsa` for a
+/// segment merged from the run `first..=last`.
+pub(crate) fn seg_path(dir: &Path, (first, last): (u64, u64)) -> PathBuf {
+    if first == last {
+        dir.join(format!("seg-{first:06}.tsa"))
+    } else {
+        dir.join(format!("seg-{first:06}-{last:06}.tsa"))
+    }
 }
 
-fn parse_seq(path: &Path) -> Option<u64> {
+/// The sequence range a segment file's name gives, as [`seg_path`]
+/// writes it.
+fn parse_seqs(path: &Path) -> Option<(u64, u64)> {
     let name = path.file_name()?.to_str()?;
     let rest = name.strip_prefix("seg-")?.strip_suffix(".tsa")?;
-    rest.parse().ok()
+    let (first, last) = rest.split_once('-').unwrap_or((rest, rest));
+    let seqs = (first.parse().ok()?, last.parse().ok()?);
+    (seqs.0 <= seqs.1).then_some(seqs)
 }
 
 impl Archive {
     /// Open (or create) an archive directory, recovering from torn or
-    /// truncated segment tails. After `open` every pre-existing segment
-    /// is sealed; new appends start a fresh segment.
+    /// truncated segment tails and from a compaction cut short. After
+    /// `open` every pre-existing segment is sealed; new appends start a
+    /// fresh segment.
     pub fn open(
         dir: impl Into<PathBuf>,
         opts: ArchiveOptions,
@@ -135,7 +148,7 @@ impl Archive {
     ) -> Result<Archive, ArchiveError> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        let mut paths: Vec<(u64, PathBuf)> = Vec::new();
+        let mut paths: Vec<((u64, u64), PathBuf)> = Vec::new();
         for entry in std::fs::read_dir(&dir)? {
             let path = entry?.path();
             if path.extension().is_some_and(|e| e == "tmp") {
@@ -143,11 +156,21 @@ impl Archive {
                 std::fs::remove_file(&path).ok();
                 continue;
             }
-            if let Some(seq) = parse_seq(&path) {
-                paths.push((seq, path));
+            if let Some(seqs) = parse_seqs(&path) {
+                paths.push((seqs, path));
             }
         }
         paths.sort();
+        // A merged segment holds every row of the run its name spans, so a
+        // segment inside another's span is an input a crash left behind
+        // between compaction's rename and its removes: its rows are stale.
+        let spans: Vec<(u64, u64)> = paths.iter().map(|(seqs, _)| *seqs).collect();
+        let covered =
+            |&(a, b): &(u64, u64)| spans.iter().any(|&s| s != (a, b) && s.0 <= a && b <= s.1);
+        for (_, path) in paths.iter().filter(|(seqs, _)| covered(seqs)) {
+            std::fs::remove_file(path)?;
+        }
+        paths.retain(|(seqs, _)| !covered(seqs));
         let mut archive = Archive {
             dir,
             opts,
@@ -157,13 +180,13 @@ impl Archive {
             buffered: 0,
             segments: Vec::new(),
             active: None,
-            next_seq: paths.last().map(|(s, _)| s + 1).unwrap_or(0),
+            next_seq: spans.iter().map(|s| s.1 + 1).max().unwrap_or(0),
             compaction_hold: false,
             compaction_requested: false,
         };
         let (mut payload, mut block) = (Vec::new(), ColumnBatch::default());
-        for (seq, path) in paths {
-            if let Some(meta) = archive.recover_segment(seq, &path, &mut payload, &mut block)? {
+        for (seqs, path) in paths {
+            if let Some(meta) = archive.recover_segment(seqs, &path, &mut payload, &mut block)? {
                 archive.segments.push(meta);
             }
         }
@@ -188,7 +211,7 @@ impl Archive {
     /// projection can decode.
     fn recover_segment(
         &mut self,
-        seq: u64,
+        seqs: (u64, u64),
         path: &Path,
         payload: &mut Vec<u8>,
         block: &mut ColumnBatch,
@@ -261,7 +284,7 @@ impl Archive {
             self.metrics.segments_sealed.get(&self.telemetry).inc();
         }
         Ok(Some(SegmentMeta {
-            seq,
+            seqs,
             path: path.to_path_buf(),
             bytes,
             sealed: true,
@@ -376,7 +399,7 @@ impl Archive {
         }
         let seq = self.next_seq;
         self.next_seq += 1;
-        let path = seg_path(&self.dir, seq);
+        let path = seg_path(&self.dir, (seq, seq));
         let mut f = OpenOptions::new()
             .create(true)
             .truncate(true)
@@ -387,7 +410,7 @@ impl Archive {
         f.write_all(MAGIC)?;
         f.write_all(&[VERSION])?;
         self.segments.push(SegmentMeta {
-            seq,
+            seqs: (seq, seq),
             path,
             bytes: HEADER_LEN,
             sealed: false,
@@ -816,7 +839,7 @@ mod tests {
             std::mem::forget(a);
         }
         // Append garbage: a torn half-written frame.
-        let path = seg_path(&dir, 0);
+        let path = seg_path(&dir, (0, 0));
         let mut bytes = std::fs::read(&path).unwrap();
         let clean_len = bytes.len();
         bytes.extend_from_slice(&[FRAME_BLOCK, 0xFF, 0xFF, 0x00, 0x00, 1, 2, 3]);
