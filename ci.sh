@@ -90,11 +90,16 @@ for workload in collect_full collect_unsampled collect_scraped archive_retrain; 
     || { echo "FAIL: tsbench $workload did not report correct: true"; exit 1; }
 done
 
-echo "== figure/ablation smoke, twice: all 18 entries at smoke scale, CSV bytes == tests/golden/figures.txt, only declared artifacts; then same seed => same bytes, every file, no exception =="
+echo "== figure/ablation smoke, twice: all 18 entries at smoke scale, CSV bytes == tests/golden/figures.txt, only declared artifacts; then same seed => same bytes, every file, no exception — the second run on one CPU, so the dataset-build and fit pools run one worker there and one per CPU in the first =="
 TS_RESULTS="$TS_RESULTS/smoke_a" ./target/release/tscout-bench smoke
-TS_RESULTS="$TS_RESULTS/smoke_b" ./target/release/tscout-bench smoke > /dev/null
+pin=(taskset -c 0)
+if ! command -v taskset > /dev/null; then
+  echo "taskset not found: the second smoke runs unpinned"
+  pin=()
+fi
+TS_RESULTS="$TS_RESULTS/smoke_b" "${pin[@]}" ./target/release/tscout-bench smoke > /dev/null
 diff -r "$TS_RESULTS/smoke_a" "$TS_RESULTS/smoke_b" \
-  || { echo "FAIL: two same-seed smoke runs differ"; exit 1; }
+  || { echo "FAIL: two same-seed smoke runs differ (all CPUs vs one)"; exit 1; }
 
 echo "== metric docs (README table is what the metric declarations render) =="
 ./target/release/tscout-bench metrics_doc --check

@@ -24,7 +24,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use crate::segment::{
-    encode_footer, read_frame, write_frame, BlockMeta, ColumnBatch, OuEntry, Projection,
+    encode_footer, read_block_frame, write_frame, BlockMeta, ColumnBatch, OuEntry, Projection,
     FRAME_BLOCK, FRAME_FOOTER, HEADER_LEN, MAGIC, VERSION,
 };
 use crate::store::SegmentMeta;
@@ -93,20 +93,17 @@ impl Archive {
         // Gather per-OU rows from the run, oldest first, as columns:
         // `(rows, leading rows retention retires)`.
         let mut per_ou: BTreeMap<u16, (ColumnBatch, usize)> = BTreeMap::new();
-        let (mut payload, mut block) = (Vec::new(), ColumnBatch::default());
+        let (mut frame, mut block) = (Vec::new(), ColumnBatch::default());
         for seg in &self.segments[..run] {
-            let mut f = std::fs::File::open(&seg.path)?;
+            let mut f = File::open(&seg.path)?;
             for b in &seg.blocks {
-                if read_frame(&mut f, b.offset, seg.bytes, &mut payload)?.is_none() {
+                let payload = read_block_frame(&mut f, b, seg.bytes, &mut frame)?;
+                if payload
+                    .and_then(|p| block.decode(p, Projection::ALL))
+                    .is_none()
+                {
                     return Err(ArchiveError::Corrupt(format!(
-                        "block at {} in {} vanished under compaction",
-                        b.offset,
-                        seg.path.display()
-                    )));
-                }
-                if block.decode(&payload, Projection::ALL).is_none() {
-                    return Err(ArchiveError::Corrupt(format!(
-                        "undecodable block at {} in {}",
+                        "block at {} in {} is unreadable under compaction",
                         b.offset,
                         seg.path.display()
                     )));
@@ -153,7 +150,6 @@ impl Archive {
 
         let seqs = (self.segments[0].seqs.0, self.segments[run - 1].seqs.1);
         let path = crate::store::seg_path(&self.dir, seqs);
-        let tmp_path = path.with_extension("tmp");
         // A run of one renames over its own input, which must stay.
         let removed: Vec<PathBuf> = (self.segments[..run].iter())
             .map(|s| s.path.clone())
@@ -163,23 +159,13 @@ impl Archive {
         if per_ou.is_empty() {
             // Everything retired: the run simply disappears.
             self.finish_compaction(run, None);
-            return remove_all(&removed).map(|()| true);
+            for p in &removed {
+                std::fs::remove_file(p)?;
+            }
+            return Ok(true);
         }
 
-        // Write the merged segment, durably, under a name no scan reads;
-        // on failure the inputs stay and so does nothing else.
-        let written = write_merged(&tmp_path, &per_ou, self.opts.memtable_flush_samples);
-        let (bytes, ous, blocks) = match written {
-            Ok(merged) => merged,
-            Err(e) => {
-                std::fs::remove_file(&tmp_path).ok();
-                return Err(e);
-            }
-        };
-        if let Err(e) = std::fs::rename(&tmp_path, &path) {
-            std::fs::remove_file(&tmp_path).ok();
-            return Err(e.into());
-        }
+        let (bytes, ous, blocks) = write_merged(&path, &per_ou, self.opts.memtable_flush_samples)?;
         self.metrics.bytes_written.get(&self.telemetry).add(bytes);
         let merged = SegmentMeta {
             seqs,
@@ -191,9 +177,13 @@ impl Archive {
         };
         self.finish_compaction(run, Some(merged));
         // The rename reaches the disk before any input leaves it, so a
-        // reopen finds the merged segment and drops what is left of them.
+        // reopen finds the merged segment and drops whatever inputs a
+        // crash or a failed remove left.
         File::open(&self.dir)?.sync_all()?;
-        remove_all(&removed).map(|()| true)
+        for p in &removed {
+            std::fs::remove_file(p)?;
+        }
+        Ok(true)
     }
 
     /// Replace `segments[..run]` with the merged result (if any) and
@@ -214,46 +204,43 @@ impl Archive {
 }
 
 /// Write `per_ou`'s kept rows as a sealed segment at `path` — per-OU
-/// blocks in OU order, chunked so scans stay bounded-memory — and sync
-/// it. Returns its length, directory and manifest.
+/// blocks in OU order, chunked so scans stay bounded-memory — through a
+/// `.tmp` that is synced, then renamed into place. On failure the `.tmp`
+/// goes and nothing else has changed. Returns its length, directory and
+/// manifest.
 fn write_merged(
     path: &Path,
     per_ou: &BTreeMap<u16, (ColumnBatch, usize)>,
     flush_samples: usize,
 ) -> Result<(u64, Vec<OuEntry>, Vec<BlockMeta>), ArchiveError> {
-    let chunk = flush_samples.max(64) * 4;
-    let mut f = OpenOptions::new()
-        .create(true)
-        .truncate(true)
-        .write(true)
-        .open(path)?;
-    f.write_all(MAGIC)?;
-    f.write_all(&[VERSION])?;
-    let mut offset = HEADER_LEN;
-    let mut blocks: Vec<BlockMeta> = Vec::new();
-    let mut ous: Vec<OuEntry> = Vec::new();
-    for (rows, drop_n) in per_ou.values() {
-        for part in rows.chunks(*drop_n, chunk) {
-            let payload = part.encode();
-            blocks.push(part.meta(offset, payload.len()));
-            offset += write_frame(&mut f, FRAME_BLOCK, &payload)?;
+    let tmp = path.with_extension("tmp");
+    let write = || -> Result<_, ArchiveError> {
+        let chunk = flush_samples.max(64) * 4;
+        let mut f = OpenOptions::new()
+            .create(true)
+            .truncate(true)
+            .write(true)
+            .open(&tmp)?;
+        f.write_all(MAGIC)?;
+        f.write_all(&[VERSION])?;
+        let mut offset = HEADER_LEN;
+        let mut blocks: Vec<BlockMeta> = Vec::new();
+        let mut ous: Vec<OuEntry> = Vec::new();
+        for (rows, drop_n) in per_ou.values() {
+            for part in rows.chunks(*drop_n, chunk) {
+                let payload = part.encode();
+                blocks.push(part.meta(offset, payload.len()));
+                offset += write_frame(&mut f, FRAME_BLOCK, &payload)?;
+            }
+            ous.push(rows.ou().clone());
         }
-        ous.push(rows.ou().clone());
-    }
-    let footer = encode_footer(&ous, &blocks);
-    offset += write_frame(&mut f, FRAME_FOOTER, &footer)?;
-    f.sync_all()?;
-    Ok((offset, ous, blocks))
-}
-
-/// Remove every file of `paths`, attempting all; the first error is the
-/// one returned.
-fn remove_all(paths: &[PathBuf]) -> Result<(), ArchiveError> {
-    let mut result = Ok(());
-    for p in paths {
-        result = result.and(std::fs::remove_file(p).map_err(ArchiveError::from));
-    }
-    result
+        let footer = encode_footer(&ous, &blocks);
+        offset += write_frame(&mut f, FRAME_FOOTER, &footer)?;
+        f.sync_all()?;
+        std::fs::rename(&tmp, path)?;
+        Ok((offset, ous, blocks))
+    };
+    write().inspect_err(|_| drop(std::fs::remove_file(&tmp)))
 }
 
 #[cfg(test)]

@@ -1,15 +1,21 @@
-//! CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320), slicing-by-8.
+//! CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320): slicing-by-8
+//! on four lanes at once.
 //!
 //! Every block and footer frame in a segment file carries a CRC over its
 //! payload so torn writes and bit rot are detected at open/scan time
 //! rather than silently corrupting training data. Hand-rolled because the
 //! workspace builds with no external dependencies.
 //!
-//! Every byte a scan reads goes through here, so the loop consumes eight
+//! Every byte a scan reads goes through here. One lane consumes eight
 //! bytes per step: `TABLES[k][b]` is the CRC of byte `b` followed by `k`
 //! zero bytes, and the CRC of an 8-byte word is the XOR of eight
-//! independent lookups. Same polynomial and same values as the
-//! byte-at-a-time loop (`TABLES[0]` is its table; the tail still uses it).
+//! independent lookups. A step still waits on the one before it, so an
+//! input of [`FOUR_LANES_FROM`] bytes or more is cut into four quarters
+//! whose lanes run interleaved in one loop, and the lanes are joined as
+//! zlib's `crc32_combine` does: the register is linear in its input, so
+//! `crc(a ‖ b)` is `crc(a)` times `x^(8|b|)` mod P, in GF(2), plus `b`'s
+//! own lane started from zero. Same polynomial and same values as the
+//! byte-at-a-time loop (`TABLES[0]` is its table; tails still use it).
 
 const fn build_tables() -> [[u32; 256]; 8] {
     let mut t = [[0u32; 256]; 8];
@@ -43,27 +49,100 @@ const fn build_tables() -> [[u32; 256]; 8] {
 
 static TABLES: [[u32; 256]; 8] = build_tables();
 
+/// Inputs this long or longer run on four lanes; shorter ones on one,
+/// where joining the lanes would cost more than it saves.
+const FOUR_LANES_FROM: usize = 512;
+
 /// CRC-32 of `bytes`.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let t = &TABLES;
-    let mut c = 0xFFFF_FFFFu32;
+    if bytes.len() < FOUR_LANES_FROM {
+        return !update(!0, bytes);
+    }
+    // Four lanes of whole 8-byte words; the tail continues the joined
+    // register.
+    let quarter = bytes.len() / 32 * 8;
+    let (lanes, tail) = bytes.split_at(4 * quarter);
+    let (a, rest) = lanes.split_at(quarter);
+    let (b, rest) = rest.split_at(quarter);
+    let (c, d) = rest.split_at(quarter);
+    let mut reg = [!0, 0, 0, 0];
+    let words =
+        (a.chunks_exact(8).zip(b.chunks_exact(8))).zip(c.chunks_exact(8).zip(d.chunks_exact(8)));
+    for ((wa, wb), (wc, wd)) in words {
+        reg = [
+            step(reg[0], wa),
+            step(reg[1], wb),
+            step(reg[2], wc),
+            step(reg[3], wd),
+        ];
+    }
+    let shift = x_pow_8n(quarter);
+    let joined = reg[1..]
+        .iter()
+        .fold(reg[0], |acc, &lane| mul_mod_p(shift, acc) ^ lane);
+    !update(joined, tail)
+}
+
+/// The register `c` carried over one 8-byte word: byte `k` of
+/// `c ^ word` is followed by `7 - k` more bytes.
+#[inline(always)]
+fn step(c: u32, w: &[u8]) -> u32 {
+    let word = u64::from_le_bytes(w.try_into().expect("an 8-byte word")) ^ u64::from(c);
+    (0..8).fold(0, |acc, k| {
+        acc ^ TABLES[7 - k][(word >> (8 * k)) as usize & 0xFF]
+    })
+}
+
+/// The register `c` carried over `bytes` on one lane.
+fn update(mut c: u32, bytes: &[u8]) -> u32 {
     let mut words = bytes.chunks_exact(8);
     for w in &mut words {
-        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-        c = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
+        c = step(c, w);
     }
     for &b in words.remainder() {
-        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        c = TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
-    c ^ 0xFFFF_FFFF
+    c
+}
+
+/// `a · b mod P` over GF(2), in the reflected bit order the register
+/// uses (the top bit is `x^0`).
+const fn mul_mod_p(a: u32, mut b: u32) -> u32 {
+    let (mut product, mut bit) = (0, 32);
+    while bit > 0 {
+        bit -= 1;
+        product ^= b & ((a >> bit) & 1).wrapping_neg();
+        b = (b >> 1) ^ (0xEDB8_8320 & (b & 1).wrapping_neg());
+    }
+    product
+}
+
+/// `x^(2^k) mod P` for `k` in `0..64`, reflected.
+const fn build_powers() -> [u32; 64] {
+    let mut p = [0u32; 64];
+    p[0] = 1 << 30; // x^1
+    let mut k = 1;
+    while k < 64 {
+        p[k] = mul_mod_p(p[k - 1], p[k - 1]);
+        k += 1;
+    }
+    p
+}
+
+static POWERS: [u32; 64] = build_powers();
+
+/// `x^(8n) mod P`: what carrying a register over `n` zero bytes
+/// multiplies it by.
+fn x_pow_8n(n: usize) -> u32 {
+    let (mut power, mut k) = (1u32 << 31, 3); // x^0; 8n = n << 3
+    let mut n = n as u64;
+    while n != 0 {
+        if n & 1 != 0 {
+            power = mul_mod_p(POWERS[k], power);
+        }
+        (n, k) = (n >> 1, k + 1);
+    }
+    power
 }
 
 #[cfg(test)]
@@ -102,12 +181,11 @@ mod tests {
         c
     }
 
-    #[test]
-    fn matches_the_bytewise_reference_at_every_length_and_alignment() {
-        const MAX_LEN: usize = 4096;
-        // SplitMix64: seeded, so a failure names a reproducible input.
+    /// `len` seeded bytes (SplitMix64), so a failure names a reproducible
+    /// input.
+    fn seeded_bytes(len: usize) -> Vec<u8> {
         let mut state = 0x5EED_CAFE_u64;
-        let buf: Vec<u8> = (0..MAX_LEN + 8)
+        (0..len)
             .map(|_| {
                 state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
                 let mut z = state;
@@ -115,7 +193,13 @@ mod tests {
                 z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
                 (z ^ (z >> 31)) as u8
             })
-            .collect();
+            .collect()
+    }
+
+    #[test]
+    fn matches_the_bytewise_reference_at_every_length_and_alignment() {
+        const MAX_LEN: usize = 4096;
+        let buf = seeded_bytes(MAX_LEN + 8);
         for align in 0..8 {
             let mut c = 0xFFFF_FFFFu32;
             for len in 0..=MAX_LEN {
@@ -127,5 +211,50 @@ mod tests {
                 c = reference_step(c, buf[align + len]);
             }
         }
+    }
+
+    /// Across the one-lane/four-lane threshold, at every quarter's
+    /// remainder, and up to 1 MiB + 7, at alignments 0–7.
+    #[test]
+    fn four_lanes_match_the_bytewise_reference_up_to_a_mebibyte() {
+        const MAX_LEN: usize = (1 << 20) + 7;
+        let t = FOUR_LANES_FROM;
+        let mut lengths: Vec<usize> = (t - 40..t + 40).collect();
+        for base in [1 << 12, 1 << 16, 1 << 20] {
+            lengths.extend((base - 33..=base + 7).step_by(5));
+        }
+        lengths.extend([12_345, 100_003, 777_777, MAX_LEN]);
+        lengths.sort_unstable();
+        let buf = seeded_bytes(MAX_LEN + 8);
+        for align in 0..8 {
+            let mut c = 0xFFFF_FFFFu32;
+            let mut done = 0;
+            for &len in &lengths {
+                for &b in &buf[align + done..align + len] {
+                    c = reference_step(c, b);
+                }
+                done = len;
+                let got = crc32(&buf[align..align + len]);
+                assert_eq!(got, c ^ 0xFFFF_FFFF, "align {align}, len {len}");
+            }
+        }
+    }
+
+    /// The join `crc32` does between lanes, on whole inputs: the CRC of
+    /// `a ‖ b` from the CRCs of `a` and `b` and the length of `b`.
+    #[test]
+    fn the_crc_of_a_concatenation_combines_from_its_parts() {
+        let combine =
+            |crc_a: u32, crc_b: u32, len_b: usize| mul_mod_p(x_pow_8n(len_b), crc_a) ^ crc_b;
+        let buf = seeded_bytes(5_000);
+        for split in [0, 1, 7, 8, 9, 511, 512, 513, 2_500, 4_999, 5_000] {
+            let (a, b) = buf.split_at(split);
+            assert_eq!(
+                combine(crc32(a), crc32(b), b.len()),
+                crc32(&buf),
+                "split {split}"
+            );
+        }
+        assert_eq!(x_pow_8n(0), 1 << 31, "x^0 is the identity");
     }
 }

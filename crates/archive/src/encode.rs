@@ -152,28 +152,32 @@ fn decode_packed(buf: &[u8], n: usize, out: &mut Vec<u64>) -> Option<()> {
     out.reserve(n);
     let packed = &buf[pos..];
     let mask = u64::MAX >> (64 - width);
-    for i in 0..n {
-        let bit = i * width as usize;
+    let width = width as usize;
+    // When no value can overflow `min + raw`, every value of up to 57 bits
+    // whose 8-byte window lies in the column is one unaligned load.
+    let windowed = match packed.len().checked_sub(8) {
+        Some(last) if width <= 57 && min.checked_add(mask).is_some() => {
+            ((last * 8 + 7) / width + 1).min(n)
+        }
+        _ => 0,
+    };
+    out.extend((0..windowed).map(|i| {
+        let bit = i * width;
         let (byte, shift) = (bit >> 3, bit & 7);
-        let raw = match packed.get(byte..byte + 8) {
-            // A value of up to 57 bits starting within the first byte
-            // lies inside one unaligned little-endian word.
-            Some(word) if width <= 57 => {
-                let word = u64::from_le_bytes(word.try_into().expect("8-byte slice"));
-                (word >> shift) & mask
-            }
-            // Wider values, and the last few of the column: gather the
-            // bytes the value spans (`needed` above says they exist).
-            _ => {
-                let spanned = &packed[byte..(bit + width as usize).div_ceil(8)];
-                let wide = spanned
-                    .iter()
-                    .rev()
-                    .fold(0u128, |acc, &b| (acc << 8) | b as u128);
-                (wide >> shift) as u64 & mask
-            }
-        };
-        out.push(min.checked_add(raw)?);
+        let word = u64::from_le_bytes(packed[byte..byte + 8].try_into().expect("8 bytes"));
+        min + ((word >> shift) & mask)
+    }));
+    // The last few values, and every value when one might overflow or is
+    // wider than 57 bits: gather the bytes each spans (`needed` above says
+    // they exist), checked.
+    for i in windowed..n {
+        let bit = i * width;
+        let spanned = &packed[bit >> 3..(bit + width).div_ceil(8)];
+        let wide = spanned
+            .iter()
+            .rev()
+            .fold(0u128, |acc, &b| (acc << 8) | b as u128);
+        out.push(min.checked_add((wide >> (bit & 7)) as u64 & mask)?);
     }
     Some(())
 }
@@ -409,6 +413,36 @@ mod tests {
                 decode_packed(&buf, n, &mut back).expect("decode failed");
                 assert_eq!(back, values, "width {width}, n {n}");
             }
+        }
+    }
+
+    /// `min + raw` is checked wherever it could overflow: a column whose
+    /// frame reaches past `u64::MAX` decodes while its values fit and
+    /// fails closed on one that does not, at any position.
+    #[test]
+    fn packed_values_past_u64_max_fail_closed() {
+        let width = 12;
+        let column = |min: u64, raws: &[u64]| {
+            let mut packed = Vec::new();
+            put_packed(&mut packed, raws, 0, width);
+            let mut buf = Vec::new();
+            put_varint(&mut buf, min);
+            buf.extend_from_slice(&packed[1..]); // past `min` = 0's one byte
+            buf
+        };
+        let top = u64::MAX - 100;
+        let fits: Vec<u64> = (0..40).map(|i| i * 7 % 100).collect();
+        let mut back = Vec::new();
+        decode_packed(&column(top, &fits), 40, &mut back).expect("every value fits");
+        assert!(back.iter().zip(&fits).all(|(&v, &raw)| v == top + raw));
+        for at in 0..40 {
+            let mut over = fits.clone();
+            over[at] = 101;
+            back.clear();
+            assert!(
+                decode_packed(&column(top, &over), 40, &mut back).is_none(),
+                "{at}"
+            );
         }
     }
 

@@ -528,8 +528,36 @@ pub(crate) fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> std::
     Ok((FRAME_OVERHEAD + payload.len()) as u64)
 }
 
+/// Read the block frame the manifest entry `meta` names into `frame`
+/// (resized to fit, capacity kept) in one read of the length the entry
+/// gives, and return its payload. `None` when the frame would end past
+/// `file_len` — checked before anything is read or allocated — or its
+/// kind byte, length field or CRC disagree with the entry.
+pub(crate) fn read_block_frame<'f>(
+    f: &mut std::fs::File,
+    meta: &BlockMeta,
+    file_len: u64,
+    frame: &'f mut Vec<u8>,
+) -> std::io::Result<Option<&'f [u8]>> {
+    let len = meta.payload_len as usize;
+    let end = meta.offset.checked_add((FRAME_OVERHEAD + len) as u64);
+    if meta.payload_len > MAX_FRAME_LEN || end.is_none_or(|end| end > file_len) {
+        return Ok(None);
+    }
+    frame.resize(FRAME_OVERHEAD + len, 0);
+    f.seek(SeekFrom::Start(meta.offset))?;
+    f.read_exact(frame)?;
+    let (head, rest) = frame.split_at(5);
+    let (payload, crc) = rest.split_at(len);
+    let intact = head[0] == FRAME_BLOCK
+        && head[1..] == meta.payload_len.to_le_bytes()
+        && crc == crc32(payload).to_le_bytes();
+    Ok(intact.then_some(payload))
+}
+
 /// Read the frame at `offset` into `payload` (resized to fit, capacity
-/// kept). Returns `(kind, next_offset)`, or `None` if the frame is
+/// kept), its length taken from the frame: recovery's reader, which has
+/// no manifest. Returns `(kind, next_offset)`, or `None` if the frame is
 /// truncated, oversized, or fails its CRC — i.e. the valid portion of
 /// the file ends before `offset + frame`; `payload` is then unspecified.
 pub(crate) fn read_frame(

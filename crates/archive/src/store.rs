@@ -15,8 +15,8 @@ use tscout_telemetry::{CounterSite, CounterVec, GaugeSite, Telemetry};
 
 use crate::encode::MAX_COLUMN_VALUES;
 use crate::segment::{
-    decode_footer, encode_footer, read_frame, write_frame, BlockMeta, ColumnBatch, OuEntry,
-    Projection, FRAME_BLOCK, FRAME_FOOTER, HEADER_LEN, MAGIC, VERSION,
+    decode_footer, encode_footer, read_block_frame, read_frame, write_frame, BlockMeta,
+    ColumnBatch, OuEntry, Projection, FRAME_BLOCK, FRAME_FOOTER, HEADER_LEN, MAGIC, VERSION,
 };
 use crate::{decls, ArchiveError, ArchiveOptions, Sample};
 
@@ -167,10 +167,6 @@ impl Archive {
         let spans: Vec<(u64, u64)> = paths.iter().map(|(seqs, _)| *seqs).collect();
         let covered =
             |&(a, b): &(u64, u64)| spans.iter().any(|&s| s != (a, b) && s.0 <= a && b <= s.1);
-        for (_, path) in paths.iter().filter(|(seqs, _)| covered(seqs)) {
-            std::fs::remove_file(path)?;
-        }
-        paths.retain(|(seqs, _)| !covered(seqs));
         let mut archive = Archive {
             dir,
             opts,
@@ -186,7 +182,11 @@ impl Archive {
         };
         let (mut payload, mut block) = (Vec::new(), ColumnBatch::default());
         for (seqs, path) in paths {
-            if let Some(meta) = archive.recover_segment(seqs, &path, &mut payload, &mut block)? {
+            if covered(&seqs) {
+                std::fs::remove_file(&path)?;
+            } else if let Some(meta) =
+                archive.recover_segment(seqs, &path, &mut payload, &mut block)?
+            {
                 archive.segments.push(meta);
             }
         }
@@ -538,7 +538,7 @@ impl Archive {
                 continue;
             }
             for b in seg.blocks.iter().filter(|b| ids.contains(&b.ou)) {
-                plan.push((files.len(), b.offset, b.ou, b.count));
+                plan.push((files.len(), b.clone()));
             }
             files.push((seg.path.clone(), seg.bytes));
         }
@@ -547,7 +547,7 @@ impl Archive {
             plan,
             next_block: 0,
             open: None,
-            payload: Vec::new(),
+            frame: Vec::new(),
             block: ColumnBatch::default(),
             projection,
             tail: self
@@ -571,20 +571,23 @@ impl Drop for Archive {
 }
 
 /// Streaming block reader: decodes one block at a time into one reused
-/// [`ColumnBatch`] (and one reused payload buffer), never materializing
-/// the archive. Blocks that fail their CRC or decode or disagree with their
-/// manifest entry's OU id or row count (only if the file changed under
-/// us) are skipped and counted in `archive_scan_skipped_blocks_total`.
+/// [`ColumnBatch`] (and one reused frame buffer, filled by one read of the
+/// length the block's manifest entry gives), never materializing the
+/// archive. Blocks whose frame is not their manifest entry's (kind byte,
+/// length field, OU id, row count, or past the segment's valid length),
+/// or that fail their CRC or decode (only if the file changed under us),
+/// are skipped and counted in `archive_scan_skipped_blocks_total`.
 #[derive(Debug)]
 pub struct BatchScan {
     /// `(path, valid file length)` of every segment the plan touches.
     files: Vec<(PathBuf, u64)>,
-    /// `(index into files, frame offset, OU id, rows)` per block, in order.
-    plan: Vec<(usize, u64, u16, u64)>,
+    /// `(index into files, manifest entry)` per block, in order.
+    plan: Vec<(usize, BlockMeta)>,
     next_block: usize,
     /// The open segment file and its index into `files`.
     open: Option<(usize, File)>,
-    payload: Vec<u8>,
+    /// The last frame read, whole: kind, length, payload and CRC.
+    frame: Vec<u8>,
     block: ColumnBatch,
     projection: Projection,
     tail: Vec<ColumnBatch>,
@@ -597,7 +600,10 @@ impl BatchScan {
     /// The most rows the scan lends: every planned block's manifest count,
     /// each capped at what one block can hold, plus the memtable tails.
     pub fn rows(&self) -> u64 {
-        let blocks = self.plan.iter().map(|p| p.3.min(MAX_COLUMN_VALUES));
+        let blocks = self
+            .plan
+            .iter()
+            .map(|(_, b)| b.count.min(MAX_COLUMN_VALUES));
         let tails = self.tail.iter().map(|t| t.len() as u64);
         blocks.chain(tails).fold(0, u64::saturating_add)
     }
@@ -619,11 +625,9 @@ impl BatchScan {
     /// Move to the next readable block or memtable tail; `false` once
     /// there is none.
     fn advance(&mut self) -> bool {
-        while let Some(&(file, offset, ou, rows)) = self.plan.get(self.next_block) {
+        while self.next_block < self.plan.len() {
             self.next_block += 1;
-            if self.read_block(file, offset).is_some()
-                && (self.block.ou().ou, self.block.len() as u64) == (ou, rows)
-            {
+            if self.read_block(self.next_block - 1).is_some() {
                 return true;
             }
             // Only reachable when a file changed underneath the scan.
@@ -635,20 +639,18 @@ impl BatchScan {
         more
     }
 
-    /// Read and decode the block at `offset` of `files[file]` into
-    /// `self.block`; `None` if it cannot be opened, read or decoded.
-    fn read_block(&mut self, file: usize, offset: u64) -> Option<()> {
-        if self.open.as_ref().is_none_or(|(open, _)| *open != file) {
-            self.open = Some((file, File::open(&self.files[file].0).ok()?));
+    /// Read and decode the planned block `at` into `self.block`; `None`
+    /// if it cannot be opened, read or decoded, or is not its manifest
+    /// entry's OU and row count.
+    fn read_block(&mut self, at: usize) -> Option<()> {
+        let (file, meta) = &self.plan[at];
+        if self.open.as_ref().is_none_or(|(open, _)| open != file) {
+            self.open = Some((*file, File::open(&self.files[*file].0).ok()?));
         }
         let f = &mut self.open.as_mut()?.1;
-        let (kind, _) = read_frame(f, offset, self.files[file].1, &mut self.payload)
-            .ok()
-            .flatten()?;
-        if kind != FRAME_BLOCK {
-            return None;
-        }
-        self.block.decode(&self.payload, self.projection)
+        let payload = read_block_frame(f, meta, self.files[*file].1, &mut self.frame).ok()??;
+        self.block.decode(payload, self.projection)?;
+        ((self.block.ou().ou, self.block.len() as u64) == (meta.ou, meta.count)).then_some(())
     }
 }
 
@@ -952,6 +954,53 @@ mod tests {
         assert_eq!((all.len(), skipped()), (40, 2));
         assert!((all.iter().zip(0..)).all(|(s, i)| s.bits_eq(&test_sample(2, "sort", i))));
         std::fs::remove_dir_all(&dir).ok();
+
+        // A frame whose kind byte or length field is not its entry's (the
+        // CRC, over the payload, still holds), and a block planned past the
+        // end of a segment cut short under the open archive: each is
+        // skipped and counted, and the frame buffer never grows past the
+        // segment's valid length.
+        type Damage = fn(&mut Vec<u8>, usize, usize);
+        let cases: [(&str, Damage); 3] = [
+            ("kind", |bytes, at, _| bytes[at] = FRAME_FOOTER),
+            ("length", |bytes, at, len| {
+                bytes[at + 1..at + 5].copy_from_slice(&(len as u32 - 1).to_le_bytes());
+            }),
+            ("cut", |bytes, at, len| bytes.truncate(at + 5 + len / 2)),
+        ];
+        for (case, damage) in cases {
+            let dir = tmp_dir(case);
+            let t = Telemetry::new();
+            let mut a = Archive::open(&dir, ArchiveOptions::default(), t.clone()).unwrap();
+            for block in 0..3 {
+                for i in 0..40 {
+                    a.append(test_sample(1, "scan", block * 40 + i)).unwrap();
+                }
+                a.flush().unwrap();
+            }
+            a.seal().unwrap();
+            let (path, victim) = (&a.segments[0].path, &a.segments[0].blocks[2]);
+            let mut bytes = std::fs::read(path).unwrap();
+            damage(
+                &mut bytes,
+                victim.offset as usize,
+                victim.payload_len as usize,
+            );
+            std::fs::write(path, &bytes).unwrap();
+
+            let mut scan = a.scan_batches(Some("scan"), Projection::ALL);
+            let mut rows = 0;
+            while let Some(batch) = scan.next_batch() {
+                rows += batch.len();
+            }
+            let skipped = t.counter_value("archive_scan_skipped_blocks_total", &[]);
+            assert_eq!((rows, skipped), (80, 1), "{case}");
+            assert!(
+                scan.frame.capacity() as u64 <= a.segments[0].bytes,
+                "{case}"
+            );
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

@@ -10,6 +10,7 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use tscout_archive::ColumnBatch;
 
 /// One labeled sample, borrowed from its dataset's columns.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,6 +84,27 @@ impl Points {
         self.ends.push(self.values.len());
         self.targets_ns.push(target_ns);
         self.templates.push(template);
+    }
+
+    /// Append one point per row of an archived `batch` (template,
+    /// elapsed time and feature columns), its input row the features then
+    /// `context`, as [`crate::input_values`] lays it out. Each column grows
+    /// once per batch; a row is two copies.
+    pub(crate) fn push_archived(&mut self, batch: &ColumnBatch, context: [f64; 2]) {
+        let features = batch.features();
+        self.values
+            .reserve(features.flat().len() + context.len() * batch.len());
+        self.ends.reserve(batch.len());
+        for row in features.rows() {
+            self.values
+                .extend(row.iter().map(|&bits| f64::from_bits(bits)));
+            self.values.extend_from_slice(&context);
+            self.ends.push(self.values.len());
+        }
+        self.targets_ns
+            .extend(batch.elapsed_ns().iter().map(|&ns| ns as f64));
+        self.templates
+            .extend(batch.template().iter().map(|&t| t as u32));
     }
 
     /// Append a copy of `p`.

@@ -131,6 +131,27 @@ pub fn mape_pct<D: PointSet>(models: &OuModelSet, test: &[D]) -> f64 {
     let mut sum = 0.0;
     let mut n = 0u64;
     for d in test {
+        let model = models.models.get(d.name());
+        for p in d.points().filter(|p| p.target_ns > 0.0) {
+            let predicted = model.map_or(0.0, |m| m.predict(p.features).max(0.0));
+            sum += (p.target_ns - predicted).abs() / p.target_ns * 100.0;
+            n += 1;
+        }
+    }
+    if n == 0 {
+        0.0
+    } else {
+        sum / n as f64
+    }
+}
+
+/// [`mape_pct`] as every earlier build computed it, one model lookup per
+/// point; the shipped one must give the same value, bit for bit.
+#[cfg(test)]
+fn reference_mape_pct<D: PointSet>(models: &OuModelSet, test: &[D]) -> f64 {
+    let mut sum = 0.0;
+    let mut n = 0u64;
+    for d in test {
         for p in d.points() {
             if p.target_ns <= 0.0 {
                 continue;
@@ -231,6 +252,35 @@ mod tests {
             template: 0,
         });
         assert_eq!(mape_pct(&models, &[zeros]), 0.0);
+    }
+
+    /// One lookup per OU gives the per-point lookup's MAPE to the bit:
+    /// known and unknown OUs, zero targets, ragged rows, both kinds.
+    #[test]
+    fn mape_matches_the_per_point_reference_bit_for_bit() {
+        let mut ragged = linear_ou("join", 90, 1.0);
+        ragged.points.push(LabeledPoint {
+            features: &[],
+            target_ns: 700.0,
+            template: 1,
+        });
+        ragged.points.push(LabeledPoint {
+            features: &[3.0, 9.0, 27.0],
+            target_ns: 0.0,
+            template: 2,
+        });
+        let test = vec![
+            linear_ou("scan", 300, 2.0),
+            ragged,
+            linear_ou("mystery", 20, 0.0),
+            OuData::new("empty"),
+        ];
+        for kind in [ModelKind::Ridge, ModelKind::Forest] {
+            let train = [linear_ou("scan", 400, 3.0), linear_ou("join", 120, 0.5)];
+            let models = OuModelSet::train(kind, 7, &train);
+            let (got, want) = (mape_pct(&models, &test), reference_mape_pct(&models, &test));
+            assert_eq!(got.to_bits(), want.to_bits(), "{kind:?}");
+        }
     }
 
     #[test]

@@ -3,14 +3,14 @@
 //! The archive's scans lend one decoded block at a time as columns
 //! ([`tscout_archive::ColumnBatch`]); this module reads the three
 //! training uses — template, elapsed time, features — straight into each
-//! OU's [`OuData`] columns, laid out by [`input_values`] like the
+//! OU's [`OuData`] columns, laid out by [`crate::input_values`] like the
 //! driver's `build_datasets`; nothing is allocated per point. The OUs are
 //! built side by side, one scan each, on `largest_first`'s pool.
 
-use tscout_archive::{Archive, BatchScan, ColumnBatch, Projection};
+use tscout_archive::{Archive, BatchScan, Projection};
 
 use crate::dataset::OuData;
-use crate::{input_values, largest_first};
+use crate::{context_values, largest_first};
 
 /// The columns a labeled point is made of.
 const TRAINING_COLUMNS: Projection = Projection {
@@ -20,40 +20,28 @@ const TRAINING_COLUMNS: Projection = Projection {
     ..Projection::NONE
 };
 
-/// Append one labeled point per row of `batch`, its row ending in the
-/// context columns `(clock_ghz, concurrency)`.
-fn push_points(data: &mut OuData, batch: &ColumnBatch, (clock_ghz, concurrency): (f64, usize)) {
-    let targets = batch.template().iter().zip(batch.elapsed_ns());
-    for ((&template, &elapsed_ns), row) in targets.zip(batch.features().rows()) {
-        let archived = row.iter().map(|bits| f64::from_bits(*bits));
-        let row = input_values(archived, clock_ghz, concurrency as f64);
-        data.points
-            .push_row(row, elapsed_ns as f64, template as u32);
-    }
-}
-
 /// `name`'s dataset started from its scan's first batch, with the scan to
 /// finish it from; `None` when the scan lends nothing. The columns are
 /// sized here, once — the plan's rows, each as wide as the first batch's
 /// mean row — so a pool worker finishing the build fills memory the
 /// calling thread allocated, and its malloc arena keeps none of it.
-fn start(archive: &Archive, name: &str, context: (f64, usize)) -> Option<(OuData, BatchScan)> {
+fn start(archive: &Archive, name: &str, context: [f64; 2]) -> Option<(OuData, BatchScan)> {
     let mut scan = archive.scan_batches(Some(name), TRAINING_COLUMNS);
     let rows = usize::try_from(scan.rows()).unwrap_or(usize::MAX);
     let batch = scan.next_batch()?;
     let mut data = OuData::new(name);
     let width = batch.features().flat().len().div_ceil(batch.len().max(1)) + 2;
     data.points.reserve(rows, rows.saturating_mul(width));
-    push_points(&mut data, batch, context);
+    data.points.push_archived(batch, context);
     Some((data, scan))
 }
 
 /// The rest of `scan`'s batches into `data`. Every pool job of
 /// [`datasets_from_archive`] runs under this frame, whichever thread it
 /// is on (`tools/pcprof`: `--under finish_ou`).
-fn finish_ou((mut data, mut scan): (OuData, BatchScan), context: (f64, usize)) -> OuData {
+fn finish_ou((mut data, mut scan): (OuData, BatchScan), context: [f64; 2]) -> OuData {
     while let Some(batch) = scan.next_batch() {
-        push_points(&mut data, batch, context);
+        data.points.push_archived(batch, context);
     }
     data
 }
@@ -62,7 +50,7 @@ fn finish_ou((mut data, mut scan): (OuData, BatchScan), context: (f64, usize)) -
 /// like the driver's `build_datasets`; an OU the archive lends no rows
 /// of has none.
 pub fn datasets_from_archive(archive: &Archive, clock_ghz: f64, concurrency: usize) -> Vec<OuData> {
-    let context = (clock_ghz, concurrency);
+    let context = context_values(clock_ghz, concurrency as f64);
     let start = |name: &String| start(archive, name, context);
     let started: Vec<_> = archive.ou_names().iter().filter_map(start).collect();
     largest_first(started, |(_, scan)| scan.rows(), |s| finish_ou(s, context))
@@ -75,7 +63,7 @@ pub fn ou_data_from_archive(
     clock_ghz: f64,
     concurrency: usize,
 ) -> OuData {
-    let context = (clock_ghz, concurrency);
+    let context = context_values(clock_ghz, concurrency as f64);
     let started = start(archive, ou_name, context);
     started.map_or_else(|| OuData::new(ou_name), |s| finish_ou(s, context))
 }

@@ -68,21 +68,33 @@ impl Regressor for Ridge {
             return;
         }
         let d = x[0].len() + 1; // + bias
-                                // Build XᵀX + λI and Xᵀy.
-        let mut xtx = vec![vec![0.0; d]; d];
+                                // The upper triangle of XᵀX, row-major in one buffer, and Xᵀy, from
+                                // one reused row padded (or cut) to `d - 1` features plus the bias.
+                                // Each entry sums its products in row order, as a nested loop would.
+        let mut upper = vec![0.0; d * (d + 1) / 2];
         let mut xty = vec![0.0; d];
+        let mut aug = vec![0.0; d];
+        aug[d - 1] = 1.0;
         for (row, &target) in x.iter().zip(y) {
-            let aug = |i: usize| if i + 1 == d { 1.0 } else { feature(row, i) };
-            for i in 0..d {
-                for j in i..d {
-                    xtx[i][j] += aug(i) * aug(j);
+            let width = row.len().min(d - 1);
+            aug[..width].copy_from_slice(&row[..width]);
+            aug[width..d - 1].fill(0.0);
+            let mut at = 0;
+            for (i, &ai) in aug.iter().enumerate() {
+                let entries = &mut upper[at..at + d - i];
+                for (entry, &aj) in entries.iter_mut().zip(&aug[i..]) {
+                    *entry += ai * aj;
                 }
-                xty[i] += aug(i) * target;
+                xty[i] += ai * target;
+                at += d - i;
             }
         }
+        // XᵀX + λI, mirrored.
+        let mut xtx = vec![vec![0.0; d]; d];
+        let mut entries = upper.into_iter();
         for i in 0..d {
-            for j in 0..i {
-                xtx[i][j] = xtx[j][i];
+            for (j, entry) in (i..d).zip(entries.by_ref()) {
+                (xtx[i][j], xtx[j][i]) = (entry, entry);
             }
             xtx[i][i] += self.lambda;
         }
@@ -108,9 +120,85 @@ impl Regressor for Ridge {
     }
 }
 
+/// `Ridge::fit` as every earlier build computed it: `XᵀX` as nested
+/// `Vec`s, each entry read through [`feature`]. The shipped fit must give
+/// the same weights, bit for bit.
+#[cfg(test)]
+#[allow(clippy::needless_range_loop)] // symmetric matrix fill
+pub(crate) fn reference_fit(lambda: f64, x: &[&[f64]], y: &[f64]) -> Vec<f64> {
+    if x.is_empty() {
+        return Vec::new();
+    }
+    let d = x[0].len() + 1;
+    let mut xtx = vec![vec![0.0; d]; d];
+    let mut xty = vec![0.0; d];
+    for (row, &target) in x.iter().zip(y) {
+        let aug = |i: usize| if i + 1 == d { 1.0 } else { feature(row, i) };
+        for i in 0..d {
+            for j in i..d {
+                xtx[i][j] += aug(i) * aug(j);
+            }
+            xty[i] += aug(i) * target;
+        }
+    }
+    for i in 0..d {
+        for j in 0..i {
+            xtx[i][j] = xtx[j][i];
+        }
+        xtx[i][i] += lambda;
+    }
+    solve(xtx, xty).unwrap_or_default()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn bits(w: &[f64]) -> Vec<u64> {
+        w.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The flat upper-triangle fit against the nested-`Vec` reference:
+    /// ragged random rows — short, long and empty, a first row of each
+    /// width — and the `linear_ou` data the gate tests use.
+    #[test]
+    fn fit_gives_the_reference_weights_bit_for_bit() {
+        let mut state = 0x2DCA_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for case in 0..60 {
+            let n = [1, 2, 5, 40, 300][case % 5];
+            let rows: Vec<Vec<f64>> = (0..n)
+                .map(|_| {
+                    let width = (next() % 7) as usize;
+                    (0..width)
+                        .map(|_| (next() % 20_000) as f64 / 7.0 - 900.0)
+                        .collect()
+                })
+                .collect();
+            let y: Vec<f64> = (0..n).map(|_| (next() % 1_000_000) as f64 / 3.0).collect();
+            let x = crate::rows(&rows);
+            let mut m = Ridge::new(1e-3);
+            m.fit(&x, &y);
+            assert_eq!(
+                bits(&m.weights),
+                bits(&reference_fit(1e-3, &x, &y)),
+                "case {case}"
+            );
+        }
+        for noise in [0.0, 2.5] {
+            let data = crate::linear_ou("scan", 2_000, noise);
+            let (x, y) = crate::PointSet::matrices(&data);
+            let mut m = Ridge::new(1e-3);
+            m.fit(&x, &y);
+            assert!(!m.weights.is_empty());
+            assert_eq!(bits(&m.weights), bits(&reference_fit(1e-3, &x, &y)));
+        }
+    }
 
     #[test]
     fn recovers_exact_linear_model() {

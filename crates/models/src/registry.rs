@@ -171,17 +171,17 @@ impl ModelRegistry {
     /// `data`'s points; nothing is copied.
     pub fn retrain_split(&mut self, data: &[OuData], holdout_every: usize) -> SwapDecision {
         let every = holdout_every.max(2);
-        let side = |held_out: bool| -> Vec<OuSubset<'_>> {
-            data.iter()
+        let side = |rows: fn(usize, usize) -> Vec<usize>| -> Vec<OuSubset<'_>> {
+            (data.iter())
                 .map(|d| OuSubset {
                     data: d,
-                    rows: (0..d.len())
-                        .filter(|i| ((i + 1) % every == 0) == held_out)
-                        .collect(),
+                    rows: rows(d.len(), every),
                 })
                 .collect()
         };
-        self.retrain_from(&side(false), &side(true))
+        let train = side(|n, every| (0..n).filter(|i| (i + 1) % every != 0).collect());
+        let holdout = side(|n, every| (every - 1..n).step_by(every).collect());
+        self.retrain_from(&train, &holdout)
     }
 }
 
