@@ -9,14 +9,12 @@
 //! compacted is the oldest data in the archive, retirement never has to
 //! touch newer segments.
 //!
-//! Crash safety: the merged segment is written to a `.tmp` file, synced,
-//! and renamed to `seg-{first:06}-{last:06}.tsa` — the span of sequence
-//! numbers it replaces — and the directory is synced before the first
-//! input is removed. A crash before the rename leaves the inputs plus a
-//! `.tmp` that `open` deletes; a crash after it leaves inputs whose
-//! sequence numbers lie inside the merged segment's span, and `open`
-//! deletes those. Either way every row is read back exactly once, and no
-//! byte of a segment file is rewritten to record it.
+//! Crash safety: the merged segment is written to a synced `.tmp` and
+//! renamed to `seg-{first:06}-{last:06}.tsa`, the span of sequence numbers
+//! it replaces; the directory is synced before any input is removed. A
+//! crash before the rename leaves a `.tmp` that `open` deletes; one after
+//! it leaves inputs inside the merged span, which `open` deletes. Either
+//! way every row is read back once, and no segment byte is rewritten.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -148,22 +146,23 @@ impl Archive {
         }
         per_ou.retain(|_, (rows, drop_n)| rows.len() > *drop_n);
 
-        let seqs = (self.segments[0].seqs.0, self.segments[run - 1].seqs.1);
-        let path = crate::store::seg_path(&self.dir, seqs);
-        // A run of one renames over its own input, which must stay.
-        let removed: Vec<PathBuf> = (self.segments[..run].iter())
+        let mut inputs: Vec<PathBuf> = self.segments[..run]
+            .iter()
             .map(|s| s.path.clone())
-            .filter(|p| *p != path)
             .collect();
-
         if per_ou.is_empty() {
             // Everything retired: the run simply disappears.
             self.finish_compaction(run, None);
-            for p in &removed {
+            for p in &inputs {
                 std::fs::remove_file(p)?;
             }
             return Ok(true);
         }
+
+        let seqs = (self.segments[0].seqs.0, self.segments[run - 1].seqs.1);
+        let path = crate::store::seg_path(&self.dir, seqs);
+        // A run of one renames over its own input, which must stay.
+        inputs.retain(|p| *p != path);
 
         let (bytes, ous, blocks) = write_merged(&path, &per_ou, self.opts.memtable_flush_samples)?;
         self.metrics.bytes_written.get(&self.telemetry).add(bytes);
@@ -180,7 +179,7 @@ impl Archive {
         // reopen finds the merged segment and drops whatever inputs a
         // crash or a failed remove left.
         File::open(&self.dir)?.sync_all()?;
-        for p in &removed {
+        for p in &inputs {
             std::fs::remove_file(p)?;
         }
         Ok(true)
@@ -203,11 +202,9 @@ impl Archive {
     }
 }
 
-/// Write `per_ou`'s kept rows as a sealed segment at `path` — per-OU
-/// blocks in OU order, chunked so scans stay bounded-memory — through a
-/// `.tmp` that is synced, then renamed into place. On failure the `.tmp`
-/// goes and nothing else has changed. Returns its length, directory and
-/// manifest.
+/// Write `per_ou`'s kept rows, chunked per OU, as a sealed segment at
+/// `path` through a synced `.tmp`, removed on failure. Returns its length,
+/// directory and manifest.
 fn write_merged(
     path: &Path,
     per_ou: &BTreeMap<u16, (ColumnBatch, usize)>,
@@ -424,6 +421,35 @@ mod tests {
             assert!(g.bits_eq(w));
         }
         assert_eq!(t.counter_value("archive_samples_retired_total", &[]), 800);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A run of one segment that retention retires whole leaves the
+    /// disk too, so a reopen does not bring its rows back.
+    #[test]
+    fn a_wholly_retired_run_of_one_is_gone_after_reopen() {
+        let dir = tmp_dir("retire_one");
+        let opts = ArchiveOptions {
+            retention_per_ou: 20,
+            segment_max_bytes: 1 << 20,
+            ..small_opts()
+        };
+        let originals: Vec<Sample> = (0..65).map(|i| test_sample(1, "scan", i)).collect();
+        {
+            let mut a = Archive::open(&dir, opts.clone(), Telemetry::new()).unwrap();
+            originals[..40].iter().for_each(|s| a.append(s).unwrap());
+            a.seal().unwrap();
+            assert_eq!(segment_files(&dir).len(), 1);
+            // Newer rows, still in the memtable, fill the budget.
+            originals[40..].iter().for_each(|s| a.append(s).unwrap());
+            assert!(a.compact_now().unwrap());
+            assert_eq!(a.stats().segments, 0);
+            assert_eq!(segment_files(&dir), Vec::new(), "the retired file is gone");
+        }
+        let a = Archive::open(&dir, opts, Telemetry::new()).unwrap();
+        let got: Vec<Sample> = a.scan_ou("scan").collect();
+        assert_eq!(got.len(), 25, "no retired row comes back");
+        assert!(got.iter().zip(&originals[40..]).all(|(g, w)| g.bits_eq(w)));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -6,16 +6,14 @@
 //! rather than silently corrupting training data. Hand-rolled because the
 //! workspace builds with no external dependencies.
 //!
-//! Every byte a scan reads goes through here. One lane consumes eight
-//! bytes per step: `TABLES[k][b]` is the CRC of byte `b` followed by `k`
-//! zero bytes, and the CRC of an 8-byte word is the XOR of eight
-//! independent lookups. A step still waits on the one before it, so an
-//! input of [`FOUR_LANES_FROM`] bytes or more is cut into four quarters
-//! whose lanes run interleaved in one loop, and the lanes are joined as
-//! zlib's `crc32_combine` does: the register is linear in its input, so
-//! `crc(a ‖ b)` is `crc(a)` times `x^(8|b|)` mod P, in GF(2), plus `b`'s
-//! own lane started from zero. Same polynomial and same values as the
-//! byte-at-a-time loop (`TABLES[0]` is its table; tails still use it).
+//! Every byte a scan reads goes through here. A lane consumes eight bytes
+//! per step: `TABLES[k][b]` is the CRC of byte `b` followed by `k` zero
+//! bytes, and a word's CRC is the XOR of eight independent lookups. Each
+//! step waits on the last, so from [`FOUR_LANES_FROM`] bytes four lanes
+//! run interleaved, one per quarter, joined as zlib's `crc32_combine`
+//! does: `crc(a ‖ b)` is `crc(a) · x^(8|b|) mod P` in GF(2) plus `b`'s
+//! lane started from zero. Same values as the byte-at-a-time loop
+//! (`TABLES[0]` is its table; tails still use it).
 
 const fn build_tables() -> [[u32; 256]; 8] {
     let mut t = [[0u32; 256]; 8];
@@ -58,16 +56,11 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     if bytes.len() < FOUR_LANES_FROM {
         return !update(!0, bytes);
     }
-    // Four lanes of whole 8-byte words; the tail continues the joined
-    // register.
+    // Four lanes of whole 8-byte words; the tail continues the joined one.
     let quarter = bytes.len() / 32 * 8;
-    let (lanes, tail) = bytes.split_at(4 * quarter);
-    let (a, rest) = lanes.split_at(quarter);
-    let (b, rest) = rest.split_at(quarter);
-    let (c, d) = rest.split_at(quarter);
+    let lane = |i: usize| bytes[i * quarter..(i + 1) * quarter].chunks_exact(8);
     let mut reg = [!0, 0, 0, 0];
-    let words =
-        (a.chunks_exact(8).zip(b.chunks_exact(8))).zip(c.chunks_exact(8).zip(d.chunks_exact(8)));
+    let words = lane(0).zip(lane(1)).zip(lane(2).zip(lane(3)));
     for ((wa, wb), (wc, wd)) in words {
         reg = [
             step(reg[0], wa),
@@ -77,10 +70,8 @@ pub fn crc32(bytes: &[u8]) -> u32 {
         ];
     }
     let shift = x_pow_8n(quarter);
-    let joined = reg[1..]
-        .iter()
-        .fold(reg[0], |acc, &lane| mul_mod_p(shift, acc) ^ lane);
-    !update(joined, tail)
+    let joined = reg[1..].iter().fold(reg[0], |c, r| mul_mod_p(shift, c) ^ r);
+    !update(joined, &bytes[4 * quarter..])
 }
 
 /// The register `c` carried over one 8-byte word: byte `k` of

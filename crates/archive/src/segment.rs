@@ -528,11 +528,10 @@ pub(crate) fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> std::
     Ok((FRAME_OVERHEAD + payload.len()) as u64)
 }
 
-/// Read the block frame the manifest entry `meta` names into `frame`
-/// (resized to fit, capacity kept) in one read of the length the entry
-/// gives, and return its payload. `None` when the frame would end past
-/// `file_len` — checked before anything is read or allocated — or its
-/// kind byte, length field or CRC disagree with the entry.
+/// Read the block frame `meta` names into `frame` in one read of the
+/// length `meta` gives, and return its payload. `None` when it would end
+/// past `file_len` (checked before reading or allocating), or its kind
+/// byte, length field or CRC disagree with `meta`.
 pub(crate) fn read_block_frame<'f>(
     f: &mut std::fs::File,
     meta: &BlockMeta,

@@ -571,12 +571,11 @@ impl Drop for Archive {
 }
 
 /// Streaming block reader: decodes one block at a time into one reused
-/// [`ColumnBatch`] (and one reused frame buffer, filled by one read of the
-/// length the block's manifest entry gives), never materializing the
-/// archive. Blocks whose frame is not their manifest entry's (kind byte,
-/// length field, OU id, row count, or past the segment's valid length),
-/// or that fail their CRC or decode (only if the file changed under us),
-/// are skipped and counted in `archive_scan_skipped_blocks_total`.
+/// [`ColumnBatch`] from one reused frame buffer, never materializing the
+/// archive. Blocks that are not their manifest entry (kind, length, OU,
+/// rows, or past the valid length) or fail their CRC or decode (only if
+/// the file changed under us) are skipped and counted in
+/// `archive_scan_skipped_blocks_total`.
 #[derive(Debug)]
 pub struct BatchScan {
     /// `(path, valid file length)` of every segment the plan touches.
@@ -600,10 +599,7 @@ impl BatchScan {
     /// The most rows the scan lends: every planned block's manifest count,
     /// each capped at what one block can hold, plus the memtable tails.
     pub fn rows(&self) -> u64 {
-        let blocks = self
-            .plan
-            .iter()
-            .map(|(_, b)| b.count.min(MAX_COLUMN_VALUES));
+        let blocks = self.plan.iter().map(|p| p.1.count.min(MAX_COLUMN_VALUES));
         let tails = self.tail.iter().map(|t| t.len() as u64);
         blocks.chain(tails).fold(0, u64::saturating_add)
     }

@@ -86,25 +86,20 @@ impl Points {
         self.templates.push(template);
     }
 
-    /// Append one point per row of an archived `batch` (template,
-    /// elapsed time and feature columns), its input row the features then
-    /// `context`, as [`crate::input_values`] lays it out. Each column grows
-    /// once per batch; a row is two copies.
+    /// Append one point per row of an archived `batch`, its input row the
+    /// features then `context` as [`crate::input_values`] lays it out.
     pub(crate) fn push_archived(&mut self, batch: &ColumnBatch, context: [f64; 2]) {
-        let features = batch.features();
-        self.values
-            .reserve(features.flat().len() + context.len() * batch.len());
+        let (features, values) = (batch.features(), &mut self.values);
+        values.reserve(features.flat().len() + context.len() * batch.len());
         self.ends.reserve(batch.len());
         for row in features.rows() {
-            self.values
-                .extend(row.iter().map(|&bits| f64::from_bits(bits)));
-            self.values.extend_from_slice(&context);
-            self.ends.push(self.values.len());
+            values.extend(row.iter().map(|&v| f64::from_bits(v)));
+            values.extend_from_slice(&context);
+            self.ends.push(values.len());
         }
-        self.targets_ns
-            .extend(batch.elapsed_ns().iter().map(|&ns| ns as f64));
-        self.templates
-            .extend(batch.template().iter().map(|&t| t as u32));
+        let (targets, templates) = (batch.elapsed_ns().iter(), batch.template().iter());
+        self.targets_ns.extend(targets.map(|&ns| ns as f64));
+        self.templates.extend(templates.map(|&t| t as u32));
     }
 
     /// Append a copy of `p`.

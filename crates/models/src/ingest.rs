@@ -10,7 +10,7 @@
 use tscout_archive::{Archive, BatchScan, Projection};
 
 use crate::dataset::OuData;
-use crate::{context_values, largest_first};
+use crate::largest_first;
 
 /// The columns a labeled point is made of.
 const TRAINING_COLUMNS: Projection = Projection {
@@ -50,7 +50,7 @@ fn finish_ou((mut data, mut scan): (OuData, BatchScan), context: [f64; 2]) -> Ou
 /// like the driver's `build_datasets`; an OU the archive lends no rows
 /// of has none.
 pub fn datasets_from_archive(archive: &Archive, clock_ghz: f64, concurrency: usize) -> Vec<OuData> {
-    let context = context_values(clock_ghz, concurrency as f64);
+    let context = [clock_ghz, concurrency as f64];
     let start = |name: &String| start(archive, name, context);
     let started: Vec<_> = archive.ou_names().iter().filter_map(start).collect();
     largest_first(started, |(_, scan)| scan.rows(), |s| finish_ou(s, context))
@@ -63,7 +63,7 @@ pub fn ou_data_from_archive(
     clock_ghz: f64,
     concurrency: usize,
 ) -> OuData {
-    let context = context_values(clock_ghz, concurrency as f64);
+    let context = [clock_ghz, concurrency as f64];
     let started = start(archive, ou_name, context);
     started.map_or_else(|| OuData::new(ou_name), |s| finish_ou(s, context))
 }

@@ -70,12 +70,7 @@ pub fn input_values(
     clock_ghz: f64,
     concurrency: f64,
 ) -> impl Iterator<Item = f64> {
-    features.chain(context_values(clock_ghz, concurrency))
-}
-
-/// The context columns that close every input row, in order.
-pub(crate) fn context_values(clock_ghz: f64, concurrency: f64) -> [f64; 2] {
-    [clock_ghz, concurrency]
+    features.chain([clock_ghz, concurrency])
 }
 
 /// `job` on every item on one scoped worker per CPU (the caller among

@@ -67,11 +67,10 @@ impl Regressor for Ridge {
         if x.is_empty() {
             return;
         }
-        let d = x[0].len() + 1; // + bias
-                                // The upper triangle of XᵀX, row-major in one buffer, and Xᵀy, from
-                                // one reused row padded (or cut) to `d - 1` features plus the bias.
-                                // Each entry sums its products in row order, as a nested loop would.
-        let mut upper = vec![0.0; d * (d + 1) / 2];
+        // XᵀX's upper triangle and Xᵀy, each entry summed in row order, from
+        // one reused row: the features padded (or cut) to `d - 1`, the bias.
+        let d = x[0].len() + 1;
+        let mut xtx = vec![vec![0.0; d]; d];
         let mut xty = vec![0.0; d];
         let mut aug = vec![0.0; d];
         aug[d - 1] = 1.0;
@@ -79,22 +78,16 @@ impl Regressor for Ridge {
             let width = row.len().min(d - 1);
             aug[..width].copy_from_slice(&row[..width]);
             aug[width..d - 1].fill(0.0);
-            let mut at = 0;
             for (i, &ai) in aug.iter().enumerate() {
-                let entries = &mut upper[at..at + d - i];
-                for (entry, &aj) in entries.iter_mut().zip(&aug[i..]) {
+                for (entry, &aj) in xtx[i][i..].iter_mut().zip(&aug[i..]) {
                     *entry += ai * aj;
                 }
                 xty[i] += ai * target;
-                at += d - i;
             }
         }
-        // XᵀX + λI, mirrored.
-        let mut xtx = vec![vec![0.0; d]; d];
-        let mut entries = upper.into_iter();
         for i in 0..d {
-            for (j, entry) in (i..d).zip(entries.by_ref()) {
-                (xtx[i][j], xtx[j][i]) = (entry, entry);
+            for j in 0..i {
+                xtx[i][j] = xtx[j][i];
             }
             xtx[i][i] += self.lambda;
         }
@@ -158,7 +151,7 @@ mod tests {
         w.iter().map(|v| v.to_bits()).collect()
     }
 
-    /// The flat upper-triangle fit against the nested-`Vec` reference:
+    /// The padded-row fit against the per-entry [`feature`] reference:
     /// ragged random rows — short, long and empty, a first row of each
     /// width — and the `linear_ou` data the gate tests use.
     #[test]

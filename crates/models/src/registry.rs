@@ -171,17 +171,19 @@ impl ModelRegistry {
     /// `data`'s points; nothing is copied.
     pub fn retrain_split(&mut self, data: &[OuData], holdout_every: usize) -> SwapDecision {
         let every = holdout_every.max(2);
-        let side = |rows: fn(usize, usize) -> Vec<usize>| -> Vec<OuSubset<'_>> {
-            (data.iter())
+        let side = |held_out: bool| -> Vec<OuSubset<'_>> {
+            data.iter()
                 .map(|d| OuSubset {
                     data: d,
-                    rows: rows(d.len(), every),
+                    rows: if held_out {
+                        (every - 1..d.len()).step_by(every).collect()
+                    } else {
+                        (0..d.len()).filter(|i| (i + 1) % every != 0).collect()
+                    },
                 })
                 .collect()
         };
-        let train = side(|n, every| (0..n).filter(|i| (i + 1) % every != 0).collect());
-        let holdout = side(|n, every| (every - 1..n).step_by(every).collect());
-        self.retrain_from(&train, &holdout)
+        self.retrain_from(&side(false), &side(true))
     }
 }
 
