@@ -71,6 +71,11 @@ if git grep -n 'struct TrainingPoint' -- crates; then
   echo "FAIL: a second owned training row is back; the Processor emits archive::Sample"; exit 1
 fi
 
+echo "== compaction is a pure merge: no retention policy, retired-sample metric or compacted trace outcome comes back under crates/ =="
+if git grep -nE 'retention_per_ou|SAMPLES_RETIRED|samples_retired|on_compacted|trace_compacted|TraceOutcome::Compacted' -- crates; then
+  echo "FAIL: archive retention is back; the archive keeps every row it is given"; exit 1
+fi
+
 # Everything below writes its artifacts here, never into results/.
 TS_RESULTS=$(mktemp -d)
 export TS_RESULTS

@@ -1,13 +1,10 @@
-//! Compaction: merge runs of small sealed segments and enforce the
-//! per-OU retention budget.
+//! Compaction: merge runs of small sealed segments into one.
 //!
+//! Compaction is a pure merge: every row of the run is written back.
 //! Only a *contiguous run of sealed segments starting at the oldest* is
 //! ever merged, so per-OU append order is preserved: the merged segment
-//! takes the run's place and every surviving sample keeps its position
-//! relative to the untouched newer segments. Retention drops the
-//! **oldest** samples of an over-budget OU — and since the run being
-//! compacted is the oldest data in the archive, retirement never has to
-//! touch newer segments.
+//! takes the run's place and every sample keeps its position relative to
+//! the untouched newer segments.
 //!
 //! Crash safety: the merged segment is written to a synced `.tmp` and
 //! renamed to `seg-{first:06}-{last:06}.tsa`, the span of sequence numbers
@@ -76,8 +73,7 @@ impl Archive {
         self.compaction_requested = true;
     }
 
-    /// Force-compact every sealed segment at the head of the archive
-    /// (test hook and retention enforcement point).
+    /// Force-compact every sealed segment at the head of the archive.
     pub fn compact_now(&mut self) -> Result<bool, ArchiveError> {
         let run = self.segments.iter().take_while(|s| s.sealed).count();
         if run == 0 {
@@ -86,11 +82,10 @@ impl Archive {
         self.compact_run(run)
     }
 
-    /// Merge `segments[..run]` into one segment, applying retention.
+    /// Merge `segments[..run]` into one segment.
     fn compact_run(&mut self, run: usize) -> Result<bool, ArchiveError> {
-        // Gather per-OU rows from the run, oldest first, as columns:
-        // `(rows, leading rows retention retires)`.
-        let mut per_ou: BTreeMap<u16, (ColumnBatch, usize)> = BTreeMap::new();
+        // Gather per-OU rows from the run, oldest first, as columns.
+        let mut per_ou: BTreeMap<u16, ColumnBatch> = BTreeMap::new();
         let (mut frame, mut block) = (Vec::new(), ColumnBatch::default());
         for seg in &self.segments[..run] {
             let mut f = File::open(&seg.path)?;
@@ -108,61 +103,18 @@ impl Archive {
                 }
                 per_ou
                     .entry(block.ou().ou)
-                    .or_insert_with(|| (ColumnBatch::for_ou(block.ou().clone()), 0))
-                    .0
+                    .or_insert_with(|| ColumnBatch::for_ou(block.ou().clone()))
                     .extend_from(&block);
             }
-        }
-
-        // Retention: budget is per OU across the *whole* archive; newer
-        // segments and memtables count first, the oldest (gathered) data
-        // absorbs the retirement.
-        if self.opts.retention_per_ou != usize::MAX {
-            let mut newer: BTreeMap<u16, usize> = BTreeMap::new();
-            for seg in &self.segments[run..] {
-                for b in &seg.blocks {
-                    *newer.entry(b.ou).or_default() += b.count as usize;
-                }
-            }
-            for (ou, n) in self.memtable_sizes() {
-                *newer.entry(ou).or_default() += n;
-            }
-            let mut retired = 0u64;
-            for (ou, (rows, drop_n)) in &mut per_ou {
-                let elsewhere = newer.get(ou).copied().unwrap_or(0);
-                let keep = self.opts.retention_per_ou.saturating_sub(elsewhere);
-                if rows.len() > keep {
-                    *drop_n = rows.len() - keep;
-                    retired += *drop_n as u64;
-                    self.metrics
-                        .ou_retired
-                        .at(&self.telemetry, *ou as usize, || &rows.ou().name)
-                        .add(*drop_n as u64);
-                }
-            }
-            if retired > 0 {
-                self.metrics.retired.get(&self.telemetry).add(retired);
-            }
-        }
-        per_ou.retain(|_, (rows, drop_n)| rows.len() > *drop_n);
-
-        let mut inputs: Vec<PathBuf> = self.segments[..run]
-            .iter()
-            .map(|s| s.path.clone())
-            .collect();
-        if per_ou.is_empty() {
-            // Everything retired: the run simply disappears.
-            self.finish_compaction(run, None);
-            for p in &inputs {
-                std::fs::remove_file(p)?;
-            }
-            return Ok(true);
         }
 
         let seqs = (self.segments[0].seqs.0, self.segments[run - 1].seqs.1);
         let path = crate::store::seg_path(&self.dir, seqs);
         // A run of one renames over its own input, which must stay.
-        inputs.retain(|p| *p != path);
+        let inputs: Vec<PathBuf> = (self.segments[..run].iter())
+            .map(|s| s.path.clone())
+            .filter(|p| *p != path)
+            .collect();
 
         let (bytes, ous, blocks) = write_merged(&path, &per_ou, self.opts.memtable_flush_samples)?;
         self.metrics.bytes_written.get(&self.telemetry).add(bytes);
@@ -174,7 +126,12 @@ impl Archive {
             ous,
             blocks,
         };
-        self.finish_compaction(run, Some(merged));
+        self.segments.splice(..run, [merged]);
+        self.metrics
+            .segments_compacted
+            .get(&self.telemetry)
+            .add(run as u64);
+        self.publish_segments();
         // The rename reaches the disk before any input leaves it, so a
         // reopen finds the merged segment and drops whatever inputs a
         // crash or a failed remove left.
@@ -184,30 +141,14 @@ impl Archive {
         }
         Ok(true)
     }
-
-    /// Replace `segments[..run]` with the merged result (if any) and
-    /// update telemetry.
-    fn finish_compaction(&mut self, run: usize, merged: Option<SegmentMeta>) {
-        let mut rest = self.segments.split_off(run);
-        self.metrics
-            .segments_compacted
-            .get(&self.telemetry)
-            .add(self.segments.len() as u64);
-        self.segments.clear();
-        if let Some(m) = merged {
-            self.segments.push(m);
-        }
-        self.segments.append(&mut rest);
-        self.publish_segments();
-    }
 }
 
-/// Write `per_ou`'s kept rows, chunked per OU, as a sealed segment at
+/// Write `per_ou`'s rows, chunked per OU, as a sealed segment at
 /// `path` through a synced `.tmp`, removed on failure. Returns its length,
 /// directory and manifest.
 fn write_merged(
     path: &Path,
-    per_ou: &BTreeMap<u16, (ColumnBatch, usize)>,
+    per_ou: &BTreeMap<u16, ColumnBatch>,
     flush_samples: usize,
 ) -> Result<(u64, Vec<OuEntry>, Vec<BlockMeta>), ArchiveError> {
     let tmp = path.with_extension("tmp");
@@ -223,8 +164,8 @@ fn write_merged(
         let mut offset = HEADER_LEN;
         let mut blocks: Vec<BlockMeta> = Vec::new();
         let mut ous: Vec<OuEntry> = Vec::new();
-        for (rows, drop_n) in per_ou.values() {
-            for part in rows.chunks(*drop_n, chunk) {
+        for rows in per_ou.values() {
+            for part in rows.chunks(chunk) {
                 let payload = part.encode();
                 blocks.push(part.meta(offset, payload.len()));
                 offset += write_frame(&mut f, FRAME_BLOCK, &payload)?;
@@ -341,9 +282,10 @@ mod tests {
 
     /// A crash at each point of a compaction — after the rename (the
     /// inputs all still there), during the removes (some of them), before
-    /// the rename (the merged segment still a `.tmp`) — and a crash in a
-    /// later compaction that merges an already-merged segment: each
-    /// reopen reads every row exactly once.
+    /// the rename (the merged segment still a `.tmp`) — a crash in a
+    /// later compaction that merges an already-merged segment, and a run
+    /// of one compacted over its own name: each reopen reads every row
+    /// exactly once.
     #[test]
     fn a_compaction_cut_short_anywhere_leaves_every_row_once() {
         let dir = tmp_dir("crash");
@@ -395,61 +337,15 @@ mod tests {
         drop(a);
         restore(&before);
         reopens_with_every_row_once(&dir, &originals);
-        assert_eq!(segment_files(&dir).len(), 1);
-        std::fs::remove_dir_all(&dir).ok();
-    }
+        let merged = segment_files(&dir);
+        assert_eq!(merged.len(), 1);
 
-    #[test]
-    fn retention_drops_oldest_beyond_budget() {
-        let dir = tmp_dir("retention");
-        let opts = ArchiveOptions {
-            retention_per_ou: 200,
-            ..small_opts()
-        };
-        let t = Telemetry::new();
-        let mut a = Archive::open(&dir, opts, t.clone()).unwrap();
-        let originals: Vec<Sample> = (0..1_000).map(|i| test_sample(1, "scan", i)).collect();
-        for s in &originals {
-            a.append(s.clone()).unwrap();
-        }
-        a.seal().unwrap();
+        let mut a = Archive::open(&dir, small_opts(), Telemetry::new()).unwrap();
+        assert_eq!(a.stats().segments, 1);
         assert!(a.compact_now().unwrap());
-        let got: Vec<Sample> = a.scan_ou("scan").collect();
-        assert_eq!(got.len(), 200, "retention keeps exactly the budget");
-        // The survivors are the *newest* 200, still in order.
-        for (g, w) in got.iter().zip(&originals[800..]) {
-            assert!(g.bits_eq(w));
-        }
-        assert_eq!(t.counter_value("archive_samples_retired_total", &[]), 800);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    /// A run of one segment that retention retires whole leaves the
-    /// disk too, so a reopen does not bring its rows back.
-    #[test]
-    fn a_wholly_retired_run_of_one_is_gone_after_reopen() {
-        let dir = tmp_dir("retire_one");
-        let opts = ArchiveOptions {
-            retention_per_ou: 20,
-            segment_max_bytes: 1 << 20,
-            ..small_opts()
-        };
-        let originals: Vec<Sample> = (0..65).map(|i| test_sample(1, "scan", i)).collect();
-        {
-            let mut a = Archive::open(&dir, opts.clone(), Telemetry::new()).unwrap();
-            originals[..40].iter().for_each(|s| a.append(s).unwrap());
-            a.seal().unwrap();
-            assert_eq!(segment_files(&dir).len(), 1);
-            // Newer rows, still in the memtable, fill the budget.
-            originals[40..].iter().for_each(|s| a.append(s).unwrap());
-            assert!(a.compact_now().unwrap());
-            assert_eq!(a.stats().segments, 0);
-            assert_eq!(segment_files(&dir), Vec::new(), "the retired file is gone");
-        }
-        let a = Archive::open(&dir, opts, Telemetry::new()).unwrap();
-        let got: Vec<Sample> = a.scan_ou("scan").collect();
-        assert_eq!(got.len(), 25, "no retired row comes back");
-        assert!(got.iter().zip(&originals[40..]).all(|(g, w)| g.bits_eq(w)));
+        drop(a);
+        reopens_with_every_row_once(&dir, &originals);
+        assert_eq!(segment_files(&dir), merged, "rewritten byte for byte");
         std::fs::remove_dir_all(&dir).ok();
     }
 

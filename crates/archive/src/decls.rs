@@ -12,8 +12,6 @@ tscout_telemetry::declare_metrics! {
         "Bytes persisted to archive segment files";
     pub(crate) SAMPLES_APPENDED: Counter = "archive_samples_appended_total",
         "Samples appended to the training-data archive";
-    pub SAMPLES_RETIRED: Counter = "archive_samples_retired_total",
-        "Samples dropped by compaction's retention policy";
     pub(crate) SCAN_SKIPPED_BLOCKS: Counter = "archive_scan_skipped_blocks_total",
-        "Unreadable or corrupt column blocks skipped by a scan";
+        "Unreadable or corrupt column blocks skipped at open or by a scan";
 }

@@ -3,9 +3,9 @@
 //! TScout's Processor "archives training data for OU-level behavior
 //! models" (paper §3.2). This crate is that archive: an **append-only,
 //! segmented, columnar per-OU sample store** with bounded write-side
-//! memory, background compaction, per-OU retention, and crash recovery —
-//! the durable stage between the Collector→Processor pipeline and model
-//! training.
+//! memory, background compaction and crash recovery — the durable stage
+//! between the Collector→Processor pipeline and model training. It keeps
+//! every row it is given.
 //!
 //! Layout (SciTS-style segmented time series):
 //!
@@ -15,11 +15,14 @@
 //!   column, CRC32-framed) into the active segment file.
 //! * Segments **seal** with a footer manifest once large enough; sealed
 //!   segments are immutable.
-//! * **Compaction** merges runs of small sealed segments and applies the
-//!   per-OU retention budget (oldest samples beyond it are retired).
+//! * **Compaction** merges runs of small sealed segments into one,
+//!   writing back every row in per-OU append order.
 //! * **Recovery**: opening a directory tolerates torn/truncated tails —
-//!   the file is truncated back to its last CRC-valid frame and the
-//!   event is counted in `archive_recovered_truncations_total`.
+//!   the file is truncated back to its last whole frame and the event is
+//!   counted in `archive_recovered_truncations_total`. A whole frame that
+//!   fails its CRC or decode is stepped over and counted in
+//!   `archive_scan_skipped_blocks_total`; a segment of an unknown format
+//!   version is refused, not touched.
 //! * **Scans** stream the archive back block-by-block (never
 //!   materializing it) as [`ColumnBatch`]es — one block decoder
 //!   ([`ColumnBatch::decode`]) refilling one reused set of column
@@ -112,9 +115,6 @@ pub struct ArchiveOptions {
     pub compact_fanin: usize,
     /// A sealed segment below this size is a compaction candidate.
     pub small_segment_bytes: u64,
-    /// Retention budget: newest samples kept per OU across the whole
-    /// archive (`usize::MAX` = keep everything). Enforced at compaction.
-    pub retention_per_ou: usize,
 }
 
 impl Default for ArchiveOptions {
@@ -125,14 +125,13 @@ impl Default for ArchiveOptions {
             segment_max_bytes: 1 << 20,
             compact_fanin: 4,
             small_segment_bytes: 1 << 19,
-            retention_per_ou: usize::MAX,
         }
     }
 }
 
 /// Archive errors. Corruption inside segment files is *recovered*, not
-/// errored — `Corrupt` only surfaces for unusable directories or blocks
-/// that a manifest points at but cannot be decoded.
+/// errored — `Corrupt` only surfaces for a segment of an unknown format
+/// version, or blocks that a manifest points at but cannot be decoded.
 #[derive(Debug)]
 pub enum ArchiveError {
     Io(std::io::Error),

@@ -14,10 +14,12 @@
 //! column-wise (see [`crate::encode`]). A **footer** is written once at
 //! seal time and carries the manifest: an OU directory and one entry per
 //! block (offset, length, OU, count, start-time range) so readers can
-//! plan a scan without touching block payloads. Files without a valid
-//! footer — a crash before seal, or a torn tail — are recovered by
-//! scanning frames from the start and truncating at the first invalid
-//! one; per-frame CRCs make that cut exact.
+//! plan a scan without touching block payloads. `open` scans every file's
+//! frames from the start: a torn frame header (a length past the file or
+//! `MAX_FRAME_LEN`, or an unknown kind) ends the valid prefix and is
+//! truncated, a whole frame that fails its CRC or decode is stepped over
+//! and counted, and a file missing its footer is resealed. A file whose
+//! version byte is not `VERSION` is refused, not touched.
 
 use std::io::{Read, Seek, SeekFrom, Write};
 
@@ -330,14 +332,10 @@ impl ColumnBatch {
         }
     }
 
-    /// Rows `skip..` of a fully populated batch as consecutive runs of
-    /// at most `chunk` rows, each ready to be written as one block.
-    pub(crate) fn chunks(&self, skip: usize, chunk: usize) -> impl Iterator<Item = BlockRows<'_>> {
-        let mut row = skip.min(self.rows);
-        let mut flat_at = [0usize; 3];
-        for (at, col) in flat_at.iter_mut().zip(&self.var) {
-            *at = col.lens[..row].iter().sum::<u64>() as usize;
-        }
+    /// The rows of a fully populated batch as consecutive runs of at
+    /// most `chunk` rows, each ready to be written as one block.
+    pub(crate) fn chunks(&self, chunk: usize) -> impl Iterator<Item = BlockRows<'_>> {
+        let (mut row, mut flat_at) = (0, [0usize; 3]);
         std::iter::from_fn(move || {
             if row >= self.rows {
                 return None;
@@ -556,15 +554,17 @@ pub(crate) fn read_block_frame<'f>(
 
 /// Read the frame at `offset` into `payload` (resized to fit, capacity
 /// kept), its length taken from the frame: recovery's reader, which has
-/// no manifest. Returns `(kind, next_offset)`, or `None` if the frame is
-/// truncated, oversized, or fails its CRC — i.e. the valid portion of
-/// the file ends before `offset + frame`; `payload` is then unspecified.
+/// no manifest. Returns `(kind, next_offset, intact)`, or `None` if the
+/// header is torn — the frame is truncated, oversized or of an unknown
+/// kind, i.e. the valid portion of the file ends before `offset + frame`.
+/// A whole frame that fails its CRC comes back with `intact` false, to be
+/// stepped over; `payload` is then unspecified.
 pub(crate) fn read_frame(
     f: &mut std::fs::File,
     offset: u64,
     file_len: u64,
     payload: &mut Vec<u8>,
-) -> Result<Option<(u8, u64)>, ArchiveError> {
+) -> Result<Option<(u8, u64, bool)>, ArchiveError> {
     if offset.saturating_add(FRAME_OVERHEAD as u64) > file_len {
         return Ok(None);
     }
@@ -586,10 +586,7 @@ pub(crate) fn read_frame(
     let (body, crc) = payload.split_at(len as usize);
     let intact = crc32(body) == u32::from_le_bytes([crc[0], crc[1], crc[2], crc[3]]);
     payload.truncate(len as usize);
-    if !intact {
-        return Ok(None);
-    }
-    Ok(Some((kind, next)))
+    Ok(Some((kind, next, intact)))
 }
 
 #[cfg(test)]
@@ -623,7 +620,7 @@ mod tests {
 
     fn encode(samples: &[Sample]) -> Vec<u8> {
         let batch = batch_of(samples);
-        let mut blocks = batch.chunks(0, usize::MAX);
+        let mut blocks = batch.chunks(usize::MAX);
         let payload = blocks.next().expect("one block").encode();
         assert!(blocks.next().is_none());
         payload
@@ -695,11 +692,11 @@ mod tests {
             })
             .collect();
         let batch = batch_of(&samples);
-        for (skip, chunk) in [(0, 7), (13, 7), (49, 1), (50, 7), (90, 7), (5, usize::MAX)] {
+        for chunk in [7, 1, usize::MAX] {
             let mut back = Vec::new();
             let mut block = ColumnBatch::default();
-            for rows in batch.chunks(skip, chunk) {
-                let at = back.len() + skip;
+            for rows in batch.chunks(chunk) {
+                let at = back.len();
                 let payload = rows.encode();
                 let want = &samples[at..(at + chunk.min(50)).min(50)];
                 assert_eq!(payload, reference_encode(7, 0, "seq_scan", want));
@@ -707,9 +704,8 @@ mod tests {
                 block.decode(&payload, Projection::ALL).unwrap();
                 back.extend(samples_of(&block));
             }
-            let want = &samples[skip.min(50)..];
-            assert_eq!(back.len(), want.len(), "skip {skip} chunk {chunk}");
-            assert!(back.iter().zip(want).all(|(a, b)| a.bits_eq(b)));
+            assert_eq!(back.len(), samples.len(), "chunk {chunk}");
+            assert!(back.iter().zip(&samples).all(|(a, b)| a.bits_eq(b)));
         }
     }
 
@@ -927,11 +923,20 @@ mod tests {
         let len = std::fs::metadata(&path).unwrap().len();
         let mut f = std::fs::File::open(&path).unwrap();
         let mut p = vec![0xAA; 3]; // stale contents, wrong size
-        let (kind, next) = read_frame(&mut f, 0, len, &mut p).unwrap().unwrap();
+        let (kind, next, intact) = read_frame(&mut f, 0, len, &mut p).unwrap().unwrap();
         assert_eq!((kind, p.as_slice(), next), (FRAME_BLOCK, &payload[..], len));
-        // Flip one payload byte on disk: frame must fail its CRC.
+        assert!(intact);
+        // Flip one payload byte on disk: the frame fails its CRC but
+        // stays whole, so recovery can step over it.
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[7] ^= 1;
+        std::fs::write(&path, &bytes).unwrap();
+        let mut f = std::fs::File::open(&path).unwrap();
+        let read = read_frame(&mut f, 0, len, &mut p).unwrap();
+        assert_eq!(read, Some((FRAME_BLOCK, len, false)));
+        // A length past the file or an unknown kind is a torn header.
+        assert!(read_frame(&mut f, 0, len - 1, &mut p).unwrap().is_none());
+        bytes[0] = 3;
         std::fs::write(&path, &bytes).unwrap();
         let mut f = std::fs::File::open(&path).unwrap();
         assert!(read_frame(&mut f, 0, len, &mut p).unwrap().is_none());

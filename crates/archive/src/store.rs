@@ -8,8 +8,8 @@ use std::path::{Path, PathBuf};
 
 use tscout_telemetry::decls::{
     ARCHIVE_BUFFERED_SAMPLES, ARCHIVE_OU_BLOCKS, ARCHIVE_OU_BYTES_WRITTEN,
-    ARCHIVE_OU_SAMPLES_APPENDED, ARCHIVE_OU_SAMPLES_RETIRED, ARCHIVE_RECOVERED_TRUNCATIONS,
-    ARCHIVE_SEGMENTS, ARCHIVE_SEGMENTS_COMPACTED, ARCHIVE_SEGMENTS_SEALED,
+    ARCHIVE_OU_SAMPLES_APPENDED, ARCHIVE_RECOVERED_TRUNCATIONS, ARCHIVE_SEGMENTS,
+    ARCHIVE_SEGMENTS_COMPACTED, ARCHIVE_SEGMENTS_SEALED,
 };
 use tscout_telemetry::{CounterSite, CounterVec, GaugeSite, Telemetry};
 
@@ -70,8 +70,6 @@ pub(crate) struct ArchiveMetrics {
     segments_sealed: CounterSite,
     pub(crate) segments_compacted: CounterSite,
     recovered_truncations: CounterSite,
-    pub(crate) retired: CounterSite,
-    pub(crate) ou_retired: CounterVec,
 }
 
 impl ArchiveMetrics {
@@ -88,8 +86,6 @@ impl ArchiveMetrics {
             segments_sealed: ARCHIVE_SEGMENTS_SEALED.site(&[]),
             segments_compacted: ARCHIVE_SEGMENTS_COMPACTED.site(&[]),
             recovered_truncations: ARCHIVE_RECOVERED_TRUNCATIONS.site(&[]),
-            retired: decls::SAMPLES_RETIRED.site(&[]),
-            ou_retired: ARCHIVE_OU_SAMPLES_RETIRED.vec("ou"),
         }
     }
 }
@@ -202,13 +198,17 @@ impl Archive {
             .set(self.segments.len() as f64);
     }
 
-    /// Scan one segment file frame-by-frame, truncating at the first
-    /// invalid frame. Returns `None` (file deleted) if nothing valid
-    /// remains. Any recovered unsealed segment is resealed so that all
-    /// on-disk segments are immutable after open. Every block is decoded
-    /// in full into `block` (scratch, like `payload`, reused from segment
-    /// to segment), so the manifest lists only blocks a scan under any
-    /// projection can decode.
+    /// Scan one segment file frame-by-frame, truncating at the first torn
+    /// frame header (a length past the file or the cap, or an unknown
+    /// kind). A whole frame that fails its CRC or decode is stepped over:
+    /// it is left out of the manifest, and a block is counted in
+    /// `archive_scan_skipped_blocks_total`. Returns `None` (file deleted)
+    /// if nothing valid remains, and `Corrupt` (file untouched) for a
+    /// format version this build does not know. Any recovered unsealed
+    /// segment is resealed so that all on-disk segments are immutable
+    /// after open. Every block is decoded in full into `block` (scratch,
+    /// like `payload`, reused from segment to segment), so the manifest
+    /// lists only blocks a scan under any projection can decode.
     fn recover_segment(
         &mut self,
         seqs: (u64, u64),
@@ -219,7 +219,7 @@ impl Archive {
         let mut f = OpenOptions::new().read(true).write(true).open(path)?;
         let file_len = f.metadata()?.len();
         // Header check: a file too short or with a wrong magic holds no
-        // recoverable data.
+        // recoverable data; one of another version is not ours to cut.
         let mut valid_to = 0u64;
         let mut header_ok = false;
         if file_len >= HEADER_LEN {
@@ -227,7 +227,14 @@ impl Archive {
             let mut head = [0u8; HEADER_LEN as usize];
             f.seek(SeekFrom::Start(0))?;
             f.read_exact(&mut head)?;
-            header_ok = &head[..4] == MAGIC && head[4] == VERSION;
+            header_ok = &head[..4] == MAGIC;
+            if header_ok && head[4] != VERSION {
+                return Err(ArchiveError::Corrupt(format!(
+                    "{} has format version {}, this build reads {VERSION}",
+                    path.display(),
+                    head[4]
+                )));
+            }
         }
         let mut ous: Vec<OuEntry> = Vec::new();
         let mut blocks: Vec<BlockMeta> = Vec::new();
@@ -235,26 +242,19 @@ impl Archive {
         if header_ok {
             valid_to = HEADER_LEN;
             let mut offset = HEADER_LEN;
-            while let Some((kind, next)) = read_frame(&mut f, offset, file_len, payload)? {
-                match kind {
-                    FRAME_BLOCK => {
-                        if block.decode(payload, Projection::ALL).is_none() {
-                            break; // CRC-valid but undecodable: stop here
-                        }
+            while let Some((kind, next, intact)) = read_frame(&mut f, offset, file_len, payload)? {
+                // The manifest is advisory; the frame scan here is
+                // authoritative. A valid footer as the final frame marks
+                // the segment sealed; a damaged frame is stepped over.
+                footer_at_end = kind == FRAME_FOOTER && intact && decode_footer(payload).is_some();
+                if kind == FRAME_BLOCK {
+                    if intact && block.decode(payload, Projection::ALL).is_some() {
                         blocks.push(block.meta(offset, payload.len()));
                         if !ous.iter().any(|o| o.ou == block.ou().ou) {
                             ous.push(block.ou().clone());
                         }
-                        footer_at_end = false;
-                    }
-                    _ => {
-                        if decode_footer(payload).is_none() {
-                            break;
-                        }
-                        // The manifest is advisory; the frame scan above is
-                        // authoritative. A valid footer as the final frame
-                        // marks the segment sealed.
-                        footer_at_end = true;
+                    } else {
+                        decls::SCAN_SKIPPED_BLOCKS.with(&self.telemetry, &[]).inc();
                     }
                 }
                 valid_to = next;
@@ -375,7 +375,7 @@ impl Archive {
     /// segment's manifest moves only once the frame is fully written.
     fn write_block(&mut self, mt: &ColumnBatch) -> Result<u64, ArchiveError> {
         let rows = mt
-            .chunks(0, usize::MAX)
+            .chunks(usize::MAX)
             .next()
             .expect("a memtable holds at least the row that created it");
         self.ensure_active()?;
@@ -475,14 +475,6 @@ impl Archive {
     /// Samples currently buffered in memtables (`archive_buffered_samples`).
     pub fn buffered_samples(&self) -> usize {
         self.buffered
-    }
-
-    /// Per-OU memtable occupancy (compaction's retention accounting).
-    pub(crate) fn memtable_sizes(&self) -> Vec<(u16, usize)> {
-        self.memtables
-            .iter()
-            .map(|(ou, mt)| (*ou, mt.len()))
-            .collect()
     }
 
     /// Every OU name the archive has seen (segments + memtables).
@@ -913,6 +905,47 @@ mod tests {
         assert_eq!(survivors.len(), 80);
         assert!(survivors[40].bits_eq(&test_sample(1, "scan", 80)));
         assert_eq!(skipped(), 2, "and so does the full scan");
+
+        // A reopen steps over the damaged block and keeps the one after
+        // it: the same 80 survivors, and the file is not cut.
+        drop(a);
+        let t = Telemetry::new();
+        let a = Archive::open(&dir, ArchiveOptions::default(), t.clone()).unwrap();
+        let reopened: Vec<Sample> = a.scan_all().collect();
+        assert_eq!(reopened.len(), 80);
+        assert!(reopened.iter().zip(&survivors).all(|(g, w)| g.bits_eq(w)));
+        assert_eq!(std::fs::read(&a.segments[0].path).unwrap(), bytes);
+        let counted = [
+            "archive_scan_skipped_blocks_total",
+            "archive_recovered_truncations_total",
+        ]
+        .map(|name| t.counter_value(name, &[]));
+        assert_eq!(counted, [1, 0], "skipped once at open, never truncated");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A segment of a format version this build does not know is
+    /// refused, byte for byte as it was, not cut as a torn file.
+    #[test]
+    fn an_unknown_version_is_refused_and_left_untouched() {
+        let dir = tmp_dir("version");
+        {
+            let mut a = Archive::open(&dir, ArchiveOptions::default(), Telemetry::new()).unwrap();
+            for i in 0..40 {
+                a.append(test_sample(1, "scan", i)).unwrap();
+            }
+        }
+        let path = seg_path(&dir, (0, 0));
+        let mut bytes = std::fs::read(&path).unwrap();
+        assert_eq!(bytes[4], VERSION);
+        bytes[4] = 2;
+        std::fs::write(&path, &bytes).unwrap();
+        let err = Archive::open(&dir, ArchiveOptions::default(), Telemetry::new()).unwrap_err();
+        assert!(
+            matches!(&err, ArchiveError::Corrupt(m) if m.contains("seg-000000.tsa")),
+            "{err}"
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1014,7 +1047,7 @@ mod tests {
         let lost = || t.counter_value("archive_append_errors_total", &[]);
         // The buffered count and gauge are the rows the memtables hold.
         let buffered_is_held = |a: &Archive| {
-            let held: usize = a.memtable_sizes().iter().map(|(_, n)| n).sum();
+            let held: usize = a.memtables.values().map(ColumnBatch::len).sum();
             assert_eq!(a.buffered_samples(), held);
             assert_eq!(t.gauge_value("archive_buffered_samples", &[]), held as f64);
             assert!(held <= opts.max_buffered_samples);

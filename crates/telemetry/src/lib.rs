@@ -334,11 +334,6 @@ impl Telemetry {
         self.traced(|t| t.lifecycle_complete(now_ns, generation))
     }
 
-    /// Compaction retention retired `n` archived samples.
-    pub fn trace_compacted(&self, n: u64, now_ns: f64) {
-        self.traced(|t| t.on_compacted(n, now_ns));
-    }
-
     /// Exact trace accounting (see [`TraceStats`]).
     pub fn trace_stats(&self) -> TraceStats {
         self.lock().tracer().stats()

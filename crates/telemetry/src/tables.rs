@@ -312,7 +312,7 @@ pub const TABLES: &[Table] = &[
         },
     },
     // One row per OU stored in the training-data archive: samples
-    // appended/retired, blocks and bytes written. The archive-global
+    // appended, blocks and bytes written. The archive-global
     // segment and recovery counters repeat on every row, so a single
     // scan answers both per-OU and whole-archive questions.
     Table {
@@ -321,7 +321,6 @@ pub const TABLES: &[Table] = &[
         columns: &[
             ("ou", Text),
             ("samples_appended", Int),
-            ("samples_retired", Int),
             ("blocks", Int),
             ("bytes_written", Int),
             ("segments", Int),
@@ -331,14 +330,13 @@ pub const TABLES: &[Table] = &[
             ("recovered_truncations", Int),
         ],
         rows: |r| {
-            const PER_OU: [&str; 4] = [
+            const PER_OU: [&str; 3] = [
                 decls::ARCHIVE_OU_SAMPLES_APPENDED.name,
-                decls::ARCHIVE_OU_SAMPLES_RETIRED.name,
                 decls::ARCHIVE_OU_BLOCKS.name,
                 decls::ARCHIVE_OU_BYTES_WRITTEN.name,
             ];
             // OUs are discovered from the per-OU labeled counters the
-            // archive records at append/flush/retention time.
+            // archive records at append and flush time.
             let mut ous: Vec<&str> = PER_OU
                 .iter()
                 .flat_map(|name| r.counter_family(name))
@@ -759,10 +757,11 @@ mod tests {
         assert_eq!(rows[0][0], text("probe"));
         assert_eq!(rows[1][0], text("scan"));
         assert_eq!(rows[1][1], Cell::Int(5));
-        assert_eq!(rows[1][3], Cell::Int(1));
+        assert_eq!(rows[1][2], Cell::Int(1));
         for row in &rows {
-            assert_eq!(row[5], Cell::Int(4));
-            assert_eq!(row[7], Cell::Int(3));
+            assert_eq!(row.len(), 9);
+            assert_eq!(row[4], Cell::Int(4));
+            assert_eq!(row[6], Cell::Int(3));
         }
     }
 }

@@ -98,9 +98,6 @@ pub enum TraceOutcome {
     Delivered,
     /// The sample was lost (ring overwrite, reset, backlog, decode).
     Lost,
-    /// The sample reached the archive but was retired by compaction
-    /// retention before reaching a model.
-    Compacted,
 }
 
 impl TraceOutcome {
@@ -108,7 +105,6 @@ impl TraceOutcome {
         match self {
             TraceOutcome::Delivered => "delivered",
             TraceOutcome::Lost => "lost",
-            TraceOutcome::Compacted => "compacted",
         }
     }
 }
@@ -208,8 +204,8 @@ impl Trace {
 pub struct TraceStats {
     /// TraceIds assigned at marker fire time.
     pub started: u64,
-    /// Traces that reached a terminal outcome (delivered, lost, or
-    /// compacted) with full stage lineage.
+    /// Traces that reached a terminal outcome (delivered or lost) with
+    /// full stage lineage.
     pub completed: u64,
     /// Traces abandoned before completion (in-flight table overflow).
     pub dropped: u64,
@@ -505,23 +501,6 @@ impl Tracer {
             }
         }
         n
-    }
-
-    /// Compaction retention retired `n` of the oldest archived samples:
-    /// the oldest parked traces terminate as compacted.
-    pub fn on_compacted(&mut self, n: u64, now_ns: f64) {
-        for _ in 0..n {
-            self.reap_parked();
-            let Some(id) = self.parked.pop_front() else {
-                return;
-            };
-            if let Some(mut t) = self.active.remove(&id) {
-                if let Some(last) = t.stages.last_mut() {
-                    last.exit_ns = last.exit_ns.max(now_ns);
-                }
-                self.finish(t, TraceOutcome::Compacted);
-            }
-        }
     }
 
     /// Pop the oldest live id for a key, skipping ids whose trace was

@@ -318,27 +318,14 @@ impl ModelLifecycle {
                 appended,
                 self.archive.buffered_samples() as u64,
             );
-            let retired_before = kernel
-                .telemetry
-                .counter_value(tscout_archive::decls::SAMPLES_RETIRED.name, &[]);
             let _ = self.archive.flush();
             let _ = self.archive.maybe_compact();
-            let now = kernel.now(task);
             kernel.telemetry.trace_lifecycle_stamp(
                 tscout_telemetry::Stage::SegmentSeal,
                 appended,
-                now,
+                kernel.now(task),
                 0,
             );
-            // Compaction retention retires the oldest archived samples:
-            // their traces terminate as compacted rather than delivered.
-            let retired = kernel
-                .telemetry
-                .counter_value(tscout_archive::decls::SAMPLES_RETIRED.name, &[])
-                .saturating_sub(retired_before);
-            if retired > 0 {
-                kernel.telemetry.trace_compacted(retired, now);
-            }
         }
         let _frame = kernel.profile_frame(task, &decls::MODELS_RETRAIN);
         let start = kernel.now(task);

@@ -5,7 +5,7 @@
 //! columns left out, and `datasets_from_archive` builds what folding
 //! `Sample`s built — names, order, feature bits, targets, templates —
 //! on archives with awkward shapes: NaN / −0.0 features, empty vectors,
-//! several OUs, many segments, compaction with retention, an unflushed
+//! several OUs, many segments, compaction, an unflushed
 //! memtable tail, one OU name under two OU ids, an OU that exists only in
 //! the memtable tail.
 
@@ -200,7 +200,6 @@ fn batch_rows_and_datasets_match_the_sample_scan_on_awkward_archives() {
             segment_max_bytes: 8 * 1024, // many segments
             compact_fanin: 3,
             small_segment_bytes: 64 * 1024,
-            retention_per_ou: 700,
         };
         let mut rng = StdRng::seed_from_u64(seed);
         let mut archive = Archive::open(&dir, opts.clone(), Telemetry::new()).unwrap();
@@ -212,14 +211,16 @@ fn batch_rows_and_datasets_match_the_sample_scan_on_awkward_archives() {
         assert!(archive.stats().segments > 3, "{:?}", archive.stats());
         check_read_paths("multi-segment with tail", &archive);
 
-        // Compaction under retention: the oldest rows of each OU go.
+        // Compaction is a pure merge: all 4 000 rows stay, per OU in
+        // append order.
         archive.seal().unwrap();
+        let mut sealed: Vec<Sample> = archive.scan_all().collect();
         assert!(archive.compact_now().unwrap());
-        let retired = archive
-            .telemetry
-            .counter_value("archive_samples_retired_total", &[]);
-        assert!(retired > 0, "retention should have retired rows");
-        assert_eq!(archive.scan_all().count() as u64, 4_000 - retired);
+        let mut compacted: Vec<Sample> = archive.scan_all().collect();
+        assert_eq!(compacted.len(), 4_000);
+        sealed.sort_by_key(|s| s.ou);
+        compacted.sort_by_key(|s| s.ou);
+        assert_same_samples("compacted", &compacted, &sealed);
         for i in 4_000..4_100 {
             archive.append(random_sample(&mut rng, i)).unwrap();
         }

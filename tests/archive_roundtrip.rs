@@ -6,7 +6,8 @@
 //!    order, across randomized shapes (vector lengths, float payloads
 //!    including NaN, segment rollovers);
 //! 2. crash recovery — corrupting the tail segment at every byte offset
-//!    must never lose the valid prefix, and recovery is counted;
+//!    must never lose the valid prefix, and recovery is counted; a
+//!    damaged block costs only that block's rows;
 //! 3. the model hot-swap gate — a regressed candidate is rejected and
 //!    the live generation is unchanged; a good one is then accepted.
 
@@ -98,9 +99,10 @@ fn torn_tail_recovers_valid_prefix_at_every_corruption_offset() {
         ..Default::default()
     };
     let mut rng = StdRng::seed_from_u64(7);
+    let originals: Vec<Sample> = (0..100).map(|_| random_sample(&mut rng, 1)).collect();
     let mut a = Archive::open(&dir, opts.clone(), Telemetry::new()).unwrap();
-    for _ in 0..100 {
-        a.append(random_sample(&mut rng, 1)).unwrap();
+    for s in &originals {
+        a.append(s).unwrap();
     }
     a.seal().unwrap();
     drop(a);
@@ -131,16 +133,47 @@ fn torn_tail_recovers_valid_prefix_at_every_corruption_offset() {
         // next offset.
         std::fs::write(&seg, &pristine).unwrap();
     }
+    // Each frame of the pristine file: (offset, kind). Blocks 0..4 hold
+    // 25 rows each, then the footer.
+    let mut frames = Vec::new();
+    let mut at = 5;
+    while at < pristine.len() {
+        frames.push((at, pristine[at]));
+        at += 9 + u32::from_le_bytes(pristine[at + 1..at + 5].try_into().unwrap()) as usize;
+    }
+    assert_eq!(
+        frames.iter().map(|f| f.1).collect::<Vec<_>>(),
+        [1, 1, 1, 1, 2]
+    );
+    let mut damaged_blocks = [false; 4];
     for off in (5..pristine.len()).step_by(131) {
         let mut bad = pristine.clone();
         bad[off] ^= 0xFF;
         std::fs::write(&seg, &bad).unwrap();
         let a = Archive::open(&dir, opts.clone(), Telemetry::new()).unwrap();
-        let n = a.scan_all().count();
-        assert!(n <= 100, "corruption at {off} can never add samples");
+        let got: Vec<Sample> = a.scan_all().collect();
+        let k = frames.iter().rposition(|f| f.0 <= off).unwrap();
+        let (start, kind) = frames[k];
+        if kind == 1 && off >= start + 5 {
+            // A flip in block k's payload or CRC costs that block alone.
+            damaged_blocks[k] = true;
+            let others = (originals.iter().enumerate()).filter(|(i, _)| i / 25 != k);
+            assert_eq!(got.len(), 75, "flip at {off} in block {k}");
+            assert!(got.iter().zip(others).all(|(g, (_, w))| g.bits_eq(w)));
+        } else {
+            // A flip in a frame header ends the valid prefix there; the
+            // footer is advisory, so damage to it costs nothing.
+            assert!(
+                got.len() <= 100,
+                "corruption at {off} can never add samples"
+            );
+            assert!(kind == 1 || got.len() == 100, "flip at {off} in the footer");
+            assert!(got.iter().zip(&originals).all(|(g, w)| g.bits_eq(w)));
+        }
         drop(a);
         std::fs::write(&seg, &pristine).unwrap();
     }
+    assert_eq!(damaged_blocks, [true; 4], "every block is flipped once");
     // Pristine file still yields everything.
     let a = Archive::open(&dir, opts, Telemetry::new()).unwrap();
     assert_eq!(a.scan_all().count(), 100);
