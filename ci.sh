@@ -76,6 +76,11 @@ if git grep -nE 'retention_per_ou|SAMPLES_RETIRED|samples_retired|on_compacted|t
   echo "FAIL: archive retention is back; the archive keeps every row it is given"; exit 1
 fi
 
+echo "== a segment is its blocks: no footer manifest codec, reseal flag or per-block start_ns range comes back under crates/ =="
+if git grep -nE 'encode_footer|decode_footer|footer_at_end|min_start_ns|max_start_ns' -- crates; then
+  echo "FAIL: the footer manifest is back; the frames are the manifest"; exit 1
+fi
+
 # Everything below writes its artifacts here, never into results/.
 TS_RESULTS=$(mktemp -d)
 export TS_RESULTS

@@ -19,8 +19,8 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use crate::segment::{
-    encode_footer, read_block_frame, write_frame, BlockMeta, ColumnBatch, OuEntry, Projection,
-    FRAME_BLOCK, FRAME_FOOTER, HEADER_LEN, MAGIC, VERSION,
+    read_block_frame, write_frame, BlockMeta, ColumnBatch, OuEntry, Projection, FRAME_BLOCK,
+    HEADER_LEN, MAGIC, VERSION,
 };
 use crate::store::SegmentMeta;
 use crate::{Archive, ArchiveError};
@@ -84,8 +84,9 @@ impl Archive {
 
     /// Merge `segments[..run]` into one segment.
     fn compact_run(&mut self, run: usize) -> Result<bool, ArchiveError> {
-        // Gather per-OU rows from the run, oldest first, as columns.
-        let mut per_ou: BTreeMap<u16, ColumnBatch> = BTreeMap::new();
+        // Gather per-OU rows from the run, oldest first, as columns. An
+        // OU is its whole entry: one id under two names is two OUs.
+        let mut per_ou: BTreeMap<OuEntry, ColumnBatch> = BTreeMap::new();
         let (mut frame, mut block) = (Vec::new(), ColumnBatch::default());
         for seg in &self.segments[..run] {
             let mut f = File::open(&seg.path)?;
@@ -102,7 +103,7 @@ impl Archive {
                     )));
                 }
                 per_ou
-                    .entry(block.ou().ou)
+                    .entry(block.ou().clone())
                     .or_insert_with(|| ColumnBatch::for_ou(block.ou().clone()))
                     .extend_from(&block);
             }
@@ -148,7 +149,7 @@ impl Archive {
 /// directory and manifest.
 fn write_merged(
     path: &Path,
-    per_ou: &BTreeMap<u16, ColumnBatch>,
+    per_ou: &BTreeMap<OuEntry, ColumnBatch>,
     flush_samples: usize,
 ) -> Result<(u64, Vec<OuEntry>, Vec<BlockMeta>), ArchiveError> {
     let tmp = path.with_extension("tmp");
@@ -172,8 +173,6 @@ fn write_merged(
             }
             ous.push(rows.ou().clone());
         }
-        let footer = encode_footer(&ous, &blocks);
-        offset += write_frame(&mut f, FRAME_FOOTER, &footer)?;
         f.sync_all()?;
         std::fs::rename(&tmp, path)?;
         Ok((offset, ous, blocks))

@@ -1,10 +1,10 @@
 //! CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320): slicing-by-8
 //! on four lanes at once.
 //!
-//! Every block and footer frame in a segment file carries a CRC over its
-//! payload so torn writes and bit rot are detected at open/scan time
-//! rather than silently corrupting training data. Hand-rolled because the
-//! workspace builds with no external dependencies.
+//! Every block frame in a segment file carries a CRC over its payload, so
+//! torn writes and bit rot are detected at open/scan time rather than
+//! silently corrupting training data. Hand-rolled because the workspace
+//! builds with no external dependencies.
 //!
 //! Every byte a scan reads goes through here. A lane consumes eight bytes
 //! per step: `TABLES[k][b]` is the CRC of byte `b` followed by `k` zero

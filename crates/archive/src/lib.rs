@@ -10,13 +10,16 @@
 //! Layout (SciTS-style segmented time series):
 //!
 //! * [`Sample`]s, the one owned training row, are appended (owned or
-//!   borrowed) to **per-OU memtables**; a memtable flush encodes one
-//!   columnar block (delta+varint or frame-of-reference bit-packed per
-//!   column, CRC32-framed) into the active segment file.
-//! * Segments **seal** with a footer manifest once large enough; sealed
-//!   segments are immutable.
+//!   borrowed) to **per-OU memtables**, one per OU id holding one OU
+//!   name's rows; a memtable flush encodes one columnar block
+//!   (delta+varint or frame-of-reference bit-packed per column,
+//!   CRC32-framed) into the active segment file.
+//! * Segments **seal** once large enough: a sealed segment takes no more
+//!   blocks and is never rewritten. The blocks are the manifest; a
+//!   segment has no footer.
 //! * **Compaction** merges runs of small sealed segments into one,
-//!   writing back every row in per-OU append order.
+//!   writing back every row in per-OU append order; an OU is its
+//!   [`OuEntry`] (id and name), so one id under two names stays two OUs.
 //! * **Recovery**: opening a directory tolerates torn/truncated tails —
 //!   the file is truncated back to its last whole frame and the event is
 //!   counted in `archive_recovered_truncations_total`. A whole frame that

@@ -1,31 +1,30 @@
-//! Segment file format: framed columnar blocks plus a footer manifest.
+//! Segment file format: a header and a sequence of framed columnar blocks.
 //!
 //! A segment file is an append-only sequence of CRC-framed records:
 //!
 //! ```text
-//! file   := magic "TSAR" , u8 version (1) , frame* , [footer frame]
-//! frame  := u8 kind (1=block | 2=footer)
+//! file   := magic "TSAR" , u8 version (1) , frame*
+//! frame  := u8 kind (1=block | 2=legacy footer)
 //!         , u32le payload_len
 //!         , payload
 //!         , u32le crc32(payload)
 //! ```
 //!
 //! A **block** holds one OU's samples from one memtable flush, stored
-//! column-wise (see [`crate::encode`]). A **footer** is written once at
-//! seal time and carries the manifest: an OU directory and one entry per
-//! block (offset, length, OU, count, start-time range) so readers can
-//! plan a scan without touching block payloads. `open` scans every file's
-//! frames from the start: a torn frame header (a length past the file or
-//! `MAX_FRAME_LEN`, or an unknown kind) ends the valid prefix and is
-//! truncated, a whole frame that fails its CRC or decode is stepped over
-//! and counted, and a file missing its footer is resealed. A file whose
-//! version byte is not `VERSION` is refused, not touched.
+//! column-wise (see [`crate::encode`]); its header names the OU (id and
+//! name), the row count and the rows' `start_ns` range. The frames are
+//! the manifest: `open` scans every file's frames from the start and
+//! decodes each block in full. A torn frame header (a length past the
+//! file or `MAX_FRAME_LEN`, or an unknown kind) ends the valid prefix and
+//! is truncated; a whole frame that fails its CRC or decode is stepped
+//! over and counted. Earlier builds ended a sealed segment with a footer
+//! frame (kind 2); it is a known kind that recovery steps over unread, so
+//! their archives open unchanged. A file whose version byte is not
+//! `VERSION` is refused, not touched.
 
 use std::io::{Read, Seek, SeekFrom, Write};
 
-use crate::encode::{
-    get_column, get_varint, put_column, put_varint, skip_column, MAX_COLUMN_VALUES,
-};
+use crate::encode::{get_column, get_varint, put_column, put_varint, skip_column};
 use crate::{crc32::crc32, ArchiveError, Sample};
 
 /// File magic ("TScout ARchive").
@@ -34,7 +33,8 @@ pub(crate) const MAGIC: &[u8; 4] = b"TSAR";
 pub(crate) const VERSION: u8 = 1;
 /// Frame kind: columnar sample block.
 pub(crate) const FRAME_BLOCK: u8 = 1;
-/// Frame kind: seal footer (manifest).
+/// Frame kind: the footer manifest earlier builds wrote at seal; read
+/// past, never written.
 pub(crate) const FRAME_FOOTER: u8 = 2;
 /// Bytes of frame overhead around a payload (kind + len + crc).
 pub(crate) const FRAME_OVERHEAD: usize = 1 + 4 + 4;
@@ -52,27 +52,11 @@ pub struct BlockMeta {
     pub payload_len: u32,
     pub ou: u16,
     pub count: u64,
-    pub min_start_ns: u64,
-    pub max_start_ns: u64,
 }
 
-impl BlockMeta {
-    /// The entry of a block of `ou` whose rows start at `start_ns`,
-    /// written as the frame at `offset` with `payload_len` payload bytes.
-    fn of(ou: u16, start_ns: &[u64], offset: u64, payload_len: usize) -> BlockMeta {
-        BlockMeta {
-            offset,
-            payload_len: payload_len as u32,
-            ou,
-            count: start_ns.len() as u64,
-            min_start_ns: start_ns.iter().copied().min().unwrap_or(0),
-            max_start_ns: start_ns.iter().copied().max().unwrap_or(0),
-        }
-    }
-}
-
-/// One OU's identity as recorded in the segment (directory entry).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// One OU's identity as every block header records it: id, subsystem
+/// and name together, so one id under two names is two OUs.
+#[derive(Debug, Clone, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub struct OuEntry {
     pub ou: u16,
     pub subsystem: u8,
@@ -271,10 +255,15 @@ impl ColumnBatch {
         &self.var[USER_METRICS]
     }
 
-    /// The manifest entry of this batch (with `start_ns` projected) as
-    /// the block whose frame is at `offset`.
+    /// The manifest entry of this batch as the block whose frame is at
+    /// `offset` with `payload_len` payload bytes.
     pub(crate) fn meta(&self, offset: u64, payload_len: usize) -> BlockMeta {
-        BlockMeta::of(self.ou.ou, self.start_ns(), offset, payload_len)
+        BlockMeta {
+            offset,
+            payload_len: payload_len as u32,
+            ou: self.ou.ou,
+            count: self.rows as u64,
+        }
     }
 
     pub(crate) fn clear(&mut self) {
@@ -423,20 +412,25 @@ impl BlockRows<'_> {
     /// The manifest entry of these rows written as the frame at
     /// `offset` with `payload_len` payload bytes.
     pub(crate) fn meta(&self, offset: u64, payload_len: usize) -> BlockMeta {
-        BlockMeta::of(self.ou.ou, self.fixed[START_NS], offset, payload_len)
+        BlockMeta {
+            offset,
+            payload_len: payload_len as u32,
+            ou: self.ou.ou,
+            count: self.fixed[START_NS].len() as u64,
+        }
     }
 
     /// Encode these rows as a block payload.
     pub(crate) fn encode(&self) -> Vec<u8> {
-        let meta = self.meta(0, 0);
-        let mut out = Vec::with_capacity(64 + meta.count as usize * 16);
+        let start_ns = self.fixed[START_NS];
+        let mut out = Vec::with_capacity(64 + start_ns.len() * 16);
         put_varint(&mut out, self.ou.ou as u64);
         out.push(self.ou.subsystem);
         put_varint(&mut out, self.ou.name.len() as u64);
         out.extend_from_slice(self.ou.name.as_bytes());
-        put_varint(&mut out, meta.count);
-        put_varint(&mut out, meta.min_start_ns);
-        put_varint(&mut out, meta.max_start_ns);
+        put_varint(&mut out, start_ns.len() as u64);
+        put_varint(&mut out, start_ns.iter().copied().min().unwrap_or(0));
+        put_varint(&mut out, start_ns.iter().copied().max().unwrap_or(0));
         for col in self.fixed {
             put_column(&mut out, col);
         }
@@ -446,75 +440,6 @@ impl BlockRows<'_> {
         }
         out
     }
-}
-
-/// Encode the footer manifest payload.
-pub(crate) fn encode_footer(ous: &[OuEntry], blocks: &[BlockMeta]) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_varint(&mut out, ous.len() as u64);
-    for o in ous {
-        put_varint(&mut out, o.ou as u64);
-        out.push(o.subsystem);
-        put_varint(&mut out, o.name.len() as u64);
-        out.extend_from_slice(o.name.as_bytes());
-    }
-    put_varint(&mut out, blocks.len() as u64);
-    for b in blocks {
-        put_varint(&mut out, b.offset);
-        put_varint(&mut out, b.payload_len as u64);
-        put_varint(&mut out, b.ou as u64);
-        put_varint(&mut out, b.count);
-        put_varint(&mut out, b.min_start_ns);
-        put_varint(&mut out, b.max_start_ns);
-    }
-    out
-}
-
-/// Decode a footer manifest payload. `None` ⇒ corrupt or out of range.
-pub(crate) fn decode_footer(payload: &[u8]) -> Option<(Vec<OuEntry>, Vec<BlockMeta>)> {
-    let mut pos = 0usize;
-    let n_ous = get_varint(payload, &mut pos)?;
-    if n_ous > payload.len() as u64 {
-        return None;
-    }
-    let n_ous = n_ous as usize;
-    let mut ous = Vec::with_capacity(n_ous);
-    for _ in 0..n_ous {
-        let ou = u16::try_from(get_varint(payload, &mut pos)?).ok()?;
-        let subsystem = *payload.get(pos)?;
-        pos += 1;
-        let len = usize::try_from(get_varint(payload, &mut pos)?).ok()?;
-        let end = pos.checked_add(len)?;
-        let name = std::str::from_utf8(payload.get(pos..end)?)
-            .ok()?
-            .to_string();
-        pos = end;
-        ous.push(OuEntry {
-            ou,
-            subsystem,
-            name,
-        });
-    }
-    let n_blocks = get_varint(payload, &mut pos)?;
-    if n_blocks > payload.len() as u64 {
-        return None;
-    }
-    let n_blocks = n_blocks as usize;
-    let mut blocks = Vec::with_capacity(n_blocks);
-    for _ in 0..n_blocks {
-        blocks.push(BlockMeta {
-            offset: get_varint(payload, &mut pos)?,
-            payload_len: u32::try_from(get_varint(payload, &mut pos)?).ok()?,
-            ou: u16::try_from(get_varint(payload, &mut pos)?).ok()?,
-            count: Some(get_varint(payload, &mut pos)?).filter(|&n| n <= MAX_COLUMN_VALUES)?,
-            min_start_ns: get_varint(payload, &mut pos)?,
-            max_start_ns: get_varint(payload, &mut pos)?,
-        });
-    }
-    if pos != payload.len() {
-        return None;
-    }
-    Some((ous, blocks))
 }
 
 /// Append one frame to `w`; returns bytes written.
@@ -832,82 +757,6 @@ mod tests {
         }
         let payload = [header(7, 4, b"scan", 2), wrap].concat();
         assert!(batch.decode(&payload, Projection::ALL).is_none());
-    }
-
-    #[test]
-    fn footer_round_trip() {
-        let ous = vec![OuEntry {
-            ou: 1,
-            subsystem: 2,
-            name: "wal_write".into(),
-        }];
-        let blocks = vec![
-            BlockMeta {
-                offset: 5,
-                payload_len: 100,
-                ou: 1,
-                count: 10,
-                min_start_ns: 7,
-                max_start_ns: 9_000,
-            },
-            BlockMeta {
-                offset: 114,
-                payload_len: 40,
-                ou: 1,
-                count: 3,
-                min_start_ns: 10_000,
-                max_start_ns: 10_100,
-            },
-        ];
-        let payload = encode_footer(&ous, &blocks);
-        let (o2, b2) = decode_footer(&payload).unwrap();
-        assert_eq!(o2, ous);
-        assert_eq!(b2, blocks);
-    }
-
-    #[test]
-    fn hostile_footer_lengths_fail_closed() {
-        for name_len in [u64::MAX, u64::MAX - 2, 1 << 40] {
-            let mut payload = Vec::new();
-            put_varint(&mut payload, 1); // one OU
-            put_varint(&mut payload, 1);
-            payload.push(2);
-            put_varint(&mut payload, name_len);
-            payload.extend_from_slice(b"wal_write");
-            put_varint(&mut payload, 0); // no blocks
-            assert!(decode_footer(&payload).is_none(), "name_len {name_len}");
-        }
-        for count in [u64::MAX, 1 << 40] {
-            let mut payload = Vec::new();
-            put_varint(&mut payload, count);
-            assert!(decode_footer(&payload).is_none(), "{count} OUs");
-            let mut payload = Vec::new();
-            put_varint(&mut payload, 0);
-            put_varint(&mut payload, count);
-            assert!(decode_footer(&payload).is_none(), "{count} blocks");
-        }
-    }
-
-    /// A footer field beyond its type is rejected, never truncated: OU
-    /// 70 000 must not read back as OU 4 464.
-    #[test]
-    fn footer_fields_out_of_range_fail_closed() {
-        let entry = |payload_len: u64, ou: u64, count: u64| {
-            let mut payload = Vec::new();
-            put_varint(&mut payload, 0); // no OUs
-            put_varint(&mut payload, 1); // one block
-            for v in [5, payload_len, ou, count, 7, 9] {
-                put_varint(&mut payload, v);
-            }
-            decode_footer(&payload).map(|(_, blocks)| blocks[0].clone())
-        };
-        let most = entry(u32::MAX.into(), u16::MAX.into(), MAX_COLUMN_VALUES).unwrap();
-        let most = (most.payload_len, most.ou, most.count);
-        assert_eq!(most, (u32::MAX, u16::MAX, MAX_COLUMN_VALUES));
-        let (max_len, rows) = (u64::from(u32::MAX), MAX_COLUMN_VALUES);
-        for (len, ou, count) in [(9, 70_000, 1), (max_len + 1, 1, 1), (9, 1, rows + 1)] {
-            assert!(entry(len, ou, count).is_none(), "{len} {ou} {count}");
-        }
     }
 
     #[test]

@@ -15,8 +15,8 @@ use tscout_telemetry::{CounterSite, CounterVec, GaugeSite, Telemetry};
 
 use crate::encode::MAX_COLUMN_VALUES;
 use crate::segment::{
-    decode_footer, encode_footer, read_block_frame, read_frame, write_frame, BlockMeta,
-    ColumnBatch, OuEntry, Projection, FRAME_BLOCK, FRAME_FOOTER, HEADER_LEN, MAGIC, VERSION,
+    read_block_frame, read_frame, write_frame, BlockMeta, ColumnBatch, OuEntry, Projection,
+    FRAME_BLOCK, HEADER_LEN, MAGIC, VERSION,
 };
 use crate::{decls, ArchiveError, ArchiveOptions, Sample};
 
@@ -30,6 +30,7 @@ pub(crate) struct SegmentMeta {
     /// Valid bytes (file length after any recovery truncation).
     pub bytes: u64,
     pub sealed: bool,
+    /// Every distinct OU entry (id and name) its blocks hold.
     pub ous: Vec<OuEntry>,
     pub blocks: Vec<BlockMeta>,
 }
@@ -97,7 +98,7 @@ pub struct Archive {
     pub(crate) opts: ArchiveOptions,
     pub telemetry: Telemetry,
     pub(crate) metrics: ArchiveMetrics,
-    /// Per-OU write buffers, keyed by OU id.
+    /// Per-OU write buffers, keyed by OU id; each holds one name's rows.
     memtables: BTreeMap<u16, ColumnBatch>,
     buffered: usize,
     pub(crate) segments: Vec<SegmentMeta>,
@@ -135,8 +136,8 @@ fn parse_seqs(path: &Path) -> Option<(u64, u64)> {
 impl Archive {
     /// Open (or create) an archive directory, recovering from torn or
     /// truncated segment tails and from a compaction cut short. After
-    /// `open` every pre-existing segment is sealed; new appends start a
-    /// fresh segment.
+    /// `open` every pre-existing segment is sealed (it takes no more
+    /// blocks); new appends start a fresh segment.
     pub fn open(
         dir: impl Into<PathBuf>,
         opts: ArchiveOptions,
@@ -202,13 +203,13 @@ impl Archive {
     /// frame header (a length past the file or the cap, or an unknown
     /// kind). A whole frame that fails its CRC or decode is stepped over:
     /// it is left out of the manifest, and a block is counted in
-    /// `archive_scan_skipped_blocks_total`. Returns `None` (file deleted)
-    /// if nothing valid remains, and `Corrupt` (file untouched) for a
-    /// format version this build does not know. Any recovered unsealed
-    /// segment is resealed so that all on-disk segments are immutable
-    /// after open. Every block is decoded in full into `block` (scratch,
-    /// like `payload`, reused from segment to segment), so the manifest
-    /// lists only blocks a scan under any projection can decode.
+    /// `archive_scan_skipped_blocks_total`; an earlier build's footer is
+    /// stepped over unread. Returns `None` (file deleted) if nothing valid
+    /// remains, and `Corrupt` (file untouched) for a format version this
+    /// build does not know; a file is otherwise written only to cut a torn
+    /// tail. Every block is decoded in full into `block` (scratch, like
+    /// `payload`, reused from segment to segment), so the manifest lists
+    /// only blocks a scan under any projection can decode.
     fn recover_segment(
         &mut self,
         seqs: (u64, u64),
@@ -238,19 +239,14 @@ impl Archive {
         }
         let mut ous: Vec<OuEntry> = Vec::new();
         let mut blocks: Vec<BlockMeta> = Vec::new();
-        let mut footer_at_end = false;
         if header_ok {
             valid_to = HEADER_LEN;
             let mut offset = HEADER_LEN;
             while let Some((kind, next, intact)) = read_frame(&mut f, offset, file_len, payload)? {
-                // The manifest is advisory; the frame scan here is
-                // authoritative. A valid footer as the final frame marks
-                // the segment sealed; a damaged frame is stepped over.
-                footer_at_end = kind == FRAME_FOOTER && intact && decode_footer(payload).is_some();
                 if kind == FRAME_BLOCK {
                     if intact && block.decode(payload, Projection::ALL).is_some() {
                         blocks.push(block.meta(offset, payload.len()));
-                        if !ous.iter().any(|o| o.ou == block.ou().ou) {
+                        if !ous.contains(block.ou()) {
                             ous.push(block.ou().clone());
                         }
                     } else {
@@ -274,19 +270,10 @@ impl Archive {
             std::fs::remove_file(path)?;
             return Ok(None);
         }
-        let mut bytes = valid_to;
-        if !footer_at_end {
-            // Crash before seal (or the footer itself was torn): reseal in
-            // place so the segment is immutable going forward.
-            f.seek(SeekFrom::Start(valid_to))?;
-            let footer = encode_footer(&ous, &blocks);
-            bytes += write_frame(&mut f, FRAME_FOOTER, &footer)?;
-            self.metrics.segments_sealed.get(&self.telemetry).inc();
-        }
         Ok(Some(SegmentMeta {
             seqs,
             path: path.to_path_buf(),
-            bytes,
+            bytes: valid_to,
             sealed: true,
             ous,
             blocks,
@@ -297,13 +284,18 @@ impl Archive {
     /// columns either way). Routes to the per-OU memtable; flushes when
     /// the memtable or the global buffer bound fills. This is the only
     /// write-side entry point, so write-side memory is bounded by
-    /// [`ArchiveOptions::max_buffered_samples`] decoded samples. `Err`
-    /// means that flush failed: the block it was writing (this sample
-    /// and the rows buffered with it) is dropped and counted in
-    /// `archive_append_errors_total`.
+    /// [`ArchiveOptions::max_buffered_samples`] decoded samples. A
+    /// memtable holds the rows of one OU name: a sample whose name is not
+    /// that of its id's memtable flushes the memtable first, so no row is
+    /// ever stored under another OU's name. `Err` means a flush failed:
+    /// the rows of the block it was writing are dropped and counted in
+    /// `archive_append_errors_total` (this sample among them only when
+    /// the failed flush was of its own memtable).
     pub fn append(&mut self, sample: impl Borrow<Sample>) -> Result<(), ArchiveError> {
         let sample = sample.borrow();
         let ou = sample.ou;
+        let renamed = (self.memtables.get(&ou)).is_some_and(|mt| mt.ou().name != sample.ou_name);
+        let displaced = if renamed { self.flush_ou(ou) } else { Ok(()) };
         let mt = self.memtables.entry(ou).or_insert_with(|| {
             ColumnBatch::for_ou(OuEntry {
                 ou,
@@ -332,10 +324,8 @@ impl Archive {
         } else {
             None
         };
-        if let Some(ou) = full_ou {
-            self.flush_ou(ou)?;
-        }
-        Ok(())
+        let full = full_ou.map_or(Ok(()), |ou| self.flush_ou(ou));
+        displaced.and(full)
     }
 
     /// Flush one OU's memtable into the active segment as a block. The
@@ -386,7 +376,7 @@ impl Archive {
         let frame_len = write_frame(f, FRAME_BLOCK, &payload)?;
         meta.blocks.push(rows.meta(meta.bytes, payload.len()));
         meta.bytes += frame_len;
-        if !meta.ous.iter().any(|o| o.ou == mt.ou().ou) {
+        if !meta.ous.contains(mt.ou()) {
             meta.ous.push(mt.ou().clone());
         }
         Ok(frame_len)
@@ -439,35 +429,28 @@ impl Archive {
         result
     }
 
-    /// Flush, then seal the active segment with its footer manifest.
+    /// Flush, then seal the active segment: it takes no more blocks, and
+    /// the next flush starts a new one.
     pub fn seal(&mut self) -> Result<(), ArchiveError> {
         self.flush()?;
         self.seal_active()
     }
 
+    /// Close the active segment file; nothing more is written to it.
     fn seal_active(&mut self) -> Result<(), ArchiveError> {
-        let Some(mut f) = self.active.take() else {
+        if self.active.take().is_none() {
             return Ok(());
-        };
+        }
         let meta = self.segments.last_mut().expect("active meta exists");
         if meta.blocks.is_empty() {
             // Nothing flushed: drop the empty file rather than sealing it.
             let path = meta.path.clone();
             self.segments.pop();
-            drop(f);
             std::fs::remove_file(path)?;
             self.publish_segments();
             return Ok(());
         }
-        f.seek(SeekFrom::Start(meta.bytes))?;
-        let footer = encode_footer(&meta.ous, &meta.blocks);
-        let frame_len = write_frame(&mut f, FRAME_FOOTER, &footer)?;
-        meta.bytes += frame_len;
         meta.sealed = true;
-        self.metrics
-            .bytes_written
-            .get(&self.telemetry)
-            .add(frame_len);
         self.metrics.segments_sealed.get(&self.telemetry).inc();
         Ok(())
     }
@@ -535,6 +518,7 @@ impl Archive {
             files.push((seg.path.clone(), seg.bytes));
         }
         BatchScan {
+            name: ou_name.map(str::to_owned),
             files,
             plan,
             next_block: 0,
@@ -567,9 +551,13 @@ impl Drop for Archive {
 /// archive. Blocks that are not their manifest entry (kind, length, OU,
 /// rows, or past the valid length) or fail their CRC or decode (only if
 /// the file changed under us) are skipped and counted in
-/// `archive_scan_skipped_blocks_total`.
+/// `archive_scan_skipped_blocks_total`. A named scan plans every block
+/// of its name's OU ids and passes over, uncounted, those of another
+/// name under the same id.
 #[derive(Debug)]
 pub struct BatchScan {
+    /// The OU name scanned for; `None` scans every OU.
+    name: Option<String>,
     /// `(path, valid file length)` of every segment the plan touches.
     files: Vec<(PathBuf, u64)>,
     /// `(index into files, manifest entry)` per block, in order.
@@ -615,12 +603,16 @@ impl BatchScan {
     fn advance(&mut self) -> bool {
         while self.next_block < self.plan.len() {
             self.next_block += 1;
-            if self.read_block(self.next_block - 1).is_some() {
+            let read = self.read_block(self.next_block - 1).is_some();
+            let wanted = |name: &String| *name == self.block.ou().name;
+            if read && self.name.as_ref().is_none_or(wanted) {
                 return true;
             }
-            // Only reachable when a file changed underneath the scan.
             self.block.clear();
-            decls::SCAN_SKIPPED_BLOCKS.with(&self.telemetry, &[]).inc();
+            if !read {
+                // Only reachable when a file changed underneath the scan.
+                decls::SCAN_SKIPPED_BLOCKS.with(&self.telemetry, &[]).inc();
+            }
         }
         let more = self.tail_at < self.tail.len();
         self.tail_at += usize::from(more);
@@ -699,6 +691,7 @@ pub(crate) fn test_sample(ou: u16, name: &str, i: u64) -> Sample {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::FRAME_FOOTER;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("tscout_archive_{tag}_{}", std::process::id()));
@@ -800,20 +793,23 @@ mod tests {
     }
 
     #[test]
-    fn unsealed_segment_is_recovered_and_resealed() {
+    fn unsealed_segment_is_recovered_untouched() {
         let dir = tmp_dir("unsealed");
         {
             let mut a = Archive::open(&dir, ArchiveOptions::default(), Telemetry::new()).unwrap();
             for i in 0..50 {
                 a.append(test_sample(1, "scan", i)).unwrap();
             }
-            a.flush().unwrap(); // blocks on disk, no footer
+            a.flush().unwrap(); // blocks on disk
             std::mem::forget(a); // simulate crash: Drop (seal) never runs
         }
+        let path = seg_path(&dir, (0, 0));
+        let bytes = std::fs::read(&path).unwrap();
         let t = Telemetry::new();
         let a = Archive::open(&dir, ArchiveOptions::default(), t.clone()).unwrap();
         assert_eq!(a.scan_ou("scan").count(), 50);
         assert_eq!(a.stats().sealed_segments, 1);
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "open writes nothing");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -841,8 +837,150 @@ mod tests {
             1
         );
         assert_eq!(a.scan_ou("scan").count(), 100);
-        // The torn bytes are gone; the file was resealed past clean_len.
-        assert!(std::fs::metadata(&path).unwrap().len() >= clean_len as u64);
+        // The torn bytes are gone, and nothing else was written.
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), clean_len as u64);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Earlier builds ended a sealed segment with a footer frame (kind 2).
+    /// Intact or with its CRC broken, it is stepped over: every row opens,
+    /// nothing is skipped or cut, and the file is not written.
+    #[test]
+    fn an_earlier_builds_footer_is_stepped_over_and_left_untouched() {
+        use crate::encode::put_varint;
+        let originals: Vec<Sample> = (0..90).map(|i| test_sample(1, "scan", i)).collect();
+        for broken in [false, true] {
+            let dir = tmp_dir(["legacy", "legacy_broken"][usize::from(broken)]);
+            let mut a = Archive::open(&dir, ArchiveOptions::default(), Telemetry::new()).unwrap();
+            for rows in originals.chunks(30) {
+                rows.iter().for_each(|s| a.append(s).unwrap());
+                a.flush().unwrap();
+            }
+            a.seal().unwrap();
+            // The footer as they encoded it: the OU directory, then each
+            // block's offset, payload length, OU, rows and start_ns range.
+            let seg = &a.segments[0];
+            let mut footer = vec![1, 1, 1, 4];
+            footer.extend_from_slice(b"scan");
+            put_varint(&mut footer, seg.blocks.len() as u64);
+            for (b, rows) in seg.blocks.iter().zip(originals.chunks(30)) {
+                let range = [rows[0].start_ns, rows[rows.len() - 1].start_ns];
+                for v in [b.offset, b.payload_len.into(), b.ou.into(), b.count] {
+                    put_varint(&mut footer, v);
+                }
+                range.iter().for_each(|&v| put_varint(&mut footer, v));
+            }
+            let path = seg.path.clone();
+            let mut bytes = std::fs::read(&path).unwrap();
+            write_frame(&mut bytes, FRAME_FOOTER, &footer).unwrap();
+            if broken {
+                *bytes.last_mut().unwrap() ^= 1;
+            }
+            drop(a);
+            std::fs::write(&path, &bytes).unwrap();
+
+            let t = Telemetry::new();
+            let a = Archive::open(&dir, ArchiveOptions::default(), t.clone()).unwrap();
+            let got: Vec<Sample> = a.scan_all().collect();
+            assert_eq!(got.len(), originals.len(), "broken: {broken}");
+            assert!(got.iter().zip(&originals).all(|(g, w)| g.bits_eq(w)));
+            let counted = [
+                "archive_scan_skipped_blocks_total",
+                "archive_recovered_truncations_total",
+            ]
+            .map(|name| t.counter_value(name, &[]));
+            assert_eq!(counted, [0, 0], "broken: {broken}");
+            assert_eq!(a.stats().bytes, bytes.len() as u64);
+            drop(a);
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "broken: {broken}");
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
+
+    /// One OU id under two names (an OU list that changed between
+    /// builds) is two OUs. Appended interleaved, flushed apart into one
+    /// segment, and written again in a second session that is compacted
+    /// and reopened, each name's rows come back as its own, and no block
+    /// counts as damaged.
+    #[test]
+    fn one_id_under_two_names_keeps_each_names_rows() {
+        let dir = tmp_dir("renamed");
+        let t = Telemetry::new();
+        let names = ["a", "b"];
+        let mut want: [Vec<Sample>; 2] = Default::default();
+        let append = |a: &mut Archive, want: &mut [Vec<Sample>; 2], which: usize, rows| {
+            for i in rows {
+                let s = test_sample(1, names[which], i);
+                a.append(&s).unwrap();
+                want[which].push(s);
+            }
+        };
+        let each_name_has_its_rows = |a: &Archive, want: &[Vec<Sample>; 2]| {
+            assert_eq!(a.ou_names(), names);
+            for (name, want) in names.iter().zip(want) {
+                let got: Vec<Sample> = a.scan_ou(name).collect();
+                assert_eq!(got.len(), want.len(), "{name}");
+                assert!(got.iter().zip(want).all(|(g, w)| g.bits_eq(w)), "{name}");
+            }
+        };
+
+        let mut a = Archive::open(&dir, ArchiveOptions::default(), t.clone()).unwrap();
+        for i in 0..20 {
+            append(&mut a, &mut want, (i % 2) as usize, i..i + 1);
+        }
+        each_name_has_its_rows(&a, &want);
+        append(&mut a, &mut want, 0, 20..30);
+        a.flush().unwrap();
+        append(&mut a, &mut want, 1, 30..40);
+        a.seal().unwrap();
+        assert_eq!(a.stats().segments, 1);
+        each_name_has_its_rows(&a, &want);
+        drop(a);
+
+        let mut a = Archive::open(&dir, ArchiveOptions::default(), t.clone()).unwrap();
+        append(&mut a, &mut want, 1, 40..50);
+        append(&mut a, &mut want, 0, 50..60);
+        a.seal().unwrap();
+        each_name_has_its_rows(&a, &want);
+        assert!(a.compact_now().unwrap());
+        each_name_has_its_rows(&a, &want);
+        drop(a);
+        let a = Archive::open(&dir, ArchiveOptions::default(), t.clone()).unwrap();
+        each_name_has_its_rows(&a, &want);
+        assert_eq!(a.scan_all().count(), 60);
+        let counted = [
+            "archive_scan_skipped_blocks_total",
+            "archive_append_errors_total",
+        ]
+        .map(|name| t.counter_value(name, &[]));
+        assert_eq!(counted, [0, 0]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A sample that displaces its id's memtable (another name's rows)
+    /// stays buffered when that flush fails; the displaced rows are
+    /// counted lost, so the books still close.
+    #[test]
+    fn a_displacing_sample_stays_buffered_when_its_flush_fails() {
+        let dir = tmp_dir("displace");
+        let aside = tmp_dir("displace_aside");
+        let t = Telemetry::new();
+        let mut a = Archive::open(&dir, ArchiveOptions::default(), t.clone()).unwrap();
+        for i in 0..3 {
+            a.append(test_sample(1, "a", i)).unwrap();
+        }
+        std::fs::rename(&dir, &aside).unwrap();
+        let b = test_sample(1, "b", 3);
+        assert!(a.append(&b).is_err());
+        assert_eq!(t.counter_value("archive_append_errors_total", &[]), 3);
+        assert_eq!(a.buffered_samples(), 1);
+        assert_eq!(t.gauge_value("archive_buffered_samples", &[]), 1.0);
+        std::fs::rename(&aside, &dir).unwrap();
+        a.seal().unwrap();
+        drop(a);
+        let a = Archive::open(&dir, ArchiveOptions::default(), Telemetry::new()).unwrap();
+        let got: Vec<Sample> = a.scan_all().collect();
+        assert!(got.len() == 1 && got[0].bits_eq(&b));
         std::fs::remove_dir_all(&dir).ok();
     }
 

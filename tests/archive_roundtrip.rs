@@ -129,22 +129,19 @@ fn torn_tail_recovers_valid_prefix_at_every_corruption_offset() {
             "truncation at {len} must be counted"
         );
         drop(a);
-        // Recovery rewrites the file; restore the pristine image for the
+        // Recovery cuts the file; restore the pristine image for the
         // next offset.
         std::fs::write(&seg, &pristine).unwrap();
     }
     // Each frame of the pristine file: (offset, kind). Blocks 0..4 hold
-    // 25 rows each, then the footer.
+    // 25 rows each.
     let mut frames = Vec::new();
     let mut at = 5;
     while at < pristine.len() {
         frames.push((at, pristine[at]));
         at += 9 + u32::from_le_bytes(pristine[at + 1..at + 5].try_into().unwrap()) as usize;
     }
-    assert_eq!(
-        frames.iter().map(|f| f.1).collect::<Vec<_>>(),
-        [1, 1, 1, 1, 2]
-    );
+    assert_eq!(frames.iter().map(|f| f.1).collect::<Vec<_>>(), [1, 1, 1, 1]);
     let mut damaged_blocks = [false; 4];
     for off in (5..pristine.len()).step_by(131) {
         let mut bad = pristine.clone();
@@ -153,21 +150,19 @@ fn torn_tail_recovers_valid_prefix_at_every_corruption_offset() {
         let a = Archive::open(&dir, opts.clone(), Telemetry::new()).unwrap();
         let got: Vec<Sample> = a.scan_all().collect();
         let k = frames.iter().rposition(|f| f.0 <= off).unwrap();
-        let (start, kind) = frames[k];
-        if kind == 1 && off >= start + 5 {
+        let start = frames[k].0;
+        if off >= start + 5 {
             // A flip in block k's payload or CRC costs that block alone.
             damaged_blocks[k] = true;
             let others = (originals.iter().enumerate()).filter(|(i, _)| i / 25 != k);
             assert_eq!(got.len(), 75, "flip at {off} in block {k}");
             assert!(got.iter().zip(others).all(|(g, (_, w))| g.bits_eq(w)));
         } else {
-            // A flip in a frame header ends the valid prefix there; the
-            // footer is advisory, so damage to it costs nothing.
+            // A flip in a frame header ends the valid prefix there.
             assert!(
                 got.len() <= 100,
                 "corruption at {off} can never add samples"
             );
-            assert!(kind == 1 || got.len() == 100, "flip at {off} in the footer");
             assert!(got.iter().zip(&originals).all(|(g, w)| g.bits_eq(w)));
         }
         drop(a);
