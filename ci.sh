@@ -35,10 +35,11 @@ cargo build --workspace --release
 echo "== cargo test =="
 cargo test --workspace -q
 
-echo "== allocation budgets: sample path, archive read side, forest fit, lowered engine on mutated programs, NoiseTap's read path (release: the build tsbench measures) =="
+echo "== allocation budgets: sample path, archive read side, compaction (O(blocks) bytes plus one frame, nothing per row), forest fit, lowered engine on mutated programs, NoiseTap's read path (release: the build tsbench measures) =="
 # 0 allocations per marker triple, sampled or not; at most the owned
 # Sample's 4 per drained record; a column scan O(blocks), a
-# dataset build O(OUs + blocks) and nothing per point, a Forest fit one
+# dataset build O(OUs + blocks) and nothing per point, a compaction's
+# bytes O(blocks) plus one frame and nothing per row, a Forest fit one
 # per tree node + O(trees), 0 per lowered run of a mutated Collector
 # stream (which must also end in Ok or Err, as the reference does), and
 # a YCSB point read <= 6 allocations / 560 B, TPC-C's stock_level join
@@ -79,6 +80,14 @@ fi
 echo "== a segment is its blocks: no footer manifest codec, reseal flag or per-block start_ns range comes back under crates/ =="
 if git grep -nE 'encode_footer|decode_footer|footer_at_end|min_start_ns|max_start_ns' -- crates; then
   echo "FAIL: the footer manifest is back; the frames are the manifest"; exit 1
+fi
+
+echo "== compaction copies frames: one block encoder and one frame reader under crates/archive/src, and compact.rs neither decodes nor encodes =="
+if git grep -nE 'BlockRows|fn chunks|fn extend_from|read_frame\(' -- crates/archive/src; then
+  echo "FAIL: a second block encoder or frame reader is back in crates/archive"; exit 1
+fi
+if sed '/^#\[cfg(test)\]/,$d' crates/archive/src/compact.rs | grep -nE 'decode\(|encode\(|ColumnBatch'; then
+  echo "FAIL: compaction decodes or encodes a block; it copies frames"; exit 1
 fi
 
 # Everything below writes its artifacts here, never into results/.

@@ -1,6 +1,8 @@
 //! Compaction: merge runs of small sealed segments into one.
 //!
-//! Compaction is a pure merge: every row of the run is written back.
+//! Compaction is a pure merge: the merged segment is its inputs' block
+//! frames, copied byte for byte in order (each checked as a scan checks
+//! it, none decoded or re-encoded), so it holds one frame at a time.
 //! Only a *contiguous run of sealed segments starting at the oldest* is
 //! ever merged, so per-OU append order is preserved: the merged segment
 //! takes the run's place and every sample keeps its position relative to
@@ -13,15 +15,11 @@
 //! it leaves inputs inside the merged span, which `open` deletes. Either
 //! way every row is read back once, and no segment byte is rewritten.
 
-use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
+use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use crate::segment::{
-    read_block_frame, write_frame, BlockMeta, ColumnBatch, OuEntry, Projection, FRAME_BLOCK,
-    HEADER_LEN, MAGIC, VERSION,
-};
+use crate::segment::{create_segment, read_block_frame, BlockMeta, OuEntry, HEADER_LEN};
 use crate::store::SegmentMeta;
 use crate::{Archive, ArchiveError};
 
@@ -84,31 +82,6 @@ impl Archive {
 
     /// Merge `segments[..run]` into one segment.
     fn compact_run(&mut self, run: usize) -> Result<bool, ArchiveError> {
-        // Gather per-OU rows from the run, oldest first, as columns. An
-        // OU is its whole entry: one id under two names is two OUs.
-        let mut per_ou: BTreeMap<OuEntry, ColumnBatch> = BTreeMap::new();
-        let (mut frame, mut block) = (Vec::new(), ColumnBatch::default());
-        for seg in &self.segments[..run] {
-            let mut f = File::open(&seg.path)?;
-            for b in &seg.blocks {
-                let payload = read_block_frame(&mut f, b, seg.bytes, &mut frame)?;
-                if payload
-                    .and_then(|p| block.decode(p, Projection::ALL))
-                    .is_none()
-                {
-                    return Err(ArchiveError::Corrupt(format!(
-                        "block at {} in {} is unreadable under compaction",
-                        b.offset,
-                        seg.path.display()
-                    )));
-                }
-                per_ou
-                    .entry(block.ou().clone())
-                    .or_insert_with(|| ColumnBatch::for_ou(block.ou().clone()))
-                    .extend_from(&block);
-            }
-        }
-
         let seqs = (self.segments[0].seqs.0, self.segments[run - 1].seqs.1);
         let path = crate::store::seg_path(&self.dir, seqs);
         // A run of one renames over its own input, which must stay.
@@ -117,7 +90,7 @@ impl Archive {
             .filter(|p| *p != path)
             .collect();
 
-        let (bytes, ous, blocks) = write_merged(&path, &per_ou, self.opts.memtable_flush_samples)?;
+        let (bytes, ous, blocks) = write_merged(&path, &self.segments[..run])?;
         self.metrics.bytes_written.get(&self.telemetry).add(bytes);
         let merged = SegmentMeta {
             seqs,
@@ -144,36 +117,45 @@ impl Archive {
     }
 }
 
-/// Write `per_ou`'s rows, chunked per OU, as a sealed segment at
-/// `path` through a synced `.tmp`, removed on failure. Returns its length,
-/// directory and manifest.
+/// Copy every manifest frame of `run`, in order and byte for byte, into
+/// a sealed segment at `path` through a synced `.tmp`, removed on
+/// failure. One frame is held at a time, checked on the way (kind,
+/// length, valid length and CRC); one that fails is `Corrupt`. Returns
+/// the segment's length, OU list (the union of the inputs') and manifest.
 fn write_merged(
     path: &Path,
-    per_ou: &BTreeMap<OuEntry, ColumnBatch>,
-    flush_samples: usize,
+    run: &[SegmentMeta],
 ) -> Result<(u64, Vec<OuEntry>, Vec<BlockMeta>), ArchiveError> {
     let tmp = path.with_extension("tmp");
     let write = || -> Result<_, ArchiveError> {
-        let chunk = flush_samples.max(64) * 4;
-        let mut f = OpenOptions::new()
-            .create(true)
-            .truncate(true)
-            .write(true)
-            .open(&tmp)?;
-        f.write_all(MAGIC)?;
-        f.write_all(&[VERSION])?;
-        let mut offset = HEADER_LEN;
-        let mut blocks: Vec<BlockMeta> = Vec::new();
-        let mut ous: Vec<OuEntry> = Vec::new();
-        for rows in per_ou.values() {
-            for part in rows.chunks(chunk) {
-                let payload = part.encode();
-                blocks.push(part.meta(offset, payload.len()));
-                offset += write_frame(&mut f, FRAME_BLOCK, &payload)?;
+        let mut out = create_segment(&tmp)?;
+        let (mut offset, mut frame, mut ous, mut blocks) =
+            (HEADER_LEN, Vec::new(), Vec::new(), Vec::new());
+        for seg in run {
+            let mut f = File::open(&seg.path)?;
+            for b in &seg.blocks {
+                read_block_frame(&mut f, b.offset, b.payload_len, seg.bytes, &mut frame)?
+                    .ok_or_else(|| {
+                        ArchiveError::Corrupt(format!(
+                            "block at {} in {} is unreadable under compaction",
+                            b.offset,
+                            seg.path.display()
+                        ))
+                    })?;
+                out.write_all(&frame)?;
+                blocks.push(BlockMeta {
+                    offset,
+                    ..b.clone()
+                });
+                offset += frame.len() as u64;
             }
-            ous.push(rows.ou().clone());
+            for ou in &seg.ous {
+                if !ous.contains(ou) {
+                    ous.push(ou.clone());
+                }
+            }
         }
-        f.sync_all()?;
+        out.sync_all()?;
         std::fs::rename(&tmp, path)?;
         Ok((offset, ous, blocks))
     };
@@ -183,6 +165,7 @@ fn write_merged(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::segment::{write_frame, FRAME_BLOCK, FRAME_FOOTER, FRAME_OVERHEAD, MAGIC, VERSION};
     use crate::store::test_sample;
     use crate::{ArchiveOptions, Sample};
     use tscout_telemetry::Telemetry;
@@ -251,9 +234,15 @@ mod tests {
 
     /// Every segment file of `dir` and its bytes, by path.
     fn segment_files(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
+        let mut files = every_file(dir);
+        files.retain(|(p, _)| p.extension().is_some_and(|e| e == "tsa"));
+        files
+    }
+
+    /// Every file of `dir` and its bytes, by path.
+    fn every_file(dir: &Path) -> Vec<(PathBuf, Vec<u8>)> {
         let mut files: Vec<_> = (std::fs::read_dir(dir).unwrap())
             .map(|e| e.unwrap().path())
-            .filter(|p| p.extension().is_some_and(|e| e == "tsa"))
             .map(|p| (p.clone(), std::fs::read(&p).unwrap()))
             .collect();
         files.sort();
@@ -345,6 +334,109 @@ mod tests {
         drop(a);
         reopens_with_every_row_once(&dir, &originals);
         assert_eq!(segment_files(&dir), merged, "rewritten byte for byte");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The frames of a segment file's bytes, whole, in file order.
+    fn frames(bytes: &[u8]) -> Vec<&[u8]> {
+        let (mut out, mut at) = (Vec::new(), HEADER_LEN as usize);
+        while at < bytes.len() {
+            let len = u32::from_le_bytes(bytes[at + 1..at + 5].try_into().unwrap());
+            let end = at + FRAME_OVERHEAD + len as usize;
+            out.push(&bytes[at..end]);
+            at = end;
+        }
+        out
+    }
+
+    /// `rows` appended as two OUs, then sealed.
+    fn ingest(a: &mut Archive, rows: std::ops::Range<u64>) -> Vec<Sample> {
+        let samples: Vec<Sample> = rows
+            .map(|i| test_sample((i % 2) as u16, ["scan", "probe"][(i % 2) as usize], i))
+            .collect();
+        samples.iter().for_each(|s| a.append(s).unwrap());
+        a.seal().unwrap();
+        samples
+    }
+
+    /// A merged segment is the header and then its inputs' manifest
+    /// frames, in order and byte for byte. An earlier build's footer and
+    /// a damaged frame recovery stepped over are in no manifest, so
+    /// neither is copied.
+    #[test]
+    fn a_merged_segment_is_its_inputs_frames() {
+        let dir = tmp_dir("frames");
+        ingest(
+            &mut Archive::open(&dir, small_opts(), Telemetry::new()).unwrap(),
+            0..1_200,
+        );
+        let mut inputs = segment_files(&dir);
+        assert!(inputs.len() >= 3, "want a run to merge: {inputs:?}");
+        write_frame(&mut inputs[0].1, FRAME_FOOTER, b"legacy").unwrap();
+        let second = HEADER_LEN as usize + frames(&inputs[1].1)[0].len();
+        inputs[1].1[second + 8] ^= 1;
+        restore(&inputs);
+
+        let mut want = [&MAGIC[..], &[VERSION]].concat();
+        let mut copied = 0;
+        for (_, bytes) in &inputs {
+            for frame in frames(bytes) {
+                let (payload, crc) = frame[5..].split_at(frame.len() - FRAME_OVERHEAD);
+                if frame[0] == FRAME_BLOCK && crc == crate::crc32(payload).to_le_bytes() {
+                    want.extend_from_slice(frame);
+                    copied += 1;
+                }
+            }
+        }
+        let t = Telemetry::new();
+        let mut a = Archive::open(&dir, small_opts(), t.clone()).unwrap();
+        assert_eq!(t.counter_value("archive_scan_skipped_blocks_total", &[]), 1);
+        assert_eq!(a.stats().blocks, copied);
+        assert!(a.compact_now().unwrap());
+        assert_eq!(a.stats().blocks, copied);
+        drop(a);
+        let merged = segment_files(&dir);
+        assert_eq!(merged.len(), 1);
+        assert!(
+            merged[0].1 == want,
+            "the merged segment is not its inputs' frames"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A block damaged under an open archive fails its compaction closed:
+    /// `Corrupt`, and the directory is as it was (every input intact, no
+    /// `.tmp`). A reopen steps over that block, and the next compaction
+    /// keeps every other row.
+    #[test]
+    fn a_damaged_input_fails_compaction_closed_and_changes_nothing() {
+        let dir = tmp_dir("closed");
+        let mut a = Archive::open(&dir, small_opts(), Telemetry::new()).unwrap();
+        let originals = ingest(&mut a, 0..1_200);
+        assert!(a.stats().segments >= 3);
+        // A payload byte of a later input, so the `.tmp` has frames in it
+        // when the read fails.
+        let (path, victim) = (&a.segments[2].path, &a.segments[2].blocks[0]);
+        let mut bytes = std::fs::read(path).unwrap();
+        bytes[victim.offset as usize + 5 + victim.payload_len as usize / 2] ^= 1;
+        std::fs::write(path, &bytes).unwrap();
+        let lost = victim.count;
+        let before = every_file(&dir);
+        let err = a.compact_now().unwrap_err();
+        assert!(matches!(err, ArchiveError::Corrupt(_)), "{err}");
+        assert_eq!(every_file(&dir), before, "compaction changed the directory");
+        drop(a);
+
+        let t = Telemetry::new();
+        let mut a = Archive::open(&dir, small_opts(), t.clone()).unwrap();
+        let survivors: Vec<Sample> = a.scan_all().collect();
+        assert_eq!(survivors.len() as u64, originals.len() as u64 - lost);
+        assert!(a.compact_now().unwrap());
+        assert_eq!(a.stats().segments, 1);
+        let merged: Vec<Sample> = a.scan_all().collect();
+        assert_eq!(merged.len(), survivors.len());
+        assert!(merged.iter().zip(&survivors).all(|(m, s)| m.bits_eq(s)));
+        assert_eq!(t.counter_value("archive_scan_skipped_blocks_total", &[]), 1);
         std::fs::remove_dir_all(&dir).ok();
     }
 

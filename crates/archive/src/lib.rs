@@ -17,15 +17,18 @@
 //! * Segments **seal** once large enough: a sealed segment takes no more
 //!   blocks and is never rewritten. The blocks are the manifest; a
 //!   segment has no footer.
-//! * **Compaction** merges runs of small sealed segments into one,
-//!   writing back every row in per-OU append order; an OU is its
-//!   [`OuEntry`] (id and name), so one id under two names stays two OUs.
+//! * **Compaction** merges runs of small sealed segments into one by
+//!   copying their block frames byte for byte, in order, one frame at a
+//!   time: no row is decoded or re-encoded, so every row keeps its place.
+//!   An OU is its [`OuEntry`] (id and name): one id under two names is
+//!   two OUs.
 //! * **Recovery**: opening a directory tolerates torn/truncated tails —
 //!   the file is truncated back to its last whole frame and the event is
 //!   counted in `archive_recovered_truncations_total`. A whole frame that
 //!   fails its CRC or decode is stepped over and counted in
-//!   `archive_scan_skipped_blocks_total`; a segment of an unknown format
-//!   version is refused, not touched.
+//!   `archive_scan_skipped_blocks_total`. The version byte decides whether
+//!   a file is ours: a flipped magic costs nothing, and a segment of an
+//!   unknown format version is refused, not touched.
 //! * **Scans** stream the archive back block-by-block (never
 //!   materializing it) as [`ColumnBatch`]es — one block decoder
 //!   ([`ColumnBatch::decode`]) refilling one reused set of column
@@ -134,7 +137,7 @@ impl Default for ArchiveOptions {
 
 /// Archive errors. Corruption inside segment files is *recovered*, not
 /// errored — `Corrupt` only surfaces for a segment of an unknown format
-/// version, or blocks that a manifest points at but cannot be decoded.
+/// version, or a block a manifest points at that compaction cannot read.
 #[derive(Debug)]
 pub enum ArchiveError {
     Io(std::io::Error),

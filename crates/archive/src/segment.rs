@@ -13,19 +13,24 @@
 //! A **block** holds one OU's samples from one memtable flush, stored
 //! column-wise (see [`crate::encode`]); its header names the OU (id and
 //! name), the row count and the rows' `start_ns` range. The frames are
-//! the manifest: `open` scans every file's frames from the start and
-//! decodes each block in full. A torn frame header (a length past the
-//! file or `MAX_FRAME_LEN`, or an unknown kind) ends the valid prefix and
-//! is truncated; a whole frame that fails its CRC or decode is stepped
-//! over and counted. Earlier builds ended a sealed segment with a footer
-//! frame (kind 2); it is a known kind that recovery steps over unread, so
-//! their archives open unchanged. A file whose version byte is not
-//! `VERSION` is refused, not touched.
+//! the manifest. One function frames a payload ([`write_frame`];
+//! compaction copies frames whole) and one reads a block frame
+//! ([`read_block_frame`]: kind, length, bounds and CRC in one read);
+//! recovery, which knows no lengths, first reads each 5-byte head
+//! ([`read_frame_head`]). A torn head (a length past the file or
+//! `MAX_FRAME_LEN`, or an unknown kind) ends the valid prefix; a whole
+//! block frame that fails its CRC or decode is stepped over. Earlier
+//! builds ended a sealed segment with a footer frame (kind 2), a known
+//! kind stepped over unread. The version byte decides whether a file is
+//! ours: `VERSION` is read whatever the magic holds, another version
+//! under the right magic is refused, and neither is a torn creation.
 
+use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
+use std::path::Path;
 
 use crate::encode::{get_column, get_varint, put_column, put_varint, skip_column};
-use crate::{crc32::crc32, ArchiveError, Sample};
+use crate::{crc32::crc32, Sample};
 
 /// File magic ("TScout ARchive").
 pub(crate) const MAGIC: &[u8; 4] = b"TSAR";
@@ -151,11 +156,6 @@ impl VarColumn {
         self.flat.extend(row);
     }
 
-    fn extend_from(&mut self, other: &VarColumn) {
-        self.lens.extend_from_slice(&other.lens);
-        self.flat.extend_from_slice(&other.flat);
-    }
-
     /// Decode (or step over) the length column and the flat column at
     /// `*pos` of a block of `n` rows.
     fn decode(&mut self, payload: &[u8], pos: &mut usize, n: usize, wanted: bool) -> Option<()> {
@@ -186,10 +186,10 @@ const USER_METRICS: usize = 2;
 /// One block's rows as columns: the OU identity once, one `u64` column
 /// per scalar field and one [`VarColumn`] per vector field (feature
 /// values as `f64::to_bits`). It is the archive's one in-memory row
-/// container — memtables fill it by [`ColumnBatch::push`], block decode
-/// refills it in place, compaction appends blocks to it — and every
-/// buffer keeps its capacity across refills, so a scan allocates per
-/// block only while the buffers are still growing.
+/// container — memtables fill it by [`ColumnBatch::push`] and flush it
+/// as one block, block decode refills it in place — and every buffer
+/// keeps its capacity across refills, so a scan allocates per block
+/// only while the buffers are still growing.
 ///
 /// Fields are private: every projected column holds exactly
 /// [`ColumnBatch::len`] rows, a projected-out column none.
@@ -284,17 +284,6 @@ impl ColumnBatch {
         self.var[USER_METRICS].push(s.user_metrics.iter().copied());
     }
 
-    /// Append every row of `other` (fully projected, same OU).
-    pub(crate) fn extend_from(&mut self, other: &ColumnBatch) {
-        self.rows += other.rows;
-        for (mine, theirs) in self.fixed.iter_mut().zip(&other.fixed) {
-            mine.extend_from_slice(theirs);
-        }
-        for (mine, theirs) in self.var.iter_mut().zip(&other.var) {
-            mine.extend_from(theirs);
-        }
-    }
-
     /// Row `row` of a fully projected batch as an owned [`Sample`].
     /// `flat_at` is the caller's cursor into the three flat columns: all
     /// zeros before row 0, advanced here, so rows are taken in order.
@@ -321,30 +310,25 @@ impl ColumnBatch {
         }
     }
 
-    /// The rows of a fully populated batch as consecutive runs of at
-    /// most `chunk` rows, each ready to be written as one block.
-    pub(crate) fn chunks(&self, chunk: usize) -> impl Iterator<Item = BlockRows<'_>> {
-        let (mut row, mut flat_at) = (0, [0usize; 3]);
-        std::iter::from_fn(move || {
-            if row >= self.rows {
-                return None;
-            }
-            let end = row.saturating_add(chunk.max(1)).min(self.rows);
-            let mut var = [(&[][..], &[][..]); 3];
-            for ((out, at), col) in var.iter_mut().zip(&mut flat_at).zip(&self.var) {
-                let lens = &col.lens[row..end];
-                let flat_end = *at + lens.iter().sum::<u64>() as usize;
-                *out = (lens, &col.flat[*at..flat_end]);
-                *at = flat_end;
-            }
-            let fixed = [TID, TEMPLATE, START_NS, ELAPSED_NS].map(|c| &self.fixed[c][row..end]);
-            row = end;
-            Some(BlockRows {
-                ou: &self.ou,
-                fixed,
-                var,
-            })
-        })
+    /// Encode every row of a fully populated batch as one block payload.
+    pub(crate) fn encode(&self) -> Vec<u8> {
+        let start_ns = &self.fixed[START_NS];
+        let mut out = Vec::with_capacity(64 + self.rows * 16);
+        put_varint(&mut out, self.ou.ou as u64);
+        out.push(self.ou.subsystem);
+        put_varint(&mut out, self.ou.name.len() as u64);
+        out.extend_from_slice(self.ou.name.as_bytes());
+        put_varint(&mut out, self.rows as u64);
+        put_varint(&mut out, start_ns.iter().copied().min().unwrap_or(0));
+        put_varint(&mut out, start_ns.iter().copied().max().unwrap_or(0));
+        for col in &self.fixed {
+            put_column(&mut out, col);
+        }
+        for col in &self.var {
+            put_column(&mut out, &col.lens);
+            put_column(&mut out, &col.flat);
+        }
+        out
     }
 
     /// Refill this batch from a block payload, materialising the columns
@@ -399,49 +383,6 @@ impl ColumnBatch {
     }
 }
 
-/// A run of rows borrowed from a [`ColumnBatch`]: what one block holds.
-#[derive(Debug)]
-pub(crate) struct BlockRows<'a> {
-    ou: &'a OuEntry,
-    fixed: [&'a [u64]; 4],
-    /// `(lens, flat)` per vector column.
-    var: [(&'a [u64], &'a [u64]); 3],
-}
-
-impl BlockRows<'_> {
-    /// The manifest entry of these rows written as the frame at
-    /// `offset` with `payload_len` payload bytes.
-    pub(crate) fn meta(&self, offset: u64, payload_len: usize) -> BlockMeta {
-        BlockMeta {
-            offset,
-            payload_len: payload_len as u32,
-            ou: self.ou.ou,
-            count: self.fixed[START_NS].len() as u64,
-        }
-    }
-
-    /// Encode these rows as a block payload.
-    pub(crate) fn encode(&self) -> Vec<u8> {
-        let start_ns = self.fixed[START_NS];
-        let mut out = Vec::with_capacity(64 + start_ns.len() * 16);
-        put_varint(&mut out, self.ou.ou as u64);
-        out.push(self.ou.subsystem);
-        put_varint(&mut out, self.ou.name.len() as u64);
-        out.extend_from_slice(self.ou.name.as_bytes());
-        put_varint(&mut out, start_ns.len() as u64);
-        put_varint(&mut out, start_ns.iter().copied().min().unwrap_or(0));
-        put_varint(&mut out, start_ns.iter().copied().max().unwrap_or(0));
-        for col in self.fixed {
-            put_column(&mut out, col);
-        }
-        for (lens, flat) in self.var {
-            put_column(&mut out, lens);
-            put_column(&mut out, flat);
-        }
-        out
-    }
-}
-
 /// Append one frame to `w`; returns bytes written.
 pub(crate) fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> std::io::Result<u64> {
     w.write_all(&[kind])?;
@@ -451,67 +392,68 @@ pub(crate) fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> std::
     Ok((FRAME_OVERHEAD + payload.len()) as u64)
 }
 
-/// Read the block frame `meta` names into `frame` in one read of the
-/// length `meta` gives, and return its payload. `None` when it would end
+/// Create (or truncate) the segment file at `path` and write its header
+/// in one write.
+pub(crate) fn create_segment(path: &Path) -> std::io::Result<File> {
+    let mut f = OpenOptions::new()
+        .create(true)
+        .truncate(true)
+        .write(true)
+        .open(path)?;
+    let [t, s, a, r] = *MAGIC;
+    f.write_all(&[t, s, a, r, VERSION])?;
+    Ok(f)
+}
+
+/// Read the head of the frame at `offset`: its kind and payload length,
+/// or `None` if the head is torn — the frame would end past `file_len`,
+/// its length is over `MAX_FRAME_LEN`, or its kind is unknown, i.e. the
+/// valid portion of the file ends before the frame does. Recovery's
+/// reader, which has no manifest; the frame itself is read (or stepped
+/// over) by its caller.
+pub(crate) fn read_frame_head(
+    f: &mut File,
+    offset: u64,
+    file_len: u64,
+) -> std::io::Result<Option<(u8, u32)>> {
+    if offset.saturating_add(FRAME_OVERHEAD as u64) > file_len {
+        return Ok(None);
+    }
+    let mut head = [0u8; 5];
+    f.seek(SeekFrom::Start(offset))?;
+    f.read_exact(&mut head)?;
+    let [kind, len @ ..] = head;
+    let len = u32::from_le_bytes(len);
+    let end = offset + (FRAME_OVERHEAD + len as usize) as u64;
+    let whole = len <= MAX_FRAME_LEN && end <= file_len;
+    Ok(((kind == FRAME_BLOCK || kind == FRAME_FOOTER) && whole).then_some((kind, len)))
+}
+
+/// Read the block frame of `payload_len` payload bytes at `offset` into
+/// `frame` in one read, and return its payload. `None` when it would end
 /// past `file_len` (checked before reading or allocating), or its kind
-/// byte, length field or CRC disagree with `meta`.
+/// byte, length field or CRC disagree.
 pub(crate) fn read_block_frame<'f>(
-    f: &mut std::fs::File,
-    meta: &BlockMeta,
+    f: &mut File,
+    offset: u64,
+    payload_len: u32,
     file_len: u64,
     frame: &'f mut Vec<u8>,
 ) -> std::io::Result<Option<&'f [u8]>> {
-    let len = meta.payload_len as usize;
-    let end = meta.offset.checked_add((FRAME_OVERHEAD + len) as u64);
-    if meta.payload_len > MAX_FRAME_LEN || end.is_none_or(|end| end > file_len) {
+    let len = payload_len as usize;
+    let end = offset.checked_add((FRAME_OVERHEAD + len) as u64);
+    if payload_len > MAX_FRAME_LEN || end.is_none_or(|end| end > file_len) {
         return Ok(None);
     }
     frame.resize(FRAME_OVERHEAD + len, 0);
-    f.seek(SeekFrom::Start(meta.offset))?;
+    f.seek(SeekFrom::Start(offset))?;
     f.read_exact(frame)?;
     let (head, rest) = frame.split_at(5);
     let (payload, crc) = rest.split_at(len);
     let intact = head[0] == FRAME_BLOCK
-        && head[1..] == meta.payload_len.to_le_bytes()
+        && head[1..] == payload_len.to_le_bytes()
         && crc == crc32(payload).to_le_bytes();
     Ok(intact.then_some(payload))
-}
-
-/// Read the frame at `offset` into `payload` (resized to fit, capacity
-/// kept), its length taken from the frame: recovery's reader, which has
-/// no manifest. Returns `(kind, next_offset, intact)`, or `None` if the
-/// header is torn — the frame is truncated, oversized or of an unknown
-/// kind, i.e. the valid portion of the file ends before `offset + frame`.
-/// A whole frame that fails its CRC comes back with `intact` false, to be
-/// stepped over; `payload` is then unspecified.
-pub(crate) fn read_frame(
-    f: &mut std::fs::File,
-    offset: u64,
-    file_len: u64,
-    payload: &mut Vec<u8>,
-) -> Result<Option<(u8, u64, bool)>, ArchiveError> {
-    if offset.saturating_add(FRAME_OVERHEAD as u64) > file_len {
-        return Ok(None);
-    }
-    f.seek(SeekFrom::Start(offset))?;
-    let mut head = [0u8; 5];
-    f.read_exact(&mut head)?;
-    let kind = head[0];
-    let len = u32::from_le_bytes([head[1], head[2], head[3], head[4]]);
-    if kind != FRAME_BLOCK && kind != FRAME_FOOTER {
-        return Ok(None);
-    }
-    let next = offset + FRAME_OVERHEAD as u64 + len as u64;
-    if len > MAX_FRAME_LEN || next > file_len {
-        return Ok(None);
-    }
-    // Payload and trailing CRC in one read.
-    payload.resize(len as usize + 4, 0);
-    f.read_exact(payload)?;
-    let (body, crc) = payload.split_at(len as usize);
-    let intact = crc32(body) == u32::from_le_bytes([crc[0], crc[1], crc[2], crc[3]]);
-    payload.truncate(len as usize);
-    Ok(Some((kind, next, intact)))
 }
 
 #[cfg(test)]
@@ -544,11 +486,7 @@ mod tests {
     }
 
     fn encode(samples: &[Sample]) -> Vec<u8> {
-        let batch = batch_of(samples);
-        let mut blocks = batch.chunks(usize::MAX);
-        let payload = blocks.next().expect("one block").encode();
-        assert!(blocks.next().is_none());
-        payload
+        batch_of(samples).encode()
     }
 
     fn samples_of(batch: &ColumnBatch) -> Vec<Sample> {
@@ -604,33 +542,6 @@ mod tests {
         assert_eq!(back.len(), samples.len());
         for (a, b) in samples.iter().zip(&back) {
             assert!(a.bits_eq(b), "mismatch: {a:?} vs {b:?}");
-        }
-    }
-
-    #[test]
-    fn chunks_rechunk_rows_without_changing_them() {
-        let samples: Vec<Sample> = (0..50)
-            .map(|i| Sample {
-                metrics: vec![i; (i % 3) as usize],
-                features: vec![i as f64; (i % 4) as usize],
-                ..sample(i)
-            })
-            .collect();
-        let batch = batch_of(&samples);
-        for chunk in [7, 1, usize::MAX] {
-            let mut back = Vec::new();
-            let mut block = ColumnBatch::default();
-            for rows in batch.chunks(chunk) {
-                let at = back.len();
-                let payload = rows.encode();
-                let want = &samples[at..(at + chunk.min(50)).min(50)];
-                assert_eq!(payload, reference_encode(7, 0, "seq_scan", want));
-                assert_eq!(rows.meta(9, payload.len()).count, want.len() as u64);
-                block.decode(&payload, Projection::ALL).unwrap();
-                back.extend(samples_of(&block));
-            }
-            assert_eq!(back.len(), samples.len(), "chunk {chunk}");
-            assert!(back.iter().zip(&samples).all(|(a, b)| a.bits_eq(b)));
         }
     }
 
@@ -765,30 +676,44 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("t.seg");
         let payload = b"hello columnar world".to_vec();
-        {
-            let mut f = std::fs::File::create(&path).unwrap();
-            write_frame(&mut f, FRAME_BLOCK, &payload).unwrap();
-        }
-        let len = std::fs::metadata(&path).unwrap().len();
-        let mut f = std::fs::File::open(&path).unwrap();
-        let mut p = vec![0xAA; 3]; // stale contents, wrong size
-        let (kind, next, intact) = read_frame(&mut f, 0, len, &mut p).unwrap().unwrap();
-        assert_eq!((kind, p.as_slice(), next), (FRAME_BLOCK, &payload[..], len));
-        assert!(intact);
-        // Flip one payload byte on disk: the frame fails its CRC but
-        // stays whole, so recovery can step over it.
-        let mut bytes = std::fs::read(&path).unwrap();
+        let mut bytes = Vec::new();
+        let block_len = write_frame(&mut bytes, FRAME_BLOCK, &payload).unwrap();
+        write_frame(&mut bytes, FRAME_FOOTER, b"legacy").unwrap();
+        std::fs::write(&path, &bytes).unwrap();
+        let len = bytes.len() as u64;
+        let mut f = File::open(&path).unwrap();
+        let head = |f: &mut File, at, file_len| read_frame_head(f, at, file_len).unwrap();
+        assert_eq!(head(&mut f, 0, len), Some((FRAME_BLOCK, 20)));
+        assert_eq!(head(&mut f, block_len, len), Some((FRAME_FOOTER, 6)));
+        let mut frame = vec![0xAA; 3]; // stale contents, wrong size
+        let read = read_block_frame(&mut f, 0, 20, len, &mut frame).unwrap();
+        assert_eq!(read, Some(&payload[..]));
+        assert_eq!(frame, bytes[..block_len as usize]);
+        // A footer is not a block, and a block must be read at its length.
+        assert!(read_block_frame(&mut f, block_len, 6, len, &mut frame)
+            .unwrap()
+            .is_none());
+        assert!(read_block_frame(&mut f, 0, 19, len, &mut frame)
+            .unwrap()
+            .is_none());
+        // Flip one payload byte on disk: the frame fails its CRC but its
+        // head stays whole, so recovery can step over it.
         bytes[7] ^= 1;
         std::fs::write(&path, &bytes).unwrap();
-        let mut f = std::fs::File::open(&path).unwrap();
-        let read = read_frame(&mut f, 0, len, &mut p).unwrap();
-        assert_eq!(read, Some((FRAME_BLOCK, len, false)));
-        // A length past the file or an unknown kind is a torn header.
-        assert!(read_frame(&mut f, 0, len - 1, &mut p).unwrap().is_none());
+        let mut f = File::open(&path).unwrap();
+        assert_eq!(head(&mut f, 0, len), Some((FRAME_BLOCK, 20)));
+        assert!(read_block_frame(&mut f, 0, 20, len, &mut frame)
+            .unwrap()
+            .is_none());
+        // A length past the file or an unknown kind is a torn head.
+        assert_eq!(head(&mut f, 0, block_len - 1), None);
+        assert!(read_block_frame(&mut f, 0, 20, block_len - 1, &mut frame)
+            .unwrap()
+            .is_none());
         bytes[0] = 3;
         std::fs::write(&path, &bytes).unwrap();
-        let mut f = std::fs::File::open(&path).unwrap();
-        assert!(read_frame(&mut f, 0, len, &mut p).unwrap().is_none());
+        let mut f = File::open(&path).unwrap();
+        assert_eq!(head(&mut f, 0, len), None);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -15,8 +15,8 @@ use tscout_telemetry::{CounterSite, CounterVec, GaugeSite, Telemetry};
 
 use crate::encode::MAX_COLUMN_VALUES;
 use crate::segment::{
-    read_block_frame, read_frame, write_frame, BlockMeta, ColumnBatch, OuEntry, Projection,
-    FRAME_BLOCK, HEADER_LEN, MAGIC, VERSION,
+    create_segment, read_block_frame, read_frame_head, write_frame, BlockMeta, ColumnBatch,
+    OuEntry, Projection, FRAME_BLOCK, FRAME_OVERHEAD, HEADER_LEN, MAGIC, VERSION,
 };
 use crate::{decls, ArchiveError, ArchiveOptions, Sample};
 
@@ -177,12 +177,12 @@ impl Archive {
             compaction_hold: false,
             compaction_requested: false,
         };
-        let (mut payload, mut block) = (Vec::new(), ColumnBatch::default());
+        let (mut frame, mut block) = (Vec::new(), ColumnBatch::default());
         for (seqs, path) in paths {
             if covered(&seqs) {
                 std::fs::remove_file(&path)?;
             } else if let Some(meta) =
-                archive.recover_segment(seqs, &path, &mut payload, &mut block)?
+                archive.recover_segment(seqs, &path, &mut frame, &mut block)?
             {
                 archive.segments.push(meta);
             }
@@ -200,52 +200,50 @@ impl Archive {
     }
 
     /// Scan one segment file frame-by-frame, truncating at the first torn
-    /// frame header (a length past the file or the cap, or an unknown
-    /// kind). A whole frame that fails its CRC or decode is stepped over:
-    /// it is left out of the manifest, and a block is counted in
+    /// frame head (a length past the file or the cap, or an unknown
+    /// kind). A whole block frame that fails its CRC or decode is stepped
+    /// over: it is left out of the manifest and counted in
     /// `archive_scan_skipped_blocks_total`; an earlier build's footer is
-    /// stepped over unread. Returns `None` (file deleted) if nothing valid
-    /// remains, and `Corrupt` (file untouched) for a format version this
-    /// build does not know; a file is otherwise written only to cut a torn
-    /// tail. Every block is decoded in full into `block` (scratch, like
-    /// `payload`, reused from segment to segment), so the manifest lists
-    /// only blocks a scan under any projection can decode.
+    /// stepped over unread. The version byte decides whether the file is
+    /// ours: `VERSION` is read whatever the magic holds (a flipped magic
+    /// costs nothing), another version under the right magic is
+    /// `Corrupt` (file untouched), and neither — a file shorter than the
+    /// header included — is a torn creation. Returns `None` (file deleted)
+    /// if nothing valid remains; a file is otherwise written only to cut a
+    /// torn tail. Every block is decoded in full into `block` (scratch,
+    /// like `frame`, reused from segment to segment), so the manifest
+    /// lists only blocks a scan under any projection can decode.
     fn recover_segment(
         &mut self,
         seqs: (u64, u64),
         path: &Path,
-        payload: &mut Vec<u8>,
+        frame: &mut Vec<u8>,
         block: &mut ColumnBatch,
     ) -> Result<Option<SegmentMeta>, ArchiveError> {
         let mut f = OpenOptions::new().read(true).write(true).open(path)?;
         let file_len = f.metadata()?.len();
-        // Header check: a file too short or with a wrong magic holds no
-        // recoverable data; one of another version is not ours to cut.
-        let mut valid_to = 0u64;
-        let mut header_ok = false;
+        let mut head = [0u8; HEADER_LEN as usize];
         if file_len >= HEADER_LEN {
             use std::io::Read;
-            let mut head = [0u8; HEADER_LEN as usize];
-            f.seek(SeekFrom::Start(0))?;
             f.read_exact(&mut head)?;
-            header_ok = &head[..4] == MAGIC;
-            if header_ok && head[4] != VERSION {
-                return Err(ArchiveError::Corrupt(format!(
-                    "{} has format version {}, this build reads {VERSION}",
-                    path.display(),
-                    head[4]
-                )));
-            }
+        }
+        if &head[..4] == MAGIC && head[4] != VERSION {
+            return Err(ArchiveError::Corrupt(format!(
+                "{} has format version {}, this build reads {VERSION}",
+                path.display(),
+                head[4]
+            )));
         }
         let mut ous: Vec<OuEntry> = Vec::new();
         let mut blocks: Vec<BlockMeta> = Vec::new();
-        if header_ok {
+        let mut valid_to = 0u64;
+        if head[4] == VERSION {
             valid_to = HEADER_LEN;
-            let mut offset = HEADER_LEN;
-            while let Some((kind, next, intact)) = read_frame(&mut f, offset, file_len, payload)? {
+            while let Some((kind, len)) = read_frame_head(&mut f, valid_to, file_len)? {
                 if kind == FRAME_BLOCK {
-                    if intact && block.decode(payload, Projection::ALL).is_some() {
-                        blocks.push(block.meta(offset, payload.len()));
+                    let read = read_block_frame(&mut f, valid_to, len, file_len, frame)?;
+                    if read.is_some_and(|p| block.decode(p, Projection::ALL).is_some()) {
+                        blocks.push(block.meta(valid_to, len as usize));
                         if !ous.contains(block.ou()) {
                             ous.push(block.ou().clone());
                         }
@@ -253,8 +251,7 @@ impl Archive {
                         decls::SCAN_SKIPPED_BLOCKS.with(&self.telemetry, &[]).inc();
                     }
                 }
-                valid_to = next;
-                offset = next;
+                valid_to += (FRAME_OVERHEAD + len as usize) as u64;
             }
         }
         let torn = valid_to < file_len;
@@ -364,17 +361,13 @@ impl Archive {
     /// (created if there is none). Returns the frame's length; the
     /// segment's manifest moves only once the frame is fully written.
     fn write_block(&mut self, mt: &ColumnBatch) -> Result<u64, ArchiveError> {
-        let rows = mt
-            .chunks(usize::MAX)
-            .next()
-            .expect("a memtable holds at least the row that created it");
         self.ensure_active()?;
-        let payload = rows.encode();
+        let payload = mt.encode();
         let meta = self.segments.last_mut().expect("active segment exists");
         let f = self.active.as_mut().expect("active file open");
         f.seek(SeekFrom::Start(meta.bytes))?;
         let frame_len = write_frame(f, FRAME_BLOCK, &payload)?;
-        meta.blocks.push(rows.meta(meta.bytes, payload.len()));
+        meta.blocks.push(mt.meta(meta.bytes, payload.len()));
         meta.bytes += frame_len;
         if !meta.ous.contains(mt.ou()) {
             meta.ous.push(mt.ou().clone());
@@ -390,15 +383,7 @@ impl Archive {
         let seq = self.next_seq;
         self.next_seq += 1;
         let path = seg_path(&self.dir, (seq, seq));
-        let mut f = OpenOptions::new()
-            .create(true)
-            .truncate(true)
-            .read(true)
-            .write(true)
-            .open(&path)?;
-        use std::io::Write;
-        f.write_all(MAGIC)?;
-        f.write_all(&[VERSION])?;
+        let f = create_segment(&path)?;
         self.segments.push(SegmentMeta {
             seqs: (seq, seq),
             path,
@@ -627,8 +612,10 @@ impl BatchScan {
         if self.open.as_ref().is_none_or(|(open, _)| open != file) {
             self.open = Some((*file, File::open(&self.files[*file].0).ok()?));
         }
-        let f = &mut self.open.as_mut()?.1;
-        let payload = read_block_frame(f, meta, self.files[*file].1, &mut self.frame).ok()??;
+        let (f, file_len) = (&mut self.open.as_mut()?.1, self.files[*file].1);
+        let frame = &mut self.frame;
+        let payload =
+            read_block_frame(f, meta.offset, meta.payload_len, file_len, frame).ok()??;
         self.block.decode(payload, self.projection)?;
         ((self.block.ou().ou, self.block.len() as u64) == (meta.ou, meta.count)).then_some(())
     }
@@ -1084,6 +1071,49 @@ mod tests {
             "{err}"
         );
         assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The version byte decides whether a segment is ours. A flip of any
+    /// bit of the magic costs nothing: every row opens and the file is
+    /// not written. A flip of the version under the right magic is
+    /// refused, the file untouched. Five zero bytes, a creation torn
+    /// before its header reached the disk, are deleted.
+    #[test]
+    fn a_flipped_magic_costs_nothing_and_a_flipped_version_is_refused() {
+        let dir = tmp_dir("header");
+        {
+            let mut a = Archive::open(&dir, ArchiveOptions::default(), Telemetry::new()).unwrap();
+            for i in 0..40 {
+                a.append(test_sample(1, "scan", i)).unwrap();
+            }
+        }
+        let path = seg_path(&dir, (0, 0));
+        let pristine = std::fs::read(&path).unwrap();
+        for bit in 0..40 {
+            let mut bytes = pristine.clone();
+            bytes[bit / 8] ^= 1 << (bit % 8);
+            std::fs::write(&path, &bytes).unwrap();
+            let t = Telemetry::new();
+            match Archive::open(&dir, ArchiveOptions::default(), t.clone()) {
+                Ok(a) => {
+                    assert!(bit < 32, "bit {bit} of the version opened");
+                    assert_eq!(a.scan_ou("scan").count(), 40, "bit {bit}");
+                }
+                Err(e) => assert!(bit >= 32 && matches!(e, ArchiveError::Corrupt(_)), "{e}"),
+            }
+            let counted = [
+                "archive_scan_skipped_blocks_total",
+                "archive_recovered_truncations_total",
+            ]
+            .map(|name| t.counter_value(name, &[]));
+            assert_eq!(counted, [0, 0], "bit {bit}");
+            assert_eq!(std::fs::read(&path).unwrap(), bytes, "bit {bit}");
+        }
+        std::fs::write(&path, [0; 5]).unwrap();
+        let a = Archive::open(&dir, ArchiveOptions::default(), Telemetry::new()).unwrap();
+        assert_eq!(a.stats().segments, 0);
+        assert!(!path.exists(), "a torn creation is deleted");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -11,7 +11,8 @@
 //! drain and the archive nothing copies a point: tagging borrows or
 //! tags in place, and an append by reference allocates O(OUs + blocks).
 //! On the read side it pins a column scan and a dataset build to O(OUs +
-//! blocks) allocations, nothing per point. Training is
+//! blocks) allocations, nothing per point, and a compaction to O(blocks)
+//! bytes plus one frame, nothing per row. Training is
 //! pinned too: a Forest `fit` allocates per tree and per node, never
 //! per (node, candidate feature). And the lowered BPF engine is held to
 //! the sample path's budget on *hostile* programs as well: seeded
@@ -299,6 +300,21 @@ fn tagging_and_archiving_points_copies_none_of_them() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The largest frame (header, payload and CRC) of any segment in `dir`.
+fn largest_frame(dir: &std::path::Path) -> u64 {
+    let mut largest = 0;
+    for entry in std::fs::read_dir(dir).expect("archive dir") {
+        let bytes = std::fs::read(entry.expect("dir entry").path()).expect("segment");
+        let mut at = 5;
+        while at < bytes.len() {
+            let len = u32::from_le_bytes(bytes[at + 1..at + 5].try_into().unwrap()) as usize;
+            largest = largest.max(9 + len as u64);
+            at += 9 + len;
+        }
+    }
+    largest
+}
+
 #[test]
 fn archive_read_side_allocates_per_block_not_per_sample() {
     const SAMPLES: u64 = 6_000;
@@ -378,6 +394,19 @@ fn archive_read_side_allocates_per_block_not_per_sample() {
             "{what}: {n} allocations building {SAMPLES} points from {blocks} blocks"
         );
     }
+
+    // Compaction copies frames: it holds the merged manifest and one
+    // frame buffer and decodes nothing, so the bytes it asks for follow
+    // the blocks and the largest frame, never the rows.
+    let frame = largest_frame(&dir);
+    let compacted = allocated_bytes(|| assert!(archive.compact_now().expect("compact")));
+    let merged = archive.stats();
+    assert_eq!((merged.segments, merged.samples_stored), (1, SAMPLES));
+    let budget = 64 * blocks + 4 * frame + 8 * 1024;
+    assert!(
+        compacted <= budget,
+        "{compacted} bytes compacting {blocks} blocks ({SAMPLES} samples, largest frame {frame} B)"
+    );
 
     drop(archive);
     std::fs::remove_dir_all(&dir).ok();

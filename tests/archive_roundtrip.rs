@@ -7,7 +7,7 @@
 //!    including NaN, segment rollovers);
 //! 2. crash recovery — corrupting the tail segment at every byte offset
 //!    must never lose the valid prefix, and recovery is counted; a
-//!    damaged block costs only that block's rows;
+//!    damaged block costs only that block's rows, a damaged magic none;
 //! 3. the model hot-swap gate — a regressed candidate is rejected and
 //!    the live generation is unchanged; a good one is then accepted.
 
@@ -143,29 +143,36 @@ fn torn_tail_recovers_valid_prefix_at_every_corruption_offset() {
     }
     assert_eq!(frames.iter().map(|f| f.1).collect::<Vec<_>>(), [1, 1, 1, 1]);
     let mut damaged_blocks = [false; 4];
-    for off in (5..pristine.len()).step_by(131) {
+    for off in (0..4).chain((5..pristine.len()).step_by(131)) {
         let mut bad = pristine.clone();
         bad[off] ^= 0xFF;
         std::fs::write(&seg, &bad).unwrap();
         let a = Archive::open(&dir, opts.clone(), Telemetry::new()).unwrap();
         let got: Vec<Sample> = a.scan_all().collect();
-        let k = frames.iter().rposition(|f| f.0 <= off).unwrap();
-        let start = frames[k].0;
-        if off >= start + 5 {
-            // A flip in block k's payload or CRC costs that block alone.
-            damaged_blocks[k] = true;
-            let others = (originals.iter().enumerate()).filter(|(i, _)| i / 25 != k);
-            assert_eq!(got.len(), 75, "flip at {off} in block {k}");
-            assert!(got.iter().zip(others).all(|(g, (_, w))| g.bits_eq(w)));
-        } else {
-            // A flip in a frame header ends the valid prefix there.
-            assert!(
-                got.len() <= 100,
-                "corruption at {off} can never add samples"
-            );
-            assert!(got.iter().zip(&originals).all(|(g, w)| g.bits_eq(w)));
-        }
         drop(a);
+        match frames.iter().rposition(|f| f.0 <= off) {
+            None => {
+                // A flip in the magic costs nothing, and open leaves it.
+                assert_eq!(got.len(), 100, "flip at {off} in the magic");
+                assert!(got.iter().zip(&originals).all(|(g, w)| g.bits_eq(w)));
+                assert_eq!(std::fs::read(&seg).unwrap(), bad, "flip at {off}");
+            }
+            Some(k) if off >= frames[k].0 + 5 => {
+                // A flip in block k's payload or CRC costs that block alone.
+                damaged_blocks[k] = true;
+                let others = (originals.iter().enumerate()).filter(|(i, _)| i / 25 != k);
+                assert_eq!(got.len(), 75, "flip at {off} in block {k}");
+                assert!(got.iter().zip(others).all(|(g, (_, w))| g.bits_eq(w)));
+            }
+            Some(_) => {
+                // A flip in a frame header ends the valid prefix there.
+                assert!(
+                    got.len() <= 100,
+                    "corruption at {off} can never add samples"
+                );
+                assert!(got.iter().zip(&originals).all(|(g, w)| g.bits_eq(w)));
+            }
+        }
         std::fs::write(&seg, &pristine).unwrap();
     }
     assert_eq!(damaged_blocks, [true; 4], "every block is flipped once");
