@@ -35,7 +35,7 @@ cargo build --workspace --release
 echo "== cargo test =="
 cargo test --workspace -q
 
-echo "== allocation budgets: sample path, archive read side, compaction (O(blocks) bytes plus one frame, nothing per row), forest fit, lowered engine on mutated programs, NoiseTap's read path (release: the build tsbench measures) =="
+echo "== allocation budgets: sample path, archive read side, compaction (O(blocks) bytes plus one frame, nothing per row), forest fit, lowered engine on mutated programs, NoiseTap's read path, a warm /metrics capture and render (release: the build tsbench measures) =="
 # 0 allocations per marker triple, sampled or not; at most the owned
 # Sample's 4 per drained record; a column scan O(blocks), a
 # dataset build O(OUs + blocks) and nothing per point, a compaction's
@@ -44,7 +44,8 @@ echo "== allocation budgets: sample path, archive read side, compaction (O(block
 # stream (which must also end in Ok or Err, as the reference does), and
 # a YCSB point read <= 6 allocations / 560 B, TPC-C's stock_level join
 # <= 64 and its UPDATE stock <= 14 (rows cross operators borrowed), an
-# index lookup 0.
+# index lookup 0, a warm /metrics capture of an unchanged registry and
+# its render into the last scrape's buffer 0.
 cargo test -q --release --test alloc_budget
 
 echo "== forest differential, full sweep (release): the rank-coded fit builds the sort-per-node reference's trees bit for bit — 280 seeded cases of hostile floats, n up to 20 000 =="

@@ -7,7 +7,7 @@
 //! panic (the listener must keep serving while the system it observes
 //! degrades).
 
-use std::io::{Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::TcpStream;
 use std::time::Instant;
 
@@ -118,14 +118,16 @@ fn find_head_end(buf: &[u8], from: usize) -> Option<usize> {
     Some(from + at)
 }
 
-/// Write a complete response and flush. Write errors are returned but
-/// callers typically ignore them (the peer may already be gone).
-pub fn write_response(
-    stream: &mut TcpStream,
+/// Write a complete response and flush: head and body leave together in
+/// one vectored write, continued from wherever a short write stopped.
+/// Write errors are returned but callers typically ignore them (the peer
+/// may already be gone).
+pub fn write_response<W: Write>(
+    stream: &mut W,
     status: u16,
     content_type: &str,
     body: &[u8],
-) -> std::io::Result<()> {
+) -> io::Result<()> {
     let reason = match status {
         200 => "OK",
         400 => "Bad Request",
@@ -139,7 +141,97 @@ pub fn write_response(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
+    let mut parts = [IoSlice::new(head.as_bytes()), IoSlice::new(body)];
+    let mut left = &mut parts[..];
+    while !left.is_empty() {
+        match stream.write_vectored(left) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut left, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     stream.flush()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+
+    /// Forwards at most [`CAP`] bytes per call to a stream, as a socket
+    /// whose send buffer is full may, and records per call the bytes it
+    /// was offered and the bytes that went.
+    const CAP: usize = 3 << 20;
+
+    struct Recording<'s> {
+        inner: &'s mut TcpStream,
+        calls: Vec<(usize, usize)>,
+    }
+
+    impl Write for Recording<'_> {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            let mut room = CAP;
+            let capped: Vec<IoSlice<'_>> = bufs
+                .iter()
+                .map_while(|b| {
+                    let take = b.len().min(room);
+                    room -= take;
+                    (take > 0).then(|| IoSlice::new(&b[..take]))
+                })
+                .collect();
+            let n = self.inner.write_vectored(&capped)?;
+            let offered = bufs.iter().map(|b| b.len()).sum();
+            self.calls.push((offered, n));
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    #[test]
+    fn a_body_larger_than_the_send_buffer_leaves_with_its_head_and_arrives_whole() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut sender = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut receiver, _) = listener.accept().unwrap();
+        // Far past the socket's send buffer and the writer's cap.
+        let body: Vec<u8> = (0..16 << 20).map(|i: u32| (i % 251) as u8).collect();
+        let reader = std::thread::spawn(move || {
+            let mut got = Vec::new();
+            receiver.read_to_end(&mut got).map(|_| got)
+        });
+        let mut out = Recording {
+            inner: &mut sender,
+            calls: Vec::new(),
+        };
+        write_response(&mut out, 200, "text/plain", &body).unwrap();
+        let calls = out.calls;
+        drop(sender);
+        let got = reader.join().unwrap().unwrap();
+
+        let head = format!(
+            "HTTP/1.1 200 OK\r\nContent-Type: text/plain\r\nContent-Length: {}\r\n\
+             Connection: close\r\n\r\n",
+            body.len()
+        );
+        assert_eq!(&got[..head.len()], head.as_bytes());
+        assert!(got[head.len()..] == body[..], "the body arrived changed");
+        // The first call offered head and body at once; every later one
+        // offered exactly what the calls before it had left.
+        let total = head.len() + body.len();
+        assert_eq!(calls[0].0, total, "{calls:?}");
+        let mut sent = 0;
+        for &(offered, n) in &calls {
+            assert_eq!(offered, total - sent, "{calls:?}");
+            sent += n;
+        }
+        assert_eq!(sent, total);
+        assert!(calls.len() > 1, "{calls:?}");
+    }
 }

@@ -15,19 +15,21 @@
 //! therefore follows the same discipline as the lineage tracer and the
 //! action engine (PRs 6 and 9), strengthened for a real OS thread:
 //!
-//! - **Serving reads atomically-snapshotted state.** A request that
-//!   renders metrics or tables lock-clones the simulation's [`Registry`]
-//!   and renders from the clone; the probes and the flight-recorder
-//!   endpoints copy out only the health states / recorder target they
-//!   render. The simulation thread never blocks on request processing —
-//!   only on that copy, under the same lock it takes for any counter
-//!   bump.
+//! - **Serving reads atomically-snapshotted state.** `/metrics` captures
+//!   the values of the simulation's [`Registry`] under its lock into a
+//!   buffer its worker keeps, and renders the text after releasing it
+//!   ([`Exposition`]); the table and SQL endpoints lock-clone the
+//!   registry, the probes and the flight-recorder endpoints copy out
+//!   only the health states / recorder target they render. The
+//!   simulation thread never blocks on request processing — only on
+//!   that copy, under the same lock it takes for any counter bump, and
+//!   each request's hold is `tscout_obsd_registry_lock_ns`.
 //! - **Nothing on the serving path touches a virtual clock.** Request
 //!   handling runs on OS threads against snapshots; the SQL endpoint
 //!   executes against a *server-private* database whose kernel clocks
 //!   belong to nobody in the simulation.
-//! - **Self-metrics live in a server-owned registry** (merged into the
-//!   `/metrics` exposition at render time), so the simulation registry
+//! - **Self-metrics live in a server-owned registry** (rendered into the
+//!   same `/metrics` exposition), so the simulation registry
 //!   — and every artifact dumped from it — is byte-identical with the
 //!   server on or off.
 //!
@@ -42,6 +44,7 @@ pub mod decls;
 pub mod http;
 pub mod json;
 
+use std::borrow::Cow;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -50,7 +53,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use noisetap::sql::ast::{Expr, Projection, SelectStmt, Stmt};
 use noisetap::sql::parser::parse;
@@ -58,7 +61,7 @@ use noisetap::{Database, SessionId};
 use tscout_kernel::{HardwareProfile, Kernel};
 use tscout_telemetry::tables::rows_json;
 use tscout_telemetry::{
-    Cell, CounterSite, HealthState, HistSite, Registry, Table, Telemetry, TABLES,
+    Cell, CounterSite, Exposition, HealthState, HistSite, Registry, Table, Telemetry, TABLES,
 };
 
 use crate::http::Request;
@@ -102,9 +105,9 @@ impl Default for ObsdConfig {
 
 /// State shared between the accept thread and the workers.
 struct Shared {
-    /// The simulation's live registry handle (lock-snapshot per request).
+    /// The simulation's live registry handle (locked once per request).
     sim: Telemetry,
-    /// Server-owned self-metrics, merged into `/metrics` at render time.
+    /// Server-owned self-metrics, rendered into `/metrics` beside it.
     self_tel: Telemetry,
     rejected: CounterSite,
     request_ns: HistSite,
@@ -185,6 +188,7 @@ impl ObsdServer {
         let t = &shared.self_tel;
         decls::REQUESTS.with(t, &[("endpoint", "metrics")]);
         decls::ERRORS.with(t, &[("endpoint", "metrics")]);
+        decls::REGISTRY_LOCK_NS.with(t, &[("endpoint", "metrics")]);
         shared.rejected.get(t);
         shared.request_ns.get(t);
         let stop = Arc::new(AtomicBool::new(false));
@@ -290,36 +294,61 @@ fn accept_loop(
     }
 }
 
+/// What a worker keeps from one request to the next: the `/metrics`
+/// layouts and the buffer its text is rendered into.
+#[derive(Default)]
+struct Worker {
+    exposition: Exposition,
+    text: String,
+}
+
 fn worker_loop(rx: &Arc<Mutex<Receiver<TcpStream>>>, shared: &Shared) {
+    let mut worker = Worker::default();
     loop {
         let stream = {
             let guard = lock_recovering(rx);
             guard.recv()
         };
         match stream {
-            Ok(mut s) => handle_connection(&mut s, shared),
+            Ok(mut s) => handle_connection(&mut s, shared, &mut worker),
             Err(_) => break, // sender dropped: shutdown
         }
     }
 }
 
-fn handle_connection(stream: &mut TcpStream, shared: &Shared) {
-    let t0 = std::time::Instant::now();
+fn handle_connection(stream: &mut TcpStream, shared: &Shared, worker: &mut Worker) {
+    let t0 = Instant::now();
+    let mut panicked = false;
     let (endpoint, status, content_type, body) = match http::read_request(stream) {
         Err(e) => (
             "bad",
             400u16,
             "text/plain",
-            format!("bad request: {e}\n").into_bytes(),
+            format!("bad request: {e}\n").into_bytes().into(),
         ),
         Ok(req) => {
             let endpoint = endpoint_label(&req.path);
             // A handler panic must cost one response, not the server:
             // the listener keeps serving while the observed system (or
             // a handler edge case) misbehaves.
-            match catch_unwind(AssertUnwindSafe(|| route(&req, shared))) {
+            let reborrow = &mut *worker;
+            let handle = move || {
+                // Moved, not reborrowed: the body may borrow the
+                // worker's buffer past the closure.
+                let worker = reborrow;
+                route(&req, shared, worker)
+            };
+            match catch_unwind(AssertUnwindSafe(handle)) {
                 Ok((status, content_type, body)) => (endpoint, status, content_type, body),
-                Err(_) => (endpoint, 500, "text/plain", b"internal error\n".to_vec()),
+                Err(_) => {
+                    panicked = true;
+                    (
+                        endpoint,
+                        500,
+                        "text/plain",
+                        Cow::Borrowed(&b"internal error\n"[..]),
+                    )
+                }
             }
         }
     };
@@ -335,6 +364,10 @@ fn handle_connection(stream: &mut TcpStream, shared: &Shared) {
         .get(t)
         .record(t0.elapsed().as_nanos() as f64);
     let _ = http::write_response(stream, status, content_type, &body);
+    if panicked {
+        // It may have left a capture without its render.
+        *worker = Worker::default();
+    }
 }
 
 /// Low-cardinality endpoint label for self-metrics.
@@ -356,18 +389,20 @@ fn api_table(path: &str) -> Option<&'static Table> {
     TABLES.iter().find(|t| t.api_key == key)
 }
 
-type Response = (u16, &'static str, Vec<u8>);
+/// Status, content type and body; the body of `/metrics` is borrowed from
+/// the worker's buffer.
+type Response<'w> = (u16, &'static str, Cow<'w, [u8]>);
 
-fn route(req: &Request, shared: &Shared) -> Response {
+fn route<'w>(req: &Request, shared: &Shared, worker: &'w mut Worker) -> Response<'w> {
     if let Some(table) = api_table(&req.path) {
         if req.method != "GET" {
             return method_not_allowed();
         }
-        let body = table.to_json(&snapshot(shared));
-        return (200, "application/json", body.into_bytes());
+        let body = table.to_json(&snapshot(shared, table.api_key));
+        return (200, "application/json", body.into_bytes().into());
     }
     match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/metrics") => metrics_endpoint(shared),
+        ("GET", "/metrics") => metrics_endpoint(shared, worker),
         ("GET", "/healthz") => health_endpoint(shared, false),
         ("GET", "/readyz") => health_endpoint(shared, true),
         ("POST", "/api/v1/sql") => sql_endpoint(req, shared),
@@ -379,34 +414,48 @@ fn route(req: &Request, shared: &Shared) -> Response {
         (_, "/metrics" | "/healthz" | "/readyz" | "/api/v1/sql" | "/api/v1/tables") => {
             method_not_allowed()
         }
-        _ => (404, "text/plain", b"not found\n".to_vec()),
+        _ => (404, "text/plain", Cow::Borrowed(b"not found\n")),
     }
 }
 
-fn method_not_allowed() -> Response {
-    (405, "text/plain", b"method not allowed\n".to_vec())
+fn method_not_allowed() -> Response<'static> {
+    (405, "text/plain", Cow::Borrowed(b"method not allowed\n"))
 }
 
-/// Lock-clone the simulation registry: the atomic snapshot the metrics,
-/// table and SQL endpoints serve from.
-fn snapshot(shared: &Shared) -> Registry {
-    shared.sim.with_registry(|r| r.clone())
+/// Run `f` on the simulation registry under its lock, and record the
+/// wall-clock time from lock acquired to `f` done into
+/// `tscout_obsd_registry_lock_ns{endpoint}`.
+fn with_sim<T>(shared: &Shared, endpoint: &str, f: impl FnOnce(&Registry) -> T) -> T {
+    let (out, held) = shared.sim.with_registry(|r| {
+        let locked = Instant::now();
+        let out = f(r);
+        (out, locked.elapsed())
+    });
+    let labels = [("endpoint", endpoint)];
+    let lock_ns = decls::REGISTRY_LOCK_NS.with(&shared.self_tel, &labels);
+    lock_ns.record(held.as_nanos() as f64);
+    out
 }
 
-fn metrics_endpoint(shared: &Shared) -> Response {
-    let mut snap = snapshot(shared);
-    let self_snap = shared.self_tel.with_registry(|r| r.clone());
-    // Union, not interference: the self-registry shares no families
-    // with the simulation, so merge just appends its families.
-    snap.merge_from(&self_snap);
-    (
-        200,
-        "text/plain; version=0.0.4; charset=utf-8",
-        snap.to_prometheus().into_bytes(),
-    )
+/// Lock-clone the simulation registry: the atomic snapshot the table and
+/// SQL endpoints serve from.
+fn snapshot(shared: &Shared, endpoint: &str) -> Registry {
+    with_sim(shared, endpoint, Registry::clone)
 }
 
-fn health_endpoint(shared: &Shared, ready: bool) -> Response {
+/// Capture the self registry, then the simulation's, each under its own
+/// lock; render both into the worker's buffer with neither held.
+fn metrics_endpoint<'w>(shared: &Shared, worker: &'w mut Worker) -> Response<'w> {
+    let Worker { exposition, text } = worker;
+    shared.self_tel.with_registry(|r| exposition.capture(r));
+    with_sim(shared, "metrics", |r| exposition.capture(r));
+    text.clear();
+    exposition.render(text);
+    let content_type = "text/plain; version=0.0.4; charset=utf-8";
+    (200, content_type, Cow::Borrowed(text.as_bytes()))
+}
+
+fn health_endpoint(shared: &Shared, ready: bool) -> Response<'static> {
     let states = shared.sim.with_registry(|r| r.health().subsystem_states());
     let worst = states.values().copied().max().unwrap_or(HealthState::Ok);
     let subsystems: Vec<String> = states
@@ -425,12 +474,12 @@ fn health_endpoint(shared: &Shared, ready: bool) -> Response {
     } else {
         200
     };
-    (status, "application/json", body.into_bytes())
+    (status, "application/json", body.into_bytes().into())
 }
 
 /// `[{"name":...,"api_key":...,"columns":[...]},...]` — what this
 /// server serves, so clients need no compiled-in table list.
-fn tables_endpoint() -> Response {
+fn tables_endpoint() -> Response<'static> {
     let tables: Vec<String> = TABLES
         .iter()
         .map(|t| {
@@ -448,15 +497,17 @@ fn tables_endpoint() -> Response {
         })
         .collect();
     let body = format!("[{}]", tables.join(","));
-    (200, "application/json", body.into_bytes())
+    (200, "application/json", body.into_bytes().into())
 }
 
-fn sql_endpoint(req: &Request, shared: &Shared) -> Response {
-    let err = |msg: &str| -> Response {
+fn sql_endpoint(req: &Request, shared: &Shared) -> Response<'static> {
+    let err = |msg: &str| -> Response<'static> {
         (
             400,
             "application/json",
-            format!("{{\"error\":\"{}\"}}", json::escape(msg)).into_bytes(),
+            format!("{{\"error\":\"{}\"}}", json::escape(msg))
+                .into_bytes()
+                .into(),
         )
     };
     let Ok(sql) = std::str::from_utf8(&req.body) else {
@@ -476,7 +527,7 @@ fn sql_endpoint(req: &Request, shared: &Shared) -> Response {
         return err("read-only endpoint: only SELECT is accepted");
     };
     let names = projection_names(sel);
-    let snap = snapshot(shared);
+    let snap = snapshot(shared, "sql");
     let mut plane = lock_recovering(&shared.sql);
     let sid = plane.sid;
     plane.db.kernel.telemetry.with_registry(|r| *r = snap);
@@ -488,18 +539,18 @@ fn sql_endpoint(req: &Request, shared: &Shared) -> Response {
                 .map(|row| row.iter().map(Cell::from).collect())
                 .collect();
             let body = rows_json(None, names.iter().map(String::as_str), &rows);
-            (200, "application/json", body.into_bytes())
+            (200, "application/json", body.into_bytes().into())
         }
         Err(e) => err(&e.to_string()),
     }
 }
 
-fn flightrec_list(shared: &Shared) -> Response {
+fn flightrec_list(shared: &Shared) -> Response<'static> {
     let Some((dir, fig)) = shared.sim.flight_recorder_target() else {
         return (
             200,
             "application/json",
-            b"{\"armed\":false,\"bundles\":[]}".to_vec(),
+            Cow::Borrowed(b"{\"armed\":false,\"bundles\":[]}"),
         );
     };
     let prefix = format!("flightrec_{fig}_");
@@ -524,10 +575,10 @@ fn flightrec_list(shared: &Shared) -> Response {
         json::escape(&fig),
         rendered.join(",")
     );
-    (200, "application/json", body.into_bytes())
+    (200, "application/json", body.into_bytes().into())
 }
 
-fn flightrec_fetch(shared: &Shared, name: &str) -> Response {
+fn flightrec_fetch(shared: &Shared, name: &str) -> Response<'static> {
     // Only bare bundle file names: no separators, no traversal.
     let malformed = name.contains('/')
         || name.contains('\\')
@@ -535,14 +586,18 @@ fn flightrec_fetch(shared: &Shared, name: &str) -> Response {
         || !name.starts_with("flightrec_")
         || !name.ends_with(".json");
     if malformed {
-        return (400, "text/plain", b"bad bundle name\n".to_vec());
+        return (400, "text/plain", Cow::Borrowed(b"bad bundle name\n"));
     }
     let Some((dir, _)) = shared.sim.flight_recorder_target() else {
-        return (404, "text/plain", b"flight recorder not armed\n".to_vec());
+        return (
+            404,
+            "text/plain",
+            Cow::Borrowed(b"flight recorder not armed\n"),
+        );
     };
     match std::fs::read(dir.join(name)) {
-        Ok(bytes) => (200, "application/json", bytes),
-        Err(_) => (404, "text/plain", b"no such bundle\n".to_vec()),
+        Ok(bytes) => (200, "application/json", bytes.into()),
+        Err(_) => (404, "text/plain", Cow::Borrowed(b"no such bundle\n")),
     }
 }
 

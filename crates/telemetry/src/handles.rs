@@ -37,6 +37,9 @@ use crate::Telemetry;
 pub(crate) trait Cell: Clone + Default {
     /// A new cell holding this cell's current value.
     fn detached(&self) -> Self;
+
+    /// Whether `other` is a handle to this very cell.
+    fn same_cell(&self, other: &Self) -> bool;
 }
 
 /// Handle to a monotone counter.
@@ -60,6 +63,10 @@ impl Counter {
 impl Cell for Counter {
     fn detached(&self) -> Self {
         Counter(Arc::new(AtomicU64::new(self.get())))
+    }
+
+    fn same_cell(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
     }
 }
 
@@ -100,6 +107,10 @@ impl Gauge {
 impl Cell for Gauge {
     fn detached(&self) -> Self {
         Gauge::starting_at(self.get())
+    }
+
+    fn same_cell(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
     }
 }
 
@@ -155,18 +166,30 @@ impl Hist {
 
     /// The histogram's current value.
     pub fn load(&self) -> Histogram {
+        let mut counts = vec![0; BUCKETS];
+        let sum = self.load_into(&mut counts);
         let c = &*self.0;
-        let counts: Vec<u64> = c.buckets.iter().map(|b| b.load(Relaxed)).collect();
-        debug_assert_eq!(counts.len(), BUCKETS);
         Histogram::from_parts(
             counts,
-            f64::from_bits(c.sum.load(Relaxed)),
+            sum,
             f64::from_bits(c.min.load(Relaxed)),
             f64::from_bits(c.max.load(Relaxed)),
         )
     }
 
+    /// [`Hist::load`] into the caller's `buckets` (one slot per bucket),
+    /// allocating nothing: copies the bucket counts and returns the sum.
+    pub(crate) fn load_into(&self, buckets: &mut [u64]) -> f64 {
+        let c = &*self.0;
+        debug_assert_eq!(buckets.len(), c.buckets.len());
+        for (out, b) in buckets.iter_mut().zip(c.buckets.iter()) {
+            *out = b.load(Relaxed);
+        }
+        f64::from_bits(c.sum.load(Relaxed))
+    }
+
     /// Fold `other` into this histogram bucket-wise.
+    #[cfg(test)]
     pub(crate) fn merge_from(&self, other: &Histogram) {
         let (counts, sum, min, max) = other.parts();
         let c = &*self.0;
@@ -182,6 +205,10 @@ impl Hist {
 impl Cell for Hist {
     fn detached(&self) -> Self {
         Hist::of(&self.load())
+    }
+
+    fn same_cell(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
     }
 }
 

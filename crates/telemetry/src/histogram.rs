@@ -62,8 +62,8 @@ pub(crate) fn bucket_index(v: f64) -> usize {
 }
 
 /// Representative (upper-bound) value for a bucket, used when
-/// interpolating percentiles.
-fn bucket_upper(idx: usize) -> f64 {
+/// interpolating percentiles and as the exposition's `le` bound.
+pub(crate) fn bucket_upper(idx: usize) -> f64 {
     if idx == 0 {
         return 1.0;
     }

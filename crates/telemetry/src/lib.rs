@@ -30,7 +30,7 @@
 //!   `ts_*` table ([`tables::TABLES`]; `ts_metrics` is the metrics
 //!   themselves) and rows become JSON in [`tables::rows_json`] only;
 //!   the two external formats are the Prometheus text exposition
-//!   ([`Registry::to_prometheus`]) and flamegraph folded stacks
+//!   ([`Exposition`]) and flamegraph folded stacks
 //!   ([`Profiler::folded_text`]).
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
@@ -62,7 +62,7 @@ pub use health::{
     default_rules, Alert, HealthEngine, HealthState, Rule, Selector, Signals, ALERT_CAPACITY,
 };
 pub use histogram::{Histogram, HistogramSnapshot};
-pub use metrics::Registry;
+pub use metrics::{Exposition, Registry};
 pub use profile::{
     Attribution, FoldedEntry, Frame, FrameGuard, FrameId, Profiler, TaskFrames, DBMS,
     DEFAULT_PROFILE_PERIOD_NS, OTHER_STACK, TSCOUT,
@@ -187,9 +187,14 @@ impl Telemetry {
         out
     }
 
-    /// Prometheus text exposition of all metrics.
+    /// Prometheus text exposition of all metrics: captured under the
+    /// registry lock, rendered after it is released.
     pub fn to_prometheus(&self) -> String {
-        self.lock().to_prometheus()
+        let mut exposition = Exposition::default();
+        exposition.capture(&self.lock());
+        let mut out = String::new();
+        exposition.render(&mut out);
+        out
     }
 
     /// Number of counter scrapes currently retained (at most two).

@@ -1,8 +1,10 @@
 //! The metric registry: named, labeled counters / gauges / histograms,
-//! exported as Prometheus text and as the rows of `ts_metrics`.
+//! exported as Prometheus text (see [`Exposition`]) and as the rows of
+//! `ts_metrics`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use crate::actions::ActionLog;
 use crate::decls;
@@ -15,6 +17,10 @@ use crate::tables::Cell as Col;
 use crate::timeseries::{TimeSeries, Window};
 use crate::trace::{FlightRecorderArm, Tracer};
 use crate::{json_escape, json_num};
+
+mod exposition;
+
+pub use exposition::Exposition;
 
 /// Sorted `label=value` pairs.
 type Labels = Vec<(String, String)>;
@@ -34,18 +40,20 @@ fn push_escaped(out: &mut String, s: &str, in_label: bool) {
 
 /// Append the Prometheus-style series name `name suffix {k="v",k2="v2"}`
 /// to `out`, optionally with an `le` label (histogram buckets) inserted
-/// in sorted position. Label values are escaped in place.
+/// in sorted position. Label values are escaped in place. Returns the
+/// offset in `out` at which the `le` value was written (`out.len()`
+/// without one).
 fn write_series(
     out: &mut String,
     name: &str,
     suffix: &str,
     labels: &[(String, String)],
     mut le: Option<std::fmt::Arguments<'_>>,
-) {
+) -> usize {
     out.push_str(name);
     out.push_str(suffix);
     if labels.is_empty() && le.is_none() {
-        return;
+        return out.len();
     }
     let mut sep = '{';
     let mut pair = |out: &mut String, k: &str| {
@@ -54,10 +62,12 @@ fn write_series(
         out.push_str(k);
         out.push_str("=\"");
     };
+    let mut le_at = None;
     for (k, v) in labels {
         if k.as_str() > "le" {
             if let Some(le) = le.take() {
                 pair(out, "le");
+                le_at = Some(out.len());
                 let _ = write!(out, "{le}\"");
             }
         }
@@ -67,9 +77,11 @@ fn write_series(
     }
     if let Some(le) = le {
         pair(out, "le");
+        le_at = Some(out.len());
         let _ = write!(out, "{le}\"");
     }
     out.push('}');
+    le_at.unwrap_or(out.len())
 }
 
 /// Label sets up to this size are sorted on the stack when a series is
@@ -88,6 +100,32 @@ fn with_sorted<R>(labels: &[(&str, &str)], f: impl FnOnce(&[(&str, &str)]) -> R)
         let mut sorted = labels.to_vec();
         sorted.sort_unstable();
         f(&sorted)
+    }
+}
+
+/// A registry's structural version: a fresh draw from one process-wide
+/// counter whenever a family or series is inserted or a family's help
+/// goes from empty to declared. A new or cloned registry draws one too,
+/// so no two registries, and no two shapes of one registry, share a
+/// generation. Series are never removed, so an unchanged generation
+/// means an unchanged series set ([`Exposition`] keys its layouts on it).
+#[derive(Debug, PartialEq, Eq)]
+struct Generation(u64);
+
+/// The next generation to draw. Only uniqueness matters, which every
+/// `fetch_add` gives whatever its ordering; the value publishes nothing.
+static NEXT_GENERATION: AtomicU64 = AtomicU64::new(1);
+
+impl Default for Generation {
+    fn default() -> Self {
+        Generation(NEXT_GENERATION.fetch_add(1, Relaxed))
+    }
+}
+
+/// A clone is another registry, so it draws a generation of its own.
+impl Clone for Generation {
+    fn clone(&self) -> Self {
+        Generation::default()
     }
 }
 
@@ -151,9 +189,11 @@ impl<C: Cell> Series<C> {
     }
 
     /// The series' cell, created by `init` if it does not exist yet. A
-    /// non-empty `help` documents a family that had none.
+    /// non-empty `help` documents a family that had none. Either change
+    /// draws a new `generation`.
     fn get_or_insert_with(
         &mut self,
+        generation: &mut Generation,
         name: &str,
         help: &'static str,
         labels: &[(&str, &str)],
@@ -165,8 +205,9 @@ impl<C: Cell> Series<C> {
                 .insert(name.to_string(), Family { help, series });
         }
         let family = self.families.get_mut(name).expect("inserted above");
-        if family.help.is_empty() {
+        if family.help.is_empty() && !help.is_empty() {
             family.help = help;
+            *generation = Generation::default();
         }
         let family = &mut family.series;
         with_sorted(labels, |sorted| {
@@ -178,6 +219,7 @@ impl<C: Cell> Series<C> {
                         .map(|(k, v)| (k.to_string(), v.to_string()))
                         .collect();
                     family.insert(at, (owned, init()));
+                    *generation = Generation::default();
                     at
                 }
             };
@@ -185,8 +227,14 @@ impl<C: Cell> Series<C> {
         })
     }
 
-    fn cell(&mut self, name: &str, help: &'static str, labels: &[(&str, &str)]) -> &C {
-        self.get_or_insert_with(name, help, labels, C::default)
+    fn cell(
+        &mut self,
+        generation: &mut Generation,
+        name: &str,
+        help: &'static str,
+        labels: &[(&str, &str)],
+    ) -> &C {
+        self.get_or_insert_with(generation, name, help, labels, C::default)
     }
 
     fn len(&self) -> usize {
@@ -207,21 +255,24 @@ impl<C: Cell> Series<C> {
 impl Kind for Counter {
     const KIND: &'static str = "counter";
     fn resolve<'r>(reg: &'r mut Registry, decl: &Decl<Self>, labels: &[(&str, &str)]) -> &'r Self {
-        reg.counters.cell(decl.name, decl.help, labels)
+        reg.counters
+            .cell(&mut reg.generation, decl.name, decl.help, labels)
     }
 }
 
 impl Kind for Gauge {
     const KIND: &'static str = "gauge";
     fn resolve<'r>(reg: &'r mut Registry, decl: &Decl<Self>, labels: &[(&str, &str)]) -> &'r Self {
-        reg.gauges.cell(decl.name, decl.help, labels)
+        reg.gauges
+            .cell(&mut reg.generation, decl.name, decl.help, labels)
     }
 }
 
 impl Kind for Hist {
     const KIND: &'static str = "histogram";
     fn resolve<'r>(reg: &'r mut Registry, decl: &Decl<Self>, labels: &[(&str, &str)]) -> &'r Self {
-        reg.histograms.cell(decl.name, decl.help, labels)
+        reg.histograms
+            .cell(&mut reg.generation, decl.name, decl.help, labels)
     }
 }
 
@@ -230,6 +281,7 @@ impl Kind for Hist {
 /// value snapshot (see [`crate::handles`]).
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
+    generation: Generation,
     counters: Series<Counter>,
     gauges: Series<Gauge>,
     histograms: Series<Hist>,
@@ -261,18 +313,24 @@ impl Registry {
     /// a declaration; declared metrics resolve through their
     /// [`Decl`](crate::Decl) and bring their help text along.
     pub fn counter(&mut self, name: &str, labels: &[(&str, &str)]) -> Counter {
-        self.counters.cell(name, "", labels).clone()
+        self.counters
+            .cell(&mut self.generation, name, "", labels)
+            .clone()
     }
 
     /// Handle to the gauge `name{labels}`, registering it (at 0) if new.
     pub fn gauge(&mut self, name: &str, labels: &[(&str, &str)]) -> Gauge {
-        self.gauges.cell(name, "", labels).clone()
+        self.gauges
+            .cell(&mut self.generation, name, "", labels)
+            .clone()
     }
 
     /// Handle to the histogram `name{labels}`, registering it (empty) if
     /// new.
     pub fn hist(&mut self, name: &str, labels: &[(&str, &str)]) -> Hist {
-        self.histograms.cell(name, "", labels).clone()
+        self.histograms
+            .cell(&mut self.generation, name, "", labels)
+            .clone()
     }
 
     /// The cell of `decl{labels}`, for the registry's own bookkeeping.
@@ -651,110 +709,13 @@ impl Registry {
         self.health_tick(now_ns)
     }
 
-    /// Merge `other`'s metrics into `self`: counters add, gauges take the
-    /// max (every gauge we export is a level or high-water mark, for
-    /// which max is the meaningful union), histograms merge bucket-wise,
-    /// and each family keeps its help text. Only metrics compose across
-    /// registries; the stateful members (scrapes, drift windows, health
-    /// streaks, traces, statement stats, actions) stay `self`'s.
-    pub fn merge_from(&mut self, other: &Registry) {
-        fn borrowed(labels: &Labels) -> Vec<(&str, &str)> {
-            labels
-                .iter()
-                .map(|(k, v)| (k.as_str(), v.as_str()))
-                .collect()
-        }
-        for (name, family) in &other.counters.families {
-            for (labels, c) in &family.series {
-                self.counters
-                    .cell(name, family.help, &borrowed(labels))
-                    .add(c.get());
-            }
-        }
-        for (name, family) in &other.gauges.families {
-            for (labels, g) in &family.series {
-                self.gauges
-                    .get_or_insert_with(name, family.help, &borrowed(labels), || {
-                        Gauge::starting_at(f64::NEG_INFINITY)
-                    })
-                    .set_max(g.get());
-            }
-        }
-        for (name, family) in &other.histograms.families {
-            for (labels, h) in &family.series {
-                self.histograms
-                    .cell(name, family.help, &borrowed(labels))
-                    .merge_from(&h.load());
-            }
-        }
-    }
-
-    /// OpenMetrics-flavored text exposition: every family gets a
-    /// `# HELP` (the text of its declaration; `(undocumented)` for one
-    /// only ever resolved by bare name) and `# TYPE` line, counters are
-    /// normalized to a `_total` suffix, and histograms export their
-    /// cumulative `_bucket{le="..."}` series with the mandatory `+Inf`
-    /// bucket plus `_sum`/`_count`. Everything is written into the one
-    /// output buffer.
+    /// The text exposition of this registry alone: one [`Exposition`]
+    /// capture and render (the format is described there).
     pub fn to_prometheus(&self) -> String {
-        fn header(out: &mut String, name: &str, suffix: &str, kind: &str, help: &str) {
-            let help = if help.is_empty() {
-                "(undocumented)"
-            } else {
-                help
-            };
-            let _ = write!(out, "# HELP {name}{suffix} ");
-            push_escaped(out, help, false);
-            let _ = writeln!(out, "\n# TYPE {name}{suffix} {kind}");
-        }
+        let mut exposition = Exposition::default();
+        exposition.capture(self);
         let mut out = String::new();
-        for (name, family) in &self.counters.families {
-            let suffix = if name.ends_with("_total") {
-                ""
-            } else {
-                "_total"
-            };
-            header(&mut out, name, suffix, Counter::KIND, family.help);
-            for (labels, c) in &family.series {
-                write_series(&mut out, name, suffix, labels, None);
-                let _ = writeln!(out, " {}", c.get());
-            }
-        }
-        for (name, family) in &self.gauges.families {
-            header(&mut out, name, "", Gauge::KIND, family.help);
-            for (labels, g) in &family.series {
-                write_series(&mut out, name, "", labels, None);
-                let _ = writeln!(out, " {}", g.get());
-            }
-        }
-        for (name, family) in &self.histograms.families {
-            header(&mut out, name, "", Hist::KIND, family.help);
-            for (labels, cell) in &family.series {
-                let h = cell.load();
-                for (upper, cum) in h.cumulative_buckets() {
-                    write_series(
-                        &mut out,
-                        name,
-                        "_bucket",
-                        labels,
-                        Some(format_args!("{upper}")),
-                    );
-                    let _ = writeln!(out, " {cum}");
-                }
-                write_series(
-                    &mut out,
-                    name,
-                    "_bucket",
-                    labels,
-                    Some(format_args!("+Inf")),
-                );
-                let _ = writeln!(out, " {}", h.count());
-                write_series(&mut out, name, "_sum", labels, None);
-                let _ = writeln!(out, " {}", h.sum());
-                write_series(&mut out, name, "_count", labels, None);
-                let _ = writeln!(out, " {}", h.count());
-            }
-        }
+        exposition.render(&mut out);
         out
     }
 
@@ -837,11 +798,23 @@ mod tests {
         assert!(text.contains("lat_ns_count 1"));
     }
 
+    /// `parts` captured into one exposition and rendered together.
+    fn merged_render(parts: &[&Registry]) -> String {
+        let mut exposition = Exposition::default();
+        for part in parts {
+            exposition.capture(part);
+        }
+        let mut out = String::new();
+        exposition.render(&mut out);
+        out
+    }
+
     #[test]
     fn every_family_has_help_and_type() {
         // Each exported family carries # HELP and # TYPE lines; a
         // declared metric's help is its declaration's, and travels with
-        // the family through clone() and merge_from().
+        // the family through clone() and into a render merged with
+        // another registry.
         let mut r = Registry::new();
         let fired = [("rule", "r"), ("subsystem", "data")];
         r.at(&decls::ALERTS_FIRED, &fired).add(3);
@@ -850,12 +823,10 @@ mod tests {
         r.at(&decls::TRACE_STAGE_NS, &[("stage", "ring")])
             .record(5e4);
         r.counter("some_novel_counter_total", &[]).inc();
-        let mut merged = Registry::new();
-        merged.merge_from(&r);
         for text in [
             r.to_prometheus(),
             r.clone().to_prometheus(),
-            merged.to_prometheus(),
+            merged_render(&[&Registry::new(), &r]),
         ] {
             for (name, kind, help) in [
                 decls::ALERTS_FIRED.row(),
@@ -1063,24 +1034,54 @@ mod tests {
     }
 
     #[test]
-    fn merge_semantics() {
+    fn a_merged_render_interleaves_both_registries_by_name() {
+        // Two registries rendered as one exposition: every family of
+        // both appears once, each kind in name order across the two,
+        // with its help and both its header lines.
         let mut a = Registry::new();
         let mut b = Registry::new();
-        a.counter("c", &[]).inc();
-        b.counter("c", &[]).add(2);
+        a.counter("c_a", &[]).inc();
+        b.at(&decls::ALERTS_FIRED, &[("rule", "r")]).add(2);
         a.gauge("hwm", &[]).set(5.0);
-        b.gauge("hwm", &[]).set(3.0);
+        b.gauge("depth", &[]).set(3.0);
         b.hist("h", &[]).record(10.0);
+        a.at(&decls::TRACE_STAGE_NS, &[("stage", "ring")])
+            .record(5e4);
         b.observe_ou_sample("OuX", "s", 1.0, 1.0);
         b.stmt_record("q1", 10.0, 0, &[], None);
-        b.observability_tick(10.0);
-        a.merge_from(&b);
-        assert_eq!(a.counter_value("c", &[]), 3);
-        assert_eq!(a.gauge_value("hwm", &[]), 5.0);
-        assert_eq!(a.hist_snapshot("h", &[]).unwrap().count, 1);
-        // Only metrics compose: scrapes, drift windows and statement
-        // stats of another run stay that run's.
-        assert!(a.timeseries().is_empty() && a.drift().is_empty());
-        assert!(a.stmts().get("q1").is_none());
+        let text = merged_render(&[&a, &b]);
+        let headers: Vec<&str> = text
+            .lines()
+            .filter_map(|l| l.strip_prefix("# TYPE "))
+            .collect();
+        assert_eq!(
+            headers,
+            [
+                "alerts_fired_total counter",
+                "c_a_total counter",
+                "db_stmt_evicted_total counter",
+                "db_stmt_recorded_total counter",
+                "db_stmt_fingerprints gauge",
+                "depth gauge",
+                "hwm gauge",
+                "h histogram",
+                "tscout_trace_stage_ns histogram",
+            ]
+        );
+        for (name, help) in [
+            (decls::ALERTS_FIRED.name, decls::ALERTS_FIRED.help),
+            (decls::TRACE_STAGE_NS.name, decls::TRACE_STAGE_NS.help),
+            ("hwm", "(undocumented)"),
+        ] {
+            let kind = text
+                .lines()
+                .find_map(|l| l.strip_prefix(&format!("# TYPE {name} ")));
+            let kind = kind.unwrap_or_else(|| panic!("no TYPE for {name}:\n{text}"));
+            assert!(
+                text.contains(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n")),
+                "{name}:\n{text}"
+            );
+        }
+        assert!(text.contains("c_a_total 1\n") && text.contains("h_count 1\n"));
     }
 }

@@ -21,8 +21,11 @@
 //! byte-eating entry points, `Json::parse` and `http::read_request`, are
 //! total on seeded mutants of valid documents and requests and allocate
 //! in proportion to the bytes they were given, whatever those claim.
-//! And `Registry::clone()`, which every obsd request pays, is pinned to
-//! the series it copies, not the length of the run.
+//! And the operator plane's reads of the live registry: a `/metrics`
+//! scrape, once warm, captures the registry's values under its lock and
+//! renders them into the text of the scrape before without allocating;
+//! `Registry::clone()`, which the table and SQL endpoints still pay, is
+//! pinned to the series it copies, not the length of the run.
 //!
 //! The sampling profiler is on (as in every bench run), so its frames
 //! are part of the budget too.
@@ -49,7 +52,7 @@ use tscout_suite::noisetap::{Database, Value};
 use tscout_suite::obsd::http;
 use tscout_suite::obsd::json::Json;
 use tscout_suite::rng::{RngExt, SeedableRng, StdRng};
-use tscout_suite::telemetry::{Telemetry, DEFAULT_PROFILE_PERIOD_NS, TABLES};
+use tscout_suite::telemetry::{Exposition, Telemetry, DEFAULT_PROFILE_PERIOD_NS, TABLES};
 use tscout_suite::tscout::codegen::encode_ctx;
 use tscout_suite::tscout::{
     CollectionMode, OuId, ProbeSet, Processor, Sink, Subsystem, TScout, TsConfig, ALL_SUBSYSTEMS,
@@ -454,25 +457,7 @@ fn forest_fit_allocates_per_tree_and_node_not_per_candidate() {
 #[test]
 fn registry_clone_does_not_grow_with_the_length_of_the_run() {
     let clone_after = |duration_ns: f64| {
-        let mut k = Kernel::with_seed(HardwareProfile::server_2x20(), 0xC10E);
-        k.set_profile_period_ns(DEFAULT_PROFILE_PERIOD_NS);
-        let mut db = Database::new(k);
-        let mut w = Ycsb::new(2_000);
-        w.setup(&mut db);
-        let mut cfg = TsConfig::new(CollectionMode::KernelContinuous);
-        cfg.enable_all_subsystems();
-        cfg.ring_capacity = 1 << 20;
-        db.attach_tscout(cfg).expect("collector verifies");
-        for s in ALL_SUBSYSTEMS {
-            db.tscout_mut().unwrap().set_sampling_rate(s, 100);
-        }
-        let opts = RunOptions {
-            terminals: 4,
-            duration_ns,
-            seed: 7,
-            ..RunOptions::default()
-        };
-        run(&mut db, &mut w, &opts);
+        let db = fully_sampled_ycsb(duration_ns);
         db.kernel.telemetry.with_registry(|r| {
             let allocated = allocations(|| drop(std::hint::black_box(r.clone())));
             (r.len(), allocated)
@@ -487,6 +472,63 @@ fn registry_clone_does_not_grow_with_the_length_of_the_run() {
         4 * long <= 5 * short,
         "Registry::clone() allocated {short} times after the run and {long} after one 4x as long"
     );
+}
+
+/// A database that has run YCSB for `duration_ns` with every subsystem
+/// sampled at 100 %: a registry populated as a collection run leaves it.
+fn fully_sampled_ycsb(duration_ns: f64) -> Database {
+    let mut k = Kernel::with_seed(HardwareProfile::server_2x20(), 0xC10E);
+    k.set_profile_period_ns(DEFAULT_PROFILE_PERIOD_NS);
+    let mut db = Database::new(k);
+    let mut w = Ycsb::new(2_000);
+    w.setup(&mut db);
+    let mut cfg = TsConfig::new(CollectionMode::KernelContinuous);
+    cfg.enable_all_subsystems();
+    cfg.ring_capacity = 1 << 20;
+    db.attach_tscout(cfg).expect("collector verifies");
+    for s in ALL_SUBSYSTEMS {
+        db.tscout_mut().unwrap().set_sampling_rate(s, 100);
+    }
+    let opts = RunOptions {
+        terminals: 4,
+        duration_ns,
+        seed: 7,
+        ..RunOptions::default()
+    };
+    run(&mut db, &mut w, &opts);
+    db
+}
+
+/// A `/metrics` scrape of an unchanged registry, once warm: capturing the
+/// server's own registry and the simulation's (under their locks) and
+/// rendering both into the buffer of the scrape before allocate nothing.
+/// The layouts are built, and the buffer grown, by the first scrape only.
+#[test]
+fn a_warm_metrics_scrape_captures_and_renders_without_allocating() {
+    let db = fully_sampled_ycsb(40e6);
+    let sim = &db.kernel.telemetry;
+    let own = Telemetry::new();
+    own.counter("tscout_obsd_requests_total", &[("endpoint", "metrics")])
+        .inc();
+    own.hist("tscout_obsd_request_ns", &[]).record(1e5);
+    let (mut exposition, mut text) = (Exposition::default(), String::new());
+    let mut scrape = |text: &mut String| {
+        let own_capture = allocations(|| own.with_registry(|r| exposition.capture(r)));
+        let sim_capture = allocations(|| sim.with_registry(|r| exposition.capture(r)));
+        text.clear();
+        let render = allocations(|| exposition.render(text));
+        [own_capture, sim_capture, render]
+    };
+    let cold = scrape(&mut text);
+    let first = text.clone();
+    let warm = scrape(&mut text);
+    let series = sim.with_registry(|r| r.len());
+    println!("/metrics capture own, capture sim, render: {cold:?} allocations cold, {warm:?} warm ({series} series, {} B)", text.len());
+    assert!(series > 50 && cold.iter().all(|&n| n > 0), "{cold:?}");
+    assert_eq!(warm, [0, 0, 0], "a warm scrape allocated");
+    assert_eq!(text, first, "an unchanged registry rendered differently");
+    assert!(text.contains("tscout_samples_begun_total{subsystem=\"execution_engine\"} "));
+    assert!(text.contains("tscout_obsd_request_ns_count 1\n"));
 }
 
 /// Totality of the execution engines (ROADMAP 2a, the VM slice). Each

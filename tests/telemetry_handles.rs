@@ -25,7 +25,7 @@ use tscout_suite::obsd::json::Json;
 use tscout_suite::obsd::{client, ObsdConfig, ObsdServer};
 use tscout_suite::telemetry::tables::table;
 use tscout_suite::telemetry::{
-    declare_metrics, Cell, Registry, Telemetry, DEFAULT_PROFILE_PERIOD_NS,
+    declare_metrics, Cell, Exposition, Registry, Telemetry, DEFAULT_PROFILE_PERIOD_NS,
 };
 use tscout_suite::tscout::{CollectionMode, TsConfig, ALL_SUBSYSTEMS};
 use tscout_suite::workloads::driver::Workload;
@@ -278,20 +278,26 @@ fn seeded_leg_exports_the_same_series_and_accounting_as_before_handles() {
     }
     // Every family is declared: its `# HELP` is its row of the README
     // metric table, and the help travels with the family through
-    // `Registry::clone()` and `merge_from()` into an empty `Registry`.
-    // Only a family resolved by bare name alone is `(undocumented)`.
+    // `Registry::clone()` and into a render merged with an empty
+    // `Registry` (as `/metrics` merges the server's own registry), which
+    // is the same text. Only a family resolved by bare name alone is
+    // `(undocumented)`.
     let readme = include_str!("../README.md");
     let block = readme
         .split_once("<!-- METRICS -->")
         .and_then(|(_, rest)| rest.split_once("<!-- /METRICS -->"))
         .expect("README metric markers")
         .0;
-    let mut merged = Registry::new();
-    t.with_registry(|r| merged.merge_from(r));
+    let mut exposition = Exposition::default();
+    exposition.capture(&Registry::new());
+    t.with_registry(|r| exposition.capture(r));
+    let mut merged = String::new();
+    exposition.render(&mut merged);
+    assert_eq!(merged, prom);
     for text in [
         &prom,
         &t.with_registry(|r| r.clone()).to_prometheus(),
-        &merged.to_prometheus(),
+        &merged,
     ] {
         assert!(!text.contains("(undocumented)"));
         for help in text.lines().filter_map(|l| l.strip_prefix("# HELP ")) {
