@@ -91,6 +91,22 @@ if sed '/^#\[cfg(test)\]/,$d' crates/archive/src/compact.rs | grep -nE 'decode\(
   echo "FAIL: compaction decodes or encodes a block; it copies frames"; exit 1
 fi
 
+echo "== recovery only reads: no cut of a segment file, or counter of one, comes back under crates/ =="
+if git grep -nE 'set_len|recovered_truncations|RECOVERED_TRUNCATIONS' -- crates; then
+  echo "FAIL: open cuts a segment again; recovery steps over damage and writes nothing"; exit 1
+fi
+
+echo "== no durability error dropped: let _ =, drop(...) or .ok() on sync_all, rename, remove_file or set_len in non-test code under crates/, unless the line says \"// ignored: <reason>\" =="
+durable='\b(sync_all|rename|remove_file|set_len)\('
+dropped=$(for f in $(git ls-files 'crates/*.rs'); do
+  sed '/^#\[cfg(test)\]/,$d' "$f" \
+    | grep -nE "(let _ =|drop\().*$durable|$durable[^;]*\)\.ok\(\)" | sed "s|^|$f:|" || true
+done | grep -v '// ignored: ' || true)
+if [ -n "$dropped" ]; then
+  echo "$dropped"
+  echo "FAIL: a durability call's error is dropped without a reason"; exit 1
+fi
+
 # Everything below writes its artifacts here, never into results/.
 TS_RESULTS=$(mktemp -d)
 export TS_RESULTS

@@ -120,7 +120,7 @@ impl Archive {
 /// Copy every manifest frame of `run`, in order and byte for byte, into
 /// a sealed segment at `path` through a synced `.tmp`, removed on
 /// failure. One frame is held at a time, checked on the way (kind,
-/// length, valid length and CRC); one that fails is `Corrupt`. Returns
+/// length, segment length and CRC); one that fails is `Corrupt`. Returns
 /// the segment's length, OU list (the union of the inputs') and manifest.
 fn write_merged(
     path: &Path,
@@ -159,7 +159,7 @@ fn write_merged(
         std::fs::rename(&tmp, path)?;
         Ok((offset, ous, blocks))
     };
-    write().inspect_err(|_| drop(std::fs::remove_file(&tmp)))
+    write().inspect_err(|_| drop(std::fs::remove_file(&tmp))) // ignored: `open` removes a .tmp
 }
 
 #[cfg(test)]

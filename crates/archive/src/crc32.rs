@@ -17,9 +17,9 @@
 
 const fn build_tables() -> [[u32; 256]; 8] {
     let mut t = [[0u32; 256]; 8];
-    let mut i = 0;
+    let mut i = 0u32;
     while i < 256 {
-        let mut c = i as u32;
+        let mut c = i;
         let mut bit = 0;
         while bit < 8 {
             c = if c & 1 != 0 {
@@ -29,7 +29,7 @@ const fn build_tables() -> [[u32; 256]; 8] {
             };
             bit += 1;
         }
-        t[0][i] = c;
+        t[0][i as usize] = c;
         i += 1;
     }
     let mut k = 1;
@@ -80,7 +80,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 fn step(c: u32, w: &[u8]) -> u32 {
     let word = u64::from_le_bytes(w.try_into().expect("an 8-byte word")) ^ u64::from(c);
     (0..8).fold(0, |acc, k| {
-        acc ^ TABLES[7 - k][(word >> (8 * k)) as usize & 0xFF]
+        acc ^ TABLES[7 - k][((word >> (8 * k)) & 0xFF) as usize]
     })
 }
 

@@ -116,6 +116,8 @@ fn decode_delta(buf: &[u8], n: usize, out: &mut Vec<u64>) -> Option<()> {
 /// `max - min` needs (0 and 0 for an empty column).
 fn put_packed(out: &mut Vec<u8>, values: &[u64], min: u64, width: u32) {
     put_varint(out, min);
+    // Fits: `bit_width` is at most 64.
+    #[allow(clippy::cast_possible_truncation)]
     out.push(width as u8);
     let mut acc = 0u128;
     let mut acc_bits = 0u32;
@@ -177,6 +179,8 @@ fn decode_packed(buf: &[u8], n: usize, out: &mut Vec<u64>) -> Option<()> {
             .iter()
             .rev()
             .fold(0u128, |acc, &b| (acc << 8) | b as u128);
+        // Fits: `mask` keeps the low `width` (at most 64) bits.
+        #[allow(clippy::cast_possible_truncation)]
         out.push(min.checked_add((wide >> (bit & 7)) as u64 & mask)?);
     }
     Some(())
@@ -229,7 +233,7 @@ fn column_header<'a>(buf: &'a [u8], pos: &mut usize) -> Option<(u8, usize, &'a [
     if tag > 1 || n > MAX_COLUMN_VALUES {
         return None;
     }
-    Some((tag, n as usize, payload))
+    Some((tag, usize::try_from(n).ok()?, payload))
 }
 
 /// Decode one column at `*pos` into `out` (cleared first, capacity

@@ -22,13 +22,13 @@
 //!   time: no row is decoded or re-encoded, so every row keeps its place.
 //!   An OU is its [`OuEntry`] (id and name): one id under two names is
 //!   two OUs.
-//! * **Recovery**: opening a directory tolerates torn/truncated tails —
-//!   the file is truncated back to its last whole frame and the event is
-//!   counted in `archive_recovered_truncations_total`. A whole frame that
-//!   fails its CRC or decode is stepped over and counted in
-//!   `archive_scan_skipped_blocks_total`. The version byte decides whether
-//!   a file is ours: a flipped magic costs nothing, and a segment of an
-//!   unknown format version is refused, not touched.
+//! * **Recovery** only reads: opening a directory lists every block
+//!   frame that passes its CRC and decode, and steps byte by byte through
+//!   anything else (a torn tail, a damaged head, a failed CRC) to the next
+//!   one, counting each damaged span once in
+//!   `archive_scan_skipped_blocks_total`. A damaged frame costs only its
+//!   own rows, wherever it sits; no file is cut. A flipped magic costs
+//!   nothing, and a segment of an unknown format version is refused.
 //! * **Scans** stream the archive back block-by-block (never
 //!   materializing it) as [`ColumnBatch`]es — one block decoder
 //!   ([`ColumnBatch::decode`]) refilling one reused set of column
@@ -41,6 +41,9 @@
 //! offline.
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
+// Decoded input is narrowed with `try_from`, or where it provably fits
+// under an `allow` that says why; test fixtures cast freely.
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 mod compact;
 mod crc32;

@@ -16,17 +16,14 @@
 //! the manifest. One function frames a payload ([`write_frame`];
 //! compaction copies frames whole) and one reads a block frame
 //! ([`read_block_frame`]: kind, length, bounds and CRC in one read);
-//! recovery, which knows no lengths, first reads each 5-byte head
-//! ([`read_frame_head`]). A torn head (a length past the file or
-//! `MAX_FRAME_LEN`, or an unknown kind) ends the valid prefix; a whole
-//! block frame that fails its CRC or decode is stepped over. Earlier
-//! builds ended a sealed segment with a footer frame (kind 2), a known
-//! kind stepped over unread. The version byte decides whether a file is
-//! ours: `VERSION` is read whatever the magic holds, another version
-//! under the right magic is refused, and neither is a torn creation.
+//! recovery, which knows no lengths, finds the frames by their heads
+//! ([`HeadReader`]). Earlier builds ended a sealed segment with a footer
+//! frame (kind 2), a known kind stepped over unread. Another version
+//! under the right magic is refused; any other header is read for
+//! frames like a good one.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
 use crate::encode::{get_column, get_varint, put_column, put_varint, skip_column};
@@ -137,6 +134,8 @@ impl VarColumn {
     }
 
     /// One slice of values per row, in row order.
+    // Fits: decode checked that the lengths add up to `flat.len()`.
+    #[allow(clippy::cast_possible_truncation)]
     pub fn rows(&self) -> impl Iterator<Item = &[u64]> + '_ {
         let mut rest = self.flat.as_slice();
         self.lens.iter().map(move |&len| {
@@ -257,10 +256,10 @@ impl ColumnBatch {
 
     /// The manifest entry of this batch as the block whose frame is at
     /// `offset` with `payload_len` payload bytes.
-    pub(crate) fn meta(&self, offset: u64, payload_len: usize) -> BlockMeta {
+    pub(crate) fn meta(&self, offset: u64, payload_len: u32) -> BlockMeta {
         BlockMeta {
             offset,
-            payload_len: payload_len as u32,
+            payload_len,
             ou: self.ou.ou,
             count: self.rows as u64,
         }
@@ -287,6 +286,9 @@ impl ColumnBatch {
     /// Row `row` of a fully projected batch as an owned [`Sample`].
     /// `flat_at` is the caller's cursor into the three flat columns: all
     /// zeros before row 0, advanced here, so rows are taken in order.
+    // Fits: decode checked the lengths against `flat` and `tid` and
+    // `template` against `u32::MAX`.
+    #[allow(clippy::cast_possible_truncation)]
     pub(crate) fn sample(&self, row: usize, flat_at: &mut [usize; 3]) -> Sample {
         let mut values = |col: usize| {
             let from = flat_at[col];
@@ -372,6 +374,11 @@ impl ColumnBatch {
                 return None;
             }
         }
+        // `tid` and `template` are `u32` in a `Sample`.
+        let narrow = self.fixed[..START_NS].iter().flatten();
+        if narrow.fold(0, |or, &v| or | v) > u64::from(u32::MAX) {
+            return None;
+        }
         for (col, wanted) in self.var.iter_mut().zip(projection.var()) {
             col.decode(payload, &mut pos, n, wanted)?;
         }
@@ -383,13 +390,21 @@ impl ColumnBatch {
     }
 }
 
-/// Append one frame to `w`; returns bytes written.
-pub(crate) fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> std::io::Result<u64> {
+/// Append one frame to `w`; returns its payload length. A payload over
+/// `MAX_FRAME_LEN`, which recovery would not read, is refused unwritten.
+pub(crate) fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> io::Result<u32> {
+    let len = (u32::try_from(payload.len()).ok()).filter(|&len| len <= MAX_FRAME_LEN);
+    let len = len.ok_or_else(|| io::Error::other("frame payload over MAX_FRAME_LEN"))?;
     w.write_all(&[kind])?;
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
+    w.write_all(&len.to_le_bytes())?;
     w.write_all(payload)?;
     w.write_all(&crc32(payload).to_le_bytes())?;
-    Ok((FRAME_OVERHEAD + payload.len()) as u64)
+    Ok(len)
+}
+
+/// Bytes of a frame whose payload is `payload_len` bytes.
+pub(crate) fn frame_len(payload_len: u32) -> u64 {
+    FRAME_OVERHEAD as u64 + u64::from(payload_len)
 }
 
 /// Create (or truncate) the segment file at `path` and write its header
@@ -405,28 +420,39 @@ pub(crate) fn create_segment(path: &Path) -> std::io::Result<File> {
     Ok(f)
 }
 
-/// Read the head of the frame at `offset`: its kind and payload length,
-/// or `None` if the head is torn — the frame would end past `file_len`,
-/// its length is over `MAX_FRAME_LEN`, or its kind is unknown, i.e. the
-/// valid portion of the file ends before the frame does. Recovery's
-/// reader, which has no manifest; the frame itself is read (or stepped
-/// over) by its caller.
-pub(crate) fn read_frame_head(
-    f: &mut File,
-    offset: u64,
-    file_len: u64,
-) -> std::io::Result<Option<(u8, u32)>> {
-    if offset.saturating_add(FRAME_OVERHEAD as u64) > file_len {
-        return Ok(None);
+const HEAD_WINDOW: usize = 64 << 10;
+
+/// Recovery's reader of frame heads. With no manifest to say where frames
+/// start, recovery steps through damage a byte at a time, so the file is
+/// read through one `window` of up to [`HEAD_WINDOW`] bytes (from file
+/// offset `start`), not per head.
+#[derive(Debug, Default)]
+pub(crate) struct HeadReader {
+    window: Vec<u8>,
+    start: u64,
+}
+
+impl HeadReader {
+    /// The kind and payload length in the head at `at`, or `None` when no
+    /// frame can start there: it would end past `end` (the file length),
+    /// its length is over `MAX_FRAME_LEN`, or its kind is unknown.
+    pub(crate) fn at(&mut self, f: &mut File, at: u64, end: u64) -> io::Result<Option<(u8, u32)>> {
+        if at.saturating_add(FRAME_OVERHEAD as u64) > end {
+            return Ok(None);
+        }
+        let mut rel = usize::try_from(at.wrapping_sub(self.start)).unwrap_or(usize::MAX);
+        if rel.saturating_add(5) > self.window.len() {
+            let rest = usize::try_from(end - at).unwrap_or(usize::MAX);
+            self.window.resize(rest.min(HEAD_WINDOW), 0);
+            f.seek(SeekFrom::Start(at))?;
+            f.read_exact(&mut self.window)?;
+            (self.start, rel) = (at, 0);
+        }
+        let [kind, len @ ..]: [u8; 5] = self.window[rel..rel + 5].try_into().expect("5 bytes");
+        let len = u32::from_le_bytes(len);
+        let whole = len <= MAX_FRAME_LEN && at + frame_len(len) <= end;
+        Ok(((kind == FRAME_BLOCK || kind == FRAME_FOOTER) && whole).then_some((kind, len)))
     }
-    let mut head = [0u8; 5];
-    f.seek(SeekFrom::Start(offset))?;
-    f.read_exact(&mut head)?;
-    let [kind, len @ ..] = head;
-    let len = u32::from_le_bytes(len);
-    let end = offset + (FRAME_OVERHEAD + len as usize) as u64;
-    let whole = len <= MAX_FRAME_LEN && end <= file_len;
-    Ok(((kind == FRAME_BLOCK || kind == FRAME_FOOTER) && whole).then_some((kind, len)))
 }
 
 /// Read the block frame of `payload_len` payload bytes at `offset` into
@@ -441,7 +467,7 @@ pub(crate) fn read_block_frame<'f>(
     frame: &'f mut Vec<u8>,
 ) -> std::io::Result<Option<&'f [u8]>> {
     let len = payload_len as usize;
-    let end = offset.checked_add((FRAME_OVERHEAD + len) as u64);
+    let end = offset.checked_add(frame_len(payload_len));
     if payload_len > MAX_FRAME_LEN || end.is_none_or(|end| end > file_len) {
         return Ok(None);
     }
@@ -668,6 +694,24 @@ mod tests {
         }
         let payload = [header(7, 4, b"scan", 2), wrap].concat();
         assert!(batch.decode(&payload, Projection::ALL).is_none());
+
+        // A `tid` or `template` past `u32::MAX`, which no `Sample` holds.
+        let mut var = 0;
+        for _ in 0..4 {
+            skip_column(&columns, &mut var).unwrap();
+        }
+        for column in 0..2 {
+            for (value, fits) in [(u64::from(u32::MAX), true), (1 << 32, false)] {
+                let mut wide = Vec::new();
+                for c in 0..4 {
+                    put_column(&mut wide, &[1, if c == column { value } else { 2 }]);
+                }
+                wide.extend_from_slice(&columns[var..]);
+                let payload = [header(7, 4, b"scan", 2), wide].concat();
+                let decoded = batch.decode(&payload, Projection::ALL).is_some();
+                assert_eq!(decoded, fits, "column {column}, value {value}");
+            }
+        }
     }
 
     #[test]
@@ -677,12 +721,12 @@ mod tests {
         let path = dir.join("t.seg");
         let payload = b"hello columnar world".to_vec();
         let mut bytes = Vec::new();
-        let block_len = write_frame(&mut bytes, FRAME_BLOCK, &payload).unwrap();
+        let block_len = frame_len(write_frame(&mut bytes, FRAME_BLOCK, &payload).unwrap());
         write_frame(&mut bytes, FRAME_FOOTER, b"legacy").unwrap();
         std::fs::write(&path, &bytes).unwrap();
         let len = bytes.len() as u64;
         let mut f = File::open(&path).unwrap();
-        let head = |f: &mut File, at, file_len| read_frame_head(f, at, file_len).unwrap();
+        let head = |f: &mut File, at, file_len| HeadReader::default().at(f, at, file_len).unwrap();
         assert_eq!(head(&mut f, 0, len), Some((FRAME_BLOCK, 20)));
         assert_eq!(head(&mut f, block_len, len), Some((FRAME_FOOTER, 6)));
         let mut frame = vec![0xAA; 3]; // stale contents, wrong size
@@ -697,7 +741,7 @@ mod tests {
             .unwrap()
             .is_none());
         // Flip one payload byte on disk: the frame fails its CRC but its
-        // head stays whole, so recovery can step over it.
+        // head stays whole.
         bytes[7] ^= 1;
         std::fs::write(&path, &bytes).unwrap();
         let mut f = File::open(&path).unwrap();
@@ -705,7 +749,8 @@ mod tests {
         assert!(read_block_frame(&mut f, 0, 20, len, &mut frame)
             .unwrap()
             .is_none());
-        // A length past the file or an unknown kind is a torn head.
+        // No frame starts where its length runs past the file or its kind
+        // is unknown.
         assert_eq!(head(&mut f, 0, block_len - 1), None);
         assert!(read_block_frame(&mut f, 0, 20, block_len - 1, &mut frame)
             .unwrap()
@@ -714,6 +759,40 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let mut f = File::open(&path).unwrap();
         assert_eq!(head(&mut f, 0, len), None);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// One reader walked forward over a file of several windows, a byte
+    /// at a time and from frame to frame, reads what the bytes say.
+    #[test]
+    fn the_head_reader_reads_every_offset_across_windows() {
+        let dir = std::env::temp_dir().join(format!("tsar_heads_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("t.seg");
+        let mut bytes = Vec::new();
+        for i in 0..40u32 {
+            let payload: Vec<u8> = (0..i * 331).map(|b| (b % 7) as u8).collect();
+            write_frame(&mut bytes, FRAME_BLOCK, &payload).unwrap();
+        }
+        assert!(bytes.len() > 3 * HEAD_WINDOW);
+        std::fs::write(&path, &bytes).unwrap();
+        let (mut f, file_len) = (File::open(&path).unwrap(), bytes.len() as u64);
+        let direct = |at: usize| {
+            let len = u32::from_le_bytes(bytes.get(at + 1..at + 5)?.try_into().unwrap());
+            let known = matches!(bytes[at], FRAME_BLOCK | FRAME_FOOTER);
+            let whole = len <= MAX_FRAME_LEN && at as u64 + frame_len(len) <= file_len;
+            (known && whole).then_some((bytes[at], len))
+        };
+        let mut heads = HeadReader::default();
+        for at in 0..bytes.len() {
+            let read = heads.at(&mut f, at as u64, file_len).unwrap();
+            assert_eq!(read, direct(at), "offset {at}");
+        }
+        let (mut heads, mut at, mut frames) = (HeadReader::default(), 0, 0);
+        while let Some((_, len)) = heads.at(&mut f, at, file_len).unwrap() {
+            (at, frames) = (at + frame_len(len), frames + 1);
+        }
+        assert_eq!((at, frames), (file_len, 40));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

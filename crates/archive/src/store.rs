@@ -2,21 +2,21 @@
 
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::{Seek, SeekFrom};
+use std::fs::File;
+use std::io::{Read, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
 
 use tscout_telemetry::decls::{
     ARCHIVE_BUFFERED_SAMPLES, ARCHIVE_OU_BLOCKS, ARCHIVE_OU_BYTES_WRITTEN,
-    ARCHIVE_OU_SAMPLES_APPENDED, ARCHIVE_RECOVERED_TRUNCATIONS, ARCHIVE_SEGMENTS,
-    ARCHIVE_SEGMENTS_COMPACTED, ARCHIVE_SEGMENTS_SEALED,
+    ARCHIVE_OU_SAMPLES_APPENDED, ARCHIVE_SEGMENTS, ARCHIVE_SEGMENTS_COMPACTED,
+    ARCHIVE_SEGMENTS_SEALED,
 };
 use tscout_telemetry::{CounterSite, CounterVec, GaugeSite, Telemetry};
 
 use crate::encode::MAX_COLUMN_VALUES;
 use crate::segment::{
-    create_segment, read_block_frame, read_frame_head, write_frame, BlockMeta, ColumnBatch,
-    OuEntry, Projection, FRAME_BLOCK, FRAME_OVERHEAD, HEADER_LEN, MAGIC, VERSION,
+    create_segment, frame_len, read_block_frame, write_frame, BlockMeta, ColumnBatch, HeadReader,
+    OuEntry, Projection, FRAME_BLOCK, FRAME_FOOTER, HEADER_LEN, MAGIC, VERSION,
 };
 use crate::{decls, ArchiveError, ArchiveOptions, Sample};
 
@@ -27,18 +27,12 @@ pub(crate) struct SegmentMeta {
     /// for a flushed segment, a compacted run's span for a merged one.
     pub seqs: (u64, u64),
     pub path: PathBuf,
-    /// Valid bytes (file length after any recovery truncation).
+    /// File length: recovery cuts nothing, and reads follow the manifest.
     pub bytes: u64,
     pub sealed: bool,
     /// Every distinct OU entry (id and name) its blocks hold.
     pub ous: Vec<OuEntry>,
     pub blocks: Vec<BlockMeta>,
-}
-
-impl SegmentMeta {
-    pub(crate) fn samples(&self) -> u64 {
-        self.blocks.iter().map(|b| b.count).sum()
-    }
 }
 
 /// Counters summarizing the archive's current shape.
@@ -70,7 +64,6 @@ pub(crate) struct ArchiveMetrics {
     pub(crate) segments: GaugeSite,
     segments_sealed: CounterSite,
     pub(crate) segments_compacted: CounterSite,
-    recovered_truncations: CounterSite,
 }
 
 impl ArchiveMetrics {
@@ -86,7 +79,6 @@ impl ArchiveMetrics {
             segments: ARCHIVE_SEGMENTS.site(&[]),
             segments_sealed: ARCHIVE_SEGMENTS_SEALED.site(&[]),
             segments_compacted: ARCHIVE_SEGMENTS_COMPACTED.site(&[]),
-            recovered_truncations: ARCHIVE_RECOVERED_TRUNCATIONS.site(&[]),
         }
     }
 }
@@ -134,8 +126,8 @@ fn parse_seqs(path: &Path) -> Option<(u64, u64)> {
 }
 
 impl Archive {
-    /// Open (or create) an archive directory, recovering from torn or
-    /// truncated segment tails and from a compaction cut short. After
+    /// Open (or create) an archive directory, recovering from damaged
+    /// segments and from a compaction cut short. After
     /// `open` every pre-existing segment is sealed (it takes no more
     /// blocks); new appends start a fresh segment.
     pub fn open(
@@ -150,7 +142,7 @@ impl Archive {
             let path = entry?.path();
             if path.extension().is_some_and(|e| e == "tmp") {
                 // Leftover from a crashed compaction: inputs are intact.
-                std::fs::remove_file(&path).ok();
+                std::fs::remove_file(&path)?;
                 continue;
             }
             if let Some(seqs) = parse_seqs(&path) {
@@ -199,20 +191,14 @@ impl Archive {
             .set(self.segments.len() as f64);
     }
 
-    /// Scan one segment file frame-by-frame, truncating at the first torn
-    /// frame head (a length past the file or the cap, or an unknown
-    /// kind). A whole block frame that fails its CRC or decode is stepped
-    /// over: it is left out of the manifest and counted in
-    /// `archive_scan_skipped_blocks_total`; an earlier build's footer is
-    /// stepped over unread. The version byte decides whether the file is
-    /// ours: `VERSION` is read whatever the magic holds (a flipped magic
-    /// costs nothing), another version under the right magic is
-    /// `Corrupt` (file untouched), and neither — a file shorter than the
-    /// header included — is a torn creation. Returns `None` (file deleted)
-    /// if nothing valid remains; a file is otherwise written only to cut a
-    /// torn tail. Every block is decoded in full into `block` (scratch,
-    /// like `frame`, reused from segment to segment), so the manifest
-    /// lists only blocks a scan under any projection can decode.
+    /// Walk one segment file's frames, reading only. A block frame that
+    /// reads whole (kind, length, CRC) and decodes in full into `block`
+    /// (scratch, like `frame`) joins the manifest; an earlier build's
+    /// footer at a frame boundary is stepped over. Any other byte is
+    /// damage, stepped through a byte at a time to the next such block and
+    /// counted once per span in `archive_scan_skipped_blocks_total`, so a
+    /// damaged frame costs only its own rows. Another version under the
+    /// right magic is `Corrupt`. `None` (file deleted): no block read.
     fn recover_segment(
         &mut self,
         seqs: (u64, u64),
@@ -220,11 +206,10 @@ impl Archive {
         frame: &mut Vec<u8>,
         block: &mut ColumnBatch,
     ) -> Result<Option<SegmentMeta>, ArchiveError> {
-        let mut f = OpenOptions::new().read(true).write(true).open(path)?;
+        let mut f = File::open(path)?;
         let file_len = f.metadata()?.len();
-        let mut head = [0u8; HEADER_LEN as usize];
+        let mut head = [0u8; MAGIC.len() + 1];
         if file_len >= HEADER_LEN {
-            use std::io::Read;
             f.read_exact(&mut head)?;
         }
         if &head[..4] == MAGIC && head[4] != VERSION {
@@ -234,33 +219,26 @@ impl Archive {
                 head[4]
             )));
         }
-        let mut ous: Vec<OuEntry> = Vec::new();
-        let mut blocks: Vec<BlockMeta> = Vec::new();
-        let mut valid_to = 0u64;
-        if head[4] == VERSION {
-            valid_to = HEADER_LEN;
-            while let Some((kind, len)) = read_frame_head(&mut f, valid_to, file_len)? {
-                if kind == FRAME_BLOCK {
-                    let read = read_block_frame(&mut f, valid_to, len, file_len, frame)?;
-                    if read.is_some_and(|p| block.decode(p, Projection::ALL).is_some()) {
-                        blocks.push(block.meta(valid_to, len as usize));
-                        if !ous.contains(block.ou()) {
-                            ous.push(block.ou().clone());
-                        }
-                    } else {
-                        decls::SCAN_SKIPPED_BLOCKS.with(&self.telemetry, &[]).inc();
-                    }
+        let (mut ous, mut blocks) = (Vec::new(), Vec::new());
+        let (mut heads, mut at, mut damaged) = (HeadReader::default(), HEADER_LEN, false);
+        while at < file_len {
+            let (kind, len) = heads.at(&mut f, at, file_len)?.unwrap_or_default();
+            let valid = kind == FRAME_BLOCK
+                && read_block_frame(&mut f, at, len, file_len, frame)?
+                    .is_some_and(|p| block.decode(p, Projection::ALL).is_some());
+            if valid {
+                blocks.push(block.meta(at, len));
+                if !ous.contains(block.ou()) {
+                    ous.push(block.ou().clone());
                 }
-                valid_to += (FRAME_OVERHEAD + len as usize) as u64;
             }
-        }
-        let torn = valid_to < file_len;
-        if torn {
-            f.set_len(valid_to)?;
-            self.metrics
-                .recovered_truncations
-                .get(&self.telemetry)
-                .inc();
+            // A damaged span ends only at a block frame.
+            let intact = valid || (kind == FRAME_FOOTER && !damaged);
+            if !intact && !damaged {
+                decls::SCAN_SKIPPED_BLOCKS.with(&self.telemetry, &[]).inc();
+            }
+            damaged = !intact;
+            at += if intact { frame_len(len) } else { 1 };
         }
         if blocks.is_empty() {
             drop(f);
@@ -270,7 +248,7 @@ impl Archive {
         Ok(Some(SegmentMeta {
             seqs,
             path: path.to_path_buf(),
-            bytes: valid_to,
+            bytes: file_len,
             sealed: true,
             ous,
             blocks,
@@ -366,13 +344,13 @@ impl Archive {
         let meta = self.segments.last_mut().expect("active segment exists");
         let f = self.active.as_mut().expect("active file open");
         f.seek(SeekFrom::Start(meta.bytes))?;
-        let frame_len = write_frame(f, FRAME_BLOCK, &payload)?;
-        meta.blocks.push(mt.meta(meta.bytes, payload.len()));
-        meta.bytes += frame_len;
+        let len = write_frame(f, FRAME_BLOCK, &payload)?;
+        meta.blocks.push(mt.meta(meta.bytes, len));
+        meta.bytes += frame_len(len);
         if !meta.ous.contains(mt.ou()) {
             meta.ous.push(mt.ou().clone());
         }
-        Ok(frame_len)
+        Ok(frame_len(len))
     }
 
     /// Create the active segment file if there is none.
@@ -460,11 +438,12 @@ impl Archive {
 
     /// Current shape summary.
     pub fn stats(&self) -> ArchiveStats {
+        let blocks = || self.segments.iter().flat_map(|s| &s.blocks);
         ArchiveStats {
             segments: self.segments.len(),
             sealed_segments: self.segments.iter().filter(|s| s.sealed).count(),
-            blocks: self.segments.iter().map(|s| s.blocks.len()).sum(),
-            samples_stored: self.segments.iter().map(SegmentMeta::samples).sum(),
+            blocks: blocks().count(),
+            samples_stored: blocks().map(|b| b.count).sum(),
             samples_buffered: self.buffered,
             bytes: self.segments.iter().map(|s| s.bytes).sum(),
         }
@@ -525,8 +504,8 @@ impl Archive {
 
 impl Drop for Archive {
     fn drop(&mut self) {
-        // Best-effort durability on clean shutdown; a crash instead goes
-        // through torn-tail recovery at the next open.
+        // Best-effort durability on clean shutdown; a torn tail a crash
+        // leaves instead is stepped over by the next open.
         let _ = self.seal();
     }
 }
@@ -534,8 +513,8 @@ impl Drop for Archive {
 /// Streaming block reader: decodes one block at a time into one reused
 /// [`ColumnBatch`] from one reused frame buffer, never materializing the
 /// archive. Blocks that are not their manifest entry (kind, length, OU,
-/// rows, or past the valid length) or fail their CRC or decode (only if
-/// the file changed under us) are skipped and counted in
+/// rows, or past the file length known at open) or fail their CRC or
+/// decode (only if the file changed under us) are skipped and counted in
 /// `archive_scan_skipped_blocks_total`. A named scan plans every block
 /// of its name's OU ids and passes over, uncounted, those of another
 /// name under the same id.
@@ -543,7 +522,7 @@ impl Drop for Archive {
 pub struct BatchScan {
     /// The OU name scanned for; `None` scans every OU.
     name: Option<String>,
-    /// `(path, valid file length)` of every segment the plan touches.
+    /// `(path, file length)` of every segment the plan touches.
     files: Vec<(PathBuf, u64)>,
     /// `(index into files, manifest entry)` per block, in order.
     plan: Vec<(usize, BlockMeta)>,
@@ -678,7 +657,6 @@ pub(crate) fn test_sample(ou: u16, name: &str, i: u64) -> Sample {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segment::FRAME_FOOTER;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let d = std::env::temp_dir().join(format!("tscout_archive_{tag}_{}", std::process::id()));
@@ -767,10 +745,7 @@ mod tests {
         }
         let t = Telemetry::new();
         let a = Archive::open(&dir, ArchiveOptions::default(), t.clone()).unwrap();
-        assert_eq!(
-            t.counter_value("archive_recovered_truncations_total", &[]),
-            0
-        );
+        assert_eq!(t.counter_value("archive_scan_skipped_blocks_total", &[]), 0);
         let got: Vec<Sample> = a.scan_ou("join").collect();
         assert_eq!(got.len(), 300);
         for (g, w) in got.iter().zip(&originals) {
@@ -800,8 +775,10 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A torn half-written frame after the last whole one is stepped
+    /// over and counted once; it stays on disk, and nothing is written.
     #[test]
-    fn torn_tail_truncates_to_last_valid_block() {
+    fn a_torn_tail_is_stepped_over_and_left_on_disk() {
         let dir = tmp_dir("torn");
         {
             let mut a = Archive::open(&dir, ArchiveOptions::default(), Telemetry::new()).unwrap();
@@ -814,24 +791,20 @@ mod tests {
         // Append garbage: a torn half-written frame.
         let path = seg_path(&dir, (0, 0));
         let mut bytes = std::fs::read(&path).unwrap();
-        let clean_len = bytes.len();
         bytes.extend_from_slice(&[FRAME_BLOCK, 0xFF, 0xFF, 0x00, 0x00, 1, 2, 3]);
         std::fs::write(&path, &bytes).unwrap();
         let t = Telemetry::new();
         let a = Archive::open(&dir, ArchiveOptions::default(), t.clone()).unwrap();
-        assert_eq!(
-            t.counter_value("archive_recovered_truncations_total", &[]),
-            1
-        );
+        assert_eq!(t.counter_value("archive_scan_skipped_blocks_total", &[]), 1);
         assert_eq!(a.scan_ou("scan").count(), 100);
-        // The torn bytes are gone, and nothing else was written.
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), clean_len as u64);
+        assert_eq!(a.stats().bytes, bytes.len() as u64);
+        assert_eq!(std::fs::read(&path).unwrap(), bytes, "open writes nothing");
         std::fs::remove_dir_all(&dir).ok();
     }
 
     /// Earlier builds ended a sealed segment with a footer frame (kind 2).
     /// Intact or with its CRC broken, it is stepped over: every row opens,
-    /// nothing is skipped or cut, and the file is not written.
+    /// nothing is skipped, and the file is not written.
     #[test]
     fn an_earlier_builds_footer_is_stepped_over_and_left_untouched() {
         use crate::encode::put_varint;
@@ -871,12 +844,8 @@ mod tests {
             let got: Vec<Sample> = a.scan_all().collect();
             assert_eq!(got.len(), originals.len(), "broken: {broken}");
             assert!(got.iter().zip(&originals).all(|(g, w)| g.bits_eq(w)));
-            let counted = [
-                "archive_scan_skipped_blocks_total",
-                "archive_recovered_truncations_total",
-            ]
-            .map(|name| t.counter_value(name, &[]));
-            assert_eq!(counted, [0, 0], "broken: {broken}");
+            let skipped = t.counter_value("archive_scan_skipped_blocks_total", &[]);
+            assert_eq!(skipped, 0, "broken: {broken}");
             assert_eq!(a.stats().bytes, bytes.len() as u64);
             drop(a);
             assert_eq!(std::fs::read(&path).unwrap(), bytes, "broken: {broken}");
@@ -1040,12 +1009,8 @@ mod tests {
         assert_eq!(reopened.len(), 80);
         assert!(reopened.iter().zip(&survivors).all(|(g, w)| g.bits_eq(w)));
         assert_eq!(std::fs::read(&a.segments[0].path).unwrap(), bytes);
-        let counted = [
-            "archive_scan_skipped_blocks_total",
-            "archive_recovered_truncations_total",
-        ]
-        .map(|name| t.counter_value(name, &[]));
-        assert_eq!(counted, [1, 0], "skipped once at open, never truncated");
+        let skipped = t.counter_value("archive_scan_skipped_blocks_total", &[]);
+        assert_eq!(skipped, 1, "skipped once at open");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1102,18 +1067,85 @@ mod tests {
                 }
                 Err(e) => assert!(bit >= 32 && matches!(e, ArchiveError::Corrupt(_)), "{e}"),
             }
-            let counted = [
-                "archive_scan_skipped_blocks_total",
-                "archive_recovered_truncations_total",
-            ]
-            .map(|name| t.counter_value(name, &[]));
-            assert_eq!(counted, [0, 0], "bit {bit}");
+            let skipped = t.counter_value("archive_scan_skipped_blocks_total", &[]);
+            assert_eq!(skipped, 0, "bit {bit}");
             assert_eq!(std::fs::read(&path).unwrap(), bytes, "bit {bit}");
         }
         std::fs::write(&path, [0; 5]).unwrap();
         let a = Archive::open(&dir, ArchiveOptions::default(), Telemetry::new()).unwrap();
         assert_eq!(a.stats().segments, 0);
         assert!(!path.exists(), "a torn creation is deleted");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A segment whose one block fails its CRC holds no block to serve:
+    /// the damage is counted and the file removed.
+    #[test]
+    fn a_segment_whose_only_block_fails_its_crc_is_removed() {
+        let dir = tmp_dir("only_block");
+        {
+            let mut a = Archive::open(&dir, ArchiveOptions::default(), Telemetry::new()).unwrap();
+            for i in 0..40 {
+                a.append(test_sample(1, "scan", i)).unwrap();
+            }
+        }
+        let path = seg_path(&dir, (0, 0));
+        let mut bytes = std::fs::read(&path).unwrap();
+        *bytes.last_mut().unwrap() ^= 1; // the CRC's last byte
+        std::fs::write(&path, &bytes).unwrap();
+        let t = Telemetry::new();
+        let a = Archive::open(&dir, ArchiveOptions::default(), t.clone()).unwrap();
+        assert_eq!((a.stats().segments, a.scan_all().count()), (0, 0));
+        assert_eq!(t.counter_value("archive_scan_skipped_blocks_total", &[]), 1);
+        assert!(
+            !path.exists(),
+            "a segment with no readable block is removed"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// 400 rows in 32-row blocks, merged by `compact_now` into one
+    /// segment of 13 blocks. A flipped bit in any byte of any frame's
+    /// head (its kind or its length), the first frame's included, costs
+    /// exactly that frame's rows: every other row is served in order,
+    /// the damage is counted once, and the file is left as it was.
+    #[test]
+    fn a_damaged_frame_head_costs_only_its_own_rows_wherever_it_sits() {
+        let dir = tmp_dir("heads");
+        let opts = ArchiveOptions {
+            memtable_flush_samples: 32,
+            segment_max_bytes: 2_048,
+            ..Default::default()
+        };
+        let originals: Vec<Sample> = (0..400).map(|i| test_sample(1, "scan", i)).collect();
+        let mut a = Archive::open(&dir, opts.clone(), Telemetry::new()).unwrap();
+        originals.iter().for_each(|s| a.append(s).unwrap());
+        a.seal().unwrap();
+        assert!(a.compact_now().unwrap());
+        let (path, blocks) = (a.segments[0].path.clone(), a.segments[0].blocks.clone());
+        drop(a);
+        assert_eq!(blocks.len(), 13);
+        let pristine = std::fs::read(&path).unwrap();
+        let mut first = 0;
+        for (k, victim) in blocks.iter().enumerate() {
+            let lost = first..first + victim.count as usize;
+            first = lost.end;
+            for at in victim.offset as usize..victim.offset as usize + 5 {
+                let mut bytes = pristine.clone();
+                bytes[at] ^= 0x40;
+                std::fs::write(&path, &bytes).unwrap();
+                let t = Telemetry::new();
+                let a = Archive::open(&dir, opts.clone(), t.clone()).unwrap();
+                let got: Vec<Sample> = a.scan_all().collect();
+                let kept = (originals.iter().enumerate()).filter(|(i, _)| !lost.contains(i));
+                assert_eq!(got.len(), 400 - lost.len(), "block {k}, byte {at}");
+                assert!(got.iter().zip(kept).all(|(g, (_, w))| g.bits_eq(w)));
+                let skipped = t.counter_value("archive_scan_skipped_blocks_total", &[]);
+                assert_eq!(skipped, 1, "block {k}, byte {at}");
+                drop(a);
+                assert_eq!(std::fs::read(&path).unwrap(), bytes, "block {k}, byte {at}");
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

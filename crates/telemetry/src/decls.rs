@@ -56,8 +56,6 @@ crate::declare_metrics! {
         "Bytes persisted to segment files, per OU";
     pub ARCHIVE_OU_SAMPLES_APPENDED: Counter = "archive_ou_samples_appended_total",
         "Samples appended to the training-data archive, per OU";
-    pub ARCHIVE_RECOVERED_TRUNCATIONS: Counter = "archive_recovered_truncations_total",
-        "Torn segment tails truncated during crash recovery";
     pub ARCHIVE_SEGMENTS: Gauge = "archive_segments", "Archive segment files currently on disk";
     pub ARCHIVE_SEGMENTS_COMPACTED: Counter = "archive_segments_compacted_total",
         "Segments rewritten by compaction";

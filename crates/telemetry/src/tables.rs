@@ -313,7 +313,7 @@ pub const TABLES: &[Table] = &[
     },
     // One row per OU stored in the training-data archive: samples
     // appended, blocks and bytes written. The archive-global
-    // segment and recovery counters repeat on every row, so a single
+    // segment counters repeat on every row, so a single
     // scan answers both per-OU and whole-archive questions.
     Table {
         name: "ts_stat_archive",
@@ -327,7 +327,6 @@ pub const TABLES: &[Table] = &[
             ("buffered_samples", Int),
             ("segments_sealed", Int),
             ("segments_compacted", Int),
-            ("recovered_truncations", Int),
         ],
         rows: |r| {
             const PER_OU: [&str; 3] = [
@@ -358,7 +357,6 @@ pub const TABLES: &[Table] = &[
                         Cell::Int(r.gauge_value(decls::ARCHIVE_BUFFERED_SAMPLES.name, &[]) as i64),
                         int(r.counter_value(decls::ARCHIVE_SEGMENTS_SEALED.name, &[])),
                         int(r.counter_value(decls::ARCHIVE_SEGMENTS_COMPACTED.name, &[])),
-                        int(r.counter_value(decls::ARCHIVE_RECOVERED_TRUNCATIONS.name, &[])),
                     ]);
                     row
                 })
@@ -759,7 +757,7 @@ mod tests {
         assert_eq!(rows[1][1], Cell::Int(5));
         assert_eq!(rows[1][2], Cell::Int(1));
         for row in &rows {
-            assert_eq!(row.len(), 9);
+            assert_eq!(row.len(), 8);
             assert_eq!(row[4], Cell::Int(4));
             assert_eq!(row[6], Cell::Int(3));
         }

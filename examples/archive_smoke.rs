@@ -67,7 +67,7 @@ fn main() {
     }
     assert_eq!(seen, N, "scan returned {seen} of {N} samples");
     println!(
-        "reopened and scanned {seen} samples OK (recovered truncations: {})",
-        telemetry.counter_total("archive_recovered_truncations_total")
+        "reopened and scanned {seen} samples OK (damaged spans stepped over: {})",
+        telemetry.counter_total("archive_scan_skipped_blocks_total")
     );
 }

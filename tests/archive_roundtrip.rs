@@ -5,13 +5,16 @@
 //!    scan must return every sample bit-identically, per OU, in append
 //!    order, across randomized shapes (vector lengths, float payloads
 //!    including NaN, segment rollovers);
-//! 2. crash recovery — corrupting the tail segment at every byte offset
-//!    must never lose the valid prefix, and recovery is counted; a
-//!    damaged block costs only that block's rows, a damaged magic none;
+//! 2. crash recovery only reads — a cut at every length, or a flipped
+//!    byte at every offset, of a plain segment and of a merged one costs
+//!    exactly the rows of the frame it lands in (a damaged magic none),
+//!    leaves the file byte for byte as it was, and is counted;
 //! 3. the model hot-swap gate — a regressed candidate is rejected and
 //!    the live generation is unchanged; a good one is then accepted.
 
-use tscout_suite::archive::{Archive, ArchiveOptions, Sample};
+use std::path::{Path, PathBuf};
+
+use tscout_suite::archive::{Archive, ArchiveError, ArchiveOptions, Projection, Sample};
 use tscout_suite::models::dataset::{LabeledPoint, OuData};
 use tscout_suite::models::{ModelKind, ModelRegistry, SwapDecision};
 use tscout_suite::rng::rngs::StdRng;
@@ -90,10 +93,111 @@ fn roundtrip_seal_compact_scan_is_bit_identical_per_ou() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The one segment file in `dir`.
+fn only_segment(dir: &Path) -> PathBuf {
+    let mut segments = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "tsa"));
+    let seg = segments.next().expect("a segment on disk");
+    assert!(segments.next().is_none(), "one segment");
+    seg
+}
+
+/// Damage the one segment in `dir` at every offset and cut it at every
+/// length, reopening after each; `originals` are its rows in storage
+/// order. A flip of the version byte is refused; any other flip costs
+/// exactly the rows of the frame it lands in (the magic is in none) and
+/// is counted exactly when it lands in a frame. A cut serves exactly the
+/// rows of the whole frames before it and is counted exactly when it
+/// falls inside a frame. Either way the file is byte for byte as it was,
+/// unless no whole block is left, when it is removed.
+fn every_flip_and_cut_costs_only_its_frame(
+    dir: &Path,
+    opts: &ArchiveOptions,
+    originals: &[Sample],
+) {
+    let seg = only_segment(dir);
+    let pristine = std::fs::read(&seg).unwrap();
+    // Each frame: (offset, end, rows before it, rows in it).
+    let mut frames = Vec::new();
+    let a = Archive::open(dir, opts.clone(), Telemetry::new()).unwrap();
+    let mut blocks = a.scan_batches(None, Projection::NONE);
+    let (mut at, mut rows) = (5, 0);
+    while let Some(block) = blocks.next_batch() {
+        let len = u32::from_le_bytes(pristine[at + 1..at + 5].try_into().unwrap()) as usize;
+        frames.push((at, at + 9 + len, rows, block.len()));
+        (at, rows) = (at + 9 + len, rows + block.len());
+    }
+    assert_eq!((at, rows), (pristine.len(), originals.len()));
+    assert!(frames.len() >= 4, "several frames to damage");
+    drop(a);
+
+    let reopen = |bytes: &[u8]| {
+        std::fs::write(&seg, bytes).unwrap();
+        let t = Telemetry::new();
+        let got =
+            Archive::open(dir, opts.clone(), t.clone()).map(|a| a.scan_all().collect::<Vec<_>>());
+        let skipped = t.counter_total("archive_scan_skipped_blocks_total");
+        (got, skipped)
+    };
+    let served = |got: &[Sample], want: Vec<&Sample>, bytes: &[u8], what: &str| {
+        assert_eq!(got.len(), want.len(), "{what}");
+        assert!(got.iter().zip(want).all(|(g, w)| g.bits_eq(w)), "{what}");
+        if got.is_empty() {
+            assert!(
+                !seg.exists(),
+                "{what}: a segment with no whole block is removed"
+            );
+        } else {
+            assert_eq!(
+                std::fs::read(&seg).unwrap(),
+                bytes,
+                "{what}: the file changed"
+            );
+        }
+    };
+
+    for off in 0..pristine.len() {
+        let mut bad = pristine.clone();
+        bad[off] ^= 0xFF;
+        let (got, skipped) = reopen(&bad);
+        if off == 4 {
+            assert!(matches!(got, Err(ArchiveError::Corrupt(_))), "version flip");
+            assert_eq!(
+                std::fs::read(&seg).unwrap(),
+                bad,
+                "a refused segment is untouched"
+            );
+            continue;
+        }
+        let hit = frames.iter().find(|f| f.0 <= off && off < f.1);
+        let lost = hit.map_or(0..0, |f| f.2..f.2 + f.3);
+        let want = (originals.iter().enumerate()).filter(|(i, _)| !lost.contains(i));
+        let what = format!("flip at {off} of {}", pristine.len());
+        served(&got.unwrap(), want.map(|(_, s)| s).collect(), &bad, &what);
+        assert_eq!(skipped >= 1, hit.is_some(), "{what}: counted {skipped}");
+    }
+    for len in 0..=pristine.len() {
+        let (got, skipped) = reopen(&pristine[..len]);
+        let whole: usize = frames.iter().filter(|f| f.1 <= len).map(|f| f.3).sum();
+        let what = format!("cut at {len} of {}", pristine.len());
+        served(
+            &got.unwrap(),
+            originals[..whole].iter().collect(),
+            &pristine[..len],
+            &what,
+        );
+        let inside = frames.iter().any(|f| f.0 < len && len < f.1);
+        assert_eq!(skipped, u64::from(inside), "{what}");
+    }
+    std::fs::write(&seg, &pristine).unwrap();
+}
+
 #[test]
 fn torn_tail_recovers_valid_prefix_at_every_corruption_offset() {
-    let dir = temp_dir("torn");
     // Small flush threshold → several blocks in one segment.
+    let dir = temp_dir("torn");
     let opts = ArchiveOptions {
         memtable_flush_samples: 25,
         ..Default::default()
@@ -101,84 +205,34 @@ fn torn_tail_recovers_valid_prefix_at_every_corruption_offset() {
     let mut rng = StdRng::seed_from_u64(7);
     let originals: Vec<Sample> = (0..100).map(|_| random_sample(&mut rng, 1)).collect();
     let mut a = Archive::open(&dir, opts.clone(), Telemetry::new()).unwrap();
-    for s in &originals {
-        a.append(s).unwrap();
+    originals.iter().for_each(|s| a.append(s).unwrap());
+    drop(a);
+    every_flip_and_cut_costs_only_its_frame(&dir, &opts, &originals);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The same sweep over a segment that compaction merged from several,
+/// its blocks of three OUs interleaved.
+#[test]
+fn a_merged_segment_recovers_at_every_corruption_offset() {
+    let dir = temp_dir("torn_merged");
+    let opts = ArchiveOptions {
+        memtable_flush_samples: 10,
+        segment_max_bytes: 1_200,
+        ..Default::default()
+    };
+    let mut rng = StdRng::seed_from_u64(11);
+    let mut a = Archive::open(&dir, opts.clone(), Telemetry::new()).unwrap();
+    for i in 0..60 {
+        a.append(random_sample(&mut rng, i % 3)).unwrap();
     }
     a.seal().unwrap();
+    assert!(a.stats().segments >= 3, "want a run to merge");
+    assert!(a.compact_now().unwrap());
+    let stored: Vec<Sample> = a.scan_all().collect();
+    assert_eq!(stored.len(), 60);
     drop(a);
-    let seg = std::fs::read_dir(&dir)
-        .unwrap()
-        .filter_map(|e| Some(e.ok()?.path()))
-        .find(|p| p.extension().is_some_and(|x| x == "tsa"))
-        .expect("sealed segment on disk");
-    let pristine = std::fs::read(&seg).unwrap();
-
-    // Truncate the file at every length from just-past-the-header to
-    // full, plus flip a byte at a spread of offsets: reopen must always
-    // recover a valid prefix (never error, never return garbage).
-    let mut lengths: Vec<usize> = (6..pristine.len()).step_by(97).collect();
-    lengths.push(pristine.len() - 1);
-    for &len in &lengths {
-        std::fs::write(&seg, &pristine[..len]).unwrap();
-        let t = Telemetry::new();
-        let a = Archive::open(&dir, opts.clone(), t.clone()).unwrap();
-        let n = a.scan_all().count();
-        assert!(n <= 100, "truncated tail can never add samples");
-        assert!(
-            t.counter_total("archive_recovered_truncations_total") >= 1,
-            "truncation at {len} must be counted"
-        );
-        drop(a);
-        // Recovery cuts the file; restore the pristine image for the
-        // next offset.
-        std::fs::write(&seg, &pristine).unwrap();
-    }
-    // Each frame of the pristine file: (offset, kind). Blocks 0..4 hold
-    // 25 rows each.
-    let mut frames = Vec::new();
-    let mut at = 5;
-    while at < pristine.len() {
-        frames.push((at, pristine[at]));
-        at += 9 + u32::from_le_bytes(pristine[at + 1..at + 5].try_into().unwrap()) as usize;
-    }
-    assert_eq!(frames.iter().map(|f| f.1).collect::<Vec<_>>(), [1, 1, 1, 1]);
-    let mut damaged_blocks = [false; 4];
-    for off in (0..4).chain((5..pristine.len()).step_by(131)) {
-        let mut bad = pristine.clone();
-        bad[off] ^= 0xFF;
-        std::fs::write(&seg, &bad).unwrap();
-        let a = Archive::open(&dir, opts.clone(), Telemetry::new()).unwrap();
-        let got: Vec<Sample> = a.scan_all().collect();
-        drop(a);
-        match frames.iter().rposition(|f| f.0 <= off) {
-            None => {
-                // A flip in the magic costs nothing, and open leaves it.
-                assert_eq!(got.len(), 100, "flip at {off} in the magic");
-                assert!(got.iter().zip(&originals).all(|(g, w)| g.bits_eq(w)));
-                assert_eq!(std::fs::read(&seg).unwrap(), bad, "flip at {off}");
-            }
-            Some(k) if off >= frames[k].0 + 5 => {
-                // A flip in block k's payload or CRC costs that block alone.
-                damaged_blocks[k] = true;
-                let others = (originals.iter().enumerate()).filter(|(i, _)| i / 25 != k);
-                assert_eq!(got.len(), 75, "flip at {off} in block {k}");
-                assert!(got.iter().zip(others).all(|(g, (_, w))| g.bits_eq(w)));
-            }
-            Some(_) => {
-                // A flip in a frame header ends the valid prefix there.
-                assert!(
-                    got.len() <= 100,
-                    "corruption at {off} can never add samples"
-                );
-                assert!(got.iter().zip(&originals).all(|(g, w)| g.bits_eq(w)));
-            }
-        }
-        std::fs::write(&seg, &pristine).unwrap();
-    }
-    assert_eq!(damaged_blocks, [true; 4], "every block is flipped once");
-    // Pristine file still yields everything.
-    let a = Archive::open(&dir, opts, Telemetry::new()).unwrap();
-    assert_eq!(a.scan_all().count(), 100);
+    every_flip_and_cut_costs_only_its_frame(&dir, &opts, &stored);
     std::fs::remove_dir_all(&dir).ok();
 }
 
