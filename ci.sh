@@ -32,6 +32,36 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --workspace --no-dep
 echo "== cargo build --release =="
 cargo build --workspace --release
 
+echo "== the docs match the tree: DESIGN.md <= 40 000 B, README.md <= 25 000 B, every backticked path is a tracked file (a glob or <placeholder> matches one), every backticked fig/ablation name is an entry, no PR number =="
+docs_bad=0
+for doc_cap in DESIGN.md:40000 README.md:25000; do
+  doc=${doc_cap%:*} cap=${doc_cap#*:}
+  size=$(wc -c < "$doc")
+  if [ "$size" -gt "$cap" ]; then
+    echo "$doc: $size bytes, over its cap of $cap"; docs_bad=1
+  fi
+done
+entries=" $(./target/release/tscout-bench list fig ablation | tr '\n' ' ') "
+while IFS=: read -r doc span; do
+  token=${span//\`/}
+  token=${token%%::*}
+  if [[ $token =~ ^(fig[0-9]+|ablation)_[a-z0-9_]+$ ]] && [[ $entries != *" $token "* ]]; then
+    echo "$doc: \`$token\` is not a tscout-bench entry"; docs_bad=1
+  elif [[ $token =~ ^[A-Za-z0-9_.*/\<\>-]+$ && $token == */* && ($token == *.rs || $token == */src/*) ]] \
+    || [[ $token =~ ^(crates|tests|examples|tools|src|benchmark)/ ]]; then
+    glob=$(sed -E 's/<[^>]*>/*/g' <<< "$token")
+    if [[ ! $glob =~ ^(crates|tests|examples|tools|src|benchmark)/ ]]; then
+      echo "$doc: \`$token\` is not a path from the repo root"; docs_bad=1
+    elif [ -z "$(git ls-files -- "$glob")" ]; then
+      echo "$doc: \`$token\` matches no tracked file"; docs_bad=1
+    fi
+  fi
+done < <(grep -oE '`[^`]+`' DESIGN.md README.md)
+if grep -nE '\bPR [0-9]+' DESIGN.md README.md; then
+  echo "the docs name a PR: history belongs in CHANGES.md"; docs_bad=1
+fi
+[ "$docs_bad" = 0 ] || { echo "FAIL: DESIGN.md / README.md do not match the tree"; exit 1; }
+
 echo "== cargo test =="
 cargo test --workspace -q
 

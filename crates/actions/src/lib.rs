@@ -37,8 +37,8 @@
 //! candidate: one in-flight action per (kind, target); a per-
 //! (kind, target) rate limit; direction-reversal hysteresis so the
 //! engine never flip-flops against the health engine's own hysteresis.
-//! A global kill switch ([`ActionConfig::enabled`]) and a dry-run mode
-//! that plans and follows up but never actuates sit above all policies.
+//! A dry-run mode that plans and follows up but never actuates sits
+//! above all policies; an engine that should not act is not built.
 //! Planner cost is charged to the virtual clock by the driver
 //! (`action_plan_ns` / `action_followup_ns`, on the Processor's task)
 //! so collected samples stay bit-identical with the engine on or off.
@@ -193,12 +193,10 @@ impl Watch {
     }
 }
 
-/// Engine configuration: the kill switch, dry-run, the observation
-/// window, guardrail knobs, and the overhead budget.
+/// Engine configuration: dry-run, the observation window, guardrail
+/// knobs, and the overhead budget.
 #[derive(Debug, Clone)]
 pub struct ActionConfig {
-    /// Global kill switch: `false` makes [`ActionEngine::tick`] a no-op.
-    pub enabled: bool,
     /// Plan and follow up, but never call the actuator.
     pub dry_run: bool,
     /// Virtual ns between planning an action and observing its outcome.
@@ -230,7 +228,6 @@ const REGRESSION_TOLERANCE: f64 = 0.10;
 impl Default for ActionConfig {
     fn default() -> Self {
         ActionConfig {
-            enabled: true,
             dry_run: false,
             observation_window_ns: 40e6,
             min_interval_ns: 80e6,
@@ -439,7 +436,7 @@ pub struct ActionEngine {
     /// First-seen rate per subsystem: the restore target.
     baseline_rates: BTreeMap<String, u8>,
     compaction_held: bool,
-    /// Planning passes run (kill switch off excluded).
+    /// Planning passes run.
     pub ticks: u64,
 }
 
@@ -477,9 +474,6 @@ impl ActionEngine {
     /// in order, run guardrails, log + actuate survivors.
     pub fn tick(&mut self, inputs: &PlannerInputs, actuator: &mut dyn DbmsActuator) -> TickReport {
         let mut report = TickReport::default();
-        if !self.cfg.enabled {
-            return report;
-        }
         self.ticks += 1;
         let now = inputs.now_ns;
 
@@ -931,32 +925,6 @@ mod tests {
             recommended,
             loss_delta: loss,
         }]
-    }
-
-    #[test]
-    fn kill_switch_disables_everything() {
-        let t = Telemetry::new();
-        t.gauge("ts_health_state", &[("subsystem", "data")])
-            .set(2.0);
-        let mut e = ActionEngine::new(
-            ActionConfig {
-                enabled: false,
-                ..Default::default()
-            },
-            t.clone(),
-        );
-        let mut a = Recorder::default();
-        let r = e.tick(
-            &PlannerInputs {
-                now_ns: 1e6,
-                ..Default::default()
-            },
-            &mut a,
-        );
-        assert!(r.planned.is_empty() && r.observed.is_empty());
-        assert!(a.calls.is_empty());
-        assert_eq!(e.ticks, 0);
-        assert!(t.actions_snapshot().is_empty());
     }
 
     #[test]

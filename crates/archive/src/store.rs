@@ -11,7 +11,7 @@ use tscout_telemetry::decls::{
     ARCHIVE_OU_SAMPLES_APPENDED, ARCHIVE_SEGMENTS, ARCHIVE_SEGMENTS_COMPACTED,
     ARCHIVE_SEGMENTS_SEALED,
 };
-use tscout_telemetry::{CounterSite, CounterVec, GaugeSite, Telemetry};
+use tscout_telemetry::{Counter, CounterSite, GaugeSite, Telemetry};
 
 use crate::encode::MAX_COLUMN_VALUES;
 use crate::segment::{
@@ -49,18 +49,15 @@ pub struct ArchiveStats {
     pub bytes: u64,
 }
 
-/// The write path's metrics, declared once (see
-/// [`tscout_telemetry::Site`]): each series registers on first use, the
-/// per-OU families indexed by OU id.
+/// The write path's archive-wide metrics, declared once (see
+/// [`tscout_telemetry::Site`]): each series registers on first use. The
+/// per-OU series are resolved by name, per [`Memtable`].
 #[derive(Debug)]
 pub(crate) struct ArchiveMetrics {
     appended: CounterSite,
     append_errors: CounterSite,
-    ou_appended: CounterVec,
     buffered: GaugeSite,
     pub(crate) bytes_written: CounterSite,
-    ou_blocks: CounterVec,
-    ou_bytes_written: CounterVec,
     pub(crate) segments: GaugeSite,
     segments_sealed: CounterSite,
     pub(crate) segments_compacted: CounterSite,
@@ -71,16 +68,21 @@ impl ArchiveMetrics {
         ArchiveMetrics {
             appended: decls::SAMPLES_APPENDED.site(&[]),
             append_errors: decls::APPEND_ERRORS.site(&[]),
-            ou_appended: ARCHIVE_OU_SAMPLES_APPENDED.vec("ou"),
             buffered: ARCHIVE_BUFFERED_SAMPLES.site(&[]),
             bytes_written: decls::BYTES_WRITTEN.site(&[]),
-            ou_blocks: ARCHIVE_OU_BLOCKS.vec("ou"),
-            ou_bytes_written: ARCHIVE_OU_BYTES_WRITTEN.vec("ou"),
             segments: ARCHIVE_SEGMENTS.site(&[]),
             segments_sealed: ARCHIVE_SEGMENTS_SEALED.site(&[]),
             segments_compacted: ARCHIVE_SEGMENTS_COMPACTED.site(&[]),
         }
     }
+}
+
+/// One OU name's write buffer, with the handle of that name's
+/// `archive_ou_samples_appended_total` series.
+#[derive(Debug)]
+struct Memtable {
+    rows: ColumnBatch,
+    appended: Counter,
 }
 
 /// The append-only, segmented, columnar per-OU sample store.
@@ -91,7 +93,7 @@ pub struct Archive {
     pub telemetry: Telemetry,
     pub(crate) metrics: ArchiveMetrics,
     /// Per-OU write buffers, keyed by OU id; each holds one name's rows.
-    memtables: BTreeMap<u16, ColumnBatch>,
+    memtables: BTreeMap<u16, Memtable>,
     buffered: usize,
     pub(crate) segments: Vec<SegmentMeta>,
     /// Open handle for the unsealed last segment, if any.
@@ -269,24 +271,23 @@ impl Archive {
     pub fn append(&mut self, sample: impl Borrow<Sample>) -> Result<(), ArchiveError> {
         let sample = sample.borrow();
         let ou = sample.ou;
-        let renamed = (self.memtables.get(&ou)).is_some_and(|mt| mt.ou().name != sample.ou_name);
+        let renamed =
+            (self.memtables.get(&ou)).is_some_and(|mt| mt.rows.ou().name != sample.ou_name);
         let displaced = if renamed { self.flush_ou(ou) } else { Ok(()) };
-        let mt = self.memtables.entry(ou).or_insert_with(|| {
-            ColumnBatch::for_ou(OuEntry {
+        let t = &self.telemetry;
+        let mt = self.memtables.entry(ou).or_insert_with(|| Memtable {
+            rows: ColumnBatch::for_ou(OuEntry {
                 ou,
                 subsystem: sample.subsystem,
                 name: sample.ou_name.clone(),
-            })
+            }),
+            appended: ARCHIVE_OU_SAMPLES_APPENDED.with(t, &[("ou", &sample.ou_name)]),
         });
-        mt.push(sample);
-        let mt_len = mt.len();
+        mt.rows.push(sample);
+        mt.appended.inc();
+        let mt_len = mt.rows.len();
         self.buffered += 1;
-        let t = &self.telemetry;
         self.metrics.appended.get(t).inc();
-        self.metrics
-            .ou_appended
-            .at(t, ou as usize, || &mt.ou().name)
-            .inc();
         self.metrics.buffered.get(t).add(1.0);
         let full_ou = if mt_len >= self.opts.memtable_flush_samples {
             Some(ou)
@@ -294,7 +295,7 @@ impl Archive {
             // Global bound: evict the largest memtable.
             self.memtables
                 .iter()
-                .max_by_key(|(_, mt)| mt.len())
+                .max_by_key(|(_, mt)| mt.rows.len())
                 .map(|(ou, _)| *ou)
         } else {
             None
@@ -309,12 +310,12 @@ impl Archive {
     /// `buffered` and the write-side memory bound hold under a failing
     /// disk and every appended row is stored, buffered or counted lost.
     fn flush_ou(&mut self, ou: u16) -> Result<(), ArchiveError> {
-        let Some(mt) = self.memtables.remove(&ou) else {
+        let Some(Memtable { rows: mt, .. }) = self.memtables.remove(&ou) else {
             return Ok(());
         };
         let written = self.write_block(&mt);
         self.buffered -= mt.len();
-        let (t, name) = (&self.telemetry, || &mt.ou().name);
+        let t = &self.telemetry;
         self.metrics.buffered.get(t).add(-(mt.len() as f64));
         let frame_len = match written {
             Ok(frame_len) => frame_len,
@@ -324,11 +325,9 @@ impl Archive {
             }
         };
         self.metrics.bytes_written.get(t).add(frame_len);
-        self.metrics.ou_blocks.at(t, ou as usize, name).inc();
-        self.metrics
-            .ou_bytes_written
-            .at(t, ou as usize, name)
-            .add(frame_len);
+        let label = [("ou", mt.ou().name.as_str())];
+        ARCHIVE_OU_BLOCKS.with(t, &label).inc();
+        ARCHIVE_OU_BYTES_WRITTEN.with(t, &label).add(frame_len);
         if self.segments.last().map(|m| m.bytes).unwrap_or(0) >= self.opts.segment_max_bytes {
             self.seal_active()?;
         }
@@ -429,7 +428,7 @@ impl Archive {
             .segments
             .iter()
             .flat_map(|s| s.ous.iter().map(|o| o.name.clone()))
-            .chain(self.memtables.values().map(|mt| mt.ou().name.clone()))
+            .chain(self.memtables.values().map(|mt| mt.rows.ou().name.clone()))
             .collect();
         names.sort();
         names.dedup();
@@ -493,8 +492,8 @@ impl Archive {
             tail: self
                 .memtables
                 .values()
-                .filter(|mt| want(mt.ou()))
-                .cloned()
+                .filter(|mt| want(mt.rows.ou()))
+                .map(|mt| mt.rows.clone())
                 .collect(),
             tail_at: 0,
             telemetry: self.telemetry.clone(),
@@ -913,6 +912,55 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// The per-OU counters, and the `ts_stat_archive` rows read from
+    /// them, follow the name: one id under two names is two OUs there
+    /// too, each credited with its own rows, blocks and bytes.
+    #[test]
+    fn one_id_under_two_names_is_counted_under_each_name() {
+        let dir = tmp_dir("renamed_counts");
+        let t = Telemetry::new();
+        let mut a = Archive::open(&dir, ArchiveOptions::default(), t.clone()).unwrap();
+        for i in 0..10 {
+            a.append(test_sample(5, "scan", i)).unwrap();
+        }
+        for i in 10..17 {
+            a.append(test_sample(5, "probe", i)).unwrap();
+        }
+        a.flush().unwrap();
+        let counted = |ou: &str| {
+            [
+                "archive_ou_samples_appended_total",
+                "archive_ou_blocks_total",
+                "archive_ou_bytes_written_total",
+            ]
+            .map(|name| t.counter_value(name, &[("ou", ou)]))
+        };
+        // `scan` was flushed when `probe` displaced it: block 0, then 1.
+        let bytes: Vec<u64> = (a.segments[0].blocks.iter())
+            .map(|b| frame_len(b.payload_len))
+            .collect();
+        assert_eq!(bytes, [284, 229]);
+        assert_eq!(counted("scan"), [10, 1, 284]);
+        assert_eq!(counted("probe"), [7, 1, 229]);
+        let archive = tscout_telemetry::tables::table("ts_stat_archive").unwrap();
+        let rows = t.with_registry(|r| (archive.rows)(r));
+        let per_ou: Vec<_> = rows.iter().map(|row| &row[..4]).collect();
+        let row = |ou: &str, [samples, blocks, bytes]: [u64; 3]| {
+            use tscout_telemetry::Cell::{Int, Text};
+            [
+                Text(ou.into()),
+                Int(samples as i64),
+                Int(blocks as i64),
+                Int(bytes as i64),
+            ]
+        };
+        assert_eq!(
+            per_ou,
+            [row("probe", counted("probe")), row("scan", counted("scan"))]
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     /// A sample that displaces its id's memtable (another name's rows)
     /// stays buffered when that flush fails; the displaced rows are
     /// counted lost, so the books still close.
@@ -1247,7 +1295,7 @@ mod tests {
         let lost = || t.counter_value("archive_append_errors_total", &[]);
         // The buffered count and gauge are the rows the memtables hold.
         let buffered_is_held = |a: &Archive| {
-            let held: usize = a.memtables.values().map(ColumnBatch::len).sum();
+            let held: usize = a.memtables.values().map(|mt| mt.rows.len()).sum();
             assert_eq!(a.buffered_samples(), held);
             assert_eq!(t.gauge_value("archive_buffered_samples", &[]), held as f64);
             assert!(held <= opts.max_buffered_samples);

@@ -93,11 +93,6 @@ pub struct TsConfig {
     /// Perf ring buffer capacity (records). Bounded: the Collector
     /// overwrites when the Processor falls behind.
     pub ring_capacity: usize,
-    /// Lineage tracing: assign a `TraceId` to 1 in `trace_every`
-    /// *collected* markers and follow it through every pipeline stage
-    /// (0 = off). The id travels out of band — record bytes are
-    /// bit-identical with tracing on or off.
-    pub trace_every: u64,
 }
 
 impl TsConfig {
@@ -106,7 +101,6 @@ impl TsConfig {
             mode,
             subsystems: BTreeMap::new(),
             ring_capacity: 4096,
-            trace_every: 0,
         }
     }
 
@@ -510,9 +504,6 @@ impl TScout {
             metrics,
             last_now: 0.0,
         };
-        if ts.config.trace_every > 0 {
-            ts.telemetry.trace_set_every(ts.config.trace_every);
-        }
         ts.publish_bpf_telemetry();
         Ok(ts)
     }

@@ -243,7 +243,8 @@ impl Telemetry {
     }
 
     /// Enable lineage tracing: trace 1 in `every` collected markers
-    /// (0 disables).
+    /// (0 disables). The id travels out of band, so record bytes are
+    /// bit-identical with tracing on or off.
     pub fn trace_set_every(&self, every: u64) {
         let mut reg = self.lock();
         reg.tracer_mut().set_every(every);

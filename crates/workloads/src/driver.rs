@@ -575,8 +575,7 @@ fn run_inner(
             // the Processor's clock (never a session's), so collected
             // sample bytes are bit-identical with the engine on or off.
             if let Some(lc) = lifecycle.as_deref_mut() {
-                if lc.actions.as_ref().is_some_and(|e| e.cfg.enabled) {
-                    let mut engine = lc.actions.take().expect("checked above");
+                if let Some(mut engine) = lc.actions.take() {
                     let model_generation = lc.registry.generation();
                     let predicted_exec = lc.last_exec_predicted_ns;
                     let (kernel, ts, mode) = db.actuation_parts();

@@ -24,8 +24,8 @@ fn attach_traced(db: &mut Database, trace_every: u64) {
     let mut cfg = TsConfig::new(CollectionMode::KernelContinuous);
     cfg.enable_all_subsystems();
     cfg.ring_capacity = 1 << 20;
-    cfg.trace_every = trace_every;
     db.attach_tscout(cfg).unwrap();
+    db.kernel.telemetry.trace_set_every(trace_every);
     for s in ALL_SUBSYSTEMS {
         db.tscout_mut().unwrap().set_sampling_rate(s, 100);
     }
@@ -167,8 +167,8 @@ fn lost_samples_complete_as_lost_and_accounting_closes() {
     let mut cfg = TsConfig::new(CollectionMode::KernelContinuous);
     cfg.enable_all_subsystems();
     cfg.ring_capacity = 64; // force ring pressure
-    cfg.trace_every = 8;
     db.attach_tscout(cfg).unwrap();
+    db.kernel.telemetry.trace_set_every(8);
     for s in ALL_SUBSYSTEMS {
         db.tscout_mut().unwrap().set_sampling_rate(s, 100);
     }
