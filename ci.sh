@@ -94,6 +94,11 @@ if git grep -nE 'FUEL|OutOfFuel|MAX_LOOP_TRIPS|bump_trip|MAX_STATES|TooComplex|s
   echo "FAIL: loop, fuel or path-exploration machinery is back under crates/"; exit 1
 fi
 
+echo "== a scalar is a constant or unknown: no tnum, interval, branch refinement or variable pointer offset comes back under crates/bpf/src =="
+if git grep -nE 'Tnum|mod tnum|struct Range|range_alu|fn refine|vmin' -- crates/bpf/src; then
+  echo "FAIL: the verifier's value domain is back; constants fold with vm::alu and Cond::eval"; exit 1
+fi
+
 echo "== a dataset is columns and a sample has one owned row: no second owned row per point comes back under crates/ =="
 if git grep -n 'features: Vec<f64>' -- crates/models/src/dataset.rs \
   || git grep -nE 'Vec<&?LabeledPoint' -- crates; then

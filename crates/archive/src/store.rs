@@ -262,18 +262,20 @@ impl Archive {
     /// the memtable or the global buffer bound fills. This is the only
     /// write-side entry point, so write-side memory is bounded by
     /// [`ArchiveOptions::max_buffered_samples`] decoded samples. A
-    /// memtable holds the rows of one OU name: a sample whose name is not
-    /// that of its id's memtable flushes the memtable first, so no row is
-    /// ever stored under another OU's name. `Err` means a flush failed:
-    /// the rows of the block it was writing are dropped and counted in
-    /// `archive_append_errors_total` (this sample among them only when
-    /// the failed flush was of its own memtable).
+    /// memtable holds the rows of one [`OuEntry`]: a sample whose name or
+    /// subsystem is not that of its id's memtable flushes the memtable
+    /// first, so no row is ever stored under another OU's entry. `Err`
+    /// means a flush failed: the rows of the block it was writing are
+    /// dropped and counted in `archive_append_errors_total` (this sample
+    /// among them only when the failed flush was of its own memtable).
     pub fn append(&mut self, sample: impl Borrow<Sample>) -> Result<(), ArchiveError> {
         let sample = sample.borrow();
         let ou = sample.ou;
-        let renamed =
-            (self.memtables.get(&ou)).is_some_and(|mt| mt.rows.ou().name != sample.ou_name);
-        let displaced = if renamed { self.flush_ou(ou) } else { Ok(()) };
+        let displaced = self.memtables.get(&ou).is_some_and(|mt| {
+            let entry = mt.rows.ou();
+            entry.subsystem != sample.subsystem || entry.name != sample.ou_name
+        });
+        let displaced = if displaced { self.flush_ou(ou) } else { Ok(()) };
         let t = &self.telemetry;
         let mt = self.memtables.entry(ou).or_insert_with(|| Memtable {
             rows: ColumnBatch::for_ou(OuEntry {
@@ -909,6 +911,26 @@ mod tests {
         ]
         .map(|name| t.counter_value(name, &[]));
         assert_eq!(counted, [0, 0]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// One id and name under two subsystems is two OU entries: each row
+    /// keeps the subsystem it was appended with, buffered and sealed.
+    #[test]
+    fn one_id_and_name_under_two_subsystems_keeps_each_rows_subsystem() {
+        let dir = tmp_dir("resubsystemed");
+        let mut a = Archive::open(&dir, ArchiveOptions::default(), Telemetry::new()).unwrap();
+        for (i, subsystem) in (0..10).zip([0, 0, 0, 0, 0, 3, 3, 3, 3, 3]) {
+            a.append(Sample {
+                subsystem,
+                ..test_sample(5, "scan", i)
+            })
+            .unwrap();
+        }
+        let subsystems = |a: &Archive| a.scan_ou("scan").map(|s| s.subsystem).collect::<Vec<_>>();
+        assert_eq!(subsystems(&a), [0, 0, 0, 0, 0, 3, 3, 3, 3, 3]);
+        a.seal().unwrap();
+        assert_eq!(subsystems(&a), [0, 0, 0, 0, 0, 3, 3, 3, 3, 3]);
         std::fs::remove_dir_all(&dir).ok();
     }
 

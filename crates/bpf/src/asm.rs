@@ -20,12 +20,15 @@ pub struct Label(usize);
 pub enum AsmError {
     /// A jump references a label that was never `bind`-ed.
     UnboundLabel(usize),
+    /// The jump at this pc is too far from its label for an `i32` offset.
+    JumpTooFar(usize),
 }
 
 impl std::fmt::Display for AsmError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             AsmError::UnboundLabel(l) => write!(f, "label L{l} was never bound"),
+            AsmError::JumpTooFar(pc) => write!(f, "jump at pc {pc} is too far from its label"),
         }
     }
 }
@@ -191,10 +194,9 @@ impl ProgramBuilder {
                     let tgt = *labels
                         .get(&target)
                         .ok_or(AsmError::UnboundLabel(target.0))?;
-                    Ok(Insn::Jump {
-                        cond,
-                        off: (tgt as i64 - pc as i64 - 1) as i32,
-                    })
+                    let off = i32::try_from(tgt as i64 - pc as i64 - 1)
+                        .map_err(|_| AsmError::JumpTooFar(pc))?;
+                    Ok(Insn::Jump { cond, off })
                 }
             })
             .collect()

@@ -10,15 +10,12 @@
 //!   instruction at most once.
 //! * [`asm`] — a label-based program builder. TScout's Codegen emits real
 //!   bytecode through it.
-//! * [`tnum`] — tristate numbers, the kernel verifier's known-bits
-//!   abstract domain, used by the verifier's scalar value tracking.
-//! * [`verifier`] — a range-tracking abstract interpreter in the spirit
-//!   of the kernel's: one forward pass that tracks register types and
-//!   scalar value ranges (tnum + signed/unsigned bounds), refines both
-//!   arms of conditional branches, joins states where edges meet, proves
-//!   variable-offset accesses in bounds, and rejects back edges (any
-//!   jump with a negative offset), uninitialized reads, and over-long
-//!   programs.
+//! * [`verifier`] — the kernel's safety checks as one forward pass that
+//!   tracks register types, with each scalar a known constant or unknown
+//!   (folded by the VM's own ALU and jump conditions), joins states where
+//!   edges meet, checks every access at its constant offset, and rejects
+//!   back edges (any jump with a negative offset), uninitialized reads,
+//!   and over-long programs.
 //! * [`maps`] — the two BPF map kinds the Collector creates: hash
 //!   (recursive operators, paper §5.2, key their snapshot by
 //!   `(tid, depth)`) and the perf-event ring buffer that ships samples to
@@ -44,13 +41,13 @@
 //! the verifier and interpreter can be property-tested in isolation.
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 pub mod asm;
 pub mod insn;
 pub mod loader;
 pub mod lower;
 pub mod maps;
-pub mod tnum;
 pub mod verifier;
 pub mod vm;
 
@@ -58,6 +55,5 @@ pub use asm::ProgramBuilder;
 pub use insn::{AluOp, Cond, Helper, Insn, Reg, Size, Src};
 pub use loader::{LoadError, Loader, ProgId};
 pub use maps::{MapDef, MapId, MapKind, MapOpStats, MapRegistry, RingStats};
-pub use tnum::Tnum;
 pub use verifier::{verify, verify_with_log, VerifyError, VerifyStats};
 pub use vm::{ExecStats, HelperWorld, Vm, VmError};

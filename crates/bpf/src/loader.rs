@@ -132,13 +132,14 @@ impl Loader {
     /// Unload a program (dynamic reload support). Unknown/already-unloaded
     /// ids are ignored, like closing an already-closed fd.
     pub fn unload(&mut self, id: ProgId) {
-        if let Some(slot) = self.progs.get_mut(id as usize) {
+        if let Some(slot) = usize::try_from(id).ok().and_then(|i| self.progs.get_mut(i)) {
             *slot = None;
         }
     }
 
     pub fn get(&self, id: ProgId) -> Option<&LoadedProg> {
-        self.progs.get(id as usize).and_then(|p| p.as_ref())
+        let slot = usize::try_from(id).ok().and_then(|i| self.progs.get(i));
+        slot.and_then(|p| p.as_ref())
     }
 
     /// Number of currently loaded programs.
@@ -160,9 +161,9 @@ impl Loader {
         ctx: &[u8],
         world: &mut dyn HelperWorld,
     ) -> Result<(u64, ExecStats), VmError> {
-        let prog = self
-            .progs
-            .get(id as usize)
+        let prog = usize::try_from(id)
+            .ok()
+            .and_then(|i| self.progs.get(i))
             .and_then(|p| p.as_ref())
             .ok_or(VmError::NoSuchProgram { id })?;
         // Context is truncated/zero-padded to the declared size so variable

@@ -108,7 +108,9 @@ fn lower_at(prog: &[Insn], pc: usize, is_target: &[bool], fp_static: bool) -> (O
     let fp_ix = |base: Reg, size: Size, off: i32| {
         let ix = STACK_SIZE as i64 + off as i64;
         let direct = fp_static && slot(base) == FP && size == Size::B8;
-        (direct && (0..=STACK_SIZE as i64 - 8).contains(&ix)).then_some(ix as u16)
+        u16::try_from(ix)
+            .ok()
+            .filter(|&ix| direct && usize::from(ix) <= STACK_SIZE - 8)
     };
     let op = match prog[pc] {
         Insn::Alu {

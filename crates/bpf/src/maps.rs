@@ -283,6 +283,8 @@ pub struct EvictedHeader {
 }
 
 impl EvictedHeader {
+    // Fits: `len` is at most EVICTED_HEADER_BYTES (24).
+    #[allow(clippy::cast_possible_truncation)]
     fn of(payload: &[u8]) -> Self {
         let len = payload.len().min(EVICTED_HEADER_BYTES);
         let mut bytes = [0; EVICTED_HEADER_BYTES];
@@ -376,7 +378,7 @@ impl MapRegistry {
             MapKind::Hash { .. } => Storage::Hash(HashSlab::default()),
             MapKind::PerfEventArray { .. } => Storage::Ring(ByteRing::default()),
         };
-        let id = MapId(self.maps.len() as u32);
+        let id = MapId(u32::try_from(self.maps.len()).expect("fewer than 2^32 maps"));
         self.maps.push(MapInstance { def, storage });
         id
     }
@@ -488,12 +490,18 @@ impl MapRegistry {
                 if h.order.len() >= max_entries {
                     return Err(MapError::Full);
                 }
-                let slot = h.free.pop().unwrap_or_else(|| {
-                    h.keys.resize(h.keys.len() + key_size, 0);
-                    h.values.resize(h.values.len() + value_size, 0);
-                    h.generations.push(0);
-                    (h.generations.len() - 1) as u32
-                });
+                let slot = match h.free.pop() {
+                    Some(slot) => slot,
+                    None => {
+                        // The slot count, like a slot, is a u32.
+                        let slots =
+                            u32::try_from(h.generations.len() + 1).map_err(|_| MapError::Full)?;
+                        h.keys.resize(h.keys.len() + key_size, 0);
+                        h.values.resize(h.values.len() + value_size, 0);
+                        h.generations.push(0);
+                        slots - 1
+                    }
+                };
                 h.keys[slot as usize * key_size..][..key_size].copy_from_slice(key);
                 h.order.insert(pos, slot);
                 slot
@@ -669,8 +677,8 @@ impl MapRegistry {
                 .collect(),
             Storage::Ring(r) => r
                 .records()
-                .enumerate()
-                .map(|(i, v)| ((i as u32).to_le_bytes().to_vec(), v.to_vec()))
+                .zip(0u32..)
+                .map(|(v, i)| (i.to_le_bytes().to_vec(), v.to_vec()))
                 .collect(),
         }
     }
@@ -688,6 +696,8 @@ impl MapRegistry {
                 }
                 h.order.clear();
                 h.free.clear();
+                // Fits: `update` keeps the slot count a u32.
+                #[allow(clippy::cast_possible_truncation)]
                 h.free.extend((0..h.generations.len() as u32).rev());
             }
             Storage::Ring(r) => {

@@ -1,12 +1,14 @@
-//! The static verifier: a range-tracking abstract interpreter.
+//! The static verifier: one forward pass over constants and typed
+//! pointers.
 //!
 //! Models the Linux BPF verifier's checks (paper §5.1): it tracks an
 //! abstract value for each register at every reachable instruction and
 //! rejects the program if *any* execution can perform an unsafe
-//! operation. Scalars carry a full value-tracking domain —
-//! tristate numbers ([`crate::tnum::Tnum`], known bits) plus signed and
-//! unsigned `[min, max]` intervals, kept mutually consistent — so the
-//! verifier can prove variable-offset memory accesses in bounds.
+//! operation. A scalar is a known constant or unknown. An ALU op on two
+//! constants is folded by `vm::alu`, the function both engines execute,
+//! and a conditional jump between two constants is decided by
+//! [`Cond::eval`], so the verifier keeps no second copy of either's
+//! semantics. A pointer carries one constant offset into its region.
 //! Enforced properties:
 //!
 //! * every jump goes forward: the first jump with a negative offset is
@@ -16,47 +18,45 @@
 //! * a hard instruction-count cap (the kernel's is 1M; "TS's compiled
 //!   BPF programs only contain 100s of instructions");
 //! * every register is written before it is read;
-//! * every memory access is through a typed pointer whose offset range
-//!   (constant base + a bounded variable part, from pointer arithmetic
-//!   with range-tracked scalars) is provably in bounds for its region
-//!   (512-byte stack, read-only context, map values of declared size);
+//! * every memory access is through a typed pointer whose constant
+//!   offset is in bounds for its region (512-byte stack, read-only
+//!   context, map values of declared size);
 //! * stack reads only touch bytes previously written on this path;
 //! * map-lookup results must be null-checked before dereference; both
-//!   arms of the null test are refined, as are both arms of every
-//!   scalar conditional jump (`if r2 > 15 goto exit` proves
-//!   `r2 ∈ [0, 15]` on the fall-through path);
-//! * helper calls obey typed signatures; calls clobber `R1`–`R5`;
+//!   arms of the null test are refined, and on the arm where `r == c`
+//!   holds for a constant `c` (`jeq`'s jump, `jne`'s fall-through), `r`
+//!   is that constant;
+//! * helper calls obey typed signatures, and `perf_event_output`'s
+//!   length is a constant in 1..=8192; calls clobber `R1`–`R5`;
 //! * `exit` requires `R0` to hold a scalar;
-//! * pointers never leak into arithmetic other than `± bounded scalar`,
-//!   never get compared (except null checks), and never get stored to
-//!   memory.
+//! * pointers never leak into arithmetic other than `± constant`, never
+//!   get compared (except null checks), and never get stored to memory.
 //!
 //! Since every jump goes forward, program order is a topological order
 //! of the control-flow graph, so verification is one forward pass with
 //! joins at merge points (PREVAIL's approach, Gershuni et al., PLDI
 //! 2019): an instruction's state is the join of what its incoming edges
 //! carry, and it is visited once or, if nothing reaches it, not at all.
-//! A join only over-approximates — two different kinds of value join to
-//! uninitialised, so reading that register is rejected — and cost is
-//! linear in the program's length. [`verify_with_log`] additionally
-//! produces a kernel-style human-readable trace of the walk for
-//! rejection diagnostics.
+//! A join only over-approximates — two different constants join to
+//! unknown, two different kinds of value to uninitialised, so reading
+//! that register is rejected — and cost is linear in the program's
+//! length. [`verify_with_log`] additionally produces a kernel-style
+//! human-readable trace of the walk for rejection diagnostics.
 
 use std::collections::BTreeMap;
 
 use crate::insn::{AluOp, Cond, Helper, Insn, Reg, Src};
 use crate::maps::{MapId, MapKind, MapRegistry};
-use crate::tnum::Tnum;
+use crate::vm::alu;
 
 /// Stack size available to a program, like eBPF.
 pub const STACK_SIZE: i64 = 512;
 /// Maximum program length (the kernel's modern limit).
 pub const MAX_INSNS: usize = 1_000_000;
 /// Largest record `perf_event_output` may publish.
-pub const MAX_OUTPUT_BYTES: i64 = 8192;
-/// Pointer offsets (base plus variable part) are confined to this many
-/// bytes either side of the region start, like the kernel's
-/// `BPF_MAX_VAR_OFF` discipline.
+pub const MAX_OUTPUT_BYTES: usize = 8192;
+/// A pointer's offset is confined to this many bytes either side of its
+/// region start, like the kernel's `BPF_MAX_VAR_OFF` discipline.
 pub const MAX_PTR_OFF: i64 = 1 << 29;
 /// Verifier log size cap (the kernel truncates its log buffer too).
 const MAX_LOG_BYTES: usize = 64 * 1024;
@@ -196,465 +196,54 @@ impl std::fmt::Display for VerifyError {
 
 impl std::error::Error for VerifyError {}
 
-/// The scalar abstract domain: a tnum (known bits) plus unsigned and
-/// signed interval bounds, all describing the same set of `u64` values.
-/// Kept mutually consistent by [`Range::sync`].
+/// The memory a pointer points into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Range {
-    tnum: Tnum,
-    umin: u64,
-    umax: u64,
-    smin: i64,
-    smax: i64,
+enum Region {
+    Stack,
+    Ctx,
+    Map(MapId),
 }
 
-impl Range {
-    fn unknown() -> Self {
-        Range {
-            tnum: Tnum::unknown(),
-            umin: 0,
-            umax: u64::MAX,
-            smin: i64::MIN,
-            smax: i64::MAX,
-        }
-    }
-
-    fn cnst(v: i64) -> Self {
-        Range {
-            tnum: Tnum::cnst(v as u64),
-            umin: v as u64,
-            umax: v as u64,
-            smin: v,
-            smax: v,
-        }
-    }
-
-    fn const_u(self) -> Option<u64> {
-        if self.umin == self.umax {
-            Some(self.umin)
-        } else {
-            None
-        }
-    }
-
-    fn const_i(self) -> Option<i64> {
-        if self.smin == self.smax {
-            Some(self.smin)
-        } else {
-            None
-        }
-    }
-
-    /// Every value either side admits: the hull of both intervals and
-    /// the union of both tnums.
-    fn join(self, other: Range) -> Range {
-        Range {
-            tnum: self.tnum.union(other.tnum),
-            umin: self.umin.min(other.umin),
-            umax: self.umax.max(other.umax),
-            smin: self.smin.min(other.smin),
-            smax: self.smax.max(other.smax),
-        }
-        .sync()
-        .unwrap_or_else(Range::unknown)
-    }
-
-    /// Propagate information between the three sub-domains until they
-    /// agree. Returns `None` when they contradict — the abstract value
-    /// describes no concrete value, i.e. the path is dead.
-    fn sync(mut self) -> Option<Range> {
-        // The domains converge in a couple of rounds; 8 is a safe cap.
-        for _ in 0..8 {
-            let prev = self;
-            self.umin = self.umin.max(self.tnum.min());
-            self.umax = self.umax.min(self.tnum.max());
-            if self.umin > self.umax {
-                return None;
-            }
-            // Unsigned bounds imply signed ones only when the range does
-            // not straddle the sign boundary.
-            if (self.umin as i64) <= (self.umax as i64) {
-                self.smin = self.smin.max(self.umin as i64);
-                self.smax = self.smax.min(self.umax as i64);
-            }
-            if self.smin > self.smax {
-                return None;
-            }
-            // Symmetrically, a sign-pure signed range casts to unsigned.
-            if self.smin >= 0 || self.smax < 0 {
-                self.umin = self.umin.max(self.smin as u64);
-                self.umax = self.umax.min(self.smax as u64);
-                if self.umin > self.umax {
-                    return None;
-                }
-            }
-            self.tnum = self.tnum.intersect(Tnum::range(self.umin, self.umax))?;
-            if self == prev {
-                break;
-            }
-        }
-        Some(self)
-    }
-}
-
-impl std::fmt::Display for Range {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if let Some(c) = self.const_u() {
-            return write!(f, "{c:#x}");
-        }
-        write!(f, "u=[{:#x},{:#x}]", self.umin, self.umax)?;
-        if self.smin != i64::MIN || self.smax != i64::MAX {
-            write!(f, " s=[{},{}]", self.smin, self.smax)?;
-        }
-        if self.tnum != Tnum::unknown() {
-            write!(f, " t={}", self.tnum)?;
-        }
-        Ok(())
-    }
-}
-
-/// Abstract transfer function for a scalar ALU op. Always returns a
-/// sound over-approximation; contradictions collapse to `unknown` (they
-/// cannot arise from a live input, but over-approximating is safe).
-fn range_alu(op: AluOp, d: Range, s: Range) -> Range {
-    use AluOp::*;
-    let mut r = Range::unknown();
-    match op {
-        Mov | Neg => unreachable!("handled before range_alu"),
-        Add => {
-            r.tnum = d.tnum.add(s.tnum);
-            if let (Some(lo), Some(hi)) = (d.umin.checked_add(s.umin), d.umax.checked_add(s.umax)) {
-                r.umin = lo;
-                r.umax = hi;
-            }
-            if let (Some(lo), Some(hi)) = (d.smin.checked_add(s.smin), d.smax.checked_add(s.smax)) {
-                r.smin = lo;
-                r.smax = hi;
-            }
-        }
-        Sub => {
-            r.tnum = d.tnum.sub(s.tnum);
-            if let (Some(lo), Some(hi)) = (d.umin.checked_sub(s.umax), d.umax.checked_sub(s.umin)) {
-                r.umin = lo;
-                r.umax = hi;
-            }
-            if let (Some(lo), Some(hi)) = (d.smin.checked_sub(s.smax), d.smax.checked_sub(s.smin)) {
-                r.smin = lo;
-                r.smax = hi;
-            }
-        }
-        Mul => {
-            r.tnum = d.tnum.mul(s.tnum);
-            if let (Some(lo), Some(hi)) = (d.umin.checked_mul(s.umin), d.umax.checked_mul(s.umax)) {
-                r.umin = lo;
-                r.umax = hi;
-            }
-        }
-        Div => {
-            // VM semantics: unsigned division, divide-by-zero yields 0.
-            if let Some(c) = s.const_u() {
-                if c == 0 {
-                    return Range::cnst(0);
-                }
-                r.umin = d.umin / c;
-                r.umax = d.umax / c;
-            } else {
-                r.umin = 0;
-                r.umax = d.umax;
-            }
-        }
-        Mod => {
-            // VM semantics: unsigned remainder, mod-by-zero keeps dst.
-            if let (Some(a), Some(c)) = (d.const_u(), s.const_u()) {
-                return Range::cnst(if c == 0 { a } else { a % c } as i64);
-            }
-            if let Some(c) = s.const_u() {
-                if c == 0 {
-                    return d;
-                }
-                r.umin = 0;
-                r.umax = d.umax.min(c - 1);
-            } else {
-                // d % s <= d whether or not s is zero.
-                r.umin = 0;
-                r.umax = d.umax;
-            }
-        }
-        And => {
-            r.tnum = d.tnum.and(s.tnum);
-            r.umin = 0;
-            r.umax = d.umax.min(s.umax);
-        }
-        Or => {
-            r.tnum = d.tnum.or(s.tnum);
-            r.umin = d.umin.max(s.umin);
-        }
-        Xor => {
-            r.tnum = d.tnum.xor(s.tnum);
-        }
-        Lsh => {
-            if let Some(c) = s.const_u() {
-                let c = (c & 63) as u32;
-                r.tnum = d.tnum.lshift(c);
-                // Bounds shift only when no set bit can fall off the top.
-                if d.umax.leading_zeros() >= c {
-                    r.umin = d.umin << c;
-                    r.umax = d.umax << c;
-                }
-            }
-        }
-        Rsh => {
-            if let Some(c) = s.const_u() {
-                let c = (c & 63) as u32;
-                r.tnum = d.tnum.rshift(c);
-                r.umin = d.umin >> c;
-                r.umax = d.umax >> c;
-            } else {
-                r.umin = 0;
-                r.umax = d.umax;
-            }
-        }
-        Arsh => {
-            if let Some(c) = s.const_u() {
-                let c = (c & 63) as u32;
-                r.tnum = d.tnum.arshift(c);
-                r.smin = d.smin >> c;
-                r.smax = d.smax >> c;
-            }
-        }
-    }
-    r.sync().unwrap_or_else(Range::unknown)
-}
-
-/// A branch condition to assume while refining: either one of the insn
-/// set's conditions or the negation of `Set` (which has no insn form).
-#[derive(Debug, Clone, Copy)]
-enum BranchCond {
-    C(Cond),
-    NotSet,
-}
-
-/// The condition that holds on the fall-through arm when `c` does not.
-fn negate(c: Cond) -> BranchCond {
-    use BranchCond::C;
-    match c {
-        Cond::Eq => C(Cond::Ne),
-        Cond::Ne => C(Cond::Eq),
-        Cond::Lt => C(Cond::Ge),
-        Cond::Ge => C(Cond::Lt),
-        Cond::Gt => C(Cond::Le),
-        Cond::Le => C(Cond::Gt),
-        Cond::SLt => C(Cond::SGe),
-        Cond::SGe => C(Cond::SLt),
-        Cond::SGt => C(Cond::SLe),
-        Cond::SLe => C(Cond::SGt),
-        Cond::Set => BranchCond::NotSet,
-    }
-}
-
-/// Shrink `r` assuming `r != other`; only exact endpoints move. `None`
-/// when `r` must equal the excluded constant.
-fn refine_ne(r: &mut Range, other: &Range) -> Option<()> {
-    if let Some(c) = other.const_u() {
-        if r.umin == c {
-            if c == u64::MAX {
-                return None;
-            }
-            r.umin += 1;
-        }
-        if r.umax == c {
-            if c == 0 {
-                return None;
-            }
-            r.umax -= 1;
-        }
-    }
-    if let Some(c) = other.const_i() {
-        if r.smin == c {
-            if c == i64::MAX {
-                return None;
-            }
-            r.smin += 1;
-        }
-        if r.smax == c {
-            if c == i64::MIN {
-                return None;
-            }
-            r.smax -= 1;
-        }
-    }
-    Some(())
-}
-
-/// Refine both operand ranges assuming `cond(d, s)` holds. Returns the
-/// narrowed pair, or `None` when the condition cannot hold — that
-/// branch arm is dead. Every `?` on checked endpoint arithmetic below
-/// coincides exactly with a genuine contradiction (e.g. `d < s` with
-/// `s.umax == 0` means "unsigned less than zero": impossible).
-fn refine(cond: BranchCond, d: Range, s: Range) -> Option<(Range, Range)> {
-    let (mut d, mut s) = (d, s);
-    match cond {
-        BranchCond::C(Cond::Eq) => {
-            let t = d.tnum.intersect(s.tnum)?;
-            d.tnum = t;
-            s.tnum = t;
-            d.umin = d.umin.max(s.umin);
-            s.umin = d.umin;
-            d.umax = d.umax.min(s.umax);
-            s.umax = d.umax;
-            d.smin = d.smin.max(s.smin);
-            s.smin = d.smin;
-            d.smax = d.smax.min(s.smax);
-            s.smax = d.smax;
-        }
-        BranchCond::C(Cond::Ne) => {
-            refine_ne(&mut d, &s)?;
-            refine_ne(&mut s, &d)?;
-        }
-        BranchCond::C(Cond::Lt) => {
-            d.umax = d.umax.min(s.umax.checked_sub(1)?);
-            s.umin = s.umin.max(d.umin.checked_add(1)?);
-        }
-        BranchCond::C(Cond::Le) => {
-            d.umax = d.umax.min(s.umax);
-            s.umin = s.umin.max(d.umin);
-        }
-        BranchCond::C(Cond::Gt) => {
-            d.umin = d.umin.max(s.umin.checked_add(1)?);
-            s.umax = s.umax.min(d.umax.checked_sub(1)?);
-        }
-        BranchCond::C(Cond::Ge) => {
-            d.umin = d.umin.max(s.umin);
-            s.umax = s.umax.min(d.umax);
-        }
-        BranchCond::C(Cond::SLt) => {
-            d.smax = d.smax.min(s.smax.checked_sub(1)?);
-            s.smin = s.smin.max(d.smin.checked_add(1)?);
-        }
-        BranchCond::C(Cond::SLe) => {
-            d.smax = d.smax.min(s.smax);
-            s.smin = s.smin.max(d.smin);
-        }
-        BranchCond::C(Cond::SGt) => {
-            d.smin = d.smin.max(s.smin.checked_add(1)?);
-            s.smax = s.smax.min(d.smax.checked_sub(1)?);
-        }
-        BranchCond::C(Cond::SGe) => {
-            d.smin = d.smin.max(s.smin);
-            s.smax = s.smax.min(d.smax);
-        }
-        BranchCond::C(Cond::Set) => {
-            // `d & s != 0`: impossible when no bit can be set in both.
-            if (d.tnum.value | d.tnum.mask) & (s.tnum.value | s.tnum.mask) == 0 {
-                return None;
-            }
-        }
-        BranchCond::NotSet => {
-            // `d & s == 0`: impossible when a bit is known set in both;
-            // against a constant mask, the masked bits become known 0.
-            if d.tnum.value & s.tnum.value != 0 {
-                return None;
-            }
-            if let Some(c) = s.tnum.const_value() {
-                d.tnum.mask &= !c;
-            }
-            if let Some(c) = d.tnum.const_value() {
-                s.tnum.mask &= !c;
-            }
-        }
-    }
-    Some((d.sync()?, s.sync()?))
-}
-
-/// Abstract register type. Pointers carry a constant base offset plus a
-/// variable part `[vmin, vmax]` accumulated from bounded-scalar
-/// arithmetic; the concrete offset is `off + v` for some `v` in range.
+/// Abstract register type.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum RegType {
     Uninit,
-    Scalar(Range),
-    PtrStack {
-        off: i64,
-        vmin: i64,
-        vmax: i64,
-    },
-    PtrCtx {
-        off: i64,
-        vmin: i64,
-        vmax: i64,
-    },
-    PtrMap {
-        map: MapId,
-        off: i64,
-        vmin: i64,
-        vmax: i64,
-    },
-    PtrMapOrNull {
-        map: MapId,
-    },
+    /// A known constant, or `None` for any value.
+    Scalar(Option<u64>),
+    /// A region and a constant byte offset from its start (from the top
+    /// of the frame for the stack).
+    Ptr(Region, i64),
+    PtrMapOrNull(MapId),
     MapHandle(MapId),
 }
 
 impl RegType {
-    fn cnst(v: i64) -> Self {
-        RegType::Scalar(Range::cnst(v))
-    }
-
-    fn unknown_scalar() -> Self {
-        RegType::Scalar(Range::unknown())
-    }
-
     fn is_scalar(self) -> bool {
         matches!(self, RegType::Scalar(_))
     }
 
-    fn const_i(self) -> Option<i64> {
-        match self {
-            RegType::Scalar(r) => r.const_i(),
-            _ => None,
-        }
-    }
-
     /// What a register holds where two edges meet: an equal value
-    /// stays, two scalars join their ranges, and anything else — two
+    /// stays, two different scalars are unknown, and anything else — two
     /// pointers at different offsets included — is unusable.
     fn join(self, other: RegType) -> RegType {
         match (self, other) {
             _ if self == other => self,
-            (RegType::Scalar(a), RegType::Scalar(b)) => RegType::Scalar(a.join(b)),
+            (RegType::Scalar(_), RegType::Scalar(_)) => RegType::Scalar(None),
             _ => RegType::Uninit,
         }
     }
-}
-
-fn fmt_ptr(
-    f: &mut std::fmt::Formatter<'_>,
-    base: &str,
-    off: i64,
-    vmin: i64,
-    vmax: i64,
-) -> std::fmt::Result {
-    write!(f, "{base}{off:+}")?;
-    if (vmin, vmax) != (0, 0) {
-        write!(f, "+[{vmin},{vmax}]")?;
-    }
-    Ok(())
 }
 
 impl std::fmt::Display for RegType {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RegType::Uninit => write!(f, "uninit"),
-            RegType::Scalar(r) => write!(f, "{r}"),
-            RegType::PtrStack { off, vmin, vmax } => fmt_ptr(f, "fp", *off, *vmin, *vmax),
-            RegType::PtrCtx { off, vmin, vmax } => fmt_ptr(f, "ctx", *off, *vmin, *vmax),
-            RegType::PtrMap {
-                map,
-                off,
-                vmin,
-                vmax,
-            } => fmt_ptr(f, &format!("map_value({})", map.0), *off, *vmin, *vmax),
-            RegType::PtrMapOrNull { map } => write!(f, "map_value_or_null({})", map.0),
+            RegType::Scalar(Some(c)) => write!(f, "{c:#x}"),
+            RegType::Scalar(None) => write!(f, "scalar"),
+            RegType::Ptr(Region::Stack, off) => write!(f, "fp{off:+}"),
+            RegType::Ptr(Region::Ctx, off) => write!(f, "ctx{off:+}"),
+            RegType::Ptr(Region::Map(map), off) => write!(f, "map_value({}){off:+}", map.0),
+            RegType::PtrMapOrNull(map) => write!(f, "map_value_or_null({})", map.0),
             RegType::MapHandle(map) => write!(f, "map_handle({})", map.0),
         }
     }
@@ -671,40 +260,29 @@ struct State {
 impl State {
     fn entry() -> Self {
         let mut regs = [RegType::Uninit; 11];
-        regs[1] = RegType::PtrCtx {
-            off: 0,
-            vmin: 0,
-            vmax: 0,
-        }; // R1 = ctx at entry
-        regs[10] = RegType::PtrStack {
-            off: 0,
-            vmin: 0,
-            vmax: 0,
-        }; // R10 = frame top
+        regs[1] = RegType::Ptr(Region::Ctx, 0); // R1 = ctx at entry
+        regs[10] = RegType::Ptr(Region::Stack, 0); // R10 = frame top
         State {
             regs,
             stack_init: [0; 8],
         }
     }
 
-    fn stack_bit(off: i64) -> (usize, u64) {
-        // off in [-512, -1]; bit index 0 = fp-512.
-        let idx = (off + STACK_SIZE) as usize;
-        (idx / 64, 1u64 << (idx % 64))
+    /// The `(word, bit)` of each stack byte `off .. off + size`, which
+    /// `check_access` has put in the frame; bit 0 is fp-512.
+    fn stack_bits(off: i64, size: usize) -> impl Iterator<Item = (usize, u64)> {
+        let first = usize::try_from(off + STACK_SIZE).expect("an access checked in the frame");
+        (first..first + size).map(|i| (i / 64, 1 << (i % 64)))
     }
 
     fn mark_stack_init(&mut self, off: i64, size: usize) {
-        for b in 0..size as i64 {
-            let (w, m) = Self::stack_bit(off + b);
+        for (w, m) in Self::stack_bits(off, size) {
             self.stack_init[w] |= m;
         }
     }
 
     fn stack_is_init(&self, off: i64, size: usize) -> bool {
-        (0..size as i64).all(|b| {
-            let (w, m) = Self::stack_bit(off + b);
-            self.stack_init[w] & m != 0
-        })
+        Self::stack_bits(off, size).all(|(w, m)| self.stack_init[w] & m != 0)
     }
 
     /// The state where two edges meet: registers join one by one, and a
@@ -879,7 +457,7 @@ impl<'a> Verifier<'a> {
 
     fn src_type(&self, st: &State, pc: usize, src: Src) -> Result<RegType, VerifyError> {
         match src {
-            Src::Imm(i) => Ok(RegType::cnst(i)),
+            Src::Imm(i) => Ok(RegType::Scalar(Some(i as u64))),
             Src::Reg(r) => self.read_reg(st, pc, r),
         }
     }
@@ -894,8 +472,8 @@ impl<'a> Verifier<'a> {
         Ok(())
     }
 
-    /// Check a pointer access over the pointer's whole offset span
-    /// `[off+vmin, off+vmax]` and, for stack reads, initialization.
+    /// Check an access of `size` bytes at `off` from the pointer `base`
+    /// and, for stack reads, that every byte was written.
     fn check_access(
         &self,
         st: &State,
@@ -905,66 +483,32 @@ impl<'a> Verifier<'a> {
         size: usize,
         write: bool,
     ) -> Result<(), VerifyError> {
-        match base {
-            RegType::PtrStack { off: p, vmin, vmax } => {
-                let lo = (p + vmin) + off as i64;
-                let hi = (p + vmax) + off as i64;
-                let span = (hi - lo) as usize + size;
-                if lo < -STACK_SIZE || hi + size as i64 > 0 {
-                    return Err(VerifyError::OutOfBounds {
-                        pc,
-                        region: "stack",
-                        off: lo,
-                        size: span,
-                    });
-                }
-                if !write && !st.stack_is_init(lo, span) {
-                    return Err(VerifyError::UninitStackRead { pc, off: lo });
-                }
-                Ok(())
+        let (region, lo) = match base {
+            RegType::Ptr(region, p) => (region, p + i64::from(off)),
+            RegType::PtrMapOrNull(_) => return Err(VerifyError::PossiblyNullDeref { pc }),
+            _ => return Err(VerifyError::NotAPointer { pc }),
+        };
+        let (name, start, end) = match region {
+            Region::Stack => ("stack", -STACK_SIZE, 0),
+            Region::Ctx if write => return Err(VerifyError::CtxWrite { pc }),
+            Region::Ctx => ("ctx", 0, self.ctx_size as i64),
+            Region::Map(map) => {
+                let def = self.maps.def(map).ok_or(VerifyError::UnknownMap { pc })?;
+                ("map value", 0, def.value_size as i64)
             }
-            RegType::PtrCtx { off: p, vmin, vmax } => {
-                if write {
-                    return Err(VerifyError::CtxWrite { pc });
-                }
-                let lo = (p + vmin) + off as i64;
-                let hi = (p + vmax) + off as i64;
-                if lo < 0 || hi + size as i64 > self.ctx_size as i64 {
-                    return Err(VerifyError::OutOfBounds {
-                        pc,
-                        region: "ctx",
-                        off: lo,
-                        size: (hi - lo) as usize + size,
-                    });
-                }
-                Ok(())
-            }
-            RegType::PtrMap {
-                map,
-                off: p,
-                vmin,
-                vmax,
-            } => {
-                let vs = self
-                    .maps
-                    .def(map)
-                    .ok_or(VerifyError::UnknownMap { pc })?
-                    .value_size as i64;
-                let lo = (p + vmin) + off as i64;
-                let hi = (p + vmax) + off as i64;
-                if lo < 0 || hi + size as i64 > vs {
-                    return Err(VerifyError::OutOfBounds {
-                        pc,
-                        region: "map value",
-                        off: lo,
-                        size: (hi - lo) as usize + size,
-                    });
-                }
-                Ok(())
-            }
-            RegType::PtrMapOrNull { .. } => Err(VerifyError::PossiblyNullDeref { pc }),
-            _ => Err(VerifyError::NotAPointer { pc }),
+        };
+        if lo < start || lo + size as i64 > end {
+            return Err(VerifyError::OutOfBounds {
+                pc,
+                region: name,
+                off: lo,
+                size,
+            });
         }
+        if region == Region::Stack && !write && !st.stack_is_init(lo, size) {
+            return Err(VerifyError::UninitStackRead { pc, off: lo });
+        }
+        Ok(())
     }
 
     /// Check the instruction at `pc` against `st`, hand any jump edge
@@ -982,7 +526,7 @@ impl<'a> Verifier<'a> {
                     self.read_reg(&st, pc, dst)?
                 };
                 let s = self.src_type(&st, pc, src)?;
-                let result = self.alu_result(pc, op, d, s)?;
+                let result = alu_result(pc, op, d, s)?;
                 st.regs[dst.index()] = result;
                 self.trace(|| format!("  ; r{}={}", dst.0, result));
             }
@@ -995,23 +539,7 @@ impl<'a> Verifier<'a> {
                 self.check_writable(pc, dst)?;
                 let b = self.read_reg(&st, pc, base)?;
                 self.check_access(&st, pc, b, off, size.bytes(), false)?;
-                // Loads are zero-extended, so sub-64-bit loads have
-                // known bounds.
-                st.regs[dst.index()] = if size.bytes() == 8 {
-                    RegType::unknown_scalar()
-                } else {
-                    let max = (1u64 << (size.bytes() * 8)) - 1;
-                    RegType::Scalar(Range {
-                        tnum: Tnum {
-                            value: 0,
-                            mask: max,
-                        },
-                        umin: 0,
-                        umax: max,
-                        smin: 0,
-                        smax: max as i64,
-                    })
-                };
+                st.regs[dst.index()] = RegType::Scalar(None);
             }
             Insn::Store {
                 size,
@@ -1025,29 +553,23 @@ impl<'a> Verifier<'a> {
                     return Err(VerifyError::PointerStore { pc });
                 }
                 self.check_access(&st, pc, b, off, size.bytes(), true)?;
-                if let RegType::PtrStack { off: p, vmin, vmax } = b {
-                    // A variable-offset store initializes *some* bytes
-                    // of the span; marking the whole span is still safe
-                    // because the VM zero-fills the stack (init
-                    // tracking is a strictness check, not a safety
-                    // one).
-                    let lo = (p + vmin) + off as i64;
-                    st.mark_stack_init(lo, (vmax - vmin) as usize + size.bytes());
+                if let RegType::Ptr(Region::Stack, p) = b {
+                    st.mark_stack_init(p + i64::from(off), size.bytes());
                 }
             }
             Insn::Jump { cond, off } => {
                 // `off` is not negative: `run` rejected every back edge.
-                let target = pc as i64 + 1 + off as i64;
-                if target > self.prog.len() as i64 {
+                let target = pc + 1 + off.unsigned_abs() as usize;
+                if target > self.prog.len() {
                     return Err(VerifyError::JumpOutOfBounds { pc });
                 }
                 let Some((c, dst, src)) = cond else {
-                    self.jump_to(target as usize, st);
+                    self.jump_to(target, st);
                     return Ok(None);
                 };
                 let (taken, fall) = self.branch(pc, st, c, dst, src)?;
                 match taken {
-                    Some(t) => self.jump_to(target as usize, t),
+                    Some(t) => self.jump_to(target, t),
                     None => self.trace(|| format!("{pc}: branch never taken (dead arm)")),
                 }
                 if fall.is_none() {
@@ -1077,8 +599,7 @@ impl<'a> Verifier<'a> {
     }
 
     /// The states on a conditional jump's two edges, `(taken,
-    /// fall-through)`, each refined by what holds on it; `None` for an
-    /// edge the condition rules out.
+    /// fall-through)`; `None` for an edge the condition rules out.
     fn branch(
         &self,
         pc: usize,
@@ -1089,135 +610,48 @@ impl<'a> Verifier<'a> {
     ) -> Result<(Option<State>, Option<State>), VerifyError> {
         let d = self.read_reg(&st, pc, dst)?;
         let s = self.src_type(&st, pc, src)?;
-        // Null-check refinement for map lookups.
-        if let RegType::PtrMapOrNull { map } = d {
-            if s.const_i() != Some(0) || !matches!(c, Cond::Eq | Cond::Ne) {
-                return Err(VerifyError::PointerComparison { pc });
+        let (eq, ne) = match (c, d, s) {
+            // A null check on a map lookup's result: a map value pointer
+            // where it is not null.
+            (Cond::Eq | Cond::Ne, RegType::PtrMapOrNull(map), RegType::Scalar(Some(0))) => {
+                let (mut null, mut ptr) = (st, st);
+                null.regs[dst.index()] = RegType::Scalar(Some(0));
+                ptr.regs[dst.index()] = RegType::Ptr(Region::Map(map), 0);
+                (null, ptr)
             }
-            let mut null_st = st;
-            null_st.regs[dst.index()] = RegType::cnst(0);
-            let mut ptr_st = st;
-            ptr_st.regs[dst.index()] = RegType::PtrMap {
-                map,
-                off: 0,
-                vmin: 0,
-                vmax: 0,
-            };
-            return Ok(if c == Cond::Eq {
-                (Some(null_st), Some(ptr_st))
-            } else {
-                (Some(ptr_st), Some(null_st))
-            });
-        }
-        let (RegType::Scalar(dr), RegType::Scalar(sr)) = (d, s) else {
-            return Err(VerifyError::PointerComparison { pc });
-        };
-        let arm = |cond| {
-            let (rd, rs) = refine(cond, dr, sr)?;
-            let mut arm = st;
-            arm.regs[dst.index()] = RegType::Scalar(rd);
-            if let Src::Reg(sreg) = src {
-                arm.regs[sreg.index()] = RegType::Scalar(rs);
+            (_, RegType::Scalar(Some(a)), RegType::Scalar(Some(b))) => {
+                let taken = c.eval(a, b).then_some(st);
+                return Ok((taken, taken.xor(Some(st))));
             }
-            Some(arm)
-        };
-        Ok((arm(BranchCond::C(c)), arm(negate(c))))
-    }
-
-    /// What an ALU op leaves in its destination. Both operands have been
-    /// read, so neither is `Uninit` — except `dst` of a `Mov`, which is
-    /// not read.
-    fn alu_result(
-        &self,
-        pc: usize,
-        op: AluOp,
-        dst: RegType,
-        src: RegType,
-    ) -> Result<RegType, VerifyError> {
-        use AluOp::*;
-        use RegType::*;
-        match (op, dst, src) {
-            (Mov, ..) => Ok(src),
-            (Neg, Scalar(r), _) => Ok(Scalar(range_alu(Sub, Range::cnst(0), r))),
-            (Add | Sub, PtrStack { .. } | PtrCtx { .. } | PtrMap { .. }, Scalar(s)) => {
-                self.ptr_math(pc, op, dst, s)
+            (_, RegType::Scalar(a), RegType::Scalar(b)) => {
+                // Where the two are equal, a constant side names the other.
+                let mut eq = st;
+                if let Some(k) = a.or(b) {
+                    eq.regs[dst.index()] = RegType::Scalar(Some(k));
+                    if let Src::Reg(r) = src {
+                        eq.regs[r.index()] = RegType::Scalar(Some(k));
+                    }
+                }
+                (eq, st)
             }
-            (Div | Mod, Scalar(_), Scalar(b)) if b.const_u() == Some(0) => {
-                Err(VerifyError::DivisionByZero { pc })
-            }
-            (_, Scalar(a), Scalar(b)) => Ok(Scalar(range_alu(op, a, b))),
-            _ => Err(VerifyError::PointerArithmetic { pc }),
-        }
-    }
-
-    /// Pointer ± scalar. Constant scalars fold into the base offset;
-    /// bounded scalars widen the variable part. All arithmetic is
-    /// checked and the resulting span is capped at ±[`MAX_PTR_OFF`], so
-    /// adversarial constants (e.g. `i64::MIN`) reject instead of
-    /// overflowing.
-    fn ptr_math(
-        &self,
-        pc: usize,
-        op: AluOp,
-        ptr: RegType,
-        s: Range,
-    ) -> Result<RegType, VerifyError> {
-        let err = VerifyError::PointerArithmetic { pc };
-        let (RegType::PtrStack { off, vmin, vmax }
-        | RegType::PtrCtx { off, vmin, vmax }
-        | RegType::PtrMap {
-            off, vmin, vmax, ..
-        }) = ptr
-        else {
-            return Err(err);
+            _ => return Err(VerifyError::PointerComparison { pc }),
         };
-        let add = op == AluOp::Add;
-        let (off, vmin, vmax) = if let Some(c) = s.const_i() {
-            let off = if add {
-                off.checked_add(c)
-            } else {
-                off.checked_sub(c)
-            };
-            (off.ok_or_else(|| err.clone())?, vmin, vmax)
-        } else {
-            let (lo, hi) = if add {
-                (vmin.checked_add(s.smin), vmax.checked_add(s.smax))
-            } else {
-                (vmin.checked_sub(s.smax), vmax.checked_sub(s.smin))
-            };
-            (
-                off,
-                lo.ok_or_else(|| err.clone())?,
-                hi.ok_or_else(|| err.clone())?,
-            )
-        };
-        let lo = off.checked_add(vmin).ok_or_else(|| err.clone())?;
-        let hi = off.checked_add(vmax).ok_or_else(|| err.clone())?;
-        if lo < -MAX_PTR_OFF || hi > MAX_PTR_OFF {
-            return Err(err);
-        }
-        Ok(match ptr {
-            RegType::PtrStack { .. } => RegType::PtrStack { off, vmin, vmax },
-            RegType::PtrCtx { .. } => RegType::PtrCtx { off, vmin, vmax },
-            RegType::PtrMap { map, .. } => RegType::PtrMap {
-                map,
-                off,
-                vmin,
-                vmax,
-            },
-            _ => unreachable!(),
+        Ok(match c {
+            Cond::Eq => (Some(eq), Some(ne)),
+            Cond::Ne => (Some(ne), Some(eq)),
+            _ => (Some(st), Some(st)),
         })
     }
 
     fn check_call(&self, st: &mut State, pc: usize, helper: Helper) -> Result<(), VerifyError> {
         use Helper::*;
         let ret = match helper {
-            KtimeGetNs => RegType::unknown_scalar(),
+            KtimeGetNs => RegType::Scalar(None),
             MapLookup => {
                 let map = self.arg_map(st, pc, helper, 1, is_hash)?;
                 let ks = self.maps.def(map).unwrap().key_size;
                 self.arg_ptr(st, pc, helper, 2, ks, false)?;
-                RegType::PtrMapOrNull { map }
+                RegType::PtrMapOrNull(map)
             }
             MapUpdate => {
                 let map = self.arg_map(st, pc, helper, 1, is_hash)?;
@@ -1228,42 +662,39 @@ impl<'a> Verifier<'a> {
                 self.arg_ptr(st, pc, helper, 2, ks, false)?;
                 self.arg_ptr(st, pc, helper, 3, vs, false)?;
                 self.arg_scalar(st, pc, helper, 4)?;
-                RegType::unknown_scalar()
+                RegType::Scalar(None)
             }
             MapDelete => {
                 let map = self.arg_map(st, pc, helper, 1, is_hash)?;
                 let ks = self.maps.def(map).unwrap().key_size;
                 self.arg_ptr(st, pc, helper, 2, ks, false)?;
-                RegType::unknown_scalar()
+                RegType::Scalar(None)
             }
             PerfEventReadBuf => {
                 self.arg_scalar(st, pc, helper, 1)?;
                 self.arg_ptr(st, pc, helper, 2, 24, true)?;
-                RegType::unknown_scalar()
+                RegType::Scalar(None)
             }
             ReadTaskIo | ReadTcpSock => {
                 self.arg_ptr(st, pc, helper, 1, 32, true)?;
-                RegType::unknown_scalar()
+                RegType::Scalar(None)
             }
             PerfEventOutput => {
                 self.arg_map(st, pc, helper, 1, is_ring)?;
-                // The runtime length is r3; the data pointer must be
-                // valid for the largest value r3 can take.
+                // The data pointer must be valid for the length in r3.
                 let len = match st.regs[3] {
-                    RegType::Scalar(r) if r.umin >= 1 && r.umax <= MAX_OUTPUT_BYTES as u64 => {
-                        r.umax as usize
-                    }
-                    _ => {
-                        return Err(VerifyError::BadHelperArg {
-                            pc,
-                            helper,
-                            arg: 3,
-                            expected: "bounded length in 1..=8192",
-                        })
-                    }
-                };
+                    RegType::Scalar(Some(len)) => usize::try_from(len).ok(),
+                    _ => None,
+                }
+                .filter(|len| (1..=MAX_OUTPUT_BYTES).contains(len))
+                .ok_or(VerifyError::BadHelperArg {
+                    pc,
+                    helper,
+                    arg: 3,
+                    expected: "constant length in 1..=8192",
+                })?;
                 self.arg_ptr(st, pc, helper, 2, len, false)?;
-                RegType::unknown_scalar()
+                RegType::Scalar(None)
             }
         };
         // Calls clobber the caller-saved registers.
@@ -1340,10 +771,8 @@ impl<'a> Verifier<'a> {
                 },
                 other => other,
             })?;
-        if write {
-            if let RegType::PtrStack { off, vmin, vmax } = t {
-                st.mark_stack_init(off + vmin, (vmax - vmin) as usize + size);
-            }
+        if let (true, RegType::Ptr(Region::Stack, off)) = (write, t) {
+            st.mark_stack_init(off, size);
         }
         Ok(())
     }
@@ -1355,6 +784,34 @@ fn is_hash(kind: MapKind) -> bool {
 
 fn is_ring(kind: MapKind) -> bool {
     matches!(kind, MapKind::PerfEventArray { .. })
+}
+
+/// What an ALU op leaves in its destination. Both operands have been
+/// read, so neither is `Uninit` — except `dst` of a `Mov`, which is not
+/// read. Two constants fold to what the VM computes; anything with an
+/// unknown scalar in it is unknown.
+fn alu_result(pc: usize, op: AluOp, dst: RegType, src: RegType) -> Result<RegType, VerifyError> {
+    use RegType::*;
+    match (op, dst, src) {
+        (AluOp::Mov, ..) => Ok(src),
+        (AluOp::Neg, Scalar(a), _) => Ok(Scalar(a.map(|a| alu(op, a, 0)))),
+        (AluOp::Add | AluOp::Sub, Ptr(region, off), Scalar(Some(c))) => {
+            // The offset moves as the VM moves the address; an offset
+            // beyond ±MAX_PTR_OFF (an adversarial `i64::MIN`, say) is
+            // rejected rather than left to wrap.
+            let off = alu(op, off as u64, c) as i64;
+            if (-MAX_PTR_OFF..=MAX_PTR_OFF).contains(&off) {
+                Ok(Ptr(region, off))
+            } else {
+                Err(VerifyError::PointerArithmetic { pc })
+            }
+        }
+        (AluOp::Div | AluOp::Mod, Scalar(_), Scalar(Some(0))) => {
+            Err(VerifyError::DivisionByZero { pc })
+        }
+        (_, Scalar(a), Scalar(b)) => Ok(Scalar(a.zip(b).map(|(a, b)| alu(op, a, b)))),
+        _ => Err(VerifyError::PointerArithmetic { pc }),
+    }
 }
 
 #[cfg(test)]
@@ -1623,49 +1080,34 @@ mod tests {
         ));
     }
 
+    /// A stack index behind a bound check is still a variable offset,
+    /// whether the bound would keep `fp-16 + r0` in the frame (7) or not
+    /// (600): it is rejected where it is formed.
     #[test]
-    fn branch_refinement_allows_variable_stack_access() {
-        // ktime() & guard proves r0 ∈ [0, 7]; fp-16+r0 stays in frame.
+    fn guarded_variable_stack_offset_is_pointer_arithmetic() {
         let (m, ..) = maps();
-        let mut b = ProgramBuilder::new();
-        b.call(Helper::KtimeGetNs);
-        let out = b.label();
-        b.jump_if_imm(Cond::Gt, R0, 7, out);
-        b.mov_reg(R2, R10);
-        b.alu_imm(AluOp::Add, R2, -16);
-        b.alu_reg(AluOp::Add, R2, R0);
-        b.store_imm(Size::B8, R2, 0, 1);
-        b.bind(out);
-        b.mov_imm(R0, 0).exit();
-        ok(b.resolve().unwrap(), &m, 0);
+        for bound in [7, 600] {
+            let mut b = ProgramBuilder::new();
+            b.call(Helper::KtimeGetNs);
+            let out = b.label();
+            b.jump_if_imm(Cond::Gt, R0, bound, out);
+            b.mov_reg(R2, R10);
+            b.alu_imm(AluOp::Add, R2, -16);
+            b.alu_reg(AluOp::Add, R2, R0);
+            b.store_imm(Size::B8, R2, 0, 1);
+            b.bind(out);
+            b.mov_imm(R0, 0).exit();
+            assert_eq!(
+                rejected(b.resolve().unwrap(), &m, 0),
+                VerifyError::PointerArithmetic { pc: 4 },
+                "bound {bound}"
+            );
+        }
     }
 
     #[test]
-    fn too_wide_refined_range_still_rejected() {
-        // The guard only proves r0 <= 600; fp-16+600+8 overruns fp.
-        let (m, ..) = maps();
-        let mut b = ProgramBuilder::new();
-        b.call(Helper::KtimeGetNs);
-        let out = b.label();
-        b.jump_if_imm(Cond::Gt, R0, 600, out);
-        b.mov_reg(R2, R10);
-        b.alu_imm(AluOp::Add, R2, -16);
-        b.alu_reg(AluOp::Add, R2, R0);
-        b.store_imm(Size::B8, R2, 0, 1);
-        b.bind(out);
-        b.mov_imm(R0, 0).exit();
-        assert!(matches!(
-            rejected(b.resolve().unwrap(), &m, 0),
-            VerifyError::OutOfBounds {
-                region: "stack",
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn variable_ctx_read_with_masked_index_ok() {
-        // r0 = ktime() & 7 — the tnum alone bounds the index.
+    fn masked_ctx_index_is_pointer_arithmetic() {
+        // r0 = ktime() & 7 is in 0..8, but not a constant.
         let (m, ..) = maps();
         let mut b = ProgramBuilder::new();
         b.mov_reg(R6, R1); // ctx survives the call in a callee-saved reg
@@ -1675,14 +1117,16 @@ mod tests {
         b.alu_reg(AluOp::Add, R2, R0);
         b.load(Size::B1, R0, R2, 0);
         b.exit();
-        ok(b.resolve().unwrap(), &m, 8);
+        assert_eq!(
+            rejected(b.resolve().unwrap(), &m, 8),
+            VerifyError::PointerArithmetic { pc: 4 }
+        );
     }
 
     #[test]
-    fn jset_refinement_proves_bit_clear() {
-        // Fall-through of jset r0, 8 proves bit 3 is 0, so r0 (already
-        // masked to bit 3 only) must be exactly 0 and the OOB store in
-        // the dead region is never visited.
+    fn jset_on_an_unknown_scalar_leaves_both_arms_live() {
+        // Neither `jset r0, 8` nor `jeq r0, 0` on an unknown r0 rules an
+        // arm out, so the out-of-frame store behind them is reached.
         let (m, ..) = maps();
         let mut b = ProgramBuilder::new();
         b.call(Helper::KtimeGetNs);
@@ -1691,11 +1135,45 @@ mod tests {
         let end = b.label();
         b.jump_if_imm(Cond::Set, R0, 8, t);
         b.jump_if_imm(Cond::Eq, R0, 0, end);
-        b.store_imm(Size::B8, R10, 100, 1); // dead: would be OOB
+        b.store_imm(Size::B8, R10, 100, 1);
         b.bind(t);
         b.bind(end);
         b.mov_imm(R0, 0).exit();
-        ok(b.resolve().unwrap(), &m, 0);
+        assert_eq!(
+            rejected(b.resolve().unwrap(), &m, 0),
+            VerifyError::OutOfBounds {
+                pc: 4,
+                region: "stack",
+                off: 100,
+                size: 8
+            }
+        );
+    }
+
+    /// On the arm where `r0 == 16` holds — `jeq`'s jump, `jne`'s
+    /// fall-through — r0 is the constant 16 and is a checkable length.
+    #[test]
+    fn an_equality_test_makes_its_register_the_constant() {
+        let (m, _, ring) = maps();
+        for c in [Cond::Eq, Cond::Ne] {
+            let mut b = ProgramBuilder::new();
+            b.store_imm(Size::B8, R10, -16, 1);
+            b.store_imm(Size::B8, R10, -8, 2);
+            b.call(Helper::KtimeGetNs);
+            let (equal, end) = (b.label(), b.label());
+            if c == Cond::Eq {
+                b.jump_if_imm(Cond::Eq, R0, 16, equal).jump(end);
+            } else {
+                b.jump_if_imm(Cond::Ne, R0, 16, end);
+            }
+            b.bind(equal);
+            b.load_map(R1, ring).mov_reg(R2, R10);
+            b.alu_imm(AluOp::Add, R2, -16).mov_reg(R3, R0);
+            b.call(Helper::PerfEventOutput);
+            b.bind(end);
+            b.mov_imm(R0, 0).exit();
+            ok(b.resolve().unwrap(), &m, 0);
+        }
     }
 
     #[test]
@@ -1753,10 +1231,12 @@ mod tests {
 
     /// A diamond whose arms leave `r2` pointing into two regions and
     /// write different stack bytes: after the join neither the pointer
-    /// nor the bytes only one arm wrote may be read.
+    /// nor the bytes only one arm wrote may be read. Two arms that leave
+    /// one constant in `r6` keep it; two different constants join to
+    /// an unknown scalar, no longer a checkable length.
     #[test]
     fn joined_arms_keep_only_what_both_agree_on() {
-        let (m, ..) = maps();
+        let (m, _, ring) = maps();
         let diamond_then_load = |base, off| {
             let mut b = ProgramBuilder::new();
             b.mov_reg(R6, R1);
@@ -1783,6 +1263,28 @@ mod tests {
             };
             assert_eq!(diamond_then_load(R10, off), Err(err));
         }
+
+        let diamond_then_output = |lens: [i64; 2]| {
+            let mut b = ProgramBuilder::new();
+            b.store_imm(Size::B8, R10, -16, 0);
+            b.store_imm(Size::B8, R10, -8, 0);
+            b.call(Helper::KtimeGetNs);
+            let (els, end) = (b.label(), b.label());
+            b.jump_if_imm(Cond::Eq, R0, 0, els);
+            b.mov_imm(R6, lens[0]).jump(end);
+            b.bind(els);
+            b.mov_imm(R6, lens[1]);
+            b.bind(end);
+            b.load_map(R1, ring).mov_reg(R2, R10);
+            b.alu_imm(AluOp::Add, R2, -16).mov_reg(R3, R6);
+            b.call(Helper::PerfEventOutput).exit();
+            verify(&b.resolve().unwrap(), &m, 0)
+        };
+        assert!(diamond_then_output([16, 16]).is_ok(), "both arms left 16");
+        assert!(matches!(
+            diamond_then_output([8, 16]),
+            Err(VerifyError::BadHelperArg { arg: 3, .. })
+        ));
     }
 
     /// Every ALU op but `mov` reads its destination, so an uninitialised
@@ -1933,22 +1435,30 @@ mod tests {
     }
 
     #[test]
-    fn perf_event_output_ok_with_range_bounded_len() {
-        // r3 refined into [1, 16]; the data pointer covers 16 bytes.
+    fn perf_event_output_rejects_a_masked_len() {
+        // r0 = (ktime() & 15) + 1 is in 1..=16, but not a constant.
         let (m, _, ring) = maps();
         let mut b = ProgramBuilder::new();
         b.store_imm(Size::B8, R10, -16, 1);
         b.store_imm(Size::B8, R10, -8, 2);
         b.call(Helper::KtimeGetNs);
         b.alu_imm(AluOp::And, R0, 15);
-        b.alu_imm(AluOp::Add, R0, 1); // r0 ∈ [1, 16]
+        b.alu_imm(AluOp::Add, R0, 1);
         b.load_map(R1, ring);
         b.mov_reg(R2, R10);
         b.alu_imm(AluOp::Add, R2, -16);
         b.mov_reg(R3, R0);
         b.call(Helper::PerfEventOutput);
         b.exit();
-        ok(b.resolve().unwrap(), &m, 0);
+        assert_eq!(
+            rejected(b.resolve().unwrap(), &m, 0),
+            VerifyError::BadHelperArg {
+                pc: 9,
+                helper: Helper::PerfEventOutput,
+                arg: 3,
+                expected: "constant length in 1..=8192"
+            }
+        );
     }
 
     #[test]
@@ -2086,57 +1596,5 @@ mod tests {
         b.call(Helper::PerfEventOutput);
         b.exit();
         ok(b.resolve().unwrap(), &m, 0);
-    }
-
-    // ---- direct unit tests of the abstract domain ----
-
-    #[test]
-    fn range_sync_detects_contradiction() {
-        let mut r = Range::unknown();
-        r.umin = 10;
-        r.umax = 5;
-        assert_eq!(r.sync(), None);
-        let mut r = Range::unknown();
-        r.tnum = Tnum::cnst(3);
-        r.umin = 4;
-        assert_eq!(r.sync(), None);
-        // Consistent case: tnum tightens bounds.
-        let mut r = Range::unknown();
-        r.tnum = Tnum::cnst(9);
-        let r = r.sync().unwrap();
-        assert_eq!((r.umin, r.umax, r.smin, r.smax), (9, 9, 9, 9));
-    }
-
-    #[test]
-    fn refine_branches_narrow_both_sides() {
-        let d = Range::unknown();
-        let s = Range::cnst(15);
-        let (d2, _) = refine(BranchCond::C(Cond::Gt), d, s).unwrap();
-        assert_eq!(d2.umin, 16);
-        let (d3, _) = refine(BranchCond::C(Cond::Le), d, s).unwrap();
-        assert_eq!(d3.umax, 15);
-        // Contradiction: nothing is unsigned-less-than zero.
-        assert!(refine(BranchCond::C(Cond::Lt), d, Range::cnst(0)).is_none());
-        // Eq against a constant pins the register.
-        let (d4, _) = refine(BranchCond::C(Cond::Eq), d, s).unwrap();
-        assert_eq!(d4.const_u(), Some(15));
-        // Ne against the only possible value kills the branch.
-        assert!(refine(BranchCond::C(Cond::Ne), Range::cnst(4), Range::cnst(4)).is_none());
-    }
-
-    #[test]
-    fn range_alu_tracks_bounds() {
-        let a = Range::cnst(10);
-        let b = Range::cnst(4);
-        assert_eq!(range_alu(AluOp::Add, a, b).const_u(), Some(14));
-        assert_eq!(range_alu(AluOp::Sub, a, b).const_u(), Some(6));
-        assert_eq!(range_alu(AluOp::Mul, a, b).const_u(), Some(40));
-        assert_eq!(range_alu(AluOp::Div, a, b).const_u(), Some(2));
-        assert_eq!(range_alu(AluOp::Mod, a, b).const_u(), Some(2));
-        let masked = range_alu(AluOp::And, Range::unknown(), Range::cnst(0xFF));
-        assert_eq!(masked.umin, 0);
-        assert_eq!(masked.umax, 0xFF);
-        let shifted = range_alu(AluOp::Lsh, masked, Range::cnst(4));
-        assert_eq!(shifted.umax, 0xFF0);
     }
 }

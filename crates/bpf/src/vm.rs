@@ -182,12 +182,10 @@ fn mem<'a>(
     addr: u64,
     len: usize,
 ) -> Result<&'a [u8], VmError> {
-    if in_window(addr, STACK_BASE, STACK_SIZE as u64, len) {
-        let off = (addr - STACK_BASE) as usize;
+    if let Some(off) = window_offset(addr, STACK_BASE, STACK_SIZE, len) {
         return Ok(&stack[off..off + len]);
     }
-    if in_window(addr, CTX_BASE, ctx.len() as u64, len) {
-        let off = (addr - CTX_BASE) as usize;
+    if let Some(off) = window_offset(addr, CTX_BASE, ctx.len(), len) {
         return Ok(&ctx[off..off + len]);
     }
     if let Some((entry, off)) = mapv_decode(addr) {
@@ -251,8 +249,7 @@ impl<'a> Exec<'a> {
     /// helper is about to mutate) is appended to the staging buffer.
     #[inline(always)]
     fn arg(&mut self, pc: usize, addr: u64, len: usize) -> Result<Arg, VmError> {
-        if in_window(addr, STACK_BASE, STACK_SIZE as u64, len) {
-            let off = (addr - STACK_BASE) as usize;
+        if let Some(off) = window_offset(addr, STACK_BASE, STACK_SIZE, len) {
             return Ok(Arg::Stack(off..off + len));
         }
         self.stage(pc, addr, len)
@@ -295,6 +292,8 @@ impl<'a> Exec<'a> {
     }
 
     /// Sized store of `v`'s low bytes (fixed-width like [`Exec::load`]).
+    // The truncation is the semantics: a sized store keeps the low bytes.
+    #[allow(clippy::cast_possible_truncation)]
     #[inline(always)]
     pub(crate) fn store(
         &mut self,
@@ -323,11 +322,10 @@ fn mem_mut<'a>(
     addr: u64,
     len: usize,
 ) -> Result<&'a mut [u8], VmError> {
-    if in_window(addr, STACK_BASE, STACK_SIZE as u64, len) {
-        let off = (addr - STACK_BASE) as usize;
+    if let Some(off) = window_offset(addr, STACK_BASE, STACK_SIZE, len) {
         return Ok(&mut stack[off..off + len]);
     }
-    if in_window(addr, CTX_BASE, ctx_len as u64, len) {
+    if window_offset(addr, CTX_BASE, ctx_len, len).is_some() {
         return Err(VmError::ReadOnly { pc, addr });
     }
     if let Some((entry, off)) = mapv_decode(addr) {
@@ -368,17 +366,18 @@ fn mapv_decode(addr: u64) -> Option<(usize, usize)> {
     Some(((rel >> 32) as usize, (rel & 0xFFFF_FFFF) as usize))
 }
 
+/// `addr`'s offset into the `window` bytes from `base`, when all `len`
+/// bytes from it lie inside.
 #[inline(always)]
-fn in_window(addr: u64, base: u64, window: u64, len: usize) -> bool {
-    addr >= base && addr.saturating_add(len as u64) <= base + window
+fn window_offset(addr: u64, base: u64, window: usize, len: usize) -> Option<usize> {
+    let off = addr.checked_sub(base)?;
+    // Fits: the offset is below `window`, a usize.
+    #[allow(clippy::cast_possible_truncation)]
+    (off.saturating_add(len as u64) <= window as u64).then_some(off as usize)
 }
 
 fn handle_decode(v: u64) -> Option<MapId> {
-    if (HANDLE_BASE..HANDLE_BASE + (1 << 32)).contains(&v) {
-        Some(MapId((v - HANDLE_BASE) as u32))
-    } else {
-        None
-    }
+    u32::try_from(v.checked_sub(HANDLE_BASE)?).ok().map(MapId)
 }
 
 impl Vm {
@@ -535,7 +534,8 @@ impl Vm {
             Helper::PerfEventOutput => {
                 let map = handle_decode(regs[1]).ok_or_else(bad)?;
                 exec.maps.def(map).ok_or_else(bad)?;
-                let record = exec.arg(pc, regs[2], regs[3] as usize)?;
+                let len = usize::try_from(regs[3]).map_err(|_| bad())?;
+                let record = exec.arg(pc, regs[2], len)?;
                 stats.ring_publishes += 1;
                 let record = record.bytes(&exec.stack, &exec.scratch.bytes);
                 errno(exec.maps.ring_push(map, record))

@@ -269,10 +269,13 @@ fn one_name_under_two_ids_and_a_tail_only_ou_match_the_sample_scan() {
     for i in 1_200..1_230 {
         let ou_name = "tail_only".to_string();
         let s = random_sample(&mut rng, i);
+        // One subsystem: under a second one the same id and name is a
+        // second OU entry, and `append` flushes the first.
         archive
             .append(Sample {
                 ou: 999,
                 ou_name,
+                subsystem: 0,
                 ..s
             })
             .unwrap();

@@ -13,8 +13,9 @@
 use tscout_suite::archive::crc32;
 use tscout_suite::bpf::insn::{disassemble, Helper, Insn};
 use tscout_suite::bpf::maps::{MapId, MapKind};
+use tscout_suite::bpf::verify;
 use tscout_suite::bpf::vm::NullWorld;
-use tscout_suite::tscout::codegen::encode_ctx;
+use tscout_suite::tscout::codegen::{encode_ctx, CTX_BYTES};
 
 mod common;
 use common::{deploy, layouts, PROGRAMS};
@@ -42,6 +43,20 @@ fn codegen_emits_the_pinned_streams_and_the_loader_stores_them_unchanged() {
         include_str!("golden/collector_programs.txt"),
         "generated programs changed (left: this build, right: tests/golden/collector_programs.txt)"
     );
+}
+
+/// Every generated stream verifies with each instruction visited once:
+/// no arm of a Collector branch is statically dead, so knowing only
+/// constants costs the verifier nothing on the programs that run.
+#[test]
+fn every_stream_verifies_visiting_every_instruction() {
+    for (name, p) in layouts() {
+        let (loader, generated, _) = deploy(&p);
+        for (prog, insns) in PROGRAMS.iter().zip(&generated) {
+            let stats = verify(insns, &loader.maps, CTX_BYTES).expect("deploy loaded it");
+            assert_eq!(stats.insns_visited, insns.len(), "{name} {prog}");
+        }
+    }
 }
 
 /// The substrate carries the mechanisms the Collector exercises and no

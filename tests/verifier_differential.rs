@@ -1,4 +1,4 @@
-//! Differential soundness for the range-tracking verifier.
+//! Differential soundness for the verifier.
 //!
 //! The generator (`common::TWO_WAY`, shared with
 //! `lowered_differential.rs`) is deliberately nastier than
