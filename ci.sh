@@ -94,6 +94,12 @@ if git grep -nE 'FUEL|OutOfFuel|MAX_LOOP_TRIPS|bump_trip|MAX_STATES|TooComplex|s
   echo "FAIL: loop, fuel or path-exploration machinery is back under crates/"; exit 1
 fi
 
+echo "== lineage follows each record by its ring position: no (ou, tid) side channel comes back under crates/telemetry/src, and the Processor parses no header for lineage =="
+if git grep -nE 'pop_in_ring|\(u16, u64\), VecDeque' -- crates/telemetry/src \
+  || git grep -n 'header_ids' -- crates/core/src/processor.rs; then
+  echo "FAIL: a trace is keyed by (ou, tid) again; the ring position is its key"; exit 1
+fi
+
 echo "== a scalar is a constant or unknown: no tnum, interval, branch refinement or variable pointer offset comes back under crates/bpf/src =="
 if git grep -nE 'Tnum|mod tnum|struct Range|range_alu|fn refine|vmin' -- crates/bpf/src; then
   echo "FAIL: the verifier's value domain is back; constants fold with vm::alu and Cond::eval"; exit 1

@@ -217,13 +217,14 @@ impl ByteRing {
         self.count += 1;
     }
 
-    /// Remove the oldest record and return its payload, which stays
-    /// readable until the next call that mutates the ring. `None` when
-    /// the ring is empty.
-    fn pop(&mut self) -> Option<&[u8]> {
+    /// Remove the oldest record and return its position in publish order
+    /// and its payload, which stays readable until the next call that
+    /// mutates the ring. `None` when the ring is empty.
+    fn pop(&mut self) -> Option<(u64, &[u8])> {
         if self.count == 0 {
             return None;
         }
+        let pos = self.produced - self.count as u64;
         // A chunk consumed to its end is only recycled here, on the way
         // to the next record, so the payload handed out last time was
         // never invalidated behind its borrower's back.
@@ -234,7 +235,7 @@ impl ByteRing {
         let record = record_at(chunk, self.head);
         self.head = record.end;
         self.count -= 1;
-        Some(&chunk[record])
+        Some((pos, &chunk[record]))
     }
 
     /// Return the (fully consumed) oldest chunk to the spare pool.
@@ -278,6 +279,8 @@ impl ByteRing {
 /// ring record (fewer when the record was shorter).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvictedHeader {
+    /// The overwritten record's position in publish order.
+    pub pos: u64,
     len: u8,
     bytes: [u8; EVICTED_HEADER_BYTES],
 }
@@ -285,11 +288,12 @@ pub struct EvictedHeader {
 impl EvictedHeader {
     // Fits: `len` is at most EVICTED_HEADER_BYTES (24).
     #[allow(clippy::cast_possible_truncation)]
-    fn of(payload: &[u8]) -> Self {
+    fn of((pos, payload): (u64, &[u8])) -> Self {
         let len = payload.len().min(EVICTED_HEADER_BYTES);
         let mut bytes = [0; EVICTED_HEADER_BYTES];
         bytes[..len].copy_from_slice(&payload[..len]);
         EvictedHeader {
+            pos,
             len: len as u8,
             bytes,
         }
@@ -543,7 +547,8 @@ impl MapRegistry {
     /// Publish a record. When the ring is full the *oldest* record is
     /// overwritten and the drop counter incremented; the producer never
     /// blocks (the "no back pressure" design property). Always
-    /// `produced = drained + live + dropped`.
+    /// `produced = drained + live + dropped`, and a record's position in
+    /// publish order is `produced` before its push.
     pub fn ring_push(&mut self, id: MapId, data: &[u8]) -> Result<(), MapError> {
         self.ops.ring_pushes += 1;
         let m = self.map_mut(id);
@@ -551,6 +556,7 @@ impl MapRegistry {
             (Storage::Ring(r), MapKind::PerfEventArray { capacity }) => {
                 let len = u32::try_from(data.len()).map_err(|_| MapError::Invalid)?;
                 r.push(len, data);
+                r.produced += 1;
                 if r.count > capacity {
                     // The oldest record goes — with no capacity at all,
                     // the one just pushed.
@@ -561,7 +567,6 @@ impl MapRegistry {
                     r.evicted.push_back(lost);
                     r.dropped += 1;
                 }
-                r.produced += 1;
                 r.bytes += data.len() as u64;
                 r.hwm = r.hwm.max(r.count);
                 Ok(())
@@ -572,12 +577,13 @@ impl MapRegistry {
 
     /// Drain up to `max` records for the Processor, oldest first, handing
     /// each to `visit` in place together with the number of records still
-    /// queued behind it. Returns how many were drained.
+    /// queued behind it and its position in publish order. Returns how
+    /// many were drained.
     pub fn ring_drain_with(
         &mut self,
         id: MapId,
         max: usize,
-        mut visit: impl FnMut(&[u8], usize),
+        mut visit: impl FnMut(&[u8], usize, u64),
     ) -> usize {
         let Storage::Ring(r) = &mut self.map_mut(id).storage else {
             return 0;
@@ -585,7 +591,8 @@ impl MapRegistry {
         let n = r.count.min(max);
         for _ in 0..n {
             let behind = r.count - 1;
-            visit(r.pop().expect("counted above"), behind);
+            let (pos, record) = r.pop().expect("counted above");
+            visit(record, behind, pos);
         }
         r.settle();
         self.ops.ring_drained += n as u64;
@@ -595,7 +602,7 @@ impl MapRegistry {
     /// [`MapRegistry::ring_drain_with`] into owned records.
     pub fn ring_drain(&mut self, id: MapId, max: usize) -> Vec<Vec<u8>> {
         let mut out = Vec::new();
-        self.ring_drain_with(id, max, |record, _| out.push(record.to_vec()));
+        self.ring_drain_with(id, max, |record, _, _| out.push(record.to_vec()));
         out
     }
 
@@ -849,10 +856,21 @@ mod tests {
         assert_eq!(s.len, 3);
         assert_eq!(s.capacity, 3);
         // The two overwritten records' headers are retained for
-        // attribution, oldest first.
-        assert_eq!(r.ring_pop_evicted(m).unwrap().as_bytes(), [0, 0]);
-        assert_eq!(r.ring_pop_evicted(m).unwrap().as_bytes(), [1, 1]);
+        // attribution, oldest first, each with its position.
+        let lost = r.ring_pop_evicted(m).unwrap();
+        assert_eq!((lost.pos, lost.as_bytes()), (0, &[0, 0][..]));
+        let lost = r.ring_pop_evicted(m).unwrap();
+        assert_eq!((lost.pos, lost.as_bytes()), (1, &[1, 1][..]));
         assert!(r.ring_pop_evicted(m).is_none(), "pop drains the buffer");
+        // The survivors drain in publish order, numbered on from there;
+        // a cleared ring numbers on too.
+        let mut drained = Vec::new();
+        r.ring_drain_with(m, usize::MAX, |rec, _, pos| drained.push((pos, rec[0])));
+        assert_eq!(drained, [(2, 2), (3, 3), (4, 4)]);
+        r.ring_push(m, &[5]).unwrap();
+        r.clear(m);
+        r.ring_push(m, &[6]).unwrap();
+        r.ring_drain_with(m, 1, |rec, _, pos| assert_eq!((pos, rec), (6, &[6][..])));
     }
 
     #[test]

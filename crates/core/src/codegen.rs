@@ -170,12 +170,19 @@ const OFF_TID_KEY: i32 = -8; // 8-byte map key: tid
 const OFF_BKEY: i32 = -16; // 8-byte begin-map key: (tid << 8) | depth
 const OFF_SCRATCH: i32 = -24; // 8-byte scratch value (depth writeback)
 
+/// The bytes of `words` stack words, as a frame offset.
+// Fits: every layout here is a few dozen words of a 512-byte frame.
+#[allow(clippy::cast_possible_truncation)]
+fn word_bytes(words: usize) -> i32 {
+    words as i32 * 8
+}
+
 fn snap_base(probes: &ProbeLayout) -> i32 {
-    -(24 + probes.snap_words() as i32 * 8)
+    -(24 + word_bytes(probes.snap_words()))
 }
 
 fn snap_off(probes: &ProbeLayout, word: usize) -> i32 {
-    snap_base(probes) + word as i32 * 8
+    snap_base(probes) + word_bytes(word)
 }
 
 /// `base` displaced by `bytes`, as the base register of one slot's loads
@@ -285,8 +292,8 @@ pub fn gen_end(
     begin_map: MapId,
     done_map: MapId,
 ) -> Vec<Insn> {
-    let done_base = snap_base(probes) - probes.done_words() as i32 * 8;
-    let done_off = |w: usize| done_base + w as i32 * 8;
+    let done_base = snap_base(probes) - word_bytes(probes.done_words());
+    let done_off = |w: usize| done_base + word_bytes(w);
 
     let mut b = ProgramBuilder::new();
     let err = b.label();
@@ -364,7 +371,7 @@ pub fn gen_end(
         let fresh = rebase(&mut b, R1, R10, k * 8);
         let begin = rebase(&mut b, R2, R8, k * 8);
         b.load(Size::B8, R3, fresh, snap_off(probes, first_word));
-        b.load(Size::B8, R4, begin, (first_word * 8) as i32);
+        b.load(Size::B8, R4, begin, word_bytes(first_word));
         b.alu_reg(AluOp::Sub, R3, R4);
         b.store_reg(Size::B8, fresh, done_off(done_w), R3);
     }
@@ -395,8 +402,8 @@ pub fn gen_features(probes: &ProbeLayout, done_map: MapId, ring_map: MapId) -> V
     let m = probes.metric_words();
     let rec_words = HEADER_WORDS + m + MAX_PAYLOAD_WORDS;
     let rec_bytes = rec_words * 8;
-    let rec_base = -(8 + rec_bytes as i32);
-    let rec_off = |w: usize| rec_base + w as i32 * 8;
+    let rec_base = -(8 + word_bytes(rec_words));
+    let rec_off = |w: usize| rec_base + word_bytes(w);
 
     let mut b = ProgramBuilder::new();
     let err = b.label();

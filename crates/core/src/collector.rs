@@ -40,11 +40,11 @@ use tscout_kernel::tracepoint::TracepointId;
 use tscout_kernel::{Kernel, PmuReading, SyscallKind, TaskId, TSCOUT};
 use tscout_telemetry::decls::{OU_SAMPLES_LOST, SAMPLES_LOST};
 use tscout_telemetry::{
-    Counter, CounterSite, CounterVec, Decl, Gauge, SiteVec, Telemetry, TraceId,
+    Counter, CounterSite, CounterVec, Decl, Gauge, SiteVec, Telemetry, TraceId, TraceKey,
 };
 
 use crate::codegen::{self, encode_ctx_into, ProbeLayout, CTX_BYTES};
-use crate::data::{decode_points, encode_record, header_ids, RawRecord, MAX_PAYLOAD_WORDS};
+use crate::data::{decode_points, encode_record, header_ids, whole, RawRecord, MAX_PAYLOAD_WORDS};
 use crate::decls::{self, BPF_VM, COLLECTOR_BEGIN, COLLECTOR_END, COLLECTOR_FEATURES, EMIT_USER};
 use crate::ou::{OuId, OuRegistry, Subsystem, ALL_SUBSYSTEMS};
 use crate::sampling::Sampler;
@@ -257,6 +257,8 @@ pub struct DrainedRecord<'a> {
     pub registry: &'a OuRegistry,
     /// Records still queued behind this one.
     pub ring_len: usize,
+    /// Its position in the ring's publish order: its lineage key.
+    pub pos: u64,
 }
 
 /// Why a begun sample never reached the Processor: the `reason` label of
@@ -379,11 +381,11 @@ struct KernelWorld<'a> {
 
 impl HelperWorld for KernelWorld<'_> {
     fn ktime_ns(&mut self) -> u64 {
-        self.k.now(self.task) as u64
+        whole(self.k.now(self.task))
     }
 
     fn perf_event_read(&mut self, idx: u64) -> Option<[u64; 3]> {
-        let kind = tscout_kernel::CounterKind::from_index(idx as usize)?;
+        let kind = tscout_kernel::CounterKind::from_index(usize::try_from(idx).ok()?)?;
         let ns = self.k.cost.pmu_read_kernel_ns;
         self.k
             .charge_overhead_in(self.task, "helper:perf_event_read", ns);
@@ -609,10 +611,19 @@ impl TScout {
             .inc();
     }
 
-    /// Under ring overwrite loss *is* the steady state, so this path is
-    /// as allocation- and lock-free as `mark_begun`. A header naming no
-    /// registered OU resolves uncached instead of growing the per-OU vec.
-    fn mark_lost(&mut self, subsystem: Subsystem, ou: OuId, reason: LossReason) {
+    /// Count one lost sample under `reason`, and end its trace, when
+    /// `trace` names one, with the same reason. Under ring overwrite loss
+    /// *is* the steady state, so the counting is as allocation- and
+    /// lock-free as `mark_begun`. A header naming no registered OU
+    /// resolves uncached instead of growing the per-OU vec.
+    fn lose(
+        &mut self,
+        subsystem: Subsystem,
+        ou: OuId,
+        reason: LossReason,
+        trace: Option<TraceKey>,
+        now_ns: f64,
+    ) {
         let (t, registry, m) = (&self.telemetry, &self.registry, &mut self.metrics);
         m.lost[subsystem.index()][reason as usize]
             .get_or_insert_with(|| {
@@ -629,6 +640,9 @@ impl TScout {
                 .with(t, &[("ou", &Self::ou_label(registry, ou))])
                 .inc();
         }
+        if let Some(key) = trace {
+            t.trace_lost(key, now_ns, reason.name());
+        }
     }
 
     /// Harvest records the ring buffer overwrote since the last call and
@@ -637,11 +651,11 @@ impl TScout {
     /// overflows and the accounting stays exact.
     fn account_ring_evictions(&mut self) {
         while let Some(header) = self.loader.maps.ring_pop_evicted(self.ring) {
-            let (ou, tid, s) = header_ids(header.as_bytes());
+            let (ou, s) = header_ids(header.as_bytes());
             let s = s.unwrap_or(Subsystem::ExecutionEngine);
             let ou = ou.unwrap_or(OuId(u16::MAX));
-            self.mark_lost(s, ou, LossReason::RingOverwrite);
-            self.telemetry.trace_ring_evict(ou.0, tid, self.last_now);
+            let trace = Some(TraceKey::Ring(header.pos));
+            self.lose(s, ou, LossReason::RingOverwrite, trace, self.last_now);
         }
     }
 
@@ -721,26 +735,23 @@ impl TScout {
         if collected {
             self.stats.sampled_events += 1;
             self.mark_begun(subsystem, ou);
-            // Lineage sampling happens at marker fire time. The id lives
-            // in a side table keyed by (ou, tid) — never in the record —
-            // and the (virtual) cost is charged on the Processor's clock,
-            // so sample bytes are identical with tracing on or off.
+            // Lineage sampling happens at marker fire time. The id stays
+            // with the marker, then with the record's ring position —
+            // never in the record — and the (virtual) cost is charged on
+            // the Processor's clock, so sample bytes are identical with
+            // tracing on or off.
             self.last_now = k.now(task);
-            trace = self.telemetry.trace_begin(
-                ou.0,
-                subsystem.index() as u8,
-                task.as_u64(),
-                self.last_now,
-            );
+            // Fits: there are six subsystems.
+            #[allow(clippy::cast_possible_truncation)]
+            let subsystem_byte = subsystem.index() as u8;
+            trace =
+                (self.telemetry).trace_begin(ou.0, subsystem_byte, task.as_u64(), self.last_now);
             match self.config.mode {
                 CollectionMode::KernelContinuous => {
                     let r0 = self.fire(k, task, subsystem, Marker::Begin, ou, 0, &[]);
                     if r0 != 0 {
-                        self.mark_lost(subsystem, ou, LossReason::BeginError);
-                        if let Some(id) = trace {
-                            self.telemetry
-                                .trace_marker_abort(id, k.now(task), "begin_error");
-                        }
+                        let trace = trace.map(TraceKey::Marker);
+                        self.lose(subsystem, ou, LossReason::BeginError, trace, k.now(task));
                         self.state_machine_reset(k, task);
                         return;
                     }
@@ -796,14 +807,14 @@ impl TScout {
             CollectionMode::UserToggle => {
                 // The OU ends *here*; the toggling syscalls below are
                 // instrumentation overhead, not OU time.
-                let end_ns = k.now(task) as u64;
+                let end_ns = whole(k.now(task));
                 k.perf_disable_all(task); // ioctl DISABLE
                 let pmu = k.perf_read_user(task); // read syscall
                 k.syscall(task, SyscallKind::Generic); // io/net stats
                 self.user_finish(k, task, subsystem, pmu, /*delta_pmu=*/ false, end_ns);
             }
             CollectionMode::UserContinuous => {
-                let end_ns = k.now(task) as u64;
+                let end_ns = whole(k.now(task));
                 let pmu = k.perf_read_user(task);
                 k.syscall(task, SyscallKind::Generic);
                 self.user_finish(k, task, subsystem, pmu, true, end_ns);
@@ -877,14 +888,11 @@ impl TScout {
                 // The FEATURES program is the one that publishes; a sample
                 // that produced no ring record is lost right here.
                 if self.stats.samples_emitted == before {
-                    self.mark_lost(top.subsystem, ou, LossReason::FeaturesError);
-                    if let Some(id) = top.trace {
-                        self.telemetry
-                            .trace_marker_abort(id, self.last_now, "features_error");
-                    }
+                    let trace = top.trace.map(TraceKey::Marker);
+                    let reason = LossReason::FeaturesError;
+                    self.lose(top.subsystem, ou, reason, trace, self.last_now);
                 } else if let Some(id) = top.trace {
-                    self.telemetry
-                        .trace_publish(id, self.last_now, self.ring_len() as u64);
+                    self.trace_publish(id, self.last_now);
                 }
                 self.account_ring_evictions();
                 if r0 != 0 {
@@ -893,11 +901,9 @@ impl TScout {
             }
             CollectionMode::UserToggle | CollectionMode::UserContinuous => {
                 let Some((start, elapsed, metrics)) = top.done else {
-                    self.mark_lost(top.subsystem, ou, LossReason::NoEndSnapshot);
-                    if let Some(id) = top.trace {
-                        self.telemetry
-                            .trace_marker_abort(id, k.now(task), "no_end_snapshot");
-                    }
+                    let trace = top.trace.map(TraceKey::Marker);
+                    let reason = LossReason::NoEndSnapshot;
+                    self.lose(top.subsystem, ou, reason, trace, k.now(task));
                     return;
                 };
                 let rec = RawRecord {
@@ -910,7 +916,7 @@ impl TScout {
                     metrics,
                     payload: payload.to_vec(),
                 };
-                self.emit_user(k, task, &rec, top.trace);
+                self.emit_user(k, task, &rec, (top.subsystem, ou, top.trace));
             }
         }
     }
@@ -932,7 +938,7 @@ impl TScout {
             }
         }
         UserSnapshot {
-            start_ns: t.clock_ns as u64,
+            start_ns: whole(t.clock_ns),
             pmu,
             ioac: t.ioac,
             tcp: t.tcp,
@@ -967,7 +973,7 @@ impl TScout {
                 } else {
                     0.0
                 };
-                metrics.push((end - begin).max(0.0) as u64);
+                metrics.push(whole((end - begin).max(0.0)));
             }
         }
         if probes.disk {
@@ -990,8 +996,15 @@ impl TScout {
     /// When the path is backlogged the sample is *dropped* rather than
     /// queued — TScout never applies back pressure to the DBMS (§3) —
     /// which is what caps the user-space methods' aggregate data rate at
-    /// roughly `1 / user_emit_lock_ns` (Fig. 6).
-    fn emit_user(&mut self, k: &mut Kernel, task: TaskId, rec: &RawRecord, trace: Option<TraceId>) {
+    /// roughly `1 / user_emit_lock_ns` (Fig. 6). The last argument is the
+    /// subsystem, OU and trace `rec` was built from.
+    fn emit_user(
+        &mut self,
+        k: &mut Kernel,
+        task: TaskId,
+        rec: &RawRecord,
+        (subsystem, ou, trace): (Subsystem, OuId, Option<TraceId>),
+    ) {
         let _frame = k.profile_frame(task, &EMIT_USER);
         // The emitting thread pays an asynchronous hand-off (write syscall
         // + record copy into the staging buffer)...
@@ -1005,12 +1018,8 @@ impl TScout {
             // bounded backlog the staging buffer overflows and the sample
             // is dropped (no back pressure, §3).
             self.stats.user_emit_drops += 1;
-            let s =
-                Subsystem::from_index(rec.subsystem as usize).unwrap_or(Subsystem::ExecutionEngine);
-            self.mark_lost(s, OuId(rec.ou as u16), LossReason::EmitBacklog);
-            if let Some(id) = trace {
-                self.telemetry.trace_marker_abort(id, now, "emit_backlog");
-            }
+            let trace = trace.map(TraceKey::Marker);
+            self.lose(subsystem, ou, LossReason::EmitBacklog, trace, now);
             return;
         }
         let bytes = encode_record(rec);
@@ -1018,10 +1027,16 @@ impl TScout {
         let _ = self.loader.maps.ring_push(self.ring, &bytes);
         self.stats.samples_emitted += 1;
         if let Some(id) = trace {
-            self.telemetry
-                .trace_publish(id, now, self.ring_len() as u64);
+            self.trace_publish(id, now);
         }
         self.account_ring_evictions();
+    }
+
+    /// Hand the tracer the position of the record just published.
+    fn trace_publish(&self, id: TraceId, now_ns: f64) {
+        let rs = self.loader.maps.ring_stats(self.ring);
+        self.telemetry
+            .trace_publish(id, rs.produced - 1, now_ns, rs.len as u64);
     }
 
     /// Fire a marker tracepoint and run the attached Collector programs.
@@ -1096,11 +1111,8 @@ impl TScout {
         // the reset — attribute each one before discarding.
         let mut inflight = std::mem::take(&mut self.task_state(task).inflight);
         for f in inflight.iter().filter(|f| f.collected) {
-            self.mark_lost(f.subsystem, f.ou, LossReason::StateReset);
-            if let Some(id) = f.trace {
-                self.telemetry
-                    .trace_marker_abort(id, k.now(task), "state_reset");
-            }
+            let (trace, now) = (f.trace.map(TraceKey::Marker), k.now(task));
+            self.lose(f.subsystem, f.ou, LossReason::StateReset, trace, now);
         }
         // (Handed back empty, with its capacity.)
         inflight.clear();
@@ -1141,8 +1153,8 @@ impl TScout {
             ring,
             ..
         } = self;
-        loader.maps.ring_drain_with(*ring, max, |bytes, ring_len| {
-            let (ou, _tid, s) = header_ids(bytes);
+        loader.maps.ring_drain_with(*ring, max, |bytes, len, pos| {
+            let (ou, s) = header_ids(bytes);
             let s = s.unwrap_or(Subsystem::ExecutionEngine);
             metrics
                 .delivered
@@ -1164,7 +1176,8 @@ impl TScout {
             visit(DrainedRecord {
                 bytes,
                 registry,
-                ring_len,
+                ring_len: len,
+                pos,
             });
         })
     }

@@ -147,9 +147,10 @@ impl<'a> RecordView<'a> {
         let payload = self.payload;
         let mut at = 0usize;
         Some((0..self.flags).map(move |_| {
-            let n = payload.get(at + 1) as usize;
-            // The OU id fits a u16: checked above.
-            let group = (payload.get(at) as u16, payload.slice(at + 2..at + 2 + n));
+            // Fits: both words were checked above.
+            #[allow(clippy::cast_possible_truncation)]
+            let (ou, n) = (payload.get(at) as u16, payload.get(at + 1) as usize);
+            let group = (ou, payload.slice(at + 2..at + 2 + n));
             at += 2 + n;
             group
         }))
@@ -159,12 +160,17 @@ impl<'a> RecordView<'a> {
         (i < self.payload.len()).then(|| self.payload.get(i))
     }
 
+    /// The record's subsystem; `None` when its word names none.
+    pub fn known_subsystem(self) -> Option<Subsystem> {
+        Subsystem::from_index(usize::try_from(self.subsystem).ok()?)
+    }
+
     /// How many training points the record decodes into: one for a plain
     /// record, one per OU group for a fused-pipeline record, none when
     /// the subsystem is unknown or the groups are malformed (the record
     /// is then dropped).
     pub fn point_count(self) -> usize {
-        if Subsystem::from_index(self.subsystem as usize).is_none() {
+        if self.known_subsystem().is_none() {
             0
         } else if self.flags == 0 {
             1
@@ -185,15 +191,18 @@ impl<'a> RecordView<'a> {
     /// Each point is built directly as an untagged [`Sample`]: the OU
     /// name and the three value vectors are its only allocations.
     pub fn for_each_point(self, registry: &OuRegistry, mut emit: impl FnMut(Sample)) {
-        let Some(subsystem) = Subsystem::from_index(self.subsystem as usize) else {
+        let Some(subsystem) = self.known_subsystem() else {
             return;
         };
+        // Fits: there are six subsystems.
+        #[allow(clippy::cast_possible_truncation)]
+        let subsystem = subsystem.index() as u8;
         let point = |ou: u16, elapsed_ns, metrics, features, user_metrics| Sample {
             ou,
             ou_name: registry
                 .get(OuId(ou))
                 .map_or_else(|| format!("ou_{ou}"), |d| d.name.clone()),
-            subsystem: subsystem.index() as u8,
+            subsystem,
             tid: self.tid,
             template: 0,
             start_ns: self.start_ns,
@@ -236,8 +245,8 @@ impl<'a> RecordView<'a> {
             let w = weight(feats) / total_weight;
             emit(point(
                 ou,
-                (self.elapsed_ns as f64 * w) as u64,
-                self.metrics.iter().map(|m| (m as f64 * w) as u64).collect(),
+                whole(self.elapsed_ns as f64 * w),
+                self.metrics.iter().map(|m| whole(m as f64 * w)).collect(),
                 feats.iter().map(|w| w as f64).collect(),
                 Vec::new(),
             ));
@@ -245,14 +254,22 @@ impl<'a> RecordView<'a> {
     }
 }
 
-/// The OU id, tid and subsystem in a record's header (words 0, 1, 2),
-/// read without a full decode so a torn record still names its sender.
-/// An OU word above `u16::MAX` reads as missing, like an absent one.
-pub(crate) fn header_ids(bytes: &[u8]) -> (Option<OuId>, u64, Option<Subsystem>) {
+/// A virtual-clock reading, counter delta or weighted share of either as
+/// the whole number a record carries.
+// Fits: each is non-negative and far below 2^64; `as` drops the
+// fraction (and would saturate at either end).
+#[allow(clippy::cast_possible_truncation)]
+pub(crate) fn whole(v: f64) -> u64 {
+    v as u64
+}
+
+/// The OU id and subsystem in a record's header (words 0 and 2), read
+/// without a full decode so a torn record still names its sender. An OU
+/// word above `u16::MAX` reads as missing, like an absent one.
+pub(crate) fn header_ids(bytes: &[u8]) -> (Option<OuId>, Option<Subsystem>) {
     let word = |i: usize| Some(Words(bytes.get(i * 8..i * 8 + 8)?).get(0));
     (
         word(0).and_then(|w| u16::try_from(w).ok()).map(OuId),
-        word(1).unwrap_or(0),
         word(2).and_then(|i| Subsystem::from_index(usize::try_from(i).ok()?)),
     )
 }

@@ -63,6 +63,9 @@
 //! ```
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
+// A narrowing cast is a `try_from` with an error path, or an `allow`
+// that says why the value fits; test fixtures cast freely.
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 pub mod codegen;
 pub mod collector;

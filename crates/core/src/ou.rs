@@ -65,6 +65,11 @@ impl fmt::Display for Subsystem {
     }
 }
 
+/// The first OU id `register` never hands out: `0xFFFE` names the
+/// action-efficacy OU's archived samples and `0xFFFF` a record header
+/// that names no OU.
+pub const OU_IDS_RESERVED: u16 = 0xFFFE;
+
 /// Identifier of a registered OU.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct OuId(pub u16);
@@ -101,11 +106,20 @@ impl OuRegistry {
 
     /// Register an OU. Registering the same name again returns the
     /// existing id (markers may appear in multiple code paths).
+    ///
+    /// # Panics
+    ///
+    /// When every id below [`OU_IDS_RESERVED`] is taken: a new OU never
+    /// shares an id, reserved or registered.
     pub fn register(&mut self, name: &str, subsystem: Subsystem, n_features: usize) -> OuId {
         if let Some(d) = self.defs.iter().find(|d| d.name == name) {
             return d.id;
         }
-        let id = OuId(self.defs.len() as u16);
+        let id = u16::try_from(self.defs.len())
+            .ok()
+            .filter(|id| *id < OU_IDS_RESERVED)
+            .map(OuId)
+            .expect("OU ids exhausted: ids from 0xFFFE up are reserved");
         self.defs.push(OuDef {
             id,
             name: name.into(),
@@ -158,6 +172,25 @@ mod tests {
         let b = r.register("x", Subsystem::Networking, 1);
         assert_eq!(a, b);
         assert_eq!(r.len(), 1);
+    }
+
+    /// The 65 534th OU takes the last free id; one more is refused
+    /// instead of wrapping onto a reserved or registered id.
+    #[test]
+    #[should_panic(expected = "OU ids exhausted")]
+    fn register_refuses_to_reach_the_reserved_ids() {
+        let mut r = OuRegistry::new();
+        r.defs = (0..OU_IDS_RESERVED - 1)
+            .map(|i| OuDef {
+                id: OuId(i),
+                name: format!("ou{i}"),
+                subsystem: Subsystem::ExecutionEngine,
+                n_features: 0,
+            })
+            .collect();
+        let last = r.register("last", Subsystem::ExecutionEngine, 0);
+        assert_eq!(last, OuId(OU_IDS_RESERVED - 1));
+        r.register("one_more", Subsystem::ExecutionEngine, 0);
     }
 
     #[test]

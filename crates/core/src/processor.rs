@@ -13,10 +13,10 @@
 use tscout_archive::Sample;
 use tscout_kernel::{Kernel, TaskId, TSCOUT};
 use tscout_telemetry::decls::{PROCESSOR_DECODE_ERRORS, SAMPLES_LOST};
-use tscout_telemetry::{CounterSite, CounterVec, GaugeSite, HistSite, Telemetry};
+use tscout_telemetry::{CounterSite, CounterVec, GaugeSite, HistSite, Telemetry, TraceKey};
 
 use crate::collector::{DrainedRecord, TScout};
-use crate::data::{header_ids, RecordView};
+use crate::data::RecordView;
 use crate::decls;
 use crate::ou::{OuId, OuRegistry, Subsystem, ALL_SUBSYSTEMS};
 
@@ -190,20 +190,19 @@ impl Processor {
     fn consume(&mut self, kernel: &mut Kernel, record: DrainedRecord<'_>) {
         let drained_at = kernel.now(self.task);
         kernel.charge_overhead(self.task, kernel.cost.processor_per_sample_ns);
-        // The lineage key, readable even when the full decode fails.
-        let (tr_ou, tr_tid, _) = header_ids(record.bytes);
-        let tr_ou = tr_ou.map_or(u16::MAX, |ou| ou.0);
         // Decoded in place: the only owned form is the training point.
         let view = RecordView::parse(record.bytes);
         let n_points = view.map_or(0, RecordView::point_count);
         let Some(view) = view.filter(|_| n_points > 0) else {
             self.metrics.decode_errors.get(&self.telemetry).inc();
+            let key = TraceKey::Ring(record.pos);
             self.telemetry
-                .trace_decode_error(tr_ou, tr_tid, kernel.now(self.task));
+                .trace_lost(key, kernel.now(self.task), "decode_error");
             return;
         };
-        // Only a record of a known subsystem has points.
-        let subsystem = ALL_SUBSYSTEMS[view.subsystem as usize];
+        let subsystem = view
+            .known_subsystem()
+            .expect("only a record of a known subsystem has points");
         let sink_enter = kernel.now(self.task);
         // De-aggregation fan-out: fused-pipeline records expand into one
         // point per constituent OU (§5.2).
@@ -258,8 +257,7 @@ impl Processor {
         // the Processor's clock so sample bytes never shift.
         let terminal = !self.trace_parks;
         let traced = self.telemetry.trace_consume(
-            tr_ou,
-            tr_tid,
+            record.pos,
             drained_at,
             sink_enter,
             kernel.now(self.task),
@@ -441,6 +439,7 @@ mod tests {
                     bytes,
                     registry: &ts.registry,
                     ring_len: 0,
+                    pos: 0,
                 },
             );
             let errors = k.telemetry.counter_value(PROCESSOR_DECODE_ERRORS.name, &[]);

@@ -315,8 +315,19 @@ impl Database {
         params: &[Value],
     ) -> Result<ExecOutcome, DbError> {
         let stmt = parse(sql).map_err(DbError::Parse)?;
-        let plan = plan_stmt(&self.catalog, &stmt).map_err(DbError::Plan)?;
-        let fp = self.stmt_stats_enabled.then(|| fingerprint(&stmt));
+        self.run_stmt(sid, &stmt, params)
+    }
+
+    /// Plan and run a parsed statement: the path both SQL entry points
+    /// take.
+    fn run_stmt(
+        &mut self,
+        sid: SessionId,
+        stmt: &crate::sql::ast::Stmt,
+        params: &[Value],
+    ) -> Result<ExecOutcome, DbError> {
+        let plan = plan_stmt(&self.catalog, stmt).map_err(DbError::Plan)?;
+        let fp = self.stmt_stats_enabled.then(|| fingerprint(stmt));
         self.run_plan(sid, &plan, params, fp.as_deref())
     }
 
@@ -353,9 +364,7 @@ impl Database {
         if let Some(kind) = rejected {
             return Err(DbError::ReadOnly(kind));
         }
-        let plan = plan_stmt(&self.catalog, &stmt).map_err(DbError::Plan)?;
-        let fp = self.stmt_stats_enabled.then(|| fingerprint(&stmt));
-        self.run_plan(sid, &plan, params, fp.as_deref())
+        self.run_stmt(sid, &stmt, params)
     }
 
     /// Execute a prepared statement.
@@ -521,65 +530,28 @@ impl Database {
                 } else {
                     None
                 };
-                let implicit = self.sessions[sid.0].txn.is_none();
-                if implicit {
-                    self.begin(sid);
+                let (outcome, obs, actual_ns) = self.run_dml(sid, dml, params, scratch)?;
+                if let (Some(obs), Some(fp)) = (obs, fp) {
+                    self.record_stmt(fp, &obs, actual_ns, outcome.rows_affected);
+                    self.obs_scratch = obs; // return buffers to the pool
                 }
-                let txn = self.sessions[sid.0].txn.unwrap();
-                let task = self.sessions[sid.0].task;
-                let (result, obs, actual_ns) = {
-                    let mut ctx = ExecCtx::new(
-                        &mut self.kernel,
-                        self.ts.as_mut(),
-                        self.ous.as_ref(),
-                        task,
-                        &self.catalog,
-                        &mut self.tables,
-                        &mut self.indexes,
-                        &mut self.txns,
-                        txn,
-                        self.mode,
-                        &self.metrics,
-                    );
-                    ctx.obs = scratch;
-                    let t0 = ctx.kernel.now(task);
-                    let r = execute(&mut ctx, dml, params);
-                    let t1 = ctx.kernel.now(task);
-                    (r, ctx.obs.take(), t1 - t0)
-                };
-                match result {
-                    Ok(outcome) => {
-                        if implicit {
-                            self.commit(sid)?;
-                        }
-                        if let (Some(obs), Some(fp)) = (obs, fp) {
-                            self.record_stmt(fp, &obs, actual_ns, outcome.rows_affected);
-                            self.obs_scratch = obs; // return buffers to the pool
-                        }
-                        Ok(outcome)
-                    }
-                    Err(e) => {
-                        // Statement failure aborts the whole transaction
-                        // (first-writer-wins MVCC has no partial rollback).
-                        let _ = self.rollback(sid);
-                        Err(DbError::Aborted(e))
-                    }
-                }
+                Ok(outcome)
             }
         }
     }
 
-    /// `EXPLAIN ANALYZE`: execute the inner statement for real under
-    /// observation, then render the plan tree annotated with per-node
-    /// actuals (inclusive virtual-clock ns, rows, loops) and, when a
-    /// model is installed, the live model's predicted ns and error.
-    fn run_explain_analyze(
+    /// Execute one DML or query plan in the session's transaction — an
+    /// implicit one, committed on success, when it has none — observed
+    /// into `obs`. Returns the outcome, the observation and the
+    /// statement's virtual ns. A failed statement aborts the whole
+    /// transaction (first-writer-wins MVCC has no partial rollback).
+    fn run_dml(
         &mut self,
         sid: SessionId,
-        inner: &Plan,
+        plan: &Plan,
         params: &[Value],
-        fp: Option<&str>,
-    ) -> Result<ExecOutcome, DbError> {
+        obs: Option<StmtObs>,
+    ) -> Result<(ExecOutcome, Option<StmtObs>, f64), DbError> {
         let implicit = self.sessions[sid.0].txn.is_none();
         if implicit {
             self.begin(sid);
@@ -600,24 +572,41 @@ impl Database {
                 self.mode,
                 &self.metrics,
             );
-            ctx.obs = Some(StmtObs::new(true));
+            ctx.obs = obs;
             let t0 = ctx.kernel.now(task);
-            let r = execute(&mut ctx, inner, params);
+            let r = execute(&mut ctx, plan, params);
             let t1 = ctx.kernel.now(task);
-            (r, ctx.obs.take().unwrap_or_default(), t1 - t0)
+            (r, ctx.obs.take(), t1 - t0)
         };
-        let outcome = match result {
-            Ok(o) => {
+        match result {
+            Ok(outcome) => {
                 if implicit {
                     self.commit(sid)?;
                 }
-                o
+                Ok((outcome, obs, actual_ns))
             }
             Err(e) => {
                 let _ = self.rollback(sid);
-                return Err(DbError::Aborted(e));
+                Err(DbError::Aborted(e))
             }
-        };
+        }
+    }
+
+    /// `EXPLAIN ANALYZE`: execute the inner statement for real under
+    /// observation, then render the plan tree annotated with per-node
+    /// actuals (inclusive virtual-clock ns, rows, loops) and, when a
+    /// model is installed, the live model's predicted ns and error.
+    fn run_explain_analyze(
+        &mut self,
+        sid: SessionId,
+        inner: &Plan,
+        params: &[Value],
+        fp: Option<&str>,
+    ) -> Result<ExecOutcome, DbError> {
+        let (outcome, obs, actual_ns) =
+            self.run_dml(sid, inner, params, Some(StmtObs::new(true)))?;
+        let obs = obs.unwrap_or_default();
+        let task = self.sessions[sid.0].task;
         // Annotating the tree is user-visible statement work, not part of
         // a driven workload — charge it on the session clock directly.
         let render_ns = self.kernel.cost.explain_analyze_node_ns * obs.nodes.len().max(1) as f64;

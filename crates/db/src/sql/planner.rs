@@ -483,12 +483,11 @@ fn plan_select(catalog: &Catalog, sel: &SelectStmt) -> Result<Plan, PlanError> {
             left: Box::new(PlanNode::Scan(left_scan)),
             right: Box::new(PlanNode::Scan(right_scan)),
             left_key: lk,
-            right_key: shift_cols(rk, left_meta.schema.len(), false),
+            // Resolved against the right table alone and evaluated
+            // against right rows, so no column shift applies.
+            right_key: rk,
             residual: PExpr::conjoin(both_preds),
         };
-        // The probe key was resolved against the right table alone but is
-        // evaluated against right rows directly, so no shift is applied
-        // (`shift=false` marker above keeps this explicit).
     } else {
         let (scan, s) = plan_scan(catalog, &sel.from.name, sel.where_clause.as_ref())?;
         scope = s;
@@ -602,13 +601,6 @@ fn finish_select(
         };
     }
     Ok(Plan::Query { root })
-}
-
-/// Identity helper kept for readability at the call site: the probe-side
-/// key is evaluated against right-child rows, so no column shift applies.
-fn shift_cols(e: PExpr, _offset: usize, shift: bool) -> PExpr {
-    debug_assert!(!shift);
-    e
 }
 
 #[cfg(test)]

@@ -601,22 +601,17 @@ fn flightrec_fetch(shared: &Shared, name: &str) -> Response<'static> {
     }
 }
 
-/// Output column names for a SELECT, matching executor row order.
+/// Output column names for a SELECT, matching executor row order. No
+/// JOIN gets this far: the planner refuses any JOIN with a virtual
+/// table, and the plane's database holds no other table.
 fn projection_names(sel: &SelectStmt) -> Vec<String> {
     let mut out = Vec::new();
     for p in &sel.projections {
         match p {
-            Projection::Star => {
-                let tables = std::iter::once(&sel.from).chain(sel.join.iter().map(|(t, _)| t));
-                for t in tables {
-                    match noisetap::stat::virtual_schema(&t.name) {
-                        Some(schema) => {
-                            out.extend(schema.columns.iter().map(|c| c.name.clone()));
-                        }
-                        None => out.push("*".to_string()),
-                    }
-                }
-            }
+            Projection::Star => match noisetap::stat::virtual_schema(&sel.from.name) {
+                Some(schema) => out.extend(schema.columns.iter().map(|c| c.name.clone())),
+                None => out.push("*".to_string()),
+            },
             Projection::Expr(e) => out.push(expr_name(e)),
         }
     }

@@ -72,8 +72,8 @@ pub use stmt::{StmtEntry, StmtStats, DEFAULT_STMT_CAP};
 pub use tables::{Cell, ColType, Table, TABLES};
 pub use timeseries::{TimeSeries, Window};
 pub use trace::{
-    FlightRecorderArm, Stage, StageAgg, StageRecord, Trace, TraceId, TraceOutcome, TraceStats,
-    Tracer, ALL_STAGES, DEFAULT_ACTIVE_TRACE_CAPACITY, DEFAULT_TRACE_CAPACITY,
+    FlightRecorderArm, Stage, StageAgg, StageRecord, Trace, TraceId, TraceKey, TraceOutcome,
+    TraceStats, Tracer, ALL_STAGES, DEFAULT_ACTIVE_TRACE_CAPACITY, DEFAULT_TRACE_CAPACITY,
 };
 
 use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
@@ -273,29 +273,25 @@ impl Telemetry {
         Some(id)
     }
 
-    /// The traced marker's record was published into the ring.
-    pub fn trace_publish(&self, id: TraceId, now_ns: f64, ring_depth: u64) {
-        self.lock().tracer_mut().on_publish(id, now_ns, ring_depth);
+    /// The traced marker's record was published at ring position `pos`.
+    pub fn trace_publish(&self, id: TraceId, pos: u64, now_ns: f64, ring_depth: u64) {
+        self.lock()
+            .tracer_mut()
+            .on_publish(id, pos, now_ns, ring_depth);
     }
 
-    /// The traced marker died before publishing.
-    pub fn trace_marker_abort(&self, id: TraceId, now_ns: f64, reason: &str) {
-        self.traced(|t| t.on_marker_abort(id, now_ns, reason));
+    /// A traced sample was lost (see [`Tracer::on_lost`]).
+    pub fn trace_lost(&self, key: TraceKey, now_ns: f64, reason: &str) {
+        self.traced(|t| t.on_lost(key, now_ns, reason));
     }
 
-    /// The ring overwrote its oldest `(ou, tid)` record.
-    pub fn trace_ring_evict(&self, ou: u16, tid: u64, now_ns: f64) {
-        self.traced(|t| t.on_ring_evict(ou, tid, now_ns));
-    }
-
-    /// Processor-side drain + sink stamp (see [`Tracer::on_consume`]).
-    /// Returns whether a trace matched, so the caller charges tracing
-    /// cost only for traced records.
-    #[allow(clippy::too_many_arguments)]
+    /// Processor-side drain + sink stamp of the record at ring position
+    /// `pos` (see [`Tracer::on_consume`]). Returns whether a trace
+    /// matched, so the caller charges tracing cost only for traced
+    /// records.
     pub fn trace_consume(
         &self,
-        ou: u16,
-        tid: u64,
+        pos: u64,
         drain_ns: f64,
         sink_enter_ns: f64,
         sink_exit_ns: f64,
@@ -307,8 +303,7 @@ impl Telemetry {
         }
         let mut reg = self.lock();
         let hit = reg.tracer_mut().on_consume(
-            ou,
-            tid,
+            pos,
             drain_ns,
             sink_enter_ns,
             sink_exit_ns,
@@ -319,11 +314,6 @@ impl Telemetry {
             reg.trace_settle();
         }
         hit
-    }
-
-    /// A traced record failed to decode at the Processor.
-    pub fn trace_decode_error(&self, ou: u16, tid: u64, now_ns: f64) {
-        self.traced(|t| t.on_decode_error(ou, tid, now_ns));
     }
 
     /// Collective lifecycle stamp for parked traces (archive memtable,

@@ -623,8 +623,8 @@ mod tests {
         let t = Telemetry::new();
         t.trace_set_every(1);
         let id = t.trace_begin(7, 2, 42, 100.0).unwrap();
-        t.trace_publish(id, 200.0, 3);
-        assert!(t.trace_consume(7, 42, 300.0, 350.0, 400.0, 2, true));
+        t.trace_publish(id, 0, 200.0, 3);
+        assert!(t.trace_consume(0, 300.0, 350.0, 400.0, 2, true));
         let traces = rows("ts_traces", &t);
         assert_eq!(traces.len(), 1);
         assert_eq!(traces[0][0], int(id.0));

@@ -20,11 +20,11 @@
 //! bounded *completed* ring are counted separately (they are completed
 //! traces whose storage was reclaimed, not lost lineage).
 //!
-//! Propagation between the marker and the Processor is keyed by the
-//! `(ou, tid)` pair both ends can read from the record header. The perf
-//! ring is a global FIFO, so it is a per-`(ou, tid)` FIFO too: a
-//! `VecDeque` per key gives exact matching — publish pushes back, drain
-//! pops front, a ring overwrite evicts the front.
+//! Between the marker and the Processor a trace is keyed by its record's
+//! ring position: the record's index in publish order, which the ring
+//! hands back with every drained record and every overwritten header.
+//! No two records share a position, so drain, sink and loss stamps land
+//! on the traced record's own trace and on no other.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
@@ -89,6 +89,15 @@ impl Stage {
     fn idx(&self) -> usize {
         ALL_STAGES.iter().position(|s| s == self).unwrap()
     }
+}
+
+/// How a loss site names the trace it ends: a marker that never
+/// published carries its id; a published record is known by its ring
+/// position.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TraceKey {
+    Marker(TraceId),
+    Ring(u64),
 }
 
 /// Terminal outcome of a trace.
@@ -269,9 +278,9 @@ pub struct Tracer {
     /// In-flight traces by raw id.
     active: BTreeMap<u64, Trace>,
     active_capacity: usize,
-    /// Ids published to the ring, awaiting Processor pickup, keyed by
-    /// the `(ou, tid)` pair readable from the record header.
-    in_ring: HashMap<(u16, u64), VecDeque<u64>>,
+    /// Ids published to the ring, awaiting drain or overwrite, keyed by
+    /// their record's ring position.
+    in_ring: HashMap<u64, u64>,
     /// Ids past the sink stage, parked until the archive/model
     /// lifecycle stamps the collective stages.
     parked: VecDeque<u64>,
@@ -352,8 +361,8 @@ impl Tracer {
         let id = self.next_id;
         self.stats.started += 1;
         if self.active.len() >= self.active_capacity {
-            // Drop the oldest in-flight trace; its queue entries are
-            // reaped lazily when the stale id surfaces.
+            // Drop the oldest in-flight trace; its ring entry goes when
+            // its position is drained or overwritten.
             if let Some((&old, _)) = self.active.iter().next() {
                 self.active.remove(&old);
                 self.stats.dropped += 1;
@@ -381,21 +390,25 @@ impl Tracer {
         Some(TraceId(id))
     }
 
-    /// The marker state machine published its record into the ring.
-    pub fn on_publish(&mut self, id: TraceId, now_ns: f64, ring_depth: u64) {
+    /// The marker state machine published its record into the ring at
+    /// position `pos`.
+    pub fn on_publish(&mut self, id: TraceId, pos: u64, now_ns: f64, ring_depth: u64) {
         let Some(t) = self.active.get_mut(&id.0) else {
             return;
         };
         let now = t.close_last(now_ns);
         t.push_stage(Stage::RingBuffer, now, now, ring_depth);
-        let key = (t.ou, t.tid);
-        self.in_ring.entry(key).or_default().push_back(id.0);
+        self.in_ring.insert(pos, id.0);
     }
 
-    /// The marker state machine died before publishing (reset, backlog,
-    /// features error): the trace terminates at the marker stage.
-    pub fn on_marker_abort(&mut self, id: TraceId, now_ns: f64, reason: &str) {
-        let Some(mut t) = self.active.remove(&id.0) else {
+    /// A traced sample was lost (see [`TraceKey`]): its trace ends at the
+    /// stage it reached, failed with `reason`.
+    pub fn on_lost(&mut self, key: TraceKey, now_ns: f64, reason: &str) {
+        let id = match key {
+            TraceKey::Marker(id) => Some(id.0),
+            TraceKey::Ring(pos) => self.in_ring.remove(&pos),
+        };
+        let Some(mut t) = id.and_then(|id| self.active.remove(&id)) else {
             return;
         };
         t.close_last(now_ns);
@@ -403,36 +416,21 @@ impl Tracer {
         self.finish(t, TraceOutcome::Lost);
     }
 
-    /// The ring overwrote its oldest record for `(ou, tid)`.
-    pub fn on_ring_evict(&mut self, ou: u16, tid: u64, now_ns: f64) {
-        let Some(id) = self.pop_in_ring(ou, tid) else {
-            return;
-        };
-        let Some(mut t) = self.active.remove(&id) else {
-            return;
-        };
-        t.close_last(now_ns);
-        t.fail_reason = Some("ring_overwrite".to_string());
-        self.finish(t, TraceOutcome::Lost);
-    }
-
-    /// The Processor consumed the next `(ou, tid)` record: close the
-    /// ring stage, stamp drain + sink. `terminal` completes the trace as
-    /// delivered (no lifecycle behind the sink); otherwise it parks
+    /// The Processor consumed the record at ring position `pos`: close
+    /// the ring stage, stamp drain + sink. `terminal` completes the trace
+    /// as delivered (no lifecycle behind the sink); otherwise it parks
     /// awaiting the archive lifecycle. Returns whether a trace was
     /// matched (the caller charges tracing cost only then).
-    #[allow(clippy::too_many_arguments)]
     pub fn on_consume(
         &mut self,
-        ou: u16,
-        tid: u64,
+        pos: u64,
         drain_ns: f64,
         sink_enter_ns: f64,
         sink_exit_ns: f64,
         queue_depth: u64,
         terminal: bool,
     ) -> bool {
-        let Some(id) = self.pop_in_ring(ou, tid) else {
+        let Some(id) = self.in_ring.remove(&pos) else {
             return false;
         };
         let Some(t) = self.active.get_mut(&id) else {
@@ -448,19 +446,6 @@ impl Tracer {
             self.parked.push_back(id);
         }
         true
-    }
-
-    /// A consumed record failed to decode: the trace dies at the sink.
-    pub fn on_decode_error(&mut self, ou: u16, tid: u64, now_ns: f64) {
-        let Some(id) = self.pop_in_ring(ou, tid) else {
-            return;
-        };
-        let Some(mut t) = self.active.remove(&id) else {
-            return;
-        };
-        t.close_last(now_ns);
-        t.fail_reason = Some("decode_error".to_string());
-        self.finish(t, TraceOutcome::Lost);
     }
 
     /// Collective lifecycle stamp: every parked trace passed through
@@ -501,22 +486,6 @@ impl Tracer {
             }
         }
         n
-    }
-
-    /// Pop the oldest live id for a key, skipping ids whose trace was
-    /// dropped from the active table.
-    fn pop_in_ring(&mut self, ou: u16, tid: u64) -> Option<u64> {
-        let q = self.in_ring.get_mut(&(ou, tid))?;
-        while let Some(id) = q.pop_front() {
-            if self.active.contains_key(&id) {
-                if q.is_empty() {
-                    self.in_ring.remove(&(ou, tid));
-                }
-                return Some(id);
-            }
-        }
-        self.in_ring.remove(&(ou, tid));
-        None
     }
 
     /// Drop stale (already-dropped) ids from the head of the parked queue.
@@ -597,8 +566,8 @@ mod tests {
         let mut t = Tracer::default();
         t.set_every(1);
         let id = traced(&mut t);
-        t.on_publish(id, 200.0, 5);
-        assert!(t.on_consume(3, 40, 300.0, 310.0, 350.0, 4, false));
+        t.on_publish(id, 0, 200.0, 5);
+        assert!(t.on_consume(0, 300.0, 310.0, 350.0, 4, false));
         t.lifecycle_stamp(Stage::ArchiveMemtable, 400.0, 410.0, 2);
         t.lifecycle_stamp(Stage::SegmentSeal, 420.0, 430.0, 0);
         t.lifecycle_stamp(Stage::Dataset, 440.0, 450.0, 0);
@@ -616,20 +585,27 @@ mod tests {
         assert_eq!(tr.stages.last().unwrap().stage, Stage::ModelGeneration);
     }
 
+    /// Two traced records of one `(ou, tid)` around an untraced one: a
+    /// loss or a drain names a trace only by its own position.
     #[test]
-    fn ring_eviction_is_fifo_per_key_and_lost() {
+    fn a_ring_position_ends_only_its_own_trace() {
         let mut t = Tracer::default();
         t.set_every(1);
         let a = t.maybe_begin(3, 1, 40, 0.0).unwrap();
         let b = t.maybe_begin(3, 1, 40, 1.0).unwrap();
-        t.on_publish(a, 10.0, 1);
-        t.on_publish(b, 11.0, 2);
-        t.on_ring_evict(3, 40, 20.0);
-        // The *older* publish was evicted.
-        assert!(t.on_consume(3, 40, 30.0, 31.0, 32.0, 0, true));
+        t.on_publish(a, 0, 10.0, 1);
+        t.on_publish(b, 2, 11.0, 3);
+        t.on_lost(TraceKey::Ring(1), 20.0, "ring_overwrite");
+        assert!(
+            t.completed_iter().next().is_none(),
+            "position 1 is untraced"
+        );
+        t.on_lost(TraceKey::Ring(2), 21.0, "ring_overwrite");
+        assert!(!t.on_consume(1, 30.0, 31.0, 32.0, 0, true));
+        assert!(t.on_consume(0, 30.0, 31.0, 32.0, 0, true));
         let outcomes: Vec<_> = t.completed_iter().map(|x| (x.id, x.outcome)).collect();
-        assert_eq!(outcomes[0], (a, Some(TraceOutcome::Lost)));
-        assert_eq!(outcomes[1], (b, Some(TraceOutcome::Delivered)));
+        assert_eq!(outcomes[0], (b, Some(TraceOutcome::Lost)));
+        assert_eq!(outcomes[1], (a, Some(TraceOutcome::Delivered)));
         assert!(t.stats().closes());
     }
 
@@ -638,7 +614,7 @@ mod tests {
         let mut t = Tracer::default();
         t.set_every(1);
         let id = traced(&mut t);
-        t.on_marker_abort(id, 150.0, "state_reset");
+        t.on_lost(TraceKey::Marker(id), 150.0, "state_reset");
         let tr = t.completed_iter().next().unwrap();
         assert_eq!(tr.outcome, Some(TraceOutcome::Lost));
         assert_eq!(tr.fail_reason.as_deref(), Some("state_reset"));
@@ -659,10 +635,10 @@ mod tests {
         assert_eq!(st.in_flight, 4);
         assert!(st.closes());
         // Publishing a dropped trace is a no-op; a live one still works.
-        t.on_publish(ids[0], 10.0, 0);
-        t.on_publish(ids[5], 10.0, 0);
-        assert!(!t.on_consume(1, 0, 20.0, 21.0, 22.0, 0, true));
-        assert!(t.on_consume(1, 5, 20.0, 21.0, 22.0, 0, true));
+        t.on_publish(ids[0], 0, 10.0, 0);
+        t.on_publish(ids[5], 1, 10.0, 0);
+        assert!(!t.on_consume(0, 20.0, 21.0, 22.0, 0, true));
+        assert!(t.on_consume(1, 20.0, 21.0, 22.0, 0, true));
         assert!(t.stats().closes());
     }
 
@@ -673,7 +649,7 @@ mod tests {
         t.capacity = 3;
         for i in 0..5u64 {
             let id = t.maybe_begin(1, 1, i, 0.0).unwrap();
-            t.on_marker_abort(id, 1.0, "x");
+            t.on_lost(TraceKey::Marker(id), 1.0, "x");
         }
         assert_eq!(t.completed.len(), 3);
         let st = t.stats();
@@ -687,8 +663,8 @@ mod tests {
         let mut t = Tracer::default();
         t.set_every(1);
         let id = traced(&mut t);
-        t.on_publish(id, 110.0, 9); // marker: 10 ns
-        assert!(t.on_consume(3, 40, 5_110.0, 5_120.0, 5_150.0, 3, true)); // ring: 5000 ns
+        t.on_publish(id, 0, 110.0, 9); // marker: 10 ns
+        assert!(t.on_consume(0, 5_110.0, 5_120.0, 5_150.0, 3, true)); // ring: 5000 ns
         let tr = t.completed_iter().next().unwrap();
         assert_eq!(tr.critical_stage().unwrap().0, Stage::RingBuffer);
         let ring_agg = t

@@ -507,7 +507,7 @@ fn a_huge_capacity_ring_owns_only_what_it_holds() {
     // memory for the next burst instead of growing it.
     let owned = maps.ring_owned_bytes(ring);
     let mut seen = 0;
-    maps.ring_drain_with(ring, usize::MAX, |rec, behind| {
+    maps.ring_drain_with(ring, usize::MAX, |rec, behind, _| {
         assert_eq!(rec, record);
         seen += 1;
         assert_eq!(behind, 10 - seen);
