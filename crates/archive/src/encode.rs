@@ -20,11 +20,173 @@
 //! Both are self-describing (`tag`, value count, byte length) so a block
 //! decoder never reads past its column, and steps over a column it was
 //! not asked for without decoding it.
+//!
+//! A column decodes into a [`ColumnSink`]: a `Vec<u64>` stores the
+//! values (scans), a [`Tally`] keeps only what a block's checks read of
+//! them (recovery). Both go through the one decoder, so they fail on the
+//! same bytes.
 
 /// The most values a column (so the most rows a block) may hold: a corrupt
 /// count must not OOM a decoder. A constant (width-0) column is tiny, so
 /// the cap is a hard value count, far above any real block.
 pub(crate) const MAX_COLUMN_VALUES: u64 = 1 << 24;
+
+/// Where [`get_column`] puts a column's values.
+pub(crate) trait ColumnSink {
+    /// Forget the previous column (a `Vec` keeps its capacity).
+    fn clear(&mut self);
+    /// Values taken since the last [`ColumnSink::clear`].
+    fn len(&self) -> usize;
+    fn reserve(&mut self, n: usize);
+    fn push(&mut self, v: u64);
+    fn push_all(&mut self, values: impl Iterator<Item = u64>);
+    /// Take `n` copies of `v`.
+    fn fill(&mut self, n: usize, v: u64);
+    /// Take `n` values, each at most `max`, without seeing them; `false`
+    /// (nothing taken) when this sink must see every value.
+    fn take_unseen(&mut self, n: usize, max: u64) -> bool;
+    /// Whether a value past `u32::MAX` was taken.
+    fn exceeds_u32(&self) -> bool;
+    /// The values' sum, `None` when it overflows `u64`.
+    fn sum(&self) -> Option<u64>;
+}
+
+impl ColumnSink for Vec<u64> {
+    fn clear(&mut self) {
+        Vec::clear(self);
+    }
+
+    fn len(&self) -> usize {
+        Vec::len(self)
+    }
+
+    fn reserve(&mut self, n: usize) {
+        Vec::reserve(self, n);
+    }
+
+    fn push(&mut self, v: u64) {
+        Vec::push(self, v);
+    }
+
+    fn push_all(&mut self, values: impl Iterator<Item = u64>) {
+        Extend::extend(self, values);
+    }
+
+    fn fill(&mut self, n: usize, v: u64) {
+        self.resize(Vec::len(self) + n, v);
+    }
+
+    fn take_unseen(&mut self, _: usize, _: u64) -> bool {
+        false
+    }
+
+    fn exceeds_u32(&self) -> bool {
+        self.iter().fold(0, |or, &v| or | v) > u64::from(u32::MAX)
+    }
+
+    fn sum(&self) -> Option<u64> {
+        self.iter().try_fold(0u64, |sum, &v| sum.checked_add(v))
+    }
+}
+
+/// What a [`Tally`] keeps of the values besides their count.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) enum Watch {
+    #[default]
+    Count,
+    /// Whether one is past `u32::MAX` ([`ColumnSink::exceeds_u32`]).
+    U32,
+    /// Their sum ([`ColumnSink::sum`]).
+    Sum,
+}
+
+/// A [`ColumnSink`] that stores no values: it counts them and keeps what
+/// its [`Watch`] names. A count-only tally takes a column whose values
+/// cannot overflow by its length; a `U32` one too when none can pass
+/// `u32::MAX`.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Tally {
+    watch: Watch,
+    n: usize,
+    /// OR of the values (`Watch::U32`).
+    or: u64,
+    /// Their sum (`Watch::Sum`); set once it overflows.
+    sum: u64,
+    overflowed: bool,
+}
+
+impl Tally {
+    pub(crate) fn new(watch: Watch) -> Self {
+        Tally {
+            watch,
+            ..Tally::default()
+        }
+    }
+
+    fn add(&mut self, v: u64) {
+        let (sum, over) = self.sum.overflowing_add(v);
+        (self.sum, self.overflowed) = (sum, self.overflowed || over);
+    }
+}
+
+impl ColumnSink for Tally {
+    fn clear(&mut self) {
+        *self = Tally::new(self.watch);
+    }
+
+    fn len(&self) -> usize {
+        self.n
+    }
+
+    fn reserve(&mut self, _: usize) {}
+
+    fn push(&mut self, v: u64) {
+        self.n += 1;
+        match self.watch {
+            Watch::Count => {}
+            Watch::U32 => self.or |= v,
+            Watch::Sum => self.add(v),
+        }
+    }
+
+    fn push_all(&mut self, values: impl Iterator<Item = u64>) {
+        values.for_each(|v| self.push(v));
+    }
+
+    fn fill(&mut self, n: usize, v: u64) {
+        self.n += n;
+        match self.watch {
+            Watch::Count => {}
+            Watch::U32 => self.or |= if n > 0 { v } else { 0 },
+            Watch::Sum => match v.checked_mul(n as u64) {
+                Some(all) => self.add(all),
+                None => self.overflowed = true,
+            },
+        }
+    }
+
+    fn take_unseen(&mut self, n: usize, max: u64) -> bool {
+        let unseen = match self.watch {
+            Watch::Count => true,
+            Watch::U32 => max <= u64::from(u32::MAX),
+            Watch::Sum => false,
+        };
+        if unseen {
+            self.n += n;
+        }
+        unseen
+    }
+
+    fn exceeds_u32(&self) -> bool {
+        debug_assert_eq!(self.watch, Watch::U32);
+        self.or > u64::from(u32::MAX)
+    }
+
+    fn sum(&self) -> Option<u64> {
+        debug_assert_eq!(self.watch, Watch::Sum);
+        (!self.overflowed).then_some(self.sum)
+    }
+}
 
 /// Append `v` as a LEB128 varint.
 pub(crate) fn put_varint(out: &mut Vec<u8>, mut v: u64) {
@@ -82,7 +244,7 @@ fn bit_width(v: u64) -> u32 {
 }
 
 /// Append the payload for tag 0 (delta + zigzag + varint).
-fn put_delta(out: &mut Vec<u8>, values: &[u64]) {
+pub(crate) fn put_delta(out: &mut Vec<u8>, values: &[u64]) {
     let mut prev = 0u64;
     for &v in values {
         put_varint(out, zigzag(v.wrapping_sub(prev) as i64));
@@ -90,7 +252,7 @@ fn put_delta(out: &mut Vec<u8>, values: &[u64]) {
     }
 }
 
-fn decode_delta(buf: &[u8], n: usize, out: &mut Vec<u64>) -> Option<()> {
+fn decode_delta(buf: &[u8], n: usize, out: &mut impl ColumnSink) -> Option<()> {
     // Every value takes at least one byte, so a count beyond the payload
     // is corrupt — checked before reserving for it.
     if n > buf.len() {
@@ -114,7 +276,7 @@ fn decode_delta(buf: &[u8], n: usize, out: &mut Vec<u64>) -> Option<()> {
 /// `varint min`, `u8 width`, packed little-endian bits of `v - min`,
 /// where `min` is the column's minimum and `width` the bits its range
 /// `max - min` needs (0 and 0 for an empty column).
-fn put_packed(out: &mut Vec<u8>, values: &[u64], min: u64, width: u32) {
+pub(crate) fn put_packed(out: &mut Vec<u8>, values: &[u64], min: u64, width: u32) {
     put_varint(out, min);
     // Fits: `bit_width` is at most 64.
     #[allow(clippy::cast_possible_truncation)]
@@ -135,7 +297,7 @@ fn put_packed(out: &mut Vec<u8>, values: &[u64], min: u64, width: u32) {
     }
 }
 
-fn decode_packed(buf: &[u8], n: usize, out: &mut Vec<u64>) -> Option<()> {
+fn decode_packed(buf: &[u8], n: usize, out: &mut impl ColumnSink) -> Option<()> {
     let mut pos = 0usize;
     let min = get_varint(buf, &mut pos)?;
     let width = *buf.get(pos)? as u32;
@@ -148,22 +310,27 @@ fn decode_packed(buf: &[u8], n: usize, out: &mut Vec<u64>) -> Option<()> {
         return None;
     }
     if width == 0 {
-        out.resize(n, min);
+        out.fill(n, min);
+        return Some(());
+    }
+    let mask = u64::MAX >> (64 - width);
+    // When no value can overflow `min + raw`, the column is valid as soon
+    // as its length is: a sink that need not see the values takes them
+    // by count.
+    let max = min.checked_add(mask);
+    if max.is_some_and(|max| out.take_unseen(n, max)) {
         return Some(());
     }
     out.reserve(n);
     let packed = &buf[pos..];
-    let mask = u64::MAX >> (64 - width);
     let width = width as usize;
-    // When no value can overflow `min + raw`, every value of up to 57 bits
-    // whose 8-byte window lies in the column is one unaligned load.
+    // Where none can overflow, every value of up to 57 bits whose 8-byte
+    // window lies in the column is one unaligned load.
     let windowed = match packed.len().checked_sub(8) {
-        Some(last) if width <= 57 && min.checked_add(mask).is_some() => {
-            ((last * 8 + 7) / width + 1).min(n)
-        }
+        Some(last) if width <= 57 && max.is_some() => ((last * 8 + 7) / width + 1).min(n),
         _ => 0,
     };
-    out.extend((0..windowed).map(|i| {
+    out.push_all((0..windowed).map(|i| {
         let bit = i * width;
         let (byte, shift) = (bit >> 3, bit & 7);
         let word = u64::from_le_bytes(packed[byte..byte + 8].try_into().expect("8 bytes"));
@@ -239,7 +406,7 @@ fn column_header<'a>(buf: &'a [u8], pos: &mut usize) -> Option<(u8, usize, &'a [
 /// Decode one column at `*pos` into `out` (cleared first, capacity
 /// kept), advancing past it. `None` on any structural inconsistency (the
 /// caller treats the block as corrupt); `out` is then unspecified.
-pub(crate) fn get_column(buf: &[u8], pos: &mut usize, out: &mut Vec<u64>) -> Option<()> {
+pub(crate) fn get_column(buf: &[u8], pos: &mut usize, out: &mut impl ColumnSink) -> Option<()> {
     let (tag, n, payload) = column_header(buf, pos)?;
     out.clear();
     match tag {

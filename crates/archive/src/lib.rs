@@ -23,7 +23,8 @@
 //!   An OU is its [`OuEntry`] (id and name): one id under two names is
 //!   two OUs.
 //! * **Recovery** only reads: opening a directory lists every block
-//!   frame that passes its CRC and decode, and steps byte by byte through
+//!   frame that passes its CRC and decode (the one decoder, storing no
+//!   values), and steps byte by byte through
 //!   anything else (a torn tail, a damaged head, a failed CRC) to the next
 //!   one, counting each damaged span once in
 //!   `archive_scan_skipped_blocks_total`. A damaged frame costs only its

@@ -26,7 +26,9 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-use crate::encode::{get_column, get_varint, put_column, put_varint, skip_column};
+use crate::encode::{
+    get_column, get_varint, put_column, put_varint, skip_column, ColumnSink, Tally, Watch,
+};
 use crate::{crc32::crc32, Sample};
 
 /// File magic ("TScout ARchive").
@@ -116,10 +118,11 @@ impl Projection {
 /// A variable-length column: one length per row plus every row's values
 /// back to back. Fields are private because `lens` must sum to
 /// `flat.len()` for [`VarColumn::rows`] to slice without panicking.
+/// (`C` is what the two columns decode into; see [`ColumnBatch`].)
 #[derive(Debug, Clone, Default)]
-pub struct VarColumn {
-    lens: Vec<u64>,
-    flat: Vec<u64>,
+pub struct VarColumn<C = Vec<u64>> {
+    lens: C,
+    flat: C,
 }
 
 impl VarColumn {
@@ -145,19 +148,29 @@ impl VarColumn {
         })
     }
 
-    fn clear(&mut self) {
-        self.lens.clear();
-        self.flat.clear();
-    }
-
     fn push(&mut self, row: impl ExactSizeIterator<Item = u64>) {
         self.lens.push(row.len() as u64);
         self.flat.extend(row);
     }
+}
+
+// (The bounds are per method: no public item names the crate's
+// `ColumnSink`.)
+impl<C> VarColumn<C> {
+    fn clear(&mut self)
+    where
+        C: ColumnSink,
+    {
+        self.lens.clear();
+        self.flat.clear();
+    }
 
     /// Decode (or step over) the length column and the flat column at
     /// `*pos` of a block of `n` rows.
-    fn decode(&mut self, payload: &[u8], pos: &mut usize, n: usize, wanted: bool) -> Option<()> {
+    fn decode(&mut self, payload: &[u8], pos: &mut usize, n: usize, wanted: bool) -> Option<()>
+    where
+        C: ColumnSink,
+    {
         if !wanted {
             self.clear();
             let lens = skip_column(payload, pos)?;
@@ -166,10 +179,7 @@ impl VarColumn {
         }
         get_column(payload, pos, &mut self.lens)?;
         get_column(payload, pos, &mut self.flat)?;
-        let total = self
-            .lens
-            .iter()
-            .try_fold(0u64, |sum, &len| sum.checked_add(len))?;
+        let total = self.lens.sum()?;
         (self.lens.len() == n && total == self.flat.len() as u64).then_some(())
     }
 }
@@ -192,25 +202,25 @@ const USER_METRICS: usize = 2;
 ///
 /// Fields are private: every projected column holds exactly
 /// [`ColumnBatch::len`] rows, a projected-out column none.
+///
+/// `C` is what a column decodes into. Recovery checks blocks through a
+/// [`BlockCheck`], whose columns keep only what the checks read of their
+/// values: the same decoder, storing none of them.
 #[derive(Debug, Clone, Default)]
-pub struct ColumnBatch {
+pub struct ColumnBatch<C = Vec<u64>> {
     ou: OuEntry,
     rows: usize,
     /// `tid`, `template`, `start_ns`, `elapsed_ns` — block column order.
-    fixed: [Vec<u64>; 4],
+    fixed: [C; 4],
     /// `metrics`, `features`, `user_metrics` — block column order.
-    var: [VarColumn; 3],
+    var: [VarColumn<C>; 3],
 }
 
-impl ColumnBatch {
-    /// An empty batch that rows of `ou` will be pushed into.
-    pub(crate) fn for_ou(ou: OuEntry) -> Self {
-        ColumnBatch {
-            ou,
-            ..ColumnBatch::default()
-        }
-    }
+/// A block decoder that stores no values: it accepts exactly the payloads
+/// `decode(_, Projection::ALL)` accepts, with the same OU and row count.
+pub(crate) type BlockCheck = ColumnBatch<Tally>;
 
+impl<C> ColumnBatch<C> {
     /// The OU every row of this batch belongs to.
     pub fn ou(&self) -> &OuEntry {
         &self.ou
@@ -223,6 +233,27 @@ impl ColumnBatch {
 
     pub fn is_empty(&self) -> bool {
         self.rows == 0
+    }
+
+    /// The manifest entry of this batch as the block whose frame is at
+    /// `offset` with `payload_len` payload bytes.
+    pub(crate) fn meta(&self, offset: u64, payload_len: u32) -> BlockMeta {
+        BlockMeta {
+            offset,
+            payload_len,
+            ou: self.ou.ou,
+            count: self.rows as u64,
+        }
+    }
+}
+
+impl ColumnBatch {
+    /// An empty batch that rows of `ou` will be pushed into.
+    pub(crate) fn for_ou(ou: OuEntry) -> Self {
+        ColumnBatch {
+            ou,
+            ..ColumnBatch::default()
+        }
     }
 
     pub fn tid(&self) -> &[u64] {
@@ -252,17 +283,6 @@ impl ColumnBatch {
 
     pub fn user_metrics(&self) -> &VarColumn {
         &self.var[USER_METRICS]
-    }
-
-    /// The manifest entry of this batch as the block whose frame is at
-    /// `offset` with `payload_len` payload bytes.
-    pub(crate) fn meta(&self, offset: u64, payload_len: u32) -> BlockMeta {
-        BlockMeta {
-            offset,
-            payload_len,
-            ou: self.ou.ou,
-            count: self.rows as u64,
-        }
     }
 
     pub(crate) fn clear(&mut self) {
@@ -346,8 +366,33 @@ impl ColumnBatch {
         }
         decoded
     }
+}
 
-    fn decode_inner(&mut self, payload: &[u8], projection: Projection) -> Option<()> {
+impl BlockCheck {
+    /// A check whose `tid` and `template` columns watch for a value past
+    /// `u32::MAX` and whose vector lengths are summed, as decode checks them.
+    pub(crate) fn new() -> Self {
+        let mut check = BlockCheck::default();
+        check.fixed[TID] = Tally::new(Watch::U32);
+        check.fixed[TEMPLATE] = Tally::new(Watch::U32);
+        for col in &mut check.var {
+            col.lens = Tally::new(Watch::Sum);
+        }
+        check
+    }
+
+    /// `decode(payload, Projection::ALL)`'s verdict, OU and row count,
+    /// with no value stored. `None` ⇒ corrupt.
+    pub(crate) fn check(&mut self, payload: &[u8]) -> Option<()> {
+        self.decode_inner(payload, Projection::ALL)
+    }
+}
+
+impl<C> ColumnBatch<C> {
+    fn decode_inner(&mut self, payload: &[u8], projection: Projection) -> Option<()>
+    where
+        C: ColumnSink,
+    {
         let mut pos = 0usize;
         self.ou.ou = u16::try_from(get_varint(payload, &mut pos)?).ok()?;
         self.ou.subsystem = *payload.get(pos)?;
@@ -375,8 +420,7 @@ impl ColumnBatch {
             }
         }
         // `tid` and `template` are `u32` in a `Sample`.
-        let narrow = self.fixed[..START_NS].iter().flatten();
-        if narrow.fold(0, |or, &v| or | v) > u64::from(u32::MAX) {
+        if self.fixed[..START_NS].iter().any(C::exceeds_u32) {
             return None;
         }
         for (col, wanted) in self.var.iter_mut().zip(projection.var()) {

@@ -15,8 +15,8 @@ use tscout_telemetry::{Counter, CounterSite, GaugeSite, Telemetry};
 
 use crate::encode::MAX_COLUMN_VALUES;
 use crate::segment::{
-    create_segment, frame_len, read_block_frame, write_frame, BlockMeta, ColumnBatch, HeadReader,
-    OuEntry, Projection, FRAME_BLOCK, FRAME_FOOTER, HEADER_LEN, MAGIC, VERSION,
+    create_segment, frame_len, read_block_frame, write_frame, BlockCheck, BlockMeta, ColumnBatch,
+    HeadReader, OuEntry, Projection, FRAME_BLOCK, FRAME_FOOTER, HEADER_LEN, MAGIC, VERSION,
 };
 use crate::{decls, ArchiveError, ArchiveOptions, Sample};
 
@@ -171,7 +171,7 @@ impl Archive {
             compaction_hold: false,
             compaction_requested: false,
         };
-        let (mut frame, mut block) = (Vec::new(), ColumnBatch::default());
+        let (mut frame, mut block) = (Vec::new(), BlockCheck::new());
         for (seqs, path) in paths {
             if covered(&seqs) {
                 std::fs::remove_file(&path)?;
@@ -194,8 +194,8 @@ impl Archive {
     }
 
     /// Walk one segment file's frames, reading only. A block frame that
-    /// reads whole (kind, length, CRC) and decodes in full into `block`
-    /// (scratch, like `frame`) joins the manifest; an earlier build's
+    /// reads whole (kind, length, CRC) and passes `block`'s check (scratch,
+    /// like `frame`: a full decode that stores no value) joins the manifest; an earlier build's
     /// footer at a frame boundary is stepped over. Any other byte is
     /// damage, stepped through a byte at a time to the next such block and
     /// counted once per span in `archive_scan_skipped_blocks_total`, so a
@@ -206,7 +206,7 @@ impl Archive {
         seqs: (u64, u64),
         path: &Path,
         frame: &mut Vec<u8>,
-        block: &mut ColumnBatch,
+        block: &mut BlockCheck,
     ) -> Result<Option<SegmentMeta>, ArchiveError> {
         let mut f = File::open(path)?;
         let file_len = f.metadata()?.len();
@@ -227,7 +227,7 @@ impl Archive {
             let (kind, len) = heads.at(&mut f, at, file_len)?.unwrap_or_default();
             let valid = kind == FRAME_BLOCK
                 && read_block_frame(&mut f, at, len, file_len, frame)?
-                    .is_some_and(|p| block.decode(p, Projection::ALL).is_some());
+                    .is_some_and(|p| block.check(p).is_some());
             if valid {
                 blocks.push(block.meta(at, len));
                 if !ous.contains(block.ou()) {
@@ -1391,6 +1391,273 @@ mod tests {
             a.stats().sealed_segments
         );
         assert_eq!(a.scan_ou("scan").count(), 2_000);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// One column as the block format writes it: `tag`, `varint n`,
+    /// `varint byte_len`, `body` — whatever the body holds.
+    fn column(tag: u8, n: u64, body: &[u8]) -> Vec<u8> {
+        use crate::encode::put_varint;
+        let mut out = vec![tag];
+        put_varint(&mut out, n);
+        put_varint(&mut out, body.len() as u64);
+        out.extend_from_slice(body);
+        out
+    }
+
+    /// `values` under tag 0 (delta) or tag 1 (packed at the frame their
+    /// range needs), whichever `put_column` would pick.
+    fn column_as(tag: u8, values: &[u64]) -> Vec<u8> {
+        use crate::encode::{put_delta, put_packed};
+        let mut body = Vec::new();
+        if tag == 0 {
+            put_delta(&mut body, values);
+        } else {
+            let min = values.iter().copied().min().unwrap_or(0);
+            let max = values.iter().copied().max().unwrap_or(0);
+            put_packed(&mut body, values, min, 64 - (max - min).leading_zeros());
+        }
+        column(tag, values.len() as u64, &body)
+    }
+
+    /// A packed body of frame `min`, `width` holding `raws`, whether or
+    /// not `min + raw` fits.
+    fn packed_body(min: u64, width: u32, raws: &[u64]) -> Vec<u8> {
+        use crate::encode::{put_packed, put_varint};
+        let mut packed = Vec::new();
+        put_packed(&mut packed, raws, 0, width);
+        let mut body = Vec::new();
+        put_varint(&mut body, min);
+        body.extend_from_slice(&packed[1..]); // past `min` = 0's one byte
+        body
+    }
+
+    /// Column-level mutants of one block payload: each of its ten columns
+    /// replaced in turn by a truncated or 64-bit-overflowing varint, width
+    /// 65, a packed length off by one, frames whose `min + mask` overflows
+    /// `u64` or passes `u32::MAX` (with every value fitting, and not),
+    /// values past `u32::MAX`, values edited so a vector's length sum moves,
+    /// stays or wraps to the flat count, and its own values under the
+    /// other codec; each length column with the flat column after it
+    /// replaced by lengths that overflow onto an empty column; and trailing
+    /// bytes.
+    fn column_mutants(payload: &[u8]) -> Vec<(String, Vec<u8>)> {
+        use crate::encode::{get_column, get_varint};
+        let mut pos = 0;
+        get_varint(payload, &mut pos).unwrap(); // ou
+        pos += 1; // subsystem
+        pos += get_varint(payload, &mut pos).unwrap() as usize; // name
+        for _ in 0..3 {
+            get_varint(payload, &mut pos).unwrap(); // rows, min/max start_ns
+        }
+        let mut spans = Vec::new();
+        let mut values = Vec::new();
+        while pos < payload.len() {
+            let start = pos;
+            get_column(payload, &mut pos, &mut values).unwrap();
+            spans.push((start, pos, values.clone()));
+        }
+        assert_eq!(spans.len(), 10);
+        let half = 1u64 << 63;
+        type Edit = (&'static str, fn(&mut [u64]));
+        let edits: [Edit; 7] = [
+            ("recoded", |_| {}),
+            ("first + 1", |v| v[0] = v[0].wrapping_add(1)),
+            ("one moved from row 1 to row 0", |v| {
+                v[0] = v[0].wrapping_add(1);
+                v[1] = v[1].wrapping_sub(1);
+            }),
+            ("rows 0 and 1 + 2^63", |v| {
+                v[0] = v[0].wrapping_add(1 << 63);
+                v[1] = v[1].wrapping_add(1 << 63);
+            }),
+            ("u32::MAX at row 0", |v| v[0] = u64::from(u32::MAX)),
+            ("u32::MAX + 1 at row 1", |v| v[1] = 1 << 32),
+            ("u64::MAX at row 0", |v| v[0] = u64::MAX),
+        ];
+        let mut mutants = vec![("trailing byte".to_string(), [payload, &[0]].concat())];
+        for (c, (start, end, values)) in spans.iter().enumerate() {
+            let (tag, n) = (payload[*start], values.len() as u64);
+            let mut body_at = start + 1;
+            get_varint(payload, &mut body_at).unwrap();
+            get_varint(payload, &mut body_at).unwrap();
+            let body = &payload[body_at..*end];
+            // (What, the column after the replaced ones, replacement.)
+            let mut columns: Vec<(&str, usize, Vec<u8>)> = Vec::new();
+            for (what, edit) in edits {
+                let mut changed = values.clone();
+                if changed.len() >= 2 {
+                    edit(&mut changed);
+                    for as_tag in [0, 1] {
+                        columns.push((what, c + 1, column_as(as_tag, &changed)));
+                    }
+                }
+            }
+            if tag == 0 && !body.is_empty() {
+                let mut cut = body.to_vec();
+                *cut.last_mut().unwrap() |= 0x80;
+                columns.push(("truncated varint", c + 1, column(0, n, &cut)));
+                let mut first_len = 0;
+                get_varint(body, &mut first_len).unwrap();
+                let over = [&[0xFF; 9][..], &[0x02], &body[first_len..]].concat();
+                columns.push(("overflowing varint", c + 1, column(0, n, &over)));
+            }
+            if tag == 1 {
+                let mut width_at = 0;
+                get_varint(body, &mut width_at).unwrap();
+                let mut wide = body.to_vec();
+                wide[width_at] = 65;
+                columns.push(("width 65", c + 1, column(1, n, &wide)));
+                let long = [body, &[0]].concat();
+                columns.push(("packed +1 byte", c + 1, column(1, n, &long)));
+                if body.len() > width_at + 1 {
+                    let short = &body[..body.len() - 1];
+                    columns.push(("packed -1 byte", c + 1, column(1, n, short)));
+                }
+            }
+            for (what, min, width, top_raw) in [
+                ("u64 frame overflows, values fit", u64::MAX - 5, 12, 5),
+                (
+                    "u64 frame overflows, last value too",
+                    u64::MAX - 5,
+                    12,
+                    4_000,
+                ),
+                (
+                    "u32 frame passes u32::MAX, values fit",
+                    u64::from(u32::MAX) - 2,
+                    2,
+                    2,
+                ),
+                (
+                    "u32 frame passes u32::MAX, last value too",
+                    u64::from(u32::MAX) - 2,
+                    2,
+                    3,
+                ),
+            ] {
+                let mut raws: Vec<u64> = (0..n).map(|i| i % 3).collect();
+                if let Some(last) = raws.last_mut() {
+                    *last = top_raw;
+                }
+                columns.push((what, c + 1, column(1, n, &packed_body(min, width, &raws))));
+            }
+            if c >= 4 && c % 2 == 0 && n % 2 == 0 {
+                // Lengths whose sum overflows to 0, over an empty flat column.
+                let lens = [column_as(1, &vec![half; n as usize]), column_as(0, &[])].concat();
+                columns.push(("2^63 lengths, no values", c + 2, lens));
+            }
+            for (what, after, col) in columns {
+                let tail = spans.get(after).map_or(payload.len(), |span| span.0);
+                let mutant = [&payload[..*start], &col, &payload[tail..]].concat();
+                mutants.push((format!("column {c} ({tag}): {what}"), mutant));
+            }
+        }
+        mutants
+    }
+
+    /// Every block of a small three-OU segment, mutated with its CRC
+    /// recomputed so that each mutant reaches the decoder: `open`'s check
+    /// gives the verdict, OU and row count `decode(_, Projection::ALL)`
+    /// gives, on column-level mutants, every truncation and seeded byte
+    /// flips; and an archive holding a column-level mutant keeps its block
+    /// exactly when decode accepts it.
+    #[test]
+    fn the_open_check_agrees_with_a_full_decode_on_every_mutant() {
+        let dir = tmp_dir("verdicts");
+        let opts = ArchiveOptions {
+            memtable_flush_samples: 24,
+            ..Default::default()
+        };
+        let mut a = Archive::open(&dir, opts.clone(), Telemetry::new()).unwrap();
+        for i in 0..150u64 {
+            let mut s = test_sample(
+                (i % 3) as u16,
+                ["scan", "filter", "wide"][(i % 3) as usize],
+                i,
+            );
+            if s.ou == 2 {
+                // Near the tops of `u32` and `u64`: packed frames whose
+                // `min + mask` overflows while every value fits.
+                s.tid = u32::MAX - (i % 3) as u32;
+                s.metrics = vec![u64::MAX - i * 7 % 101, i];
+            }
+            a.append(&s).unwrap();
+        }
+        a.seal().unwrap();
+        let (path, blocks) = (a.segments[0].path.clone(), a.segments[0].blocks.clone());
+        let rows: u64 = blocks.iter().map(|b| b.count).sum();
+        drop(a);
+        assert!(blocks.len() >= 6, "{}", blocks.len());
+        let pristine = std::fs::read(&path).unwrap();
+
+        let (mut batch, mut check) = (ColumnBatch::default(), BlockCheck::new());
+        let mut agree = |p: &[u8], what: &str| {
+            let decoded = batch.decode(p, Projection::ALL).is_some();
+            assert_eq!(check.check(p).is_some(), decoded, "{what}");
+            if decoded {
+                assert_eq!(
+                    (check.ou(), check.len()),
+                    (batch.ou(), batch.len()),
+                    "{what}"
+                );
+            }
+            decoded.then(|| batch.len() as u64)
+        };
+        let mut next = {
+            let mut state = 0x5EED_u64;
+            move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            }
+        };
+        let (mut verdicts, mut opened) = ([0usize; 2], 0);
+        for (k, victim) in blocks.iter().enumerate() {
+            let at = victim.offset as usize;
+            let payload = &pristine[at + 5..at + 5 + victim.payload_len as usize];
+            assert!(agree(payload, "pristine").is_some());
+            for cut in 0..payload.len() {
+                assert!(agree(&payload[..cut], &format!("block {k} cut at {cut}")).is_none());
+            }
+            for flip in 0..300 {
+                let mut flipped = payload.to_vec();
+                for _ in 0..1 + flip % 3 {
+                    let r = next() as usize;
+                    flipped[r % payload.len()] ^= 1 << (r >> 32 & 7);
+                }
+                let kept = agree(&flipped, &format!("block {k} flip {flip}"));
+                verdicts[usize::from(kept.is_some())] += 1;
+            }
+            for (what, mutant) in column_mutants(payload) {
+                let what = format!("block {k}, {what}");
+                let kept = agree(&mutant, &what);
+                verdicts[usize::from(kept.is_some())] += 1;
+                // The mutant in place of the block, under a recomputed CRC.
+                let mut bytes = pristine[..at].to_vec();
+                write_frame(&mut bytes, FRAME_BLOCK, &mutant).unwrap();
+                bytes.extend_from_slice(&pristine[at + frame_len(victim.payload_len) as usize..]);
+                std::fs::write(&path, &bytes).unwrap();
+                let t = Telemetry::new();
+                let a = Archive::open(&dir, opts.clone(), t.clone()).unwrap();
+                let seg = &a.segments[0];
+                let got = (
+                    seg.blocks.len(),
+                    seg.blocks.iter().map(|b| b.count).sum::<u64>(),
+                );
+                let skipped = t.counter_value("archive_scan_skipped_blocks_total", &[]);
+                let want = match kept {
+                    Some(n) => ((blocks.len(), rows - victim.count + n), 0),
+                    None => ((blocks.len() - 1, rows - victim.count), 1),
+                };
+                assert_eq!((got, skipped), want, "{what}");
+                opened += 1;
+            }
+        }
+        // Both verdicts are common enough for the agreement to mean something.
+        assert!(verdicts[0] > 500 && verdicts[1] > 200, "{verdicts:?}");
+        assert!(opened > 300, "{opened}");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

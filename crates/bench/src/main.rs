@@ -1,7 +1,8 @@
 //! `tscout-bench <name>` — the one entry point of the experiment
-//! harness: every paper figure, every ablation and the `metrics_doc`
-//! tool is a row of [`ENTRIES`], named exactly as the CSV it writes
-//! under `results/` (see EXPERIMENTS.md).
+//! harness: every paper figure, every ablation and the two tools
+//! (`metrics_doc`, `trajectory_append`) is a row of [`ENTRIES`], a figure
+//! or ablation named exactly as the CSV it writes under `results/` (see
+//! EXPERIMENTS.md).
 //!
 //! ```text
 //! tscout-bench fig1_user_vs_kernel     # run one entry (TS_SCALE, TS_RESULTS apply)
@@ -41,6 +42,7 @@ mod entries {
     pub(crate) mod fig8_adjustable_sampling;
     pub(crate) mod fig9_convergence_tpcc;
     pub(crate) mod metrics_doc;
+    pub(crate) mod trajectory_append;
 }
 use entries::*;
 
@@ -134,6 +136,12 @@ const ENTRIES: &[Entry] = &[
         name: "metrics_doc",
         kind: Kind::Tool,
         run: metrics_doc::main,
+        smoke_scale: None,
+    },
+    Entry {
+        name: "trajectory_append",
+        kind: Kind::Tool,
+        run: trajectory_append::main,
         smoke_scale: None,
     },
 ];

@@ -271,10 +271,13 @@ enum LossReason {
     NoEndSnapshot,
     EmitBacklog,
     StateReset,
+    /// Still in the ring, or collected and in flight, when the deployment
+    /// was torn down.
+    Teardown,
 }
 
 impl LossReason {
-    const COUNT: usize = 6;
+    const COUNT: usize = 7;
 
     fn name(self) -> &'static str {
         match self {
@@ -284,6 +287,7 @@ impl LossReason {
             LossReason::NoEndSnapshot => "no_end_snapshot",
             LossReason::EmitBacklog => "emit_backlog",
             LossReason::StateReset => "state_reset",
+            LossReason::Teardown => "teardown",
         }
     }
 }
@@ -512,6 +516,11 @@ impl TScout {
 
     /// Tear down: detach and unload every Collector program (dynamic
     /// feature selection, §5.4 — modify config, then `deploy` again).
+    /// Every record still in the ring and every collected marker still in
+    /// flight dies with the deployment: each is counted lost under
+    /// `teardown`, which ends its trace, so `begun = delivered + lost`
+    /// holds and the next deployment's ring, numbered from 0 again,
+    /// completes none of them.
     pub fn teardown(mut self, kernel: &mut Kernel) -> TsConfig {
         for rt in self.subsys.iter().flatten() {
             if let Some(bpf) = rt.bpf {
@@ -521,6 +530,23 @@ impl TScout {
                         self.loader.unload(prog);
                     }
                 }
+            }
+        }
+        self.account_ring_evictions();
+        let mut undrained = Vec::new();
+        (self.loader.maps).ring_drain_with(self.ring, usize::MAX, |bytes, _, pos| {
+            undrained.push((header_ids(bytes), pos));
+        });
+        for (ids, pos) in undrained {
+            self.lose_record(ids, pos, LossReason::Teardown);
+        }
+        for (task, state) in std::mem::take(&mut self.tasks).into_iter().enumerate() {
+            for f in state.inflight.iter().filter(|f| f.collected) {
+                // Fits: `tasks` is indexed by a `u32` task id.
+                #[allow(clippy::cast_possible_truncation)]
+                let now = kernel.now(TaskId(task as u32));
+                let trace = f.trace.map(TraceKey::Marker);
+                self.lose(f.subsystem, f.ou, LossReason::Teardown, trace, now);
             }
         }
         self.config
@@ -651,12 +677,23 @@ impl TScout {
     /// overflows and the accounting stays exact.
     fn account_ring_evictions(&mut self) {
         while let Some(header) = self.loader.maps.ring_pop_evicted(self.ring) {
-            let (ou, s) = header_ids(header.as_bytes());
-            let s = s.unwrap_or(Subsystem::ExecutionEngine);
-            let ou = ou.unwrap_or(OuId(u16::MAX));
-            let trace = Some(TraceKey::Ring(header.pos));
-            self.lose(s, ou, LossReason::RingOverwrite, trace, self.last_now);
+            let ids = header_ids(header.as_bytes());
+            self.lose_record(ids, header.pos, LossReason::RingOverwrite);
         }
+    }
+
+    /// Count the ring record at `pos`, whose header named `(ou, s)`, lost
+    /// under `reason`, closing any trace at `last_now` (no Kernel is in
+    /// scope where overwrites are found).
+    fn lose_record(
+        &mut self,
+        (ou, s): (Option<OuId>, Option<Subsystem>),
+        pos: u64,
+        reason: LossReason,
+    ) {
+        let s = s.unwrap_or(Subsystem::ExecutionEngine);
+        let ou = ou.unwrap_or(OuId(u16::MAX));
+        self.lose(s, ou, reason, Some(TraceKey::Ring(pos)), self.last_now);
     }
 
     /// The BPF substrate's own counters (ring, map ops, verifier) as

@@ -38,6 +38,8 @@
 //! server-off run.
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
+// No `as` cast narrows a value outside tests; test fixtures cast freely.
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 pub mod client;
 pub mod decls;

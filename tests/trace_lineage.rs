@@ -12,7 +12,8 @@ use tscout_suite::noisetap::Database;
 use tscout_suite::telemetry::tables::{table, Cell};
 use tscout_suite::telemetry::Telemetry;
 use tscout_suite::tscout::{
-    CollectionMode, ProbeSet, Processor, Sink, Subsystem, TScout, TsConfig, ALL_SUBSYSTEMS,
+    CollectionMode, LossTotals, ProbeSet, Processor, Sink, Subsystem, TScout, TsConfig,
+    ALL_SUBSYSTEMS,
 };
 use tscout_suite::workloads::driver::{run, run_with_lifecycle, ModelLifecycle, RunOptions};
 use tscout_suite::workloads::{Workload, Ycsb};
@@ -328,4 +329,63 @@ fn every_traced_record_reports_its_own_fate() {
             }
         }
     }
+}
+
+/// A teardown takes what is still in its ring, and its collected markers
+/// still in flight, with it: each is counted lost under `teardown`, and a
+/// traced one's trace ends there. The next deployment's ring numbers
+/// from 0 again, so its record at position 0 must not complete the old
+/// deployment's trace at that position as delivered.
+#[test]
+fn a_teardown_loses_what_it_holds_and_a_redeployment_completes_none_of_it() {
+    let mut k = Kernel::with_seed(HardwareProfile::server_2x20(), 9);
+    k.noise_frac = 0.0;
+    let task = k.create_task();
+    let deploy = |k: &mut Kernel| {
+        let mut cfg = TsConfig::new(CollectionMode::KernelContinuous);
+        cfg.enable_subsystem(Subsystem::ExecutionEngine, ProbeSet::cpu_only());
+        let mut ts = TScout::deploy(k, cfg).unwrap();
+        ts.set_sampling_rate(Subsystem::ExecutionEngine, 100);
+        let ou = ts.register_ou("scan", Subsystem::ExecutionEngine, 1);
+        ts.register_thread(k, task);
+        (ts, ou)
+    };
+    let triple = |k: &mut Kernel, ts: &mut TScout, ou| {
+        ts.ou_begin(k, task, ou);
+        k.charge_cpu(task, 1_000.0, 64);
+        ts.ou_end(k, task, ou);
+        ts.ou_features(k, task, ou, &[7], &[]);
+    };
+
+    // Traced: one record left in the ring, one marker left in flight.
+    k.telemetry.trace_set_every(1);
+    let (mut ts, ou) = deploy(&mut k);
+    triple(&mut k, &mut ts, ou);
+    ts.ou_begin(&mut k, task, ou);
+    assert_eq!(ts.ring_len(), 1);
+    ts.teardown(&mut k);
+
+    // Untraced: one record, drained.
+    k.telemetry.trace_set_every(0);
+    let (mut ts, ou) = deploy(&mut k);
+    triple(&mut k, &mut ts, ou);
+    let mut p = Processor::new(&mut k, Sink::Discard);
+    assert_eq!(p.drain_all(&mut k, &mut ts), 1);
+
+    let totals = LossTotals {
+        begun: 3,
+        delivered: 1,
+        lost: 2,
+    };
+    assert_eq!(ts.loss_totals(), totals);
+    let labels = [("subsystem", "execution_engine"), ("reason", "teardown")];
+    let teardown = k
+        .telemetry
+        .counter_value("tscout_samples_lost_total", &labels);
+    assert_eq!(teardown, 2);
+    let task = task.as_u64() as i64;
+    let lost = (i64::from(ou.0), task, "lost".to_string());
+    assert_eq!(trace_rows(&k.telemetry), [lost.clone(), lost]);
+    let st = k.telemetry.trace_stats();
+    assert!(st.closes() && st.in_flight == 0, "{st:?}");
 }
