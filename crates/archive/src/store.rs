@@ -195,8 +195,9 @@ impl Archive {
 
     /// Walk one segment file's frames, reading only. A block frame that
     /// reads whole (kind, length, CRC) and passes `block`'s check (scratch,
-    /// like `frame`: a full decode that stores no value) joins the manifest; an earlier build's
-    /// footer at a frame boundary is stepped over. Any other byte is
+    /// like `frame`: a full decode that stores no value) joins the
+    /// manifest; an earlier build's footer at a frame boundary is stepped
+    /// over. Any other byte is
     /// damage, stepped through a byte at a time to the next such block and
     /// counted once per span in `archive_scan_skipped_blocks_total`, so a
     /// damaged frame costs only its own rows. Another version under the
@@ -1406,7 +1407,7 @@ mod tests {
     }
 
     /// `values` under tag 0 (delta) or tag 1 (packed at the frame their
-    /// range needs), whichever `put_column` would pick.
+    /// range needs), whatever `put_column` would pick.
     fn column_as(tag: u8, values: &[u64]) -> Vec<u8> {
         use crate::encode::{put_delta, put_packed};
         let mut body = Vec::new();

@@ -683,8 +683,7 @@ impl TScout {
     }
 
     /// Count the ring record at `pos`, whose header named `(ou, s)`, lost
-    /// under `reason`, closing any trace at `last_now` (no Kernel is in
-    /// scope where overwrites are found).
+    /// under `reason`, closing any trace at `last_now`.
     fn lose_record(
         &mut self,
         (ou, s): (Option<OuId>, Option<Subsystem>),
