@@ -65,17 +65,18 @@ fi
 echo "== cargo test =="
 cargo test --workspace -q
 
-echo "== allocation budgets: sample path, archive read side, compaction (O(blocks) bytes plus one frame, nothing per row), forest fit, lowered engine on mutated programs, NoiseTap's read path, a warm /metrics capture and render (release: the build tsbench measures) =="
+echo "== allocation budgets: sample path, archive read side, compaction (O(blocks) bytes plus one frame, nothing per row), forest fit, Ridge retrain split (O(OUs), nothing per point), lowered engine on mutated programs, NoiseTap's read path, a warm /metrics capture and render (release: the build tsbench measures) =="
 # 0 allocations per marker triple, sampled or not; at most the owned
 # Sample's 4 per drained record; a column scan O(blocks), a
 # dataset build O(OUs + blocks) and nothing per point, a compaction's
 # bytes O(blocks) plus one frame and nothing per row, a Forest fit one
-# per tree node + O(trees), 0 per lowered run of a mutated Collector
-# stream (which must also end in Ok or Err, as the reference does), and
-# a YCSB point read <= 6 allocations / 560 B, TPC-C's stock_level join
-# <= 64 and its UPDATE stock <= 14 (rows cross operators borrowed), an
-# index lookup 0, a warm /metrics capture of an unchanged registry and
-# its render into the last scrape's buffer 0.
+# per tree node + O(trees), a Ridge retrain_split (strided sides, fit and
+# one-sweep gate) O(OUs) and nothing per point, 0 per lowered run of a
+# mutated Collector stream (which must also end in Ok or Err, as the
+# reference does), and a YCSB point read <= 6 allocations / 560 B,
+# TPC-C's stock_level join <= 64 and its UPDATE stock <= 14 (rows cross
+# operators borrowed), an index lookup 0, a warm /metrics capture of an
+# unchanged registry and its render into the last scrape's buffer 0.
 cargo test -q --release --test alloc_budget
 
 echo "== forest differential, full sweep (release): the rank-coded fit builds the sort-per-node reference's trees bit for bit — 280 seeded cases of hostile floats, n up to 20 000 =="
@@ -105,10 +106,17 @@ if git grep -nE 'Tnum|mod tnum|struct Range|range_alu|fn refine|vmin' -- crates/
   echo "FAIL: the verifier's value domain is back; constants fold with vm::alu and Cond::eval"; exit 1
 fi
 
-echo "== a dataset is columns and a sample has one owned row: no second owned row per point comes back under crates/ =="
+echo "== a dataset is columns and a sample has one owned row: no second owned row per point comes back under crates/, and no row matrix is gathered for a fit outside tests under crates/models/src =="
 if git grep -n 'features: Vec<f64>' -- crates/models/src/dataset.rs \
   || git grep -nE 'Vec<&?LabeledPoint' -- crates; then
-  echo "FAIL: a per-point row is back; OuData's points are columns, a subset is row indices"; exit 1
+  echo "FAIL: a per-point row is back; OuData's points are columns, a subset is a stride or an index list over them"; exit 1
+fi
+gathered=$(for f in $(git ls-files 'crates/models/src/*.rs'); do
+  sed '/^#\[cfg(test)\]/,$d' "$f" | grep -n 'matrices(' | sed "s|^|$f:|" || true
+done)
+if [ -n "$gathered" ]; then
+  echo "$gathered"
+  echo "FAIL: a fit gathers rows again; Regressor::fit reads a PointsView of the columns (matrices() is a test helper)"; exit 1
 fi
 if git grep -n 'struct TrainingPoint' -- crates; then
   echo "FAIL: a second owned training row is back; the Processor emits archive::Sample"; exit 1

@@ -63,6 +63,14 @@ impl Points {
         (0..self.len()).map(|i| self.at(i))
     }
 
+    /// Every point, as a fit reads them.
+    pub fn view(&self) -> PointsView<'_> {
+        PointsView {
+            points: self,
+            rows: &Rows::All,
+        }
+    }
+
     /// Every point's target, in dataset order, to relabel in place.
     pub fn targets_ns_mut(&mut self) -> &mut [f64] {
         &mut self.targets_ns
@@ -97,9 +105,12 @@ impl Points {
             values.extend_from_slice(&context);
             self.ends.push(values.len());
         }
-        let (targets, templates) = (batch.elapsed_ns().iter(), batch.template().iter());
-        self.targets_ns.extend(targets.map(|&ns| ns as f64));
-        self.templates.extend(templates.map(|&t| t as u32));
+        self.targets_ns
+            .extend(batch.elapsed_ns().iter().map(|&ns| ns as f64));
+        // The block decoder rejects a template past `u32::MAX`.
+        #[allow(clippy::cast_possible_truncation)]
+        let templates = batch.template().iter().map(|&t| t as u32);
+        self.templates.extend(templates);
     }
 
     /// Append a copy of `p`.
@@ -128,13 +139,8 @@ pub trait PointSet {
     /// The OU's name.
     fn name(&self) -> &str;
 
-    /// The points, in dataset order.
-    fn points(&self) -> impl ExactSizeIterator<Item = LabeledPoint<'_>>;
-
-    /// Feature/target matrices for fitting; rows borrow the points.
-    fn matrices(&self) -> (Vec<&[f64]>, Vec<f64>) {
-        self.points().map(|p| (p.features, p.target_ns)).unzip()
-    }
+    /// The points, borrowed from the OU's columns.
+    fn view(&self) -> PointsView<'_>;
 }
 
 impl PointSet for OuData {
@@ -142,17 +148,121 @@ impl PointSet for OuData {
         &self.name
     }
 
-    fn points(&self) -> impl ExactSizeIterator<Item = LabeledPoint<'_>> {
-        self.points.iter()
+    fn view(&self) -> PointsView<'_> {
+        self.points.view()
     }
 }
 
-/// A selection of one OU's points (one side of a split), by index.
+/// Which of an OU's rows a subset reads, in the order it reads them.
+/// The strided forms take `k >= 1`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Rows {
+    /// Every row.
+    All,
+    /// Rows `k - 1, 2k - 1, …`: every `k`-th, a positional holdout.
+    EveryKth(usize),
+    /// Every row `EveryKth(k)` leaves out.
+    AllButKth(usize),
+    /// These rows, in this order (a shuffled `kfold` side).
+    Listed(Vec<usize>),
+}
+
+impl Rows {
+    /// How many of `n` rows this picks.
+    fn count(&self, n: usize) -> usize {
+        match self {
+            Rows::All => n,
+            Rows::EveryKth(k) => n / k,
+            Rows::AllButKth(k) => n - n / k,
+            Rows::Listed(rows) => rows.len(),
+        }
+    }
+}
+
+/// Some of one OU's points, borrowed: its columns and which rows to read.
+/// This is what [`crate::Regressor::fit`] and the error statistics read.
+#[derive(Debug, Clone, Copy)]
+pub struct PointsView<'a> {
+    points: &'a Points,
+    rows: &'a Rows,
+}
+
+impl<'a> PointsView<'a> {
+    pub fn len(&self) -> usize {
+        self.rows.count(self.points.len())
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The points, in the order the view reads them.
+    pub fn iter(&self) -> Picked<'a> {
+        let (at, run) = match *self.rows {
+            Rows::EveryKth(k) => (k - 1, 0),
+            Rows::AllButKth(k) => (0, k - 1),
+            _ => (0, 0),
+        };
+        Picked {
+            points: self.points,
+            rows: self.rows,
+            left: self.len(),
+            at,
+            run,
+        }
+    }
+}
+
+/// [`PointsView::iter`]: a strided view steps through the rows by
+/// counting, with no division per point.
+#[derive(Debug, Clone)]
+pub struct Picked<'a> {
+    points: &'a Points,
+    rows: &'a Rows,
+    left: usize,
+    /// The next row, or for `Listed` the next index into the list.
+    at: usize,
+    /// `AllButKth`: rows left before the next one skipped.
+    run: usize,
+}
+
+impl<'a> Iterator for Picked<'a> {
+    type Item = LabeledPoint<'a>;
+
+    fn next(&mut self) -> Option<LabeledPoint<'a>> {
+        self.left = self.left.checked_sub(1)?;
+        let at = self.at;
+        let row = match *self.rows {
+            Rows::All => at,
+            Rows::EveryKth(k) => {
+                self.at += k - 1;
+                at
+            }
+            Rows::AllButKth(k) => {
+                self.run -= 1;
+                if self.run == 0 {
+                    (self.at, self.run) = (self.at + 1, k - 1);
+                }
+                at
+            }
+            Rows::Listed(ref rows) => rows[at],
+        };
+        self.at += 1;
+        Some(self.points.at(row))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Picked<'_> {}
+
+/// A selection of one OU's points (one side of a split).
 #[derive(Debug, Clone)]
 pub struct OuSubset<'a> {
     pub data: &'a OuData,
-    /// Indices into `data.points`, in the order the subset reads them.
-    pub rows: Vec<usize>,
+    pub rows: Rows,
 }
 
 impl PointSet for OuSubset<'_> {
@@ -160,8 +270,11 @@ impl PointSet for OuSubset<'_> {
         &self.data.name
     }
 
-    fn points(&self) -> impl ExactSizeIterator<Item = LabeledPoint<'_>> {
-        self.rows.iter().map(|&i| self.data.points.at(i))
+    fn view(&self) -> PointsView<'_> {
+        PointsView {
+            points: &self.data.points,
+            rows: &self.rows,
+        }
     }
 }
 
@@ -224,7 +337,7 @@ impl OuData {
     }
 }
 
-/// K-fold split: `k` (train, test) pairs of row indices into `data`.
+/// K-fold split: `k` (train, test) pairs of shuffled row lists of `data`.
 pub fn kfold(data: &OuData, k: usize, seed: u64) -> Vec<(OuSubset<'_>, OuSubset<'_>)> {
     assert!(k >= 2, "k-fold needs k >= 2");
     let mut rng = StdRng::seed_from_u64(seed);
@@ -239,10 +352,11 @@ pub fn kfold(data: &OuData, k: usize, seed: u64) -> Vec<(OuSubset<'_>, OuSubset<
                 train.push(p);
             }
         }
-        (
-            OuSubset { data, rows: train },
-            OuSubset { data, rows: test },
-        )
+        let side = |rows| OuSubset {
+            data,
+            rows: Rows::Listed(rows),
+        };
+        (side(train), side(test))
     };
     (0..k).map(fold).collect()
 }
@@ -264,17 +378,57 @@ mod tests {
         assert_eq!(points.first().unwrap().features, [1.0, 2.0]);
     }
 
+    fn listed<'a>(side: &'a OuSubset<'_>) -> &'a [usize] {
+        match &side.rows {
+            Rows::Listed(rows) => rows,
+            other => panic!("kfold lists its rows: {other:?}"),
+        }
+    }
+
     #[test]
     fn kfold_partitions_everything_exactly_once() {
         let d = linear_ou("scan", 103, 0.0);
         let folds = kfold(&d, 5, 1);
         assert_eq!(folds.len(), 5);
-        let mut tested: Vec<usize> = folds.iter().flat_map(|(_, t)| t.rows.clone()).collect();
+        let mut tested: Vec<usize> = folds.iter().flat_map(|(_, t)| listed(t)).copied().collect();
         tested.sort_unstable();
         assert_eq!(tested, (0..103).collect::<Vec<_>>());
         for (train, test) in &folds {
-            assert_eq!(train.rows.len() + test.rows.len(), 103);
-            assert!(test.rows.len() >= 20);
+            assert_eq!(train.view().len() + test.view().len(), 103);
+            assert!(test.view().len() >= 20);
+        }
+    }
+
+    /// A strided view reads the rows an index list of the same stride
+    /// names, in order, and says how many up front.
+    #[test]
+    fn strided_views_read_the_rows_an_index_list_names() {
+        for n in 0..40 {
+            let mut points = Points::default();
+            for i in 0..n {
+                points.push_row([i as f64], i as f64, 0);
+            }
+            let data = OuData {
+                name: "scan".into(),
+                points,
+            };
+            let read = |rows: Rows| -> Vec<f64> {
+                let side = OuSubset { data: &data, rows };
+                let view = side.view();
+                let got: Vec<f64> = view.iter().map(|p| p.target_ns).collect();
+                assert_eq!((view.len(), view.iter().len()), (got.len(), got.len()));
+                got
+            };
+            let as_f64 = |rows: Vec<usize>| rows.into_iter().map(|i| i as f64).collect::<Vec<_>>();
+            assert_eq!(read(Rows::All), as_f64((0..n).collect()));
+            for k in 1..8 {
+                let held = as_f64((k - 1..n).step_by(k).collect());
+                let kept = as_f64((0..n).filter(|i| (i + 1) % k != 0).collect());
+                assert_eq!(read(Rows::EveryKth(k)), held, "n {n} k {k}");
+                assert_eq!(read(Rows::AllButKth(k)), kept, "n {n} k {k}");
+            }
+            let shuffled: Vec<usize> = (0..n).rev().step_by(3).collect();
+            assert_eq!(read(Rows::Listed(shuffled.clone())), as_f64(shuffled));
         }
     }
 
@@ -283,7 +437,7 @@ mod tests {
         let d = linear_ou("scan", 50, 0.0);
         let a = kfold(&d, 5, 9);
         let b = kfold(&d, 5, 9);
-        assert_eq!(a[0].1.rows, b[0].1.rows);
+        assert_eq!(listed(&a[0].1), listed(&b[0].1));
     }
 
     #[test]
@@ -302,13 +456,5 @@ mod tests {
         assert_eq!(s.len(), 10);
         assert_eq!(s.points, d.sample(10, 3).points);
         assert_eq!(d.sample(1000, 3).len(), 100);
-    }
-
-    #[test]
-    fn matrices_shape() {
-        let d = linear_ou("scan", 7, 0.0);
-        let (x, y) = d.matrices();
-        assert_eq!((x.len(), y.len()), (7, 7));
-        assert_eq!((x[3], y[3]), (&[3.0][..], 2500.0));
     }
 }

@@ -22,12 +22,12 @@ pub struct OuModelSet {
 /// of [`OuModelSet::train`]'s pool runs under this frame, whichever
 /// thread it is on (`tools/pcprof`: `--under fit_ou`).
 fn fit_ou<D: PointSet>(kind: ModelKind, seed: u64, data: &D) -> Option<Box<dyn Regressor>> {
-    let (x, y) = data.matrices();
-    if x.is_empty() {
+    let points = data.view();
+    if points.is_empty() {
         return None;
     }
     let mut m = kind.build(seed);
-    m.fit(&x, &y);
+    m.fit(points);
     Some(m)
 }
 
@@ -42,7 +42,7 @@ impl OuModelSet {
     pub fn train<D: PointSet + Sync>(kind: ModelKind, seed: u64, data: &[D]) -> OuModelSet {
         let fitted = largest_first(
             data.iter().collect(),
-            |d| d.points().len(),
+            |d| d.view().len(),
             |d| fit_ou(kind, seed, d),
         );
         let mut models = BTreeMap::new();
@@ -83,7 +83,7 @@ pub fn avg_abs_error_per_template_us<D: PointSet>(models: &OuModelSet, test: &[D
     // template -> (sum of |err| in ns, count)
     let mut by_template: BTreeMap<u32, (f64, u64)> = BTreeMap::new();
     for d in test {
-        for p in d.points() {
+        for p in d.view().iter() {
             let predicted = models.predict_ns(d.name(), p.features).unwrap_or(0.0);
             let err = (p.target_ns - predicted).abs();
             let e = by_template.entry(p.template).or_insert((0.0, 0));
@@ -127,32 +127,78 @@ pub fn cross_validated_error_us(kind: ModelKind, seed: u64, data: &[OuData], k: 
 /// Points with a zero/negative actual time are skipped (a percentage of
 /// nothing is undefined); points whose OU has no model count the model's
 /// implicit 0 prediction as 100% error.
-pub fn mape_pct<D: PointSet>(models: &OuModelSet, test: &[D]) -> f64 {
-    let mut sum = 0.0;
-    let mut n = 0u64;
-    for d in test {
-        let model = models.models.get(d.name());
-        for p in d.points().filter(|p| p.target_ns > 0.0) {
-            let predicted = model.map_or(0.0, |m| m.predict(p.features).max(0.0));
-            sum += (p.target_ns - predicted).abs() / p.target_ns * 100.0;
-            n += 1;
+pub fn mape_pct<D: PointSet + Sync>(models: &OuModelSet, test: &[D]) -> f64 {
+    let [mape] = mape_pcts([models], test);
+    mape
+}
+
+/// [`mape_pct`] of each of `sets` over one test set, in one sweep of it.
+/// Each OU's error terms, one per set, are computed on `largest_first`'s
+/// pool, then summed point by point in test order, so every MAPE has the
+/// bits of a loop over one set on one thread.
+pub(crate) fn mape_pcts<const N: usize, D: PointSet + Sync>(
+    sets: [&OuModelSet; N],
+    test: &[D],
+) -> [f64; N] {
+    let per_ou = largest_first(
+        test.iter().collect(),
+        |d| d.view().len(),
+        |d| {
+            let models = sets.map(|set| set.models.get(d.name()));
+            let points = d.view();
+            let mut terms = Vec::with_capacity(points.len());
+            for p in points.iter().filter(|p| p.target_ns > 0.0) {
+                terms.push(models.map(|model| {
+                    let predicted = model.map_or(0.0, |m| m.predict(p.features).max(0.0));
+                    (p.target_ns - predicted).abs() / p.target_ns * 100.0
+                }));
+            }
+            terms
+        },
+    );
+    let (mut sums, mut n) = ([0.0; N], 0u64);
+    for terms in per_ou.iter().flatten() {
+        for (sum, term) in sums.iter_mut().zip(terms) {
+            *sum += term;
         }
+        n += 1;
     }
     if n == 0 {
-        0.0
+        [0.0; N]
     } else {
-        sum / n as f64
+        sums.map(|sum| sum / n as f64)
+    }
+}
+
+/// Percentage reduction in error from `baseline` to `improved`
+/// (the statistic of Figs. 2 and 11). Positive = improvement.
+pub fn error_reduction_pct(baseline_us: f64, improved_us: f64) -> f64 {
+    if baseline_us <= 0.0 {
+        return 0.0;
+    }
+    (baseline_us - improved_us) / baseline_us * 100.0
+}
+
+/// A set of models fitted elsewhere, as the reference gate builds it.
+#[cfg(test)]
+impl OuModelSet {
+    pub(crate) fn from_fitted(
+        kind: ModelKind,
+        seed: u64,
+        models: BTreeMap<String, Box<dyn Regressor>>,
+    ) -> OuModelSet {
+        OuModelSet { models, kind, seed }
     }
 }
 
 /// [`mape_pct`] as every earlier build computed it, one model lookup per
 /// point; the shipped one must give the same value, bit for bit.
 #[cfg(test)]
-fn reference_mape_pct<D: PointSet>(models: &OuModelSet, test: &[D]) -> f64 {
+pub(crate) fn reference_mape_pct<D: PointSet>(models: &OuModelSet, test: &[D]) -> f64 {
     let mut sum = 0.0;
     let mut n = 0u64;
     for d in test {
-        for p in d.points() {
+        for p in d.view().iter() {
             if p.target_ns <= 0.0 {
                 continue;
             }
@@ -166,15 +212,6 @@ fn reference_mape_pct<D: PointSet>(models: &OuModelSet, test: &[D]) -> f64 {
     } else {
         sum / n as f64
     }
-}
-
-/// Percentage reduction in error from `baseline` to `improved`
-/// (the statistic of Figs. 2 and 11). Positive = improvement.
-pub fn error_reduction_pct(baseline_us: f64, improved_us: f64) -> f64 {
-    if baseline_us <= 0.0 {
-        return 0.0;
-    }
-    (baseline_us - improved_us) / baseline_us * 100.0
 }
 
 #[cfg(test)]
@@ -312,8 +349,7 @@ mod tests {
         let set = OuModelSet::train(kind, seed, &data);
         let alone = |d: &OuData| {
             let mut m = kind.build(seed);
-            let (x, y) = d.matrices();
-            m.fit(&x, &y);
+            m.fit(d.view());
             format!("{m:?}")
         };
         let names = ["filter", "huge", "join", "scan", "single", "sort"];

@@ -14,6 +14,7 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
+use crate::dataset::PointsView;
 use crate::{feature, Regressor};
 
 #[derive(Debug, Clone)]
@@ -89,23 +90,25 @@ struct Column {
 }
 
 impl Column {
-    fn code(x: &[&[f64]], f: usize) -> Column {
-        let value = |r: u32| feature(x[r as usize], f);
-        let mut order: Vec<u32> = (0..x.len() as u32).collect();
+    /// Rank-code one feature's value on each of the fit's `rows` rows.
+    fn code(value: &[f64], rows: u32) -> Column {
+        let mut order: Vec<u32> = (0..rows).collect();
         order.sort_unstable_by(|&a, &b| {
-            let (a, b) = (value(a), value(b));
+            let (a, b) = (value[a as usize], value[b as usize]);
             a.is_nan().cmp(&b.is_nan()).then(a.total_cmp(&b))
         });
-        let (mut values, mut codes) = (Vec::new(), vec![0; x.len()]);
+        // `distinct` is `values.len()`, which never passes `rows`.
+        let (mut values, mut codes, mut distinct) = (Vec::new(), vec![0; value.len()], 0u32);
         for r in order {
-            let v = value(r);
+            let v = value[r as usize];
             codes[r as usize] = if v.is_nan() {
-                values.len() as u32 + u32::from(v.is_sign_positive())
+                distinct + u32::from(v.is_sign_positive())
             } else {
                 if values.last() != Some(&v) {
                     values.push(v);
+                    distinct += 1;
                 }
-                values.len() as u32 - 1
+                distinct - 1
             };
         }
         Column { values, codes }
@@ -146,8 +149,9 @@ impl Trainer<'_> {
         if depth >= self.max_depth || ys.len() < 2 * self.min_leaf || d == 0 {
             return Node::Leaf(mean);
         }
-        // Feature subsample: ~sqrt(d), at least 1.
-        let m = ((d as f64).sqrt().ceil() as usize).clamp(1, d);
+        // Feature subsample: ⌈√d⌉ (1 ≤ m ≤ d, as d ≥ 1 here).
+        let root = d.isqrt();
+        let m = if root * root < d { root + 1 } else { root };
         self.candidates.clear();
         self.candidates.extend(0..d);
         for i in 0..m {
@@ -269,13 +273,13 @@ impl Trainer<'_> {
     /// one slot advances. Returns where the right side starts.
     fn partition(&mut self, lo: usize, hi: usize, f: usize, threshold: f64) -> usize {
         let Column { values, codes } = &self.cols[f];
-        let cut = values.partition_point(|&v| v <= threshold) as u32;
+        let cut = values.partition_point(|&v| v <= threshold);
         let (mut mid, mut spilled) = (lo, 0);
         for i in lo..hi {
             let (row, y) = (self.rows[i], self.ys[i]);
             (self.rows[mid], self.ys[mid]) = (row, y);
             (self.spill.0[spilled], self.spill.1[spilled]) = (row, y);
-            let left = codes[row as usize] < cut;
+            let left = (codes[row as usize] as usize) < cut;
             mid += usize::from(left);
             spilled += usize::from(!left);
         }
@@ -286,14 +290,22 @@ impl Trainer<'_> {
 }
 
 impl Regressor for RandomForest {
-    fn fit(&mut self, x: &[&[f64]], y: &[f64]) {
+    fn fit(&mut self, points: PointsView<'_>) {
         self.trees.clear();
-        if x.is_empty() {
+        let Some(first) = points.iter().next() else {
             return;
-        }
-        let n = x.len();
-        assert!(u32::try_from(n).is_ok(), "rank codes are u32");
-        let cols: Vec<Column> = (0..x[0].len()).map(|f| Column::code(x, f)).collect();
+        };
+        let n = points.len();
+        let rows = u32::try_from(n).expect("rank codes are u32: a fit takes at most u32::MAX rows");
+        let y: Vec<f64> = points.iter().map(|p| p.target_ns).collect();
+        // One feature at a time, gathered into a reused column to be coded.
+        let mut value = Vec::with_capacity(n);
+        let code = |f| {
+            value.clear();
+            value.extend(points.iter().map(|p| feature(p.features, f)));
+            Column::code(&value, rows)
+        };
+        let cols: Vec<Column> = (0..first.features.len()).map(code).collect();
         let codes = cols.iter().map(|c| c.values.len() + 2).max();
         let mut trainer = Trainer {
             cols: &cols,
@@ -310,7 +322,10 @@ impl Regressor for RandomForest {
             trainer.ys.clear();
             for _ in 0..n {
                 let row = rng.random_range(0..n);
-                trainer.rows.push(row as u32);
+                // `row < n`, which fits `u32` (checked above).
+                #[allow(clippy::cast_possible_truncation)]
+                let code_row = row as u32;
+                trainer.rows.push(code_row);
                 trainer.ys.push(y[row]);
             }
             self.trees.push(trainer.build(0, n, 0, &mut rng));
@@ -497,7 +512,7 @@ mod tests {
     fn learns_linear_function() {
         let (x, y) = gen(600, |a, b| 100.0 + 12.0 * a + 3.0 * b);
         let mut rf = RandomForest::new(16, 10, 2, 7);
-        rf.fit(&crate::rows(&x), &y);
+        rf.fit(crate::points(&x, &y).view());
         let mut max_rel = 0.0f64;
         for (xi, yi) in x.iter().zip(&y).step_by(17) {
             let p = rf.predict(xi);
@@ -510,7 +525,7 @@ mod tests {
     fn learns_nonlinear_interaction() {
         let (x, y) = gen(800, |a, b| a * b + 5.0 * a);
         let mut rf = RandomForest::new(24, 12, 2, 3);
-        rf.fit(&crate::rows(&x), &y);
+        rf.fit(crate::points(&x, &y).view());
         let mean_y = y.iter().sum::<f64>() / y.len() as f64;
         let sse_model: f64 = x
             .iter()
@@ -530,8 +545,8 @@ mod tests {
         let (x, y) = gen(200, |a, b| a + b);
         let mut a = RandomForest::new(8, 8, 2, 42);
         let mut b = RandomForest::new(8, 8, 2, 42);
-        a.fit(&crate::rows(&x), &y);
-        b.fit(&crate::rows(&x), &y);
+        a.fit(crate::points(&x, &y).view());
+        b.fit(crate::points(&x, &y).view());
         for xi in x.iter().step_by(13) {
             assert_eq!(a.predict(xi), b.predict(xi));
         }
@@ -542,14 +557,14 @@ mod tests {
         let x: Vec<Vec<f64>> = (0..50).map(|i| vec![i as f64]).collect();
         let y = vec![7.0; 50];
         let mut rf = RandomForest::new(4, 6, 2, 1);
-        rf.fit(&crate::rows(&x), &y);
+        rf.fit(crate::points(&x, &y).view());
         assert!((rf.predict(&[25.0]) - 7.0).abs() < 1e-9);
     }
 
     #[test]
     fn empty_fit_predicts_zero() {
         let mut rf = RandomForest::new(4, 6, 2, 1);
-        rf.fit(&[], &[]);
+        rf.fit(crate::Points::default().view());
         assert_eq!(rf.predict(&[1.0]), 0.0);
         assert!(!rf.is_fitted());
     }
@@ -582,7 +597,7 @@ mod regression_tests {
     fn constant_features_do_not_collapse_trees() {
         let (x, y) = skewed_with_constant_context();
         let mut rf = RandomForest::new(24, 10, 4, 42);
-        rf.fit(&crate::rows(&x), &y);
+        rf.fit(crate::points(&x, &y).view());
         let small = rf.predict(&[1.0, 88.0, 1.0, 2.1]);
         assert!(
             (small - 13_000.0).abs() / 13_000.0 < 0.25,
@@ -601,9 +616,8 @@ mod differential {
     use rand::seq::SliceRandom;
 
     fn assert_same_trees(case: &str, mut forest: RandomForest, x: &[Vec<f64>], y: &[f64]) {
-        let rows = crate::rows(x);
-        let want = reference::fit(&forest, &rows, y);
-        forest.fit(&rows, y);
+        let want = reference::fit(&forest, &crate::rows(x), y);
+        forest.fit(crate::points(x, y).view());
         assert!(
             format!("{:?}", forest.trees) == format!("{want:?}"),
             "{case}: trees differ from the reference fit"

@@ -19,6 +19,7 @@
 //! Models are deterministic for a fixed seed.
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 pub mod dataset;
 pub mod eval;
@@ -32,7 +33,7 @@ use std::num::NonZeroUsize;
 use std::sync::{Mutex, PoisonError};
 use std::{panic, thread};
 
-pub use dataset::{kfold, LabeledPoint, OuData, OuSubset, PointSet, Points};
+pub use dataset::{kfold, LabeledPoint, OuData, OuSubset, PointSet, Points, PointsView, Rows};
 pub use eval::{avg_abs_error_per_template_us, error_reduction_pct, mape_pct, OuModelSet};
 pub use forest::RandomForest;
 pub use ingest::{datasets_from_archive, ou_data_from_archive};
@@ -41,10 +42,10 @@ pub use registry::{LiveModel, ModelRegistry, SwapDecision};
 
 /// A trained regression model.
 pub trait Regressor: std::fmt::Debug + Send + Sync {
-    /// Fit on rows of `(features, target)`. Rows are borrowed: a model
-    /// copies what it keeps, the caller's dataset is never cloned to be
-    /// handed over.
-    fn fit(&mut self, x: &[&[f64]], y: &[f64]);
+    /// Fit on `points`' `(features, target)` pairs, read in place from
+    /// the dataset's columns: a model copies what it keeps, the caller's
+    /// dataset is never cloned or gathered into rows to be handed over.
+    fn fit(&mut self, points: PointsView<'_>);
     /// Predict one target.
     fn predict(&self, x: &[f64]) -> f64;
     /// Model family name (reporting).
@@ -129,10 +130,27 @@ impl ModelKind {
     }
 }
 
-/// Borrow a `Vec`-of-rows test matrix the way [`Regressor::fit`] takes it.
+/// Borrow a `Vec`-of-rows test matrix the way the reference fits take it.
 #[cfg(test)]
 pub(crate) fn rows(x: &[Vec<f64>]) -> Vec<&[f64]> {
     x.iter().map(Vec::as_slice).collect()
+}
+
+/// A test matrix and its targets as the columns [`Regressor::fit`] reads.
+#[cfg(test)]
+pub(crate) fn points(x: &[Vec<f64>], y: &[f64]) -> Points {
+    let mut points = Points::default();
+    for (row, &target) in x.iter().zip(y) {
+        points.push_row(row.iter().copied(), target, 0);
+    }
+    points
+}
+
+/// `points` gathered into rows and targets, as the reference fits take
+/// them.
+#[cfg(test)]
+pub(crate) fn matrices(points: PointsView<'_>) -> (Vec<&[f64]>, Vec<f64>) {
+    points.iter().map(|p| (p.features, p.target_ns)).unzip()
 }
 
 /// `n` points of one OU whose elapsed time is linear in its one feature,
@@ -172,8 +190,8 @@ mod tests {
             .collect();
         let y: Vec<f64> = (0..60).map(|i| 100.0 + (i % 7) as f64 * 10.0).collect();
         let (mut a, mut b) = (kind.build(3), kind.build(3));
-        a.fit(&rows(&ragged), &y);
-        b.fit(&rows(&squared), &y);
+        a.fit(points(&ragged, &y).view());
+        b.fit(points(&squared, &y).view());
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
         for query in [&[][..], &[3.0], &[3.0, 6.0], &[3.0, 6.0, 1e9]] {
             let p = a.predict(query);

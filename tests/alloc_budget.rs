@@ -14,7 +14,8 @@
 //! blocks) allocations, nothing per point, and a compaction to O(blocks)
 //! bytes plus one frame, nothing per row. Training is
 //! pinned too: a Forest `fit` allocates per tree and per node, never
-//! per (node, candidate feature). And the lowered BPF engine is held to
+//! per (node, candidate feature), and a Ridge retrain (split, fit, gate)
+//! O(OUs), nothing per point. And the lowered BPF engine is held to
 //! the sample path's budget on *hostile* programs as well: seeded
 //! mutants of the 24 Collector streams run to an `Ok` or an `Err`
 //! without a panic or an allocation. The operator plane's two
@@ -43,7 +44,8 @@ use tscout_suite::archive::{Archive, ArchiveOptions, Projection, Sample};
 use tscout_suite::bpf::lower::lower;
 use tscout_suite::kernel::{HardwareProfile, Kernel, TaskId};
 use tscout_suite::models::{
-    datasets_from_archive, ou_data_from_archive, OuData, RandomForest, Regressor,
+    datasets_from_archive, ou_data_from_archive, ModelKind, ModelRegistry, OuData, Points,
+    RandomForest, Regressor, SwapDecision,
 };
 use tscout_suite::noisetap::index::{Index, IndexKind};
 use tscout_suite::noisetap::storage::SlotId;
@@ -318,12 +320,11 @@ fn largest_frame(dir: &std::path::Path) -> u64 {
     largest
 }
 
-#[test]
-fn archive_read_side_allocates_per_block_not_per_sample() {
-    const SAMPLES: u64 = 6_000;
-    const OUS: u64 = 3;
-
-    let dir = std::env::temp_dir().join(format!("tscout_alloc_read_{}", std::process::id()));
+/// A sealed archive in a fresh temp directory named for `test`:
+/// `samples` samples round-robin over `ous` OUs, two features each, in
+/// small blocks over several segments.
+fn sealed_archive(test: &str, samples: u64, ous: u64) -> (std::path::PathBuf, Archive) {
+    let dir = std::env::temp_dir().join(format!("tscout_alloc_{test}_{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let opts = ArchiveOptions {
         memtable_flush_samples: 100,
@@ -331,8 +332,8 @@ fn archive_read_side_allocates_per_block_not_per_sample() {
         ..ArchiveOptions::default()
     };
     let mut archive = Archive::open(&dir, opts, Telemetry::new()).expect("open archive");
-    for i in 0..SAMPLES {
-        let ou = i % OUS;
+    for i in 0..samples {
+        let ou = i % ous;
         let sample = Sample {
             ou: ou as u16,
             ou_name: format!("ou_{ou}"),
@@ -348,6 +349,15 @@ fn archive_read_side_allocates_per_block_not_per_sample() {
         archive.append(sample).expect("append");
     }
     archive.seal().expect("seal");
+    (dir, archive)
+}
+
+#[test]
+fn archive_read_side_allocates_per_block_not_per_sample() {
+    const SAMPLES: u64 = 6_000;
+    const OUS: u64 = 3;
+
+    let (dir, mut archive) = sealed_archive("read", SAMPLES, OUS);
     let stats = archive.stats();
     assert_eq!(stats.samples_stored, SAMPLES);
     let blocks = stats.blocks as u64;
@@ -427,10 +437,13 @@ fn forest_fit_allocates_per_tree_and_node_not_per_candidate() {
         .map(|i| vec![(i % 61) as f64, (i * 7 % 1_013) as f64, 2.1, (i % 2) as f64])
         .collect();
     let y: Vec<f64> = x.iter().map(|r| 500.0 + 40.0 * r[0] + r[1]).collect();
-    let rows: Vec<&[f64]> = x.iter().map(Vec::as_slice).collect();
+    let mut points = Points::default();
+    for (row, &target) in x.iter().zip(&y) {
+        points.push_row(row.iter().copied(), target, 0);
+    }
 
     let mut forest = RandomForest::new(TREES as usize, 10, 4, 42);
-    let fit = allocations(|| forest.fit(&rows, &y));
+    let fit = allocations(|| forest.fit(points.view()));
     let rendered = format!("{forest:?}");
     let nodes = (rendered.matches("Leaf(").count() + rendered.matches("Split {").count()) as u64;
     assert!(
@@ -446,6 +459,42 @@ fn forest_fit_allocates_per_tree_and_node_not_per_candidate() {
         fit <= budget,
         "{fit} allocations fitting {TREES} trees / {nodes} nodes on {POINTS} points (budget {budget})"
     );
+}
+
+/// A Ridge retrain reads its two sides as strides over each OU's columns
+/// and fits and scores them in place: per OU a model box, its weights
+/// and solver rows, its name, and one buffer of holdout error terms, and
+/// nothing per point — no index list, no gathered row matrix, no target
+/// copy. Counted on this thread, which fits and scores its share of the
+/// OUs on the pool (all of them on one CPU).
+#[test]
+fn a_ridge_retrain_split_allocates_per_ou_not_per_point() {
+    const SAMPLES: u64 = 24_000;
+    const OUS: u64 = 12;
+
+    let (dir, archive) = sealed_archive("retrain", SAMPLES, OUS);
+    let data = datasets_from_archive(&archive, 2.1, 4);
+    assert_eq!(data.len() as u64, OUS);
+    let mut registry = ModelRegistry::new(ModelKind::Ridge, 42, Telemetry::new());
+    // The first swap installs a live model, so the timed one scores two
+    // sets; the telemetry sites are warm by then too.
+    assert!(matches!(
+        registry.retrain_split(&data, 5),
+        SwapDecision::Accepted { generation: 1, .. }
+    ));
+    let mut decision = SwapDecision::Skipped;
+    let retrain = allocations(|| decision = registry.retrain_split(&data, 5));
+    assert!(!matches!(decision, SwapDecision::Skipped), "{decision:?}");
+    // Each OU's fit solves a 5 × 5 system held as rows: about fourteen
+    // allocations per OU. An index or row per point would be thousands.
+    let budget = 16 * OUS + 32;
+    assert!(
+        retrain <= budget,
+        "{retrain} allocations retraining {OUS} OUs of {SAMPLES} points (budget {budget})"
+    );
+
+    drop(archive);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Every obsd request clones the registry under the mutex the DBMS
