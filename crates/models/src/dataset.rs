@@ -197,7 +197,7 @@ impl<'a> PointsView<'a> {
     }
 
     /// The points, in the order the view reads them.
-    pub fn iter(&self) -> Picked<'a> {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = LabeledPoint<'a>> {
         let (at, run) = match *self.rows {
             Rows::EveryKth(k) => (k - 1, 0),
             Rows::AllButKth(k) => (0, k - 1),
@@ -216,7 +216,7 @@ impl<'a> PointsView<'a> {
 /// [`PointsView::iter`]: a strided view steps through the rows by
 /// counting, with no division per point.
 #[derive(Debug, Clone)]
-pub struct Picked<'a> {
+struct Picked<'a> {
     points: &'a Points,
     rows: &'a Rows,
     left: usize,

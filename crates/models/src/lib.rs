@@ -30,7 +30,7 @@ pub mod registry;
 
 use std::cmp::Reverse;
 use std::num::NonZeroUsize;
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
 use std::{panic, thread};
 
 pub use dataset::{kfold, LabeledPoint, OuData, OuSubset, PointSet, Points, PointsView, Rows};
@@ -97,10 +97,9 @@ pub(crate) fn largest_first<T: Send, R: Send, W: Ord>(
         }
         done
     };
-    let cpus = thread::available_parallelism().map_or(1, NonZeroUsize::get);
     let mut done = thread::scope(|s| {
         // A worker that cannot be spawned leaves its share to the caller.
-        let pool: Vec<_> = (1..cpus.min(n))
+        let pool: Vec<_> = (1..cpus().min(n))
             .filter_map(|_| thread::Builder::new().spawn_scoped(s, work).ok())
             .collect();
         let mut done = work();
@@ -111,6 +110,14 @@ pub(crate) fn largest_first<T: Send, R: Send, W: Ord>(
     });
     done.sort_unstable_by_key(|&(i, _)| i);
     done.into_iter().map(|(_, r)| r).collect()
+}
+
+/// The CPUs `largest_first` runs on, asked once per process: on Linux
+/// `available_parallelism` reads the cgroup quota files on every call,
+/// which took a tenth of a small Ridge retrain.
+fn cpus() -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
+    *CPUS.get_or_init(|| thread::available_parallelism().map_or(1, NonZeroUsize::get))
 }
 
 /// Model families available to the experiments.

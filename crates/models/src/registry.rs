@@ -355,8 +355,9 @@ mod tests {
             } else {
                 width
             };
+            // Sevenths round, so a sum taken in another order moves bits.
             let row: Vec<f64> = (0..w)
-                .map(|_| rng.random_range(0..1_000) as f64 / 8.0)
+                .map(|_| rng.random_range(0..7_000) as f64 / 7.0)
                 .collect();
             let linear: f64 = row
                 .iter()
