@@ -5,8 +5,6 @@
 //! single digits, so dense is exact and cheap. A bias column is appended
 //! automatically.
 
-use std::iter;
-
 use crate::dataset::PointsView;
 use crate::{feature, Regressor};
 
@@ -137,12 +135,11 @@ impl Regressor for Ridge {
         let Some((&bias, weights)) = self.weights.split_last() else {
             return 0.0;
         };
-        // `feature`'s width rule, without a bounds check per value.
-        let features = x.iter().copied().chain(iter::repeat(0.0));
-        weights
-            .iter()
-            .zip(features)
-            .fold(bias, |acc, (w, v)| acc + w * v)
+        // `feature`'s width rule without a check per value: a missing
+        // feature still adds `w * 0.0`, which a NaN or infinite `w` shows.
+        let (present, missing) = weights.split_at(weights.len().min(x.len()));
+        let acc = present.iter().zip(x).fold(bias, |acc, (w, v)| acc + w * v);
+        missing.iter().fold(acc, |acc, w| acc + w * 0.0)
     }
 
     fn name(&self) -> &'static str {
