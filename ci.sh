@@ -156,6 +156,33 @@ if [ -n "$dropped" ]; then
   echo "FAIL: a durability call's error is dropped without a reason"; exit 1
 fi
 
+echo "== the non-test greps see all shipped code: no top-level item without #[cfg(test)] follows a file's first #[cfg(test)] under crates/ =="
+# The greps above cut each file at its first #[cfg(test)]; an item after
+# it that ships would hide from them.
+after_tests=$(awk '
+  FNR == 1 { seen = 0; marked = 0 }
+  /^#\[cfg\(test\)\]/ { seen = 1; marked = 1; next }
+  /^(#|\/\/|$)/ { next }
+  /^(pub(\([^)]*\))? )?(fn|mod|use|impl|struct|enum|const|static|type|trait|macro_rules!|unsafe|extern|async)([^A-Za-z0-9_]|$)/ {
+    if (seen && !marked) print FILENAME ":" FNR ": " $0
+    marked = 0
+  }' $(git ls-files 'crates/*.rs'))
+if [ -n "$after_tests" ]; then
+  echo "$after_tests"
+  echo "FAIL: shipped code follows a #[cfg(test)]; move it above the file's tests"; exit 1
+fi
+
+echo "== every read surface reads the live registry in place: no Registry::clone or with_registry(|r| r.clone()) in non-test code under crates/ =="
+cloned=$(for f in $(git ls-files 'crates/*.rs'); do
+  sed '/^#\[cfg(test)\]/,$d' "$f" \
+    | grep -nE 'Registry::clone|with_registry\(\|[a-z_]*\| *[a-z_]*\.clone\(\)\)' \
+    | grep -vE '^[0-9]+: *//' | sed "s|^|$f:|" || true
+done)
+if [ -n "$cloned" ]; then
+  echo "$cloned"
+  echo "FAIL: a registry is copied; read it under its lock with (table.rows)(r) or an Exposition capture"; exit 1
+fi
+
 # Everything below writes its artifacts here, never into results/.
 TS_RESULTS=$(mktemp -d)
 export TS_RESULTS

@@ -15,9 +15,11 @@ use crate::exec::ou::{work_for, EngineOu, OuMap};
 use crate::exec::plan::Plan;
 use crate::exec::{execute, EngineMode, ExecCtx, ExecError, ExecOutcome};
 use crate::index::{key_from_row, Index, IndexKind};
+use crate::sql::ast::SelectStmt;
 use crate::sql::fingerprint::fingerprint;
 use crate::sql::parser::{parse, ParseError};
-use crate::sql::planner::{plan as plan_stmt, PlanError};
+use crate::sql::planner::{plan as plan_stmt, plan_select, PlanError};
+use crate::stat::RowSource;
 use crate::storage::VersionedTable;
 use crate::txn::{TxnHandle, TxnManager};
 use crate::types::{row_bytes, Schema, Value};
@@ -41,9 +43,9 @@ pub enum DbError {
     Aborted(ExecError),
     NoSuchStatement,
     NoTransaction,
-    /// The statement kind was rejected by the read-only entry point
+    /// A `SELECT ... FOR UPDATE` reached the read-only entry point
     /// ([`Database::execute_readonly`]).
-    ReadOnly(&'static str),
+    ForUpdate,
 }
 
 impl std::fmt::Display for DbError {
@@ -55,9 +57,7 @@ impl std::fmt::Display for DbError {
             DbError::Aborted(e) => write!(f, "transaction aborted: {e}"),
             DbError::NoSuchStatement => write!(f, "no such prepared statement"),
             DbError::NoTransaction => write!(f, "no open transaction"),
-            DbError::ReadOnly(kind) => {
-                write!(f, "read-only endpoint: {kind} statements are rejected")
-            }
+            DbError::ForUpdate => write!(f, "read-only endpoint: FOR UPDATE is rejected"),
         }
     }
 }
@@ -315,56 +315,28 @@ impl Database {
         params: &[Value],
     ) -> Result<ExecOutcome, DbError> {
         let stmt = parse(sql).map_err(DbError::Parse)?;
-        self.run_stmt(sid, &stmt, params)
-    }
-
-    /// Plan and run a parsed statement: the path both SQL entry points
-    /// take.
-    fn run_stmt(
-        &mut self,
-        sid: SessionId,
-        stmt: &crate::sql::ast::Stmt,
-        params: &[Value],
-    ) -> Result<ExecOutcome, DbError> {
-        let plan = plan_stmt(&self.catalog, stmt).map_err(DbError::Plan)?;
-        let fp = self.stmt_stats_enabled.then(|| fingerprint(stmt));
+        let plan = plan_stmt(&self.catalog, &stmt).map_err(DbError::Plan)?;
+        let fp = self.stmt_stats_enabled.then(|| fingerprint(&stmt));
         self.run_plan(sid, &plan, params, fp.as_deref())
     }
 
     /// Read-only SQL entry point for external observability surfaces
-    /// (the obsd operator plane). Parses, rejects everything except a
-    /// plain `SELECT` — DML, DDL, transaction control, `SELECT ... FOR
-    /// UPDATE`, and `EXPLAIN` (whose `ANALYZE` form executes) — then
-    /// routes through the normal planner and executor.
+    /// (the obsd operator plane): plans and executes a parsed `SELECT`,
+    /// rejecting `FOR UPDATE`. A virtual scan takes its table's rows
+    /// from `rows`, so the caller decides whose registry is read and
+    /// under which lock; costs and counters stay on this database.
     pub fn execute_readonly(
         &mut self,
         sid: SessionId,
-        sql: &str,
-        params: &[Value],
+        sel: &SelectStmt,
+        rows: RowSource<'_>,
     ) -> Result<ExecOutcome, DbError> {
-        let stmt = parse(sql).map_err(DbError::Parse)?;
-        let rejected = match &stmt {
-            crate::sql::ast::Stmt::Select(sel) => {
-                if sel.for_update {
-                    Some("SELECT ... FOR UPDATE")
-                } else {
-                    None
-                }
-            }
-            crate::sql::ast::Stmt::CreateTable { .. } => Some("CREATE TABLE"),
-            crate::sql::ast::Stmt::CreateIndex { .. } => Some("CREATE INDEX"),
-            crate::sql::ast::Stmt::Insert { .. } => Some("INSERT"),
-            crate::sql::ast::Stmt::Update { .. } => Some("UPDATE"),
-            crate::sql::ast::Stmt::Delete { .. } => Some("DELETE"),
-            crate::sql::ast::Stmt::Begin => Some("BEGIN"),
-            crate::sql::ast::Stmt::Commit => Some("COMMIT"),
-            crate::sql::ast::Stmt::Rollback => Some("ROLLBACK"),
-            crate::sql::ast::Stmt::Explain { .. } => Some("EXPLAIN"),
-        };
-        if let Some(kind) = rejected {
-            return Err(DbError::ReadOnly(kind));
+        if sel.for_update {
+            return Err(DbError::ForUpdate);
         }
-        self.run_stmt(sid, &stmt, params)
+        let plan = plan_select(&self.catalog, sel).map_err(DbError::Plan)?;
+        let (outcome, ..) = self.run_dml(sid, &plan, &[], None, Some(rows))?;
+        Ok(outcome)
     }
 
     /// Execute a prepared statement.
@@ -530,7 +502,7 @@ impl Database {
                 } else {
                     None
                 };
-                let (outcome, obs, actual_ns) = self.run_dml(sid, dml, params, scratch)?;
+                let (outcome, obs, actual_ns) = self.run_dml(sid, dml, params, scratch, None)?;
                 if let (Some(obs), Some(fp)) = (obs, fp) {
                     self.record_stmt(fp, &obs, actual_ns, outcome.rows_affected);
                     self.obs_scratch = obs; // return buffers to the pool
@@ -542,15 +514,17 @@ impl Database {
 
     /// Execute one DML or query plan in the session's transaction — an
     /// implicit one, committed on success, when it has none — observed
-    /// into `obs`. Returns the outcome, the observation and the
-    /// statement's virtual ns. A failed statement aborts the whole
-    /// transaction (first-writer-wins MVCC has no partial rollback).
+    /// into `obs`, its virtual scans reading `rows` if given. Returns the
+    /// outcome, the observation and the statement's virtual ns. A failed
+    /// statement aborts the whole transaction (first-writer-wins MVCC has
+    /// no partial rollback).
     fn run_dml(
         &mut self,
         sid: SessionId,
         plan: &Plan,
         params: &[Value],
         obs: Option<StmtObs>,
+        rows: Option<RowSource<'_>>,
     ) -> Result<(ExecOutcome, Option<StmtObs>, f64), DbError> {
         let implicit = self.sessions[sid.0].txn.is_none();
         if implicit {
@@ -573,6 +547,7 @@ impl Database {
                 &self.metrics,
             );
             ctx.obs = obs;
+            ctx.rows = rows;
             let t0 = ctx.kernel.now(task);
             let r = execute(&mut ctx, plan, params);
             let t1 = ctx.kernel.now(task);
@@ -604,7 +579,7 @@ impl Database {
         fp: Option<&str>,
     ) -> Result<ExecOutcome, DbError> {
         let (outcome, obs, actual_ns) =
-            self.run_dml(sid, inner, params, Some(StmtObs::new(true)))?;
+            self.run_dml(sid, inner, params, Some(StmtObs::new(true)), None)?;
         let obs = obs.unwrap_or_default();
         let task = self.sessions[sid.0].task;
         // Annotating the tree is user-visible statement work, not part of

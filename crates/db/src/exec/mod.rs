@@ -41,6 +41,7 @@ use crate::decls;
 use crate::engine::DbMetrics;
 use crate::index::{key_from_row, row_key_cmp, Index, IndexKey};
 use crate::sql::ast::{AggFunc, BinOp};
+use crate::stat::RowSource;
 use crate::storage::{SlotId, VersionedTable};
 use crate::txn::{TxnHandle, TxnManager, UndoRef};
 use crate::types::{row_bytes, DataType, Row, Value};
@@ -90,7 +91,7 @@ pub struct ExecOutcome {
 type Sink<'s> = &'s mut dyn FnMut(&[Value]);
 
 /// Everything the executor needs, borrowed disjointly from the engine.
-#[derive(Debug)]
+#[allow(missing_debug_implementations)] // a `RowSource` is a closure, which has no `Debug`
 pub struct ExecCtx<'a> {
     pub kernel: &'a mut Kernel,
     pub ts: Option<&'a mut TScout>,
@@ -106,6 +107,9 @@ pub struct ExecCtx<'a> {
     /// Clock-neutral: set by the engine when statement stats or
     /// EXPLAIN ANALYZE need actuals; `None` costs nothing on the hot path.
     pub obs: Option<obs::StmtObs>,
+    /// Where virtual scans read their rows; `None` is the kernel's own
+    /// registry.
+    pub rows: Option<RowSource<'a>>,
     /// Fused-mode accumulator of (OU, features) groups.
     fused: Option<Vec<(OuId, Vec<u64>)>>,
     metrics: &'a DbMetrics,
@@ -138,6 +142,7 @@ impl<'a> ExecCtx<'a> {
             txn,
             mode,
             obs: None,
+            rows: None,
             fused: None,
             metrics,
         }
@@ -402,12 +407,12 @@ fn run_node(
     match node {
         PlanNode::Scan(s) => exec_scan(ctx, s, params, &mut |_, r| sink(r)),
         PlanNode::VirtualScan { name, residual } => {
-            // Materialize from the live telemetry registry. Virtual scans
+            // Materialize from a live telemetry registry. Virtual scans
             // are introspection, not workload: they charge CPU (registry
             // lock + per-row formatting) but emit no TScout markers, so
             // they never pollute the training data they report on.
             let _frame = ctx.kernel.profile_frame(ctx.task, &decls::VIRTUAL_SCAN);
-            let all = crate::stat::virtual_rows(name, &ctx.kernel.telemetry);
+            let all = crate::stat::virtual_rows(name, ctx.rows, &ctx.kernel.telemetry);
             let ws: u64 = all.iter().map(|r| row_bytes(r) as u64).sum();
             ctx.kernel
                 .charge_cpu(ctx.task, 2_000.0 + 400.0 * all.len() as f64, ws);

@@ -368,7 +368,7 @@ fn residual_of(conjuncts: &[PExpr], used: &[usize]) -> Option<PExpr> {
     )
 }
 
-fn plan_select(catalog: &Catalog, sel: &SelectStmt) -> Result<Plan, PlanError> {
+pub(crate) fn plan_select(catalog: &Catalog, sel: &SelectStmt) -> Result<Plan, PlanError> {
     // Virtual introspection tables: always a full materialized scan with
     // the whole WHERE clause as residual; the downstream aggregation /
     // sort / limit / projection wrapping composes unchanged.

@@ -3,8 +3,9 @@
 //! The tables themselves — names, columns, row sources — are declared
 //! once, in [`tscout_telemetry::tables`]; this module adapts that list
 //! to the engine's types. Every table is registered in every catalog at
-//! creation time and materializes on scan from the kernel's telemetry
-//! registry: no storage, no MVCC, always current.
+//! creation time and materializes on scan from a live telemetry
+//! registry — the kernel's, or the one a [`RowSource`] reads: no storage,
+//! no MVCC, always current.
 
 use tscout_telemetry::tables::table;
 use tscout_telemetry::{Cell, ColType, Table, Telemetry};
@@ -66,16 +67,27 @@ pub fn virtual_schema(name: &str) -> Option<Schema> {
     table(name).map(schema)
 }
 
-/// Materialize the current rows of a virtual table from the live
-/// telemetry registry. Unknown names yield no rows (the planner rejects
-/// them long before execution).
-pub fn virtual_rows(name: &str, telemetry: &Telemetry) -> Vec<Row> {
+/// Where a virtual scan gets a table's rows when the caller names the
+/// registry: obsd's SQL plane reads the simulation's under its lock.
+pub type RowSource<'a> = &'a dyn Fn(&'static Table) -> Vec<Vec<Cell>>;
+
+/// Materialize the current rows of a virtual table, from `source` if
+/// given, else from `telemetry`'s registry; either way only this table's
+/// rows are built. Unknown names yield no rows (the planner rejects them
+/// long before execution).
+pub(crate) fn virtual_rows(
+    name: &str,
+    source: Option<RowSource<'_>>,
+    telemetry: &Telemetry,
+) -> Vec<Row> {
     let Some(table) = table(name) else {
         return Vec::new();
     };
-    telemetry
-        .with_registry(|r| (table.rows)(r))
-        .into_iter()
+    let rows = match source {
+        Some(rows) => rows(table),
+        None => telemetry.with_registry(|r| (table.rows)(r)),
+    };
+    rows.into_iter()
         .map(|row| row.into_iter().map(Value::from).collect())
         .collect()
 }

@@ -15,19 +15,20 @@
 //! therefore follows the same discipline as the lineage tracer and the
 //! action engine (PRs 6 and 9), strengthened for a real OS thread:
 //!
-//! - **Serving reads atomically-snapshotted state.** `/metrics` captures
-//!   the values of the simulation's [`Registry`] under its lock into a
-//!   buffer its worker keeps, and renders the text after releasing it
-//!   ([`Exposition`]); the table and SQL endpoints lock-clone the
-//!   registry, the probes and the flight-recorder endpoints copy out
-//!   only the health states / recorder target they render. The
+//! - **Serving reads the live state in place, copying out only what it
+//!   renders.** Every read happens under the simulation [`Registry`]'s
+//!   one lock: `/metrics` captures its values into a buffer its worker
+//!   keeps ([`Exposition`]); a table endpoint, and the one `ts_*` scan
+//!   of a SQL query, build that table's rows; the probes and the
+//!   flight-recorder endpoints copy out the health states / recorder
+//!   target. Rendering happens after the lock is released. The
 //!   simulation thread never blocks on request processing — only on
-//!   that copy, under the same lock it takes for any counter bump, and
+//!   that read, under the same lock it takes for any counter bump, and
 //!   each request's hold is `tscout_obsd_registry_lock_ns`.
 //! - **Nothing on the serving path touches a virtual clock.** Request
-//!   handling runs on OS threads against snapshots; the SQL endpoint
-//!   executes against a *server-private* database whose kernel clocks
-//!   belong to nobody in the simulation.
+//!   handling runs on OS threads; the SQL endpoint executes against a
+//!   *server-private* database whose kernel clocks and counters belong
+//!   to nobody in the simulation.
 //! - **Self-metrics live in a server-owned registry** (rendered into the
 //!   same `/metrics` exposition), so the simulation registry
 //!   — and every artifact dumped from it — is byte-identical with the
@@ -35,7 +36,8 @@
 //!
 //! `tests/obsd_plane.rs` (repo root) enforces the contract end to end:
 //! archived samples from a hammered run are byte-identical to a
-//! server-off run.
+//! server-off run, and serving every table and `ts_*` query leaves the
+//! registry byte-identical.
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 // No `as` cast narrows a value outside tests; test fixtures cast freely.
@@ -117,10 +119,10 @@ struct Shared {
     sql: Mutex<SqlPlane>,
 }
 
-/// A private `Database` whose registry is overwritten with the latest
-/// snapshot before each query — `ts_*` virtual tables flow through the
-/// normal noisetap parser/planner/executor, but all execution cost
-/// lands on clocks the simulation never reads.
+/// A private `Database` whose virtual scans read the simulation's
+/// registry in place — `ts_*` virtual tables flow through the normal
+/// noisetap parser/planner/executor, but all execution cost and the
+/// plane's own counters land on a kernel the simulation never reads.
 struct SqlPlane {
     db: Database,
     sid: SessionId,
@@ -400,7 +402,9 @@ fn route<'w>(req: &Request, shared: &Shared, worker: &'w mut Worker) -> Response
         if req.method != "GET" {
             return method_not_allowed();
         }
-        let body = table.to_json(&snapshot(shared, table.api_key));
+        let rows = with_sim(shared, table.api_key, |r| (table.rows)(r));
+        let columns = table.columns.iter().map(|(name, _)| *name);
+        let body = rows_json(Some(table.name), columns, &rows);
         return (200, "application/json", body.into_bytes().into());
     }
     match (req.method.as_str(), req.path.as_str()) {
@@ -437,12 +441,6 @@ fn with_sim<T>(shared: &Shared, endpoint: &str, f: impl FnOnce(&Registry) -> T) 
     let lock_ns = decls::REGISTRY_LOCK_NS.with(&shared.self_tel, &labels);
     lock_ns.record(held.as_nanos() as f64);
     out
-}
-
-/// Lock-clone the simulation registry: the atomic snapshot the table and
-/// SQL endpoints serve from.
-fn snapshot(shared: &Shared, endpoint: &str) -> Registry {
-    with_sim(shared, endpoint, Registry::clone)
 }
 
 /// Capture the self registry, then the simulation's, each under its own
@@ -519,8 +517,6 @@ fn sql_endpoint(req: &Request, shared: &Shared) -> Response<'static> {
     if sql.is_empty() {
         return err("empty query");
     }
-    // Parse up front for projection names; the read-only gate proper
-    // lives in Database::execute_readonly.
     let stmt = match parse(sql) {
         Ok(s) => s,
         Err(e) => return err(&format!("parse error: {e}")),
@@ -529,11 +525,12 @@ fn sql_endpoint(req: &Request, shared: &Shared) -> Response<'static> {
         return err("read-only endpoint: only SELECT is accepted");
     };
     let names = projection_names(sel);
-    let snap = snapshot(shared, "sql");
+    // The planner refuses a JOIN with a `ts_*` table, so the query scans
+    // one table once: one hold of the simulation's lock, one table's rows.
+    let rows = |table: &Table| with_sim(shared, "sql", |r| (table.rows)(r));
     let mut plane = lock_recovering(&shared.sql);
     let sid = plane.sid;
-    plane.db.kernel.telemetry.with_registry(|r| *r = snap);
-    match plane.db.execute_readonly(sid, sql, &[]) {
+    match plane.db.execute_readonly(sid, sel, &rows) {
         Ok(out) => {
             let rows: Vec<Vec<Cell>> = out
                 .rows
@@ -749,6 +746,7 @@ mod tests {
             "CREATE TABLE t (a INT)",
             "BEGIN",
             "EXPLAIN ANALYZE SELECT count(*) FROM ts_stat_ou",
+            "SELECT * FROM ts_stat_ou FOR UPDATE",
             "not sql at all",
             "SELECT * FROM no_such_table",
         ] {

@@ -44,7 +44,9 @@ pub(crate) fn bucket_index(v: f64) -> usize {
     if v.is_nan() || v < 1.0 || v.is_infinite() {
         return 0;
     }
-    let bits = v as u64; // v ≥ 1, truncation is fine for bucketing
+    // v ≥ 1: `as` floors it (saturating), all bucketing needs.
+    #[allow(clippy::cast_possible_truncation)]
+    let bits = v as u64;
     let octave = 63 - bits.leading_zeros() as usize; // floor(log2)
     if octave >= OCTAVES {
         return BUCKETS - 1;
@@ -158,6 +160,7 @@ impl Histogram {
         }
         let q = if q.is_nan() { 0.0 } else { q.clamp(0.0, 1.0) };
         // Rank of the target observation, 1-based.
+        #[allow(clippy::cast_possible_truncation)] // q ≤ 1, so the rank fits in count's u64
         let rank = ((q * self.count as f64).ceil() as u64).max(1);
         let mut seen = 0u64;
         for (i, &c) in self.counts.iter().enumerate() {

@@ -34,6 +34,8 @@
 //!   ([`Profiler::folded_text`]).
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
+// No `as` cast narrows a value outside tests; test fixtures cast freely.
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 mod actions;
 pub mod decls;
@@ -437,7 +439,9 @@ pub fn json_escape(s: &str) -> String {
 pub fn json_num(v: f64) -> String {
     if v.is_finite() {
         if v == v.trunc() && v.abs() < 1e15 {
-            format!("{}", v as i64)
+            #[allow(clippy::cast_possible_truncation)] // whole and below 1e15: exact in an i64
+            let whole = v as i64;
+            format!("{whole}")
         } else {
             format!("{v}")
         }

@@ -278,7 +278,10 @@ impl Kind for Hist {
 
 /// The registry proper. Usually accessed through the cheap-clone
 /// [`crate::Telemetry`] handle rather than directly. `clone()` is a deep
-/// value snapshot (see [`crate::handles`]).
+/// value snapshot (see [`crate::handles`]). Every read surface reads the
+/// registry in place, so no code under `crates/` clones it (`ci.sh`
+/// checks); `Clone` stays because the frozen benchmark's telemetry
+/// kernels (`benchmark/src/kernels.rs`) clone it.
 #[derive(Debug, Clone, Default)]
 pub struct Registry {
     generation: Generation,

@@ -77,6 +77,7 @@ impl FrameId {
             names.len() - 1
         });
         // Never 0, which is a `Frame`'s "not interned yet".
+        #[allow(clippy::cast_possible_truncation)] // frame names number in the hundreds, not 2^31
         FrameId(((index as u32 + 1) << 1) | root as u32)
     }
 
@@ -238,6 +239,8 @@ impl ProfileState {
     /// Record `fires` samples against `stack`. A stack seen before costs
     /// no allocation.
     fn fire(&mut self, stack: &TaskFrames, fires: f64, period: f64, leaf: Option<&str>) {
+        // fires is floored, non-negative and far below 2^64.
+        #[allow(clippy::cast_possible_truncation)]
         let n = fires as u64;
         let mut key = std::mem::take(&mut self.key_buf);
         stack.fold_key(leaf, &mut key);
@@ -323,13 +326,15 @@ impl Profiler {
         if !self.is_enabled() {
             return FrameGuard { stack: None };
         }
-        let depth = stack.0.depth.load(Relaxed) as usize;
-        for (slot, frame) in stack.0.slots.iter().skip(depth).zip(frames) {
+        let depth = stack.0.depth.load(Relaxed);
+        for (slot, frame) in stack.0.slots.iter().skip(depth as usize).zip(frames) {
             slot.store(frame.0, Relaxed);
         }
-        stack.0.depth.store((depth + N) as u32, Relaxed);
+        #[allow(clippy::cast_possible_truncation)] // N frames are a handful
+        let n = N as u32;
+        stack.0.depth.store(depth + n, Relaxed);
         FrameGuard {
-            stack: Some((stack.0, stack.0.generation.load(Relaxed), N as u32)),
+            stack: Some((stack.0, stack.0.generation.load(Relaxed), n)),
         }
     }
 

@@ -49,6 +49,12 @@ fn int(v: u64) -> Cell {
     Cell::Int(v as i64)
 }
 
+/// A gauge that holds a count or a generation.
+#[allow(clippy::cast_possible_truncation)] // such a gauge is set from an integer below 2^53
+fn whole(v: f64) -> Cell {
+    Cell::Int(v as i64)
+}
+
 fn text(s: &str) -> Cell {
     Cell::Text(s.to_string())
 }
@@ -127,7 +133,7 @@ pub const TABLES: &[Table] = &[
                     vec![
                         text(&subsystem),
                         text(state.name()),
-                        Cell::Int(state.as_f64() as i64),
+                        Cell::Int(state as i64),
                         int(r.health().rules_for_subsystem(&subsystem) as u64),
                         int(r.health().fired_for_subsystem(&subsystem)),
                     ]
@@ -149,9 +155,9 @@ pub const TABLES: &[Table] = &[
         ],
         rows: |r| {
             vec![vec![
-                Cell::Int(r.gauge_value(decls::MODEL_GENERATION.name, &[]) as i64),
+                whole(r.gauge_value(decls::MODEL_GENERATION.name, &[])),
                 Cell::Float(r.gauge_value(decls::MODEL_HOLDOUT_MAPE_PCT.name, &[])),
-                Cell::Int(r.gauge_value(decls::MODEL_TRAINED_POINTS.name, &[]) as i64),
+                whole(r.gauge_value(decls::MODEL_TRAINED_POINTS.name, &[])),
                 int(r.counter_value(decls::MODEL_SWAP_ACCEPTED.name, &[])),
                 int(r.counter_value(decls::MODEL_SWAP_REJECTED.name, &[])),
             ]]
@@ -353,8 +359,8 @@ pub const TABLES: &[Table] = &[
                             .map(|name| int(r.counter_value(name, &[("ou", ou)]))),
                     );
                     row.extend([
-                        Cell::Int(r.gauge_value(decls::ARCHIVE_SEGMENTS.name, &[]) as i64),
-                        Cell::Int(r.gauge_value(decls::ARCHIVE_BUFFERED_SAMPLES.name, &[]) as i64),
+                        whole(r.gauge_value(decls::ARCHIVE_SEGMENTS.name, &[])),
+                        whole(r.gauge_value(decls::ARCHIVE_BUFFERED_SAMPLES.name, &[])),
                         int(r.counter_value(decls::ARCHIVE_SEGMENTS_SEALED.name, &[])),
                         int(r.counter_value(decls::ARCHIVE_SEGMENTS_COMPACTED.name, &[])),
                     ]);

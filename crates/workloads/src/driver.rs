@@ -427,8 +427,8 @@ fn run_inner(
     opts: &RunOptions,
     mut lifecycle: Option<&mut ModelLifecycle>,
 ) -> RunStats {
-    // Operator plane: the daemon serves lock-clone snapshots of this
-    // run's registry from OS threads and records its own metrics in a
+    // Operator plane: the daemon reads this run's registry in place,
+    // under its lock, from OS threads and records its own metrics in a
     // server-owned registry, so collected samples are bit-identical
     // with the server on or off. The guard's Drop joins every server
     // thread when the run returns.

@@ -172,14 +172,17 @@ fn main() {
 
     // SQL/registry agreement: the read-only endpoint must see exactly
     // the rows the registry's virtual tables hold.
-    let expected_samples: i64 =
-        tscout_suite::noisetap::stat::virtual_rows("ts_stat_ou", &db.kernel.telemetry)
-            .iter()
-            .map(|row| match row[2] {
-                tscout_suite::noisetap::Value::Int(n) => n,
-                _ => 0,
-            })
-            .sum();
+    let ou = tscout_suite::telemetry::tables::table("ts_stat_ou").unwrap();
+    let expected_samples: i64 = db
+        .kernel
+        .telemetry
+        .with_registry(|r| (ou.rows)(r))
+        .iter()
+        .map(|row| match row[2] {
+            tscout_suite::telemetry::Cell::Int(n) => n,
+            _ => 0,
+        })
+        .sum();
     let (status, body) =
         client::post(&addr, "/api/v1/sql", "SELECT sum(samples) FROM ts_stat_ou").expect("sql");
     assert_eq!(status, 200, "{body}");

@@ -24,9 +24,10 @@
 //! in proportion to the bytes they were given, whatever those claim.
 //! And the operator plane's reads of the live registry: a `/metrics`
 //! scrape, once warm, captures the registry's values under its lock and
-//! renders them into the text of the scrape before without allocating;
-//! `Registry::clone()`, which the table and SQL endpoints still pay, is
-//! pinned to the series it copies, not the length of the run.
+//! renders them into the text of the scrape before without allocating.
+//! The table and SQL endpoints copy nothing; only the frozen benchmark's
+//! registry-clone kernel still pays `Registry::clone()`, which is pinned
+//! to the series it copies, not the length of the run.
 //!
 //! The sampling profiler is on (as in every bench run), so its frames
 //! are part of the budget too.
@@ -497,12 +498,13 @@ fn a_ridge_retrain_split_allocates_per_ou_not_per_point() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Every obsd request clones the registry under the mutex the DBMS
-/// thread takes per statement (`stmt_record`), so the clone must cost
-/// what the *series* cost, not what the run's history does: the same
-/// workload run four times longer registers the same series and may not
-/// make `Registry::clone()` allocate more than a quarter again. (It did
-/// while the registry kept a window of every counter per pump tick.)
+/// No obsd endpoint clones the registry; the frozen benchmark's
+/// `telemetry.registry_clone_us` kernel does, under the mutex the DBMS
+/// thread takes per statement (`stmt_record`). So the clone must
+/// cost what the *series* cost, not what the run's history does: the
+/// same workload run four times longer registers the same series and may
+/// not make `Registry::clone()` allocate more than a quarter again. (It
+/// did while the registry kept a window of every counter per pump tick.)
 #[test]
 fn registry_clone_does_not_grow_with_the_length_of_the_run() {
     let clone_after = |duration_ns: f64| {

@@ -11,6 +11,8 @@
 //! 3. **One contract across surfaces** — every `ts_*` table renders the
 //!    same columns and rows through its declaration, its obsd endpoint
 //!    and SQL.
+//! 4. **Reads write nothing** — serving every table and every `ts_*`
+//!    query leaves the simulation registry byte-identical.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -264,6 +266,42 @@ fn every_table_renders_the_same_rows_on_every_surface() {
         "every table must have rows to compare"
     );
     srv.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn serving_every_table_and_query_leaves_the_registry_unchanged() {
+    let dir = temp_dir("unchanged");
+    let (db, _) = collected_run(&dir, 0x0B60, false);
+    let t = &db.kernel.telemetry;
+    // The exposition and every table's rows, rendered to bytes (a NaN
+    // cell compares equal to itself only as text).
+    let state = || {
+        t.with_registry(|r| {
+            let rows: Vec<String> = TABLES
+                .iter()
+                .map(|table| format!("{:?}", (table.rows)(r)))
+                .collect();
+            (r.to_prometheus(), rows)
+        })
+    };
+    let before = state();
+    let srv = ObsdServer::start(ObsdConfig::default(), t.clone()).unwrap();
+    let addr = srv.addr().to_string();
+    for table in TABLES {
+        let path = format!("/api/v1/{}", table.api_key);
+        let (status, body) = client::get(&addr, &path).unwrap();
+        assert_eq!(status, 200, "GET {path}: {body}");
+        let sql = format!("SELECT * FROM {}", table.name);
+        let (status, body) = client::post(&addr, "/api/v1/sql", &sql).unwrap();
+        assert_eq!(status, 200, "{sql}: {body}");
+    }
+    srv.shutdown();
+    let (exposition, rows) = state();
+    assert_eq!(exposition, before.0, "the requests changed /metrics");
+    for ((table, after), before) in TABLES.iter().zip(&rows).zip(&before.1) {
+        assert_eq!(after, before, "the requests changed {}", table.name);
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

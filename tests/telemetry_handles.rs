@@ -3,9 +3,11 @@
 //!
 //! 1. A `Site`, a `SiteVec` slot, `decl.with(..)` and the by-name door
 //!    address the same cell.
-//! 2. `Registry::clone()` is a value snapshot — and the operator plane,
-//!    which installs such snapshots into private registries
-//!    (`*r = snapshot`), keeps serving the live values.
+//! 2. `Registry::clone()` is a value snapshot, and one installed into
+//!    another registry (`*r = snapshot`, as the benchmark's telemetry
+//!    kernels do) leaves the source's handles counting into the source;
+//!    the operator plane, which reads the live registry in place, serves
+//!    the live values.
 //! 3. A scraper cloning the registry while the owner increments through
 //!    a handle loses nothing.
 //! 4. A seeded `run_with_lifecycle` leg exports exactly the series set
@@ -108,8 +110,9 @@ fn registry_clone_is_a_value_snapshot() {
     assert_eq!(snap.len(), 3);
     assert_eq!(t.counter_value("c_total", &[]), 15);
 
-    // Installing the snapshot into another registry (what obsd does per
-    // request) carries the values and leaves the source's handles alone.
+    // Installing the snapshot into another registry (what the benchmark's
+    // telemetry kernels do) carries the values and leaves the source's
+    // handles alone.
     let private = Telemetry::new();
     private.with_registry(|r| *r = snap);
     private.counter_inc("c_total", &[]);
