@@ -968,7 +968,7 @@ mod tests {
         let archive = tscout_telemetry::tables::table("ts_stat_archive").unwrap();
         let rows = t.with_registry(|r| (archive.rows)(r));
         let per_ou: Vec<_> = rows.iter().map(|row| &row[..4]).collect();
-        let row = |ou: &str, [samples, blocks, bytes]: [u64; 3]| {
+        let row = |ou: &'static str, [samples, blocks, bytes]: [u64; 3]| {
             use tscout_telemetry::Cell::{Int, Text};
             [
                 Text(ou.into()),

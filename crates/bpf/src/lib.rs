@@ -28,12 +28,13 @@
 //!   independent of `tscout-kernel`.
 //! * [`lower`] — the verified stream as a dense, op-specialised form:
 //!   one op per instruction, the adjacent `mov; add` (`; ldx8`/`stx8`)
-//!   shapes codegen emits fused into one. This is the engine programs
+//!   shapes codegen emits fused into one, and a run of such word copies
+//!   into one copy-run op. This is the engine programs
 //!   run on; [`Vm::run`] is kept as its executable specification and the
 //!   two are held to the same result bit for bit.
 //! * [`loader`] — verify → lower → run, plus attach, detach and reload
 //!   for dynamic feature selection (paper §5.4). A program is verified
-//!   as submitted and lowered 1:1: nothing reorders, drops or rewrites
+//!   as submitted and lowered as is: nothing reorders, drops or rewrites
 //!   an instruction, and every executed one is still counted.
 //!
 //! The crate is deliberately self-contained (its only dependency is the

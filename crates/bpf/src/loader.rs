@@ -3,8 +3,9 @@
 //! "During this loading step, the BPF subsystem verifies the program's
 //! safety, just-in-time compiles the bytecode to machine code, and
 //! transfers it into the kernel" (paper §2.3). Our loader verifies the
-//! stream as submitted, lowers it 1:1 ([`crate::lower`]: one op per
-//! instruction, adjacent pairs fused) and runs the lowered form — the
+//! stream as submitted, lowers it ([`crate::lower`]: one op per
+//! instruction, adjacent pairs and runs of word copies fused) and runs
+//! the lowered form — the
 //! only engine behind [`Loader::run`]. The submitted stream stays on the
 //! [`LoadedProg`] for disassembly and the program pins, and the
 //! reference interpreter ([`crate::Vm::run`]) stays as the lowered
@@ -65,7 +66,7 @@ pub struct LoadedProg {
 
 impl LoadedProg {
     /// How many ops `insns` lowered to (`insns.len()` less what fusing
-    /// adjacent pairs saved).
+    /// adjacent pairs and copy runs saved).
     pub fn lowered_ops(&self) -> usize {
         self.lowered.op_count()
     }

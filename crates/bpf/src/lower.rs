@@ -8,16 +8,25 @@
 //! and 8-byte `[r10+off]` accesses as an index into the stack array when
 //! the stream never writes `r10`. The adjacent shapes codegen emits for
 //! every `rebase` and `fp_ptr` — `mov d, b; add d, imm`, optionally
-//! followed by the 8-byte load or store through `d` — fuse into one op,
-//! never across a jump target, and every architectural register is still
-//! written, so there is no liveness analysis to get wrong.
+//! followed by the 8-byte load or store through `d` — fuse into one op.
+//! Two or more back-to-back word copies, each `mov d1, b; add d1, k;
+//! ldx8 v, [d1+o1]; mov d2, c; add d2, k; stx8 [d2+o2], v` with `k`
+//! stepping by 8 (a `FEATURES` copy loop), fuse into one copy-run op,
+//! kept in a side table: when the whole destination lies in the stack
+//! and the whole source in the context or in one live map value, it
+//! checks the two ranges once and copies; otherwise it steps word by
+//! word as the fused pairs would. Nothing fuses across a jump target,
+//! and every architectural register is still written, so there is no
+//! liveness analysis to get wrong.
 //!
 //! The contract is [`Vm::run`]'s result, bit for bit, for *any* stream
 //! (`lower` is total; `tests/lowered_differential.rs` holds the corpus):
 //! a fused op counts its arity in [`ExecStats::insns`], a fault carries
-//! the source `pc`, and the maps see the same operations in the same
-//! order — memory goes through the same `mem`/`mem_mut`/`call` as the
-//! reference, with every region, generation and bounds check. What is
+//! the source `pc` of the faulting instruction, and the maps see the
+//! same operations in the same order — memory goes through the same
+//! `mem`/`mem_mut`/`call` as the reference, with every region,
+//! generation and bounds check (a copy run's one check covers every
+//! word, and counts a map-value source's lookups per word). What is
 //! gone is decode and dispatch, not checks. A backward jump's target is a
 //! trap op that faults with [`VmError::BackEdge`] at the jump's `pc`, so
 //! every op that runs is followed by a later one and a run ends within
@@ -27,7 +36,7 @@ use crate::insn::{AluOp, Cond, Helper, Insn, Reg, Size, Src};
 use crate::maps::MapRegistry;
 use crate::vm::{
     alu, entry_regs, slot, Exec, ExecStats, HelperWorld, Vm, VmError, VmScratch, HANDLE_BASE,
-    STACK_BASE, STACK_SIZE,
+    REG_SLOTS, STACK_BASE, STACK_SIZE,
 };
 
 /// Slot of the frame pointer in the register file.
@@ -74,6 +83,149 @@ enum Op {
     LeaLoad(Reg, Reg, i64, Reg, i32),
     /// `Lea(dst, base, imm); stx8 [dst+off], src` as `(dst, base, imm, off, src)`.
     LeaStore(Reg, Reg, i64, i32, Reg),
+    /// The [`CopyRun`] at this index of [`Lowered::runs`].
+    Copy(u32),
+}
+
+/// `groups` back-to-back word copies, group `g` being the six
+/// instructions `mov d1, b; add d1, imm + 8g; ldx8 v, [d1+o1]; mov d2, c;
+/// add d2, imm + 8g; stx8 [d2+o2], v`, the five registers distinct.
+#[derive(Debug, Clone, Copy)]
+struct CopyRun {
+    d1: Reg,
+    b: Reg,
+    v: Reg,
+    d2: Reg,
+    c: Reg,
+    imm: i64,
+    o1: i32,
+    o2: i32,
+    groups: usize,
+    /// Fault site of group 0's load: group `g`'s load is `site + 2g`,
+    /// its store the one after.
+    site: usize,
+}
+
+impl CopyRun {
+    /// The one group at `pc`, if the six instructions there form one.
+    fn at(prog: &[Insn], pc: usize) -> Option<CopyRun> {
+        let &[Insn::Alu {
+            op: AluOp::Mov,
+            dst: d1,
+            src: Src::Reg(b),
+        }, Insn::Alu {
+            op: AluOp::Add,
+            dst: a1,
+            src: Src::Imm(imm),
+        }, Insn::Load {
+            size: Size::B8,
+            dst: v,
+            base: l,
+            off: o1,
+        }, Insn::Alu {
+            op: AluOp::Mov,
+            dst: d2,
+            src: Src::Reg(c),
+        }, Insn::Alu {
+            op: AluOp::Add,
+            dst: a2,
+            src: Src::Imm(imm2),
+        }, Insn::Store {
+            size: Size::B8,
+            base: s,
+            off: o2,
+            src: Src::Reg(w),
+        }] = prog.get(pc..)?.first_chunk::<6>()?
+        else {
+            return None;
+        };
+        let regs = [d1, b, v, d2, c].map(slot);
+        let distinct = (0..5).all(|i| !regs[i + 1..].contains(&regs[i]));
+        let through = [(a1, d1), (l, d1), (a2, d2), (s, d2), (w, v)];
+        let shaped = through.iter().all(|&(x, y)| slot(x) == slot(y)) && imm == imm2;
+        (distinct && shaped).then_some(CopyRun {
+            d1,
+            b,
+            v,
+            d2,
+            c,
+            imm,
+            o1,
+            o2,
+            groups: 1,
+            site: 0,
+        })
+    }
+
+    /// Registers and displacements, which every group of a run shares.
+    fn operands(&self) -> (Reg, Reg, Reg, Reg, Reg, i32, i32) {
+        (self.d1, self.b, self.v, self.d2, self.c, self.o1, self.o2)
+    }
+
+    /// The longest run of at least two groups from `pc` that no jump
+    /// lands inside.
+    fn longest(prog: &[Insn], pc: usize, is_target: &[bool]) -> Option<CopyRun> {
+        let clear = |at: usize| {
+            is_target
+                .get(at..at + 6)
+                .is_some_and(|t| !t.contains(&true))
+        };
+        let mut run = CopyRun::at(prog, pc)?;
+        loop {
+            let at = pc + 6 * run.groups;
+            let stepped = i64::try_from(8 * run.groups).ok();
+            let stepped = stepped.and_then(|step| run.imm.checked_add(step));
+            match CopyRun::at(prog, at) {
+                Some(next)
+                    if clear(at)
+                        && next.operands() == run.operands()
+                        && Some(next.imm) == stepped =>
+                {
+                    run.groups += 1;
+                }
+                _ => break,
+            }
+        }
+        let inside = &is_target[pc + 1..pc + 6];
+        (run.groups >= 2 && !inside.contains(&true)).then_some(run)
+    }
+
+    /// Run every group: one check and one copy when [`Exec::copy_words_to_stack`]
+    /// takes the whole run, else word by word as the fused pairs do.
+    #[inline(always)]
+    fn exec(&self, regs: &mut [u64; REG_SLOTS], exec: &mut Exec<'_>) -> Result<(), VmError> {
+        let (imm, last) = (self.imm as u64, 8 * (self.groups as u64 - 1));
+        let src = regs[slot(self.b)]
+            .wrapping_add(imm)
+            .wrapping_add(self.o1 as i64 as u64);
+        let dst = regs[slot(self.c)]
+            .wrapping_add(imm)
+            .wrapping_add(self.o2 as i64 as u64);
+        let Some(word) = exec.copy_words_to_stack(src, dst, self.groups) else {
+            return self.step(regs, exec);
+        };
+        regs[slot(self.d1)] = regs[slot(self.b)].wrapping_add(imm.wrapping_add(last));
+        regs[slot(self.v)] = word;
+        regs[slot(self.d2)] = regs[slot(self.c)].wrapping_add(imm.wrapping_add(last));
+        Ok(())
+    }
+
+    /// Word by word: each group's load, then its store, each faulting at
+    /// its own fault site.
+    #[cold]
+    #[inline(never)]
+    fn step(&self, regs: &mut [u64; REG_SLOTS], exec: &mut Exec<'_>) -> Result<(), VmError> {
+        for g in 0..self.groups {
+            let imm = (self.imm as u64).wrapping_add(8 * g as u64);
+            regs[slot(self.d1)] = regs[slot(self.b)].wrapping_add(imm);
+            let addr = regs[slot(self.d1)].wrapping_add(self.o1 as i64 as u64);
+            regs[slot(self.v)] = exec.load(self.site + 2 * g, addr, Size::B8)?;
+            regs[slot(self.d2)] = regs[slot(self.c)].wrapping_add(imm);
+            let addr = regs[slot(self.d2)].wrapping_add(self.o2 as i64 as u64);
+            exec.store(self.site + 2 * g + 1, addr, Size::B8, regs[slot(self.v)])?;
+        }
+        Ok(())
+    }
 }
 
 const _: () = assert!(std::mem::size_of::<Op>() <= 16);
@@ -82,9 +234,14 @@ const _: () = assert!(std::mem::size_of::<Op>() <= 16);
 #[derive(Debug, Clone)]
 pub struct Lowered {
     ops: Vec<Op>,
-    /// Per op before the traps, the source pc of its last instruction —
-    /// the only one of a fused op that can fault. Read on the error path
-    /// only.
+    /// What [`Op::Copy`] indexes.
+    runs: Vec<CopyRun>,
+    /// Ops the instructions lowered to, traps excluded.
+    op_count: usize,
+    /// The source pc of each fault site a run's errors name: first, per
+    /// op before the traps, its last instruction (the only one of a
+    /// fused pair or triple that can fault); then each copy run's loads
+    /// and stores, two per group. Read on the error path only.
     fault_pc: Vec<usize>,
 }
 
@@ -211,6 +368,7 @@ pub fn lower(prog: &[Insn]) -> Lowered {
     }
 
     let mut ops = Vec::with_capacity(n + 1);
+    let mut runs = Vec::new();
     let mut fault_pc = Vec::with_capacity(n);
     // Op index of each source pc (meaningful at jump targets, which no
     // fused op covers), and of the end.
@@ -222,11 +380,27 @@ pub fn lower(prog: &[Insn]) -> Lowered {
         if let Insn::Jump { off, .. } = prog[pc] {
             jumps.push((ops.len(), pc, target(pc, off)));
         }
-        let (op, arity) = lower_at(prog, pc, &is_target, fp_static);
+        let (op, arity) = match CopyRun::longest(prog, pc, &is_target) {
+            Some(run) => {
+                let ix = u32::try_from(runs.len()).expect("fewer runs than instructions");
+                runs.push((run, pc));
+                (Op::Copy(ix), 6 * run.groups)
+            }
+            None => lower_at(prog, pc, &is_target, fp_static),
+        };
         ops.push(op);
         pc += arity;
         fault_pc.push(pc - 1);
     }
+    let op_count = ops.len();
+    let runs = runs
+        .into_iter()
+        .map(|(run, pc)| {
+            let site = fault_pc.len();
+            fault_pc.extend((0..run.groups).flat_map(|g| [pc + 6 * g + 2, pc + 6 * g + 5]));
+            CopyRun { site, ..run }
+        })
+        .collect();
     // Falling off the end, or jumping to it, is the reference's
     // `PcOutOfBounds { pc: n }`; a wild target gets a trap of its own,
     // and a backward jump one that faults at the jump, as the reference
@@ -245,14 +419,19 @@ pub fn lower(prog: &[Insn]) -> Lowered {
             *to = u32::try_from(resolved).expect("a stream has fewer than 2^32 instructions");
         }
     }
-    Lowered { ops, fault_pc }
+    Lowered {
+        ops,
+        runs,
+        op_count,
+        fault_pc,
+    }
 }
 
 impl Lowered {
     /// Ops the instructions lowered to (traps excluded): the stream's
     /// length less what fusion saved.
     pub fn op_count(&self) -> usize {
-        self.fault_pc.len()
+        self.op_count
     }
 
     /// Execute against `ctx`: [`Vm::run`]'s result for the stream this
@@ -268,7 +447,8 @@ impl Lowered {
         let mut exec = Exec::new(ctx, maps, scratch);
         self.exec(&mut exec, world).map_err(|mut e| {
             match &mut e {
-                // Memory and helper faults come back carrying the op index.
+                // Memory and helper faults come back carrying a fault
+                // site: the op's index, or a copy-run word's.
                 VmError::BadAddress { pc, .. }
                 | VmError::ReadOnly { pc, .. }
                 | VmError::StaleMapValue { pc }
@@ -368,6 +548,15 @@ impl Lowered {
                     regs[slot(dst)] = regs[slot(base)].wrapping_add(imm as u64);
                     let addr = regs[slot(dst)].wrapping_add(off as i64 as u64);
                     exec.store(at, addr, Size::B8, regs[slot(src)])?;
+                }
+                Op::Copy(ix) => {
+                    // Never `None`: `lower` made one run per index.
+                    let run = self
+                        .runs
+                        .get(ix as usize)
+                        .ok_or(VmError::PcOutOfBounds { pc: at })?;
+                    insns += 6 * run.groups as u64 - 1;
+                    run.exec(&mut regs, exec)?;
                 }
             }
         }

@@ -408,15 +408,22 @@ impl MapRegistry {
     }
 
     fn count_lookup(&self) {
-        self.lookups.set(self.lookups.get() + 1);
+        self.count_lookups(1);
+    }
+
+    /// Count `n` lookups at once: what `n` dereferences of one value,
+    /// each through [`MapRegistry::value`], would have counted.
+    pub(crate) fn count_lookups(&self, n: u64) {
+        self.lookups.set(self.lookups.get() + n);
     }
 
     // ------------------------------------------------------------------
     // Hash element access
     // ------------------------------------------------------------------
 
-    /// The value `r` points to; `None` once its key was deleted.
-    fn resolve(&self, r: ValueRef) -> Option<&[u8]> {
+    /// The value `r` points to; `None` once its key was deleted. Counts
+    /// nothing.
+    pub(crate) fn resolve(&self, r: ValueRef) -> Option<&[u8]> {
         let m = self.maps.get(r.map.0 as usize)?;
         let range = r.slot as usize * m.def.value_size..(r.slot as usize + 1) * m.def.value_size;
         match &m.storage {

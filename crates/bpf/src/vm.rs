@@ -271,6 +271,32 @@ impl<'a> Exec<'a> {
         Ok(Arg::Staged(at..at + len))
     }
 
+    /// Copy `words` 8-byte words from `src` to the stack at `dst` in one
+    /// go — what as many loads, each followed by a store of its word,
+    /// would do — when the destination lies wholly in the stack and the
+    /// source wholly in the context or in one live map value, neither of
+    /// which can overlap the stack. A map-value source counts one lookup
+    /// per word, as the loads would. Returns the last word copied; `None`
+    /// when refused, with nothing written or counted.
+    #[inline(always)]
+    pub(crate) fn copy_words_to_stack(&mut self, src: u64, dst: u64, words: usize) -> Option<u64> {
+        let len = words.checked_mul(8).filter(|&len| len > 0)?;
+        let to = window_offset(dst, STACK_BASE, STACK_SIZE, len)?;
+        let from = match window_offset(src, CTX_BASE, self.ctx.len(), len) {
+            Some(off) => &self.ctx[off..off + len],
+            None => {
+                let (entry, off) = mapv_decode(src)?;
+                let value = self.maps.resolve(*self.scratch.deref.get(entry)?)?;
+                let bytes = value.get(off..off.checked_add(len)?)?;
+                self.maps.count_lookups(words as u64);
+                bytes
+            }
+        };
+        let to = &mut self.stack[to..to + len];
+        to.copy_from_slice(from);
+        to.last_chunk().copied().map(u64::from_le_bytes)
+    }
+
     /// The `len` writable bytes at `addr`.
     #[inline(always)]
     fn mem_mut(&mut self, pc: usize, addr: u64, len: usize) -> Result<&mut [u8], VmError> {

@@ -8,14 +8,17 @@
 //! [`ProbeLayout`], so every trip count and slot offset is a Rust value
 //! here: per-counter work is a plain `for` loop that emits one
 //! straight-line copy per slot. The stream returned is verified as
-//! submitted and lowered 1:1 by the loader (`tscout_bpf::lower`): every
-//! instruction still executes and is still charged, but the adjacent
-//! pairs `rebase` and `fp_ptr` emit — `mov d, b; add d, imm`, and
-//! the 8-byte load or store through `d` right behind them — run as one
-//! fused op. `tests/collector_programs.rs` pins the streams instruction
-//! for instruction (`tests/golden/collector_programs.txt`) and the
-//! lowered op counts beside them, so an edit here that stops matching a
-//! fused shape fails a test, not a benchmark.
+//! submitted and lowered by the loader (`tscout_bpf::lower`) without
+//! dropping or reordering an instruction: every one still executes and
+//! is still charged, but the adjacent pairs `rebase` and `fp_ptr` emit —
+//! `mov d, b; add d, imm`, and the 8-byte load or store through `d`
+//! right behind them — run as one fused op, and FEATURES' word-copy
+//! loops (two rebased pairs per word, the displacement stepping by 8)
+//! run as one copy-run op per loop. `tests/collector_programs.rs` pins
+//! the streams instruction for instruction
+//! (`tests/golden/collector_programs.txt`) and the lowered op counts
+//! beside them, so an edit here that stops matching a fused shape fails
+//! a test, not a benchmark.
 //!
 //! Three programs are generated per subsystem:
 //!
@@ -194,7 +197,9 @@ fn snap_off(probes: &ProbeLayout, word: usize) -> i32 {
 /// instruction, so that moves every seeded golden, figure and sample
 /// byte: it is a change of its own. Until then this is the pinned shape
 /// — and the one the loader's lowering fuses, so the pair costs one
-/// dispatch on the wall clock while still counting two instructions.
+/// dispatch on the wall clock while still counting two instructions, and
+/// a loop of word copies through two of them (FEATURES) costs one
+/// dispatch and one range check for the whole loop.
 fn rebase(b: &mut ProgramBuilder, scratch: insn::Reg, base: insn::Reg, bytes: usize) -> insn::Reg {
     if bytes == 0 {
         return base;

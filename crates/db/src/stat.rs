@@ -43,7 +43,7 @@ impl From<&Value> for Cell {
             Value::Null => Cell::Null,
             Value::Int(i) => Cell::Int(*i),
             Value::Float(f) => Cell::Float(*f),
-            Value::Text(s) => Cell::Text(s.to_string()),
+            Value::Text(s) => Cell::Text(s.to_string().into()),
             Value::Bool(b) => Cell::Bool(*b),
         }
     }

@@ -181,7 +181,7 @@ impl Kernel {
     // ------------------------------------------------------------------
 
     pub fn create_task(&mut self) -> TaskId {
-        let id = TaskId(self.tasks.len() as u32);
+        let id = TaskId(u32::try_from(self.tasks.len()).expect("fewer than 2^32 tasks"));
         self.tasks.push(TaskStruct::new(id, self.hw.pmu_slots));
         id
     }

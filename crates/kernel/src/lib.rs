@@ -31,6 +31,7 @@
 //! kernel-space probe vs. three syscalls for toggled user-space collection,
 //! PMU save/restore on context switches, group-commit I/O batching, ...).
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 #![deny(missing_debug_implementations)]
 
 pub mod cost;

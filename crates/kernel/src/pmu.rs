@@ -93,30 +93,22 @@ impl PmuReading {
     }
 }
 
-#[derive(Debug, Clone)]
-struct EventState {
-    enabled: bool,
-    raw: f64,
-    time_enabled: f64,
-    time_running: f64,
-}
-
-impl Default for EventState {
-    fn default() -> Self {
-        EventState {
-            enabled: false,
-            raw: 0.0,
-            time_enabled: 0.0,
-            time_running: 0.0,
-        }
-    }
-}
-
 /// Per-task simulated PMU.
 #[derive(Debug, Clone)]
 pub struct Pmu {
     slots: usize,
-    events: [EventState; 7],
+    /// Per event, indexed by [`CounterKind::index`]: the raw count and
+    /// the two multiplexing clocks, as `f64` so that the fractions of
+    /// multiplexed charges accumulate.
+    raw: [f64; 7],
+    time_enabled: [f64; 7],
+    time_running: [f64; 7],
+    /// The enabled events' indexes in ascending order: the first
+    /// `n_enabled` entries. A charge walks these and nothing else.
+    enabled: [usize; 7],
+    n_enabled: usize,
+    /// [`Pmu::running_fraction`], recomputed when `n_enabled` moves.
+    frac: f64,
 }
 
 /// True counts accrued by one charge, before multiplexing.
@@ -132,16 +124,17 @@ pub struct CounterDelta {
 }
 
 impl CounterDelta {
-    fn get(&self, kind: CounterKind) -> f64 {
-        match kind {
-            CounterKind::Cycles => self.cycles,
-            CounterKind::Instructions => self.instructions,
-            CounterKind::RefCycles => self.ref_cycles,
-            CounterKind::CacheReferences => self.cache_references,
-            CounterKind::CacheMisses => self.cache_misses,
-            CounterKind::Branches => self.branches,
-            CounterKind::BranchMisses => self.branch_misses,
-        }
+    /// The counts indexed by [`CounterKind::index`].
+    fn counts(&self) -> [f64; 7] {
+        [
+            self.cycles,
+            self.instructions,
+            self.ref_cycles,
+            self.cache_references,
+            self.cache_misses,
+            self.branches,
+            self.branch_misses,
+        ]
     }
 }
 
@@ -150,78 +143,106 @@ impl Pmu {
         assert!(slots > 0, "a PMU needs at least one counter slot");
         Pmu {
             slots,
-            events: Default::default(),
+            raw: [0.0; 7],
+            time_enabled: [0.0; 7],
+            time_running: [0.0; 7],
+            enabled: [0; 7],
+            n_enabled: 0,
+            frac: 0.0,
         }
     }
 
-    fn enabled_count(&self) -> usize {
-        self.events.iter().filter(|e| e.enabled).count()
+    fn enabled(&self) -> &[usize] {
+        &self.enabled[..self.n_enabled]
     }
 
     /// Fraction of the time a given enabled event holds a hardware slot.
     pub fn running_fraction(&self) -> f64 {
-        let n = self.enabled_count();
-        if n == 0 {
+        self.frac
+    }
+
+    fn set_enabled_count(&mut self, n: usize) {
+        self.n_enabled = n;
+        self.frac = if n == 0 {
             0.0
         } else {
             (self.slots as f64 / n as f64).min(1.0)
-        }
+        };
     }
 
     /// Enable an event (idempotent). Mirrors `ioctl(PERF_EVENT_IOC_ENABLE)`.
     pub fn enable(&mut self, kind: CounterKind) {
-        self.events[kind.index()].enabled = true;
+        let (i, n) = (kind.index(), self.n_enabled);
+        if let Err(at) = self.enabled().binary_search(&i) {
+            self.enabled.copy_within(at..n, at + 1);
+            self.enabled[at] = i;
+            self.set_enabled_count(n + 1);
+        }
     }
 
     /// Disable an event (idempotent). Accumulated values are retained, as
     /// with real perf fds.
     pub fn disable(&mut self, kind: CounterKind) {
-        self.events[kind.index()].enabled = false;
+        let n = self.n_enabled;
+        if let Ok(at) = self.enabled().binary_search(&kind.index()) {
+            self.enabled.copy_within(at + 1..n, at);
+            self.set_enabled_count(n - 1);
+        }
     }
 
     pub fn is_enabled(&self, kind: CounterKind) -> bool {
-        self.events[kind.index()].enabled
+        self.enabled().contains(&kind.index())
     }
 
     /// Charge work to the PMU: `delta` holds *true* counts over `elapsed_ns`
     /// of task time. Each enabled event accrues only its multiplexed share.
     pub fn charge(&mut self, delta: &CounterDelta, elapsed_ns: f64) {
-        let frac = self.running_fraction();
-        for kind in ALL_COUNTERS {
-            let ev = &mut self.events[kind.index()];
-            if ev.enabled {
-                ev.raw += delta.get(kind) * frac;
-                ev.time_enabled += elapsed_ns;
-                ev.time_running += elapsed_ns * frac;
-            }
+        let (frac, counts) = (self.frac, delta.counts());
+        let mut accrue = |i: usize| {
+            self.raw[i] += counts[i] * frac;
+            self.time_enabled[i] += elapsed_ns;
+            self.time_running[i] += elapsed_ns * frac;
+        };
+        // All seven (what the CPU probe enables) is one pass over whole
+        // arrays, which the compiler unrolls and vectorizes lane by lane:
+        // the same operations per event, so the same bits.
+        if self.n_enabled == ALL_COUNTERS.len() {
+            (0..ALL_COUNTERS.len()).for_each(accrue);
+        } else {
+            self.enabled[..self.n_enabled]
+                .iter()
+                .for_each(|&i| accrue(i));
         }
     }
 
     /// Read an event, `perf_event` style. Reading a disabled (never enabled)
     /// event returns zeros, as a freshly opened fd would.
+    // A counter reads whole events: `as` drops the fraction by design
+    // (and saturates, so a NaN or negative accrual reads 0).
+    #[allow(clippy::cast_possible_truncation)]
     pub fn read(&self, kind: CounterKind) -> PmuReading {
-        let ev = &self.events[kind.index()];
+        let i = kind.index();
         PmuReading {
-            value: ev.raw as u64,
-            time_enabled: ev.time_enabled as u64,
-            time_running: ev.time_running as u64,
+            value: self.raw[i] as u64,
+            time_enabled: self.time_enabled[i] as u64,
+            time_running: self.time_running[i] as u64,
         }
     }
 
     /// Reset all counters (used by toggled user-space collection between
     /// operating units).
     pub fn reset(&mut self) {
-        for ev in &mut self.events {
-            ev.raw = 0.0;
-            ev.time_enabled = 0.0;
-            ev.time_running = 0.0;
-        }
+        self.raw = [0.0; 7];
+        self.time_enabled = [0.0; 7];
+        self.time_running = [0.0; 7];
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     fn delta(cycles: f64) -> CounterDelta {
         CounterDelta {
@@ -304,5 +325,135 @@ mod tests {
             assert_eq!(CounterKind::from_index(i), Some(*k));
         }
         assert_eq!(CounterKind::from_index(7), None);
+    }
+
+    /// The PMU as it was before the enabled list: an `enabled` flag per
+    /// event, every event visited on every charge, the running fraction
+    /// recounted each time — the oracle the property below holds the
+    /// shipped one to.
+    #[derive(Debug)]
+    struct FlagPmu {
+        slots: usize,
+        events: [(bool, f64, f64, f64); 7],
+    }
+
+    impl FlagPmu {
+        fn running_fraction(&self) -> f64 {
+            let n = self.events.iter().filter(|e| e.0).count();
+            if n == 0 {
+                0.0
+            } else {
+                (self.slots as f64 / n as f64).min(1.0)
+            }
+        }
+
+        fn charge(&mut self, delta: &CounterDelta, elapsed_ns: f64) {
+            let frac = self.running_fraction();
+            for kind in ALL_COUNTERS {
+                let d = match kind {
+                    CounterKind::Cycles => delta.cycles,
+                    CounterKind::Instructions => delta.instructions,
+                    CounterKind::RefCycles => delta.ref_cycles,
+                    CounterKind::CacheReferences => delta.cache_references,
+                    CounterKind::CacheMisses => delta.cache_misses,
+                    CounterKind::Branches => delta.branches,
+                    CounterKind::BranchMisses => delta.branch_misses,
+                };
+                let ev = &mut self.events[kind.index()];
+                if ev.0 {
+                    ev.1 += d * frac;
+                    ev.2 += elapsed_ns;
+                    ev.3 += elapsed_ns * frac;
+                }
+            }
+        }
+
+        fn read(&self, kind: CounterKind) -> PmuReading {
+            let ev = &self.events[kind.index()];
+            PmuReading {
+                value: ev.1 as u64,
+                time_enabled: ev.2 as u64,
+                time_running: ev.3 as u64,
+            }
+        }
+    }
+
+    /// A delta or elapsed time: ordinary, or one of the values float
+    /// arithmetic treats specially.
+    fn arb_f64(rng: &mut StdRng) -> f64 {
+        match rng.random_range(0..10) {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3 => -rng.random::<f64>() * 1e4,
+            4 => f64::MIN_POSITIVE * rng.random::<f64>(), // subnormal
+            5 => -0.0,
+            _ => rng.random::<f64>() * 1e6,
+        }
+    }
+
+    #[test]
+    fn the_enabled_list_keeps_every_reading_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(0x0930_5EED);
+        let mut seen_enabled = [false; 8];
+        for _ in 0..400 {
+            let slots = rng.random_range(1usize..=8);
+            let mut pmu = Pmu::new(slots);
+            let mut flags = FlagPmu {
+                slots,
+                events: [(false, 0.0, 0.0, 0.0); 7],
+            };
+            for _ in 0..60 {
+                let kind = ALL_COUNTERS[rng.random_range(0..7)];
+                match rng.random_range(0..12) {
+                    0..=2 => {
+                        pmu.enable(kind);
+                        flags.events[kind.index()].0 = true;
+                    }
+                    3..=4 => {
+                        pmu.disable(kind);
+                        flags.events[kind.index()].0 = false;
+                    }
+                    5 => {
+                        pmu.reset();
+                        for ev in &mut flags.events {
+                            (ev.1, ev.2, ev.3) = (0.0, 0.0, 0.0);
+                        }
+                    }
+                    _ => {
+                        let c = [(); 7].map(|()| arb_f64(&mut rng));
+                        let delta = CounterDelta {
+                            cycles: c[0],
+                            instructions: c[1],
+                            ref_cycles: c[2],
+                            cache_references: c[3],
+                            cache_misses: c[4],
+                            branches: c[5],
+                            branch_misses: c[6],
+                        };
+                        let ns = arb_f64(&mut rng);
+                        pmu.charge(&delta, ns);
+                        flags.charge(&delta, ns);
+                    }
+                }
+                seen_enabled[pmu.n_enabled] = true;
+                let bits = |x: f64| x.to_bits();
+                assert_eq!(bits(pmu.running_fraction()), bits(flags.running_fraction()));
+                for k in ALL_COUNTERS {
+                    let (i, ev) = (k.index(), flags.events[k.index()]);
+                    assert_eq!(pmu.is_enabled(k), ev.0, "{k:?}");
+                    assert_eq!(
+                        [pmu.raw[i], pmu.time_enabled[i], pmu.time_running[i]].map(bits),
+                        [ev.1, ev.2, ev.3].map(bits),
+                        "{k:?} on {slots} slots"
+                    );
+                    let (new, old) = (pmu.read(k), flags.read(k));
+                    assert_eq!(new, old, "{k:?}");
+                    assert_eq!(bits(new.normalized()), bits(old.normalized()), "{k:?}");
+                }
+                assert!(pmu.enabled().windows(2).all(|w| w[0] < w[1]));
+            }
+        }
+        assert_eq!(seen_enabled, [true; 8], "0 to 7 enabled events all occur");
     }
 }

@@ -64,7 +64,8 @@ impl TracepointRegistry {
         if let Some(id) = self.by_name.get(&key) {
             return *id;
         }
-        let id = TracepointId(self.by_id.len() as u32);
+        let id =
+            TracepointId(u32::try_from(self.by_id.len()).expect("fewer than 2^32 tracepoints"));
         self.by_id.push(Tracepoint {
             id,
             provider: provider.to_string(),

@@ -728,12 +728,18 @@ impl Registry {
     /// `labels` is the rendered `{k="v",...}` block (empty without
     /// labels), so `name || labels` is the series as `/metrics` spells it.
     pub(crate) fn metric_rows(&self) -> Vec<Vec<Col>> {
-        fn row(name: &str, labels: &Labels, kind: &str, value: Col, summary: [Col; 5]) -> Vec<Col> {
+        fn row(
+            name: &str,
+            labels: &Labels,
+            kind: &'static str,
+            value: Col,
+            summary: [Col; 5],
+        ) -> Vec<Col> {
             let mut rendered = String::new();
             write_series(&mut rendered, "", "", labels, None);
             let mut row = vec![
-                Col::Text(name.into()),
-                Col::Text(rendered),
+                Col::Text(name.to_owned().into()),
+                Col::Text(rendered.into()),
                 Col::Text(kind.into()),
                 value,
             ];

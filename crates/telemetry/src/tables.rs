@@ -10,6 +10,8 @@
 //! JSON, so the surfaces cannot disagree on a column, a NULL or a
 //! number format.
 
+use std::borrow::Cow;
+
 use crate::metrics::Registry;
 use crate::{decls, json_escape, json_num};
 use ColType::{Bool, Float, Int, Text};
@@ -29,7 +31,9 @@ pub enum Cell {
     Null,
     Int(i64),
     Float(f64),
-    Text(String),
+    /// Borrowed when the text is a `&'static str` (a stage or state
+    /// name), so building a row copies no name.
+    Text(Cow<'static, str>),
     Bool(bool),
 }
 
@@ -56,7 +60,12 @@ fn whole(v: f64) -> Cell {
 }
 
 fn text(s: &str) -> Cell {
-    Cell::Text(s.to_string())
+    Cell::Text(Cow::Owned(s.to_string()))
+}
+
+/// [`text`] for a name that lives for the program, borrowed.
+fn label(s: &'static str) -> Cell {
+    Cell::Text(Cow::Borrowed(s))
 }
 
 fn opt<T>(v: Option<T>, cell: impl FnOnce(T) -> Cell) -> Cell {
@@ -107,7 +116,7 @@ pub const TABLES: &[Table] = &[
                         Cell::Float(d.feature.ks()),
                         Cell::Float(d.drift_score()),
                         Cell::Float(d.residual_mape_pct()),
-                        text(r.health().state_for_target(ou).name()),
+                        label(r.health().state_for_target(ou).name()),
                     ]
                 })
                 .collect()
@@ -132,7 +141,7 @@ pub const TABLES: &[Table] = &[
                 .map(|(subsystem, state)| {
                     vec![
                         text(&subsystem),
-                        text(state.name()),
+                        label(state.name()),
                         Cell::Int(state as i64),
                         int(r.health().rules_for_subsystem(&subsystem) as u64),
                         int(r.health().fired_for_subsystem(&subsystem)),
@@ -188,8 +197,8 @@ pub const TABLES: &[Table] = &[
                         text(&a.rule),
                         text(&a.subsystem),
                         text(&a.target),
-                        text(a.from.name()),
-                        text(a.to.name()),
+                        label(a.from.name()),
+                        label(a.to.name()),
                         Cell::Float(a.value),
                         Cell::Float(a.threshold),
                     ]
@@ -230,9 +239,9 @@ pub const TABLES: &[Table] = &[
                         int(t.tid),
                         Cell::Float(t.started_ns),
                         int(t.stages.len() as u64),
-                        opt(t.outcome, |o| text(o.name())),
+                        opt(t.outcome, |o| label(o.name())),
                         opt(t.fail_reason.as_deref(), text),
-                        opt(crit, |(s, _)| text(s.name())),
+                        opt(crit, |(s, _)| label(s.name())),
                         Cell::Float(crit.map_or(0.0, |(_, d)| d)),
                         Cell::Float(t.total_ns()),
                         opt(t.model_generation, int),
@@ -263,7 +272,7 @@ pub const TABLES: &[Table] = &[
                         vec![
                             int(t.id.0),
                             int(seq as u64),
-                            text(s.stage.name()),
+                            label(s.stage.name()),
                             Cell::Float(s.enter_ns),
                             Cell::Float(s.exit_ns),
                             int(s.queue_depth),
@@ -302,7 +311,7 @@ pub const TABLES: &[Table] = &[
                         .map_or((0.0, 0.0), |s| (s.p50, s.p99));
                     let n = a.count.max(1) as f64;
                     vec![
-                        text(stage.name()),
+                        label(stage.name()),
                         int(seq as u64),
                         int(a.count),
                         Cell::Float(a.total_ns / n),
@@ -408,7 +417,7 @@ pub const TABLES: &[Table] = &[
                         Cell::Float(e.max_ns),
                         Cell::Float(e.mean_ns()),
                         Cell::Float(e.ou_ns_total()),
-                        Cell::Text(breakdown.join(";")),
+                        Cell::Text(breakdown.join(";").into()),
                         int(e.predicted_calls),
                         Cell::Float(e.mape_pct()),
                     ]
@@ -451,7 +460,7 @@ pub const TABLES: &[Table] = &[
                         text(&a.policy),
                         text(&a.target),
                         text(&a.detail),
-                        text(a.state.name()),
+                        label(a.state.name()),
                         Cell::Bool(a.dry_run),
                         Cell::Float(a.planned_at_ns),
                         Cell::Float(a.observe_at_ns),

@@ -15,8 +15,11 @@
 //!   backward jumps, clobbered frame pointers and mid-program faults
 //!   come from;
 //! * named programs, one per way a lowering can go wrong: a jump landing
-//!   inside a fusable pair, control leaving the program or going back, a
-//!   written `r10`, a fault in a fused op's last instruction.
+//!   inside a fusable pair or a copy run, control leaving the program or
+//!   going back, a written `r10`, a fault in a fused op's last
+//!   instruction, and a copy run whose one-shot copy must be refused (a
+//!   source that ends mid-run or went stale, a destination off the
+//!   stack, an overlap) without counting a lookup twice.
 //!
 //! No run executes an instruction twice, so the sweep draws 16× the
 //! generators' own case counts in a few seconds.
@@ -25,7 +28,7 @@ use std::collections::BTreeMap;
 
 use tscout_suite::bpf::asm::ProgramBuilder;
 use tscout_suite::bpf::insn::{
-    AluOp, Cond, Helper, Insn, Reg, Size, Src, R0, R1, R10, R2, R3, R4, R6, R7,
+    AluOp, Cond, Helper, Insn, Reg, Size, Src, R0, R1, R10, R2, R3, R4, R6, R7, R9,
 };
 use tscout_suite::bpf::lower::lower;
 use tscout_suite::bpf::vm::{NullWorld, Vm, VmError};
@@ -650,4 +653,211 @@ fn helper_arguments_that_leave_their_window_fault_at_the_call() {
         })
     );
     assert_eq!(twin.lowered.ring_stats(MapId(1)).produced, 0);
+}
+
+// ---------------------------------------------------------------------
+// (e) Copy runs: FEATURES' word-copy loops as one op
+// ---------------------------------------------------------------------
+
+/// `groups` word copies the way FEATURES' loops emit them: group `g` is
+/// `mov r1, from; add r1, k; ldx8 r2, [r1+o1]; mov r3, to; add r3, k;
+/// stx8 [r3+o2], r2` with `k = first_k + 8g`.
+fn copy_words(
+    b: &mut ProgramBuilder,
+    from: Reg,
+    to: Reg,
+    first_k: i64,
+    groups: i64,
+    o: (i32, i32),
+) {
+    for g in 0..groups {
+        let k = first_k + 8 * g;
+        b.mov_reg(R1, from);
+        b.alu_imm(AluOp::Add, R1, k);
+        b.load(Size::B8, R2, R1, o.0);
+        b.mov_reg(R3, to);
+        b.alu_imm(AluOp::Add, R3, k);
+        b.store_reg(Size::B8, R3, o.1, R2);
+    }
+}
+
+/// `r0 = Σ 2^(8i)·[r10 + base + 8i]` over `words` stack words, each
+/// expected below 256: the stack as one number, so the oracle sees it.
+fn fold_stack(b: &mut ProgramBuilder, base: i32, words: i32) {
+    b.mov_imm(R0, 0);
+    for i in (0..words).rev() {
+        b.alu_imm(AluOp::Lsh, R0, 8);
+        b.load(Size::B8, R4, R10, base + 8 * i);
+        b.alu_reg(AluOp::Add, R0, R4);
+    }
+}
+
+/// A run from the context: whole, it is one op and copies every word;
+/// when the context ends mid-run the op steps and faults at the load of
+/// the first word past the end, as the reference does.
+#[test]
+fn a_copy_run_from_the_context_faults_where_its_source_ends() {
+    let mut b = ProgramBuilder::new();
+    b.mov_reg(R9, R1);
+    copy_words(&mut b, R9, R10, 8, 3, (0, -40));
+    fold_stack(&mut b, -40, 4);
+    b.exit();
+    let prog = b.resolve().unwrap();
+    // mov, the run, then the fold (1 + 3 per word) and exit.
+    assert_eq!(lower(&prog).op_count(), 1 + 1 + 13 + 1);
+    let ctx: Vec<u8> = [0u64, 1, 2, 3]
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .collect();
+    let (r0, stats) = engines_agree("whole context run", &prog, &ctx).unwrap();
+    assert_eq!((r0, stats.insns), (0x0302_0100, prog.len() as u64));
+
+    // 24 bytes: the third group's load, at pc 1 + 6·2 + 2, reads past it.
+    let got = engines_agree("context ends mid-run", &prog, &ctx[..24]);
+    assert!(
+        matches!(got, Err(VmError::BadAddress { pc: 15, .. })),
+        "{got:?}"
+    );
+}
+
+/// Instructions [`lookup_seven`] emits, its miss path included.
+const SEVEN: usize = 9;
+
+/// `r6 = &h[7]` (which holds `[7, 9]`), then a run of `groups` words
+/// from it to `[r10-64..]`, folded into `r0`.
+fn run_from_seven(groups: i64, delete_first: bool) -> Vec<Insn> {
+    let mut b = ProgramBuilder::new();
+    lookup_seven(&mut b);
+    if delete_first {
+        b.load_map(R1, MapId(0));
+        fp_arg(&mut b, R2, -8);
+        b.call(Helper::MapDelete);
+    }
+    copy_words(&mut b, R6, R10, 0, groups, (0, -64));
+    fold_stack(&mut b, -64, 2);
+    b.exit();
+    b.resolve().unwrap()
+}
+
+/// A map-value source counts one lookup per word, copied at once or
+/// stepped: a value long enough, one too short for the run (the load
+/// past its end faults after counting its lookup, as the reference's
+/// does), and one whose key was deleted before the run.
+#[test]
+fn a_copy_run_from_a_map_value_counts_a_lookup_per_word() {
+    let lookups = |twin: &Twin| twin.lowered.op_stats().lookups;
+
+    let prog = run_from_seven(2, false);
+    let mut twin = seven_holds_seven_and_nine();
+    let (r0, _) = twin.run("value run", &prog, &lower(&prog), &[]).unwrap();
+    assert_eq!(r0, 0x0907);
+    assert_eq!(lookups(&twin), 1 + 2, "the helper's, then one per word");
+
+    // The value is two words; the third group's load faults.
+    let prog = run_from_seven(3, false);
+    let load_of_third = SEVEN + 6 * 2 + 2;
+    let mut twin = seven_holds_seven_and_nine();
+    let got = twin.run("value too short", &prog, &lower(&prog), &[]);
+    assert!(
+        matches!(got, Err(VmError::BadAddress { pc, .. }) if pc == load_of_third),
+        "{got:?}"
+    );
+    assert_eq!(lookups(&twin), 1 + 3);
+
+    // Deleted before the run: the first load finds the pointer stale.
+    let prog = run_from_seven(2, true);
+    let mut twin = seven_holds_seven_and_nine();
+    let got = twin.run("stale value", &prog, &lower(&prog), &[]);
+    assert_eq!(got, Err(VmError::StaleMapValue { pc: SEVEN + 4 + 2 }));
+    assert_eq!(lookups(&twin), 1 + 1);
+    assert_eq!(twin.lowered.op_stats().deletes, 1);
+}
+
+/// When the destination leaves the stack, the op refuses the one-shot
+/// copy before counting anything and steps: the words before the fault
+/// are copied and counted once each, never again for the refused try.
+#[test]
+fn a_refused_copy_counts_each_lookup_once() {
+    let mut b = ProgramBuilder::new();
+    lookup_seven(&mut b);
+    // The second word's store lands on the top of the stack.
+    copy_words(&mut b, R6, R10, 0, 2, (0, -8));
+    b.exit();
+    let prog = b.resolve().unwrap();
+    let mut twin = seven_holds_seven_and_nine();
+    let got = twin.run("over the top", &prog, &lower(&prog), &[]);
+    let top = tscout_suite::bpf::vm::STACK_BASE + tscout_suite::bpf::vm::STACK_SIZE as u64;
+    assert_eq!(
+        got,
+        Err(VmError::BadAddress {
+            pc: SEVEN + 6 + 5,
+            addr: top
+        })
+    );
+    assert_eq!(twin.lowered.op_stats().lookups, 1 + 2);
+}
+
+/// A jump onto the second of three groups splits the run there: the
+/// first group lowers as its two fused pairs, the other two as a run,
+/// taken or not.
+#[test]
+fn a_jump_into_a_copy_run_splits_it() {
+    let ctx: Vec<u8> = [0u64, 1, 2, 3]
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .collect();
+    for (cond, skipped) in [(Cond::Ne, false), (Cond::Eq, true)] {
+        let mut b = ProgramBuilder::new();
+        let second = b.label();
+        b.mov_reg(R9, R1);
+        b.store_imm(Size::B8, R10, -32, 0);
+        b.mov_imm(R0, 0);
+        b.jump_if_imm(cond, R0, 0, second);
+        copy_words(&mut b, R9, R10, 8, 1, (0, -40));
+        b.bind(second);
+        copy_words(&mut b, R9, R10, 16, 2, (0, -40));
+        fold_stack(&mut b, -32, 3);
+        b.exit();
+        let prog = b.resolve().unwrap();
+        // 4 ops, the pairs' 2, the run's 1, the fold's 10 and exit.
+        assert_eq!(lower(&prog).op_count(), 4 + 2 + 1 + 10 + 1);
+        let (r0, stats) = engines_agree("onto group 2", &prog, &ctx).unwrap();
+        let want = if skipped { 0x0003_0200 } else { 0x0003_0201 };
+        assert_eq!(r0, want, "{cond:?}");
+        assert_eq!(stats.insns, prog.len() as u64 - 6 * u64::from(skipped));
+    }
+}
+
+/// Stack to stack, each store landing on the next group's source: the
+/// run steps word by word, so the first word spreads through the range
+/// (`memmove` would shift it instead).
+#[test]
+fn an_overlapping_stack_run_steps_word_by_word() {
+    let mut b = ProgramBuilder::new();
+    for i in 0..6 {
+        b.store_imm(Size::B8, R10, -64 + 8 * i, i64::from(i) + 1);
+    }
+    b.mov_reg(R9, R10);
+    copy_words(&mut b, R9, R10, 8, 4, (-64, -56));
+    fold_stack(&mut b, -64, 6);
+    b.exit();
+    let prog = b.resolve().unwrap();
+    assert_eq!(lower(&prog).op_count(), 6 + 1 + 1 + 19 + 1);
+    let (r0, _) = engines_agree("overlapping", &prog, &[]).unwrap();
+    assert_eq!(r0, 0x02_02_02_02_02_01);
+}
+
+/// One group is two fused pairs, never a run.
+#[test]
+fn a_single_copy_group_does_not_fuse_into_a_run() {
+    let mut b = ProgramBuilder::new();
+    b.mov_reg(R9, R1);
+    copy_words(&mut b, R9, R10, 8, 1, (0, -16));
+    b.load(Size::B8, R0, R10, -8);
+    b.exit();
+    let prog = b.resolve().unwrap();
+    assert_eq!(lower(&prog).op_count(), 1 + 2 + 1 + 1);
+    let ctx = [0u64, 42].map(u64::to_le_bytes).concat();
+    let (r0, stats) = engines_agree("one group", &prog, &ctx).unwrap();
+    assert_eq!((r0, stats.insns), (42, 9));
 }

@@ -206,7 +206,7 @@ fn trace_rows(t: &Telemetry) -> Vec<(i64, i64, String)> {
         .into_iter()
         .map(|row| match &row[..] {
             [Cell::Int(id), Cell::Int(ou), _, Cell::Int(tid), _, _, Cell::Text(outcome), ..] => {
-                (*id, (*ou, *tid, outcome.clone()))
+                (*id, (*ou, *tid, outcome.to_string()))
             }
             other => panic!("unexpected ts_traces row {other:?}"),
         })
