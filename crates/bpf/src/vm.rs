@@ -280,7 +280,7 @@ impl<'a> Exec<'a> {
     /// when refused, with nothing written or counted.
     #[inline(always)]
     pub(crate) fn copy_words_to_stack(&mut self, src: u64, dst: u64, words: usize) -> Option<u64> {
-        let len = words.checked_mul(8).filter(|&len| len > 0)?;
+        let len = words.checked_mul(8)?;
         let to = window_offset(dst, STACK_BASE, STACK_SIZE, len)?;
         let from = match window_offset(src, CTX_BASE, self.ctx.len(), len) {
             Some(off) => &self.ctx[off..off + len],
