@@ -103,11 +103,11 @@ pub struct Pmu {
     raw: [f64; 7],
     time_enabled: [f64; 7],
     time_running: [f64; 7],
-    /// The enabled events' indexes in ascending order: the first
-    /// `n_enabled` entries. A charge walks these and nothing else.
-    enabled: [usize; 7],
+    enabled: [bool; 7],
+    /// How many events are enabled, and [`Pmu::running_fraction`] for
+    /// that many: both kept by `enable` and `disable`, not recounted per
+    /// charge.
     n_enabled: usize,
-    /// [`Pmu::running_fraction`], recomputed when `n_enabled` moves.
     frac: f64,
 }
 
@@ -146,14 +146,10 @@ impl Pmu {
             raw: [0.0; 7],
             time_enabled: [0.0; 7],
             time_running: [0.0; 7],
-            enabled: [0; 7],
+            enabled: [false; 7],
             n_enabled: 0,
             frac: 0.0,
         }
-    }
-
-    fn enabled(&self) -> &[usize] {
-        &self.enabled[..self.n_enabled]
     }
 
     /// Fraction of the time a given enabled event holds a hardware slot.
@@ -161,42 +157,37 @@ impl Pmu {
         self.frac
     }
 
-    fn set_enabled_count(&mut self, n: usize) {
-        self.n_enabled = n;
-        self.frac = if n == 0 {
+    fn set_enabled(&mut self, kind: CounterKind, on: bool) {
+        self.enabled[kind.index()] = on;
+        self.n_enabled = self.enabled.iter().filter(|&&e| e).count();
+        self.frac = if self.n_enabled == 0 {
             0.0
         } else {
-            (self.slots as f64 / n as f64).min(1.0)
+            (self.slots as f64 / self.n_enabled as f64).min(1.0)
         };
     }
 
     /// Enable an event (idempotent). Mirrors `ioctl(PERF_EVENT_IOC_ENABLE)`.
     pub fn enable(&mut self, kind: CounterKind) {
-        let (i, n) = (kind.index(), self.n_enabled);
-        if let Err(at) = self.enabled().binary_search(&i) {
-            self.enabled.copy_within(at..n, at + 1);
-            self.enabled[at] = i;
-            self.set_enabled_count(n + 1);
-        }
+        self.set_enabled(kind, true);
     }
 
     /// Disable an event (idempotent). Accumulated values are retained, as
     /// with real perf fds.
     pub fn disable(&mut self, kind: CounterKind) {
-        let n = self.n_enabled;
-        if let Ok(at) = self.enabled().binary_search(&kind.index()) {
-            self.enabled.copy_within(at + 1..n, at);
-            self.set_enabled_count(n - 1);
-        }
+        self.set_enabled(kind, false);
     }
 
     pub fn is_enabled(&self, kind: CounterKind) -> bool {
-        self.enabled().contains(&kind.index())
+        self.enabled[kind.index()]
     }
 
     /// Charge work to the PMU: `delta` holds *true* counts over `elapsed_ns`
     /// of task time. Each enabled event accrues only its multiplexed share.
     pub fn charge(&mut self, delta: &CounterDelta, elapsed_ns: f64) {
+        if self.n_enabled == 0 {
+            return;
+        }
         let (frac, counts) = (self.frac, delta.counts());
         let mut accrue = |i: usize| {
             self.raw[i] += counts[i] * frac;
@@ -209,9 +200,11 @@ impl Pmu {
         if self.n_enabled == ALL_COUNTERS.len() {
             (0..ALL_COUNTERS.len()).for_each(accrue);
         } else {
-            self.enabled[..self.n_enabled]
-                .iter()
-                .for_each(|&i| accrue(i));
+            for i in 0..ALL_COUNTERS.len() {
+                if self.enabled[i] {
+                    accrue(i);
+                }
+            }
         }
     }
 
@@ -327,10 +320,10 @@ mod tests {
         assert_eq!(CounterKind::from_index(7), None);
     }
 
-    /// The PMU as it was before the enabled list: an `enabled` flag per
-    /// event, every event visited on every charge, the running fraction
-    /// recounted each time — the oracle the property below holds the
-    /// shipped one to.
+    /// The PMU as it was before the running fraction was cached: an
+    /// `enabled` flag per event, every event visited on every charge, the
+    /// fraction recounted each time — the oracle the property below holds
+    /// the shipped one to.
     #[derive(Debug)]
     struct FlagPmu {
         slots: usize,
@@ -393,7 +386,7 @@ mod tests {
     }
 
     #[test]
-    fn the_enabled_list_keeps_every_reading_bit_for_bit() {
+    fn the_pmu_keeps_every_reading_bit_for_bit() {
         let mut rng = StdRng::seed_from_u64(0x0930_5EED);
         let mut seen_enabled = [false; 8];
         for _ in 0..400 {
@@ -455,7 +448,6 @@ mod tests {
                     assert_eq!(new, old, "{k:?}");
                     assert_eq!(bits(new.normalized()), bits(old.normalized()), "{k:?}");
                 }
-                assert!(pmu.enabled().windows(2).all(|w| w[0] < w[1]));
             }
         }
         assert_eq!(seen_enabled, [true; 8], "0 to 7 enabled events all occur");
