@@ -28,8 +28,8 @@
 //!   independent of `tscout-kernel`.
 //! * [`lower`] — the verified stream as a dense, op-specialised form:
 //!   one op per instruction, the adjacent `mov; add` (`; ldx8`/`stx8`)
-//!   shapes codegen emits fused into one, and a run of such word copies
-//!   into one copy-run op. This is the engine programs
+//!   shapes codegen emits fused into one, and a loop of such word
+//!   copies, or of END's Δ blocks, into one run op. This is the engine programs
 //!   run on; [`Vm::run`] is kept as its executable specification and the
 //!   two are held to the same result bit for bit.
 //! * [`loader`] — verify → lower → run, plus attach, detach and reload
@@ -42,7 +42,14 @@
 //! the verifier and interpreter can be property-tested in isolation.
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
-#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::unwrap_used,
+        clippy::expect_used
+    )
+)]
 
 pub mod asm;
 pub mod insn;

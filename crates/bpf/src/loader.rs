@@ -66,7 +66,7 @@ pub struct LoadedProg {
 
 impl LoadedProg {
     /// How many ops `insns` lowered to (`insns.len()` less what fusing
-    /// adjacent pairs and copy runs saved).
+    /// adjacent pairs and loops into runs saved).
     pub fn lowered_ops(&self) -> usize {
         self.lowered.op_count()
     }

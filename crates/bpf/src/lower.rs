@@ -9,15 +9,27 @@
 //! the stream never writes `r10`. The adjacent shapes codegen emits for
 //! every `rebase` and `fp_ptr` — `mov d, b; add d, imm`, optionally
 //! followed by the 8-byte load or store through `d` — fuse into one op.
-//! Two or more back-to-back word copies, each `mov d1, b; add d1, k;
-//! ldx8 v, [d1+o1]; mov d2, c; add d2, k; stx8 [d2+o2], v` with `k`
-//! stepping by 8 (a `FEATURES` copy loop), fuse into one copy-run op,
-//! kept in a side table: when the whole destination lies in the stack
-//! and the whole source in the context or in one live map value, it
-//! checks the two ranges once and copies; otherwise it steps word by
-//! word as the fused pairs would. Nothing fuses across a jump target,
-//! and every architectural register is still written, so there is no
-//! liveness analysis to get wrong.
+//! Two kinds of loop codegen emits fuse into one run op each, kept in a
+//! side table:
+//!
+//! * a copy run: two or more back-to-back word copies, each `mov d1, b;
+//!   add d1, k; ldx8 v, [d1+o1]; mov d2, c; add d2, k; stx8 [d2+o2], v`
+//!   with `k` stepping by 8 (a `FEATURES` copy loop). When the whole
+//!   destination lies in the stack and the whole source in the context
+//!   or in one live map value, it checks the two ranges once and copies.
+//! * a Δ run: one or more of `END`'s blocks, each taking the difference
+//!   of fresh snapshot words on the stack and begin snapshot words in a
+//!   map value (three, normalised `Δ0·Δ1/Δ2`, per CPU counter; one per
+//!   I/O word) and storing it through a done pointer, each block behind
+//!   its rebases but the first. When the fresh and done words lie wholly
+//!   in the stack and the begin words in one live map value, it checks
+//!   the two stack ranges once, resolves the value once and runs the
+//!   blocks in order on the stack array.
+//!
+//! Anything else a run steps instruction by instruction, as the
+//! unfused stream would. Nothing fuses across a jump target, and every
+//! architectural register is still written, so there is no liveness
+//! analysis to get wrong.
 //!
 //! The contract is [`Vm::run`]'s result, bit for bit, for *any* stream
 //! (`lower` is total; `tests/lowered_differential.rs` holds the corpus):
@@ -25,9 +37,9 @@
 //! the source `pc` of the faulting instruction, and the maps see the
 //! same operations in the same order — memory goes through the same
 //! `mem`/`mem_mut`/`call` as the reference, with every region,
-//! generation and bounds check (a copy run's one check covers every
-//! word, and counts a map-value source's lookups per word). What is
-//! gone is decode and dispatch, not checks. A backward jump's target is a
+//! generation and bounds check (a run's one check covers every word, and
+//! counts a map value's lookups per word loaded). What is gone is decode
+//! and dispatch, not checks. A backward jump's target is a
 //! trap op that faults with [`VmError::BackEdge`] at the jump's `pc`, so
 //! every op that runs is followed by a later one and a run ends within
 //! one op per instruction, with no counter to check.
@@ -35,8 +47,8 @@
 use crate::insn::{AluOp, Cond, Helper, Insn, Reg, Size, Src};
 use crate::maps::MapRegistry;
 use crate::vm::{
-    alu, entry_regs, slot, Exec, ExecStats, HelperWorld, Vm, VmError, VmScratch, HANDLE_BASE,
-    REG_SLOTS, STACK_BASE, STACK_SIZE,
+    alu, entry_regs, slot, stack_offset, Exec, ExecStats, HelperWorld, Vm, VmError, VmScratch,
+    HANDLE_BASE, REG_SLOTS, STACK_BASE, STACK_SIZE,
 };
 
 /// Slot of the frame pointer in the register file.
@@ -83,8 +95,8 @@ enum Op {
     LeaLoad(Reg, Reg, i64, Reg, i32),
     /// `Lea(dst, base, imm); stx8 [dst+off], src` as `(dst, base, imm, off, src)`.
     LeaStore(Reg, Reg, i64, i32, Reg),
-    /// The [`CopyRun`] at this index of [`Lowered::runs`].
-    Copy(u32),
+    /// The [`Run`] at this index of [`Lowered::runs`].
+    Run(u32),
 }
 
 /// `groups` back-to-back word copies, group `g` being the six
@@ -109,39 +121,14 @@ struct CopyRun {
 impl CopyRun {
     /// The one group at `pc`, if the six instructions there form one.
     fn at(prog: &[Insn], pc: usize) -> Option<CopyRun> {
-        let &[Insn::Alu {
-            op: AluOp::Mov,
-            dst: d1,
-            src: Src::Reg(b),
-        }, Insn::Alu {
-            op: AluOp::Add,
-            dst: a1,
-            src: Src::Imm(imm),
-        }, Insn::Load {
-            size: Size::B8,
-            dst: v,
-            base: l,
-            off: o1,
-        }, Insn::Alu {
-            op: AluOp::Mov,
-            dst: d2,
-            src: Src::Reg(c),
-        }, Insn::Alu {
-            op: AluOp::Add,
-            dst: a2,
-            src: Src::Imm(imm2),
-        }, Insn::Store {
-            size: Size::B8,
-            base: s,
-            off: o2,
-            src: Src::Reg(w),
-        }] = prog.get(pc..)?.first_chunk::<6>()?
-        else {
-            return None;
-        };
+        let insns = prog.get(pc..)?;
+        let (d1, b, imm) = rebase_at(insns)?;
+        let (v, l, o1) = word_access(insns.get(2), true)?;
+        let (d2, c, imm2) = rebase_at(insns.get(3..)?)?;
+        let (w, s, o2) = word_access(insns.get(5), false)?;
         let regs = [d1, b, v, d2, c].map(slot);
         let distinct = (0..5).all(|i| !regs[i + 1..].contains(&regs[i]));
-        let through = [(a1, d1), (l, d1), (a2, d2), (s, d2), (w, v)];
+        let through = [(l, d1), (s, d2), (w, v)];
         let shaped = through.iter().all(|&(x, y)| slot(x) == slot(y)) && imm == imm2;
         (distinct && shaped).then_some(CopyRun {
             d1,
@@ -228,20 +215,566 @@ impl CopyRun {
     }
 }
 
+/// The 8-byte access behind `insn`, `ldx8` or `stx8` from a register,
+/// as `(value register, base, displacement)`.
+fn word_access(insn: Option<&Insn>, load: bool) -> Option<(Reg, Reg, i32)> {
+    match (*insn?, load) {
+        (
+            Insn::Load {
+                size: Size::B8,
+                dst,
+                base,
+                off,
+            },
+            true,
+        ) => Some((dst, base, off)),
+        (
+            Insn::Store {
+                size: Size::B8,
+                base,
+                off,
+                src: Src::Reg(src),
+            },
+            false,
+        ) => Some((src, base, off)),
+        _ => None,
+    }
+}
+
+/// `dst <op>= src` at `insn`, as `(dst, src)`.
+fn alu_reg(insn: Option<&Insn>, op: AluOp) -> Option<(usize, usize)> {
+    match *insn? {
+        Insn::Alu {
+            op: o,
+            dst,
+            src: Src::Reg(src),
+        } if o == op => Some((slot(dst), slot(src))),
+        _ => None,
+    }
+}
+
+/// `mov d, b; add d, imm` at `insns`, as `(d, b, imm)`.
+fn rebase_at(insns: &[Insn]) -> Option<(Reg, Reg, i64)> {
+    match *insns.first_chunk::<2>()? {
+        [Insn::Alu {
+            op: AluOp::Mov,
+            dst,
+            src: Src::Reg(base),
+        }, Insn::Alu {
+            op: AluOp::Add,
+            dst: d,
+            src: Src::Imm(imm),
+        }] if slot(d) == slot(dst) => Some((dst, base, imm)),
+        _ => None,
+    }
+}
+
+/// A pointer a Δ group reads or writes through: a rebased group `g`
+/// sets `reg = base + imm + step·g`; an unrebased leading group reads
+/// through `base` itself (`imm` is then 0).
+#[derive(Debug, Clone, Copy)]
+struct Ptr {
+    reg: Reg,
+    base: Reg,
+    imm: i64,
+    step: i64,
+}
+
+impl Ptr {
+    /// The pointer's value in group `g`.
+    fn at(&self, regs: &[u64; REG_SLOTS], g: usize) -> u64 {
+        let step = self.step.wrapping_mul(g as i64);
+        regs[slot(self.base)].wrapping_add(self.imm.wrapping_add(step) as u64)
+    }
+}
+
+/// Where a Δ run's words of one kind lie, for the fast path's one
+/// check: group `g`'s word `j` is `lo` bytes past its pointer, plus
+/// `step·g + rel[j]`, and every word of the run lies in the `len` bytes
+/// from the first pointer plus `lo`.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    lo: i32,
+    rel: [usize; 3],
+    len: usize,
+    step: usize,
+}
+
+impl Span {
+    /// `None` when the pointer steps backwards or the span overflows:
+    /// the run then always steps.
+    fn new(offs: &[i32], step: i64, groups: usize) -> Option<Span> {
+        let lo = *offs.iter().min()?;
+        let step = usize::try_from(step).ok()?;
+        let mut rel = [0; 3];
+        for (r, &o) in rel.iter_mut().zip(offs) {
+            *r = usize::try_from(i64::from(o) - i64::from(lo)).ok()?;
+        }
+        let reach = *rel.iter().max()?;
+        let len = step.checked_mul(groups - 1)?.checked_add(reach)?;
+        Some(Span {
+            lo,
+            rel,
+            len: len.checked_add(8)?,
+            step,
+        })
+    }
+
+    /// The address of the span's first byte, given its pointer.
+    fn start(&self, ptr: &Ptr, regs: &[u64; REG_SLOTS]) -> u64 {
+        ptr.at(regs, 0).wrapping_add(self.lo as i64 as u64)
+    }
+}
+
+/// The little-endian word at `bytes[at..at + 8]`.
+#[inline(always)]
+fn word(bytes: &[u8], at: usize) -> u64 {
+    let mut w = [0; 8];
+    w.copy_from_slice(&bytes[at..at + 8]);
+    u64::from_le_bytes(w)
+}
+
+/// One of END's Δ loops: `groups` back-to-back blocks that each take the
+/// difference of a fresh snapshot word on the stack and the begin
+/// snapshot's word in a map value, and store the result through a done
+/// pointer. A normalised group (`norm`, END's per-counter block) is
+///
+/// ```text
+/// ldx8 a, [f+o0]; ldx8 t, [b+p0]; sub a, t
+/// ldx8 e, [f+o1]; ldx8 t, [b+p1]; sub e, t; mul a, e
+/// ldx8 e, [f+o2]; ldx8 t, [b+p2]; sub e, t; div a, e
+/// stx8 [d+od], a
+/// ```
+///
+/// behind the three rebases of `d`, `f` and `b`; a plain one (END's I/O
+/// words) is `ldx8 a, [f+o0]; ldx8 t, [b+p0]; sub a, t; stx8 [f+od], a`
+/// behind the rebases of `f` and `b`. The leading group may read through
+/// the bases themselves, as `rebase` emits block 0. Every register a
+/// group writes is distinct and none is a base, so each group sees the
+/// bases the first one saw.
+#[derive(Debug, Clone, Copy)]
+struct DeltaRun {
+    norm: bool,
+    /// `d`, `f`, `b` when normalised, else `f`, `b`: in rebase order.
+    ptrs: [Ptr; 3],
+    a: Reg,
+    t: Reg,
+    e: Reg,
+    fresh_off: [i32; 3],
+    begin_off: [i32; 3],
+    done_off: i32,
+    groups: usize,
+    /// Group 0 has no rebases.
+    lead: bool,
+    /// Fault site of group 0's first load: group `g`'s loads and store
+    /// are the `2·terms + 1` sites from `site + (2·terms + 1)·g`.
+    site: usize,
+    /// What the one-check path checks; `None` when it never applies.
+    spans: Option<[Span; 3]>,
+}
+
+impl DeltaRun {
+    fn rebases(&self) -> usize {
+        2 + usize::from(self.norm)
+    }
+
+    /// Δ terms per group: begin-value loads, and as many fresh ones.
+    fn terms(&self) -> usize {
+        if self.norm {
+            3
+        } else {
+            1
+        }
+    }
+
+    fn done(&self) -> &Ptr {
+        &self.ptrs[0]
+    }
+
+    fn fresh(&self) -> &Ptr {
+        &self.ptrs[usize::from(self.norm)]
+    }
+
+    fn begin(&self) -> &Ptr {
+        &self.ptrs[1 + usize::from(self.norm)]
+    }
+
+    /// Instructions of a rebased group, and how many the leading group
+    /// has fewer (its rebases).
+    fn group_len(&self) -> (usize, usize) {
+        let body = if self.norm { 12 } else { 4 };
+        let rebases = 2 * self.rebases();
+        (body + rebases, if self.lead { rebases } else { 0 })
+    }
+
+    /// Source instructions the run covers.
+    fn len(&self) -> usize {
+        let (stride, skipped) = self.group_len();
+        stride * self.groups - skipped
+    }
+
+    /// The source pc of each fault site of the run at `pc`, group by
+    /// group: the loads in order, then the store.
+    fn site_pcs(&self, pc: usize) -> impl Iterator<Item = usize> + '_ {
+        let body: &'static [usize] = if self.norm {
+            &[0, 1, 3, 4, 7, 8, 11]
+        } else {
+            &[0, 1, 3]
+        };
+        let (stride, skipped) = self.group_len();
+        let rebases = 2 * self.rebases();
+        (0..self.groups).flat_map(move |g| {
+            let start = pc + stride * g + rebases - skipped;
+            body.iter().map(move |k| start + k)
+        })
+    }
+
+    /// The one group at `pc`, rebased or leading, if the instructions
+    /// there form one whose written registers are distinct and none of
+    /// them a base.
+    fn at(prog: &[Insn], pc: usize) -> Option<DeltaRun> {
+        let insns = prog.get(pc..)?;
+        let mut leas = [(Reg(0), Reg(0), 0); 3];
+        let mut rebases = 0;
+        while rebases < 3 {
+            let Some(lea) = insns.get(2 * rebases..).and_then(rebase_at) else {
+                break;
+            };
+            leas[rebases] = lea;
+            rebases += 1;
+        }
+        let body = &insns[2 * rebases..];
+        let at = |k: usize| body.get(k);
+        let same = |x: Reg, y: Reg| slot(x) == slot(y);
+        let (a, f, o0) = word_access(at(0), true)?;
+        let (t, b, p0) = word_access(at(1), true)?;
+        let sub = |k: usize, x: Reg| alu_reg(at(k), AluOp::Sub) == Some((slot(x), slot(t)));
+        let norm = word_access(at(3), false).is_none();
+        let (e, fresh_off, begin_off, (v, d, done_off)) = if norm {
+            let (e, f1, o1) = word_access(at(3), true)?;
+            let (t1, b1, p1) = word_access(at(4), true)?;
+            let (e2, f2, o2) = word_access(at(7), true)?;
+            let (t2, b2, p2) = word_access(at(8), true)?;
+            let through = [
+                (f1, f),
+                (f2, f),
+                (b1, b),
+                (b2, b),
+                (t1, t),
+                (t2, t),
+                (e2, e),
+            ];
+            let shaped = through.iter().all(|&(x, y)| same(x, y))
+                && sub(5, e)
+                && sub(9, e)
+                && alu_reg(at(6), AluOp::Mul) == Some((slot(a), slot(e)))
+                && alu_reg(at(10), AluOp::Div) == Some((slot(a), slot(e)));
+            shaped.then_some(())?;
+            (e, [o0, o1, o2], [p0, p1, p2], word_access(at(11), false)?)
+        } else {
+            (a, [o0; 3], [p0; 3], word_access(at(3), false)?)
+        };
+        // The store goes through the done pointer: its own when
+        // normalised, the fresh one otherwise.
+        let stored = sub(2, a) && same(v, a) && (norm || same(d, f));
+        let wanted = 2 + usize::from(norm);
+        let through = if norm { [d, f, b] } else { [f, b, b] };
+        (stored && (rebases == 0 || rebases == wanted)).then_some(())?;
+        let lead = rebases == 0;
+        let mut ptrs = [Ptr {
+            reg: f,
+            base: f,
+            imm: 0,
+            step: 0,
+        }; 3];
+        for (i, p) in ptrs.iter_mut().enumerate().take(wanted) {
+            let (reg, base, imm) = if lead {
+                (through[i], through[i], 0)
+            } else {
+                leas[i]
+            };
+            same(reg, through[i]).then_some(())?;
+            *p = Ptr {
+                reg,
+                base,
+                imm,
+                step: 0,
+            };
+        }
+        let values = [a, t, e];
+        let pointers = if lead { &ptrs[..0] } else { &ptrs[..wanted] };
+        let mut written = [usize::MAX; 6];
+        let regs = values[..2 + usize::from(norm)]
+            .iter()
+            .chain(pointers.iter().map(|p| &p.reg));
+        for (w, &r) in written.iter_mut().zip(regs) {
+            *w = slot(r);
+        }
+        let written = &written[..2 + usize::from(norm) + pointers.len()];
+        let distinct = (0..written.len()).all(|i| !written[i + 1..].contains(&written[i]));
+        let bases_kept = ptrs[..wanted]
+            .iter()
+            .all(|p| !written.contains(&slot(p.base)));
+        (distinct && bases_kept).then_some(DeltaRun {
+            norm,
+            ptrs,
+            a,
+            t,
+            e,
+            fresh_off,
+            begin_off,
+            done_off,
+            groups: 1,
+            lead,
+            site: 0,
+            spans: None,
+        })
+    }
+
+    /// `next`, a rebased group, as this run's next group: the same shape,
+    /// registers and displacements, each pointer's displacement stepping
+    /// as the run's first two groups set it.
+    fn extend(&mut self, next: &DeltaRun) -> bool {
+        let same = |x: Reg, y: Reg| slot(x) == slot(y);
+        let shaped = !next.lead
+            && next.norm == self.norm
+            && [(next.a, self.a), (next.t, self.t), (next.e, self.e)]
+                .iter()
+                .all(|&(x, y)| same(x, y))
+            && (next.fresh_off, next.begin_off, next.done_off)
+                == (self.fresh_off, self.begin_off, self.done_off);
+        if !shaped {
+            return false;
+        }
+        let mut ptrs = self.ptrs;
+        let g = i64::try_from(self.groups).ok();
+        for (p, n) in ptrs.iter_mut().zip(&next.ptrs).take(self.rebases()) {
+            // A leading group reads through the bases, so its pointer
+            // registers are the first rebased group's.
+            let reg_ok = (self.lead && self.groups == 1) || same(p.reg, n.reg);
+            let step = match self.groups {
+                1 => n.imm.checked_sub(p.imm),
+                _ => g
+                    .and_then(|g| p.step.checked_mul(g))
+                    .and_then(|s| p.imm.checked_add(s))
+                    .filter(|&imm| imm == n.imm)
+                    .map(|_| p.step),
+            };
+            match step {
+                Some(step) if reg_ok && same(p.base, n.base) => {
+                    *p = Ptr {
+                        reg: n.reg,
+                        step,
+                        ..*p
+                    };
+                }
+                _ => return false,
+            }
+        }
+        self.ptrs = ptrs;
+        self.groups += 1;
+        true
+    }
+
+    /// The longest run from `pc` that no jump lands inside: one group or
+    /// more.
+    fn longest(prog: &[Insn], pc: usize, is_target: &[bool]) -> Option<DeltaRun> {
+        let clear = |from: usize, len: usize| {
+            is_target
+                .get(from..from + len)
+                .is_some_and(|t| !t.contains(&true))
+        };
+        let mut run = DeltaRun::at(prog, pc)?;
+        clear(pc + 1, run.len() - 1).then_some(())?;
+        loop {
+            let at = pc + run.len();
+            match DeltaRun::at(prog, at) {
+                Some(next) if clear(at, next.len()) && run.extend(&next) => {}
+                _ => break,
+            }
+        }
+        let spans = [
+            Span::new(&[run.done_off], run.done().step, run.groups),
+            Span::new(&run.fresh_off[..run.terms()], run.fresh().step, run.groups),
+            Span::new(&run.begin_off[..run.terms()], run.begin().step, run.groups),
+        ];
+        run.spans = match spans {
+            [Some(d), Some(f), Some(b)] => Some([d, f, b]),
+            _ => None,
+        };
+        Some(run)
+    }
+
+    /// Run every group: on the stack array at once when the fresh words
+    /// and the done slots lie wholly in the stack and the begin words in
+    /// one live map value, else instruction by instruction.
+    #[inline(always)]
+    fn exec(&self, regs: &mut [u64; REG_SLOTS], exec: &mut Exec<'_>) -> Result<(), VmError> {
+        match self.spans {
+            Some(spans) if self.whole(&spans, regs, exec).is_some() => {
+                exec.count_delta_run(false);
+                Ok(())
+            }
+            _ => self.step(regs, exec),
+        }
+    }
+
+    /// The one-check path: both stack ranges first, then the begin value
+    /// (resolved once, its lookups counted once it is taken), then the
+    /// groups in order. `None`, with nothing written or counted, when a
+    /// range is refused.
+    #[inline(always)]
+    fn whole(
+        &self,
+        [done, fresh, begin]: &[Span; 3],
+        regs: &mut [u64; REG_SLOTS],
+        exec: &mut Exec<'_>,
+    ) -> Option<()> {
+        let f0 = stack_offset(fresh.start(self.fresh(), regs), fresh.len)?;
+        let d0 = stack_offset(done.start(self.done(), regs), done.len)?;
+        let loads = (self.terms() * self.groups) as u64;
+        let begin_at = begin.start(self.begin(), regs);
+        let (stack, value) = exec.stack_and_value(begin_at, begin.len, loads)?;
+        let (mut a, mut t, mut e) = (0, 0, 0);
+        for g in 0..self.groups {
+            let (f, b) = (f0 + fresh.step * g, begin.step * g);
+            let delta = |j: usize| {
+                let v = word(&stack[..], f + fresh.rel[j]);
+                let w = word(value, b + begin.rel[j]);
+                (v.wrapping_sub(w), w)
+            };
+            (a, t) = delta(0);
+            if self.norm {
+                let (enabled, _) = delta(1);
+                (e, t) = delta(2);
+                a = alu(AluOp::Div, a.wrapping_mul(enabled), e);
+            }
+            let d = d0 + done.step * g;
+            stack[d..d + 8].copy_from_slice(&a.to_le_bytes());
+        }
+        regs[slot(self.a)] = a;
+        regs[slot(self.t)] = t;
+        if self.norm {
+            regs[slot(self.e)] = e;
+        }
+        if self.groups > usize::from(self.lead) {
+            for p in &self.ptrs[..self.rebases()] {
+                regs[slot(p.reg)] = p.at(regs, self.groups - 1);
+            }
+        }
+        Some(())
+    }
+
+    /// Instruction by instruction, each load and store faulting at its
+    /// own fault site, as the source does.
+    #[cold]
+    #[inline(never)]
+    fn step(&self, regs: &mut [u64; REG_SLOTS], exec: &mut Exec<'_>) -> Result<(), VmError> {
+        exec.count_delta_run(true);
+        let sites = 2 * self.terms() + 1;
+        let (a, t, e) = (slot(self.a), slot(self.t), slot(self.e));
+        for g in 0..self.groups {
+            let ptrs = &self.ptrs[..self.rebases()];
+            let leading = self.lead && g == 0;
+            if !leading {
+                for p in ptrs {
+                    regs[slot(p.reg)] = p.at(regs, g);
+                }
+            }
+            let through = |p: &Ptr| if leading { p.base } else { p.reg };
+            let (fp, bp, dp) = (
+                slot(through(self.fresh())),
+                slot(through(self.begin())),
+                slot(through(self.done())),
+            );
+            let site = self.site + sites * g;
+            let (fo, bo) = (self.fresh_off, self.begin_off);
+            let load = |regs: &[u64; REG_SLOTS], k: usize, base: usize, off: i32| {
+                exec.load(
+                    site + k,
+                    regs[base].wrapping_add(off as i64 as u64),
+                    Size::B8,
+                )
+            };
+            regs[a] = load(regs, 0, fp, fo[0])?;
+            regs[t] = load(regs, 1, bp, bo[0])?;
+            regs[a] = regs[a].wrapping_sub(regs[t]);
+            if self.norm {
+                regs[e] = load(regs, 2, fp, fo[1])?;
+                regs[t] = load(regs, 3, bp, bo[1])?;
+                regs[e] = regs[e].wrapping_sub(regs[t]);
+                regs[a] = regs[a].wrapping_mul(regs[e]);
+                regs[e] = load(regs, 4, fp, fo[2])?;
+                regs[t] = load(regs, 5, bp, bo[2])?;
+                regs[e] = regs[e].wrapping_sub(regs[t]);
+                regs[a] = alu(AluOp::Div, regs[a], regs[e]);
+            }
+            let to = regs[dp].wrapping_add(self.done_off as i64 as u64);
+            exec.store(site + sites - 1, to, Size::B8, regs[a])?;
+        }
+        Ok(())
+    }
+}
+
+/// A side-table entry [`Op::Run`] executes.
+// A program has a handful of runs, read in place: boxing the larger one
+// would only add a pointer to chase.
+#[allow(clippy::large_enum_variant)]
+#[derive(Debug, Clone, Copy)]
+enum Run {
+    Copy(CopyRun),
+    Delta(DeltaRun),
+}
+
+impl Run {
+    /// Source instructions the run covers.
+    fn len(&self) -> usize {
+        match self {
+            Run::Copy(run) => 6 * run.groups,
+            Run::Delta(run) => run.len(),
+        }
+    }
+
+    /// Append the source pc of each of the run at `pc`'s fault sites to
+    /// `fault_pc`, and note where they start.
+    fn place_sites(&mut self, pc: usize, fault_pc: &mut Vec<usize>) {
+        let site = fault_pc.len();
+        match self {
+            Run::Copy(run) => {
+                run.site = site;
+                let groups = 0..run.groups;
+                fault_pc.extend(groups.flat_map(|g| [pc + 6 * g + 2, pc + 6 * g + 5]));
+            }
+            Run::Delta(run) => {
+                run.site = site;
+                fault_pc.extend(run.site_pcs(pc));
+            }
+        }
+    }
+
+    #[inline(always)]
+    fn exec(&self, regs: &mut [u64; REG_SLOTS], exec: &mut Exec<'_>) -> Result<(), VmError> {
+        match self {
+            Run::Copy(run) => run.exec(regs, exec),
+            Run::Delta(run) => run.exec(regs, exec),
+        }
+    }
+}
+
 const _: () = assert!(std::mem::size_of::<Op>() <= 16);
 
 /// A lowered program: what [`crate::Loader::run`] executes.
 #[derive(Debug, Clone)]
 pub struct Lowered {
     ops: Vec<Op>,
-    /// What [`Op::Copy`] indexes.
-    runs: Vec<CopyRun>,
+    /// What [`Op::Run`] indexes.
+    runs: Vec<Run>,
     /// Ops the instructions lowered to, traps excluded.
     op_count: usize,
     /// The source pc of each fault site a run's errors name: first, per
     /// op before the traps, its last instruction (the only one of a
-    /// fused pair or triple that can fault); then each copy run's loads
-    /// and stores, two per group. Read on the error path only.
+    /// fused pair or triple that can fault); then each run's loads and
+    /// stores, group by group. Read on the error path only.
     fault_pc: Vec<usize>,
 }
 
@@ -380,11 +913,13 @@ pub fn lower(prog: &[Insn]) -> Lowered {
         if let Insn::Jump { off, .. } = prog[pc] {
             jumps.push((ops.len(), pc, target(pc, off)));
         }
-        let (op, arity) = match CopyRun::longest(prog, pc, &is_target) {
-            Some(run) => {
-                let ix = u32::try_from(runs.len()).expect("fewer runs than instructions");
+        let run = CopyRun::longest(prog, pc, &is_target)
+            .map(Run::Copy)
+            .or_else(|| DeltaRun::longest(prog, pc, &is_target).map(Run::Delta));
+        let (op, arity) = match run.zip(u32::try_from(runs.len()).ok()) {
+            Some((run, ix)) => {
                 runs.push((run, pc));
-                (Op::Copy(ix), 6 * run.groups)
+                (Op::Run(ix), run.len())
             }
             None => lower_at(prog, pc, &is_target, fp_static),
         };
@@ -395,10 +930,9 @@ pub fn lower(prog: &[Insn]) -> Lowered {
     let op_count = ops.len();
     let runs = runs
         .into_iter()
-        .map(|(run, pc)| {
-            let site = fault_pc.len();
-            fault_pc.extend((0..run.groups).flat_map(|g| [pc + 6 * g + 2, pc + 6 * g + 5]));
-            CopyRun { site, ..run }
+        .map(|(mut run, pc): (Run, usize)| {
+            run.place_sites(pc, &mut fault_pc);
+            run
         })
         .collect();
     // Falling off the end, or jumping to it, is the reference's
@@ -416,7 +950,12 @@ pub fn lower(prog: &[Insn]) -> Lowered {
             }
         };
         if let Op::Jump(to) | Op::JumpImm(.., to) | Op::JumpReg(.., to) = &mut ops[at] {
-            *to = u32::try_from(resolved).expect("a stream has fewer than 2^32 instructions");
+            // Ops number at most two per instruction plus one, and no
+            // stream of 2^31 instructions fits in memory.
+            #[allow(clippy::expect_used)]
+            let resolved =
+                u32::try_from(resolved).expect("a stream has fewer than 2^31 instructions");
+            *to = resolved;
         }
     }
     Lowered {
@@ -448,7 +987,7 @@ impl Lowered {
         self.exec(&mut exec, world).map_err(|mut e| {
             match &mut e {
                 // Memory and helper faults come back carrying a fault
-                // site: the op's index, or a copy-run word's.
+                // site: the op's index, or a run's load or store.
                 VmError::BadAddress { pc, .. }
                 | VmError::ReadOnly { pc, .. }
                 | VmError::StaleMapValue { pc }
@@ -549,13 +1088,13 @@ impl Lowered {
                     let addr = regs[slot(dst)].wrapping_add(off as i64 as u64);
                     exec.store(at, addr, Size::B8, regs[slot(src)])?;
                 }
-                Op::Copy(ix) => {
+                Op::Run(ix) => {
                     // Never `None`: `lower` made one run per index.
                     let run = self
                         .runs
                         .get(ix as usize)
                         .ok_or(VmError::PcOutOfBounds { pc: at })?;
-                    insns += 6 * run.groups as u64 - 1;
+                    insns += run.len() as u64 - 1;
                     run.exec(&mut regs, exec)?;
                 }
             }

@@ -127,7 +127,8 @@ impl HashSlab {
             let word = u64::from_be_bytes(word);
             return self.order.binary_search_by(|slot| {
                 let stored = self.keys[*slot as usize * 8..].first_chunk();
-                u64::from_be_bytes(*stored.expect("a slot holds a whole key")).cmp(&word)
+                // A slot past the stored keys (none is) sorts first.
+                stored.map_or(Ordering::Less, |k| u64::from_be_bytes(*k).cmp(&word))
             });
         }
         self.order
@@ -189,12 +190,9 @@ struct ByteRing {
 /// `chunk`.
 fn record_at(chunk: &[u8], at: usize) -> std::ops::Range<usize> {
     let start = at + RING_LEN_PREFIX;
-    let len = u32::from_le_bytes(
-        chunk[at..start]
-            .try_into()
-            .expect("length prefix is 4 bytes"),
-    );
-    start..start + len as usize
+    let mut len = [0; RING_LEN_PREFIX];
+    len.copy_from_slice(&chunk[at..start]);
+    start..start + u32::from_le_bytes(len) as usize
 }
 
 impl ByteRing {
@@ -205,15 +203,20 @@ impl ByteRing {
             .chunks
             .back()
             .is_some_and(|c| c.capacity() - c.len() >= need);
-        if !fits {
-            // An oversized record gets a chunk of its own size.
-            let mut chunk = self.spare.pop().unwrap_or_default();
-            chunk.reserve(need.max(RING_CHUNK_BYTES));
-            self.chunks.push_back(chunk);
+        let write = |chunk: &mut Vec<u8>| {
+            chunk.extend_from_slice(&len.to_le_bytes());
+            chunk.extend_from_slice(data);
+        };
+        match self.chunks.back_mut().filter(|_| fits) {
+            Some(chunk) => write(chunk),
+            None => {
+                // An oversized record gets a chunk of its own size.
+                let mut chunk = self.spare.pop().unwrap_or_default();
+                chunk.reserve(need.max(RING_CHUNK_BYTES));
+                write(&mut chunk);
+                self.chunks.push_back(chunk);
+            }
         }
-        let chunk = self.chunks.back_mut().expect("a chunk with room");
-        chunk.extend_from_slice(&len.to_le_bytes());
-        chunk.extend_from_slice(data);
         self.count += 1;
     }
 
@@ -231,7 +234,7 @@ impl ByteRing {
         if self.chunks.front().is_some_and(|c| self.head == c.len()) {
             self.recycle_front();
         }
-        let chunk = self.chunks.front().expect("live records have a chunk");
+        let chunk = self.chunks.front()?;
         let record = record_at(chunk, self.head);
         self.head = record.end;
         self.count -= 1;
@@ -263,14 +266,14 @@ impl ByteRing {
         let mut chunks = self.chunks.iter();
         let mut chunk: &[u8] = chunks.next().map_or(&[], Vec::as_slice);
         let mut at = self.head;
-        (0..self.count).map(move |_| {
+        (0..self.count).map_while(move |_| {
             while at == chunk.len() {
-                chunk = chunks.next().expect("live records have a chunk");
+                chunk = chunks.next()?;
                 at = 0;
             }
             let record = record_at(chunk, at);
             at = record.end;
-            &chunk[record]
+            Some(&chunk[record])
         })
     }
 }
@@ -382,7 +385,10 @@ impl MapRegistry {
             MapKind::Hash { .. } => Storage::Hash(HashSlab::default()),
             MapKind::PerfEventArray { .. } => Storage::Ring(ByteRing::default()),
         };
-        let id = MapId(u32::try_from(self.maps.len()).expect("fewer than 2^32 maps"));
+        // A map costs far more than the 16 bytes that 2^32 of them would
+        // need per id to fill an address space.
+        #[allow(clippy::expect_used)]
+        let id = MapId(u32::try_from(self.maps.len()).expect("fewer than 2^32 maps fit in memory"));
         self.maps.push(MapInstance { def, storage });
         id
     }
@@ -564,10 +570,10 @@ impl MapRegistry {
                 let len = u32::try_from(data.len()).map_err(|_| MapError::Invalid)?;
                 r.push(len, data);
                 r.produced += 1;
-                if r.count > capacity {
-                    // The oldest record goes — with no capacity at all,
-                    // the one just pushed.
-                    let lost = EvictedHeader::of(r.pop().expect("just pushed"));
+                // The oldest record goes when over capacity — with no
+                // capacity at all, the one just pushed.
+                let over = r.count > capacity;
+                if let Some(lost) = over.then(|| r.pop().map(EvictedHeader::of)).flatten() {
                     if r.evicted.len() >= EVICTED_KEEP {
                         r.evicted.pop_front();
                     }
@@ -595,11 +601,14 @@ impl MapRegistry {
         let Storage::Ring(r) = &mut self.map_mut(id).storage else {
             return 0;
         };
-        let n = r.count.min(max);
-        for _ in 0..n {
-            let behind = r.count - 1;
-            let (pos, record) = r.pop().expect("counted above");
+        let mut n = 0;
+        while n < max {
+            let behind = r.count.saturating_sub(1);
+            let Some((pos, record)) = r.pop() else {
+                break;
+            };
             visit(record, behind, pos);
+            n += 1;
         }
         r.settle();
         self.ops.ring_drained += n as u64;

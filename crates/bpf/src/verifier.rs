@@ -46,7 +46,7 @@
 use std::collections::BTreeMap;
 
 use crate::insn::{AluOp, Cond, Helper, Insn, Reg, Src};
-use crate::maps::{MapId, MapKind, MapRegistry};
+use crate::maps::{MapDef, MapId, MapKind, MapRegistry};
 use crate::vm::alu;
 
 /// Stack size available to a program, like eBPF.
@@ -271,8 +271,10 @@ impl State {
     /// The `(word, bit)` of each stack byte `off .. off + size`, which
     /// `check_access` has put in the frame; bit 0 is fp-512.
     fn stack_bits(off: i64, size: usize) -> impl Iterator<Item = (usize, u64)> {
-        let first = usize::try_from(off + STACK_SIZE).expect("an access checked in the frame");
-        (first..first + size).map(|i| (i / 64, 1 << (i % 64)))
+        // An access outside the frame has no bits (`check_access` lets
+        // none through).
+        let first = usize::try_from(off + STACK_SIZE).unwrap_or(usize::MAX);
+        (first..first.saturating_add(size)).map(|i| (i / 64, 1 << (i % 64)))
     }
 
     fn mark_stack_init(&mut self, off: i64, size: usize) {
@@ -648,26 +650,20 @@ impl<'a> Verifier<'a> {
         let ret = match helper {
             KtimeGetNs => RegType::Scalar(None),
             MapLookup => {
-                let map = self.arg_map(st, pc, helper, 1, is_hash)?;
-                let ks = self.maps.def(map).unwrap().key_size;
-                self.arg_ptr(st, pc, helper, 2, ks, false)?;
+                let (map, def) = self.arg_map(st, pc, helper, 1, is_hash)?;
+                self.arg_ptr(st, pc, helper, 2, def.key_size, false)?;
                 RegType::PtrMapOrNull(map)
             }
             MapUpdate => {
-                let map = self.arg_map(st, pc, helper, 1, is_hash)?;
-                let (ks, vs) = {
-                    let d = self.maps.def(map).unwrap();
-                    (d.key_size, d.value_size)
-                };
-                self.arg_ptr(st, pc, helper, 2, ks, false)?;
-                self.arg_ptr(st, pc, helper, 3, vs, false)?;
+                let (_, def) = self.arg_map(st, pc, helper, 1, is_hash)?;
+                self.arg_ptr(st, pc, helper, 2, def.key_size, false)?;
+                self.arg_ptr(st, pc, helper, 3, def.value_size, false)?;
                 self.arg_scalar(st, pc, helper, 4)?;
                 RegType::Scalar(None)
             }
             MapDelete => {
-                let map = self.arg_map(st, pc, helper, 1, is_hash)?;
-                let ks = self.maps.def(map).unwrap().key_size;
-                self.arg_ptr(st, pc, helper, 2, ks, false)?;
+                let (_, def) = self.arg_map(st, pc, helper, 1, is_hash)?;
+                self.arg_ptr(st, pc, helper, 2, def.key_size, false)?;
                 RegType::Scalar(None)
             }
             PerfEventReadBuf => {
@@ -731,7 +727,7 @@ impl<'a> Verifier<'a> {
         helper: Helper,
         arg: u8,
         wanted: fn(MapKind) -> bool,
-    ) -> Result<MapId, VerifyError> {
+    ) -> Result<(MapId, &MapDef), VerifyError> {
         let bad = |expected| VerifyError::BadHelperArg {
             pc,
             helper,
@@ -742,7 +738,7 @@ impl<'a> Verifier<'a> {
             RegType::MapHandle(m) => {
                 let def = self.maps.def(m).ok_or(VerifyError::UnknownMap { pc })?;
                 if wanted(def.kind) {
-                    Ok(m)
+                    Ok((m, def))
                 } else {
                     Err(bad("map of compatible kind"))
                 }
@@ -819,7 +815,6 @@ mod tests {
     use super::*;
     use crate::asm::ProgramBuilder;
     use crate::insn::{Size, R0, R1, R10, R2, R3, R4, R6};
-    use crate::maps::MapDef;
 
     fn maps() -> (MapRegistry, MapId, MapId) {
         let mut r = MapRegistry::new();

@@ -132,12 +132,22 @@ pub struct VmScratch {
     bytes: Vec<u8>,
     /// Live map-value pointers, one per dereference window.
     deref: Vec<ValueRef>,
+    /// Δ runs executed whole and stepped, over every run this scratch
+    /// served.
+    delta_runs: [u64; 2],
 }
 
 impl VmScratch {
     /// Bytes the staging buffer has ever grown to.
     pub(crate) fn staged_capacity(&self) -> usize {
         self.bytes.capacity()
+    }
+
+    /// How many Δ runs (see [`crate::lower`]) took the one-check path
+    /// and how many stepped instruction by instruction, over every run
+    /// this scratch served.
+    pub fn delta_runs(&self) -> [u64; 2] {
+        self.delta_runs
     }
 }
 
@@ -227,7 +237,10 @@ impl<'a> Exec<'a> {
             addr,
             N,
         )?;
-        Ok(bytes.try_into().expect("mem returns exactly N bytes"))
+        bytes
+            .first_chunk()
+            .copied()
+            .ok_or(VmError::BadAddress { pc, addr })
     }
 
     /// Sized load, zero-extended. One fixed-width access per size, so
@@ -295,6 +308,30 @@ impl<'a> Exec<'a> {
         let to = &mut self.stack[to..to + len];
         to.copy_from_slice(from);
         to.last_chunk().copied().map(u64::from_le_bytes)
+    }
+
+    /// The stack and the `len` bytes at `addr` when they lie wholly in
+    /// one live map value, counting `loads` lookups — what as many
+    /// loads from that value would count. `None` when refused, with
+    /// nothing counted.
+    #[inline(always)]
+    pub(crate) fn stack_and_value(
+        &mut self,
+        addr: u64,
+        len: usize,
+        loads: u64,
+    ) -> Option<(&mut [u8; STACK_SIZE], &[u8])> {
+        let (entry, off) = mapv_decode(addr)?;
+        let value = self.maps.resolve(*self.scratch.deref.get(entry)?)?;
+        let bytes = value.get(off..off.checked_add(len)?)?;
+        self.maps.count_lookups(loads);
+        Some((&mut self.stack, bytes))
+    }
+
+    /// Count one Δ run, whole or stepped.
+    #[inline(always)]
+    pub(crate) fn count_delta_run(&mut self, stepped: bool) {
+        self.scratch.delta_runs[usize::from(stepped)] += 1;
     }
 
     /// The `len` writable bytes at `addr`.
@@ -390,6 +427,13 @@ pub(crate) fn entry_regs() -> [u64; REG_SLOTS] {
 fn mapv_decode(addr: u64) -> Option<(usize, usize)> {
     let rel = addr.checked_sub(MAPV_BASE)?;
     Some(((rel >> 32) as usize, (rel & 0xFFFF_FFFF) as usize))
+}
+
+/// `addr`'s offset into the stack, when all `len` bytes from it lie
+/// inside.
+#[inline(always)]
+pub(crate) fn stack_offset(addr: u64, len: usize) -> Option<usize> {
+    window_offset(addr, STACK_BASE, STACK_SIZE, len)
 }
 
 /// `addr`'s offset into the `window` bytes from `base`, when all `len`

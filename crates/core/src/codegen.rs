@@ -12,9 +12,10 @@
 //! dropping or reordering an instruction: every one still executes and
 //! is still charged, but the adjacent pairs `rebase` and `fp_ptr` emit —
 //! `mov d, b; add d, imm`, and the 8-byte load or store through `d`
-//! right behind them — run as one fused op, and FEATURES' word-copy
-//! loops (two rebased pairs per word, the displacement stepping by 8)
-//! run as one copy-run op per loop. `tests/collector_programs.rs` pins
+//! right behind them — run as one fused op, FEATURES' word-copy loops
+//! (two rebased pairs per word, the displacement stepping by 8) run as
+//! one copy-run op per loop, and END's two Δ loops (per CPU counter and
+//! per I/O word) as one Δ-run op each. `tests/collector_programs.rs` pins
 //! the streams instruction for instruction
 //! (`tests/golden/collector_programs.txt`) and the lowered op counts
 //! beside them, so an edit here that stops matching a fused shape fails
@@ -198,8 +199,9 @@ fn snap_off(probes: &ProbeLayout, word: usize) -> i32 {
 /// byte: it is a change of its own. Until then this is the pinned shape
 /// — and the one the loader's lowering fuses, so the pair costs one
 /// dispatch on the wall clock while still counting two instructions, and
-/// a loop of word copies through two of them (FEATURES) costs one
-/// dispatch and one range check for the whole loop.
+/// a loop of word copies through two of them (FEATURES) or of Δ blocks
+/// through two or three (END) costs one dispatch and one range check per
+/// range for the whole loop.
 fn rebase(b: &mut ProgramBuilder, scratch: insn::Reg, base: insn::Reg, bytes: usize) -> insn::Reg {
     if bytes == 0 {
         return base;

@@ -19,6 +19,7 @@
 //! Benchmarks and tests rely on that for reproducible figures.
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
 
 pub mod rngs;
 pub mod seq;
@@ -79,6 +80,8 @@ macro_rules! impl_sample_uniform {
                 self as i128
             }
             #[inline]
+            // `v` is a bound of a `$t` range or a draw between the two.
+            #[allow(clippy::cast_possible_truncation)]
             fn from_i128(v: i128) -> Self {
                 v as $t
             }

@@ -66,8 +66,8 @@ pub use health::{
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use metrics::{Exposition, Registry};
 pub use profile::{
-    Attribution, FoldedEntry, Frame, FrameGuard, FrameId, Profiler, TaskFrames, DBMS,
-    DEFAULT_PROFILE_PERIOD_NS, OTHER_STACK, TSCOUT,
+    Attribution, FoldedEntry, Frame, FrameGuard, FrameId, Profiler, TaskFrames, WallLayer, DBMS,
+    DEFAULT_PROFILE_PERIOD_NS, OTHER_STACK, TSCOUT, WALL_EVERY,
 };
 pub use sketch::Sketch;
 pub use stmt::{StmtEntry, StmtStats, DEFAULT_STMT_CAP};

@@ -35,10 +35,20 @@
 //! with any flamegraph tool; [`Profiler::attribution`] additionally
 //! aggregates per top-level frame and reports the `tscout`/`dbms`
 //! virtual-ns ratio as a single overhead number.
+//!
+//! The same frames also measure **wall** time, beside and apart from the
+//! virtual clock. One in [`WALL_EVERY`] root-frame pushes on a task marks
+//! its stack timed; every frame pushed while it stays timed takes an
+//! [`Instant`] reading, and its pop adds the frame's wall and self ns
+//! (self: less its timed children) to a process-wide slot per
+//! [`FrameId`], which [`Profiler::wall`] reads. Pushes still take no lock
+//! and allocate nothing, and no virtual nanosecond, fold or sample
+//! depends on a reading.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::time::Instant;
 
 /// Default sampling period: one sample per 100 µs of charged virtual
 /// time. Fine enough to see every OU in a figure run, coarse enough to
@@ -52,6 +62,52 @@ pub const OTHER_STACK: &str = "(other)";
 /// Frames a task's stack records; deeper pushes are counted (so pops
 /// stay balanced) but fold as if they were not there.
 const MAX_DEPTH: usize = 64;
+
+/// One in this many root-frame pushes on a task times the stack it
+/// opens (see the module docs). Prime, so that no short cycle of root
+/// kinds on a task always lands on the same one; large, so that timed
+/// stacks, whose every push and pop reads the clock, stay rare.
+pub const WALL_EVERY: u32 = 1021;
+const _: () = assert!(WALL_EVERY > 0);
+
+/// Frame ids with a wall-time slot; frames interned past them are not
+/// timed.
+const WALL_FRAMES: usize = 512;
+
+/// One frame's wall time, summed over its timed pops.
+#[derive(Debug)]
+struct WallSlot {
+    pops: AtomicU64,
+    wall_ns: AtomicU64,
+    self_ns: AtomicU64,
+}
+
+static WALL: [WallSlot; WALL_FRAMES] = [const {
+    WallSlot {
+        pops: AtomicU64::new(0),
+        wall_ns: AtomicU64::new(0),
+        self_ns: AtomicU64::new(0),
+    }
+}; WALL_FRAMES];
+
+/// Wall-clock ns since the first reading in the process.
+fn wall_now() -> u64 {
+    static EPOCH: OnceLock<Instant> = OnceLock::new();
+    let ns = EPOCH.get_or_init(Instant::now).elapsed().as_nanos();
+    u64::try_from(ns).unwrap_or(u64::MAX)
+}
+
+/// One frame's wall time over a process's timed pops (see
+/// [`Profiler::wall`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WallLayer {
+    pub frame: String,
+    /// Timed pops of the frame.
+    pub pops: u64,
+    pub wall_ns: u64,
+    /// `wall_ns` less the wall time of the frames pushed above it.
+    pub self_ns: u64,
+}
 
 /// The root of every DBMS-side stack.
 pub static DBMS: Frame = Frame::root("dbms");
@@ -85,9 +141,12 @@ impl FrameId {
         self.0 & 1 == 1
     }
 
+    fn index(self) -> usize {
+        ((self.0 >> 1) as usize).wrapping_sub(1)
+    }
+
     fn name(self, names: &[Box<str>]) -> &str {
-        let index = ((self.0 >> 1) as usize).wrapping_sub(1);
-        names.get(index).map_or("?", |n| n)
+        names.get(self.index()).map_or("?", |n| n)
     }
 }
 
@@ -130,13 +189,77 @@ impl Frame {
     }
 }
 
+// What every push and pop reads comes first, on one cache line.
+#[repr(C)]
 #[derive(Debug)]
 struct FrameSlots {
     /// Bumped each time the stack goes back to the spare list.
     generation: AtomicU32,
     /// Frames pushed and not popped; may exceed [`MAX_DEPTH`].
     depth: AtomicU32,
+    /// One past the depth of the first timed frame; 0 while untimed.
+    timed_from: AtomicU32,
+    /// Root pushes left, while untimed, before the next one is timed.
+    roots: AtomicU32,
     slots: [AtomicU32; MAX_DEPTH],
+    /// Per slot of a timed frame: [`wall_now`] at its push, and the wall
+    /// ns of the timed frames popped above it.
+    started: [AtomicU64; MAX_DEPTH],
+    children: [AtomicU64; MAX_DEPTH],
+}
+
+impl FrameSlots {
+    /// The `n` frames just pushed above `depth`, on a timed stack or with
+    /// a root among them: on an untimed stack, count the root push, and
+    /// open the timed stack at them on one in [`WALL_EVERY`]; on a timed
+    /// one, time them. Returns `n`, with [`TIMED`] set if they are timed.
+    /// Out of line: most pushes are neither.
+    #[inline(never)]
+    fn wall_push(&self, depth: u32, n: u32) -> u32 {
+        if self.timed_from.load(Relaxed) == 0 {
+            // Only the task's own thread pushes: a load and a store.
+            let left = self.roots.load(Relaxed);
+            let next = left.checked_sub(1).unwrap_or(WALL_EVERY - 1);
+            self.roots.store(next, Relaxed);
+            if left != 0 {
+                return n;
+            }
+            self.timed_from.store(depth + 1, Relaxed);
+        }
+        let now = wall_now();
+        let opened = depth as usize..(depth + n) as usize;
+        for d in opened.take_while(|&d| d < MAX_DEPTH) {
+            self.started[d].store(now, Relaxed);
+            self.children[d].store(0, Relaxed);
+        }
+        n | TIMED
+    }
+
+    /// Add the timed frames at depths `from..to` (innermost first) to
+    /// their wall slots, and each one's wall to its timed parent's
+    /// children; end the timing when its first frame pops.
+    #[cold]
+    #[inline(never)]
+    fn record_wall(&self, from: u32, to: u32) {
+        let timed_from = self.timed_from.load(Relaxed);
+        let now = wall_now();
+        for d in (from as usize..(to as usize).min(MAX_DEPTH)).rev() {
+            let wall = now.saturating_sub(self.started[d].load(Relaxed));
+            let children = self.children[d].load(Relaxed);
+            if let Some(slot) = WALL.get(FrameId(self.slots[d].load(Relaxed)).index()) {
+                slot.pops.fetch_add(1, Relaxed);
+                slot.wall_ns.fetch_add(wall, Relaxed);
+                slot.self_ns
+                    .fetch_add(wall.saturating_sub(children), Relaxed);
+            }
+            if d >= timed_from as usize {
+                self.children[d - 1].fetch_add(wall, Relaxed);
+            }
+        }
+        if from < timed_from {
+            self.timed_from.store(0, Relaxed);
+        }
+    }
 }
 
 /// Stacks no task holds, and how many stacks were ever leaked: each is
@@ -174,6 +297,10 @@ impl Default for TaskFrames {
                 generation: AtomicU32::new(0),
                 depth: AtomicU32::new(0),
                 slots: [const { AtomicU32::new(0) }; MAX_DEPTH],
+                roots: AtomicU32::new(0),
+                timed_from: AtomicU32::new(0),
+                started: [const { AtomicU64::new(0) }; MAX_DEPTH],
+                children: [const { AtomicU64::new(0) }; MAX_DEPTH],
             }))
         });
         TaskFrames(stack)
@@ -184,6 +311,8 @@ impl Drop for TaskFrames {
     fn drop(&mut self) {
         self.0.generation.fetch_add(1, Relaxed);
         self.0.depth.store(0, Relaxed);
+        self.0.timed_from.store(0, Relaxed);
+        self.0.roots.store(0, Relaxed);
         spare().stacks.push(self.0);
     }
 }
@@ -315,6 +444,27 @@ impl Profiler {
         self.period_ns() > 0.0
     }
 
+    /// Wall time per frame over every timed pop in the process so far,
+    /// by frame name, frames never timed left out. The slots are
+    /// process-wide, as frame ids are: what another profiler's tasks
+    /// timed is in them too.
+    pub fn wall(&self) -> Vec<WallLayer> {
+        let names = NAMES.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut layers: Vec<WallLayer> = WALL
+            .iter()
+            .zip(names.iter())
+            .filter(|(slot, _)| slot.pops.load(Relaxed) > 0)
+            .map(|(slot, name)| WallLayer {
+                frame: name.to_string(),
+                pops: slot.pops.load(Relaxed),
+                wall_ns: slot.wall_ns.load(Relaxed),
+                self_ns: slot.self_ns.load(Relaxed),
+            })
+            .collect();
+        layers.sort_by(|a, b| a.frame.cmp(&b.frame));
+        layers
+    }
+
     /// Push `frames` onto `stack`, outermost first; the returned guard
     /// pops them together on drop. No-op while disabled; takes no lock
     /// and never allocates.
@@ -326,15 +476,21 @@ impl Profiler {
         if !self.is_enabled() {
             return FrameGuard { stack: None };
         }
-        let depth = stack.0.depth.load(Relaxed);
-        for (slot, frame) in stack.0.slots.iter().skip(depth as usize).zip(frames) {
+        let s = stack.0;
+        let depth = s.depth.load(Relaxed);
+        for (slot, frame) in s.slots.iter().skip(depth as usize).zip(frames) {
             slot.store(frame.0, Relaxed);
         }
         #[allow(clippy::cast_possible_truncation)] // N frames are a handful
         let n = N as u32;
-        stack.0.depth.store(depth + n, Relaxed);
+        s.depth.store(depth + n, Relaxed);
+        let pushed = if s.timed_from.load(Relaxed) != 0 || frames.iter().any(|f| f.is_root()) {
+            s.wall_push(depth, n)
+        } else {
+            n
+        };
         FrameGuard {
-            stack: Some((stack.0, stack.0.generation.load(Relaxed), n)),
+            stack: Some((s, s.generation.load(Relaxed), pushed)),
         }
     }
 
@@ -422,16 +578,28 @@ impl Profiler {
 #[must_use = "the frame pops when this guard drops"]
 #[derive(Debug)]
 pub struct FrameGuard {
-    /// The stack, its generation at the push, and how many frames to pop.
+    /// The stack, its generation at the push, and how many frames to pop
+    /// — with [`TIMED`] set when the push was timed.
     stack: Option<(&'static FrameSlots, u32, u32)>,
 }
 
+/// The bit of [`FrameGuard`]'s frame count that marks a timed push.
+const TIMED: u32 = 1 << 31;
+
 impl Drop for FrameGuard {
+    // Every pop runs this, in every crate that pushes: without the hint
+    // its out-of-line call to `record_wall` would keep it from being
+    // inlined across crates.
+    #[inline]
     fn drop(&mut self) {
         if let Some((slots, generation, pushed)) = self.stack {
             if slots.generation.load(Relaxed) == generation {
-                let depth = &slots.depth;
-                depth.store(depth.load(Relaxed).saturating_sub(pushed), Relaxed);
+                let depth = slots.depth.load(Relaxed);
+                let popped = depth.saturating_sub(pushed & !TIMED);
+                if pushed & TIMED != 0 && slots.timed_from.load(Relaxed) != 0 {
+                    slots.record_wall(popped, depth);
+                }
+                slots.depth.store(popped, Relaxed);
             }
         }
     }
@@ -600,6 +768,60 @@ mod tests {
         assert_eq!(credit, 0.0);
         assert_eq!(p.folded_text(), "dbms 2\n");
         assert_eq!(p.attribution().ns_of("dbms"), 20.0);
+    }
+
+    /// The wall slot of `frame` (each test times frames of its own, as
+    /// the slots are process-wide).
+    fn wall_of(p: &Profiler, frame: &Frame) -> Option<WallLayer> {
+        p.wall().into_iter().find(|l| l.frame == frame.name)
+    }
+
+    /// A timed root and a frame pushed above it: each pop adds its wall
+    /// time, the root's self time is its wall less the frame's, and a
+    /// frame pushed before the root is not timed. A task's first root
+    /// push is timed.
+    #[test]
+    fn timed_frames_record_wall_and_self_time() {
+        static BELOW: Frame = Frame::new("wall-test:below");
+        static ROOT: Frame = Frame::root("wall-test:root");
+        static ABOVE: Frame = Frame::new("wall-test:above");
+        let (p, t) = (Profiler::new(), TaskFrames::default());
+        p.set_period_ns(10.0);
+        let below = p.push_frames(&t, [BELOW.id()]);
+        {
+            let _root = p.push_frames(&t, [ROOT.id()]);
+            let _above = p.push_frames(&t, [ABOVE.id()]);
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        drop(below);
+        assert_eq!(wall_of(&p, &BELOW), None);
+        let (root, above) = (wall_of(&p, &ROOT).unwrap(), wall_of(&p, &ABOVE).unwrap());
+        assert_eq!((root.pops, above.pops), (1, 1));
+        assert!(above.wall_ns >= 2_000_000, "{above:?}");
+        assert_eq!(above.self_ns, above.wall_ns);
+        assert!(root.wall_ns >= above.wall_ns, "{root:?}");
+        assert_eq!(root.self_ns, root.wall_ns - above.wall_ns);
+        // The root's pop ended the timing: a frame pushed after it is not
+        // timed.
+        drop(p.push_frames(&t, [ABOVE.id()]));
+        assert_eq!(wall_of(&p, &ABOVE).unwrap().pops, 1);
+    }
+
+    /// One in `WALL_EVERY` root pushes opens a timed stack, and none
+    /// while the profiler is off.
+    #[test]
+    fn one_in_every_root_push_is_timed() {
+        static ROOT: Frame = Frame::root("wall-test:every");
+        let (p, t) = (Profiler::new(), TaskFrames::default());
+        for _ in 0..WALL_EVERY {
+            drop(p.push_frames(&t, [ROOT.id()]));
+        }
+        assert_eq!(wall_of(&p, &ROOT), None);
+        p.set_period_ns(10.0);
+        for _ in 0..3 * WALL_EVERY {
+            drop(p.push_frames(&t, [ROOT.id()]));
+        }
+        assert_eq!(wall_of(&p, &ROOT).unwrap().pops, 3);
     }
 
     /// An infinite charge on one task does not overflow the interrupt

@@ -261,7 +261,9 @@ impl ModelLifecycle {
     ///
     /// Runs on the Processor's task: archival is charged per sample and
     /// retraining per training point, under the profiler frames
-    /// `tscout;processor:archive` and `tscout;models:retrain`.
+    /// `tscout;processor:archive` and `tscout;models:retrain` (whose
+    /// dataset build and fit push `models:dataset` and `models:fit` for
+    /// their wall time).
     pub fn step(
         &mut self,
         kernel: &mut tscout_kernel::Kernel,
@@ -327,9 +329,14 @@ impl ModelLifecycle {
                 0,
             );
         }
+        // The dataset build and the fit each time a frame of their own;
+        // both charge nothing, so the virtual profile folds the retrain's
+        // charge under `models:retrain` alone.
         let _frame = kernel.profile_frame(task, &decls::MODELS_RETRAIN);
         let start = kernel.now(task);
+        let dataset = kernel.profile_frame(task, &decls::MODELS_DATASET);
         let data = datasets_from_archive(&self.archive, kernel.hw.clock_ghz, concurrency);
+        drop(dataset);
         let n_points: usize = data.iter().map(tscout_models::OuData::len).sum();
         kernel.telemetry.trace_lifecycle_stamp(
             tscout_telemetry::Stage::Dataset,
@@ -338,7 +345,9 @@ impl ModelLifecycle {
             n_points as u64,
         );
         kernel.charge_overhead(task, n_points as f64 * kernel.cost.retrain_per_point_ns);
+        let fit = kernel.profile_frame(task, &decls::MODELS_FIT);
         self.registry.retrain_split(&data, self.holdout_every);
+        drop(fit);
         self.retrains += 1;
         let now = kernel.now(task);
         // Lineage terminal: every parked trace completes delivered at the

@@ -589,13 +589,16 @@ fn a_warm_metrics_scrape_captures_and_renders_without_allocating() {
 /// `lower` and both engines must return, the lowered run must match the
 /// reference's (`Twin`), and replayed from the same map state it must
 /// not allocate: the kept scratch and the maps' storage reached their
-/// size on the first run.
+/// size on the first run. END's Δ runs must take both their one-check
+/// path and their instruction-by-instruction fallback among the mutants.
 #[test]
 fn mutated_collector_programs_neither_panic_nor_allocate() {
     const MUTANTS_PER_STREAM: usize = 48;
     let mut rng = StdRng::seed_from_u64(0x10E_2ED);
     let ctx = encode_ctx(5, 42, 1, 0, &[77, 88, 99]);
     let (mut ok, mut faulted) = (0usize, 0usize);
+    // Δ runs the mutants' lowered runs took whole and stepped.
+    let mut delta = [0u64; 2];
     for (layout, p) in layouts() {
         let (_, generated, _) = deploy(&p);
         let valid = generated.each_ref().map(|insns| lower(insns));
@@ -618,7 +621,12 @@ fn mutated_collector_programs_neither_panic_nor_allocate() {
                         }
                     };
                     reset(&mut twin);
+                    let before = twin.delta_runs();
                     let first = twin.run(&what, &mutant, &lowered, &ctx);
+                    let after = twin.delta_runs();
+                    for (d, (a, b)) in delta.iter_mut().zip(after.iter().zip(before)) {
+                        *d += a - b;
+                    }
                     match first {
                         Ok(_) => ok += 1,
                         Err(_) => faulted += 1,
@@ -635,7 +643,11 @@ fn mutated_collector_programs_neither_panic_nor_allocate() {
             }
         }
     }
-    println!("{ok} mutant runs returned Ok, {faulted} Err");
+    println!("{ok} mutant runs returned Ok, {faulted} Err; Δ runs {delta:?} (whole, stepped)");
+    assert!(
+        delta.iter().all(|&n| n > 0),
+        "mutants should take both Δ-run paths: {delta:?}"
+    );
     assert!(
         ok > 200 && faulted > 200,
         "mutants should both survive and fault: {ok} Ok, {faulted} Err"

@@ -93,18 +93,19 @@ fn the_isa_offers_the_helpers_and_map_kinds_the_collector_uses() {
 }
 
 /// `bpf.vm_insns_per_triple` = 636: what one sampled marker triple costs
-/// on the virtual clock with every probe on — and the 307 ops the loader
+/// on the virtual clock with every probe on — and the 161 ops the loader
 /// lowers the 640-instruction streams to, which is what it costs on the
-/// wall clock (FEATURES' two copy loops are one copy-run op each). A
-/// codegen edit that stops matching a fused shape (`mov d, b; add d,
-/// imm`, then the 8-byte load or store through `d`, or a run of such
-/// word copies) moves the second count and not the first.
+/// wall clock (FEATURES' two copy loops and END's two Δ loops are one
+/// run op each). A codegen edit that stops matching a fused shape (`mov
+/// d, b; add d, imm`, then the 8-byte load or store through `d`, a run
+/// of such word copies, or a loop of Δ blocks) moves the second count
+/// and not the first.
 #[test]
 fn all_probes_triple_executes_636_instructions() {
     let (mut loader, generated, ids) = deploy(&layouts()[7].1);
     assert_eq!(generated.each_ref().map(Vec::len), [67, 264, 309]);
     let lowered = ids.map(|id| loader.get(id).expect("loaded").lowered_ops());
-    assert_eq!(lowered, [53, 216, 38]);
+    assert_eq!(lowered, [53, 70, 38]);
     let ctx = encode_ctx(5, 42, 1, 0, &[77, 88, 99]);
     let mut world = NullWorld { time_ns: 100 };
     let mut triple = || {

@@ -416,6 +416,12 @@ impl Twin {
         got
     }
 
+    /// Δ runs the lowered engine took whole and stepped, over every run
+    /// so far.
+    pub(crate) fn delta_runs(&self) -> [u64; 2] {
+        self.scratch.delta_runs()
+    }
+
     /// Empty every map of both registries (storage and counters stay).
     pub(crate) fn clear(&mut self) {
         for id in (0..self.reference.len() as u32).map(MapId) {

@@ -28,7 +28,7 @@ use std::collections::BTreeMap;
 
 use tscout_suite::bpf::asm::ProgramBuilder;
 use tscout_suite::bpf::insn::{
-    AluOp, Cond, Helper, Insn, Reg, Size, Src, R0, R1, R10, R2, R3, R4, R6, R7, R9,
+    AluOp, Cond, Helper, Insn, Reg, Size, Src, R0, R1, R10, R2, R3, R4, R5, R6, R7, R8, R9,
 };
 use tscout_suite::bpf::lower::lower;
 use tscout_suite::bpf::vm::{NullWorld, Vm, VmError};
@@ -860,4 +860,432 @@ fn a_single_copy_group_does_not_fuse_into_a_run() {
     let ctx = [0u64, 42].map(u64::to_le_bytes).concat();
     let (r0, stats) = engines_agree("one group", &prog, &ctx).unwrap();
     assert_eq!((r0, stats.insns), (42, 9));
+}
+
+// ---------------------------------------------------------------------
+// (f) Δ runs: END's per-counter and I/O loops as one op
+// ---------------------------------------------------------------------
+
+/// One Δ loop the way END emits it, over a begin value in `r8`: `norm`
+/// blocks take three differences, `Δ0·Δ1/Δ2`, and store through their own
+/// done pointer (`r1 = r10 + 8i`, fresh `r3 = r10 + 24i`, begin `r4 = r8
+/// + 24i`); plain words take one and store through the fresh pointer
+/// (`r1 = r10 + 8k`, begin `r2 = r8 + 8k`). Group 0 is unrebased when
+/// `lead`. Groups `first..first + groups` are emitted.
+#[derive(Debug, Clone, Copy)]
+struct Delta {
+    norm: bool,
+    lead: bool,
+    first: usize,
+    groups: usize,
+    fresh: i32,
+    begin: i32,
+    done: i32,
+}
+
+impl Delta {
+    fn norm(groups: usize) -> Delta {
+        Delta {
+            norm: true,
+            lead: true,
+            first: 0,
+            groups,
+            fresh: -200,
+            begin: 8,
+            done: -320,
+        }
+    }
+
+    fn plain(groups: usize) -> Delta {
+        Delta {
+            norm: false,
+            fresh: -200,
+            begin: 0,
+            done: -320,
+            ..Delta::norm(groups)
+        }
+    }
+
+    /// Bytes of the begin value the groups read.
+    fn value_bytes(&self) -> usize {
+        let stride = if self.norm { 24 } else { 8 };
+        self.begin as usize + stride * (self.first + self.groups)
+    }
+
+    /// Instructions of group `g`, and whether it is rebased.
+    fn group_len(&self, g: usize) -> usize {
+        let rebases = if self.norm { 3 } else { 2 };
+        let body = if self.norm { 12 } else { 4 };
+        body + if g == 0 && self.lead { 0 } else { 2 * rebases }
+    }
+
+    fn emit(&self, b: &mut ProgramBuilder) {
+        let rebase = |b: &mut ProgramBuilder, scratch: Reg, base: Reg, bytes: usize| {
+            if bytes == 0 && self.lead {
+                return base;
+            }
+            b.mov_reg(scratch, base);
+            b.alu_imm(AluOp::Add, scratch, bytes as i64);
+            scratch
+        };
+        for i in self.first..self.first + self.groups {
+            if self.norm {
+                let done = rebase(b, R1, R10, i * 8);
+                let fresh = rebase(b, R3, R10, i * 24);
+                let begin = rebase(b, R4, R8, i * 24);
+                b.load(Size::B8, R0, fresh, self.fresh);
+                b.load(Size::B8, R5, begin, self.begin);
+                b.alu_reg(AluOp::Sub, R0, R5);
+                b.load(Size::B8, R2, fresh, self.fresh + 8);
+                b.load(Size::B8, R5, begin, self.begin + 8);
+                b.alu_reg(AluOp::Sub, R2, R5);
+                b.alu_reg(AluOp::Mul, R0, R2);
+                b.load(Size::B8, R2, fresh, self.fresh + 16);
+                b.load(Size::B8, R5, begin, self.begin + 16);
+                b.alu_reg(AluOp::Sub, R2, R5);
+                b.alu_reg(AluOp::Div, R0, R2);
+                b.store_reg(Size::B8, done, self.done, R0);
+            } else {
+                let fresh = rebase(b, R1, R10, i * 8);
+                let begin = rebase(b, R2, R8, i * 8);
+                b.load(Size::B8, R3, fresh, self.fresh);
+                b.load(Size::B8, R4, begin, self.begin);
+                b.alu_reg(AluOp::Sub, R3, R4);
+                b.store_reg(Size::B8, fresh, self.done, R3);
+            }
+        }
+    }
+}
+
+/// Instructions [`delta_prog`] emits before the run.
+const BEFORE_DELTA: usize = 9 + 2 * 24;
+
+/// `r8 = &h[7]` (a begin value of `value` bytes, word `i` holding
+/// `begin(i)`), 24 fresh words from `[r10-256]` holding `fresh(i)`, an
+/// optional delete of key 7, `run`, then `r0` = a hash of `r0`–`r5`, and
+/// of the 32 words from `[r10-320]`: every register and done slot the
+/// run leaves, so the oracle sees them.
+fn delta_prog(run: &Delta, fresh: impl Fn(i64) -> i64, delete: bool) -> Vec<Insn> {
+    let mut b = ProgramBuilder::new();
+    b.store_imm(Size::B8, R10, -8, 7);
+    b.load_map(R1, MapId(0));
+    fp_arg(&mut b, R2, -8);
+    b.call(Helper::MapLookup);
+    b.mov_reg(R8, R0);
+    let hit = b.label();
+    b.jump_if_imm(Cond::Ne, R8, 0, hit);
+    b.mov_imm(R0, 99);
+    b.exit();
+    b.bind(hit);
+    for i in 0..24 {
+        b.mov_imm(R9, fresh(i));
+        b.store_reg(Size::B8, R10, -256 + 8 * i as i32, R9);
+    }
+    if delete {
+        b.load_map(R1, MapId(0));
+        fp_arg(&mut b, R2, -8);
+        b.call(Helper::MapDelete);
+    }
+    run.emit(&mut b);
+    b.mov_imm(R9, 0);
+    for r in [R0, R1, R2, R3, R4, R5] {
+        b.alu_imm(AluOp::Mul, R9, 31);
+        b.alu_reg(AluOp::Add, R9, r);
+    }
+    for i in 0..32 {
+        b.load(Size::B8, R7, R10, -320 + 8 * i);
+        b.alu_imm(AluOp::Mul, R9, 31);
+        b.alu_reg(AluOp::Add, R9, R7);
+    }
+    b.mov_reg(R0, R9);
+    b.exit();
+    b.resolve().unwrap()
+}
+
+/// Maps whose key 7 holds `bytes` bytes, word `i` being `begin(i)`.
+fn begin_value(bytes: usize, begin: impl Fn(i64) -> i64) -> Twin {
+    Twin::new(|| {
+        let mut m = tscout_suite::bpf::MapRegistry::new();
+        m.create(tscout_suite::bpf::MapDef::hash("begin", 8, bytes, 4));
+        let value: Vec<u8> = (0..bytes as i64)
+            .step_by(8)
+            .flat_map(|i| begin(i / 8).to_le_bytes())
+            .take(bytes)
+            .collect();
+        m.update(MapId(0), &7u64.to_le_bytes(), &value).unwrap();
+        m
+    })
+}
+
+/// Fresh words well above the begin ones, so every Δ is positive and
+/// every Δrunning nonzero.
+fn rising(i: i64) -> i64 {
+    1000 + 37 * i * i
+}
+
+fn small(i: i64) -> i64 {
+    3 + i
+}
+
+/// Run `run` against a value of `bytes` bytes through both engines.
+fn run_delta(what: &str, run: &Delta, bytes: usize, delete: bool) -> (Vec<Insn>, RunResult) {
+    let prog = delta_prog(run, rising, delete);
+    let mut twin = begin_value(bytes, small);
+    let got = twin.run(what, &prog, &lower(&prog), &[]);
+    (prog, got)
+}
+
+/// Whole, a loop of Δ groups is one op; its registers and done slots are
+/// the reference's. Five groups of each shape, rebased from group 1.
+#[test]
+fn a_delta_loop_is_one_op_and_matches_the_reference() {
+    for run in [Delta::norm(5), Delta::plain(5)] {
+        let prog = delta_prog(&run, rising, false);
+        // The lookup's 6 ops and the miss path's 2, a `mov; stx8` per
+        // fresh word, the run, the fold's 1 + 2 per register and 3 per
+        // done word, and the last two.
+        let fold = 1 + 2 * 6 + 3 * 32 + 2;
+        assert_eq!(lower(&prog).op_count(), 8 + 48 + 1 + fold, "{run:?}");
+        let mut twin = begin_value(run.value_bytes(), small);
+        let (_, stats) = twin.run("whole", &prog, &lower(&prog), &[]).unwrap();
+        assert_eq!(stats.insns, prog.len() as u64 - 2, "{run:?}");
+        assert_eq!(twin.delta_runs(), [1, 0], "{run:?}");
+        let loads = if run.norm { 15 } else { 5 };
+        assert_eq!(twin.lowered.op_stats().lookups, 1 + loads, "{run:?}");
+    }
+}
+
+/// Each load and the store of the first, a middle and the last group
+/// faults where the reference's does — the fresh word over the top of
+/// the stack, the begin word past the end of the value, the done slot
+/// over the top — after counting the lookups of the loads before it
+/// and no others.
+#[test]
+fn a_delta_run_faults_at_each_load_and_store() {
+    for base in [Delta::norm(5), Delta::plain(5)] {
+        let (terms, stride): (i32, i32) = if base.norm { (3, 24) } else { (1, 8) };
+        // What a group stores, loads fresh words and loads begin words
+        // through, when rebased.
+        let (done, fresh, begin) = if base.norm {
+            (R1, R3, R4)
+        } else {
+            (R1, R1, R2)
+        };
+        for g in [0, 2, 4] {
+            // Group 0 reads through the bases themselves.
+            let via = |reg: Reg, base: Reg| if g == 0 { base } else { reg };
+            let back = stride * g as i32;
+            for site in 0..2 * terms + 1 {
+                let (mut run, mut bytes) = (base, base.value_bytes());
+                let term = site / 2;
+                let (store, through) = if site == 2 * terms {
+                    // Group g's done slot is the word over the top.
+                    let slot = if base.norm { 8 * g as i32 } else { back };
+                    (run.done, run.fresh) = (-slot, -back - 200);
+                    (true, via(done, R10))
+                } else if site % 2 == 0 {
+                    // Group g's fresh word `term` is over the top.
+                    (run.fresh, run.done) = (-back - 8 * term, -400);
+                    (false, via(fresh, R10))
+                } else {
+                    // Group g's begin word `term` is past the value.
+                    bytes = (base.begin + back + 8 * term) as usize;
+                    (false, via(begin, R8))
+                };
+                let what = format!("norm={} group {g} site {site}", base.norm);
+                let (prog, got) = run_delta(&what, &run, bytes, false);
+                let Err(VmError::BadAddress { pc, .. }) = got else {
+                    panic!("{what}: {got:?}\n{run:?}");
+                };
+                let faulted = match prog[pc] {
+                    Insn::Store { base, .. } if store => base,
+                    Insn::Load { base, .. } if !store => base,
+                    other => panic!("{what}: faulted at {other}"),
+                };
+                assert_eq!(faulted, through, "{what}");
+                let start = BEFORE_DELTA + (0..g).map(|k| run.group_len(k)).sum::<usize>();
+                let group = start..start + run.group_len(g);
+                assert!(group.contains(&pc), "{what}");
+            }
+        }
+    }
+}
+
+/// A begin value deleted before the run faults at the first begin load;
+/// one too short for the run at the first load past its end.
+#[test]
+fn a_stale_or_short_begin_value_steps_to_its_fault() {
+    for run in [Delta::norm(4), Delta::plain(4)] {
+        let (_, got) = run_delta("stale", &run, run.value_bytes(), true);
+        assert_eq!(
+            got,
+            Err(VmError::StaleMapValue {
+                pc: BEFORE_DELTA + 4 + 1
+            }),
+            "{run:?}"
+        );
+        let (prog, got) = run_delta("short", &run, run.value_bytes() - 8, false);
+        let Err(VmError::BadAddress { pc, .. }) = got else {
+            panic!("{got:?}");
+        };
+        assert!(matches!(prog[pc], Insn::Load { base, .. } if base == R4 || base == R2));
+    }
+}
+
+/// `Δrunning = 0` gives 0; a Δ below zero and a product past 2^64 wrap.
+#[test]
+fn a_delta_run_divides_by_zero_and_wraps_as_the_alu_does() {
+    type Words = fn(i64) -> i64;
+    let cases: [(&str, Words, Words); 3] = [
+        (
+            "Δrunning = 0",
+            |i| if i % 3 == 2 { 5 } else { 1000 + i },
+            |_| 5,
+        ),
+        ("Δ below zero", |i| i, |i| 1000 * i + 7),
+        ("product wraps", |i| i64::MAX - i, |i| i),
+    ];
+    for run in [Delta::norm(4), Delta::plain(4)] {
+        for (what, fresh, begin) in cases {
+            // Word i of the begin value sits at the fresh word i + 1
+            // reads against (the value's word 0 is the timestamp).
+            let prog = delta_prog(&run, fresh, false);
+            let mut twin = begin_value(run.value_bytes(), begin);
+            let got = twin.run(what, &prog, &lower(&prog), &[]);
+            assert!(got.is_ok(), "{what}: {got:?}");
+            assert_eq!(twin.delta_runs(), [1, 0], "{what}");
+        }
+    }
+}
+
+/// Group `g`'s done store lands on group `g + 1`'s first fresh word: the
+/// groups run in order on the stack, so the next group reads the stored
+/// result, not the snapshot.
+#[test]
+fn a_done_store_feeds_a_later_groups_fresh_word() {
+    let norm = Delta {
+        done: -200 + 24,
+        ..Delta::norm(4)
+    };
+    let plain = Delta {
+        done: -200 + 8,
+        ..Delta::plain(4)
+    };
+    for run in [norm, plain] {
+        let prog = delta_prog(&run, rising, false);
+        let mut twin = begin_value(run.value_bytes(), small);
+        let chained = twin.run("chained", &prog, &lower(&prog), &[]).unwrap();
+        assert_eq!(twin.delta_runs(), [1, 0]);
+        let apart = run_delta(
+            "apart",
+            &Delta { done: -320, ..run },
+            run.value_bytes(),
+            false,
+        );
+        assert_ne!(
+            Ok(chained),
+            apart.1,
+            "{run:?}: the stores must be read back"
+        );
+    }
+}
+
+/// A jump onto group 2 splits the run there, taken or not.
+#[test]
+fn a_jump_onto_a_delta_group_splits_the_run() {
+    for run in [Delta::norm(4), Delta::plain(4)] {
+        for (cond, skipped) in [(Cond::Ne, false), (Cond::Eq, true)] {
+            let head = delta_prog(&Delta { groups: 0, ..run }, rising, false);
+            let mut b = ProgramBuilder::new();
+            let onto = b.label();
+            // The head up to the run: everything before its fold.
+            let prog_head = &head[..BEFORE_DELTA];
+            let mut prog = prog_head.to_vec();
+            b.mov_imm(R9, 0);
+            b.jump_if_imm(cond, R9, 0, onto);
+            Delta { groups: 2, ..run }.emit(&mut b);
+            b.bind(onto);
+            Delta {
+                first: 2,
+                groups: 2,
+                ..run
+            }
+            .emit(&mut b);
+            b.mov_reg(R0, R9);
+            b.exit();
+            prog.extend(b.resolve().unwrap());
+            let lowered = lower(&prog);
+            // Head ops, the mov and jump, two runs, the last two.
+            assert_eq!(lowered.op_count(), 8 + 48 + 2 + 2 + 2, "{run:?}");
+            let mut twin = begin_value(run.value_bytes(), small);
+            let (_, stats) = twin.run("onto group 2", &prog, &lowered, &[]).unwrap();
+            let first_two: usize = (0..2).map(|g| run.group_len(g)).sum();
+            let ran = prog.len() - 2 - if skipped { first_two } else { 0 };
+            assert_eq!(stats.insns, ran as u64, "{cond:?}");
+            assert_eq!(twin.delta_runs(), [2 - u64::from(skipped), 0]);
+        }
+    }
+}
+
+/// A group whose written registers alias is not a Δ group: `sub a, a`
+/// (the begin word loaded into `a` itself) lowers per instruction; a
+/// begin pointer rebased in place (`r8 = r8 + 8`) keeps its two rebases
+/// apart, and only the body behind them, which reads through the bases
+/// it finds, runs as a group. Both agree with the reference.
+#[test]
+fn an_aliased_register_refuses_the_delta_shape() {
+    // Norm, group 0 unrebased, with `t` = `a` = r0.
+    let mut b = ProgramBuilder::new();
+    b.load(Size::B8, R0, R10, -200);
+    b.load(Size::B8, R0, R8, 8);
+    b.alu_reg(AluOp::Sub, R0, R0);
+    b.load(Size::B8, R2, R10, -192);
+    b.load(Size::B8, R0, R8, 16);
+    b.alu_reg(AluOp::Sub, R2, R0);
+    b.alu_reg(AluOp::Mul, R0, R2);
+    b.load(Size::B8, R2, R10, -184);
+    b.load(Size::B8, R0, R8, 24);
+    b.alu_reg(AluOp::Sub, R2, R0);
+    b.alu_reg(AluOp::Div, R0, R2);
+    b.store_reg(Size::B8, R10, -320, R0);
+    b.exit();
+    let aliased = b.resolve().unwrap();
+    // A plain word whose begin pointer is its own base.
+    let mut b = ProgramBuilder::new();
+    b.mov_reg(R1, R10);
+    b.alu_imm(AluOp::Add, R1, 8);
+    b.mov_reg(R8, R8);
+    b.alu_imm(AluOp::Add, R8, 8);
+    b.load(Size::B8, R3, R1, -200);
+    b.load(Size::B8, R4, R8, 0);
+    b.alu_reg(AluOp::Sub, R3, R4);
+    b.store_reg(Size::B8, R1, -320, R3);
+    b.exit();
+    let base_written = b.resolve().unwrap();
+    let prefix = &delta_prog(&Delta::norm(0), rising, false)[..BEFORE_DELTA];
+    for (what, body, ops, runs) in [
+        ("t = a", aliased, 12, 0),
+        ("base written", base_written, 3, 1),
+    ] {
+        let prog: Vec<Insn> = prefix.iter().copied().chain(body).collect();
+        let lowered = lower(&prog);
+        assert_eq!(lowered.op_count(), 8 + 48 + ops + 1, "{what}");
+        let mut twin = begin_value(64, small);
+        twin.run(what, &prog, &lowered, &[]).unwrap();
+        assert_eq!(twin.delta_runs(), [runs, 0], "{what}");
+    }
+}
+
+/// Group 0 alone, unrebased, is a run of one group.
+#[test]
+fn an_unrebased_group_alone_is_a_run() {
+    for run in [Delta::norm(1), Delta::plain(1)] {
+        let prog = delta_prog(&run, rising, false);
+        let fold = 1 + 2 * 6 + 3 * 32 + 2;
+        assert_eq!(lower(&prog).op_count(), 8 + 48 + 1 + fold, "{run:?}");
+        let mut twin = begin_value(run.value_bytes(), small);
+        twin.run("group 0 alone", &prog, &lower(&prog), &[])
+            .unwrap();
+        assert_eq!(twin.delta_runs(), [1, 0]);
+    }
 }

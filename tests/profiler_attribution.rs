@@ -10,7 +10,7 @@ use tscout_suite::kernel::{Frame, HardwareProfile, Kernel, Profiler, DBMS, TSCOU
 use tscout_suite::noisetap::Database;
 use tscout_suite::telemetry::TaskFrames;
 use tscout_suite::tscout::{CollectionMode, TsConfig, ALL_SUBSYSTEMS};
-use tscout_suite::workloads::driver::{run, RunOptions};
+use tscout_suite::workloads::driver::{run, RunOptions, RunStats};
 use tscout_suite::workloads::{Tpcc, Workload, Ycsb};
 
 /// YCSB under kernel-continuous collection at 100% sampling with the
@@ -43,6 +43,11 @@ fn profiled_run() -> Database {
 /// kernel noise on: `during` runs on a second thread while the
 /// workload does.
 fn tpcc_seed42(during: impl FnOnce(&Profiler, &AtomicBool) + Send) -> Database {
+    tpcc_seed42_stats(during).0
+}
+
+/// [`tpcc_seed42`] and the run's results.
+fn tpcc_seed42_stats(during: impl FnOnce(&Profiler, &AtomicBool) + Send) -> (Database, RunStats) {
     let mut k = Kernel::with_seed(HardwareProfile::server_2x20(), 42);
     k.set_profile_period_ns(10_000.0);
     let mut db = Database::new(k);
@@ -61,12 +66,34 @@ fn tpcc_seed42(during: impl FnOnce(&Profiler, &AtomicBool) + Send) -> Database {
         ..Default::default()
     };
     let (profiler, done) = (db.kernel.profiler.clone(), AtomicBool::new(false));
-    std::thread::scope(|s| {
+    let stats = std::thread::scope(|s| {
         s.spawn(|| during(&profiler, &done));
-        run(&mut db, &mut w, &opts);
+        let stats = run(&mut db, &mut w, &opts);
         done.store(true, Ordering::SeqCst);
+        stats
     });
-    db
+    (db, stats)
+}
+
+/// Wall timing reads a clock beside the virtual one and writes nothing a
+/// run reports: the folded profile of a run that timed its layers is the
+/// golden written before timing existed, and two runs, whose wall
+/// readings differ, give the same results — virtual latencies, samples,
+/// trace — byte for byte.
+#[test]
+fn wall_timing_moves_no_virtual_time_fold_or_sample() {
+    let runs = [(), ()].map(|()| tpcc_seed42_stats(|_, _| {}));
+    let wall = runs[0].0.kernel.profiler.wall();
+    let timed = |frame: &str| wall.iter().any(|l| l.frame == frame && l.pops > 0);
+    assert!(
+        ["bpf:vm", "collector:end", "dbms"].iter().all(|f| timed(f)),
+        "{wall:?}"
+    );
+    let golden = include_str!("golden/profile_tpcc_seed42.folded");
+    for (db, stats) in &runs {
+        assert_eq!(db.kernel.profiler.folded_text(), golden);
+        assert_eq!(format!("{stats:?}"), format!("{:?}", runs[0].1));
+    }
 }
 
 /// The golden was written by the commit before frames became per-task
