@@ -202,8 +202,15 @@ struct FrameSlots {
     /// Root pushes left, while untimed, before the next one is timed.
     roots: AtomicU32,
     slots: [AtomicU32; MAX_DEPTH],
-    /// Per slot of a timed frame: [`wall_now`] at its push, and the wall
-    /// ns of the timed frames popped above it.
+    /// Kept apart, so that an untimed push or pop touches only the lines
+    /// above.
+    timing: &'static WallTiming,
+}
+
+/// Per slot of a timed frame: [`wall_now`] at its push, and the wall ns
+/// of the timed frames popped above it.
+#[derive(Debug)]
+struct WallTiming {
     started: [AtomicU64; MAX_DEPTH],
     children: [AtomicU64; MAX_DEPTH],
 }
@@ -229,8 +236,8 @@ impl FrameSlots {
         let now = wall_now();
         let opened = depth as usize..(depth + n) as usize;
         for d in opened.take_while(|&d| d < MAX_DEPTH) {
-            self.started[d].store(now, Relaxed);
-            self.children[d].store(0, Relaxed);
+            self.timing.started[d].store(now, Relaxed);
+            self.timing.children[d].store(0, Relaxed);
         }
         n | TIMED
     }
@@ -244,8 +251,8 @@ impl FrameSlots {
         let timed_from = self.timed_from.load(Relaxed);
         let now = wall_now();
         for d in (from as usize..(to as usize).min(MAX_DEPTH)).rev() {
-            let wall = now.saturating_sub(self.started[d].load(Relaxed));
-            let children = self.children[d].load(Relaxed);
+            let wall = now.saturating_sub(self.timing.started[d].load(Relaxed));
+            let children = self.timing.children[d].load(Relaxed);
             if let Some(slot) = WALL.get(FrameId(self.slots[d].load(Relaxed)).index()) {
                 slot.pops.fetch_add(1, Relaxed);
                 slot.wall_ns.fetch_add(wall, Relaxed);
@@ -253,7 +260,7 @@ impl FrameSlots {
                     .fetch_add(wall.saturating_sub(children), Relaxed);
             }
             if d >= timed_from as usize {
-                self.children[d - 1].fetch_add(wall, Relaxed);
+                self.timing.children[d - 1].fetch_add(wall, Relaxed);
             }
         }
         if from < timed_from {
@@ -299,8 +306,10 @@ impl Default for TaskFrames {
                 slots: [const { AtomicU32::new(0) }; MAX_DEPTH],
                 roots: AtomicU32::new(0),
                 timed_from: AtomicU32::new(0),
-                started: [const { AtomicU64::new(0) }; MAX_DEPTH],
-                children: [const { AtomicU64::new(0) }; MAX_DEPTH],
+                timing: Box::leak(Box::new(WallTiming {
+                    started: [const { AtomicU64::new(0) }; MAX_DEPTH],
+                    children: [const { AtomicU64::new(0) }; MAX_DEPTH],
+                })),
             }))
         });
         TaskFrames(stack)
