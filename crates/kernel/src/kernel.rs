@@ -165,12 +165,14 @@ impl Kernel {
     /// pops when the returned guard drops. A root frame re-bases
     /// attribution (collection-side work pushes the `tscout` root so its
     /// overhead never folds under the DBMS stack it interrupted).
+    #[inline]
     pub fn profile_frame(&self, id: TaskId, frame: &Frame) -> FrameGuard {
         self.profile_frames(id, [frame.id()])
     }
 
     /// Several frames at once, outermost first — one guard (see
     /// [`Profiler::push_frames`]).
+    #[inline]
     pub fn profile_frames<const N: usize>(&self, id: TaskId, frames: [FrameId; N]) -> FrameGuard {
         self.profiler
             .push_frames(&self.tasks[id.0 as usize].frames, frames)

@@ -216,21 +216,35 @@ struct WallTiming {
 }
 
 impl FrameSlots {
-    /// The `n` frames just pushed above `depth`, on a timed stack or with
-    /// a root among them: on an untimed stack, count the root push, and
-    /// open the timed stack at them on one in [`WALL_EVERY`]; on a timed
-    /// one, time them. Returns `n`, with [`TIMED`] set if they are timed.
-    /// Out of line: most pushes are neither.
+    /// Whether the `n` frames just pushed above `depth` are timed: on a
+    /// timed stack, always; on an untimed one, when a root among them is
+    /// the one in [`WALL_EVERY`] root pushes that opens a timed stack.
+    /// Returns `n`, with [`TIMED`] set if they are.
+    #[inline(always)]
+    fn wall_push<const N: usize>(&self, frames: &[FrameId; N], depth: u32, n: u32) -> u32 {
+        if self.timed_from.load(Relaxed) != 0 {
+            return self.start_wall(depth, n);
+        }
+        if !frames.iter().any(|f| f.is_root()) {
+            return n;
+        }
+        // Only the task's own thread pushes: a load and a store.
+        let left = self.roots.load(Relaxed);
+        self.roots
+            .store(left.checked_sub(1).unwrap_or(WALL_EVERY - 1), Relaxed);
+        if left == 0 {
+            self.start_wall(depth, n)
+        } else {
+            n
+        }
+    }
+
+    /// Time the `n` frames just pushed above `depth`, opening the timed
+    /// stack at them if none is open. Returns `n | TIMED`.
+    #[cold]
     #[inline(never)]
-    fn wall_push(&self, depth: u32, n: u32) -> u32 {
+    fn start_wall(&self, depth: u32, n: u32) -> u32 {
         if self.timed_from.load(Relaxed) == 0 {
-            // Only the task's own thread pushes: a load and a store.
-            let left = self.roots.load(Relaxed);
-            let next = left.checked_sub(1).unwrap_or(WALL_EVERY - 1);
-            self.roots.store(next, Relaxed);
-            if left != 0 {
-                return n;
-            }
             self.timed_from.store(depth + 1, Relaxed);
         }
         let now = wall_now();
@@ -477,6 +491,7 @@ impl Profiler {
     /// Push `frames` onto `stack`, outermost first; the returned guard
     /// pops them together on drop. No-op while disabled; takes no lock
     /// and never allocates.
+    #[inline]
     pub fn push_frames<const N: usize>(
         &self,
         stack: &TaskFrames,
@@ -493,11 +508,7 @@ impl Profiler {
         #[allow(clippy::cast_possible_truncation)] // N frames are a handful
         let n = N as u32;
         s.depth.store(depth + n, Relaxed);
-        let pushed = if s.timed_from.load(Relaxed) != 0 || frames.iter().any(|f| f.is_root()) {
-            s.wall_push(depth, n)
-        } else {
-            n
-        };
+        let pushed = s.wall_push(&frames, depth, n);
         FrameGuard {
             stack: Some((s, s.generation.load(Relaxed), pushed)),
         }
