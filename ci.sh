@@ -90,6 +90,11 @@ if git grep -nE 'env::var|cfg\(feature' -- crates/bpf/src; then
   echo "FAIL: crates/bpf selects behaviour from an env var or a feature"; exit 1
 fi
 
+echo "== a fused run is a guard: no stepping copy of a run's instructions, and no fault sites of its own, come back in crates/bpf/src/lower.rs =="
+if git grep -nE 'fn step\b|site_pcs|place_sites|#\[cold\]' -- crates/bpf/src/lower.rs; then
+  echo "FAIL: a run steps its instructions again; a refused run falls through into the ops of the instructions it covers"; exit 1
+fi
+
 echo "== loop-free by construction: every jump goes forward, so nothing bounds loops, counts fuel, or prunes and budgets verifier states =="
 if git grep -nE 'FUEL|OutOfFuel|MAX_LOOP_TRIPS|bump_trip|MAX_STATES|TooComplex|state_subsumes|prune_points|states_pruned|peak_depth' -- crates; then
   echo "FAIL: loop, fuel or path-exploration machinery is back under crates/"; exit 1

@@ -29,9 +29,10 @@
 //! * [`lower`] — the verified stream as a dense, op-specialised form:
 //!   one op per instruction, the adjacent `mov; add` (`; ldx8`/`stx8`)
 //!   shapes codegen emits fused into one, and a loop of such word
-//!   copies, or of END's Δ blocks, into one run op. This is the engine programs
-//!   run on; [`Vm::run`] is kept as its executable specification and the
-//!   two are held to the same result bit for bit.
+//!   copies, or of END's Δ blocks, into one run op that guards their
+//!   own ops. This is the engine programs run on; [`Vm::run`] is kept
+//!   as its executable specification and the two are held to the same
+//!   result bit for bit.
 //! * [`loader`] — verify → lower → run, plus attach, detach and reload
 //!   for dynamic feature selection (paper §5.4). A program is verified
 //!   as submitted and lowered as is: nothing reorders, drops or rewrites
@@ -47,7 +48,8 @@
     deny(
         clippy::cast_possible_truncation,
         clippy::unwrap_used,
-        clippy::expect_used
+        clippy::expect_used,
+        clippy::let_underscore_must_use
     )
 )]
 

@@ -26,23 +26,27 @@
 //!   the two stack ranges once, resolves the value once and runs the
 //!   blocks in order on the stack array.
 //!
-//! Anything else a run steps instruction by instruction, as the
-//! unfused stream would. Nothing fuses across a jump target, and every
+//! A run op is a guard: the ops its instructions lower to without it
+//! follow it. Taken, it continues past them; refused, it has
+//! written and counted nothing and falls through into them, so a fault
+//! carries the pc of the instruction that faulted with no second copy of
+//! their semantics. Nothing fuses across a jump target, and every
 //! architectural register is still written, so there is no liveness
 //! analysis to get wrong.
 //!
 //! The contract is [`Vm::run`]'s result, bit for bit, for *any* stream
 //! (`lower` is total; `tests/lowered_differential.rs` holds the corpus):
-//! a fused op counts its arity in [`ExecStats::insns`], a fault carries
-//! the source `pc` of the faulting instruction, and the maps see the
-//! same operations in the same order — memory goes through the same
+//! a fused op counts its arity in [`ExecStats::insns`] (a taken guard
+//! its run's length, a refused one nothing), a fault carries the source
+//! `pc` of the faulting instruction, and the maps see the same
+//! operations in the same order — memory goes through the same
 //! `mem`/`mem_mut`/`call` as the reference, with every region,
 //! generation and bounds check (a run's one check covers every word, and
 //! counts a map value's lookups per word loaded). What is gone is decode
 //! and dispatch, not checks. A backward jump's target is a
 //! trap op that faults with [`VmError::BackEdge`] at the jump's `pc`, so
-//! every op that runs is followed by a later one and a run ends within
-//! one op per instruction, with no counter to check.
+//! every op that runs is followed by a later one and a program ends
+//! within as many ops as it lowered to, with no counter to check.
 
 use crate::insn::{AluOp, Cond, Helper, Insn, Reg, Size, Src};
 use crate::maps::MapRegistry;
@@ -95,8 +99,10 @@ enum Op {
     LeaLoad(Reg, Reg, i64, Reg, i32),
     /// `Lea(dst, base, imm); stx8 [dst+off], src` as `(dst, base, imm, off, src)`.
     LeaStore(Reg, Reg, i64, i32, Reg),
-    /// The [`Run`] at this index of [`Lowered::runs`].
-    Run(u32),
+    /// The [`Run`] at this index of [`Lowered::runs`], a guard in front
+    /// of the ops of the instructions it covers: taken, it continues at
+    /// the second index, past them; refused, it falls through into them.
+    Run(u32, u32),
 }
 
 /// `groups` back-to-back word copies, group `g` being the six
@@ -113,9 +119,6 @@ struct CopyRun {
     o1: i32,
     o2: i32,
     groups: usize,
-    /// Fault site of group 0's load: group `g`'s load is `site + 2g`,
-    /// its store the one after.
-    site: usize,
 }
 
 impl CopyRun {
@@ -140,7 +143,6 @@ impl CopyRun {
             o1,
             o2,
             groups: 1,
-            site: 0,
         })
     }
 
@@ -177,10 +179,11 @@ impl CopyRun {
         (run.groups >= 2 && !inside.contains(&true)).then_some(run)
     }
 
-    /// Run every group: one check and one copy when [`Exec::copy_words_to_stack`]
-    /// takes the whole run, else word by word as the fused pairs do.
+    /// One check and one copy of every group when
+    /// [`Exec::copy_words_to_stack`] takes the whole run; `false`, with
+    /// nothing written or counted, when it refuses.
     #[inline(always)]
-    fn exec(&self, regs: &mut [u64; REG_SLOTS], exec: &mut Exec<'_>) -> Result<(), VmError> {
+    fn exec(&self, regs: &mut [u64; REG_SLOTS], exec: &mut Exec<'_>) -> bool {
         let (imm, last) = (self.imm as u64, 8 * (self.groups as u64 - 1));
         let src = regs[slot(self.b)]
             .wrapping_add(imm)
@@ -189,29 +192,12 @@ impl CopyRun {
             .wrapping_add(imm)
             .wrapping_add(self.o2 as i64 as u64);
         let Some(word) = exec.copy_words_to_stack(src, dst, self.groups) else {
-            return self.step(regs, exec);
+            return false;
         };
         regs[slot(self.d1)] = regs[slot(self.b)].wrapping_add(imm.wrapping_add(last));
         regs[slot(self.v)] = word;
         regs[slot(self.d2)] = regs[slot(self.c)].wrapping_add(imm.wrapping_add(last));
-        Ok(())
-    }
-
-    /// Word by word: each group's load, then its store, each faulting at
-    /// its own fault site.
-    #[cold]
-    #[inline(never)]
-    fn step(&self, regs: &mut [u64; REG_SLOTS], exec: &mut Exec<'_>) -> Result<(), VmError> {
-        for g in 0..self.groups {
-            let imm = (self.imm as u64).wrapping_add(8 * g as u64);
-            regs[slot(self.d1)] = regs[slot(self.b)].wrapping_add(imm);
-            let addr = regs[slot(self.d1)].wrapping_add(self.o1 as i64 as u64);
-            regs[slot(self.v)] = exec.load(self.site + 2 * g, addr, Size::B8)?;
-            regs[slot(self.d2)] = regs[slot(self.c)].wrapping_add(imm);
-            let addr = regs[slot(self.d2)].wrapping_add(self.o2 as i64 as u64);
-            exec.store(self.site + 2 * g + 1, addr, Size::B8, regs[slot(self.v)])?;
-        }
-        Ok(())
+        true
     }
 }
 
@@ -292,7 +278,7 @@ impl Ptr {
 /// check: group `g`'s word `j` is `lo` bytes past its pointer, plus
 /// `step·g + rel[j]`, and every word of the run lies in the `len` bytes
 /// from the first pointer plus `lo`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Span {
     lo: i32,
     rel: [usize; 3],
@@ -302,7 +288,7 @@ struct Span {
 
 impl Span {
     /// `None` when the pointer steps backwards or the span overflows:
-    /// the run then always steps.
+    /// the run is then not fused.
     fn new(offs: &[i32], step: i64, groups: usize) -> Option<Span> {
         let lo = *offs.iter().min()?;
         let step = usize::try_from(step).ok()?;
@@ -366,11 +352,8 @@ struct DeltaRun {
     groups: usize,
     /// Group 0 has no rebases.
     lead: bool,
-    /// Fault site of group 0's first load: group `g`'s loads and store
-    /// are the `2·terms + 1` sites from `site + (2·terms + 1)·g`.
-    site: usize,
-    /// What the one-check path checks; `None` when it never applies.
-    spans: Option<[Span; 3]>,
+    /// What the one-check path checks: done, fresh and begin words.
+    spans: [Span; 3],
 }
 
 impl DeltaRun {
@@ -411,22 +394,6 @@ impl DeltaRun {
     fn len(&self) -> usize {
         let (stride, skipped) = self.group_len();
         stride * self.groups - skipped
-    }
-
-    /// The source pc of each fault site of the run at `pc`, group by
-    /// group: the loads in order, then the store.
-    fn site_pcs(&self, pc: usize) -> impl Iterator<Item = usize> + '_ {
-        let body: &'static [usize] = if self.norm {
-            &[0, 1, 3, 4, 7, 8, 11]
-        } else {
-            &[0, 1, 3]
-        };
-        let (stride, skipped) = self.group_len();
-        let rebases = 2 * self.rebases();
-        (0..self.groups).flat_map(move |g| {
-            let start = pc + stride * g + rebases - skipped;
-            body.iter().map(move |k| start + k)
-        })
     }
 
     /// The one group at `pc`, rebased or leading, if the instructions
@@ -526,8 +493,7 @@ impl DeltaRun {
             done_off,
             groups: 1,
             lead,
-            site: 0,
-            spans: None,
+            spans: [Span::default(); 3],
         })
     }
 
@@ -576,8 +542,8 @@ impl DeltaRun {
         true
     }
 
-    /// The longest run from `pc` that no jump lands inside: one group or
-    /// more.
+    /// The longest run from `pc` that no jump lands inside, one group or
+    /// more, when its one check can be formed.
     fn longest(prog: &[Insn], pc: usize, is_target: &[bool]) -> Option<DeltaRun> {
         let clear = |from: usize, len: usize| {
             is_target
@@ -593,30 +559,23 @@ impl DeltaRun {
                 _ => break,
             }
         }
-        let spans = [
-            Span::new(&[run.done_off], run.done().step, run.groups),
-            Span::new(&run.fresh_off[..run.terms()], run.fresh().step, run.groups),
-            Span::new(&run.begin_off[..run.terms()], run.begin().step, run.groups),
+        run.spans = [
+            Span::new(&[run.done_off], run.done().step, run.groups)?,
+            Span::new(&run.fresh_off[..run.terms()], run.fresh().step, run.groups)?,
+            Span::new(&run.begin_off[..run.terms()], run.begin().step, run.groups)?,
         ];
-        run.spans = match spans {
-            [Some(d), Some(f), Some(b)] => Some([d, f, b]),
-            _ => None,
-        };
         Some(run)
     }
 
-    /// Run every group: on the stack array at once when the fresh words
-    /// and the done slots lie wholly in the stack and the begin words in
-    /// one live map value, else instruction by instruction.
+    /// Every group on the stack array at once when the fresh words and
+    /// the done slots lie wholly in the stack and the begin words in one
+    /// live map value; `false`, with nothing written, when refused. Both
+    /// outcomes are counted.
     #[inline(always)]
-    fn exec(&self, regs: &mut [u64; REG_SLOTS], exec: &mut Exec<'_>) -> Result<(), VmError> {
-        match self.spans {
-            Some(spans) if self.whole(&spans, regs, exec).is_some() => {
-                exec.count_delta_run(false);
-                Ok(())
-            }
-            _ => self.step(regs, exec),
-        }
+    fn exec(&self, regs: &mut [u64; REG_SLOTS], exec: &mut Exec<'_>) -> bool {
+        let taken = self.whole(regs, exec).is_some();
+        exec.count_delta_run(!taken);
+        taken
     }
 
     /// The one-check path: both stack ranges first, then the begin value
@@ -624,12 +583,8 @@ impl DeltaRun {
     /// groups in order. `None`, with nothing written or counted, when a
     /// range is refused.
     #[inline(always)]
-    fn whole(
-        &self,
-        [done, fresh, begin]: &[Span; 3],
-        regs: &mut [u64; REG_SLOTS],
-        exec: &mut Exec<'_>,
-    ) -> Option<()> {
+    fn whole(&self, regs: &mut [u64; REG_SLOTS], exec: &mut Exec<'_>) -> Option<()> {
+        let [done, fresh, begin] = &self.spans;
         let f0 = stack_offset(fresh.start(self.fresh(), regs), fresh.len)?;
         let d0 = stack_offset(done.start(self.done(), regs), done.len)?;
         let loads = (self.terms() * self.groups) as u64;
@@ -664,56 +619,6 @@ impl DeltaRun {
         }
         Some(())
     }
-
-    /// Instruction by instruction, each load and store faulting at its
-    /// own fault site, as the source does.
-    #[cold]
-    #[inline(never)]
-    fn step(&self, regs: &mut [u64; REG_SLOTS], exec: &mut Exec<'_>) -> Result<(), VmError> {
-        exec.count_delta_run(true);
-        let sites = 2 * self.terms() + 1;
-        let (a, t, e) = (slot(self.a), slot(self.t), slot(self.e));
-        for g in 0..self.groups {
-            let ptrs = &self.ptrs[..self.rebases()];
-            let leading = self.lead && g == 0;
-            if !leading {
-                for p in ptrs {
-                    regs[slot(p.reg)] = p.at(regs, g);
-                }
-            }
-            let through = |p: &Ptr| if leading { p.base } else { p.reg };
-            let (fp, bp, dp) = (
-                slot(through(self.fresh())),
-                slot(through(self.begin())),
-                slot(through(self.done())),
-            );
-            let site = self.site + sites * g;
-            let (fo, bo) = (self.fresh_off, self.begin_off);
-            let load = |regs: &[u64; REG_SLOTS], k: usize, base: usize, off: i32| {
-                exec.load(
-                    site + k,
-                    regs[base].wrapping_add(off as i64 as u64),
-                    Size::B8,
-                )
-            };
-            regs[a] = load(regs, 0, fp, fo[0])?;
-            regs[t] = load(regs, 1, bp, bo[0])?;
-            regs[a] = regs[a].wrapping_sub(regs[t]);
-            if self.norm {
-                regs[e] = load(regs, 2, fp, fo[1])?;
-                regs[t] = load(regs, 3, bp, bo[1])?;
-                regs[e] = regs[e].wrapping_sub(regs[t]);
-                regs[a] = regs[a].wrapping_mul(regs[e]);
-                regs[e] = load(regs, 4, fp, fo[2])?;
-                regs[t] = load(regs, 5, bp, bo[2])?;
-                regs[e] = regs[e].wrapping_sub(regs[t]);
-                regs[a] = alu(AluOp::Div, regs[a], regs[e]);
-            }
-            let to = regs[dp].wrapping_add(self.done_off as i64 as u64);
-            exec.store(site + sites - 1, to, Size::B8, regs[a])?;
-        }
-        Ok(())
-    }
 }
 
 /// A side-table entry [`Op::Run`] executes.
@@ -735,25 +640,9 @@ impl Run {
         }
     }
 
-    /// Append the source pc of each of the run at `pc`'s fault sites to
-    /// `fault_pc`, and note where they start.
-    fn place_sites(&mut self, pc: usize, fault_pc: &mut Vec<usize>) {
-        let site = fault_pc.len();
-        match self {
-            Run::Copy(run) => {
-                run.site = site;
-                let groups = 0..run.groups;
-                fault_pc.extend(groups.flat_map(|g| [pc + 6 * g + 2, pc + 6 * g + 5]));
-            }
-            Run::Delta(run) => {
-                run.site = site;
-                fault_pc.extend(run.site_pcs(pc));
-            }
-        }
-    }
-
+    /// Whether the run was taken whole.
     #[inline(always)]
-    fn exec(&self, regs: &mut [u64; REG_SLOTS], exec: &mut Exec<'_>) -> Result<(), VmError> {
+    fn exec(&self, regs: &mut [u64; REG_SLOTS], exec: &mut Exec<'_>) -> bool {
         match self {
             Run::Copy(run) => run.exec(regs, exec),
             Run::Delta(run) => run.exec(regs, exec),
@@ -769,12 +658,13 @@ pub struct Lowered {
     ops: Vec<Op>,
     /// What [`Op::Run`] indexes.
     runs: Vec<Run>,
-    /// Ops the instructions lowered to, traps excluded.
+    /// Ops a run through the stream dispatches when every guard is
+    /// taken: the ops a guard covers and the traps excluded.
     op_count: usize,
-    /// The source pc of each fault site a run's errors name: first, per
-    /// op before the traps, its last instruction (the only one of a
-    /// fused pair or triple that can fault); then each run's loads and
-    /// stores, group by group. Read on the error path only.
+    /// The source pc each op before the traps faults at: its last
+    /// instruction, the only one of a fused pair or triple that can
+    /// fault (a guard's entry is never read). Read on the error path
+    /// only.
     fault_pc: Vec<usize>,
 }
 
@@ -902,39 +792,43 @@ pub fn lower(prog: &[Insn]) -> Lowered {
 
     let mut ops = Vec::with_capacity(n + 1);
     let mut runs = Vec::new();
+    let mut op_count = 0;
     let mut fault_pc = Vec::with_capacity(n);
     // Op index of each source pc (meaningful at jump targets, which no
-    // fused op covers), and of the end.
+    // fused op or run covers), and of the end.
     let mut index = vec![0usize; n + 1];
+    // Jumps and guards, with the source pc each continues at.
     let mut jumps = Vec::new();
     let mut pc = 0;
     while pc < n {
         index[pc] = ops.len();
+        op_count += 1;
         if let Insn::Jump { off, .. } = prog[pc] {
             jumps.push((ops.len(), pc, target(pc, off)));
         }
         let run = CopyRun::longest(prog, pc, &is_target)
             .map(Run::Copy)
             .or_else(|| DeltaRun::longest(prog, pc, &is_target).map(Run::Delta));
-        let (op, arity) = match run.zip(u32::try_from(runs.len()).ok()) {
+        // A run's ops are its guard and then its instructions' own ops,
+        // none fused past the run's end.
+        let (end, within) = match run.zip(u32::try_from(runs.len()).ok()) {
             Some((run, ix)) => {
-                runs.push((run, pc));
-                (Op::Run(ix), run.len())
+                let end = pc + run.len();
+                jumps.push((ops.len(), pc, Some(end)));
+                runs.push(run);
+                ops.push(Op::Run(ix, 0));
+                fault_pc.push(pc);
+                (end, &prog[..end])
             }
-            None => lower_at(prog, pc, &is_target, fp_static),
+            None => (pc + 1, prog),
         };
-        ops.push(op);
-        pc += arity;
-        fault_pc.push(pc - 1);
+        while pc < end {
+            let (op, arity) = lower_at(within, pc, &is_target, fp_static);
+            ops.push(op);
+            pc += arity;
+            fault_pc.push(pc - 1);
+        }
     }
-    let op_count = ops.len();
-    let runs = runs
-        .into_iter()
-        .map(|(mut run, pc): (Run, usize)| {
-            run.place_sites(pc, &mut fault_pc);
-            run
-        })
-        .collect();
     // Falling off the end, or jumping to it, is the reference's
     // `PcOutOfBounds { pc: n }`; a wild target gets a trap of its own,
     // and a backward jump one that faults at the jump, as the reference
@@ -949,7 +843,9 @@ pub fn lower(prog: &[Insn]) -> Lowered {
                 ops.len() - 1
             }
         };
-        if let Op::Jump(to) | Op::JumpImm(.., to) | Op::JumpReg(.., to) = &mut ops[at] {
+        if let Op::Jump(to) | Op::JumpImm(.., to) | Op::JumpReg(.., to) | Op::Run(_, to) =
+            &mut ops[at]
+        {
             // Ops number at most two per instruction plus one, and no
             // stream of 2^31 instructions fits in memory.
             #[allow(clippy::expect_used)]
@@ -967,8 +863,9 @@ pub fn lower(prog: &[Insn]) -> Lowered {
 }
 
 impl Lowered {
-    /// Ops the instructions lowered to (traps excluded): the stream's
-    /// length less what fusion saved.
+    /// Ops the instructions lowered to, as a run whose guards are all
+    /// taken dispatches them (traps and the ops a guard covers excluded):
+    /// the stream's length less what fusion saved.
     pub fn op_count(&self) -> usize {
         self.op_count
     }
@@ -986,8 +883,8 @@ impl Lowered {
         let mut exec = Exec::new(ctx, maps, scratch);
         self.exec(&mut exec, world).map_err(|mut e| {
             match &mut e {
-                // Memory and helper faults come back carrying a fault
-                // site: the op's index, or a run's load or store.
+                // Memory and helper faults come back carrying the
+                // faulting op's index.
                 VmError::BadAddress { pc, .. }
                 | VmError::ReadOnly { pc, .. }
                 | VmError::StaleMapValue { pc }
@@ -1088,14 +985,19 @@ impl Lowered {
                     let addr = regs[slot(dst)].wrapping_add(off as i64 as u64);
                     exec.store(at, addr, Size::B8, regs[slot(src)])?;
                 }
-                Op::Run(ix) => {
+                Op::Run(ix, past) => {
                     // Never `None`: `lower` made one run per index.
                     let run = self
                         .runs
                         .get(ix as usize)
                         .ok_or(VmError::PcOutOfBounds { pc: at })?;
-                    insns += run.len() as u64 - 1;
-                    run.exec(&mut regs, exec)?;
+                    if run.exec(&mut regs, exec) {
+                        insns += run.len() as u64 - 1;
+                        next = past as usize;
+                    } else {
+                        // Refused: the ops it falls into count themselves.
+                        insns -= 1;
+                    }
                 }
             }
         }

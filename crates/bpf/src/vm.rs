@@ -132,7 +132,7 @@ pub struct VmScratch {
     bytes: Vec<u8>,
     /// Live map-value pointers, one per dereference window.
     deref: Vec<ValueRef>,
-    /// Δ runs executed whole and stepped, over every run this scratch
+    /// Δ runs taken whole and refused, over every run this scratch
     /// served.
     delta_runs: [u64; 2],
 }
@@ -144,8 +144,8 @@ impl VmScratch {
     }
 
     /// How many Δ runs (see [`crate::lower`]) took the one-check path
-    /// and how many stepped instruction by instruction, over every run
-    /// this scratch served.
+    /// and how many refused it and fell through into the ops of the
+    /// instructions they cover, over every run this scratch served.
     pub fn delta_runs(&self) -> [u64; 2] {
         self.delta_runs
     }
@@ -328,10 +328,10 @@ impl<'a> Exec<'a> {
         Some((&mut self.stack, bytes))
     }
 
-    /// Count one Δ run, whole or stepped.
+    /// Count one Δ run, taken whole or refused.
     #[inline(always)]
-    pub(crate) fn count_delta_run(&mut self, stepped: bool) {
-        self.scratch.delta_runs[usize::from(stepped)] += 1;
+    pub(crate) fn count_delta_run(&mut self, refused: bool) {
+        self.scratch.delta_runs[usize::from(refused)] += 1;
     }
 
     /// The `len` writable bytes at `addr`.
@@ -453,6 +453,12 @@ fn handle_decode(v: u64) -> Option<MapId> {
 impl Vm {
     /// Execute a (verified) program. Returns `R0` and execution stats;
     /// `stats.insns` is at most `prog.len()`.
+    ///
+    /// No shipped path calls this: [`crate::Loader::run`] executes what
+    /// [`crate::lower::lower`] made of the stream. This is that engine's
+    /// executable specification, the one `tests/lowered_differential.rs`,
+    /// `tests/verifier_differential.rs` and the codegen tests hold it to,
+    /// and it stays while they need it.
     pub fn run(
         prog: &[Insn],
         ctx: &[u8],

@@ -247,6 +247,14 @@ fn fp_ptr(b: &mut ProgramBuilder, reg: insn::Reg, off: i32) {
     b.alu_imm(AluOp::Add, reg, off as i64);
 }
 
+/// The program `b` holds. Resolving cannot fail: codegen binds every
+/// label it jumps to, and its streams are far shorter than 2^31.
+fn resolved(b: ProgramBuilder) -> Vec<Insn> {
+    #[allow(clippy::expect_used)]
+    b.resolve()
+        .expect("codegen binds every label it jumps to, within 2^31 instructions")
+}
+
 /// Generate the BEGIN program.
 pub fn gen_begin(probes: &ProbeLayout, depth_map: MapId, begin_map: MapId) -> Vec<Insn> {
     let mut b = ProgramBuilder::new();
@@ -288,8 +296,7 @@ pub fn gen_begin(probes: &ProbeLayout, depth_map: MapId, begin_map: MapId) -> Ve
 
     b.mov_imm(R0, 0);
     b.exit();
-    b.resolve()
-        .expect("begin codegen produced invalid assembly")
+    resolved(b)
 }
 
 /// Generate the END program.
@@ -400,7 +407,7 @@ pub fn gen_end(
     b.bind(err);
     b.mov_imm(R0, 1);
     b.exit();
-    b.resolve().expect("end codegen produced invalid assembly")
+    resolved(b)
 }
 
 /// Generate the FEATURES program. `probes` must match the layout used
@@ -466,8 +473,7 @@ pub fn gen_features(probes: &ProbeLayout, done_map: MapId, ring_map: MapId) -> V
     b.bind(err);
     b.mov_imm(R0, 1);
     b.exit();
-    b.resolve()
-        .expect("features codegen produced invalid assembly")
+    resolved(b)
 }
 
 #[cfg(test)]

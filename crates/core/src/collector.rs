@@ -1060,6 +1060,9 @@ impl TScout {
         }
         let bytes = encode_record(rec);
         k.user_emit_path.acquire(now, hold);
+        // ignored: `self.ring` is this collector's ring and a record is far
+        // below 4 GiB, so the push cannot fail.
+        #[allow(clippy::let_underscore_must_use)]
         let _ = self.loader.maps.ring_push(self.ring, &bytes);
         self.stats.samples_emitted += 1;
         if let Some(id) = trace {
@@ -1154,6 +1157,9 @@ impl TScout {
         inflight.clear();
         self.task_state(task).inflight = inflight;
         let tid = task.as_u64().to_le_bytes();
+        // ignored: a key the thread never set is already absent, which is
+        // what the reset wants.
+        #[allow(clippy::let_underscore_must_use)]
         for rt in self.subsys.iter().flatten() {
             if let Some(bpf) = rt.bpf {
                 let _ = self.loader.maps.delete(bpf.done_map, &tid);

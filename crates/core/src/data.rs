@@ -51,25 +51,28 @@ pub struct RawRecord {
 
 /// Little-endian `u64` words read in place from record bytes.
 #[derive(Debug, Clone, Copy)]
-struct Words<'a>(&'a [u8]);
+struct Words<'a>(&'a [[u8; 8]]);
 
 impl<'a> Words<'a> {
+    /// The whole words of `bytes`; a partial last one is left out.
+    fn of(bytes: &'a [u8]) -> Words<'a> {
+        Words(bytes.as_chunks().0)
+    }
+
     fn len(self) -> usize {
-        self.0.len() / 8
+        self.0.len()
     }
 
     fn get(self, i: usize) -> u64 {
-        u64::from_le_bytes(self.0[i * 8..][..8].try_into().expect("8-byte word"))
+        u64::from_le_bytes(self.0[i])
     }
 
     fn slice(self, words: std::ops::Range<usize>) -> Words<'a> {
-        Words(&self.0[words.start * 8..words.end * 8])
+        Words(&self.0[words])
     }
 
     fn iter(self) -> impl ExactSizeIterator<Item = u64> + 'a {
-        self.0
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().expect("8-byte word")))
+        self.0.iter().map(|w| u64::from_le_bytes(*w))
     }
 }
 
@@ -98,7 +101,7 @@ impl<'a> RecordView<'a> {
         if !bytes.len().is_multiple_of(8) || bytes.len() < HEADER_WORDS * 8 {
             return None;
         }
-        let words = Words(bytes);
+        let words = Words::of(bytes);
         let m = usize::try_from(words.get(6)).ok()?;
         let n_payload = usize::try_from(words.get(7)).ok()?;
         let body = HEADER_WORDS.checked_add(m)?;
@@ -267,7 +270,7 @@ pub(crate) fn whole(v: f64) -> u64 {
 /// without a full decode so a torn record still names its sender. An OU
 /// word above `u16::MAX` reads as missing, like an absent one.
 pub(crate) fn header_ids(bytes: &[u8]) -> (Option<OuId>, Option<Subsystem>) {
-    let word = |i: usize| Some(Words(bytes.get(i * 8..i * 8 + 8)?).get(0));
+    let word = |i: usize| Some(u64::from_le_bytes(*bytes.as_chunks().0.get(i)?));
     (
         word(0).and_then(|w| u16::try_from(w).ok()).map(OuId),
         word(2).and_then(|i| Subsystem::from_index(usize::try_from(i).ok()?)),

@@ -64,8 +64,18 @@
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 // A narrowing cast is a `try_from` with an error path, or an `allow`
-// that says why the value fits; test fixtures cast freely.
-#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+// that says why the value fits; an `expect` states its invariant under
+// an `allow`; a discarded result says `// ignored: <reason>`. Test
+// fixtures do as they like.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::let_underscore_must_use
+    )
+)]
 
 pub mod codegen;
 pub mod collector;

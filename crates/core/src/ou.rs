@@ -115,6 +115,9 @@ impl OuRegistry {
         if let Some(d) = self.defs.iter().find(|d| d.name == name) {
             return d.id;
         }
+        // A caller's bug (see `# Panics`): the DBMS registers a fixed
+        // set of markers, far below the reserved ids.
+        #[allow(clippy::expect_used)]
         let id = u16::try_from(self.defs.len())
             .ok()
             .filter(|id| *id < OU_IDS_RESERVED)

@@ -193,16 +193,15 @@ impl Processor {
         // Decoded in place: the only owned form is the training point.
         let view = RecordView::parse(record.bytes);
         let n_points = view.map_or(0, RecordView::point_count);
-        let Some(view) = view.filter(|_| n_points > 0) else {
+        // A record with points names a known subsystem.
+        let known = view.and_then(RecordView::known_subsystem);
+        let Some((view, subsystem)) = view.filter(|_| n_points > 0).zip(known) else {
             self.metrics.decode_errors.get(&self.telemetry).inc();
             let key = TraceKey::Ring(record.pos);
             self.telemetry
                 .trace_lost(key, kernel.now(self.task), "decode_error");
             return;
         };
-        let subsystem = view
-            .known_subsystem()
-            .expect("only a record of a known subsystem has points");
         let sink_enter = kernel.now(self.task);
         // De-aggregation fan-out: fused-pipeline records expand into one
         // point per constituent OU (§5.2).

@@ -183,6 +183,9 @@ impl Kernel {
     // ------------------------------------------------------------------
 
     pub fn create_task(&mut self) -> TaskId {
+        // Each task is a `TaskStruct` of many bytes: 2^32 do not fit in
+        // memory.
+        #[allow(clippy::expect_used)]
         let id = TaskId(u32::try_from(self.tasks.len()).expect("fewer than 2^32 tasks"));
         self.tasks.push(TaskStruct::new(id, self.hw.pmu_slots));
         id

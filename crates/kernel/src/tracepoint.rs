@@ -64,6 +64,8 @@ impl TracepointRegistry {
         if let Some(id) = self.by_name.get(&key) {
             return *id;
         }
+        // Each tracepoint owns two strings: 2^32 do not fit in memory.
+        #[allow(clippy::expect_used)]
         let id =
             TracepointId(u32::try_from(self.by_id.len()).expect("fewer than 2^32 tracepoints"));
         self.by_id.push(Tracepoint {

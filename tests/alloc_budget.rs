@@ -589,15 +589,16 @@ fn a_warm_metrics_scrape_captures_and_renders_without_allocating() {
 /// `lower` and both engines must return, the lowered run must match the
 /// reference's (`Twin`), and replayed from the same map state it must
 /// not allocate: the kept scratch and the maps' storage reached their
-/// size on the first run. END's Δ runs must take both their one-check
-/// path and their instruction-by-instruction fallback among the mutants.
+/// size on the first run. END's Δ runs must both take their one-check
+/// path and refuse it (falling through into their own ops) among the
+/// mutants.
 #[test]
 fn mutated_collector_programs_neither_panic_nor_allocate() {
     const MUTANTS_PER_STREAM: usize = 48;
     let mut rng = StdRng::seed_from_u64(0x10E_2ED);
     let ctx = encode_ctx(5, 42, 1, 0, &[77, 88, 99]);
     let (mut ok, mut faulted) = (0usize, 0usize);
-    // Δ runs the mutants' lowered runs took whole and stepped.
+    // Δ runs the mutants' lowered runs took whole and refused.
     let mut delta = [0u64; 2];
     for (layout, p) in layouts() {
         let (_, generated, _) = deploy(&p);
@@ -643,7 +644,7 @@ fn mutated_collector_programs_neither_panic_nor_allocate() {
             }
         }
     }
-    println!("{ok} mutant runs returned Ok, {faulted} Err; Δ runs {delta:?} (whole, stepped)");
+    println!("{ok} mutant runs returned Ok, {faulted} Err; Δ runs {delta:?} (whole, refused)");
     assert!(
         delta.iter().all(|&n| n > 0),
         "mutants should take both Δ-run paths: {delta:?}"

@@ -93,10 +93,11 @@ fn the_isa_offers_the_helpers_and_map_kinds_the_collector_uses() {
 }
 
 /// `bpf.vm_insns_per_triple` = 636: what one sampled marker triple costs
-/// on the virtual clock with every probe on — and the 161 ops the loader
-/// lowers the 640-instruction streams to, which is what it costs on the
-/// wall clock (FEATURES' two copy loops and END's two Δ loops are one
-/// run op each). A codegen edit that stops matching a fused shape (`mov
+/// on the virtual clock with every probe on — and the 161 ops a triple
+/// dispatches from the 640-instruction streams, which is what it costs on
+/// the wall clock (FEATURES' two copy loops and END's two Δ loops are one
+/// run op each, a guard whose covered ops a taken run skips and only a
+/// refused one falls into). A codegen edit that stops matching a fused shape (`mov
 /// d, b; add d, imm`, then the 8-byte load or store through `d`, a run
 /// of such word copies, or a loop of Δ blocks) moves the second count
 /// and not the first.

@@ -416,7 +416,7 @@ impl Twin {
         got
     }
 
-    /// Δ runs the lowered engine took whole and stepped, over every run
+    /// Δ runs the lowered engine took whole and refused, over every run
     /// so far.
     pub(crate) fn delta_runs(&self) -> [u64; 2] {
         self.scratch.delta_runs()

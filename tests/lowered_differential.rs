@@ -17,9 +17,11 @@
 //! * named programs, one per way a lowering can go wrong: a jump landing
 //!   inside a fusable pair or a copy run, control leaving the program or
 //!   going back, a written `r10`, a fault in a fused op's last
-//!   instruction, and a copy run whose one-shot copy must be refused (a
+//!   instruction, and a copy or Δ run whose one check must be refused (a
 //!   source that ends mid-run or went stale, a destination off the
-//!   stack, an overlap) without counting a lookup twice.
+//!   stack, an overlap, a begin value outside the maps): the guard then
+//!   falls through into the ops of the instructions it covers, having
+//!   written and counted nothing, so no lookup counts twice.
 //!
 //! No run executes an instruction twice, so the sweep draws 16× the
 //! generators' own case counts in a few seconds.
@@ -693,8 +695,8 @@ fn fold_stack(b: &mut ProgramBuilder, base: i32, words: i32) {
 }
 
 /// A run from the context: whole, it is one op and copies every word;
-/// when the context ends mid-run the op steps and faults at the load of
-/// the first word past the end, as the reference does.
+/// when the context ends mid-run the guard falls through and the load of
+/// the first word past the end faults, as the reference's does.
 #[test]
 fn a_copy_run_from_the_context_faults_where_its_source_ends() {
     let mut b = ProgramBuilder::new();
@@ -740,7 +742,7 @@ fn run_from_seven(groups: i64, delete_first: bool) -> Vec<Insn> {
 }
 
 /// A map-value source counts one lookup per word, copied at once or
-/// stepped: a value long enough, one too short for the run (the load
+/// through the ops the guard falls into: a value long enough, one too short for the run (the load
 /// past its end faults after counting its lookup, as the reference's
 /// does), and one whose key was deleted before the run.
 #[test]
@@ -773,8 +775,8 @@ fn a_copy_run_from_a_map_value_counts_a_lookup_per_word() {
     assert_eq!(twin.lowered.op_stats().deletes, 1);
 }
 
-/// When the destination leaves the stack, the op refuses the one-shot
-/// copy before counting anything and steps: the words before the fault
+/// When the destination leaves the stack, the guard refuses the
+/// one-shot copy before counting anything and falls through: the words before the fault
 /// are copied and counted once each, never again for the refused try.
 #[test]
 fn a_refused_copy_counts_each_lookup_once() {
@@ -829,8 +831,8 @@ fn a_jump_into_a_copy_run_splits_it() {
 }
 
 /// Stack to stack, each store landing on the next group's source: the
-/// run steps word by word, so the first word spreads through the range
-/// (`memmove` would shift it instead).
+/// guard refuses and the copies run word by word, so the first word
+/// spreads through the range (`memmove` would shift it instead).
 #[test]
 fn an_overlapping_stack_run_steps_word_by_word() {
     let mut b = ProgramBuilder::new();
@@ -1287,5 +1289,28 @@ fn an_unrebased_group_alone_is_a_run() {
         twin.run("group 0 alone", &prog, &lower(&prog), &[])
             .unwrap();
         assert_eq!(twin.delta_runs(), [1, 0]);
+    }
+}
+
+/// Begin words in the context, not in a map value: the guard refuses,
+/// counts the refusal and falls through into the groups' own ops, which
+/// end as the reference does and count each instruction once — the
+/// guard itself none.
+#[test]
+fn a_refused_delta_run_falls_through_into_its_own_ops() {
+    for run in [Delta::norm(3), Delta::plain(3)] {
+        // The context pointer kept in r6 across the lookup, whose key
+        // store and result go unused, then taken as the begin pointer.
+        let mut prog = delta_prog(&run, rising, false);
+        assert_eq!(prog[5], mov(R8, R0), "the begin pointer is set here");
+        (prog[0], prog[5]) = (mov(R6, R1), mov(R8, R6));
+        let ctx: Vec<u8> = (0..run.value_bytes() as i64 / 8)
+            .flat_map(|i| small(i).to_le_bytes())
+            .collect();
+        let mut twin = begin_value(run.value_bytes(), small);
+        let got = twin.run("begin in the context", &prog, &lower(&prog), &ctx);
+        let (_, stats) = got.unwrap();
+        assert_eq!(stats.insns, prog.len() as u64 - 2, "{run:?}");
+        assert_eq!(twin.delta_runs(), [0, 1], "{run:?}");
     }
 }
