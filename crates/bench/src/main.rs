@@ -1,6 +1,6 @@
 //! `tscout-bench <name>` — the one entry point of the experiment
-//! harness: every paper figure, every ablation and the two tools
-//! (`metrics_doc`, `trajectory_append`) is a row of [`ENTRIES`], a figure
+//! harness: every paper figure, every ablation and the three tools
+//! (`metrics_doc`, `pairs`, `trajectory_append`) is a row of [`ENTRIES`], a figure
 //! or ablation named exactly as the CSV it writes under `results/` (see
 //! EXPERIMENTS.md).
 //!
@@ -42,6 +42,7 @@ mod entries {
     pub(crate) mod fig8_adjustable_sampling;
     pub(crate) mod fig9_convergence_tpcc;
     pub(crate) mod metrics_doc;
+    pub(crate) mod pairs;
     pub(crate) mod trajectory_append;
 }
 use entries::*;
@@ -136,6 +137,12 @@ const ENTRIES: &[Entry] = &[
         name: "metrics_doc",
         kind: Kind::Tool,
         run: metrics_doc::main,
+        smoke_scale: None,
+    },
+    Entry {
+        name: "pairs",
+        kind: Kind::Tool,
+        run: pairs::main,
         smoke_scale: None,
     },
     Entry {

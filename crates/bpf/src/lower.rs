@@ -51,8 +51,8 @@
 use crate::insn::{AluOp, Cond, Helper, Insn, Reg, Size, Src};
 use crate::maps::MapRegistry;
 use crate::vm::{
-    alu, entry_regs, slot, stack_offset, Exec, ExecStats, HelperWorld, Vm, VmError, VmScratch,
-    HANDLE_BASE, REG_SLOTS, STACK_BASE, STACK_SIZE,
+    alu, entry_regs, slot, stack_offset, Exec, ExecStats, HelperWorld, RunKind, Vm, VmError,
+    VmScratch, HANDLE_BASE, REG_SLOTS, STACK_BASE, STACK_SIZE,
 };
 
 /// Slot of the frame pointer in the register file.
@@ -569,13 +569,10 @@ impl DeltaRun {
 
     /// Every group on the stack array at once when the fresh words and
     /// the done slots lie wholly in the stack and the begin words in one
-    /// live map value; `false`, with nothing written, when refused. Both
-    /// outcomes are counted.
+    /// live map value; `false`, with nothing written, when refused.
     #[inline(always)]
     fn exec(&self, regs: &mut [u64; REG_SLOTS], exec: &mut Exec<'_>) -> bool {
-        let taken = self.whole(regs, exec).is_some();
-        exec.count_delta_run(!taken);
-        taken
+        self.whole(regs, exec).is_some()
     }
 
     /// The one-check path: both stack ranges first, then the begin value
@@ -640,13 +637,16 @@ impl Run {
         }
     }
 
-    /// Whether the run was taken whole.
+    /// Whether the run was taken whole; both outcomes are counted, per
+    /// kind of run.
     #[inline(always)]
     fn exec(&self, regs: &mut [u64; REG_SLOTS], exec: &mut Exec<'_>) -> bool {
-        match self {
-            Run::Copy(run) => run.exec(regs, exec),
-            Run::Delta(run) => run.exec(regs, exec),
-        }
+        let (kind, taken) = match self {
+            Run::Copy(run) => (RunKind::Copy, run.exec(regs, exec)),
+            Run::Delta(run) => (RunKind::Delta, run.exec(regs, exec)),
+        };
+        exec.count_run(kind, !taken);
+        taken
     }
 }
 

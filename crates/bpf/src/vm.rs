@@ -132,9 +132,16 @@ pub struct VmScratch {
     bytes: Vec<u8>,
     /// Live map-value pointers, one per dereference window.
     deref: Vec<ValueRef>,
-    /// Δ runs taken whole and refused, over every run this scratch
-    /// served.
-    delta_runs: [u64; 2],
+    /// Per [`RunKind`], runs taken whole and refused, over every run
+    /// this scratch served.
+    runs: [[u64; 2]; 2],
+}
+
+/// The two kinds of fused run (see [`crate::lower`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum RunKind {
+    Copy,
+    Delta,
 }
 
 impl VmScratch {
@@ -143,11 +150,16 @@ impl VmScratch {
         self.bytes.capacity()
     }
 
-    /// How many Δ runs (see [`crate::lower`]) took the one-check path
-    /// and how many refused it and fell through into the ops of the
+    /// How many copy runs (see [`crate::lower`]) took the one-check
+    /// path and how many refused it and fell through into the ops of the
     /// instructions they cover, over every run this scratch served.
+    pub fn copy_runs(&self) -> [u64; 2] {
+        self.runs[RunKind::Copy as usize]
+    }
+
+    /// The same for Δ runs.
     pub fn delta_runs(&self) -> [u64; 2] {
-        self.delta_runs
+        self.runs[RunKind::Delta as usize]
     }
 }
 
@@ -328,10 +340,10 @@ impl<'a> Exec<'a> {
         Some((&mut self.stack, bytes))
     }
 
-    /// Count one Δ run, taken whole or refused.
+    /// Count one run of `kind`, taken whole or refused.
     #[inline(always)]
-    pub(crate) fn count_delta_run(&mut self, refused: bool) {
-        self.scratch.delta_runs[usize::from(refused)] += 1;
+    pub(crate) fn count_run(&mut self, kind: RunKind, refused: bool) {
+        self.scratch.runs[kind as usize][usize::from(refused)] += 1;
     }
 
     /// The `len` writable bytes at `addr`.

@@ -79,10 +79,15 @@ impl Points {
     /// Room for `rows` more points holding `values` input values between
     /// them. Either may be an estimate: a request the allocator refuses is
     /// left to growth.
+    #[allow(clippy::let_underscore_must_use)]
     pub(crate) fn reserve(&mut self, rows: usize, values: usize) {
+        // ignored: a refused hint leaves the room to `push_row`'s growth.
         let _ = self.values.try_reserve(values);
+        // ignored: as above.
         let _ = self.ends.try_reserve(rows);
+        // ignored: as above.
         let _ = self.targets_ns.try_reserve(rows);
+        // ignored: as above.
         let _ = self.templates.try_reserve(rows);
     }
 

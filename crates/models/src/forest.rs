@@ -7,9 +7,16 @@
 //!
 //! Training sorts no float below `fit`: each feature is rank-coded once
 //! ([`Column`]), a node finds its distinct values by counting codes, and
-//! every threshold of a feature is scored in one ordered pass over the
-//! node ([`Trainer::score`]) — building, bit for bit, the trees of the
+//! every threshold of a feature is scored from one pass over the node
+//! ([`Trainer::score`]) — building, bit for bit, the trees of the
 //! sort-per-node trainer kept as `reference` under `#[cfg(test)]`.
+//!
+//! That pass also sums `y` and `y²` per code. When every sum a fit can
+//! form is exact ([`exactly_summable`]: integer targets, as elapsed
+//! nanoseconds are, with `n · max|y|² ≤ 2^53`), every summation order
+//! gives the same bits, and prefix sums over the codes score each
+//! threshold. Otherwise each threshold gets an accumulator lane that
+//! adds the node's rows in bootstrap order, as the reference does.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -115,8 +122,9 @@ impl Column {
     }
 }
 
-/// `(feature, threshold, gain)` of the best split seen so far.
-type Best = Option<(usize, f64, f64)>;
+/// `(feature, threshold, gain, left Σy)` of the best split seen so far;
+/// the sum is read only when exact ([`Trainer::exact`]).
+type Best = Option<(usize, f64, f64, f64)>;
 
 /// One tree under construction: its bootstrap sample, partitioned in
 /// place down the tree so that every node is a range `lo..hi` of `rows`
@@ -129,22 +137,28 @@ struct Trainer<'a> {
     rows: Vec<u32>,
     ys: Vec<f64>,
     candidates: Vec<usize>,
-    /// The scored feature's code of each row of the node, contiguous.
-    node_codes: Vec<u32>,
-    /// Per code: rows of the node carrying it; all zero between calls.
+    /// Whether every sum of `ys` and `ys²` is exact ([`exactly_summable`]).
+    exact: bool,
+    /// Per code: rows of the node carrying it, and their `[Σy, Σy²]`;
+    /// all zero between calls.
     count: Vec<u32>,
-    /// The codes on the node, ascending, and the rows below each.
+    sums: Vec<[f64; 2]>,
+    /// The codes on the node, ascending, and the rows and `[Σy, Σy²]`
+    /// below each (one more entry each: the node's totals).
     present: Vec<u32>,
     below: Vec<usize>,
+    below_sums: Vec<[f64; 2]>,
     /// The right side of a partition while the left is compacted.
     spill: (Vec<u32>, Vec<f64>),
 }
 
 impl Trainer<'_> {
-    fn build(&mut self, lo: usize, hi: usize, depth: usize, rng: &mut StdRng) -> Node {
+    /// The tree below node `lo..hi`, whose targets sum to `sum` (bit for
+    /// bit their `iter().sum()`).
+    fn build(&mut self, lo: usize, hi: usize, depth: usize, sum: f64, rng: &mut StdRng) -> Node {
         // Never empty: a fit has a row, a split a row on either side.
         let ys = &self.ys[lo..hi];
-        let mean = ys.iter().sum::<f64>() / ys.len() as f64;
+        let mean = sum / ys.len() as f64;
         let d = self.cols.len();
         if depth >= self.max_depth || ys.len() < 2 * self.min_leaf || d == 0 {
             return Node::Leaf(mean);
@@ -171,52 +185,75 @@ impl Trainer<'_> {
                 self.score(f, lo, hi, parent_sse, &mut best);
             }
         }
-        let Some((feature, threshold, _)) = best else {
+        let Some((feature, threshold, _, left_sum)) = best else {
             return Node::Leaf(mean);
         };
         let mid = self.partition(lo, hi, feature, threshold);
+        // Exact sums carry over from the split. An exact zero could stand
+        // for a pass's `-0.0` (every term `-0.0`), so it takes the pass.
+        let carried = |s: f64| (self.exact && s != 0.0).then_some(s);
+        let [left_sum, right_sum] = [(lo, mid, left_sum), (mid, hi, sum - left_sum)]
+            .map(|(lo, hi, s)| carried(s).unwrap_or_else(|| self.ys[lo..hi].iter().sum()));
         Node::Split {
             feature,
             threshold,
-            left: Box::new(self.build(lo, mid, depth + 1, rng)),
-            right: Box::new(self.build(mid, hi, depth + 1, rng)),
+            left: Box::new(self.build(lo, mid, depth + 1, left_sum, rng)),
+            right: Box::new(self.build(mid, hi, depth + 1, right_sum, rng)),
         }
     }
 
     /// Offer `best` every threshold feature `f` has on node `lo..hi`:
     /// midpoints of the node's sorted distinct values (subsampled for
-    /// speed on large nodes), all scored in one pass over the node with
-    /// one accumulator lane per threshold.
+    /// speed on large nodes). One pass over the node counts and sums its
+    /// rows per code; with exact sums, each threshold is scored from
+    /// their prefix sums, otherwise in a second pass with one
+    /// accumulator lane per threshold.
     fn score(&mut self, f: usize, lo: usize, hi: usize, parent_sse: f64, best: &mut Best) {
         let Column { values, codes } = &self.cols[f];
-        let (node, code) = (&self.rows[lo..hi], |&r: &u32| codes[r as usize]);
-        // A midpoint needs two numbers: on the fit, then on the node.
-        if values.len() < 2 || node.iter().all(|r| code(r) == code(&node[0])) {
+        // A midpoint needs two numbers on the fit (and on the node: one
+        // code there leaves no window below).
+        if values.len() < 2 {
             return;
         }
-        self.node_codes.clear();
-        self.node_codes.extend(node.iter().map(code));
+        let node = &self.rows[lo..hi];
         self.present.clear();
-        for &c in &self.node_codes {
+        for (&r, &y) in node.iter().zip(&self.ys[lo..hi]) {
+            let c = codes[r as usize];
             if self.count[c as usize] == 0 {
                 self.present.push(c);
             }
             self.count[c as usize] += 1;
+            let sums = &mut self.sums[c as usize];
+            sums[0] += y;
+            sums[1] += y * y;
         }
         self.present.sort_unstable();
         self.below.clear();
-        let (mut seen, mut nans) = (0, [0; 2]);
+        self.below_sums.clear();
+        let (mut seen, mut sum, mut nans) = (0, [0.0; 2], [0; 2]);
         for &c in &self.present {
             self.below.push(seen);
+            self.below_sums.push(sum);
             let rows = std::mem::take(&mut self.count[c as usize]) as usize;
-            seen += rows;
+            let [s, ss] = std::mem::take(&mut self.sums[c as usize]);
+            (seen, sum) = (seen + rows, [sum[0] + s, sum[1] + ss]);
             if let Some(sign) = (c as usize).checked_sub(values.len()) {
                 nans[sign] = rows;
             }
         }
         self.below.push(seen);
+        self.below_sums.push(sum);
         let present = &self.present[..];
         let numeric = present.len() - nans.iter().filter(|&&rows| rows > 0).count();
+        let offer =
+            |best: &mut Best, t: f64, ln: usize, [ls, lss]: [f64; 2], [rs, rss]: [f64; 2]| {
+                let rn = seen - ln;
+                let child_sse = (lss - ls * ls / ln as f64) + (rss - rs * rs / rn as f64);
+                let gain = parent_sse - child_sse;
+                if best.map(|(_, _, g, _)| gain > g).unwrap_or(gain > 1e-12) {
+                    *best = Some((f, t, gain, ls));
+                }
+            };
 
         // The sorted, `==`-deduplicated values of the node: every NaN
         // row is its own entry (NaN != NaN), sign-bit NaNs first.
@@ -238,19 +275,26 @@ impl Trainer<'_> {
             if ln.min(seen - ln) < self.min_leaf.max(1) {
                 continue;
             }
-            // `present[p]`: the lowest code on the lane's right side.
-            (threshold[lanes], cut[lanes], left[lanes]) = (t, present[p], ln);
-            lanes += 1;
+            if self.exact {
+                // Exact sums: any order, and so the prefix, is the scan's.
+                let [ls, lss] = self.below_sums[p];
+                let [ts, tss] = sum;
+                offer(best, t, ln, [ls, lss], [ts - ls, tss - lss]);
+            } else {
+                // `present[p]`: the lowest code on the lane's right side.
+                (threshold[lanes], cut[lanes], left[lanes]) = (t, present[p], ln);
+                lanes += 1;
+            }
         }
         if lanes == 0 {
             return;
         }
         // Each lane's four sums see exactly the additions a scan of
         // their own would make, in bootstrap order, so gains are
-        // bit-identical. (Sharing work between lanes — per-code buckets,
-        // prefix sums — would reassociate them.)
+        // bit-identical. (Prefix sums would reassociate inexact sums.)
         let (mut l, mut r) = ([[0.0f64; 2]; MAX_LANES], [[0.0f64; 2]; MAX_LANES]);
-        for (&c, &y) in self.node_codes.iter().zip(&self.ys[lo..hi]) {
+        for (&row, &y) in node.iter().zip(&self.ys[lo..hi]) {
+            let c = codes[row as usize];
             for ((l, r), &cut) in l[..lanes].iter_mut().zip(&mut r[..lanes]).zip(&cut) {
                 let side = if c < cut { l } else { r };
                 side[0] += y;
@@ -258,13 +302,7 @@ impl Trainer<'_> {
             }
         }
         for lane in 0..lanes {
-            let ([ls, lss], [rs, rss]) = (l[lane], r[lane]);
-            let (ln, rn) = (left[lane], seen - left[lane]);
-            let child_sse = (lss - ls * ls / ln as f64) + (rss - rs * rs / rn as f64);
-            let gain = parent_sse - child_sse;
-            if best.map(|(_, _, g)| gain > g).unwrap_or(gain > 1e-12) {
-                *best = Some((f, threshold[lane], gain));
-            }
+            offer(best, threshold[lane], left[lane], l[lane], r[lane]);
         }
     }
 
@@ -289,6 +327,32 @@ impl Trainer<'_> {
     }
 }
 
+/// Whether every sum [`Trainer::score`] forms is exact: of the targets
+/// and of their squares, over any bootstrap draw of `y.len()` of them,
+/// in any order. True when every target is an integer and `n · M² ≤
+/// 2^53` (`M = max|y|`): then each term and each partial sum is an
+/// integer of magnitude at most 2^53, which an `f64` holds exactly.
+fn exactly_summable(y: &[f64]) -> bool {
+    let mut max = 0.0f64;
+    for &v in y {
+        // `fract` is NaN for ±∞ and NaN, so those fail too.
+        if v.fract() != 0.0 {
+            return false;
+        }
+        max = max.max(v.abs());
+    }
+    // An integer: exact below 2^64, saturating above, where
+    // `fits_exactly` fails for any `n ≥ 1` all the same.
+    #[allow(clippy::cast_possible_truncation)]
+    fits_exactly(y.len(), max as u64)
+}
+
+/// `n · m² ≤ 2^53`, in integers: `f64` would round the product.
+fn fits_exactly(n: usize, m: u64) -> bool {
+    let m = u128::from(m);
+    (n as u128).checked_mul(m * m).is_some_and(|s| s <= 1 << 53)
+}
+
 impl Regressor for RandomForest {
     fn fit(&mut self, points: PointsView<'_>) {
         self.trees.clear();
@@ -296,6 +360,9 @@ impl Regressor for RandomForest {
             return;
         };
         let n = points.len();
+        // Rank codes are `u32`: a fit of 2^32 rows would hold 32 GiB of
+        // targets alone, past any dataset this system collects.
+        #[allow(clippy::expect_used)]
         let rows = u32::try_from(n).expect("rank codes are u32: a fit takes at most u32::MAX rows");
         let y: Vec<f64> = points.iter().map(|p| p.target_ns).collect();
         // One feature at a time, gathered into a reused column to be coded.
@@ -311,7 +378,9 @@ impl Regressor for RandomForest {
             cols: &cols,
             max_depth: self.max_depth,
             min_leaf: self.min_leaf,
+            exact: exactly_summable(&y),
             count: vec![0; codes.unwrap_or(0)],
+            sums: vec![[0.0; 2]; codes.unwrap_or(0)],
             spill: (vec![0; n], vec![0.0; n]),
             ..Trainer::default()
         };
@@ -328,7 +397,8 @@ impl Regressor for RandomForest {
                 trainer.rows.push(code_row);
                 trainer.ys.push(y[row]);
             }
-            self.trees.push(trainer.build(0, n, 0, &mut rng));
+            let sum = trainer.ys.iter().sum();
+            self.trees.push(trainer.build(0, n, 0, sum, &mut rng));
         }
     }
 
@@ -562,6 +632,36 @@ mod tests {
     }
 
     #[test]
+    fn the_exact_bound_is_n_times_m_squared_at_most_2_53_in_integers() {
+        assert!(fits_exactly(8, 1 << 25));
+        assert!(!fits_exactly(8, (1 << 25) + 1));
+        assert!(!fits_exactly(9, 1 << 25));
+        assert!(fits_exactly(1 << 53, 1));
+        // 2^53 + 1 rounds onto 2^53 in `f64`.
+        assert!(!fits_exactly((1 << 53) + 1, 1));
+        assert!(fits_exactly(usize::MAX, 0));
+        assert!(!fits_exactly(2, u64::MAX));
+    }
+
+    #[test]
+    fn exactly_summable_wants_integers_within_the_bound() {
+        assert!(exactly_summable(&[]));
+        assert!(exactly_summable(&[-0.0, 0.0, -3.0, 1e7]));
+        assert!(exactly_summable(&[-33_554_432.0; 8])); // 8 · (2^25)² = 2^53
+        assert!(!exactly_summable(&[-33_554_433.0; 8]));
+        for bad in [
+            0.5,
+            -1e-3,
+            1e300,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ] {
+            assert!(!exactly_summable(&[1.0, bad]), "{bad}");
+        }
+    }
+
+    #[test]
     fn empty_fit_predicts_zero() {
         let mut rf = RandomForest::new(4, 6, 2, 1);
         rf.fit(crate::Points::default().view());
@@ -666,10 +766,29 @@ mod differential {
         }
     }
 
+    const INTEGER_SHAPES: usize = 4;
+
+    /// Integer targets, the shapes elapsed nanoseconds take, each at most
+    /// `cap` in magnitude.
+    fn integer_value(shape: usize, x0: f64, cap: f64, rng: &mut StdRng) -> f64 {
+        let (u, tied) = (rng.random::<f64>(), x0 > 1.0);
+        match shape {
+            // Small integers.
+            0 => (u * 4.0).floor() + if tied { 10.0 } else { 0.0 },
+            // Elapsed-ns-like: mostly small, a tail up to `cap`.
+            1 => (cap * (u * u * u + f64::from(u8::from(tied))) / 2.0).floor(),
+            // Negative.
+            2 => (u * 2e3).floor() - if tied { 3e3 } else { 1e3 },
+            // Signed zeros among a few integers.
+            _ => [-0.0, 0.0, if tied { 3.0 } else { -1.0 }][rng.random_range(0..3)],
+        }
+    }
+
     /// One seeded case: `n` rows of `d` features, every column and the
     /// target an independently drawn shape, a tenth of the rows
-    /// duplicated over others.
-    fn run_case(seed: u64, n: usize) {
+    /// duplicated over others. `integer` draws an [`integer_value`]
+    /// shape sized to stay exactly summable.
+    fn run_case(seed: u64, n: usize, integer: bool) {
         let rng = &mut StdRng::seed_from_u64(seed);
         let d = rng.random_range(1..=6usize);
         let min_leaf = rng.random_range(1..=4usize);
@@ -677,11 +796,28 @@ mod differential {
         let shapes: Vec<usize> = (0..d)
             .map(|_| rng.random_range(0..FEATURE_SHAPES))
             .collect();
-        let target = rng.random_range(0..TARGET_SHAPES);
+        let target = rng.random_range(
+            0..if integer {
+                INTEGER_SHAPES
+            } else {
+                TARGET_SHAPES
+            },
+        );
         let mut x: Vec<Vec<f64>> = (0..n)
             .map(|_| shapes.iter().map(|&s| feature_value(s, rng)).collect())
             .collect();
-        let mut y: Vec<f64> = x.iter().map(|r| target_value(target, r[0], rng)).collect();
+        // n · cap² ≤ 2^53, one below the rounded root.
+        let cap = ((1u64 << 53) as f64 / n.max(1) as f64)
+            .sqrt()
+            .floor()
+            .min(1e7)
+            - 1.0;
+        let mut y: Vec<f64> = (x.iter())
+            .map(|r| match integer {
+                true => integer_value(target, r[0], cap, rng),
+                false => target_value(target, r[0], rng),
+            })
+            .collect();
         for _ in 0..n / 10 {
             let (from, to) = (rng.random_range(0..n), rng.random_range(0..n));
             x[to] = x[from].clone();
@@ -689,16 +825,20 @@ mod differential {
         }
         let case = format!(
             "seed {seed} n {n} d {d} min_leaf {min_leaf} max_depth {max_depth} \
-             features {shapes:?} target {target}"
+             features {shapes:?} target {target} integer {integer}"
+        );
+        assert!(
+            !integer || exactly_summable(&y),
+            "{case}: not exactly summable"
         );
         let forest = RandomForest::new(3, max_depth, min_leaf, seed ^ 0x5eed);
         assert_same_trees(&case, forest, &x, &y);
     }
 
-    fn sweep(sizes: &[usize], cases_per_size: u64) {
+    fn sweep(sizes: &[usize], cases_per_size: u64, integer: bool) {
         for &n in sizes {
             for case in 0..cases_per_size {
-                run_case(1_000 * n as u64 + case, n);
+                run_case(1_000 * n as u64 + case, n, integer);
             }
         }
     }
@@ -707,8 +847,39 @@ mod differential {
     /// within a second.
     #[test]
     fn coded_fit_builds_the_reference_trees() {
-        sweep(&[0, 1, 2, 7, 33, 200], 12);
-        sweep(&[1_500], 2);
+        sweep(&[0, 1, 2, 7, 33, 200], 12, false);
+        sweep(&[1_500], 2, false);
+    }
+
+    /// The same on exactly summable targets, where prefix sums score
+    /// every threshold.
+    #[test]
+    fn coded_fit_builds_the_reference_trees_on_integer_targets() {
+        sweep(&[0, 1, 2, 7, 33, 200], 12, true);
+        sweep(&[1_500], 2, true);
+    }
+
+    /// Both sides of the bound at n = 8: at `M = 2^25` every sum is
+    /// exact; near 2^27 each square takes 55 bits and sums round, so
+    /// prefix sums would pick other thresholds than the lanes, which
+    /// hold the reference's order.
+    #[test]
+    fn targets_past_the_bound_keep_the_lane_scan() {
+        let x: Vec<Vec<f64>> = (0..8)
+            .map(|i| vec![f64::from(i), f64::from(i % 3)])
+            .collect();
+        for (top, exact) in [(1u64 << 25, true), ((1 << 25) + 1, false), (1 << 27, false)] {
+            for seed in 0..16 {
+                let rng = &mut StdRng::seed_from_u64(seed);
+                let mut y: Vec<f64> = (0..8)
+                    .map(|_| (top - rng.random_range(0..64u64) * 2 - 1) as f64)
+                    .collect();
+                y[0] = top as f64;
+                assert_eq!(exactly_summable(&y), exact, "top {top}");
+                let case = format!("top {top} seed {seed}");
+                assert_same_trees(&case, RandomForest::new(8, 4, 1, seed), &x, &y);
+            }
+        }
     }
 
     /// The full sweep (`ci.sh` runs it in release): 280 cases up to
@@ -716,8 +887,8 @@ mod differential {
     #[test]
     #[ignore = "seconds in release, minutes in a debug build"]
     fn coded_fit_builds_the_reference_trees_full_sweep() {
-        sweep(&[0, 1, 2, 7, 33, 200, 1_500], 38);
-        sweep(&[20_000], 14);
+        sweep(&[0, 1, 2, 7, 33, 200, 1_500], 38, false);
+        sweep(&[20_000], 14, false);
     }
 
     /// Every combination of one feature shape with one target shape, so

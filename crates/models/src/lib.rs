@@ -19,7 +19,19 @@
 //! Models are deterministic for a fixed seed.
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
-#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+// A narrowing cast is a `try_from` with an error path, or an `allow`
+// that says why the value fits; an `expect` states its invariant under
+// an `allow`; a discarded result says `// ignored: <reason>`. Test
+// fixtures do as they like.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::let_underscore_must_use
+    )
+)]
 
 pub mod dataset;
 pub mod eval;

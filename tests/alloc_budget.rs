@@ -589,17 +589,17 @@ fn a_warm_metrics_scrape_captures_and_renders_without_allocating() {
 /// `lower` and both engines must return, the lowered run must match the
 /// reference's (`Twin`), and replayed from the same map state it must
 /// not allocate: the kept scratch and the maps' storage reached their
-/// size on the first run. END's Δ runs must both take their one-check
-/// path and refuse it (falling through into their own ops) among the
-/// mutants.
+/// size on the first run. FEATURES' copy runs and END's Δ runs must
+/// each both take their one-check path and refuse it (falling through
+/// into their own ops) among the mutants.
 #[test]
 fn mutated_collector_programs_neither_panic_nor_allocate() {
     const MUTANTS_PER_STREAM: usize = 48;
     let mut rng = StdRng::seed_from_u64(0x10E_2ED);
     let ctx = encode_ctx(5, 42, 1, 0, &[77, 88, 99]);
     let (mut ok, mut faulted) = (0usize, 0usize);
-    // Δ runs the mutants' lowered runs took whole and refused.
-    let mut delta = [0u64; 2];
+    // Copy and Δ runs the mutants' lowered runs took whole and refused.
+    let mut runs = [[0u64; 2]; 2];
     for (layout, p) in layouts() {
         let (_, generated, _) = deploy(&p);
         let valid = generated.each_ref().map(|insns| lower(insns));
@@ -622,11 +622,16 @@ fn mutated_collector_programs_neither_panic_nor_allocate() {
                         }
                     };
                     reset(&mut twin);
-                    let before = twin.delta_runs();
+                    let before = [twin.copy_runs(), twin.delta_runs()];
                     let first = twin.run(&what, &mutant, &lowered, &ctx);
-                    let after = twin.delta_runs();
-                    for (d, (a, b)) in delta.iter_mut().zip(after.iter().zip(before)) {
-                        *d += a - b;
+                    let after = [twin.copy_runs(), twin.delta_runs()];
+                    for ((n, a), b) in runs
+                        .as_flattened_mut()
+                        .iter_mut()
+                        .zip(after.as_flattened())
+                        .zip(before.as_flattened())
+                    {
+                        *n += a - b;
                     }
                     match first {
                         Ok(_) => ok += 1,
@@ -644,10 +649,14 @@ fn mutated_collector_programs_neither_panic_nor_allocate() {
             }
         }
     }
-    println!("{ok} mutant runs returned Ok, {faulted} Err; Δ runs {delta:?} (whole, refused)");
+    let [copy, delta] = runs;
+    println!(
+        "{ok} mutant runs returned Ok, {faulted} Err; copy runs {copy:?}, Δ runs {delta:?} \
+         (whole, refused)"
+    );
     assert!(
-        delta.iter().all(|&n| n > 0),
-        "mutants should take both Δ-run paths: {delta:?}"
+        runs.as_flattened().iter().all(|&n| n > 0),
+        "mutants should take both paths of both kinds of run: copy {copy:?}, Δ {delta:?}"
     );
     assert!(
         ok > 200 && faulted > 200,

@@ -416,8 +416,13 @@ impl Twin {
         got
     }
 
-    /// Δ runs the lowered engine took whole and refused, over every run
-    /// so far.
+    /// Copy runs the lowered engine took whole and refused, over every
+    /// run so far.
+    pub(crate) fn copy_runs(&self) -> [u64; 2] {
+        self.scratch.copy_runs()
+    }
+
+    /// The same for Δ runs.
     pub(crate) fn delta_runs(&self) -> [u64; 2] {
         self.scratch.delta_runs()
     }

@@ -754,6 +754,7 @@ fn a_copy_run_from_a_map_value_counts_a_lookup_per_word() {
     let (r0, _) = twin.run("value run", &prog, &lower(&prog), &[]).unwrap();
     assert_eq!(r0, 0x0907);
     assert_eq!(lookups(&twin), 1 + 2, "the helper's, then one per word");
+    assert_eq!(twin.copy_runs(), [1, 0]);
 
     // The value is two words; the third group's load faults.
     let prog = run_from_seven(3, false);
@@ -765,6 +766,7 @@ fn a_copy_run_from_a_map_value_counts_a_lookup_per_word() {
         "{got:?}"
     );
     assert_eq!(lookups(&twin), 1 + 3);
+    assert_eq!(twin.copy_runs(), [0, 1]);
 
     // Deleted before the run: the first load finds the pointer stale.
     let prog = run_from_seven(2, true);
@@ -773,6 +775,7 @@ fn a_copy_run_from_a_map_value_counts_a_lookup_per_word() {
     assert_eq!(got, Err(VmError::StaleMapValue { pc: SEVEN + 4 + 2 }));
     assert_eq!(lookups(&twin), 1 + 1);
     assert_eq!(twin.lowered.op_stats().deletes, 1);
+    assert_eq!(twin.copy_runs(), [0, 1]);
 }
 
 /// When the destination leaves the stack, the guard refuses the
@@ -797,6 +800,7 @@ fn a_refused_copy_counts_each_lookup_once() {
         })
     );
     assert_eq!(twin.lowered.op_stats().lookups, 1 + 2);
+    assert_eq!(twin.copy_runs(), [0, 1]);
 }
 
 /// A jump onto the second of three groups splits the run there: the
