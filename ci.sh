@@ -82,7 +82,7 @@ cargo test -q --release --test alloc_budget
 echo "== forest differential, full sweep (release): the rank-coded fit builds the sort-per-node reference's trees bit for bit — 280 seeded cases of hostile floats, n up to 20 000 =="
 cargo test -q --release -p tscout-models -- --include-ignored forest
 
-echo "== B+-tree differential, full sweep (release): the flat-key tree returns the Vec<IndexKey>-per-node reference's postings, examined counts and height after every step — 72 seeded streams of 20 000 operations over 1- to 3-column keys =="
+echo "== B+-tree differential, full sweep (release): the flat-key tree returns the Vec<IndexKey>-per-node reference's postings, examined counts and height after every step — 96 seeded streams of 20 000 operations over 1- to 3-column keys, 24 of them at the edges of i64 for the word descent =="
 cargo test -q --release --test btree_differential -- --include-ignored
 
 echo "== one engine behind Loader::run: nothing in crates/bpf reads the environment or a cargo feature =="
@@ -159,6 +159,15 @@ done | grep -v '// ignored: ' || true)
 if [ -n "$dropped" ]; then
   echo "$dropped"
   echo "FAIL: a durability call's error is dropped without a reason"; exit 1
+fi
+
+echo "== a point read chases few pointers: no per-key postings Vec in crates/db/src/index/btree.rs, no BTreeMap of transactions in crates/db/src/txn.rs, outside tests =="
+chased=$(for f in crates/db/src/index/btree.rs:'Vec<Vec<SlotId>>' crates/db/src/txn.rs:'BTreeMap'; do
+  sed '/^#\[cfg(test)\]/,$d' "${f%%:*}" | grep -nF "${f#*:}" | sed "s|^|${f%%:*}:|" || true
+done)
+if [ -n "$chased" ]; then
+  echo "$chased"
+  echo "FAIL: a key's one slot sits inline (Postings) and the active transactions are one small Vec"; exit 1
 fi
 
 echo "== the non-test greps see all shipped code: no top-level item without #[cfg(test)] follows a file's first #[cfg(test)] under crates/ =="

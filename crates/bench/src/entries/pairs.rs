@@ -17,6 +17,9 @@
 //! than the parent's IQR, `flat` otherwise. Numbers from two sessions do
 //! not compare, so every line also carries the session's effective
 //! parallelism: one fixed spin timed on one thread, then on two at once.
+//! It can change within a session, so the spin runs before every pair;
+//! the line keeps the median reading and the range, and a range wider
+//! than [`PARALLELISM_SPREAD`] prints a warning.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -25,6 +28,10 @@ use std::time::{Instant, SystemTime, UNIX_EPOCH};
 use tscout_obsd::json::Json;
 
 use super::trajectory_append::{self as trajectory, quartiles, read_json, ROOT};
+
+/// Widest range of parallelism readings one invocation reads as one
+/// machine.
+const PARALLELISM_SPREAD: f64 = 0.5;
 
 const USAGE: &str = "usage: tscout-bench pairs --parent <rev> --workload <w> --pairs N \
                      [--seconds S] [--seed N]";
@@ -121,8 +128,7 @@ fn run(argv: &[String]) -> Result<(), String> {
         build(&parent_tree.join("benchmark"))?,
         build(&root.join("benchmark"))?,
     ];
-    let parallelism = parallelism();
-    println!("parent {parent_rev}, change {change_rev}; effective parallelism {parallelism:.2}");
+    println!("parent {parent_rev}, change {change_rev}");
 
     let stamp = SystemTime::now()
         .duration_since(UNIX_EPOCH)
@@ -131,7 +137,15 @@ fn run(argv: &[String]) -> Result<(), String> {
     let mut files: Vec<(&str, String)> = Vec::new();
     // Per side: operations failed and attempted, digests seen.
     let mut checks = [(0.0, 0.0, Vec::new()), (0.0, 0.0, Vec::new())];
+    let mut readings = Vec::with_capacity(args.pairs);
     for pair in 0..args.pairs {
+        readings.push(parallelism());
+        println!(
+            "pair {}/{}: effective parallelism {:.2}",
+            pair + 1,
+            args.pairs,
+            readings[pair]
+        );
         let order = if pair % 2 == 0 { [0, 1] } else { [1, 0] };
         for side in order {
             let name = ["parent", "change"][side];
@@ -168,8 +182,21 @@ fn run(argv: &[String]) -> Result<(), String> {
             side.commits = vec![rev.clone()];
         }
     }
-    let rounded = (parallelism * 100.0).round() / 100.0;
-    runs.stamp.insert("parallelism".into(), Json::Num(rounded));
+    let (median, range) = parallelism_summary(&readings);
+    println!(
+        "effective parallelism: median {median:.2}, range {:.2}–{:.2}",
+        range[0], range[1]
+    );
+    if range[1] - range[0] > PARALLELISM_SPREAD {
+        println!(
+            "warning: the effective parallelism moved by more than {PARALLELISM_SPREAD} \
+             within this run; the pairs may not have run on one machine"
+        );
+    }
+    let range = range.iter().map(|&p| Json::Num(p)).collect();
+    runs.stamp.insert("parallelism".into(), Json::Num(median));
+    runs.stamp
+        .insert("parallelism_range".into(), Json::Arr(range));
     let line = trajectory::line(&runs, std::slice::from_ref(&args.workload))?;
     trajectory::append_line(&line)?;
     println!(
@@ -323,6 +350,15 @@ fn parallelism() -> f64 {
     2.0 * one / two
 }
 
+/// The median of the per-pair parallelism readings and their min–max
+/// range, each rounded to two decimals.
+fn parallelism_summary(readings: &[f64]) -> (f64, [f64; 2]) {
+    let round = |p: f64| (p * 100.0).round() / 100.0;
+    let min = readings.iter().copied().fold(f64::INFINITY, f64::min);
+    let max = readings.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+    (round(quartiles(readings)[1]), [round(min), round(max)])
+}
+
 /// Per metric: both medians, the change's move, the parent's IQR, wins
 /// and the verdict.
 fn report(runs: &trajectory::Runs, workload: &str, metrics: &[Metric]) -> String {
@@ -392,6 +428,15 @@ mod tests {
         assert_eq!(verdict(-0.3, 0.2, 8, 10, true), "flat");
         assert_eq!(verdict(-0.3, 0.2, 10, 10, false), "flat");
         assert_eq!(verdict(-0.3, 0.2, 3, 3, true), "gain");
+    }
+
+    #[test]
+    fn the_parallelism_stamp_is_the_median_reading_and_the_range() {
+        assert_eq!(
+            parallelism_summary(&[1.91, 1.02, 1.884, 1.9]),
+            (1.89, [1.02, 1.91])
+        );
+        assert_eq!(parallelism_summary(&[1.5]), (1.5, [1.5, 1.5]));
     }
 
     #[test]

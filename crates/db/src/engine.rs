@@ -377,7 +377,7 @@ impl Database {
         let task = self.sessions[sid.0].task;
         let frames = [DBMS.id(), EngineOu::TxnCommit.frame().id()];
         let _frames = self.kernel.profile_frames(task, frames);
-        let (commit_ts, writes) = self.txns.commit(txn);
+        let (commit_ts, writes) = self.txns.commit(txn).ok_or(DbError::NoTransaction)?;
         for w in &writes {
             self.tables[w.table.0 as usize].commit_slot(w.slot, txn.id, commit_ts);
         }
@@ -414,12 +414,17 @@ impl Database {
             .txn
             .take()
             .ok_or(DbError::NoTransaction)?;
+        self.abort(txn);
+        Ok(())
+    }
+
+    /// Undo `txn`'s writes, newest first, and count the abort.
+    fn abort(&mut self, txn: TxnHandle) {
         let writes = self.txns.abort(txn);
         for w in writes.iter().rev() {
             self.tables[w.table.0 as usize].abort_slot(w.slot, txn.id);
         }
         self.metrics.txn_aborts.get(&self.kernel.telemetry).inc();
-        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -530,7 +535,9 @@ impl Database {
         if implicit {
             self.begin(sid);
         }
-        let txn = self.sessions[sid.0].txn.unwrap();
+        let Some(txn) = self.sessions[sid.0].txn else {
+            return Err(DbError::NoTransaction);
+        };
         let task = self.sessions[sid.0].task;
         let (result, obs, actual_ns) = {
             let mut ctx = ExecCtx::new(
@@ -561,7 +568,8 @@ impl Database {
                 Ok((outcome, obs, actual_ns))
             }
             Err(e) => {
-                let _ = self.rollback(sid);
+                self.sessions[sid.0].txn = None;
+                self.abort(txn);
                 Err(DbError::Aborted(e))
             }
         }

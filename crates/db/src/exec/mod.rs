@@ -901,8 +901,11 @@ fn exec_update(
             // Stale old-key entries are lazily re-checked by scans and
             // reclaimed by GC; only the fresh key is inserted, read from
             // the version just installed.
-            let new = table.read(slot, ctx.txn.read_ts, ctx.txn.id);
-            let new = new.expect("a transaction sees its own write");
+            let Some(new) = table.read(slot, ctx.txn.read_ts, ctx.txn.id) else {
+                return Err(ExecError::Eval(
+                    "an updated row is hidden from its writer".into(),
+                ));
+            };
             for (im, _) in index_metas().zip(&changed[t * width..]).filter(|(_, &m)| m) {
                 ctx.indexes[im.id.0 as usize].insert(key_from_row(new, &im.columns), slot);
                 touched += 1;

@@ -94,8 +94,10 @@ macro_rules! engine_ou_names {
 }
 
 impl EngineOu {
+    /// The OU's position in [`ALL_ENGINE_OUS`], which lists the
+    /// variants in declaration order.
     pub fn index(self) -> usize {
-        ALL_ENGINE_OUS.iter().position(|o| *o == self).unwrap()
+        self as usize
     }
 
     engine_ou_names! {

@@ -10,11 +10,17 @@
 //!
 //! Every key is `arity` values wide (the index's column count, fixed at
 //! creation), so a node holds its keys flat — one `Vec<Value>`, key `i`
-//! at `i * arity..` — and a binary search reads the node's own memory, not
-//! a heap block per key. Keys compare as slices, as the `Vec<IndexKey>`
-//! nodes this replaced did: same splits, same `examined`, same height
-//! (the old layout is kept as a test-only oracle).
+//! at `i * arity..` — and beside them each key's first value as a
+//! machine word. While the probe's first value and every key's in a node
+//! are `Int`s, a lookup's binary search reads the words and calls
+//! `Value::cmp` on the other columns only on a tie. Keys compare as slices of
+//! `Value`s either way: same splits, same `examined`, same height as the
+//! `Vec<IndexKey>` nodes this replaced (kept as a test-only oracle). A
+//! key with one slot keeps it inline ([`Postings`]).
 
+use std::cmp::Ordering;
+
+use super::Postings;
 use crate::storage::SlotId;
 use crate::types::Value;
 
@@ -26,11 +32,11 @@ const ORDER: usize = 32; // max keys per node = 2*ORDER
 #[derive(Debug)]
 enum Node {
     Leaf {
-        keys: Vec<Value>,
-        posts: Vec<Vec<SlotId>>,
+        keys: NodeKeys,
+        posts: Vec<Postings>,
     },
     Inner {
-        keys: Vec<Value>,
+        keys: NodeKeys,
         children: Vec<Node>,
     },
 }
@@ -38,7 +44,7 @@ enum Node {
 impl Node {
     fn leaf() -> Node {
         Node::Leaf {
-            keys: Vec::new(),
+            keys: NodeKeys::new(),
             posts: Vec::new(),
         }
     }
@@ -58,9 +64,92 @@ impl Node {
     fn keys(&self, arity: usize) -> Keys<'_> {
         let (Node::Leaf { keys, .. } | Node::Inner { keys, .. }) = self;
         Keys {
-            flat: keys,
+            keys,
             arity,
             len: self.len(),
+        }
+    }
+}
+
+/// A key's first value as a machine word, when it is an `Int`.
+fn first_word(key: &[Value]) -> Option<i64> {
+    match key.first() {
+        Some(Value::Int(i)) => Some(*i),
+        _ => None,
+    }
+}
+
+/// Whether every key of the flat `values` starts with an `Int`.
+fn all_int(values: &[Value], arity: usize) -> bool {
+    values.chunks(arity.max(1)).all(|k| first_word(k).is_some())
+}
+
+/// A node's keys, flat: key `i` is `values[i * arity..][..arity]`, and
+/// `firsts[i]` its first value as a word (0 when not an `Int`). While
+/// `all_int` holds, every key's first value is an `Int`; a removal
+/// leaves it as it was, which stays true, and a split counts afresh.
+#[derive(Debug)]
+struct NodeKeys {
+    values: Vec<Value>,
+    firsts: Vec<i64>,
+    all_int: bool,
+}
+
+impl NodeKeys {
+    fn new() -> NodeKeys {
+        NodeKeys {
+            values: Vec::new(),
+            firsts: Vec::new(),
+            all_int: true,
+        }
+    }
+
+    /// The keys in `values`.
+    fn of(values: Vec<Value>, arity: usize) -> NodeKeys {
+        let keys = values.chunks(arity.max(1));
+        let firsts = keys.map(|k| first_word(k).unwrap_or(0)).collect();
+        let all_int = all_int(&values, arity);
+        NodeKeys {
+            values,
+            firsts,
+            all_int,
+        }
+    }
+
+    /// Insert `key` as key `i`.
+    fn insert(&mut self, i: usize, arity: usize, key: IndexKey) {
+        let first = first_word(&key);
+        self.all_int &= first.is_some();
+        self.firsts.insert(i, first.unwrap_or(0));
+        self.values.splice(i * arity..i * arity, key);
+    }
+
+    /// Drop key `i`.
+    fn remove(&mut self, i: usize, arity: usize) {
+        self.firsts.remove(i);
+        self.values.drain(i * arity..(i + 1) * arity);
+    }
+
+    /// Keys `i..` as a node of their own, this one keeping `..i`.
+    fn split_off(&mut self, i: usize, arity: usize) -> NodeKeys {
+        let right = NodeKeys::of(self.values.split_off(i * arity), arity);
+        self.firsts.truncate(i);
+        self.all_int = all_int(&self.values, arity);
+        right
+    }
+}
+
+/// A looked-up key and its first value as a word, when that is an `Int`.
+struct Probe<'a> {
+    key: &'a [Value],
+    first: Option<i64>,
+}
+
+impl<'a> Probe<'a> {
+    fn new(key: &'a [Value]) -> Probe<'a> {
+        Probe {
+            key,
+            first: first_word(key),
         }
     }
 }
@@ -68,14 +157,14 @@ impl Node {
 /// A node's flat keys, `len` of them, `arity` values each.
 #[derive(Clone, Copy)]
 struct Keys<'a> {
-    flat: &'a [Value],
+    keys: &'a NodeKeys,
     arity: usize,
     len: usize,
 }
 
 impl<'a> Keys<'a> {
     fn at(self, i: usize) -> &'a [Value] {
-        &self.flat[i * self.arity..(i + 1) * self.arity]
+        &self.keys.values[i * self.arity..(i + 1) * self.arity]
     }
 
     fn get(self, i: usize) -> Option<&'a [Value]> {
@@ -86,19 +175,33 @@ impl<'a> Keys<'a> {
         (0..self.len).map(move |i| self.at(i))
     }
 
-    /// `binary_search` over the keys: `Ok(i)` where `key` is, else
+    /// `self.at(i).cmp(probe)`. With `first`, the probe's first value and
+    /// key `i`'s are both `Int`s: compare the words — `Value::cmp`'s
+    /// order on an `Int` pair — and the other columns only on a tie.
+    fn cmp_at(self, i: usize, probe: &[Value], first: Option<i64>) -> Ordering {
+        let Some(word) = first else {
+            return self.at(i).cmp(probe);
+        };
+        let at = i * self.arity;
+        self.keys.firsts[i]
+            .cmp(&word)
+            .then_with(|| self.keys.values[at + 1..at + self.arity].cmp(&probe[1..]))
+    }
+
+    /// `binary_search` over the keys: `Ok(i)` where `probe` is, else
     /// `Err(i)` where it would go.
-    fn find(self, key: &[Value]) -> Result<usize, usize> {
+    fn find(self, probe: &Probe<'_>) -> Result<usize, usize> {
+        let first = probe.first.filter(|_| self.keys.all_int);
         let (mut lo, mut hi) = (0, self.len);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            if self.at(mid) < key {
+            if self.cmp_at(mid, probe.key, first).is_lt() {
                 lo = mid + 1;
             } else {
                 hi = mid;
             }
         }
-        if self.get(lo) == Some(key) {
+        if lo < self.len && self.cmp_at(lo, probe.key, first).is_eq() {
             Ok(lo)
         } else {
             Err(lo)
@@ -161,7 +264,7 @@ impl BTreeIndex {
             let old_root = std::mem::replace(&mut self.root, Node::leaf());
             let ((left, sep), right) = split(old_root, self.arity);
             self.root = Node::Inner {
-                keys: sep,
+                keys: NodeKeys::of(sep, self.arity),
                 children: vec![left, right],
             };
             self.height += 1;
@@ -173,7 +276,7 @@ impl BTreeIndex {
 
     /// Remove one posting. Returns whether it was present.
     pub fn remove(&mut self, key: &[Value], slot: SlotId) -> bool {
-        let removed = remove_rec(&mut self.root, self.arity, key, slot);
+        let removed = remove_rec(&mut self.root, self.arity, &Probe::new(key), slot);
         if removed {
             self.entries -= 1;
         }
@@ -183,16 +286,17 @@ impl BTreeIndex {
     /// Point lookup. Returns the postings and the number of comparisons
     /// performed (the "entries examined" feature).
     pub fn get(&self, key: &[Value]) -> (&[SlotId], usize) {
+        let probe = Probe::new(key);
         let mut examined = 0usize;
         let mut node = &self.root;
         loop {
             let keys = node.keys(self.arity);
             examined += keys.search_cost();
             match node {
-                Node::Inner { children, .. } => node = &children[child(keys.find(key))],
+                Node::Inner { children, .. } => node = &children[child(keys.find(&probe))],
                 Node::Leaf { posts, .. } => {
-                    return match keys.find(key) {
-                        Ok(i) => (&posts[i], examined),
+                    return match keys.find(&probe) {
+                        Ok(i) => (posts[i].as_slice(), examined),
                         Err(_) => (&[], examined),
                     };
                 }
@@ -227,9 +331,9 @@ fn split(node: Node, arity: usize) -> ((Node, IndexKey), Node) {
             mut keys,
             mut posts,
         } => {
-            let rk = keys.split_off(mid * arity);
+            let rk = keys.split_off(mid, arity);
             let rp = posts.split_off(mid);
-            let sep = rk[..arity].to_vec();
+            let sep = rk.values[..arity].to_vec();
             (
                 (Node::Leaf { keys, posts }, sep),
                 Node::Leaf {
@@ -242,8 +346,9 @@ fn split(node: Node, arity: usize) -> ((Node, IndexKey), Node) {
             mut keys,
             mut children,
         } => {
-            let mut rk = keys.split_off(mid * arity);
-            let sep = rk.drain(..arity).collect();
+            let mut rk = keys.split_off(mid, arity);
+            let sep = rk.values[..arity].to_vec();
+            rk.remove(0, arity);
             let rc = children.split_off(mid + 1);
             (
                 (Node::Inner { keys, children }, sep),
@@ -259,20 +364,13 @@ fn split(node: Node, arity: usize) -> ((Node, IndexKey), Node) {
 /// Insert into a non-full node. Returns true when a *new* posting was
 /// added (false when the slot was already present for the key).
 fn insert_non_full(node: &mut Node, arity: usize, key: IndexKey, slot: SlotId) -> bool {
-    let found = node.keys(arity).find(&key);
+    let found = node.keys(arity).find(&Probe::new(&key));
     match node {
         Node::Leaf { keys, posts } => match found {
-            Ok(i) => {
-                if posts[i].contains(&slot) {
-                    false
-                } else {
-                    posts[i].push(slot);
-                    true
-                }
-            }
+            Ok(i) => posts[i].insert(slot),
             Err(i) => {
-                keys.splice(i * arity..i * arity, key);
-                posts.insert(i, vec![slot]);
+                keys.insert(i, arity, key);
+                posts.insert(i, Postings::One(slot));
                 true
             }
         },
@@ -284,7 +382,7 @@ fn insert_non_full(node: &mut Node, arity: usize, key: IndexKey, slot: SlotId) -
                 children[idx] = left;
                 children.insert(idx + 1, right);
                 let go_right = key >= sep;
-                keys.splice(idx * arity..idx * arity, sep);
+                keys.insert(idx, arity, sep);
                 if go_right {
                     idx += 1;
                 }
@@ -294,27 +392,22 @@ fn insert_non_full(node: &mut Node, arity: usize, key: IndexKey, slot: SlotId) -
     }
 }
 
-fn remove_rec(node: &mut Node, arity: usize, key: &[Value], slot: SlotId) -> bool {
-    let found = node.keys(arity).find(key);
+fn remove_rec(node: &mut Node, arity: usize, probe: &Probe<'_>, slot: SlotId) -> bool {
+    let found = node.keys(arity).find(probe);
     match node {
-        Node::Leaf { keys, posts } => match found {
-            Ok(i) => {
-                let had = posts[i].iter().position(|s| *s == slot);
-                match had {
-                    Some(p) => {
-                        posts[i].swap_remove(p);
-                        if posts[i].is_empty() {
-                            keys.drain(i * arity..(i + 1) * arity);
-                            posts.remove(i);
-                        }
-                        true
-                    }
-                    None => false,
+        Node::Leaf { keys, posts } => {
+            let Ok(i) = found else { return false };
+            match posts[i].remove(slot) {
+                Some(true) => {
+                    keys.remove(i, arity);
+                    posts.remove(i);
+                    true
                 }
+                Some(false) => true,
+                None => false,
             }
-            Err(_) => false,
-        },
-        Node::Inner { children, .. } => remove_rec(&mut children[child(found)], arity, key, slot),
+        }
+        Node::Inner { children, .. } => remove_rec(&mut children[child(found)], arity, probe, slot),
     }
 }
 
@@ -337,7 +430,7 @@ fn range_rec(
                 if hi.is_some_and(|h| k > h) {
                     return;
                 }
-                out.extend_from_slice(p);
+                out.extend_from_slice(p.as_slice());
             }
         }
         Node::Inner { children, .. } => {
@@ -375,7 +468,7 @@ fn prefix_rec(
             for (k, p) in keys.iter().zip(posts) {
                 *examined += 1;
                 if k.len() >= prefix.len() && &k[..prefix.len()] == prefix {
-                    out.extend_from_slice(p);
+                    out.extend_from_slice(p.as_slice());
                 }
             }
         }

@@ -11,12 +11,13 @@ use crate::storage::SlotId;
 use crate::types::Value;
 
 use super::btree::IndexKey;
+use super::Postings;
 
 #[derive(Debug, Clone)]
 enum Bucket {
     Empty,
     Tombstone,
-    Full { key: IndexKey, posts: Vec<SlotId> },
+    Full { key: IndexKey, posts: Postings },
 }
 
 /// The hash index.
@@ -129,14 +130,13 @@ impl HashIndex {
                 }
                 *b = Bucket::Full {
                     key,
-                    posts: vec![slot],
+                    posts: Postings::One(slot),
                 };
                 self.keys += 1;
                 self.entries += 1;
             }
             Bucket::Full { posts, .. } => {
-                if !posts.contains(&slot) {
-                    posts.push(slot);
+                if posts.insert(slot) {
                     self.entries += 1;
                 }
             }
@@ -147,14 +147,13 @@ impl HashIndex {
         let (found, _) = self.find(key);
         let Some(idx) = found else { return false };
         let Bucket::Full { posts, .. } = &mut self.buckets[idx] else {
-            unreachable!()
-        };
-        let Some(p) = posts.iter().position(|s| *s == slot) else {
             return false;
         };
-        posts.swap_remove(p);
+        let Some(last) = posts.remove(slot) else {
+            return false;
+        };
         self.entries -= 1;
-        if posts.is_empty() {
+        if last {
             self.buckets[idx] = Bucket::Tombstone;
             self.keys -= 1;
             self.tombstones += 1;
@@ -166,7 +165,7 @@ impl HashIndex {
     pub fn get(&self, key: &[Value]) -> (&[SlotId], usize) {
         match self.find(key) {
             (Some(i), probes) => match &self.buckets[i] {
-                Bucket::Full { posts, .. } => (posts, probes),
+                Bucket::Full { posts, .. } => (posts.as_slice(), probes),
                 _ => (&[], probes),
             },
             (None, probes) => (&[], probes),

@@ -100,6 +100,52 @@ impl Index {
     }
 }
 
+/// One key's postings: a single slot inline — every key of a unique
+/// index — and a `Vec` from the second slot on, back inline at one.
+/// Slots keep their insertion order, except that a removal moves the
+/// last slot into the gap (`swap_remove`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum Postings {
+    One(SlotId),
+    Many(Vec<SlotId>),
+}
+
+impl Postings {
+    pub(crate) fn as_slice(&self) -> &[SlotId] {
+        match self {
+            Postings::One(slot) => std::slice::from_ref(slot),
+            Postings::Many(slots) => slots,
+        }
+    }
+
+    /// Add `slot` unless it is there; whether it was added.
+    pub(crate) fn insert(&mut self, slot: SlotId) -> bool {
+        if self.as_slice().contains(&slot) {
+            return false;
+        }
+        match self {
+            Postings::One(first) => *self = Postings::Many(vec![*first, slot]),
+            Postings::Many(slots) => slots.push(slot),
+        }
+        true
+    }
+
+    /// Take `slot` out: `None` when it is not there, else whether it was
+    /// the key's last slot (the postings are then left as they were, for
+    /// the caller to drop with the key).
+    pub(crate) fn remove(&mut self, slot: SlotId) -> Option<bool> {
+        let at = self.as_slice().iter().position(|s| *s == slot)?;
+        let Postings::Many(slots) = self else {
+            return Some(true);
+        };
+        slots.swap_remove(at);
+        if let [last] = slots[..] {
+            *self = Postings::One(last);
+        }
+        Some(false)
+    }
+}
+
 /// Extract an index key from a row given the indexed column positions —
 /// for an index that must own it; a check reads the row in place.
 pub fn key_from_row(row: &[Value], cols: &[usize]) -> IndexKey {

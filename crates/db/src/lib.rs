@@ -21,6 +21,17 @@
 //! training data reflects a controllable ground-truth cost model.
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
+// A panic is an error path, or an `expect` under an `allow` whose
+// message states the invariant; a discarded result says
+// `// ignored: <reason>`. Test fixtures do as they like.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::let_underscore_must_use
+    )
+)]
 
 pub mod catalog;
 pub mod decls;

@@ -2,11 +2,13 @@
 //! (paper §6: NoisePage "uses HyPer-style MVCC \[38\] over Apache Arrow
 //! in-memory columnar data").
 //!
-//! Each tuple slot holds a newest-first chain of [`Version`]s. A version's
-//! `begin`/`end` fields hold either a commit timestamp or a *transaction
-//! marker* (`TXN_BIT | txn_id`) while the writing transaction is still in
-//! flight. Readers resolve visibility against their snapshot timestamp;
-//! write-write conflicts are detected at update time (first-writer-wins).
+//! Each tuple slot holds a newest-first chain of [`Version`]s, the
+//! newest in the slot itself, so a read that sees the head loads no
+//! other block. A version's `begin`/`end` fields hold either a commit
+//! timestamp or a *transaction marker* (`TXN_BIT | txn_id`) while the
+//! writing transaction is still in flight. Readers resolve visibility
+//! against their snapshot timestamp; write-write conflicts are detected
+//! at update time (first-writer-wins).
 //!
 //! The Arrow columnar layout of NoisePage is simplified to row-structured
 //! blocks here — the physical column format is orthogonal to the
@@ -51,10 +53,87 @@ impl Version {
     }
 }
 
+/// A tuple slot: its newest version in place, older ones newest-first
+/// behind it — the chain `head, older[0], older[1], ..`. No head is a
+/// free slot, and a free slot has no older version.
 #[derive(Debug, Default)]
 struct Slot {
-    /// Newest-first version chain. Empty = free slot.
-    versions: Vec<Version>,
+    head: Option<Version>,
+    older: Vec<Version>,
+}
+
+impl Slot {
+    /// The chain, newest first.
+    fn versions(&self) -> impl Iterator<Item = &Version> {
+        self.head.iter().chain(&self.older)
+    }
+
+    fn versions_mut(&mut self) -> impl Iterator<Item = &mut Version> {
+        self.head.iter_mut().chain(&mut self.older)
+    }
+
+    fn len(&self) -> usize {
+        usize::from(self.head.is_some()) + self.older.len()
+    }
+
+    /// Keep the versions `keep` accepts, in chain order, asking newest
+    /// first; returns how many went.
+    fn retain(&mut self, mut keep: impl FnMut(&Version) -> bool) -> usize {
+        let before = self.len();
+        let head_kept = self.head.as_ref().is_some_and(&mut keep);
+        self.older.retain(keep);
+        if !head_kept {
+            self.head = (!self.older.is_empty()).then(|| self.older.remove(0));
+        }
+        before - self.len()
+    }
+}
+
+/// Slots per chunk of a table.
+const CHUNK: usize = 1 << 10;
+
+/// A table's slots, [`CHUNK`] to a block: a slot never moves, so the
+/// table grows without copying — a single `Vec` holds its old and new
+/// buffers at once at every doubling.
+#[derive(Debug, Default)]
+struct Slots {
+    chunks: Vec<Vec<Slot>>,
+}
+
+impl Slots {
+    fn len(&self) -> usize {
+        self.chunks
+            .last()
+            .map_or(0, |last| (self.chunks.len() - 1) * CHUNK + last.len())
+    }
+
+    fn get(&self, slot: SlotId) -> Option<&Slot> {
+        let i = slot.0 as usize;
+        self.chunks.get(i / CHUNK)?.get(i % CHUNK)
+    }
+
+    fn get_mut(&mut self, slot: SlotId) -> Option<&mut Slot> {
+        let i = slot.0 as usize;
+        self.chunks.get_mut(i / CHUNK)?.get_mut(i % CHUNK)
+    }
+
+    /// Append a slot; its id.
+    fn push(&mut self, slot: Slot) -> SlotId {
+        let id = SlotId(self.len() as u64);
+        match self.chunks.last_mut() {
+            Some(last) if last.len() < CHUNK => last.push(slot),
+            _ => {
+                let mut chunk = Vec::with_capacity(CHUNK);
+                chunk.push(slot);
+                self.chunks.push(chunk);
+            }
+        }
+        id
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &Slot> {
+        self.chunks.iter().flatten()
+    }
 }
 
 /// Write-write conflict error.
@@ -65,7 +144,7 @@ pub struct WwConflict;
 #[derive(Debug)]
 pub struct VersionedTable {
     pub schema: Schema,
-    slots: Vec<Slot>,
+    slots: Slots,
     free: Vec<SlotId>,
     /// Live (visible-to-someone) tuple estimate, maintained on
     /// insert/delete commit. Used by the planner and cost model.
@@ -78,7 +157,7 @@ impl VersionedTable {
     pub fn new(schema: Schema) -> Self {
         VersionedTable {
             schema,
-            slots: Vec::new(),
+            slots: Slots::default(),
             free: Vec::new(),
             live_estimate: 0,
             byte_estimate: 0,
@@ -107,15 +186,16 @@ impl VersionedTable {
         };
         let slot = match self.free.pop() {
             Some(s) => {
-                self.slots[s.0 as usize].versions = vec![version];
+                if let Some(slot) = self.slots.get_mut(s) {
+                    slot.head = Some(version);
+                    slot.older.clear();
+                }
                 s
             }
-            None => {
-                self.slots.push(Slot {
-                    versions: vec![version],
-                });
-                SlotId(self.slots.len() as u64 - 1)
-            }
+            None => self.slots.push(Slot {
+                head: Some(version),
+                older: Vec::new(),
+            }),
         };
         self.live_estimate += 1;
         self.byte_estimate += bytes;
@@ -125,9 +205,8 @@ impl VersionedTable {
     /// Snapshot read.
     pub fn read(&self, slot: SlotId, read_ts: u64, me: u64) -> Option<&Row> {
         self.slots
-            .get(slot.0 as usize)?
-            .versions
-            .iter()
+            .get(slot)?
+            .versions()
             .find(|v| v.visible_to(read_ts, me))
             .map(|v| &v.row)
     }
@@ -138,19 +217,20 @@ impl VersionedTable {
         self.slots
             .iter()
             .enumerate()
-            .filter(|(_, s)| !s.versions.is_empty())
+            .filter(|(_, s)| s.head.is_some())
             .map(|(i, _)| SlotId(i as u64))
     }
 
     fn head_mut(&mut self, slot: SlotId) -> Option<&mut Version> {
-        self.slots.get_mut(slot.0 as usize)?.versions.first_mut()
+        self.slots.get_mut(slot)?.head.as_mut()
     }
 
     /// Update a tuple: installs a new uncommitted version. Returns
     /// `Err(WwConflict)` when another in-flight transaction owns the head.
     pub fn update(&mut self, slot: SlotId, new_row: Row, me: u64) -> Result<(), WwConflict> {
         let new_bytes = crate::types::row_bytes(&new_row) as u64;
-        let head = self.head_mut(slot).ok_or(WwConflict)?;
+        let s = self.slots.get_mut(slot).ok_or(WwConflict)?;
+        let head = s.head.as_mut().ok_or(WwConflict)?;
         if head.end != TS_INF {
             return Err(WwConflict); // deleted or delete-pending
         }
@@ -170,7 +250,8 @@ impl VersionedTable {
             end: TS_INF,
             row: new_row,
         };
-        self.slots[slot.0 as usize].versions.insert(0, version);
+        let old = std::mem::replace(head, version);
+        s.older.insert(0, old);
         self.byte_estimate += new_bytes;
         Ok(())
     }
@@ -191,8 +272,8 @@ impl VersionedTable {
 
     /// Stamp a transaction's marks on a slot with its commit timestamp.
     pub fn commit_slot(&mut self, slot: SlotId, me: u64, commit_ts: u64) {
-        if let Some(s) = self.slots.get_mut(slot.0 as usize) {
-            for v in &mut s.versions {
+        if let Some(s) = self.slots.get_mut(slot) {
+            for v in s.versions_mut() {
                 if v.begin == TXN_BIT | me {
                     v.begin = commit_ts;
                 }
@@ -205,12 +286,11 @@ impl VersionedTable {
 
     /// Roll back a transaction's effects on a slot.
     pub fn abort_slot(&mut self, slot: SlotId, me: u64) {
-        let Some(s) = self.slots.get_mut(slot.0 as usize) else {
+        let Some(s) = self.slots.get_mut(slot) else {
             return;
         };
         // Remove versions this transaction installed.
-        let before = s.versions.len();
-        s.versions.retain(|v| {
+        let removed = s.retain(|v| {
             if v.begin == TXN_BIT | me {
                 self.byte_estimate = self
                     .byte_estimate
@@ -220,18 +300,17 @@ impl VersionedTable {
                 true
             }
         });
-        let removed = before - s.versions.len();
         self.live_estimate = self.live_estimate.saturating_sub(removed as u64);
         // Clear pending delete marks.
         let mut undeleted = 0;
-        for v in &mut s.versions {
+        for v in s.versions_mut() {
             if v.end == TXN_BIT | me {
                 v.end = TS_INF;
                 undeleted += 1;
             }
         }
         self.live_estimate += undeleted;
-        if s.versions.is_empty() {
+        if s.head.is_none() {
             self.free.push(slot);
         }
     }
@@ -239,32 +318,26 @@ impl VersionedTable {
     /// GC variant that reports the head row before freeing the slot, so
     /// the engine can clean index entries.
     pub fn gc_slot_with_row(&mut self, slot: SlotId, oldest_read_ts: u64) -> (usize, Option<Row>) {
-        let Some(s) = self.slots.get_mut(slot.0 as usize) else {
+        let Some(s) = self.slots.get_mut(slot) else {
             return (0, None);
         };
-        if s.versions.is_empty() {
+        let dead = |v: &Version| v.end & TXN_BIT == 0 && v.end <= oldest_read_ts;
+        if s.head.is_none() {
             return (0, None);
         }
-        let all_dead = s
-            .versions
-            .iter()
-            .all(|v| v.end & TXN_BIT == 0 && v.end <= oldest_read_ts);
-        if all_dead {
-            let pruned = s.versions.len();
-            let row = s.versions.first().map(|v| v.row.clone());
-            s.versions.clear();
+        if s.versions().all(dead) {
+            let pruned = s.len();
+            s.older.clear();
+            let row = s.head.take().map(|v| v.row);
             self.free.push(slot);
             return (pruned, row);
         }
-        let before = s.versions.len();
-        s.versions
-            .retain(|v| v.end & TXN_BIT != 0 || v.end > oldest_read_ts);
-        (before - s.versions.len(), None)
+        (s.retain(|v| !dead(v)), None)
     }
 
     /// Total version count (GC pressure metric).
     pub fn total_versions(&self) -> usize {
-        self.slots.iter().map(|s| s.versions.len()).sum()
+        self.slots.iter().map(Slot::len).sum()
     }
 }
 

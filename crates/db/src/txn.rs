@@ -5,8 +5,6 @@
 //! undo reference, and commit stamps the transaction's marks with a fresh
 //! commit timestamp. The oldest active snapshot bounds garbage collection.
 
-use std::collections::BTreeMap;
-
 use crate::catalog::TableId;
 use crate::storage::SlotId;
 
@@ -36,7 +34,9 @@ struct ActiveTxn {
 #[derive(Debug)]
 pub struct TxnManager {
     next_ts: u64,
-    active: BTreeMap<u64, ActiveTxn>,
+    /// In-flight transactions by id, in no particular order: one per
+    /// open session, a handful, so a scan of one small `Vec` finds them.
+    active: Vec<(u64, ActiveTxn)>,
     pub committed: u64,
     pub aborted: u64,
 }
@@ -53,7 +53,7 @@ impl TxnManager {
         // transaction) can be stamped visible-to-everyone.
         TxnManager {
             next_ts: 1,
-            active: BTreeMap::new(),
+            active: Vec::new(),
             committed: 0,
             aborted: 0,
         }
@@ -63,40 +63,39 @@ impl TxnManager {
         let id = self.next_ts;
         self.next_ts += 1;
         let read_ts = id - 1; // snapshot: everything committed before us
-        self.active.insert(
-            id,
-            ActiveTxn {
-                read_ts,
-                undo: Vec::new(),
-            },
-        );
+        let undo = Vec::new();
+        self.active.push((id, ActiveTxn { read_ts, undo }));
         TxnHandle { id, read_ts }
+    }
+
+    /// Take `txn` out of the active set.
+    fn take(&mut self, txn: TxnHandle) -> Option<ActiveTxn> {
+        let at = self.active.iter().position(|(id, _)| *id == txn.id)?;
+        Some(self.active.swap_remove(at).1)
     }
 
     /// Record a write for later commit stamping / rollback.
     pub fn log_write(&mut self, txn: TxnHandle, undo: UndoRef) {
-        if let Some(a) = self.active.get_mut(&txn.id) {
+        if let Some((_, a)) = self.active.iter_mut().find(|(id, _)| *id == txn.id) {
             a.undo.push(undo);
         }
     }
 
     /// Finish a transaction: returns `(commit_ts, writes)` for the engine
-    /// to stamp slots and build WAL records.
-    pub fn commit(&mut self, txn: TxnHandle) -> (u64, Vec<UndoRef>) {
-        let a = self.active.remove(&txn.id).expect("commit of unknown txn");
+    /// to stamp slots and build WAL records, or `None` (and no timestamp
+    /// spent) when `txn` is not active.
+    pub fn commit(&mut self, txn: TxnHandle) -> Option<(u64, Vec<UndoRef>)> {
+        let a = self.take(txn)?;
         let commit_ts = self.next_ts;
         self.next_ts += 1;
         self.committed += 1;
-        (commit_ts, a.undo)
+        Some((commit_ts, a.undo))
     }
 
     /// Abort: returns the undo refs for the engine to roll back.
     pub fn abort(&mut self, txn: TxnHandle) -> Vec<UndoRef> {
         self.aborted += 1;
-        self.active
-            .remove(&txn.id)
-            .map(|a| a.undo)
-            .unwrap_or_default()
+        self.take(txn).map(|a| a.undo).unwrap_or_default()
     }
 
     /// Snapshot bound for GC: no active transaction can read anything
@@ -105,8 +104,8 @@ impl TxnManager {
     /// idle).
     pub fn oldest_read_ts(&self) -> u64 {
         self.active
-            .values()
-            .map(|a| a.read_ts)
+            .iter()
+            .map(|(_, a)| a.read_ts)
             .min()
             .unwrap_or(self.next_ts.saturating_sub(1))
     }
@@ -117,7 +116,9 @@ impl TxnManager {
 
     /// Number of writes logged so far by a transaction.
     pub fn write_count(&self, txn: TxnHandle) -> usize {
-        self.active.get(&txn.id).map(|a| a.undo.len()).unwrap_or(0)
+        (self.active.iter())
+            .find(|(id, _)| *id == txn.id)
+            .map_or(0, |(_, a)| a.undo.len())
     }
 }
 
@@ -140,8 +141,9 @@ mod tests {
         let t2 = m.begin();
         assert!(t2.id > t1.id);
         assert_eq!(t1.read_ts, t1.id - 1);
-        let (c1, _) = m.commit(t1);
+        let (c1, _) = m.commit(t1).unwrap();
         assert!(c1 > t2.id);
+        assert_eq!(m.commit(t1), None, "t1 is no longer active");
     }
 
     #[test]
@@ -151,7 +153,7 @@ mod tests {
         m.log_write(t, undo(1, 10));
         m.log_write(t, undo(2, 20));
         assert_eq!(m.write_count(t), 2);
-        let (_, writes) = m.commit(t);
+        let (_, writes) = m.commit(t).unwrap();
         assert_eq!(writes, vec![undo(1, 10), undo(2, 20)]);
         assert_eq!(m.committed, 1);
     }

@@ -131,11 +131,11 @@ impl Wal {
                 self.queue.pop_front();
             }
             if records == 0 {
-                // A single oversized record: take it alone.
-                let r = self.queue.pop_front().unwrap();
-                bytes = r.bytes;
-                writes = r.writes;
-                records = 1;
+                // A single oversized record (the `first` above): take it
+                // alone.
+                if let Some(r) = self.queue.pop_front() {
+                    (bytes, writes, records) = (r.bytes, r.writes, 1);
+                }
             }
 
             // --- Log serializer OU ---

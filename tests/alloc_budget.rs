@@ -42,6 +42,7 @@ use std::net::{TcpListener, TcpStream};
 use std::time::Duration;
 
 use tscout_suite::archive::{Archive, ArchiveOptions, Projection, Sample};
+use tscout_suite::bpf::insn::{AluOp, Insn, Reg, Size, Src};
 use tscout_suite::bpf::lower::lower;
 use tscout_suite::kernel::{HardwareProfile, Kernel, TaskId};
 use tscout_suite::models::{
@@ -591,23 +592,41 @@ fn a_warm_metrics_scrape_captures_and_renders_without_allocating() {
 /// not allocate: the kept scratch and the maps' storage reached their
 /// size on the first run. FEATURES' copy runs and END's Δ runs must
 /// each both take their one-check path and refuse it (falling through
-/// into their own ops) among the mutants.
+/// into their own ops) among the mutants. Beside the blind mutants, each
+/// FEATURES stream gets mutants aimed at a copy run (`mutate_copy_run`)
+/// that keep it a run but point it outside what it may copy, so every
+/// layout's FEATURES stream refuses at least one copy run on purpose.
 #[test]
 fn mutated_collector_programs_neither_panic_nor_allocate() {
     const MUTANTS_PER_STREAM: usize = 48;
+    const AIMED_PER_STREAM: usize = 4;
     let mut rng = StdRng::seed_from_u64(0x10E_2ED);
+    let mut aimed_rng = StdRng::seed_from_u64(0xC0_9E5);
     let ctx = encode_ctx(5, 42, 1, 0, &[77, 88, 99]);
     let (mut ok, mut faulted) = (0usize, 0usize);
     // Copy and Δ runs the mutants' lowered runs took whole and refused.
     let mut runs = [[0u64; 2]; 2];
+    // Per layout, copy runs its aimed mutants refused.
+    let mut aimed_refusals = Vec::new();
     for (layout, p) in layouts() {
         let (_, generated, _) = deploy(&p);
         let valid = generated.each_ref().map(|insns| lower(insns));
         let mut twin = Twin::new(|| deploy(&p).0.maps);
+        let mut refused_on_purpose = 0;
         for target in 0..generated.len() {
+            let mut mutants = Vec::new();
             for _ in 0..MUTANTS_PER_STREAM {
                 let mut mutant = generated[target].clone();
                 let change = mutate(&mut mutant, &mut rng);
+                mutants.push((false, change, mutant));
+            }
+            for _ in 0..AIMED_PER_STREAM {
+                let mut mutant = generated[target].clone();
+                if let Some(change) = mutate_copy_run(&mut mutant, &mut aimed_rng) {
+                    mutants.push((true, change, mutant));
+                }
+            }
+            for (aimed, change, mutant) in mutants {
                 let what = format!("{layout} {}, {change}", PROGRAMS[target]);
                 let lowered = lower(&mutant);
                 // Against empty maps (every lookup misses, so the error
@@ -633,6 +652,9 @@ fn mutated_collector_programs_neither_panic_nor_allocate() {
                     {
                         *n += a - b;
                     }
+                    if aimed {
+                        refused_on_purpose += after[0][1] - before[0][1];
+                    }
                     match first {
                         Ok(_) => ok += 1,
                         Err(_) => faulted += 1,
@@ -648,20 +670,131 @@ fn mutated_collector_programs_neither_panic_nor_allocate() {
                 }
             }
         }
+        aimed_refusals.push((layout, refused_on_purpose));
     }
     let [copy, delta] = runs;
     println!(
         "{ok} mutant runs returned Ok, {faulted} Err; copy runs {copy:?}, Δ runs {delta:?} \
-         (whole, refused)"
+         (whole, refused); aimed copy-run refusals per layout {aimed_refusals:?}"
     );
     assert!(
         runs.as_flattened().iter().all(|&n| n > 0),
         "mutants should take both paths of both kinds of run: copy {copy:?}, Δ {delta:?}"
     );
     assert!(
+        aimed_refusals.iter().all(|(_, n)| *n > 0),
+        "every layout's FEATURES stream should refuse an aimed copy run: {aimed_refusals:?}"
+    );
+    assert!(
+        copy[1] >= aimed_refusals.len() as u64,
+        "refused copy runs {} fewer than the {} layouts",
+        copy[1],
+        aimed_refusals.len()
+    );
+    assert!(
         ok > 200 && faulted > 200,
         "mutants should both survive and fault: {ok} Ok, {faulted} Err"
     );
+}
+
+/// One copy-run group as the lowering fuses it: `mov d1, b; add d1, imm;
+/// ldx8 v, [d1+o1]; mov d2, c; add d2, imm; stx8 [d2+o2], v`, as
+/// `(b, c, o1, o2)` — what every group of one run shares.
+fn copy_group(insns: &[Insn]) -> Option<(Reg, Reg, i32, i32)> {
+    let mov_add = |at: usize| match insns.get(at..at + 2)? {
+        [Insn::Alu {
+            op: AluOp::Mov,
+            dst,
+            src: Src::Reg(base),
+        }, Insn::Alu {
+            op: AluOp::Add,
+            dst: d,
+            src: Src::Imm(_),
+        }] if d == dst => Some((*dst, *base)),
+        _ => None,
+    };
+    let (d1, b) = mov_add(0)?;
+    let (d2, c) = mov_add(3)?;
+    match insns.get(2..6)? {
+        [Insn::Load {
+            size: Size::B8,
+            dst: v,
+            base: l,
+            off: o1,
+        }, _, _, Insn::Store {
+            size: Size::B8,
+            base: s,
+            off: o2,
+            src: Src::Reg(w),
+        }] if *l == d1 && *s == d2 && w == v => Some((b, c, *o1, *o2)),
+        _ => None,
+    }
+}
+
+/// Aim one mutation at the first copy run of `prog` (two or more
+/// back-to-back groups sharing registers and displacements), changing
+/// every group alike so it stays a run: its source base or destination
+/// base becomes a register outside the run (`r0`, `r8` or `r9`, whichever
+/// the run does not use), or its load displacement moves a mebibyte past
+/// the context, or its store displacement a whole stack past either end
+/// of the stack. `None` when `prog` has no copy run.
+fn mutate_copy_run(prog: &mut [Insn], rng: &mut StdRng) -> Option<String> {
+    let start = (0..prog.len()).find(|&pc| {
+        let group = copy_group(&prog[pc..]);
+        group.is_some()
+            && prog
+                .get(pc + 6..)
+                .is_some_and(|next| copy_group(next) == group)
+    })?;
+    let group = copy_group(&prog[start..]);
+    let groups = (start..prog.len())
+        .step_by(6)
+        .take_while(|&pc| copy_group(&prog[pc..]) == group)
+        .collect::<Vec<_>>();
+    let used: Vec<Reg> = prog[start..start + 6]
+        .iter()
+        .flat_map(|insn| match insn {
+            Insn::Alu { dst, src, .. } => vec![Some(*dst), src_reg(src)],
+            Insn::Load { dst, base, .. } => vec![Some(*dst), Some(*base)],
+            Insn::Store { base, src, .. } => vec![Some(*base), src_reg(src)],
+            _ => vec![],
+        })
+        .flatten()
+        .collect();
+    let outside = [Reg(0), Reg(8), Reg(9)]
+        .into_iter()
+        .find(|r| !used.contains(r))?;
+    let kind = rng.random_range(0..4);
+    for &pc in &groups {
+        match (kind, &mut prog[pc..pc + 6]) {
+            (0, [Insn::Alu { src, .. }, ..]) => *src = Src::Reg(outside),
+            (1, [_, _, _, Insn::Alu { src, .. }, ..]) => *src = Src::Reg(outside),
+            (2, [_, _, Insn::Load { off, .. }, ..]) => *off = off.wrapping_add(1 << 20),
+            (_, [.., Insn::Store { off, .. }]) => {
+                let stack = if rng.random_bool(0.5) { 512 } else { -512 };
+                *off = off.wrapping_add(stack);
+            }
+            _ => unreachable!("a copy group has these instructions"),
+        }
+    }
+    let what = [
+        "source base",
+        "destination base",
+        "load displacement",
+        "store displacement",
+    ];
+    Some(format!(
+        "copy run at pc {start} ({} groups): {} moved",
+        groups.len(),
+        what[kind]
+    ))
+}
+
+fn src_reg(src: &Src) -> Option<Reg> {
+    match src {
+        Src::Reg(r) => Some(*r),
+        Src::Imm(_) => None,
+    }
 }
 
 /// One seeded mutation of a valid input: the damage a hostile or broken

@@ -5,10 +5,12 @@
 //! `Default` impl and `is_empty` nobody here calls and `pub(crate)` for
 //! `pub`. It lives here, not in the crate, because the public API is all
 //! it needs. Seeded insert / remove / get / range / prefix streams over
-//! 1-, 2- and 3-column keys mixing Int, Float, Text, Null and Bool run on
-//! both trees; after every step the shipped tree must return the same
-//! postings in the same order, the same `examined` count and the same
-//! `depth()` — the OU features an index lookup or range scan emits.
+//! 1-, 2- and 3-column keys mixing Int, Float, Text, Null and Bool — and
+//! streams whose first columns sit at the edges of `i64`, for the word
+//! descent — run on both trees; after every step the shipped tree must
+//! return the same postings in the same order, the same `examined` count
+//! and the same `depth()` — the OU features an index lookup or range
+//! scan emits.
 
 use tscout_suite::noisetap::index::{BTreeIndex, IndexKey};
 use tscout_suite::noisetap::storage::SlotId;
@@ -336,27 +338,45 @@ fn value(rng: &mut StdRng) -> Value {
     }
 }
 
-fn key(rng: &mut StdRng, width: usize) -> IndexKey {
+/// One key value at the edges a word compare could get wrong: ints at
+/// `i64::MIN`, `i64::MAX` and either side of 2⁵³ and 0, three in four,
+/// so most nodes read their first column as words; floats that round to
+/// or between them; and now and then anything [`value`] makes (NULL,
+/// text, a boolean), which turns a node's words off until it splits.
+fn edge_value(rng: &mut StdRng) -> Value {
+    const EDGES: [i64; 6] = [i64::MIN, -(1 << 53), -1, 0, 1 << 53, i64::MAX];
+    let near = EDGES[rng.random_range(0..EDGES.len())].saturating_add(rng.random_range(-3i64..=3));
+    match rng.random_range(0..20) {
+        0..=14 => Value::Int(near),
+        15 | 16 => Value::Float(near as f64 + 0.5 * rng.random_range(-1i64..=1) as f64),
+        _ => value(rng),
+    }
+}
+
+/// Where a stream's key values come from.
+type Values = fn(&mut StdRng) -> Value;
+
+fn key(rng: &mut StdRng, width: usize, value: Values) -> IndexKey {
     (0..width).map(|_| value(rng)).collect()
 }
 
 /// A key inserted earlier (so removes and lookups hit), or a fresh one.
-fn probe(rng: &mut StdRng, seen: &[IndexKey], arity: usize) -> IndexKey {
+fn probe(rng: &mut StdRng, seen: &[IndexKey], arity: usize, value: Values) -> IndexKey {
     if !seen.is_empty() && rng.random_range(0..10) < 7 {
         seen[rng.random_range(0..seen.len())].clone()
     } else {
-        key(rng, arity)
+        key(rng, arity, value)
     }
 }
 
 /// A range or prefix bound: absent, or 1..=arity leading values.
-fn bound(rng: &mut StdRng, seen: &[IndexKey], arity: usize) -> Option<IndexKey> {
+fn bound(rng: &mut StdRng, seen: &[IndexKey], arity: usize, value: Values) -> Option<IndexKey> {
     let width = rng.random_range(0..=arity);
-    (width > 0).then(|| probe(rng, seen, arity)[..width].to_vec())
+    (width > 0).then(|| probe(rng, seen, arity, value)[..width].to_vec())
 }
 
 /// One seeded stream; returns the height the trees reached.
-fn run_stream(seed: u64, arity: usize, steps: usize) -> usize {
+fn run_stream(seed: u64, arity: usize, steps: usize, value: Values) -> usize {
     let rng = &mut StdRng::seed_from_u64(seed);
     let (mut ours, mut want) = (BTreeIndex::new(arity), reference::BTreeIndex::new());
     let mut seen: Vec<IndexKey> = Vec::new();
@@ -364,14 +384,15 @@ fn run_stream(seed: u64, arity: usize, steps: usize) -> usize {
         let case = format!("seed {seed} arity {arity} step {step}");
         match rng.random_range(0..100) {
             0..=54 => {
-                let k = probe(rng, &seen, arity);
+                let k = probe(rng, &seen, arity, value);
                 let slot = SlotId(rng.random_range(0..16));
                 ours.insert(k.clone(), slot);
                 want.insert(k.clone(), slot);
                 seen.push(k);
             }
             55..=74 => {
-                let (k, slot) = (probe(rng, &seen, arity), SlotId(rng.random_range(0..16)));
+                let k = probe(rng, &seen, arity, value);
+                let slot = SlotId(rng.random_range(0..16));
                 assert_eq!(
                     ours.remove(&k, slot),
                     want.remove(&k, slot),
@@ -379,7 +400,7 @@ fn run_stream(seed: u64, arity: usize, steps: usize) -> usize {
                 );
             }
             75..=94 => {
-                let k = probe(rng, &seen, arity);
+                let k = probe(rng, &seen, arity, value);
                 let (posts, examined) = ours.get(&k);
                 assert_eq!(
                     (posts.to_vec(), examined),
@@ -388,12 +409,13 @@ fn run_stream(seed: u64, arity: usize, steps: usize) -> usize {
                 );
             }
             95..=97 => {
-                let (lo, hi) = (bound(rng, &seen, arity), bound(rng, &seen, arity));
+                let lo = bound(rng, &seen, arity, value);
+                let hi = bound(rng, &seen, arity, value);
                 let got = ours.range(lo.as_deref(), hi.as_deref());
                 assert_eq!(got, want.range(lo.as_ref(), hi.as_ref()), "{case}: range");
             }
             _ => {
-                let prefix = bound(rng, &seen, arity).unwrap_or_default();
+                let prefix = bound(rng, &seen, arity, value).unwrap_or_default();
                 assert_eq!(ours.prefix(&prefix), want.prefix(&prefix), "{case}: prefix");
             }
         }
@@ -406,11 +428,11 @@ fn run_stream(seed: u64, arity: usize, steps: usize) -> usize {
     ours.depth()
 }
 
-fn sweep(seeds: u64, steps: usize) -> usize {
+fn sweep(seeds: u64, steps: usize, value: Values) -> usize {
     let mut height = 0;
     for arity in 1..=3 {
         for seed in 0..seeds {
-            height = height.max(run_stream(1_000 * arity as u64 + seed, arity, steps));
+            height = height.max(run_stream(1_000 * arity as u64 + seed, arity, steps, value));
         }
     }
     height
@@ -420,14 +442,76 @@ fn sweep(seeds: u64, steps: usize) -> usize {
 /// once per stream.
 #[test]
 fn flat_key_tree_matches_the_reference_tree() {
-    assert!(sweep(2, 3_000) >= 2);
+    assert!(sweep(2, 3_000, value) >= 2);
 }
 
 /// The full sweep (`ci.sh` runs it in release): trees three levels high.
 #[test]
 #[ignore = "seconds in release, a minute in a debug build"]
 fn flat_key_tree_matches_the_reference_tree_full_sweep() {
-    assert!(sweep(24, 20_000) >= 3);
+    assert!(sweep(24, 20_000, value) >= 3);
+    assert!(sweep(8, 20_000, edge_value) >= 3);
+}
+
+/// The word descent where it could go wrong: first columns mostly `Int`
+/// at `i64::MIN`, `i64::MAX` and near 2⁵³, floats that round to them,
+/// and NULL, text and booleans that switch a node's words off.
+#[test]
+fn word_descent_matches_the_reference_at_the_edges_of_i64() {
+    assert!(sweep(2, 3_000, edge_value) >= 2);
+}
+
+/// One key's postings go 1 → 2 → 3 → 2 → 1 → 0 while other keys come
+/// and go around it (enough to split the root), in a tree whose other
+/// keys hold one slot each — a unique index — and in one where they
+/// hold three. After every step the key's postings, in order, its
+/// `examined`, `depth()` and `len()` are the reference's, and the
+/// postings are what push and `swap_remove` leave.
+#[test]
+fn one_keys_postings_grow_to_three_and_shrink_to_none() {
+    let focal = vec![Value::Int(500)];
+    let steps: [(bool, u64, &[u64]); 6] = [
+        (true, 10, &[10]),
+        (true, 11, &[10, 11]),
+        (true, 12, &[10, 11, 12]),
+        (false, 10, &[12, 11]),
+        (false, 12, &[11]),
+        (false, 11, &[]),
+    ];
+    for slots_per_key in [1, 3] {
+        let rng = &mut StdRng::seed_from_u64(slots_per_key);
+        let (mut ours, mut want) = (BTreeIndex::new(1), reference::BTreeIndex::new());
+        for (step, &(insert, slot, expected)) in steps.iter().enumerate() {
+            let case = format!("{slots_per_key} slots per other key, step {step}");
+            for _ in 0..60 {
+                let other = vec![Value::Int(2 * rng.random_range(0i64..300) + 1)];
+                let slot = SlotId(rng.random_range(0..slots_per_key));
+                if rng.random_range(0..4) == 0 {
+                    assert_eq!(ours.remove(&other, slot), want.remove(&other, slot));
+                } else {
+                    ours.insert(other.clone(), slot);
+                    want.insert(other, slot);
+                }
+            }
+            if insert {
+                ours.insert(focal.clone(), SlotId(slot));
+                want.insert(focal.clone(), SlotId(slot));
+            } else {
+                assert!(ours.remove(&focal, SlotId(slot)), "{case}");
+                assert!(want.remove(&focal, SlotId(slot)), "{case}");
+            }
+            let (posts, examined) = ours.get(&focal);
+            assert_eq!((posts.to_vec(), examined), want.get(&focal), "{case}");
+            let expected: Vec<SlotId> = expected.iter().map(|&s| SlotId(s)).collect();
+            assert_eq!(posts, expected, "{case}");
+            assert_eq!(
+                (ours.depth(), ours.len()),
+                (want.depth(), want.len()),
+                "{case}"
+            );
+        }
+        assert!(ours.depth() >= 2, "the root split");
+    }
 }
 
 #[test]
