@@ -382,7 +382,7 @@ impl Database {
             self.tables[w.table.0 as usize].commit_slot(w.slot, txn.id, commit_ts);
         }
         // TXN_COMMIT OU.
-        let feats = vec![writes.len() as u64];
+        let feats = [writes.len() as u64];
         if let (Some(ts), Some(ous)) = (self.ts.as_mut(), self.ous.as_ref()) {
             ts.ou_begin(&mut self.kernel, task, ous.id(EngineOu::TxnCommit));
         }
@@ -730,8 +730,8 @@ impl Database {
         // Backfill from the latest visible versions.
         let read_ts = self.txns.oldest_read_ts().max(u64::MAX >> 1); // latest snapshot
         let t = &self.tables[table.0 as usize];
-        for slot in t.scan_slots() {
-            if let Some(row) = t.read(slot, read_ts, 0) {
+        for (slot, row) in t.scan(read_ts, 0) {
+            if let Some(row) = row {
                 index.insert(key_from_row(row, &columns), slot);
             }
         }
@@ -767,7 +767,7 @@ impl Database {
 
         // NETWORK_READ: the request arrives.
         self.kernel.context_switch(task, pmu_tax);
-        let feats = vec![req_bytes, 1];
+        let feats = [req_bytes, 1];
         {
             let _ou = self
                 .kernel
@@ -792,7 +792,7 @@ impl Database {
             Ok(o) => (64 + o.rows.iter().map(|r| row_bytes(r)).sum::<usize>()) as u64,
             Err(_) => 64,
         };
-        let feats = vec![resp_bytes, 1];
+        let feats = [resp_bytes, 1];
         {
             let _ou = self
                 .kernel
@@ -859,7 +859,7 @@ impl Database {
                 }
             }
         }
-        let feats = vec![pruned];
+        let feats = [pruned];
         let w = work_for(EngineOu::GcSweep, &feats);
         self.kernel
             .charge_cpu(self.gc_task, w.instructions, w.ws_bytes);

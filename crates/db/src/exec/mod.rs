@@ -774,9 +774,9 @@ fn seq_scan(
     let residual = scan.residual.as_ref();
     let (mut examined, mut visible, mut bytes) = (0u64, 0usize, 0usize);
     let (mut kept, mut filtered, mut failed) = (0u64, 0u64, None);
-    for slot in table.scan_slots() {
+    for (slot, r) in table.scan(read_ts, me) {
         examined += 1;
-        let Some(r) = table.read(slot, read_ts, me) else {
+        let Some(r) = r else {
             continue;
         };
         visible += 1;

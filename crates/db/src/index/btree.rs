@@ -192,20 +192,27 @@ impl<'a> Keys<'a> {
     /// `Err(i)` where it would go.
     fn find(self, probe: &Probe<'_>) -> Result<usize, usize> {
         let first = probe.first.filter(|_| self.keys.all_int);
-        let (mut lo, mut hi) = (0, self.len);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.cmp_at(mid, probe.key, first).is_lt() {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
+        let lo = self.partition(|i| self.cmp_at(i, probe.key, first).is_lt());
         if lo < self.len && self.cmp_at(lo, probe.key, first).is_eq() {
             Ok(lo)
         } else {
             Err(lo)
         }
+    }
+
+    /// The first key `below` is false for, `below` being true for a
+    /// prefix of the keys.
+    fn partition(self, below: impl Fn(usize) -> bool) -> usize {
+        let (mut lo, mut hi) = (0, self.len);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if below(mid) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
     }
 
     /// Entries a binary search over this node examines.
@@ -463,27 +470,34 @@ fn prefix_rec(
     examined: &mut usize,
 ) {
     let keys = node.keys(arity);
-    match node {
-        Node::Leaf { posts, .. } => {
-            for (k, p) in keys.iter().zip(posts) {
-                *examined += 1;
-                if k.len() >= prefix.len() && &k[..prefix.len()] == prefix {
-                    out.extend_from_slice(p.as_slice());
+    if prefix.len() > arity {
+        // No key is that long, so none matches, but the scan walks the
+        // whole tree, as the separators' band test leaves every child in.
+        match node {
+            Node::Leaf { .. } => *examined += keys.len,
+            Node::Inner { children, .. } => {
+                for child in children {
+                    prefix_rec(child, arity, prefix, out, examined);
                 }
             }
         }
+        return;
+    }
+    let head = |i| &keys.at(i)[..prefix.len()];
+    // Keys sort by their heads too, so the matching keys, and the
+    // children whose separators bracket the prefix, are one run each.
+    let first = keys.partition(|i| head(i) < prefix);
+    match node {
+        Node::Leaf { posts, .. } => {
+            *examined += keys.len;
+            for i in (first..keys.len).take_while(|&i| head(i) == prefix) {
+                out.extend_from_slice(posts[i].as_slice());
+            }
+        }
         Node::Inner { children, .. } => {
-            for (i, child) in children.iter().enumerate() {
-                // Prune children strictly outside the prefix band.
-                let left_sep = i.checked_sub(1).and_then(|j| keys.get(j));
-                let right_sep = keys.get(i);
-                let lo_ok = left_sep
-                    .is_none_or(|sep| sep.len() < prefix.len() || sep[..prefix.len()] <= *prefix);
-                let hi_ok = right_sep
-                    .is_none_or(|sep| sep.len() < prefix.len() || sep[..prefix.len()] >= *prefix);
-                if lo_ok && hi_ok {
-                    prefix_rec(child, arity, prefix, out, examined);
-                }
+            let last = keys.partition(|i| head(i) <= prefix);
+            for child in &children[first..=last] {
+                prefix_rec(child, arity, prefix, out, examined);
             }
         }
     }

@@ -76,6 +76,13 @@ impl Slot {
         usize::from(self.head.is_some()) + self.older.len()
     }
 
+    /// The row `me` sees at `read_ts`.
+    fn visible(&self, read_ts: u64, me: u64) -> Option<&Row> {
+        self.versions()
+            .find(|v| v.visible_to(read_ts, me))
+            .map(|v| &v.row)
+    }
+
     /// Keep the versions `keep` accepts, in chain order, asking newest
     /// first; returns how many went.
     fn retain(&mut self, mut keep: impl FnMut(&Version) -> bool) -> usize {
@@ -204,21 +211,16 @@ impl VersionedTable {
 
     /// Snapshot read.
     pub fn read(&self, slot: SlotId, read_ts: u64, me: u64) -> Option<&Row> {
-        self.slots
-            .get(slot)?
-            .versions()
-            .find(|v| v.visible_to(read_ts, me))
-            .map(|v| &v.row)
+        self.slots.get(slot)?.visible(read_ts, me)
     }
 
-    /// All slots with any version (for sequential scans). The scan itself
-    /// filters by visibility.
-    pub fn scan_slots(&self) -> impl Iterator<Item = SlotId> + '_ {
-        self.slots
-            .iter()
-            .enumerate()
+    /// Every slot that holds a version, in slot order, with the row `me`
+    /// sees in it at `read_ts` (a sequential scan counts the slots and
+    /// emits the rows).
+    pub fn scan(&self, read_ts: u64, me: u64) -> impl Iterator<Item = (SlotId, Option<&Row>)> {
+        (self.slots.iter().enumerate())
             .filter(|(_, s)| s.head.is_some())
-            .map(|(i, _)| SlotId(i as u64))
+            .map(move |(i, s)| (SlotId(i as u64), s.visible(read_ts, me)))
     }
 
     fn head_mut(&mut self, slot: SlotId) -> Option<&mut Version> {
@@ -468,14 +470,15 @@ mod tests {
     }
 
     #[test]
-    fn scan_slots_skips_free_slots() {
+    fn scan_skips_free_slots() {
         let mut t = table();
         let a = t.insert(row(1, 1), 1);
         let _b = t.insert(row(2, 2), 1);
         t.commit_slot(a, 1, 10);
         t.abort_slot(SlotId(1), 1);
-        let live: Vec<SlotId> = t.scan_slots().collect();
-        assert_eq!(live, vec![a]);
+        let live: Vec<_> = t.scan(20, 9).collect();
+        assert_eq!(live, vec![(a, Some(&row(1, 1)))]);
+        assert_eq!(t.scan(5, 9).collect::<Vec<_>>(), vec![(a, None)]);
     }
 
     #[test]

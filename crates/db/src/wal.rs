@@ -139,7 +139,7 @@ impl Wal {
             }
 
             // --- Log serializer OU ---
-            let ser_feats = vec![records, bytes];
+            let ser_feats = [records, bytes];
             {
                 let _ou = kernel.profile_frame(self.task, EngineOu::LogSerialize.frame());
                 if let (Some(ts), Some(ous)) = (ts.as_deref_mut(), ous) {
@@ -155,7 +155,7 @@ impl Wal {
             }
 
             // --- Disk writer OU ---
-            let io_feats = vec![bytes, 1];
+            let io_feats = [bytes, 1];
             let disk_frame = kernel.profile_frame(self.task, EngineOu::DiskWrite.frame());
             if let (Some(ts), Some(ous)) = (ts.as_deref_mut(), ous) {
                 ts.ou_begin(kernel, self.task, ous.id(EngineOu::DiskWrite));

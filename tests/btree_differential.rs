@@ -415,7 +415,10 @@ fn run_stream(seed: u64, arity: usize, steps: usize, value: Values) -> usize {
                 assert_eq!(got, want.range(lo.as_ref(), hi.as_ref()), "{case}: range");
             }
             _ => {
-                let prefix = bound(rng, &seen, arity, value).unwrap_or_default();
+                let mut prefix = bound(rng, &seen, arity, value).unwrap_or_default();
+                if rng.random_range(0..8) == 0 {
+                    prefix = key(rng, arity + 1, value); // wider than any key
+                }
                 assert_eq!(ours.prefix(&prefix), want.prefix(&prefix), "{case}: prefix");
             }
         }

@@ -356,10 +356,13 @@ impl Tables {
             ),
             "{case}: slots, versions, live tuples, live bytes"
         );
-        assert!(
-            self.ours.scan_slots().eq(self.want.scan_slots()),
-            "{case}: scan_slots"
-        );
+        for (read_ts, me) in [(0, 0), (u64::MAX >> 1, 0)] {
+            let want = (self.want.scan_slots()).map(|s| (s, self.want.read(s, read_ts, me)));
+            assert!(
+                self.ours.scan(read_ts, me).eq(want),
+                "{case}: scan at {read_ts}"
+            );
+        }
     }
 }
 
