@@ -170,6 +170,20 @@ if [ -n "$chased" ]; then
   echo "FAIL: a key's one slot sits inline (Postings) and the active transactions are one small Vec"; exit 1
 fi
 
+echo "== per-event telemetry keys by interned id: no string fingerprint or OU-name breakdown taken by stmt_record / record / record_stmt, no rendered fold key or string leaf in crates/telemetry/src/profile.rs, outside tests =="
+keyed=$(for f in crates/telemetry/src/lib.rs crates/telemetry/src/metrics.rs crates/telemetry/src/stmt.rs crates/db/src/engine.rs; do
+  sed '/^#\[cfg(test)\]/,$d' "$f" \
+    | awk '/fn (stmt_record|record|record_stmt)\(/ { on = 1 } on { print NR ": " $0 } on && /\)/ { on = 0 }' \
+    | grep -E '&str|\[\(&' | sed "s|^|$f:|" || true
+done
+sed '/^#\[cfg(test)\]/,$d' crates/telemetry/src/profile.rs \
+  | grep -nE "fold_key|key_buf|folded: BTreeMap<String|leaf: Option<&('static )?str>" \
+  | sed "s|^|crates/telemetry/src/profile.rs:|" || true)
+if [ -n "$keyed" ]; then
+  echo "$keyed"
+  echo "FAIL: a per-statement or per-interrupt path takes a string key again; intern it once (StmtId, FrameId) and render names only when read"; exit 1
+fi
+
 echo "== the non-test greps see all shipped code: no top-level item without #[cfg(test)] follows a file's first #[cfg(test)] under crates/ =="
 # The greps above cut each file at its first #[cfg(test)]; an item after
 # it that ships would hide from them.

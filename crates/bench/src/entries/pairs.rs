@@ -19,7 +19,10 @@
 //! parallelism: one fixed spin timed on one thread, then on two at once.
 //! It can change within a session, so the spin runs before every pair;
 //! the line keeps the median reading and the range, and a range wider
-//! than [`PARALLELISM_SPREAD`] prints a warning.
+//! than [`PARALLELISM_SPREAD`] prints a warning. When the readings
+//! straddle [`PARALLELISM_SPLIT`], each metric's medians and wins are
+//! printed again for the pairs near 1 and the pairs near 2 apart, which
+//! shows when a verdict depends on the session.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -32,6 +35,10 @@ use super::trajectory_append::{self as trajectory, quartiles, read_json, ROOT};
 /// Widest range of parallelism readings one invocation reads as one
 /// machine.
 const PARALLELISM_SPREAD: f64 = 0.5;
+
+/// A parallelism reading below this is a session near one vCPU, at or
+/// above it one near two.
+const PARALLELISM_SPLIT: f64 = 1.5;
 
 const USAGE: &str = "usage: tscout-bench pairs --parent <rev> --workload <w> --pairs N \
                      [--seconds S] [--seed N]";
@@ -171,6 +178,9 @@ fn run(argv: &[String]) -> Result<(), String> {
     let named: Vec<(&str, &str)> = files.iter().map(|(s, f)| (*s, f.as_str())).collect();
     let mut runs = trajectory::read_runs(&named)?;
     print!("{}", report(&runs, &args.workload, &metrics));
+    if let Some(groups) = split_by_parallelism(&readings) {
+        print!("{}", split_report(&runs, &args.workload, &metrics, &groups));
+    }
     for (name, (failed, attempted, digests)) in ["parent", "change"].iter().zip(&checks) {
         println!(
             "{name}: {failed} of {attempted} operations failed; digests {}",
@@ -359,14 +369,82 @@ fn parallelism_summary(readings: &[f64]) -> (f64, [f64; 2]) {
     (round(quartiles(readings)[1]), [round(min), round(max)])
 }
 
+/// Metric `metric`'s values on side `name`, one per pair in pair order.
+fn side_values(runs: &trajectory::Runs, name: &str, workload: &str, metric: &str) -> Vec<f64> {
+    (runs.sides.get(name))
+        .map(|s| s.values(workload, metric).to_vec())
+        .unwrap_or_default()
+}
+
+/// The pairs read near one vCPU and those read near two, by index, when
+/// the readings straddle [`PARALLELISM_SPLIT`]; `None` when all pairs
+/// read one side of it.
+fn split_by_parallelism(readings: &[f64]) -> Option<[Vec<usize>; 2]> {
+    let (one, two): (Vec<usize>, Vec<usize>) =
+        (0..readings.len()).partition(|&i| readings[i] < PARALLELISM_SPLIT);
+    (!one.is_empty() && !two.is_empty()).then_some([one, two])
+}
+
+/// The parent's and the change's medians over the pairs `at`, and how
+/// many of those pairs the change won.
+fn subset_stats(
+    parent: &[f64],
+    change: &[f64],
+    at: &[usize],
+    lower_is_better: bool,
+) -> (f64, f64, usize) {
+    let pick = |xs: &[f64]| {
+        at.iter()
+            .filter_map(|&i| xs.get(i).copied())
+            .collect::<Vec<_>>()
+    };
+    let (parent, change) = (pick(parent), pick(change));
+    let better = |c: f64, p: f64| if lower_is_better { c < p } else { c > p };
+    let wins = parent
+        .iter()
+        .zip(&change)
+        .filter(|(p, c)| better(**c, **p))
+        .count();
+    (quartiles(&parent)[1], quartiles(&change)[1], wins)
+}
+
+/// Per metric: both medians and the wins over the pairs near 1, then
+/// over the pairs near 2 (see [`split_by_parallelism`]).
+fn split_report(
+    runs: &trajectory::Runs,
+    workload: &str,
+    metrics: &[Metric],
+    groups: &[Vec<usize>; 2],
+) -> String {
+    let mut text = format!(
+        "pairs near parallelism 1: {}; near 2: {}\n{:<16} {:>14} {:>14} {:>6}   {:>14} {:>14} {:>6}\n",
+        groups[0].len(),
+        groups[1].len(),
+        "metric",
+        "near-1 parent",
+        "near-1 change",
+        "wins",
+        "near-2 parent",
+        "near-2 change",
+        "wins"
+    );
+    for m in metrics {
+        let parent = side_values(runs, "parent", workload, &m.name);
+        let change = side_values(runs, "change", workload, &m.name);
+        text += &format!("{:<16}", m.name);
+        for at in groups {
+            let (p, c, wins) = subset_stats(&parent, &change, at, m.lower_is_better);
+            text += &format!(" {p:>14.4} {c:>14.4} {wins:>3}/{:<2} ", at.len());
+        }
+        text = text.trim_end().to_string() + "\n";
+    }
+    text
+}
+
 /// Per metric: both medians, the change's move, the parent's IQR, wins
 /// and the verdict.
 fn report(runs: &trajectory::Runs, workload: &str, metrics: &[Metric]) -> String {
-    let side = |name: &str, metric: &str| {
-        (runs.sides.get(name))
-            .map(|s| s.values(workload, metric).to_vec())
-            .unwrap_or_default()
-    };
+    let side = |name: &str, metric: &str| side_values(runs, name, workload, metric);
     let mut text = format!(
         "{:<16} {:>14} {:>14} {:>8} {:>12} {:>6}  verdict\n",
         "metric", "parent median", "change median", "move", "parent IQR", "wins"
@@ -437,6 +515,34 @@ mod tests {
             (1.89, [1.02, 1.91])
         );
         assert_eq!(parallelism_summary(&[1.5]), (1.5, [1.5, 1.5]));
+    }
+
+    #[test]
+    fn pairs_straddling_the_split_are_grouped_near_one_and_near_two() {
+        let readings = [1.91, 1.02, 1.5, 1.49, 1.88];
+        assert_eq!(
+            split_by_parallelism(&readings),
+            Some([vec![1, 3], vec![0, 2, 4]])
+        );
+        assert_eq!(split_by_parallelism(&[1.91, 1.88]), None);
+        assert_eq!(split_by_parallelism(&[1.02, 1.1]), None);
+        assert_eq!(split_by_parallelism(&[]), None);
+        // Medians and wins over each group alone: higher is better here,
+        // and the change wins pairs 0 and 4 of the near-2 group only.
+        let parent = [100.0, 50.0, 104.0, 52.0, 102.0];
+        let change = [110.0, 48.0, 103.0, 51.0, 108.0];
+        assert_eq!(
+            subset_stats(&parent, &change, &[1, 3], false),
+            (51.0, 49.5, 0)
+        );
+        assert_eq!(
+            subset_stats(&parent, &change, &[0, 2, 4], false),
+            (102.0, 108.0, 2)
+        );
+        assert_eq!(
+            subset_stats(&parent, &change, &[1, 3], true),
+            (51.0, 49.5, 2)
+        );
     }
 
     #[test]

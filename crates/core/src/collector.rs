@@ -392,14 +392,14 @@ impl HelperWorld for KernelWorld<'_> {
         let kind = tscout_kernel::CounterKind::from_index(usize::try_from(idx).ok()?)?;
         let ns = self.k.cost.pmu_read_kernel_ns;
         self.k
-            .charge_overhead_in(self.task, "helper:perf_event_read", ns);
+            .charge_overhead_in(self.task, &decls::HELPER_PERF_EVENT_READ, ns);
         let r = self.k.task(self.task).pmu.read(kind);
         Some([r.value, r.time_enabled, r.time_running])
     }
 
     fn read_task_io(&mut self) -> [u64; 4] {
         self.k
-            .charge_overhead_in(self.task, "helper:read_task_io", 35.0);
+            .charge_overhead_in(self.task, &decls::HELPER_READ_TASK_IO, 35.0);
         let io = self.k.task(self.task).ioac;
         [
             io.read_bytes,
@@ -411,7 +411,7 @@ impl HelperWorld for KernelWorld<'_> {
 
     fn read_tcp_sock(&mut self) -> [u64; 4] {
         self.k
-            .charge_overhead_in(self.task, "helper:read_tcp_sock", 35.0);
+            .charge_overhead_in(self.task, &decls::HELPER_READ_TCP_SOCK, 35.0);
         let t = self.k.task(self.task).tcp;
         [t.bytes_sent, t.bytes_received, t.segs_out, t.segs_in]
     }

@@ -71,6 +71,10 @@ pub(crate) static COLLECTOR_BEGIN: Frame = Frame::new("collector:begin");
 pub(crate) static COLLECTOR_END: Frame = Frame::new("collector:end");
 pub(crate) static COLLECTOR_FEATURES: Frame = Frame::new("collector:features");
 pub(crate) static EMIT_USER: Frame = Frame::new("emit:user");
+// Leaves of one charge each (`Kernel::charge_overhead_in`): a helper's body.
+pub(crate) static HELPER_PERF_EVENT_READ: Frame = Frame::new("helper:perf_event_read");
+pub(crate) static HELPER_READ_TASK_IO: Frame = Frame::new("helper:read_task_io");
+pub(crate) static HELPER_READ_TCP_SOCK: Frame = Frame::new("helper:read_tcp_sock");
 pub(crate) static PROCESSOR_DRAIN: Frame = Frame::new("processor:drain");
 pub(crate) static PROCESSOR_POLL: Frame = Frame::new("processor:poll");
 pub(crate) static PROCESSOR_SKETCH: Frame = Frame::new("processor:sketch");

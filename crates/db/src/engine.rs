@@ -6,12 +6,12 @@ use std::sync::Arc;
 use tscout::{TScout, TsConfig, TsError};
 use tscout_kernel::{Kernel, TaskId, DBMS};
 use tscout_models::{input_values, LiveModel};
-use tscout_telemetry::{CounterSite, HistSite};
+use tscout_telemetry::{CounterSite, HistSite, OuNs, StmtId};
 
 use crate::catalog::Catalog;
 use crate::decls;
 use crate::exec::obs::StmtObs;
-use crate::exec::ou::{work_for, EngineOu, OuMap};
+use crate::exec::ou::{work_for, EngineOu, OuMap, OU_NAMES};
 use crate::exec::plan::Plan;
 use crate::exec::{execute, EngineMode, ExecCtx, ExecError, ExecOutcome};
 use crate::index::{key_from_row, Index, IndexKind};
@@ -74,13 +74,12 @@ struct Session {
 struct Prepared {
     #[allow(dead_code)]
     sql: String,
-    /// Shared like the fingerprint below (`run_plan` borrows `self`
-    /// mutably, so an execution needs a plan of its own to read): the
-    /// per-execution hot path clones two refcounts, not a plan tree and
-    /// a string.
+    /// Shared (`run_plan` borrows `self` mutably, so an execution needs
+    /// a plan of its own to read): the per-execution hot path clones a
+    /// refcount, not a plan tree.
     plan: Arc<Plan>,
-    /// Normalized statement template for `ts_stat_statements`.
-    fingerprint: Arc<str>,
+    /// Normalized statement template for `ts_stat_statements`, interned.
+    fingerprint: StmtId,
 }
 
 /// The NoiseTap DBMS instance.
@@ -117,7 +116,7 @@ pub struct Database {
     /// allocates nothing.
     obs_scratch: StmtObs,
     /// Pooled per-OU breakdown buffer for `record_stmt` (same idea).
-    breakdown_scratch: Vec<(&'static str, f64)>,
+    breakdown_scratch: Vec<(usize, f64)>,
     metrics: DbMetrics,
 }
 
@@ -218,7 +217,7 @@ impl Database {
         let mut sum = 0.0;
         let mut any = false;
         for c in &obs.ou {
-            if let Some(p) = self.predict_ou_ns(c.name, &c.features) {
+            if let Some(p) = self.predict_ou_ns(c.ou.name(), &c.features) {
                 sum += p;
                 any = true;
             }
@@ -298,7 +297,7 @@ impl Database {
     pub fn prepare(&mut self, sql: &str) -> Result<StatementId, DbError> {
         let stmt = parse(sql).map_err(DbError::Parse)?;
         let plan = plan_stmt(&self.catalog, &stmt).map_err(DbError::Plan)?;
-        let fingerprint = fingerprint(&stmt).into();
+        let fingerprint = StmtId::intern(&fingerprint(&stmt));
         self.stmts.push(Prepared {
             sql: sql.to_string(),
             plan: Arc::new(plan),
@@ -316,8 +315,10 @@ impl Database {
     ) -> Result<ExecOutcome, DbError> {
         let stmt = parse(sql).map_err(DbError::Parse)?;
         let plan = plan_stmt(&self.catalog, &stmt).map_err(DbError::Plan)?;
-        let fp = self.stmt_stats_enabled.then(|| fingerprint(&stmt));
-        self.run_plan(sid, &plan, params, fp.as_deref())
+        let fp = self
+            .stmt_stats_enabled
+            .then(|| StmtId::intern(&fingerprint(&stmt)));
+        self.run_plan(sid, &plan, params, fp)
     }
 
     /// Read-only SQL entry point for external observability surfaces
@@ -348,8 +349,8 @@ impl Database {
     ) -> Result<ExecOutcome, DbError> {
         let p = self.stmts.get(stmt.0).ok_or(DbError::NoSuchStatement)?;
         let plan = Arc::clone(&p.plan);
-        let fp = self.stmt_stats_enabled.then(|| Arc::clone(&p.fingerprint));
-        self.run_plan(sid, &plan, params, fp.as_deref())
+        let fp = self.stmt_stats_enabled.then_some(p.fingerprint);
+        self.run_plan(sid, &plan, params, fp)
     }
 
     // ------------------------------------------------------------------
@@ -436,7 +437,7 @@ impl Database {
         sid: SessionId,
         plan: &Plan,
         params: &[Value],
-        fp: Option<&str>,
+        fp: Option<StmtId>,
     ) -> Result<ExecOutcome, DbError> {
         let _root = self.kernel.profile_frame(self.sessions[sid.0].task, &DBMS);
         match plan {
@@ -584,7 +585,7 @@ impl Database {
         sid: SessionId,
         inner: &Plan,
         params: &[Value],
-        fp: Option<&str>,
+        fp: Option<StmtId>,
     ) -> Result<ExecOutcome, DbError> {
         let (outcome, obs, actual_ns) =
             self.run_dml(sid, inner, params, Some(StmtObs::new(true)), None)?;
@@ -640,7 +641,7 @@ impl Database {
                     let mut sum = 0.0;
                     let mut any = false;
                     for c in obs.node_charges(idx) {
-                        if let Some(p) = self.predict_ou_ns(c.name, &c.features) {
+                        if let Some(p) = self.predict_ou_ns(c.ou.name(), &c.features) {
                             sum += p;
                             any = true;
                         }
@@ -669,13 +670,14 @@ impl Database {
     /// Reads only on the session clock — the accounting cost is charged
     /// by the driver at pump cadence (`stmt_fingerprint_ns` +
     /// `stmt_record_ns` per recorded statement).
-    fn record_stmt(&mut self, fp: &str, obs: &StmtObs, actual_ns: f64, rows: u64) {
+    fn record_stmt(&mut self, fp: StmtId, obs: &StmtObs, actual_ns: f64, rows: u64) {
         let mut breakdown = std::mem::take(&mut self.breakdown_scratch);
         obs.ou_breakdown_into(&mut breakdown);
+        let ou_ns = OuNs::new(&OU_NAMES, &breakdown);
         let predicted = self.predict_stmt_ns(obs);
         self.kernel
             .telemetry
-            .stmt_record(fp, actual_ns, rows, &breakdown, predicted);
+            .stmt_record(fp, actual_ns, rows, ou_ns, predicted);
         self.breakdown_scratch = breakdown;
     }
 
@@ -1501,5 +1503,30 @@ mod explain_tests {
         db.execute(sid, "SELECT v FROM t WHERE id = 5", &[])
             .unwrap();
         assert_eq!(db.kernel.telemetry.stmt_recorded(), before);
+    }
+
+    /// One key under two identities: two prepared statements of the
+    /// same SQL and the same text run ad hoc intern one fingerprint, so
+    /// all three fold into one entry.
+    #[test]
+    fn prepared_twice_and_ad_hoc_share_one_entry() {
+        let (mut db, sid) = seeded(10);
+        let sql = "SELECT v FROM t WHERE id = $1 AND v > 1";
+        let (a, b) = (db.prepare(sql).unwrap(), db.prepare(sql).unwrap());
+        assert_ne!(a, b);
+        for (i, stmt) in [a, b, a].into_iter().enumerate() {
+            db.execute_prepared(sid, stmt, &[Value::Int(i as i64)])
+                .unwrap();
+        }
+        db.execute(sid, sql, &[Value::Int(4)]).unwrap();
+        db.kernel.telemetry.with_registry(|r| {
+            let matching: Vec<_> = r
+                .stmts()
+                .entries()
+                .filter(|e| e.fingerprint.contains(" and "))
+                .collect();
+            assert_eq!(matching.len(), 1, "{matching:?}");
+            assert_eq!(matching[0].calls, 4);
+        });
     }
 }

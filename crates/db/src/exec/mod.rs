@@ -168,7 +168,7 @@ impl<'a> ExecCtx<'a> {
         self.kernel
             .charge_cpu(self.task, w.instructions, w.ws_bytes);
         if let (Some(t0), Some(o)) = (t0, self.obs.as_mut()) {
-            o.record_ou(eou.name(), self.kernel.now(self.task) - t0, features);
+            o.record_ou(eou, self.kernel.now(self.task) - t0, features);
         }
         w.mem_bytes
     }

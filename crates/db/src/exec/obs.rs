@@ -19,6 +19,8 @@
 //! `stmt_record_ns` on the Processor task at pump cadence, and
 //! `explain_analyze_node_ns` on the session task for EXPLAIN ANALYZE).
 
+use super::ou::EngineOu;
+
 /// Observed actuals for one plan node.
 #[derive(Debug, Clone, Default)]
 pub struct NodeObs {
@@ -33,8 +35,7 @@ pub struct NodeObs {
 /// One OU charge observed during statement execution.
 #[derive(Debug, Clone)]
 pub struct OuCharge {
-    /// OU name (e.g. `seq_scan`).
-    pub name: &'static str,
+    pub ou: EngineOu,
     /// Modeled elapsed ns the charge advanced the session clock by.
     pub ns: f64,
     /// Feature vector as charged (empty unless
@@ -106,7 +107,7 @@ impl StmtObs {
     }
 
     /// Record an OU charge, attributed to the innermost open node.
-    pub fn record_ou(&mut self, name: &'static str, ns: f64, features: &[u64]) {
+    pub fn record_ou(&mut self, ou: EngineOu, ns: f64, features: &[u64]) {
         let features = if self.keep_features {
             features.to_vec()
         } else {
@@ -114,7 +115,7 @@ impl StmtObs {
         };
         let node = self.stack.last().map(|&(node, _)| node);
         self.ou.push(OuCharge {
-            name,
+            ou,
             ns,
             features,
             node,
@@ -132,26 +133,21 @@ impl StmtObs {
         self.ou.iter().map(|c| c.ns).sum()
     }
 
-    /// Per-OU actual-ns totals, sorted by OU name. A statement charges
-    /// a handful of distinct OUs at most, so a linear merge beats a map
-    /// on this per-statement path.
-    pub fn ou_breakdown(&self) -> Vec<(&'static str, f64)> {
-        let mut out = Vec::new();
-        self.ou_breakdown_into(&mut out);
-        out
-    }
-
-    /// [`Self::ou_breakdown`] into a caller-supplied buffer (cleared
-    /// first) so the hot path can reuse its capacity.
-    pub fn ou_breakdown_into(&self, out: &mut Vec<(&'static str, f64)>) {
+    /// Per-OU actual-ns totals, each summed in charge order, as
+    /// `(name rank, ns)` pairs ([`EngineOu::name_rank`]) in rank order —
+    /// OU-name order — into `out` (cleared first, so the hot path can
+    /// reuse its capacity). A statement charges a handful of distinct OUs
+    /// at most, so a linear merge beats a map on this per-statement path.
+    pub fn ou_breakdown_into(&self, out: &mut Vec<(usize, f64)>) {
         out.clear();
         for c in &self.ou {
-            match out.iter_mut().find(|(n, _)| *n == c.name) {
+            let rank = c.ou.name_rank();
+            match out.iter_mut().find(|(r, _)| *r == rank) {
                 Some((_, acc)) => *acc += c.ns,
-                None => out.push((c.name, c.ns)),
+                None => out.push((rank, c.ns)),
             }
         }
-        out.sort_unstable_by_key(|(n, _)| *n);
+        out.sort_unstable_by_key(|(r, _)| *r);
     }
 }
 
@@ -164,15 +160,15 @@ mod tests {
         let mut o = StmtObs::default();
         let root = o.enter(0.0);
         let child = o.enter(10.0);
-        o.record_ou("seq_scan", 50.0, &[100, 8]);
+        o.record_ou(EngineOu::SeqScan, 50.0, &[100, 8]);
         o.exit(child, 70.0, 42);
-        o.record_ou("hash_join_build", 30.0, &[42]);
+        o.record_ou(EngineOu::HashJoinBuild, 30.0, &[42]);
         o.exit(root, 100.0, 7);
-        o.record_ou("output", 5.0, &[7]);
+        o.record_ou(EngineOu::Output, 5.0, &[7]);
 
         assert_eq!(o.nodes.len(), 2);
-        let root_ous: Vec<&str> = o.node_charges(root).map(|c| c.name).collect();
-        let child_ous: Vec<&str> = o.node_charges(child).map(|c| c.name).collect();
+        let root_ous: Vec<&str> = o.node_charges(root).map(|c| c.ou.name()).collect();
+        let child_ous: Vec<&str> = o.node_charges(child).map(|c| c.ou.name()).collect();
         assert_eq!(root_ous, ["hash_join_build"]);
         assert_eq!(child_ous, ["seq_scan"]);
         // Inclusive: parent window covers the child's.
@@ -189,7 +185,7 @@ mod tests {
     fn reset_clears_state_and_keeps_capacity() {
         let mut o = StmtObs::new(true);
         let n = o.enter(0.0);
-        o.record_ou("seq_scan", 10.0, &[5]);
+        o.record_ou(EngineOu::SeqScan, 10.0, &[5]);
         o.exit(n, 10.0, 1);
         let node_cap = o.nodes.capacity();
         o.reset(false);
@@ -198,16 +194,21 @@ mod tests {
         assert!(o.nodes.capacity() >= node_cap);
         // Reused buffer observes a fresh statement from index 0.
         assert_eq!(o.enter(0.0), 0);
-        o.record_ou("idx_lookup", 3.0, &[9]);
+        o.record_ou(EngineOu::IdxLookup, 3.0, &[9]);
         assert!(o.ou[0].features.is_empty()); // keep_features now off
     }
 
     #[test]
     fn breakdown_merges_by_name() {
         let mut o = StmtObs::default();
-        o.record_ou("filter", 10.0, &[1]);
-        o.record_ou("seq_scan", 20.0, &[2, 3]);
-        o.record_ou("filter", 5.0, &[4]);
-        assert_eq!(o.ou_breakdown(), vec![("filter", 15.0), ("seq_scan", 20.0)]);
+        o.record_ou(EngineOu::SeqScan, 20.0, &[2, 3]);
+        o.record_ou(EngineOu::Filter, 10.0, &[1]);
+        o.record_ou(EngineOu::Filter, 5.0, &[4]);
+        let mut pairs = Vec::new();
+        o.ou_breakdown_into(&mut pairs);
+        let named: Vec<(&str, f64)> = (pairs.iter())
+            .map(|&(r, ns)| (super::super::ou::OU_NAMES[r], ns))
+            .collect();
+        assert_eq!(named, [("filter", 15.0), ("seq_scan", 20.0)]);
     }
 }

@@ -71,11 +71,65 @@ pub const ALL_ENGINE_OUS: [EngineOu; ENGINE_OU_COUNT] = [
     EngineOu::TxnCommit,
 ];
 
+/// Whether `a` sorts before `b` (`str`'s order, in a `const`).
+const fn name_lt(a: &str, b: &str) -> bool {
+    let (a, b) = (a.as_bytes(), b.as_bytes());
+    let mut i = 0;
+    while i < a.len() && i < b.len() {
+        if a[i] != b[i] {
+            return a[i] < b[i];
+        }
+        i += 1;
+    }
+    a.len() < b.len()
+}
+
+/// The OUs sorted by name.
+const BY_NAME: [EngineOu; ENGINE_OU_COUNT] = {
+    let mut ous = ALL_ENGINE_OUS;
+    let mut i = 1;
+    while i < ENGINE_OU_COUNT {
+        let mut j = i;
+        while j > 0 && name_lt(ous[j].name(), ous[j - 1].name()) {
+            let t = ous[j];
+            ous[j] = ous[j - 1];
+            ous[j - 1] = t;
+            j -= 1;
+        }
+        i += 1;
+    }
+    ous
+};
+
+/// Every OU's name, sorted: a statement's OU breakdown has one slot per
+/// OU in this order ([`EngineOu::name_rank`]), so a sum over the slots
+/// adds in name order.
+pub const OU_NAMES: [&str; ENGINE_OU_COUNT] = {
+    let mut names = [""; ENGINE_OU_COUNT];
+    let mut k = 0;
+    while k < ENGINE_OU_COUNT {
+        names[k] = BY_NAME[k].name();
+        k += 1;
+    }
+    names
+};
+
+/// `NAME_RANK[ou.index()]` is `ou`'s position in [`OU_NAMES`].
+const NAME_RANK: [usize; ENGINE_OU_COUNT] = {
+    let mut rank = [0; ENGINE_OU_COUNT];
+    let mut k = 0;
+    while k < ENGINE_OU_COUNT {
+        rank[BY_NAME[k].index()] = k;
+        k += 1;
+    }
+    rank
+};
+
 /// Each OU's name, written down once: `name()` for telemetry and
 /// `frame()` (`ou:<name>`) for the profiler.
 macro_rules! engine_ou_names {
     ($($variant:ident => $name:literal,)*) => {
-        pub fn name(self) -> &'static str {
+        pub const fn name(self) -> &'static str {
             match self {
                 $(EngineOu::$variant => $name,)*
             }
@@ -96,8 +150,14 @@ macro_rules! engine_ou_names {
 impl EngineOu {
     /// The OU's position in [`ALL_ENGINE_OUS`], which lists the
     /// variants in declaration order.
-    pub fn index(self) -> usize {
+    pub const fn index(self) -> usize {
         self as usize
+    }
+
+    /// The OU's position in [`OU_NAMES`]: its slot in a statement's OU
+    /// breakdown.
+    pub fn name_rank(self) -> usize {
+        NAME_RANK[self.index()]
     }
 
     engine_ou_names! {
@@ -318,6 +378,14 @@ mod tests {
             assert!(ou.n_features() >= 1);
         }
         assert_eq!(names.len(), ENGINE_OU_COUNT);
+    }
+
+    #[test]
+    fn name_ranks_order_the_ous_by_name() {
+        assert!(OU_NAMES.is_sorted());
+        for ou in ALL_ENGINE_OUS {
+            assert_eq!(OU_NAMES[ou.name_rank()], ou.name());
+        }
     }
 
     #[test]

@@ -278,7 +278,7 @@ impl Kernel {
     /// source — which observes the charge, never alters it. (Idle waits,
     /// `advance`/`advance_to`, are not work and are deliberately not
     /// sampled.) `leaf` is a profiler frame covering just this charge.
-    fn ledger(&mut self, id: TaskId, delta: &CounterDelta, ns: f64, leaf: Option<&'static str>) {
+    fn ledger(&mut self, id: TaskId, delta: &CounterDelta, ns: f64, leaf: Option<&Frame>) {
         let t = &mut self.tasks[id.0 as usize];
         t.pmu.charge(delta, ns);
         t.clock_ns += ns;
@@ -295,11 +295,11 @@ impl Kernel {
     /// [`Kernel::charge_overhead`] under a profiler frame that spans
     /// exactly this charge (`frame` folds as the innermost frame of any
     /// sample the charge fires).
-    pub fn charge_overhead_in(&mut self, id: TaskId, frame: &'static str, ns: f64) -> f64 {
+    pub fn charge_overhead_in(&mut self, id: TaskId, frame: &Frame, ns: f64) -> f64 {
         self.charge_overhead_leaf(id, ns, Some(frame))
     }
 
-    fn charge_overhead_leaf(&mut self, id: TaskId, ns: f64, leaf: Option<&'static str>) -> f64 {
+    fn charge_overhead_leaf(&mut self, id: TaskId, ns: f64, leaf: Option<&Frame>) -> f64 {
         let cycles = self.hw.ns_to_cycles(ns);
         let delta = CounterDelta {
             cycles,

@@ -217,10 +217,12 @@ impl DriftRegistry {
     /// vector (computed outside so this stays allocation-free).
     pub fn observe_sample(&mut self, ou: &str, subsystem: &str, target_ns: f64, feature_norm: f64) {
         // Borrowed-key lookup first: the steady state allocates nothing.
-        if !self.ous.contains_key(ou) {
-            self.ous.insert(ou.to_string(), OuDrift::new(subsystem));
-        }
-        let d = self.ous.get_mut(ou).expect("inserted above");
+        let d = match self.ous.get_mut(ou) {
+            Some(d) => d,
+            None => (self.ous)
+                .entry(ou.to_string())
+                .or_insert_with(|| OuDrift::new(subsystem)),
+        };
         d.samples += 1;
         d.lifetime.insert(target_ns);
         d.target.observe(target_ns, self.reference_samples);

@@ -115,8 +115,10 @@ impl Cell for Gauge {
 }
 
 /// Atomically replace the `f64` in `bits` by `f` of it.
+#[allow(clippy::let_underscore_must_use)]
 fn update_f64(bits: &AtomicU64, f: impl Fn(f64) -> f64) {
-    // `fetch_update` only fails when the closure declines; ours never does.
+    // ignored: `fetch_update` only fails when the closure declines; ours
+    // never does.
     let _ = bits.fetch_update(Relaxed, Relaxed, |b| Some(f(f64::from_bits(b)).to_bits()));
 }
 

@@ -35,7 +35,17 @@
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 // No `as` cast narrows a value outside tests; test fixtures cast freely.
-#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+// A panic is an error path, or an `expect` under an `allow` whose message
+// states the invariant; a discarded result says `// ignored: <reason>`.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::let_underscore_must_use
+    )
+)]
 
 mod actions;
 pub mod decls;
@@ -70,7 +80,7 @@ pub use profile::{
     DEFAULT_PROFILE_PERIOD_NS, OTHER_STACK, TSCOUT, WALL_EVERY,
 };
 pub use sketch::Sketch;
-pub use stmt::{StmtEntry, StmtStats, DEFAULT_STMT_CAP};
+pub use stmt::{OuNs, StmtEntry, StmtId, StmtStats, DEFAULT_STMT_CAP};
 pub use tables::{Cell, ColType, Table, TABLES};
 pub use timeseries::{TimeSeries, Window};
 pub use trace::{
@@ -228,14 +238,14 @@ impl Telemetry {
     /// (see [`Registry::stmt_record`]).
     pub fn stmt_record(
         &self,
-        fingerprint: &str,
+        id: StmtId,
         actual_ns: f64,
         rows: u64,
-        ou_ns: &[(&str, f64)],
+        ou_ns: OuNs<'_>,
         predicted_ns: Option<f64>,
     ) {
         self.lock()
-            .stmt_record(fingerprint, actual_ns, rows, ou_ns, predicted_ns);
+            .stmt_record(id, actual_ns, rows, ou_ns, predicted_ns);
     }
 
     /// Total statements folded into the stats registry (drives the

@@ -12,7 +12,7 @@ use crate::drift::DriftRegistry;
 use crate::handles::{Cell, Counter, Decl, Gauge, Hist, Kind};
 use crate::health::{Alert, HealthEngine, HealthState, Selector, Signals};
 use crate::histogram::HistogramSnapshot;
-use crate::stmt::StmtStats;
+use crate::stmt::{OuNs, StmtId, StmtStats};
 use crate::tables::Cell as Col;
 use crate::timeseries::{TimeSeries, Window};
 use crate::trace::{FlightRecorderArm, Tracer};
@@ -24,6 +24,13 @@ pub use exposition::Exposition;
 
 /// Sorted `label=value` pairs.
 type Labels = Vec<(String, String)>;
+
+/// `write!` into a `String`.
+#[allow(clippy::let_underscore_must_use)]
+fn put(out: &mut String, args: std::fmt::Arguments<'_>) {
+    // ignored: writing into a `String` cannot fail.
+    let _ = out.write_fmt(args);
+}
 
 /// Append `s` escaped per the text exposition format: backslash and line
 /// feed always, double quote too inside a label value.
@@ -68,7 +75,7 @@ fn write_series(
             if let Some(le) = le.take() {
                 pair(out, "le");
                 le_at = Some(out.len());
-                let _ = write!(out, "{le}\"");
+                put(out, format_args!("{le}\""));
             }
         }
         pair(out, k);
@@ -78,7 +85,7 @@ fn write_series(
     if let Some(le) = le {
         pair(out, "le");
         le_at = Some(out.len());
-        let _ = write!(out, "{le}\"");
+        put(out, format_args!("{le}\""));
     }
     out.push('}');
     le_at.unwrap_or(out.len())
@@ -204,6 +211,9 @@ impl<C: Cell> Series<C> {
             self.families
                 .insert(name.to_string(), Family { help, series });
         }
+        // A borrowed-name lookup, so that a known family costs no key; a
+        // map hands out no entry by borrowed key, hence the second lookup.
+        #[allow(clippy::expect_used)]
         let family = self.families.get_mut(name).expect("inserted above");
         if family.help.is_empty() && !help.is_empty() {
             family.help = help;
@@ -294,7 +304,34 @@ pub struct Registry {
     tracer: Tracer,
     flightrec: FlightRecorderArm,
     stmts: StmtStats,
+    stmt_series: Held<StmtSeries>,
     actions: ActionLog,
+}
+
+/// The statement-stats series, held so that a record looks no family up.
+#[derive(Debug)]
+struct StmtSeries {
+    recorded: Counter,
+    evicted: Counter,
+    fingerprints: Gauge,
+}
+
+/// Handles into this registry's own cells, resolved on first use. A
+/// clone is another registry with cells of its own, so it starts with
+/// none and resolves its own.
+#[derive(Debug)]
+struct Held<T>(Option<T>);
+
+impl<T> Default for Held<T> {
+    fn default() -> Self {
+        Held(None)
+    }
+}
+
+impl<T> Clone for Held<T> {
+    fn clone(&self) -> Self {
+        Held(None)
+    }
 }
 
 impl Registry {
@@ -434,40 +471,50 @@ impl Registry {
     /// (`db_stmt_recorded_total`, `db_stmt_evicted_total`,
     /// `db_stmt_fingerprints`), all three registered from the first
     /// recorded statement on. This runs once per executed statement: the
-    /// steady state is one borrowed-key lookup (no allocation), and the
-    /// eviction counter / fingerprint gauge are only touched when their
-    /// values actually moved.
+    /// steady state finds its entry by id and bumps a held handle, and
+    /// the eviction counter / fingerprint gauge are only touched when
+    /// their values actually moved.
     pub fn stmt_record(
         &mut self,
-        fingerprint: &str,
+        id: StmtId,
         actual_ns: f64,
         rows: u64,
-        ou_ns: &[(&str, f64)],
+        ou_ns: OuNs<'_>,
         predicted_ns: Option<f64>,
     ) {
         let evicted_before = self.stmts.evicted();
         let len_before = self.stmts.len();
-        self.stmts
-            .record(fingerprint, actual_ns, rows, ou_ns, predicted_ns);
-        let Some(recorded) = self.counters.get(decls::STMT_RECORDED.name, &[]) else {
-            // First record (or a registry reset): register all three
-            // series at their authoritative values.
-            let (recorded, evicted) = (self.stmts.recorded(), self.stmts.evicted());
-            self.at(&decls::STMT_RECORDED, &[]).add(recorded);
-            self.at(&decls::STMT_EVICTED, &[]).add(evicted);
-            let fingerprints = self.stmts.len() as f64;
-            self.at(&decls::STMT_FINGERPRINTS, &[]).set(fingerprints);
-            return;
+        self.stmts.record(id, actual_ns, rows, ou_ns, predicted_ns);
+        let series = match self.stmt_series.0.take() {
+            Some(series) => series,
+            None => {
+                // First record, a registry reset or a snapshot: a fresh
+                // registry registers all three series at their
+                // authoritative values, a snapshot resolves its own.
+                let fresh = self.counters.get(decls::STMT_RECORDED.name, &[]).is_none();
+                let series = StmtSeries {
+                    recorded: self.at(&decls::STMT_RECORDED, &[]).clone(),
+                    evicted: self.at(&decls::STMT_EVICTED, &[]).clone(),
+                    fingerprints: self.at(&decls::STMT_FINGERPRINTS, &[]).clone(),
+                };
+                if fresh {
+                    series.recorded.add(self.stmts.recorded());
+                    series.evicted.add(self.stmts.evicted());
+                    series.fingerprints.set(self.stmts.len() as f64);
+                    self.stmt_series.0 = Some(series);
+                    return;
+                }
+                series
+            }
         };
-        recorded.inc();
+        series.recorded.inc();
         if self.stmts.evicted() != evicted_before {
-            let evicted = self.stmts.evicted() - evicted_before;
-            self.at(&decls::STMT_EVICTED, &[]).add(evicted);
+            series.evicted.add(self.stmts.evicted() - evicted_before);
         }
         if self.stmts.len() != len_before {
-            let fingerprints = self.stmts.len() as f64;
-            self.at(&decls::STMT_FINGERPRINTS, &[]).set(fingerprints);
+            series.fingerprints.set(self.stmts.len() as f64);
         }
+        self.stmt_series.0 = Some(series);
     }
 
     /// The epilogue of every tracer event that can complete a trace (see
@@ -1030,9 +1077,11 @@ mod tests {
 
     #[test]
     fn stmt_record_syncs_metrics() {
+        static OUS: [&str; 1] = ["seq_scan"];
         let mut r = Registry::new();
-        r.stmt_record("select ?", 100.0, 1, &[("seq_scan", 80.0)], None);
-        r.stmt_record("select ?", 200.0, 1, &[("seq_scan", 150.0)], Some(140.0));
+        let id = StmtId::intern("select ?");
+        r.stmt_record(id, 100.0, 1, OuNs::new(&OUS, &[(0, 80.0)]), None);
+        r.stmt_record(id, 200.0, 1, OuNs::new(&OUS, &[(0, 150.0)]), Some(140.0));
         assert_eq!(r.counter_value("db_stmt_recorded_total", &[]), 2);
         // The eviction counter registers at zero from the first record.
         assert_eq!(r.counter_value("db_stmt_evicted_total", &[]), 0);
@@ -1040,6 +1089,28 @@ mod tests {
         assert_eq!(r.gauge_value("db_stmt_fingerprints", &[]), 1.0);
         let e = r.stmts().get("select ?").unwrap();
         assert_eq!(e.calls, 2);
+    }
+
+    /// The statement series are held per registry: a snapshot put in
+    /// the registry's place counts on in its own cells, the registry it
+    /// replaced stays where it was, and a reset registers them afresh.
+    #[test]
+    fn stmt_series_follow_a_replaced_registry() {
+        let (a, b) = (StmtId::intern("select a"), StmtId::intern("select b"));
+        let mut r = Registry::new();
+        r.stmts = StmtStats::new(1);
+        r.stmt_record(a, 1.0, 0, OuNs::NONE, None);
+        let before = r.counter("db_stmt_recorded_total", &[]);
+        r = r.clone();
+        r.stmt_record(b, 1.0, 0, OuNs::NONE, None);
+        assert_eq!(before.get(), 1);
+        assert_eq!(r.counter_value("db_stmt_recorded_total", &[]), 2);
+        assert_eq!(r.counter_value("db_stmt_evicted_total", &[]), 1);
+        assert_eq!(r.gauge_value("db_stmt_fingerprints", &[]), 1.0);
+        r = Registry::new();
+        r.stmt_record(a, 1.0, 0, OuNs::NONE, None);
+        assert_eq!(r.counter_value("db_stmt_recorded_total", &[]), 1);
+        assert_eq!(r.counter_value("db_stmt_evicted_total", &[]), 0);
     }
 
     #[test]
@@ -1057,7 +1128,7 @@ mod tests {
         a.at(&decls::TRACE_STAGE_NS, &[("stage", "ring")])
             .record(5e4);
         b.observe_ou_sample("OuX", "s", 1.0, 1.0);
-        b.stmt_record("q1", 10.0, 0, &[], None);
+        b.stmt_record(StmtId::intern("q1"), 10.0, 0, OuNs::NONE, None);
         let text = merged_render(&[&a, &b]);
         let headers: Vec<&str> = text
             .lines()

@@ -18,13 +18,12 @@
 //! holding all of them would export. The registries are expected to share
 //! no family; one that appears in two is exported once per registry.
 
-use std::fmt::Write as _;
 use std::iter::Peekable;
 use std::ops::Range;
 use std::sync::OnceLock;
 use std::vec::IntoIter;
 
-use super::{push_escaped, write_series, Family, Labels, Registry, Series};
+use super::{push_escaped, put, write_series, Family, Labels, Registry, Series};
 use crate::handles::{Cell, Counter, Gauge, Hist, Kind};
 use crate::histogram::{bucket_upper, BUCKETS};
 
@@ -165,9 +164,12 @@ impl FamilyLayout {
             "" => "(undocumented)",
             help => help,
         };
-        let _ = write!(text, "# HELP {name}{suffix} ");
+        put(&mut text, format_args!("# HELP {name}{suffix} "));
         push_escaped(&mut text, help, false);
-        let _ = writeln!(text, "\n# TYPE {name}{suffix} {}", C::KIND);
+        put(
+            &mut text,
+            format_args!("\n# TYPE {name}{suffix} {}\n", C::KIND),
+        );
         let header_end = text.len();
         let samples = family
             .series
@@ -208,12 +210,12 @@ impl FamilyLayout {
         for sample in &self.samples {
             match sample {
                 Sample::Counter(name, _) => {
-                    let _ = writeln!(out, "{} {}", text(name), values[at]);
+                    put(out, format_args!("{} {}\n", text(name), values[at]));
                     at += 1;
                 }
                 Sample::Gauge(name, _) => {
                     let v = f64::from_bits(values[at]);
-                    let _ = writeln!(out, "{} {v}", text(name));
+                    put(out, format_args!("{} {v}\n", text(name)));
                     at += 1;
                 }
                 Sample::Hist(h, _) => {
@@ -225,13 +227,13 @@ impl FamilyLayout {
                             count += n;
                             out.push_str(head);
                             out.push_str(le_bound(i));
-                            let _ = writeln!(out, "{tail} {count}");
+                            put(out, format_args!("{tail} {count}\n"));
                         }
                     }
-                    let _ = writeln!(out, "{head}+Inf{tail} {count}");
+                    put(out, format_args!("{head}+Inf{tail} {count}\n"));
                     let sum = f64::from_bits(values[at + BUCKETS]);
-                    let _ = writeln!(out, "{} {sum}", text(&h.sum));
-                    let _ = writeln!(out, "{} {count}", text(&h.count));
+                    put(out, format_args!("{} {sum}\n", text(&h.sum)));
+                    put(out, format_args!("{} {count}\n", text(&h.count)));
                     at += HIST_WORDS;
                 }
             }
@@ -385,6 +387,7 @@ mod tests {
     mod reference {
         use super::super::super::{write_series, Labels};
         use super::*;
+        use std::fmt::Write as _;
 
         /// The old `Registry::merge_from`: counters add, gauges take the
         /// max, histograms merge bucket-wise, each family keeps its help.

@@ -22,8 +22,9 @@
 //! (leaked only when the list is empty, returned when its task drops),
 //! and the guard remembers the stack's generation, bumped on every
 //! return: a guard that outlives its task pops nothing from the stack's
-//! next owner. The mutex is taken when a sample fires and by
-//! readers, and only then are ids folded back to names. Root frames
+//! next owner. The mutex is taken when a sample fires, which keys its
+//! fold by the stack's frame ids, and by readers, which alone render ids
+//! back to names. Root frames
 //! re-base folding: a stack renders from its **last** root frame onward.
 //! That is what makes overhead attribution honest: when TScout's marker
 //! handling runs in the middle of a DBMS pipeline, it pushes the
@@ -143,6 +144,11 @@ impl FrameId {
 
     fn index(self) -> usize {
         ((self.0 >> 1) as usize).wrapping_sub(1)
+    }
+
+    /// The interned name, root or not: what a fold is keyed by.
+    fn name_key(self) -> u32 {
+        self.0 >> 1
     }
 
     fn name(self, names: &[Box<str>]) -> &str {
@@ -348,36 +354,32 @@ impl TaskFrames {
         spare().leaked
     }
 
-    /// Render the stack from its last root frame onward into `key`, with
-    /// `leaf` (if any) as one more innermost frame.
-    fn fold_key(&self, leaf: Option<&str>, key: &mut String) {
+    /// The stack from its last root frame onward, with `leaf` (if any)
+    /// as one more innermost frame, as name keys in `path`; returns how
+    /// many it wrote.
+    fn path(&self, leaf: Option<FrameId>, path: &mut [u32; MAX_DEPTH + 1]) -> usize {
         let depth = (self.0.depth.load(Relaxed) as usize).min(MAX_DEPTH);
         let frame = |slot: &AtomicU32| FrameId(slot.load(Relaxed));
         let frames = &self.0.slots[..depth];
         let start = frames.iter().rposition(|f| frame(f).is_root()).unwrap_or(0);
-        let names = NAMES.lock().unwrap_or_else(PoisonError::into_inner);
-        let frames = frames[start..].iter().map(|f| frame(f).name(&names));
-        key.clear();
-        for name in frames.chain(leaf) {
-            if !key.is_empty() {
-                key.push(';');
-            }
-            key.push_str(name);
+        let frames = frames[start..].iter().map(frame).chain(leaf);
+        let mut n = 0;
+        for (key, f) in path.iter_mut().zip(frames) {
+            *key = f.name_key();
+            n += 1;
         }
-        if key.is_empty() {
-            key.push_str(OTHER_STACK);
-        }
+        n
     }
 }
 
 #[derive(Debug, Default)]
 struct ProfileState {
-    /// Folded stack -> (samples, attributed virtual ns).
-    folded: BTreeMap<String, FoldedEntry>,
+    /// Folded stack, as the name keys of its frames (see
+    /// [`TaskFrames::path`]) -> (samples, attributed virtual ns). A name
+    /// is one key, so two paths never render to one stack.
+    folded: BTreeMap<Box<[u32]>, FoldedEntry>,
     /// Total profiling interrupts fired (== sum of folded samples).
     interrupts: u64,
-    /// Reused by `fire` to render the stack it samples.
-    key_buf: String,
 }
 
 /// Per-folded-stack accumulation.
@@ -389,21 +391,49 @@ pub struct FoldedEntry {
 
 impl ProfileState {
     /// Record `fires` samples against `stack`. A stack seen before costs
-    /// no allocation.
-    fn fire(&mut self, stack: &TaskFrames, fires: f64, period: f64, leaf: Option<&str>) {
+    /// no allocation and no name.
+    fn fire(&mut self, stack: &TaskFrames, fires: f64, period: f64, leaf: Option<FrameId>) {
         // fires is floored, non-negative and far below 2^64.
         #[allow(clippy::cast_possible_truncation)]
         let n = fires as u64;
-        let mut key = std::mem::take(&mut self.key_buf);
-        stack.fold_key(leaf, &mut key);
-        if !self.folded.contains_key(key.as_str()) {
-            self.folded.insert(key.clone(), FoldedEntry::default());
-        }
-        let e = self.folded.get_mut(key.as_str()).expect("inserted above");
+        let mut buf = [0; MAX_DEPTH + 1];
+        let len = stack.path(leaf, &mut buf);
+        let path = &buf[..len];
+        let e = match self.folded.get_mut(path) {
+            Some(e) => e,
+            None => self.folded.entry(path.into()).or_default(),
+        };
         e.samples += n;
         e.ns += fires * period;
         self.interrupts += n;
-        self.key_buf = key;
+    }
+
+    /// Every folded stack by its rendered name (`;`-joined frame names,
+    /// [`OTHER_STACK`] for an empty one), in name order.
+    fn rendered(&self) -> BTreeMap<String, FoldedEntry> {
+        let names = NAMES.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut out = BTreeMap::new();
+        for (path, e) in &self.folded {
+            let mut key = String::new();
+            for &name in &**path {
+                if !key.is_empty() {
+                    key.push(';');
+                }
+                key.push_str(FrameId(name << 1).name(&names));
+            }
+            if key.is_empty() {
+                key.push_str(OTHER_STACK);
+            }
+            // Only a `;` inside a frame name could make two paths render
+            // alike; they add up rather than hide one another.
+            out.entry(key)
+                .and_modify(|t: &mut FoldedEntry| {
+                    t.samples += e.samples;
+                    t.ns += e.ns;
+                })
+                .or_insert(*e);
+        }
+        out
     }
 }
 
@@ -522,16 +552,10 @@ impl Profiler {
     /// actually fires. A non-finite or non-positive `ns` is ignored: an
     /// infinite one would leave the task's credit `NaN` for good.
     ///
-    /// `leaf` names a frame that is on top of the stack for exactly this
+    /// `leaf` is a frame that is on top of the stack for exactly this
     /// charge (a BPF helper's body) — cheaper than pushing and popping it
     /// around every charge when almost none of them fire.
-    pub fn on_charge(
-        &self,
-        stack: &TaskFrames,
-        credit: &mut f64,
-        ns: f64,
-        leaf: Option<&'static str>,
-    ) {
+    pub fn on_charge(&self, stack: &TaskFrames, credit: &mut f64, ns: f64, leaf: Option<&Frame>) {
         let period = self.period_ns();
         if period <= 0.0 || !ns.is_finite() || ns <= 0.0 {
             return;
@@ -544,6 +568,7 @@ impl Profiler {
         }
         let fires = (*credit / period).floor();
         *credit -= fires * period;
+        let leaf = leaf.map(Frame::id);
         self.lock().fire(stack, fires, period, leaf);
     }
 
@@ -554,18 +579,14 @@ impl Profiler {
 
     /// Folded stacks, sorted by stack name.
     pub fn folded(&self) -> Vec<(String, FoldedEntry)> {
-        self.lock()
-            .folded
-            .iter()
-            .map(|(k, v)| (k.clone(), *v))
-            .collect()
+        self.lock().rendered().into_iter().collect()
     }
 
     /// Flamegraph-ready folded-stack text: one `stack;frames count`
     /// line per distinct stack.
     pub fn folded_text(&self) -> String {
         let mut out = String::new();
-        for (k, e) in &self.lock().folded {
+        for (k, e) in &self.lock().rendered() {
             out.push_str(k);
             out.push(' ');
             out.push_str(&e.samples.to_string());
@@ -578,7 +599,7 @@ impl Profiler {
     pub fn attribution(&self) -> Attribution {
         let st = self.lock();
         let mut by_top: BTreeMap<String, FoldedEntry> = BTreeMap::new();
-        for (k, e) in &st.folded {
+        for (k, e) in &st.rendered() {
             let top = k.split(';').next().unwrap_or(OTHER_STACK).to_string();
             let t = by_top.entry(top).or_default();
             t.samples += e.samples;
@@ -768,8 +789,37 @@ mod tests {
         p.set_period_ns(10.0);
         let _g = p.push_frames(&t, [DBMS.id()]);
         charge(&p, &t, 30.0);
-        p.on_charge(&t, &mut 0.0, 15.0, Some("wal"));
+        static WAL: Frame = Frame::new("wal");
+        p.on_charge(&t, &mut 0.0, 15.0, Some(&WAL));
         assert_eq!(p.folded_text(), "dbms 3\ndbms;wal 1\n");
+    }
+
+    /// A leaf named like a frame is that frame: a charge under the leaf
+    /// and one under the pushed frame fold into one stack, its ns added
+    /// in charge order.
+    #[test]
+    fn a_leaf_named_like_a_frame_folds_with_it() {
+        static PUSHED: Frame = Frame::new("leaf-test:wal");
+        static LEAF: Frame = Frame::new("leaf-test:wal");
+        let (p, t) = (Profiler::new(), TaskFrames::default());
+        p.set_period_ns(0.1);
+        let _root = p.push_frames(&t, [DBMS.id()]);
+        p.on_charge(&t, &mut 0.0, 0.35, Some(&LEAF)); // 3 fires
+        {
+            let _wal = p.push_frames(&t, [PUSHED.id()]);
+            p.on_charge(&t, &mut 0.0, 0.75, None); // 7 fires
+        }
+        p.on_charge(&t, &mut 0.0, 0.25, Some(&LEAF)); // 2 fires
+        let folded = p.folded();
+        assert_eq!(folded.len(), 1, "{folded:?}");
+        assert_eq!(folded[0].0, "dbms;leaf-test:wal");
+        assert_eq!(folded[0].1.samples, 12);
+        // In charge order; the leaf's two charges summed apart and then
+        // merged would read 1.2000000000000002.
+        let want: f64 = 0.0 + 3.0 * 0.1 + 7.0 * 0.1 + 2.0 * 0.1;
+        assert_eq!(folded[0].1.ns.to_bits(), want.to_bits());
+        assert_eq!(folded[0].1.ns, 1.2);
+        assert_eq!(p.attribution().ns_of("dbms").to_bits(), want.to_bits());
     }
 
     /// An infinite charge samples nothing and leaves the task's credit

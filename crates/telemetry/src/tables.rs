@@ -403,11 +403,8 @@ pub const TABLES: &[Table] = &[
             r.stmts()
                 .entries()
                 .map(|e| {
-                    let breakdown: Vec<String> = e
-                        .ou_ns
-                        .iter()
-                        .map(|(ou, ns)| format!("{ou}={ns:.0}"))
-                        .collect();
+                    let breakdown: Vec<String> =
+                        e.ou_ns().map(|(ou, ns)| format!("{ou}={ns:.0}")).collect();
                     vec![
                         text(&e.fingerprint),
                         int(e.calls),
@@ -604,11 +601,12 @@ mod tests {
         let t = Telemetry::new();
         t.observe_ou_sample("seq_scan", "execution_engine", 1_000.0, 3.0);
         t.observe_ou_sample("seq_scan", "execution_engine", 2_000.0, 4.0);
+        static OUS: [&str; 3] = ["idx_lookup", "output", "seq_scan"];
         t.stmt_record(
-            "select v from t where (id = ?)",
+            crate::StmtId::intern("select v from t where (id = ?)"),
             5_000.0,
             1,
-            &[("idx_lookup", 3_000.0), ("output", 500.0)],
+            crate::OuNs::new(&OUS, &[(0, 3_000.0), (1, 500.0)]),
             Some(4_200.0),
         );
         t.observability_tick(1e9);

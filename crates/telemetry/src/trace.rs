@@ -86,8 +86,10 @@ impl Stage {
         }
     }
 
-    fn idx(&self) -> usize {
-        ALL_STAGES.iter().position(|s| s == self).unwrap()
+    /// The stage's position in [`ALL_STAGES`], which lists the variants
+    /// in declaration order.
+    fn idx(self) -> usize {
+        self as usize
     }
 }
 
@@ -440,8 +442,9 @@ impl Tracer {
         t.push_stage(Stage::Drain, drain_ns, sink_enter_ns, queue_depth);
         t.push_stage(Stage::Sink, sink_enter_ns, sink_exit_ns, 0);
         if terminal {
-            let t = self.active.remove(&id).unwrap();
-            self.finish(t, TraceOutcome::Delivered);
+            if let Some(t) = self.active.remove(&id) {
+                self.finish(t, TraceOutcome::Delivered);
+            }
         } else {
             self.parked.push_back(id);
         }

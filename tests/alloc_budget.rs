@@ -56,7 +56,9 @@ use tscout_suite::noisetap::{Database, Value};
 use tscout_suite::obsd::http;
 use tscout_suite::obsd::json::Json;
 use tscout_suite::rng::{RngExt, SeedableRng, StdRng};
-use tscout_suite::telemetry::{Exposition, Telemetry, DEFAULT_PROFILE_PERIOD_NS, TABLES};
+use tscout_suite::telemetry::{
+    Exposition, OuNs, StmtId, Telemetry, DEFAULT_PROFILE_PERIOD_NS, TABLES,
+};
 use tscout_suite::tscout::codegen::encode_ctx;
 use tscout_suite::tscout::{
     CollectionMode, OuId, ProbeSet, Processor, Sink, Subsystem, TScout, TsConfig, ALL_SUBSYSTEMS,
@@ -841,10 +843,10 @@ fn json_corpus() -> Vec<String> {
         t.observe_ou_sample("scan", "execution_engine", target_ns, 3.0);
     }
     t.stmt_record(
-        "select '\u{e9}\u{2192}\t' ?",
+        StmtId::intern("select '\u{e9}\u{2192}\t' ?"),
         5e3,
         1,
-        &[("scan", 3e3)],
+        OuNs::new(&["scan"], &[(0, 3e3)]),
         Some(4e3),
     );
     t.trace_set_every(1);
