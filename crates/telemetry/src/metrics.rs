@@ -1099,16 +1099,16 @@ mod tests {
         let (a, b) = (StmtId::intern("select a"), StmtId::intern("select b"));
         let mut r = Registry::new();
         r.stmts = StmtStats::new(1);
-        r.stmt_record(a, 1.0, 0, OuNs::NONE, None);
+        r.stmt_record(a, 1.0, 0, OuNs::new(&[], &[]), None);
         let before = r.counter("db_stmt_recorded_total", &[]);
         r = r.clone();
-        r.stmt_record(b, 1.0, 0, OuNs::NONE, None);
+        r.stmt_record(b, 1.0, 0, OuNs::new(&[], &[]), None);
         assert_eq!(before.get(), 1);
         assert_eq!(r.counter_value("db_stmt_recorded_total", &[]), 2);
         assert_eq!(r.counter_value("db_stmt_evicted_total", &[]), 1);
         assert_eq!(r.gauge_value("db_stmt_fingerprints", &[]), 1.0);
         r = Registry::new();
-        r.stmt_record(a, 1.0, 0, OuNs::NONE, None);
+        r.stmt_record(a, 1.0, 0, OuNs::new(&[], &[]), None);
         assert_eq!(r.counter_value("db_stmt_recorded_total", &[]), 1);
         assert_eq!(r.counter_value("db_stmt_evicted_total", &[]), 0);
     }
@@ -1128,7 +1128,7 @@ mod tests {
         a.at(&decls::TRACE_STAGE_NS, &[("stage", "ring")])
             .record(5e4);
         b.observe_ou_sample("OuX", "s", 1.0, 1.0);
-        b.stmt_record(StmtId::intern("q1"), 10.0, 0, OuNs::NONE, None);
+        b.stmt_record(StmtId::intern("q1"), 10.0, 0, OuNs::new(&[], &[]), None);
         let text = merged_render(&[&a, &b]);
         let headers: Vec<&str> = text
             .lines()

@@ -98,14 +98,6 @@ pub struct OuNs<'a> {
     ns: &'a [(usize, f64)],
 }
 
-impl OuNs<'static> {
-    /// No OU charged.
-    pub const NONE: OuNs<'static> = OuNs {
-        names: &[],
-        ns: &[],
-    };
-}
-
 impl<'a> OuNs<'a> {
     /// `ns` pairs a slot of `names` with its OU's ns; `names` must be
     /// sorted and the slots ascending, each below `names.len()`.
