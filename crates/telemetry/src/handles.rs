@@ -114,12 +114,17 @@ impl Cell for Gauge {
     }
 }
 
-/// Atomically replace the `f64` in `bits` by `f` of it.
+/// Atomically replace the `f64` in `bits` by `f` of it. A value that
+/// would not change is not written, so a histogram's min and max cost a
+/// load, not a locked exchange, unless a new extreme arrives.
 #[allow(clippy::let_underscore_must_use)]
 fn update_f64(bits: &AtomicU64, f: impl Fn(f64) -> f64) {
-    // ignored: `fetch_update` only fails when the closure declines; ours
-    // never does.
-    let _ = bits.fetch_update(Relaxed, Relaxed, |b| Some(f(f64::from_bits(b)).to_bits()));
+    // ignored: `fetch_update` fails only when the closure declines, which
+    // it does exactly when the bits would stay as they are.
+    let _ = bits.fetch_update(Relaxed, Relaxed, |b| {
+        let new = f(f64::from_bits(b)).to_bits();
+        (new != b).then_some(new)
+    });
 }
 
 #[derive(Debug)]

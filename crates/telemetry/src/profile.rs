@@ -127,6 +127,8 @@ impl FrameId {
     /// Intern `name` (once per distinct name; takes a lock — do it where
     /// the name is built, not where it is pushed).
     pub fn intern(name: &str, root: bool) -> FrameId {
+        // A folded stack is its names joined by `;`.
+        debug_assert!(!name.contains(';'), "frame name {name:?} holds a `;`");
         let mut names = NAMES.lock().unwrap_or_else(PoisonError::into_inner);
         let known = names.iter().position(|n| **n == *name);
         let index = known.unwrap_or_else(|| {
@@ -375,9 +377,15 @@ impl TaskFrames {
 #[derive(Debug, Default)]
 struct ProfileState {
     /// Folded stack, as the name keys of its frames (see
-    /// [`TaskFrames::path`]) -> (samples, attributed virtual ns). A name
-    /// is one key, so two paths never render to one stack.
-    folded: BTreeMap<Box<[u32]>, FoldedEntry>,
+    /// [`TaskFrames::path`]) -> its slot in `stacks`. A name is one key,
+    /// so two paths never render to one stack.
+    folded: BTreeMap<Box<[u32]>, usize>,
+    /// Per stack, by slot: samples and attributed virtual ns.
+    stacks: Vec<FoldedEntry>,
+    /// Each stack's rendered name (`;`-joined frame names, [`OTHER_STACK`]
+    /// for an empty one) and slot, in name order. Readers render a stack
+    /// once, the first time they see it.
+    by_name: Vec<(Box<str>, usize)>,
     /// Total profiling interrupts fired (== sum of folded samples).
     interrupts: u64,
 }
@@ -399,41 +407,42 @@ impl ProfileState {
         let mut buf = [0; MAX_DEPTH + 1];
         let len = stack.path(leaf, &mut buf);
         let path = &buf[..len];
-        let e = match self.folded.get_mut(path) {
-            Some(e) => e,
-            None => self.folded.entry(path.into()).or_default(),
+        let slot = match self.folded.get(path) {
+            Some(&slot) => slot,
+            None => {
+                self.folded.insert(path.into(), self.stacks.len());
+                self.stacks.push(FoldedEntry::default());
+                self.stacks.len() - 1
+            }
         };
+        let e = &mut self.stacks[slot];
         e.samples += n;
         e.ns += fires * period;
         self.interrupts += n;
     }
 
-    /// Every folded stack by its rendered name (`;`-joined frame names,
-    /// [`OTHER_STACK`] for an empty one), in name order.
-    fn rendered(&self) -> BTreeMap<String, FoldedEntry> {
-        let names = NAMES.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut out = BTreeMap::new();
-        for (path, e) in &self.folded {
-            let mut key = String::new();
-            for &name in &**path {
-                if !key.is_empty() {
-                    key.push(';');
+    /// Every folded stack by its rendered name, in name order, after
+    /// rendering the stacks added since the last read.
+    fn by_name(&mut self) -> impl Iterator<Item = (&str, &FoldedEntry)> {
+        let rendered = self.by_name.len();
+        if rendered < self.stacks.len() {
+            let names = NAMES.lock().unwrap_or_else(PoisonError::into_inner);
+            for (path, &slot) in &self.folded {
+                if slot >= rendered {
+                    let frames = path.iter().map(|&key| FrameId(key << 1).name(&names));
+                    let name = frames.collect::<Vec<_>>().join(";");
+                    let name = if name.is_empty() {
+                        OTHER_STACK.into()
+                    } else {
+                        name
+                    };
+                    self.by_name.push((name.into(), slot));
                 }
-                key.push_str(FrameId(name << 1).name(&names));
             }
-            if key.is_empty() {
-                key.push_str(OTHER_STACK);
-            }
-            // Only a `;` inside a frame name could make two paths render
-            // alike; they add up rather than hide one another.
-            out.entry(key)
-                .and_modify(|t: &mut FoldedEntry| {
-                    t.samples += e.samples;
-                    t.ns += e.ns;
-                })
-                .or_insert(*e);
+            self.by_name.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         }
-        out
+        let stacks = &self.stacks;
+        (self.by_name.iter()).map(move |(name, slot)| (&**name, &stacks[*slot]))
     }
 }
 
@@ -460,7 +469,7 @@ impl std::fmt::Debug for Profiler {
         f.debug_struct("Profiler")
             .field("period_ns", &self.period_ns())
             .field("interrupts", &st.interrupts)
-            .field("stacks", &st.folded.len())
+            .field("stacks", &st.stacks.len())
             .finish()
     }
 }
@@ -579,14 +588,15 @@ impl Profiler {
 
     /// Folded stacks, sorted by stack name.
     pub fn folded(&self) -> Vec<(String, FoldedEntry)> {
-        self.lock().rendered().into_iter().collect()
+        let mut st = self.lock();
+        st.by_name().map(|(k, e)| (k.to_string(), *e)).collect()
     }
 
     /// Flamegraph-ready folded-stack text: one `stack;frames count`
     /// line per distinct stack.
     pub fn folded_text(&self) -> String {
         let mut out = String::new();
-        for (k, e) in &self.lock().rendered() {
+        for (k, e) in self.lock().by_name() {
             out.push_str(k);
             out.push(' ');
             out.push_str(&e.samples.to_string());
@@ -597,11 +607,14 @@ impl Profiler {
 
     /// Per-top-level-frame attribution summary (see [`Attribution`]).
     pub fn attribution(&self) -> Attribution {
-        let st = self.lock();
+        let mut st = self.lock();
         let mut by_top: BTreeMap<String, FoldedEntry> = BTreeMap::new();
-        for (k, e) in &st.rendered() {
-            let top = k.split(';').next().unwrap_or(OTHER_STACK).to_string();
-            let t = by_top.entry(top).or_default();
+        for (k, e) in st.by_name() {
+            let top = k.split(';').next().unwrap_or(OTHER_STACK);
+            let t = match by_top.get_mut(top) {
+                Some(t) => t,
+                None => by_top.entry(top.to_string()).or_default(),
+            };
             t.samples += e.samples;
             t.ns += e.ns;
         }
