@@ -498,6 +498,7 @@ impl Profiler {
     }
 
     /// Current sampling period (0.0 when disabled).
+    #[inline]
     pub fn period_ns(&self) -> f64 {
         f64::from_bits(self.inner.period_bits.load(Relaxed))
     }
@@ -564,6 +565,10 @@ impl Profiler {
     /// `leaf` is a frame that is on top of the stack for exactly this
     /// charge (a BPF helper's body) — cheaper than pushing and popping it
     /// around every charge when almost none of them fire.
+    ///
+    /// Every charge in every crate runs this, so it inlines into the
+    /// caller and leaves the interrupt itself out of line.
+    #[inline]
     pub fn on_charge(&self, stack: &TaskFrames, credit: &mut f64, ns: f64, leaf: Option<&Frame>) {
         let period = self.period_ns();
         if period <= 0.0 || !ns.is_finite() || ns <= 0.0 {
@@ -575,6 +580,12 @@ impl Profiler {
         if *credit < period {
             return;
         }
+        self.interrupt(stack, credit, period, leaf);
+    }
+
+    /// Fire `floor(credit / period)` samples against `stack`.
+    #[inline(never)]
+    fn interrupt(&self, stack: &TaskFrames, credit: &mut f64, period: f64, leaf: Option<&Frame>) {
         let fires = (*credit / period).floor();
         *credit -= fires * period;
         let leaf = leaf.map(Frame::id);
