@@ -46,7 +46,8 @@
 //! and allocate nothing, and no virtual nanosecond, fold or sample
 //! depends on a reading.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
@@ -357,20 +358,16 @@ impl TaskFrames {
     }
 
     /// The stack from its last root frame onward, with `leaf` (if any)
-    /// as one more innermost frame, as name keys in `path`; returns how
-    /// many it wrote.
-    fn path(&self, leaf: Option<FrameId>, path: &mut [u32; MAX_DEPTH + 1]) -> usize {
+    /// as one more innermost frame, as name keys into `path` (cleared
+    /// first).
+    fn path(&self, leaf: Option<FrameId>, path: &mut Vec<u32>) {
         let depth = (self.0.depth.load(Relaxed) as usize).min(MAX_DEPTH);
         let frame = |slot: &AtomicU32| FrameId(slot.load(Relaxed));
         let frames = &self.0.slots[..depth];
         let start = frames.iter().rposition(|f| frame(f).is_root()).unwrap_or(0);
         let frames = frames[start..].iter().map(frame).chain(leaf);
-        let mut n = 0;
-        for (key, f) in path.iter_mut().zip(frames) {
-            *key = f.name_key();
-            n += 1;
-        }
-        n
+        path.clear();
+        path.extend(frames.map(FrameId::name_key));
     }
 }
 
@@ -379,7 +376,7 @@ struct ProfileState {
     /// Folded stack, as the name keys of its frames (see
     /// [`TaskFrames::path`]) -> its slot in `stacks`. A name is one key,
     /// so two paths never render to one stack.
-    folded: BTreeMap<Box<[u32]>, usize>,
+    folded: HashMap<Box<[u32]>, usize, BuildHasherDefault<PathHasher>>,
     /// Per stack, by slot: samples and attributed virtual ns.
     stacks: Vec<FoldedEntry>,
     /// Each stack's rendered name (`;`-joined frame names, [`OTHER_STACK`]
@@ -388,6 +385,42 @@ struct ProfileState {
     by_name: Vec<(Box<str>, usize)>,
     /// Total profiling interrupts fired (== sum of folded samples).
     interrupts: u64,
+    /// Reused by `fire` for the path of the stack it samples.
+    path_buf: Vec<u32>,
+}
+
+/// The hash of a fold path: one multiply-rotate per frame. A path holds
+/// ids this process interned, not outside input, so nothing aims
+/// collisions at it, and SipHash would cost as much as the rest of an
+/// interrupt.
+#[derive(Debug, Default)]
+struct PathHasher(u64);
+
+impl PathHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for PathHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    /// A `[u32]` hashes its words as one run of bytes.
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(4);
+        for w in &mut words {
+            self.add(u64::from(u32::from_le_bytes([w[0], w[1], w[2], w[3]])));
+        }
+        for &b in words.remainder() {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
 }
 
 /// Per-folded-stack accumulation.
@@ -404,9 +437,8 @@ impl ProfileState {
         // fires is floored, non-negative and far below 2^64.
         #[allow(clippy::cast_possible_truncation)]
         let n = fires as u64;
-        let mut buf = [0; MAX_DEPTH + 1];
-        let len = stack.path(leaf, &mut buf);
-        let path = &buf[..len];
+        stack.path(leaf, &mut self.path_buf);
+        let path = self.path_buf.as_slice();
         let slot = match self.folded.get(path) {
             Some(&slot) => slot,
             None => {
