@@ -46,8 +46,7 @@
 //! and allocate nothing, and no virtual nanosecond, fold or sample
 //! depends on a reading.
 
-use std::collections::{BTreeMap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
@@ -376,7 +375,7 @@ struct ProfileState {
     /// Folded stack, as the name keys of its frames (see
     /// [`TaskFrames::path`]) -> its slot in `stacks`. A name is one key,
     /// so two paths never render to one stack.
-    folded: HashMap<Box<[u32]>, usize, BuildHasherDefault<PathHasher>>,
+    folded: BTreeMap<Box<[u32]>, usize>,
     /// Per stack, by slot: samples and attributed virtual ns.
     stacks: Vec<FoldedEntry>,
     /// Each stack's rendered name (`;`-joined frame names, [`OTHER_STACK`]
@@ -387,40 +386,6 @@ struct ProfileState {
     interrupts: u64,
     /// Reused by `fire` for the path of the stack it samples.
     path_buf: Vec<u32>,
-}
-
-/// The hash of a fold path: one multiply-rotate per frame. A path holds
-/// ids this process interned, not outside input, so nothing aims
-/// collisions at it, and SipHash would cost as much as the rest of an
-/// interrupt.
-#[derive(Debug, Default)]
-struct PathHasher(u64);
-
-impl PathHasher {
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl Hasher for PathHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    /// A `[u32]` hashes its words as one run of bytes.
-    fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(4);
-        for w in &mut words {
-            self.add(u64::from(u32::from_le_bytes([w[0], w[1], w[2], w[3]])));
-        }
-        for &b in words.remainder() {
-            self.add(u64::from(b));
-        }
-    }
-
-    fn write_usize(&mut self, n: usize) {
-        self.add(n as u64);
-    }
 }
 
 /// Per-folded-stack accumulation.
