@@ -84,21 +84,22 @@ const fn name_lt(a: &str, b: &str) -> bool {
     a.len() < b.len()
 }
 
-/// The OUs sorted by name.
-const BY_NAME: [EngineOu; ENGINE_OU_COUNT] = {
-    let mut ous = ALL_ENGINE_OUS;
-    let mut i = 1;
+/// `NAME_RANK[ou.index()]` is `ou`'s position in [`OU_NAMES`]: how many
+/// OU names sort before its own.
+const NAME_RANK: [usize; ENGINE_OU_COUNT] = {
+    let mut rank = [0; ENGINE_OU_COUNT];
+    let mut i = 0;
     while i < ENGINE_OU_COUNT {
-        let mut j = i;
-        while j > 0 && name_lt(ous[j].name(), ous[j - 1].name()) {
-            let t = ous[j];
-            ous[j] = ous[j - 1];
-            ous[j - 1] = t;
-            j -= 1;
+        let mut j = 0;
+        while j < ENGINE_OU_COUNT {
+            if name_lt(ALL_ENGINE_OUS[j].name(), ALL_ENGINE_OUS[i].name()) {
+                rank[i] += 1;
+            }
+            j += 1;
         }
         i += 1;
     }
-    ous
+    rank
 };
 
 /// Every OU's name, sorted: a statement's OU breakdown has one slot per
@@ -106,23 +107,12 @@ const BY_NAME: [EngineOu; ENGINE_OU_COUNT] = {
 /// adds in name order.
 pub const OU_NAMES: [&str; ENGINE_OU_COUNT] = {
     let mut names = [""; ENGINE_OU_COUNT];
-    let mut k = 0;
-    while k < ENGINE_OU_COUNT {
-        names[k] = BY_NAME[k].name();
-        k += 1;
+    let mut i = 0;
+    while i < ENGINE_OU_COUNT {
+        names[NAME_RANK[i]] = ALL_ENGINE_OUS[i].name();
+        i += 1;
     }
     names
-};
-
-/// `NAME_RANK[ou.index()]` is `ou`'s position in [`OU_NAMES`].
-const NAME_RANK: [usize; ENGINE_OU_COUNT] = {
-    let mut rank = [0; ENGINE_OU_COUNT];
-    let mut k = 0;
-    while k < ENGINE_OU_COUNT {
-        rank[BY_NAME[k].index()] = k;
-        k += 1;
-    }
-    rank
 };
 
 /// Each OU's name, written down once: `name()` for telemetry and
