@@ -145,6 +145,15 @@ if sed '/^#\[cfg(test)\]/,$d' crates/archive/src/compact.rs | grep -nE 'decode\(
   echo "FAIL: compaction decodes or encodes a block; it copies frames"; exit 1
 fi
 
+echo "== block I/O is positional: no SeekFrom or .seek( outside tests under crates/archive/src (a frame is one write_all_at or read_exact_at at its offset) =="
+seeks=$(for f in $(git ls-files 'crates/archive/src/*.rs'); do
+  sed '/^#\[cfg(test)\]/,$d' "$f" | grep -nE 'SeekFrom|\.seek\(' | sed "s|^|$f:|" || true
+done)
+if [ -n "$seeks" ]; then
+  echo "$seeks"
+  echo "FAIL: the archive seeks again; write and read each frame at its offset in one call"; exit 1
+fi
+
 echo "== recovery only reads: no cut of a segment file, or counter of one, comes back under crates/ =="
 if git grep -nE 'set_len|recovered_truncations|RECOVERED_TRUNCATIONS' -- crates; then
   echo "FAIL: open cuts a segment again; recovery steps over damage and writes nothing"; exit 1

@@ -132,16 +132,17 @@ fn write_merged(
         let (mut offset, mut frame, mut ous, mut blocks) =
             (HEADER_LEN, Vec::new(), Vec::new(), Vec::new());
         for seg in run {
-            let mut f = File::open(&seg.path)?;
+            let f = File::open(&seg.path)?;
             for b in &seg.blocks {
-                read_block_frame(&mut f, b.offset, b.payload_len, seg.bytes, &mut frame)?
-                    .ok_or_else(|| {
+                read_block_frame(&f, b.offset, b.payload_len, seg.bytes, &mut frame)?.ok_or_else(
+                    || {
                         ArchiveError::Corrupt(format!(
                             "block at {} in {} is unreadable under compaction",
                             b.offset,
                             seg.path.display()
                         ))
-                    })?;
+                    },
+                )?;
                 out.write_all(&frame)?;
                 blocks.push(BlockMeta {
                     offset,
@@ -165,7 +166,7 @@ fn write_merged(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segment::{write_frame, FRAME_BLOCK, FRAME_FOOTER, FRAME_OVERHEAD, MAGIC, VERSION};
+    use crate::segment::{put_frame, FRAME_BLOCK, FRAME_FOOTER, FRAME_OVERHEAD, MAGIC, VERSION};
     use crate::store::test_sample;
     use crate::{ArchiveOptions, Sample};
     use tscout_telemetry::Telemetry;
@@ -372,7 +373,10 @@ mod tests {
         );
         let mut inputs = segment_files(&dir);
         assert!(inputs.len() >= 3, "want a run to merge: {inputs:?}");
-        write_frame(&mut inputs[0].1, FRAME_FOOTER, b"legacy").unwrap();
+        put_frame(&mut inputs[0].1, FRAME_FOOTER, |out| {
+            out.extend_from_slice(b"legacy");
+        })
+        .unwrap();
         let second = HEADER_LEN as usize + frames(&inputs[1].1)[0].len();
         inputs[1].1[second + 8] ^= 1;
         restore(&inputs);

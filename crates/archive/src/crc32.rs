@@ -58,9 +58,9 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     }
     // Four lanes of whole 8-byte words; the tail continues the joined one.
     let quarter = bytes.len() / 32 * 8;
-    let lane = |i: usize| bytes[i * quarter..(i + 1) * quarter].chunks_exact(8);
+    let lane = |i: usize| bytes[i * quarter..(i + 1) * quarter].as_chunks::<8>().0;
     let mut reg = [!0, 0, 0, 0];
-    let words = lane(0).zip(lane(1)).zip(lane(2).zip(lane(3)));
+    let words = (lane(0).iter().zip(lane(1))).zip(lane(2).iter().zip(lane(3)));
     for ((wa, wb), (wc, wd)) in words {
         reg = [
             step(reg[0], wa),
@@ -77,8 +77,8 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// The register `c` carried over one 8-byte word: byte `k` of
 /// `c ^ word` is followed by `7 - k` more bytes.
 #[inline(always)]
-fn step(c: u32, w: &[u8]) -> u32 {
-    let word = u64::from_le_bytes(w.try_into().expect("an 8-byte word")) ^ u64::from(c);
+fn step(c: u32, w: &[u8; 8]) -> u32 {
+    let word = u64::from_le_bytes(*w) ^ u64::from(c);
     (0..8).fold(0, |acc, k| {
         acc ^ TABLES[7 - k][((word >> (8 * k)) & 0xFF) as usize]
     })
@@ -86,11 +86,11 @@ fn step(c: u32, w: &[u8]) -> u32 {
 
 /// The register `c` carried over `bytes` on one lane.
 fn update(mut c: u32, bytes: &[u8]) -> u32 {
-    let mut words = bytes.chunks_exact(8);
-    for w in &mut words {
+    let (words, rest) = bytes.as_chunks::<8>();
+    for w in words {
         c = step(c, w);
     }
-    for &b in words.remainder() {
+    for &b in rest {
         c = TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     c

@@ -281,20 +281,21 @@ pub(crate) fn put_packed(out: &mut Vec<u8>, values: &[u64], min: u64, width: u32
     // Fits: `bit_width` is at most 64.
     #[allow(clippy::cast_possible_truncation)]
     out.push(width as u8);
-    let mut acc = 0u128;
-    let mut acc_bits = 0u32;
+    // The bits go out a whole little-endian word at a time; `acc` holds
+    // the `bits` (< 64) not yet written.
+    let (mut acc, mut bits) = (0u64, 0u32);
     for &v in values {
-        acc |= ((v - min) as u128) << acc_bits;
-        acc_bits += width;
-        while acc_bits >= 8 {
-            out.push((acc & 0xFF) as u8);
-            acc >>= 8;
-            acc_bits -= 8;
+        let raw = v - min;
+        acc |= raw << bits;
+        bits += width;
+        if bits >= 64 {
+            out.extend_from_slice(&acc.to_le_bytes());
+            bits -= 64;
+            // The high `bits` bits of `raw` did not fit in the word.
+            acc = if bits == 0 { 0 } else { raw >> (width - bits) };
         }
     }
-    if acc_bits > 0 {
-        out.push((acc & 0xFF) as u8);
-    }
+    out.extend_from_slice(&acc.to_le_bytes()[..bits.div_ceil(8) as usize]);
 }
 
 fn decode_packed(buf: &[u8], n: usize, out: &mut impl ColumnSink) -> Option<()> {
@@ -333,6 +334,8 @@ fn decode_packed(buf: &[u8], n: usize, out: &mut impl ColumnSink) -> Option<()> 
     out.push_all((0..windowed).map(|i| {
         let bit = i * width;
         let (byte, shift) = (bit >> 3, bit & 7);
+        // The slice is 8 bytes long (it is in bounds: `windowed` says so).
+        #[allow(clippy::expect_used)]
         let word = u64::from_le_bytes(packed[byte..byte + 8].try_into().expect("8 bytes"));
         min + ((word >> shift) & mask)
     }));
@@ -356,7 +359,7 @@ fn decode_packed(buf: &[u8], n: usize, out: &mut impl ColumnSink) -> Option<()> 
 /// Append one self-describing column: `u8 tag`, `varint n`,
 /// `varint byte_len`, payload. One pass sizes both codecs, then the
 /// cheaper one (packed only when strictly smaller) is encoded straight
-/// into `out`.
+/// into `out`, which grows once, by the column's size.
 pub(crate) fn put_column(out: &mut Vec<u8>, values: &[u64]) {
     let (mut delta_len, mut prev, mut min, mut max) = (0usize, 0u64, u64::MAX, 0u64);
     for &v in values {
@@ -371,6 +374,7 @@ pub(crate) fn put_column(out: &mut Vec<u8>, values: &[u64]) {
     let packed_len = varint_len(min) + 1 + (values.len() * width as usize).div_ceil(8);
     let packed = packed_len < delta_len;
     let byte_len = if packed { packed_len } else { delta_len };
+    out.reserve(1 + varint_len(values.len() as u64) + varint_len(byte_len as u64) + byte_len);
     out.push(u8::from(packed));
     put_varint(out, values.len() as u64);
     put_varint(out, byte_len as u64);

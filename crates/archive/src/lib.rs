@@ -43,8 +43,18 @@
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 // Decoded input is narrowed with `try_from`, or where it provably fits
-// under an `allow` that says why; test fixtures cast freely.
-#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+// under an `allow` that says why; an `expect` states its invariant under
+// an `allow`; a discarded result says `// ignored: <reason>`. Test
+// fixtures do as they like.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::let_underscore_must_use
+    )
+)]
 
 mod compact;
 mod crc32;

@@ -13,17 +13,19 @@
 //! A **block** holds one OU's samples from one memtable flush, stored
 //! column-wise (see [`crate::encode`]); its header names the OU (id and
 //! name), the row count and the rows' `start_ns` range. The frames are
-//! the manifest. One function frames a payload ([`write_frame`];
-//! compaction copies frames whole) and one reads a block frame
-//! ([`read_block_frame`]: kind, length, bounds and CRC in one read);
-//! recovery, which knows no lengths, finds the frames by their heads
-//! ([`HeadReader`]). Earlier builds ended a sealed segment with a footer
+//! the manifest. One function frames a payload ([`put_frame`], into a
+//! buffer the writer sends out in one positional write; compaction
+//! copies frames whole) and one reads a block frame
+//! ([`read_block_frame`]: kind, length, bounds and CRC in one positional
+//! read); recovery, which knows no lengths, finds the frames by their
+//! heads ([`HeadReader`]). Earlier builds ended a sealed segment with a footer
 //! frame (kind 2), a known kind stepped over unread. Another version
 //! under the right magic is refused; any other header is read for
 //! frames like a good one.
 
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Write};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 use crate::encode::{
@@ -256,6 +258,21 @@ impl ColumnBatch {
         }
     }
 
+    /// Make room for `rows` more rows, each with as many vector values
+    /// as `like`, so that pushing them regrows no column.
+    pub(crate) fn reserve(&mut self, rows: usize, like: &Sample) {
+        self.fixed.iter_mut().for_each(|col| col.reserve(rows));
+        let widths = [
+            like.metrics.len(),
+            like.features.len(),
+            like.user_metrics.len(),
+        ];
+        for (col, width) in self.var.iter_mut().zip(widths) {
+            col.lens.reserve(rows);
+            col.flat.reserve(rows.saturating_mul(width));
+        }
+    }
+
     pub fn tid(&self) -> &[u64] {
         &self.fixed[TID]
     }
@@ -332,25 +349,24 @@ impl ColumnBatch {
         }
     }
 
-    /// Encode every row of a fully populated batch as one block payload.
-    pub(crate) fn encode(&self) -> Vec<u8> {
+    /// Append every row of a fully populated batch to `out` as one block
+    /// payload.
+    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
         let start_ns = &self.fixed[START_NS];
-        let mut out = Vec::with_capacity(64 + self.rows * 16);
-        put_varint(&mut out, self.ou.ou as u64);
+        put_varint(out, self.ou.ou as u64);
         out.push(self.ou.subsystem);
-        put_varint(&mut out, self.ou.name.len() as u64);
+        put_varint(out, self.ou.name.len() as u64);
         out.extend_from_slice(self.ou.name.as_bytes());
-        put_varint(&mut out, self.rows as u64);
-        put_varint(&mut out, start_ns.iter().copied().min().unwrap_or(0));
-        put_varint(&mut out, start_ns.iter().copied().max().unwrap_or(0));
+        put_varint(out, self.rows as u64);
+        put_varint(out, start_ns.iter().copied().min().unwrap_or(0));
+        put_varint(out, start_ns.iter().copied().max().unwrap_or(0));
         for col in &self.fixed {
-            put_column(&mut out, col);
+            put_column(out, col);
         }
         for col in &self.var {
-            put_column(&mut out, &col.lens);
-            put_column(&mut out, &col.flat);
+            put_column(out, &col.lens);
+            put_column(out, &col.flat);
         }
-        out
     }
 
     /// Refill this batch from a block payload, materialising the columns
@@ -434,15 +450,27 @@ impl<C> ColumnBatch<C> {
     }
 }
 
-/// Append one frame to `w`; returns its payload length. A payload over
-/// `MAX_FRAME_LEN`, which recovery would not read, is refused unwritten.
-pub(crate) fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> io::Result<u32> {
-    let len = (u32::try_from(payload.len()).ok()).filter(|&len| len <= MAX_FRAME_LEN);
-    let len = len.ok_or_else(|| io::Error::other("frame payload over MAX_FRAME_LEN"))?;
-    w.write_all(&[kind])?;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
-    w.write_all(&crc32(payload).to_le_bytes())?;
+/// Append one frame of `kind` to `out`, its payload whatever `put`
+/// appends: the head goes first, the payload is written straight after
+/// it, then the length is filled in and the CRC appended. Returns the
+/// payload length. A payload over `MAX_FRAME_LEN`, which recovery would
+/// not read, leaves `out` as it was and is an error.
+pub(crate) fn put_frame(
+    out: &mut Vec<u8>,
+    kind: u8,
+    put: impl FnOnce(&mut Vec<u8>),
+) -> io::Result<u32> {
+    let at = out.len();
+    out.extend_from_slice(&[kind, 0, 0, 0, 0]);
+    put(out);
+    let len = (u32::try_from(out.len() - at - 5).ok()).filter(|&len| len <= MAX_FRAME_LEN);
+    let Some(len) = len else {
+        out.truncate(at);
+        return Err(io::Error::other("frame payload over MAX_FRAME_LEN"));
+    };
+    out[at + 1..at + 5].copy_from_slice(&len.to_le_bytes());
+    let crc = crc32(&out[at + 5..]);
+    out.extend_from_slice(&crc.to_le_bytes());
     Ok(len)
 }
 
@@ -480,7 +508,7 @@ impl HeadReader {
     /// The kind and payload length in the head at `at`, or `None` when no
     /// frame can start there: it would end past `end` (the file length),
     /// its length is over `MAX_FRAME_LEN`, or its kind is unknown.
-    pub(crate) fn at(&mut self, f: &mut File, at: u64, end: u64) -> io::Result<Option<(u8, u32)>> {
+    pub(crate) fn at(&mut self, f: &File, at: u64, end: u64) -> io::Result<Option<(u8, u32)>> {
         if at.saturating_add(FRAME_OVERHEAD as u64) > end {
             return Ok(None);
         }
@@ -488,11 +516,13 @@ impl HeadReader {
         if rel.saturating_add(5) > self.window.len() {
             let rest = usize::try_from(end - at).unwrap_or(usize::MAX);
             self.window.resize(rest.min(HEAD_WINDOW), 0);
-            f.seek(SeekFrom::Start(at))?;
-            f.read_exact(&mut self.window)?;
+            f.read_exact_at(&mut self.window, at)?;
             (self.start, rel) = (at, 0);
         }
-        let [kind, len @ ..]: [u8; 5] = self.window[rel..rel + 5].try_into().expect("5 bytes");
+        // A window read at `at` holds the whole frame overhead, so past
+        // the check above it always holds these five bytes.
+        let head = self.window.get(rel..).and_then(<[u8]>::first_chunk::<5>);
+        let &[kind, len @ ..] = head.ok_or(io::ErrorKind::UnexpectedEof)?;
         let len = u32::from_le_bytes(len);
         let whole = len <= MAX_FRAME_LEN && at + frame_len(len) <= end;
         Ok(((kind == FRAME_BLOCK || kind == FRAME_FOOTER) && whole).then_some((kind, len)))
@@ -500,11 +530,11 @@ impl HeadReader {
 }
 
 /// Read the block frame of `payload_len` payload bytes at `offset` into
-/// `frame` in one read, and return its payload. `None` when it would end
-/// past `file_len` (checked before reading or allocating), or its kind
-/// byte, length field or CRC disagree.
+/// `frame` in one positional read, and return its payload. `None` when it
+/// would end past `file_len` (checked before reading or allocating), or
+/// its kind byte, length field or CRC disagree.
 pub(crate) fn read_block_frame<'f>(
-    f: &mut File,
+    f: &File,
     offset: u64,
     payload_len: u32,
     file_len: u64,
@@ -516,8 +546,7 @@ pub(crate) fn read_block_frame<'f>(
         return Ok(None);
     }
     frame.resize(FRAME_OVERHEAD + len, 0);
-    f.seek(SeekFrom::Start(offset))?;
-    f.read_exact(frame)?;
+    f.read_exact_at(frame, offset)?;
     let (head, rest) = frame.split_at(5);
     let (payload, crc) = rest.split_at(len);
     let intact = head[0] == FRAME_BLOCK
@@ -556,7 +585,9 @@ mod tests {
     }
 
     fn encode(samples: &[Sample]) -> Vec<u8> {
-        batch_of(samples).encode()
+        let mut out = Vec::new();
+        batch_of(samples).encode(&mut out);
+        out
     }
 
     fn samples_of(batch: &ColumnBatch) -> Vec<Sample> {
@@ -765,44 +796,52 @@ mod tests {
         let path = dir.join("t.seg");
         let payload = b"hello columnar world".to_vec();
         let mut bytes = Vec::new();
-        let block_len = frame_len(write_frame(&mut bytes, FRAME_BLOCK, &payload).unwrap());
-        write_frame(&mut bytes, FRAME_FOOTER, b"legacy").unwrap();
+        let block_len = frame_len(
+            put_frame(&mut bytes, FRAME_BLOCK, |out| {
+                out.extend_from_slice(&payload);
+            })
+            .unwrap(),
+        );
+        put_frame(&mut bytes, FRAME_FOOTER, |out| {
+            out.extend_from_slice(b"legacy");
+        })
+        .unwrap();
         std::fs::write(&path, &bytes).unwrap();
         let len = bytes.len() as u64;
-        let mut f = File::open(&path).unwrap();
-        let head = |f: &mut File, at, file_len| HeadReader::default().at(f, at, file_len).unwrap();
-        assert_eq!(head(&mut f, 0, len), Some((FRAME_BLOCK, 20)));
-        assert_eq!(head(&mut f, block_len, len), Some((FRAME_FOOTER, 6)));
+        let f = File::open(&path).unwrap();
+        let head = |f: &File, at, file_len| HeadReader::default().at(f, at, file_len).unwrap();
+        assert_eq!(head(&f, 0, len), Some((FRAME_BLOCK, 20)));
+        assert_eq!(head(&f, block_len, len), Some((FRAME_FOOTER, 6)));
         let mut frame = vec![0xAA; 3]; // stale contents, wrong size
-        let read = read_block_frame(&mut f, 0, 20, len, &mut frame).unwrap();
+        let read = read_block_frame(&f, 0, 20, len, &mut frame).unwrap();
         assert_eq!(read, Some(&payload[..]));
         assert_eq!(frame, bytes[..block_len as usize]);
         // A footer is not a block, and a block must be read at its length.
-        assert!(read_block_frame(&mut f, block_len, 6, len, &mut frame)
+        assert!(read_block_frame(&f, block_len, 6, len, &mut frame)
             .unwrap()
             .is_none());
-        assert!(read_block_frame(&mut f, 0, 19, len, &mut frame)
+        assert!(read_block_frame(&f, 0, 19, len, &mut frame)
             .unwrap()
             .is_none());
         // Flip one payload byte on disk: the frame fails its CRC but its
         // head stays whole.
         bytes[7] ^= 1;
         std::fs::write(&path, &bytes).unwrap();
-        let mut f = File::open(&path).unwrap();
-        assert_eq!(head(&mut f, 0, len), Some((FRAME_BLOCK, 20)));
-        assert!(read_block_frame(&mut f, 0, 20, len, &mut frame)
+        let f = File::open(&path).unwrap();
+        assert_eq!(head(&f, 0, len), Some((FRAME_BLOCK, 20)));
+        assert!(read_block_frame(&f, 0, 20, len, &mut frame)
             .unwrap()
             .is_none());
         // No frame starts where its length runs past the file or its kind
         // is unknown.
-        assert_eq!(head(&mut f, 0, block_len - 1), None);
-        assert!(read_block_frame(&mut f, 0, 20, block_len - 1, &mut frame)
+        assert_eq!(head(&f, 0, block_len - 1), None);
+        assert!(read_block_frame(&f, 0, 20, block_len - 1, &mut frame)
             .unwrap()
             .is_none());
         bytes[0] = 3;
         std::fs::write(&path, &bytes).unwrap();
-        let mut f = File::open(&path).unwrap();
-        assert_eq!(head(&mut f, 0, len), None);
+        let f = File::open(&path).unwrap();
+        assert_eq!(head(&f, 0, len), None);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -816,11 +855,14 @@ mod tests {
         let mut bytes = Vec::new();
         for i in 0..40u32 {
             let payload: Vec<u8> = (0..i * 331).map(|b| (b % 7) as u8).collect();
-            write_frame(&mut bytes, FRAME_BLOCK, &payload).unwrap();
+            put_frame(&mut bytes, FRAME_BLOCK, |out| {
+                out.extend_from_slice(&payload);
+            })
+            .unwrap();
         }
         assert!(bytes.len() > 3 * HEAD_WINDOW);
         std::fs::write(&path, &bytes).unwrap();
-        let (mut f, file_len) = (File::open(&path).unwrap(), bytes.len() as u64);
+        let (f, file_len) = (File::open(&path).unwrap(), bytes.len() as u64);
         let direct = |at: usize| {
             let len = u32::from_le_bytes(bytes.get(at + 1..at + 5)?.try_into().unwrap());
             let known = matches!(bytes[at], FRAME_BLOCK | FRAME_FOOTER);
@@ -829,11 +871,11 @@ mod tests {
         };
         let mut heads = HeadReader::default();
         for at in 0..bytes.len() {
-            let read = heads.at(&mut f, at as u64, file_len).unwrap();
+            let read = heads.at(&f, at as u64, file_len).unwrap();
             assert_eq!(read, direct(at), "offset {at}");
         }
         let (mut heads, mut at, mut frames) = (HeadReader::default(), 0, 0);
-        while let Some((_, len)) = heads.at(&mut f, at, file_len).unwrap() {
+        while let Some((_, len)) = heads.at(&f, at, file_len).unwrap() {
             (at, frames) = (at + frame_len(len), frames + 1);
         }
         assert_eq!((at, frames), (file_len, 40));

@@ -3,7 +3,8 @@
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom};
+use std::io;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 
 use tscout_telemetry::decls::{
@@ -15,7 +16,7 @@ use tscout_telemetry::{Counter, CounterSite, GaugeSite, Telemetry};
 
 use crate::encode::MAX_COLUMN_VALUES;
 use crate::segment::{
-    create_segment, frame_len, read_block_frame, write_frame, BlockCheck, BlockMeta, ColumnBatch,
+    create_segment, frame_len, put_frame, read_block_frame, BlockCheck, BlockMeta, ColumnBatch,
     HeadReader, OuEntry, Projection, FRAME_BLOCK, FRAME_FOOTER, HEADER_LEN, MAGIC, VERSION,
 };
 use crate::{decls, ArchiveError, ArchiveOptions, Sample};
@@ -51,7 +52,7 @@ pub struct ArchiveStats {
 
 /// The write path's archive-wide metrics, declared once (see
 /// [`tscout_telemetry::Site`]): each series registers on first use. The
-/// per-OU series are resolved by name, per [`Memtable`].
+/// per-OU series are resolved by name, once per [`Memtable`].
 #[derive(Debug)]
 pub(crate) struct ArchiveMetrics {
     appended: CounterSite,
@@ -77,12 +78,17 @@ impl ArchiveMetrics {
     }
 }
 
-/// One OU name's write buffer, with the handle of that name's
-/// `archive_ou_samples_appended_total` series.
+/// One OU name's write buffer, with the handles of that name's
+/// `archive_ou_samples_appended_total`, `archive_ou_blocks_total` and
+/// `archive_ou_bytes_written_total` series, and the rows it was presized
+/// for.
 #[derive(Debug)]
 struct Memtable {
     rows: ColumnBatch,
+    presized: usize,
     appended: Counter,
+    blocks: Counter,
+    bytes_written: Counter,
 }
 
 /// The append-only, segmented, columnar per-OU sample store.
@@ -95,6 +101,12 @@ pub struct Archive {
     /// Per-OU write buffers, keyed by OU id; each holds one name's rows.
     memtables: BTreeMap<u16, Memtable>,
     buffered: usize,
+    /// Rows the live memtables were presized for: at most
+    /// `max_buffered_samples`.
+    presized: usize,
+    /// The frame being written, reused: head, payload and CRC, sent out
+    /// in one positional write.
+    frame: Vec<u8>,
     pub(crate) segments: Vec<SegmentMeta>,
     /// Open handle for the unsealed last segment, if any.
     active: Option<File>,
@@ -165,6 +177,8 @@ impl Archive {
             metrics: ArchiveMetrics::new(),
             memtables: BTreeMap::new(),
             buffered: 0,
+            presized: 0,
+            frame: Vec::new(),
             segments: Vec::new(),
             active: None,
             next_seq: spans.iter().map(|s| s.1 + 1).max().unwrap_or(0),
@@ -209,11 +223,11 @@ impl Archive {
         frame: &mut Vec<u8>,
         block: &mut BlockCheck,
     ) -> Result<Option<SegmentMeta>, ArchiveError> {
-        let mut f = File::open(path)?;
+        let f = File::open(path)?;
         let file_len = f.metadata()?.len();
         let mut head = [0u8; MAGIC.len() + 1];
         if file_len >= HEADER_LEN {
-            f.read_exact(&mut head)?;
+            f.read_exact_at(&mut head, 0)?;
         }
         if &head[..4] == MAGIC && head[4] != VERSION {
             return Err(ArchiveError::Corrupt(format!(
@@ -225,9 +239,9 @@ impl Archive {
         let (mut ous, mut blocks) = (Vec::new(), Vec::new());
         let (mut heads, mut at, mut damaged) = (HeadReader::default(), HEADER_LEN, false);
         while at < file_len {
-            let (kind, len) = heads.at(&mut f, at, file_len)?.unwrap_or_default();
+            let (kind, len) = heads.at(&f, at, file_len)?.unwrap_or_default();
             let valid = kind == FRAME_BLOCK
-                && read_block_frame(&mut f, at, len, file_len, frame)?
+                && read_block_frame(&f, at, len, file_len, frame)?
                     .is_some_and(|p| block.check(p).is_some());
             if valid {
                 blocks.push(block.meta(at, len));
@@ -265,10 +279,12 @@ impl Archive {
     /// [`ArchiveOptions::max_buffered_samples`] decoded samples. A
     /// memtable holds the rows of one [`OuEntry`]: a sample whose name or
     /// subsystem is not that of its id's memtable flushes the memtable
-    /// first, so no row is ever stored under another OU's entry. `Err`
-    /// means a flush failed: the rows of the block it was writing are
-    /// dropped and counted in `archive_append_errors_total` (this sample
-    /// among them only when the failed flush was of its own memtable).
+    /// first, so no row is ever stored under another OU's entry. A new
+    /// memtable is presized for the rows it holds before it flushes, out
+    /// of what the global bound has left. `Err` means a flush failed: the
+    /// rows of the block it was writing are dropped and counted in
+    /// `archive_append_errors_total` (this sample among them only when
+    /// the failed flush was of its own memtable).
     pub fn append(&mut self, sample: impl Borrow<Sample>) -> Result<(), ArchiveError> {
         let sample = sample.borrow();
         let ou = sample.ou;
@@ -278,13 +294,24 @@ impl Archive {
         });
         let displaced = if displaced { self.flush_ou(ou) } else { Ok(()) };
         let t = &self.telemetry;
-        let mt = self.memtables.entry(ou).or_insert_with(|| Memtable {
-            rows: ColumnBatch::for_ou(OuEntry {
+        let headroom = self.opts.max_buffered_samples.saturating_sub(self.presized);
+        let mt = self.memtables.entry(ou).or_insert_with(|| {
+            let presized = self.opts.memtable_flush_samples.min(headroom);
+            self.presized += presized;
+            let mut rows = ColumnBatch::for_ou(OuEntry {
                 ou,
                 subsystem: sample.subsystem,
                 name: sample.ou_name.clone(),
-            }),
-            appended: ARCHIVE_OU_SAMPLES_APPENDED.with(t, &[("ou", &sample.ou_name)]),
+            });
+            rows.reserve(presized, sample);
+            let label = [("ou", sample.ou_name.as_str())];
+            Memtable {
+                rows,
+                presized,
+                appended: ARCHIVE_OU_SAMPLES_APPENDED.with(t, &label),
+                blocks: ARCHIVE_OU_BLOCKS.with(t, &label),
+                bytes_written: ARCHIVE_OU_BYTES_WRITTEN.with(t, &label),
+            }
         });
         mt.rows.push(sample);
         mt.appended.inc();
@@ -313,40 +340,44 @@ impl Archive {
     /// `buffered` and the write-side memory bound hold under a failing
     /// disk and every appended row is stored, buffered or counted lost.
     fn flush_ou(&mut self, ou: u16) -> Result<(), ArchiveError> {
-        let Some(Memtable { rows: mt, .. }) = self.memtables.remove(&ou) else {
+        let Some(mt) = self.memtables.remove(&ou) else {
             return Ok(());
         };
-        let written = self.write_block(&mt);
-        self.buffered -= mt.len();
+        let written = self.write_block(&mt.rows);
+        let rows = mt.rows.len();
+        self.buffered -= rows;
+        self.presized -= mt.presized;
         let t = &self.telemetry;
-        self.metrics.buffered.get(t).add(-(mt.len() as f64));
+        self.metrics.buffered.get(t).add(-(rows as f64));
         let frame_len = match written {
             Ok(frame_len) => frame_len,
             Err(e) => {
-                self.metrics.append_errors.get(t).add(mt.len() as u64);
+                self.metrics.append_errors.get(t).add(rows as u64);
                 return Err(e);
             }
         };
         self.metrics.bytes_written.get(t).add(frame_len);
-        let label = [("ou", mt.ou().name.as_str())];
-        ARCHIVE_OU_BLOCKS.with(t, &label).inc();
-        ARCHIVE_OU_BYTES_WRITTEN.with(t, &label).add(frame_len);
+        mt.blocks.inc();
+        mt.bytes_written.add(frame_len);
         if self.segments.last().map(|m| m.bytes).unwrap_or(0) >= self.opts.segment_max_bytes {
             self.seal_active()?;
         }
         Ok(())
     }
 
-    /// Encode `mt` and write it at the end of the active segment
-    /// (created if there is none). Returns the frame's length; the
-    /// segment's manifest moves only once the frame is fully written.
+    /// Encode `mt` as one frame and write it at the end of the active
+    /// segment (created if there is none) in one positional write.
+    /// Returns the frame's length. The segment's manifest and length move
+    /// only once the whole frame is written, so the next frame overwrites
+    /// whatever a failed write left.
     fn write_block(&mut self, mt: &ColumnBatch) -> Result<u64, ArchiveError> {
+        self.frame.clear();
+        let len = put_frame(&mut self.frame, FRAME_BLOCK, |out| mt.encode(out))?;
         self.ensure_active()?;
-        let payload = mt.encode();
-        let meta = self.segments.last_mut().expect("active segment exists");
-        let f = self.active.as_mut().expect("active file open");
-        f.seek(SeekFrom::Start(meta.bytes))?;
-        let len = write_frame(f, FRAME_BLOCK, &payload)?;
+        let (Some(f), Some(meta)) = (&self.active, self.segments.last_mut()) else {
+            return Err(io::Error::other("no active segment to write to").into());
+        };
+        f.write_all_at(&self.frame, meta.bytes)?;
         meta.blocks.push(mt.meta(meta.bytes, len));
         meta.bytes += frame_len(len);
         if !meta.ous.contains(mt.ou()) {
@@ -403,10 +434,11 @@ impl Archive {
 
     /// Close the active segment file; nothing more is written to it.
     fn seal_active(&mut self) -> Result<(), ArchiveError> {
-        if self.active.take().is_none() {
+        // The active segment, when there is one, is the last.
+        let active = self.active.take();
+        let Some(meta) = self.segments.last_mut().filter(|_| active.is_some()) else {
             return Ok(());
-        }
-        let meta = self.segments.last_mut().expect("active meta exists");
+        };
         if meta.blocks.is_empty() {
             // Nothing flushed: drop the empty file rather than sealing it.
             let path = meta.path.clone();
@@ -508,7 +540,7 @@ impl Drop for Archive {
     fn drop(&mut self) {
         // Best-effort durability on clean shutdown; a torn tail a crash
         // leaves instead is stepped over by the next open.
-        let _ = self.seal();
+        drop(self.seal()); // ignored: a failed flush counted its rows in archive_append_errors_total
     }
 }
 
@@ -529,7 +561,7 @@ pub struct BatchScan {
     /// `(index into files, manifest entry)` per block, in order.
     plan: Vec<(usize, BlockMeta)>,
     next_block: usize,
-    /// The open segment file and its index into `files`.
+    /// The open segment file (read at offsets) and its index into `files`.
     open: Option<(usize, File)>,
     /// The last frame read, whole: kind, length, payload and CRC.
     frame: Vec<u8>,
@@ -593,7 +625,7 @@ impl BatchScan {
         if self.open.as_ref().is_none_or(|(open, _)| open != file) {
             self.open = Some((*file, File::open(&self.files[*file].0).ok()?));
         }
-        let (f, file_len) = (&mut self.open.as_mut()?.1, self.files[*file].1);
+        let (f, file_len) = (&self.open.as_ref()?.1, self.files[*file].1);
         let frame = &mut self.frame;
         let payload =
             read_block_frame(f, meta.offset, meta.payload_len, file_len, frame).ok()??;
@@ -834,7 +866,10 @@ mod tests {
             }
             let path = seg.path.clone();
             let mut bytes = std::fs::read(&path).unwrap();
-            write_frame(&mut bytes, FRAME_FOOTER, &footer).unwrap();
+            put_frame(&mut bytes, FRAME_FOOTER, |out| {
+                out.extend_from_slice(&footer);
+            })
+            .unwrap();
             if broken {
                 *bytes.last_mut().unwrap() ^= 1;
             }
@@ -1372,6 +1407,73 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// A flushed block is one frame: the bytes `put_frame` builds around
+    /// the memtable's encoding, written at the segment's end. A write that
+    /// fails (the active file swapped for a read-only handle) counts its
+    /// rows lost and moves neither the manifest nor the segment's length,
+    /// so the next frame goes where the failed one would have, over
+    /// whatever a torn write left there.
+    #[test]
+    fn a_block_is_one_frame_and_a_failed_write_moves_nothing() {
+        let dir = tmp_dir("one_write");
+        let t = Telemetry::new();
+        let mut a = Archive::open(&dir, ArchiveOptions::default(), t.clone()).unwrap();
+        let rows = |from: u64, to: u64| (from..to).map(|i| test_sample(1, "scan", i));
+        let frame_of = |a: &Archive, from: u64, to: u64| {
+            let mut batch = ColumnBatch::for_ou(a.memtables[&1].rows.ou().clone());
+            rows(from, to).for_each(|s| batch.push(&s));
+            let mut frame = Vec::new();
+            put_frame(&mut frame, FRAME_BLOCK, |out| batch.encode(out)).unwrap();
+            frame
+        };
+        rows(0, 40).for_each(|s| a.append(s).unwrap());
+        let first = frame_of(&a, 0, 40);
+        a.flush().unwrap();
+        let path = a.segments[0].path.clone();
+        let on_disk = std::fs::read(&path).unwrap();
+        assert_eq!(
+            on_disk[..HEADER_LEN as usize],
+            [b'T', b'S', b'A', b'R', VERSION]
+        );
+        assert_eq!(on_disk[HEADER_LEN as usize..], first);
+        let (end, blocks) = (a.segments[0].bytes, a.segments[0].blocks.clone());
+        assert_eq!((end, blocks.len()), (on_disk.len() as u64, 1));
+
+        a.active = Some(File::open(&path).unwrap());
+        rows(40, 70).for_each(|s| a.append(s).unwrap());
+        assert!(a.flush().is_err());
+        assert_eq!(t.counter_value("archive_append_errors_total", &[]), 30);
+        assert_eq!(a.buffered_samples(), 0);
+        assert_eq!((a.segments[0].bytes, &a.segments[0].blocks), (end, &blocks));
+        assert_eq!(std::fs::read(&path).unwrap(), on_disk);
+
+        // A torn write's bytes past the end, shorter than the next frame.
+        let mut torn = on_disk.clone();
+        torn.extend_from_slice(&[FRAME_BLOCK, 0xFF, 0xFF, 0, 0, 1, 2, 3]);
+        std::fs::write(&path, &torn).unwrap();
+        a.active = Some(std::fs::OpenOptions::new().write(true).open(&path).unwrap());
+        rows(70, 100).for_each(|s| a.append(s).unwrap());
+        let third = frame_of(&a, 70, 100);
+        a.flush().unwrap();
+        let seg = &a.segments[0];
+        assert_eq!(
+            seg.blocks.iter().map(|b| b.offset).collect::<Vec<_>>(),
+            [HEADER_LEN, end]
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), [on_disk, third].concat());
+        a.seal().unwrap();
+        drop(a);
+
+        let t = Telemetry::new();
+        let a = Archive::open(&dir, ArchiveOptions::default(), t.clone()).unwrap();
+        let got: Vec<Sample> = a.scan_all().collect();
+        let want: Vec<Sample> = rows(0, 40).chain(rows(70, 100)).collect();
+        assert_eq!(got.len(), want.len());
+        assert!(got.iter().zip(&want).all(|(g, w)| g.bits_eq(w)));
+        assert_eq!(t.counter_value("archive_scan_skipped_blocks_total", &[]), 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn segments_roll_over_at_size_cap() {
         let dir = tmp_dir("rollover");
@@ -1637,7 +1739,10 @@ mod tests {
                 verdicts[usize::from(kept.is_some())] += 1;
                 // The mutant in place of the block, under a recomputed CRC.
                 let mut bytes = pristine[..at].to_vec();
-                write_frame(&mut bytes, FRAME_BLOCK, &mutant).unwrap();
+                put_frame(&mut bytes, FRAME_BLOCK, |out| {
+                    out.extend_from_slice(&mutant);
+                })
+                .unwrap();
                 bytes.extend_from_slice(&pristine[at + frame_len(victim.payload_len) as usize..]);
                 std::fs::write(&path, &bytes).unwrap();
                 let t = Telemetry::new();

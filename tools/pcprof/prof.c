@@ -5,9 +5,12 @@
  *
  * Every PCPROF_US microseconds of process CPU time (default 1000) the
  * handler records the interrupted pc and glibc's backtrace() into a
- * static buffer; at exit the file mappings and the stacks are
- * written as text for symbolise.py. Nothing in the profiled program
- * changes, and the handler neither allocates nor locks.
+ * static buffer; at exit the file mappings, the stacks and the process
+ * CPU time (so the interval the timer really kept) are written as text
+ * for symbolise.py. ITIMER_PROF expires on the kernel's tick, so an
+ * interval below the tick gives no more samples than the tick does.
+ * Nothing in the profiled program changes, and the handler neither
+ * allocates nor locks.
  */
 #define _GNU_SOURCE
 #include <execinfo.h>
@@ -15,6 +18,7 @@
 #include <stdio.h>
 #include <stdlib.h>
 #include <string.h>
+#include <sys/resource.h>
 #include <sys/time.h>
 #include <ucontext.h>
 
@@ -24,6 +28,7 @@
 static void *words[MAX_WORDS]; /* per stack: depth, then that many pcs, leaf first */
 static volatile size_t used;
 static size_t lost;
+static long interval_us;
 
 static void on_prof(int sig, siginfo_t *info, void *uc_) {
     (void)sig, (void)info;
@@ -62,6 +67,12 @@ __attribute__((destructor)) static void dump(void) {
         fputc('\n', out);
     }
     if (lost) fprintf(out, "L %zu\n", lost);
+    struct rusage ru; /* every thread's, the exited ones' included */
+    if (getrusage(RUSAGE_SELF, &ru) == 0) /* "T cpu_seconds requested_us" */
+        fprintf(out, "T %.6f %ld\n",
+                ru.ru_utime.tv_sec + ru.ru_stime.tv_sec
+                    + (ru.ru_utime.tv_usec + ru.ru_stime.tv_usec) / 1e6,
+                interval_us);
     fclose(out);
     fclose(maps);
 }
@@ -75,7 +86,7 @@ __attribute__((constructor)) static void arm(void) {
     sa.sa_flags = SA_SIGINFO | SA_RESTART;
     sigaction(SIGPROF, &sa, 0);
     const char *us_env = getenv("PCPROF_US");
-    long us = us_env ? atol(us_env) : 1000;
+    long us = interval_us = us_env ? atol(us_env) : 1000;
     struct itimerval every = {{us / 1000000, us % 1000000}, {us / 1000000, us % 1000000}};
     setitimer(ITIMER_PROF, &every, 0);
 }

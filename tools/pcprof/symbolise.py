@@ -1,8 +1,12 @@
 #!/usr/bin/env python3
 """Turn a pcprof dump into per-function shares with `addr2line -i`.
 
-    symbolise.py run.pcprof [--under FN]... [--focus FN] [--lines FN] [--callers FN]
-                            [--sort incl|self] [--top N] [--folded]
+    symbolise.py run.pcprof [more.pcprof]... [--under FN]... [--focus FN] [--lines FN]
+                            [--callers FN] [--sort incl|self] [--top N] [--folded]
+
+Several dumps (runs of one build) are symbolised each against its own
+mappings and counted together: the timer fires at most once per kernel
+tick, so summing runs is how a table gets more stacks.
 
 Every stack is expanded through inlined frames, so a function counts
 wherever its code runs. `--under FN` keeps only stacks with a frame whose
@@ -29,7 +33,7 @@ import subprocess
 def load(path):
     # A position-independent object is loaded whole from `base`: its
     # link-time address of a pc is `pc - base`.
-    base, maps, stacks = {}, [], []
+    base, maps, stacks, cpu = {}, [], [], None
     for line in open(path):
         kind, _, rest = line.partition(" ")
         if kind == "M":
@@ -41,7 +45,10 @@ def load(path):
                 maps.append((lo, hi, file.strip()))
         elif kind == "S":
             stacks.append([int(a, 16) for a in rest.split()])
-    return [(lo, hi, base.get(file, 0), file) for lo, hi, file in maps], stacks
+        elif kind == "T":
+            seconds, us = rest.split()
+            cpu = (float(seconds), int(us))
+    return [(lo, hi, base.get(file, 0), file) for lo, hi, file in maps], stacks, cpu
 
 
 def source_line(text):
@@ -95,7 +102,7 @@ def symbolise(maps, stacks):
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
-    ap.add_argument("dump")
+    ap.add_argument("dump", nargs="+")
     ap.add_argument("--under", action="append", default=[], metavar="FN")
     ap.add_argument("--focus")
     ap.add_argument("--lines", metavar="FN")
@@ -105,13 +112,26 @@ def main():
     ap.add_argument("--folded", action="store_true")
     args = ap.parse_args()
 
-    maps, stacks = load(args.dump)
-    names = symbolise(maps, stacks)
+    rows, seconds, asked = [], 0.0, set()
     unknown = (["??"], "??")
-    # Leaf first, inlined frames expanded; with the leaf pc's source line.
-    rows = [([fn for depth, pc in enumerate(s) for fn in names.get((pc, depth == 0), unknown)[0]],
-             names.get((s[0], True), unknown)[1] if s else "??")
-            for s in stacks]
+    for dump in args.dump:
+        maps, stacks, cpu = load(dump)
+        if cpu:
+            seconds += cpu[0]
+            asked.add(cpu[1])
+        names = symbolise(maps, stacks)
+        # Leaf first, inlined frames expanded; with the leaf pc's source line.
+        rows += [([fn for depth, pc in enumerate(s) for fn in names.get((pc, depth == 0), unknown)[0]],
+                  names.get((s[0], True), unknown)[1] if s else "??")
+                 for s in stacks]
+    stacks = rows
+    if seconds:
+        # ITIMER_PROF fires on the kernel tick: below it, asking for a
+        # shorter interval takes no more samples.
+        every = 1000 * seconds / max(len(stacks), 1)
+        us = ", ".join(f"{u / 1000:g}" for u in sorted(asked))
+        print(f"# {len(stacks)} stacks over {seconds:.2f} s of CPU, one per {every:.2f} ms"
+              f" (PCPROF_US asked for one per {us} ms)")
     for cuts in (args.under, [args.focus], [args.lines]):
         if any(cuts):
             kept = []
