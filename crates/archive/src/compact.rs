@@ -134,15 +134,14 @@ fn write_merged(
         for seg in run {
             let f = File::open(&seg.path)?;
             for b in &seg.blocks {
-                read_block_frame(&f, b.offset, b.payload_len, seg.bytes, &mut frame)?.ok_or_else(
-                    || {
-                        ArchiveError::Corrupt(format!(
-                            "block at {} in {} is unreadable under compaction",
-                            b.offset,
-                            seg.path.display()
-                        ))
-                    },
-                )?;
+                let read = read_block_frame(&f, b.offset, b.payload_len, seg.bytes, &mut frame)?;
+                read.ok_or_else(|| {
+                    ArchiveError::Corrupt(format!(
+                        "block at {} in {} is unreadable under compaction",
+                        b.offset,
+                        seg.path.display()
+                    ))
+                })?;
                 out.write_all(&frame)?;
                 blocks.push(BlockMeta {
                     offset,

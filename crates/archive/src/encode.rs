@@ -201,9 +201,11 @@ pub(crate) fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     }
 }
 
-/// Bytes [`put_varint`] takes for `v`.
+/// Bytes [`put_varint`] takes for `v`: `⌈bits / 7⌉` (at least 1), as
+/// `(⌊log2 v⌋ · 9 + 73) / 64`, which holds for every `u64` and costs no
+/// division.
 fn varint_len(v: u64) -> usize {
-    (bit_width(v).max(1) as usize).div_ceil(7)
+    ((63 - (v | 1).leading_zeros()) * 9 + 73) as usize >> 6
 }
 
 /// Read a LEB128 varint at `*pos`, advancing it. `None` on truncation or
@@ -510,7 +512,10 @@ mod tests {
 
     #[test]
     fn varint_round_trip_extremes() {
-        for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
+        // Both sides of every width: the lengths `varint_len` computes.
+        let tops = (0..64).map(|bits| (1u64 << bits) - 1);
+        let edges = tops.flat_map(|top| [top, top + 1]);
+        for v in [300, u32::MAX as u64, u64::MAX].into_iter().chain(edges) {
             let mut buf = Vec::new();
             put_varint(&mut buf, v);
             assert_eq!(buf.len(), varint_len(v));

@@ -18,10 +18,10 @@
 //! copies frames whole) and one reads a block frame
 //! ([`read_block_frame`]: kind, length, bounds and CRC in one positional
 //! read); recovery, which knows no lengths, finds the frames by their
-//! heads ([`HeadReader`]). Earlier builds ended a sealed segment with a footer
-//! frame (kind 2), a known kind stepped over unread. Another version
-//! under the right magic is refused; any other header is read for
-//! frames like a good one.
+//! heads ([`HeadReader`]). Earlier builds ended a sealed segment with a
+//! footer frame (kind 2), a known kind stepped over unread. Another
+//! version under the right magic is refused; any other header is read
+//! for frames like a good one.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};

@@ -540,7 +540,9 @@ impl Drop for Archive {
     fn drop(&mut self) {
         // Best-effort durability on clean shutdown; a torn tail a crash
         // leaves instead is stepped over by the next open.
-        drop(self.seal()); // ignored: a failed flush counted its rows in archive_append_errors_total
+        // ignored: a caller that needs the error calls `seal` first, and a
+        // failed flush has counted its rows in archive_append_errors_total.
+        drop(self.seal());
     }
 }
 
