@@ -245,6 +245,22 @@ fn bit_width(v: u64) -> u32 {
     64 - v.leading_zeros()
 }
 
+/// Bytes [`put_delta`] takes for `values`, or `None` once they pass
+/// `cap` (checked every 64 values).
+fn delta_len_within(values: &[u64], cap: usize) -> Option<usize> {
+    let (mut len, mut prev) = (0usize, 0u64);
+    for chunk in values.chunks(64) {
+        for &v in chunk {
+            len += varint_len(zigzag(v.wrapping_sub(prev) as i64));
+            prev = v;
+        }
+        if len > cap {
+            return None;
+        }
+    }
+    Some(len)
+}
+
 /// Append the payload for tag 0 (delta + zigzag + varint).
 pub(crate) fn put_delta(out: &mut Vec<u8>, values: &[u64]) {
     let mut prev = 0u64;
@@ -283,6 +299,9 @@ pub(crate) fn put_packed(out: &mut Vec<u8>, values: &[u64], min: u64, width: u32
     // Fits: `bit_width` is at most 64.
     #[allow(clippy::cast_possible_truncation)]
     out.push(width as u8);
+    if width == 0 {
+        return;
+    }
     // The bits go out a whole little-endian word at a time; `acc` holds
     // the `bits` (< 64) not yet written.
     let (mut acc, mut bits) = (0u64, 0u32);
@@ -359,23 +378,27 @@ fn decode_packed(buf: &[u8], n: usize, out: &mut impl ColumnSink) -> Option<()> 
 }
 
 /// Append one self-describing column: `u8 tag`, `varint n`,
-/// `varint byte_len`, payload. One pass sizes both codecs, then the
+/// `varint byte_len`, payload. Both codecs are sized first, then the
 /// cheaper one (packed only when strictly smaller) is encoded straight
 /// into `out`, which grows once, by the column's size.
 pub(crate) fn put_column(out: &mut Vec<u8>, values: &[u64]) {
-    let (mut delta_len, mut prev, mut min, mut max) = (0usize, 0u64, u64::MAX, 0u64);
-    for &v in values {
-        delta_len += varint_len(zigzag(v.wrapping_sub(prev) as i64));
-        prev = v;
-        min = min.min(v);
-        max = max.max(v);
-    }
+    let (min, max) = (values.iter()).fold((u64::MAX, 0), |(min, max), &v| (min.min(v), max.max(v)));
     // An empty column leaves (MAX, 0); its frame is min 0, width 0.
     let min = min.min(max);
     let width = bit_width(max - min);
     let packed_len = varint_len(min) + 1 + (values.len() * width as usize).div_ceil(8);
-    let packed = packed_len < delta_len;
-    let byte_len = if packed { packed_len } else { delta_len };
+    // Every delta takes a byte or more, so a packed column shorter than
+    // its value count wins unsized; otherwise the deltas are sized only
+    // until they pass the packed length.
+    let delta_len = if packed_len < values.len() {
+        None
+    } else {
+        delta_len_within(values, packed_len)
+    };
+    let (packed, byte_len) = match delta_len {
+        Some(delta_len) => (false, delta_len),
+        None => (true, packed_len),
+    };
     out.reserve(1 + varint_len(values.len() as u64) + varint_len(byte_len as u64) + byte_len);
     out.push(u8::from(packed));
     put_varint(out, values.len() as u64);

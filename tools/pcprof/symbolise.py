@@ -124,13 +124,13 @@ def main():
         rows += [([fn for depth, pc in enumerate(s) for fn in names.get((pc, depth == 0), unknown)[0]],
                   names.get((s[0], True), unknown)[1] if s else "??")
                  for s in stacks]
-    stacks = rows
+    n_stacks = len(rows)
     if seconds:
         # ITIMER_PROF fires on the kernel tick: below it, asking for a
         # shorter interval takes no more samples.
-        every = 1000 * seconds / max(len(stacks), 1)
+        every = 1000 * seconds / max(n_stacks, 1)
         us = ", ".join(f"{u / 1000:g}" for u in sorted(asked))
-        print(f"# {len(stacks)} stacks over {seconds:.2f} s of CPU, one per {every:.2f} ms"
+        print(f"# {n_stacks} stacks over {seconds:.2f} s of CPU, one per {every:.2f} ms"
               f" (PCPROF_US asked for one per {us} ms)")
     for cuts in (args.under, [args.focus], [args.lines]):
         if any(cuts):
@@ -142,7 +142,7 @@ def main():
             rows = kept
     frames = [f for f, _ in rows]
     total = len(frames)
-    print(f"# {len(stacks)} stacks, {total} kept")
+    print(f"# {n_stacks} stacks, {total} kept")
     if args.lines:
         print(f"{'%':>7}  leaf line under {args.lines}")
         for line, n in collections.Counter(leaf for _, leaf in rows).most_common(args.top):
