@@ -4,8 +4,8 @@
 //! Every per-sample field in a block is stored as a column of `u64`
 //! values (floats go through `f64::to_bits`, so reconstruction is
 //! bit-identical — including NaNs). Two physical encodings compete per
-//! column and the smaller wins (both are sized first; only the winner is
-//! encoded):
+//! column and the smaller wins (both are sized first, the deltas only as
+//! far as the choice needs; only the winner is encoded):
 //!
 //! * **tag 0 — delta + zigzag + varint.** Values are wrapping-delta'd
 //!   against the previous value, zigzag-mapped to `u64`, and LEB128
