@@ -378,9 +378,10 @@ fn decode_packed(buf: &[u8], n: usize, out: &mut impl ColumnSink) -> Option<()> 
 }
 
 /// Append one self-describing column: `u8 tag`, `varint n`,
-/// `varint byte_len`, payload. Both codecs are sized first, then the
-/// cheaper one (packed only when strictly smaller) is encoded straight
-/// into `out`, which grows once, by the column's size.
+/// `varint byte_len`, payload. The column's range sizes the packed codec
+/// and the deltas are sized as far as the choice needs; then the cheaper
+/// one (packed only when strictly smaller) is encoded straight into
+/// `out`, which grows once, by the column's size.
 pub(crate) fn put_column(out: &mut Vec<u8>, values: &[u64]) {
     let (min, max) = (values.iter()).fold((u64::MAX, 0), |(min, max), &v| (min.min(v), max.max(v)));
     // An empty column leaves (MAX, 0); its frame is min 0, width 0.
