@@ -3,7 +3,7 @@
 //! A segment file is an append-only sequence of CRC-framed records:
 //!
 //! ```text
-//! file   := magic "TSAR" , u8 version (1) , frame*
+//! file   := magic "TSAR" , u8 version (2; 1 is read too) , frame*
 //! frame  := u8 kind (1=block | 2=legacy footer)
 //!         , u32le payload_len
 //!         , payload
@@ -19,9 +19,12 @@
 //! ([`read_block_frame`]: kind, length, bounds and CRC in one positional
 //! read); recovery, which knows no lengths, finds the frames by their
 //! heads ([`HeadReader`]). Earlier builds ended a sealed segment with a
-//! footer frame (kind 2), a known kind stepped over unread. Another
-//! version under the right magic is refused; any other header is read
-//! for frames like a good one.
+//! footer frame (kind 2), a known kind stepped over unread. Version 2
+//! added column tag 2 ([`crate::encode`]); a version-1 segment holds
+//! tags 0 and 1 only and reads the same. Another version under the right
+//! magic is refused, so an older build leaves a version-2 segment
+//! untouched instead of stepping over its blocks as damage; any other
+//! header is read for frames like a good one.
 
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
@@ -29,14 +32,17 @@ use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 use crate::encode::{
-    get_column, get_varint, put_column, put_varint, skip_column, ColumnSink, Tally, Watch,
+    get_column, get_varint, put_column, put_float_column, put_varint, skip_column, ColumnSink,
+    Tally, Watch,
 };
 use crate::{crc32::crc32, Sample};
 
 /// File magic ("TScout ARchive").
 pub(crate) const MAGIC: &[u8; 4] = b"TSAR";
-/// Format version.
-pub(crate) const VERSION: u8 = 1;
+/// Format version written: 2, since the feature column's tag 2.
+pub(crate) const VERSION: u8 = 2;
+/// The oldest format version read.
+pub(crate) const OLDEST_VERSION: u8 = 1;
 /// Frame kind: columnar sample block.
 pub(crate) const FRAME_BLOCK: u8 = 1;
 /// Frame kind: the footer manifest earlier builds wrote at seal; read
@@ -363,9 +369,13 @@ impl ColumnBatch {
         for col in &self.fixed {
             put_column(out, col);
         }
-        for col in &self.var {
+        for (i, col) in self.var.iter().enumerate() {
             put_column(out, &col.lens);
-            put_column(out, &col.flat);
+            if i == FEATURES {
+                put_float_column(out, &col.flat);
+            } else {
+                put_column(out, &col.flat);
+            }
         }
     }
 
@@ -598,8 +608,16 @@ mod tests {
     }
 
     /// The block layout written sample by sample, as the format
-    /// comment states it: the bytes every earlier build wrote.
-    fn reference_encode(ou: u16, subsystem: u8, name: &str, samples: &[Sample]) -> Vec<u8> {
+    /// comment states it. The feature column is encoded in every form
+    /// and the smallest kept; with `version` 1 only tags 0 and 1 compete,
+    /// the bytes every build before tag 2 wrote.
+    fn reference_encode(
+        version: u8,
+        ou: u16,
+        subsystem: u8,
+        name: &str,
+        samples: &[Sample],
+    ) -> Vec<u8> {
         let mut out = Vec::new();
         put_varint(&mut out, ou as u64);
         out.push(subsystem);
@@ -618,6 +636,16 @@ mod tests {
             let values: Vec<u64> = samples.iter().flat_map(f).collect();
             put_column(&mut out, &values);
         };
+        let floats = |out: &mut Vec<u8>| {
+            let bits: Vec<u64> = (samples.iter())
+                .flat_map(|s| s.features.iter().map(|f| f.to_bits()))
+                .collect();
+            if version == 1 {
+                put_column(out, &bits);
+            } else {
+                crate::encode::tests::reference_put_float_column(out, &bits);
+            }
+        };
         col(&|s| vec![s.tid as u64]);
         col(&|s| vec![s.template as u64]);
         col(&|s| vec![s.start_ns]);
@@ -625,25 +653,100 @@ mod tests {
         col(&|s| vec![s.metrics.len() as u64]);
         col(&|s| s.metrics.clone());
         col(&|s| vec![s.features.len() as u64]);
-        col(&|s| s.features.iter().map(|f| f.to_bits()).collect());
+        floats(&mut out);
+        let mut col = |f: &dyn Fn(&Sample) -> Vec<u64>| {
+            let values: Vec<u64> = samples.iter().flat_map(f).collect();
+            put_column(&mut out, &values);
+        };
         col(&|s| vec![s.user_metrics.len() as u64]);
         col(&|s| s.user_metrics.clone());
         out
     }
 
+    /// Features that are counts, as OU features are: tag 2's case.
+    fn counted(i: u64) -> Sample {
+        Sample {
+            features: vec![(i % 37) as f64, (i * 11 % 1_000) as f64 - 500.0, 4096.0],
+            ..sample(i)
+        }
+    }
+
     #[test]
     fn block_round_trip_is_bit_identical() {
-        let samples: Vec<Sample> = (0..200).map(sample).collect();
-        let payload = encode(&samples);
-        assert_eq!(payload, reference_encode(7, 0, "seq_scan", &samples));
         let mut batch = ColumnBatch::default();
-        batch.decode(&payload, Projection::ALL).unwrap();
-        assert_eq!(batch.ou().name, "seq_scan");
-        let back = samples_of(&batch);
-        assert_eq!(back.len(), samples.len());
-        for (a, b) in samples.iter().zip(&back) {
-            assert!(a.bits_eq(b), "mismatch: {a:?} vs {b:?}");
+        for make in [sample, counted] {
+            let samples: Vec<Sample> = (0..200).map(make).collect();
+            let payload = encode(&samples);
+            assert_eq!(payload, reference_encode(2, 7, 0, "seq_scan", &samples));
+            batch.decode(&payload, Projection::ALL).unwrap();
+            assert_eq!(batch.ou().name, "seq_scan");
+            let back = samples_of(&batch);
+            assert_eq!(back.len(), samples.len());
+            for (a, b) in samples.iter().zip(&back) {
+                assert!(a.bits_eq(b), "mismatch: {a:?} vs {b:?}");
+            }
         }
+        // Integral features take tag 2 and shrink the block; the others
+        // write what version 1 wrote.
+        let plain: Vec<Sample> = (0..200).map(sample).collect();
+        assert_eq!(
+            encode(&plain),
+            reference_encode(1, 7, 0, "seq_scan", &plain)
+        );
+        let counts: Vec<Sample> = (0..200).map(counted).collect();
+        let v1 = reference_encode(1, 7, 0, "seq_scan", &counts);
+        assert!(
+            encode(&counts).len() < v1.len(),
+            "{} vs {}",
+            encode(&counts).len(),
+            v1.len()
+        );
+    }
+
+    /// A version-1 segment built by hand (tags 0 and 1 only, integral
+    /// features as raw bits) opens and scans bit-identically, and a
+    /// compaction copies its frames under a version-2 header.
+    #[test]
+    fn a_version_one_segment_reads_bit_identically() {
+        use crate::{Archive, ArchiveOptions};
+        let dir = std::env::temp_dir().join(format!("tsar_v1_{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).unwrap();
+        let samples: Vec<Sample> = (0..300).map(counted).collect();
+        for (seq, rows) in samples.chunks(100).enumerate() {
+            let mut bytes = [&MAGIC[..], &[1]].concat();
+            for block in rows.chunks(40) {
+                put_frame(&mut bytes, FRAME_BLOCK, |out| {
+                    out.extend(reference_encode(1, 7, 0, "seq_scan", block));
+                })
+                .unwrap();
+            }
+            std::fs::write(dir.join(format!("seg-{seq:06}.tsa")), &bytes).unwrap();
+        }
+        let opts = ArchiveOptions {
+            compact_fanin: 2,
+            ..Default::default()
+        };
+        let telemetry = tscout_telemetry::Telemetry::new();
+        let mut a = Archive::open(&dir, opts, telemetry.clone()).unwrap();
+        let skipped = telemetry.counter_value("archive_scan_skipped_blocks_total", &[]);
+        assert_eq!((a.stats().blocks, skipped), (9, 0));
+        let scanned = |a: &Archive| -> Vec<Sample> { a.scan_ou("seq_scan").collect() };
+        let same = |got: Vec<Sample>| {
+            got.len() == samples.len() && got.iter().zip(&samples).all(|(a, b)| a.bits_eq(b))
+        };
+        assert!(same(scanned(&a)));
+        assert!(a.compact_now().unwrap());
+        let merged = &a.segments[0].path;
+        assert_eq!(
+            std::fs::read(merged).unwrap()[..5],
+            [&MAGIC[..], &[VERSION]].concat()
+        );
+        assert!(same(scanned(&a)));
+        drop(a);
+        let a = Archive::open(&dir, ArchiveOptions::default(), telemetry).unwrap();
+        assert!(same(scanned(&a)));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -17,7 +17,8 @@ use tscout_telemetry::{Counter, CounterSite, GaugeSite, Telemetry};
 use crate::encode::MAX_COLUMN_VALUES;
 use crate::segment::{
     create_segment, frame_len, put_frame, read_block_frame, BlockCheck, BlockMeta, ColumnBatch,
-    HeadReader, OuEntry, Projection, FRAME_BLOCK, FRAME_FOOTER, HEADER_LEN, MAGIC, VERSION,
+    HeadReader, OuEntry, Projection, FRAME_BLOCK, FRAME_FOOTER, HEADER_LEN, MAGIC, OLDEST_VERSION,
+    VERSION,
 };
 use crate::{decls, ArchiveError, ArchiveOptions, Sample};
 
@@ -214,8 +215,9 @@ impl Archive {
     /// over. Any other byte is
     /// damage, stepped through a byte at a time to the next such block and
     /// counted once per span in `archive_scan_skipped_blocks_total`, so a
-    /// damaged frame costs only its own rows. Another version under the
-    /// right magic is `Corrupt`. `None` (file deleted): no block read.
+    /// damaged frame costs only its own rows. A version this build does
+    /// not read, under the right magic, is `Corrupt`. `None` (file
+    /// deleted): no block read.
     fn recover_segment(
         &mut self,
         seqs: (u64, u64),
@@ -229,9 +231,9 @@ impl Archive {
         if file_len >= HEADER_LEN {
             f.read_exact_at(&mut head, 0)?;
         }
-        if &head[..4] == MAGIC && head[4] != VERSION {
+        if &head[..4] == MAGIC && !(OLDEST_VERSION..=VERSION).contains(&head[4]) {
             return Err(ArchiveError::Corrupt(format!(
-                "{} has format version {}, this build reads {VERSION}",
+                "{} has format version {}, this build reads {OLDEST_VERSION} to {VERSION}",
                 path.display(),
                 head[4]
             )));
@@ -1122,8 +1124,9 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
-    /// A segment of a format version this build does not know is
-    /// refused, byte for byte as it was, not cut as a torn file.
+    /// A segment of a format version this build does not know (the next
+    /// one, or 0) is refused, byte for byte as it was, not cut as a torn
+    /// file.
     #[test]
     fn an_unknown_version_is_refused_and_left_untouched() {
         let dir = tmp_dir("version");
@@ -1136,14 +1139,16 @@ mod tests {
         let path = seg_path(&dir, (0, 0));
         let mut bytes = std::fs::read(&path).unwrap();
         assert_eq!(bytes[4], VERSION);
-        bytes[4] = 2;
-        std::fs::write(&path, &bytes).unwrap();
-        let err = Archive::open(&dir, ArchiveOptions::default(), Telemetry::new()).unwrap_err();
-        assert!(
-            matches!(&err, ArchiveError::Corrupt(m) if m.contains("seg-000000.tsa")),
-            "{err}"
-        );
-        assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        for version in [VERSION + 1, 0] {
+            bytes[4] = version;
+            std::fs::write(&path, &bytes).unwrap();
+            let err = Archive::open(&dir, ArchiveOptions::default(), Telemetry::new()).unwrap_err();
+            assert!(
+                matches!(&err, ArchiveError::Corrupt(m) if m.contains("seg-000000.tsa")),
+                "{err}"
+            );
+            assert_eq!(std::fs::read(&path).unwrap(), bytes);
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1516,13 +1521,24 @@ mod tests {
         use crate::encode::{put_delta, put_packed};
         let mut body = Vec::new();
         if tag == 0 {
-            put_delta(&mut body, values);
+            put_delta(&mut body, values.iter().copied());
         } else {
             let min = values.iter().copied().min().unwrap_or(0);
             let max = values.iter().copied().max().unwrap_or(0);
-            put_packed(&mut body, values, min, 64 - (max - min).leading_zeros());
+            let width = 64 - (max - min).leading_zeros();
+            put_packed(&mut body, values.iter().copied(), min, width);
         }
         column(tag, values.len() as u64, &body)
+    }
+
+    /// `zs` under tag 2, its inner codec `codec` (0 delta, 1 packed at
+    /// the frame their range needs).
+    fn integers_as(codec: u8, zs: &[u64]) -> Vec<u8> {
+        let inner = column_as(codec, zs);
+        let mut at = 1;
+        crate::encode::get_varint(&inner, &mut at).unwrap();
+        crate::encode::get_varint(&inner, &mut at).unwrap();
+        column(2, zs.len() as u64, &[&[codec], &inner[at..]].concat())
     }
 
     /// A packed body of frame `min`, `width` holding `raws`, whether or
@@ -1530,11 +1546,32 @@ mod tests {
     fn packed_body(min: u64, width: u32, raws: &[u64]) -> Vec<u8> {
         use crate::encode::{put_packed, put_varint};
         let mut packed = Vec::new();
-        put_packed(&mut packed, raws, 0, width);
+        put_packed(&mut packed, raws.iter().copied(), 0, width);
         let mut body = Vec::new();
         put_varint(&mut body, min);
         body.extend_from_slice(&packed[1..]); // past `min` = 0's one byte
         body
+    }
+
+    /// The inner codec of a block payload's feature column when it is
+    /// tag 2.
+    fn integer_codec(payload: &[u8]) -> Option<u8> {
+        use crate::encode::{get_varint, skip_column};
+        let mut pos = 0;
+        get_varint(payload, &mut pos).unwrap(); // ou
+        pos += 1; // subsystem
+        pos += get_varint(payload, &mut pos).unwrap() as usize; // name
+        for _ in 0..3 {
+            get_varint(payload, &mut pos).unwrap(); // rows, min/max start_ns
+        }
+        for _ in 0..7 {
+            skip_column(payload, &mut pos).unwrap();
+        }
+        let tag = payload[pos];
+        pos += 1;
+        get_varint(payload, &mut pos).unwrap();
+        get_varint(payload, &mut pos).unwrap();
+        (tag == 2).then(|| payload[pos])
     }
 
     /// Column-level mutants of one block payload: each of its ten columns
@@ -1543,9 +1580,12 @@ mod tests {
     /// `u64` or passes `u32::MAX` (with every value fitting, and not),
     /// values past `u32::MAX`, values edited so a vector's length sum moves,
     /// stays or wraps to the flat count, and its own values under the
-    /// other codec; each length column with the flat column after it
-    /// replaced by lengths that overflow onto an empty column; and trailing
-    /// bytes.
+    /// other codec and under tag 2 (read as zigzagged integers); a tag-2
+    /// column's integers edited to ±2^53 and past it under either inner
+    /// codec, its inner codec byte swapped, unknown or missing, and its
+    /// payload under tags 0 and 1; each length column with the flat column
+    /// after it replaced by lengths that overflow onto an empty column;
+    /// and trailing bytes.
     fn column_mutants(payload: &[u8]) -> Vec<(String, Vec<u8>)> {
         use crate::encode::{get_column, get_varint};
         let mut pos = 0;
@@ -1596,6 +1636,45 @@ mod tests {
                     for as_tag in [0, 1] {
                         columns.push((what, c + 1, column_as(as_tag, &changed)));
                     }
+                }
+            }
+            for codec in [0, 1] {
+                columns.push(("values as tag 2", c + 1, integers_as(codec, values)));
+            }
+            if tag == 2 {
+                let zs: Vec<u64> = (values.iter())
+                    .map(|&b| {
+                        let i = f64::from_bits(b) as i64;
+                        ((i << 1) ^ (i >> 63)) as u64
+                    })
+                    .collect();
+                let edits: [Edit; 4] = [
+                    ("z + 1 at row 0", |z| z[0] += 1),
+                    ("z 2^54 (2^53) at row 0", |z| z[0] = 1 << 54),
+                    ("z 2^54 + 1 at row 0", |z| z[0] = (1 << 54) + 1),
+                    ("z u64::MAX at row 1", |z| z[1] = u64::MAX),
+                ];
+                for (what, edit) in edits {
+                    let mut changed = zs.clone();
+                    edit(&mut changed);
+                    for codec in [0, 1] {
+                        columns.push((what, c + 1, integers_as(codec, &changed)));
+                    }
+                }
+                let renamed: [(&str, u8); 4] = [
+                    ("inner codec 0", 0),
+                    ("inner codec 1", 1),
+                    ("inner codec 2", 2),
+                    ("inner codec 3", 3),
+                ];
+                for (what, codec) in renamed {
+                    let mut swapped = body.to_vec();
+                    swapped[0] = codec;
+                    columns.push((what, c + 1, column(2, n, &swapped)));
+                }
+                columns.push(("no inner codec", c + 1, column(2, n, &[])));
+                for (what, as_tag) in [("tag 2 payload as tag 0", 0), ("as tag 1", 1)] {
+                    columns.push((what, c + 1, column(as_tag, n, body)));
                 }
             }
             if tag == 0 && !body.is_empty() {
@@ -1686,6 +1765,12 @@ mod tests {
                 // `min + mask` overflows while every value fits.
                 s.tid = u32::MAX - (i % 3) as u32;
                 s.metrics = vec![u64::MAX - i * 7 % 101, i];
+                // Integers, one block of them with a jump (deltas win).
+                let base = if i < 10 { 0.0 } else { 1e12 };
+                s.features = vec![base + i as f64];
+            } else if s.ou == 1 {
+                // Small integers: tag 2 over packed.
+                s.features = vec![i as f64, (i * 7 % 50) as f64 - 20.0];
             }
             a.append(&s).unwrap();
         }
@@ -1718,11 +1803,14 @@ mod tests {
                 state
             }
         };
-        let (mut verdicts, mut opened) = ([0usize; 2], 0);
+        let (mut verdicts, mut opened, mut integers) = ([0usize; 2], 0, [0usize; 2]);
         for (k, victim) in blocks.iter().enumerate() {
             let at = victim.offset as usize;
             let payload = &pristine[at + 5..at + 5 + victim.payload_len as usize];
             assert!(agree(payload, "pristine").is_some());
+            if let Some(codec) = integer_codec(payload) {
+                integers[usize::from(codec)] += 1;
+            }
             for cut in 0..payload.len() {
                 assert!(agree(&payload[..cut], &format!("block {k} cut at {cut}")).is_none());
             }
@@ -1763,8 +1851,10 @@ mod tests {
                 opened += 1;
             }
         }
-        // Both verdicts are common enough for the agreement to mean something.
+        // Both verdicts are common enough for the agreement to mean
+        // something, and tag 2 is met over both inner codecs.
         assert!(verdicts[0] > 500 && verdicts[1] > 200, "{verdicts:?}");
+        assert!(integers[0] >= 1 && integers[1] >= 2, "{integers:?}");
         assert!(opened > 300, "{opened}");
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -12,7 +12,10 @@
 //! tags in place, and an append by reference allocates O(OUs + blocks).
 //! On the read side it pins a column scan and a dataset build to O(OUs +
 //! blocks) allocations, nothing per point, and a compaction to O(blocks)
-//! bytes plus one frame, nothing per row. Training is
+//! bytes plus one frame, nothing per row. A block decode given mutants
+//! of an integer feature column (tag 2) returns `None` on each one that
+//! cannot be whole, without a panic, and allocates no more than the
+//! column's bytes could hold over what the pristine block takes. Training is
 //! pinned too: a Forest `fit` allocates per tree and per node, never
 //! per (node, candidate feature), and a Ridge retrain (split, fit, gate)
 //! O(OUs), nothing per point. And the lowered BPF engine is held to
@@ -427,6 +430,136 @@ fn archive_read_side_allocates_per_block_not_per_sample() {
     );
 
     drop(archive);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Read a LEB128 varint at `*at`, advancing it.
+fn varint(bytes: &[u8], at: &mut usize) -> u64 {
+    let (mut v, mut shift) = (0u64, 0);
+    loop {
+        let b = bytes[*at];
+        *at += 1;
+        v |= u64::from(b & 0x7F) << shift;
+        if b & 0x80 == 0 {
+            return v;
+        }
+        shift += 7;
+    }
+}
+
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Mutants of a block's integer feature column (tag 2): every bit flip
+/// of the column, every cut of its payload (length rewritten to match),
+/// every inner codec byte but 0 and 1, and value counts up to `u64::MAX`.
+/// Each decodes without a panic and asks the allocator for no more than
+/// 64 bytes per column byte over what the pristine block asks; each that
+/// cannot be whole is `None`.
+#[test]
+fn integer_feature_mutants_decode_within_their_bytes() {
+    let dir = std::env::temp_dir().join(format!("tscout_alloc_tag2_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut archive = Archive::open(&dir, ArchiveOptions::default(), Telemetry::new()).unwrap();
+    for i in 0..300u64 {
+        archive
+            .append(Sample {
+                ou: 4,
+                ou_name: "index_scan".into(),
+                subsystem: 0,
+                tid: 1,
+                template: 2,
+                start_ns: i * 1_000,
+                elapsed_ns: 500 + i,
+                metrics: vec![i],
+                features: vec![(i % 90) as f64, -3.0, (i * i % 1_000) as f64],
+                user_metrics: vec![],
+            })
+            .unwrap();
+    }
+    archive.seal().unwrap();
+    drop(archive);
+    let path = std::fs::read_dir(&dir)
+        .unwrap()
+        .next()
+        .unwrap()
+        .unwrap()
+        .path();
+    let bytes = std::fs::read(path).unwrap();
+    let len = u32::from_le_bytes(bytes[6..10].try_into().unwrap()) as usize;
+    let payload = &bytes[10..10 + len];
+    // Past the header (ou, subsystem, name, rows, start_ns range) and the
+    // seven columns ahead of the features.
+    let mut at = 0;
+    varint(payload, &mut at);
+    at += 1;
+    at += varint(payload, &mut at) as usize;
+    (0..3).for_each(|_| drop(varint(payload, &mut at)));
+    for _ in 0..7 {
+        at += 1;
+        varint(payload, &mut at);
+        at += varint(payload, &mut at) as usize;
+    }
+    let (start, tag) = (at, payload[at]);
+    at += 1;
+    let n = varint(payload, &mut at);
+    let body_len = varint(payload, &mut at) as usize;
+    let (body_at, end) = (at, at + body_len);
+    assert_eq!(tag, 2, "the feature column holds integers");
+
+    let decode = |p: &[u8]| {
+        let mut batch = tscout_suite::archive::ColumnBatch::default();
+        let mut decoded = None;
+        let bytes = allocated_bytes(|| decoded = batch.decode(p, Projection::ALL));
+        (decoded, bytes)
+    };
+    let (pristine, base) = decode(payload);
+    assert!(pristine.is_some());
+    let column = |n: u64, body: &[u8]| {
+        let mut col = vec![2];
+        put_varint(&mut col, n);
+        put_varint(&mut col, body.len() as u64);
+        col.extend_from_slice(body);
+        [&payload[..start], &col, &payload[end..]].concat()
+    };
+    let body = &payload[body_at..end];
+    let mut mutants: Vec<(Vec<u8>, bool)> = Vec::new();
+    for byte in start..end {
+        for bit in 0..8 {
+            let mut flipped = payload.to_vec();
+            flipped[byte] ^= 1 << bit;
+            mutants.push((flipped, false));
+        }
+    }
+    for cut in 0..body.len() {
+        mutants.push((column(n, &body[..cut]), true));
+    }
+    for codec in 2..=255u8 {
+        mutants.push((column(n, &[&[codec], &body[1..]].concat()), true));
+    }
+    for count in [n + 1, n * 2, 1 << 24, (1 << 24) + 1, u64::MAX] {
+        mutants.push((column(count, body), true));
+    }
+    let budget = base + 64 * (end - start) as u64;
+    // A flip may leave a whole column (another value); both verdicts occur.
+    let mut flips = [0usize; 2];
+    for (k, (mutant, corrupt)) in mutants.iter().enumerate() {
+        let (decoded, bytes) = decode(mutant);
+        assert!(
+            bytes <= budget,
+            "mutant {k}: {bytes} bytes (budget {budget})"
+        );
+        assert!(!corrupt || decoded.is_none(), "mutant {k} decoded");
+        if !corrupt {
+            flips[usize::from(decoded.is_some())] += 1;
+        }
+    }
+    assert!(flips[0] > 20 && flips[1] > 100, "{flips:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
