@@ -4,6 +4,7 @@
 //!
 //! ```text
 //! tscout-bench pairs --parent <rev> --workload <w> --pairs N [--seconds S] [--seed N]
+//!                    [--layouts K]
 //! ```
 //!
 //! `<rev>` is exported with `git archive` into the temp dir (reused by a
@@ -23,6 +24,16 @@
 //! straddle [`PARALLELISM_SPLIT`], each metric's medians and wins are
 //! printed again for the pairs near 1 and the pairs near 2 apart, which
 //! shows when a verdict depends on the session.
+//!
+//! Code layout alone moves a binary's speed by a few percent, so a small
+//! gain may be a relink's. `--layouts K` (K ≥ 1) relinks each side's
+//! `tsbench` crate alone with K function orders (LLD's
+//! `--shuffle-sections` under seeds 1..=K, nothing else rebuilt) and runs
+//! pair i under seed `i mod K + 1` on both sides. With K ≥ 2, a control
+//! runs first: [`CONTROL_PAIRS`] pairs of the parent under seed 1 against
+//! itself under seed 2. Its move per metric is printed as `layout` beside
+//! the parent IQR, a `gain` must move past both, and the trajectory line
+//! stamps the seeds and the control's moves.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -40,8 +51,11 @@ const PARALLELISM_SPREAD: f64 = 0.5;
 /// above it one near two.
 const PARALLELISM_SPLIT: f64 = 1.5;
 
+/// Pairs in the layout control: the parent against itself relinked.
+const CONTROL_PAIRS: usize = 3;
+
 const USAGE: &str = "usage: tscout-bench pairs --parent <rev> --workload <w> --pairs N \
-                     [--seconds S] [--seed N]";
+                     [--seconds S] [--seed N] [--layouts K]";
 
 pub(crate) fn main() {
     let args: Vec<String> = std::env::args().skip(2).collect();
@@ -59,11 +73,14 @@ struct Args {
     pairs: usize,
     seconds: Option<String>,
     seed: String,
+    /// Function orders per side; 0 keeps the plain link.
+    layouts: usize,
 }
 
 fn parse(argv: &[String]) -> Result<Args, String> {
     let (mut parent, mut workload, mut pairs, mut seconds, mut seed) =
         (None, None, None, None, "42".to_string());
+    let mut layouts = 0;
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
         let value = it.next().cloned().ok_or(format!("{flag} needs a value"))?;
@@ -73,6 +90,7 @@ fn parse(argv: &[String]) -> Result<Args, String> {
             "--pairs" => pairs = Some(value.parse().map_err(|e| format!("--pairs: {e}"))?),
             "--seconds" => seconds = Some(value),
             "--seed" => seed = value,
+            "--layouts" => layouts = value.parse().map_err(|e| format!("--layouts: {e}"))?,
             _ => return Err(format!("unknown flag {flag}")),
         }
     }
@@ -84,6 +102,7 @@ fn parse(argv: &[String]) -> Result<Args, String> {
             .ok_or("--pairs N (N ≥ 1) is required")?,
         seconds,
         seed,
+        layouts,
     })
 }
 
@@ -132,8 +151,8 @@ fn run(argv: &[String]) -> Result<(), String> {
     let base = std::env::temp_dir().join("tscout-pairs");
     let parent_tree = export(root, &parent_rev, &base)?;
     let bins = [
-        build(&parent_tree.join("benchmark"))?,
-        build(&root.join("benchmark"))?,
+        build(&parent_tree.join("benchmark"), args.layouts)?,
+        build(&root.join("benchmark"), args.layouts)?,
     ];
     println!("parent {parent_rev}, change {change_rev}");
 
@@ -141,6 +160,10 @@ fn run(argv: &[String]) -> Result<(), String> {
         .duration_since(UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());
     let runs_dir = base.join(format!("runs-{}-{stamp}", args.workload));
+    let layout = match &bins[0][..] {
+        [one, two, ..] => Some(control([one, two], &args, &runs_dir, &metrics)?),
+        _ => None,
+    };
     let mut files: Vec<(&str, String)> = Vec::new();
     // Per side: operations failed and attempted, digests seen.
     let mut checks = [(0.0, 0.0, Vec::new()), (0.0, 0.0, Vec::new())];
@@ -157,7 +180,7 @@ fn run(argv: &[String]) -> Result<(), String> {
         for side in order {
             let name = ["parent", "change"][side];
             let out = runs_dir.join(format!("{name}-{pair}"));
-            run_once(&bins[side], &args, &out)?;
+            run_once(&bins[side][pair % bins[side].len()], &args, &out)?;
             let file = out.join(format!("result_{}.json", args.workload));
             let file = file.to_string_lossy().into_owned();
             let result = read_json(&file)?;
@@ -177,7 +200,10 @@ fn run(argv: &[String]) -> Result<(), String> {
     }
     let named: Vec<(&str, &str)> = files.iter().map(|(s, f)| (*s, f.as_str())).collect();
     let mut runs = trajectory::read_runs(&named)?;
-    print!("{}", report(&runs, &args.workload, &metrics));
+    print!(
+        "{}",
+        report(&runs, &args.workload, &metrics, layout.as_deref())
+    );
     if let Some(groups) = split_by_parallelism(&readings) {
         print!("{}", split_report(&runs, &args.workload, &metrics, &groups));
     }
@@ -207,6 +233,16 @@ fn run(argv: &[String]) -> Result<(), String> {
     runs.stamp.insert("parallelism".into(), Json::Num(median));
     runs.stamp
         .insert("parallelism_range".into(), Json::Arr(range));
+    if args.layouts > 0 {
+        let seeds = (0..args.pairs).map(|pair| Json::Num((pair % args.layouts + 1) as f64));
+        runs.stamp
+            .insert("layout_seeds".into(), Json::Arr(seeds.collect()));
+    }
+    if let Some(layout) = &layout {
+        let moves = (metrics.iter().zip(layout)).map(|(m, &v)| (m.name.clone(), Json::Num(v)));
+        runs.stamp
+            .insert("layout_control".into(), Json::Obj(moves.collect()));
+    }
     let line = trajectory::line(&runs, std::slice::from_ref(&args.workload))?;
     trajectory::append_line(&line)?;
     println!(
@@ -275,24 +311,79 @@ fn export(root: &Path, rev: &str, base: &Path) -> Result<PathBuf, String> {
 }
 
 /// Build the tsbench binary of `benchmark`, offline, in its own target
-/// dir.
-fn build(benchmark: &Path) -> Result<PathBuf, String> {
+/// dir: the plain link when `layouts` is 0, else one binary per shuffle
+/// seed 1..=`layouts`, each a relink of the `tsbench` crate alone.
+fn build(benchmark: &Path, layouts: usize) -> Result<Vec<PathBuf>, String> {
     println!("building {}", benchmark.display());
     let manifest = benchmark.join("Cargo.toml");
-    let built = Command::new("cargo")
-        .args([
-            "build",
-            "--release",
-            "--offline",
-            "--quiet",
-            "--manifest-path",
-        ])
-        .arg(&manifest)
-        .status();
-    if !built.is_ok_and(|s| s.success()) {
-        return Err(format!("building {} failed", manifest.display()));
+    let cargo = |args: &[&str]| {
+        let run = Command::new("cargo")
+            .args(args)
+            .args(["--release", "--offline", "--quiet", "--manifest-path"])
+            .arg(&manifest)
+            .args(["--bin", "tsbench"])
+            .status();
+        run.is_ok_and(|s| s.success())
+            .then_some(())
+            .ok_or(format!("building {} failed", manifest.display()))
+    };
+    cargo(&["build"])?;
+    let plain = benchmark.join("target/release/tsbench");
+    if layouts == 0 {
+        return Ok(vec![plain]);
     }
-    Ok(benchmark.join("target/release/tsbench"))
+    (1..=layouts)
+        .map(|seed| {
+            cargo(&["rustc", "--", "-C", &shuffle_arg(seed)])?;
+            let bin = benchmark.join(format!("target/release/tsbench-layout-{seed}"));
+            std::fs::copy(&plain, &bin).map_err(|e| format!("{}: {e}", bin.display()))?;
+            Ok(bin)
+        })
+        .collect()
+}
+
+/// The `-C` value that links the text sections in the order of `seed`.
+fn shuffle_arg(seed: usize) -> String {
+    format!("link-arg=-Wl,--shuffle-sections=.text*={seed}")
+}
+
+/// The layout control: [`CONTROL_PAIRS`] alternating pairs of the parent
+/// linked under seed 1 (`bins[0]`) and seed 2 (`bins[1]`). Per metric, in
+/// `metrics`' order, how far the two medians lie apart.
+fn control(
+    bins: [&PathBuf; 2],
+    args: &Args,
+    runs_dir: &Path,
+    metrics: &[Metric],
+) -> Result<Vec<f64>, String> {
+    let mut files = Vec::new();
+    for pair in 0..CONTROL_PAIRS {
+        println!("control pair {}/{CONTROL_PAIRS}", pair + 1);
+        let order = if pair % 2 == 0 { [0, 1] } else { [1, 0] };
+        for seed in order {
+            let out = runs_dir.join(format!("control-{}-{pair}", seed + 1));
+            run_once(bins[seed], args, &out)?;
+            let file = out.join(format!("result_{}.json", args.workload));
+            files.push((
+                ["parent", "change"][seed],
+                file.to_string_lossy().into_owned(),
+            ));
+        }
+    }
+    let named: Vec<(&str, &str)> = files.iter().map(|(s, f)| (*s, f.as_str())).collect();
+    let runs = trajectory::read_runs(&named)?;
+    Ok(metrics
+        .iter()
+        .map(|m| {
+            let side = |name| side_values(&runs, name, &args.workload, &m.name);
+            layout_move(&side("parent"), &side("change"))
+        })
+        .collect())
+}
+
+/// How far apart the medians of one binary's runs under two layouts lie.
+fn layout_move(one: &[f64], two: &[f64]) -> f64 {
+    (quartiles(two)[1] - quartiles(one)[1]).abs()
 }
 
 /// One untraced run into `out`, its output kept in `out/run.log`.
@@ -441,15 +532,21 @@ fn split_report(
     text
 }
 
-/// Per metric: both medians, the change's move, the parent's IQR, wins
-/// and the verdict.
-fn report(runs: &trajectory::Runs, workload: &str, metrics: &[Metric]) -> String {
+/// Per metric: both medians, the change's move, the parent's IQR, the
+/// layout control's move (`-` without one), wins and the verdict.
+fn report(
+    runs: &trajectory::Runs,
+    workload: &str,
+    metrics: &[Metric],
+    layout: Option<&[f64]>,
+) -> String {
     let side = |name: &str, metric: &str| side_values(runs, name, workload, metric);
     let mut text = format!(
-        "{:<16} {:>14} {:>14} {:>8} {:>12} {:>6}  verdict\n",
-        "metric", "parent median", "change median", "move", "parent IQR", "wins"
+        "{:<16} {:>14} {:>14} {:>8} {:>12} {:>12} {:>6}  verdict\n",
+        "metric", "parent median", "change median", "move", "parent IQR", "layout", "wins"
     );
-    for m in metrics {
+    for (i, m) in metrics.iter().enumerate() {
+        let layout = layout.and_then(|l| l.get(i).copied());
         let (parent, change) = (side("parent", &m.name), side("change", &m.name));
         let [q1, p_med, q3] = quartiles(&parent);
         let [_, c_med, _] = quartiles(&change);
@@ -461,15 +558,17 @@ fn report(runs: &trajectory::Runs, workload: &str, metrics: &[Metric]) -> String
             .count();
         let moved = (c_med - p_med) / p_med;
         let worse_by = if m.lower_is_better { moved } else { -moved };
+        let noise = (q3 - q1).max(layout.unwrap_or(0.0));
         let verdict = verdict(
             worse_by,
             m.bound,
             wins,
             parent.len(),
-            (c_med - p_med).abs() > q3 - q1,
+            (c_med - p_med).abs() > noise,
         );
+        let layout = layout.map_or("-".to_string(), |l| format!("{l:.4}"));
         text += &format!(
-            "{:<16} {:>14.4} {:>14.4} {:>+7.1}% {:>12.4} {:>3}/{:<2}  {verdict}\n",
+            "{:<16} {:>14.4} {:>14.4} {:>+7.1}% {:>12.4} {layout:>12} {:>3}/{:<2}  {verdict}\n",
             m.name,
             p_med,
             c_med,
@@ -483,11 +582,12 @@ fn report(runs: &trajectory::Runs, workload: &str, metrics: &[Metric]) -> String
 }
 
 /// `WORSE` past the bound, `gain` when the change won ≥ 9 in 10 pairs
-/// and moved past the parent's IQR, `flat` otherwise.
-fn verdict(worse_by: f64, bound: f64, wins: usize, pairs: usize, past_iqr: bool) -> &'static str {
+/// and moved past the parent's IQR and the layout control's move, `flat`
+/// otherwise.
+fn verdict(worse_by: f64, bound: f64, wins: usize, pairs: usize, past_noise: bool) -> &'static str {
     if worse_by > bound {
         "WORSE"
-    } else if worse_by < 0.0 && 10 * wins >= 9 * pairs && past_iqr {
+    } else if worse_by < 0.0 && 10 * wins >= 9 * pairs && past_noise {
         "gain"
     } else {
         "flat"
@@ -506,6 +606,13 @@ mod tests {
         assert_eq!(verdict(-0.3, 0.2, 8, 10, true), "flat");
         assert_eq!(verdict(-0.3, 0.2, 10, 10, false), "flat");
         assert_eq!(verdict(-0.3, 0.2, 3, 3, true), "gain");
+    }
+
+    #[test]
+    fn the_layout_control_is_the_distance_between_medians() {
+        assert_eq!(layout_move(&[10.0, 12.0, 11.0], &[13.0, 14.0, 15.0]), 3.0);
+        assert_eq!(layout_move(&[13.0, 14.0, 15.0], &[10.0, 12.0, 11.0]), 3.0);
+        assert_eq!(shuffle_arg(2), "link-arg=-Wl,--shuffle-sections=.text*=2");
     }
 
     #[test]
@@ -550,9 +657,12 @@ mod tests {
         let argv = |s: &str| s.split(' ').map(String::from).collect::<Vec<_>>();
         let args = parse(&argv("--parent HEAD~1 --workload collect_full --pairs 10")).unwrap();
         assert_eq!(
-            (args.pairs, args.seed.as_str(), args.seconds),
-            (10, "42", None)
+            (args.pairs, args.seed.as_str(), args.seconds, args.layouts),
+            (10, "42", None, 0)
         );
+        let args = parse(&argv("--parent a --workload w --pairs 4 --layouts 3")).unwrap();
+        assert_eq!(args.layouts, 3);
+        assert!(parse(&argv("--parent a --workload w --pairs 4 --layouts -1")).is_err());
         assert!(parse(&argv("--parent HEAD~1 --workload collect_full")).is_err());
         assert!(parse(&argv("--parent HEAD~1 --workload collect_full --pairs 0")).is_err());
         assert!(parse(&argv("--workload collect_full --pairs 3")).is_err());

@@ -36,7 +36,8 @@
     deny(
         clippy::cast_possible_truncation,
         clippy::unwrap_used,
-        clippy::expect_used
+        clippy::expect_used,
+        clippy::let_underscore_must_use
     )
 )]
 #![deny(missing_debug_implementations)]

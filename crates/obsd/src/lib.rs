@@ -40,8 +40,16 @@
 //! registry byte-identical.
 #![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
-// No `as` cast narrows a value outside tests; test fixtures cast freely.
-#![cfg_attr(not(test), deny(clippy::cast_possible_truncation))]
+// No `as` cast narrows a value and nothing unwraps or expects outside
+// tests; test fixtures do as they like.
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::unwrap_used,
+        clippy::expect_used
+    )
+)]
 
 pub mod client;
 pub mod decls;
