@@ -316,25 +316,25 @@ fn export(root: &Path, rev: &str, base: &Path) -> Result<PathBuf, String> {
 fn build(benchmark: &Path, layouts: usize) -> Result<Vec<PathBuf>, String> {
     println!("building {}", benchmark.display());
     let manifest = benchmark.join("Cargo.toml");
-    let cargo = |args: &[&str]| {
+    let cargo = |command: &str, rustc: &[&str]| {
         let run = Command::new("cargo")
-            .args(args)
-            .args(["--release", "--offline", "--quiet", "--manifest-path"])
+            .args([command, "--release", "--offline", "--quiet", "--manifest-path"])
             .arg(&manifest)
             .args(["--bin", "tsbench"])
+            .args(rustc)
             .status();
         run.is_ok_and(|s| s.success())
             .then_some(())
             .ok_or(format!("building {} failed", manifest.display()))
     };
-    cargo(&["build"])?;
+    cargo("build", &[])?;
     let plain = benchmark.join("target/release/tsbench");
     if layouts == 0 {
         return Ok(vec![plain]);
     }
     (1..=layouts)
         .map(|seed| {
-            cargo(&["rustc", "--", "-C", &shuffle_arg(seed)])?;
+            cargo("rustc", &["--", "-C", &shuffle_arg(seed)])?;
             let bin = benchmark.join(format!("target/release/tsbench-layout-{seed}"));
             std::fs::copy(&plain, &bin).map_err(|e| format!("{}: {e}", bin.display()))?;
             Ok(bin)
