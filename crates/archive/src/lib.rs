@@ -12,8 +12,11 @@
 //! * [`Sample`]s, the one owned training row, are appended (owned or
 //!   borrowed) to **per-OU memtables**, one per OU id holding one OU
 //!   name's rows; a memtable flush encodes one columnar block
-//!   (delta+varint or frame-of-reference bit-packed per column,
-//!   CRC32-framed) into the active segment file.
+//!   (delta+varint or frame-of-reference bit-packed per column, the
+//!   feature column as zigzagged integers when every value is one and
+//!   that is smaller; CRC32-framed) into the active segment file, whose
+//!   header carries format version 2 (version 1, without the integer
+//!   form, reads the same).
 //! * Segments **seal** once large enough: a sealed segment takes no more
 //!   blocks and is never rewritten. The blocks are the manifest; a
 //!   segment has no footer.
