@@ -26,7 +26,8 @@
 //! shows when a verdict depends on the session.
 //!
 //! Code layout alone moves a binary's speed by a few percent, so a small
-//! gain may be a relink's. `--layouts K` (K ≥ 1) relinks each side's
+//! gain may be a relink's. `--layouts K` ([`DEFAULT_LAYOUTS`] unless
+//! given; 0 keeps the plain link) relinks each side's
 //! `tsbench` crate alone with K function orders (LLD's
 //! `--shuffle-sections` under seeds 1..=K, nothing else rebuilt) and runs
 //! pair i under seed `i mod K + 1` on both sides. With K ≥ 2, a control
@@ -54,6 +55,9 @@ const PARALLELISM_SPLIT: f64 = 1.5;
 /// Pairs in the layout control: the parent against itself relinked.
 const CONTROL_PAIRS: usize = 3;
 
+/// Function orders per side when `--layouts` is not given.
+const DEFAULT_LAYOUTS: usize = 3;
+
 const USAGE: &str = "usage: tscout-bench pairs --parent <rev> --workload <w> --pairs N \
                      [--seconds S] [--seed N] [--layouts K]";
 
@@ -80,7 +84,7 @@ struct Args {
 fn parse(argv: &[String]) -> Result<Args, String> {
     let (mut parent, mut workload, mut pairs, mut seconds, mut seed) =
         (None, None, None, None, "42".to_string());
-    let mut layouts = 0;
+    let mut layouts = DEFAULT_LAYOUTS;
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
         let value = it.next().cloned().ok_or(format!("{flag} needs a value"))?;
@@ -318,7 +322,13 @@ fn build(benchmark: &Path, layouts: usize) -> Result<Vec<PathBuf>, String> {
     let manifest = benchmark.join("Cargo.toml");
     let cargo = |command: &str, rustc: &[&str]| {
         let run = Command::new("cargo")
-            .args([command, "--release", "--offline", "--quiet", "--manifest-path"])
+            .args([
+                command,
+                "--release",
+                "--offline",
+                "--quiet",
+                "--manifest-path",
+            ])
             .arg(&manifest)
             .args(["--bin", "tsbench"])
             .args(rustc)
@@ -658,10 +668,10 @@ mod tests {
         let args = parse(&argv("--parent HEAD~1 --workload collect_full --pairs 10")).unwrap();
         assert_eq!(
             (args.pairs, args.seed.as_str(), args.seconds, args.layouts),
-            (10, "42", None, 0)
+            (10, "42", None, DEFAULT_LAYOUTS)
         );
-        let args = parse(&argv("--parent a --workload w --pairs 4 --layouts 3")).unwrap();
-        assert_eq!(args.layouts, 3);
+        let args = parse(&argv("--parent a --workload w --pairs 4 --layouts 0")).unwrap();
+        assert_eq!(args.layouts, 0);
         assert!(parse(&argv("--parent a --workload w --pairs 4 --layouts -1")).is_err());
         assert!(parse(&argv("--parent HEAD~1 --workload collect_full")).is_err());
         assert!(parse(&argv("--parent HEAD~1 --workload collect_full --pairs 0")).is_err());

@@ -29,7 +29,9 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 
 fn random_sample(rng: &mut StdRng, i: u64) -> Sample {
     let ou = rng.random_range(0..OUS.len());
+    // OU 1's features are counts: the feature column's integer form.
     let feature = |rng: &mut StdRng| match rng.random_range(0..12) {
+        _ if ou == 1 => rng.random_range(-50i64..5_000) as f64,
         0 => f64::NAN,
         1 => -0.0,
         2 => f64::INFINITY,

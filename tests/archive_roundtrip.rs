@@ -28,7 +28,9 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 }
 
 /// Deterministic pseudo-random sample with awkward shapes: variable
-/// vector lengths, full-range values, and occasional NaN features.
+/// vector lengths, full-range values, and occasional NaN features; an
+/// odd OU's features are counts, whole numbers of either sign (the
+/// integer form of the feature column).
 fn random_sample(rng: &mut StdRng, ou: u16) -> Sample {
     let n_metrics = rng.random_range(0..6);
     let n_features = rng.random_range(0..5);
@@ -44,7 +46,9 @@ fn random_sample(rng: &mut StdRng, ou: u16) -> Sample {
         metrics: (0..n_metrics).map(|_| rng.random()).collect(),
         features: (0..n_features)
             .map(|_| {
-                if rng.random_range(0..20) == 0 {
+                if ou % 2 == 1 {
+                    rng.random_range(-500i64..50_000) as f64
+                } else if rng.random_range(0..20) == 0 {
                     f64::NAN
                 } else {
                     rng.random::<f64>() * 1e6 - 5e5
