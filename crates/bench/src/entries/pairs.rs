@@ -20,21 +20,17 @@
 //! parallelism: one fixed spin timed on one thread, then on two at once.
 //! It can change within a session, so the spin runs before every pair;
 //! the line keeps the median reading and the range, and a range wider
-//! than [`PARALLELISM_SPREAD`] prints a warning. When the readings
-//! straddle [`PARALLELISM_SPLIT`], each metric's medians and wins are
-//! printed again for the pairs near 1 and the pairs near 2 apart, which
-//! shows when a verdict depends on the session.
+//! than [`PARALLELISM_SPREAD`] prints a warning.
 //!
 //! Code layout alone moves a binary's speed by a few percent, so a small
-//! gain may be a relink's. `--layouts K` ([`DEFAULT_LAYOUTS`] unless
-//! given; 0 keeps the plain link) relinks each side's
-//! `tsbench` crate alone with K function orders (LLD's
-//! `--shuffle-sections` under seeds 1..=K, nothing else rebuilt) and runs
-//! pair i under seed `i mod K + 1` on both sides. With K ≥ 2, a control
-//! runs first: [`CONTROL_PAIRS`] pairs of the parent under seed 1 against
-//! itself under seed 2. Its move per metric is printed as `layout` beside
-//! the parent IQR, a `gain` must move past both, and the trajectory line
-//! stamps the seeds and the control's moves.
+//! gain may be a relink's. `--layouts K` (K ≥ 2, [`DEFAULT_LAYOUTS`]
+//! unless given) relinks each side's `tsbench` crate alone with K
+//! function orders (LLD's `--shuffle-sections` under seeds 1..=K, nothing
+//! else rebuilt) and runs pair i under seed `i mod K + 1` on both sides.
+//! A control runs first: [`CONTROL_PAIRS`] pairs of the parent under
+//! seed 1 against itself under seed 2. Its move per metric is printed as
+//! `layout` beside the parent IQR, a `gain` must move past both, and the
+//! trajectory line stamps the seeds and the control's moves.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
@@ -48,15 +44,11 @@ use super::trajectory_append::{self as trajectory, quartiles, read_json, ROOT};
 /// machine.
 const PARALLELISM_SPREAD: f64 = 0.5;
 
-/// A parallelism reading below this is a session near one vCPU, at or
-/// above it one near two.
-const PARALLELISM_SPLIT: f64 = 1.5;
-
 /// Pairs in the layout control: the parent against itself relinked.
 const CONTROL_PAIRS: usize = 3;
 
 /// Function orders per side when `--layouts` is not given.
-const DEFAULT_LAYOUTS: usize = 3;
+const DEFAULT_LAYOUTS: usize = 2;
 
 const USAGE: &str = "usage: tscout-bench pairs --parent <rev> --workload <w> --pairs N \
                      [--seconds S] [--seed N] [--layouts K]";
@@ -77,7 +69,7 @@ struct Args {
     pairs: usize,
     seconds: Option<String>,
     seed: String,
-    /// Function orders per side; 0 keeps the plain link.
+    /// Function orders per side, at least two.
     layouts: usize,
 }
 
@@ -106,7 +98,9 @@ fn parse(argv: &[String]) -> Result<Args, String> {
             .ok_or("--pairs N (N ≥ 1) is required")?,
         seconds,
         seed,
-        layouts,
+        layouts: Some(layouts)
+            .filter(|&k| k >= 2)
+            .ok_or("--layouts K needs K ≥ 2")?,
     })
 }
 
@@ -164,10 +158,7 @@ fn run(argv: &[String]) -> Result<(), String> {
         .duration_since(UNIX_EPOCH)
         .map_or(0, |d| d.as_secs());
     let runs_dir = base.join(format!("runs-{}-{stamp}", args.workload));
-    let layout = match &bins[0][..] {
-        [one, two, ..] => Some(control([one, two], &args, &runs_dir, &metrics)?),
-        _ => None,
-    };
+    let layout = control([&bins[0][0], &bins[0][1]], &args, &runs_dir, &metrics)?;
     let mut files: Vec<(&str, String)> = Vec::new();
     // Per side: operations failed and attempted, digests seen.
     let mut checks = [(0.0, 0.0, Vec::new()), (0.0, 0.0, Vec::new())];
@@ -204,13 +195,7 @@ fn run(argv: &[String]) -> Result<(), String> {
     }
     let named: Vec<(&str, &str)> = files.iter().map(|(s, f)| (*s, f.as_str())).collect();
     let mut runs = trajectory::read_runs(&named)?;
-    print!(
-        "{}",
-        report(&runs, &args.workload, &metrics, layout.as_deref())
-    );
-    if let Some(groups) = split_by_parallelism(&readings) {
-        print!("{}", split_report(&runs, &args.workload, &metrics, &groups));
-    }
+    print!("{}", report(&runs, &args.workload, &metrics, &layout));
     for (name, (failed, attempted, digests)) in ["parent", "change"].iter().zip(&checks) {
         println!(
             "{name}: {failed} of {attempted} operations failed; digests {}",
@@ -237,16 +222,12 @@ fn run(argv: &[String]) -> Result<(), String> {
     runs.stamp.insert("parallelism".into(), Json::Num(median));
     runs.stamp
         .insert("parallelism_range".into(), Json::Arr(range));
-    if args.layouts > 0 {
-        let seeds = (0..args.pairs).map(|pair| Json::Num((pair % args.layouts + 1) as f64));
-        runs.stamp
-            .insert("layout_seeds".into(), Json::Arr(seeds.collect()));
-    }
-    if let Some(layout) = &layout {
-        let moves = (metrics.iter().zip(layout)).map(|(m, &v)| (m.name.clone(), Json::Num(v)));
-        runs.stamp
-            .insert("layout_control".into(), Json::Obj(moves.collect()));
-    }
+    let seeds = (0..args.pairs).map(|pair| Json::Num((pair % args.layouts + 1) as f64));
+    runs.stamp
+        .insert("layout_seeds".into(), Json::Arr(seeds.collect()));
+    let moves = (metrics.iter().zip(&layout)).map(|(m, &v)| (m.name.clone(), Json::Num(v)));
+    runs.stamp
+        .insert("layout_control".into(), Json::Obj(moves.collect()));
     let line = trajectory::line(&runs, std::slice::from_ref(&args.workload))?;
     trajectory::append_line(&line)?;
     println!(
@@ -315,8 +296,8 @@ fn export(root: &Path, rev: &str, base: &Path) -> Result<PathBuf, String> {
 }
 
 /// Build the tsbench binary of `benchmark`, offline, in its own target
-/// dir: the plain link when `layouts` is 0, else one binary per shuffle
-/// seed 1..=`layouts`, each a relink of the `tsbench` crate alone.
+/// dir, then one binary per shuffle seed 1..=`layouts`, each a relink of
+/// the `tsbench` crate alone.
 fn build(benchmark: &Path, layouts: usize) -> Result<Vec<PathBuf>, String> {
     println!("building {}", benchmark.display());
     let manifest = benchmark.join("Cargo.toml");
@@ -339,9 +320,6 @@ fn build(benchmark: &Path, layouts: usize) -> Result<Vec<PathBuf>, String> {
     };
     cargo("build", &[])?;
     let plain = benchmark.join("target/release/tsbench");
-    if layouts == 0 {
-        return Ok(vec![plain]);
-    }
     (1..=layouts)
         .map(|seed| {
             cargo("rustc", &["--", "-C", &shuffle_arg(seed)])?;
@@ -477,86 +455,15 @@ fn side_values(runs: &trajectory::Runs, name: &str, workload: &str, metric: &str
         .unwrap_or_default()
 }
 
-/// The pairs read near one vCPU and those read near two, by index, when
-/// the readings straddle [`PARALLELISM_SPLIT`]; `None` when all pairs
-/// read one side of it.
-fn split_by_parallelism(readings: &[f64]) -> Option<[Vec<usize>; 2]> {
-    let (one, two): (Vec<usize>, Vec<usize>) =
-        (0..readings.len()).partition(|&i| readings[i] < PARALLELISM_SPLIT);
-    (!one.is_empty() && !two.is_empty()).then_some([one, two])
-}
-
-/// The parent's and the change's medians over the pairs `at`, and how
-/// many of those pairs the change won.
-fn subset_stats(
-    parent: &[f64],
-    change: &[f64],
-    at: &[usize],
-    lower_is_better: bool,
-) -> (f64, f64, usize) {
-    let pick = |xs: &[f64]| {
-        at.iter()
-            .filter_map(|&i| xs.get(i).copied())
-            .collect::<Vec<_>>()
-    };
-    let (parent, change) = (pick(parent), pick(change));
-    let better = |c: f64, p: f64| if lower_is_better { c < p } else { c > p };
-    let wins = parent
-        .iter()
-        .zip(&change)
-        .filter(|(p, c)| better(**c, **p))
-        .count();
-    (quartiles(&parent)[1], quartiles(&change)[1], wins)
-}
-
-/// Per metric: both medians and the wins over the pairs near 1, then
-/// over the pairs near 2 (see [`split_by_parallelism`]).
-fn split_report(
-    runs: &trajectory::Runs,
-    workload: &str,
-    metrics: &[Metric],
-    groups: &[Vec<usize>; 2],
-) -> String {
-    let mut text = format!(
-        "pairs near parallelism 1: {}; near 2: {}\n{:<16} {:>14} {:>14} {:>6}   {:>14} {:>14} {:>6}\n",
-        groups[0].len(),
-        groups[1].len(),
-        "metric",
-        "near-1 parent",
-        "near-1 change",
-        "wins",
-        "near-2 parent",
-        "near-2 change",
-        "wins"
-    );
-    for m in metrics {
-        let parent = side_values(runs, "parent", workload, &m.name);
-        let change = side_values(runs, "change", workload, &m.name);
-        text += &format!("{:<16}", m.name);
-        for at in groups {
-            let (p, c, wins) = subset_stats(&parent, &change, at, m.lower_is_better);
-            text += &format!(" {p:>14.4} {c:>14.4} {wins:>3}/{:<2} ", at.len());
-        }
-        text = text.trim_end().to_string() + "\n";
-    }
-    text
-}
-
 /// Per metric: both medians, the change's move, the parent's IQR, the
-/// layout control's move (`-` without one), wins and the verdict.
-fn report(
-    runs: &trajectory::Runs,
-    workload: &str,
-    metrics: &[Metric],
-    layout: Option<&[f64]>,
-) -> String {
+/// layout control's move, wins and the verdict.
+fn report(runs: &trajectory::Runs, workload: &str, metrics: &[Metric], layout: &[f64]) -> String {
     let side = |name: &str, metric: &str| side_values(runs, name, workload, metric);
     let mut text = format!(
         "{:<16} {:>14} {:>14} {:>8} {:>12} {:>12} {:>6}  verdict\n",
         "metric", "parent median", "change median", "move", "parent IQR", "layout", "wins"
     );
-    for (i, m) in metrics.iter().enumerate() {
-        let layout = layout.and_then(|l| l.get(i).copied());
+    for (m, &layout) in metrics.iter().zip(layout) {
         let (parent, change) = (side("parent", &m.name), side("change", &m.name));
         let [q1, p_med, q3] = quartiles(&parent);
         let [_, c_med, _] = quartiles(&change);
@@ -568,7 +475,7 @@ fn report(
             .count();
         let moved = (c_med - p_med) / p_med;
         let worse_by = if m.lower_is_better { moved } else { -moved };
-        let noise = (q3 - q1).max(layout.unwrap_or(0.0));
+        let noise = (q3 - q1).max(layout);
         let verdict = verdict(
             worse_by,
             m.bound,
@@ -576,9 +483,8 @@ fn report(
             parent.len(),
             (c_med - p_med).abs() > noise,
         );
-        let layout = layout.map_or("-".to_string(), |l| format!("{l:.4}"));
         text += &format!(
-            "{:<16} {:>14.4} {:>14.4} {:>+7.1}% {:>12.4} {layout:>12} {:>3}/{:<2}  {verdict}\n",
+            "{:<16} {:>14.4} {:>14.4} {:>+7.1}% {:>12.4} {layout:>12.4} {:>3}/{:<2}  {verdict}\n",
             m.name,
             p_med,
             c_med,
@@ -635,34 +541,6 @@ mod tests {
     }
 
     #[test]
-    fn pairs_straddling_the_split_are_grouped_near_one_and_near_two() {
-        let readings = [1.91, 1.02, 1.5, 1.49, 1.88];
-        assert_eq!(
-            split_by_parallelism(&readings),
-            Some([vec![1, 3], vec![0, 2, 4]])
-        );
-        assert_eq!(split_by_parallelism(&[1.91, 1.88]), None);
-        assert_eq!(split_by_parallelism(&[1.02, 1.1]), None);
-        assert_eq!(split_by_parallelism(&[]), None);
-        // Medians and wins over each group alone: higher is better here,
-        // and the change wins pairs 0 and 4 of the near-2 group only.
-        let parent = [100.0, 50.0, 104.0, 52.0, 102.0];
-        let change = [110.0, 48.0, 103.0, 51.0, 108.0];
-        assert_eq!(
-            subset_stats(&parent, &change, &[1, 3], false),
-            (51.0, 49.5, 0)
-        );
-        assert_eq!(
-            subset_stats(&parent, &change, &[0, 2, 4], false),
-            (102.0, 108.0, 2)
-        );
-        assert_eq!(
-            subset_stats(&parent, &change, &[1, 3], true),
-            (51.0, 49.5, 2)
-        );
-    }
-
-    #[test]
     fn a_command_line_needs_a_parent_a_workload_and_pairs() {
         let argv = |s: &str| s.split(' ').map(String::from).collect::<Vec<_>>();
         let args = parse(&argv("--parent HEAD~1 --workload collect_full --pairs 10")).unwrap();
@@ -670,9 +548,12 @@ mod tests {
             (args.pairs, args.seed.as_str(), args.seconds, args.layouts),
             (10, "42", None, DEFAULT_LAYOUTS)
         );
-        let args = parse(&argv("--parent a --workload w --pairs 4 --layouts 0")).unwrap();
-        assert_eq!(args.layouts, 0);
-        assert!(parse(&argv("--parent a --workload w --pairs 4 --layouts -1")).is_err());
+        let args = parse(&argv("--parent a --workload w --pairs 4 --layouts 3")).unwrap();
+        assert_eq!(args.layouts, 3);
+        for k in ["0", "1", "-1"] {
+            let line = format!("--parent a --workload w --pairs 4 --layouts {k}");
+            assert!(parse(&argv(&line)).is_err(), "--layouts {k}");
+        }
         assert!(parse(&argv("--parent HEAD~1 --workload collect_full")).is_err());
         assert!(parse(&argv("--parent HEAD~1 --workload collect_full --pairs 0")).is_err());
         assert!(parse(&argv("--workload collect_full --pairs 3")).is_err());

@@ -17,7 +17,15 @@ use tscout_suite::rng::rngs::StdRng;
 use tscout_suite::rng::{RngExt, SeedableRng};
 use tscout_suite::telemetry::Telemetry;
 
-const OUS: [&str; 4] = ["seq_scan", "idx_probe", "wal_write", "agg_build"];
+/// OU 4, `row_count`, has counted features: the feature column's
+/// integer form.
+const OUS: [&str; 5] = [
+    "seq_scan",
+    "idx_probe",
+    "wal_write",
+    "agg_build",
+    "row_count",
+];
 const CLOCK_GHZ: f64 = 2.1;
 const CONCURRENCY: usize = 4;
 
@@ -29,9 +37,8 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
 
 fn random_sample(rng: &mut StdRng, i: u64) -> Sample {
     let ou = rng.random_range(0..OUS.len());
-    // OU 1's features are counts: the feature column's integer form.
     let feature = |rng: &mut StdRng| match rng.random_range(0..12) {
-        _ if ou == 1 => rng.random_range(-50i64..5_000) as f64,
+        _ if ou == 4 => rng.random_range(-50i64..5_000) as f64,
         0 => f64::NAN,
         1 => -0.0,
         2 => f64::INFINITY,
@@ -291,12 +298,13 @@ fn one_name_under_two_ids_and_a_tail_only_ou_match_the_sample_scan() {
         [
             "agg_build",
             "idx_probe",
+            "row_count",
             "seq_scan",
             "tail_only",
             "wal_write"
         ]
     );
-    assert_eq!(data[3].len(), 30);
+    assert_eq!(data[4].len(), 30);
     drop(archive);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -27,10 +27,13 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     dir
 }
 
+/// The OU whose features are counts, whole numbers of either sign: the
+/// integer form of the feature column.
+const COUNTED: u16 = 5;
+
 /// Deterministic pseudo-random sample with awkward shapes: variable
-/// vector lengths, full-range values, and occasional NaN features; an
-/// odd OU's features are counts, whole numbers of either sign (the
-/// integer form of the feature column).
+/// vector lengths, full-range values, and occasional NaN features
+/// ([`COUNTED`]'s are whole numbers).
 fn random_sample(rng: &mut StdRng, ou: u16) -> Sample {
     let n_metrics = rng.random_range(0..6);
     let n_features = rng.random_range(0..5);
@@ -46,7 +49,7 @@ fn random_sample(rng: &mut StdRng, ou: u16) -> Sample {
         metrics: (0..n_metrics).map(|_| rng.random()).collect(),
         features: (0..n_features)
             .map(|_| {
-                if ou % 2 == 1 {
+                if ou == COUNTED {
                     rng.random_range(-500i64..50_000) as f64
                 } else if rng.random_range(0..20) == 0 {
                     f64::NAN
@@ -73,7 +76,7 @@ fn roundtrip_seal_compact_scan_is_bit_identical_per_ou() {
     let mut expected: std::collections::BTreeMap<u16, Vec<Sample>> = Default::default();
     let mut a = Archive::open(&dir, opts.clone(), Telemetry::new()).unwrap();
     for _ in 0..4_000 {
-        let ou = rng.random_range(0..5u16);
+        let ou = rng.random_range(0..=COUNTED);
         let s = random_sample(&mut rng, ou);
         expected.entry(ou).or_default().push(s.clone());
         a.append(s).unwrap();
@@ -207,16 +210,18 @@ fn torn_tail_recovers_valid_prefix_at_every_corruption_offset() {
         ..Default::default()
     };
     let mut rng = StdRng::seed_from_u64(7);
-    let originals: Vec<Sample> = (0..100).map(|_| random_sample(&mut rng, 1)).collect();
-    let mut a = Archive::open(&dir, opts.clone(), Telemetry::new()).unwrap();
-    originals.iter().for_each(|s| a.append(s).unwrap());
-    drop(a);
-    every_flip_and_cut_costs_only_its_frame(&dir, &opts, &originals);
-    std::fs::remove_dir_all(&dir).ok();
+    for ou in [1, COUNTED] {
+        let originals: Vec<Sample> = (0..100).map(|_| random_sample(&mut rng, ou)).collect();
+        let mut a = Archive::open(&dir, opts.clone(), Telemetry::new()).unwrap();
+        originals.iter().for_each(|s| a.append(s).unwrap());
+        drop(a);
+        every_flip_and_cut_costs_only_its_frame(&dir, &opts, &originals);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 /// The same sweep over a segment that compaction merged from several,
-/// its blocks of three OUs interleaved.
+/// its blocks of four OUs interleaved.
 #[test]
 fn a_merged_segment_recovers_at_every_corruption_offset() {
     let dir = temp_dir("torn_merged");
@@ -227,14 +232,15 @@ fn a_merged_segment_recovers_at_every_corruption_offset() {
     };
     let mut rng = StdRng::seed_from_u64(11);
     let mut a = Archive::open(&dir, opts.clone(), Telemetry::new()).unwrap();
-    for i in 0..60 {
-        a.append(random_sample(&mut rng, i % 3)).unwrap();
+    for i in 0..80 {
+        a.append(random_sample(&mut rng, [0, 1, 2, COUNTED][i % 4]))
+            .unwrap();
     }
     a.seal().unwrap();
     assert!(a.stats().segments >= 3, "want a run to merge");
     assert!(a.compact_now().unwrap());
     let stored: Vec<Sample> = a.scan_all().collect();
-    assert_eq!(stored.len(), 60);
+    assert_eq!(stored.len(), 80);
     drop(a);
     every_flip_and_cut_costs_only_its_frame(&dir, &opts, &stored);
     std::fs::remove_dir_all(&dir).ok();
